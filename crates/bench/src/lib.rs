@@ -14,7 +14,7 @@
 #![warn(missing_docs)]
 
 use alias_censys::{CensysConfig, CensysSnapshot};
-use alias_core::alias_set::AliasSetCollection;
+use alias_core::alias_set::{group_view_compact, AliasSetCollection};
 use alias_core::analysis;
 use alias_core::analysis::AsnTable;
 use alias_core::dataset::{DatasetFilter, DatasetSummary};
@@ -169,8 +169,8 @@ impl Experiment {
                 ..Default::default()
             },
         );
-        let censys = ObservationStore::from_observations(snapshot.default_port_observations());
-        let censys_nonstandard = snapshot.nonstandard_port_observations().len();
+        let (default_port, censys_nonstandard) = snapshot.into_default_port();
+        let censys = ObservationStore::from_observations(default_port);
         timings.censys_ms = stage.finish().as_millis() as u64;
 
         // Three weeks pass before the active measurement (the paper's
@@ -946,14 +946,17 @@ pub fn stats(exp: &Experiment) -> String {
         ssh: alias_core::identifier::SshIdentifierPolicy::KeyOnly,
         ..ExtractionConfig::paper()
     });
-    let ssh_by_key = AliasSetCollection::from_view(
+    // Only the number of key-grouped sets is quoted, so the id-space
+    // grouping (non-singleton sets, no addresses resolved) is enough.
+    let ssh_by_key = group_view_compact(
         &exp.union.select_protocol(ServiceProtocol::Ssh, None),
         &key_only,
+        exp.threads,
     );
     // The full identifier splits a key-grouped set whenever interfaces of
     // the same host advertise diverging capabilities (the paper's 0.4%).
     let full_sets = ssh.non_singleton_sets().len();
-    let key_sets = ssh_by_key.non_singleton_sets().len();
+    let key_sets = ssh_by_key.sets.len();
     let diverging = full_sets.saturating_sub(key_sets);
     out.push_str(&format!(
         "Non-singleton SSH hosts whose interfaces disagree on capabilities: {} of {} key-grouped sets ({:.1}%)\n",

@@ -79,6 +79,7 @@ impl CensysSnapshot {
             .visibility
             .censys_nonstandard_port_fraction;
         let mut observations = Vec::new();
+        let mut session = Vec::new();
 
         for device in internet.devices() {
             if !device.censys_covered {
@@ -98,10 +99,13 @@ impl CensysSnapshot {
                 if addr.is_ipv6() && !config.include_ipv6 {
                     continue;
                 }
-                let Some(bytes) = internet.service_session(addr, port, &ctx) else {
+                let Some((device_id, iface)) = internet.lookup(addr) else {
                     continue;
                 };
-                let Some(payload) = parse_payload(protocol, &bytes) else {
+                if !internet.service_session_into(device_id, iface, port, &ctx, &mut session) {
+                    continue;
+                }
+                let Some(payload) = parse_payload(protocol, &session) else {
                     continue;
                 };
                 let base = ServiceObservation {
@@ -141,6 +145,18 @@ impl CensysSnapshot {
             .filter(|o| o.is_default_port())
             .cloned()
             .collect()
+    }
+
+    /// Consume the snapshot into its default-port observations (the rows
+    /// [`Self::default_port_observations`] clones) and the number of
+    /// non-standard-port rows left behind — for a caller that keeps only
+    /// those two, nothing is copied.
+    pub fn into_default_port(self) -> (Vec<ServiceObservation>, usize) {
+        let mut observations = self.observations;
+        let total = observations.len();
+        observations.retain(ServiceObservation::is_default_port);
+        let nonstandard = total - observations.len();
+        (observations, nonstandard)
     }
 
     /// Observations on non-standard ports (excluded from the analysis but
@@ -232,6 +248,9 @@ mod tests {
             default_only.len() + nonstandard.len(),
             snapshot.observations.len()
         );
+        // The consuming partition is the same split, moved instead of cloned.
+        let nonstandard = nonstandard.len();
+        assert_eq!(snapshot.into_default_port(), (default_only, nonstandard));
     }
 
     #[test]

@@ -1,20 +1,47 @@
 //! Alias sets: groups of addresses sharing a protocol identifier.
 //!
-//! Grouping runs in id space: identifiers are interned to
-//! [`IdentId`](crate::intern::IdentId)s and
-//! addresses to [`AddrId`]s, so the per-observation work is two hash
-//! lookups and a `Vec` push — no owned-`String` map keys, no per-insert
-//! ordered-set rebalancing.  Addresses come back only when a collection or
+//! Grouping runs in id space: each row's identifier is written as a byte
+//! key into a reused buffer
+//! ([`IdentifierExtractor::key_into`]) and interned to an
+//! [`IdentId`](crate::intern::IdentId), addresses to [`AddrId`]s, so the
+//! per-observation work is two hash lookups and a `Vec` push — no
+//! identifier `String`s per row, no per-insert ordered-set rebalancing.  A
+//! [`ProtocolIdentifier`] is built once per distinct key, and only where an
+//! [`AliasSet`] carries one; addresses come back only when a collection or
 //! [`CompactGrouping`] is materialised for reports.
 
 use crate::analysis::AsnTable;
 use crate::extract::IdentifierExtractor;
 use crate::identifier::ProtocolIdentifier;
 use crate::intern::{sort_canonical_compact, AddrId, AddrInterner, CompactAliasSet, IdentInterner};
+use alias_obs::{DeterminismClass, LazyCounter};
 use alias_scan::{ObservationSink, ObservationView, ServiceObservation, ServicePayload};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 use std::net::IpAddr;
+
+/// Rows a grouping keyed: those whose payload yields an identifier.
+static GROUP_ROWS: LazyCounter = LazyCounter::new(
+    "core.group_rows",
+    DeterminismClass::Deterministic,
+    "rows",
+    "core",
+);
+
+/// Distinct identifiers those rows interned to — with `core.group_rows`,
+/// how many rows share an identifier with another.
+static GROUP_IDENTS: LazyCounter = LazyCounter::new(
+    "core.group_idents",
+    DeterminismClass::Deterministic,
+    "idents",
+    "core",
+);
+
+/// Flush one finished grouping's counts, from serial code.
+fn count_grouping(groups: &[Vec<AddrId>]) {
+    GROUP_ROWS.add(groups.iter().map(|members| members.len() as u64).sum());
+    GROUP_IDENTS.add(groups.len() as u64);
+}
 
 /// One alias set: the identifier and every address observed with it.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -75,6 +102,11 @@ pub struct AliasSetBuilder {
     extractor: IdentifierExtractor,
     addrs: AddrInterner,
     idents: IdentInterner,
+    /// Scratch buffer the current row's key is written into.
+    key: Vec<u8>,
+    /// The identifier behind each key, indexed by [`IdentId`]: built when
+    /// the key is first seen.
+    identifiers: Vec<ProtocolIdentifier>,
     /// Member ids per identifier, indexed by [`IdentId`]; may hold
     /// duplicates until [`finish`](Self::finish) deduplicates.
     groups: Vec<Vec<AddrId>>,
@@ -88,6 +120,8 @@ impl AliasSetBuilder {
             extractor,
             addrs: AddrInterner::new(),
             idents: IdentInterner::new(),
+            key: Vec::new(),
+            identifiers: Vec::new(),
             groups: Vec::new(),
             asn_of: AsnTable::default(),
         }
@@ -104,11 +138,14 @@ impl AliasSetBuilder {
     /// a store view hands over the address, the AS annotation and a
     /// borrowed payload without materialising a row.
     pub fn push_parts(&mut self, addr: IpAddr, asn: Option<u32>, payload: &ServicePayload) {
-        let Some(identifier) = self.extractor.extract_payload(payload) else {
+        if !self.extractor.key_into(payload, &mut self.key) {
             return;
-        };
-        let ident = self.idents.intern(identifier);
+        }
+        let ident = self.idents.intern_ref(self.key.as_slice());
         if ident.index() == self.groups.len() {
+            let identifier = self.extractor.extract_payload(payload);
+            self.identifiers
+                .push(identifier.expect("a payload with a key has an identifier"));
             self.groups.push(Vec::new());
         }
         let addr_id = self.addrs.intern(addr);
@@ -132,9 +169,9 @@ impl AliasSetBuilder {
             })
             .collect();
         asn_pairs.sort_unstable_by_key(|&(addr, _)| addr);
+        count_grouping(&self.groups);
         let mut sets: Vec<AliasSet> = self
-            .idents
-            .into_keys()
+            .identifiers
             .into_iter()
             .zip(self.groups)
             .map(|(identifier, ids)| AliasSet {
@@ -299,15 +336,16 @@ pub fn group_observations_compact(
     threads: usize,
 ) -> CompactGrouping {
     group_compact_sharded(observations.len(), threads, interner, |range, emit| {
+        let mut key = Vec::new();
         for observation in &observations[range.0..range.1] {
-            let Some(identifier) = extractor.extract(observation) else {
+            if !extractor.key_into(&observation.payload, &mut key) {
                 continue;
-            };
+            }
             let addr = interner.get(observation.addr).expect(
                 "the interner must cover every observation address; rebuild the campaign \
                  data (CampaignData::from_observations) after mutating observations",
             );
-            emit(identifier, addr);
+            emit(&key, addr);
         }
     })
 }
@@ -332,11 +370,11 @@ pub fn group_view_compact(
         threads,
         view.store().interner(),
         |range, emit| {
+            let mut key = Vec::new();
             for i in range.0..range.1 {
-                let Some(identifier) = extractor.extract_payload(view.payload_at(i)) else {
-                    continue;
-                };
-                emit(identifier, view.addr_id_at(i));
+                if extractor.key_into(view.payload_at(i), &mut key) {
+                    emit(&key, view.addr_id_at(i));
+                }
             }
         },
     )
@@ -344,13 +382,14 @@ pub fn group_view_compact(
 
 /// The shared shard/reduce skeleton behind both compact grouping entry
 /// points: `scan` walks one half-open row range and emits
-/// `(identifier, addr id)` pairs; shards group locally and the join
-/// re-interns only each shard's distinct identifiers, in shard order.
+/// `(identifier key, addr id)` pairs; shards group locally and the join
+/// re-interns only each shard's distinct keys, in shard order.  No
+/// [`ProtocolIdentifier`] is built: a [`CompactGrouping`] carries none.
 fn group_compact_sharded(
     rows: usize,
     threads: usize,
     interner: &AddrInterner,
-    scan: impl Fn((usize, usize), &mut dyn FnMut(ProtocolIdentifier, AddrId)) + Sync,
+    scan: impl Fn((usize, usize), &mut dyn FnMut(&[u8], AddrId)) + Sync,
 ) -> CompactGrouping {
     // Extraction + hashing is CPU-bound with no per-item pacing overhead
     // to amortise, so workers beyond the machine's parallelism only add
@@ -370,8 +409,8 @@ fn group_compact_sharded(
             let mut groups: Vec<Vec<AddrId>> = Vec::new();
             scan(
                 (range.start as usize, range.end as usize),
-                &mut |identifier, addr| {
-                    let ident = idents.intern(identifier);
+                &mut |key, addr| {
+                    let ident = idents.intern_ref(key);
                     if ident.index() == groups.len() {
                         groups.push(Vec::new());
                     }
@@ -402,6 +441,7 @@ fn group_compact_sharded(
         }
     }
 
+    count_grouping(&groups);
     let mut sets = Vec::new();
     let mut testable: Vec<AddrId> = Vec::new();
     for members in groups {

@@ -70,6 +70,30 @@ impl IdentifierExtractor {
             ServicePayload::RateLimit { .. } => None,
         }
     }
+
+    /// Write the grouping key of `payload`'s identifier into `key`
+    /// (cleared first), returning `false` — and leaving `key` empty — when
+    /// [`Self::extract_payload`] would return `None`.
+    ///
+    /// Under one extractor, two payloads get equal keys exactly when
+    /// `extract_payload` gives them equal identifiers; the key is written
+    /// into the caller's buffer, so keying a row allocates nothing once the
+    /// buffer has grown.  This is what the grouping loops call per row.
+    pub fn key_into(&self, payload: &ServicePayload, key: &mut Vec<u8>) -> bool {
+        key.clear();
+        match payload {
+            ServicePayload::Ssh(ssh) => SshIdentifier::write_key(ssh, self.config.ssh, key),
+            ServicePayload::Bgp { open, .. } => {
+                BgpIdentifier::write_key(open, self.config.bgp, key);
+                true
+            }
+            ServicePayload::Snmpv3 { engine_id, .. } => {
+                Snmpv3Identifier::write_key(engine_id, key);
+                true
+            }
+            ServicePayload::RateLimit { .. } => false,
+        }
+    }
 }
 
 #[cfg(test)]

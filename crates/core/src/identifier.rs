@@ -20,6 +20,12 @@
 //! Identifier *policies* expose the ablations discussed in the paper
 //! (key-only vs. combined SSH identifiers, BGP-identifier-only vs. the full
 //! OPEN tuple).
+//!
+//! Each identifier type also has a `write_key`: the same material as one
+//! run of bytes appended to a caller's buffer, equal for two observations
+//! exactly when their identifiers are equal.  Grouping keys rows by those
+//! bytes and builds the `String`-carrying identifier once per distinct
+//! key, not once per row.
 
 use alias_wire::bgp::{OpenMessage, OptionalParameter};
 use alias_wire::snmp::EngineId;
@@ -46,6 +52,23 @@ pub enum BgpIdentifierPolicy {
     /// Every host-wide OPEN field (the paper's identifier).
     #[default]
     FullOpen,
+}
+
+/// First key byte per protocol, so keys of different protocols never
+/// compare equal (as their identifiers never do).
+const KEY_SSH: u8 = 1;
+const KEY_BGP: u8 = 2;
+const KEY_SNMPV3: u8 = 3;
+
+/// Append what `write` appends, prefixed with its length: fields are
+/// variable-length and attacker-supplied, so only framing keeps one from
+/// running into the next (`"ab" + "c"` vs `"a" + "bc"`).
+fn framed(out: &mut Vec<u8>, write: impl FnOnce(&mut Vec<u8>)) {
+    let at = out.len();
+    out.extend_from_slice(&[0; 4]);
+    write(out);
+    let len = (out.len() - at - 4) as u32;
+    out[at..at + 4].copy_from_slice(&len.to_le_bytes());
 }
 
 /// The SSH identifier of one responsive address.
@@ -83,6 +106,41 @@ impl SshIdentifier {
             capabilities,
             host_key,
         })
+    }
+
+    /// Append the key of the identifier [`Self::from_observation`] would
+    /// build; `false` (nothing appended) where that returns `None`.
+    ///
+    /// The banner and capability frames hold exactly the bytes of the
+    /// `banner` and `capabilities` strings — not the structured fields,
+    /// which several values can render alike — and the host key goes in raw
+    /// (algorithm, material), which its fingerprint renders injectively.
+    pub fn write_key(obs: &SshObservation, policy: SshIdentifierPolicy, out: &mut Vec<u8>) -> bool {
+        let Some(host_key) = &obs.host_key else {
+            return false;
+        };
+        out.push(KEY_SSH);
+        framed(out, |out| {
+            if policy == SshIdentifierPolicy::Full {
+                obs.banner.emit_line(out);
+            }
+        });
+        framed(out, |out| {
+            if policy == SshIdentifierPolicy::KeyOnly {
+                return;
+            }
+            if let Some(kex) = &obs.kex_init {
+                for (index, list) in kex.server_capability_lists().into_iter().enumerate() {
+                    if index > 0 {
+                        out.push(b';');
+                    }
+                    out.extend_from_slice(list.joined().as_bytes());
+                }
+            }
+        });
+        out.push(host_key.algorithm as u8);
+        out.extend_from_slice(&host_key.key_material);
+        true
     }
 }
 
@@ -129,6 +187,37 @@ impl BgpIdentifier {
     }
 }
 
+impl BgpIdentifier {
+    /// Append the key of the identifier [`Self::from_open`] would build.
+    ///
+    /// Each optional parameter goes in as (kind, code, framed value), which
+    /// is in bijection with its `code:hex` / `ptype:hex` rendering.
+    /// `open_length` is left out: it is a function of the parameters' kinds
+    /// and value lengths, so it can never tell two keys apart.
+    pub fn write_key(open: &OpenMessage, policy: BgpIdentifierPolicy, out: &mut Vec<u8>) {
+        out.push(KEY_BGP);
+        out.extend_from_slice(&open.bgp_identifier.octets());
+        if policy == BgpIdentifierPolicy::IdentifierOnly {
+            return;
+        }
+        out.extend_from_slice(&open.effective_asn().to_le_bytes());
+        out.extend_from_slice(&open.hold_time.to_le_bytes());
+        out.push(open.version);
+        for param in &open.optional_parameters {
+            match param {
+                OptionalParameter::Capability(cap) => {
+                    out.extend_from_slice(&[0, cap.code()]);
+                    framed(out, |out| cap.emit_value(out));
+                }
+                OptionalParameter::Other { param_type, value } => {
+                    out.extend_from_slice(&[1, *param_type]);
+                    framed(out, |out| out.extend_from_slice(value));
+                }
+            }
+        }
+    }
+}
+
 fn render_capabilities(params: &[OptionalParameter]) -> String {
     use std::fmt::Write as _;
     let mut out = String::new();
@@ -163,6 +252,14 @@ impl Snmpv3Identifier {
         Snmpv3Identifier {
             engine_id: engine_id.to_hex(),
         }
+    }
+
+    /// Append the key of the identifier [`Self::from_engine_id`] would
+    /// build: the engine ID's bytes, which the hex rendering is one-to-one
+    /// with.
+    pub fn write_key(engine_id: &EngineId, out: &mut Vec<u8>) {
+        out.push(KEY_SNMPV3);
+        out.extend_from_slice(engine_id.as_bytes());
     }
 }
 

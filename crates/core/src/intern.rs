@@ -4,7 +4,8 @@
 //!
 //! * [`AddrInterner`] — `IpAddr` ⇄ dense [`AddrId`]; a campaign interns
 //!   every observed address once, and grouping + merging run on the ids.
-//! * [`IdentInterner`] — [`crate::identifier::ProtocolIdentifier`] ⇄ dense
+//! * [`IdentInterner`] — identifier byte key
+//!   ([`crate::extract::IdentifierExtractor::key_into`]) ⇄ dense
 //!   [`IdentId`]; identifier grouping keys maps by id instead of by owned
 //!   identifier values.
 //! * [`CompactAliasSet`] — the id-based alias set (sorted `Vec<AddrId>`);
@@ -14,6 +15,6 @@ pub use alias_intern::{
     sort_canonical_compact, AddrId, AddrInterner, CompactAliasSet, IdentId, Interner,
 };
 
-/// Interner for protocol identifiers: the id space identifier grouping
+/// Interner for identifier byte keys: the id space identifier grouping
 /// runs on.
-pub type IdentInterner = Interner<crate::identifier::ProtocolIdentifier>;
+pub type IdentInterner = Interner<Vec<u8>>;

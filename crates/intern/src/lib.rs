@@ -35,6 +35,7 @@
 #![warn(missing_docs)]
 
 use serde::{Deserialize, Serialize};
+use std::borrow::Borrow;
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeSet, HashMap};
 use std::hash::Hash;
@@ -232,6 +233,22 @@ impl<K: Eq + Hash> Interner<K> {
                 next
             }
         }
+    }
+
+    /// The id of a borrowed `key`, interning an owned copy if new — the
+    /// way to key rows from a reused scratch buffer: only a key seen for
+    /// the first time allocates.
+    pub fn intern_ref<Q>(&mut self, key: &Q) -> IdentId
+    where
+        K: Borrow<Q>,
+        Q: Hash + Eq + ToOwned<Owned = K> + ?Sized,
+    {
+        if let Some(&id) = self.ids.get(key) {
+            return id;
+        }
+        let next = IdentId(self.ids.len() as u32);
+        self.ids.insert(key.to_owned(), next);
+        next
     }
 
     /// The id of `key`, if it has been interned.

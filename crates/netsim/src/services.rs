@@ -41,29 +41,20 @@ pub fn ssh_session_bytes_into(
     out: &mut Vec<u8>,
 ) {
     let effective = divergent_profile.unwrap_or(profile);
-    out.extend_from_slice(&effective.banner.to_bytes());
+    effective.banner.emit(out);
 
-    let mut kexinit = effective.kexinit.clone();
     // The cookie is random per connection on real servers; derive it from the
     // seed so captures are deterministic but visibly non-constant.
     let seed_bytes = cookie_seed.to_be_bytes();
-    for (i, byte) in kexinit.cookie.iter_mut().enumerate() {
-        *byte = seed_bytes[i % 8] ^ (i as u8).wrapping_mul(37);
-    }
-    out.extend_from_slice(&kexinit.to_packet().to_bytes());
+    let cookie: [u8; 16] = std::array::from_fn(|i| seed_bytes[i % 8] ^ (i as u8).wrapping_mul(37));
+    effective.kexinit.emit_packet(&cookie, out);
 
     // Ephemeral key and signature are opaque to the scanner; deterministic
     // filler derived from the host key keeps captures reproducible.
-    let mut ephemeral = vec![0u8; 32];
-    for (i, byte) in ephemeral.iter_mut().enumerate() {
-        *byte = host_key.key_material[i % host_key.key_material.len()].wrapping_add(i as u8);
-    }
-    let reply = KexReply {
-        host_key: host_key.clone(),
-        ephemeral_public: ephemeral,
-        signature: vec![0xa5; 64],
-    };
-    out.extend_from_slice(&reply.to_packet().to_bytes());
+    let material = &host_key.key_material;
+    let ephemeral: [u8; 32] =
+        std::array::from_fn(|i| material[i % material.len()].wrapping_add(i as u8));
+    KexReply::emit_packet_from(host_key, &ephemeral, &[0xa5; 64], out);
 }
 
 /// The server→client byte stream of a BGP service-scan session: an OPEN

@@ -103,19 +103,14 @@ impl ServicePayload {
     pub fn to_wire_bytes(&self, out: &mut Vec<u8>) {
         match self {
             ServicePayload::Ssh(ssh) => {
-                out.extend_from_slice(&ssh.banner.to_bytes());
+                ssh.banner.emit(out);
                 if let Some(kex) = &ssh.kex_init {
-                    out.extend_from_slice(&kex.to_packet().to_bytes());
+                    kex.emit_packet(&kex.cookie, out);
                 }
                 if let Some(key) = &ssh.host_key {
                     // parse_ssh only keeps the host key of the reply, so the
                     // ephemeral key and signature can stay empty.
-                    let reply = KexReply {
-                        host_key: key.clone(),
-                        ephemeral_public: Vec::new(),
-                        signature: Vec::new(),
-                    };
-                    out.extend_from_slice(&reply.to_packet().to_bytes());
+                    KexReply::emit_packet_from(key, &[], &[], out);
                 }
             }
             ServicePayload::Bgp {
@@ -231,18 +226,17 @@ pub fn parse_payload(protocol: ServiceProtocol, bytes: &[u8]) -> Option<ServiceP
 
 fn parse_ssh(bytes: &[u8]) -> Option<SshObservation> {
     let (banner, consumed) = Banner::parse(bytes).ok()?;
-    let packets = SshPacket::parse_stream(&bytes[consumed..]);
     let mut kex_init = None;
     let mut host_key = None;
-    for packet in &packets {
+    for payload in SshPacket::payloads(&bytes[consumed..]) {
         if kex_init.is_none() {
-            if let Ok(kex) = KexInit::parse_packet(packet) {
+            if let Ok(kex) = KexInit::parse_payload(payload) {
                 kex_init = Some(kex);
                 continue;
             }
         }
         if host_key.is_none() {
-            if let Ok(reply) = KexReply::parse_packet(packet) {
+            if let Ok(reply) = KexReply::parse_payload(payload) {
                 host_key = Some(reply.host_key);
             }
         }

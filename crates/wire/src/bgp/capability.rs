@@ -53,17 +53,22 @@ impl Capability {
 
     /// Capability value bytes on the wire (without the code/length header).
     pub fn value_bytes(&self) -> Vec<u8> {
+        let mut value = Vec::new();
+        self.emit_value(&mut value);
+        value
+    }
+
+    /// Append [`Self::value_bytes`] to `out`.
+    pub fn emit_value(&self, out: &mut Vec<u8>) {
         match self {
             Capability::Multiprotocol { afi, safi } => {
-                let mut v = Vec::with_capacity(4);
-                v.extend_from_slice(&afi.to_be_bytes());
-                v.push(0);
-                v.push(*safi);
-                v
+                out.extend_from_slice(&afi.to_be_bytes());
+                out.push(0);
+                out.push(*safi);
             }
-            Capability::RouteRefresh | Capability::RouteRefreshCisco => Vec::new(),
-            Capability::FourOctetAs { asn } => asn.to_be_bytes().to_vec(),
-            Capability::Other { value, .. } => value.clone(),
+            Capability::RouteRefresh | Capability::RouteRefreshCisco => {}
+            Capability::FourOctetAs { asn } => out.extend_from_slice(&asn.to_be_bytes()),
+            Capability::Other { value, .. } => out.extend_from_slice(value),
         }
     }
 

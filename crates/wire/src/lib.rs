@@ -19,7 +19,10 @@
 //! * [`ssh`] — the SSH transport layer (RFC 4253): identification banner,
 //!   binary packet framing, the `SSH_MSG_KEXINIT` algorithm-preference
 //!   name-lists and host-key blobs.  Together these form the *SSH
-//!   identifier*.
+//!   identifier*.  A [`ssh::NameList`] holds its comma-joined wire text
+//!   (one `String` a list, and that string is its serde form), and every
+//!   SSH message has an `emit_*` that appends to a caller's buffer, so a
+//!   simulated server writes a whole session without an intermediate `Vec`.
 //! * [`snmp`] — a minimal SNMPv3 message codec (RFC 3412/3414) sufficient
 //!   for unauthenticated engine-ID discovery, the identifier used by the
 //!   prior protocol-centric technique the paper compares against.

@@ -71,17 +71,34 @@ impl Banner {
     /// The banner line without the trailing CR LF, e.g.
     /// `SSH-2.0-OpenSSH_8.9p1`.
     pub fn to_line(&self) -> String {
-        match &self.comments {
-            Some(c) => format!("SSH-{}-{} {}", self.proto_version, self.software, c),
-            None => format!("SSH-{}-{}", self.proto_version, self.software),
+        let mut line = Vec::new();
+        self.emit_line(&mut line);
+        String::from_utf8(line).expect("a concatenation of strs")
+    }
+
+    /// Append [`Self::to_line`]'s bytes to `out`.
+    pub fn emit_line(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(b"SSH-");
+        out.extend_from_slice(self.proto_version.as_bytes());
+        out.push(b'-');
+        out.extend_from_slice(self.software.as_bytes());
+        if let Some(comments) = &self.comments {
+            out.push(b' ');
+            out.extend_from_slice(comments.as_bytes());
         }
     }
 
     /// The banner as sent on the wire, CR LF terminated.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut line = self.to_line().into_bytes();
-        line.extend_from_slice(b"\r\n");
-        line
+        let mut out = Vec::new();
+        self.emit(&mut out);
+        out
+    }
+
+    /// Append [`Self::to_bytes`]'s bytes to `out`.
+    pub fn emit(&self, out: &mut Vec<u8>) {
+        self.emit_line(out);
+        out.extend_from_slice(b"\r\n");
     }
 
     /// Parse the first identification line found in `buf`.

@@ -8,7 +8,9 @@
 //! generated at service setup and are expected to be unique per host unless
 //! an administrator clones them or a vendor ships factory-default keys.
 
-use super::packet::{read_string, write_string, SshPacket, SSH_MSG_KEX_ECDH_REPLY};
+use super::packet::{
+    read_string, write_string, write_string_with, SshPacket, SSH_MSG_KEX_ECDH_REPLY,
+};
 use crate::{Result, WireError};
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -79,9 +81,14 @@ impl HostKey {
     /// transmitted inside the key-exchange reply.
     pub fn to_blob(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(8 + self.key_material.len() + 16);
-        write_string(&mut out, self.algorithm.name().as_bytes());
-        write_string(&mut out, &self.key_material);
+        self.emit_blob(&mut out);
         out
+    }
+
+    /// Append the key blob to `out`.
+    pub fn emit_blob(&self, out: &mut Vec<u8>) {
+        write_string(out, self.algorithm.name().as_bytes());
+        write_string(out, &self.key_material);
     }
 
     /// Parse a key blob.
@@ -171,11 +178,39 @@ impl KexReply {
     /// Emit the payload (message number included).
     pub fn to_payload(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(128);
-        out.push(SSH_MSG_KEX_ECDH_REPLY);
-        write_string(&mut out, &self.host_key.to_blob());
-        write_string(&mut out, &self.ephemeral_public);
-        write_string(&mut out, &self.signature);
+        Self::emit_payload_from(
+            &self.host_key,
+            &self.ephemeral_public,
+            &self.signature,
+            &mut out,
+        );
         out
+    }
+
+    fn emit_payload_from(
+        host_key: &HostKey,
+        ephemeral_public: &[u8],
+        signature: &[u8],
+        out: &mut Vec<u8>,
+    ) {
+        out.push(SSH_MSG_KEX_ECDH_REPLY);
+        write_string_with(out, |out| host_key.emit_blob(out));
+        write_string(out, ephemeral_public);
+        write_string(out, signature);
+    }
+
+    /// Append a reply, framed as a binary packet, to `out` from borrowed
+    /// parts — what [`Self::to_packet`] emits for a `KexReply` holding
+    /// them, without building one.
+    pub fn emit_packet_from(
+        host_key: &HostKey,
+        ephemeral_public: &[u8],
+        signature: &[u8],
+        out: &mut Vec<u8>,
+    ) {
+        SshPacket::emit_framed(out, |out| {
+            Self::emit_payload_from(host_key, ephemeral_public, signature, out)
+        });
     }
 
     /// Wrap the reply in a binary packet.

@@ -62,9 +62,7 @@ impl KexInit {
     /// random cookie.
     pub fn capability_fingerprint(&self) -> String {
         self.server_capability_lists()
-            .iter()
-            .map(|l| l.joined())
-            .collect::<Vec<_>>()
+            .map(NameList::joined)
             .join(";")
     }
 
@@ -124,29 +122,29 @@ impl KexInit {
         let mut cookie = [0u8; 16];
         cookie.copy_from_slice(&payload[1..17]);
         let mut offset = 17;
-        let mut lists = Vec::with_capacity(10);
-        for _ in 0..10 {
+        let mut next_list = || -> Result<NameList> {
             let (list, consumed) = NameList::parse(&payload[offset..])?;
-            lists.push(list);
             offset += consumed;
-        }
-        check_len(payload, offset + 1 + 4)?;
-        let first_kex_packet_follows = payload[offset] != 0;
-        // Remaining 4 bytes are the reserved uint32, ignored.
-        let mut it = lists.into_iter();
+            Ok(list)
+        };
+        // Struct fields are evaluated in the order written: the wire order.
         Ok(KexInit {
             cookie,
-            kex_algorithms: it.next().expect("10 lists"),
-            server_host_key_algorithms: it.next().expect("10 lists"),
-            encryption_client_to_server: it.next().expect("10 lists"),
-            encryption_server_to_client: it.next().expect("10 lists"),
-            mac_client_to_server: it.next().expect("10 lists"),
-            mac_server_to_client: it.next().expect("10 lists"),
-            compression_client_to_server: it.next().expect("10 lists"),
-            compression_server_to_client: it.next().expect("10 lists"),
-            languages_client_to_server: it.next().expect("10 lists"),
-            languages_server_to_client: it.next().expect("10 lists"),
-            first_kex_packet_follows,
+            kex_algorithms: next_list()?,
+            server_host_key_algorithms: next_list()?,
+            encryption_client_to_server: next_list()?,
+            encryption_server_to_client: next_list()?,
+            mac_client_to_server: next_list()?,
+            mac_server_to_client: next_list()?,
+            compression_client_to_server: next_list()?,
+            compression_server_to_client: next_list()?,
+            languages_client_to_server: next_list()?,
+            languages_server_to_client: next_list()?,
+            first_kex_packet_follows: {
+                // The flag, then the reserved uint32 (ignored).
+                check_len(payload, offset + 1 + 4)?;
+                payload[offset] != 0
+            },
         })
     }
 
@@ -158,8 +156,16 @@ impl KexInit {
     /// Emit the KEXINIT payload (message number included).
     pub fn to_payload(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(512);
+        self.emit_payload(&self.cookie, &mut out);
+        out
+    }
+
+    /// Append the KEXINIT payload to `out`, carrying `cookie` in place of
+    /// the stored one — a server sends the same lists with a fresh cookie
+    /// on every connection, and should not have to clone them to do so.
+    pub fn emit_payload(&self, cookie: &[u8; 16], out: &mut Vec<u8>) {
         out.push(SSH_MSG_KEXINIT);
-        out.extend_from_slice(&self.cookie);
+        out.extend_from_slice(cookie);
         for list in [
             &self.kex_algorithms,
             &self.server_host_key_algorithms,
@@ -172,11 +178,16 @@ impl KexInit {
             &self.languages_client_to_server,
             &self.languages_server_to_client,
         ] {
-            list.emit(&mut out);
+            list.emit(out);
         }
         out.push(u8::from(self.first_kex_packet_follows));
         out.extend_from_slice(&0u32.to_be_bytes());
-        out
+    }
+
+    /// Append the KEXINIT, framed as a binary packet, to `out` (see
+    /// [`Self::emit_payload`] for `cookie`).
+    pub fn emit_packet(&self, cookie: &[u8; 16], out: &mut Vec<u8>) {
+        SshPacket::emit_framed(out, |out| self.emit_payload(cookie, out));
     }
 
     /// Wrap the KEXINIT in a binary packet.

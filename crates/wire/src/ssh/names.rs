@@ -5,34 +5,73 @@
 //! and RFC 4253 requires every algorithm list to be ordered by preference —
 //! which is why the lists fingerprint the implementation and form part of
 //! the paper's SSH identifier.
+//!
+//! A [`NameList`] holds the list the way the wire does: as its comma-joined
+//! text.  Every stored SSH observation carries ten of them, so one `String`
+//! per list (none for an empty list) instead of one per name is what keeps
+//! an observation row at a handful of heap allocations.
 
 use crate::error::check_len;
 use crate::{Result, WireError};
 use serde::{Deserialize, Serialize};
 
-/// An ordered list of algorithm names.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
-pub struct NameList(pub Vec<String>);
+/// An ordered list of algorithm names, stored as its comma-joined wire text.
+///
+/// The text is either empty (no names) or non-empty comma-free names
+/// separated by single commas; [`NameList::new`], [`NameList::parse`] and
+/// deserialisation all enforce that, so `parse(emit(x)) == x` for every
+/// list that can exist.  The serde form is that one string (it was a
+/// sequence of names while the list stored them separately).
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
+pub struct NameList(String);
+
+/// Whether `text` is a well-formed joined name-list: no empty name.
+fn well_formed(text: &str) -> bool {
+    !(text.starts_with(',') || text.ends_with(',') || text.contains(",,"))
+}
 
 impl NameList {
-    /// Build a name-list from a slice of names.
+    /// Build a name-list from names in preference order.
+    ///
+    /// # Panics
+    /// Panics if a name is empty or contains a comma: such a list would not
+    /// come back from [`emit`](Self::emit) → [`parse`](Self::parse) as the
+    /// names it was built from.
     pub fn new<I, S>(names: I) -> Self
     where
         I: IntoIterator<Item = S>,
-        S: Into<String>,
+        S: AsRef<str>,
     {
-        NameList(names.into_iter().map(Into::into).collect())
+        let mut joined = String::new();
+        for name in names {
+            let name = name.as_ref();
+            assert!(
+                !name.is_empty() && !name.contains(','),
+                "name-list names must be non-empty and comma-free, got {name:?}"
+            );
+            if !joined.is_empty() {
+                joined.push(',');
+            }
+            joined.push_str(name);
+        }
+        NameList(joined)
     }
 
     /// The comma-joined textual form (what appears on the wire after the
     /// length prefix).
-    pub fn joined(&self) -> String {
-        self.0.join(",")
+    pub fn joined(&self) -> &str {
+        &self.0
+    }
+
+    /// The names, in preference order.
+    pub fn names(&self) -> impl Iterator<Item = &str> {
+        // `"".split(',')` yields one empty name; an empty list has none.
+        self.0.split(',').filter(|name| !name.is_empty())
     }
 
     /// Number of names in the list.
     pub fn len(&self) -> usize {
-        self.0.len()
+        self.names().count()
     }
 
     /// Whether the list is empty.
@@ -42,12 +81,12 @@ impl NameList {
 
     /// The first (most preferred) name, if any.
     pub fn preferred(&self) -> Option<&str> {
-        self.0.first().map(String::as_str)
+        self.names().next()
     }
 
     /// Whether the list contains `name`.
     pub fn contains(&self, name: &str) -> bool {
-        self.0.iter().any(|n| n == name)
+        self.names().any(|n| n == name)
     }
 
     /// Parse a name-list from the front of `buf`; returns the list and bytes
@@ -61,28 +100,40 @@ impl NameList {
         if !text.is_ascii() {
             return Err(WireError::BadEncoding { field: "name-list" });
         }
-        let names = if text.is_empty() {
-            Vec::new()
-        } else {
-            if text.starts_with(',') || text.ends_with(',') || text.contains(",,") {
-                return Err(WireError::BadValue { field: "name-list" });
-            }
-            text.split(',').map(str::to_owned).collect()
-        };
-        Ok((NameList(names), 4 + len))
+        if !well_formed(text) {
+            return Err(WireError::BadValue { field: "name-list" });
+        }
+        Ok((NameList(text.to_owned()), 4 + len))
     }
 
     /// Emit the name-list to `out`.
     pub fn emit(&self, out: &mut Vec<u8>) {
-        let joined = self.joined();
-        out.extend_from_slice(&(joined.len() as u32).to_be_bytes());
-        out.extend_from_slice(joined.as_bytes());
+        out.extend_from_slice(&(self.0.len() as u32).to_be_bytes());
+        out.extend_from_slice(self.0.as_bytes());
     }
 }
 
-impl<S: Into<String>> FromIterator<S> for NameList {
+impl<S: AsRef<str>> FromIterator<S> for NameList {
     fn from_iter<T: IntoIterator<Item = S>>(iter: T) -> Self {
         NameList::new(iter)
+    }
+}
+
+impl Serialize for NameList {
+    fn to_value(&self) -> serde::Value {
+        self.0.to_value()
+    }
+}
+
+impl Deserialize for NameList {
+    fn from_value(value: &serde::Value) -> std::result::Result<Self, serde::Error> {
+        let text = String::from_value(value)?;
+        if !well_formed(&text) {
+            return Err(serde::Error::new(format!(
+                "name-list {text:?} contains an empty name"
+            )));
+        }
+        Ok(NameList(text))
     }
 }
 
@@ -157,5 +208,32 @@ mod tests {
     fn from_iterator() {
         let list: NameList = ["a", "b"].into_iter().collect();
         assert_eq!(list.len(), 2);
+        assert_eq!(list.names().collect::<Vec<_>>(), ["a", "b"]);
+    }
+
+    #[test]
+    #[should_panic(expected = "non-empty and comma-free")]
+    fn a_name_containing_a_comma_is_refused() {
+        // Would emit as two names.
+        let _ = NameList::new(["a,b"]);
+    }
+
+    #[test]
+    #[should_panic(expected = "non-empty and comma-free")]
+    fn an_empty_name_is_refused() {
+        // Would emit as the empty list, or next to others as a `BadValue`.
+        let _ = NameList::new(["aes128-ctr", ""]);
+    }
+
+    #[test]
+    fn serde_form_is_the_joined_text_and_is_checked() {
+        let list = NameList::new(["none", "zlib"]);
+        assert_eq!(list.to_value(), serde::Value::Str("none,zlib".to_owned()));
+        assert_eq!(NameList::from_value(&list.to_value()).unwrap(), list);
+        let empty = NameList::from_value(&serde::Value::Str(String::new())).unwrap();
+        assert_eq!((empty.len(), empty.is_empty()), (0, true));
+        for bad in [",a", "a,", "a,,b"] {
+            assert!(NameList::from_value(&serde::Value::Str(bad.to_owned())).is_err());
+        }
     }
 }

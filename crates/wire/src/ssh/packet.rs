@@ -53,6 +53,12 @@ impl SshPacket {
     /// Parse one packet from the front of `buf`; returns the packet and the
     /// number of bytes consumed.
     pub fn parse(buf: &[u8]) -> Result<(Self, usize)> {
+        let (payload, consumed) = Self::parse_borrowed(buf)?;
+        Ok((SshPacket::new(payload.to_vec()), consumed))
+    }
+
+    /// [`Self::parse`] without the copy: the payload as a slice of `buf`.
+    pub fn parse_borrowed(buf: &[u8]) -> Result<(&[u8], usize)> {
         check_len(buf, 5)?;
         let packet_length = u32::from_be_bytes([buf[0], buf[1], buf[2], buf[3]]) as usize;
         if !(2..=MAX_PACKET).contains(&packet_length) {
@@ -68,8 +74,7 @@ impl SshPacket {
             });
         }
         let payload_len = packet_length - padding_length - 1;
-        let payload = buf[5..5 + payload_len].to_vec();
-        Ok((SshPacket { payload }, 4 + packet_length))
+        Ok((&buf[5..5 + payload_len], 4 + packet_length))
     }
 
     /// Emit the packet with deterministic zero padding.
@@ -78,37 +83,48 @@ impl SshPacket {
     /// information the identifier uses, so zero padding keeps emission
     /// reproducible.
     pub fn to_bytes(&self) -> Vec<u8> {
+        let mut out = Vec::with_capacity(4 + 1 + self.payload.len() + MIN_PADDING + BLOCK);
+        Self::emit_framed(&mut out, |out| out.extend_from_slice(&self.payload));
+        out
+    }
+
+    /// Append one packet to `out` whose payload is whatever `write_payload`
+    /// appends — the framing goes around it in place, so a message emitter
+    /// can write straight into a session buffer.  Same zero padding as
+    /// [`Self::to_bytes`].
+    pub fn emit_framed(out: &mut Vec<u8>, write_payload: impl FnOnce(&mut Vec<u8>)) {
+        let start = out.len();
+        out.extend_from_slice(&[0u8; 5]);
+        write_payload(out);
+        let payload_len = out.len() - start - 5;
         // total length (4 + 1 + payload + padding) must be a multiple of BLOCK
         // and padding must be at least MIN_PADDING.
-        let unpadded = 4 + 1 + self.payload.len();
-        let mut padding = BLOCK - (unpadded % BLOCK);
+        let mut padding = BLOCK - ((4 + 1 + payload_len) % BLOCK);
         if padding < MIN_PADDING {
             padding += BLOCK;
         }
-        let packet_length = 1 + self.payload.len() + padding;
-        let mut out = Vec::with_capacity(4 + packet_length);
-        out.extend_from_slice(&(packet_length as u32).to_be_bytes());
-        out.push(padding as u8);
-        out.extend_from_slice(&self.payload);
-        out.extend_from_slice(&vec![0u8; padding]);
-        out
+        let packet_length = 1 + payload_len + padding;
+        out[start..start + 4].copy_from_slice(&(packet_length as u32).to_be_bytes());
+        out[start + 4] = padding as u8;
+        out.resize(out.len() + padding, 0);
     }
 
     /// Parse a stream of packets, stopping at the first malformed or
     /// truncated packet.
     pub fn parse_stream(buf: &[u8]) -> Vec<SshPacket> {
-        let mut out = Vec::new();
-        let mut offset = 0;
-        while offset < buf.len() {
-            match SshPacket::parse(&buf[offset..]) {
-                Ok((packet, consumed)) => {
-                    out.push(packet);
-                    offset += consumed;
-                }
-                Err(_) => break,
-            }
-        }
-        out
+        Self::payloads(buf)
+            .map(|payload| SshPacket::new(payload.to_vec()))
+            .collect()
+    }
+
+    /// The payloads of a stream of packets, borrowed from `buf`, stopping at
+    /// the first malformed or truncated packet.
+    pub fn payloads(mut buf: &[u8]) -> impl Iterator<Item = &[u8]> {
+        std::iter::from_fn(move || {
+            let (payload, consumed) = SshPacket::parse_borrowed(buf).ok()?;
+            buf = &buf[consumed..];
+            Some(payload)
+        })
     }
 }
 
@@ -124,8 +140,17 @@ pub(crate) fn read_string(buf: &[u8]) -> Result<(&[u8], usize)> {
 
 /// Append an SSH `string` to `out`.
 pub(crate) fn write_string(out: &mut Vec<u8>, data: &[u8]) {
-    out.extend_from_slice(&(data.len() as u32).to_be_bytes());
-    out.extend_from_slice(data);
+    write_string_with(out, |out| out.extend_from_slice(data));
+}
+
+/// Append an SSH `string` whose bytes are whatever `write` appends (a
+/// nested structure, emitted in place).
+pub(crate) fn write_string_with(out: &mut Vec<u8>, write: impl FnOnce(&mut Vec<u8>)) {
+    let start = out.len();
+    out.extend_from_slice(&[0u8; 4]);
+    write(out);
+    let len = (out.len() - start - 4) as u32;
+    out[start..start + 4].copy_from_slice(&len.to_be_bytes());
 }
 
 #[cfg(test)]

@@ -46,8 +46,12 @@ fn arb_name() -> impl Strategy<Value = String> {
     "[a-z0-9@.-]{1,20}"
 }
 
+fn arb_names() -> impl Strategy<Value = Vec<String>> {
+    prop::collection::vec(arb_name(), 0..6)
+}
+
 fn arb_name_list() -> impl Strategy<Value = NameList> {
-    prop::collection::vec(arb_name(), 0..6).prop_map(NameList::new)
+    arb_names().prop_map(NameList::new)
 }
 
 fn arb_kexinit() -> impl Strategy<Value = KexInit> {
@@ -114,7 +118,11 @@ proptest! {
     }
 
     #[test]
-    fn name_list_roundtrips(list in arb_name_list()) {
+    fn name_list_roundtrips(names in arb_names()) {
+        let list = NameList::new(&names);
+        prop_assert_eq!(list.names().count(), list.len());
+        prop_assert_eq!(list.names().collect::<Vec<_>>(), names);
+        prop_assert_eq!(list.is_empty(), names.is_empty());
         let mut buf = Vec::new();
         list.emit(&mut buf);
         let (parsed, consumed) = NameList::parse(&buf).unwrap();

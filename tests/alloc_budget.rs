@@ -1,0 +1,152 @@
+//! The heap-allocation budget of an observation row, from the simulated
+//! server to the alias set.
+//!
+//! A test binary of its own because it installs a counting
+//! `#[global_allocator]`.  The counter is per thread and everything runs on
+//! the test's own thread (tiny scale, one worker), so the counts are exact
+//! and the budgets carry no tolerance.
+
+use alias_resolution::core::alias_set::group_view_compact;
+use alias_resolution::netsim::ProbeContext;
+use alias_resolution::prelude::*;
+use alias_resolution::scan::zgrab::parse_payload;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::collections::HashSet;
+
+thread_local! {
+    /// Allocations (and reallocations) made by this thread.  Const
+    /// initialised and without a destructor, so reading it from inside the
+    /// allocator neither allocates nor runs after the slot is gone.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+struct Counting;
+
+// SAFETY: every method forwards its arguments unchanged to `System`, which
+// upholds the `GlobalAlloc` contract; the counter update touches only a
+// `Cell<u64>` in thread-local storage.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.with(|n| n.set(n.get() + 1));
+        // SAFETY: the caller's obligations are passed on as they are.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System` through this allocator.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCATIONS.with(|n| n.set(n.get() + 1));
+        // SAFETY: `ptr` came from `System` through this allocator.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+/// Allocations this thread makes while `work` runs.
+fn allocations<T>(work: impl FnOnce() -> T) -> (u64, T) {
+    let before = ALLOCATIONS.with(Cell::get);
+    let out = work();
+    (ALLOCATIONS.with(Cell::get) - before, out)
+}
+
+fn tiny_internet() -> Internet {
+    InternetBuilder::new(InternetConfig::tiny(14)).build()
+}
+
+/// The SSH rows of a tiny active campaign, as a store of their own.
+fn ssh_store(internet: &Internet) -> ObservationStore {
+    let campaign = ActiveCampaign::new(CampaignConfig {
+        threads: 1,
+        ..Default::default()
+    });
+    let data = campaign.run(internet);
+    let rows = data
+        .store()
+        .select_protocol(ServiceProtocol::Ssh, None)
+        .to_observations();
+    assert!(rows.len() > 100, "a tiny campaign sees SSH hosts");
+    ObservationStore::from_observations(rows)
+}
+
+#[test]
+fn an_ssh_session_is_emitted_and_parsed_within_24_allocations() {
+    let internet = tiny_internet();
+    let ctx = ProbeContext {
+        vantage: VantageKind::Distributed,
+        time: SimTime::ZERO,
+    };
+    // Grown once, outside the count: a scan loop reuses it across targets.
+    let mut session = Vec::with_capacity(4096);
+    let mut sessions = 0;
+    let ssh_port = ServiceProtocol::Ssh.default_port();
+    for device in internet.devices() {
+        for addr in device.ssh_responding_addrs() {
+            let (device_id, iface) = internet.lookup(addr).expect("a device's own address");
+            let (count, payload) = allocations(|| {
+                internet
+                    .service_session_into(device_id, iface, ssh_port, &ctx, &mut session)
+                    .then(|| parse_payload(ServiceProtocol::Ssh, &session))
+                    .flatten()
+            });
+            let Some(ServicePayload::Ssh(observation)) = payload else {
+                continue;
+            };
+            assert!(observation.is_complete());
+            assert!(count <= 24, "{addr}: {count} allocations for one session");
+            sessions += 1;
+        }
+    }
+    assert!(sessions > 100, "only {sessions} sessions answered");
+}
+
+#[test]
+fn cloning_a_store_costs_at_most_13_allocations_per_ssh_row() {
+    let store = ssh_store(&tiny_internet());
+    let (count, copy) = allocations(|| store.clone());
+    assert_eq!(copy.len(), store.len());
+    // The constant covers the columns and the interner.
+    let budget = 13 * store.len() as u64 + 32;
+    assert!(
+        count <= budget,
+        "{count} allocations to clone {} SSH rows (budget {budget})",
+        store.len()
+    );
+}
+
+#[test]
+fn grouping_allocates_per_distinct_identifier_not_per_row() {
+    let once = ssh_store(&tiny_internet());
+    let mut twice = once.clone();
+    twice.extend_from(&once);
+    assert_eq!(twice.len(), 2 * once.len());
+
+    let extractor = IdentifierExtractor::new(ExtractionConfig::paper());
+    let distinct = once
+        .payloads()
+        .iter()
+        .filter_map(|payload| extractor.extract_payload(payload))
+        .collect::<HashSet<_>>()
+        .len() as u64;
+    assert!(distinct > 50 && distinct < once.len() as u64);
+
+    let budget = 3 * distinct + 64;
+    let mut sets = Vec::new();
+    for store in [&once, &twice] {
+        let view = store.select_protocol(ServiceProtocol::Ssh, None);
+        let (count, grouped) = allocations(|| group_view_compact(&view, &extractor, 1));
+        assert!(
+            count <= budget,
+            "{count} allocations to group {} rows of {distinct} identifiers (budget {budget})",
+            view.len()
+        );
+        sets.push(grouped.sets);
+    }
+    // The same rows again change no set.
+    assert_eq!(sets[0], sets[1]);
+}
