@@ -3,11 +3,11 @@
 //! (key-only vs. the paper's combined SSH identifier).
 
 use alias_bench::Experiment;
-use alias_core::alias_set::AliasSetCollection;
+use alias_core::alias_set::group_observations_compact;
 use alias_core::extract::{ExtractionConfig, IdentifierExtractor};
 use alias_core::identifier::SshIdentifierPolicy;
 use alias_netsim::ScalePreset;
-use alias_scan::ServiceProtocol;
+use alias_scan::{ServiceObservation, ServiceProtocol};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 fn bench_grouping(c: &mut Criterion) {
@@ -16,16 +16,18 @@ fn bench_grouping(c: &mut Criterion) {
         .union
         .select_protocol(ServiceProtocol::Ssh, None)
         .to_observations();
+    let refs: Vec<&ServiceObservation> = ssh_observations.iter().collect();
+    let interner = experiment.union.interner();
 
     let mut group = c.benchmark_group("alias_grouping");
     for fraction in [4usize, 2, 1] {
-        let slice = &ssh_observations[..ssh_observations.len() / fraction];
+        let slice = &refs[..refs.len() / fraction];
         group.bench_with_input(
             BenchmarkId::new("ssh_full_identifier", slice.len()),
             slice,
             |b, slice| {
                 let extractor = IdentifierExtractor::new(ExtractionConfig::paper());
-                b.iter(|| AliasSetCollection::from_observations(slice.iter(), &extractor))
+                b.iter(|| group_observations_compact(slice, &extractor, interner, 1))
             },
         );
     }
@@ -46,7 +48,7 @@ fn bench_grouping(c: &mut Criterion) {
                 ssh: policy,
                 ..ExtractionConfig::paper()
             });
-            b.iter(|| AliasSetCollection::from_observations(ssh_observations.iter(), &extractor))
+            b.iter(|| group_observations_compact(&refs, &extractor, interner, 1))
         });
     }
     ablation.finish();

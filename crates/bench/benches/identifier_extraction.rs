@@ -1,10 +1,9 @@
 //! Identifier extraction + grouping on the interned hot path: the
 //! id-space microbenchmark tracking this refactored stage alongside
-//! `parallel_merge` — serial vs sharded `group_observations_compact`
-//! against the legacy owned-key `AliasSetCollection` path.
+//! `parallel_merge` — serial vs sharded `group_observations_compact`.
 
 use alias_bench::Experiment;
-use alias_core::alias_set::{group_observations_compact, AliasSetCollection};
+use alias_core::alias_set::group_observations_compact;
 use alias_core::extract::{ExtractionConfig, IdentifierExtractor};
 use alias_core::intern::AddrInterner;
 use alias_netsim::ScalePreset;
@@ -22,9 +21,6 @@ fn bench_identifier_extraction(c: &mut Criterion) {
     let interner = AddrInterner::from_addrs(ssh_observations.iter().map(|o| o.addr));
 
     let mut group = c.benchmark_group("identifier_extraction");
-    group.bench_function("legacy_collection", |b| {
-        b.iter(|| AliasSetCollection::from_observations(ssh_observations.iter(), &extractor))
-    });
     group.bench_function("compact_serial", |b| {
         b.iter(|| group_observations_compact(&refs, &extractor, &interner, 1))
     });

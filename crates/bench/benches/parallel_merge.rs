@@ -4,7 +4,7 @@
 //! scaling with thread count) from one bench.
 
 use alias_bench::Experiment;
-use alias_core::intern::{AddrInterner, CompactAliasSet};
+use alias_core::intern::CompactAliasSet;
 use alias_core::merge::merge_labeled_compact;
 use alias_netsim::ScalePreset;
 use alias_scan::ServiceProtocol;
@@ -12,39 +12,29 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 fn bench_parallel_merge(c: &mut Criterion) {
     let experiment = Experiment::run(ScalePreset::Small, 11);
-    // Interning is campaign-time work; the bench measures the merge engine
-    // itself, so the id space is built once outside the timed region.
-    let mut interner = AddrInterner::new();
-    let labeled: Vec<(&str, Vec<CompactAliasSet>)> = [
+    // The union-merge workload of the tables: the three protocols' IPv4
+    // alias sets, already in the union store's id space.
+    let groupings = [
         ServiceProtocol::Ssh,
         ServiceProtocol::Bgp,
         ServiceProtocol::Snmpv3,
     ]
-    .iter()
-    .map(|&p| {
-        (
-            p.name(),
-            experiment
-                .collection(p, None)
-                .ipv4_sets()
-                .iter()
-                .map(|set| CompactAliasSet::from_addr_set(set, &mut interner))
-                .collect(),
-        )
-    })
-    .collect();
-    let inputs: Vec<(&str, &[CompactAliasSet])> =
-        labeled.iter().map(|(l, s)| (*l, s.as_slice())).collect();
+    .map(|p| (p.name(), experiment.collection(p, None)));
+    let inputs: Vec<(&str, &[CompactAliasSet])> = groupings
+        .iter()
+        .map(|(label, grouping)| (*label, grouping.family_sets(false)))
+        .collect();
+    let interner = experiment.union.interner();
 
     let mut group = c.benchmark_group("merge_consolidation");
     group.bench_function("serial", |b| {
-        b.iter(|| merge_labeled_compact(&inputs, &interner, 1))
+        b.iter(|| merge_labeled_compact(&inputs, interner, 1))
     });
     for threads in [2usize, 4, 8] {
         group.bench_with_input(
             BenchmarkId::new("sharded", threads),
             &threads,
-            |b, &threads| b.iter(|| merge_labeled_compact(&inputs, &interner, threads)),
+            |b, &threads| b.iter(|| merge_labeled_compact(&inputs, interner, threads)),
         );
     }
     group.finish();

@@ -80,7 +80,7 @@ fn main() {
         } else {
             serial_doc
         };
-        let mut report = BenchReport::new("PR10", preset, seed, args.repeat, runs);
+        let mut report = BenchReport::new("PR15", preset, seed, args.repeat, runs);
         if let Some(sweep) = &args.sweep {
             report = report.with_sweep(run_sweep(sweep, seed, args.repeat));
             if let Some(summary) = &args.sweep_summary {
@@ -231,7 +231,7 @@ fn write_metrics(
     runs: Vec<MetricsRunRecord>,
     final_snapshot: Option<alias_obs::MetricsSnapshot>,
 ) {
-    let report = MetricsReport::new("PR10", preset, runs);
+    let report = MetricsReport::new("PR15", preset, runs);
     if let Err(err) = std::fs::write(path, report.to_json()) {
         eprintln!("could not write {path}: {err}");
         std::process::exit(1);

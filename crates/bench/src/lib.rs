@@ -14,7 +14,9 @@
 #![warn(missing_docs)]
 
 use alias_censys::{CensysConfig, CensysSnapshot};
-use alias_core::alias_set::{group_view_compact, AliasSetCollection};
+use alias_core::alias_set::{
+    group_view_by_source, group_view_compact, FamilyGrouping, SourceGroups,
+};
 use alias_core::analysis;
 use alias_core::analysis::AsnTable;
 use alias_core::dataset::{DatasetFilter, DatasetSummary};
@@ -22,20 +24,24 @@ use alias_core::dual_stack::DualStackReport;
 use alias_core::ecdf::Ecdf;
 use alias_core::extract::{ExtractionConfig, IdentifierExtractor};
 use alias_core::intern::{AddrId, AddrInterner, CompactAliasSet};
-use alias_core::merge::{merge_labeled_compact, MergedSet, MultiServiceStats, ProtocolAttribution};
+use alias_core::merge::{
+    partition_labeled_compact, LabeledPartition, MultiServiceStats, ProtocolAttribution,
+};
 use alias_core::report::{format_count, format_pct, render_ecdf, TextTable};
 use alias_core::validation::{common_ids, cross_validate, validate_against_midar};
 use alias_midar::{Midar, MidarConfig};
 use alias_netsim::{
     DeviceKind, Internet, InternetBuilder, InternetConfig, ScalePreset, SimTime, VantageKind,
 };
+use alias_obs::{DeterminismClass, LazyCounter};
 use alias_resolve::{ResolutionReport, Resolver};
 use alias_scan::campaign::CampaignConfig;
-use alias_scan::{DataSource, ObservationStore, RateProbeConfig, ServiceProtocol};
+use alias_scan::{DataSource, ObservationStore, RateProbeConfig, ServiceProtocol, SourceTag};
 use parking_lot::Mutex;
 use std::collections::{BTreeSet, HashMap};
+use std::hash::Hash;
 use std::net::IpAddr;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 pub use alias_resolve::{StageTimings, TechniqueTiming};
 
@@ -99,14 +105,68 @@ pub struct Experiment {
     /// alias sets, merged sets, coverage/agreement statistics and the
     /// per-technique timing breakdown the bench trajectory records.
     pub resolution: ResolutionReport,
-    /// Memoised per-(protocol, source) alias-set collections: every table
-    /// and figure regroups the same observations, so each grouping is
-    /// computed once and shared.
-    collections: Mutex<CollectionCache>,
+    /// One keyed pass per protocol over the union store — the only
+    /// identifier grouping a render performs.
+    passes: Memo<ServiceProtocol, SourceGroups>,
+    /// Per-(protocol, source) projections of those passes.
+    groupings: Memo<(ServiceProtocol, Option<DataSource>), FamilyGrouping>,
+    /// The six cross-protocol merges the tables and figures quote.
+    partitions: Memo<Merge, LabeledPartition>,
+    /// Dense id → ASN column over the union store's id space.
+    asns: OnceLock<AsnTable>,
 }
 
-/// Cache key → shared collection for [`Experiment::collection`].
-type CollectionCache = HashMap<(ServiceProtocol, Option<DataSource>), Arc<AliasSetCollection>>;
+/// Lazily computed, shared values: every table and figure asks for the
+/// same handful of groupings and merges, so each is computed on first use
+/// and handed out behind an `Arc`.  The lock is held while computing, so a
+/// value is computed exactly once (the counters below rely on that); the
+/// memos only ever nest in one direction — partition → grouping → pass.
+struct Memo<K, V>(Mutex<HashMap<K, Arc<V>>>);
+
+impl<K: Eq + Hash, V> Memo<K, V> {
+    fn new() -> Self {
+        Memo(Mutex::new(HashMap::new()))
+    }
+
+    fn get_or_compute(&self, key: K, compute: impl FnOnce() -> V) -> Arc<V> {
+        self.0
+            .lock()
+            .entry(key)
+            .or_insert_with(|| Arc::new(compute()))
+            .clone()
+    }
+}
+
+/// Which cross-protocol merge: one address family of one data source
+/// (`None` = both sources), or the dual-stack sets of the union data.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+enum Merge {
+    Family {
+        ipv6: bool,
+        source: Option<DataSource>,
+    },
+    DualStack,
+}
+
+/// Keyed passes (identifier grouping over store rows) performed on behalf
+/// of the rendered document.  One render takes exactly four: one per
+/// protocol over the union store, plus the key-only SSH regroup in
+/// [`stats`].
+static RENDER_KEYED_PASSES: LazyCounter = LazyCounter::new(
+    "bench.render_keyed_passes",
+    DeterminismClass::Deterministic,
+    "passes",
+    "bench",
+);
+
+/// Cross-protocol partitions computed on behalf of the rendered document
+/// (one render takes exactly six).
+static RENDER_PARTITIONS: LazyCounter = LazyCounter::new(
+    "bench.render_partitions",
+    DeterminismClass::Deterministic,
+    "partitions",
+    "bench",
+);
 
 impl Experiment {
     /// Build the Internet, collect the Censys snapshot, apply three weeks of
@@ -132,17 +192,12 @@ impl Experiment {
         threads: usize,
     ) -> (Self, StageTimings) {
         let (experiment, mut timings) = Self::run_pipeline(preset, seed, threads);
-        // The merge stage the headline numbers come from: consolidate the
-        // per-protocol alias sets of both families into union sets.
+        // The merge stage the headline numbers come from: the keyed passes
+        // over the union store and the per-family union partitions (which
+        // the tables then reuse).
         let stage = alias_obs::span("bench/merge");
         for ipv6 in [false, true] {
-            let labeled: Vec<(&str, Vec<BTreeSet<IpAddr>>)> = PROTOCOLS
-                .iter()
-                .map(|&p| (p.name(), experiment.collection(p, None).family_sets(ipv6)))
-                .collect();
-            let inputs: Vec<(&str, &[BTreeSet<IpAddr>])> =
-                labeled.iter().map(|(l, s)| (*l, s.as_slice())).collect();
-            let _ = experiment.merge_labeled(&inputs);
+            experiment.family_partition(ipv6, None);
         }
         timings.merge_ms = stage.finish().as_millis() as u64;
         (experiment, timings)
@@ -214,7 +269,10 @@ impl Experiment {
             active_start,
             threads,
             resolution,
-            collections: Mutex::new(HashMap::new()),
+            passes: Memo::new(),
+            groupings: Memo::new(),
+            partitions: Memo::new(),
+            asns: OnceLock::new(),
         };
         (experiment, timings)
     }
@@ -224,63 +282,73 @@ impl Experiment {
         Self::run_with_threads(scale_from_env(), 20230418, alias_exec::threads_from_env())
     }
 
-    /// Merge labelled set collections on this experiment's thread pool.
-    /// Byte-identical for any thread count.  The tables hold
-    /// report-boundary address sets, so this bridges them into a private
-    /// id space and runs [`merge_labeled_compact`]; the merged partition
-    /// (and its canonical order) is independent of interning order.
-    pub fn merge_labeled(&self, inputs: &[(&str, &[BTreeSet<IpAddr>])]) -> Vec<MergedSet> {
-        let mut interner = AddrInterner::new();
-        let compact: Vec<(&str, Vec<CompactAliasSet>)> = inputs
-            .iter()
-            .map(|&(label, sets)| {
-                (
-                    label,
-                    sets.iter()
-                        .map(|set| CompactAliasSet::from_addr_set(set, &mut interner))
-                        .collect(),
-                )
-            })
-            .collect();
-        let borrowed: Vec<(&str, &[CompactAliasSet])> =
-            compact.iter().map(|(l, s)| (*l, s.as_slice())).collect();
-        merge_labeled_compact(&borrowed, &interner, self.threads)
-    }
-
-    /// The columnar store of one data source (`None` = union).
-    pub fn store_for(&self, source: Option<DataSource>) -> &ObservationStore {
-        match source {
-            Some(DataSource::Active) => &self.active,
-            Some(DataSource::Censys) => &self.censys,
-            None => &self.union,
-        }
-    }
-
-    /// Alias-set collection for one protocol and data source (None = union).
+    /// Alias sets of one protocol over one data source (`None` = union),
+    /// in the union store's id space.
     ///
-    /// Collections are memoised: grouping is deterministic for a built
-    /// experiment, and the tables and figures ask for the same handful of
-    /// (protocol, source) pairs over and over.  Grouping consumes a column
-    /// view — the protocol filter reads one byte per row, and only the
-    /// matching rows' payloads are extracted.
+    /// The union store is exactly the active rows plus the Censys rows, so
+    /// each protocol is keyed once over the union store and every source's
+    /// grouping is a projection of that pass (active ids are the same in
+    /// the union interner).  Passes and projections are memoised: the
+    /// tables and figures ask for the same handful over and over.
     pub fn collection(
         &self,
         protocol: ServiceProtocol,
         source: Option<DataSource>,
-    ) -> Arc<AliasSetCollection> {
-        let key = (protocol, source);
-        if let Some(cached) = self.collections.lock().get(&key) {
-            return cached.clone();
-        }
-        let view = self.store_for(source).select_protocol(protocol, None);
-        let computed = Arc::new(AliasSetCollection::from_view(&view, &self.extractor));
-        // Recomputing on a race is harmless (identical result); keep the
-        // first entry so every caller shares one allocation.
-        self.collections
-            .lock()
-            .entry(key)
-            .or_insert(computed)
-            .clone()
+    ) -> Arc<FamilyGrouping> {
+        self.groupings.get_or_compute((protocol, source), || {
+            let pass = self.passes.get_or_compute(protocol, || {
+                RENDER_KEYED_PASSES.incr();
+                let view = self.union.select_protocol(protocol, None);
+                group_view_by_source(&view, &self.extractor, self.threads)
+            });
+            pass.project(source.map(SourceTag::from), self.union.interner())
+        })
+    }
+
+    /// The three protocols' alias sets of one address family and data
+    /// source (`None` = union) merged into one labelled partition, in the
+    /// union store's id space.
+    pub fn family_partition(
+        &self,
+        ipv6: bool,
+        source: Option<DataSource>,
+    ) -> Arc<LabeledPartition> {
+        self.partition(Merge::Family { ipv6, source })
+    }
+
+    /// The three protocols' dual-stack sets of the union data merged into
+    /// one labelled partition.
+    pub fn dual_stack_partition(&self) -> Arc<LabeledPartition> {
+        self.partition(Merge::DualStack)
+    }
+
+    fn partition(&self, merge: Merge) -> Arc<LabeledPartition> {
+        self.partitions.get_or_compute(merge, || {
+            RENDER_PARTITIONS.incr();
+            let groupings = PROTOCOLS.map(|protocol| match merge {
+                // SNMPv3 only exists in the active measurements, so next to
+                // the Censys sets of the other two it contributes those.
+                Merge::Family {
+                    source: Some(_), ..
+                } if protocol == ServiceProtocol::Snmpv3 => {
+                    self.collection(protocol, Some(DataSource::Active))
+                }
+                Merge::Family { source, .. } => self.collection(protocol, source),
+                Merge::DualStack => self.collection(protocol, None),
+            });
+            let inputs: Vec<(&str, &[CompactAliasSet])> = PROTOCOLS
+                .iter()
+                .zip(&groupings)
+                .map(|(protocol, grouping)| {
+                    let sets = match merge {
+                        Merge::Family { ipv6, .. } => grouping.family_sets(ipv6),
+                        Merge::DualStack => grouping.dual_stack_sets(),
+                    };
+                    (protocol.name(), sets)
+                })
+                .collect();
+            partition_labeled_compact(&inputs, self.union.interner().len(), self.threads)
+        })
     }
 
     /// Per-protocol responsive addresses of one family in the union data,
@@ -302,36 +370,19 @@ impl Experiment {
         ids
     }
 
-    /// Dense id → ASN annotation column over the union store's id space.
-    pub fn asn_table(&self) -> AsnTable {
-        AsnTable::from_pairs(
-            self.union.interner().len(),
-            self.union
-                .addr_ids()
-                .iter()
-                .zip(self.union.asns())
-                .filter_map(|(&id, &asn)| asn.map(|asn| (id, asn))),
-        )
-    }
-
-    /// Bridge report-boundary address sets back into the union store's id
-    /// space (every table set is built from observed addresses, so lookups
-    /// cannot miss).
-    fn compact_in(&self, sets: &[BTreeSet<IpAddr>]) -> Vec<CompactAliasSet> {
-        let interner = self.union.interner();
-        sets.iter()
-            .map(|set| {
-                CompactAliasSet::from_ids(
-                    set.iter()
-                        .map(|&addr| {
-                            interner
-                                .get(addr)
-                                .expect("experiment sets only contain observed addresses")
-                        })
-                        .collect(),
-                )
-            })
-            .collect()
+    /// Dense id → ASN annotation column over the union store's id space,
+    /// built on first use.
+    pub fn asn_table(&self) -> &AsnTable {
+        self.asns.get_or_init(|| {
+            AsnTable::from_pairs(
+                self.union.interner().len(),
+                self.union
+                    .addr_ids()
+                    .iter()
+                    .zip(self.union.asns())
+                    .filter_map(|(&id, &asn)| asn.map(|asn| (id, asn))),
+            )
+        })
     }
 }
 
@@ -397,18 +448,15 @@ pub fn table1(exp: &Experiment) -> String {
 
 /// Table 2: alias-set validation (cross-protocol and against MIDAR).
 pub fn table2(exp: &Experiment) -> String {
+    // Cross-protocol validation runs in the union store's id space.
     let ssh = exp.collection(ServiceProtocol::Ssh, None);
     let bgp = exp.collection(ServiceProtocol::Bgp, None);
     let snmp = exp.collection(ServiceProtocol::Snmpv3, None);
-    let ssh_sets = ssh.ipv4_sets();
-    let bgp_sets = bgp.ipv4_sets();
-    let snmp_sets = snmp.ipv4_sets();
-    // Cross-protocol validation runs in the union store's id space; the
-    // counts are invariant under the addr↔id relabeling, so the rendered
-    // rows match the historical address-space computation byte for byte.
-    let ssh_compact = exp.compact_in(&ssh_sets);
-    let bgp_compact = exp.compact_in(&bgp_sets);
-    let snmp_compact = exp.compact_in(&snmp_sets);
+    let (ssh_sets, bgp_sets, snmp_sets) = (
+        ssh.family_sets(false),
+        bgp.family_sets(false),
+        snmp.family_sets(false),
+    );
 
     let ssh_ids = exp.responsive_ids(ServiceProtocol::Ssh, false);
     let bgp_ids = exp.responsive_ids(ServiceProtocol::Bgp, false);
@@ -416,21 +464,9 @@ pub fn table2(exp: &Experiment) -> String {
 
     let mut table = TextTable::new(["Pair", "Sample size", "Agree", "Disagree", "Agreement"]);
     for (label, a_sets, b_sets, a_ids, b_ids) in [
-        ("SSH-BGP", &ssh_compact, &bgp_compact, &ssh_ids, &bgp_ids),
-        (
-            "SSH-SNMPv3",
-            &ssh_compact,
-            &snmp_compact,
-            &ssh_ids,
-            &snmp_ids,
-        ),
-        (
-            "BGP-SNMPv3",
-            &bgp_compact,
-            &snmp_compact,
-            &bgp_ids,
-            &snmp_ids,
-        ),
+        ("SSH-BGP", ssh_sets, bgp_sets, &ssh_ids, &bgp_ids),
+        ("SSH-SNMPv3", ssh_sets, snmp_sets, &ssh_ids, &snmp_ids),
+        ("BGP-SNMPv3", bgp_sets, snmp_sets, &bgp_ids, &snmp_ids),
     ] {
         let common = common_ids(a_ids, b_ids);
         let result = cross_validate(a_sets, b_sets, &common);
@@ -443,12 +479,19 @@ pub fn table2(exp: &Experiment) -> String {
         ]);
     }
 
-    // SSH vs MIDAR on a sample of sets with at most ten addresses.
-    let sample: Vec<BTreeSet<IpAddr>> = ssh_sets
+    // SSH vs MIDAR on a sample of sets with at most ten addresses: the
+    // first 2,000 in report order, probed set by set in address order.
+    // Probing advances device state, so the sample *is* the result.
+    let interner = exp.union.interner();
+    let sample: Vec<Vec<IpAddr>> = ssh_sets
         .iter()
         .filter(|s| s.len() <= 10)
         .take(2_000)
-        .cloned()
+        .map(|set| {
+            let mut addrs: Vec<IpAddr> = set.iter().map(|id| interner.addr(id)).collect();
+            addrs.sort_unstable();
+            addrs
+        })
         .collect();
     let targets: Vec<IpAddr> = sample.iter().flatten().copied().collect();
     let midar = Midar::new(MidarConfig::default()).resolve(
@@ -467,7 +510,7 @@ pub fn table2(exp: &Experiment) -> String {
     let mut space = AddrInterner::new();
     let sample_compact: Vec<CompactAliasSet> = sample
         .iter()
-        .map(|set| CompactAliasSet::from_addr_set(set, &mut space))
+        .map(|set| CompactAliasSet::from_ids(set.iter().map(|&a| space.intern(a)).collect()))
         .collect();
     let midar_compact: Vec<CompactAliasSet> = midar
         .alias_sets
@@ -500,6 +543,12 @@ pub fn table2(exp: &Experiment) -> String {
     out
 }
 
+/// `"sets (covered addresses)"`, as Table 3 prints a cell.
+fn sets_and_addresses(sets: &[CompactAliasSet]) -> String {
+    let addrs: usize = sets.iter().map(CompactAliasSet::len).sum();
+    format!("{} ({})", format_count(sets.len()), format_count(addrs))
+}
+
 /// Table 3: alias sets overview (non-singleton sets and covered addresses).
 pub fn table3(exp: &Experiment) -> String {
     let mut table = TextTable::new(["Family", "Source", "SSH", "BGP", "SNMPv3", "Union"]);
@@ -509,36 +558,14 @@ pub fn table3(exp: &Experiment) -> String {
             if ipv6 && source == Some(DataSource::Censys) {
                 continue;
             }
-            let mut cells = Vec::new();
-            let mut labeled = Vec::new();
-            for protocol in PROTOCOLS {
+            let cell =
+                |protocol| sets_and_addresses(exp.collection(protocol, source).family_sets(ipv6));
+            let snmpv3 = if source == Some(DataSource::Censys) {
                 // SNMPv3 only exists in the active measurements.
-                let effective_source = if protocol == ServiceProtocol::Snmpv3 {
-                    Some(DataSource::Active)
-                } else {
-                    source
-                };
-                let collection = exp.collection(protocol, effective_source);
-                let sets = collection.family_sets(ipv6);
-                let addrs: usize = sets.iter().map(BTreeSet::len).sum();
-                if protocol == ServiceProtocol::Snmpv3 && source == Some(DataSource::Censys) {
-                    cells.push("n.a.".to_owned());
-                } else {
-                    cells.push(format!(
-                        "{} ({})",
-                        format_count(sets.len()),
-                        format_count(addrs)
-                    ));
-                }
-                labeled.push((protocol.name(), sets));
-            }
-            let merged = exp.merge_labeled(
-                &labeled
-                    .iter()
-                    .map(|(l, s)| (*l, s.as_slice()))
-                    .collect::<Vec<_>>(),
-            );
-            let union_addrs: usize = merged.iter().map(|m| m.addrs.len()).sum();
+                "n.a.".to_owned()
+            } else {
+                cell(ServiceProtocol::Snmpv3)
+            };
             let source_label = match source {
                 Some(DataSource::Active) => "Active",
                 Some(DataSource::Censys) => "Censys",
@@ -547,14 +574,10 @@ pub fn table3(exp: &Experiment) -> String {
             table.row([
                 if ipv6 { "IPv6" } else { "IPv4" }.to_owned(),
                 source_label.to_owned(),
-                cells[0].clone(),
-                cells[1].clone(),
-                cells[2].clone(),
-                format!(
-                    "{} ({})",
-                    format_count(merged.len()),
-                    format_count(union_addrs)
-                ),
+                cell(ServiceProtocol::Ssh),
+                cell(ServiceProtocol::Bgp),
+                snmpv3,
+                sets_and_addresses(&exp.family_partition(ipv6, source).sets),
             ]);
         }
     }
@@ -565,61 +588,39 @@ pub fn table3(exp: &Experiment) -> String {
 
 /// Table 4: dual-stack sets.
 pub fn table4(exp: &Experiment) -> String {
+    let interner = exp.union.interner();
     let mut table = TextTable::new(["Protocol", "IPv4 addr", "IPv6 addr", "Dual-stack sets"]);
-    let mut labeled: Vec<(&str, Vec<BTreeSet<IpAddr>>)> = Vec::new();
+    let mut ssh_sets = 0;
     for protocol in PROTOCOLS {
-        let collection = exp.collection(protocol, None);
-        let report = DualStackReport::from_collection(&collection);
+        let report = DualStackReport::from_grouping(&exp.collection(protocol, None), interner);
         table.row([
             protocol.name().to_uppercase(),
             format_count(report.ipv4_addresses()),
             format_count(report.ipv6_addresses()),
             format_count(report.set_count()),
         ]);
-        labeled.push((
-            protocol.name(),
-            report
-                .sets
-                .iter()
-                .map(|s| s.ipv4.iter().chain(&s.ipv6).copied().collect())
-                .collect(),
-        ));
+        if protocol == ServiceProtocol::Ssh {
+            ssh_sets = report.set_count();
+        }
     }
-    let merged = exp.merge_labeled(
-        &labeled
-            .iter()
-            .map(|(l, s)| (*l, s.as_slice()))
-            .collect::<Vec<_>>(),
-    );
-    let v4: usize = merged
-        .iter()
-        .map(|m| m.addrs.iter().filter(|a| a.is_ipv4()).count())
-        .sum();
+    let merged = exp.dual_stack_partition();
     let v6: usize = merged
+        .sets
         .iter()
-        .map(|m| m.addrs.iter().filter(|a| a.is_ipv6()).count())
+        .map(|set| set.iter().filter(|&id| interner.addr(id).is_ipv6()).count())
         .sum();
+    let members: usize = merged.sets.iter().map(CompactAliasSet::len).sum();
     table.row([
         "Union".to_owned(),
-        format_count(v4),
+        format_count(members - v6),
         format_count(v6),
-        format_count(merged.len()),
+        format_count(merged.sets.len()),
     ]);
-    let attribution = ProtocolAttribution::compute(&merged);
-    let ssh_union = exp.collection(ServiceProtocol::Ssh, None);
-    let ssh_report = DualStackReport::from_collection(&ssh_union);
-    let (simple, medium, large) = {
-        // Size split over the union of protocol dual-stack reports uses SSH's
-        // report as the dominant contributor plus the merged sets directly.
-        let total = merged.len().max(1) as f64;
-        let simple = merged.iter().filter(|m| m.addrs.len() == 2).count() as f64 / total;
-        let medium = merged
-            .iter()
-            .filter(|m| m.addrs.len() > 2 && m.addrs.len() <= 10)
-            .count() as f64
-            / total;
-        let large = merged.iter().filter(|m| m.addrs.len() > 10).count() as f64 / total;
-        (simple, medium, large)
+    let attribution = ProtocolAttribution::of_partition(&merged);
+    // Size split over the merged dual-stack sets.
+    let share = |sizes: std::ops::RangeInclusive<usize>| {
+        let sets = merged.sets.iter().filter(|set| sizes.contains(&set.len()));
+        sets.count() as f64 / merged.sets.len().max(1) as f64
     };
     let mut out = String::from("Table 4: Dual-Stack Sets\n");
     out.push_str(&table.render());
@@ -630,54 +631,43 @@ pub fn table4(exp: &Experiment) -> String {
     ));
     out.push_str(&format!(
         "Set sizes: {} single v4+v6 pair, {} with 2-10 addresses, {} with >10 addresses.\n",
-        format_pct(simple),
-        format_pct(medium),
-        format_pct(large)
+        format_pct(share(2..=2)),
+        format_pct(share(3..=10)),
+        format_pct(share(11..=usize::MAX))
     ));
     out.push_str(&format!(
         "SSH alone contributes {} dual-stack sets.\n",
-        format_count(ssh_report.set_count())
+        format_count(ssh_sets)
     ));
     out
+}
+
+/// One cell of a top-ASes table: `"asn (sets)"`, or `-` past the end.
+fn top_as_cell(column: &[(u32, usize)], rank: usize) -> String {
+    column
+        .get(rank)
+        .map(|(asn, count)| format!("{asn} ({})", format_count(*count)))
+        .unwrap_or_else(|| "-".to_owned())
 }
 
 /// Table 5: top 10 ASes for IPv4 alias sets, per protocol and union.
 pub fn table5(exp: &Experiment) -> String {
     let asns = exp.asn_table();
-    let mut columns: Vec<Vec<(u32, usize)>> = Vec::new();
-    let mut labeled = Vec::new();
-    for protocol in PROTOCOLS {
-        let collection = exp.collection(protocol, None);
-        let sets = collection.ipv4_sets();
-        columns.push(analysis::top_ases(&exp.compact_in(&sets), &asns, 10));
-        labeled.push((protocol.name(), sets));
-    }
-    let merged: Vec<BTreeSet<IpAddr>> = exp
-        .merge_labeled(
-            &labeled
-                .iter()
-                .map(|(l, s)| (*l, s.as_slice()))
-                .collect::<Vec<_>>(),
-        )
-        .into_iter()
-        .map(|m| m.addrs)
+    let mut columns: Vec<Vec<(u32, usize)>> = PROTOCOLS
+        .iter()
+        .map(|&p| analysis::top_ases(exp.collection(p, None).family_sets(false), asns, 10))
         .collect();
-    columns.push(analysis::top_ases(&exp.compact_in(&merged), &asns, 10));
+    let union = exp.family_partition(false, None);
+    columns.push(analysis::top_ases(&union.sets, asns, 10));
 
     let mut table = TextTable::new(["Rank", "SSH", "BGP", "SNMPv3", "Union"]);
     for rank in 0..10 {
-        let cell = |column: &Vec<(u32, usize)>| {
-            column
-                .get(rank)
-                .map(|(asn, count)| format!("{asn} ({})", format_count(*count)))
-                .unwrap_or_else(|| "-".to_owned())
-        };
         table.row([
             (rank + 1).to_string(),
-            cell(&columns[0]),
-            cell(&columns[1]),
-            cell(&columns[2]),
-            cell(&columns[3]),
+            top_as_cell(&columns[0], rank),
+            top_as_cell(&columns[1], rank),
+            top_as_cell(&columns[2], rank),
+            top_as_cell(&columns[3], rank),
         ]);
     }
     let mut out = String::from("Table 5: Top 10 ASes for IPv4 alias sets\n");
@@ -688,66 +678,25 @@ pub fn table5(exp: &Experiment) -> String {
 /// Table 6: top 10 ASes for IPv6 alias sets and dual-stack sets.
 pub fn table6(exp: &Experiment) -> String {
     let asns = exp.asn_table();
-    let mut v6_labeled = Vec::new();
-    let mut ds_labeled = Vec::new();
-    for protocol in PROTOCOLS {
-        let collection = exp.collection(protocol, None);
-        v6_labeled.push((protocol.name(), collection.ipv6_sets()));
-        let report = DualStackReport::from_collection(&collection);
-        ds_labeled.push((
-            protocol.name(),
-            report
-                .sets
-                .iter()
-                .map(|s| {
-                    s.ipv4
-                        .iter()
-                        .chain(&s.ipv6)
-                        .copied()
-                        .collect::<BTreeSet<IpAddr>>()
-                })
-                .collect::<Vec<_>>(),
-        ));
-    }
-    let v6_union: Vec<BTreeSet<IpAddr>> = exp
-        .merge_labeled(
-            &v6_labeled
-                .iter()
-                .map(|(l, s)| (*l, s.as_slice()))
-                .collect::<Vec<_>>(),
-        )
-        .into_iter()
-        .map(|m| m.addrs)
-        .collect();
-    let ds_union: Vec<BTreeSet<IpAddr>> = exp
-        .merge_labeled(
-            &ds_labeled
-                .iter()
-                .map(|(l, s)| (*l, s.as_slice()))
-                .collect::<Vec<_>>(),
-        )
-        .into_iter()
-        .map(|m| m.addrs)
-        .collect();
-    let v6_top = analysis::top_ases(&exp.compact_in(&v6_union), &asns, 10);
-    let ds_top = analysis::top_ases(&exp.compact_in(&ds_union), &asns, 10);
+    let v6_union = exp.family_partition(true, None);
+    let ds_union = exp.dual_stack_partition();
+    let v6_top = analysis::top_ases(&v6_union.sets, asns, 10);
+    let ds_top = analysis::top_ases(&ds_union.sets, asns, 10);
 
     let mut table = TextTable::new(["Rank", "IPv6", "Dual-stack"]);
     for rank in 0..10 {
-        let cell = |column: &Vec<(u32, usize)>| {
-            column
-                .get(rank)
-                .map(|(asn, count)| format!("{asn} ({})", format_count(*count)))
-                .unwrap_or_else(|| "-".to_owned())
-        };
-        table.row([(rank + 1).to_string(), cell(&v6_top), cell(&ds_top)]);
+        table.row([
+            (rank + 1).to_string(),
+            top_as_cell(&v6_top, rank),
+            top_as_cell(&ds_top, rank),
+        ]);
     }
     let mut out = String::from("Table 6: Top 10 ASes for IPv6 alias and dual-stack sets\n");
     out.push_str(&table.render());
     out.push_str(&format!(
         "\nIPv6 alias sets spread over {} ASes; dual-stack sets over {} ASes.\n",
-        format_count(analysis::ases_with_sets(&exp.compact_in(&v6_union), &asns)),
-        format_count(analysis::ases_with_sets(&exp.compact_in(&ds_union), &asns)),
+        format_count(analysis::ases_with_sets(&v6_union.sets, asns)),
+        format_count(analysis::ases_with_sets(&ds_union.sets, asns)),
     ));
     out
 }
@@ -766,151 +715,80 @@ fn ecdf_series(title: &str, series: Vec<(&str, Ecdf)>) -> String {
     out
 }
 
+/// The set-size ECDF of one (protocol, source) grouping and family.
+fn set_size_ecdf(
+    exp: &Experiment,
+    protocol: ServiceProtocol,
+    source: DataSource,
+    ipv6: bool,
+) -> Ecdf {
+    Ecdf::from_counts(exp.collection(protocol, Some(source)).set_sizes(ipv6))
+}
+
 /// Figure 3: ECDF of IPv4 addresses per alias set.
 pub fn figure3(exp: &Experiment) -> String {
-    let series = vec![
-        (
-            "Censys BGP",
-            Ecdf::from_counts(
-                exp.collection(ServiceProtocol::Bgp, Some(DataSource::Censys))
-                    .set_sizes(false),
-            ),
-        ),
-        (
-            "Active BGP",
-            Ecdf::from_counts(
-                exp.collection(ServiceProtocol::Bgp, Some(DataSource::Active))
-                    .set_sizes(false),
-            ),
-        ),
-        (
-            "Censys SSH",
-            Ecdf::from_counts(
-                exp.collection(ServiceProtocol::Ssh, Some(DataSource::Censys))
-                    .set_sizes(false),
-            ),
-        ),
-        (
-            "Active SSH",
-            Ecdf::from_counts(
-                exp.collection(ServiceProtocol::Ssh, Some(DataSource::Active))
-                    .set_sizes(false),
-            ),
-        ),
-        (
-            "Active SNMPv3",
-            Ecdf::from_counts(
-                exp.collection(ServiceProtocol::Snmpv3, Some(DataSource::Active))
-                    .set_sizes(false),
-            ),
-        ),
-    ];
-    ecdf_series("Figure 3: IPv4 addresses per alias set (ECDF)", series)
+    let series = [
+        ("Censys BGP", ServiceProtocol::Bgp, DataSource::Censys),
+        ("Active BGP", ServiceProtocol::Bgp, DataSource::Active),
+        ("Censys SSH", ServiceProtocol::Ssh, DataSource::Censys),
+        ("Active SSH", ServiceProtocol::Ssh, DataSource::Active),
+        ("Active SNMPv3", ServiceProtocol::Snmpv3, DataSource::Active),
+    ]
+    .map(|(label, protocol, source)| (label, set_size_ecdf(exp, protocol, source, false)));
+    ecdf_series(
+        "Figure 3: IPv4 addresses per alias set (ECDF)",
+        series.into(),
+    )
 }
 
 /// Figure 4: ECDF of IPv6 addresses per alias set.
 pub fn figure4(exp: &Experiment) -> String {
-    let series = vec![
+    let series = [
+        ("Active SSH", ServiceProtocol::Ssh),
+        ("Active BGP", ServiceProtocol::Bgp),
+        ("Active SNMPv3", ServiceProtocol::Snmpv3),
+    ]
+    .map(|(label, protocol)| {
         (
-            "Active SSH",
-            Ecdf::from_counts(
-                exp.collection(ServiceProtocol::Ssh, Some(DataSource::Active))
-                    .set_sizes(true),
-            ),
-        ),
-        (
-            "Active BGP",
-            Ecdf::from_counts(
-                exp.collection(ServiceProtocol::Bgp, Some(DataSource::Active))
-                    .set_sizes(true),
-            ),
-        ),
-        (
-            "Active SNMPv3",
-            Ecdf::from_counts(
-                exp.collection(ServiceProtocol::Snmpv3, Some(DataSource::Active))
-                    .set_sizes(true),
-            ),
-        ),
-    ];
-    ecdf_series("Figure 4: IPv6 addresses per alias set (ECDF)", series)
+            label,
+            set_size_ecdf(exp, protocol, DataSource::Active, true),
+        )
+    });
+    ecdf_series(
+        "Figure 4: IPv6 addresses per alias set (ECDF)",
+        series.into(),
+    )
 }
 
 /// Figure 5: ECDF of ASes per IPv4 alias set.
 pub fn figure5(exp: &Experiment) -> String {
     let asns = exp.asn_table();
-    let series = PROTOCOLS
-        .iter()
-        .map(|&protocol| {
-            let sets = exp.collection(protocol, None).ipv4_sets();
-            let counts = analysis::asns_per_set(&exp.compact_in(&sets), &asns);
-            (protocol.name(), Ecdf::from_counts(counts))
-        })
-        .collect::<Vec<_>>();
-    let mut out = ecdf_series("Figure 5: ASNs per IPv4 alias set (ECDF)", series);
+    let mut series = Vec::new();
+    let mut notes = String::new();
     for protocol in PROTOCOLS {
-        let sets = exp.collection(protocol, None).ipv4_sets();
-        let counts = analysis::asns_per_set(&exp.compact_in(&sets), &asns);
+        let counts =
+            analysis::asns_per_set(exp.collection(protocol, None).family_sets(false), asns);
         let multi = counts.iter().filter(|&&c| c >= 2).count();
-        out.push_str(&format!(
+        notes.push_str(&format!(
             "# {}: {} of sets span 2+ ASes\n",
             protocol.name(),
             format_pct(multi as f64 / counts.len().max(1) as f64)
         ));
+        series.push((protocol.name(), Ecdf::from_counts(counts)));
     }
-    out
+    ecdf_series("Figure 5: ASNs per IPv4 alias set (ECDF)", series) + &notes
 }
 
 /// Figure 6: ECDF of the number of alias / dual-stack sets per AS.
 pub fn figure6(exp: &Experiment) -> String {
     let asns = exp.asn_table();
-    let mut labeled = Vec::new();
-    let mut ds_labeled = Vec::new();
-    for protocol in PROTOCOLS {
-        let collection = exp.collection(protocol, None);
-        labeled.push((protocol.name(), collection.ipv4_sets()));
-        let report = DualStackReport::from_collection(&collection);
-        ds_labeled.push((
-            protocol.name(),
-            report
-                .sets
-                .iter()
-                .map(|s| {
-                    s.ipv4
-                        .iter()
-                        .chain(&s.ipv6)
-                        .copied()
-                        .collect::<BTreeSet<IpAddr>>()
-                })
-                .collect::<Vec<_>>(),
-        ));
-    }
-    let alias_union: Vec<BTreeSet<IpAddr>> = exp
-        .merge_labeled(
-            &labeled
-                .iter()
-                .map(|(l, s)| (*l, s.as_slice()))
-                .collect::<Vec<_>>(),
-        )
-        .into_iter()
-        .map(|m| m.addrs)
-        .collect();
-    let ds_union: Vec<BTreeSet<IpAddr>> = exp
-        .merge_labeled(
-            &ds_labeled
-                .iter()
-                .map(|(l, s)| (*l, s.as_slice()))
-                .collect::<Vec<_>>(),
-        )
-        .into_iter()
-        .map(|m| m.addrs)
-        .collect();
-    let alias_counts: Vec<usize> = analysis::sets_per_as(&exp.compact_in(&alias_union), &asns)
-        .into_values()
-        .collect();
-    let ds_counts: Vec<usize> = analysis::sets_per_as(&exp.compact_in(&ds_union), &asns)
-        .into_values()
-        .collect();
+    let sets_per_as = |partition: &LabeledPartition| -> Vec<usize> {
+        analysis::sets_per_as(&partition.sets, asns)
+            .into_values()
+            .collect()
+    };
+    let alias_counts = sets_per_as(&exp.family_partition(false, None));
+    let ds_counts = sets_per_as(&exp.dual_stack_partition());
     let ases_with_alias = alias_counts.len();
     let over_100 = alias_counts.iter().filter(|&&c| c > 100).count();
     let mut out = ecdf_series(
@@ -941,13 +819,13 @@ pub fn stats(exp: &Experiment) -> String {
     ));
 
     // §2.2: non-singleton SSH hosts with diverging capabilities.
-    let ssh = exp.collection(ServiceProtocol::Ssh, None);
     let key_only = IdentifierExtractor::new(ExtractionConfig {
         ssh: alias_core::identifier::SshIdentifierPolicy::KeyOnly,
         ..ExtractionConfig::paper()
     });
-    // Only the number of key-grouped sets is quoted, so the id-space
-    // grouping (non-singleton sets, no addresses resolved) is enough.
+    // Only the number of key-grouped sets is quoted, so the plain id-space
+    // grouping (non-singleton sets, no source tags) is enough.
+    RENDER_KEYED_PASSES.incr();
     let ssh_by_key = group_view_compact(
         &exp.union.select_protocol(ServiceProtocol::Ssh, None),
         &key_only,
@@ -955,7 +833,7 @@ pub fn stats(exp: &Experiment) -> String {
     );
     // The full identifier splits a key-grouped set whenever interfaces of
     // the same host advertise diverging capabilities (the paper's 0.4%).
-    let full_sets = ssh.non_singleton_sets().len();
+    let full_sets = exp.collection(ServiceProtocol::Ssh, None).sets().len();
     let key_sets = ssh_by_key.sets.len();
     let diverging = full_sets.saturating_sub(key_sets);
     out.push_str(&format!(
@@ -982,17 +860,7 @@ pub fn stats(exp: &Experiment) -> String {
 
     // §4.1: share of union alias sets only SNMPv3 can identify.
     for ipv6 in [false, true] {
-        let labeled: Vec<(&str, Vec<BTreeSet<IpAddr>>)> = PROTOCOLS
-            .iter()
-            .map(|&p| (p.name(), exp.collection(p, None).family_sets(ipv6)))
-            .collect();
-        let merged = exp.merge_labeled(
-            &labeled
-                .iter()
-                .map(|(l, s)| (*l, s.as_slice()))
-                .collect::<Vec<_>>(),
-        );
-        let attribution = ProtocolAttribution::compute(&merged);
+        let attribution = ProtocolAttribution::of_partition(&exp.family_partition(ipv6, None));
         out.push_str(&format!(
             "{} union alias sets: {} total, {} only via SNMPv3, {} via SSH or BGP\n",
             if ipv6 { "IPv6" } else { "IPv4" },
@@ -1005,10 +873,14 @@ pub fn stats(exp: &Experiment) -> String {
     // Ground-truth scoring (not available to the paper, a bonus of the
     // simulated substrate).
     let truth = exp.internet.ground_truth();
+    let addrs = exp.union.interner().addrs();
     for protocol in PROTOCOLS {
         let collection = exp.collection(protocol, None);
-        let sets = collection.ipv4_sets();
-        let score = truth.score_sets(sets.iter().map(|s| s.iter()));
+        let sets = collection.family_sets(false);
+        let score = truth.score_sets(
+            sets.iter()
+                .map(|set| set.ids().iter().map(|id| &addrs[id.index()])),
+        );
         out.push_str(&format!(
             "Ground truth ({}): pairwise precision {:.3}, recall {:.3}\n",
             protocol.name(),
@@ -1019,21 +891,34 @@ pub fn stats(exp: &Experiment) -> String {
     out
 }
 
-/// Run every experiment and return `(section title, rendered text)` pairs.
+/// Renders one section of the document.
+type Section = fn(&Experiment) -> String;
+
+/// Every section of the document: title, span name, renderer.
+const SECTIONS: [(&str, &str, Section); 11] = [
+    ("Table 1", "table1", table1),
+    ("Table 2", "table2", table2),
+    ("Table 3", "table3", table3),
+    ("Table 4", "table4", table4),
+    ("Table 5", "table5", table5),
+    ("Table 6", "table6", table6),
+    ("Figure 3", "figure3", figure3),
+    ("Figure 4", "figure4", figure4),
+    ("Figure 5", "figure5", figure5),
+    ("Figure 6", "figure6", figure6),
+    ("Narrative statistics", "stats", stats),
+];
+
+/// Run every experiment, each under a `bench/render/<section>` span, and
+/// return `(section title, rendered text)` pairs.
 pub fn run_all(exp: &Experiment) -> Vec<(&'static str, String)> {
-    vec![
-        ("Table 1", table1(exp)),
-        ("Table 2", table2(exp)),
-        ("Table 3", table3(exp)),
-        ("Table 4", table4(exp)),
-        ("Table 5", table5(exp)),
-        ("Table 6", table6(exp)),
-        ("Figure 3", figure3(exp)),
-        ("Figure 4", figure4(exp)),
-        ("Figure 5", figure5(exp)),
-        ("Figure 6", figure6(exp)),
-        ("Narrative statistics", stats(exp)),
-    ]
+    SECTIONS
+        .iter()
+        .map(|&(title, name, section)| {
+            let _span = alias_obs::span!("bench/render/{}", name);
+            (title, section(exp))
+        })
+        .collect()
 }
 
 /// The short lowercase name of a scale preset, as `ALIAS_SCALE` spells it.
@@ -1758,35 +1643,6 @@ mod tests {
     }
 
     #[test]
-    fn resolution_report_matches_the_legacy_collection_path() {
-        // The redesign guarantee at harness level: the Resolver-produced
-        // per-technique sets equal what the table functions compute through
-        // `Experiment::collection` over the same (active) observations.
-        let exp = tiny_experiment();
-        assert_eq!(exp.resolution.techniques.len(), PROTOCOLS.len());
-        for protocol in PROTOCOLS {
-            let result = exp
-                .resolution
-                .technique(protocol.name())
-                .expect("paper technique present");
-            let legacy = exp.collection(protocol, Some(DataSource::Active));
-            let legacy_sets = alias_resolve::canonical_sets(
-                legacy
-                    .non_singleton_sets()
-                    .into_iter()
-                    .map(|s| s.addrs.clone())
-                    .collect(),
-            );
-            assert_eq!(result.alias_sets(), legacy_sets, "{}", protocol.name());
-        }
-        assert_eq!(
-            exp.resolution.technique_timings.len(),
-            exp.resolution.techniques.len()
-        );
-        assert!(!exp.resolution.merged.is_empty());
-    }
-
-    #[test]
     fn rate_limit_study_scores_silent_routers() {
         let study = RateLimitStudy::run(ScalePreset::Tiny, 7, 2);
         assert_eq!(study.report.techniques.len(), 8);
@@ -1817,8 +1673,8 @@ mod tests {
     #[test]
     fn ssh_dominates_alias_sets() {
         let exp = tiny_experiment();
-        let ssh = exp.collection(ServiceProtocol::Ssh, None).ipv4_sets().len();
-        let bgp = exp.collection(ServiceProtocol::Bgp, None).ipv4_sets().len();
+        let sets = |protocol| exp.collection(protocol, None).family_sets(false).len();
+        let (ssh, bgp) = (sets(ServiceProtocol::Ssh), sets(ServiceProtocol::Bgp));
         assert!(ssh > bgp, "ssh={ssh} bgp={bgp}");
     }
 }

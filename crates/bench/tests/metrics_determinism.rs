@@ -93,3 +93,44 @@ fn metric_registration_stays_out_of_the_rendered_document() {
         );
     }
 }
+
+/// Render `experiment` on a fresh registry; returns the document and what
+/// the registry recorded meanwhile.
+fn render_once(experiment: &Experiment) -> (String, alias_obs::MetricsSnapshot) {
+    alias_obs::registry().reset();
+    let doc = alias_bench::render_document(experiment, ScalePreset::Tiny);
+    (doc, alias_obs::registry().snapshot())
+}
+
+fn counter(snapshot: &alias_obs::MetricsSnapshot, name: &str) -> u64 {
+    let sample = snapshot.counters.iter().find(|c| c.name == name);
+    sample
+        .unwrap_or_else(|| panic!("{name} not registered"))
+        .value
+}
+
+#[test]
+fn one_render_takes_four_keyed_passes_and_six_partitions() {
+    // The expensive steps of a render, pinned as exact counts: a table
+    // that regroups a store or re-merges what another already merged
+    // fails here instead of in a benchmark.
+    let _guard = REGISTRY_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let experiment = Experiment::run_with_threads(ScalePreset::Tiny, SEED, 2);
+    let (doc, snapshot) = render_once(&experiment);
+    // One pass per protocol over the union store, plus the key-only SSH
+    // regroup in the narrative statistics.
+    assert_eq!(counter(&snapshot, "bench.render_keyed_passes"), 4);
+    // IPv4 × {active, censys, union}, IPv6 × {active, union}, dual-stack.
+    assert_eq!(counter(&snapshot, "bench.render_partitions"), 6);
+    // Every section ran under its own span, once.
+    let sections = snapshot
+        .spans
+        .iter()
+        .filter(|s| s.path.starts_with("bench/render/") && s.count == 1);
+    assert_eq!(sections.count(), 11);
+    // What the first render memoised, a second one reuses.
+    let (again, snapshot) = render_once(&experiment);
+    assert_eq!(again, doc);
+    assert_eq!(counter(&snapshot, "bench.render_keyed_passes"), 1);
+    assert_eq!(counter(&snapshot, "bench.render_partitions"), 0);
+}

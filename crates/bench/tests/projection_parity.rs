@@ -1,0 +1,164 @@
+//! The report's groupings are projections of one keyed pass per protocol
+//! over the union store, and its merges are id-space partitions.  Each is
+//! checked here against the same answer reached another way: the
+//! resolver's own grouping of the active rows, a direct grouping of each
+//! store, and a merge of re-interned address sets.
+
+use alias_bench::Experiment;
+use alias_core::alias_set::{group_view_compact, FamilyGrouping};
+use alias_core::intern::{sort_canonical_compact, AddrInterner, CompactAliasSet};
+use alias_core::merge::merge_labeled_compact;
+use alias_netsim::ScalePreset;
+use alias_scan::{DataSource, ServiceProtocol};
+use std::collections::BTreeSet;
+use std::net::IpAddr;
+
+const PROTOCOLS: [ServiceProtocol; 3] = [
+    ServiceProtocol::Ssh,
+    ServiceProtocol::Bgp,
+    ServiceProtocol::Snmpv3,
+];
+
+/// A projection's alias sets in the canonical order techniques use.
+fn canonical(grouping: &FamilyGrouping, interner: &AddrInterner) -> Vec<CompactAliasSet> {
+    let mut sets = grouping.sets().to_vec();
+    sort_canonical_compact(&mut sets, interner);
+    sets
+}
+
+fn resolved(sets: &[CompactAliasSet], interner: &AddrInterner) -> Vec<BTreeSet<IpAddr>> {
+    sets.iter().map(|set| set.to_addr_set(interner)).collect()
+}
+
+fn check_projections(exp: &Experiment, context: &str) {
+    let union_ids = exp.union.interner();
+    for protocol in PROTOCOLS {
+        let name = protocol.name();
+        // Active: the resolver grouped the same rows, and active ids are
+        // the union store's ids.
+        let technique = exp.resolution.technique(name).expect("paper technique");
+        assert_eq!(
+            canonical(
+                &exp.collection(protocol, Some(DataSource::Active)),
+                union_ids
+            ),
+            technique.compact_sets(),
+            "{context} {name} active"
+        );
+        // Union: a direct id-space grouping of the union store.
+        let direct = group_view_compact(
+            &exp.union.select_protocol(protocol, None),
+            &exp.extractor,
+            exp.threads,
+        );
+        assert_eq!(
+            canonical(&exp.collection(protocol, None), union_ids),
+            direct.sets,
+            "{context} {name} union"
+        );
+        // Censys: its own store has its own id space, so compare addresses.
+        let direct = group_view_compact(
+            &exp.censys.select_protocol(protocol, None),
+            &exp.extractor,
+            exp.threads,
+        );
+        let projected = exp.collection(protocol, Some(DataSource::Censys));
+        assert_eq!(
+            resolved(&canonical(&projected, union_ids), union_ids),
+            resolved(&direct.sets, exp.censys.interner()),
+            "{context} {name} censys"
+        );
+    }
+}
+
+/// Merge address sets the way the tables did before they ran in the union
+/// store's id space: intern them into a private space first.
+fn merge_reinterned(
+    inputs: &[(&str, &[CompactAliasSet])],
+    interner: &AddrInterner,
+    threads: usize,
+) -> Vec<alias_core::merge::MergedSet> {
+    let mut space = AddrInterner::new();
+    let reinterned: Vec<(&str, Vec<CompactAliasSet>)> = inputs
+        .iter()
+        .map(|&(label, sets)| {
+            let sets = sets
+                .iter()
+                .map(|set| CompactAliasSet::from_addr_set(&set.to_addr_set(interner), &mut space))
+                .collect();
+            (label, sets)
+        })
+        .collect();
+    let borrowed: Vec<(&str, &[CompactAliasSet])> = reinterned
+        .iter()
+        .map(|(label, sets)| (*label, sets.as_slice()))
+        .collect();
+    merge_labeled_compact(&borrowed, &space, threads)
+}
+
+fn check_partitions(exp: &Experiment, context: &str) {
+    let interner = exp.union.interner();
+    let union = PROTOCOLS.map(|p| exp.collection(p, None));
+    for ipv6 in [false, true] {
+        let inputs: Vec<(&str, &[CompactAliasSet])> = PROTOCOLS
+            .iter()
+            .zip(&union)
+            .map(|(p, grouping)| (p.name(), grouping.family_sets(ipv6)))
+            .collect();
+        assert_eq!(
+            exp.family_partition(ipv6, None)
+                .materialise(interner, exp.threads),
+            merge_reinterned(&inputs, interner, exp.threads),
+            "{context} ipv6={ipv6} union"
+        );
+    }
+    // SNMPv3 contributes its active sets to the Censys row of Table 3.
+    let censys = [
+        exp.collection(ServiceProtocol::Ssh, Some(DataSource::Censys)),
+        exp.collection(ServiceProtocol::Bgp, Some(DataSource::Censys)),
+        exp.collection(ServiceProtocol::Snmpv3, Some(DataSource::Active)),
+    ];
+    let inputs: Vec<(&str, &[CompactAliasSet])> = PROTOCOLS
+        .iter()
+        .zip(&censys)
+        .map(|(p, grouping)| (p.name(), grouping.family_sets(false)))
+        .collect();
+    assert_eq!(
+        exp.family_partition(false, Some(DataSource::Censys))
+            .materialise(interner, exp.threads),
+        merge_reinterned(&inputs, interner, exp.threads),
+        "{context} censys"
+    );
+    let inputs: Vec<(&str, &[CompactAliasSet])> = PROTOCOLS
+        .iter()
+        .zip(&union)
+        .map(|(p, grouping)| (p.name(), grouping.dual_stack_sets()))
+        .collect();
+    assert_eq!(
+        exp.dual_stack_partition()
+            .materialise(interner, exp.threads),
+        merge_reinterned(&inputs, interner, exp.threads),
+        "{context} dual-stack"
+    );
+}
+
+fn check(preset: ScalePreset) {
+    for seed in [7u64, 404, 2023] {
+        for threads in [1usize, 2, 7] {
+            let exp = Experiment::run_with_threads(preset, seed, threads);
+            let context = format!("{preset:?} seed={seed} threads={threads}");
+            check_projections(&exp, &context);
+            check_partitions(&exp, &context);
+        }
+    }
+}
+
+#[test]
+fn projections_and_partitions_match_direct_computation_at_tiny() {
+    check(ScalePreset::Tiny);
+}
+
+#[test]
+fn projections_and_partitions_match_direct_computation_at_small() {
+    check(ScalePreset::Small);
+}

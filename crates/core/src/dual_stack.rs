@@ -6,23 +6,17 @@
 //! IPv6 address (by far the most common case, 88% in the paper) already
 //! counts.
 
-use crate::alias_set::AliasSetCollection;
-use crate::identifier::ProtocolIdentifier;
+use crate::alias_set::FamilyGrouping;
+use crate::intern::{AddrId, AddrInterner, CompactAliasSet};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeSet;
-use std::net::IpAddr;
 
-/// One dual-stack set.  Members are sorted, distinct vectors rather than
-/// address sets — dual-stack sets are derived once and then only read, so
-/// they need ordered iteration, not membership tests.
+/// One dual-stack set, in the id space of the grouping it came from.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct DualStackSet {
-    /// The shared identifier.
-    pub identifier: ProtocolIdentifier,
     /// IPv4 members, sorted and distinct.
-    pub ipv4: Vec<IpAddr>,
+    pub ipv4: Vec<AddrId>,
     /// IPv6 members, sorted and distinct.
-    pub ipv6: Vec<IpAddr>,
+    pub ipv6: Vec<AddrId>,
 }
 
 impl DualStackSet {
@@ -42,37 +36,26 @@ impl DualStackSet {
     }
 }
 
-/// All dual-stack sets of a collection, plus the counters the paper reports
+/// All dual-stack sets of a grouping, plus the counters the paper reports
 /// in Table 4.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct DualStackReport {
-    /// The dual-stack sets.
+    /// The dual-stack sets, largest first.
     pub sets: Vec<DualStackSet>,
 }
 
 impl DualStackReport {
-    /// Derive dual-stack sets from an alias-set collection.
-    pub fn from_collection(collection: &AliasSetCollection) -> Self {
-        let mut sets: Vec<DualStackSet> = collection
-            .sets()
+    /// Split a grouping's dual-stack sets by family (`interner` is the
+    /// grouped store's).
+    pub fn from_grouping(grouping: &FamilyGrouping, interner: &AddrInterner) -> Self {
+        let sets = grouping
+            .dual_stack_sets()
             .iter()
-            .filter_map(|set| {
-                let ipv4 = set.ipv4_addrs();
-                let ipv6 = set.ipv6_addrs();
-                if ipv4.is_empty() || ipv6.is_empty() {
-                    None
-                } else {
-                    // BTreeSet iteration is ordered, so the vectors come
-                    // out sorted and distinct.
-                    Some(DualStackSet {
-                        identifier: set.identifier.clone(),
-                        ipv4: ipv4.into_iter().collect(),
-                        ipv6: ipv6.into_iter().collect(),
-                    })
-                }
+            .map(|set| {
+                let (ipv6, ipv4) = set.iter().partition(|&id| interner.addr(id).is_ipv6());
+                DualStackSet { ipv4, ipv6 }
             })
             .collect();
-        sets.sort_by_key(|set| std::cmp::Reverse(set.len()));
         DualStackReport { sets }
     }
 
@@ -83,20 +66,12 @@ impl DualStackReport {
 
     /// Distinct IPv4 addresses covered.
     pub fn ipv4_addresses(&self) -> usize {
-        self.sets
-            .iter()
-            .flat_map(|s| s.ipv4.iter())
-            .collect::<BTreeSet<_>>()
-            .len()
+        distinct(self.sets.iter().flat_map(|s| &s.ipv4))
     }
 
     /// Distinct IPv6 addresses covered.
     pub fn ipv6_addresses(&self) -> usize {
-        self.sets
-            .iter()
-            .flat_map(|s| s.ipv6.iter())
-            .collect::<BTreeSet<_>>()
-            .len()
+        distinct(self.sets.iter().flat_map(|s| &s.ipv6))
     }
 
     /// Fraction of sets that are a single IPv4 + single IPv6 pair.
@@ -126,12 +101,18 @@ impl DualStackReport {
     }
 }
 
+/// Number of distinct ids among `ids`.
+fn distinct<'a>(ids: impl Iterator<Item = &'a AddrId>) -> usize {
+    CompactAliasSet::from_ids(ids.copied().collect()).len()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::alias_set::group_view_by_source;
     use crate::extract::{ExtractionConfig, IdentifierExtractor};
     use alias_netsim::SimTime;
-    use alias_scan::{DataSource, ServiceObservation, ServicePayload};
+    use alias_scan::{DataSource, ObservationStore, ServiceObservation, ServicePayload};
     use alias_wire::ssh::{Banner, HostKey, HostKeyAlgorithm, KexInit, SshObservation};
 
     fn ssh_obs(addr: &str, key_byte: u8) -> ServiceObservation {
@@ -151,8 +132,10 @@ mod tests {
 
     fn report(observations: &[ServiceObservation]) -> DualStackReport {
         let extractor = IdentifierExtractor::new(ExtractionConfig::paper());
-        let collection = AliasSetCollection::from_observations(observations.iter(), &extractor);
-        DualStackReport::from_collection(&collection)
+        let store = ObservationStore::from_observations(observations.to_vec());
+        let grouping =
+            group_view_by_source(&store.view_all(), &extractor, 1).project(None, store.interner());
+        DualStackReport::from_grouping(&grouping, store.interner())
     }
 
     #[test]

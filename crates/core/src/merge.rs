@@ -6,12 +6,12 @@
 //! each merged set is attributed to the protocols able to identify it
 //! ("40% can only be identified with SNMPv3 and 60% with SSH or BGP").
 //!
-//! Everything runs in id space: [`merge_labeled_compact`] unions
+//! Everything runs in id space: [`partition_labeled_compact`] unions
 //! [`CompactAliasSet`]s straight into a forest indexed by [`AddrId`] — no
-//! per-merge address→index re-keying, no per-set clones, no ordered-set
-//! rebalancing until the final [`MergedSet`]s are materialised.  Callers
-//! that start from address sets intern them once against a campaign
-//! interner first; the former `BTreeSet<IpAddr>` entry points are gone.
+//! per-merge address→index re-keying, no per-set clones — and returns the
+//! [`LabeledPartition`] the tables read.  [`merge_labeled_compact`] is the
+//! same merge one step deeper: the partition materialised into the
+//! [`MergedSet`]s a report carries.
 
 use crate::intern::{AddrId, AddrInterner, CompactAliasSet};
 use crate::union_find::UnionFind;
@@ -85,28 +85,106 @@ impl MergedSet {
     }
 }
 
-/// Merge labelled collections of [`CompactAliasSet`]s sharing one id space:
-/// sets sharing at least one address end up in the same merged set.
+/// A labelled merge in id space: the partition of every address that
+/// occurs in an input set, with the inputs that contributed to each part.
+/// This is what the tables consume; [`Self::materialise`] is the thin
+/// address-resolving step on top for callers that hand sets to a report.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct LabeledPartition {
+    /// The input labels, by input position.
+    pub labels: Vec<String>,
+    /// The merged sets, ordered by their smallest member id.
+    pub sets: Vec<CompactAliasSet>,
+    /// Per merged set: bit `i` is set when input `i` contributed a set.
+    pub label_masks: Vec<u64>,
+}
+
+impl LabeledPartition {
+    /// The mask bits of the inputs labelled `label`.
+    fn mask_of(&self, label: &str) -> u64 {
+        let inputs = self.labels.iter().enumerate();
+        inputs
+            .filter(|(_, l)| *l == label)
+            .fold(0, |mask, (i, _)| mask | 1 << i)
+    }
+
+    /// Whether only inputs labelled `label` contributed to set `index`.
+    pub fn only_from(&self, index: usize, label: &str) -> bool {
+        let mask = self.label_masks[index];
+        mask != 0 && mask & !self.mask_of(label) == 0
+    }
+
+    /// Resolve the partition into [`MergedSet`]s in canonical order —
+    /// sorted by smallest address — sharded over the sets (building the
+    /// ordered address sets is the expensive part).  Identical for every
+    /// thread count.
+    pub fn materialise(&self, interner: &AddrInterner, threads: usize) -> Vec<MergedSet> {
+        let threads = threads.min(alias_exec::available_parallelism());
+        let ranges = alias_exec::split_even(
+            self.sets.len() as u64,
+            if threads <= 1 {
+                1
+            } else {
+                alias_exec::shards_for(threads)
+            },
+        );
+        let mut merged: Vec<MergedSet> = alias_exec::shard_reduce(
+            ranges.len(),
+            threads,
+            |shard| {
+                let range = &ranges[shard];
+                (range.start as usize..range.end as usize)
+                    .map(|slot| MergedSet {
+                        addrs: self.sets[slot].to_addr_set(interner),
+                        labels: self
+                            .labels
+                            .iter()
+                            .enumerate()
+                            .filter(|(i, _)| self.label_masks[slot] >> i & 1 == 1)
+                            .map(|(_, label)| label.clone())
+                            .collect(),
+                    })
+                    .collect::<Vec<_>>()
+            },
+            Vec::with_capacity(self.sets.len()),
+            |mut acc, part| {
+                acc.extend(part);
+                acc
+            },
+        );
+        sort_canonical(&mut merged);
+        merged
+    }
+}
+
+/// Partition the addresses of labelled [`CompactAliasSet`] collections
+/// sharing one id space of `universe` ids: sets sharing at least one
+/// address end up in the same merged set.
 ///
 /// Member ids index straight into the union–find forest, so there is no
 /// per-merge re-keying and no input cloning.  With `threads > 1` the union
 /// pass shards over the input sets (private forests reporting spanning
-/// edges to a boundary pass) and materialisation shards over the merged
-/// groups.  The output is in canonical order — merged sets sorted by their
-/// smallest address — and identical for every thread count, because the
-/// merged partition of a set family is independent of union order.
-pub fn merge_labeled_compact(
+/// edges to a boundary pass).  The output is identical for every thread
+/// count, because the merged partition of a set family is independent of
+/// union order.
+///
+/// # Panics
+/// Panics on more than 64 inputs (the label mask is one `u64`).
+pub fn partition_labeled_compact(
     inputs: &[(&str, &[CompactAliasSet])],
-    interner: &AddrInterner,
+    universe: usize,
     threads: usize,
-) -> Vec<MergedSet> {
+) -> LabeledPartition {
+    assert!(
+        inputs.len() <= 64,
+        "a labelled merge takes at most 64 inputs"
+    );
     // CPU-bound with no per-item pacing to amortise: workers beyond the
     // machine's parallelism only add scheduling overhead, and the clamp
     // never changes the output (the merged partition is thread-count
     // independent).
     let threads = threads.min(alias_exec::available_parallelism());
-    let universe = interner.len();
-    // Mark the addresses that actually occur in an input set: the interner
+    // Mark the addresses that actually occur in an input set: the id space
     // may cover a whole campaign while the sets span only part of it.
     let mut present = vec![false; universe];
     for (_, sets) in inputs {
@@ -168,7 +246,8 @@ pub fn merge_labeled_compact(
 
     // Bucket the present addresses by merged group.  Groups are numbered by
     // first member in id order — a thread-independent keying, unlike the
-    // forest's internal representatives.
+    // forest's internal representatives — and filled in id order, so each
+    // is already a sorted, distinct id list.
     let mut slot_of_root = vec![usize::MAX; universe];
     let mut groups: Vec<Vec<AddrId>> = Vec::new();
     for (index, _) in present.iter().enumerate().filter(|(_, &p)| p) {
@@ -183,50 +262,16 @@ pub fn merge_labeled_compact(
         groups[slot].push(AddrId(index as u32));
     }
 
-    // Attribute labels: an input set contributes its label to the merged
-    // group containing its members (one find per input set).
-    let mut labels: Vec<BTreeSet<String>> = vec![BTreeSet::new(); groups.len()];
-    for (label, sets) in inputs {
+    // Attribute labels: an input set contributes its input's bit to the
+    // merged group containing its members (one find per input set).
+    let mut label_masks = vec![0u64; groups.len()];
+    for (input, (_, sets)) in inputs.iter().enumerate() {
         for set in *sets {
             if let Some(&first) = set.ids().first() {
-                let slot = slot_of_root[uf.find(first.index())];
-                labels[slot].insert((*label).to_owned());
+                label_masks[slot_of_root[uf.find(first.index())]] |= 1 << input;
             }
         }
     }
-
-    // Materialise the merged sets at the address boundary, sharded over the
-    // groups (the ordered-set building is the expensive part).  Both tables
-    // are frozen first: the shards below share them read-only.
-    let groups = &groups;
-    let labels = &labels;
-    let group_ranges = alias_exec::split_even(
-        groups.len() as u64,
-        if threads <= 1 {
-            1
-        } else {
-            alias_exec::shards_for(threads)
-        },
-    );
-    let mut merged: Vec<MergedSet> = alias_exec::shard_reduce(
-        group_ranges.len(),
-        threads,
-        |shard| {
-            let range = &group_ranges[shard];
-            (range.start as usize..range.end as usize)
-                .map(|slot| MergedSet {
-                    addrs: groups[slot].iter().map(|&id| interner.addr(id)).collect(),
-                    labels: labels[slot].clone(),
-                })
-                .collect::<Vec<_>>()
-        },
-        Vec::with_capacity(groups.len()),
-        |mut acc, part| {
-            acc.extend(part);
-            acc
-        },
-    );
-    sort_canonical(&mut merged);
 
     // Flush the forest tallies from this serial tail — raw op counts as
     // timing metrics, the partition-derived ones as deterministic.
@@ -235,10 +280,27 @@ pub fn merge_labeled_compact(
     UF_UNIONS.add(stats.unions);
     UF_PATH_COMPRESSIONS.add(stats.path_compressions);
     EFFECTIVE_UNIONS.add(stats.effective_unions);
-    MERGED_SETS.add(merged.len() as u64);
-    MERGED_ADDRS.add(merged.iter().map(|m| m.addrs.len() as u64).sum());
+    MERGED_SETS.add(groups.len() as u64);
+    MERGED_ADDRS.add(groups.iter().map(|g| g.len() as u64).sum());
 
-    merged
+    LabeledPartition {
+        labels: inputs
+            .iter()
+            .map(|(label, _)| (*label).to_owned())
+            .collect(),
+        sets: groups.into_iter().map(CompactAliasSet::from_ids).collect(),
+        label_masks,
+    }
+}
+
+/// [`partition_labeled_compact`] over `interner`'s id space, materialised:
+/// the [`MergedSet`]s a `ResolutionReport` carries, in canonical order.
+pub fn merge_labeled_compact(
+    inputs: &[(&str, &[CompactAliasSet])],
+    interner: &AddrInterner,
+    threads: usize,
+) -> Vec<MergedSet> {
+    partition_labeled_compact(inputs, interner.len(), threads).materialise(interner, threads)
 }
 
 /// Canonical output order: merged sets sorted by their smallest address.
@@ -314,12 +376,21 @@ impl ProtocolAttribution {
     /// Compute the attribution from labelled merged sets, where the labels
     /// are protocol names (`"ssh"`, `"bgp"`, `"snmpv3"`).
     pub fn compute(merged: &[MergedSet]) -> Self {
-        let mut attribution = ProtocolAttribution {
-            total: merged.len(),
-            ..Default::default()
-        };
-        for set in merged {
-            if set.only_from("snmpv3") {
+        Self::tally(merged.iter().map(|set| set.only_from("snmpv3")))
+    }
+
+    /// [`Self::compute`] straight from the id-space partition.
+    pub fn of_partition(partition: &LabeledPartition) -> Self {
+        let snmpv3 = partition.mask_of("snmpv3");
+        let masks = partition.label_masks.iter();
+        Self::tally(masks.map(|&mask| mask != 0 && mask & !snmpv3 == 0))
+    }
+
+    fn tally(snmpv3_only: impl Iterator<Item = bool>) -> Self {
+        let mut attribution = ProtocolAttribution::default();
+        for only in snmpv3_only {
+            attribution.total += 1;
+            if only {
                 attribution.snmpv3_only += 1;
             } else {
                 attribution.ssh_or_bgp += 1;
@@ -433,6 +504,34 @@ mod tests {
         assert_eq!(attribution.snmpv3_only, 1);
         assert_eq!(attribution.ssh_or_bgp, 1);
         assert!((attribution.snmpv3_only_fraction() - 0.5).abs() < 1e-9);
+    }
+
+    #[test]
+    fn partition_and_materialised_sets_attribute_alike() {
+        // Two inputs share the label "snmpv3": a set only they touch is
+        // still "only from snmpv3", and the labels collapse on the way out.
+        let mut interner = AddrInterner::new();
+        let ssh = family(&[&["10.0.0.1", "10.0.0.2"]], &mut interner);
+        let snmp_a = family(&[&["10.1.0.1", "10.1.0.2"]], &mut interner);
+        let snmp_b = family(
+            &[&["10.1.0.2", "10.1.0.3"], &["10.0.0.2", "10.0.0.9"]],
+            &mut interner,
+        );
+        let inputs: Vec<(&str, &[CompactAliasSet])> =
+            vec![("ssh", &ssh), ("snmpv3", &snmp_a), ("snmpv3", &snmp_b)];
+        let partition = partition_labeled_compact(&inputs, interner.len(), 1);
+        // Ordered by smallest member id: 10.0.0.1 was interned first.
+        assert_eq!(partition.label_masks, vec![0b101, 0b110]);
+        assert!(!partition.only_from(0, "snmpv3"));
+        assert!(partition.only_from(1, "snmpv3"));
+        assert!(!partition.only_from(1, "ssh"));
+        let merged = partition.materialise(&interner, 1);
+        assert_eq!(merged, merge_labeled_compact(&inputs, &interner, 1));
+        assert_eq!(merged[1].labels.len(), 1);
+        assert_eq!(
+            ProtocolAttribution::of_partition(&partition),
+            ProtocolAttribution::compute(&merged)
+        );
     }
 
     #[test]

@@ -75,14 +75,16 @@ impl ResolutionTechnique for IdentifierTechnique {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::technique::canonical_sets;
-    use alias_core::alias_set::AliasSetCollection;
+    use alias_core::alias_set::group_view_by_source;
     use alias_core::extract::{ExtractionConfig, IdentifierExtractor};
+    use alias_core::intern::{sort_canonical_compact, AddrId};
     use alias_netsim::{InternetBuilder, InternetConfig, VantageKind};
     use alias_scan::campaign::ActiveCampaign;
 
     #[test]
-    fn identifier_technique_matches_the_legacy_collection_path() {
+    fn identifier_technique_matches_the_report_grouping() {
+        // The technique and the tables group the same rows through two
+        // entry points of one keyed pass; they must agree id for id.
         let internet = InternetBuilder::new(InternetConfig::tiny(11)).build();
         let data = ActiveCampaign::with_defaults(&internet).run(&internet);
         let extractor = IdentifierExtractor::new(ExtractionConfig::paper());
@@ -100,23 +102,24 @@ mod tests {
                 IdentifierTechnique::snmpv3(),
             ] {
                 let result = technique.resolve(&data, &ctx);
-                let legacy = AliasSetCollection::from_view(
+                let pass = group_view_by_source(
                     &data.store().select_protocol(technique.protocol(), None),
                     &extractor,
+                    1,
                 );
+                let mut sets = pass.project(None, data.interner()).sets().to_vec();
+                sort_canonical_compact(&mut sets, data.interner());
                 assert_eq!(
-                    result.alias_sets(),
-                    canonical_sets(
-                        legacy
-                            .non_singleton_sets()
-                            .into_iter()
-                            .map(|s| s.addrs.clone())
-                            .collect()
-                    ),
+                    result.compact_sets(),
+                    sets,
                     "{} threads={threads}",
                     technique.name()
                 );
-                assert_eq!(result.testable(), legacy.all_addresses());
+                let mut testable: Vec<AddrId> =
+                    pass.groups().iter().flatten().map(|&(id, _)| id).collect();
+                testable.sort_unstable();
+                testable.dedup();
+                assert_eq!(result.testable_ids(), testable);
                 assert_eq!(result.finished_at, data.finished_at);
                 assert!(technique.is_pure());
                 assert_ne!(result.set_count(), 0, "{}", technique.name());

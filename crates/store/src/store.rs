@@ -577,6 +577,12 @@ impl<'a> ObservationView<'a> {
         self.store.asns[self.rows[i] as usize]
     }
 
+    /// The data-source tag of the `i`-th selected row.
+    #[inline]
+    pub fn source_at(&self, i: usize) -> SourceTag {
+        self.store.sources[self.rows[i] as usize]
+    }
+
     /// A borrowed view of the `i`-th selected row.
     #[inline]
     pub fn get(&self, i: usize) -> ObservationRef<'a> {

@@ -1,12 +1,13 @@
 //! Dual-stack census: pair IPv4 and IPv6 addresses of the same device via
 //! shared protocol identifiers (the paper's Table 4 / §4.2), using an IPv6
 //! hitlist because the IPv6 space cannot be swept.  The scan runs through
-//! the `Resolver`; the per-protocol dual-stack reports are derived by
-//! pushing column-view rows into `AliasSetBuilder` sinks — no
-//! intermediate observation vectors, no materialised rows.
+//! the `Resolver`; the per-protocol dual-stack reports are derived in the
+//! campaign store's id space, straight off its columns — no intermediate
+//! observation vectors, no materialised rows, no address sets.
 //!
 //! Run with: `cargo run --release --example dual_stack_census`
 
+use alias_resolution::core::alias_set::group_view_by_source;
 use alias_resolution::prelude::*;
 
 fn main() {
@@ -30,14 +31,11 @@ fn main() {
         ServiceProtocol::Bgp,
         ServiceProtocol::Snmpv3,
     ] {
-        // The streaming path: select the protocol's rows off the campaign
-        // store's tag column and push each one (address, ASN, borrowed
-        // payload) into a grouping sink, then derive the dual-stack pairs.
-        let mut builder = AliasSetBuilder::new(extractor);
-        for row in data.store().select_protocol(protocol, None).iter() {
-            builder.push_parts(row.addr, row.asn, row.payload);
-        }
-        let dual = DualStackReport::from_collection(&builder.finish());
+        // Select the protocol's rows off the campaign store's tag column,
+        // key them once, and derive the dual-stack pairs from the grouping.
+        let view = data.store().select_protocol(protocol, None);
+        let grouping = group_view_by_source(&view, &extractor, 1).project(None, data.interner());
+        let dual = DualStackReport::from_grouping(&grouping, data.interner());
         let (simple, medium, large) = dual.size_split();
         println!(
             "{:>7}: {} dual-stack sets ({} IPv4 / {} IPv6 addresses); \

@@ -67,7 +67,7 @@ pub use alias_wire as wire;
 /// The most commonly used types, re-exported flat.
 pub mod prelude {
     pub use alias_censys::{CensysConfig, CensysSnapshot};
-    pub use alias_core::alias_set::{AliasSet, AliasSetBuilder, AliasSetCollection};
+    pub use alias_core::alias_set::{FamilyGrouping, SourceGroups};
     pub use alias_core::dual_stack::{DualStackReport, DualStackSet};
     pub use alias_core::ecdf::Ecdf;
     pub use alias_core::extract::{ExtractionConfig, IdentifierExtractor};
