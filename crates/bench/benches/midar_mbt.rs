@@ -1,6 +1,9 @@
 //! IPID baseline micro-benchmarks: the monotonic bounds test and velocity
-//! estimation that MIDAR runs for every candidate pair.
+//! estimation that MIDAR runs for every candidate pair, and the agreement
+//! projection every pair of techniques goes through.
 
+use alias_core::intern::{AddrId, CompactAliasSet};
+use alias_core::validation::cross_validate;
 use alias_midar::mbt::monotonic_bounds_test;
 use alias_midar::velocity::estimate_velocity;
 use alias_netsim::SimTime;
@@ -29,6 +32,14 @@ fn bench_mbt(c: &mut Criterion) {
         bench.iter(|| monotonic_bounds_test(black_box(&[&a, &unrelated]), 1_500.0))
     });
 
+    // Ten times the samples, the violation still at the first merged step:
+    // what is left is the time-order check of the two inputs.
+    let long = synthetic_series(100, 12.0, 300);
+    let long_unrelated = synthetic_series(40_000, 12.0, 300);
+    c.bench_function("mbt_inconsistent_early_exit", |bench| {
+        bench.iter(|| monotonic_bounds_test(black_box(&[&long, &long_unrelated]), 1_500.0))
+    });
+
     let series = IpidTimeSeries {
         addr: "192.0.2.1".parse().unwrap(),
         samples: a.clone(),
@@ -38,5 +49,27 @@ fn bench_mbt(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, bench_mbt);
+/// One agreement row at the silent study's shape: two techniques of 3,000
+/// sets each over 60,000 addresses, 30,000 of them testable by both.
+fn bench_cross_validate(c: &mut Criterion) {
+    let sets = |stride: u32| -> Vec<CompactAliasSet> {
+        (0..3_000u32)
+            .map(|i| {
+                let size = 2 + i % 9;
+                CompactAliasSet::from_ids(
+                    (0..size)
+                        .map(|k| AddrId((i * 20 + k * stride) % 60_000))
+                        .collect(),
+                )
+            })
+            .collect()
+    };
+    let (a, b) = (sets(1), sets(2));
+    let common: Vec<AddrId> = (0..30_000).map(|i| AddrId(2 * i)).collect();
+    c.bench_function("cross_validate_3k_sets_30k_universe", |bench| {
+        bench.iter(|| cross_validate(black_box(&a), black_box(&b), black_box(&common)))
+    });
+}
+
+criterion_group!(benches, bench_mbt, bench_cross_validate);
 criterion_main!(benches);

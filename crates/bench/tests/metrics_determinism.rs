@@ -122,12 +122,19 @@ fn one_render_takes_four_keyed_passes_and_six_partitions() {
     assert_eq!(counter(&snapshot, "bench.render_keyed_passes"), 4);
     // IPv4 × {active, censys, union}, IPv6 × {active, union}, dual-stack.
     assert_eq!(counter(&snapshot, "bench.render_partitions"), 6);
-    // Every section ran under its own span, once.
-    let sections = snapshot
-        .spans
-        .iter()
-        .filter(|s| s.path.starts_with("bench/render/") && s.count == 1);
+    // Every section ran under its own span, once (Table 2's MIDAR run
+    // opens its stage spans one level further down).
+    let sections = snapshot.spans.iter().filter(|s| {
+        s.path
+            .strip_prefix("bench/render/")
+            .is_some_and(|section| !section.contains('/'))
+            && s.count == 1
+    });
     assert_eq!(sections.count(), 11);
+    for stage in ["estimation", "discovery", "elimination"] {
+        let path = format!("bench/render/table2/{stage}");
+        assert!(snapshot.spans.iter().any(|s| s.path == path), "{path}");
+    }
     // What the first render memoised, a second one reuses.
     let (again, snapshot) = render_once(&experiment);
     assert_eq!(again, doc);

@@ -219,6 +219,9 @@ mod tests {
         assert!(groups.iter().any(|g| g.len() == 3 && g.contains(&4)));
     }
 
+    // `validate` exists under the same condition (a release-profile test
+    // build has neither).
+    #[cfg(any(debug_assertions, feature = "validate"))]
     #[test]
     fn validate_accepts_sound_forests_and_reports_drift() {
         assert_eq!(UnionFind::new(0).validate(), Ok(()));
@@ -249,6 +252,7 @@ mod tests {
                 uf.union(a, b);
             }
             // Structural invariants hold after an arbitrary union sequence.
+            #[cfg(any(debug_assertions, feature = "validate"))]
             prop_assert_eq!(uf.validate(), Ok(()));
             // groups() partitions [0, n) exactly.
             let groups = uf.groups();

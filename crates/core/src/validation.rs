@@ -10,8 +10,9 @@
 //! [`AddrInterner`](crate::intern::AddrInterner).  Agreement counting is
 //! invariant under the (bijective) address ↔ id relabeling, so the results
 //! are identical to the former `BTreeSet<IpAddr>` formulation — the parity
-//! suite pins that down — while projection becomes a sorted-slice merge
-//! walk instead of per-address tree probes.
+//! suite pins that down — while projection becomes one dense membership
+//! table over the universe, probed once per set member, instead of
+//! per-address tree probes.
 
 use crate::intern::{AddrId, CompactAliasSet};
 use serde::{Deserialize, Serialize};
@@ -59,13 +60,62 @@ pub fn common_ids(a: &[AddrId], b: &[AddrId]) -> Vec<AddrId> {
     out
 }
 
-/// Restrict `sets` to the sorted id `universe`, dropping sets that no longer
+/// Dense membership table of an id universe: built once per comparison,
+/// then every set is projected by probing its own members, so a comparison
+/// costs O(universe + members) however many sets there are.
+struct Universe {
+    member: Vec<bool>,
+}
+
+impl Universe {
+    fn new(ids: &[AddrId]) -> Self {
+        let len = ids.iter().max().map_or(0, |max| max.index() + 1);
+        let mut member = vec![false; len];
+        for id in ids {
+            member[id.index()] = true;
+        }
+        Universe { member }
+    }
+
+    fn contains(&self, id: AddrId) -> bool {
+        self.member.get(id.index()).copied().unwrap_or(false)
+    }
+
+    /// `sets` restricted to the universe, without the sets left with fewer
+    /// than two members.  Only a surviving set allocates.
+    fn project(&self, sets: &[CompactAliasSet]) -> Vec<CompactAliasSet> {
+        let mut projected = Vec::with_capacity(sets.len());
+        let mut kept: Vec<AddrId> = Vec::new();
+        for set in sets {
+            kept.clear();
+            kept.extend(set.iter().filter(|&id| self.contains(id)));
+            if kept.len() >= 2 {
+                projected.push(CompactAliasSet::from_ids(kept.clone()));
+            }
+        }
+        projected
+    }
+}
+
+/// Restrict `sets` to the ids in `universe`, dropping sets that no longer
 /// have at least two members.
 pub fn project_compact(sets: &[CompactAliasSet], universe: &[AddrId]) -> Vec<CompactAliasSet> {
-    sets.iter()
-        .map(|set| CompactAliasSet::from_ids(common_ids(set.ids(), universe)))
-        .filter(|set| set.len() >= 2)
-        .collect()
+    Universe::new(universe).project(sets)
+}
+
+/// Count the sets of `projected_a` whose exact membership also appears in
+/// `projected_b`.
+fn agreement(projected_a: &[CompactAliasSet], projected_b: &[CompactAliasSet]) -> ValidationResult {
+    let b_lookup: HashSet<&[AddrId]> = projected_b.iter().map(|s| s.ids()).collect();
+    let agree = projected_a
+        .iter()
+        .filter(|set| b_lookup.contains(set.ids()))
+        .count();
+    ValidationResult {
+        sample_size: projected_a.len(),
+        agree,
+        disagree: projected_a.len() - agree,
+    }
 }
 
 /// Compare technique A's sets against technique B's sets over the ids
@@ -80,21 +130,8 @@ pub fn cross_validate(
     sets_b: &[CompactAliasSet],
     common: &[AddrId],
 ) -> ValidationResult {
-    let projected_a = project_compact(sets_a, common);
-    let projected_b = project_compact(sets_b, common);
-    let b_lookup: HashSet<&[AddrId]> = projected_b.iter().map(|s| s.ids()).collect();
-    let mut result = ValidationResult {
-        sample_size: projected_a.len(),
-        ..Default::default()
-    };
-    for set in &projected_a {
-        if b_lookup.contains(set.ids()) {
-            result.agree += 1;
-        } else {
-            result.disagree += 1;
-        }
-    }
-    result
+    let universe = Universe::new(common);
+    agreement(&universe.project(sets_a), &universe.project(sets_b))
 }
 
 /// Validation against an IPID-based technique such as MIDAR.
@@ -132,19 +169,19 @@ pub fn validate_against_midar(
     midar_sets: &[CompactAliasSet],
     testable: &[AddrId],
 ) -> MidarValidation {
-    let projected = project_compact(sampled_sets, testable);
-    let unverifiable = sampled_sets.len() - projected.len();
-    let result = cross_validate(sampled_sets, midar_sets, testable);
+    let universe = Universe::new(testable);
+    let projected = universe.project(sampled_sets);
     MidarValidation {
         sampled: sampled_sets.len(),
-        unverifiable,
-        result,
+        unverifiable: sampled_sets.len() - projected.len(),
+        result: agreement(&projected, &universe.project(midar_sets)),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn ids(raw: &[u32]) -> Vec<AddrId> {
         raw.iter().copied().map(AddrId).collect()
@@ -228,5 +265,77 @@ mod tests {
         assert_eq!(common_ids(&ids(&[0, 1]), &ids(&[1, 2])), ids(&[1]));
         assert_eq!(common_ids(&ids(&[0, 2, 4]), &ids(&[1, 3, 5])), ids(&[]));
         assert_eq!(common_ids(&ids(&[0, 1, 2, 3]), &ids(&[1, 3])), ids(&[1, 3]));
+    }
+
+    /// Projection as a sorted-slice merge walk of every set against the
+    /// whole universe — what `project_compact` did before the membership
+    /// table, kept as the reference.
+    fn project_by_merge_walk(
+        sets: &[CompactAliasSet],
+        universe: &[AddrId],
+    ) -> Vec<CompactAliasSet> {
+        sets.iter()
+            .map(|set| CompactAliasSet::from_ids(common_ids(set.ids(), universe)))
+            .filter(|set| set.len() >= 2)
+            .collect()
+    }
+
+    fn cross_validate_by_merge_walk(
+        sets_a: &[CompactAliasSet],
+        sets_b: &[CompactAliasSet],
+        common: &[AddrId],
+    ) -> ValidationResult {
+        agreement(
+            &project_by_merge_walk(sets_a, common),
+            &project_by_merge_walk(sets_b, common),
+        )
+    }
+
+    #[test]
+    fn empty_universe_and_ids_beyond_it_project_to_nothing() {
+        let sets = vec![set(&[0, 1]), set(&[7, 900_000])];
+        assert!(project_compact(&sets, &[]).is_empty());
+        // 900_000 lies far above the universe's largest id.
+        assert_eq!(
+            project_compact(&sets, &ids(&[1, 7, 8])),
+            Vec::<CompactAliasSet>::new()
+        );
+        assert_eq!(project_compact(&sets, &ids(&[0, 1, 7])), vec![set(&[0, 1])]);
+    }
+
+    fn sorted_ids(raw: Vec<u32>) -> Vec<AddrId> {
+        let mut out: Vec<AddrId> = raw.into_iter().map(AddrId).collect();
+        out.sort_unstable();
+        out.dedup();
+        out
+    }
+
+    proptest! {
+        #[test]
+        fn membership_projection_agrees_with_the_merge_walk(
+            // Set members range past the universe's largest possible id.
+            raw_sets in prop::collection::vec(prop::collection::vec(0u32..48, 0..7), 0..12),
+            raw_other in prop::collection::vec(prop::collection::vec(0u32..48, 0..7), 0..12),
+            raw_universe in prop::collection::vec(0u32..32, 0..24),
+        ) {
+            let to_sets = |raw: Vec<Vec<u32>>| -> Vec<CompactAliasSet> {
+                raw.into_iter()
+                    .map(|members| CompactAliasSet::from_ids(members.into_iter().map(AddrId).collect()))
+                    .collect()
+            };
+            let (sets, other) = (to_sets(raw_sets), to_sets(raw_other));
+            let universe = sorted_ids(raw_universe);
+            prop_assert_eq!(
+                project_compact(&sets, &universe),
+                project_by_merge_walk(&sets, &universe)
+            );
+            prop_assert_eq!(
+                cross_validate(&sets, &other, &universe),
+                cross_validate_by_merge_walk(&sets, &other, &universe)
+            );
+            // Comparing a partition with itself always agrees.
+            let own = cross_validate(&sets, &sets, &universe);
+            prop_assert_eq!(own.agree, own.sample_size);
+        }
     }
 }

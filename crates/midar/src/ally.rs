@@ -5,7 +5,7 @@
 //! stay close together — the behaviour of one shared counter.
 
 use alias_netsim::{Internet, SimTime, VantageKind};
-use alias_scan::ipid_probe::{IpidProber, IpidProberConfig};
+use alias_scan::ipid_probe::{IpidProber, IpidProberConfig, IpidSample, ResolvedTarget};
 use std::net::IpAddr;
 
 /// Verdict of an Ally test.
@@ -19,7 +19,80 @@ pub enum AllyVerdict {
     Unresponsive,
 }
 
-/// Run an Ally test against the simulated Internet.
+/// Probes sent to each address of a pair.
+const PROBES_PER_ADDR: usize = 6;
+
+/// Runs Ally tests; a sweep over many pairs keeps one tester so every test
+/// after the first reuses its two sample buffers.
+#[derive(Debug)]
+pub struct AllyTester {
+    prober: IpidProber,
+    samples: [Vec<IpidSample>; 2],
+}
+
+impl Default for AllyTester {
+    fn default() -> Self {
+        AllyTester {
+            prober: IpidProber::new(IpidProberConfig {
+                rounds: 1,
+                round_spacing: SimTime::ZERO,
+                rate_pps: 20.0,
+            }),
+            samples: [
+                Vec::with_capacity(PROBES_PER_ADDR),
+                Vec::with_capacity(PROBES_PER_ADDR),
+            ],
+        }
+    }
+}
+
+impl AllyTester {
+    /// A tester with empty buffers.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Test a pair of interfaces already resolved with
+    /// [`Internet::lookup`].
+    pub fn test(
+        &mut self,
+        internet: &Internet,
+        pair: [ResolvedTarget; 2],
+        vantage: VantageKind,
+        start: SimTime,
+    ) -> AllyVerdict {
+        self.prober.collect_interleaved_pair(
+            internet,
+            pair,
+            PROBES_PER_ADDR,
+            vantage,
+            start,
+            &mut self.samples,
+        );
+        let [a, b] = &self.samples;
+        if a.len() < PROBES_PER_ADDR || b.len() < PROBES_PER_ADDR {
+            return AllyVerdict::Unresponsive;
+        }
+        // In-order check with a tolerance on the gap between consecutive
+        // values (Ally's classic "within 200, in order" heuristic, scaled
+        // for the probe spacing used here).  Every probe was answered, so
+        // the probe order is a[0], b[0], a[1], b[1], ...
+        const MAX_GAP: u16 = 1_000;
+        let close = |from: u16, to: u16| {
+            let delta = to.wrapping_sub(from);
+            delta > 0 && delta < MAX_GAP
+        };
+        let within_rounds = a.iter().zip(b).all(|(a, b)| close(a.ipid, b.ipid));
+        let across_rounds = b.iter().zip(&a[1..]).all(|(b, a)| close(b.ipid, a.ipid));
+        if within_rounds && across_rounds {
+            AllyVerdict::Alias
+        } else {
+            AllyVerdict::NotAlias
+        }
+    }
+}
+
+/// Run one Ally test against the simulated Internet.
 pub fn ally_test(
     internet: &Internet,
     a: IpAddr,
@@ -27,31 +100,12 @@ pub fn ally_test(
     vantage: VantageKind,
     start: SimTime,
 ) -> AllyVerdict {
-    let prober = IpidProber::new(IpidProberConfig {
-        rounds: 1,
-        round_spacing: SimTime::ZERO,
-        rate_pps: 20.0,
-    });
-    let probes_per_addr = 6;
-    let (series_a, series_b, merged) =
-        prober.collect_interleaved_pair(internet, a, b, probes_per_addr, vantage, start);
-    if series_a.samples.len() < probes_per_addr || series_b.samples.len() < probes_per_addr {
-        return AllyVerdict::Unresponsive;
-    }
-    // In-order check with a tolerance on the gap between consecutive values
-    // (Ally's classic "within 200, in order" heuristic, scaled for the probe
-    // spacing used here).
-    const MAX_GAP: u16 = 1_000;
-    let values: Vec<u16> = merged.iter().map(|(_, s)| s.ipid).collect();
-    let in_order_and_close = values.windows(2).all(|w| {
-        let delta = w[1].wrapping_sub(w[0]);
-        delta > 0 && delta < MAX_GAP
-    });
-    if in_order_and_close {
-        AllyVerdict::Alias
-    } else {
-        AllyVerdict::NotAlias
-    }
+    AllyTester::new().test(
+        internet,
+        [internet.lookup(a), internet.lookup(b)],
+        vantage,
+        start,
+    )
 }
 
 #[cfg(test)]

@@ -21,9 +21,28 @@
 use crate::mbt::{monotonic_bounds_test, MbtVerdict};
 use crate::velocity::{estimate_velocity, VelocityEstimate};
 use alias_netsim::{Internet, SimTime, VantageKind};
-use alias_scan::ipid_probe::{IpidProber, IpidProberConfig, IpidTimeSeries};
-use std::collections::{BTreeSet, HashMap};
+use alias_obs::{DeterminismClass, LazyCounter};
+use alias_scan::ipid_probe::{IpidProber, IpidProberConfig, IpidTimeSeries, ResolvedTarget};
+use std::collections::BTreeSet;
 use std::net::IpAddr;
+
+/// Monotonic bounds tests run by the discovery and elimination stages.
+/// Both stages are serial, so the count is a pure function of the targets
+/// and the substrate's state.
+static MBT_TESTS: LazyCounter = LazyCounter::new(
+    "midar.mbt_tests",
+    DeterminismClass::Deterministic,
+    "tests",
+    "resolve",
+);
+
+/// Candidate pairs the discovery stage handed to elimination.
+static CANDIDATES: LazyCounter = LazyCounter::new(
+    "midar.candidates",
+    DeterminismClass::Deterministic,
+    "pairs",
+    "resolve",
+);
 
 /// Configuration of a MIDAR run.
 #[derive(Debug, Clone)]
@@ -90,6 +109,7 @@ impl Midar {
         let cfg = &self.config;
 
         // Stage 1: estimation.
+        let stage = alias_obs::span("estimation");
         let prober = IpidProber::new(IpidProberConfig {
             rounds: cfg.estimation_rounds,
             round_spacing: cfg.round_spacing,
@@ -102,71 +122,86 @@ impl Midar {
             .max()
             .unwrap_or(start);
 
-        let mut usable: Vec<(IpAddr, f64, &IpidTimeSeries)> = Vec::new();
+        let mut usable: Vec<(f64, &IpidTimeSeries)> = Vec::new();
         let mut discarded = 0usize;
         for s in &series {
             match estimate_velocity(s, cfg.max_velocity) {
                 VelocityEstimate::Monotonic { velocity } if velocity <= cfg.max_velocity => {
-                    usable.push((s.addr, velocity, s));
+                    usable.push((velocity, s));
                 }
                 _ => discarded += 1,
             }
         }
-        let testable: BTreeSet<IpAddr> = usable.iter().map(|(a, _, _)| *a).collect();
+        let testable: BTreeSet<IpAddr> = usable.iter().map(|(_, s)| s.addr).collect();
+        drop(stage);
 
-        // Stage 2: discovery over a velocity-sorted sliding window.
-        usable.sort_by(|a, b| a.1.partial_cmp(&b.1).expect("velocities are finite"));
-        let index_of: HashMap<IpAddr, usize> = usable
-            .iter()
-            .enumerate()
-            .map(|(i, (a, _, _))| (*a, i))
-            .collect();
-        let mut candidates: Vec<(IpAddr, IpAddr)> = Vec::new();
+        // Stage 2: discovery over a velocity-sorted sliding window.  From
+        // here on a target is its index into `usable`.
+        let stage = alias_obs::span("discovery");
+        usable.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("velocities are finite"));
+        let mut discovery_tests = 0u64;
+        let mut candidates: Vec<(usize, usize)> = Vec::new();
         for i in 0..usable.len() {
             let window_end = (i + cfg.discovery_window).min(usable.len());
             for j in i + 1..window_end {
+                discovery_tests += 1;
                 let verdict = monotonic_bounds_test(
-                    &[&usable[i].2.samples, &usable[j].2.samples],
+                    &[&usable[i].1.samples, &usable[j].1.samples],
                     cfg.max_velocity,
                 );
                 if verdict == MbtVerdict::Consistent {
-                    candidates.push((usable[i].0, usable[j].0));
+                    candidates.push((i, j));
                 }
             }
         }
+        drop(stage);
 
         // Stage 3: elimination / corroboration with interleaved probing.
+        // Each usable target is resolved against the IP index once, and
+        // every candidate pair writes into the same two sample buffers.
+        let stage = alias_obs::span("elimination");
         let pair_prober = IpidProber::new(IpidProberConfig {
             rounds: 1,
             round_spacing: SimTime::ZERO,
             rate_pps: cfg.rate_pps,
         });
+        let resolved: Vec<ResolvedTarget> = usable
+            .iter()
+            .map(|(_, s)| internet.lookup(s.addr))
+            .collect();
+        let mut samples = [
+            Vec::with_capacity(cfg.elimination_probes),
+            Vec::with_capacity(cfg.elimination_probes),
+        ];
         let mut union = alias_core::union_find::UnionFind::new(usable.len());
         let mut now = finished_at;
-        for (a, b) in candidates {
+        for &(i, j) in &candidates {
             now += SimTime(200);
-            let (sa, sb, _) = pair_prober.collect_interleaved_pair(
+            pair_prober.collect_interleaved_pair(
                 internet,
-                a,
-                b,
+                [resolved[i], resolved[j]],
                 cfg.elimination_probes,
                 cfg.vantage,
                 now,
+                &mut samples,
             );
-            if let Some(last) = sa.samples.last().or(sb.samples.last()) {
+            let [sa, sb] = &samples;
+            if let Some(last) = sa.last().or(sb.last()) {
                 finished_at = finished_at.max(last.time);
             }
-            let verdict = monotonic_bounds_test(&[&sa.samples, &sb.samples], cfg.max_velocity);
-            if verdict == MbtVerdict::Consistent {
-                union.union(index_of[&a], index_of[&b]);
+            if monotonic_bounds_test(&[sa, sb], cfg.max_velocity) == MbtVerdict::Consistent {
+                union.union(i, j);
             }
         }
+        MBT_TESTS.add(discovery_tests + candidates.len() as u64);
+        CANDIDATES.add(candidates.len() as u64);
+        drop(stage);
 
         let alias_sets: Vec<BTreeSet<IpAddr>> = union
             .groups()
             .into_iter()
             .filter(|g| g.len() >= 2)
-            .map(|g| g.into_iter().map(|i| usable[i].0).collect())
+            .map(|g| g.into_iter().map(|i| usable[i].1.addr).collect())
             .collect();
 
         MidarOutcome {

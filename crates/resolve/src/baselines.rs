@@ -12,14 +12,24 @@
 use crate::technique::{DataRequirement, ResolutionTechnique, TechniqueCtx, TechniqueResult};
 use alias_core::intern::{AddrId, AddrInterner, CompactAliasSet};
 use alias_core::union_find::UnionFind;
-use alias_midar::ally::{ally_test, AllyVerdict};
+use alias_midar::ally::{AllyTester, AllyVerdict};
 use alias_midar::iffinder::iffinder_scan;
 use alias_midar::speedtrap::speedtrap_group;
 use alias_midar::{Midar, MidarConfig};
 use alias_netsim::SimTime;
-use alias_scan::ipid_probe::{IpidProber, IpidProberConfig};
+use alias_obs::{DeterminismClass, LazyCounter};
+use alias_scan::ipid_probe::{IpidProber, IpidProberConfig, ResolvedTarget};
 use alias_scan::CampaignData;
 use std::net::IpAddr;
+
+/// Pair tests run by the Ally sweep (serial, so a pure function of the
+/// campaign's addresses).
+static ALLY_PAIR_TESTS: LazyCounter = LazyCounter::new(
+    "ally.pair_tests",
+    DeterminismClass::Deterministic,
+    "pairs",
+    "resolve",
+);
 
 /// Sorted, deduplicated campaign addresses of one family — the target list
 /// the probing baselines work from.  The campaign interner already holds
@@ -172,6 +182,14 @@ impl ResolutionTechnique for AllyTechnique {
                     .expect("probing baselines only report campaign addresses")
             })
             .collect();
+        // Each target is resolved against the IP index once, and every pair
+        // test writes into the tester's one pair of sample buffers.
+        let resolved: Vec<ResolvedTarget> = targets
+            .iter()
+            .map(|&addr| ctx.internet.lookup(addr))
+            .collect();
+        let mut tester = AllyTester::new();
+        let mut pair_tests = 0u64;
         let mut uf = UnionFind::new(targets.len());
         let mut testable = vec![false; targets.len()];
         let mut now = ctx.probe_start;
@@ -179,7 +197,9 @@ impl ResolutionTechnique for AllyTechnique {
             let window_end = (i + 1 + self.window).min(targets.len());
             for j in i + 1..window_end {
                 now += self.pair_spacing;
-                match ally_test(ctx.internet, targets[i], targets[j], ctx.vantage, now) {
+                pair_tests += 1;
+                let pair = [resolved[i], resolved[j]];
+                match tester.test(ctx.internet, pair, ctx.vantage, now) {
                     AllyVerdict::Alias => {
                         uf.union(i, j);
                         testable[i] = true;
@@ -193,6 +213,7 @@ impl ResolutionTechnique for AllyTechnique {
                 }
             }
         }
+        ALLY_PAIR_TESTS.add(pair_tests);
         let alias_sets = uf
             .groups()
             .into_iter()

@@ -11,10 +11,20 @@ use alias_core::intern::{AddrId, AddrInterner, CompactAliasSet};
 use alias_core::merge::{merge_labeled_compact, MergedSet};
 use alias_core::validation::{common_ids, cross_validate};
 use alias_netsim::Internet;
+use alias_obs::{DeterminismClass, LazyCounter};
 use alias_scan::campaign::{ActiveCampaign, CampaignConfig};
 use alias_scan::CampaignData;
 use std::collections::BTreeSet;
 use std::sync::Arc;
+
+/// Technique pairs whose agreement the coverage statistics computed: one
+/// per unordered pair of registered techniques.
+static AGREEMENT_PAIRS: LazyCounter = LazyCounter::new(
+    "resolve.agreement_pairs",
+    DeterminismClass::Deterministic,
+    "pairs",
+    "resolve",
+);
 
 /// How the per-technique alias sets are consolidated into the report's
 /// merged view.
@@ -320,6 +330,7 @@ impl Resolver {
         // space.  Agreement counts only compare memberships, which the
         // bijective address ↔ id relabeling preserves, so the numbers are
         // identical to the former address-set formulation.
+        let span = alias_obs::span("agreement");
         let mut agreements = Vec::new();
         for i in 0..techniques.len() {
             for j in i + 1..techniques.len() {
@@ -332,6 +343,8 @@ impl Resolver {
                 });
             }
         }
+        AGREEMENT_PAIRS.add(agreements.len() as u64);
+        drop(span);
         CoverageStats {
             per_technique,
             merged_sets: merged.len(),

@@ -11,7 +11,7 @@
 //!   elimination/corroboration stages).
 
 use crate::rate::TokenBucket;
-use alias_netsim::{Internet, ProbeContext, SimTime, VantageKind};
+use alias_netsim::{DeviceId, Internet, ProbeContext, SimTime, VantageKind};
 use serde::{Deserialize, Serialize};
 use std::net::IpAddr;
 
@@ -39,6 +39,11 @@ impl IpidTimeSeries {
         self.samples.len() >= 3
     }
 }
+
+/// A probe target resolved against the IP index ([`Internet::lookup`]):
+/// the interface behind an address, or `None` for an address no device
+/// owns.
+pub type ResolvedTarget = Option<(DeviceId, usize)>;
 
 /// Configuration of the IPID prober.
 #[derive(Debug, Clone)]
@@ -73,21 +78,6 @@ impl IpidProber {
         IpidProber { config }
     }
 
-    /// One identifier probe: ICMP echo for IPv4 (the classic IPID sample),
-    /// fragment-eliciting probe for IPv6 (Speedtrap's fragment
-    /// Identification).  Both draw from the same device-wide counter.
-    fn probe(
-        internet: &Internet,
-        addr: IpAddr,
-        ctx: &ProbeContext,
-    ) -> Option<alias_netsim::internet::EchoObservation> {
-        if addr.is_ipv6() {
-            internet.ipv6_fragment_probe(addr, ctx)
-        } else {
-            internet.icmp_echo(addr, ctx)
-        }
-    }
-
     /// Round-robin sample every target: one probe per target per round,
     /// `rounds` rounds, targets probed in order within a round.
     ///
@@ -118,7 +108,7 @@ impl IpidProber {
         // Resolve every target once; the per-round loop probes through the
         // resolved interface (`None` for addresses that do not exist, which
         // never answer — exactly as the per-probe lookup would conclude).
-        let resolved: Vec<Option<(alias_netsim::DeviceId, usize)>> =
+        let resolved: Vec<ResolvedTarget> =
             targets.iter().map(|&addr| internet.lookup(addr)).collect();
         let mut bucket = TokenBucket::new(self.config.rate_pps, 16.0, start);
         let mut round_start = start;
@@ -150,31 +140,30 @@ impl IpidProber {
         series
     }
 
-    /// Tightly interleave probes to a pair of addresses (A, B, A, B, ...),
-    /// as the Ally test requires.  Returns the merged probe order as
-    /// `(index, sample)` pairs where even indices went to `a` and odd to `b`,
-    /// plus the per-address series.
+    /// Tightly interleave probes to a pair of interfaces (A, B, A, B, ...),
+    /// as the Ally test and MIDAR's elimination stage require.
+    ///
+    /// The targets come resolved ([`Internet::lookup`], once per target
+    /// rather than once per probe; `None` for an address that does not
+    /// exist, which still takes its turn in the schedule and never
+    /// answers).  Each target's samples are written into the buffer at its
+    /// index, cleared first, so a caller testing many pairs reuses one
+    /// buffer pair.  With every reply in, the probe order is
+    /// `samples[0][0], samples[1][0], samples[0][1], ...`.
     pub fn collect_interleaved_pair(
         &self,
         internet: &Internet,
-        a: IpAddr,
-        b: IpAddr,
+        targets: [ResolvedTarget; 2],
         probes_per_addr: usize,
         vantage: VantageKind,
         start: SimTime,
-    ) -> (IpidTimeSeries, IpidTimeSeries, Vec<(IpAddr, IpidSample)>) {
+        samples: &mut [Vec<IpidSample>; 2],
+    ) {
+        samples[0].clear();
+        samples[1].clear();
         let mut bucket = TokenBucket::new(self.config.rate_pps, 4.0, start);
         let mut now = start;
         let mut last_sent = SimTime::ZERO;
-        let mut series_a = IpidTimeSeries {
-            addr: a,
-            samples: Vec::new(),
-        };
-        let mut series_b = IpidTimeSeries {
-            addr: b,
-            samples: Vec::new(),
-        };
-        let mut merged = Vec::new();
         for i in 0..probes_per_addr * 2 {
             now = bucket.acquire(now);
             // Strictly increasing timestamps keep the merged probe order
@@ -183,22 +172,17 @@ impl IpidProber {
                 now = last_sent + SimTime(1);
             }
             last_sent = now;
+            let Some((device_id, iface_idx)) = targets[i % 2] else {
+                continue;
+            };
             let ctx = ProbeContext { vantage, time: now };
-            let target = if i % 2 == 0 { a } else { b };
-            if let Some(echo) = Self::probe(internet, target, &ctx) {
-                let sample = IpidSample {
+            if let Some(echo) = internet.identifier_probe_at(device_id, iface_idx, &ctx) {
+                samples[i % 2].push(IpidSample {
                     time: echo.time,
                     ipid: echo.ipid,
-                };
-                if i % 2 == 0 {
-                    series_a.samples.push(sample);
-                } else {
-                    series_b.samples.push(sample);
-                }
-                merged.push((target, sample));
+                });
             }
         }
-        (series_a, series_b, merged)
     }
 }
 
@@ -274,6 +258,28 @@ mod tests {
         assert!(!series[0].is_usable());
     }
 
+    /// Probe a pair given by address and return the IPIDs in probe order
+    /// (every probe answered).
+    fn interleaved_ipids(internet: &Internet, a: IpAddr, b: IpAddr) -> Vec<u16> {
+        let prober = IpidProber::new(IpidProberConfig::default());
+        let mut samples = [Vec::new(), Vec::new()];
+        prober.collect_interleaved_pair(
+            internet,
+            [internet.lookup(a), internet.lookup(b)],
+            10,
+            VantageKind::Distributed,
+            SimTime::ZERO,
+            &mut samples,
+        );
+        assert_eq!(samples[0].len(), 10);
+        assert_eq!(samples[1].len(), 10);
+        samples[0]
+            .iter()
+            .zip(&samples[1])
+            .flat_map(|(a, b)| [a.ipid, b.ipid])
+            .collect()
+    }
+
     #[test]
     fn interleaved_pair_from_shared_counter_interlocks() {
         let internet = internet();
@@ -282,22 +288,10 @@ mod tests {
             // counter device that answers ping; nothing to assert then.
             return;
         };
-        let prober = IpidProber::new(IpidProberConfig::default());
-        let (a, b, merged) = prober.collect_interleaved_pair(
-            &internet,
-            addrs[0],
-            addrs[1],
-            10,
-            VantageKind::Distributed,
-            SimTime::ZERO,
-        );
-        assert_eq!(a.samples.len(), 10);
-        assert_eq!(b.samples.len(), 10);
-        assert_eq!(merged.len(), 20);
         // A single shared counter sampled alternately produces a globally
         // increasing sequence (modulo wrap, which cannot occur in 20 probes
         // at low velocity).
-        let values: Vec<u16> = merged.iter().map(|(_, s)| s.ipid).collect();
+        let values = interleaved_ipids(&internet, addrs[0], addrs[1]);
         assert!(
             values.windows(2).all(|w| w[1] > w[0]),
             "shared counter must interlock: {values:?}"
@@ -314,16 +308,125 @@ mod tests {
         });
         let Some(device) = device else { return };
         let addrs: Vec<IpAddr> = device.ipv4_addrs().into_iter().map(IpAddr::V4).collect();
-        let prober = IpidProber::new(IpidProberConfig::default());
-        let (_, _, merged) = prober.collect_interleaved_pair(
-            &internet,
-            addrs[0],
-            addrs[1],
-            10,
-            VantageKind::Distributed,
-            SimTime::ZERO,
-        );
-        let values: Vec<u16> = merged.iter().map(|(_, s)| s.ipid).collect();
+        let values = interleaved_ipids(&internet, addrs[0], addrs[1]);
         assert!(!values.windows(2).all(|w| w[1] > w[0]));
+    }
+
+    /// The pair probe as it was before targets came resolved: every probe
+    /// looks its address up again.  The reference for the test below.
+    fn address_based_pair(
+        prober: &IpidProber,
+        internet: &Internet,
+        pair: [IpAddr; 2],
+        probes_per_addr: usize,
+        vantage: VantageKind,
+        start: SimTime,
+    ) -> [Vec<IpidSample>; 2] {
+        let mut samples = [Vec::new(), Vec::new()];
+        let mut bucket = TokenBucket::new(prober.config.rate_pps, 4.0, start);
+        let mut now = start;
+        let mut last_sent = SimTime::ZERO;
+        for i in 0..probes_per_addr * 2 {
+            now = bucket.acquire(now);
+            if now <= last_sent {
+                now = last_sent + SimTime(1);
+            }
+            last_sent = now;
+            let ctx = ProbeContext { vantage, time: now };
+            let target = pair[i % 2];
+            let echo = if target.is_ipv6() {
+                internet.ipv6_fragment_probe(target, &ctx)
+            } else {
+                internet.icmp_echo(target, &ctx)
+            };
+            if let Some(echo) = echo {
+                samples[i % 2].push(IpidSample {
+                    time: echo.time,
+                    ipid: echo.ipid,
+                });
+            }
+        }
+        samples
+    }
+
+    #[test]
+    fn resolved_pair_probe_matches_the_address_based_one() {
+        // Probing advances device state, so each side gets its own
+        // same-seed Internet and replays the same pairs in the same order.
+        let (by_address, resolved) = (internet(), internet());
+        let devices = by_address.devices();
+        let v4 = |d: &alias_netsim::Device| d.ipv4_addrs().into_iter().map(IpAddr::V4);
+        let multi: Vec<&alias_netsim::Device> = devices
+            .iter()
+            .filter(|d| d.responds_to_ping && d.ipv4_addrs().len() >= 2)
+            .collect();
+        let silent = devices
+            .iter()
+            .find(|d| !d.responds_to_ping && !d.ipv4_addrs().is_empty())
+            .expect("the tiny population has hosts that ignore ping");
+        let hidden = devices
+            .iter()
+            .find(|d| d.responds_to_ping && !d.visible_to_single_vp && !d.ipv4_addrs().is_empty())
+            .expect("the tiny population has hosts one vantage point cannot see");
+        let v6 = devices
+            .iter()
+            .find(|d| d.responds_to_ping && d.ipv6_addrs().len() >= 2)
+            .expect("the tiny population has multi-address IPv6 hosts");
+        let missing: IpAddr = "198.51.100.77".parse().unwrap();
+        assert!(by_address.lookup(missing).is_none());
+
+        let first = |d: &alias_netsim::Device| v4(d).next().unwrap();
+        let mut pairs: Vec<[IpAddr; 2]> = Vec::new();
+        for (device, next) in multi.iter().zip(multi.iter().skip(1)).take(12) {
+            let addrs: Vec<IpAddr> = v4(device).collect();
+            pairs.push([addrs[0], addrs[1]]); // aliases
+            pairs.push([addrs[1], first(next)]); // two devices
+        }
+        assert!(pairs.len() >= 8);
+        let live = first(multi[0]);
+        pairs.push([live, first(silent)]);
+        pairs.push([first(hidden), live]);
+        pairs.push([missing, live]);
+        pairs.push([live, missing]);
+        pairs.push([missing, missing]);
+        let v6_addrs: Vec<IpAddr> = v6.ipv6_addrs().into_iter().map(IpAddr::V6).collect();
+        pairs.push([v6_addrs[0], v6_addrs[1]]);
+
+        let prober = IpidProber::new(IpidProberConfig {
+            rounds: 1,
+            round_spacing: SimTime::ZERO,
+            rate_pps: 20.0,
+        });
+        let mut buffers = [Vec::new(), Vec::new()];
+        let mut answered = 0;
+        for (n, pair) in pairs.iter().enumerate() {
+            let start = SimTime(n as u64 * 700);
+            let vantage = if n % 2 == 0 {
+                VantageKind::SingleVp
+            } else {
+                VantageKind::Distributed
+            };
+            let expected = address_based_pair(&prober, &by_address, *pair, 6, vantage, start);
+            prober.collect_interleaved_pair(
+                &resolved,
+                pair.map(|addr| resolved.lookup(addr)),
+                6,
+                vantage,
+                start,
+                &mut buffers,
+            );
+            assert_eq!(buffers, expected, "pair {pair:?}");
+            answered += buffers[0].len() + buffers[1].len();
+        }
+        assert!(answered > 0);
+        // Both sides left every device's IPID counter in the same state.
+        for (a, b) in by_address.devices().iter().zip(resolved.devices()) {
+            assert_eq!(
+                format!("{:?}", a.ipid.lock()),
+                format!("{:?}", b.ipid.lock()),
+                "device {:?}",
+                a.id
+            );
+        }
     }
 }

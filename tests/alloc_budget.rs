@@ -1,5 +1,5 @@
 //! The heap-allocation budget of an observation row, from the simulated
-//! server to the alias set.
+//! server to the alias set, and of the probing baselines' per-pair kernels.
 //!
 //! A test binary of its own because it installs a counting
 //! `#[global_allocator]`.  The counter is per thread and everything runs on
@@ -7,8 +7,13 @@
 //! and the budgets carry no tolerance.
 
 use alias_resolution::core::alias_set::group_view_compact;
+use alias_resolution::core::intern::{AddrId, CompactAliasSet};
+use alias_resolution::core::validation::cross_validate;
+use alias_resolution::midar::ally::{AllyTester, AllyVerdict};
+use alias_resolution::midar::mbt::{monotonic_bounds_test, MbtVerdict};
 use alias_resolution::netsim::ProbeContext;
 use alias_resolution::prelude::*;
+use alias_resolution::scan::ipid_probe::{IpidProber, IpidProberConfig, IpidSample};
 use alias_resolution::scan::zgrab::parse_payload;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -149,4 +154,118 @@ fn grouping_allocates_per_distinct_identifier_not_per_row() {
     }
     // The same rows again change no set.
     assert_eq!(sets[0], sets[1]);
+}
+
+#[test]
+fn a_bounds_test_on_time_ordered_series_allocates_nothing() {
+    let series = |base: u16, offset_ms: u64, len: u64| -> Vec<IpidSample> {
+        (0..len)
+            .map(|i| IpidSample {
+                time: SimTime(offset_ms + i * 2_000),
+                ipid: base + 11 * i as u16,
+            })
+            .collect()
+    };
+    let a = series(100, 0, 12);
+    let shared = series(105, 1_000, 12);
+    let unrelated = series(40_000, 1_000, 12);
+    let short = series(105, 1_000, 1);
+    for (other, expected) in [
+        (&shared, MbtVerdict::Consistent),
+        (&unrelated, MbtVerdict::Inconsistent),
+        (&short, MbtVerdict::Insufficient),
+    ] {
+        let (count, verdict) = allocations(|| monotonic_bounds_test(&[&a, other], 100.0));
+        assert_eq!(verdict, expected);
+        assert_eq!(count, 0, "{expected:?}");
+    }
+}
+
+#[test]
+fn a_pair_test_in_steady_state_allocates_nothing() {
+    let internet = tiny_internet();
+    let targets: Vec<_> = internet
+        .devices()
+        .iter()
+        .filter(|d| d.responds_to_ping)
+        .flat_map(|d| d.ipv4_addrs())
+        .take(40)
+        .map(|addr| internet.lookup(addr.into()))
+        .collect();
+    assert_eq!(targets.len(), 40);
+
+    // The Ally sweep: one tester, its two buffers reused pair after pair.
+    let mut tester = AllyTester::new();
+    let mut answered = 0;
+    for (n, pair) in targets.windows(2).enumerate() {
+        let start = SimTime(n as u64 * 700);
+        let (count, verdict) = allocations(|| {
+            tester.test(
+                &internet,
+                [pair[0], pair[1]],
+                VantageKind::Distributed,
+                start,
+            )
+        });
+        assert_eq!(count, 0, "pair {n}: {verdict:?}");
+        answered += usize::from(verdict != AllyVerdict::Unresponsive);
+    }
+    assert!(answered > 30, "only {answered} pairs answered");
+
+    // MIDAR's elimination stage: probe into two caller-owned buffers, then
+    // the bounds test straight on them.  Only the first pair grows them.
+    let prober = IpidProber::new(IpidProberConfig {
+        rounds: 1,
+        round_spacing: SimTime::ZERO,
+        rate_pps: 5_000.0,
+    });
+    let mut samples = [Vec::new(), Vec::new()];
+    for (n, pair) in targets.windows(2).enumerate() {
+        let start = SimTime(60_000 + n as u64 * 200);
+        let (count, _) = allocations(|| {
+            prober.collect_interleaved_pair(
+                &internet,
+                [pair[0], pair[1]],
+                6,
+                VantageKind::Distributed,
+                start,
+                &mut samples,
+            );
+            monotonic_bounds_test(&[&samples[0], &samples[1]], 1_500.0)
+        });
+        assert_eq!(samples[0].len() + samples[1].len(), 12);
+        if n > 0 {
+            assert_eq!(count, 0, "pair {n}");
+        }
+    }
+}
+
+#[test]
+fn cross_validation_allocates_per_surviving_set_not_per_input_set() {
+    // Technique A pairs (0,1), (2,3), ...; technique B pairs them the same
+    // way but for every fourth pair, which it splits.
+    let sets = |pairs: u32, split_every: u32| -> Vec<CompactAliasSet> {
+        (0..pairs)
+            .filter(|i| split_every == 0 || i % split_every != 0)
+            .map(|i| CompactAliasSet::from_ids(vec![AddrId(2 * i), AddrId(2 * i + 1)]))
+            .collect()
+    };
+    // Both techniques saw the first 50 pairs' addresses and nothing else.
+    let common: Vec<AddrId> = (0..100).map(AddrId).collect();
+    let mut counts = Vec::new();
+    for pairs in [1_000, 4_000] {
+        let (a, b) = (sets(pairs, 0), sets(pairs, 4));
+        let (count, result) = allocations(|| cross_validate(&a, &b, &common));
+        assert_eq!(result.sample_size, 50);
+        assert_eq!(result.agree, 37);
+        // 50 + 37 surviving sets; the constant covers the membership table,
+        // the two projections, their scratch and the lookup table.
+        assert!(
+            count <= 50 + 37 + 8,
+            "{count} allocations for {pairs} pairs"
+        );
+        counts.push(count);
+    }
+    // Four times the input sets, the same survivors: the same count.
+    assert_eq!(counts[0], counts[1]);
 }

@@ -12,6 +12,10 @@ use alias_resolution::prelude::ScalePreset;
 
 const SEED: u64 = 20230418;
 const GOLDEN: &str = include_str!("golden/experiments_tiny.md");
+/// `RateLimitStudy::run(Tiny, 7, 1).render()`: the eight-technique study on
+/// a second seed, where the probing baselines and all their agreement rows
+/// see a different population than the document's.
+const GOLDEN_STUDY_SEED_7: &str = include_str!("golden/ratelimit_study_tiny_seed7.txt");
 
 #[test]
 fn tiny_document_matches_the_golden_file_at_every_thread_count() {
@@ -29,4 +33,13 @@ fn tiny_document_matches_the_golden_file_at_every_thread_count() {
                 .find(|(rendered, golden)| rendered != golden)
         );
     }
+}
+
+#[test]
+fn tiny_study_on_seed_7_matches_its_golden_file() {
+    let rendered = RateLimitStudy::run(ScalePreset::Tiny, 7, 1).render();
+    assert!(
+        rendered == GOLDEN_STUDY_SEED_7,
+        "the rendered study drifted from tests/golden/ratelimit_study_tiny_seed7.txt:\n{rendered}"
+    );
 }
