@@ -1,20 +1,15 @@
-//! Row-scan vs columnar selection at paper scale: the storage-layout
-//! microbenchmark behind the `ObservationStore` refactor.
+//! Columnar selection at paper scale: the filter workload every
+//! identifier technique and dataset table runs over the union dataset.
 //!
-//! Three views of the same filter workload over the union dataset:
-//!
-//! * `row_scan` — the pre-columnar layout: a `Vec<ServiceObservation>`
-//!   walked row by row, dragging every payload through cache to read the
-//!   one-byte protocol tag;
-//! * `columnar_select` — `ObservationStore::select` over the tag columns
-//!   (the hot path every identifier technique now runs on);
+//! * `columnar_select` — `ObservationStore::select` over the two one-byte
+//!   filter columns (the hot path every identifier technique runs on);
 //! * `columnar_addrs` — selection plus resolving each matching row's
 //!   address through the `AddrId` column, the responsive-address workload
 //!   of the dataset tables.
 
 use alias_bench::Experiment;
 use alias_netsim::ScalePreset;
-use alias_scan::{DataSource, ServiceObservation, ServiceProtocol};
+use alias_scan::{DataSource, ServiceProtocol};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
@@ -23,23 +18,9 @@ fn bench_observation_filter(c: &mut Criterion) {
     // the full campaign + snapshot row population the tables filter.
     let experiment = Experiment::run(ScalePreset::PaperShape, 11);
     let store = &experiment.union;
-    let rows: Vec<ServiceObservation> = store.to_observations();
 
     let mut group = c.benchmark_group("observation_filter");
     for protocol in [ServiceProtocol::Ssh, ServiceProtocol::Snmpv3] {
-        group.bench_with_input(
-            BenchmarkId::new("row_scan", protocol.name()),
-            &protocol,
-            |b, &protocol| {
-                b.iter(|| {
-                    black_box(
-                        rows.iter()
-                            .filter(|o| o.protocol() == protocol && o.source == DataSource::Active)
-                            .count(),
-                    )
-                })
-            },
-        );
         group.bench_with_input(
             BenchmarkId::new("columnar_select", protocol.name()),
             &protocol,

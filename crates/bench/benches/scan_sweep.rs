@@ -10,10 +10,10 @@ fn bench_scanning(c: &mut Criterion) {
     let internet = InternetBuilder::new(InternetConfig::small(3)).build();
     let zmap = ZmapScanner::new(ZmapConfig::default());
     c.bench_function("zmap_ipv4_sweep_small", |b| {
-        b.iter(|| zmap.scan_ipv4(&internet, VantageKind::Distributed, SimTime::ZERO))
+        b.iter(|| zmap.scan_ipv4(&internet, VantageKind::Distributed, SimTime::ZERO, 1))
     });
 
-    let syn = zmap.scan_ipv4(&internet, VantageKind::Distributed, SimTime::ZERO);
+    let syn = zmap.scan_ipv4(&internet, VantageKind::Distributed, SimTime::ZERO, 1);
     let ssh_targets = syn.on_port(22).to_vec();
     let zgrab = ZgrabScanner::new(ZgrabConfig::default());
     c.bench_function("zgrab_ssh_grab_small", |b| {
@@ -25,6 +25,7 @@ fn bench_scanning(c: &mut Criterion) {
                 ServiceProtocol::Ssh,
                 VantageKind::Distributed,
                 SimTime::ZERO,
+                1,
             )
         })
     });

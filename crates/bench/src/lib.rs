@@ -36,7 +36,7 @@ use alias_netsim::{
 use alias_obs::{DeterminismClass, LazyCounter};
 use alias_resolve::{ResolutionReport, Resolver};
 use alias_scan::campaign::CampaignConfig;
-use alias_scan::{DataSource, ObservationStore, RateProbeConfig, ServiceProtocol, SourceTag};
+use alias_scan::{DataSource, ObservationStore, RateProbeConfig, ServiceProtocol};
 use parking_lot::Mutex;
 use std::collections::{BTreeSet, HashMap};
 use std::hash::Hash;
@@ -301,7 +301,7 @@ impl Experiment {
                 let view = self.union.select_protocol(protocol, None);
                 group_view_by_source(&view, &self.extractor, self.threads)
             });
-            pass.project(source.map(SourceTag::from), self.union.interner())
+            pass.project(source, self.union.interner())
         })
     }
 
@@ -354,14 +354,13 @@ impl Experiment {
     /// Per-protocol responsive addresses of one family in the union data,
     /// as sorted distinct ids of the union store's id space.
     pub fn responsive_ids(&self, protocol: ServiceProtocol, ipv6: bool) -> Vec<AddrId> {
-        let tag = alias_scan::ProtocolTag::from(protocol);
         let interner = self.union.interner();
         let mut ids: Vec<AddrId> = self
             .union
             .protocols()
             .iter()
             .zip(self.union.addr_ids())
-            .filter(|&(&p, _)| p == tag)
+            .filter(|&(&p, _)| p == protocol)
             .map(|(_, &id)| id)
             .filter(|&id| interner.addr(id).is_ipv6() == ipv6)
             .collect();
@@ -1451,8 +1450,8 @@ mod tests {
     fn union_contains_both_sources() {
         let exp = tiny_experiment();
         let sources = exp.union.sources();
-        assert!(sources.contains(&alias_scan::SourceTag::Active));
-        assert!(sources.contains(&alias_scan::SourceTag::Censys));
+        assert!(sources.contains(&DataSource::Active));
+        assert!(sources.contains(&DataSource::Censys));
         assert!(exp.union.len() > exp.active.len());
         // The union rows are the active rows followed by the Censys rows.
         assert_eq!(

@@ -17,7 +17,7 @@
 use crate::extract::IdentifierExtractor;
 use crate::intern::{sort_canonical_compact, AddrId, AddrInterner, CompactAliasSet, IdentInterner};
 use alias_obs::{DeterminismClass, LazyCounter};
-use alias_scan::{ObservationView, ServiceObservation, SourceTag};
+use alias_scan::{DataSource, ObservationView};
 use std::cmp::Reverse;
 
 /// Rows a grouping keyed: those whose payload yields an identifier.
@@ -43,8 +43,7 @@ fn count_grouping<M>(groups: &[Vec<M>]) {
     GROUP_IDENTS.add(groups.len() as u64);
 }
 
-/// Identifier grouping in id space: the output of
-/// [`group_observations_compact`].
+/// Identifier grouping in id space: the output of [`group_view_compact`].
 ///
 /// Alias sets are [`CompactAliasSet`]s over a campaign's [`AddrInterner`];
 /// addresses are resolved only at the report boundary.
@@ -57,71 +56,46 @@ pub struct CompactGrouping {
     pub testable: Vec<AddrId>,
 }
 
-/// Group observations by extracted identifier, entirely in id space, with
-/// `threads` shard workers.
-///
-/// Each shard groups its contiguous slice of the observations into maps
-/// keyed by a shard-local [`IdentId`](crate::intern::IdentId); the join
-/// then reduces in id space —
-/// walking every shard's interner in id order and re-interning only each
-/// shard's *distinct* identifiers — instead of re-hashing the full
-/// identifier material once per observation.  Because shards are contiguous
-/// slices reduced in shard order, the grouped output (including member
-/// order and identifier numbering) is identical for every thread count.
-///
-/// # Panics
-/// Panics if an observation's address is missing from `interner`; the
-/// campaign interner covers every observed address by construction, so this
-/// only fires when observations were mutated after the interner was built.
-pub fn group_observations_compact(
-    observations: &[&ServiceObservation],
-    extractor: &IdentifierExtractor,
-    interner: &AddrInterner,
-    threads: usize,
-) -> CompactGrouping {
-    group_compact_sharded(observations.len(), threads, interner, |range, emit| {
-        let mut key = Vec::new();
-        for observation in &observations[range.0..range.1] {
-            if !extractor.key_into(&observation.payload, &mut key) {
-                continue;
-            }
-            let addr = interner.get(observation.addr).expect(
-                "the interner must cover every observation address; rebuild the campaign \
-                 data (CampaignData::from_observations) after mutating observations",
-            );
-            emit(&key, addr);
-        }
-    })
-}
-
 /// Group a columnar store view by extracted identifier, entirely in id
 /// space, with `threads` shard workers.
 ///
-/// The columnar counterpart of [`group_observations_compact`] — and the
-/// cheaper one: the view's [`AddrId`] column already holds each row's
-/// interned id (intern-at-scan), so the per-observation work is one payload
-/// extraction and one identifier hash, with no address hashing at all.
-/// Sharding and the id-space reduce are identical to the slice path, so
-/// the grouped output is the same for every thread count and for either
-/// entry point over the same rows.
+/// The view's [`AddrId`] column already holds each row's interned id
+/// (intern-at-scan), so the per-observation work is one payload extraction
+/// and one identifier hash, with no address hashing at all.  Each shard
+/// groups its contiguous slice of the rows into maps keyed by a
+/// shard-local [`IdentId`](crate::intern::IdentId); the join then reduces
+/// in id space — walking every shard's interner in id order and
+/// re-interning only each shard's *distinct* identifiers — instead of
+/// re-hashing the full identifier material once per observation.  Because
+/// shards are contiguous slices reduced in shard order, the grouped output
+/// (including member order and identifier numbering) is identical for
+/// every thread count.
 pub fn group_view_compact(
     view: &ObservationView<'_>,
     extractor: &IdentifierExtractor,
     threads: usize,
 ) -> CompactGrouping {
-    group_compact_sharded(
-        view.len(),
-        threads,
-        view.store().interner(),
-        |range, emit| {
-            let mut key = Vec::new();
-            for i in range.0..range.1 {
-                if extractor.key_into(view.payload_at(i), &mut key) {
-                    emit(&key, view.addr_id_at(i));
-                }
+    let groups = group_sharded(view.len(), threads, |range, emit| {
+        let mut key = Vec::new();
+        for i in range.0..range.1 {
+            if extractor.key_into(view.payload_at(i), &mut key) {
+                emit(&key, view.addr_id_at(i));
             }
-        },
-    )
+        }
+    });
+    let mut sets = Vec::new();
+    let mut testable: Vec<AddrId> = Vec::new();
+    for members in groups {
+        let set = CompactAliasSet::from_ids(members);
+        testable.extend(set.iter());
+        if set.len() >= 2 {
+            sets.push(set);
+        }
+    }
+    testable.sort_unstable();
+    testable.dedup();
+    sort_canonical_compact(&mut sets, view.store().interner());
+    CompactGrouping { sets, testable }
 }
 
 /// One keyed pass over a store view whose groups keep, per member, the
@@ -132,12 +106,12 @@ pub fn group_view_compact(
 /// (duplicates included), for every thread count.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SourceGroups {
-    groups: Vec<Vec<(AddrId, SourceTag)>>,
+    groups: Vec<Vec<(AddrId, DataSource)>>,
 }
 
 /// Group a columnar store view by extracted identifier like
 /// [`group_view_compact`], tagging each member with its row's
-/// [`SourceTag`].
+/// [`DataSource`].
 pub fn group_view_by_source(
     view: &ObservationView<'_>,
     extractor: &IdentifierExtractor,
@@ -156,14 +130,14 @@ pub fn group_view_by_source(
 
 impl SourceGroups {
     /// The tagged members of every identifier group (singletons included).
-    pub fn groups(&self) -> &[Vec<(AddrId, SourceTag)>] {
+    pub fn groups(&self) -> &[Vec<(AddrId, DataSource)>] {
         &self.groups
     }
 
     /// The grouping one data source alone would have produced (`None` =
     /// both sources): each group restricted to the members that source
     /// observed.  `interner` is the grouped store's.
-    pub fn project(&self, source: Option<SourceTag>, interner: &AddrInterner) -> FamilyGrouping {
+    pub fn project(&self, source: Option<DataSource>, interner: &AddrInterner) -> FamilyGrouping {
         let mut scratch: Vec<AddrId> = Vec::new();
         let sets = self.groups.iter().filter_map(|members| {
             scratch.clear();
@@ -255,7 +229,7 @@ impl FamilyGrouping {
     }
 }
 
-/// The shard/reduce skeleton behind every grouping entry point: `scan`
+/// The shard/reduce skeleton behind both grouping entry points: `walk_rows`
 /// walks one half-open row range and emits `(identifier key, member)`
 /// pairs; shards group locally and the join re-interns only each shard's
 /// distinct keys, in shard order.  Returns the member lists in identifier
@@ -264,25 +238,20 @@ impl FamilyGrouping {
 fn group_sharded<M: Send>(
     rows: usize,
     threads: usize,
-    scan: impl Fn((usize, usize), &mut dyn FnMut(&[u8], M)) + Sync,
+    walk_rows: impl Fn((usize, usize), &mut dyn FnMut(&[u8], M)) + Sync,
 ) -> Vec<Vec<M>> {
     // Extraction + hashing is CPU-bound with no per-item pacing overhead
     // to amortise, so workers beyond the machine's parallelism only add
     // scheduling noise; the clamp never changes the output (the grouping
     // is shard-count independent).
     let threads = threads.min(alias_exec::available_parallelism());
-    let shard_count = if threads <= 1 {
-        1
-    } else {
-        alias_exec::shards_for(threads)
-    };
-    let shard_ranges = alias_exec::split_even(rows as u64, shard_count);
+    let shard_ranges = alias_exec::split_even(rows as u64, alias_exec::shards_for(threads));
     let shards: Vec<(IdentInterner, Vec<Vec<M>>)> =
         alias_exec::shard_map(shard_ranges.len(), threads, |shard| {
             let range = &shard_ranges[shard];
             let mut idents = IdentInterner::new();
             let mut groups: Vec<Vec<M>> = Vec::new();
-            scan(
+            walk_rows(
                 (range.start as usize, range.end as usize),
                 &mut |key, member| {
                     let ident = idents.intern_ref(key);
@@ -319,34 +288,12 @@ fn group_sharded<M: Send>(
     groups
 }
 
-/// [`group_sharded`] over bare ids, finished into a [`CompactGrouping`].
-fn group_compact_sharded(
-    rows: usize,
-    threads: usize,
-    interner: &AddrInterner,
-    scan: impl Fn((usize, usize), &mut dyn FnMut(&[u8], AddrId)) + Sync,
-) -> CompactGrouping {
-    let mut sets = Vec::new();
-    let mut testable: Vec<AddrId> = Vec::new();
-    for members in group_sharded(rows, threads, scan) {
-        let set = CompactAliasSet::from_ids(members);
-        testable.extend(set.iter());
-        if set.len() >= 2 {
-            sets.push(set);
-        }
-    }
-    testable.sort_unstable();
-    testable.dedup();
-    sort_canonical_compact(&mut sets, interner);
-    CompactGrouping { sets, testable }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::extract::ExtractionConfig;
     use alias_netsim::SimTime;
-    use alias_scan::{DataSource, ObservationStore, ServicePayload};
+    use alias_scan::{ObservationStore, ServiceObservation, ServicePayload};
     use alias_wire::ssh::{Banner, HostKey, HostKeyAlgorithm, KexInit, SshObservation};
     use std::net::IpAddr;
 
@@ -377,8 +324,8 @@ mod tests {
         source: Option<DataSource>,
     ) -> (FamilyGrouping, ObservationStore) {
         let store = ObservationStore::from_observations(observations.to_vec());
-        let pass = group_view_by_source(&store.view_all(), &paper_extractor(), 1);
-        let grouping = pass.project(source.map(SourceTag::from), store.interner());
+        let pass = group_view_by_source(&store.select(None, None), &paper_extractor(), 1);
+        let grouping = pass.project(source, store.interner());
         (grouping, store)
     }
 
@@ -396,7 +343,7 @@ mod tests {
     /// Each source's projection of `pass` holds the sets a grouping of
     /// that source's rows alone yields.
     fn assert_projections_match_filtered_views(pass: &SourceGroups, store: &ObservationStore) {
-        for source in [None, Some(SourceTag::Active), Some(SourceTag::Censys)] {
+        for source in [None, Some(DataSource::Active), Some(DataSource::Censys)] {
             let mut projected = pass.project(source, store.interner()).sets().to_vec();
             sort_canonical_compact(&mut projected, store.interner());
             let filtered = group_view_compact(&store.select(None, source), &paper_extractor(), 1);
@@ -508,7 +455,7 @@ mod tests {
         // The family projection keeps that order.
         assert_eq!(union.family_sets(false), union.sets());
         // Per source the address has one identifier, as if scanned alone.
-        let pass = group_view_by_source(&store.view_all(), &paper_extractor(), 1);
+        let pass = group_view_by_source(&store.select(None, None), &paper_extractor(), 1);
         assert_projections_match_filtered_views(&pass, &store);
         // Which identifier the active scan saw decides, not its members.
         let (union, store) = grouping(&churned((2, "10.0.0.5"), (1, "10.0.0.7")), None);
@@ -533,12 +480,12 @@ mod tests {
             ssh_obs("10.9.0.1", 4, DataSource::Active),
         ];
         let extractor = paper_extractor();
-        let refs: Vec<&ServiceObservation> = obs.iter().collect();
-        let interner = AddrInterner::from_addrs(obs.iter().map(|o| o.addr));
+        let store = ObservationStore::from_observations(obs.to_vec());
+        let interner = store.interner();
         for threads in [1usize, 2, 7] {
-            let grouped = group_observations_compact(&refs, &extractor, &interner, threads);
+            let grouped = group_view_compact(&store.select(None, None), &extractor, threads);
             assert_eq!(
-                resolved(&grouped.sets, &interner),
+                resolved(&grouped.sets, interner),
                 vec![
                     vec!["10.0.0.1", "10.0.0.3"],
                     vec!["10.1.0.9", "2001:db8::1"],
@@ -551,11 +498,10 @@ mod tests {
     }
 
     #[test]
-    fn view_grouping_matches_the_slice_path_for_every_thread_count() {
-        // The columnar entry points (store view in, ids straight from the
-        // AddrId column) must agree with the row-slice path, and the
-        // source-tagged pass must project onto what grouping each source's
-        // rows alone yields.
+    fn source_tagged_grouping_is_identical_for_every_thread_count() {
+        // Both entry points give the one-shard result at every thread
+        // count, and the source-tagged pass projects onto what grouping
+        // each source's rows alone yields.
         let obs = [
             ssh_obs("10.0.0.3", 1, DataSource::Active),
             ssh_obs("10.0.0.1", 1, DataSource::Active),
@@ -570,12 +516,11 @@ mod tests {
         let extractor = paper_extractor();
         let store = ObservationStore::from_observations(obs.to_vec());
         let view = store.select(None, None);
-        let refs: Vec<&ServiceObservation> = obs.iter().collect();
-        let from_slices = group_observations_compact(&refs, &extractor, store.interner(), 1);
+        let serial = group_view_compact(&view, &extractor, 1);
         let serial_pass = group_view_by_source(&view, &extractor, 1);
         for threads in [1usize, 2, 7] {
             let from_view = group_view_compact(&view, &extractor, threads);
-            assert_eq!(from_view, from_slices, "threads={threads}");
+            assert_eq!(from_view, serial, "threads={threads}");
             let pass = group_view_by_source(&view, &extractor, threads);
             assert_eq!(pass, serial_pass, "threads={threads}");
             assert_projections_match_filtered_views(&pass, &store);
@@ -585,11 +530,12 @@ mod tests {
     #[test]
     fn compact_grouping_of_nothing_is_empty() {
         let extractor = paper_extractor();
-        let grouped = group_observations_compact(&[], &extractor, &AddrInterner::new(), 4);
+        let store = ObservationStore::new();
+        let view = store.select(None, None);
+        let grouped = group_view_compact(&view, &extractor, 4);
         assert!(grouped.sets.is_empty());
         assert!(grouped.testable.is_empty());
-        let store = ObservationStore::new();
-        let pass = group_view_by_source(&store.view_all(), &extractor, 4);
+        let pass = group_view_by_source(&view, &extractor, 4);
         assert!(pass.groups().is_empty());
         assert_eq!(
             pass.project(None, store.interner()),

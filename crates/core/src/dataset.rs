@@ -1,7 +1,6 @@
 //! Dataset overview statistics (the paper's Table 1).
 
 use alias_scan::{DataSource, ObservationStore, ServiceObservation, ServiceProtocol};
-use alias_store::{ProtocolTag, SourceTag};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 use std::net::IpAddr;
@@ -66,12 +65,10 @@ impl DatasetSummary {
     /// Compute the summary straight from a columnar store.
     ///
     /// Equivalent to [`Self::compute`] over the store's rows, but the
-    /// filter pass reads only the one-byte tag columns plus the id column —
+    /// filter pass reads only the one-byte filter columns plus the id column —
     /// payloads are never touched, and distinct-IP counting is a bitmap
     /// probe over the dense id space instead of a `BTreeSet` insert.
     pub fn from_store(store: &ObservationStore, filter: DatasetFilter) -> Self {
-        let protocol = filter.protocol.map(ProtocolTag::from);
-        let source = filter.source.map(SourceTag::from);
         let interner = store.interner();
         // Per-id membership flags instead of BTreeSets: the id space is
         // dense, so distinctness is two bitmap probes per matching row.
@@ -83,8 +80,8 @@ impl DatasetSummary {
         let addrs = store.addr_ids();
         let store_asns = store.asns();
         for row in 0..store.len() {
-            if protocol.is_some_and(|p| protocols[row] != p)
-                || source.is_some_and(|s| sources[row] != s)
+            if filter.protocol.is_some_and(|p| protocols[row] != p)
+                || filter.source.is_some_and(|s| sources[row] != s)
             {
                 continue;
             }

@@ -38,8 +38,7 @@ pub mod union_find;
 pub mod validation;
 
 pub use alias_set::{
-    group_observations_compact, group_view_by_source, group_view_compact, CompactGrouping,
-    FamilyGrouping, SourceGroups,
+    group_view_by_source, group_view_compact, CompactGrouping, FamilyGrouping, SourceGroups,
 };
 pub use alias_wire::hex;
 pub use dual_stack::DualStackSet;

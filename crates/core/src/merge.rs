@@ -120,14 +120,8 @@ impl LabeledPartition {
     /// thread count.
     pub fn materialise(&self, interner: &AddrInterner, threads: usize) -> Vec<MergedSet> {
         let threads = threads.min(alias_exec::available_parallelism());
-        let ranges = alias_exec::split_even(
-            self.sets.len() as u64,
-            if threads <= 1 {
-                1
-            } else {
-                alias_exec::shards_for(threads)
-            },
-        );
+        let ranges =
+            alias_exec::split_even(self.sets.len() as u64, alias_exec::shards_for(threads));
         let mut merged: Vec<MergedSet> = alias_exec::shard_reduce(
             ranges.len(),
             threads,

@@ -111,10 +111,12 @@ pub fn available_parallelism() -> usize {
 /// affecting the (shard-order-reduced, deterministic) output.
 pub const SHARDS_PER_THREAD: usize = 4;
 
-/// The shard count for a sharded phase run with `threads` workers.
+/// The shard count for a phase run with `threads` workers.
 ///
-/// Shards exist to load-balance across *hardware* threads, so the count is
-/// derived from `threads` capped at the available parallelism: requesting
+/// One worker means one shard: the serial run *is* the single-shard run,
+/// so no caller forks on the thread count.  Beyond that, shards exist to
+/// load-balance across *hardware* threads, so the count is derived from
+/// `threads` capped at the available parallelism: requesting
 /// more workers than the machine has cores used to multiply the number of
 /// shards (and with it every per-shard fixed cost — boundary fast-forwards,
 /// chunk allocation, splice bookkeeping) for zero balancing benefit, which
@@ -123,7 +125,9 @@ pub const SHARDS_PER_THREAD: usize = 4;
 /// contract makes the output byte-identical for any value, so deriving it
 /// from the machine cannot change results.
 pub fn shards_for(threads: usize) -> usize {
-    let threads = threads.max(1);
+    if threads <= 1 {
+        return 1;
+    }
     threads.min(available_parallelism()) * SHARDS_PER_THREAD
 }
 
@@ -402,13 +406,18 @@ mod tests {
     #[test]
     fn shards_for_caps_at_available_parallelism() {
         let hw = available_parallelism();
-        // Never more shards than the machine can balance across.
-        for threads in [1usize, 2, 7, 8, 64] {
+        // One worker is one shard: the serial run of every phase.
+        assert_eq!(shards_for(1), 1);
+        assert_eq!(shards_for(0), 1);
+        // Never more shards than the machine can balance across: requested
+        // threads above the hardware still give one shard per hardware
+        // worker × SHARDS_PER_THREAD.
+        for threads in [2usize, 7, 8, 64] {
             let shards = shards_for(threads);
             assert_eq!(shards, threads.min(hw) * SHARDS_PER_THREAD);
             assert!(shards >= SHARDS_PER_THREAD);
         }
-        assert_eq!(shards_for(0), shards_for(1));
+        assert_eq!(shards_for(hw + 64), hw * SHARDS_PER_THREAD);
     }
 
     #[test]

@@ -12,7 +12,6 @@
 //! * **type aliases** — `type Name = …;` with the right-hand-side token
 //!   span retained, so `type AddrSet = BTreeSet<IpAddr>` taints every use
 //!   of `AddrSet`;
-//! * **enums** — name → variant list, for `variant-coverage`;
 //! * **functions** — every `fn` with its body token span, the free
 //!   (non-method) calls it makes, and whether the body reads an
 //!   RNG/wall-clock sink.  The name-level call graph over these is what
@@ -92,8 +91,6 @@ pub struct WorkspaceIndex {
     pub type_aliases: Vec<TypeAlias>,
     /// Every `use` leaf.
     pub imports: Vec<ImportAlias>,
-    /// Enum name → variant names, in declaration order.
-    pub enums: BTreeMap<String, Vec<String>>,
     /// Names denoting an address-keyed container type, including the
     /// four std containers and every (re-)import alias of one.
     pub container_names: BTreeSet<String>,
@@ -125,7 +122,7 @@ impl WorkspaceIndex {
         index
     }
 
-    /// Collect this file's functions, type aliases, imports and enums.
+    /// Collect this file's functions, type aliases and imports.
     fn scan_file(&mut self, file_idx: usize, file: &SourceFile) {
         let tokens = &file.tokens;
         let mut i = 0usize;
@@ -148,12 +145,6 @@ impl WorkspaceIndex {
                 let next = parse_use(file_idx, tokens, i, reexport, &mut self.imports);
                 i = next;
                 continue;
-            } else if token.is_ident("enum") {
-                if let Some((name, variants, next)) = parse_enum(tokens, i) {
-                    self.enums.insert(name, variants);
-                    i = next;
-                    continue;
-                }
             }
             i += 1;
         }
@@ -534,54 +525,6 @@ fn push_leaf(
     });
 }
 
-/// Parse `enum Name { Variant, Variant(…), Variant { … }, … }` starting at
-/// the `enum` keyword.
-fn parse_enum(tokens: &[Token], enum_idx: usize) -> Option<(String, Vec<String>, usize)> {
-    let name_token = tokens.get(enum_idx + 1)?;
-    if name_token.kind != TokenKind::Ident {
-        return None;
-    }
-    let mut i = enum_idx + 2;
-    while tokens.get(i).is_some_and(|t| !t.is_punct("{")) {
-        if tokens[i].is_punct(";") {
-            return None;
-        }
-        i += 1;
-    }
-    let open = i;
-    let close = matching(tokens, open, "{", "}")?;
-    let mut variants = Vec::new();
-    let mut depth = 0i32;
-    let mut at_variant = true;
-    let mut j = open + 1;
-    while j < close {
-        let token = &tokens[j];
-        match token.text.as_str() {
-            "{" | "(" | "[" if token.kind == TokenKind::Punct => depth += 1,
-            "}" | ")" | "]" if token.kind == TokenKind::Punct => depth -= 1,
-            "," if token.kind == TokenKind::Punct && depth == 0 => at_variant = true,
-            "#" if token.kind == TokenKind::Punct
-                && depth == 0
-                && tokens.get(j + 1).is_some_and(|t| t.is_punct("[")) =>
-            {
-                // Skip the `#[…]` attribute so its idents are not taken
-                // for a variant name.
-                if let Some(end) = matching(tokens, j + 1, "[", "]") {
-                    j = end;
-                }
-            }
-            _ => {
-                if at_variant && token.kind == TokenKind::Ident && depth == 0 {
-                    variants.push(token.text.clone());
-                    at_variant = false;
-                }
-            }
-        }
-        j += 1;
-    }
-    Some((name_token.text.clone(), variants, close + 1))
-}
-
 /// The index of the token matching `open_text` at `open_idx`.
 pub fn matching(
     tokens: &[Token],
@@ -701,26 +644,6 @@ mod tests {
             "type LossRound = (u8, u32, u16, u16);\npub type Result<T> = core::result::Result<T, Error>;",
         )]);
         assert!(index.tainted_types.is_empty());
-    }
-
-    #[test]
-    fn enums_record_variants_past_attributes_and_payloads() {
-        let (_, index) = index_of(&[(
-            "crates/store/src/x.rs",
-            "pub enum ServicePayload {\n\
-               Ssh(SshObservation),\n\
-               #[allow(dead_code)]\n\
-               Bgp { open: u32, notification_seen: bool },\n\
-               Snmpv3 { engine_id: Vec<u8> },\n\
-               RateLimit { round: u8 },\n\
-             }\n\
-             enum Tag { A = 0, B = 1 }",
-        )]);
-        assert_eq!(
-            index.enums["ServicePayload"],
-            vec!["Ssh", "Bgp", "Snmpv3", "RateLimit"]
-        );
-        assert_eq!(index.enums["Tag"], vec!["A", "B"]);
     }
 
     #[test]

@@ -12,8 +12,8 @@ use crate::baseline::Baseline;
 use crate::index::WorkspaceIndex;
 use crate::rules::{
     crate_hygiene::CrateHygiene, det_hash_iter::DetHashIter, det_rng::DetRng,
-    det_wallclock::DetWallclock, id_space, id_space::IdSpace, shard_purity::ShardPurity,
-    variant_coverage::VariantCoverage, CrossRule, Rule, Violation,
+    det_wallclock::DetWallclock, id_space, id_space::IdSpace, shard_purity::ShardPurity, CrossRule,
+    Rule, Violation,
 };
 use crate::source::{self, SourceFile};
 use std::collections::BTreeMap;
@@ -31,11 +31,7 @@ pub fn rules() -> Vec<Box<dyn Rule>> {
 
 /// Every registered cross-file rule (phase 2), in report order.
 pub fn cross_rules() -> Vec<Box<dyn CrossRule>> {
-    vec![
-        Box::new(IdSpace),
-        Box::new(ShardPurity),
-        Box::new(VariantCoverage),
-    ]
+    vec![Box::new(IdSpace), Box::new(ShardPurity)]
 }
 
 /// The registered rule names (what `lint:allow` may refer to).

@@ -14,7 +14,6 @@ pub mod det_rng;
 pub mod det_wallclock;
 pub mod id_space;
 pub mod shard_purity;
-pub mod variant_coverage;
 
 use crate::index::WorkspaceIndex;
 use crate::source::SourceFile;

@@ -425,7 +425,10 @@ mod tests {
             Box::new(IffinderTechnique::new()),
         ];
         for technique in &techniques {
-            assert!(!technique.is_pure());
+            assert_eq!(
+                technique.required_sources(),
+                vec![DataRequirement::LiveProbing]
+            );
             let result = technique.resolve(&data, &ctx);
             assert_eq!(result.technique, technique.name());
             let precision = true_pair_fraction(result.compact_sets(), result.interner(), &truth);

@@ -60,7 +60,7 @@ impl ResolutionTechnique for IdentifierTechnique {
     }
 
     fn resolve(&self, data: &CampaignData, ctx: &TechniqueCtx<'_>) -> TechniqueResult {
-        let view = data.store().select(Some(self.protocol.into()), None);
+        let view = data.store().select_protocol(self.protocol, None);
         let grouped = group_view_compact(&view, ctx.extractor, ctx.threads);
         TechniqueResult::from_compact(
             self.name().to_owned(),
@@ -121,7 +121,9 @@ mod tests {
                 testable.dedup();
                 assert_eq!(result.testable_ids(), testable);
                 assert_eq!(result.finished_at, data.finished_at);
-                assert!(technique.is_pure());
+                assert!(!technique
+                    .required_sources()
+                    .contains(&DataRequirement::LiveProbing));
                 assert_ne!(result.set_count(), 0, "{}", technique.name());
                 // The id space is the campaign's, shared — not copied.
                 assert!(std::sync::Arc::ptr_eq(result.interner(), data.interner()));

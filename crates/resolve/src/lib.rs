@@ -15,10 +15,11 @@
 //!   [`resolve`](ResolutionTechnique::resolve)), so all eight techniques
 //!   are interchangeable trait objects;
 //! * [`Resolver`] — a builder-style orchestrator
-//!   (`Resolver::builder().technique(…).threads(n).merge_policy(…)`)
-//!   running scan → per-technique resolution (each technique gets the full
-//!   worker pool for its internal sharding, in registration order) →
-//!   cross-technique merge, returning a structured [`ResolutionReport`];
+//!   (`Resolver::builder().technique(…).threads(n)`) running scan →
+//!   per-technique resolution (one technique at a time, in registration
+//!   order, each with the full worker pool for its own internal sharding)
+//!   → cross-technique merge (sets sharing an address are unioned),
+//!   returning a structured [`ResolutionReport`];
 //! * an id-based data path — results are [`TechniqueResult`]s holding
 //!   `CompactAliasSet`s over the campaign's `AddrId` space
 //!   (`alias_core::intern`), merged directly in id space; address sets are
@@ -62,7 +63,7 @@ pub use report::{
     CoverageStats, ResolutionReport, StageTimings, TechniqueAgreement, TechniqueCoverage,
     TechniqueTiming,
 };
-pub use resolver::{MergePolicy, Resolver, ResolverBuilder};
+pub use resolver::{Resolver, ResolverBuilder};
 pub use technique::{
     canonical_sets, DataRequirement, ResolutionTechnique, TechniqueCtx, TechniqueResult,
 };

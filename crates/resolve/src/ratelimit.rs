@@ -112,7 +112,7 @@ impl ResolutionTechnique for RateLimitTechnique {
         // Per-address loss signatures, straight off the columnar store.
         let view = data
             .store()
-            .select(Some(ServiceProtocol::IcmpRateLimit.into()), None);
+            .select_protocol(ServiceProtocol::IcmpRateLimit, None);
         let mut signatures: BTreeMap<AddrId, Vec<LossRound>> = BTreeMap::new();
         for obs in view.iter() {
             let &ServicePayload::RateLimit {

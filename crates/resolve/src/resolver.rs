@@ -14,7 +14,6 @@ use alias_netsim::Internet;
 use alias_obs::{DeterminismClass, LazyCounter};
 use alias_scan::campaign::{ActiveCampaign, CampaignConfig};
 use alias_scan::CampaignData;
-use std::collections::BTreeSet;
 use std::sync::Arc;
 
 /// Technique pairs whose agreement the coverage statistics computed: one
@@ -26,26 +25,10 @@ static AGREEMENT_PAIRS: LazyCounter = LazyCounter::new(
     "resolve",
 );
 
-/// How the per-technique alias sets are consolidated into the report's
-/// merged view.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum MergePolicy {
-    /// Union sets that share at least one address, across techniques — the
-    /// paper's consolidation (via
-    /// [`alias_core::merge::merge_labeled_compact`], directly on the
-    /// campaign's id space).
-    #[default]
-    SharedAddress,
-    /// No cross-technique merging: every technique's sets appear unchanged,
-    /// labelled with their technique, in canonical order.
-    KeepSeparate,
-}
-
 /// Builder for a [`Resolver`].
 pub struct ResolverBuilder {
     techniques: Vec<Box<dyn ResolutionTechnique>>,
     threads: usize,
-    merge_policy: MergePolicy,
     extraction: ExtractionConfig,
     campaign: CampaignConfig,
 }
@@ -55,7 +38,6 @@ impl ResolverBuilder {
         ResolverBuilder {
             techniques: Vec::new(),
             threads: alias_exec::threads_from_env(),
-            merge_policy: MergePolicy::default(),
             extraction: ExtractionConfig::paper(),
             campaign: CampaignConfig::default(),
         }
@@ -105,12 +87,6 @@ impl ResolverBuilder {
         self
     }
 
-    /// Register an already-boxed technique trait object.
-    pub fn boxed_technique(mut self, technique: Box<dyn ResolutionTechnique>) -> Self {
-        self.techniques.push(technique);
-        self
-    }
-
     /// Register the paper's three identifier techniques (SSH, BGP, SNMPv3).
     pub fn paper_techniques(self) -> Self {
         self.technique(crate::IdentifierTechnique::ssh())
@@ -132,19 +108,12 @@ impl ResolverBuilder {
             .technique(crate::RateLimitTechnique::new())
     }
 
-    /// Worker threads for the scan, fan-out and merge stages (default: the
-    /// `ALIAS_THREADS` environment variable, falling back to the available
-    /// parallelism).  A pure performance knob: every resolver output is
-    /// byte-identical for any value.
+    /// Worker threads for the scan, each technique's own sharding and the
+    /// merge (default: the `ALIAS_THREADS` environment variable, falling
+    /// back to the available parallelism).  A pure performance knob: every
+    /// resolver output is byte-identical for any value.
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
-        self
-    }
-
-    /// How per-technique sets are consolidated (default:
-    /// [`MergePolicy::SharedAddress`]).
-    pub fn merge_policy(mut self, policy: MergePolicy) -> Self {
-        self.merge_policy = policy;
         self
     }
 
@@ -168,7 +137,6 @@ impl ResolverBuilder {
         Resolver {
             techniques: self.techniques,
             threads: self.threads,
-            merge_policy: self.merge_policy,
             extractor: IdentifierExtractor::new(self.extraction),
             campaign: self.campaign,
         }
@@ -190,7 +158,6 @@ impl ResolverBuilder {
 pub struct Resolver {
     techniques: Vec<Box<dyn ResolutionTechnique>>,
     threads: usize,
-    merge_policy: MergePolicy,
     extractor: IdentifierExtractor,
     campaign: CampaignConfig,
 }
@@ -279,36 +246,15 @@ impl Resolver {
         }
     }
 
+    /// Union sets that share at least one address, across techniques — the
+    /// paper's consolidation, directly on the unified id space.
     fn merge(&self, unified: &UnifiedSpace, techniques: &[TechniqueResult]) -> Vec<MergedSet> {
-        match self.merge_policy {
-            MergePolicy::SharedAddress => {
-                let inputs: Vec<(&str, &[CompactAliasSet])> = techniques
-                    .iter()
-                    .enumerate()
-                    .map(|(i, t)| (t.technique.as_str(), unified.sets_of(i, t)))
-                    .collect();
-                merge_labeled_compact(&inputs, &unified.interner, self.threads)
-            }
-            MergePolicy::KeepSeparate => {
-                let mut merged: Vec<MergedSet> = techniques
-                    .iter()
-                    .flat_map(|t| {
-                        t.compact_sets().iter().map(|set| MergedSet {
-                            addrs: set.to_addr_set(t.interner()),
-                            labels: BTreeSet::from([t.technique.clone()]),
-                        })
-                    })
-                    .collect();
-                merged.sort_by(|a, b| {
-                    a.addrs
-                        .iter()
-                        .next()
-                        .cmp(&b.addrs.iter().next())
-                        .then_with(|| a.labels.cmp(&b.labels))
-                });
-                merged
-            }
-        }
+        let inputs: Vec<(&str, &[CompactAliasSet])> = techniques
+            .iter()
+            .enumerate()
+            .map(|(i, t)| (t.technique.as_str(), unified.sets_of(i, t)))
+            .collect();
+        merge_labeled_compact(&inputs, &unified.interner, self.threads)
     }
 
     fn coverage(
@@ -427,8 +373,9 @@ impl UnifiedSpace {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{IdentifierTechnique, IffinderTechnique, MidarTechnique};
+    use crate::{IffinderTechnique, MidarTechnique};
     use alias_netsim::{InternetBuilder, InternetConfig};
+    use std::collections::BTreeSet;
 
     fn tiny_internet(seed: u64) -> Internet {
         InternetBuilder::new(InternetConfig::tiny(seed)).build()
@@ -439,6 +386,7 @@ mod tests {
         let internet = tiny_internet(41);
         let resolver = Resolver::builder().paper_techniques().threads(1).build();
         assert_eq!(resolver.technique_names(), vec!["ssh", "bgp", "snmpv3"]);
+        assert_eq!(resolver.threads(), 1);
         let report = resolver.resolve(&internet);
         assert!(report.campaign.is_some());
         assert_eq!(report.techniques.len(), 3);
@@ -477,35 +425,26 @@ mod tests {
     }
 
     #[test]
-    fn merge_policies_differ_only_in_consolidation() {
+    fn merge_unions_overlapping_sets_across_techniques() {
         let internet = tiny_internet(43);
         let data = ActiveCampaign::with_defaults(&internet).run(&internet);
-        let shared = Resolver::builder()
+        let report = Resolver::builder()
             .paper_techniques()
             .threads(1)
             .build()
             .resolve_data(&internet, &data);
-        let separate = Resolver::builder()
-            .paper_techniques()
-            .threads(1)
-            .merge_policy(MergePolicy::KeepSeparate)
-            .build()
-            .resolve_data(&internet, &data);
-        assert!(shared.campaign.is_none());
-        assert_eq!(shared.techniques, separate.techniques);
-        // KeepSeparate lists every per-technique set; SharedAddress unions
-        // overlapping ones, so it can only have fewer or equal sets.
-        let total_sets: usize = shared.techniques.iter().map(|t| t.set_count()).sum();
-        assert_eq!(separate.merged.len(), total_sets);
-        assert!(shared.merged.len() <= total_sets);
+        assert!(report.campaign.is_none());
+        // Sets sharing an address are unioned, so the merged view can only
+        // have fewer or equal sets than the techniques list separately.
+        let total_sets: usize = report.techniques.iter().map(|t| t.set_count()).sum();
+        assert!(report.merged.len() <= total_sets);
         // Multi-protocol devices produce sets carrying several labels.
-        assert!(shared.merged.iter().any(|m| m.labels.len() > 1));
-        assert!(separate.merged.iter().all(|m| m.labels.len() == 1));
+        assert!(report.merged.iter().any(|m| m.labels.len() > 1));
     }
 
     #[test]
-    fn probing_techniques_run_after_pure_ones_in_registration_order() {
-        // Mixing pure and probing techniques keeps results positional.
+    fn techniques_run_in_registration_order() {
+        // Mixing identifier and probing techniques keeps results positional.
         let internet = tiny_internet(44);
         let resolver = Resolver::builder()
             .technique(MidarTechnique::new())
@@ -629,15 +568,5 @@ mod tests {
             threaded.coverage.merged_addresses,
             serial.coverage.merged_addresses
         );
-    }
-
-    #[test]
-    fn boxed_technique_registration() {
-        let resolver = Resolver::builder()
-            .boxed_technique(Box::new(IdentifierTechnique::ssh()))
-            .threads(3)
-            .build();
-        assert_eq!(resolver.technique_names(), vec!["ssh"]);
-        assert_eq!(resolver.threads(), 3);
     }
 }

@@ -17,7 +17,7 @@ use std::net::IpAddr;
 use std::sync::Arc;
 
 /// What a technique consumes, declared up front so callers can check a
-/// campaign (or decide how to schedule the technique) before running it.
+/// campaign before running it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DataRequirement {
     /// Service observations of one protocol from the campaign data.
@@ -25,10 +25,11 @@ pub enum DataRequirement {
     /// Live follow-up probing against the measurement substrate (IPID /
     /// fragment-identifier sampling, ICMP error elicitation).
     ///
-    /// Probing advances shared per-device counter state, so the
-    /// [`Resolver`](crate::Resolver) runs techniques with this requirement
-    /// serially, in registration order — that is what keeps the pipeline
-    /// byte-identical for every thread count.
+    /// Probing advances shared per-device counter state.  The
+    /// [`Resolver`](crate::Resolver) runs *every* technique one at a time,
+    /// in registration order, so probes always replay in the same order —
+    /// that is what keeps the pipeline byte-identical for every thread
+    /// count.
     LiveProbing,
 }
 
@@ -69,7 +70,7 @@ pub struct TechniqueResult {
     /// sorted and distinct.
     testable: Vec<AddrId>,
     /// Simulated time the technique finished (follow-up probing takes
-    /// simulated time; pure techniques finish with the campaign).
+    /// simulated time; identifier techniques finish with the campaign).
     pub finished_at: SimTime,
     /// The id space the sets refer to — the campaign interner, possibly
     /// extended with probe-discovered addresses.
@@ -223,15 +224,6 @@ pub trait ResolutionTechnique: Send + Sync {
     /// Resolve alias sets from campaign data (and, for probing techniques,
     /// follow-up measurements against `ctx.internet`).
     fn resolve(&self, data: &CampaignData, ctx: &TechniqueCtx<'_>) -> TechniqueResult;
-
-    /// Whether the technique is a pure function of the campaign data (no
-    /// [`DataRequirement::LiveProbing`]).  Pure techniques may be fanned
-    /// out concurrently; probing techniques are serialized.
-    fn is_pure(&self) -> bool {
-        !self
-            .required_sources()
-            .contains(&DataRequirement::LiveProbing)
-    }
 }
 
 #[cfg(test)]

@@ -22,6 +22,7 @@ use alias_resolve::{
 };
 use alias_scan::campaign::{ActiveCampaign, CampaignData};
 use alias_scan::ipid_probe::{IpidProber, IpidProberConfig};
+use alias_scan::ObservationStore;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::net::IpAddr;
 
@@ -122,6 +123,7 @@ fn legacy_merge(inputs: &[(&str, Vec<BTreeSet<IpAddr>>)]) -> Vec<MergedSet> {
 /// derivation, spelled out the legacy way).
 fn targets(data: &CampaignData, ipv6: bool) -> Vec<IpAddr> {
     let addrs: BTreeSet<IpAddr> = data
+        .store()
         .to_observations()
         .iter()
         .map(|o| o.addr)
@@ -146,7 +148,7 @@ fn legacy_resolve(
                 "bgp" => ServiceProtocol::Bgp,
                 _ => ServiceProtocol::Snmpv3,
             };
-            let rows = data.to_observations();
+            let rows = data.store().to_observations();
             legacy_grouping(rows.iter().filter(|o| o.protocol() == protocol), extractor)
         }
         "midar" => {
@@ -274,7 +276,7 @@ fn interned_merge_matches_the_legacy_merge_across_seeds_and_threads() {
     for seed in SEEDS {
         let internet = build(seed);
         let data = ActiveCampaign::with_defaults(&internet).run(&internet);
-        let rows = data.to_observations();
+        let rows = data.store().to_observations();
         let protocols = [
             ServiceProtocol::Ssh,
             ServiceProtocol::Bgp,
@@ -373,7 +375,9 @@ mod proptest_interned_parity {
                 .map(|&(a, key)| ssh_obs(addr(a), key))
                 .chain(snmp.iter().map(|&(a, engine)| snmp_obs(addr(a), engine)))
                 .collect();
-            let data = CampaignData::from_observations(observations.clone());
+            let data = CampaignData::from_store(ObservationStore::from_observations(
+                observations.clone(),
+            ));
             let legacy_inputs: Vec<(&str, Vec<BTreeSet<IpAddr>>)> = [
                 ServiceProtocol::Ssh,
                 ServiceProtocol::Snmpv3,

@@ -16,13 +16,12 @@
 
 use crate::hitlist::Ipv6Hitlist;
 use crate::rate_probe::{RateProbeConfig, RateProber};
-use crate::records::{DataSource, ObservationSink, ServiceObservation};
 use crate::snmp::{SnmpScanConfig, SnmpScanner};
 use crate::zgrab::{ZgrabConfig, ZgrabScanner};
 use crate::zmap::{ZmapConfig, ZmapScanner};
 use alias_intern::{AddrId, AddrInterner};
 use alias_netsim::{Internet, ServiceProtocol, SimTime, VantageKind};
-use alias_store::{ObservationRef, ObservationStore, ShardColumns};
+use alias_store::{DataSource, ObservationStore, ShardColumns};
 use std::net::IpAddr;
 use std::sync::Arc;
 
@@ -100,27 +99,12 @@ impl CampaignData {
         }
     }
 
-    /// Wrap pre-collected observations (a Censys snapshot, a union of data
-    /// sources, a replayed trace) so they can be fed to consumers of
-    /// campaign data — most notably `alias-resolve`'s techniques — without
-    /// having run a scan.  The hitlist is empty and no SYN probes are
-    /// accounted; `finished_at` is the latest observation timestamp.
-    pub fn from_observations(observations: Vec<ServiceObservation>) -> Self {
-        let finished_at = observations
-            .iter()
-            .map(|o| o.timestamp)
-            .max()
-            .unwrap_or(SimTime::ZERO);
-        Self::new(
-            ObservationStore::from_observations(observations),
-            Ipv6Hitlist { addrs: Vec::new() },
-            finished_at,
-            0,
-        )
-    }
-
-    /// Wrap an already-columnar store as campaign data (same conventions as
-    /// [`Self::from_observations`]).
+    /// Wrap a pre-collected store (a Censys snapshot through
+    /// [`ObservationStore::from_observations`], a union of data sources) so
+    /// it can be fed to consumers of campaign data — most notably
+    /// `alias-resolve`'s techniques — without having run a scan.  The
+    /// hitlist is empty and no SYN probes are accounted; `finished_at` is
+    /// the latest observation timestamp.
     pub fn from_store(store: ObservationStore) -> Self {
         let finished_at = store
             .timestamps()
@@ -163,31 +147,6 @@ impl CampaignData {
     /// campaign never observed).
     pub fn addr_id(&self, addr: IpAddr) -> Option<AddrId> {
         self.store.addr_id(addr)
-    }
-
-    /// Iterator over the observations of one protocol, as borrowed rows.
-    /// The selection pass reads only the one-byte protocol column.
-    pub fn observations_for(
-        &self,
-        protocol: ServiceProtocol,
-    ) -> impl Iterator<Item = ObservationRef<'_>> {
-        let view = self.store.select(Some(protocol.into()), None);
-        (0..view.len()).map(move |i| view.get(i))
-    }
-
-    /// Stream every observation into a sink, in campaign order (rows are
-    /// materialised one at a time — the compatibility boundary for
-    /// row-based consumers).
-    pub fn stream_into(&self, sink: &mut dyn ObservationSink) {
-        for row in 0..self.store.len() {
-            sink.accept(&self.store.get(row).to_observation());
-        }
-    }
-
-    /// Materialise every observation as rows, in campaign order (the
-    /// compatibility boundary; payloads are cloned).
-    pub fn to_observations(&self) -> Vec<ServiceObservation> {
-        self.store.to_observations()
     }
 
     /// Number of distinct responsive addresses for a protocol.
@@ -236,12 +195,11 @@ impl ActiveCampaign {
 
     /// Run the campaign.
     ///
-    /// With `config.threads > 1` each scan phase runs as shard workers over
-    /// disjoint slices of its address space, emitting into per-shard column
-    /// chunks; splicing the chunks in shard order makes the store
+    /// Each scan phase runs as shard workers over disjoint slices of its
+    /// address space (one worker, one shard), emitting into per-shard
+    /// column chunks; splicing the chunks in shard order makes the store
     /// (observations, timestamps, time-dependent payload bytes *and* the
-    /// interned id order) byte-identical to the serial run for any thread
-    /// count.
+    /// interned id order) byte-identical for any thread count.
     pub fn run(&self, internet: &Internet) -> CampaignData {
         let cfg = &self.config;
         let vantage = cfg.vantage;
@@ -279,7 +237,7 @@ impl ActiveCampaign {
         });
         let syn = {
             let _span = alias_obs::span("campaign/syn_v4");
-            zmap.scan_ipv4_sharded(internet, vantage, cfg.start, threads)
+            zmap.scan_ipv4(internet, vantage, cfg.start, threads)
         };
         let mut now = syn.finished_at;
 
@@ -293,7 +251,7 @@ impl ActiveCampaign {
             let _span = alias_obs::span("campaign/grab_v4");
             now = absorb_phase(
                 &mut store,
-                zgrab.grab_columns_sharded(
+                zgrab.grab(
                     internet,
                     syn.on_port(22),
                     22,
@@ -306,7 +264,7 @@ impl ActiveCampaign {
             );
             now = absorb_phase(
                 &mut store,
-                zgrab.grab_columns_sharded(
+                zgrab.grab(
                     internet,
                     syn.on_port(179),
                     179,
@@ -329,7 +287,7 @@ impl ActiveCampaign {
             let _span = alias_obs::span("campaign/snmp_v4");
             now = absorb_phase(
                 &mut store,
-                snmp.scan_routed_space_columns_sharded(internet, vantage, now, threads),
+                snmp.scan_routed_space(internet, vantage, now, threads),
                 now,
             );
         }
@@ -345,11 +303,11 @@ impl ActiveCampaign {
         let v6_syn;
         {
             let _span = alias_obs::span("campaign/ipv6");
-            v6_syn = zmap.scan_ipv6_list_sharded(internet, &hitlist.addrs, vantage, now, threads);
+            v6_syn = zmap.scan_ipv6_list(internet, &hitlist.addrs, vantage, now, threads);
             now = v6_syn.finished_at;
             now = absorb_phase(
                 &mut store,
-                zgrab.grab_columns_sharded(
+                zgrab.grab(
                     internet,
                     v6_syn.on_port(22),
                     22,
@@ -362,7 +320,7 @@ impl ActiveCampaign {
             );
             now = absorb_phase(
                 &mut store,
-                zgrab.grab_columns_sharded(
+                zgrab.grab(
                     internet,
                     v6_syn.on_port(179),
                     179,
@@ -376,7 +334,7 @@ impl ActiveCampaign {
             let v6_targets: Vec<IpAddr> = hitlist.addrs.iter().map(|&a| IpAddr::V6(a)).collect();
             now = absorb_phase(
                 &mut store,
-                snmp.scan_columns_sharded(internet, &v6_targets, vantage, now, threads),
+                snmp.scan(internet, &v6_targets, vantage, now, threads),
                 now,
             );
         }
@@ -387,11 +345,10 @@ impl ActiveCampaign {
             alias_obs::event("campaign:rate_probe");
             let _span = alias_obs::span("campaign/rate_probe");
             let prober = RateProber::new(rate_cfg.clone());
-            let targets =
-                prober.discover_targets_sharded(internet, &hitlist.addrs, vantage, now, threads);
+            let targets = prober.discover_targets(internet, &hitlist.addrs, vantage, now, threads);
             now = absorb_phase(
                 &mut store,
-                prober.probe_columns_sharded(internet, &targets, vantage, now, threads),
+                prober.probe(internet, &targets, vantage, now, threads),
                 now,
             );
         }
@@ -415,12 +372,16 @@ mod tests {
     #[test]
     fn campaign_covers_all_three_protocols_and_both_families() {
         let (_, data) = campaign_data();
-        assert!(data.observations_for(ServiceProtocol::Ssh).next().is_some());
-        assert!(data.observations_for(ServiceProtocol::Bgp).next().is_some());
-        assert!(data
-            .observations_for(ServiceProtocol::Snmpv3)
-            .next()
-            .is_some());
+        for protocol in [
+            ServiceProtocol::Ssh,
+            ServiceProtocol::Bgp,
+            ServiceProtocol::Snmpv3,
+        ] {
+            assert!(
+                !data.store().select_protocol(protocol, None).is_empty(),
+                "{protocol:?}"
+            );
+        }
         let addrs = data.store().interner().addrs();
         assert!(addrs.iter().any(|a| a.is_ipv6()));
         assert!(addrs.iter().any(|a| !a.is_ipv6()));
@@ -517,46 +478,10 @@ mod tests {
     }
 
     #[test]
-    fn observations_for_matches_the_row_filter() {
+    fn from_store_wraps_pre_collected_records() {
         let (_, data) = campaign_data();
-        let rows = data.to_observations();
-        for protocol in [
-            ServiceProtocol::Ssh,
-            ServiceProtocol::Bgp,
-            ServiceProtocol::Snmpv3,
-        ] {
-            let streamed: Vec<ServiceObservation> = data
-                .observations_for(protocol)
-                .map(|r| r.to_observation())
-                .collect();
-            let filtered: Vec<ServiceObservation> = rows
-                .iter()
-                .filter(|o| o.protocol() == protocol)
-                .cloned()
-                .collect();
-            assert_eq!(streamed, filtered);
-        }
-    }
-
-    #[test]
-    fn stream_into_visits_every_observation_in_order() {
-        struct Collector(Vec<ServiceObservation>);
-        impl ObservationSink for Collector {
-            fn accept(&mut self, observation: &ServiceObservation) {
-                self.0.push(observation.clone());
-            }
-        }
-        let (_, data) = campaign_data();
-        let mut sink = Collector(Vec::new());
-        data.stream_into(&mut sink);
-        assert_eq!(sink.0, data.to_observations());
-    }
-
-    #[test]
-    fn from_observations_wraps_pre_collected_records() {
-        let (_, data) = campaign_data();
-        let rows = data.to_observations();
-        let wrapped = CampaignData::from_observations(rows.clone());
+        let rows = data.store().to_observations();
+        let wrapped = CampaignData::from_store(ObservationStore::from_observations(rows.clone()));
         assert_eq!(wrapped.store(), data.store());
         assert!(wrapped.hitlist.addrs.is_empty());
         assert_eq!(wrapped.syn_probes_sent, 0);
@@ -565,19 +490,16 @@ mod tests {
             rows.iter().map(|o| o.timestamp).max().unwrap()
         );
         assert_eq!(
-            CampaignData::from_observations(Vec::new()).finished_at,
+            CampaignData::from_store(ObservationStore::new()).finished_at,
             SimTime::ZERO
         );
-        // The store-wrapping constructor agrees with the row one.
-        let from_store = CampaignData::from_store(data.store().clone());
-        assert_eq!(from_store.store(), wrapped.store());
-        assert_eq!(from_store.finished_at, wrapped.finished_at);
     }
 
     #[test]
     fn campaign_interner_covers_every_observed_address_exactly_once() {
         let (_, data) = campaign_data();
-        let mut distinct: Vec<IpAddr> = data.to_observations().iter().map(|o| o.addr).collect();
+        let rows = data.store().to_observations();
+        let mut distinct: Vec<IpAddr> = rows.iter().map(|o| o.addr).collect();
         distinct.sort_unstable();
         distinct.dedup();
         assert_eq!(data.interner().len(), distinct.len());
@@ -588,9 +510,9 @@ mod tests {
             assert_eq!(data.interner().addr(id), obs.addr);
         }
         assert_eq!(data.addr_id("203.0.113.99".parse().unwrap()), None);
-        // from_observations builds the same id space for the same records.
-        let wrapped = CampaignData::from_observations(data.to_observations());
-        assert_eq!(wrapped.interner().addrs(), data.interner().addrs());
+        // The row door builds the same id space for the same records.
+        let reimported = ObservationStore::from_observations(rows);
+        assert_eq!(reimported.interner().addrs(), data.interner().addrs());
     }
 
     #[test]
@@ -639,10 +561,12 @@ mod tests {
                 ..Default::default()
             })
             .run(&internet);
-            assert!(base
-                .observations_for(ServiceProtocol::IcmpRateLimit)
-                .next()
-                .is_none());
+            let rate_rows = |data: &CampaignData| {
+                data.store()
+                    .select_protocol(ServiceProtocol::IcmpRateLimit, None)
+                    .len()
+            };
+            assert_eq!(rate_rows(&base), 0);
 
             let serial = ActiveCampaign::new(CampaignConfig {
                 seed,
@@ -650,25 +574,19 @@ mod tests {
                 ..Default::default()
             })
             .run(&internet);
-            assert!(serial
-                .observations_for(ServiceProtocol::IcmpRateLimit)
-                .next()
-                .is_some());
+            assert!(rate_rows(&serial) > 0);
             // The first four phases are untouched by the opt-in.
             for protocol in [
                 ServiceProtocol::Ssh,
                 ServiceProtocol::Bgp,
                 ServiceProtocol::Snmpv3,
             ] {
-                let with_rate: Vec<ServiceObservation> = serial
-                    .observations_for(protocol)
-                    .map(|r| r.to_observation())
-                    .collect();
-                let without: Vec<ServiceObservation> = base
-                    .observations_for(protocol)
-                    .map(|r| r.to_observation())
-                    .collect();
-                assert_eq!(with_rate, without, "seed={seed} {protocol:?}");
+                let rows = |data: &CampaignData| {
+                    data.store()
+                        .select_protocol(protocol, None)
+                        .to_observations()
+                };
+                assert_eq!(rows(&serial), rows(&base), "seed={seed} {protocol:?}");
             }
             for threads in [2usize, 7] {
                 let sharded = ActiveCampaign::new(CampaignConfig {

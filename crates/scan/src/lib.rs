@@ -17,6 +17,15 @@
 //!
 //! The [`campaign`] module bundles all of the above into the "active
 //! measurement" dataset used throughout the evaluation.
+//!
+//! Every probing phase has one entry point — [`ZmapScanner::scan_ipv4`] /
+//! [`scan_ipv6_list`](ZmapScanner::scan_ipv6_list), [`ZgrabScanner::grab`],
+//! [`snmp::SnmpScanner::scan`] /
+//! [`scan_routed_space`](snmp::SnmpScanner::scan_routed_space),
+//! [`RateProber::discover_targets`] / [`probe`](RateProber::probe) — taking
+//! a `threads` count and returning what the campaign absorbs: SYN hit
+//! lists, or per-shard [`ShardColumns`] in shard order.  One thread is one
+//! shard; the output is byte-identical for any thread count.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -27,7 +36,6 @@ pub mod ipid_probe;
 pub mod permute;
 pub mod rate;
 pub mod rate_probe;
-pub mod records;
 pub mod snmp;
 pub mod space;
 pub mod zgrab;
@@ -35,12 +43,22 @@ pub mod zmap;
 
 pub use alias_netsim::ServiceProtocol;
 pub use alias_store::{
-    ColumnarSink, ObservationRef, ObservationStore, ObservationView, ProtocolTag, ShardColumns,
-    SourceTag,
+    DataSource, ObservationRef, ObservationStore, ObservationView, ServiceObservation,
+    ServicePayload, ShardColumns,
 };
 pub use campaign::{ActiveCampaign, CampaignConfig, CampaignData};
 pub use hitlist::Ipv6Hitlist;
 pub use rate_probe::{RateProbeConfig, RateProber};
-pub use records::{DataSource, ObservationSink, ServiceObservation, ServicePayload};
 pub use zgrab::ZgrabScanner;
 pub use zmap::{ZmapResults, ZmapScanner};
+
+/// Splice a phase's shard chunks into a fresh store, in shard order: how
+/// the scanner tests read what an entry point returned.
+#[cfg(test)]
+pub(crate) fn store_of(shards: Vec<ShardColumns>) -> ObservationStore {
+    let mut store = ObservationStore::new();
+    for shard in shards {
+        store.absorb_shard(shard);
+    }
+    store
+}

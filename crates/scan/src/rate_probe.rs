@@ -10,8 +10,8 @@
 //!
 //! The prober runs in two steps:
 //!
-//! 1. **Discovery** — a serial ping sweep over the routed IPv4 space and
-//!    the IPv6 hitlist selects the echo-responsive addresses.
+//! 1. **Discovery** — a ping sweep over the routed IPv4 space and the
+//!    IPv6 hitlist selects the echo-responsive addresses.
 //! 2. **Escalation rounds** — each target is burst-probed at a ladder of
 //!    rates (`base · 2^round`).  A screening burst at the *highest* rate
 //!    runs first: a target with zero loss there cannot lose packets at
@@ -20,14 +20,13 @@
 //!    [`ServicePayload::RateLimit`] observations.
 //!
 //! Timestamps are slot-based — a pure function of the target's global
-//! index and the round number — so the sharded path is byte-identical to
-//! the serial one without any pacing-state hand-off between shards.
+//! index and the round number — so the output is byte-identical for any
+//! shard count without any pacing-state hand-off between shards.
 
-use crate::records::{DataSource, ServiceObservation, ServicePayload};
 use crate::space::RoutedSpace;
 use alias_netsim::{Internet, ProbeContext, ServiceProtocol, SimTime, VantageKind};
 use alias_obs::{DeterminismClass, LazyCounter};
-use alias_store::ShardColumns;
+use alias_store::{DataSource, ServicePayload, ShardColumns};
 use std::net::{IpAddr, Ipv6Addr};
 
 /// Targets skipped by the screening burst (zero loss at the top rate).
@@ -108,23 +107,12 @@ impl RateProber {
     }
 
     /// Discover the echo-responsive target population: every address of
-    /// the routed IPv4 space plus the IPv6 hitlist that answers ping.  A
-    /// pure membership filter with no measurement state.
+    /// the routed IPv4 space plus the IPv6 hitlist that answers ping, with
+    /// `threads` shard workers over the routed space.  A pure membership
+    /// filter with no measurement state, so concatenating the per-shard
+    /// survivors in shard order gives the same list for any thread count;
+    /// the (much smaller) IPv6 hitlist is filtered on the calling thread.
     pub fn discover_targets(
-        &self,
-        internet: &Internet,
-        hitlist_v6: &[Ipv6Addr],
-        vantage: VantageKind,
-        at: SimTime,
-    ) -> Vec<IpAddr> {
-        self.discover_targets_sharded(internet, hitlist_v6, vantage, at, 1)
-    }
-
-    /// [`Self::discover_targets`] with `threads` shard workers over the
-    /// routed IPv4 space.  The filter is stateless, so concatenating the
-    /// per-shard survivors in shard order reproduces the serial sweep
-    /// byte for byte; the (much smaller) IPv6 hitlist stays serial.
-    pub fn discover_targets_sharded(
         &self,
         internet: &Internet,
         hitlist_v6: &[Ipv6Addr],
@@ -134,25 +122,16 @@ impl RateProber {
     ) -> Vec<IpAddr> {
         let ctx = ProbeContext { vantage, time: at };
         let space = RoutedSpace::of(internet);
-        let mut targets = if threads <= 1 {
+        let ranges = alias_exec::split_even(space.len(), alias_exec::shards_for(threads));
+        let per_shard: Vec<Vec<IpAddr>> = alias_exec::shard_map(ranges.len(), threads, |shard| {
+            let range = &ranges[shard];
             space
-                .iter_range(0, space.len())
+                .iter_range(range.start, range.end)
                 .map(IpAddr::V4)
                 .filter(|&a| internet.ping_responds(a, &ctx))
                 .collect()
-        } else {
-            let ranges = alias_exec::split_even(space.len(), alias_exec::shards_for(threads));
-            let per_shard: Vec<Vec<IpAddr>> =
-                alias_exec::shard_map(ranges.len(), threads, |shard| {
-                    let range = &ranges[shard];
-                    space
-                        .iter_range(range.start, range.end)
-                        .map(IpAddr::V4)
-                        .filter(|&a| internet.ping_responds(a, &ctx))
-                        .collect()
-                });
-            per_shard.into_iter().flatten().collect::<Vec<IpAddr>>()
-        };
+        });
+        let mut targets: Vec<IpAddr> = per_shard.into_iter().flatten().collect();
         targets.extend(
             hitlist_v6
                 .iter()
@@ -162,10 +141,10 @@ impl RateProber {
         targets
     }
 
-    /// The probe loop shared verbatim by the serial and sharded paths.
-    /// Target `global_offset + i` owns the time slot starting at
-    /// `phase_start + (global_offset + i) · target_slot`, so timestamps
-    /// never depend on how the target list was split.
+    /// The probe loop of one shard.  Target `global_offset + i` owns the
+    /// time slot starting at `phase_start + (global_offset + i) ·
+    /// target_slot`, so timestamps never depend on how the target list was
+    /// split.
     fn probe_slice(
         &self,
         internet: &Internet,
@@ -230,25 +209,12 @@ impl RateProber {
         }
     }
 
-    /// Probe every target through the escalation ladder, emitting straight
-    /// into shard columns (the form the campaign store absorbs).
-    pub fn probe_columns(
-        &self,
-        internet: &Internet,
-        targets: &[IpAddr],
-        vantage: VantageKind,
-        start: SimTime,
-    ) -> ShardColumns {
-        let mut columns = ShardColumns::new();
-        self.probe_slice(internet, targets, 0, vantage, start, &mut columns);
-        columns
-    }
-
-    /// [`Self::probe_columns`] with `threads` shard workers over disjoint
-    /// slices of the target list, returning per-shard column chunks in
-    /// shard order.  Byte-identical to the serial path for any thread
-    /// count: timestamps are a pure function of the global target index.
-    pub fn probe_columns_sharded(
+    /// Probe every target through the escalation ladder with `threads`
+    /// shard workers over disjoint slices of the target list, returning
+    /// per-shard column chunks in shard order (the form the campaign store
+    /// absorbs).  Byte-identical for any thread count: timestamps are a
+    /// pure function of the global target index.
+    pub fn probe(
         &self,
         internet: &Internet,
         targets: &[IpAddr],
@@ -256,9 +222,6 @@ impl RateProber {
         start: SimTime,
         threads: usize,
     ) -> Vec<ShardColumns> {
-        if threads <= 1 {
-            return vec![self.probe_columns(internet, targets, vantage, start)];
-        }
         let ranges = alias_exec::split_even(targets.len() as u64, alias_exec::shards_for(threads));
         alias_exec::shard_map(ranges.len(), threads, |shard| {
             let range = &ranges[shard];
@@ -274,31 +237,31 @@ impl RateProber {
             columns
         })
     }
-
-    /// Discovery plus probing, materialised as observation rows (test and
-    /// report convenience; the campaign uses the columnar path).
-    pub fn probe(
-        &self,
-        internet: &Internet,
-        hitlist_v6: &[Ipv6Addr],
-        vantage: VantageKind,
-        start: SimTime,
-    ) -> Vec<ServiceObservation> {
-        let targets = self.discover_targets(internet, hitlist_v6, vantage, start);
-        self.probe_columns(internet, &targets, vantage, start)
-            .into_observations()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::store_of;
     use alias_netsim::{DeviceKind, InternetBuilder, InternetConfig};
+    use alias_store::ObservationStore;
 
     fn internet_with_silent(seed: u64, silent: usize) -> Internet {
         let mut config = InternetConfig::tiny(seed);
         config.devices.silent_routers = silent;
         InternetBuilder::new(config).build()
+    }
+
+    /// Discovery (IPv4 only) plus probing from a single vantage point at
+    /// time zero, both with `threads` workers.
+    fn discover_and_probe(
+        prober: &RateProber,
+        internet: &Internet,
+        threads: usize,
+    ) -> ObservationStore {
+        let (vantage, start) = (VantageKind::SingleVp, SimTime::ZERO);
+        let targets = prober.discover_targets(internet, &[], vantage, start, threads);
+        store_of(prober.probe(internet, &targets, vantage, start, threads))
     }
 
     #[test]
@@ -311,7 +274,7 @@ mod tests {
             .flat_map(|d| d.ipv6_addrs())
             .collect();
         let targets =
-            prober.discover_targets(&internet, &hitlist, VantageKind::SingleVp, SimTime::ZERO);
+            prober.discover_targets(&internet, &hitlist, VantageKind::SingleVp, SimTime::ZERO, 1);
         assert!(targets.iter().any(|a| a.is_ipv4()));
         assert!(targets.iter().any(|a| a.is_ipv6()));
         let ctx = ProbeContext {
@@ -337,7 +300,7 @@ mod tests {
         let internet = internet_with_silent(77, 10);
         let prober = RateProber::new(RateProbeConfig::default());
         let cfg = prober.config().clone();
-        let observations = prober.probe(&internet, &[], VantageKind::SingleVp, SimTime::ZERO);
+        let observations = discover_and_probe(&prober, &internet, 1).to_observations();
         assert!(!observations.is_empty());
         for obs in &observations {
             let ServicePayload::RateLimit {
@@ -375,7 +338,7 @@ mod tests {
         // rounds must be exactly the rounds from the first lossy one up.
         let internet = internet_with_silent(99, 8);
         let prober = RateProber::new(RateProbeConfig::default());
-        let observations = prober.probe(&internet, &[], VantageKind::SingleVp, SimTime::ZERO);
+        let observations = discover_and_probe(&prober, &internet, 1).to_observations();
         // Group rounds per address without leaving id-space discipline: a
         // stable sort by address keeps each address's rounds in emission
         // (i.e. ascending) order.
@@ -408,24 +371,14 @@ mod tests {
         for seed in [77u64, 2023] {
             let internet = internet_with_silent(seed, 10);
             let prober = RateProber::new(RateProbeConfig::default());
-            let targets =
-                prober.discover_targets(&internet, &[], VantageKind::SingleVp, SimTime::ZERO);
-            let serial: Vec<ServiceObservation> = prober
-                .probe_columns(&internet, &targets, VantageKind::SingleVp, SimTime::ZERO)
-                .into_observations();
+            let serial = discover_and_probe(&prober, &internet, 1);
+            assert!(!serial.is_empty());
             for threads in [2usize, 7] {
-                let sharded: Vec<ServiceObservation> = prober
-                    .probe_columns_sharded(
-                        &internet,
-                        &targets,
-                        VantageKind::SingleVp,
-                        SimTime::ZERO,
-                        threads,
-                    )
-                    .into_iter()
-                    .flat_map(ShardColumns::into_observations)
-                    .collect();
-                assert_eq!(sharded, serial, "seed={seed} threads={threads}");
+                assert_eq!(
+                    discover_and_probe(&prober, &internet, threads),
+                    serial,
+                    "seed={seed} threads={threads}"
+                );
             }
         }
     }

@@ -6,10 +6,9 @@
 //! GET to each target and records the engine ID from the Report response.
 
 use crate::rate::ProbeSchedule;
-use crate::records::{DataSource, ServiceObservation, ServicePayload};
 use crate::space::RoutedSpace;
 use alias_netsim::{internet::SNMP_PORT, Internet, ProbeContext, SimTime, VantageKind};
-use alias_store::ShardColumns;
+use alias_store::{DataSource, ServicePayload, ShardColumns};
 use alias_wire::snmp::Snmpv3Message;
 use std::net::IpAddr;
 
@@ -43,45 +42,10 @@ impl SnmpScanner {
         SnmpScanner { config }
     }
 
-    /// Probe every address in `targets` with an engine-discovery request.
-    pub fn scan(
-        &self,
-        internet: &Internet,
-        targets: &[IpAddr],
-        vantage: VantageKind,
-        start: SimTime,
-    ) -> Vec<ServiceObservation> {
-        self.scan_columns(internet, targets, vantage, start)
-            .into_observations()
-    }
-
-    /// [`Self::scan`], emitting straight into shard columns (interned
-    /// addresses, no row structs) — the form the campaign store absorbs.
-    pub fn scan_columns(
-        &self,
-        internet: &Internet,
-        targets: &[IpAddr],
-        vantage: VantageKind,
-        start: SimTime,
-    ) -> ShardColumns {
-        let mut schedule = ProbeSchedule::new(self.config.rate_pps, 32.0, start);
-        let mut columns = ShardColumns::new();
-        self.scan_slice(
-            internet,
-            targets.iter().copied(),
-            0,
-            vantage,
-            &mut schedule,
-            &mut columns,
-        );
-        columns
-    }
-
-    /// The probe loop shared verbatim by the serial and sharded paths: one
-    /// paced discovery request per target, with message ids continuing the
-    /// global sequence from `global_offset` and send times drawn from
-    /// `schedule`; results are pushed into `columns`.  A single copy keeps
-    /// the byte-identity contract between the two paths structural.
+    /// The probe loop of one shard: one paced discovery request per target,
+    /// with message ids continuing the global sequence from `global_offset`
+    /// and send times drawn from `schedule`; results are pushed into
+    /// `columns`.
     ///
     /// Targets arrive as an iterator so the routed-space sweep never
     /// materialises its address list.  Each target is resolved against the
@@ -127,32 +91,17 @@ impl SnmpScanner {
         }
     }
 
-    /// [`Self::scan`] with `threads` shard workers over disjoint slices of
-    /// the target list.
-    pub fn scan_sharded(
-        &self,
-        internet: &Internet,
-        targets: &[IpAddr],
-        vantage: VantageKind,
-        start: SimTime,
-        threads: usize,
-    ) -> Vec<ServiceObservation> {
-        self.scan_columns_sharded(internet, targets, vantage, start, threads)
-            .into_iter()
-            .flat_map(ShardColumns::into_observations)
-            .collect()
-    }
-
-    /// [`Self::scan_columns`] with `threads` shard workers over disjoint
-    /// slices of the target list, returning the per-shard column chunks in
-    /// shard order.
+    /// Probe every address in `targets` with an engine-discovery request,
+    /// with `threads` shard workers over disjoint slices of the target
+    /// list; returns the per-shard column chunks in shard order (the form
+    /// the campaign store absorbs).
     ///
-    /// Byte-identical to the serial path for any thread count: shards
-    /// resume the serial token-bucket schedule (fast-forwarded to their
-    /// first target) and use the same global message-id sequence, so the
-    /// engine-time values in the Report payloads — which depend on the
-    /// probe time — match the serial scan probe for probe.
-    pub fn scan_columns_sharded(
+    /// Byte-identical for any thread count: shards resume the one-shard
+    /// token-bucket schedule (fast-forwarded to their first target) and use
+    /// the same global message-id sequence, so the engine-time values in
+    /// the Report payloads — which depend on the probe time — match probe
+    /// for probe.
+    pub fn scan(
         &self,
         internet: &Internet,
         targets: &[IpAddr],
@@ -160,9 +109,6 @@ impl SnmpScanner {
         start: SimTime,
         threads: usize,
     ) -> Vec<ShardColumns> {
-        if threads <= 1 {
-            return vec![self.scan_columns(internet, targets, vantage, start)];
-        }
         let ranges = alias_exec::split_even(targets.len() as u64, alias_exec::shards_for(threads));
         let starts = self.schedule_starts(&ranges, start);
         alias_exec::shard_map(ranges.len(), threads, |shard| {
@@ -183,8 +129,8 @@ impl SnmpScanner {
         })
     }
 
-    /// Deal the serial pacing schedule out at the shard boundaries: shard
-    /// `i` receives the schedule state after every probe of shards `0..i`,
+    /// Deal the pacing schedule out at the shard boundaries: shard `i`
+    /// receives the schedule state after every probe of shards `0..i`,
     /// batched per send time so the whole pass is cheap even when the
     /// sharded space runs to tens of millions of probes.
     fn schedule_starts(
@@ -204,37 +150,13 @@ impl SnmpScanner {
     }
 
     /// Probe every IPv4 address in the routed prefixes (the paper's
-    /// Internet-wide SNMPv3 scan).
-    pub fn scan_routed_space(
-        &self,
-        internet: &Internet,
-        vantage: VantageKind,
-        start: SimTime,
-    ) -> Vec<ServiceObservation> {
-        self.scan_routed_space_sharded(internet, vantage, start, 1)
-    }
-
-    /// [`Self::scan_routed_space`] with `threads` shard workers.
-    pub fn scan_routed_space_sharded(
-        &self,
-        internet: &Internet,
-        vantage: VantageKind,
-        start: SimTime,
-        threads: usize,
-    ) -> Vec<ServiceObservation> {
-        self.scan_routed_space_columns_sharded(internet, vantage, start, threads)
-            .into_iter()
-            .flat_map(ShardColumns::into_observations)
-            .collect()
-    }
-
-    /// [`Self::scan_routed_space_sharded`], returning per-shard column
-    /// chunks in shard order.
+    /// Internet-wide SNMPv3 scan) with `threads` shard workers, returning
+    /// per-shard column chunks in shard order.
     ///
     /// The routed space is walked through [`RoutedSpace`] rather than
     /// materialised as an address list — at the larger scale tiers the list
     /// alone would dwarf the scan's useful output.
-    pub fn scan_routed_space_columns_sharded(
+    pub fn scan_routed_space(
         &self,
         internet: &Internet,
         vantage: VantageKind,
@@ -242,19 +164,6 @@ impl SnmpScanner {
         threads: usize,
     ) -> Vec<ShardColumns> {
         let space = RoutedSpace::of(internet);
-        if threads <= 1 {
-            let mut schedule = ProbeSchedule::new(self.config.rate_pps, 32.0, start);
-            let mut columns = ShardColumns::new();
-            self.scan_slice(
-                internet,
-                space.iter_range(0, space.len()).map(IpAddr::V4),
-                0,
-                vantage,
-                &mut schedule,
-                &mut columns,
-            );
-            return vec![columns];
-        }
         let ranges = alias_exec::split_even(space.len(), alias_exec::shards_for(threads));
         let starts = self.schedule_starts(&ranges, start);
         alias_exec::shard_map(ranges.len(), threads, |shard| {
@@ -277,10 +186,24 @@ impl SnmpScanner {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::store_of;
     use alias_netsim::{InternetBuilder, InternetConfig};
+    use alias_store::ObservationStore;
 
     fn internet() -> Internet {
         InternetBuilder::new(InternetConfig::tiny(55)).build()
+    }
+
+    /// The routed-space scan from a distributed vantage at time zero.
+    fn routed_space_scan(internet: &Internet, threads: usize) -> ObservationStore {
+        store_of(
+            SnmpScanner::new(SnmpScanConfig::default()).scan_routed_space(
+                internet,
+                VantageKind::Distributed,
+                SimTime::ZERO,
+                threads,
+            ),
+        )
     }
 
     /// Sorted, distinct copy of an address list (id-space discipline:
@@ -303,11 +226,7 @@ mod tests {
                 .filter(|a| a.is_ipv4()),
         );
         assert!(!expected.is_empty());
-        let observations = SnmpScanner::new(SnmpScanConfig::default()).scan_routed_space(
-            &internet,
-            VantageKind::Distributed,
-            SimTime::ZERO,
-        );
+        let observations = routed_space_scan(&internet, 1).to_observations();
         let found = sorted_distinct(observations.iter().map(|o| o.addr));
         assert_eq!(found, expected);
     }
@@ -315,12 +234,7 @@ mod tests {
     #[test]
     fn engine_id_matches_ground_truth_device() {
         let internet = internet();
-        let observations = SnmpScanner::new(SnmpScanConfig::default()).scan_routed_space(
-            &internet,
-            VantageKind::Distributed,
-            SimTime::ZERO,
-        );
-        for obs in &observations {
+        for obs in &routed_space_scan(&internet, 1).to_observations() {
             let (device_id, _) = internet.lookup(obs.addr).unwrap();
             let device = internet.device(device_id);
             let expected = &device.snmp.as_ref().unwrap().engine_id;
@@ -334,22 +248,31 @@ mod tests {
     #[test]
     fn sharded_snmp_scan_is_byte_identical_to_serial() {
         // Engine-time values in the Report payloads depend on probe time,
-        // so whole-observation equality proves the shards resume the serial
-        // pacing and message-id schedules exactly.
+        // so whole-store equality proves the shards resume the one-shard
+        // pacing and message-id schedules exactly — for the routed-space
+        // sweep and for an explicit target list.
         let internet = internet();
-        let serial = SnmpScanner::new(SnmpScanConfig::default()).scan_routed_space(
-            &internet,
-            VantageKind::Distributed,
-            SimTime::ZERO,
-        );
-        for threads in [2usize, 7] {
-            let sharded = SnmpScanner::new(SnmpScanConfig::default()).scan_routed_space_sharded(
+        let serial = routed_space_scan(&internet, 1);
+        assert!(!serial.is_empty());
+        let targets: Vec<IpAddr> = serial.interner().addrs().to_vec();
+        let listed = |threads| {
+            store_of(SnmpScanner::new(SnmpScanConfig::default()).scan(
                 &internet,
+                &targets,
                 VantageKind::Distributed,
                 SimTime::ZERO,
                 threads,
+            ))
+        };
+        let serial_listed = listed(1);
+        assert_eq!(serial_listed.len(), targets.len());
+        for threads in [2usize, 7] {
+            assert_eq!(
+                routed_space_scan(&internet, threads),
+                serial,
+                "threads={threads}"
             );
-            assert_eq!(sharded, serial, "threads={threads}");
+            assert_eq!(listed(threads), serial_listed, "threads={threads}");
         }
     }
 
@@ -362,12 +285,14 @@ mod tests {
             .find(|d| !d.snmp_responding_addrs().is_empty())
             .unwrap();
         let targets = vec![device.snmp_responding_addrs()[0]];
-        let observations = SnmpScanner::new(SnmpScanConfig::default()).scan(
+        let observations = store_of(SnmpScanner::new(SnmpScanConfig::default()).scan(
             &internet,
             &targets,
             VantageKind::Distributed,
             SimTime::ZERO,
-        );
+            1,
+        ))
+        .to_observations();
         assert_eq!(observations.len(), 1);
         assert_eq!(observations[0].addr, targets[0]);
         assert_eq!(observations[0].port, SNMP_PORT);

@@ -5,18 +5,17 @@
 //! for SSH the banner, `SSH_MSG_KEXINIT` and the host key from the
 //! key-exchange reply; for BGP the unsolicited OPEN (and the NOTIFICATION
 //! that usually follows).  The captured bytes are parsed with `alias-wire`
-//! and emitted as [`ServiceObservation`] records.
+//! and pushed into per-shard [`ShardColumns`].
 
 use crate::rate::ProbeSchedule;
-use crate::records::{DataSource, ServiceObservation};
 use alias_netsim::{Internet, ProbeContext, ServiceProtocol, SimTime, VantageKind};
-use alias_store::ShardColumns;
+use alias_store::{DataSource, ShardColumns};
 use std::net::IpAddr;
 
-// The payload parser moved next to the record types in `alias-store`;
+// The payload parser lives next to the record types in `alias-store`;
 // re-exported here because scanner callers (e.g. `alias-censys`) import it
 // from this module.
-pub use alias_store::records::parse_payload;
+pub use alias_store::parse_payload;
 
 /// Configuration of the application-layer scanner.
 #[derive(Debug, Clone)]
@@ -48,56 +47,10 @@ impl ZgrabScanner {
         ZgrabScanner { config }
     }
 
-    /// Grab banners from `targets` on `port`, interpreting responses as
-    /// `protocol`.  Unresponsive targets and unparsable responses are
-    /// silently skipped, exactly as a large-scale scan tolerates them.
-    pub fn grab(
-        &self,
-        internet: &Internet,
-        targets: &[IpAddr],
-        port: u16,
-        protocol: ServiceProtocol,
-        vantage: VantageKind,
-        start: SimTime,
-    ) -> Vec<ServiceObservation> {
-        self.grab_columns(internet, targets, port, protocol, vantage, start)
-            .into_observations()
-    }
-
-    /// [`Self::grab`], emitting straight into shard columns (interned
-    /// addresses, no row structs) — the form the campaign store absorbs.
-    pub fn grab_columns(
-        &self,
-        internet: &Internet,
-        targets: &[IpAddr],
-        port: u16,
-        protocol: ServiceProtocol,
-        vantage: VantageKind,
-        start: SimTime,
-    ) -> ShardColumns {
-        let mut schedule = ProbeSchedule::new(self.config.rate_pps, 32.0, start);
-        let mut columns = ShardColumns::with_capacity(targets.len());
-        let mut scratch = Vec::new();
-        self.grab_slice(
-            internet,
-            targets,
-            port,
-            protocol,
-            vantage,
-            &mut schedule,
-            &mut scratch,
-            &mut columns,
-        );
-        columns
-    }
-
-    /// The probe loop shared verbatim by the serial and sharded paths: one
-    /// paced session attempt per target, drawing send times from
-    /// `schedule`, capturing session bytes into the reusable `scratch`
-    /// buffer, and pushing results into `columns` (the address is interned
-    /// shard-locally as it is observed).  Keeping a single copy is what
-    /// makes the byte-identity contract between the two paths structural
-    /// rather than maintained by hand.
+    /// The probe loop of one shard: one paced session attempt per target,
+    /// drawing send times from `schedule`, capturing session bytes into the
+    /// reusable `scratch` buffer, and pushing results into `columns` (the
+    /// address is interned shard-locally as it is observed).
     ///
     /// Each target is resolved against the IP index exactly once; the probe
     /// dispatch and the ASN attribution reuse the resolved interface.
@@ -136,37 +89,21 @@ impl ZgrabScanner {
         }
     }
 
-    /// [`Self::grab`] with `threads` shard workers over disjoint slices of
-    /// the target list.
-    #[allow(clippy::too_many_arguments)]
-    pub fn grab_sharded(
-        &self,
-        internet: &Internet,
-        targets: &[IpAddr],
-        port: u16,
-        protocol: ServiceProtocol,
-        vantage: VantageKind,
-        start: SimTime,
-        threads: usize,
-    ) -> Vec<ServiceObservation> {
-        self.grab_columns_sharded(internet, targets, port, protocol, vantage, start, threads)
-            .into_iter()
-            .flat_map(ShardColumns::into_observations)
-            .collect()
-    }
-
-    /// [`Self::grab_columns`] with `threads` shard workers over disjoint
-    /// slices of the target list, returning the per-shard column chunks in
-    /// shard order.
+    /// Grab banners from `targets` on `port`, interpreting responses as
+    /// `protocol`, with `threads` shard workers over disjoint slices of the
+    /// target list; returns the per-shard column chunks in shard order (the
+    /// form the campaign store absorbs).  Unresponsive targets and
+    /// unparsable responses are silently skipped, exactly as a large-scale
+    /// scan tolerates them.
     ///
-    /// Byte-identical to the serial path for any thread count: each shard
-    /// starts from the token-bucket state the serial scan would have
-    /// reached at the shard's first target (fast-forwarded on the calling
-    /// thread), so every observation carries the exact serial timestamp —
-    /// which matters because session payloads fold the probe time into
-    /// their bytes (SSH KEXINIT cookies, SNMP engine time).
+    /// Byte-identical for any thread count: each shard starts from the
+    /// token-bucket state a one-shard scan would have reached at the
+    /// shard's first target (fast-forwarded on the calling thread), so
+    /// every observation carries the same timestamp — which matters because
+    /// session payloads fold the probe time into their bytes (SSH KEXINIT
+    /// cookies, SNMP engine time).
     #[allow(clippy::too_many_arguments)]
-    pub fn grab_columns_sharded(
+    pub fn grab(
         &self,
         internet: &Internet,
         targets: &[IpAddr],
@@ -176,12 +113,9 @@ impl ZgrabScanner {
         start: SimTime,
         threads: usize,
     ) -> Vec<ShardColumns> {
-        if threads <= 1 {
-            return vec![self.grab_columns(internet, targets, port, protocol, vantage, start)];
-        }
         let ranges = alias_exec::split_even(targets.len() as u64, alias_exec::shards_for(threads));
         // Fast-forward the schedule through the shard boundaries so each
-        // worker resumes the pacing exactly where the serial loop would be.
+        // worker resumes the pacing exactly where a single loop would be.
         // The skip is batched per send time, so dealing out all boundaries
         // costs one serial pass over the schedule's *groups*, not its probes.
         let mut boundary = ProbeSchedule::new(self.config.rate_pps, 32.0, start);
@@ -219,38 +153,53 @@ impl ZgrabScanner {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::records::ServicePayload;
+    use crate::store_of;
     use crate::zmap::{ZmapConfig, ZmapScanner};
     use alias_netsim::{InternetBuilder, InternetConfig};
+    use alias_store::{ObservationStore, ServicePayload};
 
     fn internet() -> Internet {
         InternetBuilder::new(InternetConfig::tiny(123)).build()
     }
 
-    fn ssh_targets(internet: &Internet) -> Vec<IpAddr> {
+    fn targets_on(internet: &Internet, port: u16) -> Vec<IpAddr> {
         ZmapScanner::new(ZmapConfig {
-            ports: vec![22],
+            ports: vec![port],
             ..Default::default()
         })
-        .scan_ipv4(internet, VantageKind::Distributed, SimTime::ZERO)
-        .on_port(22)
+        .scan_ipv4(internet, VantageKind::Distributed, SimTime::ZERO, 1)
+        .on_port(port)
         .to_vec()
+    }
+
+    /// Grab `targets` on `port` from a distributed vantage at time zero.
+    fn grab(
+        scanner: &ZgrabScanner,
+        internet: &Internet,
+        targets: &[IpAddr],
+        port: u16,
+        protocol: ServiceProtocol,
+        threads: usize,
+    ) -> ObservationStore {
+        store_of(scanner.grab(
+            internet,
+            targets,
+            port,
+            protocol,
+            VantageKind::Distributed,
+            SimTime::ZERO,
+            threads,
+        ))
     }
 
     #[test]
     fn ssh_grab_yields_complete_observations() {
         let internet = internet();
-        let targets = ssh_targets(&internet);
+        let targets = targets_on(&internet, 22);
         assert!(!targets.is_empty());
         let scanner = ZgrabScanner::new(ZgrabConfig::default());
-        let observations = scanner.grab(
-            &internet,
-            &targets,
-            22,
-            ServiceProtocol::Ssh,
-            VantageKind::Distributed,
-            SimTime::ZERO,
-        );
+        let observations =
+            grab(&scanner, &internet, &targets, 22, ServiceProtocol::Ssh, 1).to_observations();
         assert_eq!(observations.len(), targets.len());
         for obs in &observations {
             assert_eq!(obs.protocol(), ServiceProtocol::Ssh);
@@ -265,23 +214,11 @@ mod tests {
     #[test]
     fn bgp_grab_skips_silent_speakers() {
         let internet = internet();
-        let targets: Vec<IpAddr> = ZmapScanner::new(ZmapConfig {
-            ports: vec![179],
-            ..Default::default()
-        })
-        .scan_ipv4(&internet, VantageKind::Distributed, SimTime::ZERO)
-        .on_port(179)
-        .to_vec();
+        let targets = targets_on(&internet, 179);
         assert!(!targets.is_empty());
         let scanner = ZgrabScanner::new(ZgrabConfig::default());
-        let observations = scanner.grab(
-            &internet,
-            &targets,
-            179,
-            ServiceProtocol::Bgp,
-            VantageKind::Distributed,
-            SimTime::ZERO,
-        );
+        let observations =
+            grab(&scanner, &internet, &targets, 179, ServiceProtocol::Bgp, 1).to_observations();
         // Some speakers send an OPEN, the silent ones are dropped.
         assert!(!observations.is_empty());
         assert!(observations.len() < targets.len());
@@ -302,28 +239,21 @@ mod tests {
     #[test]
     fn sharded_grab_is_byte_identical_to_serial() {
         // Timestamps feed into the SSH KEXINIT cookie bytes, so equality of
-        // whole observations proves the shard fast-forward reproduces the
-        // serial pacing schedule exactly.
+        // whole stores proves the shard fast-forward reproduces the
+        // one-shard pacing schedule exactly.
         let internet = internet();
-        let targets = ssh_targets(&internet);
+        let targets = targets_on(&internet, 22);
         assert!(targets.len() > 8, "need enough targets to shard");
         let scanner = ZgrabScanner::new(ZgrabConfig::default());
-        let serial = scanner.grab(
-            &internet,
-            &targets,
-            22,
-            ServiceProtocol::Ssh,
-            VantageKind::Distributed,
-            SimTime::ZERO,
-        );
+        let serial = grab(&scanner, &internet, &targets, 22, ServiceProtocol::Ssh, 1);
+        assert_eq!(serial.len(), targets.len());
         for threads in [2usize, 7] {
-            let sharded = scanner.grab_sharded(
+            let sharded = grab(
+                &scanner,
                 &internet,
                 &targets,
                 22,
                 ServiceProtocol::Ssh,
-                VantageKind::Distributed,
-                SimTime::ZERO,
                 threads,
             );
             assert_eq!(sharded, serial, "threads={threads}");
@@ -335,14 +265,7 @@ mod tests {
         let internet = internet();
         let scanner = ZgrabScanner::new(ZgrabConfig::default());
         let bogus: Vec<IpAddr> = vec!["203.0.113.99".parse().unwrap()];
-        let observations = scanner.grab(
-            &internet,
-            &bogus,
-            22,
-            ServiceProtocol::Ssh,
-            VantageKind::Distributed,
-            SimTime::ZERO,
-        );
+        let observations = grab(&scanner, &internet, &bogus, 22, ServiceProtocol::Ssh, 1);
         assert!(observations.is_empty());
     }
 
@@ -357,19 +280,19 @@ mod tests {
     #[test]
     fn censys_source_is_stamped_on_records() {
         let internet = internet();
-        let targets = ssh_targets(&internet);
+        let targets = targets_on(&internet, 22);
         let scanner = ZgrabScanner::new(ZgrabConfig {
             source: DataSource::Censys,
             rate_pps: 50_000.0,
         });
-        let observations = scanner.grab(
+        let observations = grab(
+            &scanner,
             &internet,
             &targets[..1],
             22,
             ServiceProtocol::Ssh,
-            VantageKind::Distributed,
-            SimTime::ZERO,
+            1,
         );
-        assert_eq!(observations[0].source, DataSource::Censys);
+        assert_eq!(observations.sources(), &[DataSource::Censys]);
     }
 }

@@ -91,8 +91,8 @@ impl ZmapScanner {
         ZmapScanner { config }
     }
 
-    /// Probe one raw-step slice of the permuted index space; the shard body
-    /// shared by the serial and sharded IPv4 sweeps.
+    /// Probe one raw-step slice of the permuted index space: the shard body
+    /// of the IPv4 sweep.
     ///
     /// The inner loop carries no pacing state: a SYN result does not depend
     /// on the probe's send time (the bucket schedule is replayed separately
@@ -170,55 +170,28 @@ impl ZmapScanner {
         results
     }
 
-    /// Sweep every routed IPv4 prefix of `internet` on a single thread.
-    pub fn scan_ipv4(
-        &self,
-        internet: &Internet,
-        vantage: VantageKind,
-        start: SimTime,
-    ) -> ZmapResults {
-        // Flatten the routed prefixes into a single index space so the
-        // permutation spreads probes across all networks.
-        let space = RoutedSpace::of(internet);
-        let permutation = IndexPermutation::new(space.len(), self.config.seed);
-        let found = self.syn_slice(
-            internet,
-            vantage,
-            start,
-            &space,
-            &permutation,
-            &(0..permutation.raw_len()),
-        );
-        self.assemble_results(
-            vec![found],
-            space.len() * self.config.ports.len() as u64,
-            start,
-        )
-    }
-
-    /// Sweep every routed IPv4 prefix with `threads` shard workers over
-    /// disjoint slices of the permuted address space.
+    /// Sweep every routed IPv4 prefix of `internet` with `threads` shard
+    /// workers over disjoint slices of the permuted address space.
     ///
-    /// Output is byte-identical to [`Self::scan_ipv4`] for any thread
-    /// count: a SYN result does not depend on the probe's send time, shard
-    /// outputs are concatenated in shard order (which reproduces the serial
-    /// discovery order), and the finish time is the serial token-bucket
-    /// schedule replayed over the same probe count.
-    pub fn scan_ipv4_sharded(
+    /// Output is byte-identical for any thread count: a SYN result does not
+    /// depend on the probe's send time, shard outputs are concatenated in
+    /// shard order (which reproduces the one-shard discovery order), and the
+    /// finish time is the token-bucket schedule replayed over the same probe
+    /// count.
+    pub fn scan_ipv4(
         &self,
         internet: &Internet,
         vantage: VantageKind,
         start: SimTime,
         threads: usize,
     ) -> ZmapResults {
-        if threads <= 1 {
-            return self.scan_ipv4(internet, vantage, start);
-        }
+        // Flatten the routed prefixes into a single index space so the
+        // permutation spreads probes across all networks.
         let space = RoutedSpace::of(internet);
         let permutation = IndexPermutation::new(space.len(), self.config.seed);
 
         // Shard the raw LCG step range: concatenating the in-range values of
-        // contiguous raw-step slices reproduces the serial permutation order.
+        // contiguous raw-step slices reproduces the whole permutation order.
         let ranges = alias_exec::split_even(permutation.raw_len(), alias_exec::shards_for(threads));
         let per_shard: Vec<Vec<Vec<IpAddr>>> =
             alias_exec::shard_map(ranges.len(), threads, |shard| {
@@ -238,8 +211,8 @@ impl ZmapScanner {
         )
     }
 
-    /// Probe one slice of an IPv6 target list; shared by the serial and
-    /// sharded hitlist scans.  Same loop shape as [`Self::syn_slice`].
+    /// Probe one slice of an IPv6 target list: the shard body of the
+    /// hitlist scan.  Same loop shape as [`Self::syn_slice`].
     fn syn_v6_slice(
         &self,
         internet: &Internet,
@@ -268,26 +241,10 @@ impl ZmapScanner {
     }
 
     /// Probe an explicit IPv6 target list (hitlist-driven, since sweeping
-    /// the IPv6 space is impossible).
-    pub fn scan_ipv6_list(
-        &self,
-        internet: &Internet,
-        targets: &[Ipv6Addr],
-        vantage: VantageKind,
-        start: SimTime,
-    ) -> ZmapResults {
-        let found = self.syn_v6_slice(internet, targets, vantage, start);
-        self.assemble_results(
-            vec![found],
-            targets.len() as u64 * self.config.ports.len() as u64,
-            start,
-        )
-    }
-
-    /// [`Self::scan_ipv6_list`] with `threads` shard workers over disjoint
-    /// slices of the target list; byte-identical output for any thread
+    /// the IPv6 space is impossible) with `threads` shard workers over
+    /// disjoint slices of the list; byte-identical output for any thread
     /// count.
-    pub fn scan_ipv6_list_sharded(
+    pub fn scan_ipv6_list(
         &self,
         internet: &Internet,
         targets: &[Ipv6Addr],
@@ -295,9 +252,6 @@ impl ZmapScanner {
         start: SimTime,
         threads: usize,
     ) -> ZmapResults {
-        if threads <= 1 {
-            return self.scan_ipv6_list(internet, targets, vantage, start);
-        }
         let ranges = alias_exec::split_even(targets.len() as u64, alias_exec::shards_for(threads));
         let per_shard: Vec<Vec<Vec<IpAddr>>> =
             alias_exec::shard_map(ranges.len(), threads, |shard| {
@@ -356,7 +310,7 @@ mod tests {
             ports: vec![22],
             ..Default::default()
         });
-        let results = scanner.scan_ipv4(&internet, VantageKind::Distributed, SimTime::ZERO);
+        let results = scanner.scan_ipv4(&internet, VantageKind::Distributed, SimTime::ZERO, 1);
         let found = sorted_found(&results, 22);
         assert_eq!(
             found,
@@ -373,8 +327,8 @@ mod tests {
             ports: vec![22],
             ..Default::default()
         });
-        let single = scanner.scan_ipv4(&internet, VantageKind::SingleVp, SimTime::ZERO);
-        let distributed = scanner.scan_ipv4(&internet, VantageKind::Distributed, SimTime::ZERO);
+        let single = scanner.scan_ipv4(&internet, VantageKind::SingleVp, SimTime::ZERO, 1);
+        let distributed = scanner.scan_ipv4(&internet, VantageKind::Distributed, SimTime::ZERO, 1);
         assert!(single.on_port(22).len() < distributed.on_port(22).len());
         assert_eq!(
             sorted_found(&single, 22),
@@ -386,7 +340,7 @@ mod tests {
     fn responsive_lists_contain_no_duplicates() {
         let internet = internet();
         let scanner = ZmapScanner::new(ZmapConfig::default());
-        let results = scanner.scan_ipv4(&internet, VantageKind::Distributed, SimTime::ZERO);
+        let results = scanner.scan_ipv4(&internet, VantageKind::Distributed, SimTime::ZERO, 1);
         for port in [22u16, 179] {
             let list = results.on_port(port);
             let unique: HashSet<&IpAddr> = list.iter().collect();
@@ -401,7 +355,7 @@ mod tests {
             ports: vec![179],
             ..Default::default()
         });
-        let results = scanner.scan_ipv4(&internet, VantageKind::Distributed, SimTime::ZERO);
+        let results = scanner.scan_ipv4(&internet, VantageKind::Distributed, SimTime::ZERO, 1);
         let mut expected: Vec<IpAddr> = internet
             .devices()
             .iter()
@@ -423,8 +377,13 @@ mod tests {
             ports: vec![22],
             ..Default::default()
         });
-        let results =
-            scanner.scan_ipv6_list(&internet, subset, VantageKind::Distributed, SimTime::ZERO);
+        let results = scanner.scan_ipv6_list(
+            &internet,
+            subset,
+            VantageKind::Distributed,
+            SimTime::ZERO,
+            1,
+        );
         assert_eq!(results.probes_sent, subset.len() as u64);
         for addr in results.on_port(22) {
             match addr {
@@ -442,14 +401,10 @@ mod tests {
                 seed,
                 ..Default::default()
             });
-            let serial = scanner.scan_ipv4(&internet, VantageKind::SingleVp, SimTime::ZERO);
+            let serial = scanner.scan_ipv4(&internet, VantageKind::SingleVp, SimTime::ZERO, 1);
             for threads in [2usize, 7] {
-                let sharded = scanner.scan_ipv4_sharded(
-                    &internet,
-                    VantageKind::SingleVp,
-                    SimTime::ZERO,
-                    threads,
-                );
+                let sharded =
+                    scanner.scan_ipv4(&internet, VantageKind::SingleVp, SimTime::ZERO, threads);
                 for port in [22u16, 179] {
                     assert_eq!(
                         sharded.on_port(port),
@@ -468,16 +423,18 @@ mod tests {
         let internet = internet();
         let targets = internet.active_ipv6_service_addrs();
         let scanner = ZmapScanner::new(ZmapConfig::default());
-        let serial =
-            scanner.scan_ipv6_list(&internet, &targets, VantageKind::Distributed, SimTime::ZERO);
-        for threads in [2usize, 7] {
-            let sharded = scanner.scan_ipv6_list_sharded(
+        let scan = |threads| {
+            scanner.scan_ipv6_list(
                 &internet,
                 &targets,
                 VantageKind::Distributed,
                 SimTime::ZERO,
                 threads,
-            );
+            )
+        };
+        let serial = scan(1);
+        for threads in [2usize, 7] {
+            let sharded = scan(threads);
             for port in [22u16, 179] {
                 assert_eq!(sharded.on_port(port), serial.on_port(port));
             }
@@ -493,12 +450,12 @@ mod tests {
             rate_pps: 1_000_000.0,
             ..Default::default()
         })
-        .scan_ipv4(&internet, VantageKind::Distributed, SimTime::ZERO);
+        .scan_ipv4(&internet, VantageKind::Distributed, SimTime::ZERO, 1);
         let slow = ZmapScanner::new(ZmapConfig {
             rate_pps: 50_000.0,
             ..Default::default()
         })
-        .scan_ipv4(&internet, VantageKind::Distributed, SimTime::ZERO);
+        .scan_ipv4(&internet, VantageKind::Distributed, SimTime::ZERO, 1);
         assert!(slow.finished_at > fast.finished_at);
     }
 }

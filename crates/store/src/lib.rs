@@ -12,40 +12,35 @@
 //! This crate stores campaigns **field-by-field** instead:
 //!
 //! * [`ObservationStore`] — column vectors for the scalars
-//!   ([`AddrId`](alias_intern::AddrId), [`ProtocolTag`], [`SourceTag`],
+//!   ([`AddrId`](alias_intern::AddrId), `ServiceProtocol`, [`DataSource`],
 //!   port, timestamp, ASN) plus a separate payload column, with every
 //!   observed address interned to a dense id at insertion time;
 //! * [`ShardColumns`] — per-shard append builders, so parallel scan loops
 //!   emit ids straight into shard-local columns (intern **at scan**, no
 //!   post-hoc interning pass over the finished campaign);
-//! * [`ColumnarSink`] — an [`ObservationSink`] building a store from any
-//!   streaming row producer;
 //! * [`ObservationView`] / [`ObservationRef`] — zero-copy selections
-//!   ([`ObservationStore::select`] reads two tag bytes per row) and
-//!   borrowed row accessors;
-//! * [`PayloadArena`] + [`EncodedObservations`] — the cold, arena-backed
-//!   layout: each payload wire-encoded once into one shared `Vec<u8>` and
-//!   addressed by `(offset, len)` [`Span`]s.
+//!   ([`ObservationStore::select`] reads two bytes per row) and borrowed
+//!   row accessors.
+//!
+//! There is one door in per data source and one door out.  Pre-collected
+//! rows (a Censys export) enter through
+//! [`ObservationStore::from_observations`]; scans enter through
+//! [`ShardColumns`] + [`ObservationStore::absorb_shard`]; rows leave only
+//! through `to_observations` on a store or a view — the oracle the tests
+//! compare against.
 //!
 //! The crate sits between `alias-intern` and `alias-scan`; the observation
 //! record types ([`ServiceObservation`], [`ServicePayload`],
-//! [`DataSource`], [`ObservationSink`]) live here and are re-exported by
-//! `alias-scan` for compatibility.
+//! [`DataSource`]) live here and are re-exported at `alias-scan`'s root.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod arena;
-pub mod encoded;
-pub mod records;
-pub mod store;
-pub mod tags;
+mod records;
+mod store;
 
-pub use arena::{PayloadArena, Span};
-pub use encoded::EncodedObservations;
-pub use records::{parse_payload, DataSource, ObservationSink, ServiceObservation, ServicePayload};
-pub use store::{ColumnarSink, ObservationRef, ObservationStore, ObservationView, ShardColumns};
-pub use tags::{ProtocolTag, SourceTag};
+pub use records::{parse_payload, DataSource, ServiceObservation, ServicePayload};
+pub use store::{ObservationRef, ObservationStore, ObservationView, ShardColumns};
 
 #[cfg(test)]
 mod proptests {
@@ -58,8 +53,8 @@ mod proptests {
     use std::net::{IpAddr, Ipv4Addr};
 
     /// Deterministically expand a compact `(addr, kind, source)` triple
-    /// into a full observation — enough variety to exercise interning,
-    /// selection and the wire codec without generating wire types directly.
+    /// into a full observation — enough variety to exercise interning and
+    /// selection without generating wire types directly.
     fn expand(row: (u16, u8, bool)) -> ServiceObservation {
         let (addr_raw, kind, censys) = row;
         let addr = IpAddr::V4(Ipv4Addr::new(10, 0, (addr_raw >> 8) as u8, addr_raw as u8));
@@ -110,8 +105,7 @@ mod proptests {
     // The parity oracle of the columnar store: for random observation
     // batches, a store built shard-by-shard (at several shard widths,
     // mirroring 1/2/7-thread scan splits) matches the row `Vec` on every
-    // axis — materialisation, selection, id assignment and the arena
-    // round trip.
+    // axis — materialisation, selection and id assignment.
     proptest! {
         #[test]
         fn columnar_store_matches_the_row_vec_oracle(
@@ -161,7 +155,7 @@ mod proptests {
             // Every (protocol, source) selection matches the filtered vec.
             for protocol in [None, Some(ServiceProtocol::Ssh), Some(ServiceProtocol::Bgp), Some(ServiceProtocol::Snmpv3), Some(ServiceProtocol::IcmpRateLimit)] {
                 for source in [None, Some(DataSource::Active), Some(DataSource::Censys)] {
-                    let view = serial.select(protocol.map(Into::into), source.map(Into::into));
+                    let view = serial.select(protocol, source);
                     let expected: Vec<ServiceObservation> = oracle
                         .iter()
                         .filter(|o| protocol.is_none_or(|p| o.protocol() == p))
@@ -170,33 +164,6 @@ mod proptests {
                         .collect();
                     prop_assert_eq!(view.to_observations(), expected);
                 }
-            }
-
-            // The arena-backed encoded layout round-trips exactly.
-            prop_assert_eq!(serial.encode().decode(), serial);
-        }
-
-        // The fixed-width RateLimit wire codec round-trips every
-        // representable (round, rate, sent, lost) combination exactly,
-        // and no other protocol's parser accepts its bytes.
-        #[test]
-        fn rate_limit_payload_wire_round_trip_is_exact(
-            round in any::<u8>(),
-            rate_pps in any::<u32>(),
-            sent in any::<u16>(),
-            lost_raw in any::<u16>(),
-        ) {
-            let lost = (lost_raw as u32 % (sent as u32 + 1)) as u16;
-            let payload = ServicePayload::RateLimit { round, rate_pps, sent, lost };
-            let mut bytes = Vec::new();
-            payload.to_wire_bytes(&mut bytes);
-            prop_assert_eq!(bytes.len(), 11);
-            prop_assert_eq!(
-                ServicePayload::from_wire_bytes(ServiceProtocol::IcmpRateLimit, &bytes),
-                Some(payload)
-            );
-            for other in [ServiceProtocol::Ssh, ServiceProtocol::Bgp, ServiceProtocol::Snmpv3] {
-                prop_assert_eq!(ServicePayload::from_wire_bytes(other, &bytes), None);
             }
         }
     }

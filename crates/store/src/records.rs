@@ -7,12 +7,11 @@
 //!
 //! The row type lives here, next to the columnar
 //! [`ObservationStore`](crate::ObservationStore) that stores campaigns
-//! field-by-field; `alias-scan` re-exports everything so existing consumers
-//! keep their import paths.
+//! field-by-field; `alias-scan` re-exports the types at its root.
 
 use alias_netsim::{ServiceProtocol, SimTime};
-use alias_wire::bgp::{BgpMessage, CeaseSubcode, NotificationMessage, OpenMessage};
-use alias_wire::snmp::{EngineId, Snmpv3Message, UsmSecurityParameters};
+use alias_wire::bgp::{BgpMessage, OpenMessage};
+use alias_wire::snmp::EngineId;
 use alias_wire::ssh::hostkey::KexReply;
 use alias_wire::ssh::{Banner, KexInit, SshObservation, SshPacket};
 use serde::{Deserialize, Serialize};
@@ -67,10 +66,7 @@ pub enum ServicePayload {
     /// One lossy round of an ICMP rate-limiting probe: a burst of
     /// `sent` echo requests at `rate_pps` of which `lost` went
     /// unanswered.  Unlike the other variants this is not captured
-    /// application-layer material but a loss *count* — there is no
-    /// standard wire capture for "the replies that did not arrive", so
-    /// the record uses a compact fixed-width encoding of its own (see
-    /// [`Self::to_wire_bytes`]).
+    /// application-layer material but a loss *count*.
     RateLimit {
         /// Escalation round index (0-based).
         round: u8,
@@ -93,129 +89,13 @@ impl ServicePayload {
             ServicePayload::RateLimit { .. } => ServiceProtocol::IcmpRateLimit,
         }
     }
-
-    /// Encode the payload to the wire bytes a scanner would have captured,
-    /// appended to `out`.  [`Self::from_wire_bytes`] parses them back with
-    /// the same parsers the scanners use, so the round trip is exact; this
-    /// is the byte form the
-    /// [`EncodedObservations`](crate::EncodedObservations) payload arena
-    /// stores.
-    pub fn to_wire_bytes(&self, out: &mut Vec<u8>) {
-        match self {
-            ServicePayload::Ssh(ssh) => {
-                ssh.banner.emit(out);
-                if let Some(kex) = &ssh.kex_init {
-                    kex.emit_packet(&kex.cookie, out);
-                }
-                if let Some(key) = &ssh.host_key {
-                    // parse_ssh only keeps the host key of the reply, so the
-                    // ephemeral key and signature can stay empty.
-                    KexReply::emit_packet_from(key, &[], &[], out);
-                }
-            }
-            ServicePayload::Bgp {
-                open,
-                notification_seen,
-            } => {
-                out.extend_from_slice(&open.to_bytes());
-                if *notification_seen {
-                    out.extend_from_slice(
-                        &NotificationMessage::cease(CeaseSubcode::ConnectionRejected).to_bytes(),
-                    );
-                }
-            }
-            ServicePayload::Snmpv3 {
-                engine_id,
-                engine_boots,
-                engine_time,
-            } => {
-                // Any Report carrying the three identifying fields decodes
-                // back to the same payload; message id and user name are not
-                // part of the record.
-                let report = Snmpv3Message::Report {
-                    msg_id: 0,
-                    usm: UsmSecurityParameters {
-                        engine_id: engine_id.clone(),
-                        engine_boots: *engine_boots,
-                        engine_time: *engine_time,
-                        user_name: Vec::new(),
-                    },
-                    unknown_engine_ids: 0,
-                };
-                out.extend_from_slice(&report.to_bytes());
-            }
-            ServicePayload::RateLimit {
-                round,
-                rate_pps,
-                sent,
-                lost,
-            } => {
-                // Fixed 11-byte layout: magic, version, round, then the
-                // counters big-endian.  0xF7 cannot begin an SSH banner,
-                // a BGP marker or a BER SEQUENCE, so the magic doubles as
-                // cross-protocol rejection.
-                out.push(RATE_LIMIT_MAGIC);
-                out.push(RATE_LIMIT_VERSION);
-                out.push(*round);
-                out.extend_from_slice(&rate_pps.to_be_bytes());
-                out.extend_from_slice(&sent.to_be_bytes());
-                out.extend_from_slice(&lost.to_be_bytes());
-            }
-        }
-    }
-
-    /// Parse wire bytes produced by [`Self::to_wire_bytes`] (or captured
-    /// from a live session) back into a payload.  Returns `None` when the
-    /// bytes do not parse as `protocol` — the exact behaviour of the
-    /// scanners on a garbled session.
-    pub fn from_wire_bytes(protocol: ServiceProtocol, bytes: &[u8]) -> Option<Self> {
-        match protocol {
-            ServiceProtocol::Ssh | ServiceProtocol::Bgp => parse_payload(protocol, bytes),
-            ServiceProtocol::Snmpv3 => match Snmpv3Message::parse(bytes) {
-                Ok(Snmpv3Message::Report { usm, .. }) => Some(ServicePayload::Snmpv3 {
-                    engine_id: usm.engine_id,
-                    engine_boots: usm.engine_boots,
-                    engine_time: usm.engine_time,
-                }),
-                _ => None,
-            },
-            ServiceProtocol::IcmpRateLimit => {
-                if bytes.len() != RATE_LIMIT_WIRE_LEN
-                    || bytes[0] != RATE_LIMIT_MAGIC
-                    || bytes[1] != RATE_LIMIT_VERSION
-                {
-                    return None;
-                }
-                let rate_pps = u32::from_be_bytes(bytes[3..7].try_into().ok()?);
-                let sent = u16::from_be_bytes(bytes[7..9].try_into().ok()?);
-                let lost = u16::from_be_bytes(bytes[9..11].try_into().ok()?);
-                if lost > sent {
-                    return None;
-                }
-                Some(ServicePayload::RateLimit {
-                    round: bytes[2],
-                    rate_pps,
-                    sent,
-                    lost,
-                })
-            }
-        }
-    }
 }
-
-/// First byte of the [`ServicePayload::RateLimit`] wire encoding.
-const RATE_LIMIT_MAGIC: u8 = 0xF7;
-/// Encoding version of the [`ServicePayload::RateLimit`] wire layout.
-const RATE_LIMIT_VERSION: u8 = 1;
-/// Total length of the fixed-width [`ServicePayload::RateLimit`] encoding.
-const RATE_LIMIT_WIRE_LEN: usize = 11;
 
 /// Parse a captured server→client byte stream into a payload.
 ///
 /// Returns `None` when the server sent nothing useful (e.g. the silent BGP
 /// majority) or the bytes do not parse as the expected protocol.  SNMPv3
-/// replies are not a TCP byte stream and are handled by the SNMP scanner
-/// (and by [`ServicePayload::from_wire_bytes`]).
+/// replies are not a TCP byte stream and are handled by the SNMP scanner.
 pub fn parse_payload(protocol: ServiceProtocol, bytes: &[u8]) -> Option<ServicePayload> {
     match protocol {
         ServiceProtocol::Ssh => parse_ssh(bytes).map(ServicePayload::Ssh),
@@ -300,34 +180,10 @@ impl ServiceObservation {
     }
 }
 
-/// A push-based consumer of observations.
-///
-/// The streaming counterpart to collecting observations into a `Vec` first:
-/// producers (`CampaignData::stream_into`, custom replayers) feed records
-/// one at a time, so a consumer that only needs a single pass — an
-/// identifier grouper, a counter, a filter, a
-/// [`ColumnarSink`](crate::ColumnarSink) — never forces the producer to
-/// materialise intermediate `Vec<&ServiceObservation>` slices on the hot
-/// path.
-pub trait ObservationSink {
-    /// Consume one observation.
-    fn accept(&mut self, observation: &ServiceObservation);
-
-    /// Consume every observation of an iterator, in order.
-    fn accept_all<'a, I>(&mut self, observations: I)
-    where
-        I: IntoIterator<Item = &'a ServiceObservation>,
-        Self: Sized,
-    {
-        for observation in observations {
-            self.accept(observation);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use alias_wire::snmp::Snmpv3Message;
     use alias_wire::ssh::{HostKey, HostKeyAlgorithm};
     use std::net::Ipv4Addr;
 
@@ -381,115 +237,90 @@ mod tests {
         assert!(parse_payload(ServiceProtocol::Snmpv3, &[]).is_none());
     }
 
-    #[test]
-    fn wire_bytes_round_trip_every_payload_kind() {
-        let payloads = [
-            ssh_observation(22).payload,
-            ServicePayload::Ssh(SshObservation {
-                banner: Banner::new("dropbear_2020.81", Some("comment")).unwrap(),
-                kex_init: None,
-                host_key: None,
-            }),
-            ServicePayload::Bgp {
-                open: OpenMessage {
-                    version: 4,
-                    my_as: 64_500,
-                    hold_time: 90,
-                    bgp_identifier: Ipv4Addr::new(10, 0, 0, 1),
-                    optional_parameters: vec![],
-                },
-                notification_seen: true,
-            },
-            ServicePayload::Bgp {
-                open: OpenMessage {
-                    version: 4,
-                    my_as: 23_456,
-                    hold_time: 180,
-                    bgp_identifier: Ipv4Addr::new(192, 0, 2, 99),
-                    optional_parameters: vec![],
-                },
-                notification_seen: false,
-            },
-            ServicePayload::Snmpv3 {
-                engine_id: EngineId::from_enterprise_mac(9, [1, 2, 3, 4, 5, 6]),
-                engine_boots: 17,
-                engine_time: 86_400,
-            },
-            ServicePayload::RateLimit {
-                round: 3,
-                rate_pps: 2_048,
-                sent: 24,
-                lost: 7,
-            },
-            ServicePayload::RateLimit {
-                round: 0,
-                rate_pps: 256,
-                sent: 24,
-                lost: 24,
-            },
-        ];
-        for payload in payloads {
-            let mut bytes = Vec::new();
-            payload.to_wire_bytes(&mut bytes);
-            assert!(!bytes.is_empty());
-            let decoded = ServicePayload::from_wire_bytes(payload.protocol(), &bytes)
-                .expect("wire bytes parse back");
-            assert_eq!(decoded, payload);
-        }
+    /// Feed `bytes` to every decoder that reads bytes this program did not
+    /// write.  Any outcome is fine; a panic fails the calling test.
+    fn decode_under_every_protocol(bytes: &[u8]) {
+        let _ = parse_payload(ServiceProtocol::Ssh, bytes);
+        let _ = parse_payload(ServiceProtocol::Bgp, bytes);
+        let _ = Snmpv3Message::parse(bytes);
     }
 
     #[test]
-    fn from_wire_bytes_rejects_cross_protocol_bytes() {
-        let mut ssh_bytes = Vec::new();
-        ssh_observation(22).payload.to_wire_bytes(&mut ssh_bytes);
-        assert!(ServicePayload::from_wire_bytes(ServiceProtocol::Bgp, &ssh_bytes).is_none());
-        assert!(ServicePayload::from_wire_bytes(ServiceProtocol::Snmpv3, &ssh_bytes).is_none());
-        assert!(
-            ServicePayload::from_wire_bytes(ServiceProtocol::IcmpRateLimit, &ssh_bytes).is_none()
-        );
+    fn decoders_never_panic_on_truncated_or_mutated_sessions() {
+        use alias_netsim::{InternetBuilder, InternetConfig, ProbeContext, VantageKind};
 
-        let mut rate_bytes = Vec::new();
-        ServicePayload::RateLimit {
-            round: 1,
-            rate_pps: 512,
-            sent: 24,
-            lost: 2,
+        // Real captures: a few sessions per protocol off a tiny Internet.
+        let internet = InternetBuilder::new(InternetConfig::tiny(31)).build();
+        let ctx = ProbeContext {
+            vantage: VantageKind::Distributed,
+            time: SimTime::from_secs(5),
+        };
+        let mut sessions: Vec<Vec<u8>> = Vec::new();
+        for protocol in [ServiceProtocol::Ssh, ServiceProtocol::Bgp] {
+            let captured: Vec<Vec<u8>> = internet
+                .devices()
+                .iter()
+                .filter_map(|device| {
+                    let addrs = match protocol {
+                        ServiceProtocol::Ssh => device.ssh_responding_addrs(),
+                        _ => device.bgp_responding_addrs(),
+                    };
+                    let (id, iface) = internet.lookup(*addrs.first()?)?;
+                    let port = protocol.default_port();
+                    let mut session = Vec::new();
+                    (internet.service_session_into(id, iface, port, &ctx, &mut session)
+                        && parse_payload(protocol, &session).is_some())
+                    .then_some(session)
+                })
+                .take(3)
+                .collect();
+            assert_eq!(captured.len(), 3, "{protocol:?} sessions");
+            sessions.extend(captured);
         }
-        .to_wire_bytes(&mut rate_bytes);
-        assert_eq!(rate_bytes.len(), 11);
-        assert!(ServicePayload::from_wire_bytes(ServiceProtocol::Ssh, &rate_bytes).is_none());
-        assert!(ServicePayload::from_wire_bytes(ServiceProtocol::Bgp, &rate_bytes).is_none());
-        assert!(ServicePayload::from_wire_bytes(ServiceProtocol::Snmpv3, &rate_bytes).is_none());
-    }
-
-    #[test]
-    fn rate_limit_wire_bytes_reject_malformed_input() {
-        let mut bytes = Vec::new();
-        ServicePayload::RateLimit {
-            round: 2,
-            rate_pps: 1_024,
-            sent: 24,
-            lost: 9,
+        let request = Snmpv3Message::DiscoveryRequest { msg_id: 0x0101 }.to_bytes();
+        let reports: Vec<Vec<u8>> = internet
+            .devices()
+            .iter()
+            .filter_map(|device| {
+                let addr = *device.snmp_responding_addrs().first()?;
+                let (id, iface) = internet.lookup(addr)?;
+                internet.snmp_probe_at(id, iface, &request, &ctx)
+            })
+            .take(3)
+            .collect();
+        assert_eq!(reports.len(), 3, "SNMPv3 reports");
+        for report in &reports {
+            assert!(matches!(
+                Snmpv3Message::parse(report),
+                Ok(Snmpv3Message::Report { .. })
+            ));
         }
-        .to_wire_bytes(&mut bytes);
+        sessions.extend(reports);
 
-        // Truncated, extended, bad magic, bad version: all rejected.
-        let decode = |b: &[u8]| ServicePayload::from_wire_bytes(ServiceProtocol::IcmpRateLimit, b);
-        assert!(decode(&bytes[..10]).is_none());
-        let mut long = bytes.clone();
-        long.push(0);
-        assert!(decode(&long).is_none());
-        let mut bad_magic = bytes.clone();
-        bad_magic[0] = 0x42;
-        assert!(decode(&bad_magic).is_none());
-        let mut bad_version = bytes.clone();
-        bad_version[1] = 9;
-        assert!(decode(&bad_version).is_none());
-
-        // lost > sent is impossible for a real burst and is rejected.
-        let mut impossible = bytes.clone();
-        impossible[7..9].copy_from_slice(&5u16.to_be_bytes());
-        impossible[9..11].copy_from_slice(&6u16.to_be_bytes());
-        assert!(decode(&impossible).is_none());
+        // xorshift64: seeded, so a failure replays.
+        let mut state = 0x9e37_79b9_7f4a_7c15_u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        for original in &sessions {
+            for cut in 0..=original.len() {
+                decode_under_every_protocol(&original[..cut]);
+            }
+            for _ in 0..600 {
+                let mut mutated = original.clone();
+                for _ in 0..1 + next() % 4 {
+                    let at = (next() % mutated.len() as u64) as usize;
+                    mutated[at] = next() as u8;
+                }
+                // Every fourth input is also cut short after the damage.
+                if next() % 4 == 0 {
+                    mutated.truncate((next() % mutated.len() as u64) as usize);
+                }
+                decode_under_every_protocol(&mutated);
+            }
+        }
     }
 }

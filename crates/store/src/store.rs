@@ -1,7 +1,7 @@
 //! The columnar observation store.
 //!
 //! [`ObservationStore`] keeps a campaign's observations as column vectors —
-//! one `Vec` per scalar field ([`AddrId`], [`ProtocolTag`], [`SourceTag`],
+//! one `Vec` per scalar field ([`AddrId`], `ServiceProtocol`, [`DataSource`],
 //! port, timestamp, ASN) plus a payload column — instead of one
 //! row-oriented `Vec<ServiceObservation>`.  The row type interleaves
 //! multi-hundred-byte payloads with the handful of scalar bytes every
@@ -15,14 +15,13 @@
 //! *distinct* address per shard instead of the one-per-observation post-hoc
 //! interning pass a row campaign needs.
 //!
-//! Reading is zero-copy: [`ObservationStore::select`] scans the two tag
-//! columns and yields an [`ObservationView`] whose accessors return column
-//! values and `&ServicePayload` references without materialising rows;
-//! [`ObservationRef`] materialises a full [`ServiceObservation`] only at
-//! compatibility boundaries.
+//! Reading is zero-copy: [`ObservationStore::select`] scans the two
+//! one-byte filter columns and yields an [`ObservationView`] whose accessors
+//! return column values and `&ServicePayload` references without
+//! materialising rows; rows come back only through `to_observations`, the
+//! test oracle.
 
-use crate::records::{DataSource, ObservationSink, ServiceObservation, ServicePayload};
-use crate::tags::{ProtocolTag, SourceTag};
+use crate::records::{DataSource, ServiceObservation, ServicePayload};
 use alias_intern::{AddrId, AddrInterner};
 use alias_netsim::{ServiceProtocol, SimTime};
 use alias_obs::{DeterminismClass, LazyCounter};
@@ -54,8 +53,8 @@ static ADDR_REMAPS: LazyCounter = LazyCounter::new(
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ObservationStore {
     addrs: Vec<AddrId>,
-    protocols: Vec<ProtocolTag>,
-    sources: Vec<SourceTag>,
+    protocols: Vec<ServiceProtocol>,
+    sources: Vec<DataSource>,
     ports: Vec<u16>,
     timestamps: Vec<SimTime>,
     asns: Vec<Option<u32>>,
@@ -69,65 +68,25 @@ impl ObservationStore {
         Self::default()
     }
 
-    /// An empty store with room for `rows` observations.
-    pub fn with_capacity(rows: usize) -> Self {
-        ObservationStore {
-            addrs: Vec::with_capacity(rows),
-            protocols: Vec::with_capacity(rows),
-            sources: Vec::with_capacity(rows),
-            ports: Vec::with_capacity(rows),
-            timestamps: Vec::with_capacity(rows),
-            asns: Vec::with_capacity(rows),
-            payloads: Vec::with_capacity(rows),
-            interner: Arc::new(AddrInterner::new()),
-        }
-    }
-
-    /// Build a store from row observations, in order (the compatibility
-    /// constructor for pre-collected data; scans use [`ShardColumns`]).
+    /// Build a store from row observations, in order: the door for
+    /// pre-collected rows (a Censys export); scans use [`ShardColumns`].
+    /// Fields are moved in, nothing is cloned.
     pub fn from_observations<I>(observations: I) -> Self
     where
         I: IntoIterator<Item = ServiceObservation>,
     {
         let mut store = ObservationStore::new();
+        let interner = Arc::make_mut(&mut store.interner);
         for observation in observations {
-            store.push_owned(observation);
+            store.addrs.push(interner.intern(observation.addr));
+            store.protocols.push(observation.payload.protocol());
+            store.sources.push(observation.source);
+            store.ports.push(observation.port);
+            store.timestamps.push(observation.timestamp);
+            store.asns.push(observation.asn);
+            store.payloads.push(observation.payload);
         }
         store
-    }
-
-    /// Append one observation, interning its address (fields are moved in,
-    /// nothing is cloned).
-    pub fn push_owned(&mut self, observation: ServiceObservation) {
-        let ServiceObservation {
-            addr,
-            port,
-            source,
-            timestamp,
-            asn,
-            payload,
-        } = observation;
-        self.push_parts(addr, port, source, timestamp, asn, payload);
-    }
-
-    /// Append one observation from its fields, interning the address.
-    pub fn push_parts(
-        &mut self,
-        addr: IpAddr,
-        port: u16,
-        source: DataSource,
-        timestamp: SimTime,
-        asn: Option<u32>,
-        payload: ServicePayload,
-    ) {
-        let id = Arc::make_mut(&mut self.interner).intern(addr);
-        self.addrs.push(id);
-        self.protocols.push(payload.protocol().into());
-        self.sources.push(source.into());
-        self.ports.push(port);
-        self.timestamps.push(timestamp);
-        self.asns.push(asn);
-        self.payloads.push(payload);
     }
 
     /// Splice a scan shard onto the store: the shard's dense local ids are
@@ -213,15 +172,15 @@ impl ObservationStore {
         &self.addrs
     }
 
-    /// The protocol-tag column.
+    /// The protocol column (one byte per row).
     #[inline]
-    pub fn protocols(&self) -> &[ProtocolTag] {
+    pub fn protocols(&self) -> &[ServiceProtocol] {
         &self.protocols
     }
 
-    /// The source-tag column.
+    /// The data-source column (one byte per row).
     #[inline]
-    pub fn sources(&self) -> &[SourceTag] {
+    pub fn sources(&self) -> &[DataSource] {
         &self.sources
     }
 
@@ -263,28 +222,27 @@ impl ObservationStore {
             addr_id: self.addrs[row],
             addr: self.interner.addr(self.addrs[row]),
             port: self.ports[row],
-            source: self.sources[row].into(),
+            source: self.sources[row],
             timestamp: self.timestamps[row],
             asn: self.asns[row],
             payload: &self.payloads[row],
         }
     }
 
-    /// The row count as the `u32` views index with; loud (like
-    /// [`crate::PayloadArena::push`] on its offsets) rather than silently
-    /// truncating should a store ever exceed `u32::MAX` rows.
+    /// The row count as the `u32` views index with; loud rather than
+    /// silently truncating should a store ever exceed `u32::MAX` rows.
     fn row_range(&self) -> std::ops::Range<u32> {
         let len = u32::try_from(self.len()).expect("observation store exceeds u32 rows");
         0..len
     }
 
     /// Select the rows matching a protocol and/or source filter (`None` =
-    /// no constraint).  The pass reads only the two one-byte tag columns;
-    /// the returned view borrows the store, copying nothing.
+    /// no constraint).  The pass reads only the two one-byte filter
+    /// columns; the returned view borrows the store, copying nothing.
     pub fn select(
         &self,
-        protocol: Option<ProtocolTag>,
-        source: Option<SourceTag>,
+        protocol: Option<ServiceProtocol>,
+        source: Option<DataSource>,
     ) -> ObservationView<'_> {
         let rows = self
             .row_range()
@@ -297,25 +255,16 @@ impl ObservationStore {
         ObservationView { store: self, rows }
     }
 
-    /// [`Self::select`] by `ServiceProtocol` / [`DataSource`] values.
+    /// [`Self::select`] on one protocol.
     pub fn select_protocol(
         &self,
         protocol: ServiceProtocol,
         source: Option<DataSource>,
     ) -> ObservationView<'_> {
-        self.select(Some(protocol.into()), source.map(SourceTag::from))
+        self.select(Some(protocol), source)
     }
 
-    /// A view of every row, in campaign order.
-    pub fn view_all(&self) -> ObservationView<'_> {
-        ObservationView {
-            store: self,
-            rows: self.row_range().collect(),
-        }
-    }
-
-    /// Materialise every row (the compatibility boundary; payloads are
-    /// cloned).
+    /// Materialise every row (the test oracle; payloads are cloned).
     pub fn to_observations(&self) -> Vec<ServiceObservation> {
         (0..self.len())
             .map(|row| self.get(row).to_observation())
@@ -323,7 +272,7 @@ impl ObservationStore {
     }
 
     /// Check the store's structural invariants: every column the same
-    /// length, the protocol tag column agreeing with the payload column
+    /// length, the protocol column agreeing with the payload column
     /// row-by-row, every address id inside the interner's dense range, and
     /// the interner's own id ⇄ address bijection intact.
     ///
@@ -351,7 +300,7 @@ impl ObservationStore {
             }
         }
         for (row, (&tag, payload)) in self.protocols.iter().zip(&self.payloads).enumerate() {
-            if tag != ProtocolTag::from(payload.protocol()) {
+            if tag != payload.protocol() {
                 return Err(format!(
                     "tag/payload drift at row {row}: tag {tag:?} vs payload {:?}",
                     payload.protocol()
@@ -372,11 +321,10 @@ impl ObservationStore {
 
     /// Number of distinct addresses observed with `protocol`.
     pub fn address_count(&self, protocol: ServiceProtocol) -> usize {
-        let tag = ProtocolTag::from(protocol);
         let mut seen = vec![false; self.interner.len()];
         let mut count = 0usize;
         for (row, &p) in self.protocols.iter().enumerate() {
-            if p == tag && !std::mem::replace(&mut seen[self.addrs[row].index()], true) {
+            if p == protocol && !std::mem::replace(&mut seen[self.addrs[row].index()], true) {
                 count += 1;
             }
         }
@@ -393,8 +341,8 @@ impl ObservationStore {
 pub struct ShardColumns {
     interner: AddrInterner,
     addrs: Vec<AddrId>,
-    protocols: Vec<ProtocolTag>,
-    sources: Vec<SourceTag>,
+    protocols: Vec<ServiceProtocol>,
+    sources: Vec<DataSource>,
     ports: Vec<u16>,
     timestamps: Vec<SimTime>,
     asns: Vec<Option<u32>>,
@@ -436,8 +384,8 @@ impl ShardColumns {
     ) {
         let id = self.interner.intern(addr);
         self.addrs.push(id);
-        self.protocols.push(payload.protocol().into());
-        self.sources.push(source.into());
+        self.protocols.push(payload.protocol());
+        self.sources.push(source);
         self.ports.push(port);
         self.timestamps.push(timestamp);
         self.asns.push(asn);
@@ -459,63 +407,6 @@ impl ShardColumns {
     /// Timestamp of the shard's last row, if any.
     pub fn last_timestamp(&self) -> Option<SimTime> {
         self.timestamps.last().copied()
-    }
-
-    /// Materialise the shard's rows (used by the row-returning scanner
-    /// compatibility APIs).
-    pub fn into_observations(self) -> Vec<ServiceObservation> {
-        let interner = self.interner;
-        self.addrs
-            .into_iter()
-            .zip(self.ports)
-            .zip(self.sources)
-            .zip(self.timestamps)
-            .zip(self.asns)
-            .zip(self.payloads)
-            .map(
-                |(((((id, port), source), timestamp), asn), payload)| ServiceObservation {
-                    addr: interner.addr(id),
-                    port,
-                    source: source.into(),
-                    timestamp,
-                    asn,
-                    payload,
-                },
-            )
-            .collect()
-    }
-}
-
-/// An [`ObservationSink`] that builds an [`ObservationStore`]: the
-/// streaming bridge between row producers (campaign replays, Censys
-/// snapshots) and columnar storage.
-#[derive(Debug, Clone, Default)]
-pub struct ColumnarSink {
-    store: ObservationStore,
-}
-
-impl ColumnarSink {
-    /// An empty sink.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// An empty sink with room for `rows` observations.
-    pub fn with_capacity(rows: usize) -> Self {
-        ColumnarSink {
-            store: ObservationStore::with_capacity(rows),
-        }
-    }
-
-    /// Finish and return the store.
-    pub fn finish(self) -> ObservationStore {
-        self.store
-    }
-}
-
-impl ObservationSink for ColumnarSink {
-    fn accept(&mut self, observation: &ServiceObservation) {
-        self.store.push_owned(observation.clone());
     }
 }
 
@@ -577,9 +468,9 @@ impl<'a> ObservationView<'a> {
         self.store.asns[self.rows[i] as usize]
     }
 
-    /// The data-source tag of the `i`-th selected row.
+    /// The data source of the `i`-th selected row.
     #[inline]
-    pub fn source_at(&self, i: usize) -> SourceTag {
+    pub fn source_at(&self, i: usize) -> DataSource {
         self.store.sources[self.rows[i] as usize]
     }
 
@@ -594,15 +485,14 @@ impl<'a> ObservationView<'a> {
         self.rows.iter().map(|&row| self.store.get(row as usize))
     }
 
-    /// Materialise the selected rows (compatibility boundary).
+    /// Materialise the selected rows (the test oracle).
     pub fn to_observations(&self) -> Vec<ServiceObservation> {
         self.iter().map(|r| r.to_observation()).collect()
     }
 }
 
 /// A borrowed observation row: every scalar by value, the payload by
-/// reference.  [`Self::to_observation`] clones it into an owned
-/// [`ServiceObservation`] at compatibility boundaries.
+/// reference.
 #[derive(Debug, Clone, Copy)]
 pub struct ObservationRef<'a> {
     /// Dense id of the observed address in the store's interner.
@@ -641,7 +531,7 @@ impl ObservationRef<'_> {
     }
 
     /// Clone the row into an owned observation.
-    pub fn to_observation(&self) -> ServiceObservation {
+    fn to_observation(self) -> ServiceObservation {
         ServiceObservation {
             addr: self.addr,
             port: self.port,
@@ -659,7 +549,7 @@ mod tests {
     use alias_wire::snmp::EngineId;
     use alias_wire::ssh::{Banner, HostKey, HostKeyAlgorithm, KexInit, SshObservation};
 
-    pub(crate) fn ssh_obs(addr: &str, key_byte: u8, source: DataSource) -> ServiceObservation {
+    fn ssh_obs(addr: &str, key_byte: u8, source: DataSource) -> ServiceObservation {
         ServiceObservation {
             addr: addr.parse().unwrap(),
             port: 22,
@@ -674,7 +564,7 @@ mod tests {
         }
     }
 
-    pub(crate) fn snmp_obs(addr: &str, engine_byte: u8) -> ServiceObservation {
+    fn snmp_obs(addr: &str, engine_byte: u8) -> ServiceObservation {
         ServiceObservation {
             addr: addr.parse().unwrap(),
             port: 161,
@@ -711,8 +601,11 @@ mod tests {
         assert_eq!(store.addr_id("10.0.0.1".parse().unwrap()), Some(AddrId(0)));
         assert_eq!(store.addr_ids()[2], AddrId(0), "repeat address reuses id");
         assert_eq!(store.addr_at(3), "2001:db8::1".parse::<IpAddr>().unwrap());
-        assert_eq!(store.protocols()[2], ProtocolTag::Snmpv3);
-        assert_eq!(store.sources()[1], SourceTag::Censys);
+        assert_eq!(store.protocols()[2], ServiceProtocol::Snmpv3);
+        assert_eq!(store.sources()[1], DataSource::Censys);
+        // The filter columns stay one byte per row.
+        assert_eq!(std::mem::size_of::<ServiceProtocol>(), 1);
+        assert_eq!(std::mem::size_of::<DataSource>(), 1);
         assert_eq!(store.ports()[2], 161);
         assert_eq!(store.asns()[0], Some(101));
         assert_eq!(store.timestamps()[4], SimTime::from_secs(900));
@@ -726,7 +619,7 @@ mod tests {
     fn select_filters_by_protocol_and_source() {
         let rows = sample_rows();
         let store = ObservationStore::from_observations(rows.clone());
-        let ssh = store.select(Some(ProtocolTag::Ssh), None);
+        let ssh = store.select(Some(ServiceProtocol::Ssh), None);
         assert_eq!(ssh.len(), 3);
         assert_eq!(ssh.rows(), &[0, 1, 3]);
         assert!(ssh.iter().all(|r| r.protocol() == ServiceProtocol::Ssh));
@@ -738,8 +631,8 @@ mod tests {
         );
         let everything = store.select(None, None);
         assert_eq!(everything.len(), rows.len());
-        assert_eq!(everything.rows(), store.view_all().rows());
-        let none = store.select(Some(ProtocolTag::Bgp), None);
+        assert_eq!(everything.rows(), &[0, 1, 2, 3, 4]);
+        let none = store.select(Some(ServiceProtocol::Bgp), None);
         assert!(none.is_empty());
         // Positional accessors resolve through the columns.
         assert_eq!(ssh.addr_id_at(2), store.addr_ids()[3]);
@@ -748,17 +641,6 @@ mod tests {
         assert_eq!(ssh.payload_at(0), &rows[0].payload);
         assert_eq!(ssh.get(1).to_observation(), rows[1]);
         assert_eq!(ssh.store().len(), store.len());
-    }
-
-    #[test]
-    fn columnar_sink_matches_from_observations() {
-        let rows = sample_rows();
-        let mut sink = ColumnarSink::with_capacity(rows.len());
-        sink.accept_all(rows.iter());
-        assert_eq!(
-            sink.finish(),
-            ObservationStore::from_observations(rows.clone())
-        );
     }
 
     #[test]
@@ -789,23 +671,6 @@ mod tests {
             }
             assert_eq!(store, serial, "chunk={chunk}");
         }
-    }
-
-    #[test]
-    fn shard_columns_materialise_their_rows() {
-        let rows = sample_rows();
-        let mut shard = ShardColumns::new();
-        for o in &rows {
-            shard.push(
-                o.addr,
-                o.port,
-                o.source,
-                o.timestamp,
-                o.asn,
-                o.payload.clone(),
-            );
-        }
-        assert_eq!(shard.into_observations(), rows);
     }
 
     #[test]
@@ -861,7 +726,7 @@ mod tests {
         assert!(err.contains("column drift"), "{err}");
 
         let mut store = ObservationStore::from_observations(sample_rows());
-        store.protocols[2] = ProtocolTag::Bgp;
+        store.protocols[2] = ServiceProtocol::Bgp;
         let err = store.validate().unwrap_err();
         assert!(err.contains("tag/payload drift at row 2"), "{err}");
 

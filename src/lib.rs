@@ -13,7 +13,7 @@
 //! * [`netsim`] — the synthetic Internet used as the measurement substrate,
 //! * [`exec`] — the deterministic sharded execution engine (worker pool),
 //! * [`store`] — columnar observation storage: interned column vectors,
-//!   payload arena, sharded append builders and zero-copy views,
+//!   sharded append builders and zero-copy views,
 //! * [`scan`] — ZMap/ZGrab2-style scanners, IPv6 hitlists, IPID probing,
 //! * [`censys`] — Censys-like distributed snapshots,
 //! * [`midar`] — Ally / MIDAR / Speedtrap / iffinder baselines,
@@ -81,16 +81,13 @@ pub mod prelude {
     };
     pub use alias_resolve::{
         AllyTechnique, CoverageStats, DataRequirement, IdentifierTechnique, IffinderTechnique,
-        MergePolicy, MidarTechnique, RateLimitTechnique, ResolutionReport, ResolutionTechnique,
-        Resolver, ResolverBuilder, SpeedtrapTechnique, StageTimings, TechniqueCtx, TechniqueResult,
+        MidarTechnique, RateLimitTechnique, ResolutionReport, ResolutionTechnique, Resolver,
+        ResolverBuilder, SpeedtrapTechnique, StageTimings, TechniqueCtx, TechniqueResult,
         TechniqueTiming,
     };
     pub use alias_scan::{
-        ActiveCampaign, CampaignConfig, CampaignData, DataSource, Ipv6Hitlist, ObservationSink,
-        RateProbeConfig, ServiceObservation, ServicePayload, ZgrabScanner, ZmapScanner,
+        ActiveCampaign, CampaignConfig, CampaignData, DataSource, Ipv6Hitlist, RateProbeConfig,
+        ServiceObservation, ServicePayload, ZgrabScanner, ZmapScanner,
     };
-    pub use alias_store::{
-        ColumnarSink, EncodedObservations, ObservationRef, ObservationStore, ObservationView,
-        PayloadArena, ProtocolTag, ShardColumns, SourceTag,
-    };
+    pub use alias_store::{ObservationRef, ObservationStore, ObservationView, ShardColumns};
 }

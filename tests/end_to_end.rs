@@ -189,6 +189,7 @@ fn censys_snapshot_extends_single_vp_coverage() {
     let internet = InternetBuilder::new(InternetConfig::tiny(107)).build();
     let active = ActiveCampaign::with_defaults(&internet)
         .run(&internet)
+        .store()
         .to_observations();
     let snapshot = CensysSnapshot::collect(&internet, CensysConfig::default());
     let censys = snapshot.default_port_observations();
