@@ -94,6 +94,52 @@ fn metric_registration_stays_out_of_the_rendered_document() {
     }
 }
 
+#[test]
+fn the_pipeline_opens_the_spans_the_benchmark_adopts() {
+    // These spans are the only record of stage time, and
+    // `benchmark/src/trace.rs::layer_of_registry_path` matches them by
+    // string: a rename must fail here, not as a missed coverage floor in
+    // the benchmark.
+    let _guard = REGISTRY_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    alias_obs::registry().reset();
+    let experiment = Experiment::run_with_threads(ScalePreset::Tiny, SEED, 2);
+    let study = RateLimitStudy::run(ScalePreset::Tiny, SEED, 2);
+    let snapshot = alias_obs::registry().snapshot();
+    let spans = snapshot.spans.iter().filter(|s| s.count >= 1);
+    let opened: Vec<&str> = spans.map(|s| s.path.as_str()).collect();
+    for path in [
+        "bench/build_internet",
+        "bench/censys",
+        "resolve/campaign",
+        "resolve/merge",
+    ] {
+        assert!(opened.contains(&path), "{path}");
+    }
+    // The scan phases nest under `resolve/campaign` here and sit higher
+    // when a caller runs the campaign without the resolver; the benchmark
+    // keys on the last three segments.
+    for phase in ["syn_v4", "grab_v4", "snmp_v4", "ipv6", "rate_probe"] {
+        let suffix = format!("campaign/campaign/{phase}");
+        assert!(opened.iter().any(|p| p.ends_with(&suffix)), "{suffix}");
+    }
+    // One span per registered technique, named as the report's per-run
+    // timings name them, in registration order.
+    for report in [&experiment.resolution, &study.report] {
+        let registered = report.techniques.iter().map(|t| t.technique.as_str());
+        let timed = report.technique_timings.iter().map(|t| &t.technique);
+        assert!(timed.clone().eq(registered));
+        for name in timed {
+            let path = format!("resolve/technique/{name}");
+            assert!(opened.contains(&path.as_str()), "{path}");
+        }
+    }
+    let technique_spans = opened.iter().filter(|p| {
+        p.strip_prefix("resolve/technique/")
+            .is_some_and(|name| !name.contains('/'))
+    });
+    assert_eq!(technique_spans.count(), study.report.techniques.len());
+}
+
 /// Render `experiment` on a fresh registry; returns the document and what
 /// the registry recorded meanwhile.
 fn render_once(experiment: &Experiment) -> (String, alias_obs::MetricsSnapshot) {

@@ -74,8 +74,7 @@ static SHARD_DURATION_US: LazyHistogram = LazyHistogram::new(
 );
 
 /// Worst slowest/fastest shard ratio observed in any one `shard_map`
-/// call, ×1000 (4000 = the slowest shard took 4× the fastest; the CI
-/// perf-smoke job warns above that).
+/// call, ×1000 (4000 = the slowest shard took 4× the fastest).
 static SHARD_IMBALANCE: LazyGauge = LazyGauge::new(
     "exec.shard_imbalance_x1000",
     DeterminismClass::Timing,

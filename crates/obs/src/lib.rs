@@ -46,7 +46,7 @@
 //! *self* time is its total minus the time attributed to its children.
 //! [`SpanGuard::finish`] hands the measured [`Duration`](std::time::Duration) back to the
 //! caller — which is how `alias-resolve` derives its public
-//! `StageTimings` without touching `Instant` itself.  [`event`] appends
+//! `technique_timings` without touching `Instant` itself.  [`event`] appends
 //! a label to a global sequence-ordered log: it records *order*, not
 //! time, so events emitted from serial orchestration points (campaign
 //! phase boundaries) are part of the deterministic subset.

@@ -97,7 +97,7 @@ impl SpanGuard {
     }
 
     /// Finish the span now and return its measured duration (what the
-    /// resolver's `StageTimings` are derived from).
+    /// resolver's `technique_timings` are derived from).
     pub fn finish(mut self) -> Duration {
         self.complete()
     }

@@ -60,8 +60,7 @@ pub use baselines::{
 pub use identifier::IdentifierTechnique;
 pub use ratelimit::RateLimitTechnique;
 pub use report::{
-    CoverageStats, ResolutionReport, StageTimings, TechniqueAgreement, TechniqueCoverage,
-    TechniqueTiming,
+    CoverageStats, ResolutionReport, TechniqueAgreement, TechniqueCoverage, TechniqueTiming,
 };
 pub use resolver::{Resolver, ResolverBuilder};
 pub use technique::{

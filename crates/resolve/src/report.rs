@@ -7,31 +7,6 @@ use alias_scan::CampaignData;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 
-/// Wall-clock milliseconds per pipeline stage of one resolution run.
-///
-/// The unit the bench trajectory (`BENCH_*.json`) is built from.  The
-/// resolver fills `campaign_ms` (when it ran the scan itself) and
-/// `merge_ms`; the experiment harness owns the substrate stages
-/// (`build_internet_ms`, `censys_ms`).
-#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
-pub struct StageTimings {
-    /// Generating the synthetic Internet.
-    pub build_internet_ms: u64,
-    /// Collecting the Censys-like snapshot.
-    pub censys_ms: u64,
-    /// The active measurement campaign (all scan phases).
-    pub campaign_ms: u64,
-    /// Consolidating per-technique alias sets into merged union sets.
-    pub merge_ms: u64,
-}
-
-impl StageTimings {
-    /// Total measured wall-clock across the stages.
-    pub fn total_ms(&self) -> u64 {
-        self.build_internet_ms + self.censys_ms + self.campaign_ms + self.merge_ms
-    }
-}
-
 /// Wall-clock cost of one technique's `resolve()` call.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct TechniqueTiming {
@@ -96,10 +71,11 @@ pub struct ResolutionReport {
     pub merged: Vec<MergedSet>,
     /// Coverage and agreement statistics.
     pub coverage: CoverageStats,
-    /// Wall-clock per technique, in registration order.
+    /// Wall-clock of each technique's `resolve()` call, in registration
+    /// order — the duration of its `resolve/technique/<name>` span.  The
+    /// campaign and merge stages are timed by the `resolve/campaign` and
+    /// `resolve/merge` spans in the `alias-obs` registry only.
     pub technique_timings: Vec<TechniqueTiming>,
-    /// Wall-clock per pipeline stage.
-    pub timings: StageTimings,
 }
 
 /// Distinct addresses covered by a slice of merged sets — shared by the
@@ -128,17 +104,6 @@ impl ResolutionReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn stage_timings_total() {
-        let timings = StageTimings {
-            build_internet_ms: 1,
-            censys_ms: 2,
-            campaign_ms: 3,
-            merge_ms: 4,
-        };
-        assert_eq!(timings.total_ms(), 10);
-    }
 
     #[test]
     fn timing_types_round_trip_through_json() {

@@ -2,8 +2,7 @@
 //! per-technique resolution and cross-technique merging.
 
 use crate::report::{
-    CoverageStats, ResolutionReport, StageTimings, TechniqueAgreement, TechniqueCoverage,
-    TechniqueTiming,
+    CoverageStats, ResolutionReport, TechniqueAgreement, TechniqueCoverage, TechniqueTiming,
 };
 use crate::technique::{ResolutionTechnique, TechniqueCtx, TechniqueResult};
 use alias_core::extract::{ExtractionConfig, IdentifierExtractor};
@@ -186,9 +185,8 @@ impl Resolver {
         campaign_config.threads = self.threads;
         let stage = alias_obs::span("resolve/campaign");
         let data = ActiveCampaign::new(campaign_config).run(internet);
-        let campaign_ms = stage.finish().as_millis() as u64;
+        drop(stage);
         let mut report = self.resolve_data(internet, &data);
-        report.timings.campaign_ms = campaign_ms;
         report.campaign = Some(data);
         report
     }
@@ -231,7 +229,7 @@ impl Resolver {
         let unified = UnifiedSpace::build(data, &techniques);
         let merged = self.merge(&unified, &techniques);
         let coverage = self.coverage(&unified, &techniques, &merged);
-        let merge_ms = stage.finish().as_millis() as u64;
+        drop(stage);
 
         ResolutionReport {
             campaign: None,
@@ -239,10 +237,6 @@ impl Resolver {
             merged,
             coverage,
             technique_timings,
-            timings: StageTimings {
-                merge_ms,
-                ..StageTimings::default()
-            },
         }
     }
 

@@ -82,8 +82,7 @@ pub mod prelude {
     pub use alias_resolve::{
         AllyTechnique, CoverageStats, DataRequirement, IdentifierTechnique, IffinderTechnique,
         MidarTechnique, RateLimitTechnique, ResolutionReport, ResolutionTechnique, Resolver,
-        ResolverBuilder, SpeedtrapTechnique, StageTimings, TechniqueCtx, TechniqueResult,
-        TechniqueTiming,
+        ResolverBuilder, SpeedtrapTechnique, TechniqueCtx, TechniqueResult, TechniqueTiming,
     };
     pub use alias_scan::{
         ActiveCampaign, CampaignConfig, CampaignData, DataSource, Ipv6Hitlist, RateProbeConfig,
