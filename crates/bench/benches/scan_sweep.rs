@@ -1,7 +1,10 @@
-//! Scanning throughput: the ZMap-like SYN sweep and the ZGrab-like service
+//! Scanning throughput: the three routed-space sweeps (ZMap-like SYN,
+//! SNMPv3 discovery, rate-probe ping discovery) and the ZGrab-like service
 //! grab over a small synthetic Internet, plus Internet generation itself.
 
 use alias_netsim::{InternetBuilder, InternetConfig, ServiceProtocol, SimTime, VantageKind};
+use alias_scan::rate_probe::{RateProbeConfig, RateProber};
+use alias_scan::snmp::{SnmpScanConfig, SnmpScanner};
 use alias_scan::zgrab::{ZgrabConfig, ZgrabScanner};
 use alias_scan::zmap::{ZmapConfig, ZmapScanner};
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -27,6 +30,18 @@ fn bench_scanning(c: &mut Criterion) {
                 SimTime::ZERO,
                 1,
             )
+        })
+    });
+
+    let snmp = SnmpScanner::new(SnmpScanConfig::default());
+    c.bench_function("snmp_routed_sweep_small", |b| {
+        b.iter(|| snmp.scan_routed_space(&internet, VantageKind::Distributed, SimTime::ZERO, 1))
+    });
+
+    let prober = RateProber::new(RateProbeConfig::default());
+    c.bench_function("rate_probe_discovery_small", |b| {
+        b.iter(|| {
+            prober.discover_targets(&internet, &[], VantageKind::Distributed, SimTime::ZERO, 1)
         })
     });
 

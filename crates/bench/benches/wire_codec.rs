@@ -65,6 +65,21 @@ fn bench_snmp(c: &mut Criterion) {
     c.bench_function("snmpv3_report_parse", |b| {
         b.iter(|| Snmpv3Message::parse(black_box(&bytes)).unwrap())
     });
+    // One whole discovery exchange as a sweep runs it: the request encoded
+    // into a reused buffer, the agent's Report into another, the Report
+    // parsed.
+    let engine_id = EngineId::from_enterprise_mac(9, [1, 2, 3, 4, 5, 6]);
+    let (mut request, mut reply) = (Vec::new(), Vec::new());
+    c.bench_function("snmpv3_discovery_exchange", |b| {
+        b.iter(|| {
+            request.clear();
+            reply.clear();
+            let msg_id = black_box(0x0101);
+            Snmpv3Message::DiscoveryRequest { msg_id }.encode_into(&mut request);
+            Snmpv3Message::encode_report_into(&mut reply, msg_id, &engine_id, 12, 34_567, 1);
+            Snmpv3Message::parse(black_box(&reply)).unwrap()
+        })
+    });
 }
 
 criterion_group!(benches, bench_bgp, bench_ssh, bench_snmp);

@@ -14,7 +14,8 @@ use crate::ground_truth::GroundTruth;
 use crate::ids::{Asn, DeviceId};
 use crate::profiles::{BgpProfile, SshProfile};
 use crate::services;
-use crate::topology::{AutonomousSystem, Ipv4Prefix};
+use crate::space::RoutedSpace;
+use crate::topology::AutonomousSystem;
 use crate::vantage::VantageKind;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -119,7 +120,10 @@ pub struct Internet {
     config: InternetConfig,
     devices: Vec<Device>,
     ases: Vec<AutonomousSystem>,
-    ip_index: HashMap<IpAddr, (DeviceId, usize)>,
+    /// The IP index, IPv4 half: the routed space and its slot table.
+    space: RoutedSpace,
+    /// The IP index, IPv6 half (hitlist-sized, never on a sweep).
+    v6_index: HashMap<Ipv6Addr, (DeviceId, usize)>,
     ssh_profiles: Vec<SshProfile>,
     bgp_profiles: Vec<BgpProfile>,
     /// Simulated time each device last (re)booted, for SNMP engine time.
@@ -135,17 +139,21 @@ impl Internet {
         ssh_profiles: Vec<SshProfile>,
         bgp_profiles: Vec<BgpProfile>,
     ) -> Self {
-        let mut ip_index = HashMap::new();
+        let space = RoutedSpace::new(ases.iter().map(|a| a.ipv4_prefix).collect(), &devices);
+        let mut v6_index = HashMap::new();
         for device in &devices {
             for (iface_idx, iface) in device.interfaces.iter().enumerate() {
-                ip_index.insert(iface.addr, (device.id, iface_idx));
+                if let IpAddr::V6(addr) = iface.addr {
+                    v6_index.insert(addr, (device.id, iface_idx));
+                }
             }
         }
         Internet {
             config,
             devices,
             ases,
-            ip_index,
+            space,
+            v6_index,
             ssh_profiles,
             bgp_profiles,
             boot_time: SimTime::ZERO,
@@ -174,12 +182,21 @@ impl Internet {
 
     /// Number of addresses in the index.
     pub fn address_count(&self) -> usize {
-        self.ip_index.len()
+        self.space.owner_count() + self.v6_index.len()
     }
 
     /// The device and interface index owning `addr`.
     pub fn lookup(&self, addr: IpAddr) -> Option<(DeviceId, usize)> {
-        self.ip_index.get(&addr).copied()
+        match addr {
+            IpAddr::V4(v4) => self.space.owner_at(self.space.index_of(v4)?),
+            IpAddr::V6(v6) => self.v6_index.get(&v6).copied(),
+        }
+    }
+
+    /// The routed IPv4 space — what an Internet-wide sweep iterates, by
+    /// index, resolving each index with [`RoutedSpace::owner_at`].
+    pub fn routed_space(&self) -> &RoutedSpace {
+        &self.space
     }
 
     /// The AS announcing `addr`, mirroring what a scanner would learn from a
@@ -194,11 +211,6 @@ impl Internet {
     /// address pay the index lookup once.
     pub fn asn_at(&self, device_id: DeviceId, iface_idx: usize) -> Asn {
         self.device(device_id).interfaces[iface_idx].asn
-    }
-
-    /// The routed IPv4 prefixes (what a ZMap-like scanner sweeps).
-    pub fn routed_v4_prefixes(&self) -> Vec<Ipv4Prefix> {
-        self.ases.iter().map(|a| a.ipv4_prefix).collect()
     }
 
     /// Every IPv6 address on which at least one service answers — the
@@ -360,8 +372,7 @@ impl Internet {
     }
 
     /// [`Self::snmp_probe`] against an interface already resolved via
-    /// [`Self::lookup`].  Resolving first lets a routed-space sweep skip
-    /// building the discovery datagram for addresses that cannot answer.
+    /// [`Self::lookup`].
     pub fn snmp_probe_at(
         &self,
         device_id: DeviceId,
@@ -369,17 +380,36 @@ impl Internet {
         request: &[u8],
         ctx: &ProbeContext,
     ) -> Option<Vec<u8>> {
+        let mut out = Vec::new();
+        self.snmp_probe_into(device_id, iface_idx, request, ctx, &mut out)
+            .then_some(out)
+    }
+
+    /// [`Self::snmp_probe_at`], capturing the response into a caller-owned
+    /// buffer (cleared first) so a sweep reuses one allocation across
+    /// targets.  Returns whether the agent answered; `request` is only read
+    /// by an interface that answers SNMP at all.
+    pub fn snmp_probe_into(
+        &self,
+        device_id: DeviceId,
+        iface_idx: usize,
+        request: &[u8],
+        ctx: &ProbeContext,
+        out: &mut Vec<u8>,
+    ) -> bool {
+        out.clear();
         let device = self.device(device_id);
         if !self.device_visible(device, ctx) || !device.snmp_responds_on(iface_idx) {
-            return None;
+            return false;
         }
         let snmp = device.snmp.as_ref().expect("responds implies configured");
-        services::snmp_report_bytes(
+        services::snmp_report_into(
             &snmp.engine_id,
             snmp.engine_boots,
             self.boot_time,
             ctx.time,
             request,
+            out,
         )
     }
 
@@ -436,9 +466,13 @@ impl Internet {
     /// [`icmp_echo`](Self::icmp_echo) it never advances the IPID counter,
     /// so sweeping the routed space leaves the substrate untouched.
     pub fn ping_responds(&self, dst: IpAddr, ctx: &ProbeContext) -> bool {
-        let Some((device_id, _)) = self.lookup(dst) else {
-            return false;
-        };
+        self.lookup(dst)
+            .is_some_and(|(device_id, _)| self.ping_responds_at(device_id, ctx))
+    }
+
+    /// [`Self::ping_responds`] for a device already resolved via
+    /// [`Self::lookup`] or [`RoutedSpace::owner_at`].
+    pub fn ping_responds_at(&self, device_id: DeviceId, ctx: &ProbeContext) -> bool {
         let device = self.device(device_id);
         self.device_visible(device, ctx) && device.responds_to_ping
     }
@@ -632,8 +666,10 @@ impl Internet {
         let addr_b = self.devices[b.index()].interfaces[0].addr;
         self.devices[a.index()].interfaces[0].addr = addr_b;
         self.devices[b.index()].interfaces[0].addr = addr_a;
-        self.ip_index.insert(addr_b, (a, 0));
-        self.ip_index.insert(addr_a, (b, 0));
+        let (IpAddr::V4(v4_a), IpAddr::V4(v4_b)) = (addr_a, addr_b) else {
+            unreachable!("churn pools hold devices whose first interface is IPv4");
+        };
+        self.space.swap_owners(v4_a, v4_b);
     }
 
     /// The true aliasing relation.

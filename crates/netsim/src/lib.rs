@@ -10,6 +10,9 @@
 //!
 //! * an **AS-level topology** of cloud providers, ISPs and enterprise
 //!   networks with realistic address allocations ([`topology`]),
+//! * the **routed space**: the announced IPv4 prefixes as one index range
+//!   with a dense table of who holds each address — what an Internet-wide
+//!   sweep iterates, and the IPv4 half of the IP index ([`space`]),
 //! * **devices** (routers, servers, CPE) with one or many IPv4/IPv6
 //!   interfaces, per-device protocol configuration and ground-truth
 //!   identity ([`device`]),
@@ -43,6 +46,7 @@ pub mod ipid;
 pub mod profiles;
 pub mod ratelimit;
 pub mod services;
+pub mod space;
 pub mod topology;
 pub mod vantage;
 
@@ -56,4 +60,5 @@ pub use internet::{Internet, ProbeContext, ServiceProtocol, SynResult};
 pub use ratelimit::{
     joint_burst_replies_shared, solo_burst_replies, IcmpRateLimit, IcmpTokenBucket,
 };
+pub use space::RoutedSpace;
 pub use vantage::VantageKind;

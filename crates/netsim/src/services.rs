@@ -8,7 +8,7 @@
 use crate::clock::SimTime;
 use crate::profiles::{bgp_capabilities_for, BgpProfile, SshProfile};
 use alias_wire::bgp::{CeaseSubcode, NotificationMessage, OpenMessage, AS_TRANS};
-use alias_wire::snmp::{EngineId, Snmpv3Message, UsmSecurityParameters};
+use alias_wire::snmp::{EngineId, Snmpv3Message};
 use alias_wire::ssh::hostkey::KexReply;
 use alias_wire::ssh::HostKey;
 use std::net::Ipv4Addr;
@@ -81,27 +81,23 @@ pub fn bgp_session_bytes(profile: &BgpProfile, bgp_identifier: Ipv4Addr, asn: u3
     out
 }
 
-/// The SNMPv3 Report a device sends in response to an engine-discovery
-/// request, or `None` if the request is not a well-formed discovery.
-pub fn snmp_report_bytes(
+/// Append to `out` the SNMPv3 Report a device sends in response to an
+/// engine-discovery request; returns `false`, writing nothing, if the
+/// request is not a well-formed discovery.
+pub fn snmp_report_into(
     engine_id: &EngineId,
     engine_boots: i64,
     booted_at: SimTime,
     now: SimTime,
     request: &[u8],
-) -> Option<Vec<u8>> {
-    let parsed = Snmpv3Message::parse(request).ok()?;
-    let msg_id = match parsed {
-        Snmpv3Message::DiscoveryRequest { msg_id } => msg_id,
-        Snmpv3Message::Report { .. } => return None,
+    out: &mut Vec<u8>,
+) -> bool {
+    let Ok(Snmpv3Message::DiscoveryRequest { msg_id }) = Snmpv3Message::parse(request) else {
+        return false;
     };
-    let usm = UsmSecurityParameters {
-        engine_id: engine_id.clone(),
-        engine_boots,
-        engine_time: now.since(booted_at).as_secs() as i64,
-        user_name: Vec::new(),
-    };
-    Some(Snmpv3Message::report_for(msg_id, usm, 1).to_bytes())
+    let engine_time = now.since(booted_at).as_secs() as i64;
+    Snmpv3Message::encode_report_into(out, msg_id, engine_id, engine_boots, engine_time, 1);
+    true
 }
 
 #[cfg(test)]
@@ -109,6 +105,7 @@ mod tests {
     use super::*;
     use crate::profiles::{bgp_profiles, ssh_profiles};
     use alias_wire::bgp::BgpMessage;
+    use alias_wire::snmp::UsmSecurityParameters;
     use alias_wire::ssh::{Banner, HostKeyAlgorithm, KexInit, SshPacket, SSH_MSG_KEX_ECDH_REPLY};
 
     fn key() -> HostKey {
@@ -217,7 +214,10 @@ mod tests {
         let request = Snmpv3Message::DiscoveryRequest { msg_id: 77 }.to_bytes();
         let booted = SimTime::from_days(1);
         let now = SimTime::from_days(3);
-        let reply = snmp_report_bytes(&engine, 4, booted, now, &request).unwrap();
+        let mut reply = Vec::new();
+        assert!(snmp_report_into(
+            &engine, 4, booted, now, &request, &mut reply
+        ));
         match Snmpv3Message::parse(&reply).unwrap() {
             Snmpv3Message::Report { msg_id, usm, .. } => {
                 assert_eq!(msg_id, 77);
@@ -232,7 +232,9 @@ mod tests {
     #[test]
     fn snmp_garbage_and_non_discovery_requests_are_ignored() {
         let engine = EngineId::from_enterprise_mac(9, [1, 2, 3, 4, 5, 6]);
-        assert!(snmp_report_bytes(&engine, 1, SimTime::ZERO, SimTime::ZERO, b"junk").is_none());
+        let mut reply = Vec::new();
+        let (t0, out) = (SimTime::ZERO, &mut reply);
+        assert!(!snmp_report_into(&engine, 1, t0, t0, b"junk", out));
         // A Report is not a discovery request.
         let usm = UsmSecurityParameters {
             engine_id: engine.clone(),
@@ -241,8 +243,7 @@ mod tests {
             user_name: vec![],
         };
         let not_a_request = Snmpv3Message::report_for(1, usm, 0).to_bytes();
-        assert!(
-            snmp_report_bytes(&engine, 1, SimTime::ZERO, SimTime::ZERO, &not_a_request).is_none()
-        );
+        assert!(!snmp_report_into(&engine, 1, t0, t0, &not_a_request, out));
+        assert!(reply.is_empty());
     }
 }

@@ -37,7 +37,6 @@ pub mod permute;
 pub mod rate;
 pub mod rate_probe;
 pub mod snmp;
-pub mod space;
 pub mod zgrab;
 pub mod zmap;
 

@@ -43,24 +43,10 @@ impl IndexPermutation {
         self.n == 0
     }
 
-    /// Iterate over all indices exactly once in pseudorandom order.
+    /// Iterate over all indices exactly once in pseudorandom order: the
+    /// whole raw period, out-of-range values skipped.
     pub fn iter(&self) -> impl Iterator<Item = u64> + '_ {
-        let mut state: u64 = self.increment % self.modulus;
-        let mut emitted = 0u64;
-        std::iter::from_fn(move || {
-            while emitted < self.n {
-                let value = state;
-                state = state
-                    .wrapping_mul(self.multiplier)
-                    .wrapping_add(self.increment)
-                    % self.modulus;
-                if value < self.n {
-                    emitted += 1;
-                    return Some(value);
-                }
-            }
-            None
-        })
+        self.iter_raw_range(0, self.raw_len())
     }
 
     /// Number of raw LCG steps making up one full period (the power-of-two
@@ -105,13 +91,15 @@ impl IndexPermutation {
         let end = end.min(self.modulus);
         let mut state = if start < end { self.state_at(start) } else { 0 };
         let mut step = start;
+        // The modulus is a power of two: reduce with a mask, not a division.
+        let mask = self.modulus - 1;
         std::iter::from_fn(move || {
             while step < end {
                 let value = state;
                 state = state
                     .wrapping_mul(self.multiplier)
                     .wrapping_add(self.increment)
-                    % self.modulus;
+                    & mask;
                 step += 1;
                 if value < self.n {
                     return Some(value);

@@ -10,8 +10,9 @@
 //!
 //! The prober runs in two steps:
 //!
-//! 1. **Discovery** — a ping sweep over the routed IPv4 space and the
-//!    IPv6 hitlist selects the echo-responsive addresses.
+//! 1. **Discovery** — a ping sweep over the routed IPv4 space (walked by
+//!    index through the simulator's slot table) and the IPv6 hitlist
+//!    selects the echo-responsive addresses.
 //! 2. **Escalation rounds** — each target is burst-probed at a ladder of
 //!    rates (`base · 2^round`).  A screening burst at the *highest* rate
 //!    runs first: a target with zero loss there cannot lose packets at
@@ -23,7 +24,6 @@
 //! index and the round number — so the output is byte-identical for any
 //! shard count without any pacing-state hand-off between shards.
 
-use crate::space::RoutedSpace;
 use alias_netsim::{Internet, ProbeContext, ServiceProtocol, SimTime, VantageKind};
 use alias_obs::{DeterminismClass, LazyCounter};
 use alias_store::{DataSource, ServicePayload, ShardColumns};
@@ -121,14 +121,17 @@ impl RateProber {
         threads: usize,
     ) -> Vec<IpAddr> {
         let ctx = ProbeContext { vantage, time: at };
-        let space = RoutedSpace::of(internet);
+        let space = internet.routed_space();
         let ranges = alias_exec::split_even(space.len(), alias_exec::shards_for(threads));
         let per_shard: Vec<Vec<IpAddr>> = alias_exec::shard_map(ranges.len(), threads, |shard| {
             let range = &ranges[shard];
-            space
-                .iter_range(range.start, range.end)
-                .map(IpAddr::V4)
-                .filter(|&a| internet.ping_responds(a, &ctx))
+            (range.start..range.end)
+                .filter_map(|index| {
+                    let (device_id, _) = space.owner_at(index)?;
+                    internet
+                        .ping_responds_at(device_id, &ctx)
+                        .then(|| IpAddr::V4(space.addr_at(index)))
+                })
                 .collect()
         });
         let mut targets: Vec<IpAddr> = per_shard.into_iter().flatten().collect();

@@ -4,13 +4,39 @@
 //! engine-ID technique (Albakour et al., IMC 2021) and uses it as a baseline
 //! and validation source.  This scanner sends the unauthenticated discovery
 //! GET to each target and records the engine ID from the Report response.
+//! The Internet-wide pass walks the indices of the simulator's routed space
+//! and resolves each through its slot table; an explicit target list is
+//! resolved through the IP index.  Either way one request buffer and one
+//! reply buffer serve a whole shard.
 
 use crate::rate::ProbeSchedule;
-use crate::space::RoutedSpace;
-use alias_netsim::{internet::SNMP_PORT, Internet, ProbeContext, SimTime, VantageKind};
+use alias_netsim::{internet::SNMP_PORT, DeviceId, Internet, ProbeContext, SimTime, VantageKind};
+use alias_obs::{DeterminismClass, LazyCounter};
 use alias_store::{DataSource, ServicePayload, ShardColumns};
 use alias_wire::snmp::Snmpv3Message;
 use std::net::IpAddr;
+
+/// Discovery datagrams sent: every swept index and every listed target,
+/// whether or not anything lives there.  Accumulated at the serial assembly
+/// point.
+static SNMP_PROBES: LazyCounter = LazyCounter::new(
+    "scan.snmp_probes",
+    DeterminismClass::Deterministic,
+    "probes",
+    "scan",
+);
+
+/// Reports that parsed into an SNMPv3 observation row.
+static SNMP_REPORTS: LazyCounter = LazyCounter::new(
+    "scan.snmp_reports",
+    DeterminismClass::Deterministic,
+    "rows",
+    "scan",
+);
+
+/// One target of a discovery pass, resolved: its address and the interface
+/// holding it, or `None` where nothing does (the datagram is sent anyway).
+type ResolvedTarget = Option<(IpAddr, DeviceId, usize)>;
 
 /// Configuration of the SNMPv3 scanner.
 #[derive(Debug, Clone)]
@@ -47,32 +73,35 @@ impl SnmpScanner {
     /// and send times drawn from `schedule`; results are pushed into
     /// `columns`.
     ///
-    /// Targets arrive as an iterator so the routed-space sweep never
-    /// materialises its address list.  Each target is resolved against the
-    /// IP index first: the unrouted majority of a swept space consumes its
-    /// schedule slot (the probe *is* sent) but skips request construction,
-    /// probe dispatch and ASN attribution entirely — none of which can be
-    /// observed for an address that does not exist.
+    /// Targets arrive resolved and as an iterator, so the routed-space sweep
+    /// never materialises its address list.  An unpopulated target consumes
+    /// its schedule slot (the probe *is* sent) but skips request
+    /// construction, probe dispatch and ASN attribution entirely — none of
+    /// which can be observed for an address that does not exist.  The
+    /// request and the reply live in two buffers reused across the shard:
+    /// the only allocation a stored row costs here is its engine ID.
     fn scan_slice(
         &self,
         internet: &Internet,
-        targets: impl Iterator<Item = IpAddr>,
+        targets: impl Iterator<Item = ResolvedTarget>,
         global_offset: usize,
         vantage: VantageKind,
         schedule: &mut ProbeSchedule,
         columns: &mut ShardColumns,
     ) {
-        for (offset, addr) in targets.enumerate() {
+        let (mut request, mut reply) = (Vec::new(), Vec::new());
+        for (offset, target) in targets.enumerate() {
             let now = schedule.next_send_time();
-            let Some((device_id, iface_idx)) = internet.lookup(addr) else {
+            let Some((addr, device_id, iface_idx)) = target else {
                 continue;
             };
             let msg_id = 0x0101 + (global_offset + offset) as i64;
-            let request = Snmpv3Message::DiscoveryRequest { msg_id }.to_bytes();
+            request.clear();
+            Snmpv3Message::DiscoveryRequest { msg_id }.encode_into(&mut request);
             let ctx = ProbeContext { vantage, time: now };
-            let Some(reply) = internet.snmp_probe_at(device_id, iface_idx, &request, &ctx) else {
+            if !internet.snmp_probe_into(device_id, iface_idx, &request, &ctx, &mut reply) {
                 continue;
-            };
+            }
             let Ok(Snmpv3Message::Report { usm, .. }) = Snmpv3Message::parse(&reply) else {
                 continue;
             };
@@ -111,7 +140,7 @@ impl SnmpScanner {
     ) -> Vec<ShardColumns> {
         let ranges = alias_exec::split_even(targets.len() as u64, alias_exec::shards_for(threads));
         let starts = self.schedule_starts(&ranges, start);
-        alias_exec::shard_map(ranges.len(), threads, |shard| {
+        let shards = alias_exec::shard_map(ranges.len(), threads, |shard| {
             let range = &ranges[shard];
             let mut schedule = starts[shard].clone();
             let mut columns = ShardColumns::new();
@@ -119,14 +148,19 @@ impl SnmpScanner {
                 internet,
                 targets[range.start as usize..range.end as usize]
                     .iter()
-                    .copied(),
+                    .map(|&addr| {
+                        let (device_id, iface_idx) = internet.lookup(addr)?;
+                        Some((addr, device_id, iface_idx))
+                    }),
                 range.start as usize,
                 vantage,
                 &mut schedule,
                 &mut columns,
             );
             columns
-        })
+        });
+        count_pass(targets.len() as u64, &shards);
+        shards
     }
 
     /// Deal the pacing schedule out at the shard boundaries: shard `i`
@@ -153,9 +187,11 @@ impl SnmpScanner {
     /// Internet-wide SNMPv3 scan) with `threads` shard workers, returning
     /// per-shard column chunks in shard order.
     ///
-    /// The routed space is walked through [`RoutedSpace`] rather than
-    /// materialised as an address list — at the larger scale tiers the list
-    /// alone would dwarf the scan's useful output.
+    /// The routed space is walked by index
+    /// ([`Internet::routed_space`]) rather than materialised as an address
+    /// list — at the larger scale tiers the list alone would dwarf the
+    /// scan's useful output — and an index becomes an address only where
+    /// the slot table says an interface holds it.
     pub fn scan_routed_space(
         &self,
         internet: &Internet,
@@ -163,24 +199,36 @@ impl SnmpScanner {
         start: SimTime,
         threads: usize,
     ) -> Vec<ShardColumns> {
-        let space = RoutedSpace::of(internet);
+        let space = internet.routed_space();
         let ranges = alias_exec::split_even(space.len(), alias_exec::shards_for(threads));
         let starts = self.schedule_starts(&ranges, start);
-        alias_exec::shard_map(ranges.len(), threads, |shard| {
+        let shards = alias_exec::shard_map(ranges.len(), threads, |shard| {
             let range = &ranges[shard];
             let mut schedule = starts[shard].clone();
             let mut columns = ShardColumns::new();
             self.scan_slice(
                 internet,
-                space.iter_range(range.start, range.end).map(IpAddr::V4),
+                (range.start..range.end).map(|index| {
+                    let (device_id, iface_idx) = space.owner_at(index)?;
+                    Some((IpAddr::V4(space.addr_at(index)), device_id, iface_idx))
+                }),
                 range.start as usize,
                 vantage,
                 &mut schedule,
                 &mut columns,
             );
             columns
-        })
+        });
+        count_pass(space.len(), &shards);
+        shards
     }
+}
+
+/// Account one finished discovery pass: `probes` datagrams sent, one report
+/// per stored row.
+fn count_pass(probes: u64, shards: &[ShardColumns]) {
+    SNMP_PROBES.add(probes);
+    SNMP_REPORTS.add(shards.iter().map(|shard| shard.len() as u64).sum());
 }
 
 #[cfg(test)]

@@ -9,8 +9,18 @@
 
 use crate::rate::ProbeSchedule;
 use alias_netsim::{Internet, ProbeContext, ServiceProtocol, SimTime, VantageKind};
+use alias_obs::{DeterminismClass, LazyCounter};
 use alias_store::{DataSource, ShardColumns};
 use std::net::IpAddr;
+
+/// Application-layer sessions attempted: one per grab target, whatever it
+/// answered.  Accumulated at the serial assembly point.
+static GRAB_SESSIONS: LazyCounter = LazyCounter::new(
+    "scan.grab_sessions",
+    DeterminismClass::Deterministic,
+    "sessions",
+    "scan",
+);
 
 // The payload parser lives next to the record types in `alias-store`;
 // re-exported here because scanner callers (e.g. `alias-censys`) import it
@@ -113,6 +123,7 @@ impl ZgrabScanner {
         start: SimTime,
         threads: usize,
     ) -> Vec<ShardColumns> {
+        GRAB_SESSIONS.add(targets.len() as u64);
         let ranges = alias_exec::split_even(targets.len() as u64, alias_exec::shards_for(threads));
         // Fast-forward the schedule through the shard boundaries so each
         // worker resumes the pacing exactly where a single loop would be.

@@ -4,14 +4,16 @@
 //! a single SYN packet on port 22 and 179 using ZMap".  The scanner sweeps
 //! every routed IPv4 prefix of the simulated Internet in a pseudorandom
 //! order (so consecutive probes do not hammer one network), paced by a token
-//! bucket, and records which addresses answered SYN-ACK on which port.
+//! bucket, and records which addresses answered SYN-ACK on which port.  The
+//! sweep walks the *indices* of the simulator's routed space
+//! ([`alias_netsim::RoutedSpace`]) and asks its slot table who, if anyone,
+//! holds each one; only the populated minority is ever turned into an
+//! address.
 
 use crate::permute::IndexPermutation;
 use crate::rate::TokenBucket;
-use crate::space::RoutedSpace;
 use alias_netsim::{Internet, ProbeContext, SimTime, SynResult, VantageKind};
 use alias_obs::{DeterminismClass, LazyCounter};
-use std::collections::HashMap;
 use std::net::{IpAddr, Ipv6Addr};
 
 /// SYN probes dispatched by ZMap sweeps.  A pure function of the routed
@@ -64,8 +66,9 @@ impl Default for ZmapConfig {
 /// Results of a SYN scan.
 #[derive(Debug, Clone, Default)]
 pub struct ZmapResults {
-    /// Responsive addresses per port, in the order they were discovered.
-    pub responsive: HashMap<u16, Vec<IpAddr>>,
+    /// Responsive addresses per scanned port — ports in
+    /// [`ZmapConfig::ports`] order, addresses in discovery order.
+    responsive: Vec<(u16, Vec<IpAddr>)>,
     /// Total SYN probes sent.
     pub probes_sent: u64,
     /// Simulated time the scan finished.
@@ -75,7 +78,10 @@ pub struct ZmapResults {
 impl ZmapResults {
     /// Responsive addresses on `port` (empty slice if the port was not scanned).
     pub fn on_port(&self, port: u16) -> &[IpAddr] {
-        self.responsive.get(&port).map(Vec::as_slice).unwrap_or(&[])
+        self.responsive
+            .iter()
+            .find(|(scanned, _)| *scanned == port)
+            .map_or(&[], |(_, addrs)| addrs)
     }
 }
 
@@ -96,18 +102,18 @@ impl ZmapScanner {
     ///
     /// The inner loop carries no pacing state: a SYN result does not depend
     /// on the probe's send time (the bucket schedule is replayed separately
-    /// to date the results), and each address is resolved against the IP
-    /// index once — the unrouted majority of the swept space is skipped
-    /// without per-port probe dispatch.
+    /// to date the results), and each swept index costs one read of the
+    /// routed space's slot table — the unpopulated majority is skipped
+    /// without an address, a hash or per-port probe dispatch.
     fn syn_slice(
         &self,
         internet: &Internet,
         vantage: VantageKind,
         start: SimTime,
-        space: &RoutedSpace,
         permutation: &IndexPermutation,
         range: &std::ops::Range<u64>,
     ) -> Vec<Vec<IpAddr>> {
+        let space = internet.routed_space();
         let ports = &self.config.ports;
         let mut found: Vec<Vec<IpAddr>> = vec![Vec::new(); ports.len()];
         let ctx = ProbeContext {
@@ -115,12 +121,11 @@ impl ZmapScanner {
             time: start,
         };
         for index in permutation.iter_raw_range(range.start, range.end) {
-            let addr = IpAddr::V4(space.addr_at(index));
-            // Absent addresses time out on every port; resolve once and move
-            // on instead of hashing the address once per port.
-            let Some((device_id, iface_idx)) = internet.lookup(addr) else {
+            // Absent addresses time out on every port.
+            let Some((device_id, iface_idx)) = space.owner_at(index) else {
                 continue;
             };
+            let addr = IpAddr::V4(space.addr_at(index));
             for (slot, &port) in ports.iter().enumerate() {
                 if internet.syn_probe_at(device_id, iface_idx, port, &ctx) == SynResult::SynAck {
                     found[slot].push(addr);
@@ -138,36 +143,29 @@ impl ZmapScanner {
         probes_sent: u64,
         start: SimTime,
     ) -> ZmapResults {
-        let ports = &self.config.ports;
-        let mut results = ZmapResults::default();
-        for &port in ports {
-            results.responsive.insert(port, Vec::new());
-        }
+        let mut responsive: Vec<(u16, Vec<IpAddr>)> = self
+            .config
+            .ports
+            .iter()
+            .map(|&port| (port, Vec::new()))
+            .collect();
         for found in per_shard {
-            for (slot, addrs) in found.into_iter().enumerate() {
-                results
-                    .responsive
-                    .get_mut(&ports[slot])
-                    .expect("port pre-registered")
-                    .extend(addrs);
+            for ((_, addrs), hits) in responsive.iter_mut().zip(found) {
+                addrs.extend(hits);
             }
         }
-        results.probes_sent = probes_sent;
         // Replay the serial pacing schedule to land on the identical finish
         // time (the bucket is a pure function of the probe count).
         let mut bucket = TokenBucket::new(self.config.rate_pps, 64.0, start);
-        results.finished_at = bucket.advance(start, probes_sent);
+        let finished_at = bucket.advance(start, probes_sent);
         PROBES_EMITTED.add(probes_sent);
-        RESPONSIVE_PAIRS.add(
-            results
-                .responsive
-                // lint:allow(det-hash-iter): summing lengths — commutative over visit order
-                .values()
-                .map(|addrs| addrs.len() as u64)
-                .sum(),
-        );
-        PACING_SIM_MS.add(results.finished_at.since(start).as_millis());
-        results
+        RESPONSIVE_PAIRS.add(responsive.iter().map(|(_, addrs)| addrs.len() as u64).sum());
+        PACING_SIM_MS.add(finished_at.since(start).as_millis());
+        ZmapResults {
+            responsive,
+            probes_sent,
+            finished_at,
+        }
     }
 
     /// Sweep every routed IPv4 prefix of `internet` with `threads` shard
@@ -185,30 +183,19 @@ impl ZmapScanner {
         start: SimTime,
         threads: usize,
     ) -> ZmapResults {
-        // Flatten the routed prefixes into a single index space so the
-        // permutation spreads probes across all networks.
-        let space = RoutedSpace::of(internet);
-        let permutation = IndexPermutation::new(space.len(), self.config.seed);
+        // The routed prefixes form a single index space, so the permutation
+        // spreads probes across all networks.
+        let space_len = internet.routed_space().len();
+        let permutation = IndexPermutation::new(space_len, self.config.seed);
 
         // Shard the raw LCG step range: concatenating the in-range values of
         // contiguous raw-step slices reproduces the whole permutation order.
         let ranges = alias_exec::split_even(permutation.raw_len(), alias_exec::shards_for(threads));
         let per_shard: Vec<Vec<Vec<IpAddr>>> =
             alias_exec::shard_map(ranges.len(), threads, |shard| {
-                self.syn_slice(
-                    internet,
-                    vantage,
-                    start,
-                    &space,
-                    &permutation,
-                    &ranges[shard],
-                )
+                self.syn_slice(internet, vantage, start, &permutation, &ranges[shard])
             });
-        self.assemble_results(
-            per_shard,
-            space.len() * self.config.ports.len() as u64,
-            start,
-        )
+        self.assemble_results(per_shard, space_len * self.config.ports.len() as u64, start)
     }
 
     /// Probe one slice of an IPv6 target list: the shard body of the

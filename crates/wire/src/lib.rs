@@ -25,7 +25,9 @@
 //!   simulated server writes a whole session without an intermediate `Vec`.
 //! * [`snmp`] — a minimal SNMPv3 message codec (RFC 3412/3414) sufficient
 //!   for unauthenticated engine-ID discovery, the identifier used by the
-//!   prior protocol-centric technique the paper compares against.
+//!   prior protocol-centric technique the paper compares against.  It sits
+//!   on [`ber`], which has no tree: a borrowed reader ([`ber::Tlv`]) and
+//!   writers that append to the caller's buffer.
 //! * [`ip`], [`tcp`], [`icmp`] — simplified network/transport headers used
 //!   by the scanning substrate; notably the IPv4 Identification field that
 //!   IPID-based baselines (Ally, MIDAR) sample.

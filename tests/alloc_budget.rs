@@ -15,9 +15,11 @@ use alias_resolution::netsim::ProbeContext;
 use alias_resolution::prelude::*;
 use alias_resolution::scan::ipid_probe::{IpidProber, IpidProberConfig, IpidSample};
 use alias_resolution::scan::zgrab::parse_payload;
+use alias_resolution::wire::snmp::Snmpv3Message;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::collections::HashSet;
+use std::net::IpAddr;
 
 thread_local! {
     /// Allocations (and reallocations) made by this thread.  Const
@@ -108,6 +110,85 @@ fn an_ssh_session_is_emitted_and_parsed_within_24_allocations() {
         }
     }
     assert!(sessions > 100, "only {sessions} sessions answered");
+}
+
+/// One SNMPv3 discovery exchange per interface of `internet`, as a sweep
+/// runs it — request encoded into a warm buffer, probe answered into
+/// another, reply parsed — with the allocations each one made.  `None`
+/// where the interface exists but does not answer SNMP.
+fn discovery_exchanges(internet: &Internet) -> Vec<(IpAddr, u64, Option<Snmpv3Message>)> {
+    let ctx = ProbeContext {
+        vantage: VantageKind::Distributed,
+        time: SimTime::from_secs(90),
+    };
+    let (mut request, mut reply) = (Vec::with_capacity(256), Vec::with_capacity(256));
+    let mut exchanges = Vec::new();
+    for device in internet.devices() {
+        for (iface, interface) in device.interfaces.iter().enumerate() {
+            let (count, report) = allocations(|| {
+                request.clear();
+                Snmpv3Message::DiscoveryRequest { msg_id: 0x0101 }.encode_into(&mut request);
+                internet
+                    .snmp_probe_into(device.id, iface, &request, &ctx, &mut reply)
+                    .then(|| Snmpv3Message::parse(&reply).expect("an agent's own Report"))
+            });
+            exchanges.push((interface.addr, count, report));
+        }
+    }
+    exchanges
+}
+
+#[test]
+fn an_answered_snmp_discovery_exchange_allocates_only_the_engine_id() {
+    let internet = tiny_internet();
+    let mut answered = 0;
+    for (addr, count, report) in discovery_exchanges(&internet) {
+        let Some(Snmpv3Message::Report { msg_id, usm, .. }) = report else {
+            continue;
+        };
+        let (device_id, _) = internet.lookup(addr).expect("a device's own address");
+        let engine_id = &internet.device(device_id).snmp.as_ref().unwrap().engine_id;
+        assert_eq!((msg_id, &usm.engine_id), (0x0101, engine_id));
+        assert!(count <= 1, "{addr}: {count} allocations for one exchange");
+        answered += 1;
+    }
+    assert!(answered > 50, "only {answered} agents answered");
+}
+
+#[test]
+fn a_discovery_datagram_nobody_answers_allocates_nothing() {
+    let internet = tiny_internet();
+    let mut silent = 0;
+    for (addr, count, report) in discovery_exchanges(&internet) {
+        if report.is_none() {
+            assert_eq!(count, 0, "{addr}");
+            silent += 1;
+        }
+    }
+    assert!(silent > 100, "only {silent} silent interfaces");
+}
+
+#[test]
+fn a_campaign_costs_at_most_16_allocations_per_stored_row() {
+    // 10–11 a row today: an SNMP row costs its engine ID and a sweep nothing
+    // per address, so what is counted is the SSH sessions (see their budget
+    // above).  One BER tree per datagram alone puts this past 75.
+    for seed in [14u64, 404, 2023] {
+        let internet = InternetBuilder::new(InternetConfig::tiny(seed)).build();
+        let campaign = ActiveCampaign::new(CampaignConfig {
+            seed,
+            threads: 1,
+            ..Default::default()
+        });
+        let (count, data) = allocations(|| campaign.run(&internet));
+        assert!(data.len() > 300, "seed {seed}: {} rows", data.len());
+        let budget = 16 * data.len() as u64 + 1_024;
+        assert!(
+            count <= budget,
+            "seed {seed}: {count} allocations for {} rows (budget {budget})",
+            data.len()
+        );
+    }
 }
 
 #[test]
