@@ -5,12 +5,15 @@
 //!   filter columns (the hot path every identifier technique runs on);
 //! * `columnar_addrs` — selection plus resolving each matching row's
 //!   address through the `AddrId` column, the responsive-address workload
-//!   of the dataset tables.
+//!   of the dataset tables;
+//! * `store_union_copy_small` / `store_drop_small` — the union store's
+//!   `clone` + `extend_from`, and freeing it, each timed without the other
+//!   (small scale: a copy is buffers, not rows, so it scales with bytes).
 
 use alias_bench::Experiment;
 use alias_netsim::ScalePreset;
 use alias_scan::{DataSource, ServiceProtocol};
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 use std::hint::black_box;
 
 fn bench_observation_filter(c: &mut Criterion) {
@@ -54,5 +57,24 @@ fn bench_observation_filter(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_observation_filter);
+fn bench_store_copy_and_drop(c: &mut Criterion) {
+    let experiment = Experiment::run(ScalePreset::Small, 11);
+    let (active, censys) = (&experiment.active, &experiment.censys);
+    c.bench_function("store_union_copy_small", |b| {
+        b.iter_batched(
+            || (),
+            |()| {
+                let mut union = active.clone();
+                union.extend_from(censys);
+                union
+            },
+            BatchSize::LargeInput,
+        )
+    });
+    c.bench_function("store_drop_small", |b| {
+        b.iter_batched(|| experiment.union.clone(), drop, BatchSize::LargeInput)
+    });
+}
+
+criterion_group!(benches, bench_store_copy_and_drop, bench_observation_filter);
 criterion_main!(benches);

@@ -113,7 +113,7 @@ impl CensysSnapshot {
                     port,
                     source: DataSource::Censys,
                     timestamp: config.snapshot_time,
-                    asn: internet.ip_to_asn(addr).map(|a| a.0),
+                    asn: Some(internet.asn_at(device_id, iface).0),
                     payload,
                 };
                 // A fraction of SSH hosts also appear on a non-standard port.

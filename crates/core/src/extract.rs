@@ -4,7 +4,7 @@ use crate::identifier::{
     BgpIdentifier, BgpIdentifierPolicy, ProtocolIdentifier, Snmpv3Identifier, SshIdentifier,
     SshIdentifierPolicy,
 };
-use alias_scan::{ServiceObservation, ServicePayload};
+use alias_scan::{PayloadRef, ServiceObservation, ServicePayload};
 use serde::{Deserialize, Serialize};
 
 /// Identifier policies for all protocols.
@@ -51,9 +51,9 @@ impl IdentifierExtractor {
     }
 
     /// Extract the identifier from a payload alone — the identifier is a
-    /// pure function of the application-layer material, so consumers that
-    /// read columnar storage can hand over a borrowed payload without
-    /// materialising the observation row around it.
+    /// pure function of the application-layer material.  It is the oracle
+    /// [`Self::key_into`] is tested against; nothing on the hot path builds
+    /// one.
     pub fn extract_payload(&self, payload: &ServicePayload) -> Option<ProtocolIdentifier> {
         match payload {
             ServicePayload::Ssh(ssh) => {
@@ -78,20 +78,23 @@ impl IdentifierExtractor {
     /// Under one extractor, two payloads get equal keys exactly when
     /// `extract_payload` gives them equal identifiers; the key is written
     /// into the caller's buffer, so keying a row allocates nothing once the
-    /// buffer has grown.  This is what the grouping loops call per row.
-    pub fn key_into(&self, payload: &ServicePayload, key: &mut Vec<u8>) -> bool {
+    /// buffer has grown.  This is what the grouping loops call per row,
+    /// on the payload a store view decodes in place; an owned payload lends
+    /// one through [`ServicePayload::as_ref`].
+    #[inline]
+    pub fn key_into(&self, payload: PayloadRef<'_>, key: &mut Vec<u8>) -> bool {
         key.clear();
         match payload {
-            ServicePayload::Ssh(ssh) => SshIdentifier::write_key(ssh, self.config.ssh, key),
-            ServicePayload::Bgp { open, .. } => {
+            PayloadRef::Ssh(ssh) => SshIdentifier::write_key(ssh, self.config.ssh, key),
+            PayloadRef::Bgp { open, .. } => {
                 BgpIdentifier::write_key(open, self.config.bgp, key);
                 true
             }
-            ServicePayload::Snmpv3 { engine_id, .. } => {
+            PayloadRef::Snmpv3 { engine_id, .. } => {
                 Snmpv3Identifier::write_key(engine_id, key);
                 true
             }
-            ServicePayload::RateLimit { .. } => false,
+            PayloadRef::RateLimit { .. } => false,
         }
     }
 }

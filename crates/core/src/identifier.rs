@@ -24,10 +24,11 @@
 //! Each identifier type also has a `write_key`: the same material as one
 //! run of bytes appended to a caller's buffer, equal for two observations
 //! exactly when their identifiers are equal.  Grouping keys rows by those
-//! bytes and builds the `String`-carrying identifier once per distinct
-//! key, not once per row.
+//! bytes, read off the borrowed payload a store decodes in place; the
+//! `String`-carrying identifiers are what the keys are tested against.
 
-use alias_wire::bgp::{OpenMessage, OptionalParameter};
+use alias_scan::{BgpOpenRef, SshRef};
+use alias_wire::bgp::{OpenMessage, OptionalParameter, ParamRef};
 use alias_wire::snmp::EngineId;
 use alias_wire::ssh::SshObservation;
 use serde::{Deserialize, Serialize};
@@ -115,31 +116,24 @@ impl SshIdentifier {
     /// `banner` and `capabilities` strings — not the structured fields,
     /// which several values can render alike — and the host key goes in raw
     /// (algorithm, material), which its fingerprint renders injectively.
-    pub fn write_key(obs: &SshObservation, policy: SshIdentifierPolicy, out: &mut Vec<u8>) -> bool {
-        let Some(host_key) = &obs.host_key else {
+    #[inline]
+    pub fn write_key(obs: SshRef<'_>, policy: SshIdentifierPolicy, out: &mut Vec<u8>) -> bool {
+        let Some(host_key) = obs.host_key() else {
             return false;
         };
         out.push(KEY_SSH);
         framed(out, |out| {
             if policy == SshIdentifierPolicy::Full {
-                obs.banner.emit_line(out);
+                obs.emit_banner_line(out);
             }
         });
         framed(out, |out| {
-            if policy == SshIdentifierPolicy::KeyOnly {
-                return;
-            }
-            if let Some(kex) = &obs.kex_init {
-                for (index, list) in kex.server_capability_lists().into_iter().enumerate() {
-                    if index > 0 {
-                        out.push(b';');
-                    }
-                    out.extend_from_slice(list.joined().as_bytes());
-                }
+            if policy != SshIdentifierPolicy::KeyOnly {
+                obs.emit_capability_fingerprint(out);
             }
         });
         out.push(host_key.algorithm as u8);
-        out.extend_from_slice(&host_key.key_material);
+        out.extend_from_slice(host_key.key_material);
         true
     }
 }
@@ -194,7 +188,7 @@ impl BgpIdentifier {
     /// is in bijection with its `code:hex` / `ptype:hex` rendering.
     /// `open_length` is left out: it is a function of the parameters' kinds
     /// and value lengths, so it can never tell two keys apart.
-    pub fn write_key(open: &OpenMessage, policy: BgpIdentifierPolicy, out: &mut Vec<u8>) {
+    pub fn write_key(open: BgpOpenRef<'_>, policy: BgpIdentifierPolicy, out: &mut Vec<u8>) {
         out.push(KEY_BGP);
         out.extend_from_slice(&open.bgp_identifier.octets());
         if policy == BgpIdentifierPolicy::IdentifierOnly {
@@ -203,14 +197,14 @@ impl BgpIdentifier {
         out.extend_from_slice(&open.effective_asn().to_le_bytes());
         out.extend_from_slice(&open.hold_time.to_le_bytes());
         out.push(open.version);
-        for param in &open.optional_parameters {
+        for param in open.params.iter() {
             match param {
-                OptionalParameter::Capability(cap) => {
+                ParamRef::Capability(cap) => {
                     out.extend_from_slice(&[0, cap.code()]);
                     framed(out, |out| cap.emit_value(out));
                 }
-                OptionalParameter::Other { param_type, value } => {
-                    out.extend_from_slice(&[1, *param_type]);
+                ParamRef::Other { param_type, value } => {
+                    out.extend_from_slice(&[1, param_type]);
                     framed(out, |out| out.extend_from_slice(value));
                 }
             }
@@ -257,9 +251,9 @@ impl Snmpv3Identifier {
     /// Append the key of the identifier [`Self::from_engine_id`] would
     /// build: the engine ID's bytes, which the hex rendering is one-to-one
     /// with.
-    pub fn write_key(engine_id: &EngineId, out: &mut Vec<u8>) {
+    pub fn write_key(engine_id: &[u8], out: &mut Vec<u8>) {
         out.push(KEY_SNMPV3);
-        out.extend_from_slice(engine_id.as_bytes());
+        out.extend_from_slice(engine_id);
     }
 }
 

@@ -126,9 +126,7 @@ impl UnionFind {
     ///
     /// Idempotence of the canonical root is what alias-set merging leans
     /// on; this checks it without path compression, so a valid forest is
-    /// left untouched.  Compiled only under `debug_assertions` or the
-    /// `validate` feature.
-    #[cfg(any(debug_assertions, feature = "validate"))]
+    /// left untouched.
     pub fn validate(&self) -> Result<(), String> {
         let n = self.parent.len();
         if self.size.len() != n {
@@ -219,9 +217,6 @@ mod tests {
         assert!(groups.iter().any(|g| g.len() == 3 && g.contains(&4)));
     }
 
-    // `validate` exists under the same condition (a release-profile test
-    // build has neither).
-    #[cfg(any(debug_assertions, feature = "validate"))]
     #[test]
     fn validate_accepts_sound_forests_and_reports_drift() {
         assert_eq!(UnionFind::new(0).validate(), Ok(()));
@@ -252,7 +247,6 @@ mod tests {
                 uf.union(a, b);
             }
             // Structural invariants hold after an arbitrary union sequence.
-            #[cfg(any(debug_assertions, feature = "validate"))]
             prop_assert_eq!(uf.validate(), Ok(()));
             // groups() partitions [0, n) exactly.
             let groups = uf.groups();

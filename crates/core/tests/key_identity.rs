@@ -1,14 +1,17 @@
 //! The grouping key against its oracle: under every policy combination,
-//! `IdentifierExtractor::key_into` gives two payloads equal keys exactly
-//! when `extract_payload` gives them equal identifiers, and grouping by
-//! key yields the sets grouping by identifier does.
+//! `IdentifierExtractor::key_into` — reading the record a store decodes in
+//! place — gives two payloads equal keys exactly when `extract_payload`
+//! gives the rows the store materialises equal identifiers, and grouping
+//! by key yields the sets grouping by identifier does.
 
 use alias_core::alias_set::group_view_compact;
 use alias_core::identifier::{BgpIdentifierPolicy, ProtocolIdentifier, SshIdentifierPolicy};
 use alias_core::intern::{sort_canonical_compact, AddrId, CompactAliasSet};
 use alias_core::{ExtractionConfig, IdentifierExtractor};
-use alias_netsim::{InternetBuilder, InternetConfig, ServiceProtocol};
-use alias_scan::{ActiveCampaign, ServicePayload};
+use alias_netsim::{InternetBuilder, InternetConfig, ServiceProtocol, SimTime};
+use alias_scan::{
+    ActiveCampaign, DataSource, ObservationStore, PayloadRef, ServiceObservation, ServicePayload,
+};
 use alias_wire::bgp::{Capability, OpenMessage, OptionalParameter};
 use alias_wire::snmp::EngineId;
 use alias_wire::ssh::{Banner, HostKey, HostKeyAlgorithm, KexInit, NameList, SshObservation};
@@ -35,7 +38,7 @@ fn extractors() -> Vec<IdentifierExtractor> {
     out
 }
 
-fn key(extractor: &IdentifierExtractor, payload: &ServicePayload) -> Option<Vec<u8>> {
+fn key(extractor: &IdentifierExtractor, payload: PayloadRef<'_>) -> Option<Vec<u8>> {
     // A dirty buffer: `key_into` must clear it.
     let mut key = vec![0xee; 7];
     let present = extractor.key_into(payload, &mut key);
@@ -46,16 +49,43 @@ fn key(extractor: &IdentifierExtractor, payload: &ServicePayload) -> Option<Vec<
     present.then_some(key)
 }
 
+/// `payloads` as the rows of a store, one address each.
+fn store_of(payloads: &[ServicePayload]) -> ObservationStore {
+    ObservationStore::from_observations(payloads.iter().enumerate().map(|(row, payload)| {
+        ServiceObservation {
+            addr: Ipv4Addr::from(0x0a00_0000 + row as u32).into(),
+            port: payload.protocol().default_port(),
+            source: DataSource::Active,
+            timestamp: SimTime::ZERO,
+            asn: None,
+            payload: payload.clone(),
+        }
+    }))
+}
+
 /// `key(a) == key(b)` ⇔ `extract_payload(a) == extract_payload(b)` over
 /// every pair of `payloads` (a payload with itself included), and the key
-/// is absent exactly when the identifier is.
+/// is absent exactly when the identifier is.  Rows are keyed the way
+/// grouping keys them — off the record a store decodes in place — and the
+/// identifier is extracted from the row the store gives back.
 fn assert_keys_match_identifiers(payloads: &[ServicePayload]) -> Result<(), TestCaseError> {
+    let store = store_of(payloads);
+    let rows = store.to_observations();
     for extractor in extractors() {
-        let keyed: Vec<(Option<Vec<u8>>, Option<ProtocolIdentifier>)> = payloads
+        let keyed: Vec<(Option<Vec<u8>>, Option<ProtocolIdentifier>)> = rows
             .iter()
-            .map(|p| (key(&extractor, p), extractor.extract_payload(p)))
+            .enumerate()
+            .map(|(row, observation)| {
+                (
+                    key(&extractor, store.payload_at(row)),
+                    extractor.extract_payload(&observation.payload),
+                )
+            })
             .collect();
         for (i, (key_a, ident_a)) in keyed.iter().enumerate() {
+            prop_assert_eq!(&rows[i].payload, &payloads[i]);
+            // The owned row lends the same key its record does.
+            prop_assert_eq!(key_a, &key(&extractor, payloads[i].as_ref()));
             prop_assert_eq!(key_a.is_some(), ident_a.is_some());
             for (j, (key_b, ident_b)) in keyed.iter().enumerate().skip(i) {
                 if ident_a.is_none() || ident_b.is_none() {
@@ -382,7 +412,7 @@ fn keyed_grouping_equals_grouping_by_identifier_at_any_thread_count() {
         // The oracle: one map entry per `extract_payload` identifier.
         let mut by_identifier: HashMap<ProtocolIdentifier, Vec<AddrId>> = HashMap::new();
         for i in 0..view.len() {
-            if let Some(identifier) = extractor.extract_payload(view.payload_at(i)) {
+            if let Some(identifier) = extractor.extract_payload(&view.payload_at(i).to_owned()) {
                 by_identifier
                     .entry(identifier)
                     .or_default()

@@ -164,9 +164,7 @@ impl AddrInterner {
     /// The runtime twin of the `det-hash-iter` lint's premise — a broken
     /// bijection is exactly the state where id-space arithmetic silently
     /// resolves to the wrong address.  Walks the vector (never the hash
-    /// map), so the check itself is deterministic.  Compiled only under
-    /// `debug_assertions` or the `validate` feature.
-    #[cfg(any(debug_assertions, feature = "validate"))]
+    /// map), so the check itself is deterministic.
     pub fn validate(&self) -> Result<(), String> {
         if self.ids.len() != self.addrs.len() {
             return Err(format!(
@@ -356,9 +354,7 @@ impl CompactAliasSet {
     ///
     /// Every constructor establishes this, and the PR4 determinism bug was
     /// precisely a set that escaped canonical order — so parity tests call
-    /// this on their way through.  Compiled only under `debug_assertions`
-    /// or the `validate` feature.
-    #[cfg(any(debug_assertions, feature = "validate"))]
+    /// this on their way through.
     pub fn validate(&self) -> Result<(), String> {
         for pair in self.members.windows(2) {
             if pair[0] >= pair[1] {

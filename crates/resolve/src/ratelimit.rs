@@ -29,7 +29,7 @@ use alias_core::intern::{AddrId, CompactAliasSet};
 use alias_core::union_find::UnionFind;
 use alias_netsim::{ProbeContext, ServiceProtocol, SimTime};
 use alias_obs::{DeterminismClass, LazyCounter};
-use alias_scan::{CampaignData, ServicePayload};
+use alias_scan::{CampaignData, PayloadRef};
 use std::collections::BTreeMap;
 
 /// Signature clusters of two or more members selected for verification.
@@ -115,7 +115,7 @@ impl ResolutionTechnique for RateLimitTechnique {
             .select_protocol(ServiceProtocol::IcmpRateLimit, None);
         let mut signatures: BTreeMap<AddrId, Vec<LossRound>> = BTreeMap::new();
         for obs in view.iter() {
-            let &ServicePayload::RateLimit {
+            let PayloadRef::RateLimit {
                 round,
                 rate_pps,
                 sent,

@@ -428,10 +428,7 @@ mod tests {
                     "seed={seed} threads={threads}"
                 );
                 // The absorbed store is structurally coherent, not just
-                // equal to the serial one.  The validators only exist in
-                // debug builds or under the forwarded `validate` feature,
-                // so release runs of the `--ignored` sweeps still compile.
-                #[cfg(any(debug_assertions, feature = "validate"))]
+                // equal to the serial one.
                 assert_eq!(
                     sharded.store().validate(),
                     Ok(()),
@@ -601,7 +598,6 @@ mod tests {
                     serial.store(),
                     "seed={seed} threads={threads}"
                 );
-                #[cfg(any(debug_assertions, feature = "validate"))]
                 assert_eq!(sharded.store().validate(), Ok(()));
                 assert_eq!(sharded.finished_at, serial.finished_at);
             }

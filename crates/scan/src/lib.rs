@@ -42,8 +42,8 @@ pub mod zmap;
 
 pub use alias_netsim::ServiceProtocol;
 pub use alias_store::{
-    DataSource, ObservationRef, ObservationStore, ObservationView, ServiceObservation,
-    ServicePayload, ShardColumns,
+    BgpOpenRef, DataSource, ObservationRef, ObservationStore, ObservationView, PayloadRef,
+    ServiceObservation, ServicePayload, ShardColumns, SshRef,
 };
 pub use campaign::{ActiveCampaign, CampaignConfig, CampaignData};
 pub use hitlist::Ipv6Hitlist;

@@ -18,7 +18,7 @@
 //!    runs first: a target with zero loss there cannot lose packets at
 //!    any lower rate (loss is monotone in the probing rate), so the whole
 //!    ladder is skipped.  Only **lossy** rounds are recorded, as
-//!    [`ServicePayload::RateLimit`] observations.
+//!    [`PayloadRef::RateLimit`] observations.
 //!
 //! Timestamps are slot-based — a pure function of the target's global
 //! index and the round number — so the output is byte-identical for any
@@ -26,7 +26,7 @@
 
 use alias_netsim::{Internet, ProbeContext, ServiceProtocol, SimTime, VantageKind};
 use alias_obs::{DeterminismClass, LazyCounter};
-use alias_store::{DataSource, ServicePayload, ShardColumns};
+use alias_store::{DataSource, PayloadRef, ShardColumns};
 use std::net::{IpAddr, Ipv6Addr};
 
 /// Targets skipped by the screening burst (zero loss at the top rate).
@@ -201,7 +201,7 @@ impl RateProber {
                     cfg.source,
                     time,
                     Some(internet.asn_at(device_id, iface_idx).0),
-                    ServicePayload::RateLimit {
+                    PayloadRef::RateLimit {
                         round,
                         rate_pps: rate as u32,
                         sent,
@@ -247,7 +247,7 @@ mod tests {
     use super::*;
     use crate::store_of;
     use alias_netsim::{DeviceKind, InternetBuilder, InternetConfig};
-    use alias_store::ObservationStore;
+    use alias_store::{ObservationStore, ServicePayload};
 
     fn internet_with_silent(seed: u64, silent: usize) -> Internet {
         let mut config = InternetConfig::tiny(seed);

@@ -12,7 +12,7 @@
 use crate::rate::ProbeSchedule;
 use alias_netsim::{internet::SNMP_PORT, DeviceId, Internet, ProbeContext, SimTime, VantageKind};
 use alias_obs::{DeterminismClass, LazyCounter};
-use alias_store::{DataSource, ServicePayload, ShardColumns};
+use alias_store::{DataSource, PayloadRef, ShardColumns};
 use alias_wire::snmp::Snmpv3Message;
 use std::net::IpAddr;
 
@@ -111,8 +111,8 @@ impl SnmpScanner {
                 self.config.source,
                 now,
                 Some(internet.asn_at(device_id, iface_idx).0),
-                ServicePayload::Snmpv3 {
-                    engine_id: usm.engine_id,
+                PayloadRef::Snmpv3 {
+                    engine_id: usm.engine_id.as_bytes(),
                     engine_boots: usm.engine_boots,
                     engine_time: usm.engine_time,
                 },
@@ -236,7 +236,7 @@ mod tests {
     use super::*;
     use crate::store_of;
     use alias_netsim::{InternetBuilder, InternetConfig};
-    use alias_store::ObservationStore;
+    use alias_store::{ObservationStore, ServicePayload};
 
     fn internet() -> Internet {
         InternetBuilder::new(InternetConfig::tiny(55)).build()

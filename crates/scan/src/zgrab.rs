@@ -4,13 +4,14 @@
 //! SYN scan, complete the TCP handshake and record the protocol exchange —
 //! for SSH the banner, `SSH_MSG_KEXINIT` and the host key from the
 //! key-exchange reply; for BGP the unsolicited OPEN (and the NOTIFICATION
-//! that usually follows).  The captured bytes are parsed with `alias-wire`
-//! and pushed into per-shard [`ShardColumns`].
+//! that usually follows).  The captured bytes are parsed in place with
+//! `alias-wire` and the borrowed result encoded straight into the arena of
+//! a per-shard [`ShardColumns`]: no owned observation is built.
 
 use crate::rate::ProbeSchedule;
 use alias_netsim::{Internet, ProbeContext, ServiceProtocol, SimTime, VantageKind};
 use alias_obs::{DeterminismClass, LazyCounter};
-use alias_store::{DataSource, ShardColumns};
+use alias_store::{DataSource, PayloadRef, ShardColumns};
 use std::net::IpAddr;
 
 /// Application-layer sessions attempted: one per grab target, whatever it
@@ -60,7 +61,9 @@ impl ZgrabScanner {
     /// The probe loop of one shard: one paced session attempt per target,
     /// drawing send times from `schedule`, capturing session bytes into the
     /// reusable `scratch` buffer, and pushing results into `columns` (the
-    /// address is interned shard-locally as it is observed).
+    /// address is interned shard-locally as it is observed).  A session is
+    /// parsed whole before anything is pushed, so one that any step rejects
+    /// leaves the shard exactly as it was.
     ///
     /// Each target is resolved against the IP index exactly once; the probe
     /// dispatch and the ASN attribution reuse the resolved interface.
@@ -85,7 +88,7 @@ impl ZgrabScanner {
             if !internet.service_session_into(device_id, iface_idx, port, &ctx, scratch) {
                 continue;
             }
-            let Some(payload) = parse_payload(protocol, scratch) else {
+            let Some(payload) = PayloadRef::parse(protocol, scratch) else {
                 continue;
             };
             columns.push(

@@ -13,21 +13,29 @@
 //!
 //! * [`ObservationStore`] — column vectors for the scalars
 //!   ([`AddrId`](alias_intern::AddrId), `ServiceProtocol`, [`DataSource`],
-//!   port, timestamp, ASN) plus a separate payload column, with every
-//!   observed address interned to a dense id at insertion time;
+//!   port, timestamp, ASN) plus one byte arena holding every row's payload
+//!   as a record, with every observed address interned to a dense id at
+//!   insertion time;
 //! * [`ShardColumns`] — per-shard append builders, so parallel scan loops
 //!   emit ids straight into shard-local columns (intern **at scan**, no
 //!   post-hoc interning pass over the finished campaign);
 //! * [`ObservationView`] / [`ObservationRef`] — zero-copy selections
 //!   ([`ObservationStore::select`] reads two bytes per row) and borrowed
-//!   row accessors.
+//!   row accessors;
+//! * [`PayloadRef`] — a payload with its variable-length parts borrowed:
+//!   the one form payloads are read and written in.
 //!
-//! There is one door in per data source and one door out.  Pre-collected
-//! rows (a Censys export) enter through
-//! [`ObservationStore::from_observations`]; scans enter through
-//! [`ShardColumns`] + [`ObservationStore::absorb_shard`]; rows leave only
-//! through `to_observations` on a store or a view — the oracle the tests
-//! compare against.
+//! **Rows at the doors, bytes inside.**  There is one door in per data
+//! source and one door out.  Pre-collected rows (a Censys export) enter
+//! through [`ObservationStore::from_observations`], which encodes each
+//! row's payload into the arena and frees the row; scans enter through
+//! [`ShardColumns`] + [`ObservationStore::absorb_shard`], a session parsed
+//! in place ([`PayloadRef::parse`]) going straight into the shard's arena;
+//! rows leave only through `to_observations` on a store or a view — the
+//! oracle the tests compare against.  In between, a payload is a record in
+//! the store's own injective encoding (the table is in `payload.rs`):
+//! cloning a store, uniting two and absorbing a shard copy buffers, dropping
+//! one frees them, and two stores are equal exactly when their bytes are.
 //!
 //! The crate sits between `alias-intern` and `alias-scan`; the observation
 //! record types ([`ServiceObservation`], [`ServicePayload`],
@@ -36,9 +44,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod payload;
 mod records;
 mod store;
 
+pub use payload::{BgpOpenRef, BgpParams, PayloadRef, RecordParams, SshRecord, SshRef};
 pub use records::{parse_payload, DataSource, ServiceObservation, ServicePayload};
 pub use store::{ObservationRef, ObservationStore, ObservationView, ShardColumns};
 
@@ -46,49 +56,128 @@ pub use store::{ObservationRef, ObservationStore, ObservationView, ShardColumns}
 mod proptests {
     use super::*;
     use alias_netsim::{ServiceProtocol, SimTime};
-    use alias_wire::bgp::OpenMessage;
+    use alias_wire::bgp::{Capability, OpenMessage, OptionalParameter};
     use alias_wire::snmp::EngineId;
-    use alias_wire::ssh::{Banner, HostKey, HostKeyAlgorithm, KexInit, SshObservation};
+    use alias_wire::ssh::{Banner, HostKey, HostKeyAlgorithm, KexInit, NameList, SshObservation};
     use proptest::prelude::*;
     use std::net::{IpAddr, Ipv4Addr};
 
-    /// Deterministically expand a compact `(addr, kind, source)` triple
-    /// into a full observation — enough variety to exercise interning and
-    /// selection without generating wire types directly.
-    fn expand(row: (u16, u8, bool)) -> ServiceObservation {
-        let (addr_raw, kind, censys) = row;
+    /// Deterministically expand a compact `(addr, kind, shape, source)`
+    /// tuple into a full observation: `kind` picks the protocol and fills
+    /// values, the bits of `shape` pick among every payload shape the wire
+    /// parsers can return — parts present or absent, empty and long
+    /// fields, every enum variant, the integer extremes.
+    fn expand(row: (u16, u8, u32, bool)) -> ServiceObservation {
+        let (addr_raw, kind, shape, censys) = row;
         let addr = IpAddr::V4(Ipv4Addr::new(10, 0, (addr_raw >> 8) as u8, addr_raw as u8));
         let source = if censys {
             DataSource::Censys
         } else {
             DataSource::Active
         };
+        let bit = |n: u32| shape >> n & 1 == 1;
+        // One of `pool`, chosen by the three shape bits from `at`.
+        fn pick<T: Clone>(pool: &[T], shape: u32, at: u32) -> T {
+            pool[(shape >> at & 7) as usize % pool.len()].clone()
+        }
         let payload = match kind % 4 {
-            0 => ServicePayload::Ssh(SshObservation {
-                banner: Banner::new("OpenSSH_8.9p1", None).unwrap(),
-                kex_init: (kind & 4 != 0).then(KexInit::typical_openssh),
-                host_key: Some(HostKey::new(HostKeyAlgorithm::Ed25519, vec![kind; 32])),
-            }),
-            1 => ServicePayload::Bgp {
-                open: OpenMessage {
-                    version: 4,
-                    my_as: 64_000 + kind as u16,
-                    hold_time: 90,
-                    bgp_identifier: Ipv4Addr::new(192, 0, 2, kind),
-                    optional_parameters: vec![],
-                },
-                notification_seen: kind & 8 != 0,
-            },
+            0 => {
+                let lists: [NameList; 4] = [
+                    NameList::default(),
+                    NameList::new(["none"]),
+                    NameList::new(["aes128-ctr", "a;b", "zlib@openssh.com"]),
+                    NameList::new(["x".repeat(300)]),
+                ];
+                ServicePayload::Ssh(SshObservation {
+                    banner: Banner {
+                        proto_version: pick(&["2.0", "1.99", ""], shape, 0).to_owned(),
+                        software: pick(&["OpenSSH_8.9p1", "dropbear_2020.81", "a b"], shape, 3)
+                            .to_owned(),
+                        comments: pick(
+                            &[None, Some(""), Some("Ubuntu-3 é"), Some("b c")],
+                            shape,
+                            6,
+                        )
+                        .map(str::to_owned),
+                    },
+                    kex_init: bit(9).then(|| KexInit {
+                        cookie: if bit(10) { [kind; 16] } else { [0; 16] },
+                        kex_algorithms: pick(&lists, shape, 11),
+                        server_host_key_algorithms: pick(&lists, shape, 13),
+                        encryption_client_to_server: pick(&lists, shape, 15),
+                        encryption_server_to_client: pick(&lists, shape, 17),
+                        languages_server_to_client: pick(&lists, shape, 19),
+                        first_kex_packet_follows: bit(21),
+                        ..KexInit::typical_openssh()
+                    }),
+                    host_key: bit(22).then(|| {
+                        HostKey::new(
+                            pick(
+                                &[
+                                    HostKeyAlgorithm::Ed25519,
+                                    HostKeyAlgorithm::Rsa,
+                                    HostKeyAlgorithm::EcdsaP256,
+                                    HostKeyAlgorithm::Dsa,
+                                ],
+                                shape,
+                                23,
+                            ),
+                            vec![kind; pick(&[32usize, 1, 0, 279], shape, 25)],
+                        )
+                    }),
+                })
+            }
+            1 => {
+                let pool = [
+                    OptionalParameter::Capability(Capability::Multiprotocol { afi: 2, safi: 1 }),
+                    OptionalParameter::Capability(Capability::RouteRefresh),
+                    OptionalParameter::Capability(Capability::FourOctetAs {
+                        asn: 4_200_000_000 + u32::from(kind),
+                    }),
+                    OptionalParameter::Capability(Capability::RouteRefreshCisco),
+                    OptionalParameter::Capability(Capability::Other {
+                        code: 70,
+                        value: vec![],
+                    }),
+                    OptionalParameter::Capability(Capability::Other {
+                        code: kind,
+                        value: vec![kind; 255],
+                    }),
+                    OptionalParameter::Other {
+                        param_type: 1,
+                        value: vec![],
+                    },
+                    OptionalParameter::Other {
+                        param_type: kind,
+                        value: vec![kind; 255],
+                    },
+                ];
+                ServicePayload::Bgp {
+                    open: OpenMessage {
+                        version: pick(&[4, 0, u8::MAX], shape, 9),
+                        my_as: pick(&[64_000 + u16::from(kind), 0, u16::MAX], shape, 12),
+                        hold_time: pick(&[90, 0, u16::MAX], shape, 15),
+                        bgp_identifier: Ipv4Addr::new(192, 0, 2, kind),
+                        // The parameters whose shape bit is set, in pool
+                        // order, the first one once more at the end.
+                        optional_parameters: (0..9)
+                            .filter(|&n| bit(n))
+                            .map(|n| pool[n as usize % pool.len()].clone())
+                            .collect(),
+                    },
+                    notification_seen: bit(18),
+                }
+            }
             2 => ServicePayload::Snmpv3 {
-                engine_id: EngineId::from_enterprise_mac(9, [kind; 6]),
-                engine_boots: kind as i64,
-                engine_time: 10 * kind as i64,
+                engine_id: EngineId(vec![kind; pick(&[11usize, 5, 32, 0], shape, 0)]),
+                engine_boots: pick(&[i64::from(kind), -1, i64::MAX, i64::MIN], shape, 3),
+                engine_time: pick(&[10 * i64::from(kind), -7, i64::MAX, 0], shape, 6),
             },
             _ => ServicePayload::RateLimit {
-                round: kind % 5,
-                rate_pps: 256u32 << (kind % 5),
-                sent: 24,
-                lost: (kind % 25) as u16,
+                round: pick(&[kind % 5, 0, u8::MAX], shape, 0),
+                rate_pps: pick(&[256u32 << (kind % 5), 0, u32::MAX], shape, 3),
+                sent: pick(&[24, 0, u16::MAX], shape, 6),
+                lost: pick(&[u16::from(kind % 25), 0, u16::MAX], shape, 9),
             },
         };
         let port = payload.protocol().default_port();
@@ -110,7 +199,7 @@ mod proptests {
         #[test]
         fn columnar_store_matches_the_row_vec_oracle(
             rows in proptest::collection::vec(
-                ((0u16..48), any::<u8>(), any::<bool>()),
+                ((0u16..48), any::<u8>(), any::<u32>(), any::<bool>()),
                 0..60,
             ),
         ) {
@@ -125,7 +214,7 @@ mod proptests {
                 for shard_rows in oracle.chunks(chunk) {
                     let mut shard = ShardColumns::new();
                     for o in shard_rows {
-                        shard.push(o.addr, o.port, o.source, o.timestamp, o.asn, o.payload.clone());
+                        shard.push(o.addr, o.port, o.source, o.timestamp, o.asn, o.payload.as_ref());
                     }
                     sharded.absorb_shard(shard);
                     // Shard splicing must never let the columns drift — the
@@ -138,6 +227,13 @@ mod proptests {
 
             // Materialisation restores the row vec byte for byte.
             prop_assert_eq!(serial.to_observations(), oracle.clone());
+
+            // A copy and a union are the same rows again: the arena splices.
+            let mut twice = serial.clone();
+            prop_assert_eq!(&twice, &serial);
+            twice.extend_from(&serial);
+            prop_assert_eq!(twice.validate(), Ok(()));
+            prop_assert_eq!(twice.to_observations(), [oracle.clone(), oracle.clone()].concat());
 
             // Ids are dense, first-observation ordered, and every row's id
             // resolves back to its address.

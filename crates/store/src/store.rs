@@ -2,11 +2,14 @@
 //!
 //! [`ObservationStore`] keeps a campaign's observations as column vectors —
 //! one `Vec` per scalar field ([`AddrId`], `ServiceProtocol`, [`DataSource`],
-//! port, timestamp, ASN) plus a payload column — instead of one
-//! row-oriented `Vec<ServiceObservation>`.  The row type interleaves
+//! port, timestamp, ASN) plus one byte arena of payload records — instead
+//! of one row-oriented `Vec<ServiceObservation>`.  The row type interleaves
 //! multi-hundred-byte payloads with the handful of scalar bytes every
 //! technique actually filters on, so a protocol pass over rows drags the
 //! whole campaign through cache; over columns it reads one byte per row.
+//! And a row's payload is a dozen heap blocks where its record is a run of
+//! bytes in a buffer the whole store shares: copying a store copies
+//! buffers, dropping one frees them.
 //!
 //! Addresses are interned **at scan time**: the sharded probe loops push
 //! straight into per-shard [`ShardColumns`] (shard-local interner, no
@@ -17,11 +20,12 @@
 //!
 //! Reading is zero-copy: [`ObservationStore::select`] scans the two
 //! one-byte filter columns and yields an [`ObservationView`] whose accessors
-//! return column values and `&ServicePayload` references without
+//! return column values and [`PayloadRef`]s decoded in place, without
 //! materialising rows; rows come back only through `to_observations`, the
 //! test oracle.
 
-use crate::records::{DataSource, ServiceObservation, ServicePayload};
+use crate::payload::{PayloadArena, PayloadRef};
+use crate::records::{DataSource, ServiceObservation};
 use alias_intern::{AddrId, AddrInterner};
 use alias_netsim::{ServiceProtocol, SimTime};
 use alias_obs::{DeterminismClass, LazyCounter};
@@ -35,6 +39,18 @@ static ROWS_ABSORBED: LazyCounter = LazyCounter::new(
     "store.rows_absorbed",
     DeterminismClass::Deterministic,
     "rows",
+    "store",
+);
+
+/// Payload record bytes spliced onto campaign stores by
+/// [`ObservationStore::absorb_shard`]: with `store.rows_absorbed`, the mean
+/// record size; with the span around a phase, its ingest rate in bytes.  A
+/// row's record is a function of its payload alone, so the total is
+/// thread-count-invariant.
+static PAYLOAD_BYTES: LazyCounter = LazyCounter::new(
+    "store.payload_bytes",
+    DeterminismClass::Deterministic,
+    "bytes",
     "store",
 );
 
@@ -58,7 +74,7 @@ pub struct ObservationStore {
     ports: Vec<u16>,
     timestamps: Vec<SimTime>,
     asns: Vec<Option<u32>>,
-    payloads: Vec<ServicePayload>,
+    payloads: PayloadArena,
     interner: Arc<AddrInterner>,
 }
 
@@ -70,7 +86,7 @@ impl ObservationStore {
 
     /// Build a store from row observations, in order: the door for
     /// pre-collected rows (a Censys export); scans use [`ShardColumns`].
-    /// Fields are moved in, nothing is cloned.
+    /// Each row's payload is encoded into the arena and freed here.
     pub fn from_observations<I>(observations: I) -> Self
     where
         I: IntoIterator<Item = ServiceObservation>,
@@ -84,16 +100,18 @@ impl ObservationStore {
             store.ports.push(observation.port);
             store.timestamps.push(observation.timestamp);
             store.asns.push(observation.asn);
-            store.payloads.push(observation.payload);
+            store.payloads.push(observation.payload.as_ref());
         }
         store
     }
 
     /// Splice a scan shard onto the store: the shard's dense local ids are
     /// remapped through one hash lookup per *distinct* shard address, then
-    /// every column is moved over.  Absorbing shards in shard order
-    /// reproduces the serial first-observation id order exactly, which is
-    /// what keeps a sharded campaign byte-identical to a serial one.
+    /// every column is moved over (the payload arena whole, if it is the
+    /// store's first).  Absorbing shards in shard order reproduces the
+    /// serial first-observation id order — and the serial arena, byte for
+    /// byte — which is what keeps a sharded campaign identical to a serial
+    /// one.
     pub fn absorb_shard(&mut self, shard: ShardColumns) {
         let ShardColumns {
             interner: local,
@@ -108,6 +126,7 @@ impl ObservationStore {
         let global = Arc::make_mut(&mut self.interner);
         let remap: Vec<AddrId> = local.addrs().iter().map(|&a| global.intern(a)).collect();
         ROWS_ABSORBED.add(addrs.len() as u64);
+        PAYLOAD_BYTES.add(payloads.byte_len() as u64);
         ADDR_REMAPS.add(remap.len() as u64);
         self.addrs
             .extend(addrs.into_iter().map(|id| remap[id.index()]));
@@ -116,7 +135,7 @@ impl ObservationStore {
         self.ports.extend(ports);
         self.timestamps.extend(timestamps);
         self.asns.extend(asns);
-        self.payloads.extend(payloads);
+        self.payloads.append(payloads);
     }
 
     /// Append every row of another store, re-interning addresses into this
@@ -136,7 +155,7 @@ impl ObservationStore {
         self.ports.extend_from_slice(&other.ports);
         self.timestamps.extend_from_slice(&other.timestamps);
         self.asns.extend_from_slice(&other.asns);
-        self.payloads.extend_from_slice(&other.payloads);
+        self.payloads.extend_from(&other.payloads);
     }
 
     /// Number of stored observations.
@@ -202,11 +221,18 @@ impl ObservationStore {
         &self.asns
     }
 
-    /// The payload column.  Stored separately from the scalar columns so
-    /// filter passes never pull payload bytes through cache.
+    /// Total bytes of payload records in the store's arena.  Stored apart
+    /// from the scalar columns, so filter passes never pull them through
+    /// cache.
     #[inline]
-    pub fn payloads(&self) -> &[ServicePayload] {
-        &self.payloads
+    pub fn payload_bytes(&self) -> usize {
+        self.payloads.byte_len()
+    }
+
+    /// The payload of row `row`, decoded in place.
+    #[inline]
+    pub fn payload_at(&self, row: usize) -> PayloadRef<'_> {
+        self.payloads.get(row, self.protocols[row])
     }
 
     /// The address of row `row` (resolved through the interner).
@@ -225,7 +251,7 @@ impl ObservationStore {
             source: self.sources[row],
             timestamp: self.timestamps[row],
             asn: self.asns[row],
-            payload: &self.payloads[row],
+            payload: self.payload_at(row),
         }
     }
 
@@ -264,7 +290,7 @@ impl ObservationStore {
         self.select(Some(protocol), source)
     }
 
-    /// Materialise every row (the test oracle; payloads are cloned).
+    /// Materialise every row (the test oracle; payloads are copied out).
     pub fn to_observations(&self) -> Vec<ServiceObservation> {
         (0..self.len())
             .map(|row| self.get(row).to_observation())
@@ -272,16 +298,15 @@ impl ObservationStore {
     }
 
     /// Check the store's structural invariants: every column the same
-    /// length, the protocol column agreeing with the payload column
-    /// row-by-row, every address id inside the interner's dense range, and
-    /// the interner's own id ⇄ address bijection intact.
+    /// length, the payload arena's end offsets non-decreasing and closing
+    /// on its last byte, every record a well-formed one of its row's
+    /// protocol tag, every address id inside the interner's dense range,
+    /// and the interner's own id ⇄ address bijection intact.
     ///
     /// The runtime twin of the static `det-hash-iter`/`id-space` lints:
     /// those catch sources of nondeterminism in the text, this catches a
     /// store whose columns have drifted apart at the point of use (the
-    /// parity proptests call it after `absorb_shard` splices).  Compiled
-    /// only under `debug_assertions` or the `validate` feature.
-    #[cfg(any(debug_assertions, feature = "validate"))]
+    /// parity proptests call it after `absorb_shard` splices).
     pub fn validate(&self) -> Result<(), String> {
         let rows = self.addrs.len();
         let widths = [
@@ -299,14 +324,7 @@ impl ObservationStore {
                 ));
             }
         }
-        for (row, (&tag, payload)) in self.protocols.iter().zip(&self.payloads).enumerate() {
-            if tag != payload.protocol() {
-                return Err(format!(
-                    "tag/payload drift at row {row}: tag {tag:?} vs payload {:?}",
-                    payload.protocol()
-                ));
-            }
-        }
+        self.payloads.validate(&self.protocols)?;
         let ids = self.interner.len();
         for (row, id) in self.addrs.iter().enumerate() {
             if id.index() >= ids {
@@ -346,7 +364,7 @@ pub struct ShardColumns {
     ports: Vec<u16>,
     timestamps: Vec<SimTime>,
     asns: Vec<Option<u32>>,
-    payloads: Vec<ServicePayload>,
+    payloads: PayloadArena,
 }
 
 impl ShardColumns {
@@ -367,12 +385,12 @@ impl ShardColumns {
             ports: Vec::with_capacity(rows),
             timestamps: Vec::with_capacity(rows),
             asns: Vec::with_capacity(rows),
-            payloads: Vec::with_capacity(rows),
+            payloads: PayloadArena::with_capacity(rows),
         }
     }
 
     /// Append one observation from its fields, interning the address
-    /// shard-locally.
+    /// shard-locally and encoding the payload into the shard's arena.
     pub fn push(
         &mut self,
         addr: IpAddr,
@@ -380,7 +398,7 @@ impl ShardColumns {
         source: DataSource,
         timestamp: SimTime,
         asn: Option<u32>,
-        payload: ServicePayload,
+        payload: PayloadRef<'_>,
     ) {
         let id = self.interner.intern(addr);
         self.addrs.push(id);
@@ -402,6 +420,12 @@ impl ShardColumns {
     #[inline]
     pub fn is_empty(&self) -> bool {
         self.addrs.is_empty()
+    }
+
+    /// Total bytes of payload records in the shard's arena.
+    #[inline]
+    pub fn payload_bytes(&self) -> usize {
+        self.payloads.byte_len()
     }
 
     /// Timestamp of the shard's last row, if any.
@@ -456,10 +480,10 @@ impl<'a> ObservationView<'a> {
         self.store.addr_at(self.rows[i] as usize)
     }
 
-    /// The payload of the `i`-th selected row, borrowed.
+    /// The payload of the `i`-th selected row, decoded in place.
     #[inline]
-    pub fn payload_at(&self, i: usize) -> &'a ServicePayload {
-        &self.store.payloads[self.rows[i] as usize]
+    pub fn payload_at(&self, i: usize) -> PayloadRef<'a> {
+        self.store.payload_at(self.rows[i] as usize)
     }
 
     /// The origin AS of the `i`-th selected row.
@@ -491,8 +515,8 @@ impl<'a> ObservationView<'a> {
     }
 }
 
-/// A borrowed observation row: every scalar by value, the payload by
-/// reference.
+/// A borrowed observation row: every scalar by value, the payload
+/// decoded in place.
 #[derive(Debug, Clone, Copy)]
 pub struct ObservationRef<'a> {
     /// Dense id of the observed address in the store's interner.
@@ -507,8 +531,8 @@ pub struct ObservationRef<'a> {
     pub timestamp: SimTime,
     /// Origin AS.
     pub asn: Option<u32>,
-    /// The parsed payload, borrowed from the payload column.
-    pub payload: &'a ServicePayload,
+    /// The parsed payload, borrowed from the store's arena.
+    pub payload: PayloadRef<'a>,
 }
 
 impl ObservationRef<'_> {
@@ -530,7 +554,7 @@ impl ObservationRef<'_> {
         self.port == self.protocol().default_port()
     }
 
-    /// Clone the row into an owned observation.
+    /// Copy the row into an owned observation.
     fn to_observation(self) -> ServiceObservation {
         ServiceObservation {
             addr: self.addr,
@@ -538,7 +562,7 @@ impl ObservationRef<'_> {
             source: self.source,
             timestamp: self.timestamp,
             asn: self.asn,
-            payload: self.payload.clone(),
+            payload: self.payload.to_owned(),
         }
     }
 }
@@ -546,6 +570,7 @@ impl ObservationRef<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ServicePayload;
     use alias_wire::snmp::EngineId;
     use alias_wire::ssh::{Banner, HostKey, HostKeyAlgorithm, KexInit, SshObservation};
 
@@ -609,7 +634,12 @@ mod tests {
         assert_eq!(store.ports()[2], 161);
         assert_eq!(store.asns()[0], Some(101));
         assert_eq!(store.timestamps()[4], SimTime::from_secs(900));
-        assert_eq!(store.payloads().len(), rows.len());
+        let decoded: Vec<ServicePayload> = (0..store.len())
+            .map(|row| store.payload_at(row).to_owned())
+            .collect();
+        let pushed: Vec<&ServicePayload> = rows.iter().map(|o| &o.payload).collect();
+        assert_eq!(decoded.iter().collect::<Vec<_>>(), pushed);
+        assert!(store.payload_bytes() > rows.len());
         assert_eq!(store.address_count(ServiceProtocol::Ssh), 3);
         assert_eq!(store.address_count(ServiceProtocol::Snmpv3), 2);
         assert_eq!(store.address_count(ServiceProtocol::Bgp), 0);
@@ -638,7 +668,7 @@ mod tests {
         assert_eq!(ssh.addr_id_at(2), store.addr_ids()[3]);
         assert_eq!(ssh.addr_at(0), "10.0.0.1".parse::<IpAddr>().unwrap());
         assert_eq!(ssh.asn_at(1), Some(101));
-        assert_eq!(ssh.payload_at(0), &rows[0].payload);
+        assert_eq!(ssh.payload_at(0).to_owned(), rows[0].payload);
         assert_eq!(ssh.get(1).to_observation(), rows[1]);
         assert_eq!(ssh.store().len(), store.len());
     }
@@ -659,7 +689,7 @@ mod tests {
                         o.source,
                         o.timestamp,
                         o.asn,
-                        o.payload.clone(),
+                        o.payload.as_ref(),
                     );
                 }
                 assert_eq!(shard.len(), shard_rows.len());
@@ -706,7 +736,7 @@ mod tests {
                 o.source,
                 o.timestamp,
                 o.asn,
-                o.payload.clone(),
+                o.payload.as_ref(),
             );
         }
         let mut store = ObservationStore::new();

@@ -40,15 +40,20 @@ pub enum Capability {
 }
 
 impl Capability {
+    /// The capability with its value borrowed.
+    pub fn as_ref(&self) -> CapabilityRef<'_> {
+        match *self {
+            Capability::Multiprotocol { afi, safi } => CapabilityRef::Multiprotocol { afi, safi },
+            Capability::RouteRefresh => CapabilityRef::RouteRefresh,
+            Capability::FourOctetAs { asn } => CapabilityRef::FourOctetAs { asn },
+            Capability::RouteRefreshCisco => CapabilityRef::RouteRefreshCisco,
+            Capability::Other { code, ref value } => CapabilityRef::Other { code, value },
+        }
+    }
+
     /// Capability code on the wire.
     pub fn code(&self) -> u8 {
-        match self {
-            Capability::Multiprotocol { .. } => 1,
-            Capability::RouteRefresh => 2,
-            Capability::FourOctetAs { .. } => 65,
-            Capability::RouteRefreshCisco => 128,
-            Capability::Other { code, .. } => *code,
-        }
+        self.as_ref().code()
     }
 
     /// Capability value bytes on the wire (without the code/length header).
@@ -60,20 +65,18 @@ impl Capability {
 
     /// Append [`Self::value_bytes`] to `out`.
     pub fn emit_value(&self, out: &mut Vec<u8>) {
-        match self {
-            Capability::Multiprotocol { afi, safi } => {
-                out.extend_from_slice(&afi.to_be_bytes());
-                out.push(0);
-                out.push(*safi);
-            }
-            Capability::RouteRefresh | Capability::RouteRefreshCisco => {}
-            Capability::FourOctetAs { asn } => out.extend_from_slice(&asn.to_be_bytes()),
-            Capability::Other { value, .. } => out.extend_from_slice(value),
-        }
+        self.as_ref().emit_value(out);
     }
 
     /// Parse one capability from `buf`; returns the capability and bytes consumed.
     pub fn parse(buf: &[u8]) -> Result<(Self, usize)> {
+        let (capability, consumed) = Self::parse_borrowed(buf)?;
+        Ok((capability.to_owned(), consumed))
+    }
+
+    /// [`Self::parse`] without the copy: an unmodelled capability's value as
+    /// a slice of `buf`.
+    pub fn parse_borrowed(buf: &[u8]) -> Result<(CapabilityRef<'_>, usize)> {
         check_len(buf, 2)?;
         let code = buf[0];
         let len = buf[1] as usize;
@@ -86,7 +89,7 @@ impl Capability {
                         field: "capability.multiprotocol",
                     });
                 }
-                Capability::Multiprotocol {
+                CapabilityRef::Multiprotocol {
                     afi: u16::from_be_bytes([value[0], value[1]]),
                     safi: value[3],
                 }
@@ -97,7 +100,7 @@ impl Capability {
                         field: "capability.route_refresh",
                     });
                 }
-                Capability::RouteRefresh
+                CapabilityRef::RouteRefresh
             }
             65 => {
                 if len != 4 {
@@ -105,7 +108,7 @@ impl Capability {
                         field: "capability.four_octet_as",
                     });
                 }
-                Capability::FourOctetAs {
+                CapabilityRef::FourOctetAs {
                     asn: u32::from_be_bytes([value[0], value[1], value[2], value[3]]),
                 }
             }
@@ -115,12 +118,9 @@ impl Capability {
                         field: "capability.route_refresh_cisco",
                     });
                 }
-                Capability::RouteRefreshCisco
+                CapabilityRef::RouteRefreshCisco
             }
-            other => Capability::Other {
-                code: other,
-                value: value.to_vec(),
-            },
+            other => CapabilityRef::Other { code: other, value },
         };
         Ok((cap, 2 + len))
     }
@@ -131,6 +131,76 @@ impl Capability {
         out.push(self.code());
         out.push(value.len() as u8);
         out.extend_from_slice(&value);
+    }
+}
+
+/// A [`Capability`] whose value, where it carries one, borrows its bytes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CapabilityRef<'a> {
+    /// Multiprotocol extensions (code 1) with AFI/SAFI.
+    Multiprotocol {
+        /// Address family identifier.
+        afi: u16,
+        /// Subsequent address family identifier.
+        safi: u8,
+    },
+    /// Route refresh (code 2).
+    RouteRefresh,
+    /// Four-octet AS number support (code 65) carrying the real ASN.
+    FourOctetAs {
+        /// The speaker's four-octet AS number.
+        asn: u32,
+    },
+    /// Cisco pre-standard route refresh (code 128).
+    RouteRefreshCisco,
+    /// Any capability not modelled further.
+    Other {
+        /// Capability code.
+        code: u8,
+        /// Raw capability value bytes.
+        value: &'a [u8],
+    },
+}
+
+impl CapabilityRef<'_> {
+    /// Capability code on the wire.
+    pub fn code(&self) -> u8 {
+        match self {
+            CapabilityRef::Multiprotocol { .. } => 1,
+            CapabilityRef::RouteRefresh => 2,
+            CapabilityRef::FourOctetAs { .. } => 65,
+            CapabilityRef::RouteRefreshCisco => 128,
+            CapabilityRef::Other { code, .. } => *code,
+        }
+    }
+
+    /// Append the capability value bytes (without the code/length header)
+    /// to `out`.
+    pub fn emit_value(&self, out: &mut Vec<u8>) {
+        match self {
+            CapabilityRef::Multiprotocol { afi, safi } => {
+                out.extend_from_slice(&afi.to_be_bytes());
+                out.push(0);
+                out.push(*safi);
+            }
+            CapabilityRef::RouteRefresh | CapabilityRef::RouteRefreshCisco => {}
+            CapabilityRef::FourOctetAs { asn } => out.extend_from_slice(&asn.to_be_bytes()),
+            CapabilityRef::Other { value, .. } => out.extend_from_slice(value),
+        }
+    }
+
+    /// Copy the capability into an owned [`Capability`].
+    pub fn to_owned(&self) -> Capability {
+        match *self {
+            CapabilityRef::Multiprotocol { afi, safi } => Capability::Multiprotocol { afi, safi },
+            CapabilityRef::RouteRefresh => Capability::RouteRefresh,
+            CapabilityRef::FourOctetAs { asn } => Capability::FourOctetAs { asn },
+            CapabilityRef::RouteRefreshCisco => Capability::RouteRefreshCisco,
+            CapabilityRef::Other { code, value } => Capability::Other {
+                code,
+                value: value.to_vec(),
+            },
+        }
     }
 }
 
@@ -154,31 +224,20 @@ pub enum OptionalParameter {
 }
 
 impl OptionalParameter {
-    /// Parse the optional-parameters block of an OPEN message.
-    pub fn parse_all(mut buf: &[u8]) -> Result<Vec<OptionalParameter>> {
-        let mut params = Vec::new();
-        while !buf.is_empty() {
-            check_len(buf, 2)?;
-            let param_type = buf[0];
-            let len = buf[1] as usize;
-            check_len(buf, 2 + len)?;
-            let value = &buf[2..2 + len];
-            if param_type == PARAM_TYPE_CAPABILITY {
-                let mut inner = value;
-                while !inner.is_empty() {
-                    let (cap, consumed) = Capability::parse(inner)?;
-                    params.push(OptionalParameter::Capability(cap));
-                    inner = &inner[consumed..];
-                }
-            } else {
-                params.push(OptionalParameter::Other {
-                    param_type,
-                    value: value.to_vec(),
-                });
-            }
-            buf = &buf[2 + len..];
+    /// The parameter with its value borrowed.
+    pub fn as_ref(&self) -> ParamRef<'_> {
+        match self {
+            OptionalParameter::Capability(cap) => ParamRef::Capability(cap.as_ref()),
+            OptionalParameter::Other { param_type, value } => ParamRef::Other {
+                param_type: *param_type,
+                value,
+            },
         }
-        Ok(params)
+    }
+
+    /// Parse the optional-parameters block of an OPEN message.
+    pub fn parse_all(buf: &[u8]) -> Result<Vec<OptionalParameter>> {
+        Ok(WireParams::parse(buf)?.to_owned())
     }
 
     /// Emit the parameter to `out`.
@@ -206,6 +265,101 @@ impl OptionalParameter {
             p.emit(&mut out);
         }
         out
+    }
+}
+
+/// An [`OptionalParameter`] whose value borrows its bytes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ParamRef<'a> {
+    /// A capabilities parameter holding exactly one capability.
+    Capability(CapabilityRef<'a>),
+    /// A parameter of a type we do not interpret.
+    Other {
+        /// Parameter type code.
+        param_type: u8,
+        /// Raw parameter value.
+        value: &'a [u8],
+    },
+}
+
+impl ParamRef<'_> {
+    /// Copy the parameter into an owned [`OptionalParameter`].
+    pub fn to_owned(&self) -> OptionalParameter {
+        match *self {
+            ParamRef::Capability(cap) => OptionalParameter::Capability(cap.to_owned()),
+            ParamRef::Other { param_type, value } => OptionalParameter::Other {
+                param_type,
+                value: value.to_vec(),
+            },
+        }
+    }
+}
+
+/// The optional-parameters block of an OPEN message, checked and left in
+/// place: [`Self::iter`] reads the parameters [`OptionalParameter::parse_all`]
+/// returns straight off the wire bytes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct WireParams<'a>(&'a [u8]);
+
+impl<'a> WireParams<'a> {
+    /// Check a parameters block: every parameter and every capability
+    /// packed inside a capabilities parameter must parse.
+    pub fn parse(block: &'a [u8]) -> Result<Self> {
+        let mut walk = WireParamIter {
+            block,
+            capabilities: &[],
+        };
+        while walk.next_param()?.is_some() {}
+        Ok(WireParams(block))
+    }
+
+    /// The parameters in wire order, a capabilities parameter that packs
+    /// several capabilities yielding one entry per capability.
+    pub fn iter(&self) -> impl Iterator<Item = ParamRef<'a>> {
+        let mut walk = WireParamIter {
+            block: self.0,
+            capabilities: &[],
+        };
+        // `parse` has walked the block to its end without an error.
+        std::iter::from_fn(move || walk.next_param().ok().flatten())
+    }
+
+    /// Copy the parameters into an owned list.
+    pub fn to_owned(&self) -> Vec<OptionalParameter> {
+        self.iter().map(|param| param.to_owned()).collect()
+    }
+}
+
+/// The walk behind [`WireParams`]: the unread rest of the block, and the
+/// unread rest of the capabilities parameter being flattened.
+struct WireParamIter<'a> {
+    block: &'a [u8],
+    capabilities: &'a [u8],
+}
+
+impl<'a> WireParamIter<'a> {
+    fn next_param(&mut self) -> Result<Option<ParamRef<'a>>> {
+        loop {
+            if !self.capabilities.is_empty() {
+                let (cap, consumed) = Capability::parse_borrowed(self.capabilities)?;
+                self.capabilities = &self.capabilities[consumed..];
+                return Ok(Some(ParamRef::Capability(cap)));
+            }
+            if self.block.is_empty() {
+                return Ok(None);
+            }
+            check_len(self.block, 2)?;
+            let param_type = self.block[0];
+            let len = self.block[1] as usize;
+            check_len(self.block, 2 + len)?;
+            let value = &self.block[2..2 + len];
+            self.block = &self.block[2 + len..];
+            if param_type != PARAM_TYPE_CAPABILITY {
+                return Ok(Some(ParamRef::Other { param_type, value }));
+            }
+            // An empty capabilities parameter holds nothing: next parameter.
+            self.capabilities = value;
+        }
     }
 }
 

@@ -18,9 +18,9 @@ mod capability;
 mod notification;
 mod open;
 
-pub use capability::{Capability, OptionalParameter};
-pub use notification::{CeaseSubcode, NotificationMessage};
-pub use open::{OpenMessage, AS_TRANS};
+pub use capability::{Capability, CapabilityRef, OptionalParameter, ParamRef, WireParams};
+pub use notification::{CeaseSubcode, NotificationMessage, NotificationRef};
+pub use open::{OpenMessage, OpenRef, AS_TRANS};
 
 use crate::error::check_len;
 use crate::{Result, WireError};
@@ -127,14 +127,20 @@ impl BgpMessage {
     /// back-to-back messages (OPEN immediately followed by NOTIFICATION, as
     /// observed in the paper's scans) can be walked with repeated calls.
     pub fn parse(buf: &[u8]) -> Result<(Self, usize)> {
+        let (message, consumed) = Self::parse_borrowed(buf)?;
+        Ok((message.to_owned(), consumed))
+    }
+
+    /// [`Self::parse`] without the copies: the message read in place.
+    pub fn parse_borrowed(buf: &[u8]) -> Result<(BgpMessageRef<'_>, usize)> {
         let header = MessageHeader::parse(buf)?;
         let total = header.length as usize;
         check_len(buf, total)?;
         let body = &buf[BGP_HEADER_LEN..total];
         let msg = match header.message_type {
-            MessageType::Open => BgpMessage::Open(OpenMessage::parse_body(body)?),
+            MessageType::Open => BgpMessageRef::Open(OpenMessage::parse_borrowed(body)?),
             MessageType::Notification => {
-                BgpMessage::Notification(NotificationMessage::parse_body(body)?)
+                BgpMessageRef::Notification(NotificationMessage::parse_borrowed(body)?)
             }
             MessageType::Keepalive => {
                 if !body.is_empty() {
@@ -142,7 +148,7 @@ impl BgpMessage {
                         field: "keepalive.body",
                     });
                 }
-                BgpMessage::Keepalive
+                BgpMessageRef::Keepalive
             }
             MessageType::Update => {
                 return Err(WireError::UnknownType {
@@ -173,18 +179,41 @@ impl BgpMessage {
     /// Parse all messages in a captured byte stream, stopping at the first
     /// error or when the buffer is exhausted.
     pub fn parse_stream(buf: &[u8]) -> Vec<BgpMessage> {
-        let mut out = Vec::new();
-        let mut offset = 0;
-        while offset < buf.len() {
-            match BgpMessage::parse(&buf[offset..]) {
-                Ok((msg, consumed)) => {
-                    out.push(msg);
-                    offset += consumed;
-                }
-                Err(_) => break,
-            }
+        Self::messages(buf)
+            .map(|message| message.to_owned())
+            .collect()
+    }
+
+    /// The messages of a captured byte stream, read in place, stopping at
+    /// the first error or when the buffer is exhausted.
+    pub fn messages(mut buf: &[u8]) -> impl Iterator<Item = BgpMessageRef<'_>> {
+        std::iter::from_fn(move || {
+            let (message, consumed) = BgpMessage::parse_borrowed(buf).ok()?;
+            buf = &buf[consumed..];
+            Some(message)
+        })
+    }
+}
+
+/// A [`BgpMessage`] read in place ([`BgpMessage::parse_borrowed`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum BgpMessageRef<'a> {
+    /// An OPEN message.
+    Open(OpenRef<'a>),
+    /// A NOTIFICATION message.
+    Notification(NotificationRef<'a>),
+    /// A KEEPALIVE message (no body).
+    Keepalive,
+}
+
+impl BgpMessageRef<'_> {
+    /// Copy the message into an owned [`BgpMessage`].
+    pub fn to_owned(&self) -> BgpMessage {
+        match self {
+            BgpMessageRef::Open(open) => BgpMessage::Open(open.to_owned()),
+            BgpMessageRef::Notification(n) => BgpMessage::Notification(n.to_owned()),
+            BgpMessageRef::Keepalive => BgpMessage::Keepalive,
         }
-        out
     }
 }
 

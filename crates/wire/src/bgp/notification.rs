@@ -97,11 +97,16 @@ impl NotificationMessage {
 
     /// Parse a NOTIFICATION body (everything after the common header).
     pub fn parse_body(body: &[u8]) -> Result<Self> {
+        Self::parse_borrowed(body).map(|notification| notification.to_owned())
+    }
+
+    /// [`Self::parse_body`] without the copy: the data as a slice of `body`.
+    pub fn parse_borrowed(body: &[u8]) -> Result<NotificationRef<'_>> {
         check_len(body, 2)?;
-        Ok(NotificationMessage {
+        Ok(NotificationRef {
             error_code: body[0],
             error_subcode: body[1],
-            data: body[2..].to_vec(),
+            data: &body[2..],
         })
     }
 
@@ -118,6 +123,29 @@ impl NotificationMessage {
         out.push(self.error_subcode);
         out.extend_from_slice(&self.data);
         out
+    }
+}
+
+/// A [`NotificationMessage`] whose diagnostic data borrows the message
+/// body ([`NotificationMessage::parse_borrowed`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct NotificationRef<'a> {
+    /// Major error code (6 = Cease).
+    pub error_code: u8,
+    /// Error subcode.
+    pub error_subcode: u8,
+    /// Diagnostic data.
+    pub data: &'a [u8],
+}
+
+impl NotificationRef<'_> {
+    /// Copy the message into an owned [`NotificationMessage`].
+    pub fn to_owned(&self) -> NotificationMessage {
+        NotificationMessage {
+            error_code: self.error_code,
+            error_subcode: self.error_subcode,
+            data: self.data.to_vec(),
+        }
     }
 }
 

@@ -1,6 +1,6 @@
 //! The BGP OPEN message (RFC 4271 §4.2).
 
-use super::capability::{Capability, OptionalParameter};
+use super::capability::{Capability, OptionalParameter, WireParams};
 use super::{MessageHeader, MessageType, BGP_HEADER_LEN};
 use crate::error::check_len;
 use crate::{Result, WireError};
@@ -68,6 +68,12 @@ impl OpenMessage {
 
     /// Parse an OPEN message body (everything after the common header).
     pub fn parse_body(body: &[u8]) -> Result<Self> {
+        Self::parse_borrowed(body).map(|open| open.to_owned())
+    }
+
+    /// [`Self::parse_body`] without the copies: the optional parameters
+    /// checked and left in `body`.
+    pub fn parse_borrowed(body: &[u8]) -> Result<OpenRef<'_>> {
         check_len(body, OPEN_MIN_BODY_LEN)?;
         let version = body[0];
         if version != 4 {
@@ -90,13 +96,12 @@ impl OpenMessage {
                 field: "open.opt_parm_len",
             });
         }
-        let optional_parameters = OptionalParameter::parse_all(&body[OPEN_MIN_BODY_LEN..])?;
-        Ok(OpenMessage {
+        Ok(OpenRef {
             version,
             my_as,
             hold_time,
             bgp_identifier,
-            optional_parameters,
+            optional_parameters: WireParams::parse(&body[OPEN_MIN_BODY_LEN..])?,
         })
     }
 
@@ -117,6 +122,35 @@ impl OpenMessage {
         out.push(params.len() as u8);
         out.extend_from_slice(&params);
         out
+    }
+}
+
+/// An [`OpenMessage`] read in place ([`OpenMessage::parse_borrowed`]): the
+/// fixed fields by value, the optional parameters still on the wire.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct OpenRef<'a> {
+    /// Protocol version.
+    pub version: u8,
+    /// The two-octet `My Autonomous System` field.
+    pub my_as: u16,
+    /// Proposed hold time in seconds.
+    pub hold_time: u16,
+    /// The BGP Identifier.
+    pub bgp_identifier: Ipv4Addr,
+    /// Optional parameters, typically capability advertisements.
+    pub optional_parameters: WireParams<'a>,
+}
+
+impl OpenRef<'_> {
+    /// Copy the message into an owned [`OpenMessage`].
+    pub fn to_owned(&self) -> OpenMessage {
+        OpenMessage {
+            version: self.version,
+            my_as: self.my_as,
+            hold_time: self.hold_time,
+            bgp_identifier: self.bgp_identifier,
+            optional_parameters: self.optional_parameters.to_owned(),
+        }
     }
 }
 

@@ -68,6 +68,15 @@ impl Banner {
         Ok(())
     }
 
+    /// The banner with every field borrowed.
+    pub fn as_ref(&self) -> BannerRef<'_> {
+        BannerRef {
+            proto_version: &self.proto_version,
+            software: &self.software,
+            comments: self.comments.as_deref(),
+        }
+    }
+
     /// The banner line without the trailing CR LF, e.g.
     /// `SSH-2.0-OpenSSH_8.9p1`.
     pub fn to_line(&self) -> String {
@@ -78,14 +87,7 @@ impl Banner {
 
     /// Append [`Self::to_line`]'s bytes to `out`.
     pub fn emit_line(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(b"SSH-");
-        out.extend_from_slice(self.proto_version.as_bytes());
-        out.push(b'-');
-        out.extend_from_slice(self.software.as_bytes());
-        if let Some(comments) = &self.comments {
-            out.push(b' ');
-            out.extend_from_slice(comments.as_bytes());
-        }
+        self.as_ref().emit_line(out);
     }
 
     /// The banner as sent on the wire, CR LF terminated.
@@ -107,6 +109,12 @@ impl Banner {
     /// they are skipped.  Returns the banner and the total number of bytes
     /// consumed up to and including the banner's line terminator.
     pub fn parse(buf: &[u8]) -> Result<(Self, usize)> {
+        let (banner, consumed) = Self::parse_borrowed(buf)?;
+        Ok((banner.to_owned(), consumed))
+    }
+
+    /// [`Self::parse`] without the copies: the fields as slices of `buf`.
+    pub fn parse_borrowed(buf: &[u8]) -> Result<(BannerRef<'_>, usize)> {
         let mut offset = 0;
         while offset < buf.len() {
             let rest = &buf[offset..];
@@ -132,11 +140,10 @@ impl Banner {
                 let dash = rest
                     .find('-')
                     .ok_or(WireError::BadValue { field: "banner" })?;
-                let proto_version = rest[..dash].to_owned();
                 let after = &rest[dash + 1..];
                 let (software, comments) = match after.find(' ') {
-                    Some(sp) => (after[..sp].to_owned(), Some(after[sp + 1..].to_owned())),
-                    None => (after.to_owned(), None),
+                    Some(sp) => (&after[..sp], Some(&after[sp + 1..])),
+                    None => (after, None),
                 };
                 if software.is_empty() {
                     return Err(WireError::BadValue {
@@ -144,8 +151,8 @@ impl Banner {
                     });
                 }
                 return Ok((
-                    Banner {
-                        proto_version,
+                    BannerRef {
+                        proto_version: &rest[..dash],
                         software,
                         comments,
                     },
@@ -164,6 +171,42 @@ impl Banner {
     /// version).
     pub fn is_v2(&self) -> bool {
         self.proto_version == "2.0" || self.proto_version == "1.99"
+    }
+}
+
+/// A [`Banner`] whose fields borrow their text — from a session buffer
+/// ([`Banner::parse_borrowed`]), an owned banner ([`Banner::as_ref`]) or a
+/// stored record.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct BannerRef<'a> {
+    /// Protocol version.
+    pub proto_version: &'a str,
+    /// Software version and configuration string.
+    pub software: &'a str,
+    /// Optional comments following the first space.
+    pub comments: Option<&'a str>,
+}
+
+impl BannerRef<'_> {
+    /// Append the banner line ([`Banner::to_line`]'s bytes) to `out`.
+    pub fn emit_line(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(b"SSH-");
+        out.extend_from_slice(self.proto_version.as_bytes());
+        out.push(b'-');
+        out.extend_from_slice(self.software.as_bytes());
+        if let Some(comments) = self.comments {
+            out.push(b' ');
+            out.extend_from_slice(comments.as_bytes());
+        }
+    }
+
+    /// Copy the fields into an owned [`Banner`].
+    pub fn to_owned(&self) -> Banner {
+        Banner {
+            proto_version: self.proto_version.to_owned(),
+            software: self.software.to_owned(),
+            comments: self.comments.map(str::to_owned),
+        }
     }
 }
 

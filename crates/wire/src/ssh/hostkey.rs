@@ -91,8 +91,22 @@ impl HostKey {
         write_string(out, &self.key_material);
     }
 
+    /// The key with its material borrowed.
+    pub fn as_ref(&self) -> HostKeyRef<'_> {
+        HostKeyRef {
+            algorithm: self.algorithm,
+            key_material: &self.key_material,
+        }
+    }
+
     /// Parse a key blob.
     pub fn from_blob(blob: &[u8]) -> Result<Self> {
+        Self::from_blob_borrowed(blob).map(|key| key.to_owned())
+    }
+
+    /// [`Self::from_blob`] without the copy: the material as a slice of
+    /// `blob`.
+    pub fn from_blob_borrowed(blob: &[u8]) -> Result<HostKeyRef<'_>> {
         let (name, consumed) = read_string(blob)?;
         let name = std::str::from_utf8(name).map_err(|_| WireError::BadEncoding {
             field: "hostkey.algorithm",
@@ -109,9 +123,9 @@ impl HostKey {
                 field: "hostkey.material",
             });
         }
-        Ok(HostKey {
+        Ok(HostKeyRef {
             algorithm,
-            key_material: material.to_vec(),
+            key_material: material,
         })
     }
 
@@ -124,6 +138,24 @@ impl HostKey {
         out.push(':');
         crate::hex::push_hex(&mut out, &self.key_material);
         out
+    }
+}
+
+/// A [`HostKey`] whose material borrows its bytes — from a key-exchange
+/// reply ([`HostKey::from_blob_borrowed`]), an owned key
+/// ([`HostKey::as_ref`]) or a stored record.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct HostKeyRef<'a> {
+    /// Key algorithm.
+    pub algorithm: HostKeyAlgorithm,
+    /// Raw public-key material.
+    pub key_material: &'a [u8],
+}
+
+impl HostKeyRef<'_> {
+    /// Copy the key into an owned [`HostKey`].
+    pub fn to_owned(&self) -> HostKey {
+        HostKey::new(self.algorithm, self.key_material.to_vec())
     }
 }
 
@@ -145,6 +177,12 @@ pub struct KexReply {
 impl KexReply {
     /// Parse a key-exchange reply payload (starting at the message number).
     pub fn parse_payload(payload: &[u8]) -> Result<Self> {
+        Self::parse_borrowed(payload).map(|reply| reply.to_owned())
+    }
+
+    /// [`Self::parse_payload`] without the copies: every part as a slice of
+    /// `payload`.
+    pub fn parse_borrowed(payload: &[u8]) -> Result<KexReplyRef<'_>> {
         if payload.is_empty() {
             return Err(WireError::Truncated {
                 needed: 1,
@@ -158,15 +196,15 @@ impl KexReply {
         }
         let mut offset = 1;
         let (blob, consumed) = read_string(&payload[offset..])?;
-        let host_key = HostKey::from_blob(blob)?;
+        let host_key = HostKey::from_blob_borrowed(blob)?;
         offset += consumed;
-        let (ephemeral, consumed) = read_string(&payload[offset..])?;
+        let (ephemeral_public, consumed) = read_string(&payload[offset..])?;
         offset += consumed;
         let (signature, _) = read_string(&payload[offset..])?;
-        Ok(KexReply {
+        Ok(KexReplyRef {
             host_key,
-            ephemeral_public: ephemeral.to_vec(),
-            signature: signature.to_vec(),
+            ephemeral_public,
+            signature,
         })
     }
 
@@ -216,6 +254,29 @@ impl KexReply {
     /// Wrap the reply in a binary packet.
     pub fn to_packet(&self) -> SshPacket {
         SshPacket::new(self.to_payload())
+    }
+}
+
+/// A [`KexReply`] whose parts borrow the packet payload
+/// ([`KexReply::parse_borrowed`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct KexReplyRef<'a> {
+    /// The server host key.
+    pub host_key: HostKeyRef<'a>,
+    /// The server's ephemeral key-exchange public value (opaque).
+    pub ephemeral_public: &'a [u8],
+    /// Signature over the exchange hash (opaque).
+    pub signature: &'a [u8],
+}
+
+impl KexReplyRef<'_> {
+    /// Copy the reply into an owned [`KexReply`].
+    pub fn to_owned(&self) -> KexReply {
+        KexReply {
+            host_key: self.host_key.to_owned(),
+            ephemeral_public: self.ephemeral_public.to_vec(),
+            signature: self.signature.to_vec(),
+        }
     }
 }
 

@@ -7,7 +7,7 @@
 //! a key (e.g. factory-default keys) but run different software or
 //! configurations.
 
-use super::names::NameList;
+use super::names::{NameList, NameListRef};
 use super::packet::{SshPacket, SSH_MSG_KEXINIT};
 use crate::error::check_len;
 use crate::{Result, WireError};
@@ -47,13 +47,8 @@ impl KexInit {
     /// order the paper's identifier concatenates them: key-exchange, host
     /// key, then the server-to-client cipher/MAC/compression preferences.
     pub fn server_capability_lists(&self) -> [&NameList; 5] {
-        [
-            &self.kex_algorithms,
-            &self.server_host_key_algorithms,
-            &self.encryption_server_to_client,
-            &self.mac_server_to_client,
-            &self.compression_server_to_client,
-        ]
+        let lists = self.name_lists();
+        KexInitRef::SERVER_CAPABILITY_LISTS.map(|at| lists[at])
     }
 
     /// A canonical textual fingerprint of the server capability lists
@@ -111,8 +106,39 @@ impl KexInit {
         }
     }
 
+    /// The ten name-lists, in wire order.
+    fn name_lists(&self) -> [&NameList; 10] {
+        [
+            &self.kex_algorithms,
+            &self.server_host_key_algorithms,
+            &self.encryption_client_to_server,
+            &self.encryption_server_to_client,
+            &self.mac_client_to_server,
+            &self.mac_server_to_client,
+            &self.compression_client_to_server,
+            &self.compression_server_to_client,
+            &self.languages_client_to_server,
+            &self.languages_server_to_client,
+        ]
+    }
+
+    /// The message with its name-lists borrowed.
+    pub fn as_ref(&self) -> KexInitRef<'_> {
+        KexInitRef {
+            cookie: self.cookie,
+            name_lists: self.name_lists().map(NameList::as_ref),
+            first_kex_packet_follows: self.first_kex_packet_follows,
+        }
+    }
+
     /// Parse a KEXINIT payload (starting at the message-number byte).
     pub fn parse_payload(payload: &[u8]) -> Result<Self> {
+        Self::parse_borrowed(payload).map(|kex| kex.to_owned())
+    }
+
+    /// [`Self::parse_payload`] without the copies: the name-lists as slices
+    /// of `payload`.
+    pub fn parse_borrowed(payload: &[u8]) -> Result<KexInitRef<'_>> {
         check_len(payload, 1 + 16)?;
         if payload[0] != SSH_MSG_KEXINIT {
             return Err(WireError::UnknownType {
@@ -122,30 +148,39 @@ impl KexInit {
         let mut cookie = [0u8; 16];
         cookie.copy_from_slice(&payload[1..17]);
         let mut offset = 17;
-        let mut next_list = || -> Result<NameList> {
-            let (list, consumed) = NameList::parse(&payload[offset..])?;
+        let mut name_lists = [NameListRef::default(); 10];
+        for list in &mut name_lists {
+            let (parsed, consumed) = NameList::parse_borrowed(&payload[offset..])?;
+            *list = parsed;
             offset += consumed;
-            Ok(list)
-        };
-        // Struct fields are evaluated in the order written: the wire order.
-        Ok(KexInit {
+        }
+        // The flag, then the reserved uint32 (ignored).
+        check_len(payload, offset + 1 + 4)?;
+        Ok(KexInitRef {
             cookie,
-            kex_algorithms: next_list()?,
-            server_host_key_algorithms: next_list()?,
-            encryption_client_to_server: next_list()?,
-            encryption_server_to_client: next_list()?,
-            mac_client_to_server: next_list()?,
-            mac_server_to_client: next_list()?,
-            compression_client_to_server: next_list()?,
-            compression_server_to_client: next_list()?,
-            languages_client_to_server: next_list()?,
-            languages_server_to_client: next_list()?,
-            first_kex_packet_follows: {
-                // The flag, then the reserved uint32 (ignored).
-                check_len(payload, offset + 1 + 4)?;
-                payload[offset] != 0
-            },
+            name_lists,
+            first_kex_packet_follows: payload[offset] != 0,
         })
+    }
+
+    /// The message holding `lists`, given in wire order.
+    fn from_parts(cookie: [u8; 16], lists: [NameList; 10], first_kex_packet_follows: bool) -> Self {
+        let [kex_algorithms, server_host_key_algorithms, encryption_client_to_server, encryption_server_to_client, mac_client_to_server, mac_server_to_client, compression_client_to_server, compression_server_to_client, languages_client_to_server, languages_server_to_client] =
+            lists;
+        KexInit {
+            cookie,
+            kex_algorithms,
+            server_host_key_algorithms,
+            encryption_client_to_server,
+            encryption_server_to_client,
+            mac_client_to_server,
+            mac_server_to_client,
+            compression_client_to_server,
+            compression_server_to_client,
+            languages_client_to_server,
+            languages_server_to_client,
+            first_kex_packet_follows,
+        }
     }
 
     /// Parse a KEXINIT from a binary packet.
@@ -166,18 +201,7 @@ impl KexInit {
     pub fn emit_payload(&self, cookie: &[u8; 16], out: &mut Vec<u8>) {
         out.push(SSH_MSG_KEXINIT);
         out.extend_from_slice(cookie);
-        for list in [
-            &self.kex_algorithms,
-            &self.server_host_key_algorithms,
-            &self.encryption_client_to_server,
-            &self.encryption_server_to_client,
-            &self.mac_client_to_server,
-            &self.mac_server_to_client,
-            &self.compression_client_to_server,
-            &self.compression_server_to_client,
-            &self.languages_client_to_server,
-            &self.languages_server_to_client,
-        ] {
+        for list in self.name_lists() {
             list.emit(out);
         }
         out.push(u8::from(self.first_kex_packet_follows));
@@ -193,6 +217,50 @@ impl KexInit {
     /// Wrap the KEXINIT in a binary packet.
     pub fn to_packet(&self) -> SshPacket {
         SshPacket::new(self.to_payload())
+    }
+}
+
+/// A [`KexInit`] whose name-lists borrow their text — from a packet payload
+/// ([`KexInit::parse_borrowed`]), an owned message ([`KexInit::as_ref`]) or
+/// a stored record.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct KexInitRef<'a> {
+    /// 16 random bytes; not part of any identifier.
+    pub cookie: [u8; 16],
+    /// The ten name-lists, in wire order (the field order of [`KexInit`]).
+    pub name_lists: [NameListRef<'a>; 10],
+    /// Whether a guessed key-exchange packet follows.
+    pub first_kex_packet_follows: bool,
+}
+
+impl<'a> KexInitRef<'a> {
+    /// Positions in [`Self::name_lists`] of the lists that describe the
+    /// *server*: key-exchange, host key, then the server-to-client cipher /
+    /// MAC / compression preferences.
+    pub const SERVER_CAPABILITY_LISTS: [usize; 5] = [0, 1, 3, 5, 7];
+
+    /// [`KexInit::server_capability_lists`], borrowed.
+    pub fn server_capability_lists(&self) -> [NameListRef<'a>; 5] {
+        Self::SERVER_CAPABILITY_LISTS.map(|at| self.name_lists[at])
+    }
+
+    /// Append [`KexInit::capability_fingerprint`]'s bytes to `out`.
+    pub fn emit_capability_fingerprint(&self, out: &mut Vec<u8>) {
+        for (index, list) in self.server_capability_lists().into_iter().enumerate() {
+            if index > 0 {
+                out.push(b';');
+            }
+            out.extend_from_slice(list.as_bytes());
+        }
+    }
+
+    /// Copy the message into an owned [`KexInit`].
+    pub fn to_owned(&self) -> KexInit {
+        KexInit::from_parts(
+            self.cookie,
+            self.name_lists.map(|list| list.to_owned()),
+            self.first_kex_packet_follows,
+        )
     }
 }
 

@@ -22,10 +22,10 @@ pub mod kexinit;
 pub mod names;
 pub mod packet;
 
-pub use banner::Banner;
-pub use hostkey::{HostKey, HostKeyAlgorithm};
-pub use kexinit::KexInit;
-pub use names::NameList;
+pub use banner::{Banner, BannerRef};
+pub use hostkey::{HostKey, HostKeyAlgorithm, HostKeyRef};
+pub use kexinit::{KexInit, KexInitRef};
+pub use names::{NameList, NameListRef};
 pub use packet::{SshPacket, SSH_MSG_KEXINIT, SSH_MSG_KEX_ECDH_REPLY};
 
 use serde::{Deserialize, Serialize};
@@ -48,6 +48,39 @@ impl SshObservation {
     /// identifier of the paper (banner + capabilities + host key).
     pub fn is_complete(&self) -> bool {
         self.kex_init.is_some() && self.host_key.is_some()
+    }
+
+    /// The observation with every part borrowed.
+    pub fn as_ref(&self) -> SshObservationRef<'_> {
+        SshObservationRef {
+            banner: self.banner.as_ref(),
+            kex_init: self.kex_init.as_ref().map(KexInit::as_ref),
+            host_key: self.host_key.as_ref().map(HostKey::as_ref),
+        }
+    }
+}
+
+/// An [`SshObservation`] whose parts borrow their bytes: what a scanner
+/// reads off a session buffer, what an owned observation lends
+/// ([`SshObservation::as_ref`]) and what a stored record decodes to.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SshObservationRef<'a> {
+    /// The server identification banner.
+    pub banner: BannerRef<'a>,
+    /// The server's `SSH_MSG_KEXINIT`, if the exchange got that far.
+    pub kex_init: Option<KexInitRef<'a>>,
+    /// The server host key from the key-exchange reply, if obtained.
+    pub host_key: Option<HostKeyRef<'a>>,
+}
+
+impl SshObservationRef<'_> {
+    /// Copy the observation into an owned [`SshObservation`].
+    pub fn to_owned(&self) -> SshObservation {
+        SshObservation {
+            banner: self.banner.to_owned(),
+            kex_init: self.kex_init.map(|kex| kex.to_owned()),
+            host_key: self.host_key.map(|key| key.to_owned()),
+        }
     }
 }
 

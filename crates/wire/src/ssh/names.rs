@@ -89,9 +89,20 @@ impl NameList {
         self.names().any(|n| n == name)
     }
 
+    /// The list, borrowed.
+    pub fn as_ref(&self) -> NameListRef<'_> {
+        NameListRef(&self.0)
+    }
+
     /// Parse a name-list from the front of `buf`; returns the list and bytes
     /// consumed (4 + string length).
     pub fn parse(buf: &[u8]) -> Result<(Self, usize)> {
+        let (list, consumed) = Self::parse_borrowed(buf)?;
+        Ok((list.to_owned(), consumed))
+    }
+
+    /// [`Self::parse`] without the copy: the list as a slice of `buf`.
+    pub fn parse_borrowed(buf: &[u8]) -> Result<(NameListRef<'_>, usize)> {
         check_len(buf, 4)?;
         let len = u32::from_be_bytes([buf[0], buf[1], buf[2], buf[3]]) as usize;
         check_len(buf, 4 + len)?;
@@ -100,16 +111,46 @@ impl NameList {
         if !text.is_ascii() {
             return Err(WireError::BadEncoding { field: "name-list" });
         }
-        if !well_formed(text) {
-            return Err(WireError::BadValue { field: "name-list" });
-        }
-        Ok((NameList(text.to_owned()), 4 + len))
+        Ok((NameListRef::new(text)?, 4 + len))
     }
 
     /// Emit the name-list to `out`.
     pub fn emit(&self, out: &mut Vec<u8>) {
         out.extend_from_slice(&(self.0.len() as u32).to_be_bytes());
         out.extend_from_slice(self.0.as_bytes());
+    }
+}
+
+/// A [`NameList`] that borrows its joined text — from a packet payload
+/// ([`NameList::parse_borrowed`]), an owned list ([`NameList::as_ref`]) or a
+/// stored record ([`NameListRef::new`]).  Holds what a `NameList` can hold
+/// and nothing else, so [`Self::to_owned`] has nothing to check.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+pub struct NameListRef<'a>(&'a str);
+
+impl<'a> NameListRef<'a> {
+    /// The list whose joined text is `joined`, which must hold no empty
+    /// name.
+    pub fn new(joined: &'a str) -> Result<Self> {
+        if !well_formed(joined) {
+            return Err(WireError::BadValue { field: "name-list" });
+        }
+        Ok(NameListRef(joined))
+    }
+
+    /// The comma-joined textual form.
+    pub fn joined(&self) -> &'a str {
+        self.0
+    }
+
+    /// [`Self::joined`]'s bytes.
+    pub fn as_bytes(&self) -> &'a [u8] {
+        self.0.as_bytes()
+    }
+
+    /// Copy the list into an owned [`NameList`].
+    pub fn to_owned(&self) -> NameList {
+        NameList(self.0.to_owned())
     }
 }
 

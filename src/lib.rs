@@ -88,5 +88,7 @@ pub mod prelude {
         ActiveCampaign, CampaignConfig, CampaignData, DataSource, Ipv6Hitlist, RateProbeConfig,
         ServiceObservation, ServicePayload, ZgrabScanner, ZmapScanner,
     };
-    pub use alias_store::{ObservationRef, ObservationStore, ObservationView, ShardColumns};
+    pub use alias_store::{
+        ObservationRef, ObservationStore, ObservationView, PayloadRef, ShardColumns,
+    };
 }
