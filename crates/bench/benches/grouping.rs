@@ -1,6 +1,8 @@
 //! Alias-set grouping scalability: identifier extraction and grouping over a
 //! growing number of observations, plus the identifier-policy ablation
-//! (key-only vs. the paper's combined SSH identifier).
+//! (key-only vs. the paper's combined SSH identifier), the key-only set
+//! count read off the full pass, and ground-truth scoring of the grouped
+//! sets.
 
 use alias_bench::Experiment;
 use alias_core::alias_set::group_view_compact;
@@ -53,6 +55,36 @@ fn bench_grouping(c: &mut Criterion) {
         });
     }
     ablation.finish();
+
+    // The narrative statistics' two derived figures, as `stats` computes
+    // them once the passes are memoised.
+    let mut derived = c.benchmark_group("grouping_derived");
+    let key_only = IdentifierExtractor::new(ExtractionConfig {
+        ssh: SshIdentifierPolicy::KeyOnly,
+        ..ExtractionConfig::paper()
+    });
+    let full_pass = experiment.keyed_pass(ServiceProtocol::Ssh);
+    derived.bench_function("key_only_count_small", |b| {
+        b.iter(|| full_pass.coarser_set_count(&experiment.union, &key_only))
+    });
+    let addrs = experiment.union.interner().addrs();
+    let collections = [
+        ServiceProtocol::Ssh,
+        ServiceProtocol::Bgp,
+        ServiceProtocol::Snmpv3,
+    ]
+    .map(|protocol| experiment.collection(protocol, None));
+    derived.bench_function("truth_score_small", |b| {
+        b.iter(|| {
+            collections.each_ref().map(|collection| {
+                let sets = collection.family_sets(false).iter();
+                experiment
+                    .internet
+                    .score_sets(sets.map(|set| set.ids().iter().map(|id| &addrs[id.index()])))
+            })
+        })
+    });
+    derived.finish();
 }
 
 criterion_group!(benches, bench_grouping);

@@ -15,9 +15,7 @@
 #![warn(missing_docs)]
 
 use alias_censys::{CensysConfig, CensysSnapshot};
-use alias_core::alias_set::{
-    group_view_by_source, group_view_compact, FamilyGrouping, SourceGroups,
-};
+use alias_core::alias_set::{group_view_by_source, FamilyGrouping, SourceGroups};
 use alias_core::analysis;
 use alias_core::analysis::AsnTable;
 use alias_core::dataset::{DatasetFilter, DatasetSummary};
@@ -32,7 +30,8 @@ use alias_core::report::{format_count, format_pct, render_ecdf, TextTable};
 use alias_core::validation::{common_ids, cross_validate, validate_against_midar};
 use alias_midar::{Midar, MidarConfig};
 use alias_netsim::{
-    DeviceKind, Internet, InternetBuilder, InternetConfig, ScalePreset, SimTime, VantageKind,
+    DeviceId, DeviceKind, Internet, InternetBuilder, InternetConfig, PairwiseScore, ScalePreset,
+    SimTime, VantageKind,
 };
 use alias_obs::{DeterminismClass, LazyCounter};
 use alias_resolve::{ResolutionReport, Resolver};
@@ -113,6 +112,8 @@ pub struct Experiment {
     partitions: Memo<Merge, LabeledPartition>,
     /// Dense id → ASN column over the union store's id space.
     asns: OnceLock<AsnTable>,
+    /// Dense id → owning device column over the same id space.
+    devices: OnceLock<Vec<Option<DeviceId>>>,
 }
 
 /// Lazily computed, shared values: every table and figure asks for the
@@ -148,9 +149,8 @@ enum Merge {
 }
 
 /// Keyed passes (identifier grouping over store rows) performed on behalf
-/// of the rendered document.  One render takes exactly four: one per
-/// protocol over the union store, plus the key-only SSH regroup in
-/// [`stats`].
+/// of the rendered document.  One render takes exactly three: one per
+/// protocol over the union store.
 static RENDER_KEYED_PASSES: LazyCounter = LazyCounter::new(
     "bench.render_keyed_passes",
     DeterminismClass::Deterministic,
@@ -244,7 +244,19 @@ impl Experiment {
             groupings: Memo::new(),
             partitions: Memo::new(),
             asns: OnceLock::new(),
+            devices: OnceLock::new(),
         }
+    }
+
+    /// The identifier groups of one protocol over the union store, every
+    /// member tagged with the source that observed it — the one keyed pass
+    /// per protocol a render performs, memoised.
+    pub fn keyed_pass(&self, protocol: ServiceProtocol) -> Arc<SourceGroups> {
+        self.passes.get_or_compute(protocol, || {
+            RENDER_KEYED_PASSES.incr();
+            let view = self.union.select_protocol(protocol, None);
+            group_view_by_source(&view, &self.extractor, self.threads)
+        })
     }
 
     /// Alias sets of one protocol over one data source (`None` = union),
@@ -261,12 +273,8 @@ impl Experiment {
         source: Option<DataSource>,
     ) -> Arc<FamilyGrouping> {
         self.groupings.get_or_compute((protocol, source), || {
-            let pass = self.passes.get_or_compute(protocol, || {
-                RENDER_KEYED_PASSES.incr();
-                let view = self.union.select_protocol(protocol, None);
-                group_view_by_source(&view, &self.extractor, self.threads)
-            });
-            pass.project(source, self.union.interner())
+            self.keyed_pass(protocol)
+                .project(source, self.union.interner())
         })
     }
 
@@ -346,6 +354,16 @@ impl Experiment {
                     .zip(self.union.asns())
                     .filter_map(|(&id, &asn)| asn.map(|asn| (id, asn))),
             )
+        })
+    }
+
+    /// Dense id → owning device column over the union store's id space
+    /// (`None`: an address no device of the post-churn Internet owns),
+    /// built on first use — the labels ground-truth scoring reads.
+    pub fn device_column(&self) -> &[Option<DeviceId>] {
+        self.devices.get_or_init(|| {
+            let addrs = self.union.interner().addrs().iter();
+            addrs.map(|&addr| self.internet.device_of(addr)).collect()
         })
     }
 }
@@ -787,18 +805,15 @@ pub fn stats(exp: &Experiment) -> String {
         ssh: alias_core::identifier::SshIdentifierPolicy::KeyOnly,
         ..ExtractionConfig::paper()
     });
-    // Only the number of key-grouped sets is quoted, so the plain id-space
-    // grouping (non-singleton sets, no source tags) is enough.
-    RENDER_KEYED_PASSES.incr();
-    let ssh_by_key = group_view_compact(
-        &exp.union.select_protocol(ServiceProtocol::Ssh, None),
-        &key_only,
-        exp.threads,
-    );
+    // Only the number of key-grouped sets is quoted, and the host key is
+    // part of the full identifier: the full pass's groups, merged where
+    // they share a key, are the key-only groups — no second pass.
+    let key_sets = exp
+        .keyed_pass(ServiceProtocol::Ssh)
+        .coarser_set_count(&exp.union, &key_only);
     // The full identifier splits a key-grouped set whenever interfaces of
     // the same host advertise diverging capabilities (the paper's 0.4%).
     let full_sets = exp.collection(ServiceProtocol::Ssh, None).sets().len();
-    let key_sets = ssh_by_key.sets.len();
     let diverging = full_sets.saturating_sub(key_sets);
     out.push_str(&format!(
         "Non-singleton SSH hosts whose interfaces disagree on capabilities: {} of {} key-grouped sets ({:.1}%)\n",
@@ -836,14 +851,12 @@ pub fn stats(exp: &Experiment) -> String {
 
     // Ground-truth scoring (not available to the paper, a bonus of the
     // simulated substrate).
-    let truth = exp.internet.ground_truth();
-    let addrs = exp.union.interner().addrs();
+    let devices = exp.device_column();
     for protocol in PROTOCOLS {
         let collection = exp.collection(protocol, None);
-        let sets = collection.family_sets(false);
-        let score = truth.score_sets(
-            sets.iter()
-                .map(|set| set.ids().iter().map(|id| &addrs[id.index()])),
+        let sets = collection.family_sets(false).iter();
+        let score = PairwiseScore::of_labelled_sets(
+            sets.map(|set| set.iter().map(|id| (id, devices[id.index()]))),
         );
         out.push_str(&format!(
             "Ground truth ({}): pairwise precision {:.3}, recall {:.3}\n",
@@ -946,6 +959,8 @@ pub fn render_document_with_study(
     let mut doc = render_document(exp, preset);
     writeln!(doc, "## ICMP rate-limiting study\n").unwrap();
     writeln!(doc, "```text\n{}```\n", study.render()).unwrap();
+    writeln!(doc, "## Ground truth by technique\n").unwrap();
+    writeln!(doc, "```text\n{}```\n", study.render_truth()).unwrap();
     doc
 }
 
@@ -974,6 +989,9 @@ pub struct RateLimitStudy {
     /// Merged sets carrying *only* the `ratelimit` label — aliases no
     /// other technique corroborates.
     pub ratelimit_only_sets: usize,
+    /// Every technique's alias sets scored against the true aliasing
+    /// relation, in registration order, then the merged sets (`"merged"`).
+    pub truth: Vec<(String, PairwiseScore)>,
 }
 
 impl RateLimitStudy {
@@ -1043,8 +1061,21 @@ impl RateLimitStudy {
             .iter()
             .filter(|m| m.labels.len() == 1 && m.labels.contains("ratelimit"))
             .count();
+        // Who is wrong: each technique's sets and the merged sets against
+        // the device every address really sits on.
+        let mut truth: Vec<(String, PairwiseScore)> = Vec::new();
+        for technique in &report.techniques {
+            let addrs = technique.interner().addrs();
+            let sets = technique.compact_sets().iter();
+            let score =
+                internet.score_sets(sets.map(|set| set.ids().iter().map(|id| &addrs[id.index()])));
+            truth.push((technique.technique.clone(), score));
+        }
+        let merged = internet.score_sets(report.merged.iter().map(|set| set.addrs.iter()));
+        truth.push(("merged".to_owned(), merged));
         RateLimitStudy {
             report,
+            truth,
             silent_total,
             silent_resolvable,
             silent_aliased,
@@ -1099,6 +1130,32 @@ impl RateLimitStudy {
              technique sees.\n",
             format_count(self.ratelimit_only_sets),
         ));
+        out
+    }
+
+    /// Render the ground-truth block: per technique and for the merged
+    /// sets, the address pairs it claims, how many of them really share a
+    /// device, and the pairwise precision and recall that makes — which
+    /// technique the false merges come from.
+    pub fn render_truth(&self) -> String {
+        let mut table = TextTable::new([
+            "Technique",
+            "Inferred pairs",
+            "True-positive pairs",
+            "Precision",
+            "Recall",
+        ]);
+        for (technique, score) in &self.truth {
+            table.row([
+                technique.clone(),
+                score.inferred_pairs.to_string(),
+                score.true_positive_pairs.to_string(),
+                format!("{:.3}", score.precision()),
+                format!("{:.3}", score.recall()),
+            ]);
+        }
+        let mut out = String::from("Ground truth by technique (silent-router population)\n");
+        out.push_str(&table.render());
         out
     }
 }
@@ -1237,6 +1294,16 @@ mod tests {
         let doc = render_document_with_study(&exp, ScalePreset::Tiny, &study);
         assert!(doc.contains("## ICMP rate-limiting study"));
         assert!(doc.starts_with(&render_document(&exp, ScalePreset::Tiny)));
+        // The truth block: the eight techniques as registered, merged last,
+        // scored alike at every thread count, printed after the study.
+        let scored: Vec<&str> = study.truth.iter().map(|(name, _)| name.as_str()).collect();
+        let registered = study.report.techniques.iter().map(|t| t.technique.as_str());
+        assert_eq!(scored, registered.chain(["merged"]).collect::<Vec<_>>());
+        assert_eq!(serial.truth, study.truth);
+        let (_, merged) = &study.truth[8];
+        assert!(merged.inferred_pairs >= merged.true_positive_pairs);
+        assert!(merged.true_positive_pairs > 0);
+        assert!(doc.ends_with(&format!("```text\n{}```\n\n", study.render_truth())));
     }
 
     #[test]

@@ -2,13 +2,17 @@
 //! over the union store, and its merges are id-space partitions.  Each is
 //! checked here against the same answer reached another way: the
 //! resolver's own grouping of the active rows, a direct grouping of each
-//! store, and a merge of re-interned address sets.
+//! store, and a merge of re-interned address sets.  So are the two figures
+//! the narrative statistics read off those passes instead of computing
+//! afresh: the key-only SSH set count and the ground-truth scores.
 
 use alias_bench::Experiment;
 use alias_core::alias_set::{group_view_compact, FamilyGrouping};
+use alias_core::identifier::SshIdentifierPolicy;
 use alias_core::intern::{sort_canonical_compact, AddrInterner, CompactAliasSet};
 use alias_core::merge::merge_labeled_compact;
-use alias_netsim::ScalePreset;
+use alias_core::{ExtractionConfig, IdentifierExtractor};
+use alias_netsim::{PairwiseScore, ScalePreset};
 use alias_scan::{DataSource, ServiceProtocol};
 use std::collections::BTreeSet;
 use std::net::IpAddr;
@@ -142,13 +146,59 @@ fn check_partitions(exp: &Experiment, context: &str) {
     );
 }
 
+/// The key-only SSH set count derived from the full-identifier pass is
+/// what grouping the same rows by host key alone counts.
+fn check_key_only_count(exp: &Experiment, context: &str) {
+    let key_only = IdentifierExtractor::new(ExtractionConfig {
+        ssh: SshIdentifierPolicy::KeyOnly,
+        ..ExtractionConfig::paper()
+    });
+    let view = exp.union.select_protocol(ServiceProtocol::Ssh, None);
+    let direct = group_view_compact(&view, &key_only, exp.threads);
+    let pass = exp.keyed_pass(ServiceProtocol::Ssh);
+    assert_eq!(
+        pass.coarser_set_count(&exp.union, &key_only),
+        direct.sets.len(),
+        "{context} key-only"
+    );
+}
+
+/// The three ways to label a set's members with devices — a `GroundTruth`
+/// map, the Internet's IP index, the experiment's device column — score
+/// every protocol's sets alike.
+fn check_scores(exp: &Experiment, context: &str) {
+    let truth = exp.internet.ground_truth();
+    let addrs = exp.union.interner().addrs();
+    let devices = exp.device_column();
+    for protocol in PROTOCOLS {
+        for ipv6 in [false, true] {
+            let collection = exp.collection(protocol, None);
+            let sets = collection.family_sets(ipv6);
+            let resolved = || {
+                let sets = sets.iter();
+                sets.map(|set| set.ids().iter().map(|id| &addrs[id.index()]))
+            };
+            let by_column = PairwiseScore::of_labelled_sets(
+                sets.iter()
+                    .map(|set| set.iter().map(|id| (id, devices[id.index()]))),
+            );
+            let context = format!("{context} {} ipv6={ipv6}", protocol.name());
+            assert_eq!(truth.score_sets(resolved()), by_column, "{context}");
+            assert_eq!(exp.internet.score_sets(resolved()), by_column, "{context}");
+            assert!(by_column.inferred_pairs > 0 || sets.is_empty(), "{context}");
+        }
+    }
+}
+
 fn check(preset: ScalePreset) {
-    for seed in [7u64, 404, 2023] {
+    for seed in [7u64, 14, 404, 2023] {
         for threads in [1usize, 2, 7] {
             let exp = Experiment::run_with_threads(preset, seed, threads);
             let context = format!("{preset:?} seed={seed} threads={threads}");
             check_projections(&exp, &context);
             check_partitions(&exp, &context);
+            check_key_only_count(&exp, &context);
+            check_scores(&exp, &context);
         }
     }
 }

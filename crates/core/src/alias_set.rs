@@ -1,11 +1,13 @@
 //! Alias sets: groups of addresses sharing a protocol identifier.
 //!
-//! Grouping runs in id space: each row's identifier is written as a byte
-//! key into a reused buffer
+//! Grouping runs in id space and in columns: each row's identifier is
+//! written as a byte key into a reused buffer
 //! ([`IdentifierExtractor::key_into`]) and interned to an
-//! [`IdentId`](crate::intern::IdentId), addresses to [`AddrId`]s, so the
-//! per-observation work is one hash lookup and a `Vec` push — no
-//! identifier `String`s per row, no ordered address sets, and no
+//! [`IdentId`](crate::intern::IdentId) — one keyed hash of the key, one
+//! table probe, one byte comparison on a hit — which lands in a column
+//! beside the row.  A stable counting sort of that column then yields every
+//! identifier's rows as one slice of a flat list: no identifier `String`s,
+//! no ordered address sets, no `Vec` per identifier and no
 //! [`ProtocolIdentifier`](crate::identifier::ProtocolIdentifier) at all.
 //! Two shapes come out of the same keyed pass: a [`CompactGrouping`]
 //! (canonical order plus the testable ids — what a resolution technique
@@ -17,8 +19,9 @@
 use crate::extract::IdentifierExtractor;
 use crate::intern::{sort_canonical_compact, AddrId, AddrInterner, CompactAliasSet, IdentInterner};
 use alias_obs::{DeterminismClass, LazyCounter};
-use alias_scan::{DataSource, ObservationView};
+use alias_scan::{DataSource, ObservationStore, ObservationView};
 use std::cmp::Reverse;
+use std::collections::hash_map::RandomState;
 
 /// Rows a grouping keyed: those whose payload yields an identifier.
 static GROUP_ROWS: LazyCounter = LazyCounter::new(
@@ -36,12 +39,6 @@ static GROUP_IDENTS: LazyCounter = LazyCounter::new(
     "idents",
     "core",
 );
-
-/// Flush one finished grouping's counts, from serial code.
-fn count_grouping<M>(groups: &[Vec<M>]) {
-    GROUP_ROWS.add(groups.iter().map(|members| members.len() as u64).sum());
-    GROUP_IDENTS.add(groups.len() as u64);
-}
 
 /// Identifier grouping in id space: the output of [`group_view_compact`].
 ///
@@ -61,35 +58,31 @@ pub struct CompactGrouping {
 ///
 /// The view's [`AddrId`] column already holds each row's interned id
 /// (intern-at-scan), so the per-observation work is one payload extraction
-/// and one identifier hash, with no address hashing at all.  Each shard
-/// groups its contiguous slice of the rows into maps keyed by a
-/// shard-local [`IdentId`](crate::intern::IdentId); the join then reduces
-/// in id space — walking every shard's interner in id order and
-/// re-interning only each shard's *distinct* identifiers — instead of
-/// re-hashing the full identifier material once per observation.  Because
-/// shards are contiguous slices reduced in shard order, the grouped output
-/// (including member order and identifier numbering) is identical for
-/// every thread count.
+/// and one identifier hash, with no address hashing at all, and only a
+/// group that turns out to be an alias set allocates one.  Because shards
+/// are contiguous slices joined in shard order, the grouped output is
+/// identical for every thread count.
 pub fn group_view_compact(
     view: &ObservationView<'_>,
     extractor: &IdentifierExtractor,
     threads: usize,
 ) -> CompactGrouping {
-    let groups = group_sharded(view.len(), threads, |range, emit| {
-        let mut key = Vec::new();
-        for i in range.0..range.1 {
-            if extractor.key_into(view.payload_at(i), &mut key) {
-                emit(&key, view.addr_id_at(i));
-            }
-        }
-    });
+    let keyed = group_sharded(view, extractor, threads);
+    let mut testable: Vec<AddrId> = keyed
+        .rows
+        .iter()
+        .map(|&i| view.addr_id_at(i as usize))
+        .collect();
     let mut sets = Vec::new();
-    let mut testable: Vec<AddrId> = Vec::new();
-    for members in groups {
-        let set = CompactAliasSet::from_ids(members);
-        testable.extend(set.iter());
-        if set.len() >= 2 {
-            sets.push(set);
+    let mut at = 0;
+    for group in keyed.groups() {
+        // The members sit in `testable` in group order: canonicalise each
+        // run in place, and copy out only the alias sets.
+        let members = &mut testable[at..at + group.len()];
+        at += group.len();
+        members.sort_unstable();
+        if members.first() != members.last() {
+            sets.push(CompactAliasSet::from_ids(members.to_vec()));
         }
     }
     testable.sort_unstable();
@@ -103,10 +96,15 @@ pub fn group_view_compact(
 /// a union store, from which the per-source groupings are projections.
 ///
 /// Groups are in identifier first-seen order and members in row order
-/// (duplicates included), for every thread count.
+/// (duplicates included), for every thread count.  The members of all
+/// groups are one flat list cut by offsets.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SourceGroups {
-    groups: Vec<Vec<(AddrId, DataSource)>>,
+    /// `offsets[g]..offsets[g + 1]` bounds group `g` in `members`.
+    offsets: Vec<u32>,
+    members: Vec<(AddrId, DataSource)>,
+    /// The store row that first showed each group's identifier.
+    first_rows: Vec<u32>,
 }
 
 /// Group a columnar store view by extracted identifier like
@@ -117,21 +115,26 @@ pub fn group_view_by_source(
     extractor: &IdentifierExtractor,
     threads: usize,
 ) -> SourceGroups {
-    let groups = group_sharded(view.len(), threads, |range, emit| {
-        let mut key = Vec::new();
-        for i in range.0..range.1 {
-            if extractor.key_into(view.payload_at(i), &mut key) {
-                emit(&key, (view.addr_id_at(i), view.source_at(i)));
-            }
-        }
-    });
-    SourceGroups { groups }
+    let keyed = group_sharded(view, extractor, threads);
+    let tagged = |&i: &u32| (view.addr_id_at(i as usize), view.source_at(i as usize));
+    let first_row = |group: &[u32]| view.rows()[group[0] as usize];
+    SourceGroups {
+        members: keyed.rows.iter().map(tagged).collect(),
+        first_rows: keyed.groups().map(first_row).collect(),
+        offsets: keyed.offsets,
+    }
 }
 
 impl SourceGroups {
-    /// The tagged members of every identifier group (singletons included).
-    pub fn groups(&self) -> &[Vec<(AddrId, DataSource)>] {
-        &self.groups
+    /// The tagged members of every identifier group (singletons included),
+    /// in identifier first-seen order.
+    pub fn groups(&self) -> impl Iterator<Item = &[(AddrId, DataSource)]> + '_ {
+        runs(&self.offsets, &self.members)
+    }
+
+    /// The tagged members of all groups, one group after the other.
+    pub fn members(&self) -> &[(AddrId, DataSource)] {
+        &self.members
     }
 
     /// The grouping one data source alone would have produced (`None` =
@@ -139,7 +142,7 @@ impl SourceGroups {
     /// observed.  `interner` is the grouped store's.
     pub fn project(&self, source: Option<DataSource>, interner: &AddrInterner) -> FamilyGrouping {
         let mut scratch: Vec<AddrId> = Vec::new();
-        let sets = self.groups.iter().filter_map(|members| {
+        let sets = self.groups().filter_map(|members| {
             scratch.clear();
             scratch.extend(
                 members
@@ -152,6 +155,53 @@ impl SourceGroups {
             (scratch.len() >= 2).then(|| CompactAliasSet::from_ids(scratch.clone()))
         });
         FamilyGrouping::from_sets(sets.collect(), interner)
+    }
+
+    /// How many alias sets (groups of at least two distinct addresses) a
+    /// keyed pass over the same rows under `coarser` would yield, without
+    /// making that pass: one representative row per identifier is keyed
+    /// under `coarser`, and the groups that share a coarser key are read
+    /// as one.
+    ///
+    /// Precondition: `coarser`'s key is a function of this pass's
+    /// identifier — two rows this pass grouped together get equal coarser
+    /// keys — and it keys exactly the rows this pass keyed.  The SSH
+    /// host-key-only identifier against the full one is the case in use.
+    /// `store` is the grouped store.
+    pub fn coarser_set_count(
+        &self,
+        store: &ObservationStore,
+        coarser: &IdentifierExtractor,
+    ) -> usize {
+        // What is known of a coarser group's addresses so far.
+        #[derive(Clone, Copy)]
+        enum Seen {
+            One(AddrId),
+            Several,
+        }
+        let mut idents = IdentInterner::new();
+        let mut seen: Vec<Seen> = Vec::new();
+        let mut sets = 0;
+        let mut key = Vec::new();
+        for (members, &row) in self.groups().zip(&self.first_rows) {
+            let keyed = coarser.key_into(store.payload_at(row as usize), &mut key);
+            assert!(
+                keyed,
+                "the coarser extractor keys every row this pass keyed"
+            );
+            let group = idents.intern(&key).index();
+            for &(id, _) in members {
+                match seen.get(group) {
+                    None => seen.push(Seen::One(id)),
+                    Some(&Seen::One(first)) if first != id => {
+                        seen[group] = Seen::Several;
+                        sets += 1;
+                    }
+                    Some(_) => {}
+                }
+            }
+        }
+        sets
     }
 }
 
@@ -229,63 +279,111 @@ impl FamilyGrouping {
     }
 }
 
-/// The shard/reduce skeleton behind both grouping entry points: `walk_rows`
-/// walks one half-open row range and emits `(identifier key, member)`
-/// pairs; shards group locally and the join re-interns only each shard's
-/// distinct keys, in shard order.  Returns the member lists in identifier
-/// first-seen order, members in row order — identical for every thread
-/// count, because shards are contiguous and reduced in order.
-fn group_sharded<M: Send>(
-    rows: usize,
+/// What a keyed pass yields: the keyed rows, grouped by identifier.
+struct KeyedRows {
+    /// `offsets[g]..offsets[g + 1]` bounds identifier `g`'s rows in `rows`;
+    /// identifiers are numbered in first-seen order.
+    offsets: Vec<u32>,
+    /// Row indices (into the range the pass walked), ascending inside a
+    /// group.
+    rows: Vec<u32>,
+}
+
+impl KeyedRows {
+    fn groups(&self) -> impl Iterator<Item = &[u32]> + '_ {
+        runs(&self.offsets, &self.rows)
+    }
+}
+
+/// The runs of `items` that consecutive `offsets` bound.
+fn runs<'a, T>(offsets: &'a [u32], items: &'a [T]) -> impl Iterator<Item = &'a [T]> + 'a {
+    let bounds = offsets.windows(2);
+    bounds.map(move |pair| &items[pair[0] as usize..pair[1] as usize])
+}
+
+/// In a shard's identifier column: a row with no identifier.
+const UNKEYED: u32 = u32::MAX;
+
+/// The shard/join skeleton behind both grouping entry points.  Each shard
+/// keys its contiguous slice of the view's rows and interns the keys into
+/// a column of shard-local identifier ids ([`UNKEYED`] where a row has no
+/// identifier); the join absorbs the shards' interners in shard order — by
+/// the hashes their identifiers carry, nothing re-hashed — and a stable
+/// counting sort of the joined column groups the rows.  Identifiers come
+/// out in first-seen order and rows in row order inside a group —
+/// identical for every thread count, because shards are contiguous and
+/// joined in order.
+fn group_sharded(
+    view: &ObservationView<'_>,
+    extractor: &IdentifierExtractor,
     threads: usize,
-    walk_rows: impl Fn((usize, usize), &mut dyn FnMut(&[u8], M)) + Sync,
-) -> Vec<Vec<M>> {
+) -> KeyedRows {
+    let rows = view.len();
+    assert!(rows < UNKEYED as usize, "row indices fit 32 bits");
     // Extraction + hashing is CPU-bound with no per-item pacing overhead
     // to amortise, so workers beyond the machine's parallelism only add
     // scheduling noise; the clamp never changes the output (the grouping
     // is shard-count independent).
     let threads = threads.min(alias_exec::available_parallelism());
     let shard_ranges = alias_exec::split_even(rows as u64, alias_exec::shards_for(threads));
-    let shards: Vec<(IdentInterner, Vec<Vec<M>>)> =
+    // One hash key per pass: the join relies on every shard hashing alike.
+    let state = RandomState::new();
+    let mut shards: Vec<(IdentInterner, Vec<u32>)> =
         alias_exec::shard_map(shard_ranges.len(), threads, |shard| {
-            let range = &shard_ranges[shard];
-            let mut idents = IdentInterner::new();
-            let mut groups: Vec<Vec<M>> = Vec::new();
-            walk_rows(
-                (range.start as usize, range.end as usize),
-                &mut |key, member| {
-                    let ident = idents.intern_ref(key);
-                    if ident.index() == groups.len() {
-                        groups.push(Vec::new());
-                    }
-                    groups[ident.index()].push(member);
-                },
-            );
-            (idents, groups)
+            let range = shard_ranges[shard].start as usize..shard_ranges[shard].end as usize;
+            let mut idents = IdentInterner::with_hasher(state.clone());
+            let mut column = Vec::with_capacity(range.len());
+            let mut key = Vec::new();
+            for i in range {
+                column.push(if extractor.key_into(view.payload_at(i), &mut key) {
+                    idents.intern(&key).0
+                } else {
+                    UNKEYED
+                });
+            }
+            (idents, column)
         });
 
-    // Id-space reduce, in shard order: re-intern each shard's distinct
-    // identifiers once (moved, not cloned) and splice the id-keyed groups
-    // together.  A single shard is already grouped — no join at all.
-    let single_shard = shards.len() == 1;
-    let mut idents = IdentInterner::new();
-    let mut groups: Vec<Vec<M>> = Vec::new();
-    for (shard_idents, shard_groups) in shards {
-        if single_shard {
-            groups = shard_groups;
-            break;
+    // A single shard is already in joined ids — no join at all.
+    let (idents, column) = if shards.len() == 1 {
+        let (idents, column) = shards.pop().expect("one shard");
+        (idents.len(), column)
+    } else {
+        let mut joined = IdentInterner::with_hasher(state);
+        let mut column = Vec::with_capacity(rows);
+        for (shard_idents, shard_column) in shards {
+            let remap = joined.absorb(shard_idents);
+            column.extend(shard_column.iter().map(|&local| match local {
+                UNKEYED => UNKEYED,
+                local => remap[local as usize].0,
+            }));
         }
-        for (identifier, members) in shard_idents.into_keys().into_iter().zip(shard_groups) {
-            let ident = idents.intern(identifier);
-            if ident.index() == groups.len() {
-                groups.push(members);
-            } else {
-                groups[ident.index()].extend(members);
-            }
+        (joined.len(), column)
+    };
+
+    // Stable counting sort of the row indices by identifier.
+    let mut offsets = vec![0u32; idents + 1];
+    for &ident in column.iter().filter(|&&ident| ident != UNKEYED) {
+        offsets[ident as usize + 1] += 1;
+    }
+    for g in 0..idents {
+        offsets[g + 1] += offsets[g];
+    }
+    let mut next = offsets.clone();
+    let mut grouped = vec![0u32; offsets[idents] as usize];
+    for (row, &ident) in column.iter().enumerate() {
+        if ident != UNKEYED {
+            let slot = &mut next[ident as usize];
+            grouped[*slot as usize] = row as u32;
+            *slot += 1;
         }
     }
-    count_grouping(&groups);
-    groups
+    GROUP_ROWS.add(grouped.len() as u64);
+    GROUP_IDENTS.add(idents as u64);
+    KeyedRows {
+        offsets,
+        rows: grouped,
+    }
 }
 
 #[cfg(test)]
@@ -299,6 +397,17 @@ mod tests {
 
     /// An SSH observation for `addr` from a device identified by `key_byte`.
     fn ssh_obs(addr: &str, key_byte: u8, source: DataSource) -> ServiceObservation {
+        ssh_obs_running(addr, key_byte, "OpenSSH_8.9p1", source)
+    }
+
+    /// [`ssh_obs`] with the software version of the banner chosen: part of
+    /// the full identifier, not of the host key.
+    fn ssh_obs_running(
+        addr: &str,
+        key_byte: u8,
+        software: &str,
+        source: DataSource,
+    ) -> ServiceObservation {
         ServiceObservation {
             addr: addr.parse().unwrap(),
             port: 22,
@@ -306,11 +415,18 @@ mod tests {
             timestamp: SimTime::ZERO,
             asn: Some(100 + key_byte as u32),
             payload: ServicePayload::Ssh(SshObservation {
-                banner: Banner::new("OpenSSH_8.9p1", None).unwrap(),
+                banner: Banner::new(software, None).unwrap(),
                 kex_init: Some(KexInit::typical_openssh()),
                 host_key: Some(HostKey::new(HostKeyAlgorithm::Ed25519, vec![key_byte; 32])),
             }),
         }
+    }
+
+    fn key_only_extractor() -> IdentifierExtractor {
+        IdentifierExtractor::new(ExtractionConfig {
+            ssh: crate::identifier::SshIdentifierPolicy::KeyOnly,
+            ..ExtractionConfig::paper()
+        })
     }
 
     fn paper_extractor() -> IdentifierExtractor {
@@ -536,10 +652,102 @@ mod tests {
         assert!(grouped.sets.is_empty());
         assert!(grouped.testable.is_empty());
         let pass = group_view_by_source(&view, &extractor, 4);
-        assert!(pass.groups().is_empty());
+        assert!(pass.members().is_empty());
+        assert_eq!(pass.groups().count(), 0);
+        assert_eq!(pass.coarser_set_count(&store, &key_only_extractor()), 0);
         assert_eq!(
             pass.project(None, store.interner()),
             FamilyGrouping::default()
+        );
+    }
+
+    #[test]
+    fn shards_that_share_identifiers_join_into_the_one_shard_groups() {
+        // Six identifiers recurring all along the store, so every shard of
+        // a sharded pass sees most of them and the join has to recognise
+        // each one again, plus three rows without a host key that no shard
+        // may key.
+        let mut obs = Vec::new();
+        for row in 0..120u32 {
+            let addr = format!("10.{}.{}.{}", row % 3, row % 40, row % 11);
+            let source = [DataSource::Active, DataSource::Censys][(row % 2) as usize];
+            obs.push(ssh_obs(&addr, (row * 7 % 6) as u8, source));
+            if row % 50 == 9 {
+                let ServicePayload::Ssh(session) = &mut obs[row as usize].payload else {
+                    unreachable!("ssh_obs builds SSH rows");
+                };
+                session.host_key = None;
+            }
+        }
+        let extractor = paper_extractor();
+        let store = ObservationStore::from_observations(obs);
+        let view = store.select(None, None);
+        let serial = group_view_by_source(&view, &extractor, 1);
+        assert_eq!(serial.groups().count(), 6);
+        assert_eq!(serial.members().len(), 120 - 3);
+        // First-seen identifier order, row order inside a group.
+        let first_members: Vec<AddrId> = serial.groups().map(|group| group[0].0).collect();
+        let mut first_rows = serial.first_rows.clone();
+        assert!(first_rows.is_sorted());
+        first_rows.dedup();
+        assert_eq!(first_rows.len(), 6);
+        for (&row, &member) in serial.first_rows.iter().zip(&first_members) {
+            assert_eq!(store.addr_ids()[row as usize], member);
+        }
+        for threads in [2usize, 7] {
+            let pass = group_view_by_source(&view, &extractor, threads);
+            assert!(pass.groups().eq(serial.groups()), "threads={threads}");
+            assert_eq!(pass, serial, "threads={threads}");
+            assert_eq!(
+                group_view_compact(&view, &extractor, threads),
+                group_view_compact(&view, &extractor, 1),
+                "threads={threads}"
+            );
+        }
+    }
+
+    #[test]
+    fn the_coarser_count_reads_groups_that_share_a_key_as_one() {
+        let key_only = key_only_extractor();
+        let count = |obs: Vec<ServiceObservation>| {
+            let store = ObservationStore::from_observations(obs);
+            let view = store.select(None, None);
+            let derived = group_view_by_source(&view, &paper_extractor(), 1)
+                .coarser_set_count(&store, &key_only);
+            let direct = group_view_compact(&view, &key_only, 1).sets.len();
+            assert_eq!(derived, direct);
+            derived
+        };
+        // Two full identifiers (one host key behind two software versions),
+        // one address each: neither is an alias set, their union is.
+        assert_eq!(
+            count(vec![
+                ssh_obs_running("10.0.0.1", 1, "OpenSSH_8.9p1", DataSource::Active),
+                ssh_obs_running("10.0.0.2", 1, "OpenSSH_9.2p1", DataSource::Active),
+            ]),
+            1
+        );
+        // The same address under both: still one address, no set.
+        assert_eq!(
+            count(vec![
+                ssh_obs_running("10.0.0.1", 1, "OpenSSH_8.9p1", DataSource::Active),
+                ssh_obs_running("10.0.0.1", 1, "OpenSSH_9.2p1", DataSource::Censys),
+                ssh_obs_running("10.0.0.1", 1, "OpenSSH_9.2p1", DataSource::Active),
+            ]),
+            0
+        );
+        // A set under the full identifier stays one under the key, merged
+        // with a singleton that shares it; another key stays apart.
+        assert_eq!(
+            count(vec![
+                ssh_obs_running("10.0.0.1", 1, "OpenSSH_8.9p1", DataSource::Active),
+                ssh_obs_running("10.0.0.2", 1, "OpenSSH_8.9p1", DataSource::Active),
+                ssh_obs_running("10.0.0.3", 1, "OpenSSH_9.2p1", DataSource::Active),
+                ssh_obs_running("10.0.0.4", 2, "OpenSSH_9.2p1", DataSource::Active),
+                ssh_obs_running("10.0.0.5", 2, "OpenSSH_9.2p1", DataSource::Censys),
+                ssh_obs_running("10.0.0.6", 3, "OpenSSH_9.2p1", DataSource::Censys),
+            ]),
+            2
         );
     }
 }

@@ -6,15 +6,12 @@
 //!   every observed address once, and grouping + merging run on the ids.
 //! * [`IdentInterner`] — identifier byte key
 //!   ([`crate::extract::IdentifierExtractor::key_into`]) ⇄ dense
-//!   [`IdentId`]; identifier grouping keys maps by id instead of by owned
-//!   identifier values.
+//!   [`IdentId`]: the keys in a byte arena, found by their keyed hash and
+//!   confirmed byte for byte; identifier grouping sorts rows by these ids
+//!   instead of keeping a map from owned identifier values.
 //! * [`CompactAliasSet`] — the id-based alias set (sorted `Vec<AddrId>`);
 //!   `BTreeSet<IpAddr>` is resolved only at the report/rendering boundary.
 
 pub use alias_intern::{
-    sort_canonical_compact, AddrId, AddrInterner, CompactAliasSet, IdentId, Interner,
+    sort_canonical_compact, AddrId, AddrInterner, CompactAliasSet, IdentId, IdentInterner,
 };
-
-/// Interner for identifier byte keys: the id space identifier grouping
-/// runs on.
-pub type IdentInterner = Interner<Vec<u8>>;

@@ -11,9 +11,11 @@
 //! * [`AddrInterner`] maps `IpAddr` ⇄ [`AddrId`] — a campaign interns every
 //!   observed address up front, and grouping, union–find merging and set
 //!   algebra all run on the ids;
-//! * [`Interner`] maps any hashable key ⇄ [`IdentId`] — the identifier
-//!   extraction path uses it per shard so the cross-shard join reduces in
-//!   id space instead of re-hashing full identifier strings;
+//! * [`IdentInterner`] maps identifier byte keys ⇄ [`IdentId`] — keys in a
+//!   chunked byte arena, found through a table of their keyed 64-bit
+//!   hashes and confirmed byte for byte; grouping uses one per shard and
+//!   joins them by the hashes the identifiers carry, so no key is hashed
+//!   twice;
 //! * [`CompactAliasSet`] is the id-based alias set: a sorted, deduplicated
 //!   `Vec<AddrId>`, converted back to `BTreeSet<IpAddr>` only at the
 //!   report/rendering boundary.
@@ -35,10 +37,9 @@
 #![warn(missing_docs)]
 
 use serde::{Deserialize, Serialize};
-use std::borrow::Borrow;
-use std::collections::hash_map::Entry;
+use std::collections::hash_map::{Entry, RandomState};
 use std::collections::{BTreeSet, HashMap};
-use std::hash::Hash;
+use std::hash::{BuildHasher, BuildHasherDefault, Hasher};
 use std::net::IpAddr;
 
 /// Dense id of an interned address (index into its [`AddrInterner`]).
@@ -55,7 +56,7 @@ impl AddrId {
     }
 }
 
-/// Dense id of an interned identifier (index into its [`Interner`]).
+/// Dense id of an interned identifier (index into its [`IdentInterner`]).
 #[derive(
     Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
 )]
@@ -193,93 +194,213 @@ impl AddrInterner {
     }
 }
 
-/// Key ⇄ [`IdentId`] map with dense, insertion-ordered ids — the generic
-/// interner behind identifier grouping.
+/// Bytes of one arena chunk.  A key never spans two chunks (one larger
+/// than this gets a chunk of its own), so the arena grows by whole chunks
+/// and never copies a stored key.
+const CHUNK_BYTES: usize = 64 * 1024;
+
+/// End of an equal-hash chain.
+const NO_NEXT: u32 = u32::MAX;
+
+/// Where an interned key lives in the arena.
+#[derive(Debug, Clone, Copy)]
+struct KeySpan {
+    chunk: u32,
+    start: u32,
+    len: u32,
+}
+
+/// What the interner keeps per identifier.
+#[derive(Debug, Clone, Copy)]
+struct IdentEntry {
+    /// The keyed hash of the whole key, computed once when it was interned.
+    hash: u64,
+    key: KeySpan,
+    /// The next older identifier with the same 64-bit hash.
+    next: u32,
+}
+
+/// A key to intern: bytes to copy in on a miss, or a key whose bytes the
+/// arena already holds.
+#[derive(Clone, Copy)]
+enum Key<'a> {
+    Bytes(&'a [u8]),
+    Stored(KeySpan),
+}
+
+/// The lookup table is keyed by hashes that are already keyed SipHash
+/// outputs, so it uses them as they are: growing the table re-hashes no key
+/// bytes, and the protection against crafted keys is the outer hash's.
+#[derive(Debug, Default, Clone, Copy)]
+struct HashIsKey(u64);
+
+impl Hasher for HashIsKey {
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("the table is keyed by u64 hashes only");
+    }
+
+    fn write_u64(&mut self, hash: u64) {
+        self.0 = hash;
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+fn key_bytes(chunks: &[Vec<u8>], span: KeySpan) -> &[u8] {
+    let start = span.start as usize;
+    &chunks[span.chunk as usize][start..start + span.len as usize]
+}
+
+/// Byte key ⇄ [`IdentId`] map with dense, first-seen ids — the interner
+/// behind identifier grouping.
 ///
-/// Keys are stored exactly once (in the lookup map), so interning a fresh
-/// key moves it — no clone, which matters when most keys are large
-/// one-observation identifiers.  The id → key direction is recovered by
-/// [`into_keys`](Self::into_keys), which inverts the map when grouping
-/// finishes.
-#[derive(Debug, Clone)]
-pub struct Interner<K: Eq + Hash> {
-    ids: HashMap<K, IdentId>,
+/// Keys are attacker-supplied byte strings (an SSH identifier is a few
+/// hundred bytes), so they are hashed with a randomly keyed SipHash
+/// ([`RandomState`]) over the whole key, once, and **every hit compares the
+/// full key bytes**: a 64-bit hash match alone never merges two
+/// identifiers.  The bytes live in a chunked arena; a table maps each hash
+/// to the newest identifier carrying it and identifiers with equal hashes
+/// chain through their entries.  Each identifier keeps its hash, which is
+/// what lets [`absorb`](Self::absorb) join shard interners without reading
+/// a key twice.
+#[derive(Debug, Clone, Default)]
+pub struct IdentInterner {
+    state: RandomState,
+    heads: HashMap<u64, IdentId, BuildHasherDefault<HashIsKey>>,
+    entries: Vec<IdentEntry>,
+    chunks: Vec<Vec<u8>>,
 }
 
-impl<K: Eq + Hash> Default for Interner<K> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<K: Eq + Hash> Interner<K> {
-    /// An empty interner.
+impl IdentInterner {
+    /// An empty interner with a fresh random hash key.
     pub fn new() -> Self {
-        Interner {
-            ids: HashMap::new(),
+        Self::default()
+    }
+
+    /// An empty interner hashing with `state`.  Interners that will be
+    /// [`absorb`](Self::absorb)ed into one another must share one state.
+    pub fn with_hasher(state: RandomState) -> Self {
+        IdentInterner {
+            state,
+            ..Self::default()
         }
     }
 
-    /// The id of `key`, interning it if new (fresh keys are moved in, not
-    /// cloned).
-    pub fn intern(&mut self, key: K) -> IdentId {
-        let next = IdentId(self.ids.len() as u32);
-        match self.ids.entry(key) {
-            Entry::Occupied(entry) => *entry.get(),
-            Entry::Vacant(entry) => {
-                entry.insert(next);
-                next
-            }
-        }
+    /// The id of `key`, interning a copy of its bytes if new.
+    pub fn intern(&mut self, key: &[u8]) -> IdentId {
+        let hash = self.state.hash_one(key);
+        self.intern_hashed(hash, Key::Bytes(key))
     }
 
-    /// The id of a borrowed `key`, interning an owned copy if new — the
-    /// way to key rows from a reused scratch buffer: only a key seen for
-    /// the first time allocates.
-    pub fn intern_ref<Q>(&mut self, key: &Q) -> IdentId
-    where
-        K: Borrow<Q>,
-        Q: Hash + Eq + ToOwned<Owned = K> + ?Sized,
-    {
-        if let Some(&id) = self.ids.get(key) {
-            return id;
-        }
-        let next = IdentId(self.ids.len() as u32);
-        self.ids.insert(key.to_owned(), next);
-        next
+    /// The bytes of the key behind `id`.
+    ///
+    /// # Panics
+    /// Panics if `id` was not produced by this interner.
+    pub fn key(&self, id: IdentId) -> &[u8] {
+        key_bytes(&self.chunks, self.entries[id.index()].key)
     }
 
-    /// The id of `key`, if it has been interned.
-    #[inline]
-    pub fn get(&self, key: &K) -> Option<IdentId> {
-        self.ids.get(key).copied()
-    }
-
-    /// Number of distinct interned keys.
+    /// Number of distinct interned keys (valid ids are `0..len`).
     #[inline]
     pub fn len(&self) -> usize {
-        self.ids.len()
+        self.entries.len()
     }
 
     /// Whether nothing has been interned.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.ids.is_empty()
+        self.entries.is_empty()
     }
 
-    /// Consume the interner, returning the keys in id order (the cheap way
-    /// to walk a shard's identifiers during a reduce: each key is moved
-    /// into its dense slot, never cloned).
-    pub fn into_keys(self) -> Vec<K> {
-        let mut slots: Vec<Option<K>> = (0..self.ids.len()).map(|_| None).collect();
-        // lint:allow(det-hash-iter): each key lands in its dense id-indexed slot — order-free
-        for (key, id) in self.ids {
-            slots[id.index()] = Some(key);
+    /// Intern every key of `shard`, in its id order, and return the id each
+    /// got here (indexed by its id in `shard`).
+    ///
+    /// The shard's arena chunks are adopted and its keys looked up by the
+    /// hashes they carry: no key byte is hashed, copied or moved, and a key
+    /// is read only to confirm a hash hit.
+    ///
+    /// # Panics
+    /// Panics if `shard` was not built over a clone of this interner's
+    /// hash state — its carried hashes would mean nothing here.
+    pub fn absorb(&mut self, shard: IdentInterner) -> Vec<IdentId> {
+        if let Some(first) = shard.entries.first() {
+            assert_eq!(
+                self.state.hash_one(key_bytes(&shard.chunks, first.key)),
+                first.hash,
+                "absorbed interners must share one hash state"
+            );
         }
-        slots
-            .into_iter()
-            .map(|slot| slot.expect("ids are dense"))
-            .collect()
+        let base = u32::try_from(self.chunks.len()).expect("fewer than 2^32 arena chunks");
+        self.chunks.extend(shard.chunks);
+        let mut ids = Vec::with_capacity(shard.entries.len());
+        for entry in &shard.entries {
+            let key = KeySpan {
+                chunk: entry.key.chunk + base,
+                ..entry.key
+            };
+            ids.push(self.intern_hashed(entry.hash, Key::Stored(key)));
+        }
+        ids
+    }
+
+    /// The one lookup-or-insert: walk the chain of identifiers whose hash is
+    /// `hash`, comparing key bytes, and append a new identifier on a miss.
+    fn intern_hashed(&mut self, hash: u64, key: Key<'_>) -> IdentId {
+        let IdentInterner {
+            heads,
+            entries,
+            chunks,
+            ..
+        } = self;
+        let new = IdentId(u32::try_from(entries.len()).expect("fewer than 2^32 identifiers"));
+        let next = match heads.entry(hash) {
+            Entry::Occupied(mut head) => {
+                let wanted = match key {
+                    Key::Bytes(bytes) => bytes,
+                    Key::Stored(span) => key_bytes(chunks, span),
+                };
+                let mut at = head.get().0;
+                while at != NO_NEXT {
+                    let entry = &entries[at as usize];
+                    if key_bytes(chunks, entry.key) == wanted {
+                        return IdentId(at);
+                    }
+                    at = entry.next;
+                }
+                head.insert(new).0
+            }
+            Entry::Vacant(slot) => {
+                slot.insert(new);
+                NO_NEXT
+            }
+        };
+        let key = match key {
+            Key::Bytes(bytes) => store_key(chunks, bytes),
+            Key::Stored(span) => span,
+        };
+        entries.push(IdentEntry { hash, key, next });
+        new
+    }
+}
+
+/// Copy `key` into the arena: the tail of the last chunk if it fits there,
+/// a new chunk otherwise.
+fn store_key(chunks: &mut Vec<Vec<u8>>, key: &[u8]) -> KeySpan {
+    let fits = chunks
+        .last()
+        .is_some_and(|chunk| chunk.capacity() - chunk.len() >= key.len());
+    if !fits {
+        chunks.push(Vec::with_capacity(key.len().max(CHUNK_BYTES)));
+    }
+    let chunk = chunks.last_mut().expect("a chunk with room was ensured");
+    let start = chunk.len();
+    chunk.extend_from_slice(key);
+    KeySpan {
+        chunk: u32::try_from(chunks.len() - 1).expect("fewer than 2^32 arena chunks"),
+        start: u32::try_from(start).expect("chunk offsets fit 32 bits"),
+        len: u32::try_from(key.len()).expect("identifier keys are shorter than 4 GiB"),
     }
 }
 
@@ -448,19 +569,106 @@ mod tests {
 
     #[test]
     fn generic_interner_round_trips_keys() {
-        let mut interner: Interner<String> = Interner::new();
-        let a = interner.intern("ssh-key-1".to_owned());
-        let b = interner.intern("ssh-key-2".to_owned());
-        assert_eq!(interner.intern("ssh-key-1".to_owned()), a);
+        let mut interner = IdentInterner::new();
+        let a = interner.intern(b"ssh-key-1");
+        let b = interner.intern(b"ssh-key-2");
+        assert_eq!(interner.intern(b"ssh-key-1"), a);
         assert_eq!((a, b), (IdentId(0), IdentId(1)));
-        assert_eq!(interner.get(&"ssh-key-2".to_owned()), Some(b));
-        assert_eq!(interner.get(&"missing".to_owned()), None);
+        assert_eq!(interner.intern(b"ssh-key-2"), b);
         assert_eq!(interner.len(), 2);
         assert!(!interner.is_empty());
-        assert_eq!(
-            interner.into_keys(),
-            vec!["ssh-key-1".to_owned(), "ssh-key-2".to_owned()]
-        );
+        assert_eq!(interner.key(a), b"ssh-key-1");
+        assert_eq!(interner.key(b), b"ssh-key-2");
+    }
+
+    /// `len` bytes that differ for every `tag`.
+    fn tagged_key(tag: u32, len: usize) -> Vec<u8> {
+        let mut key = vec![0xa5; len];
+        for (slot, byte) in key.iter_mut().zip(tag.to_le_bytes()) {
+            *slot = byte;
+        }
+        key
+    }
+
+    #[test]
+    fn a_hash_match_alone_never_merges_two_identifiers() {
+        // Every key enters under one constant hash, so all of them share a
+        // single chain: only the byte comparison tells them apart.
+        let mut interner = IdentInterner::new();
+        let keys: Vec<Vec<u8>> = (0..1_000).map(|tag| tagged_key(tag, 40)).collect();
+        for (tag, key) in keys.iter().enumerate() {
+            let id = interner.intern_hashed(7, Key::Bytes(key));
+            assert_eq!(id, IdentId(tag as u32));
+        }
+        assert_eq!(interner.len(), 1_000);
+        assert_eq!(interner.heads.len(), 1);
+        for (tag, key) in keys.iter().enumerate() {
+            let id = IdentId(tag as u32);
+            assert_eq!(interner.intern_hashed(7, Key::Bytes(key)), id);
+            assert_eq!(interner.key(id), key);
+        }
+        assert_eq!(interner.len(), 1_000);
+    }
+
+    #[test]
+    fn keys_of_every_size_relative_to_a_chunk_resolve_back_to_their_bytes() {
+        let sizes = [
+            0,                   // the empty key
+            CHUNK_BYTES,         // exactly fills a chunk
+            CHUNK_BYTES + 1,     // larger than any chunk
+            CHUNK_BYTES / 2 + 1, // two of these would straddle a boundary
+            CHUNK_BYTES / 2 + 1,
+            CHUNK_BYTES / 2 - 1, // ...and this one fits the tail exactly
+            1,
+            0, // the empty key again: a hit
+        ];
+        let mut interner = IdentInterner::new();
+        let keys: Vec<Vec<u8>> = sizes
+            .iter()
+            .enumerate()
+            .map(|(tag, &len)| tagged_key(tag as u32, len))
+            .collect();
+        let ids: Vec<IdentId> = keys.iter().map(|key| interner.intern(key)).collect();
+        assert_eq!(ids[7], ids[0], "the empty key is one identifier");
+        assert_eq!(interner.len(), 7);
+        for (key, &id) in keys.iter().zip(&ids) {
+            assert_eq!(interner.key(id), key);
+            assert_eq!(interner.intern(key), id);
+        }
+        // Each key's bytes were stored once.
+        let stored: usize = interner.chunks.iter().map(Vec::len).sum();
+        assert_eq!(stored, sizes[..7].iter().sum::<usize>());
+    }
+
+    #[test]
+    fn absorbing_shards_interns_by_the_carried_hash() {
+        let state = RandomState::new();
+        let mut left = IdentInterner::with_hasher(state.clone());
+        let mut right = IdentInterner::with_hasher(state.clone());
+        for key in [&b"a"[..], b"b", b"c"] {
+            left.intern(key);
+        }
+        for key in [&b"c"[..], b"d", b"a", b""] {
+            right.intern(key);
+        }
+        let mut joined = IdentInterner::with_hasher(state);
+        let ids = |raw: &[u32]| raw.iter().map(|&id| IdentId(id)).collect::<Vec<_>>();
+        assert_eq!(joined.absorb(left), ids(&[0, 1, 2]));
+        assert_eq!(joined.absorb(right), ids(&[2, 3, 0, 4]));
+        let keys: Vec<&[u8]> = (0..5).map(|id| joined.key(IdentId(id))).collect();
+        assert_eq!(keys, [&b"a"[..], b"b", b"c", b"d", b""]);
+        assert_eq!(joined.intern(b"d"), IdentId(3));
+        // The same keys interned directly get the same ids.
+        assert_eq!(joined.intern(b"b"), IdentId(1));
+        assert_eq!(joined.intern(b"e"), IdentId(5));
+    }
+
+    #[test]
+    #[should_panic(expected = "share one hash state")]
+    fn absorbing_an_interner_with_another_hash_state_panics() {
+        let mut shard = IdentInterner::new();
+        shard.intern(b"key");
+        IdentInterner::new().absorb(shard);
     }
 
     #[test]
@@ -552,6 +760,40 @@ mod tests {
     }
 
     proptest::proptest! {
+        #[test]
+        fn ident_interner_agrees_with_a_hash_map(
+            keys in proptest::collection::vec(proptest::collection::vec(0u8..4, 0..6), 0..200),
+            shards in 1usize..5,
+        ) {
+            // Short keys over a four-letter alphabet: plenty of repeats.
+            let mut oracle: HashMap<Vec<u8>, u32> = HashMap::new();
+            let mut interner = IdentInterner::new();
+            for key in &keys {
+                let next = oracle.len() as u32;
+                let expected = *oracle.entry(key.clone()).or_insert(next);
+                proptest::prop_assert_eq!(interner.intern(key), IdentId(expected));
+            }
+            proptest::prop_assert_eq!(interner.len(), oracle.len());
+            for key in &keys {
+                let id = IdentId(oracle[key]);
+                proptest::prop_assert_eq!(interner.intern(key), id);
+                proptest::prop_assert_eq!(interner.key(id), &key[..]);
+            }
+            proptest::prop_assert_eq!(interner.len(), oracle.len());
+            // Sharded and joined in order, the ids are the same.
+            let state = RandomState::new();
+            let mut joined = IdentInterner::with_hasher(state.clone());
+            let mut via_shards = Vec::new();
+            for slice in keys.chunks(keys.len().div_ceil(shards).max(1)) {
+                let mut shard = IdentInterner::with_hasher(state.clone());
+                let local: Vec<IdentId> = slice.iter().map(|key| shard.intern(key)).collect();
+                let remap = joined.absorb(shard);
+                via_shards.extend(local.iter().map(|id| remap[id.index()]));
+            }
+            let direct: Vec<IdentId> = keys.iter().map(|key| IdentId(oracle[key])).collect();
+            proptest::prop_assert_eq!(via_shards, direct);
+        }
+
         #[test]
         fn interning_is_a_bijection_on_distinct_addrs(raw in proptest::collection::vec(0u32..5_000, 0..300)) {
             let addrs: Vec<IpAddr> = raw

@@ -150,7 +150,8 @@ impl Device {
 
     /// Whether the device has at least one IPv4 and one IPv6 interface.
     pub fn is_dual_stack(&self) -> bool {
-        !self.ipv4_addrs().is_empty() && !self.ipv6_addrs().is_empty()
+        let has = |ipv6: bool| self.interfaces.iter().any(|i| i.addr.is_ipv6() == ipv6);
+        has(false) && has(true)
     }
 
     /// The interface index carrying `addr`, if any.

@@ -10,7 +10,7 @@
 use crate::clock::SimTime;
 use crate::config::InternetConfig;
 use crate::device::{Device, DeviceKind};
-use crate::ground_truth::GroundTruth;
+use crate::ground_truth::{GroundTruth, PairwiseScore};
 use crate::ids::{Asn, DeviceId};
 use crate::profiles::{BgpProfile, SshProfile};
 use crate::services;
@@ -672,15 +672,33 @@ impl Internet {
         self.space.swap_owners(v4_a, v4_b);
     }
 
-    /// The true aliasing relation.
+    /// The true aliasing relation, as an address → device map of its own.
     pub fn ground_truth(&self) -> GroundTruth {
         let mut gt = GroundTruth::default();
+        gt.owner.reserve(self.address_count());
         for device in &self.devices {
             for iface in &device.interfaces {
                 gt.insert(device.id, iface.addr);
             }
         }
         gt
+    }
+
+    /// The device owning `addr`, read off the IP index.
+    pub fn device_of(&self, addr: IpAddr) -> Option<DeviceId> {
+        self.lookup(addr).map(|(device, _)| device)
+    }
+
+    /// Score a collection of inferred alias sets against the true aliasing
+    /// relation ([`PairwiseScore::of_labelled_sets`] with each member's
+    /// owner read off the IP index — no [`GroundTruth`] map is built).
+    pub fn score_sets<'a, I, S>(&self, sets: I) -> PairwiseScore
+    where
+        I: IntoIterator<Item = S>,
+        S: IntoIterator<Item = &'a IpAddr>,
+    {
+        let labelled = |set: S| set.into_iter().map(|&addr| (addr, self.device_of(addr)));
+        PairwiseScore::of_labelled_sets(sets.into_iter().map(labelled))
     }
 
     /// Summary statistics about the generated population (used by the
@@ -701,9 +719,16 @@ impl Internet {
             if device.is_dual_stack() {
                 stats.dual_stack_devices += 1;
             }
-            stats.ssh_responding_addrs += device.ssh_responding_addrs().len();
-            stats.bgp_responding_addrs += device.bgp_responding_addrs().len();
-            stats.snmp_responding_addrs += device.snmp_responding_addrs().len();
+            // A respond mask is aligned with the interfaces; a flag past
+            // them answers on nothing.
+            let responding = |respond: &[bool]| {
+                let flags = respond.iter().take(device.interfaces.len());
+                flags.filter(|&&responds| responds).count()
+            };
+            stats.ssh_responding_addrs += device.ssh.as_ref().map_or(0, |s| responding(&s.respond));
+            stats.bgp_responding_addrs += device.bgp.as_ref().map_or(0, |s| responding(&s.respond));
+            stats.snmp_responding_addrs +=
+                device.snmp.as_ref().map_or(0, |s| responding(&s.respond));
             if let Some(bgp) = &device.bgp {
                 let profile = &self.bgp_profiles[bgp.profile.0 as usize];
                 if profile.sends_open {

@@ -61,11 +61,13 @@ pub struct IpidState {
     model: IpidModel,
     /// Base offset of the shared counter.
     base: u16,
-    /// Per-interface extra counters (lazily sized).
-    per_interface_bases: Vec<u16>,
+    /// How many interfaces the device has (a probe on a higher index counts
+    /// against the last one).
+    interfaces: usize,
     /// Number of probe-elicited packets sent so far (shared counter).
     probes_sent: u64,
-    /// Per-interface probe counts.
+    /// Per-interface probe counts; empty unless the model is
+    /// `PerInterface`.
     per_interface_probes: Vec<u64>,
     /// Seed for the `Random` model so sequences are reproducible.
     seed: u64,
@@ -73,20 +75,27 @@ pub struct IpidState {
 
 impl IpidState {
     /// Create fresh state for a device with `interfaces` interfaces.
+    /// Allocates only for the one model that counts per interface.
     pub fn new(model: IpidModel, interfaces: usize, seed: u64) -> Self {
-        // Spread per-interface bases out so sequences from different
-        // interfaces are clearly distinct.
-        let per_interface_bases = (0..interfaces)
-            .map(|i| (seed.wrapping_mul(0x9e37_79b9).wrapping_add(i as u64 * 7919) % 65_536) as u16)
-            .collect();
+        let per_interface_probes = match model {
+            IpidModel::PerInterface { .. } => vec![0; interfaces],
+            _ => Vec::new(),
+        };
         IpidState {
             model,
             base: (seed % 65_536) as u16,
-            per_interface_bases,
+            interfaces,
             probes_sent: 0,
-            per_interface_probes: vec![0; interfaces],
+            per_interface_probes,
             seed,
         }
+    }
+
+    /// Base offset of interface `idx`'s own counter: spread out, so that
+    /// sequences from different interfaces are clearly distinct.
+    fn per_interface_base(&self, idx: usize) -> u16 {
+        let spread = self.seed.wrapping_mul(0x9e37_79b9);
+        (spread.wrapping_add(idx as u64 * 7919) % 65_536) as u16
     }
 
     /// The model this state implements.
@@ -104,13 +113,17 @@ impl IpidState {
                 (self.base as u64 + background + self.probes_sent) as u16
             }
             IpidModel::PerInterface { velocity } => {
-                let idx = iface.min(self.per_interface_bases.len().saturating_sub(1));
+                let idx = iface.min(self.interfaces.saturating_sub(1));
                 if self.per_interface_probes.len() <= idx {
                     self.per_interface_probes.resize(idx + 1, 0);
                 }
                 self.per_interface_probes[idx] += 1;
                 let background = (velocity * now.as_secs_f64()) as u64;
-                let base = self.per_interface_bases.get(idx).copied().unwrap_or(0);
+                // A device without interfaces has no counter to offset.
+                let base = match self.interfaces {
+                    0 => 0,
+                    _ => self.per_interface_base(idx),
+                };
                 (base as u64 + background + self.per_interface_probes[idx]) as u16
             }
             IpidModel::Random => {
@@ -177,6 +190,27 @@ mod tests {
             interleaved.push(state.next_ipid(SimTime(i * 100), (i % 2) as usize));
         }
         assert!(!is_monotonic_mod_2_16(&interleaved));
+    }
+
+    #[test]
+    fn per_interface_bases_are_a_function_of_seed_and_index() {
+        // The first packet of interface `i` at time zero is its base + 1;
+        // an index past the last interface counts against the last one.
+        let seed = 0xfeed_f00d_u64;
+        let mut state = IpidState::new(IpidModel::PerInterface { velocity: 0.0 }, 3, seed);
+        for i in 0..3u64 {
+            let base = (seed.wrapping_mul(0x9e37_79b9).wrapping_add(i * 7919) % 65_536) as u16;
+            assert_eq!(
+                state.next_ipid(SimTime::ZERO, i as usize),
+                base.wrapping_add(1)
+            );
+        }
+        let last = state.next_ipid(SimTime::ZERO, 2);
+        assert_eq!(state.next_ipid(SimTime::ZERO, 9), last.wrapping_add(1));
+        // No interfaces at all: one counter, offset by nothing.
+        let mut bare = IpidState::new(IpidModel::PerInterface { velocity: 0.0 }, 0, seed);
+        assert_eq!(bare.next_ipid(SimTime::ZERO, 4), 1);
+        assert_eq!(bare.next_ipid(SimTime::ZERO, 0), 2);
     }
 
     #[test]

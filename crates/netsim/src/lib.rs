@@ -54,7 +54,7 @@ pub use builder::InternetBuilder;
 pub use clock::SimTime;
 pub use config::{InternetConfig, ScalePreset};
 pub use device::{Device, DeviceKind, Interface};
-pub use ground_truth::GroundTruth;
+pub use ground_truth::{GroundTruth, PairwiseScore};
 pub use ids::{Asn, DeviceId};
 pub use internet::{Internet, ProbeContext, ServiceProtocol, SynResult};
 pub use ratelimit::{

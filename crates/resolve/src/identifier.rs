@@ -115,8 +115,7 @@ mod tests {
                     "{} threads={threads}",
                     technique.name()
                 );
-                let mut testable: Vec<AddrId> =
-                    pass.groups().iter().flatten().map(|&(id, _)| id).collect();
+                let mut testable: Vec<AddrId> = pass.members().iter().map(|&(id, _)| id).collect();
                 testable.sort_unstable();
                 testable.dedup();
                 assert_eq!(result.testable_ids(), testable);

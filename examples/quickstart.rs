@@ -56,10 +56,9 @@ fn main() {
 
     // 4. Because the substrate is simulated, the inference can be scored
     //    against ground truth — something the paper could not do.
-    let truth = internet.ground_truth();
     let ssh = report.technique("ssh").expect("ssh technique registered");
     let ssh_sets = ssh.alias_sets();
-    let score = truth.score_sets(ssh_sets.iter().map(|s| s.iter()));
+    let score = internet.score_sets(ssh_sets.iter().map(|s| s.iter()));
     println!(
         "SSH alias sets vs ground truth: precision {:.3}, recall {:.3}",
         score.precision(),

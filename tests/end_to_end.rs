@@ -226,7 +226,7 @@ fn identifier_policy_ablation_shows_why_the_full_identifier_is_used() {
     );
     // Both policies identify the same addresses...
     let identified = |pass: &SourceGroups| -> BTreeSet<AddrId> {
-        pass.groups().iter().flatten().map(|&(id, _)| id).collect()
+        pass.members().iter().map(|&(id, _)| id).collect()
     };
     assert_eq!(identified(&key_only), identified(&full));
     // ...but key-only grouping can only be coarser (or equal): it merges
