@@ -22,7 +22,7 @@ use alias_core::dataset::{DatasetFilter, DatasetSummary};
 use alias_core::dual_stack::DualStackReport;
 use alias_core::ecdf::Ecdf;
 use alias_core::extract::{ExtractionConfig, IdentifierExtractor};
-use alias_core::intern::{AddrId, AddrInterner, CompactAliasSet};
+use alias_core::intern::{AddrId, CompactAliasSet};
 use alias_core::merge::{
     partition_labeled_compact, LabeledPartition, MultiServiceStats, ProtocolAttribution,
 };
@@ -36,9 +36,10 @@ use alias_netsim::{
 use alias_obs::{DeterminismClass, LazyCounter};
 use alias_resolve::{ResolutionReport, Resolver};
 use alias_scan::campaign::CampaignConfig;
+use alias_scan::ipid_probe::ResolvedTarget;
 use alias_scan::{DataSource, ObservationStore, RateProbeConfig, ServiceProtocol};
 use parking_lot::Mutex;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 use std::hash::Hash;
 use std::net::IpAddr;
 use std::sync::{Arc, OnceLock};
@@ -475,34 +476,34 @@ pub fn table2(exp: &Experiment) -> String {
             addrs
         })
         .collect();
-    let targets: Vec<IpAddr> = sample.iter().flatten().copied().collect();
+    // MIDAR names a target by its position in the list it was given, so
+    // the comparison runs in that index space: target `i` is id `i`.
+    let targets: Vec<ResolvedTarget> = (sample.iter().flatten())
+        .map(|&addr| exp.internet.lookup(addr))
+        .collect();
     let midar = Midar::new(MidarConfig::default()).resolve(
         &exp.internet,
         &targets,
         exp.active_start + SimTime::from_days(1),
     );
+    let mut next = 0u32;
+    let sample_compact: Vec<CompactAliasSet> = sample
+        .iter()
+        .map(|set| {
+            let ids = (next..next + set.len() as u32).map(AddrId).collect();
+            next += set.len() as u32;
+            CompactAliasSet::from_ids(ids)
+        })
+        .collect();
+    let midar_compact: Vec<CompactAliasSet> = (midar.alias_sets.iter())
+        .map(|set| CompactAliasSet::from_ids(set.iter().map(|&i| AddrId(i as u32)).collect()))
+        .collect();
     // "Verifiable" follows the paper's reading: MIDAR made a positive
     // aliasing claim about the addresses (grouped at least two of them).
     // Addresses whose counters were individually sampleable but never
     // corroborated into a set (per-interface counters, high velocity) leave
     // the sampled set unverified rather than contradicted.
-    let positively_grouped: BTreeSet<IpAddr> = midar.alias_sets.iter().flatten().copied().collect();
-    // MIDAR probing can in principle report addresses the union store never
-    // observed, so the comparison gets its own private id space.
-    let mut space = AddrInterner::new();
-    let sample_compact: Vec<CompactAliasSet> = sample
-        .iter()
-        .map(|set| CompactAliasSet::from_ids(set.iter().map(|&a| space.intern(a)).collect()))
-        .collect();
-    let midar_compact: Vec<CompactAliasSet> = midar
-        .alias_sets
-        .iter()
-        .map(|set| CompactAliasSet::from_addr_set(set, &mut space))
-        .collect();
-    let mut grouped_ids: Vec<AddrId> = positively_grouped
-        .iter()
-        .map(|&addr| space.intern(addr))
-        .collect();
+    let mut grouped_ids: Vec<AddrId> = midar_compact.iter().flat_map(|s| s.iter()).collect();
     grouped_ids.sort_unstable();
     let validation = validate_against_midar(&sample_compact, &midar_compact, &grouped_ids);
     table.row([

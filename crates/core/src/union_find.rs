@@ -105,17 +105,21 @@ impl UnionFind {
         self.find(a) == self.find(b)
     }
 
-    /// Group all elements by representative, returning the groups.
+    /// Group all elements by representative: each group ascending, the
+    /// groups ordered by their smallest element.
     pub fn groups(&mut self) -> Vec<Vec<usize>> {
-        use std::collections::HashMap;
-        let mut map: HashMap<usize, Vec<usize>> = HashMap::new();
+        // A root's group is opened at its first member; elements are walked
+        // in order, which is what gives both orders above.
+        let mut group_of_root = vec![usize::MAX; self.len()];
+        let mut groups: Vec<Vec<usize>> = Vec::new();
         for element in 0..self.len() {
             let root = self.find(element);
-            map.entry(root).or_default().push(element);
+            if group_of_root[root] == usize::MAX {
+                group_of_root[root] = groups.len();
+                groups.push(Vec::with_capacity(self.size[root]));
+            }
+            groups[group_of_root[root]].push(element);
         }
-        // lint:allow(det-hash-iter): groups are sorted by their unique head element right below
-        let mut groups: Vec<Vec<usize>> = map.into_values().collect();
-        groups.sort_by_key(|g| g[0]);
         groups
     }
 
@@ -214,7 +218,8 @@ mod tests {
         let groups = uf.groups();
         assert_eq!(groups.iter().map(Vec::len).sum::<usize>(), 6);
         assert_eq!(groups.len(), 3);
-        assert!(groups.iter().any(|g| g.len() == 3 && g.contains(&4)));
+        // Each group ascending, the groups ordered by smallest element.
+        assert_eq!(groups, vec![vec![0, 2, 4], vec![1, 5], vec![3]]);
     }
 
     #[test]

@@ -16,37 +16,30 @@
 //!   source-level check — the cheap engineering analogue of the alias
 //!   calculus tradition, where "can these two names denote the same thing
 //!   at runtime?" becomes decidable from the program text.
-//! * **Id-space migration** — [`id-space`](rules::id_space) counts the
-//!   remaining `BTreeSet<IpAddr>`/`IpAddr`-keyed containers in the
-//!   pipeline crates, ratcheted by `lint-baseline.json` so the count can
-//!   only fall; [`crate-hygiene`](rules::crate_hygiene) keeps the crate
+//! * **Id space** — [`id-space`](rules::id_space) keeps
+//!   `BTreeSet<IpAddr>`/`IpAddr`-keyed containers out of the pipeline
+//!   crates and the baselines (the migration is finished: any finding
+//!   fails); [`crate-hygiene`](rules::crate_hygiene) keeps the crate
 //!   roots honest.
 //!
 //! The analyzer is a hand-rolled [`tokenizer`] (crates.io is unreachable
 //! offline, and vendoring `syn` for a token-pattern scan would be
 //! disproportionate) feeding a [rule registry](registry); suppression is
-//! explicit and auditable (`// lint:allow(rule): reason`), and the
-//! committed baseline makes CI fail on any *new* violation while existing
-//! debt burns down monotonically.
+//! explicit and auditable (`// lint:allow(rule): reason`), and anything
+//! not suppressed fails CI — there is no baseline of grandfathered debt.
 //!
-//! Run it with `cargo run -p alias-lint -- --check` (CI does) or
-//! `-- --update-baseline` after paying down baselined debt.
+//! Run it with `cargo run -p alias-lint -- --check` (CI does).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod baseline;
 pub mod index;
 pub mod registry;
 pub mod rules;
 pub mod source;
 pub mod tokenizer;
 
-pub use baseline::Baseline;
 pub use index::WorkspaceIndex;
-pub use registry::{
-    baselinable_counts, check_workspace, cross_rules, is_hard, rule_names, rules, scan_workspace,
-    CheckOutcome, ScanReport,
-};
+pub use registry::{cross_rules, rule_names, rules, scan_workspace, ScanReport};
 pub use rules::{CrossRule, Rule, Violation};
 pub use source::SourceFile;

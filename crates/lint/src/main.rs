@@ -1,38 +1,25 @@
 //! The `alias-lint` command-line entry point.
 //!
 //! ```text
-//! alias-lint --check [--root <dir>] [--baseline <path>] [--summary <path>]
-//! alias-lint --update-baseline [--root <dir>] [--baseline <path>]
+//! alias-lint --check [--root <dir>] [--summary <path>]
 //! alias-lint --list
 //! ```
 //!
 //! `--check` (the default) scans `crates/*/src/**/*.rs` plus the facade's
-//! `src/`, applies `lint:allow` suppressions, and compares the surviving
-//! violations against the committed `lint-baseline.json`: any violation
-//! beyond a key's baselined count — or any malformed suppression — fails
-//! with exit code 1 and a per-key table.  Hard rules (`id-space` inside
-//! the migrated pipeline crates) fail regardless of the baseline: since
-//! PR 8 the migration is finished, so there is nothing left to
-//! grandfather there.  `--summary <path>` appends a per-rule roll-up and
-//! the per-key table as GitHub-flavoured markdown (pass
-//! `$GITHUB_STEP_SUMMARY`).  `--update-baseline` regenerates the baseline
-//! from the current scan (hard-rule violations are never written) so the
-//! ratchet can be tightened after paying down debt.  Usage and I/O errors
-//! exit 2.
+//! `src/` and applies `lint:allow` suppressions; any violation that
+//! survives — or any malformed suppression — fails with exit code 1 and a
+//! per-key table.  There is no baseline: a finding is fixed or carries a
+//! `lint:allow` with its reason.  `--summary <path>` appends a per-rule
+//! roll-up and the per-key table as GitHub-flavoured markdown (pass
+//! `$GITHUB_STEP_SUMMARY`).  Usage and I/O errors exit 2.
 
-use alias_lint::baseline::Baseline;
-use alias_lint::registry::{self, CheckOutcome};
+use alias_lint::registry::{self, ScanReport};
 use std::fmt::Write as _;
 use std::io::Write as _;
 use std::path::PathBuf;
 
 fn main() {
     let args = parse_args();
-    let baseline_path = args
-        .baseline
-        .clone()
-        .unwrap_or_else(|| args.root.join("lint-baseline.json"));
-
     match args.mode {
         Mode::List => {
             for rule in registry::rules() {
@@ -42,29 +29,11 @@ fn main() {
                 println!("{:<16} {}", rule.name(), rule.summary());
             }
         }
-        Mode::UpdateBaseline => {
-            let report = registry::scan_workspace(&args.root).unwrap_or_else(die);
-            fail_on_problems(&report.problems);
-            // Hard-rule violations can never be grandfathered, so they
-            // never enter the baseline either.
-            let baseline = Baseline::from_counts(registry::baselinable_counts(&report));
-            baseline.store(&baseline_path).unwrap_or_else(die);
-            println!(
-                "baseline written to {}: {} grandfathered violation(s) across {} key(s) \
-                 ({} file(s) scanned)",
-                baseline_path.display(),
-                baseline.total(),
-                baseline.entries().len(),
-                report.files_scanned,
-            );
-        }
         Mode::Check => {
-            let baseline = Baseline::load(&baseline_path).unwrap_or_else(die);
-            let outcome = registry::check_workspace(&args.root, &baseline).unwrap_or_else(die);
-            let table = outcome_table(&outcome);
-            print!("{table}");
+            let report = registry::scan_workspace(&args.root).unwrap_or_else(die);
+            print!("{}", outcome_table(&report));
             if let Some(path) = &args.summary {
-                let markdown = summary_markdown(&outcome);
+                let markdown = summary_markdown(&report);
                 let result = std::fs::OpenOptions::new()
                     .create(true)
                     .append(true)
@@ -77,124 +46,76 @@ fn main() {
                     ))
                 }
             }
-            fail_on_problems(&outcome.report.problems);
-            if !outcome.is_clean() {
-                for violation in outcome.failing_violations() {
-                    println!(
-                        "::error file={},line={}::[{}] {}",
-                        violation.file, violation.line, violation.rule, violation.message
-                    );
-                }
-                std::process::exit(1);
+            for problem in &report.problems {
+                println!("::error::{problem}");
             }
-            for key in outcome.shrunk_keys() {
+            for violation in &report.violations {
                 println!(
-                    "note: {} fell from {} baselined to {} — run `alias-lint --update-baseline` \
-                     to tighten the ratchet",
-                    key.key, key.baselined, key.found
+                    "::error file={},line={}::[{}] {}",
+                    violation.file, violation.line, violation.rule, violation.message
                 );
+            }
+            if !report.is_clean() {
+                std::process::exit(1);
             }
         }
     }
 }
 
-/// Print malformed-suppression problems and exit 1 if there are any.
-fn fail_on_problems(problems: &[String]) {
-    for problem in problems {
-        println!("::error::{problem}");
-    }
-    if !problems.is_empty() {
-        std::process::exit(1);
+fn verdict(report: &ScanReport) -> &'static str {
+    if report.is_clean() {
+        "PASS"
+    } else {
+        "FAIL"
     }
 }
 
 /// The human-readable per-key table printed on every check.
-fn outcome_table(outcome: &CheckOutcome) -> String {
+fn outcome_table(report: &ScanReport) -> String {
     let mut out = String::new();
-    let live: usize = outcome.keys.iter().map(|k| k.found).sum();
+    let counts = report.counts();
     let _ = writeln!(
         out,
-        "alias-lint: {} file(s) scanned, {} live violation(s) across {} key(s)",
-        outcome.report.files_scanned,
-        live,
-        outcome.keys.iter().filter(|k| k.found > 0).count(),
+        "alias-lint: {} file(s) scanned, {} violation(s) across {} key(s)",
+        report.files_scanned,
+        report.violations.len(),
+        counts.len(),
     );
-    for key in &outcome.keys {
-        let status = if key.grew() {
-            "GREW — new violations"
-        } else if key.shrank() {
-            "shrank — tighten the baseline"
-        } else if key.baselined > 0 {
-            "baselined"
-        } else {
-            "clean"
-        };
-        if key.found > 0 || key.baselined > 0 {
-            let _ = writeln!(
-                out,
-                "  {:<55} found {:>3}  baselined {:>3}  {status}",
-                key.key, key.found, key.baselined
-            );
-        }
+    for (key, found) in &counts {
+        let _ = writeln!(out, "  {key:<55} found {found:>3}");
     }
-    let verdict = if outcome.is_clean() { "PASS" } else { "FAIL" };
-    let _ = writeln!(out, "alias-lint: {verdict}");
+    let _ = writeln!(out, "alias-lint: {}", verdict(report));
     out
 }
 
 /// The markdown tables appended to `--summary`: a per-rule roll-up, then
 /// the per-key detail.
-fn summary_markdown(outcome: &CheckOutcome) -> String {
+fn summary_markdown(report: &ScanReport) -> String {
     let mut out = String::from("\n### alias-lint: determinism & id-space invariants\n\n");
-    let per_rule = outcome.report.counts_per_rule();
-    let _ = writeln!(out, "| Rule | Live | Notes |");
-    let _ = writeln!(out, "|---|---:|---|");
+    let per_rule = report.counts_per_rule();
+    let _ = writeln!(out, "| Rule | Violations |");
+    let _ = writeln!(out, "|---|---:|");
     for rule in registry::rule_names() {
         let live = per_rule.get(rule).copied().unwrap_or(0);
-        let hard = outcome
-            .hard_violations()
-            .iter()
-            .filter(|v| v.rule == rule)
-            .count();
-        let note = if hard > 0 {
-            format!("❌ {hard} hard failure(s)")
-        } else if live > 0 {
-            "⏳ ratcheted".to_owned()
-        } else {
-            "✅ clean".to_owned()
-        };
-        let _ = writeln!(out, "| `{rule}` | {live} | {note} |");
+        let mark = if live > 0 { "❌" } else { "✅" };
+        let _ = writeln!(out, "| `{rule}` | {mark} {live} |");
     }
-    let _ = writeln!(out);
-    let _ = writeln!(out, "| Rule | File | Found | Baselined | Status |");
-    let _ = writeln!(out, "|---|---|---:|---:|---|");
-    for key in &outcome.keys {
-        if key.found == 0 && key.baselined == 0 {
-            continue;
+    let counts = report.counts();
+    if !counts.is_empty() {
+        let _ = writeln!(out, "\n| Rule | File | Found |");
+        let _ = writeln!(out, "|---|---|---:|");
+        for (key, found) in &counts {
+            let (file, rule) = key.rsplit_once("::").unwrap_or((key.as_str(), "?"));
+            let _ = writeln!(out, "| `{rule}` | `{file}` | {found} |");
         }
-        let (file, rule) = key.key.rsplit_once("::").unwrap_or((key.key.as_str(), "?"));
-        let status = if key.grew() {
-            "❌ grew"
-        } else if key.shrank() {
-            "📉 shrank (tighten baseline)"
-        } else if key.baselined > 0 {
-            "⏳ baselined"
-        } else {
-            "✅"
-        };
-        let _ = writeln!(
-            out,
-            "| `{rule}` | `{file}` | {} | {} | {status} |",
-            key.found, key.baselined
-        );
     }
     let _ = writeln!(
         out,
         "\n{} file(s) scanned; verdict: **{}**.",
-        outcome.report.files_scanned,
-        if outcome.is_clean() { "PASS" } else { "FAIL" },
+        report.files_scanned,
+        verdict(report),
     );
-    for problem in &outcome.report.problems {
+    for problem in &report.problems {
         let _ = writeln!(out, "\n- ❌ {problem}");
     }
     out
@@ -202,30 +123,25 @@ fn summary_markdown(outcome: &CheckOutcome) -> String {
 
 enum Mode {
     Check,
-    UpdateBaseline,
     List,
 }
 
 struct Args {
     mode: Mode,
     root: PathBuf,
-    baseline: Option<PathBuf>,
     summary: Option<PathBuf>,
 }
 
 fn parse_args() -> Args {
     let mut mode = Mode::Check;
     let mut root = PathBuf::from(".");
-    let mut baseline = None;
     let mut summary = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--check" => mode = Mode::Check,
-            "--update-baseline" => mode = Mode::UpdateBaseline,
             "--list" => mode = Mode::List,
             "--root" => root = required_path(args.next(), "--root"),
-            "--baseline" => baseline = Some(required_path(args.next(), "--baseline")),
             "--summary" => summary = Some(required_path(args.next(), "--summary")),
             other => usage(&format!("unknown argument {other:?}")),
         }
@@ -233,7 +149,6 @@ fn parse_args() -> Args {
     Args {
         mode,
         root,
-        baseline,
         summary,
     }
 }
@@ -247,10 +162,7 @@ fn required_path(value: Option<String>, flag: &str) -> PathBuf {
 
 fn usage(problem: &str) -> ! {
     eprintln!("error: {problem}");
-    eprintln!(
-        "usage: alias-lint [--check | --update-baseline | --list] \
-         [--root <dir>] [--baseline <path>] [--summary <path>]"
-    );
+    eprintln!("usage: alias-lint [--check | --list] [--root <dir>] [--summary <path>]");
     std::process::exit(2);
 }
 

@@ -4,12 +4,11 @@
 //! (`AddrId`/`CompactAliasSet`/`ObservationStore` columns); materialised
 //! `BTreeSet<IpAddr>` and `IpAddr`-keyed maps are only supposed to exist
 //! at the report/rendering boundary.  PR 8 finished that migration for
-//! the pipeline crates, so inside `core`, `resolve`, `store` and `scan`
-//! the rule is now a **hard failure** — no baseline entry grandfathers a
-//! new address-keyed container there; `lint:allow(id-space): <why>` with
-//! a documented reason is the only escape hatch.  The legacy `midar`
-//! baselines keep ratchet treatment (`lint-baseline.json` counts may only
-//! fall).
+//! the pipeline crates and PR 22 for the `midar` baselines, so the rule
+//! has one scope — `core`, `resolve`, `store`, `scan`, `midar` — and no
+//! grandfathered debt: any finding fails the check, and
+//! `lint:allow(id-space): <why>` with a documented reason is the only
+//! escape hatch.
 //!
 //! Since PR 8 the rule is workspace-aware (v2): phase 1's
 //! [`WorkspaceIndex`] resolves `use … as` renames, `pub use` re-exports
@@ -29,22 +28,13 @@ pub struct IdSpace;
 
 const NAME: &str = "id-space";
 
-/// Crates where any violation is a hard failure (the migration is done).
-const HARD_CRATES: &[&str] = &["core", "resolve", "store", "scan"];
-
-/// Crates where violations stay ratcheted by `lint-baseline.json` (legacy
-/// baselines not worth porting).
-const RATCHET_CRATES: &[&str] = &["midar"];
-
-/// Whether a violation in `crate_name` is a hard failure (not
-/// grandfatherable by the baseline).
-pub fn is_hard(crate_name: &str) -> bool {
-    HARD_CRATES.contains(&crate_name)
-}
+/// The crates the rule applies to: the pipeline's hot path and the
+/// baselines that probe from it.
+const SCOPED_CRATES: &[&str] = &["core", "resolve", "store", "scan", "midar"];
 
 /// Whether the rule applies to `crate_name` at all.
 fn in_scope(crate_name: &str) -> bool {
-    HARD_CRATES.contains(&crate_name) || RATCHET_CRATES.contains(&crate_name)
+    SCOPED_CRATES.contains(&crate_name)
 }
 
 impl CrossRule for IdSpace {
@@ -53,7 +43,7 @@ impl CrossRule for IdSpace {
     }
 
     fn summary(&self) -> &'static str {
-        "IpAddr-keyed containers in core/resolve/store/scan (hard) and midar (ratcheted), \
+        "IpAddr-keyed containers in core/resolve/store/scan/midar, \
          seen through renames, re-exports and type aliases"
     }
 
@@ -201,7 +191,7 @@ mod tests {
                 "fn g(group: alias_midar::GroupSet) {}",
             ),
         ]);
-        // midar's re-export line (ratcheted scope) and resolve's use.
+        // midar's re-export line and resolve's use.
         assert_eq!(violations.len(), 2);
         assert!(violations
             .iter()
@@ -218,12 +208,11 @@ mod tests {
     }
 
     #[test]
-    fn hard_and_ratchet_scopes_are_split_as_documented() {
-        assert!(is_hard("core"));
-        assert!(is_hard("scan"));
-        assert!(!is_hard("midar"));
-        assert!(!is_hard("netsim"));
+    fn the_scope_is_the_pipeline_and_the_baselines() {
+        assert!(in_scope("core"));
+        assert!(in_scope("scan"));
         assert!(in_scope("midar"));
+        assert!(!in_scope("netsim"));
         assert!(!in_scope("bench"));
     }
 }

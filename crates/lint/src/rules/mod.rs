@@ -32,7 +32,7 @@ pub struct Violation {
 }
 
 impl Violation {
-    /// The baseline key the violation counts against (`file::rule`).
+    /// The key the violation is counted under in reports (`file::rule`).
     pub fn key(&self) -> String {
         format!("{}::{}", self.file, self.rule)
     }
@@ -40,14 +40,14 @@ impl Violation {
 
 /// A lint rule: a named, documented scan over one source file.
 pub trait Rule {
-    /// The rule's name — what `lint:allow(...)` and the baseline refer to.
+    /// The rule's name — what `lint:allow(...)` refers to.
     fn name(&self) -> &'static str;
 
     /// One-line description for `--list` and the README table.
     fn summary(&self) -> &'static str;
 
     /// Scan `file`, reporting every violation (the driver applies
-    /// suppressions and the baseline afterwards).
+    /// suppressions afterwards).
     fn check(&self, file: &SourceFile) -> Vec<Violation>;
 }
 
@@ -58,13 +58,13 @@ pub trait Rule {
 /// [`Rule`] shape cannot express "this container was renamed two crates
 /// away" or "this closure calls a helper that calls `thread_rng`".
 pub trait CrossRule {
-    /// The rule's name — what `lint:allow(...)` and the baseline refer to.
+    /// The rule's name — what `lint:allow(...)` refers to.
     fn name(&self) -> &'static str;
 
     /// One-line description for `--list` and the README table.
     fn summary(&self) -> &'static str;
 
     /// Scan the workspace, reporting every violation (the driver applies
-    /// suppressions and the baseline afterwards).
+    /// suppressions afterwards).
     fn check(&self, files: &[SourceFile], index: &WorkspaceIndex) -> Vec<Violation>;
 }

@@ -1,10 +1,10 @@
 //! Integration tests: the lint against fixture workspaces with seeded
 //! violations (one per rule, including the PR2 regression shape and the
 //! PR8 cross-file dodges), a clean fixture that must produce zero
-//! findings, the hard-fail semantics of the finished id-space migration,
-//! and the baseline ratchet round trips — including the shrink to zero.
+//! findings, and the one failure rule since the baseline went: whatever
+//! survives suppression fails the check, in every scoped crate.
 
-use alias_lint::{baselinable_counts, check_workspace, is_hard, scan_workspace, Baseline};
+use alias_lint::scan_workspace;
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 
@@ -27,7 +27,7 @@ fn every_rule_catches_its_seeded_fixture_violation() {
         // Wall-clock reads outside the alias-obs observability layer.
         ("crates/core/src/timing.rs::det-wallclock", 2),
         // The laundering re-export: `pub use … AddrSet as GroupSet`
-        // counts in midar (ratchet scope) and keeps the taint flowing.
+        // counts in midar and keeps the taint flowing.
         ("crates/midar/src/lib.rs::id-space", 1),
         // The PR2 regression: HashMap iterated (and a HashSet drained)
         // while a shared RNG is consumed.
@@ -74,31 +74,21 @@ fn alias_dodges_are_seen_through_renames_and_reexports() {
 }
 
 #[test]
-fn hard_id_space_violations_fail_even_when_fully_baselined() {
-    // The migration acceptance property: grandfather *everything* the
-    // scan found and the check still fails — id-space findings inside
-    // core/resolve/store/scan are hard, baselines cannot cover them.
-    let root = fixture("violations");
-    let report = scan_workspace(&root).expect("fixture scans");
-    let everything = Baseline::from_counts(report.counts());
-    let outcome = check_workspace(&root, &everything).expect("fixture checks");
-    assert!(!outcome.is_clean());
-
-    let hard = outcome.hard_violations();
-    assert!(!hard.is_empty());
-    assert!(hard.iter().all(|v| v.rule == "id-space"));
+fn id_space_violations_fail_the_check_in_every_scoped_crate() {
+    // The finished migration's acceptance property: there is nothing to
+    // grandfather a finding with, in the pipeline crates or in midar.
+    let report = scan_workspace(&fixture("violations")).expect("fixture scans");
+    assert!(!report.is_clean());
+    let id_space: Vec<_> = (report.violations.iter())
+        .filter(|v| v.rule == "id-space")
+        .collect();
     // The dodged uses in scan are among them: aliases and re-exports do
     // not soften the failure.
-    assert!(hard.iter().any(|v| v.file == "crates/scan/src/dodge.rs"));
-    // midar stays ratchet scope: its id-space finding is not hard, and
-    // with a covering baseline it does not fail the check.
-    assert!(!hard.iter().any(|v| v.file.starts_with("crates/midar/")));
-    let failing = outcome.failing_violations();
-    assert!(!failing.iter().any(|v| v.file.starts_with("crates/midar/")));
-    // And a regenerated baseline refuses to absorb hard findings.
-    for key in baselinable_counts(&report).keys() {
-        assert!(!key.contains("dodge.rs"), "hard key baselined: {key}");
-    }
+    assert!(id_space
+        .iter()
+        .any(|v| v.file == "crates/scan/src/dodge.rs"));
+    // midar is in scope like any pipeline crate.
+    assert!(id_space.iter().any(|v| v.file.starts_with("crates/midar/")));
 }
 
 #[test]
@@ -124,25 +114,15 @@ fn transitive_shard_impurity_carries_the_call_trail() {
 
 #[test]
 fn reintroducing_the_pr2_pattern_in_netsim_fails_the_check() {
-    // The acceptance property: with an id-space-only baseline (like the
-    // committed one — det-hash-iter is never grandfathered), the netsim
-    // HashMap-under-RNG fixture is a *new* violation and the check fails.
-    let mut id_space_only = BTreeMap::new();
-    for (key, count) in scan_workspace(&fixture("violations"))
-        .expect("fixture scans")
-        .counts()
-    {
-        if key.ends_with("::id-space") {
-            id_space_only.insert(key, count);
-        }
-    }
-    let baseline = Baseline::from_counts(id_space_only);
-    let outcome = check_workspace(&fixture("violations"), &baseline).expect("fixture checks");
-    assert!(!outcome.is_clean());
-    assert!(outcome
-        .new_violations()
-        .iter()
-        .any(|v| { v.rule == "det-hash-iter" && v.file == "crates/netsim/src/lib.rs" }));
+    // The acceptance property: the netsim HashMap-under-RNG fixture is a
+    // violation on its own — take every other finding away and the check
+    // still fails on it.
+    let mut report = scan_workspace(&fixture("violations")).expect("fixture scans");
+    report
+        .violations
+        .retain(|v| v.rule == "det-hash-iter" && v.file == "crates/netsim/src/lib.rs");
+    assert_eq!(report.violations.len(), 2);
+    assert!(!report.is_clean());
 }
 
 #[test]
@@ -171,80 +151,14 @@ fn clean_fixture_produces_no_findings() {
         "false positives: {:?}",
         report.violations
     );
-    let outcome = check_workspace(&fixture("clean"), &Baseline::empty()).expect("fixture checks");
-    assert!(outcome.is_clean());
-    assert!(outcome.new_violations().is_empty());
+    assert!(report.is_clean());
 }
 
 #[test]
-fn baseline_ratchet_round_trips_and_only_falls() {
-    let root = fixture("violations");
-    let report = scan_workspace(&root).expect("fixture scans");
-    // What --update-baseline grandfathers: everything except hard
-    // findings, which never enter a baseline.
-    let baseline = Baseline::from_counts(baselinable_counts(&report));
-
-    // Store/load round trip through a real file (what --update-baseline
-    // writes is what --check reads).
-    let path = std::env::temp_dir().join("alias-lint-ratchet-roundtrip.json");
-    baseline.store(&path).expect("baseline stores");
-    let loaded = Baseline::load(&path).expect("baseline loads");
-    std::fs::remove_file(&path).ok();
-    assert_eq!(loaded, baseline);
-
-    // Exactly-baselined ratchetable debt: nothing shrunk, and the only
-    // failures left are the hard id-space findings.
-    let outcome = check_workspace(&root, &loaded).expect("checks");
-    assert!(outcome.shrunk_keys().is_empty());
-    assert!(outcome.new_violations().iter().all(|v| is_hard(v)));
-    assert!(outcome.failing_violations().iter().all(|v| is_hard(v)));
-
-    // Against an empty baseline every violation is new: the ratchet
-    // never grows silently.
-    let outcome = check_workspace(&root, &Baseline::empty()).expect("checks");
-    assert!(!outcome.is_clean());
-    assert_eq!(outcome.new_violations().len(), report.violations.len());
-
-    // A baseline above the live counts reports ratchet progress instead
-    // — on a ratcheted key (midar), where the baseline is the authority.
-    let mut inflated = loaded.entries().clone();
-    let key = "crates/midar/src/lib.rs::id-space".to_owned();
-    *inflated.get_mut(&key).expect("key exists") += 3;
-    let outcome = check_workspace(&root, &Baseline::from_counts(inflated)).expect("checks");
-    let shrunk = outcome.shrunk_keys();
-    assert_eq!(shrunk.len(), 1);
-    assert_eq!(shrunk[0].key, key);
-    assert_eq!((shrunk[0].found, shrunk[0].baselined), (1, 4));
-}
-
-#[test]
-fn ratchet_shrink_round_trips_at_zero() {
-    // A stale baseline entry over a now-clean workspace: the check stays
-    // green and reports the key as shrinkable down to zero …
-    let root = fixture("clean");
-    let stale = Baseline::from_counts(
-        [("crates/pipeline/src/lib.rs::det-rng".to_owned(), 2)]
-            .into_iter()
-            .collect(),
-    );
-    let outcome = check_workspace(&root, &stale).expect("checks");
-    assert!(outcome.is_clean());
-    let shrunk = outcome.shrunk_keys();
-    assert_eq!(shrunk.len(), 1);
-    assert_eq!((shrunk[0].found, shrunk[0].baselined), (0, 2));
-
-    // … regenerating drops the key entirely (the ratchet reaches 0) …
-    let report = scan_workspace(&root).expect("fixture scans");
-    let regenerated = Baseline::from_counts(baselinable_counts(&report));
-    assert!(regenerated.entries().is_empty());
-
-    // … and the zero baseline round-trips through disk and stays clean
-    // with nothing left to shrink.
-    let path = std::env::temp_dir().join("alias-lint-ratchet-zero.json");
-    regenerated.store(&path).expect("baseline stores");
-    let loaded = Baseline::load(&path).expect("baseline loads");
-    std::fs::remove_file(&path).ok();
-    let outcome = check_workspace(&root, &loaded).expect("checks");
-    assert!(outcome.is_clean());
-    assert!(outcome.shrunk_keys().is_empty());
+fn a_malformed_suppression_fails_an_otherwise_clean_check() {
+    let mut report = scan_workspace(&fixture("clean")).expect("fixture scans");
+    report
+        .problems
+        .push("crates/core/src/lib.rs:3: lint:allow without a reason".to_owned());
+    assert!(!report.is_clean());
 }

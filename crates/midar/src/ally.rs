@@ -4,7 +4,7 @@
 //! as aliases when the interleaved IPID sequence is in order and the values
 //! stay close together — the behaviour of one shared counter.
 
-use alias_netsim::{Internet, SimTime, VantageKind};
+use alias_netsim::{Internet, ProbeSession, SimTime, VantageKind};
 use alias_scan::ipid_probe::{IpidProber, IpidProberConfig, IpidSample, ResolvedTarget};
 use std::net::IpAddr;
 
@@ -23,7 +23,8 @@ pub enum AllyVerdict {
 const PROBES_PER_ADDR: usize = 6;
 
 /// Runs Ally tests; a sweep over many pairs keeps one tester so every test
-/// after the first reuses its two sample buffers.
+/// after the first reuses its two sample buffers and the prober's one
+/// memoised pair schedule.
 #[derive(Debug)]
 pub struct AllyTester {
     prober: IpidProber,
@@ -53,16 +54,16 @@ impl AllyTester {
     }
 
     /// Test a pair of interfaces already resolved with
-    /// [`Internet::lookup`].
+    /// [`Internet::lookup`], probing through the session the sweep holds.
     pub fn test(
         &mut self,
-        internet: &Internet,
+        session: &mut ProbeSession<'_>,
         pair: [ResolvedTarget; 2],
         vantage: VantageKind,
         start: SimTime,
     ) -> AllyVerdict {
         self.prober.collect_interleaved_pair(
-            internet,
+            session,
             pair,
             PROBES_PER_ADDR,
             vantage,
@@ -101,7 +102,7 @@ pub fn ally_test(
     start: SimTime,
 ) -> AllyVerdict {
     AllyTester::new().test(
-        internet,
+        &mut internet.probe_session(),
         [internet.lookup(a), internet.lookup(b)],
         vantage,
         start,
@@ -124,15 +125,11 @@ mod tests {
             .devices()
             .iter()
             .find(|d| {
+                let model = internet.ipid_model(d.id);
                 d.responds_to_ping
                     && d.ipv4_addrs().len() >= 2
-                    && d.ipid.lock().model().is_shared_monotonic() == want_shared
-                    && d.ipid
-                        .lock()
-                        .model()
-                        .velocity()
-                        .map(|v| v < 500.0)
-                        .unwrap_or(!want_shared)
+                    && model.is_shared_monotonic() == want_shared
+                    && model.velocity().map(|v| v < 500.0).unwrap_or(!want_shared)
             })
             .map(|d| {
                 let addrs = d.ipv4_addrs();
@@ -164,7 +161,7 @@ mod tests {
                     && matches!(d.kind, DeviceKind::IspRouter | DeviceKind::BorderRouter)
                     && !d.ipv4_addrs().is_empty()
                     && matches!(
-                        d.ipid.lock().model(),
+                        internet.ipid_model(d.id),
                         IpidModel::SharedMonotonic { .. } | IpidModel::Random
                     )
             })

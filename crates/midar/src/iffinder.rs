@@ -21,6 +21,7 @@ pub struct IffinderOutcome {
     /// Targets that returned no ICMP error at all.
     pub silent: usize,
     /// Alias sets formed by merging the discovered pairs.
+    // lint:allow(id-space): ICMP error sources are addresses the campaign never interned — there is no id to hold
     pub alias_sets: Vec<BTreeSet<IpAddr>>,
 }
 
@@ -44,6 +45,7 @@ pub fn iffinder_scan(
         }
     }
     // Merge pairs into sets.
+    // lint:allow(id-space): ICMP error sources are addresses the campaign never interned — this map is what numbers them
     let mut index: HashMap<IpAddr, usize> = HashMap::new();
     for (a, b) in &outcome.pairs {
         for addr in [a, b] {

@@ -37,13 +37,41 @@ impl MbtVerdict {
 /// hands over, since probe timestamps are forced to increase — are merged
 /// on the fly: no allocation, and the walk stops at the first violation.
 /// Any other shape is collected and sorted first; the verdict is the same
-/// either way.
+/// either way.  A caller that tests one series against many others checks
+/// its time order once with [`CheckedSeries`] instead.
 pub fn monotonic_bounds_test(series: &[&[IpidSample]], max_velocity: f64) -> MbtVerdict {
     match series {
-        [a, b] if is_time_ordered(a) && is_time_ordered(b) => {
-            streaming_pair_test(a, b, max_velocity)
-        }
+        [a, b] => CheckedSeries::new(a).pair_test(CheckedSeries::new(b), max_velocity),
         _ => collect_and_sort_test(series, max_velocity),
+    }
+}
+
+/// A sample series with its time order checked once, for a sweep that
+/// tests it against many others (MIDAR's discovery window, Speedtrap's
+/// all-pairs pass) — [`monotonic_bounds_test`] re-validates both series on
+/// every call.
+#[derive(Debug, Clone, Copy)]
+pub struct CheckedSeries<'a> {
+    samples: &'a [IpidSample],
+    time_ordered: bool,
+}
+
+impl<'a> CheckedSeries<'a> {
+    /// Check `samples`' time order.
+    pub fn new(samples: &'a [IpidSample]) -> Self {
+        CheckedSeries {
+            samples,
+            time_ordered: is_time_ordered(samples),
+        }
+    }
+
+    /// [`monotonic_bounds_test`] of this series and `other`.
+    pub fn pair_test(self, other: CheckedSeries<'_>, max_velocity: f64) -> MbtVerdict {
+        if self.time_ordered && other.time_ordered {
+            streaming_pair_test(self.samples, other.samples, max_velocity)
+        } else {
+            collect_and_sort_test(&[self.samples, other.samples], max_velocity)
+        }
     }
 }
 

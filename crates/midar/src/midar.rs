@@ -18,13 +18,11 @@
 //!
 //! Confirmed pairs are merged into alias sets with union–find.
 
-use crate::mbt::{monotonic_bounds_test, MbtVerdict};
+use crate::mbt::{monotonic_bounds_test, CheckedSeries, MbtVerdict};
 use crate::velocity::{estimate_velocity, VelocityEstimate};
 use alias_netsim::{Internet, SimTime, VantageKind};
 use alias_obs::{DeterminismClass, LazyCounter};
-use alias_scan::ipid_probe::{IpidProber, IpidProberConfig, IpidTimeSeries, ResolvedTarget};
-use std::collections::BTreeSet;
-use std::net::IpAddr;
+use alias_scan::ipid_probe::{IpidProber, IpidProberConfig, ResolvedTarget};
 
 /// Monotonic bounds tests run by the discovery and elimination stages.
 /// Both stages are serial, so the count is a pure function of the targets
@@ -78,14 +76,15 @@ impl Default for MidarConfig {
     }
 }
 
-/// Result of a MIDAR run.
+/// Result of a MIDAR run.  Targets are named by their index into the
+/// target list the run was given.
 #[derive(Debug, Clone)]
 pub struct MidarOutcome {
-    /// Inferred alias sets (two or more addresses each).
-    pub alias_sets: Vec<BTreeSet<IpAddr>>,
-    /// Addresses whose IPID counters were usable at all.
-    pub testable: BTreeSet<IpAddr>,
-    /// Addresses discarded during estimation (unresponsive or unusable).
+    /// Inferred alias sets (two or more targets each, ascending).
+    pub alias_sets: Vec<Vec<usize>>,
+    /// Targets whose IPID counters were usable at all, ascending.
+    pub testable: Vec<usize>,
+    /// Targets discarded during estimation (unresponsive or unusable).
     pub discarded: usize,
     /// Simulated time the run finished (MIDAR runs take long; the paper's
     /// took three weeks, long enough for churn to matter).
@@ -104,9 +103,18 @@ impl Midar {
         Midar { config }
     }
 
-    /// Run the pipeline over `targets`.
-    pub fn resolve(&self, internet: &Internet, targets: &[IpAddr], start: SimTime) -> MidarOutcome {
+    /// Run the pipeline over `targets`, each resolved against the IP index
+    /// once by the caller ([`Internet::lookup`]).  The run holds one
+    /// [`ProbeSession`](alias_netsim::ProbeSession) from its first probe to
+    /// its last.
+    pub fn resolve(
+        &self,
+        internet: &Internet,
+        targets: &[ResolvedTarget],
+        start: SimTime,
+    ) -> MidarOutcome {
         let cfg = &self.config;
+        let mut session = internet.probe_session();
 
         // Stage 1: estimation.
         let stage = alias_obs::span("estimation");
@@ -115,41 +123,42 @@ impl Midar {
             round_spacing: cfg.round_spacing,
             rate_pps: cfg.rate_pps,
         });
-        let series = prober.collect_round_robin(internet, targets, cfg.vantage, start);
+        let series = prober.collect_round_robin(&mut session, targets, cfg.vantage, start);
         let mut finished_at = series
             .iter()
-            .flat_map(|s| s.samples.last().map(|x| x.time))
+            .flat_map(|s| s.last().map(|x| x.time))
             .max()
             .unwrap_or(start);
 
-        let mut usable: Vec<(f64, &IpidTimeSeries)> = Vec::new();
-        let mut discarded = 0usize;
-        for s in &series {
-            match estimate_velocity(s, cfg.max_velocity) {
+        // (velocity, target index) of every target worth testing.
+        let mut usable: Vec<(f64, usize)> = Vec::new();
+        for (target, samples) in series.iter().enumerate() {
+            match estimate_velocity(samples, cfg.max_velocity) {
                 VelocityEstimate::Monotonic { velocity } if velocity <= cfg.max_velocity => {
-                    usable.push((velocity, s));
+                    usable.push((velocity, target));
                 }
-                _ => discarded += 1,
+                _ => {}
             }
         }
-        let testable: BTreeSet<IpAddr> = usable.iter().map(|(_, s)| s.addr).collect();
+        let testable: Vec<usize> = usable.iter().map(|&(_, target)| target).collect();
         drop(stage);
 
         // Stage 2: discovery over a velocity-sorted sliding window.  From
-        // here on a target is its index into `usable`.
+        // here on a target is its position in `usable`; each one's series
+        // has its time order checked once, not once per test.
         let stage = alias_obs::span("discovery");
-        usable.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("velocities are finite"));
+        usable.sort_by(|a, b| a.0.total_cmp(&b.0));
+        let checked: Vec<CheckedSeries<'_>> = usable
+            .iter()
+            .map(|&(_, target)| CheckedSeries::new(&series[target]))
+            .collect();
         let mut discovery_tests = 0u64;
         let mut candidates: Vec<(usize, usize)> = Vec::new();
-        for i in 0..usable.len() {
-            let window_end = (i + cfg.discovery_window).min(usable.len());
+        for i in 0..checked.len() {
+            let window_end = (i + cfg.discovery_window).min(checked.len());
             for j in i + 1..window_end {
                 discovery_tests += 1;
-                let verdict = monotonic_bounds_test(
-                    &[&usable[i].1.samples, &usable[j].1.samples],
-                    cfg.max_velocity,
-                );
-                if verdict == MbtVerdict::Consistent {
+                if checked[i].pair_test(checked[j], cfg.max_velocity) == MbtVerdict::Consistent {
                     candidates.push((i, j));
                 }
             }
@@ -157,18 +166,14 @@ impl Midar {
         drop(stage);
 
         // Stage 3: elimination / corroboration with interleaved probing.
-        // Each usable target is resolved against the IP index once, and
-        // every candidate pair writes into the same two sample buffers.
+        // Every candidate pair writes into the same two sample buffers and
+        // replays the prober's one memoised schedule.
         let stage = alias_obs::span("elimination");
-        let pair_prober = IpidProber::new(IpidProberConfig {
+        let mut pair_prober = IpidProber::new(IpidProberConfig {
             rounds: 1,
             round_spacing: SimTime::ZERO,
             rate_pps: cfg.rate_pps,
         });
-        let resolved: Vec<ResolvedTarget> = usable
-            .iter()
-            .map(|(_, s)| internet.lookup(s.addr))
-            .collect();
         let mut samples = [
             Vec::with_capacity(cfg.elimination_probes),
             Vec::with_capacity(cfg.elimination_probes),
@@ -178,8 +183,8 @@ impl Midar {
         for &(i, j) in &candidates {
             now += SimTime(200);
             pair_prober.collect_interleaved_pair(
-                internet,
-                [resolved[i], resolved[j]],
+                &mut session,
+                [targets[usable[i].1], targets[usable[j].1]],
                 cfg.elimination_probes,
                 cfg.vantage,
                 now,
@@ -197,17 +202,21 @@ impl Midar {
         CANDIDATES.add(candidates.len() as u64);
         drop(stage);
 
-        let alias_sets: Vec<BTreeSet<IpAddr>> = union
+        let alias_sets: Vec<Vec<usize>> = union
             .groups()
             .into_iter()
             .filter(|g| g.len() >= 2)
-            .map(|g| g.into_iter().map(|i| usable[i].1.addr).collect())
+            .map(|g| {
+                let mut set: Vec<usize> = g.into_iter().map(|i| usable[i].1).collect();
+                set.sort_unstable();
+                set
+            })
             .collect();
 
         MidarOutcome {
             alias_sets,
+            discarded: targets.len() - testable.len(),
             testable,
-            discarded,
             finished_at: finished_at.max(now),
         }
     }
@@ -216,33 +225,40 @@ impl Midar {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use alias_netsim::{InternetBuilder, InternetConfig};
+    use alias_netsim::{Device, InternetBuilder, InternetConfig};
+    use std::net::IpAddr;
 
     fn internet() -> Internet {
         InternetBuilder::new(InternetConfig::tiny(1212)).build()
     }
 
-    /// Targets: all IPv4 addresses of pingable multi-address devices.
-    fn targets(internet: &Internet) -> Vec<IpAddr> {
+    /// Targets: all IPv4 addresses of the pingable multi-address devices
+    /// `keep` accepts.
+    fn targets(internet: &Internet, keep: impl Fn(&Device) -> bool) -> Vec<IpAddr> {
         internet
             .devices()
             .iter()
-            .filter(|d| d.responds_to_ping && d.ipv4_addrs().len() >= 2)
+            .filter(|d| d.responds_to_ping && d.ipv4_addrs().len() >= 2 && keep(d))
             .flat_map(|d| d.ipv4_addrs().into_iter().map(IpAddr::V4))
             .collect()
+    }
+
+    fn run(internet: &Internet, targets: &[IpAddr]) -> MidarOutcome {
+        let resolved: Vec<ResolvedTarget> = targets.iter().map(|&a| internet.lookup(a)).collect();
+        Midar::default().resolve(internet, &resolved, SimTime::ZERO)
     }
 
     #[test]
     fn midar_finds_only_true_aliases() {
         let internet = internet();
-        let targets = targets(&internet);
+        let targets = targets(&internet, |_| true);
         assert!(!targets.is_empty());
-        let outcome = Midar::default().resolve(&internet, &targets, SimTime::ZERO);
+        let outcome = run(&internet, &targets);
         let truth = internet.ground_truth();
         // Every inferred pair must be a true alias pair (MIDAR is precise on
         // devices it can test).
         for set in &outcome.alias_sets {
-            let members: Vec<IpAddr> = set.iter().copied().collect();
+            let members: Vec<IpAddr> = set.iter().map(|&i| targets[i]).collect();
             for i in 0..members.len() {
                 for j in i + 1..members.len() {
                     assert!(
@@ -262,11 +278,12 @@ mod tests {
         // far fewer addresses than it was given — the effect behind the 13%
         // verification rate in the paper.
         let internet = internet();
-        let targets = targets(&internet);
-        let outcome = Midar::default().resolve(&internet, &targets, SimTime::ZERO);
+        let targets = targets(&internet, |_| true);
+        let outcome = run(&internet, &targets);
         assert!(outcome.testable.len() < targets.len());
         assert!(outcome.discarded > 0);
         assert_eq!(outcome.discarded + outcome.testable.len(), targets.len());
+        assert!(outcome.testable.windows(2).all(|w| w[0] < w[1]));
     }
 
     #[test]
@@ -274,21 +291,14 @@ mod tests {
         let internet = internet();
         // Restrict the run to devices we know are testable, so the test is
         // deterministic: low-velocity shared counters that answer ping.
-        let good_targets: Vec<IpAddr> = internet
-            .devices()
-            .iter()
-            .filter(|d| {
-                d.responds_to_ping
-                    && d.ipv4_addrs().len() >= 2
-                    && d.ipid.lock().model().is_shared_monotonic()
-                    && d.ipid.lock().model().velocity().unwrap_or(f64::MAX) < 300.0
-            })
-            .flat_map(|d| d.ipv4_addrs().into_iter().map(IpAddr::V4))
-            .collect();
+        let good_targets = targets(&internet, |d| {
+            let model = internet.ipid_model(d.id);
+            model.is_shared_monotonic() && model.velocity().unwrap_or(f64::MAX) < 300.0
+        });
         if good_targets.len() < 2 {
             return;
         }
-        let outcome = Midar::default().resolve(&internet, &good_targets, SimTime::ZERO);
+        let outcome = run(&internet, &good_targets);
         assert!(
             !outcome.alias_sets.is_empty(),
             "expected at least one alias set from {} testable addrs",

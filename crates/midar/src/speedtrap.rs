@@ -13,22 +13,25 @@
 //! decision logic — which is what the paper compares against — is exercised
 //! unchanged.
 
-use crate::mbt::{monotonic_bounds_test, MbtVerdict};
+use crate::mbt::{CheckedSeries, MbtVerdict};
 use alias_core::union_find::UnionFind;
-use alias_scan::ipid_probe::IpidTimeSeries;
-use std::collections::BTreeSet;
-use std::net::IpAddr;
+use alias_scan::ipid_probe::{is_usable, IpidSample};
 
-/// Group IPv6 addresses whose fragment-identifier series are mutually
-/// consistent with a single shared counter.
-pub fn speedtrap_group(series: &[IpidTimeSeries], max_velocity: f64) -> Vec<BTreeSet<IpAddr>> {
-    let usable: Vec<&IpidTimeSeries> = series.iter().filter(|s| s.is_usable()).collect();
+/// Group IPv6 targets whose fragment-identifier series are mutually
+/// consistent with a single shared counter.  `series` holds one series per
+/// target; each group is the ascending indices of its members.
+pub fn speedtrap_group(series: &[Vec<IpidSample>], max_velocity: f64) -> Vec<Vec<usize>> {
+    // (target index, series with its time order checked once)
+    let usable: Vec<(usize, CheckedSeries<'_>)> = series
+        .iter()
+        .enumerate()
+        .filter(|(_, s)| is_usable(s))
+        .map(|(target, s)| (target, CheckedSeries::new(s)))
+        .collect();
     let mut uf = UnionFind::new(usable.len());
     for i in 0..usable.len() {
         for j in i + 1..usable.len() {
-            let verdict =
-                monotonic_bounds_test(&[&usable[i].samples, &usable[j].samples], max_velocity);
-            if verdict == MbtVerdict::Consistent {
+            if usable[i].1.pair_test(usable[j].1, max_velocity) == MbtVerdict::Consistent {
                 uf.union(i, j);
             }
         }
@@ -36,7 +39,7 @@ pub fn speedtrap_group(series: &[IpidTimeSeries], max_velocity: f64) -> Vec<BTre
     uf.groups()
         .into_iter()
         .filter(|g| g.len() >= 2)
-        .map(|g| g.into_iter().map(|i| usable[i].addr).collect())
+        .map(|g| g.into_iter().map(|i| usable[i].0).collect())
         .collect()
 }
 
@@ -44,40 +47,31 @@ pub fn speedtrap_group(series: &[IpidTimeSeries], max_velocity: f64) -> Vec<BTre
 mod tests {
     use super::*;
     use alias_netsim::SimTime;
-    use alias_scan::ipid_probe::IpidSample;
 
-    fn series(addr: &str, samples: &[(u64, u16)]) -> IpidTimeSeries {
-        IpidTimeSeries {
-            addr: addr.parse().unwrap(),
-            samples: samples
-                .iter()
-                .map(|&(ms, ipid)| IpidSample {
-                    time: SimTime(ms),
-                    ipid,
-                })
-                .collect(),
-        }
+    fn series(samples: &[(u64, u16)]) -> Vec<IpidSample> {
+        samples
+            .iter()
+            .map(|&(ms, ipid)| IpidSample {
+                time: SimTime(ms),
+                ipid,
+            })
+            .collect()
     }
 
     #[test]
     fn shared_counter_v6_addresses_are_grouped() {
-        // Two addresses sampled alternately from one counter, one unrelated.
-        let a = series("2001:db8::1", &[(0, 100), (2_000, 110), (4_000, 121)]);
-        let b = series("2001:db8::2", &[(1_000, 105), (3_000, 116), (5_000, 127)]);
-        let c = series(
-            "2001:db8::99",
-            &[(500, 40_000), (2_500, 40_009), (4_500, 40_020)],
-        );
-        let groups = speedtrap_group(&[a, b, c], 100.0);
-        assert_eq!(groups.len(), 1);
-        assert_eq!(groups[0].len(), 2);
-        assert!(groups[0].contains(&"2001:db8::1".parse::<IpAddr>().unwrap()));
+        // Two addresses sampled alternately from one counter, one unrelated
+        // between them.
+        let a = series(&[(0, 100), (2_000, 110), (4_000, 121)]);
+        let c = series(&[(500, 40_000), (2_500, 40_009), (4_500, 40_020)]);
+        let b = series(&[(1_000, 105), (3_000, 116), (5_000, 127)]);
+        assert_eq!(speedtrap_group(&[a, c, b], 100.0), vec![vec![0, 2]]);
     }
 
     #[test]
     fn unusable_series_are_ignored() {
-        let a = series("2001:db8::1", &[(0, 1)]);
-        let b = series("2001:db8::2", &[(0, 2), (1_000, 3), (2_000, 4)]);
+        let a = series(&[(0, 1)]);
+        let b = series(&[(0, 2), (1_000, 3), (2_000, 4)]);
         assert!(speedtrap_group(&[a, b], 100.0).is_empty());
         assert!(speedtrap_group(&[], 100.0).is_empty());
     }

@@ -6,7 +6,7 @@
 //! are discarded — they are exactly the reason the paper's MIDAR validation
 //! could verify only 13% of the sampled alias sets.
 
-use alias_scan::ipid_probe::IpidTimeSeries;
+use alias_scan::ipid_probe::IpidSample;
 
 /// Outcome of velocity estimation for one address.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -40,8 +40,7 @@ impl VelocityEstimate {
 /// The estimator checks that forward (mod 2^16) deltas between consecutive
 /// samples are plausible for a counter no faster than `max_velocity`, then
 /// returns the average rate.
-pub fn estimate_velocity(series: &IpidTimeSeries, max_velocity: f64) -> VelocityEstimate {
-    let samples = &series.samples;
+pub fn estimate_velocity(samples: &[IpidSample], max_velocity: f64) -> VelocityEstimate {
     if samples.len() < 3 {
         return VelocityEstimate::Insufficient;
     }
@@ -75,20 +74,15 @@ pub fn estimate_velocity(series: &IpidTimeSeries, max_velocity: f64) -> Velocity
 mod tests {
     use super::*;
     use alias_netsim::SimTime;
-    use alias_scan::ipid_probe::IpidSample;
-    use std::net::IpAddr;
 
-    fn series(samples: &[(u64, u16)]) -> IpidTimeSeries {
-        IpidTimeSeries {
-            addr: IpAddr::V4("10.0.0.1".parse().unwrap()),
-            samples: samples
-                .iter()
-                .map(|&(ms, ipid)| IpidSample {
-                    time: SimTime(ms),
-                    ipid,
-                })
-                .collect(),
-        }
+    fn series(samples: &[(u64, u16)]) -> Vec<IpidSample> {
+        samples
+            .iter()
+            .map(|&(ms, ipid)| IpidSample {
+                time: SimTime(ms),
+                ipid,
+            })
+            .collect()
     }
 
     #[test]

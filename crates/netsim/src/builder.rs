@@ -10,14 +10,13 @@
 use crate::config::{InternetConfig, IpidMix};
 use crate::device::{BgpService, Device, DeviceKind, Interface, SnmpService, SshService};
 use crate::ids::{Asn, DeviceId};
-use crate::internet::Internet;
+use crate::internet::{Internet, ProbeState};
 use crate::ipid::{IpidModel, IpidState};
 use crate::profiles::{bgp_profiles, pick_weighted, ssh_profiles, BgpProfileId, SshProfileId};
 use crate::ratelimit::IcmpRateLimit;
 use crate::topology::{AsKind, AutonomousSystem, PrefixAllocator};
 use alias_wire::snmp::EngineId;
 use alias_wire::ssh::{HostKey, HostKeyAlgorithm};
-use parking_lot::Mutex;
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -118,12 +117,14 @@ impl InternetBuilder {
         let duplicate_bgp_ids = [Ipv4Addr::new(1, 1, 1, 1), Ipv4Addr::new(192, 168, 1, 1)];
 
         let mut devices: Vec<Device> = Vec::with_capacity(config.total_devices());
+        let mut probe_states: Vec<ProbeState> = Vec::with_capacity(config.total_devices());
         let mut ctx = GenContext {
             config: &config,
             rng: &mut rng,
             ases: &mut ases,
             pool: &pool,
             devices: &mut devices,
+            probe_states: &mut probe_states,
             ssh_weights: &ssh_weights,
             server_profiles: &server_profiles,
             embedded_profiles: &embedded_profiles,
@@ -159,7 +160,14 @@ impl InternetBuilder {
 
         assign_icmp_limits(&config, &mut devices);
 
-        Internet::from_parts(config, devices, ases, ssh_profile_table, bgp_profile_table)
+        Internet::from_parts(
+            config,
+            devices,
+            probe_states,
+            ases,
+            ssh_profile_table,
+            bgp_profile_table,
+        )
     }
 }
 
@@ -248,6 +256,7 @@ struct GenContext<'a> {
     ases: &'a mut Vec<AutonomousSystem>,
     pool: &'a AsPool,
     devices: &'a mut Vec<Device>,
+    probe_states: &'a mut Vec<ProbeState>,
     ssh_weights: &'a [u32],
     server_profiles: &'a [usize],
     embedded_profiles: &'a [usize],
@@ -424,7 +433,14 @@ impl GenContext<'_> {
         }
     }
 
-    fn push_device(&mut self, device: Device) {
+    /// A device and its row of the probe-state column, at the same index
+    /// of the two parallel vectors.
+    fn push_device(&mut self, device: Device, ipid: IpidState) {
+        self.probe_states.push(ProbeState {
+            visible_to_single_vp: device.visible_to_single_vp,
+            responds_to_ping: device.responds_to_ping,
+            ipid,
+        });
         self.devices.push(device);
     }
 
@@ -462,7 +478,6 @@ impl GenContext<'_> {
             ssh: Some(ssh),
             bgp: None,
             snmp: None,
-            ipid: Mutex::new(ipid),
             responds_to_ping,
             icmp_limit: IcmpRateLimit::UNLIMITED,
             icmp_error_source: None,
@@ -470,7 +485,7 @@ impl GenContext<'_> {
             censys_covered,
             dynamic_addresses: false,
         };
-        self.push_device(device);
+        self.push_device(device, ipid);
     }
 
     fn gen_cloud_server(&mut self) {
@@ -521,7 +536,6 @@ impl GenContext<'_> {
             ssh: Some(ssh),
             bgp: None,
             snmp,
-            ipid: Mutex::new(ipid),
             responds_to_ping,
             icmp_limit: IcmpRateLimit::UNLIMITED,
             icmp_error_source: if common_source && !interfaces.is_empty() {
@@ -534,7 +548,7 @@ impl GenContext<'_> {
             dynamic_addresses: false,
             interfaces,
         };
-        self.push_device(device);
+        self.push_device(device, ipid);
     }
 
     fn gen_enterprise_server(&mut self) {
@@ -567,7 +581,6 @@ impl GenContext<'_> {
             ssh,
             bgp: None,
             snmp: None,
-            ipid: Mutex::new(ipid),
             responds_to_ping,
             icmp_limit: IcmpRateLimit::UNLIMITED,
             icmp_error_source: None,
@@ -576,7 +589,7 @@ impl GenContext<'_> {
             dynamic_addresses: false,
             interfaces,
         };
-        self.push_device(device);
+        self.push_device(device, ipid);
     }
 
     fn gen_isp_router(&mut self) {
@@ -638,7 +651,6 @@ impl GenContext<'_> {
             ssh,
             bgp,
             snmp,
-            ipid: Mutex::new(ipid),
             responds_to_ping,
             icmp_limit: IcmpRateLimit::UNLIMITED,
             icmp_error_source: if common_source { Some(0) } else { None },
@@ -647,7 +659,7 @@ impl GenContext<'_> {
             dynamic_addresses: false,
             interfaces,
         };
-        self.push_device(device);
+        self.push_device(device, ipid);
     }
 
     fn gen_border_router(&mut self) {
@@ -725,7 +737,6 @@ impl GenContext<'_> {
             ssh,
             bgp: Some(bgp),
             snmp,
-            ipid: Mutex::new(ipid),
             responds_to_ping,
             icmp_limit: IcmpRateLimit::UNLIMITED,
             icmp_error_source: if common_source { Some(0) } else { None },
@@ -734,7 +745,7 @@ impl GenContext<'_> {
             dynamic_addresses: false,
             interfaces,
         };
-        self.push_device(device);
+        self.push_device(device, ipid);
     }
 
     fn gen_cpe(&mut self) {
@@ -781,7 +792,6 @@ impl GenContext<'_> {
             ssh,
             bgp: None,
             snmp,
-            ipid: Mutex::new(ipid),
             responds_to_ping,
             icmp_limit: IcmpRateLimit::UNLIMITED,
             icmp_error_source: None,
@@ -790,7 +800,7 @@ impl GenContext<'_> {
             dynamic_addresses,
             interfaces,
         };
-        self.push_device(device);
+        self.push_device(device, ipid);
     }
 
     /// An ISP router with every identifier service disabled: no SSH, BGP
@@ -832,7 +842,6 @@ impl GenContext<'_> {
             ssh: None,
             bgp: None,
             snmp: None,
-            ipid: Mutex::new(ipid),
             responds_to_ping: true,
             icmp_limit: IcmpRateLimit::UNLIMITED,
             icmp_error_source: None,
@@ -844,7 +853,7 @@ impl GenContext<'_> {
             dynamic_addresses: false,
             interfaces,
         };
-        self.push_device(device);
+        self.push_device(device, ipid);
     }
 }
 

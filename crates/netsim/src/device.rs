@@ -8,12 +8,10 @@
 //! interfaces each service actually answers.
 
 use crate::ids::{Asn, DeviceId};
-use crate::ipid::IpidState;
 use crate::profiles::{BgpProfileId, SshProfileId};
 use crate::ratelimit::IcmpRateLimit;
 use alias_wire::snmp::EngineId;
 use alias_wire::ssh::HostKey;
-use parking_lot::Mutex;
 use std::net::{IpAddr, Ipv4Addr};
 
 /// Broad device archetypes used by the generator and reported in analyses.
@@ -86,7 +84,17 @@ pub struct SnmpService {
     pub respond: Vec<bool>,
 }
 
-/// A simulated device.
+/// A simulated device: everything about it that probing never changes.
+///
+/// The one thing probing *does* change — the IPID counter shared by all
+/// interfaces — is not a field here.  It lives in the [`Internet`]'s
+/// probe-state column, indexed by [`DeviceId`] behind a single lock that a
+/// [`ProbeSession`] holds for a whole sweep; read a device's counter model
+/// with [`Internet::ipid_model`].
+///
+/// [`Internet`]: crate::Internet
+/// [`Internet::ipid_model`]: crate::Internet::ipid_model
+/// [`ProbeSession`]: crate::ProbeSession
 #[derive(Debug)]
 pub struct Device {
     /// Device identity (index into the Internet's device table).
@@ -101,9 +109,6 @@ pub struct Device {
     pub bgp: Option<BgpService>,
     /// SNMPv3 configuration, if the device runs an SNMP agent.
     pub snmp: Option<SnmpService>,
-    /// IPID counter state shared by all interfaces (interior mutability so
-    /// concurrent probes can update it).
-    pub ipid: Mutex<IpidState>,
     /// Whether the device answers ICMP echo probes.
     pub responds_to_ping: bool,
     /// Router-wide ICMP rate limiter shared by every interface — the
@@ -227,7 +232,6 @@ impl Device {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ipid::IpidModel;
     use alias_wire::ssh::HostKeyAlgorithm;
 
     fn test_device() -> Device {
@@ -266,11 +270,6 @@ mod tests {
                 respond: vec![true, false, true, false],
             }),
             snmp: None,
-            ipid: Mutex::new(IpidState::new(
-                IpidModel::SharedMonotonic { velocity: 5.0 },
-                4,
-                1,
-            )),
             responds_to_ping: true,
             icmp_limit: IcmpRateLimit::new(1_000.0, 8.0),
             icmp_error_source: Some(0),

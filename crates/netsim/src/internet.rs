@@ -12,11 +12,13 @@ use crate::config::InternetConfig;
 use crate::device::{Device, DeviceKind};
 use crate::ground_truth::{GroundTruth, PairwiseScore};
 use crate::ids::{Asn, DeviceId};
+use crate::ipid::{IpidModel, IpidState};
 use crate::profiles::{BgpProfile, SshProfile};
 use crate::services;
 use crate::space::RoutedSpace;
 use crate::topology::AutonomousSystem;
 use crate::vantage::VantageKind;
+use parking_lot::{Mutex, MutexGuard};
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -115,10 +117,72 @@ pub struct EchoObservation {
     pub time: SimTime,
 }
 
+/// One device's row of the probe-state column: the three things an
+/// identifier probe reads.  The two flags are copies of the [`Device`]'s
+/// (fixed at build time); the counter state is the one piece of the
+/// simulated Internet that probing mutates.
+#[derive(Debug)]
+pub(crate) struct ProbeState {
+    pub(crate) visible_to_single_vp: bool,
+    pub(crate) responds_to_ping: bool,
+    pub(crate) ipid: IpidState,
+}
+
+/// Exclusive access to every device's IPID counter state for a run of
+/// identifier probes ([`Internet::probe_session`]).
+///
+/// The state lives in, and persists in, the [`Internet`]; the session only
+/// holds its one lock, so a sweep of millions of probes pays for it once.
+/// The lock is not re-entrant: while a session is alive, the one-shot
+/// entry points ([`Internet::icmp_echo`], [`Internet::identifier_probe_at`],
+/// [`Internet::ipv6_fragment_probe`], [`Internet::ipid_model`]) block — on
+/// the same thread, forever.  Hold a session for one collection loop or
+/// one technique's sweep and drop it before calling anything that probes
+/// on its own.
+pub struct ProbeSession<'a> {
+    states: MutexGuard<'a, Vec<ProbeState>>,
+}
+
+impl ProbeSession<'_> {
+    /// One identifier probe of an interface already resolved via
+    /// [`Internet::lookup`] — the body behind [`Internet::icmp_echo`] and
+    /// [`Internet::ipv6_fragment_probe`]: both families draw from the same
+    /// device-wide counter.  Visibility and `responds_to_ping` are checked
+    /// on every probe, and only an answered probe advances the counter.
+    pub fn identifier_probe_at(
+        &mut self,
+        device_id: DeviceId,
+        iface_idx: usize,
+        ctx: &ProbeContext,
+    ) -> Option<EchoObservation> {
+        let state = &mut self.states[device_id.index()];
+        let visible = match ctx.vantage {
+            VantageKind::SingleVp => state.visible_to_single_vp,
+            VantageKind::Distributed => true,
+        };
+        if !visible || !state.responds_to_ping {
+            return None;
+        }
+        Some(EchoObservation {
+            ipid: state.ipid.next_ipid(ctx.time, iface_idx),
+            time: ctx.time,
+        })
+    }
+
+    /// A device's IPID counter state as it stands (tests compare two runs
+    /// through its `Debug` form).
+    pub fn ipid_state(&self, device_id: DeviceId) -> &IpidState {
+        &self.states[device_id.index()].ipid
+    }
+}
+
 /// The simulated Internet.
 pub struct Internet {
     config: InternetConfig,
     devices: Vec<Device>,
+    /// The probe-state column, indexed by [`DeviceId`]: everything an
+    /// identifier probe reads or writes, behind one lock.
+    probe_states: Mutex<Vec<ProbeState>>,
     ases: Vec<AutonomousSystem>,
     /// The IP index, IPv4 half: the routed space and its slot table.
     space: RoutedSpace,
@@ -135,10 +199,12 @@ impl Internet {
     pub(crate) fn from_parts(
         config: InternetConfig,
         devices: Vec<Device>,
+        probe_states: Vec<ProbeState>,
         ases: Vec<AutonomousSystem>,
         ssh_profiles: Vec<SshProfile>,
         bgp_profiles: Vec<BgpProfile>,
     ) -> Self {
+        assert_eq!(devices.len(), probe_states.len());
         let space = RoutedSpace::new(ases.iter().map(|a| a.ipv4_prefix).collect(), &devices);
         let mut v6_index = HashMap::new();
         for device in &devices {
@@ -151,6 +217,7 @@ impl Internet {
         Internet {
             config,
             devices,
+            probe_states: Mutex::new(probe_states),
             ases,
             space,
             v6_index,
@@ -423,26 +490,29 @@ impl Internet {
         self.identifier_probe_at(device_id, iface_idx, ctx)
     }
 
-    /// The identifier sample behind [`Self::icmp_echo`] and
-    /// [`Self::ipv6_fragment_probe`] for an interface already resolved via
-    /// [`Self::lookup`] — both families draw from the same device-wide
-    /// counter, so a time-series collector that probes the same targets
-    /// round after round resolves each one once.
+    /// Lock the probe-state column for a run of identifier probes.  See
+    /// [`ProbeSession`] for who may hold one and for how long.
+    pub fn probe_session(&self) -> ProbeSession<'_> {
+        ProbeSession {
+            states: self.probe_states.lock(),
+        }
+    }
+
+    /// The IPID counter model of a device (takes the column's lock for the
+    /// read, so not while a [`ProbeSession`] is alive on this thread).
+    pub fn ipid_model(&self, device_id: DeviceId) -> IpidModel {
+        self.probe_session().ipid_state(device_id).model()
+    }
+
+    /// [`ProbeSession::identifier_probe_at`] as a session of one probe.
     pub fn identifier_probe_at(
         &self,
         device_id: DeviceId,
         iface_idx: usize,
         ctx: &ProbeContext,
     ) -> Option<EchoObservation> {
-        let device = self.device(device_id);
-        if !self.device_visible(device, ctx) || !device.responds_to_ping {
-            return None;
-        }
-        let ipid = device.ipid.lock().next_ipid(ctx.time, iface_idx);
-        Some(EchoObservation {
-            ipid,
-            time: ctx.time,
-        })
+        self.probe_session()
+            .identifier_probe_at(device_id, iface_idx, ctx)
     }
 
     /// Elicit a fragmented reply from an IPv6 address and observe the
@@ -903,8 +973,8 @@ mod tests {
             .unwrap();
         // For every model except Constant the two samples differ with
         // overwhelming probability; accept equality only for constant models.
-        let model = device.ipid.lock().model();
-        if !matches!(model, crate::ipid::IpidModel::Constant(_)) {
+        let model = internet.ipid_model(device.id);
+        if !matches!(model, IpidModel::Constant(_)) {
             assert_ne!((a.ipid, a.time), (b.ipid, b.time));
         }
     }
@@ -919,7 +989,7 @@ mod tests {
                 d.responds_to_ping
                     && !d.ipv4_addrs().is_empty()
                     && d.interfaces.iter().any(|i| i.addr.is_ipv6())
-                    && d.ipid.lock().model().is_shared_monotonic()
+                    && internet.ipid_model(d.id).is_shared_monotonic()
             })
             .expect("tiny preset has dual-stack shared-counter devices");
         let v4 = IpAddr::V4(device.ipv4_addrs()[0]);
@@ -938,7 +1008,12 @@ mod tests {
             .is_none());
         // Alternating v4/v6 probes of a low-velocity shared counter draw
         // from one sequence: strictly increasing across the families.
-        if device.ipid.lock().model().velocity().unwrap_or(f64::MAX) < 100.0 {
+        if internet
+            .ipid_model(device.id)
+            .velocity()
+            .unwrap_or(f64::MAX)
+            < 100.0
+        {
             let a = internet
                 .icmp_echo(v4, &ProbeContext::distributed(SimTime::from_secs(2)))
                 .unwrap();
@@ -946,6 +1021,65 @@ mod tests {
                 .ipv6_fragment_probe(v6, &ProbeContext::distributed(SimTime::from_secs(2)))
                 .unwrap();
             assert!(b.ipid > a.ipid, "fragment id {} vs ipid {}", b.ipid, a.ipid);
+        }
+    }
+
+    #[test]
+    fn a_session_of_many_probes_equals_as_many_one_shot_probes() {
+        // Two same-seed Internets: one probed through a single session,
+        // the other through `icmp_echo`, a session of one probe each time.
+        let (held, one_shot) = (tiny_internet(), tiny_internet());
+        // Two pingable devices of each counter model, two interfaces of
+        // each where it has them.
+        let mut picked: Vec<(DeviceId, usize, IpAddr)> = Vec::new();
+        let mut models = [0usize; 4];
+        for device in held.devices().iter().filter(|d| d.responds_to_ping) {
+            let slot = match held.ipid_model(device.id) {
+                IpidModel::SharedMonotonic { .. } => 0,
+                IpidModel::PerInterface { .. } => 1,
+                IpidModel::Random => 2,
+                IpidModel::Constant(_) => 3,
+            };
+            let v4 = device.interfaces.iter().enumerate();
+            let v4: Vec<_> = v4.filter(|(_, i)| i.addr.is_ipv4()).take(2).collect();
+            if models[slot] < 2 && !v4.is_empty() {
+                models[slot] += 1;
+                picked.extend(v4.iter().map(|&(idx, i)| (device.id, idx, i.addr)));
+            }
+        }
+        assert_eq!(models, [2; 4], "the tiny population has every model");
+        // And one device only the distributed vantage can see.
+        let hidden = (held.devices().iter())
+            .find(|d| d.responds_to_ping && !d.visible_to_single_vp && !d.ipv4_addrs().is_empty())
+            .expect("the tiny population has hosts one vantage point cannot see");
+        let iface = hidden.interfaces.iter().position(|i| i.addr.is_ipv4());
+        picked.extend(iface.map(|idx| (hidden.id, idx, hidden.interfaces[idx].addr)));
+
+        let mut session = held.probe_session();
+        let mut answered = [0usize; 2];
+        for round in 0..6u64 {
+            for (n, &(device, iface, addr)) in picked.iter().enumerate() {
+                let time = SimTime(round * 10_000 + n as u64 * 3);
+                for (v, ctx) in [ProbeContext::single(time), ProbeContext::distributed(time)]
+                    .iter()
+                    .enumerate()
+                {
+                    let sample = session.identifier_probe_at(device, iface, ctx);
+                    assert_eq!(sample, one_shot.icmp_echo(addr, ctx), "{addr} {ctx:?}");
+                    answered[v] += usize::from(sample.is_some());
+                }
+            }
+        }
+        assert!(answered[0] > 0 && answered[1] > answered[0]);
+        // Every device — probed or not — ends in the same state.
+        let one_shot = one_shot.probe_session();
+        for device in held.devices() {
+            assert_eq!(
+                format!("{:?}", session.ipid_state(device.id)),
+                format!("{:?}", one_shot.ipid_state(device.id)),
+                "device {:?}",
+                device.id
+            );
         }
     }
 

@@ -66,8 +66,8 @@ pub struct IpidState {
     interfaces: usize,
     /// Number of probe-elicited packets sent so far (shared counter).
     probes_sent: u64,
-    /// Per-interface probe counts; empty unless the model is
-    /// `PerInterface`.
+    /// Per-interface probe counts: one slot per interface (at least one)
+    /// under `PerInterface`, empty for every other model.
     per_interface_probes: Vec<u64>,
     /// Seed for the `Random` model so sequences are reproducible.
     seed: u64,
@@ -78,7 +78,7 @@ impl IpidState {
     /// Allocates only for the one model that counts per interface.
     pub fn new(model: IpidModel, interfaces: usize, seed: u64) -> Self {
         let per_interface_probes = match model {
-            IpidModel::PerInterface { .. } => vec![0; interfaces],
+            IpidModel::PerInterface { .. } => vec![0; interfaces.max(1)],
             _ => Vec::new(),
         };
         IpidState {
@@ -114,9 +114,6 @@ impl IpidState {
             }
             IpidModel::PerInterface { velocity } => {
                 let idx = iface.min(self.interfaces.saturating_sub(1));
-                if self.per_interface_probes.len() <= idx {
-                    self.per_interface_probes.resize(idx + 1, 0);
-                }
                 self.per_interface_probes[idx] += 1;
                 let background = (velocity * now.as_secs_f64()) as u64;
                 // A device without interfaces has no counter to offset.

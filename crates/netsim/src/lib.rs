@@ -56,7 +56,7 @@ pub use config::{InternetConfig, ScalePreset};
 pub use device::{Device, DeviceKind, Interface};
 pub use ground_truth::{GroundTruth, PairwiseScore};
 pub use ids::{Asn, DeviceId};
-pub use internet::{Internet, ProbeContext, ServiceProtocol, SynResult};
+pub use internet::{Internet, ProbeContext, ProbeSession, ServiceProtocol, SynResult};
 pub use ratelimit::{
     joint_burst_replies_shared, solo_burst_replies, IcmpRateLimit, IcmpTokenBucket,
 };

@@ -5,9 +5,14 @@
 //! All four perform **live follow-up probing** against the measurement
 //! substrate (declared via [`DataRequirement::LiveProbing`]), starting at
 //! `ctx.probe_start` with targets drawn from the campaign's responsive
-//! addresses.  Probing advances shared per-device counter state, so the
-//! [`Resolver`](crate::Resolver) runs them serially in registration order —
-//! which keeps every output byte-identical for any thread count.
+//! addresses — one address-sorted list per family, shared by all four
+//! through [`ProbeTargets`], so a technique works on positions in that
+//! list and hands back ids by one array read.  Probing advances shared
+//! per-device counter state, so the [`Resolver`](crate::Resolver) runs
+//! them serially in registration order — which keeps every output
+//! byte-identical for any thread count — and each technique holds the
+//! substrate's one [`ProbeSession`](alias_netsim::ProbeSession) for its
+//! whole sweep.
 
 use crate::technique::{DataRequirement, ResolutionTechnique, TechniqueCtx, TechniqueResult};
 use alias_core::intern::{AddrId, AddrInterner, CompactAliasSet};
@@ -16,11 +21,12 @@ use alias_midar::ally::{AllyTester, AllyVerdict};
 use alias_midar::iffinder::iffinder_scan;
 use alias_midar::speedtrap::speedtrap_group;
 use alias_midar::{Midar, MidarConfig};
-use alias_netsim::SimTime;
+use alias_netsim::{Internet, SimTime};
 use alias_obs::{DeterminismClass, LazyCounter};
-use alias_scan::ipid_probe::{IpidProber, IpidProberConfig, ResolvedTarget};
+use alias_scan::ipid_probe::{is_usable, IpidProber, IpidProberConfig, ResolvedTarget};
 use alias_scan::CampaignData;
 use std::net::IpAddr;
+use std::sync::OnceLock;
 
 /// Pair tests run by the Ally sweep (serial, so a pure function of the
 /// campaign's addresses).
@@ -31,39 +37,87 @@ static ALLY_PAIR_TESTS: LazyCounter = LazyCounter::new(
     "resolve",
 );
 
-/// Sorted, deduplicated campaign addresses of one family — the target list
-/// the probing baselines work from.  The campaign interner already holds
-/// every observed address exactly once, so this is a filter + sort of the
-/// id table rather than a scan over all observations.
-fn campaign_targets(data: &CampaignData, ipv6: bool) -> Vec<IpAddr> {
-    let mut addrs: Vec<IpAddr> = data
-        .interner()
-        .addrs()
-        .iter()
-        .copied()
-        .filter(|a| a.is_ipv6() == ipv6)
-        .collect();
-    addrs.sort_unstable();
-    addrs
+/// The campaign's addresses of one family as probe targets: two parallel
+/// arrays, to which a baseline adds its own (a series or a testable flag
+/// per target).
+#[derive(Debug)]
+pub struct FamilyTargets {
+    /// The campaign ids of the family's addresses, in address order.
+    pub ids: Vec<AddrId>,
+    /// Each target's interface, resolved against the IP index once.
+    pub resolved: Vec<ResolvedTarget>,
 }
 
-/// Intern one probe-derived address set against the campaign interner.
-/// Probing baselines only reason about campaign targets, so every member
-/// is already interned; the panic documents that invariant.
-fn compact_set<'a>(
-    addrs: impl IntoIterator<Item = &'a IpAddr>,
-    interner: &AddrInterner,
-) -> CompactAliasSet {
-    CompactAliasSet::from_ids(
-        addrs
-            .into_iter()
-            .map(|&addr| {
-                interner
-                    .get(addr)
-                    .expect("probing baselines only report campaign addresses")
+/// The target lists the probing baselines work from: the campaign's
+/// distinct addresses per family, sorted by address, as ids with their
+/// resolved interfaces.  One instance serves a whole
+/// [`Resolver::resolve_data`](crate::Resolver::resolve_data); each family
+/// is collected, sorted and looked up the first time a technique asks for
+/// it, so a run with no probing baseline never pays for it and a run with
+/// four pays once.
+pub struct ProbeTargets<'a> {
+    data: &'a CampaignData,
+    internet: &'a Internet,
+    ipv4: OnceLock<FamilyTargets>,
+    ipv6: OnceLock<FamilyTargets>,
+}
+
+impl<'a> ProbeTargets<'a> {
+    /// Target lists over `data`'s addresses, resolved against `internet`.
+    pub fn new(data: &'a CampaignData, internet: &'a Internet) -> Self {
+        ProbeTargets {
+            data,
+            internet,
+            ipv4: OnceLock::new(),
+            ipv6: OnceLock::new(),
+        }
+    }
+
+    /// The campaign's IPv4 addresses.
+    pub fn ipv4(&self) -> &FamilyTargets {
+        self.ipv4.get_or_init(|| self.family(false))
+    }
+
+    /// The campaign's IPv6 addresses.
+    pub fn ipv6(&self) -> &FamilyTargets {
+        self.ipv6.get_or_init(|| self.family(true))
+    }
+
+    /// The campaign interner already holds every observed address exactly
+    /// once, so this is a filter + sort of the id table rather than a scan
+    /// over all observations.  Within a family, address order is the order
+    /// of the addresses' bits, which sorts as plain integers.
+    fn family(&self, ipv6: bool) -> FamilyTargets {
+        let interner = self.data.interner();
+        let mut sorted: Vec<(u128, AddrId)> = (interner.addrs().iter())
+            .enumerate()
+            .filter(|(_, addr)| addr.is_ipv6() == ipv6)
+            .map(|(id, addr)| {
+                let bits = match *addr {
+                    IpAddr::V4(v4) => u128::from(u32::from(v4)),
+                    IpAddr::V6(v6) => u128::from(v6),
+                };
+                (bits, AddrId(id as u32))
             })
-            .collect(),
-    )
+            .collect();
+        sorted.sort_unstable();
+        let ids: Vec<AddrId> = sorted.into_iter().map(|(_, id)| id).collect();
+        FamilyTargets {
+            resolved: (ids.iter())
+                .map(|&id| self.internet.lookup(interner.addr(id)))
+                .collect(),
+            ids,
+        }
+    }
+}
+
+/// Index groups over `ids` (a baseline's alias sets, by target position)
+/// as id-space sets.
+fn compact_sets(groups: &[Vec<usize>], ids: &[AddrId]) -> Vec<CompactAliasSet> {
+    groups
+        .iter()
+        .map(|group| CompactAliasSet::from_ids(group.iter().map(|&i| ids[i]).collect()))
+        .collect()
 }
 
 /// The MIDAR baseline: estimation → discovery → elimination over the
@@ -94,33 +148,17 @@ impl ResolutionTechnique for MidarTechnique {
     }
 
     fn resolve(&self, data: &CampaignData, ctx: &TechniqueCtx<'_>) -> TechniqueResult {
-        let mut targets = campaign_targets(data, false);
-        if let Some(cap) = self.max_targets {
-            targets.truncate(cap);
-        }
+        let family = ctx.targets.ipv4();
+        let cap = self.max_targets.unwrap_or(usize::MAX).min(family.ids.len());
+        let (ids, resolved) = (&family.ids[..cap], &family.resolved[..cap]);
         let outcome =
-            Midar::new(self.config.clone()).resolve(ctx.internet, &targets, ctx.probe_start);
-        let interner = data.interner().clone();
-        let sets = outcome
-            .alias_sets
-            .iter()
-            .map(|set| compact_set(set, &interner))
-            .collect();
-        let testable = outcome
-            .testable
-            .iter()
-            .map(|&addr| {
-                interner
-                    .get(addr)
-                    .expect("probing baselines only report campaign addresses")
-            })
-            .collect();
+            Midar::new(self.config.clone()).resolve(ctx.internet, resolved, ctx.probe_start);
         TechniqueResult::from_compact(
             self.name().to_owned(),
-            sets,
-            testable,
+            compact_sets(&outcome.alias_sets, ids),
+            outcome.testable.iter().map(|&i| ids[i]).collect(),
             outcome.finished_at,
-            interner,
+            data.interner().clone(),
         )
     }
 }
@@ -169,37 +207,22 @@ impl ResolutionTechnique for AllyTechnique {
     }
 
     fn resolve(&self, data: &CampaignData, ctx: &TechniqueCtx<'_>) -> TechniqueResult {
-        let targets = campaign_targets(data, false);
-        let interner = data.interner().clone();
-        // Targets are campaign addresses, so each has an id already; the
-        // sweep tracks testability per target index and resolves to ids at
-        // the end.
-        let target_ids: Vec<AddrId> = targets
-            .iter()
-            .map(|&addr| {
-                interner
-                    .get(addr)
-                    .expect("probing baselines only report campaign addresses")
-            })
-            .collect();
-        // Each target is resolved against the IP index once, and every pair
-        // test writes into the tester's one pair of sample buffers.
-        let resolved: Vec<ResolvedTarget> = targets
-            .iter()
-            .map(|&addr| ctx.internet.lookup(addr))
-            .collect();
+        let FamilyTargets { ids, resolved } = ctx.targets.ipv4();
+        // One session and one tester for the whole sweep: every pair test
+        // writes into the tester's one pair of sample buffers.
+        let mut session = ctx.internet.probe_session();
         let mut tester = AllyTester::new();
         let mut pair_tests = 0u64;
-        let mut uf = UnionFind::new(targets.len());
-        let mut testable = vec![false; targets.len()];
+        let mut uf = UnionFind::new(ids.len());
+        let mut testable = vec![false; ids.len()];
         let mut now = ctx.probe_start;
-        for i in 0..targets.len() {
-            let window_end = (i + 1 + self.window).min(targets.len());
+        for i in 0..ids.len() {
+            let window_end = (i + 1 + self.window).min(ids.len());
             for j in i + 1..window_end {
                 now += self.pair_spacing;
                 pair_tests += 1;
                 let pair = [resolved[i], resolved[j]];
-                match tester.test(ctx.internet, pair, ctx.vantage, now) {
+                match tester.test(&mut session, pair, ctx.vantage, now) {
                     AllyVerdict::Alias => {
                         uf.union(i, j);
                         testable[i] = true;
@@ -214,24 +237,17 @@ impl ResolutionTechnique for AllyTechnique {
             }
         }
         ALLY_PAIR_TESTS.add(pair_tests);
-        let alias_sets = uf
-            .groups()
-            .into_iter()
-            .filter(|g| g.len() >= 2)
-            .map(|g| CompactAliasSet::from_ids(g.into_iter().map(|i| target_ids[i]).collect()))
-            .collect();
-        let testable_ids = target_ids
-            .iter()
-            .zip(&testable)
+        let groups: Vec<Vec<usize>> = (uf.groups().into_iter()).filter(|g| g.len() >= 2).collect();
+        let testable_ids = (ids.iter().zip(&testable))
             .filter(|&(_, &t)| t)
             .map(|(&id, _)| id)
             .collect();
         TechniqueResult::from_compact(
             self.name().to_owned(),
-            alias_sets,
+            compact_sets(&groups, ids),
             testable_ids,
             now,
-            interner,
+            data.interner().clone(),
         )
     }
 }
@@ -279,39 +295,33 @@ impl ResolutionTechnique for SpeedtrapTechnique {
     }
 
     fn resolve(&self, data: &CampaignData, ctx: &TechniqueCtx<'_>) -> TechniqueResult {
-        let targets = campaign_targets(data, true);
+        let FamilyTargets { ids, resolved } = ctx.targets.ipv6();
         let prober = IpidProber::new(IpidProberConfig {
             rounds: self.rounds,
             round_spacing: self.round_spacing,
             rate_pps: self.rate_pps,
         });
-        let series =
-            prober.collect_round_robin(ctx.internet, &targets, ctx.vantage, ctx.probe_start);
+        let series = prober.collect_round_robin(
+            &mut ctx.internet.probe_session(),
+            resolved,
+            ctx.vantage,
+            ctx.probe_start,
+        );
         let finished_at = series
             .iter()
-            .flat_map(|s| s.samples.last().map(|x| x.time))
+            .flat_map(|s| s.last().map(|x| x.time))
             .max()
             .unwrap_or(ctx.probe_start);
-        let interner = data.interner().clone();
-        let testable = series
-            .iter()
-            .filter(|s| s.is_usable())
-            .map(|s| {
-                interner
-                    .get(s.addr)
-                    .expect("probing baselines only report campaign addresses")
-            })
-            .collect();
-        let sets = speedtrap_group(&series, self.max_velocity)
-            .iter()
-            .map(|set| compact_set(set, &interner))
+        let testable = (ids.iter().zip(&series))
+            .filter(|(_, s)| is_usable(s))
+            .map(|(&id, _)| id)
             .collect();
         TechniqueResult::from_compact(
             self.name().to_owned(),
-            sets,
+            compact_sets(&speedtrap_group(&series, self.max_velocity), ids),
             testable,
             finished_at,
-            interner,
+            data.interner().clone(),
         )
     }
 }
@@ -339,7 +349,10 @@ impl ResolutionTechnique for IffinderTechnique {
     }
 
     fn resolve(&self, data: &CampaignData, ctx: &TechniqueCtx<'_>) -> TechniqueResult {
-        let targets = campaign_targets(data, false);
+        let interner = data.interner();
+        let targets: Vec<IpAddr> = (ctx.targets.ipv4().ids.iter())
+            .map(|&id| interner.addr(id))
+            .collect();
         let outcome = iffinder_scan(ctx.internet, &targets, ctx.vantage, ctx.probe_start);
         // Positive alias evidence is the only per-address signal the scan
         // reports, so "testable" is the addresses involved in a discovered
@@ -358,7 +371,7 @@ impl ResolutionTechnique for IffinderTechnique {
             // iffinder_scan advances the clock by one millisecond per
             // probed target.
             ctx.probe_start + SimTime(targets.len() as u64),
-            data.interner().clone(),
+            interner.clone(),
         )
     }
 }
@@ -407,16 +420,43 @@ mod tests {
     }
 
     #[test]
+    fn probe_targets_are_the_campaign_addresses_in_address_order() {
+        // What every baseline derived for itself before the list was
+        // shared: the distinct observed addresses of one family, sorted.
+        let (internet, data) = setup(77);
+        let targets = ProbeTargets::new(&data, &internet);
+        for (family, ipv6) in [(targets.ipv4(), false), (targets.ipv6(), true)] {
+            let mut observed: Vec<IpAddr> = (data.store().to_observations())
+                .iter()
+                .map(|o| o.addr)
+                .filter(|a| a.is_ipv6() == ipv6)
+                .collect();
+            observed.sort_unstable();
+            observed.dedup();
+            assert!(observed.len() > 1, "ipv6={ipv6}");
+            let addrs: Vec<IpAddr> = (family.ids.iter())
+                .map(|&id| data.interner().addr(id))
+                .collect();
+            assert_eq!(addrs, observed);
+            let lookups: Vec<ResolvedTarget> = addrs.iter().map(|&a| internet.lookup(a)).collect();
+            assert_eq!(family.resolved, lookups);
+            assert!(family.resolved.iter().all(Option::is_some));
+        }
+    }
+
+    #[test]
     fn probing_baselines_only_claim_true_aliases() {
         let (internet, data) = setup(77);
         let truth = internet.ground_truth();
         let extractor = IdentifierExtractor::new(ExtractionConfig::paper());
+        let targets = ProbeTargets::new(&data, &internet);
         let ctx = TechniqueCtx {
             internet: &internet,
             extractor: &extractor,
             probe_start: data.finished_at,
             vantage: VantageKind::SingleVp,
             threads: 1,
+            targets: &targets,
         };
         let techniques: Vec<Box<dyn ResolutionTechnique>> = vec![
             Box::new(MidarTechnique::new()),
@@ -446,12 +486,14 @@ mod tests {
     fn speedtrap_groups_ipv6_counters() {
         let (internet, data) = setup(78);
         let extractor = IdentifierExtractor::new(ExtractionConfig::paper());
+        let targets = ProbeTargets::new(&data, &internet);
         let ctx = TechniqueCtx {
             internet: &internet,
             extractor: &extractor,
             probe_start: data.finished_at,
             vantage: VantageKind::SingleVp,
             threads: 1,
+            targets: &targets,
         };
         let result = SpeedtrapTechnique::new().resolve(&data, &ctx);
         // Every address it reasons about is IPv6.

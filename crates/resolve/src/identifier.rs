@@ -75,6 +75,7 @@ impl ResolutionTechnique for IdentifierTechnique {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ProbeTargets;
     use alias_core::alias_set::group_view_by_source;
     use alias_core::extract::{ExtractionConfig, IdentifierExtractor};
     use alias_core::intern::{sort_canonical_compact, AddrId};
@@ -89,12 +90,14 @@ mod tests {
         let data = ActiveCampaign::with_defaults(&internet).run(&internet);
         let extractor = IdentifierExtractor::new(ExtractionConfig::paper());
         for threads in [1usize, 2, 7] {
+            let targets = ProbeTargets::new(&data, &internet);
             let ctx = TechniqueCtx {
                 internet: &internet,
                 extractor: &extractor,
                 probe_start: data.finished_at,
                 vantage: VantageKind::SingleVp,
                 threads,
+                targets: &targets,
             };
             for technique in [
                 IdentifierTechnique::ssh(),

@@ -55,7 +55,8 @@ mod resolver;
 mod technique;
 
 pub use baselines::{
-    true_pair_fraction, AllyTechnique, IffinderTechnique, MidarTechnique, SpeedtrapTechnique,
+    true_pair_fraction, AllyTechnique, FamilyTargets, IffinderTechnique, MidarTechnique,
+    ProbeTargets, SpeedtrapTechnique,
 };
 pub use identifier::IdentifierTechnique;
 pub use ratelimit::RateLimitTechnique;

@@ -258,7 +258,7 @@ impl ResolutionTechnique for RateLimitTechnique {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::IdentifierTechnique;
+    use crate::{IdentifierTechnique, ProbeTargets};
     use alias_core::extract::{ExtractionConfig, IdentifierExtractor};
     use alias_netsim::{DeviceKind, Internet, InternetBuilder, InternetConfig, VantageKind};
     use alias_scan::campaign::{ActiveCampaign, CampaignConfig};
@@ -283,12 +283,14 @@ mod tests {
 
     fn resolve(internet: &Internet, data: &CampaignData) -> TechniqueResult {
         let extractor = IdentifierExtractor::new(ExtractionConfig::paper());
+        let targets = ProbeTargets::new(data, internet);
         let ctx = TechniqueCtx {
             internet,
             extractor: &extractor,
             probe_start: data.finished_at,
             vantage: VantageKind::SingleVp,
             threads: 1,
+            targets: &targets,
         };
         RateLimitTechnique::new().resolve(data, &ctx)
     }
@@ -347,12 +349,14 @@ mod tests {
 
         // The identifier techniques never even see those addresses.
         let extractor = IdentifierExtractor::new(ExtractionConfig::paper());
+        let targets = ProbeTargets::new(&data, &internet);
         let ctx = TechniqueCtx {
             internet: &internet,
             extractor: &extractor,
             probe_start: data.finished_at,
             vantage: VantageKind::SingleVp,
             threads: 1,
+            targets: &targets,
         };
         for technique in [
             IdentifierTechnique::ssh(),
@@ -392,12 +396,14 @@ mod tests {
         let data = rate_campaign(&internet, 1);
         let extractor = IdentifierExtractor::new(ExtractionConfig::paper());
         let resolve_with = |threads: usize| {
+            let targets = ProbeTargets::new(&data, &internet);
             let ctx = TechniqueCtx {
                 internet: &internet,
                 extractor: &extractor,
                 probe_start: data.finished_at,
                 vantage: VantageKind::SingleVp,
                 threads,
+                targets: &targets,
             };
             RateLimitTechnique::new().resolve(&data, &ctx)
         };

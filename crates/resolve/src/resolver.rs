@@ -1,6 +1,7 @@
 //! The [`Resolver`]: one builder-style entry point orchestrating scan,
 //! per-technique resolution and cross-technique merging.
 
+use crate::baselines::ProbeTargets;
 use crate::report::{
     CoverageStats, ResolutionReport, TechniqueAgreement, TechniqueCoverage, TechniqueTiming,
 };
@@ -203,24 +204,29 @@ impl Resolver {
     /// honest: each `resolve_ms` measures one technique with the machine to
     /// itself.
     pub fn resolve_data(&self, internet: &Internet, data: &CampaignData) -> ResolutionReport {
-        let ctx = TechniqueCtx {
-            internet,
-            extractor: &self.extractor,
-            probe_start: data.finished_at,
-            vantage: self.campaign.vantage,
-            threads: self.threads,
-        };
-
         let mut techniques = Vec::with_capacity(self.techniques.len());
         let mut technique_timings = Vec::with_capacity(self.techniques.len());
-        for technique in &self.techniques {
-            let span = alias_obs::span!("resolve/technique/{}", technique.name());
-            let result = technique.resolve(data, &ctx);
-            technique_timings.push(TechniqueTiming {
-                technique: result.technique.clone(),
-                resolve_ms: span.finish().as_millis() as u64,
-            });
-            techniques.push(result);
+        {
+            // The probing baselines' shared target lists live as long as
+            // the techniques run, not through the merge.
+            let targets = ProbeTargets::new(data, internet);
+            let ctx = TechniqueCtx {
+                internet,
+                extractor: &self.extractor,
+                probe_start: data.finished_at,
+                vantage: self.campaign.vantage,
+                threads: self.threads,
+                targets: &targets,
+            };
+            for technique in &self.techniques {
+                let span = alias_obs::span!("resolve/technique/{}", technique.name());
+                let result = technique.resolve(data, &ctx);
+                technique_timings.push(TechniqueTiming {
+                    technique: result.technique.clone(),
+                    resolve_ms: span.finish().as_millis() as u64,
+                });
+                techniques.push(result);
+            }
         }
 
         // Merge + statistics stage.  The unified id space is built once and

@@ -8,6 +8,7 @@
 //! ([`alias_sets`](TechniqueResult::alias_sets),
 //! [`testable`](TechniqueResult::testable)).
 
+use crate::baselines::ProbeTargets;
 use alias_core::extract::IdentifierExtractor;
 use alias_core::intern::{sort_canonical_compact, AddrId, AddrInterner, CompactAliasSet};
 use alias_netsim::{Internet, ServiceProtocol, SimTime, VantageKind};
@@ -49,6 +50,9 @@ pub struct TechniqueCtx<'a> {
     /// Worker threads available to the technique (a pure performance knob;
     /// results must be identical for any value).
     pub threads: usize,
+    /// The campaign's addresses as probe targets, shared by every probing
+    /// technique of the run.
+    pub targets: &'a ProbeTargets<'a>,
 }
 
 /// What one technique concluded.  Deterministic for a given campaign and

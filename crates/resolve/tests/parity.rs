@@ -18,10 +18,10 @@ use alias_midar::{Midar, MidarConfig};
 use alias_netsim::{Internet, InternetBuilder, InternetConfig, ServiceProtocol};
 use alias_resolve::{
     canonical_sets, AllyTechnique, IdentifierTechnique, IffinderTechnique, MidarTechnique,
-    ResolutionTechnique, SpeedtrapTechnique, TechniqueCtx, TechniqueResult,
+    ProbeTargets, ResolutionTechnique, SpeedtrapTechnique, TechniqueCtx, TechniqueResult,
 };
 use alias_scan::campaign::{ActiveCampaign, CampaignData};
-use alias_scan::ipid_probe::{IpidProber, IpidProberConfig};
+use alias_scan::ipid_probe::{IpidProber, IpidProberConfig, ResolvedTarget};
 use alias_scan::ObservationStore;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::net::IpAddr;
@@ -132,6 +132,21 @@ fn targets(data: &CampaignData, ipv6: bool) -> Vec<IpAddr> {
     addrs.into_iter().collect()
 }
 
+/// Index groups over `addrs` (what the IPID baselines report since they
+/// take resolved targets) as canonical address sets.
+fn address_sets(groups: Vec<Vec<usize>>, addrs: &[IpAddr]) -> Vec<BTreeSet<IpAddr>> {
+    canonical_sets(
+        groups
+            .into_iter()
+            .map(|g| g.into_iter().map(|i| addrs[i]).collect())
+            .collect(),
+    )
+}
+
+fn lookups(internet: &Internet, addrs: &[IpAddr]) -> Vec<ResolvedTarget> {
+    addrs.iter().map(|&addr| internet.lookup(addr)).collect()
+}
+
 /// The legacy direct-call equivalent of one technique, replayed against
 /// `internet` (which must hold the same counter state the trait-object run
 /// saw when it probed).
@@ -152,12 +167,13 @@ fn legacy_resolve(
             legacy_grouping(rows.iter().filter(|o| o.protocol() == protocol), extractor)
         }
         "midar" => {
+            let addrs = targets(data, false);
             let outcome = Midar::new(MidarConfig::default()).resolve(
                 internet,
-                &targets(data, false),
+                &lookups(internet, &addrs),
                 data.finished_at,
             );
-            canonical_sets(outcome.alias_sets)
+            address_sets(outcome.alias_sets, &addrs)
         }
         "ally" => {
             let addrs = targets(data, false);
@@ -180,13 +196,8 @@ fn legacy_resolve(
                     }
                 }
             }
-            canonical_sets(
-                uf.groups()
-                    .into_iter()
-                    .filter(|g| g.len() >= 2)
-                    .map(|g| g.into_iter().map(|i| addrs[i]).collect())
-                    .collect(),
-            )
+            let groups = uf.groups().into_iter().filter(|g| g.len() >= 2);
+            address_sets(groups.collect(), &addrs)
         }
         "speedtrap" => {
             let defaults = SpeedtrapTechnique::default();
@@ -195,13 +206,14 @@ fn legacy_resolve(
                 round_spacing: defaults.round_spacing,
                 rate_pps: defaults.rate_pps,
             });
+            let addrs = targets(data, true);
             let series = prober.collect_round_robin(
-                internet,
-                &targets(data, true),
+                &mut internet.probe_session(),
+                &lookups(internet, &addrs),
                 alias_netsim::VantageKind::SingleVp,
                 data.finished_at,
             );
-            canonical_sets(speedtrap_group(&series, defaults.max_velocity))
+            address_sets(speedtrap_group(&series, defaults.max_velocity), &addrs)
         }
         "iffinder" => {
             let outcome = iffinder_scan(
@@ -243,12 +255,14 @@ fn every_technique_matches_its_legacy_path_across_seeds_and_threads() {
             Box::new(IffinderTechnique::new()),
         ];
         for threads in THREADS {
+            let targets = ProbeTargets::new(&data, &trait_side);
             let ctx = TechniqueCtx {
                 internet: &trait_side,
                 extractor: &extractor,
                 probe_start: data.finished_at,
                 vantage: alias_netsim::VantageKind::SingleVp,
                 threads,
+                targets: &targets,
             };
             // Trait-object pass first, then the legacy replay in the same
             // order — both substrates see identical probe sequences.
@@ -422,12 +436,14 @@ fn at_least_one_baseline_produces_sets_somewhere() {
     for seed in SEEDS {
         let internet = build(seed);
         let data = ActiveCampaign::with_defaults(&internet).run(&internet);
+        let targets = ProbeTargets::new(&data, &internet);
         let ctx = TechniqueCtx {
             internet: &internet,
             extractor: &extractor,
             probe_start: data.finished_at,
             vantage: alias_netsim::VantageKind::SingleVp,
             threads: 1,
+            targets: &targets,
         };
         let techniques: Vec<Box<dyn ResolutionTechnique>> = vec![
             Box::new(IdentifierTechnique::ssh()),

@@ -392,37 +392,45 @@ fn a_pair_test_in_steady_state_allocates_nothing() {
         .collect();
     assert_eq!(targets.len(), 40);
 
+    // Both sweeps run in steady state, three simulated weeks in — where
+    // the study's do — under one session each.
+    let mut session = internet.probe_session();
+    let epoch = SimTime::from_days(21);
+
     // The Ally sweep: one tester, its two buffers reused pair after pair.
+    // Only the first pair allocates: it steps the pair schedule, and the
+    // memo holds it from then on.
     let mut tester = AllyTester::new();
     let mut answered = 0;
     for (n, pair) in targets.windows(2).enumerate() {
-        let start = SimTime(n as u64 * 700);
+        let start = epoch + SimTime(n as u64 * 700);
         let (count, verdict) = allocations(|| {
             tester.test(
-                &internet,
+                &mut session,
                 [pair[0], pair[1]],
                 VantageKind::Distributed,
                 start,
             )
         });
-        assert_eq!(count, 0, "pair {n}: {verdict:?}");
+        assert!(count <= u64::from(n == 0), "pair {n}: {count}, {verdict:?}");
         answered += usize::from(verdict != AllyVerdict::Unresponsive);
     }
     assert!(answered > 30, "only {answered} pairs answered");
 
     // MIDAR's elimination stage: probe into two caller-owned buffers, then
-    // the bounds test straight on them.  Only the first pair grows them.
-    let prober = IpidProber::new(IpidProberConfig {
+    // the bounds test straight on them.  Only the first pair grows them and
+    // fills the memo.
+    let mut prober = IpidProber::new(IpidProberConfig {
         rounds: 1,
         round_spacing: SimTime::ZERO,
         rate_pps: 5_000.0,
     });
     let mut samples = [Vec::new(), Vec::new()];
     for (n, pair) in targets.windows(2).enumerate() {
-        let start = SimTime(60_000 + n as u64 * 200);
+        let start = epoch + SimTime(60_000 + n as u64 * 200);
         let (count, _) = allocations(|| {
             prober.collect_interleaved_pair(
-                &internet,
+                &mut session,
                 [pair[0], pair[1]],
                 6,
                 VantageKind::Distributed,
@@ -436,6 +444,41 @@ fn a_pair_test_in_steady_state_allocates_nothing() {
             assert_eq!(count, 0, "pair {n}");
         }
     }
+}
+
+#[test]
+fn a_round_robin_allocates_per_target_not_per_probe() {
+    let internet = tiny_internet();
+    let pingable: Vec<_> = internet
+        .devices()
+        .iter()
+        .filter(|d| d.responds_to_ping)
+        .flat_map(|d| d.ipv4_addrs())
+        .map(|addr| internet.lookup(addr.into()))
+        .collect();
+    assert!(pingable.len() > 100);
+    let targets: Vec<_> = pingable.iter().copied().cycle().take(1_000).collect();
+    let prober = IpidProber::new(IpidProberConfig {
+        rounds: 12,
+        round_spacing: SimTime::from_secs(10),
+        rate_pps: 5_000.0,
+    });
+    let mut session = internet.probe_session();
+    let (count, series) = allocations(|| {
+        prober.collect_round_robin(
+            &mut session,
+            &targets,
+            VantageKind::Distributed,
+            SimTime::from_days(21),
+        )
+    });
+    assert!(series.iter().all(|s| s.len() == 12));
+    // One sample buffer per target, sized up front, and the list of them.
+    assert!(
+        count <= targets.len() as u64 + 8,
+        "{count} allocations for {} targets x 12 rounds",
+        targets.len()
+    );
 }
 
 #[test]
