@@ -18,7 +18,7 @@ use alias_censys::{CensysConfig, CensysSnapshot};
 use alias_core::alias_set::{group_view_by_source, FamilyGrouping, SourceGroups};
 use alias_core::analysis;
 use alias_core::analysis::AsnTable;
-use alias_core::dataset::{DatasetFilter, DatasetSummary};
+use alias_core::dataset::DatasetSummary;
 use alias_core::dual_stack::DualStackReport;
 use alias_core::ecdf::Ecdf;
 use alias_core::extract::{ExtractionConfig, IdentifierExtractor};
@@ -197,14 +197,15 @@ impl Experiment {
                 ..Default::default()
             },
         );
-        let (default_port, censys_nonstandard) = snapshot.into_default_port();
-        let censys = ObservationStore::from_observations(default_port);
+        let (censys, censys_nonstandard) = snapshot.into_default_port();
         drop(stage);
 
         // Three weeks pass before the active measurement (the paper's
         // snapshot is dated March 28, the active scan April 18).
         let active_start = SimTime::from_days(21);
+        let stage = alias_obs::span("bench/churn");
         internet.apply_churn(SimTime::ZERO, active_start);
+        drop(stage);
 
         // Active campaign from a single vantage point, followed by
         // per-technique resolution and the cross-technique merge — all
@@ -228,8 +229,12 @@ impl Experiment {
             .expect("the resolver ran the scan itself")
             .into_store();
 
+        // The scalar columns and the interner are copied; the payload
+        // records are shared with `active` and `censys`.
+        let stage = alias_obs::span("bench/union_store");
         let mut union = active.clone();
         union.extend_from(&censys);
+        drop(stage);
 
         Experiment {
             internet,
@@ -386,39 +391,18 @@ pub fn table1(exp: &Experiment) -> String {
         "Union #IPs",
         "Union #ASN",
     ]);
-    let cell = |store: &ObservationStore, protocol, source, ipv6| {
-        let summary = DatasetSummary::from_store(
-            store,
-            DatasetFilter {
-                protocol,
-                source,
-                ipv6,
-            },
-        );
-        (format_count(summary.ips), format_count(summary.asns))
-    };
-    for (label, protocol, ipv6) in [
-        ("SSH", Some(ServiceProtocol::Ssh), false),
-        ("BGP", Some(ServiceProtocol::Bgp), false),
-        ("SNMPv3", Some(ServiceProtocol::Snmpv3), false),
-        ("Union", None, false),
-        ("SSH (IPv6)", Some(ServiceProtocol::Ssh), true),
-        ("BGP (IPv6)", Some(ServiceProtocol::Bgp), true),
-        ("SNMPv3 (IPv6)", Some(ServiceProtocol::Snmpv3), true),
-        ("Union (IPv6)", None, true),
-    ] {
-        let active = cell(&exp.active, protocol, None, ipv6);
-        let censys = cell(&exp.censys, protocol, None, ipv6);
-        let union = cell(&exp.union, protocol, None, ipv6);
-        table.row([
-            label.to_owned(),
-            active.0,
-            active.1,
-            censys.0,
-            censys.1,
-            union.0,
-            union.1,
-        ]);
+    // One pass per store fills its column: every protocol row, both families.
+    let columns = [&exp.active, &exp.censys, &exp.union].map(DatasetSummary::cells_of_store);
+    let labels = ["SSH", "BGP", "SNMPv3", "Union"];
+    for (family, suffix) in ["", " (IPv6)"].into_iter().enumerate() {
+        for (row, label) in labels.into_iter().enumerate() {
+            let mut cells = vec![format!("{label}{suffix}")];
+            for column in &columns {
+                let summary = column[row][family];
+                cells.extend([format_count(summary.ips), format_count(summary.asns)]);
+            }
+            table.row(cells);
+        }
     }
     let mut out = String::from("Table 1: Service Scanning Dataset Overview\n");
     out.push_str(&table.render());

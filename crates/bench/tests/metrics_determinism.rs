@@ -110,11 +110,16 @@ fn the_pipeline_opens_the_spans_the_benchmark_adopts() {
     for path in [
         "bench/build_internet",
         "bench/censys",
+        "bench/censys/censys/collect",
+        "bench/churn",
+        "bench/union_store",
         "resolve/campaign",
         "resolve/merge",
     ] {
         assert!(opened.contains(&path), "{path}");
     }
+    // The crawl counts the sessions it attempted, so its span is a rate.
+    assert!(counter(&snapshot, "censys.sessions") >= experiment.censys.len() as u64);
     // The scan phases nest under `resolve/campaign` here and sit higher
     // when a caller runs the campaign without the resolver; the benchmark
     // keys on the last three segments.

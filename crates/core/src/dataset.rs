@@ -2,7 +2,7 @@
 
 use alias_scan::{DataSource, ObservationStore, ServiceObservation, ServiceProtocol};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::net::IpAddr;
 
 /// Distinct-IP and distinct-AS counts for one slice of the data.
@@ -62,46 +62,69 @@ impl DatasetSummary {
         }
     }
 
-    /// Compute the summary straight from a columnar store.
+    /// Every Table 1 cell of one store from one pass over its columns: a
+    /// summary per protocol row ([`TABLE_PROTOCOLS`] order, then every
+    /// protocol together) and address family (`[IPv4, IPv6]`).
     ///
-    /// Equivalent to [`Self::compute`] over the store's rows, but the
-    /// filter pass reads only the one-byte filter columns plus the id column —
-    /// payloads are never touched, and distinct-IP counting is a bitmap
-    /// probe over the dense id space instead of a `BTreeSet` insert.
-    pub fn from_store(store: &ObservationStore, filter: DatasetFilter) -> Self {
-        let interner = store.interner();
-        // Per-id membership flags instead of BTreeSets: the id space is
-        // dense, so distinctness is two bitmap probes per matching row.
-        let mut ip_seen = vec![false; interner.len()];
-        let mut ips = 0usize;
-        let mut asns: BTreeSet<u32> = BTreeSet::new();
-        let protocols = store.protocols();
-        let sources = store.sources();
-        let addrs = store.addr_ids();
-        let store_asns = store.asns();
-        for row in 0..store.len() {
-            if filter.protocol.is_some_and(|p| protocols[row] != p)
-                || filter.source.is_some_and(|s| sources[row] != s)
-            {
-                continue;
+    /// Each cell equals [`Self::compute`] over the store's rows under that
+    /// cell's filter, but the pass reads only the protocol, id and ASN
+    /// columns — payloads are never touched — and distinctness is a bit per
+    /// cell: per dense id for addresses, per AS number for origin ASes.
+    pub fn cells_of_store(store: &ObservationStore) -> [[DatasetSummary; 2]; 4] {
+        const ALL: usize = TABLE_PROTOCOLS.len();
+        // Per id: bit 7 its family, and a bit per table row that has seen it.
+        let mut ids: Vec<u8> = (store.interner().addrs().iter())
+            .map(|addr| u8::from(addr.is_ipv6()) << 7)
+            .collect();
+        // Per AS number: bit `2 * row + family` for each cell that has seen it.
+        let mut asns: BTreeMap<u32, u8> = BTreeMap::new();
+        // What the rows lately recorded there, by AS number modulo the
+        // length: ASes are few and rows many, so nearly every row finds its
+        // bits already in and skips the map (a search of ≈ 28 ns).
+        const RECENT: usize = 1024;
+        let mut recent = [(0u32, 0u8); RECENT];
+        let mut cells = [[DatasetSummary::default(); 2]; ALL + 1];
+        let columns = store.protocols().iter().zip(store.addr_ids());
+        for ((&protocol, &id), &asn) in columns.zip(store.asns()) {
+            let of_protocol = TABLE_PROTOCOLS.iter().position(|&p| p == protocol);
+            let id = &mut ids[id.index()];
+            let family = usize::from(*id >> 7);
+            let mut seeing = 0;
+            for row in of_protocol.into_iter().chain([ALL]) {
+                if *id >> row & 1 == 0 {
+                    *id |= 1 << row;
+                    cells[row][family].ips += 1;
+                }
+                seeing |= 1 << (2 * row + family);
             }
-            let id = addrs[row];
-            if interner.addr(id).is_ipv6() != filter.ipv6 {
-                continue;
-            }
-            if !std::mem::replace(&mut ip_seen[id.index()], true) {
-                ips += 1;
-            }
-            if let Some(asn) = store_asns[row] {
-                asns.insert(asn);
+            if let Some(asn) = asn {
+                let recent = &mut recent[asn as usize % RECENT];
+                if recent.0 != asn {
+                    *recent = (asn, 0);
+                }
+                if seeing & !recent.1 != 0 {
+                    recent.1 |= seeing;
+                    *asns.entry(asn).or_default() |= seeing;
+                }
             }
         }
-        DatasetSummary {
-            ips,
-            asns: asns.len(),
+        for seen in asns.into_values() {
+            for (row, cell) in cells.iter_mut().enumerate() {
+                for (family, cell) in cell.iter_mut().enumerate() {
+                    cell.asns += usize::from(seen >> (2 * row + family) & 1);
+                }
+            }
         }
+        cells
     }
 }
+
+/// The protocols Table 1 gives a row each, in row order.
+pub const TABLE_PROTOCOLS: [ServiceProtocol; 3] = [
+    ServiceProtocol::Ssh,
+    ServiceProtocol::Bgp,
+    ServiceProtocol::Snmpv3,
+];
 
 #[cfg(test)]
 mod tests {
@@ -178,33 +201,54 @@ mod tests {
     }
 
     #[test]
-    fn store_summary_matches_the_row_iterator_for_every_filter() {
-        let observations = [
+    fn store_cells_match_the_row_iterator_for_every_cell() {
+        let mut observations = vec![
             snmp_obs("10.0.0.1", 100, DataSource::Active),
             snmp_obs("10.0.0.2", 100, DataSource::Active),
             snmp_obs("10.0.0.2", 100, DataSource::Censys),
+            snmp_obs("10.0.0.2", 300, DataSource::Censys),
             snmp_obs("2001:db8::1", 200, DataSource::Active),
+            snmp_obs("2001:db8::2", 100, DataSource::Active),
+            // Two AS numbers that share a slot of the recent-AS memo,
+            // taking it from each other row after row.
+            snmp_obs("10.0.0.3", 1_124, DataSource::Active),
+            snmp_obs("10.0.0.4", 100, DataSource::Active),
+            snmp_obs("10.0.0.5", 1_124, DataSource::Active),
         ];
-        let store = alias_scan::ObservationStore::from_observations(observations.to_vec());
-        for protocol in [
-            None,
-            Some(ServiceProtocol::Snmpv3),
-            Some(ServiceProtocol::Ssh),
-        ] {
-            for source in [None, Some(DataSource::Active), Some(DataSource::Censys)] {
-                for ipv6 in [false, true] {
-                    let filter = DatasetFilter {
-                        protocol,
-                        source,
-                        ipv6,
-                    };
-                    assert_eq!(
-                        DatasetSummary::from_store(&store, filter),
-                        DatasetSummary::compute(observations.iter(), filter),
-                        "{filter:?}"
-                    );
-                }
+        // A protocol with no row of its own counts in the last one only,
+        // and a row without an AS counts its address alone.
+        observations.push(ServiceObservation {
+            addr: "10.0.0.7".parse().unwrap(),
+            port: 0,
+            source: DataSource::Active,
+            timestamp: SimTime::ZERO,
+            asn: None,
+            payload: ServicePayload::RateLimit {
+                round: 0,
+                rate_pps: 256,
+                sent: 24,
+                lost: 3,
+            },
+        });
+        let store = alias_scan::ObservationStore::from_observations(observations.clone());
+        let cells = DatasetSummary::cells_of_store(&store);
+        let rows = TABLE_PROTOCOLS.map(Some).into_iter().chain([None]);
+        for (row, protocol) in rows.enumerate() {
+            for ipv6 in [false, true] {
+                let filter = DatasetFilter {
+                    protocol,
+                    source: None,
+                    ipv6,
+                };
+                assert_eq!(
+                    cells[row][usize::from(ipv6)],
+                    DatasetSummary::compute(observations.iter(), filter),
+                    "{filter:?}"
+                );
             }
         }
+        assert_eq!(cells[2][0], DatasetSummary { ips: 5, asns: 3 });
+        assert_eq!(cells[3][0], DatasetSummary { ips: 6, asns: 3 });
+        assert_eq!(cells[3][1], DatasetSummary { ips: 2, asns: 2 });
     }
 }

@@ -421,11 +421,7 @@ impl Internet {
             BGP_PORT if device.bgp_responds_on(iface_idx) => {
                 let bgp = device.bgp.as_ref().expect("responds implies configured");
                 let profile = &self.bgp_profiles[bgp.profile.0 as usize];
-                out.extend_from_slice(&services::bgp_session_bytes(
-                    profile,
-                    bgp.bgp_identifier,
-                    bgp.asn,
-                ));
+                services::bgp_session_bytes_into(profile, bgp.bgp_identifier, bgp.asn, out);
                 true
             }
             _ => false,

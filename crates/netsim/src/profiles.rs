@@ -12,7 +12,7 @@
 //! devices share it), the host key alone is *almost* unique, and the
 //! combination is the identifier.
 
-use alias_wire::bgp::{Capability, OptionalParameter};
+use alias_wire::bgp::{Capability, CapabilityRef, ParamRef};
 use alias_wire::ssh::{Banner, KexInit, NameList};
 use serde::{Deserialize, Serialize};
 
@@ -249,19 +249,15 @@ pub fn bgp_profiles() -> Vec<BgpProfile> {
     ]
 }
 
-/// The optional-parameter list for a BGP profile, with the per-device ASN
+/// The optional parameters of a BGP profile, with the per-device ASN
 /// substituted into the four-octet-AS capability.
-pub fn bgp_capabilities_for(profile: &BgpProfile, asn: u32) -> Vec<OptionalParameter> {
-    profile
-        .capabilities
-        .iter()
-        .map(|cap| match cap {
-            Capability::FourOctetAs { .. } => {
-                OptionalParameter::Capability(Capability::FourOctetAs { asn })
-            }
-            other => OptionalParameter::Capability(other.clone()),
+pub fn bgp_capabilities_for(profile: &BgpProfile, asn: u32) -> impl Iterator<Item = ParamRef<'_>> {
+    profile.capabilities.iter().map(move |cap| {
+        ParamRef::Capability(match cap {
+            Capability::FourOctetAs { .. } => CapabilityRef::FourOctetAs { asn },
+            other => other.as_ref(),
         })
-        .collect()
+    })
 }
 
 /// Pick an index from `weights` using `roll`, a uniformly random value in
@@ -336,10 +332,10 @@ mod tests {
     fn bgp_capabilities_substitute_asn() {
         let profiles = bgp_profiles();
         let juniper = profiles.iter().find(|p| p.name == "juniper").unwrap();
-        let params = bgp_capabilities_for(juniper, 64_500);
-        assert!(params.iter().any(|p| matches!(
+        let mut params = bgp_capabilities_for(juniper, 64_500);
+        assert!(params.any(|p| matches!(
             p,
-            OptionalParameter::Capability(Capability::FourOctetAs { asn: 64_500 })
+            ParamRef::Capability(CapabilityRef::FourOctetAs { asn: 64_500 })
         )));
     }
 

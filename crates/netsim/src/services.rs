@@ -61,24 +61,26 @@ pub fn ssh_session_bytes_into(
 /// message followed by a Cease/Connection-Rejected NOTIFICATION, or nothing
 /// at all for speakers that close silently.
 pub fn bgp_session_bytes(profile: &BgpProfile, bgp_identifier: Ipv4Addr, asn: u32) -> Vec<u8> {
-    if !profile.sends_open {
-        return Vec::new();
-    }
-    let my_as = if asn <= u16::MAX as u32 {
-        asn as u16
-    } else {
-        AS_TRANS
-    };
-    let open = OpenMessage {
-        version: 4,
-        my_as,
-        hold_time: profile.hold_time,
-        bgp_identifier,
-        optional_parameters: bgp_capabilities_for(profile, asn),
-    };
-    let mut out = open.to_bytes();
-    out.extend_from_slice(&NotificationMessage::cease(CeaseSubcode::ConnectionRejected).to_bytes());
+    let mut out = Vec::new();
+    bgp_session_bytes_into(profile, bgp_identifier, asn, &mut out);
     out
+}
+
+/// [`bgp_session_bytes`], appending to a caller-owned buffer: a session
+/// into a warm buffer allocates nothing.
+pub fn bgp_session_bytes_into(
+    profile: &BgpProfile,
+    bgp_identifier: Ipv4Addr,
+    asn: u32,
+    out: &mut Vec<u8>,
+) {
+    if !profile.sends_open {
+        return;
+    }
+    let my_as = u16::try_from(asn).unwrap_or(AS_TRANS);
+    let params = bgp_capabilities_for(profile, asn);
+    OpenMessage::emit_parts(4, my_as, profile.hold_time, bgp_identifier, params, out);
+    NotificationMessage::cease(CeaseSubcode::ConnectionRejected).emit(out);
 }
 
 /// Append to `out` the SNMPv3 Report a device sends in response to an

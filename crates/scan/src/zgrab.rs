@@ -23,9 +23,9 @@ static GRAB_SESSIONS: LazyCounter = LazyCounter::new(
     "scan",
 );
 
-// The payload parser lives next to the record types in `alias-store`;
-// re-exported here because scanner callers (e.g. `alias-censys`) import it
-// from this module.
+// The owned-row payload parser lives next to the record types in
+// `alias-store`; re-exported here because its callers (the row-door tests)
+// import it from this module.
 pub use alias_store::parse_payload;
 
 /// Configuration of the application-layer scanner.

@@ -25,17 +25,24 @@
 //! * [`PayloadRef`] — a payload with its variable-length parts borrowed:
 //!   the one form payloads are read and written in.
 //!
-//! **Rows at the doors, bytes inside.**  There is one door in per data
-//! source and one door out.  Pre-collected rows (a Censys export) enter
-//! through [`ObservationStore::from_observations`], which encodes each
-//! row's payload into the arena and frees the row; scans enter through
-//! [`ShardColumns`] + [`ObservationStore::absorb_shard`], a session parsed
-//! in place ([`PayloadRef::parse`]) going straight into the shard's arena;
-//! rows leave only through `to_observations` on a store or a view — the
-//! oracle the tests compare against.  In between, a payload is a record in
-//! the store's own injective encoding (the table is in `payload.rs`):
-//! cloning a store, uniting two and absorbing a shard copy buffers, dropping
-//! one frees them, and two stores are equal exactly when their bytes are.
+//! **Rows at the doors, bytes inside, every byte written once.**  Whoever
+//! observes a payload — a scan phase, the Censys crawl — parses the session
+//! in place ([`PayloadRef::parse`]) and pushes it into [`ShardColumns`],
+//! which encodes it into an arena chunk; that is the only time its bytes
+//! are written.  A campaign splices its shards on with
+//! [`ObservationStore::absorb_shard`] (which counts them as the campaign's
+//! rows), anyone else's columns become a store through
+//! `ObservationStore::from`; both move the chunks in.  Cloning a store or
+//! uniting two ([`ObservationStore::extend_from`]) copies the scalar columns
+//! and *shares* the chunks; a chunk is freed with the last store holding
+//! it.  Rows someone already owns enter through
+//! [`ObservationStore::from_observations`], and rows leave only through
+//! `to_observations` on a store or a view — the oracle the tests compare
+//! against.  A payload is a record in the store's own injective encoding
+//! (the table is in `payload.rs`), so two stores are equal exactly when
+//! they hold the same records row for row — however their arenas are
+//! chunked — and [`ObservationStore::validate`] checks every chunk's
+//! offsets, the chunk/row table and every record.
 //!
 //! The crate sits between `alias-intern` and `alias-scan`; the observation
 //! record types ([`ServiceObservation`], [`ServicePayload`],
@@ -228,12 +235,28 @@ mod proptests {
             // Materialisation restores the row vec byte for byte.
             prop_assert_eq!(serial.to_observations(), oracle.clone());
 
-            // A copy and a union are the same rows again: the arena splices.
+            // A copy and a union are the same rows again: the arena's chunks
+            // are shared, not copied.
             let mut twice = serial.clone();
             prop_assert_eq!(&twice, &serial);
             twice.extend_from(&serial);
             prop_assert_eq!(twice.validate(), Ok(()));
             prop_assert_eq!(twice.to_observations(), [oracle.clone(), oracle.clone()].concat());
+
+            // Rows spliced behind shared chunks open new ones: the first
+            // half cloned, the second absorbed, is the serial store again,
+            // and the store it was cloned from keeps its rows.
+            let (head, tail) = oracle.split_at(oracle.len() / 2);
+            let head_store = ObservationStore::from_observations(head.to_vec());
+            let mut grown = head_store.clone();
+            let mut shard = ShardColumns::new();
+            for o in tail {
+                shard.push(o.addr, o.port, o.source, o.timestamp, o.asn, o.payload.as_ref());
+            }
+            grown.absorb_shard(shard);
+            prop_assert_eq!(grown.validate(), Ok(()));
+            prop_assert_eq!(&grown, &serial);
+            prop_assert_eq!(head_store.to_observations(), head);
 
             // Ids are dense, first-observation ordered, and every row's id
             // resolves back to its address.

@@ -9,12 +9,15 @@
 //! `alias-core`, and [`PayloadRef::to_owned`] on the way back to rows.
 //!
 //! A [`PayloadArena`] holds one self-describing record per row, back to
-//! back in one `Vec<u8>`, with each row's end offset beside it.  The
-//! encoding is the store's own and injective — equal payloads have equal
-//! records and different payloads different ones — so copying payloads is
-//! copying bytes, dropping them is one `free`, and comparing two arenas
-//! byte for byte compares the payloads they hold.  Multi-byte integers are
-//! little-endian.
+//! back in a few shared chunks, each a `Vec<u8>` with its rows' end offsets
+//! beside it.  A record is written once, by the scan or crawl that observed
+//! the payload; from then on whole chunks change hands — moved when a shard
+//! is spliced on, shared when a store is cloned or united with another —
+//! and a chunk is freed when the last arena holding it goes.  The encoding
+//! is the store's own and injective — equal payloads have equal records and
+//! different payloads different ones — so comparing two arenas record by
+//! record compares the payloads they hold, however either is chunked.
+//! Multi-byte integers are little-endian.
 //!
 //! | Protocol | Record |
 //! |---|---|
@@ -34,6 +37,7 @@ use alias_wire::ssh::{
     SshObservationRef, SshPacket,
 };
 use std::net::Ipv4Addr;
+use std::sync::Arc;
 
 /// Parsed application-layer material of one observation, its
 /// variable-length parts borrowed: the one form payloads are read and
@@ -696,61 +700,114 @@ fn parse_bgp(bytes: &[u8]) -> Option<PayloadRef<'_>> {
     })
 }
 
-/// The payload column of a store: every row's record back to back in one
-/// buffer, plus where each ends.  Offsets are `usize`: the `huge` preset's
-/// payloads pass 4 GiB.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub(crate) struct PayloadArena {
+/// One run of records, back to back in one buffer, with where each ends
+/// (offsets into this chunk's buffer; `usize`: the `huge` preset's payloads
+/// pass 4 GiB).  Written by exactly one arena, while no other holds it.
+#[derive(Debug, Clone, Default)]
+struct Chunk {
     bytes: Vec<u8>,
     ends: Vec<usize>,
 }
 
+impl Chunk {
+    #[inline]
+    fn record(&self, row: usize) -> &[u8] {
+        let start = row.checked_sub(1).map_or(0, |before| self.ends[before]);
+        &self.bytes[start..self.ends[row]]
+    }
+
+    fn records(&self) -> impl Iterator<Item = &[u8]> {
+        (0..self.ends.len()).map(|row| self.record(row))
+    }
+}
+
+/// The payload column of a store: an append-only list of [`Chunk`]s, each
+/// listed with the row it starts at.  A payload's bytes are written once,
+/// by the scan or crawl that pushed it; after that chunks only change
+/// hands — a spliced shard's chunk is moved in, a cloned or united store's
+/// chunks are shared — so two arenas holding the same rows may be chunked
+/// differently: equality reads record by record.
+///
+/// Only the last chunk may hold no rows (one opened for rows to come).
+#[derive(Debug, Clone, Default)]
+pub(crate) struct PayloadArena {
+    chunks: Vec<(usize, Arc<Chunk>)>,
+}
+
+impl PartialEq for PayloadArena {
+    fn eq(&self, other: &Self) -> bool {
+        self.len() == other.len() && self.records().eq(other.records())
+    }
+}
+
+impl Eq for PayloadArena {}
+
 impl PayloadArena {
     /// An empty arena with room for `rows` end offsets.
     pub(crate) fn with_capacity(rows: usize) -> Self {
-        PayloadArena {
+        let chunk = Chunk {
             bytes: Vec::new(),
             ends: Vec::with_capacity(rows),
+        };
+        PayloadArena {
+            chunks: vec![(0, Arc::new(chunk))],
         }
     }
 
     /// Number of records.
     pub(crate) fn len(&self) -> usize {
-        self.ends.len()
+        (self.chunks.last()).map_or(0, |(start, chunk)| start + chunk.ends.len())
     }
 
     /// Total record bytes.
     pub(crate) fn byte_len(&self) -> usize {
-        self.bytes.len()
+        self.chunks.iter().map(|(_, chunk)| chunk.bytes.len()).sum()
     }
 
-    /// Append one payload's record.
+    /// Append one payload's record: to the last chunk while no other arena
+    /// shares it, to a new one otherwise.
     pub(crate) fn push(&mut self, payload: PayloadRef<'_>) {
-        payload.encode(&mut self.bytes);
-        self.ends.push(self.bytes.len());
-    }
-
-    /// Append every record of `other`.
-    pub(crate) fn extend_from(&mut self, other: &PayloadArena) {
-        let base = self.bytes.len();
-        self.bytes.extend_from_slice(&other.bytes);
-        self.ends.extend(other.ends.iter().map(|end| base + end));
-    }
-
-    /// Append every record of `other`, taking its buffers whole when this
-    /// arena holds nothing yet.
-    pub(crate) fn append(&mut self, other: PayloadArena) {
-        if self.ends.is_empty() {
-            *self = other;
-        } else {
-            self.extend_from(&other);
+        if let Some(chunk) = self.chunks.last_mut().and_then(|(_, c)| Arc::get_mut(c)) {
+            payload.encode(&mut chunk.bytes);
+            chunk.ends.push(chunk.bytes.len());
+            return;
         }
+        self.chunks.push((self.len(), Arc::default()));
+        self.push(payload)
+    }
+
+    /// Append every record of `other` by sharing its chunks.
+    pub(crate) fn extend_from(&mut self, other: &PayloadArena) {
+        self.splice(other.chunks.iter().map(|(_, chunk)| Arc::clone(chunk)));
+    }
+
+    /// Append every record of `other` by taking its chunks.
+    pub(crate) fn append(&mut self, other: PayloadArena) {
+        self.splice(other.chunks.into_iter().map(|(_, chunk)| chunk));
+    }
+
+    fn splice(&mut self, chunks: impl Iterator<Item = Arc<Chunk>>) {
+        if (self.chunks.last()).is_some_and(|(_, open)| open.ends.is_empty()) {
+            self.chunks.pop();
+        }
+        let mut start = self.len();
+        for chunk in chunks.filter(|chunk| !chunk.ends.is_empty()) {
+            let rows = chunk.ends.len();
+            self.chunks.push((start, chunk));
+            start += rows;
+        }
+    }
+
+    /// Every record, in row order.
+    fn records(&self) -> impl Iterator<Item = &[u8]> {
+        self.chunks.iter().flat_map(|(_, chunk)| chunk.records())
     }
 
     #[inline]
     fn record(&self, row: usize) -> &[u8] {
-        let start = row.checked_sub(1).map_or(0, |before| self.ends[before]);
-        &self.bytes[start..self.ends[row]]
+        let after = self.chunks.partition_point(|&(start, _)| start <= row);
+        let (start, chunk) = &self.chunks[after.checked_sub(1).expect("a row of the arena")];
+        chunk.record(row - start)
     }
 
     /// Row `row`'s payload, decoded in place under its protocol tag.
@@ -760,29 +817,42 @@ impl PayloadArena {
             .expect("the arena holds only records its own encoder wrote")
     }
 
-    /// Check the arena against the protocol column: end offsets
-    /// non-decreasing and the last one the buffer's length, and every
-    /// record the exact bytes its own decoded payload encodes to.
+    /// Check the arena against the protocol column: the chunk table lists
+    /// each chunk at the row the ones before it end on, none but the last
+    /// empty; every chunk's end offsets non-decreasing and the last one its
+    /// buffer's length; and every record the exact bytes its own decoded
+    /// payload encodes to.
     pub(crate) fn validate(&self, protocols: &[ServiceProtocol]) -> Result<(), String> {
-        let mut start = 0;
-        for (row, &end) in self.ends.iter().enumerate() {
-            if end < start || end > self.bytes.len() {
+        let mut first_row = 0;
+        for (at, (start, chunk)) in self.chunks.iter().enumerate() {
+            let rows = chunk.ends.len();
+            if *start != first_row || (rows == 0 && at + 1 != self.chunks.len()) {
                 return Err(format!(
-                    "payload offset drift at row {row}: record {start}..{end} of {} arena bytes",
-                    self.bytes.len()
+                    "payload chunk table drift at chunk {at}: {rows} rows listed from row \
+                     {start}, after {first_row} rows"
                 ));
             }
-            start = end;
-        }
-        if start != self.bytes.len() {
-            return Err(format!(
-                "payload offset drift: the last record ends at {start} of {} arena bytes",
-                self.bytes.len()
-            ));
+            let len = chunk.bytes.len();
+            let mut from = 0;
+            for (row, &end) in chunk.ends.iter().enumerate() {
+                if end < from || end > len {
+                    return Err(format!(
+                        "payload offset drift at row {}: record {from}..{end} of {len} chunk bytes",
+                        first_row + row
+                    ));
+                }
+                from = end;
+            }
+            if from != len {
+                return Err(format!(
+                    "payload offset drift: the last record of chunk {at} ends at {from} of \
+                     {len} chunk bytes"
+                ));
+            }
+            first_row += rows;
         }
         let mut again = Vec::new();
-        for (row, &tag) in protocols.iter().enumerate() {
-            let record = self.record(row);
+        for (row, (record, &tag)) in self.records().zip(protocols).enumerate() {
             again.clear();
             let sound = match PayloadRef::decode(tag, record) {
                 Some(PayloadRef::Ssh(SshRef::Record(ssh))) => ssh.parts().is_some_and(|parts| {
@@ -928,6 +998,12 @@ mod tests {
         assert_eq!(from_record, from_wire);
     }
 
+    /// Chunk `at` of `arena`, to break: copied first if another arena
+    /// shares it.
+    fn chunk_mut(arena: &mut PayloadArena, at: usize) -> &mut Chunk {
+        Arc::make_mut(&mut arena.chunks[at].1)
+    }
+
     #[test]
     fn validate_reports_offset_drift_and_records_no_encoder_writes() {
         let rows = [
@@ -947,40 +1023,132 @@ mod tests {
 
         // Offsets: past the buffer, decreasing, and short of its end.
         let mut broken = arena.clone();
-        broken.ends[1] += 1;
+        chunk_mut(&mut broken, 0).ends[1] += 1;
         assert!(drift(&broken).contains("payload offset drift at row 1"));
         let mut broken = arena.clone();
-        broken.ends[1] = 3;
+        chunk_mut(&mut broken, 0).ends[1] = 3;
         assert!(drift(&broken).contains("payload offset drift at row 1"));
         let mut broken = arena.clone();
-        broken.bytes.push(0);
-        assert!(drift(&broken).contains("the last record ends at"));
+        chunk_mut(&mut broken, 0).bytes.push(0);
+        assert!(drift(&broken).contains("the last record of chunk 0 ends at"));
 
         // A cookie with no KEXINIT flag: decodes, but no payload encodes to it.
         let mut broken = arena.clone();
-        broken.bytes[0] &= !SSH_KEX_INIT;
+        chunk_mut(&mut broken, 0).bytes[0] &= !SSH_KEX_INIT;
         assert!(drift(&broken).contains("tag/payload drift at row 0"));
         // A key algorithm that is none.
         let mut broken = arena.clone();
-        broken.bytes[1] = 9;
+        chunk_mut(&mut broken, 0).bytes[1] = 9;
         assert!(drift(&broken).contains("tag/payload drift at row 0"));
         // Text that is not UTF-8: would encode back, but never to a row.
         // (Past the header, the three key bytes and `SSH-`: the version.)
         let mut broken = arena.clone();
-        broken.bytes[SSH_HEADER_LEN + 3 + 4] = 0xff;
+        chunk_mut(&mut broken, 0).bytes[SSH_HEADER_LEN + 3 + 4] = 0xff;
         assert!(drift(&broken).contains("tag/payload drift at row 0"));
         // A literal that is not the banner line's.
         let mut broken = arena.clone();
-        broken.bytes[SSH_HEADER_LEN + 3] = b's';
+        chunk_mut(&mut broken, 0).bytes[SSH_HEADER_LEN + 3] = b's';
         assert!(drift(&broken).contains("tag/payload drift at row 0"));
         // A parameter kind that is none, and a record under the wrong tag.
         let mut broken = arena.clone();
-        *broken.bytes.last_mut().unwrap() = 6;
+        *chunk_mut(&mut broken, 0).bytes.last_mut().unwrap() = 6;
         assert!(drift(&broken).contains("tag/payload drift at row 1"));
         let swapped = [ServiceProtocol::Ssh, ServiceProtocol::IcmpRateLimit];
         assert!(arena
             .validate(&swapped)
             .unwrap_err()
             .contains("tag/payload drift at row 1"));
+        // None of which touched the arena the broken ones were cloned from.
+        assert_eq!(arena.validate(&tags), Ok(()));
+
+        // The chunk table: the same two rows as a chunk each, then the
+        // second listed a row late, a row early, and an empty chunk that is
+        // not the last.
+        let mut chunked = PayloadArena::default();
+        for row in &rows {
+            let mut shard = PayloadArena::with_capacity(1);
+            shard.push(row.as_ref());
+            chunked.append(shard);
+        }
+        assert_eq!(chunked.chunks.len(), 2);
+        assert_eq!(chunked.validate(&tags), Ok(()));
+        assert_eq!(chunked, arena);
+        for listed in [2, 0] {
+            let mut broken = chunked.clone();
+            broken.chunks[1].0 = listed;
+            assert!(drift(&broken).contains("payload chunk table drift at chunk 1"));
+        }
+        let mut broken = chunked.clone();
+        broken.chunks.insert(1, (1, Arc::default()));
+        assert!(drift(&broken).contains("payload chunk table drift at chunk 1"));
+        // An offset past its own chunk is drift even where the arena's
+        // bytes go on.
+        let mut broken = chunked.clone();
+        chunk_mut(&mut broken, 0).ends[0] += 1;
+        assert!(drift(&broken).contains("payload offset drift at row 0"));
+    }
+
+    #[test]
+    fn chunking_is_not_part_of_an_arenas_value() {
+        let rows = [
+            ssh("a", Some("b"), Some(KexInit::typical_openssh())),
+            bgp(vec![]),
+            ssh("c", None, None),
+            bgp(vec![OptionalParameter::Capability(
+                Capability::RouteRefresh,
+            )]),
+            ssh("d", Some(""), None),
+        ];
+        let tags: Vec<ServiceProtocol> = rows.iter().map(ServicePayload::protocol).collect();
+        let pushed = |rows: &[ServicePayload]| {
+            let mut arena = PayloadArena::default();
+            for row in rows {
+                arena.push(row.as_ref());
+            }
+            arena
+        };
+        // One chunk.
+        let whole = pushed(&rows);
+        assert_eq!(whole.chunks.len(), 1);
+        // A chunk per shard, an empty shard among them, the first one taken
+        // into an arena opened with room and nothing in it.
+        let mut sharded = PayloadArena::with_capacity(8);
+        for shard in [&rows[..2], &rows[2..2], &rows[2..3], &rows[3..]] {
+            sharded.append(pushed(shard));
+        }
+        assert_eq!(sharded.chunks.len(), 3);
+        // A shared chunk, then rows pushed behind it.
+        let first = pushed(&rows[..3]);
+        let mut grown = first.clone();
+        for row in &rows[3..] {
+            grown.push(row.as_ref());
+        }
+        assert_eq!(grown.chunks.len(), 2);
+        // Pushing into the clone left the original as it was...
+        assert_eq!((first.len(), first.chunks.len()), (3, 1));
+        assert_eq!(first, pushed(&rows[..3]));
+        // ...and with the clone gone, the original writes on in place.
+        assert_eq!(grown, whole);
+        drop(grown);
+        let mut first = first;
+        first.push(rows[3].as_ref());
+        assert_eq!(first.chunks.len(), 1);
+        let mut grown = first.clone();
+        grown.push(rows[4].as_ref());
+        assert_eq!(grown.chunks.len(), 2);
+
+        for arena in [&sharded, &grown] {
+            assert_eq!(arena.validate(&tags), Ok(()));
+            assert_eq!(arena, &whole);
+            assert_eq!(arena.byte_len(), whole.byte_len());
+            for (row, payload) in rows.iter().enumerate() {
+                assert_eq!(&arena.get(row, tags[row]).to_owned(), payload);
+            }
+        }
+        // A record less and a different record both differ.
+        assert_ne!(pushed(&rows[..4]), whole);
+        let mut other = rows.clone();
+        other[4] = ssh("e", Some(""), None);
+        assert_ne!(pushed(&other), whole);
     }
 }

@@ -8,8 +8,9 @@
 //! technique actually filters on, so a protocol pass over rows drags the
 //! whole campaign through cache; over columns it reads one byte per row.
 //! And a row's payload is a dozen heap blocks where its record is a run of
-//! bytes in a buffer the whole store shares: copying a store copies
-//! buffers, dropping one frees them.
+//! bytes in a chunk many rows — and every store the rows were copied to —
+//! share: copying a store copies the scalar columns and shares the chunks,
+//! dropping the last store that holds a chunk frees it.
 //!
 //! Addresses are interned **at scan time**: the sharded probe loops push
 //! straight into per-shard [`ShardColumns`] (shard-local interner, no
@@ -54,9 +55,10 @@ static PAYLOAD_BYTES: LazyCounter = LazyCounter::new(
     "store",
 );
 
-/// Distinct-address remap lookups performed while absorbing shards.  An
-/// address observed by k shards is remapped k times, so the total depends
-/// on the shard decomposition: timing class.
+/// Distinct-address remap lookups performed while splicing shards (and a
+/// crawl's columns) onto stores.  An address observed by k shards is
+/// remapped k times, so the total depends on the shard decomposition:
+/// timing class.
 static ADDR_REMAPS: LazyCounter = LazyCounter::new(
     "store.addr_remaps",
     DeterminismClass::Timing,
@@ -84,9 +86,10 @@ impl ObservationStore {
         Self::default()
     }
 
-    /// Build a store from row observations, in order: the door for
-    /// pre-collected rows (a Censys export); scans use [`ShardColumns`].
-    /// Each row's payload is encoded into the arena and freed here.
+    /// Build a store from row observations, in order: the door for rows
+    /// somebody already owns (a row export re-imported); scans and crawls
+    /// use [`ShardColumns`].  Each row's payload is encoded into the arena
+    /// and freed here.
     pub fn from_observations<I>(observations: I) -> Self
     where
         I: IntoIterator<Item = ServiceObservation>,
@@ -105,14 +108,20 @@ impl ObservationStore {
         store
     }
 
-    /// Splice a scan shard onto the store: the shard's dense local ids are
-    /// remapped through one hash lookup per *distinct* shard address, then
-    /// every column is moved over (the payload arena whole, if it is the
-    /// store's first).  Absorbing shards in shard order reproduces the
-    /// serial first-observation id order — and the serial arena, byte for
-    /// byte — which is what keeps a sharded campaign identical to a serial
-    /// one.
+    /// Splice a scan shard onto the store and count its rows and payload
+    /// bytes as the campaign's: the shard's dense local ids are remapped
+    /// through one hash lookup per *distinct* shard address, then every
+    /// column is moved over — the payload arena's chunks as they are, no
+    /// record copied.  Absorbing shards in shard order reproduces the serial
+    /// first-observation id order and the serial rows, which is what keeps a
+    /// sharded campaign equal to a serial one.
     pub fn absorb_shard(&mut self, shard: ShardColumns) {
+        ROWS_ABSORBED.add(shard.len() as u64);
+        PAYLOAD_BYTES.add(shard.payload_bytes() as u64);
+        self.splice(shard);
+    }
+
+    fn splice(&mut self, shard: ShardColumns) {
         let ShardColumns {
             interner: local,
             addrs,
@@ -125,8 +134,6 @@ impl ObservationStore {
         } = shard;
         let global = Arc::make_mut(&mut self.interner);
         let remap: Vec<AddrId> = local.addrs().iter().map(|&a| global.intern(a)).collect();
-        ROWS_ABSORBED.add(addrs.len() as u64);
-        PAYLOAD_BYTES.add(payloads.byte_len() as u64);
         ADDR_REMAPS.add(remap.len() as u64);
         self.addrs
             .extend(addrs.into_iter().map(|id| remap[id.index()]));
@@ -139,7 +146,8 @@ impl ObservationStore {
     }
 
     /// Append every row of another store, re-interning addresses into this
-    /// store's id space (used to build union datasets).
+    /// store's id space (used to build union datasets).  The scalar columns
+    /// are copied; the payload records are shared with `other`, not copied.
     pub fn extend_from(&mut self, other: &ObservationStore) {
         let global = Arc::make_mut(&mut self.interner);
         let remap: Vec<AddrId> = other
@@ -298,9 +306,10 @@ impl ObservationStore {
     }
 
     /// Check the store's structural invariants: every column the same
-    /// length, the payload arena's end offsets non-decreasing and closing
-    /// on its last byte, every record a well-formed one of its row's
-    /// protocol tag, every address id inside the interner's dense range,
+    /// length, the payload arena's chunk table listing each chunk at the row
+    /// the ones before it end on, every chunk's end offsets non-decreasing
+    /// and closing on its last byte, every record a well-formed one of its
+    /// row's protocol tag, every address id inside the interner's dense range,
     /// and the interner's own id ⇄ address bijection intact.
     ///
     /// The runtime twin of the static `det-hash-iter`/`id-space` lints:
@@ -347,6 +356,18 @@ impl ObservationStore {
             }
         }
         count
+    }
+}
+
+/// Columns somebody other than a campaign filled (a Censys crawl), as a
+/// store of their own: the splice of [`ObservationStore::absorb_shard`]
+/// without its `store.rows_absorbed` / `store.payload_bytes` counts, which
+/// are the campaign's.
+impl From<ShardColumns> for ObservationStore {
+    fn from(columns: ShardColumns) -> Self {
+        let mut store = ObservationStore::new();
+        store.splice(columns);
+        store
     }
 }
 
@@ -680,18 +701,8 @@ mod tests {
         for chunk in [1usize, 2, 3] {
             let mut store = ObservationStore::new();
             for shard_rows in rows.chunks(chunk) {
-                let mut shard = ShardColumns::new();
-                assert!(shard.is_empty());
-                for o in shard_rows {
-                    shard.push(
-                        o.addr,
-                        o.port,
-                        o.source,
-                        o.timestamp,
-                        o.asn,
-                        o.payload.as_ref(),
-                    );
-                }
+                assert!(ShardColumns::new().is_empty());
+                let shard = shard_of(shard_rows);
                 assert_eq!(shard.len(), shard_rows.len());
                 assert_eq!(
                     shard.last_timestamp(),
@@ -701,6 +712,61 @@ mod tests {
             }
             assert_eq!(store, serial, "chunk={chunk}");
         }
+    }
+
+    fn shard_of(rows: &[ServiceObservation]) -> ShardColumns {
+        let mut shard = ShardColumns::new();
+        for o in rows {
+            shard.push(
+                o.addr,
+                o.port,
+                o.source,
+                o.timestamp,
+                o.asn,
+                o.payload.as_ref(),
+            );
+        }
+        shard
+    }
+
+    #[test]
+    fn stores_chunked_differently_are_equal_and_sharing_leaves_each_side_whole() {
+        let rows = sample_rows();
+        let serial = ObservationStore::from_observations(rows.clone());
+        // One shard; a shard per phase; a clone with more rows spliced on.
+        let one = ObservationStore::from(shard_of(&rows));
+        let mut phased = ObservationStore::new();
+        for phase in [&rows[..1], &rows[1..1], &rows[1..4], &rows[4..]] {
+            phased.absorb_shard(shard_of(phase));
+        }
+        let head = ObservationStore::from(shard_of(&rows[..3]));
+        let head_bytes = head.payload_bytes();
+        let mut grown = head.clone();
+        grown.absorb_shard(shard_of(&rows[3..]));
+        for store in [&one, &phased, &grown] {
+            assert_eq!(store.validate(), Ok(()));
+            assert_eq!(store, &serial);
+            assert_eq!(store.payload_bytes(), serial.payload_bytes());
+        }
+        // Growing the clone left the store it was cloned from alone.
+        assert_eq!(head.to_observations(), rows[..3]);
+        assert_eq!(head.payload_bytes(), head_bytes);
+        assert_eq!(head.validate(), Ok(()));
+
+        // A union shares both sides' records; either side outlives the other.
+        let mut union = head.clone();
+        union.extend_from(&grown);
+        let expected = [&rows[..3], &rows[..]].concat();
+        assert_eq!(union.payload_bytes(), head_bytes + serial.payload_bytes());
+        drop(head);
+        drop(grown);
+        assert_eq!(union.validate(), Ok(()));
+        assert_eq!(union.to_observations(), expected);
+        let mut again = one.clone();
+        again.extend_from(&phased);
+        drop(again);
+        assert_eq!(one.to_observations(), rows);
+        assert_eq!(phased.to_observations(), rows);
     }
 
     #[test]
@@ -728,19 +794,8 @@ mod tests {
     fn validate_accepts_empty_single_shard_and_grown_stores() {
         assert_eq!(ObservationStore::new().validate(), Ok(()));
         let rows = sample_rows();
-        let mut shard = ShardColumns::new();
-        for o in &rows {
-            shard.push(
-                o.addr,
-                o.port,
-                o.source,
-                o.timestamp,
-                o.asn,
-                o.payload.as_ref(),
-            );
-        }
         let mut store = ObservationStore::new();
-        store.absorb_shard(shard);
+        store.absorb_shard(shard_of(&rows));
         assert_eq!(store.validate(), Ok(()));
         let other = ObservationStore::from_observations(rows);
         assert_eq!(other.validate(), Ok(()));

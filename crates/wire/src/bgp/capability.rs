@@ -242,20 +242,7 @@ impl OptionalParameter {
 
     /// Emit the parameter to `out`.
     pub fn emit(&self, out: &mut Vec<u8>) {
-        match self {
-            OptionalParameter::Capability(cap) => {
-                let mut inner = Vec::new();
-                cap.emit(&mut inner);
-                out.push(PARAM_TYPE_CAPABILITY);
-                out.push(inner.len() as u8);
-                out.extend_from_slice(&inner);
-            }
-            OptionalParameter::Other { param_type, value } => {
-                out.push(*param_type);
-                out.push(value.len() as u8);
-                out.extend_from_slice(value);
-            }
-        }
+        self.as_ref().emit(out);
     }
 
     /// Emit a whole list of parameters, returning the encoded block.
@@ -283,6 +270,25 @@ pub enum ParamRef<'a> {
 }
 
 impl ParamRef<'_> {
+    /// Emit the parameter (type, length, value) to `out`, the lengths
+    /// patched in behind the value: nothing is allocated.
+    pub fn emit(&self, out: &mut Vec<u8>) {
+        match *self {
+            ParamRef::Capability(cap) => {
+                out.extend_from_slice(&[PARAM_TYPE_CAPABILITY, 0, cap.code(), 0]);
+                let value_at = out.len();
+                cap.emit_value(out);
+                let value_len = out.len() - value_at;
+                out[value_at - 1] = value_len as u8;
+                out[value_at - 3] = (2 + value_len) as u8;
+            }
+            ParamRef::Other { param_type, value } => {
+                out.extend_from_slice(&[param_type, value.len() as u8]);
+                out.extend_from_slice(value);
+            }
+        }
+    }
+
     /// Copy the parameter into an owned [`OptionalParameter`].
     pub fn to_owned(&self) -> OptionalParameter {
         match *self {

@@ -112,17 +112,21 @@ impl NotificationMessage {
 
     /// Emit the full message (header + body) to a freshly allocated vector.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let length = (BGP_HEADER_LEN + 2 + self.data.len()) as u16;
-        let mut out = Vec::with_capacity(length as usize);
+        let mut out = Vec::new();
+        self.emit(&mut out);
+        out
+    }
+
+    /// Append the full message (header + body) to `out`.
+    pub fn emit(&self, out: &mut Vec<u8>) {
         MessageHeader {
-            length,
+            length: (BGP_HEADER_LEN + 2 + self.data.len()) as u16,
             message_type: MessageType::Notification,
         }
-        .emit(&mut out);
+        .emit(out);
         out.push(self.error_code);
         out.push(self.error_subcode);
         out.extend_from_slice(&self.data);
-        out
     }
 }
 

@@ -1,7 +1,7 @@
 //! The BGP OPEN message (RFC 4271 §4.2).
 
-use super::capability::{Capability, OptionalParameter, WireParams};
-use super::{MessageHeader, MessageType, BGP_HEADER_LEN};
+use super::capability::{Capability, OptionalParameter, ParamRef, WireParams};
+use super::{MessageHeader, MessageType, BGP_HEADER_LEN, BGP_MARKER};
 use crate::error::check_len;
 use crate::{Result, WireError};
 use serde::{Deserialize, Serialize};
@@ -107,21 +107,49 @@ impl OpenMessage {
 
     /// Emit the full message (header + body) to a freshly allocated vector.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let params = OptionalParameter::emit_all(&self.optional_parameters);
-        let length = (BGP_HEADER_LEN + OPEN_MIN_BODY_LEN + params.len()) as u16;
-        let mut out = Vec::with_capacity(length as usize);
+        let mut out = Vec::new();
+        let params = self.optional_parameters.iter().map(|param| param.as_ref());
+        let OpenMessage {
+            version,
+            my_as,
+            hold_time,
+            bgp_identifier,
+            ..
+        } = *self;
+        Self::emit_parts(version, my_as, hold_time, bgp_identifier, params, &mut out);
+        out
+    }
+
+    /// Append to `out` the full message (header + body) these fields and
+    /// optional parameters make — what [`Self::to_bytes`] emits, for a
+    /// speaker that keeps no `OpenMessage`.  The two lengths are patched in
+    /// behind the parameters: nothing is allocated.
+    pub fn emit_parts<'a>(
+        version: u8,
+        my_as: u16,
+        hold_time: u16,
+        bgp_identifier: Ipv4Addr,
+        params: impl IntoIterator<Item = ParamRef<'a>>,
+        out: &mut Vec<u8>,
+    ) {
+        let message_at = out.len();
         MessageHeader {
-            length,
+            length: 0,
             message_type: MessageType::Open,
         }
-        .emit(&mut out);
-        out.push(self.version);
-        out.extend_from_slice(&self.my_as.to_be_bytes());
-        out.extend_from_slice(&self.hold_time.to_be_bytes());
-        out.extend_from_slice(&self.bgp_identifier.octets());
-        out.push(params.len() as u8);
-        out.extend_from_slice(&params);
-        out
+        .emit(out);
+        out.push(version);
+        out.extend_from_slice(&my_as.to_be_bytes());
+        out.extend_from_slice(&hold_time.to_be_bytes());
+        out.extend_from_slice(&bgp_identifier.octets());
+        out.push(0);
+        let params_at = out.len();
+        for param in params {
+            param.emit(out);
+        }
+        out[params_at - 1] = (out.len() - params_at) as u8;
+        let length = (out.len() - message_at) as u16;
+        out[message_at + BGP_MARKER.len()..][..2].copy_from_slice(&length.to_be_bytes());
     }
 }
 
@@ -190,6 +218,27 @@ mod tests {
         let (msg, consumed) = BgpMessage::parse(&bytes).unwrap();
         assert_eq!(consumed, bytes.len());
         assert_eq!(msg, BgpMessage::Open(open));
+    }
+
+    #[test]
+    fn emit_parts_appends_behind_what_the_buffer_holds() {
+        // Both back-patched lengths are relative to the message, not the
+        // buffer: a second message behind a first is the first again.
+        let mut open = figure2_open();
+        open.optional_parameters.push(OptionalParameter::Other {
+            param_type: 9,
+            value: vec![0xde, 0xad],
+        });
+        let once = open.to_bytes();
+        let mut twice = once.clone();
+        let params = open.optional_parameters.iter().map(|p| p.as_ref());
+        OpenMessage::emit_parts(4, open.my_as, 90, open.bgp_identifier, params, &mut twice);
+        assert_eq!(twice, [once.clone(), once].concat());
+        let messages = BgpMessage::parse_stream(&twice);
+        assert_eq!(
+            messages,
+            [BgpMessage::Open(open.clone()), BgpMessage::Open(open)]
+        );
     }
 
     #[test]

@@ -28,11 +28,12 @@ fn main() {
     // non-standard ports, which we exclude like the paper does.  The same
     // resolver consumes the snapshot as pre-collected campaign data.
     let snapshot = CensysSnapshot::collect(&internet, CensysConfig::default());
-    let censys = ObservationStore::from_observations(snapshot.default_port_observations());
+    let (censys, censys_nonstandard) = snapshot.into_default_port();
     let censys_report = resolver.resolve_data(&internet, &CampaignData::from_store(censys.clone()));
 
     // And the union of both sources: the active campaign's columnar store
-    // extended with the snapshot rows (addresses re-interned on the way in).
+    // extended with the snapshot rows (addresses re-interned on the way in,
+    // payload records shared with the two stores rather than copied).
     let mut union = active.store().clone();
     union.extend_from(&censys);
 
@@ -67,7 +68,7 @@ fn main() {
     }
     println!(
         "  censys found {} SSH records on non-standard ports (excluded from the analysis)",
-        snapshot.nonstandard_port_observations().len()
+        censys_nonstandard
     );
     println!(
         "\nThe distributed snapshot sees {:.0}% more SSH hosts than the single vantage point,\n\

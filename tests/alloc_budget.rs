@@ -28,6 +28,8 @@ thread_local! {
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
     /// Blocks freed by this thread.
     static FREES: Cell<u64> = const { Cell::new(0) };
+    /// Bytes this thread asked for (a reallocation counts its new size).
+    static BYTES: Cell<u64> = const { Cell::new(0) };
 }
 
 struct Counting;
@@ -38,6 +40,7 @@ struct Counting;
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCATIONS.with(|n| n.set(n.get() + 1));
+        BYTES.with(|n| n.set(n.get() + layout.size() as u64));
         // SAFETY: the caller's obligations are passed on as they are.
         unsafe { System.alloc(layout) }
     }
@@ -50,6 +53,7 @@ unsafe impl GlobalAlloc for Counting {
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCATIONS.with(|n| n.set(n.get() + 1));
+        BYTES.with(|n| n.set(n.get() + new_size as u64));
         // SAFETY: `ptr` came from `System` through this allocator.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -63,6 +67,13 @@ fn allocations<T>(work: impl FnOnce() -> T) -> (u64, T) {
     let before = ALLOCATIONS.with(Cell::get);
     let out = work();
     (ALLOCATIONS.with(Cell::get) - before, out)
+}
+
+/// Bytes this thread asks the allocator for while `work` runs.
+fn bytes_requested<T>(work: impl FnOnce() -> T) -> (u64, T) {
+    let before = BYTES.with(Cell::get);
+    let out = work();
+    (BYTES.with(Cell::get) - before, out)
 }
 
 /// Blocks this thread frees while `work` runs.
@@ -120,6 +131,61 @@ fn an_ssh_session_is_emitted_and_parsed_within_24_allocations() {
         }
     }
     assert!(sessions > 100, "only {sessions} sessions answered");
+}
+
+#[test]
+fn a_bgp_session_into_a_warm_buffer_allocates_nothing() {
+    let internet = tiny_internet();
+    let ctx = ProbeContext {
+        vantage: VantageKind::Distributed,
+        time: SimTime::ZERO,
+    };
+    let mut session = Vec::with_capacity(4096);
+    let (mut opens, mut silent) = (0, 0);
+    let bgp_port = ServiceProtocol::Bgp.default_port();
+    for device in internet.devices() {
+        for addr in device.bgp_responding_addrs() {
+            let (device_id, iface) = internet.lookup(addr).expect("a device's own address");
+            let (count, payload) = allocations(|| {
+                internet
+                    .service_session_into(device_id, iface, bgp_port, &ctx, &mut session)
+                    .then(|| PayloadRef::parse(ServiceProtocol::Bgp, &session).is_some())
+            });
+            assert_eq!(count, 0, "{addr}");
+            match payload {
+                Some(true) => opens += 1,
+                Some(false) => silent += 1,
+                None => {}
+            }
+        }
+    }
+    assert!(opens > 5, "only {opens} speakers sent an OPEN");
+    assert!(silent > 5, "only {silent} speakers closed silently");
+}
+
+#[test]
+fn a_censys_crawl_allocates_per_device_not_per_session() {
+    // What is left is the `*_responding_addrs()` lists of a covered device
+    // that runs the service and the columns of the two stores doubling —
+    // 438 to 505 for 355 devices at these seeds (0.6 a device at paper
+    // scale), nothing per session and nothing that grows with a payload's
+    // size.  One owned observation per session put it at 10 a device.
+    for seed in [14u64, 404, 2023] {
+        let internet = InternetBuilder::new(InternetConfig::tiny(seed)).build();
+        let devices = internet.devices().len() as u64;
+        let config = CensysConfig {
+            seed,
+            ..Default::default()
+        };
+        let (count, snapshot) = allocations(|| CensysSnapshot::collect(&internet, config));
+        let rows = snapshot.default_port().len() + snapshot.nonstandard().len();
+        assert!(rows > 100, "seed {seed}: {rows} rows");
+        let budget = 2 * devices;
+        assert!(
+            count <= budget,
+            "seed {seed}: {count} allocations for {rows} rows of {devices} devices (budget {budget})"
+        );
+    }
 }
 
 #[test]
@@ -219,11 +285,10 @@ fn a_discovery_datagram_nobody_answers_allocates_nothing() {
 
 #[test]
 fn a_campaign_costs_at_most_4_allocations_per_stored_row() {
-    // 3.0–3.3 a row today (1.9 at paper scale, where the columns' growth
-    // is spread over more rows): a sweep costs nothing per address and an
-    // SSH session is emitted, parsed and stored without allocating, so what
-    // is counted is an SNMP row's engine ID and a BGP session's buffers in
-    // netsim.  One owned SSH observation per row alone puts this past 10.
+    // 1.7–1.9 a row today: a sweep costs nothing per address and an SSH or
+    // BGP session is emitted, parsed and stored without allocating, so what
+    // is counted is an SNMP row's engine ID and the columns growing.  One
+    // owned SSH observation per row alone puts this past 10.
     for seed in [14u64, 404, 2023] {
         let internet = InternetBuilder::new(InternetConfig::tiny(seed)).build();
         let campaign = ActiveCampaign::new(CampaignConfig {
@@ -251,7 +316,8 @@ fn cloning_a_store_costs_the_same_allocations_whatever_its_rows() {
     for store in [&once, &twice] {
         let (count, copy) = allocations(|| store.clone());
         assert_eq!(&copy, store);
-        // One per column and two for the arena; the interner is shared.
+        // One per column and the arena's chunk table (7 today); the
+        // interner and the chunks are shared.
         assert!(
             count <= 32,
             "{count} allocations to clone {} SSH rows",
@@ -264,21 +330,31 @@ fn cloning_a_store_costs_the_same_allocations_whatever_its_rows() {
 
 #[test]
 fn a_union_copy_allocates_per_column_not_per_row() {
-    // `active.clone()` + `extend_from(&censys)`: the columns, the arena and
-    // the interner growing, whatever the rows hold.
+    // `active.clone()` + `extend_from(&censys)`: the columns, the arena's
+    // chunk table and the interner growing, whatever the rows hold.
     let active = ssh_store(&tiny_internet());
     let mut censys = active.clone();
     censys.extend_from(&active);
-    let (count, union) = allocations(|| {
-        let mut union = active.clone();
-        union.extend_from(&censys);
-        union
+    let (count, (bytes, union)) = allocations(|| {
+        bytes_requested(|| {
+            let mut union = active.clone();
+            union.extend_from(&censys);
+            union
+        })
     });
     assert_eq!(union.len(), 3 * active.len());
     assert!(
         count <= 64,
         "{count} allocations for a union of {} rows",
         union.len()
+    );
+    // The payload records are shared, not copied: what is requested is the
+    // scalar columns and the interner, a fraction of the records' size.
+    let payload_bytes = (active.payload_bytes() + censys.payload_bytes()) as u64;
+    assert_eq!(union.payload_bytes() as u64, payload_bytes);
+    assert!(
+        bytes * 10 < payload_bytes,
+        "{bytes} bytes requested to unite {payload_bytes} bytes of payload records"
     );
 }
 

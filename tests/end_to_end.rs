@@ -191,21 +191,21 @@ fn censys_snapshot_extends_single_vp_coverage() {
     let internet = InternetBuilder::new(InternetConfig::tiny(107)).build();
     let active = ActiveCampaign::with_defaults(&internet)
         .run(&internet)
-        .store()
-        .to_observations();
-    let snapshot = CensysSnapshot::collect(&internet, CensysConfig::default());
-    let censys = snapshot.default_port_observations();
+        .into_store();
+    let (censys, _) =
+        CensysSnapshot::collect(&internet, CensysConfig::default()).into_default_port();
 
-    let count_ssh = |observations: &[ServiceObservation]| {
-        observations
+    let count_ssh = |store: &ObservationStore| {
+        store
+            .select_protocol(ServiceProtocol::Ssh, None)
             .iter()
-            .filter(|o| o.protocol() == ServiceProtocol::Ssh && !o.is_ipv6())
+            .filter(|o| !o.is_ipv6())
             .map(|o| o.addr)
             .collect::<BTreeSet<IpAddr>>()
             .len()
     };
     let mut union = active.clone();
-    union.extend(censys.iter().cloned());
+    union.extend_from(&censys);
     let active_ips = count_ssh(&active);
     let union_ips = count_ssh(&union);
     assert!(
