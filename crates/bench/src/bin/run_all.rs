@@ -2,15 +2,15 @@
 //! study, prints the rendered document and writes it to
 //! `EXPERIMENTS_MEASURED.md`.
 //!
-//! `ALIAS_SCALE` picks the population preset and `ALIAS_THREADS` the worker
-//! count (never changes an output byte).  Arguments:
+//! `ALIAS_SCALE` picks the population preset and `ALIAS_THREADS` the scan's
+//! worker count (never changes an output byte).  Arguments:
 //!
 //! * `<section>` — one of `table1` … `table6`, `figure3` … `figure6`,
 //!   `stats`: print only that section (no study run, no file written).
 //! * `--metrics <path>` — record the run's alias-obs registry: `<path>`
 //!   gets the deterministic counter/gauge/event subset
-//!   (`MetricsSnapshot::deterministic_json`, identical for every thread
-//!   count), `<path>.full.json` the complete snapshot including
+//!   (`MetricsSnapshot::deterministic_json`, identical run to run and for
+//!   every thread count), `<path>.full.json` the complete snapshot including
 //!   timing-class metrics, histograms and spans, and `<path>.prom` the
 //!   Prometheus text render.
 //!
@@ -27,7 +27,7 @@ const SEED: u64 = 20230418;
 fn main() {
     let args = parse_args();
     let preset = scale_from_env();
-    let threads = alias_exec::threads_from_env();
+    let threads = alias_scan::threads_from_env();
 
     let experiment = Experiment::run_with_threads(preset, SEED, threads);
     match &args.section {

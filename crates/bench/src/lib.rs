@@ -96,10 +96,6 @@ pub struct Experiment {
     pub extractor: IdentifierExtractor,
     /// Simulated time of the active campaign start.
     pub active_start: SimTime,
-    /// Worker threads for the scan and merge stages (1 = serial).  A pure
-    /// performance knob: every experiment output is byte-identical for any
-    /// value.
-    pub threads: usize,
     /// The unified [`Resolver`] run over the active campaign: per-technique
     /// alias sets, merged sets, coverage/agreement statistics and the
     /// per-technique `technique_timings`.
@@ -171,15 +167,15 @@ static RENDER_PARTITIONS: LazyCounter = LazyCounter::new(
 impl Experiment {
     /// Build the Internet, collect the Censys snapshot, apply three weeks of
     /// churn, and run the active campaign — the full data-collection story
-    /// of the paper, in the same order.  Serial (`threads = 1`).
+    /// of the paper, in the same order.  The scan runs on one thread.
     pub fn run(preset: ScalePreset, seed: u64) -> Self {
         Self::run_with_threads(preset, seed, 1)
     }
 
-    /// [`Self::run`] with the campaign and merge stages sharded over
-    /// `threads` workers.
+    /// [`Self::run`] with the campaign's scan phases sharded over `threads`
+    /// workers; everything after the scan runs on the calling thread.
+    /// Never changes an output byte.
     pub fn run_with_threads(preset: ScalePreset, seed: u64, threads: usize) -> Self {
-        let threads = threads.max(1);
         let config = InternetConfig::preset(preset, seed);
         let hitlist_coverage = config.visibility.hitlist_coverage;
 
@@ -218,7 +214,6 @@ impl Experiment {
                 start: active_start,
                 hitlist_coverage,
                 seed,
-                threads,
                 ..Default::default()
             })
             .build();
@@ -244,7 +239,6 @@ impl Experiment {
             union,
             extractor: IdentifierExtractor::new(ExtractionConfig::paper()),
             active_start,
-            threads,
             resolution,
             passes: Memo::new(),
             groupings: Memo::new(),
@@ -261,7 +255,7 @@ impl Experiment {
         self.passes.get_or_compute(protocol, || {
             RENDER_KEYED_PASSES.incr();
             let view = self.union.select_protocol(protocol, None);
-            group_view_by_source(&view, &self.extractor, self.threads)
+            group_view_by_source(&view, &self.extractor)
         })
     }
 
@@ -326,7 +320,7 @@ impl Experiment {
                     (protocol.name(), sets)
                 })
                 .collect();
-            partition_labeled_compact(&inputs, self.union.interner().len(), self.threads)
+            partition_labeled_compact(&inputs, self.union.interner().len())
         })
     }
 
@@ -994,7 +988,8 @@ impl RateLimitStudy {
 
     /// Build the silent-router Internet, run the campaign with the
     /// rate-probing phase, resolve with all eight techniques, and score
-    /// the result against ground truth.
+    /// the result against ground truth.  `threads` shards the campaign's
+    /// scan phases and nothing else; it never changes an output byte.
     pub fn run(preset: ScalePreset, seed: u64, threads: usize) -> Self {
         let mut config = InternetConfig::preset(preset, seed);
         config.devices.silent_routers = Self::silent_routers(preset);
@@ -1010,7 +1005,6 @@ impl RateLimitStudy {
                 start,
                 hitlist_coverage,
                 seed,
-                threads,
                 rate_probe: Some(RateProbeConfig::default()),
                 ..Default::default()
             })

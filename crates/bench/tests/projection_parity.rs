@@ -53,7 +53,7 @@ fn check_projections(exp: &Experiment, context: &str) {
         let direct = group_view_compact(
             &exp.union.select_protocol(protocol, None),
             &exp.extractor,
-            exp.threads,
+            1,
         );
         assert_eq!(
             canonical(&exp.collection(protocol, None), union_ids),
@@ -64,7 +64,7 @@ fn check_projections(exp: &Experiment, context: &str) {
         let direct = group_view_compact(
             &exp.censys.select_protocol(protocol, None),
             &exp.extractor,
-            exp.threads,
+            1,
         );
         let projected = exp.collection(protocol, Some(DataSource::Censys));
         assert_eq!(
@@ -80,7 +80,6 @@ fn check_projections(exp: &Experiment, context: &str) {
 fn merge_reinterned(
     inputs: &[(&str, &[CompactAliasSet])],
     interner: &AddrInterner,
-    threads: usize,
 ) -> Vec<alias_core::merge::MergedSet> {
     let mut space = AddrInterner::new();
     let reinterned: Vec<(&str, Vec<CompactAliasSet>)> = inputs
@@ -97,7 +96,7 @@ fn merge_reinterned(
         .iter()
         .map(|(label, sets)| (*label, sets.as_slice()))
         .collect();
-    merge_labeled_compact(&borrowed, &space, threads)
+    merge_labeled_compact(&borrowed, &space)
 }
 
 fn check_partitions(exp: &Experiment, context: &str) {
@@ -110,9 +109,8 @@ fn check_partitions(exp: &Experiment, context: &str) {
             .map(|(p, grouping)| (p.name(), grouping.family_sets(ipv6)))
             .collect();
         assert_eq!(
-            exp.family_partition(ipv6, None)
-                .materialise(interner, exp.threads),
-            merge_reinterned(&inputs, interner, exp.threads),
+            exp.family_partition(ipv6, None).materialise(interner),
+            merge_reinterned(&inputs, interner),
             "{context} ipv6={ipv6} union"
         );
     }
@@ -129,8 +127,8 @@ fn check_partitions(exp: &Experiment, context: &str) {
         .collect();
     assert_eq!(
         exp.family_partition(false, Some(DataSource::Censys))
-            .materialise(interner, exp.threads),
-        merge_reinterned(&inputs, interner, exp.threads),
+            .materialise(interner),
+        merge_reinterned(&inputs, interner),
         "{context} censys"
     );
     let inputs: Vec<(&str, &[CompactAliasSet])> = PROTOCOLS
@@ -139,9 +137,8 @@ fn check_partitions(exp: &Experiment, context: &str) {
         .map(|(p, grouping)| (p.name(), grouping.dual_stack_sets()))
         .collect();
     assert_eq!(
-        exp.dual_stack_partition()
-            .materialise(interner, exp.threads),
-        merge_reinterned(&inputs, interner, exp.threads),
+        exp.dual_stack_partition().materialise(interner),
+        merge_reinterned(&inputs, interner),
         "{context} dual-stack"
     );
 }
@@ -154,7 +151,7 @@ fn check_key_only_count(exp: &Experiment, context: &str) {
         ..ExtractionConfig::paper()
     });
     let view = exp.union.select_protocol(ServiceProtocol::Ssh, None);
-    let direct = group_view_compact(&view, &key_only, exp.threads);
+    let direct = group_view_compact(&view, &key_only, 1);
     let pass = exp.keyed_pass(ServiceProtocol::Ssh);
     assert_eq!(
         pass.coarser_set_count(&exp.union, &key_only),
@@ -192,14 +189,12 @@ fn check_scores(exp: &Experiment, context: &str) {
 
 fn check(preset: ScalePreset) {
     for seed in [7u64, 14, 404, 2023] {
-        for threads in [1usize, 2, 7] {
-            let exp = Experiment::run_with_threads(preset, seed, threads);
-            let context = format!("{preset:?} seed={seed} threads={threads}");
-            check_projections(&exp, &context);
-            check_partitions(&exp, &context);
-            check_key_only_count(&exp, &context);
-            check_scores(&exp, &context);
-        }
+        let exp = Experiment::run(preset, seed);
+        let context = format!("{preset:?} seed={seed}");
+        check_projections(&exp, &context);
+        check_partitions(&exp, &context);
+        check_key_only_count(&exp, &context);
+        check_scores(&exp, &context);
     }
 }
 

@@ -21,7 +21,6 @@ use crate::intern::{sort_canonical_compact, AddrId, AddrInterner, CompactAliasSe
 use alias_obs::{DeterminismClass, LazyCounter};
 use alias_scan::{DataSource, ObservationStore, ObservationView};
 use std::cmp::Reverse;
-use std::collections::hash_map::RandomState;
 
 /// Rows a grouping keyed: those whose payload yields an identifier.
 static GROUP_ROWS: LazyCounter = LazyCounter::new(
@@ -54,20 +53,20 @@ pub struct CompactGrouping {
 }
 
 /// Group a columnar store view by extracted identifier, entirely in id
-/// space, with `threads` shard workers.
+/// space.
 ///
 /// The view's [`AddrId`] column already holds each row's interned id
 /// (intern-at-scan), so the per-observation work is one payload extraction
 /// and one identifier hash, with no address hashing at all, and only a
-/// group that turns out to be an alias set allocates one.  Because shards
-/// are contiguous slices joined in shard order, the grouped output is
-/// identical for every thread count.
+/// group that turns out to be an alias set allocates one.
+///
+/// `_threads` is ignored; kept for `benchmark/` only (one pass, one thread).
 pub fn group_view_compact(
     view: &ObservationView<'_>,
     extractor: &IdentifierExtractor,
-    threads: usize,
+    _threads: usize,
 ) -> CompactGrouping {
-    let keyed = group_sharded(view, extractor, threads);
+    let keyed = group_keyed(view, extractor);
     let mut testable: Vec<AddrId> = keyed
         .rows
         .iter()
@@ -96,8 +95,8 @@ pub fn group_view_compact(
 /// a union store, from which the per-source groupings are projections.
 ///
 /// Groups are in identifier first-seen order and members in row order
-/// (duplicates included), for every thread count.  The members of all
-/// groups are one flat list cut by offsets.
+/// (duplicates included).  The members of all groups are one flat list cut
+/// by offsets.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SourceGroups {
     /// `offsets[g]..offsets[g + 1]` bounds group `g` in `members`.
@@ -113,9 +112,8 @@ pub struct SourceGroups {
 pub fn group_view_by_source(
     view: &ObservationView<'_>,
     extractor: &IdentifierExtractor,
-    threads: usize,
 ) -> SourceGroups {
-    let keyed = group_sharded(view, extractor, threads);
+    let keyed = group_keyed(view, extractor);
     let tagged = |&i: &u32| (view.addr_id_at(i as usize), view.source_at(i as usize));
     let first_row = |group: &[u32]| view.rows()[group[0] as usize];
     SourceGroups {
@@ -301,65 +299,28 @@ fn runs<'a, T>(offsets: &'a [u32], items: &'a [T]) -> impl Iterator<Item = &'a [
     bounds.map(move |pair| &items[pair[0] as usize..pair[1] as usize])
 }
 
-/// In a shard's identifier column: a row with no identifier.
+/// In the identifier column: a row with no identifier.
 const UNKEYED: u32 = u32::MAX;
 
-/// The shard/join skeleton behind both grouping entry points.  Each shard
-/// keys its contiguous slice of the view's rows and interns the keys into
-/// a column of shard-local identifier ids ([`UNKEYED`] where a row has no
-/// identifier); the join absorbs the shards' interners in shard order — by
-/// the hashes their identifiers carry, nothing re-hashed — and a stable
-/// counting sort of the joined column groups the rows.  Identifiers come
-/// out in first-seen order and rows in row order inside a group —
-/// identical for every thread count, because shards are contiguous and
-/// joined in order.
-fn group_sharded(
-    view: &ObservationView<'_>,
-    extractor: &IdentifierExtractor,
-    threads: usize,
-) -> KeyedRows {
+/// The keyed pass behind both grouping entry points: key every row of the
+/// view and intern the keys into a column of identifier ids ([`UNKEYED`]
+/// where a row has no identifier), then group the rows by a stable counting
+/// sort of that column.  Identifiers come out in first-seen order and rows
+/// in row order inside a group.
+fn group_keyed(view: &ObservationView<'_>, extractor: &IdentifierExtractor) -> KeyedRows {
     let rows = view.len();
     assert!(rows < UNKEYED as usize, "row indices fit 32 bits");
-    // Extraction + hashing is CPU-bound with no per-item pacing overhead
-    // to amortise, so workers beyond the machine's parallelism only add
-    // scheduling noise; the clamp never changes the output (the grouping
-    // is shard-count independent).
-    let threads = threads.min(alias_exec::available_parallelism());
-    let shard_ranges = alias_exec::split_even(rows as u64, alias_exec::shards_for(threads));
-    // One hash key per pass: the join relies on every shard hashing alike.
-    let state = RandomState::new();
-    let mut shards: Vec<(IdentInterner, Vec<u32>)> =
-        alias_exec::shard_map(shard_ranges.len(), threads, |shard| {
-            let range = shard_ranges[shard].start as usize..shard_ranges[shard].end as usize;
-            let mut idents = IdentInterner::with_hasher(state.clone());
-            let mut column = Vec::with_capacity(range.len());
-            let mut key = Vec::new();
-            for i in range {
-                column.push(if extractor.key_into(view.payload_at(i), &mut key) {
-                    idents.intern(&key).0
-                } else {
-                    UNKEYED
-                });
-            }
-            (idents, column)
+    let mut interner = IdentInterner::new();
+    let mut column = Vec::with_capacity(rows);
+    let mut key = Vec::new();
+    for i in 0..rows {
+        column.push(if extractor.key_into(view.payload_at(i), &mut key) {
+            interner.intern(&key).0
+        } else {
+            UNKEYED
         });
-
-    // A single shard is already in joined ids — no join at all.
-    let (idents, column) = if shards.len() == 1 {
-        let (idents, column) = shards.pop().expect("one shard");
-        (idents.len(), column)
-    } else {
-        let mut joined = IdentInterner::with_hasher(state);
-        let mut column = Vec::with_capacity(rows);
-        for (shard_idents, shard_column) in shards {
-            let remap = joined.absorb(shard_idents);
-            column.extend(shard_column.iter().map(|&local| match local {
-                UNKEYED => UNKEYED,
-                local => remap[local as usize].0,
-            }));
-        }
-        (joined.len(), column)
-    };
+    }
+    let idents = interner.len();
 
     // Stable counting sort of the row indices by identifier.
     let mut offsets = vec![0u32; idents + 1];
@@ -440,7 +401,7 @@ mod tests {
         source: Option<DataSource>,
     ) -> (FamilyGrouping, ObservationStore) {
         let store = ObservationStore::from_observations(observations.to_vec());
-        let pass = group_view_by_source(&store.select(None, None), &paper_extractor(), 1);
+        let pass = group_view_by_source(&store.select(None, None), &paper_extractor());
         let grouping = pass.project(source, store.interner());
         (grouping, store)
     }
@@ -571,7 +532,7 @@ mod tests {
         // The family projection keeps that order.
         assert_eq!(union.family_sets(false), union.sets());
         // Per source the address has one identifier, as if scanned alone.
-        let pass = group_view_by_source(&store.select(None, None), &paper_extractor(), 1);
+        let pass = group_view_by_source(&store.select(None, None), &paper_extractor());
         assert_projections_match_filtered_views(&pass, &store);
         // Which identifier the active scan saw decides, not its members.
         let (union, store) = grouping(&churned((2, "10.0.0.5"), (1, "10.0.0.7")), None);
@@ -582,7 +543,7 @@ mod tests {
     }
 
     #[test]
-    fn compact_grouping_is_canonical_for_every_thread_count() {
+    fn compact_grouping_is_canonical() {
         // Interleave duplicates, multiple devices and both families so
         // dedup, non-singleton filtering and canonical ordering all engage.
         let obs = [
@@ -598,26 +559,22 @@ mod tests {
         let extractor = paper_extractor();
         let store = ObservationStore::from_observations(obs.to_vec());
         let interner = store.interner();
-        for threads in [1usize, 2, 7] {
-            let grouped = group_view_compact(&store.select(None, None), &extractor, threads);
-            assert_eq!(
-                resolved(&grouped.sets, interner),
-                vec![
-                    vec!["10.0.0.1", "10.0.0.3"],
-                    vec!["10.1.0.9", "2001:db8::1"],
-                    vec!["10.2.0.1", "10.2.0.2"],
-                ],
-                "threads={threads}"
-            );
-            assert_eq!(grouped.testable.len(), interner.len(), "threads={threads}");
-        }
+        let grouped = group_view_compact(&store.select(None, None), &extractor, 1);
+        assert_eq!(
+            resolved(&grouped.sets, interner),
+            vec![
+                vec!["10.0.0.1", "10.0.0.3"],
+                vec!["10.1.0.9", "2001:db8::1"],
+                vec!["10.2.0.1", "10.2.0.2"],
+            ]
+        );
+        assert_eq!(grouped.testable.len(), interner.len());
     }
 
     #[test]
-    fn source_tagged_grouping_is_identical_for_every_thread_count() {
-        // Both entry points give the one-shard result at every thread
-        // count, and the source-tagged pass projects onto what grouping
-        // each source's rows alone yields.
+    fn source_tagged_grouping_projects_onto_each_sources_own_grouping() {
+        // The source-tagged pass projects onto what grouping each source's
+        // rows alone yields.
         let obs = [
             ssh_obs("10.0.0.3", 1, DataSource::Active),
             ssh_obs("10.0.0.1", 1, DataSource::Active),
@@ -631,16 +588,8 @@ mod tests {
         ];
         let extractor = paper_extractor();
         let store = ObservationStore::from_observations(obs.to_vec());
-        let view = store.select(None, None);
-        let serial = group_view_compact(&view, &extractor, 1);
-        let serial_pass = group_view_by_source(&view, &extractor, 1);
-        for threads in [1usize, 2, 7] {
-            let from_view = group_view_compact(&view, &extractor, threads);
-            assert_eq!(from_view, serial, "threads={threads}");
-            let pass = group_view_by_source(&view, &extractor, threads);
-            assert_eq!(pass, serial_pass, "threads={threads}");
-            assert_projections_match_filtered_views(&pass, &store);
-        }
+        let pass = group_view_by_source(&store.select(None, None), &extractor);
+        assert_projections_match_filtered_views(&pass, &store);
     }
 
     #[test]
@@ -648,10 +597,10 @@ mod tests {
         let extractor = paper_extractor();
         let store = ObservationStore::new();
         let view = store.select(None, None);
-        let grouped = group_view_compact(&view, &extractor, 4);
+        let grouped = group_view_compact(&view, &extractor, 1);
         assert!(grouped.sets.is_empty());
         assert!(grouped.testable.is_empty());
-        let pass = group_view_by_source(&view, &extractor, 4);
+        let pass = group_view_by_source(&view, &extractor);
         assert!(pass.members().is_empty());
         assert_eq!(pass.groups().count(), 0);
         assert_eq!(pass.coarser_set_count(&store, &key_only_extractor()), 0);
@@ -662,11 +611,9 @@ mod tests {
     }
 
     #[test]
-    fn shards_that_share_identifiers_join_into_the_one_shard_groups() {
-        // Six identifiers recurring all along the store, so every shard of
-        // a sharded pass sees most of them and the join has to recognise
-        // each one again, plus three rows without a host key that no shard
-        // may key.
+    fn recurring_identifiers_group_in_first_seen_order() {
+        // Six identifiers recurring all along the store, plus three rows
+        // without a host key that the pass may not key.
         let mut obs = Vec::new();
         for row in 0..120u32 {
             let addr = format!("10.{}.{}.{}", row % 3, row % 40, row % 11);
@@ -682,27 +629,17 @@ mod tests {
         let extractor = paper_extractor();
         let store = ObservationStore::from_observations(obs);
         let view = store.select(None, None);
-        let serial = group_view_by_source(&view, &extractor, 1);
-        assert_eq!(serial.groups().count(), 6);
-        assert_eq!(serial.members().len(), 120 - 3);
+        let pass = group_view_by_source(&view, &extractor);
+        assert_eq!(pass.groups().count(), 6);
+        assert_eq!(pass.members().len(), 120 - 3);
         // First-seen identifier order, row order inside a group.
-        let first_members: Vec<AddrId> = serial.groups().map(|group| group[0].0).collect();
-        let mut first_rows = serial.first_rows.clone();
+        let first_members: Vec<AddrId> = pass.groups().map(|group| group[0].0).collect();
+        let mut first_rows = pass.first_rows.clone();
         assert!(first_rows.is_sorted());
         first_rows.dedup();
         assert_eq!(first_rows.len(), 6);
-        for (&row, &member) in serial.first_rows.iter().zip(&first_members) {
+        for (&row, &member) in pass.first_rows.iter().zip(&first_members) {
             assert_eq!(store.addr_ids()[row as usize], member);
-        }
-        for threads in [2usize, 7] {
-            let pass = group_view_by_source(&view, &extractor, threads);
-            assert!(pass.groups().eq(serial.groups()), "threads={threads}");
-            assert_eq!(pass, serial, "threads={threads}");
-            assert_eq!(
-                group_view_compact(&view, &extractor, threads),
-                group_view_compact(&view, &extractor, 1),
-                "threads={threads}"
-            );
         }
     }
 
@@ -712,7 +649,7 @@ mod tests {
         let count = |obs: Vec<ServiceObservation>| {
             let store = ObservationStore::from_observations(obs);
             let view = store.select(None, None);
-            let derived = group_view_by_source(&view, &paper_extractor(), 1)
+            let derived = group_view_by_source(&view, &paper_extractor())
                 .coarser_set_count(&store, &key_only);
             let direct = group_view_compact(&view, &key_only, 1).sets.len();
             assert_eq!(derived, direct);

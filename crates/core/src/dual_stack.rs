@@ -133,7 +133,7 @@ mod tests {
     fn report(observations: &[ServiceObservation]) -> DualStackReport {
         let extractor = IdentifierExtractor::new(ExtractionConfig::paper());
         let store = ObservationStore::from_observations(observations.to_vec());
-        let grouping = group_view_by_source(&store.select(None, None), &extractor, 1)
+        let grouping = group_view_by_source(&store.select(None, None), &extractor)
             .project(None, store.interner());
         DualStackReport::from_grouping(&grouping, store.interner())
     }

@@ -17,11 +17,11 @@ use crate::intern::{AddrId, AddrInterner, CompactAliasSet};
 use crate::union_find::UnionFind;
 use alias_obs::{DeterminismClass, LazyCounter};
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 use std::net::IpAddr;
 
 /// Merged sets produced by labelled merges.  The merged partition is
-/// independent of union order and thread count.
+/// independent of union order.
 static MERGED_SETS: LazyCounter = LazyCounter::new(
     "merge.merged_sets",
     DeterminismClass::Deterministic,
@@ -37,11 +37,9 @@ static MERGED_ADDRS: LazyCounter = LazyCounter::new(
     "merge",
 );
 
-/// Unions on the global forest that joined two distinct sets.  Each one
-/// shrinks the component count by exactly one, so the total is a pure
-/// function of the merged partition (present addresses minus groups) —
-/// deterministic even though the sharded path routes spanning edges
-/// instead of raw in-set unions.
+/// Unions on the forest that joined two distinct sets.  Each one shrinks
+/// the component count by exactly one, so the total is a pure function of
+/// the merged partition (present addresses minus groups).
 static EFFECTIVE_UNIONS: LazyCounter = LazyCounter::new(
     "merge.effective_unions",
     DeterminismClass::Deterministic,
@@ -49,20 +47,27 @@ static EFFECTIVE_UNIONS: LazyCounter = LazyCounter::new(
     "merge",
 );
 
-/// Raw `find` calls on the global forest.  The sharded path screens
-/// redundant unions in private per-shard forests, so the count depends on
-/// the shard decomposition: timing class.
-static UF_FINDS: LazyCounter =
-    LazyCounter::new("merge.uf_finds", DeterminismClass::Timing, "ops", "merge");
+/// Raw `find` calls on the forest.  The union loop walks the inputs in
+/// order, so this and the two counts below are pure functions of them.
+static UF_FINDS: LazyCounter = LazyCounter::new(
+    "merge.uf_finds",
+    DeterminismClass::Deterministic,
+    "ops",
+    "merge",
+);
 
-/// Raw `union` calls on the global forest (effective or not).
-static UF_UNIONS: LazyCounter =
-    LazyCounter::new("merge.uf_unions", DeterminismClass::Timing, "ops", "merge");
+/// Raw `union` calls on the forest (effective or not).
+static UF_UNIONS: LazyCounter = LazyCounter::new(
+    "merge.uf_unions",
+    DeterminismClass::Deterministic,
+    "ops",
+    "merge",
+);
 
-/// Parent links rewritten by path compression on the global forest.
+/// Parent links rewritten by path compression on the forest.
 static UF_PATH_COMPRESSIONS: LazyCounter = LazyCounter::new(
     "merge.uf_path_compressions",
-    DeterminismClass::Timing,
+    DeterminismClass::Deterministic,
     "links",
     "merge",
 );
@@ -115,37 +120,23 @@ impl LabeledPartition {
     }
 
     /// Resolve the partition into [`MergedSet`]s in canonical order —
-    /// sorted by smallest address — sharded over the sets (building the
-    /// ordered address sets is the expensive part).  Identical for every
-    /// thread count.
-    pub fn materialise(&self, interner: &AddrInterner, threads: usize) -> Vec<MergedSet> {
-        let threads = threads.min(alias_exec::available_parallelism());
-        let ranges =
-            alias_exec::split_even(self.sets.len() as u64, alias_exec::shards_for(threads));
-        let mut merged: Vec<MergedSet> = alias_exec::shard_reduce(
-            ranges.len(),
-            threads,
-            |shard| {
-                let range = &ranges[shard];
-                (range.start as usize..range.end as usize)
-                    .map(|slot| MergedSet {
-                        addrs: self.sets[slot].to_addr_set(interner),
-                        labels: self
-                            .labels
-                            .iter()
-                            .enumerate()
-                            .filter(|(i, _)| self.label_masks[slot] >> i & 1 == 1)
-                            .map(|(_, label)| label.clone())
-                            .collect(),
-                    })
-                    .collect::<Vec<_>>()
-            },
-            Vec::with_capacity(self.sets.len()),
-            |mut acc, part| {
-                acc.extend(part);
-                acc
-            },
-        );
+    /// sorted by smallest address.
+    pub fn materialise(&self, interner: &AddrInterner) -> Vec<MergedSet> {
+        let mut merged: Vec<MergedSet> = self
+            .sets
+            .iter()
+            .zip(&self.label_masks)
+            .map(|(set, mask)| MergedSet {
+                addrs: set.to_addr_set(interner),
+                labels: self
+                    .labels
+                    .iter()
+                    .enumerate()
+                    .filter(|(i, _)| mask >> i & 1 == 1)
+                    .map(|(_, label)| label.clone())
+                    .collect(),
+            })
+            .collect();
         sort_canonical(&mut merged);
         merged
     }
@@ -156,28 +147,18 @@ impl LabeledPartition {
 /// address end up in the same merged set.
 ///
 /// Member ids index straight into the union–find forest, so there is no
-/// per-merge re-keying and no input cloning.  With `threads > 1` the union
-/// pass shards over the input sets (private forests reporting spanning
-/// edges to a boundary pass).  The output is identical for every thread
-/// count, because the merged partition of a set family is independent of
-/// union order.
+/// per-merge re-keying and no input cloning.
 ///
 /// # Panics
 /// Panics on more than 64 inputs (the label mask is one `u64`).
 pub fn partition_labeled_compact(
     inputs: &[(&str, &[CompactAliasSet])],
     universe: usize,
-    threads: usize,
 ) -> LabeledPartition {
     assert!(
         inputs.len() <= 64,
         "a labelled merge takes at most 64 inputs"
     );
-    // CPU-bound with no per-item pacing to amortise: workers beyond the
-    // machine's parallelism only add scheduling overhead, and the clamp
-    // never changes the output (the merged partition is thread-count
-    // independent).
-    let threads = threads.min(alias_exec::available_parallelism());
     // Mark the addresses that actually occur in an input set: the id space
     // may cover a whole campaign while the sets span only part of it.
     let mut present = vec![false; universe];
@@ -189,59 +170,22 @@ pub fn partition_labeled_compact(
         }
     }
 
-    // Union pass over the forest.  Serial: union within sets directly.
-    // Sharded: private per-shard forests with compact local ids report
-    // their spanning edges, which a serial boundary pass unions — redundant
-    // in-shard unions never reach the global forest.
+    // Union pass: every set's members with its first.
     let mut uf = UnionFind::new(universe);
-    if threads <= 1 {
-        for (_, sets) in inputs {
-            for set in *sets {
-                if let Some((&first, rest)) = set.ids().split_first() {
-                    for &other in rest {
-                        uf.union(first.index(), other.index());
-                    }
+    for (_, sets) in inputs {
+        for set in *sets {
+            if let Some((&first, rest)) = set.ids().split_first() {
+                for &other in rest {
+                    uf.union(first.index(), other.index());
                 }
-            }
-        }
-    } else {
-        let all_sets: Vec<&CompactAliasSet> =
-            inputs.iter().flat_map(|(_, sets)| sets.iter()).collect();
-        let set_ranges =
-            alias_exec::split_even(all_sets.len() as u64, alias_exec::shards_for(threads));
-        let shard_edges: Vec<Vec<(AddrId, AddrId)>> =
-            alias_exec::shard_map(set_ranges.len(), threads, |shard| {
-                let range = &set_ranges[shard];
-                let mut local: HashMap<AddrId, usize> = HashMap::new();
-                let mut forest = UnionFind::new(0);
-                let mut local_of = |global: AddrId, forest: &mut UnionFind| -> usize {
-                    *local.entry(global).or_insert_with(|| forest.push())
-                };
-                let mut edges = Vec::new();
-                for set in &all_sets[range.start as usize..range.end as usize] {
-                    if let Some((&first, rest)) = set.ids().split_first() {
-                        let first_local = local_of(first, &mut forest);
-                        for &other in rest {
-                            let other_local = local_of(other, &mut forest);
-                            if forest.union(first_local, other_local) {
-                                edges.push((first, other));
-                            }
-                        }
-                    }
-                }
-                edges
-            });
-        for edges in shard_edges {
-            for (a, b) in edges {
-                uf.union(a.index(), b.index());
             }
         }
     }
 
     // Bucket the present addresses by merged group.  Groups are numbered by
-    // first member in id order — a thread-independent keying, unlike the
-    // forest's internal representatives — and filled in id order, so each
-    // is already a sorted, distinct id list.
+    // first member in id order — a keying independent of the forest's
+    // internal representatives — and filled in id order, so each is already
+    // a sorted, distinct id list.
     let mut slot_of_root = vec![usize::MAX; universe];
     let mut groups: Vec<Vec<AddrId>> = Vec::new();
     for (index, _) in present.iter().enumerate().filter(|(_, &p)| p) {
@@ -267,8 +211,7 @@ pub fn partition_labeled_compact(
         }
     }
 
-    // Flush the forest tallies from this serial tail — raw op counts as
-    // timing metrics, the partition-derived ones as deterministic.
+    // Flush the forest tallies.
     let stats = uf.stats();
     UF_FINDS.add(stats.finds);
     UF_UNIONS.add(stats.unions);
@@ -292,15 +235,13 @@ pub fn partition_labeled_compact(
 pub fn merge_labeled_compact(
     inputs: &[(&str, &[CompactAliasSet])],
     interner: &AddrInterner,
-    threads: usize,
 ) -> Vec<MergedSet> {
-    partition_labeled_compact(inputs, interner.len(), threads).materialise(interner, threads)
+    partition_labeled_compact(inputs, interner.len()).materialise(interner)
 }
 
 /// Canonical output order: merged sets sorted by their smallest address.
 /// The sets partition the address space, so smallest members are distinct
-/// and the order is total — and independent of union order, which is what
-/// makes serial and sharded merges comparable byte for byte.
+/// and the order is total — and independent of union order.
 fn sort_canonical(merged: &mut [MergedSet]) {
     merged.sort_by(|a, b| a.addrs.iter().next().cmp(&b.addrs.iter().next()));
 }
@@ -421,7 +362,7 @@ mod tests {
             .collect()
     }
 
-    /// Serial labelled merge over freshly interned families.
+    /// Labelled merge over freshly interned families.
     fn merge(inputs: &[(&str, &[&[&str]])]) -> Vec<MergedSet> {
         let mut interner = AddrInterner::new();
         let compact: Vec<(&str, Vec<CompactAliasSet>)> = inputs
@@ -432,7 +373,7 @@ mod tests {
             .iter()
             .map(|(label, sets)| (*label, sets.as_slice()))
             .collect();
-        merge_labeled_compact(&borrowed, &interner, 1)
+        merge_labeled_compact(&borrowed, &interner)
     }
 
     #[test]
@@ -513,14 +454,14 @@ mod tests {
         );
         let inputs: Vec<(&str, &[CompactAliasSet])> =
             vec![("ssh", &ssh), ("snmpv3", &snmp_a), ("snmpv3", &snmp_b)];
-        let partition = partition_labeled_compact(&inputs, interner.len(), 1);
+        let partition = partition_labeled_compact(&inputs, interner.len());
         // Ordered by smallest member id: 10.0.0.1 was interned first.
         assert_eq!(partition.label_masks, vec![0b101, 0b110]);
         assert!(!partition.only_from(0, "snmpv3"));
         assert!(partition.only_from(1, "snmpv3"));
         assert!(!partition.only_from(1, "ssh"));
-        let merged = partition.materialise(&interner, 1);
-        assert_eq!(merged, merge_labeled_compact(&inputs, &interner, 1));
+        let merged = partition.materialise(&interner);
+        assert_eq!(merged, merge_labeled_compact(&inputs, &interner));
         assert_eq!(merged[1].labels.len(), 1);
         assert_eq!(
             ProtocolAttribution::of_partition(&partition),
@@ -547,7 +488,7 @@ mod tests {
         let mut interner = AddrInterner::new();
         let sets = family(&[&["10.0.0.1", "10.0.0.2"]], &mut interner);
         interner.intern("10.9.9.9".parse().unwrap());
-        let merged = merge_labeled_compact(&[("ssh", &sets)], &interner, 1);
+        let merged = merge_labeled_compact(&[("ssh", &sets)], &interner);
         assert_eq!(merged.len(), 1);
         assert_eq!(merged[0].addrs.len(), 2);
         let stats = MultiServiceStats::compute(&[vec![AddrId(0), AddrId(1)]], interner.len());
@@ -570,50 +511,12 @@ mod tests {
         assert_eq!(firsts, sorted);
     }
 
-    #[test]
-    fn parallel_merge_matches_serial_for_every_thread_count() {
-        let mut interner = AddrInterner::new();
-        let ssh = family(
-            &[
-                &["10.0.0.1", "10.0.0.2"],
-                &["10.0.1.1", "10.0.1.2", "10.0.1.3"],
-                &["10.0.2.1"],
-            ],
-            &mut interner,
-        );
-        let bgp = family(
-            &[&["10.0.0.2", "10.0.0.3"], &["10.0.3.1", "10.0.3.2"]],
-            &mut interner,
-        );
-        let snmp = family(
-            &[&["10.0.1.3", "10.0.3.1"], &["10.0.4.1", "10.0.4.2"]],
-            &mut interner,
-        );
-        let inputs: Vec<(&str, &[CompactAliasSet])> =
-            vec![("ssh", &ssh), ("bgp", &bgp), ("snmpv3", &snmp)];
-        let serial = merge_labeled_compact(&inputs, &interner, 1);
-        for threads in [2usize, 7] {
-            assert_eq!(
-                merge_labeled_compact(&inputs, &interner, threads),
-                serial,
-                "threads={threads}"
-            );
-        }
-    }
-
-    #[test]
-    fn parallel_merge_empty_inputs() {
-        let interner = AddrInterner::new();
-        assert!(merge_labeled_compact(&[], &interner, 4).is_empty());
-        assert!(merge_labeled_compact(&[("ssh", &[])], &interner, 4).is_empty());
-    }
-
-    // The paper-scale regression guarantee in miniature: for random
-    // labelled set families, the sharded merge is indistinguishable from
-    // the serial one at 2 and 7 threads.
+    // The canonical output is independent of union order: for random
+    // labelled set families, merging every input's sets back to front
+    // gives the same merged sets.
     proptest::proptest! {
         #[test]
-        fn proptest_parallel_merge_parity(
+        fn proptest_merge_is_independent_of_union_order(
             families in proptest::collection::vec(
                 proptest::collection::vec(
                     proptest::collection::vec(0u16..600, 1..6),
@@ -650,13 +553,19 @@ mod tests {
                 .enumerate()
                 .map(|(i, sets)| (LABELS[i % LABELS.len()], sets.as_slice()))
                 .collect();
-            let serial = merge_labeled_compact(&inputs, &interner, 1);
-            for threads in [2usize, 7] {
-                proptest::prop_assert_eq!(
-                    merge_labeled_compact(&inputs, &interner, threads),
-                    serial.clone()
-                );
-            }
+            let reversed: Vec<Vec<CompactAliasSet>> = compact
+                .iter()
+                .map(|sets| sets.iter().rev().cloned().collect())
+                .collect();
+            let reversed_inputs: Vec<(&str, &[CompactAliasSet])> = reversed
+                .iter()
+                .enumerate()
+                .map(|(i, sets)| (LABELS[i % LABELS.len()], sets.as_slice()))
+                .collect();
+            proptest::prop_assert_eq!(
+                merge_labeled_compact(&reversed_inputs, &interner),
+                merge_labeled_compact(&inputs, &interner)
+            );
         }
     }
 }

@@ -3,13 +3,12 @@
 
 /// Operation tallies of one [`UnionFind`] forest, kept as plain integers
 /// on the forest itself (no atomics in the hot loops) and flushed to the
-/// observability layer by serial callers via [`UnionFind::stats`].
+/// observability layer by callers via [`UnionFind::stats`].
 ///
 /// `effective_unions` is a pure function of the merged partition
 /// (each one reduces the component count by exactly one); the raw
-/// `finds` / `unions` / `path_compressions` counts depend on union order
-/// and the shard decomposition, so consumers must report them as
-/// timing-class metrics.
+/// `finds` / `unions` / `path_compressions` counts depend on the order the
+/// unions are made in.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct UnionFindStats {
     /// Calls to [`UnionFind::find`] (including the two inside each union).
@@ -49,15 +48,6 @@ impl UnionFind {
     /// Number of elements.
     pub fn len(&self) -> usize {
         self.parent.len()
-    }
-
-    /// Append a fresh singleton element, returning its index — lets callers
-    /// grow a forest lazily instead of pre-sizing it to a whole universe.
-    pub fn push(&mut self) -> usize {
-        let element = self.parent.len();
-        self.parent.push(element);
-        self.size.push(1);
-        element
     }
 
     /// Whether the forest is empty.
@@ -192,21 +182,6 @@ mod tests {
         assert!(uf.union(1, 3));
         assert!(uf.connected(0, 2));
         assert!(!uf.connected(0, 4));
-    }
-
-    #[test]
-    fn push_grows_the_forest_one_singleton_at_a_time() {
-        let mut uf = UnionFind::new(0);
-        assert!(uf.is_empty());
-        let a = uf.push();
-        let b = uf.push();
-        assert_eq!((a, b), (0, 1));
-        assert_eq!(uf.len(), 2);
-        assert!(!uf.connected(a, b));
-        assert!(uf.union(a, b));
-        let c = uf.push();
-        assert!(!uf.connected(a, c));
-        assert_eq!(uf.groups().len(), 2);
     }
 
     #[test]

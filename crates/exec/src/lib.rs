@@ -1,17 +1,20 @@
 //! # alias-exec
 //!
-//! Deterministic sharded execution for the alias-resolution pipeline.
+//! Deterministic sharded execution for the scan layer.
 //!
-//! The probing and merging workloads are embarrassingly parallel once the
-//! work is partitioned by address: every shard owns a disjoint slice of an
-//! address-indexed domain (a permutation range, a target list, a list of
-//! alias sets) and can be processed independently.  This crate provides the
-//! one execution primitive the rest of the workspace builds on: a
-//! [`shard_map`] / [`shard_reduce`] pair backed by a `std::thread` worker
-//! pool whose shared state (the shard cursor and the result slots) is
-//! guarded by `parking_lot` locks.
+//! A scan phase is embarrassingly parallel once its work is partitioned by
+//! address: every shard owns a disjoint slice of an address-indexed domain
+//! (a permutation range, a target list) and can be processed
+//! independently.  This crate provides the one execution primitive the
+//! seven scanner entry points of `alias-scan` are written against:
+//! [`shard_map`], backed by a `std::thread` worker pool whose shared state
+//! (the shard cursor and the result slots) is guarded by `parking_lot`
+//! locks.  Nothing above the observation store is sharded: grouping, the
+//! partition merge and the joint-burst verification were slower at two
+//! threads in every measurement (docs/PERF.md § PR 24) and run on the
+//! calling thread.
 //!
-//! ## The shard-reduce contract
+//! ## The shard-map contract
 //!
 //! Determinism is a hard requirement of the pipeline: the experiment output
 //! must be byte-identical for any thread count.  The contract that makes
@@ -20,16 +23,14 @@
 //! 1. **Pure shards.** The shard job receives only its shard index; its
 //!    result must be a function of that index (plus shared read-only
 //!    state).  Jobs must not communicate or observe completion order.
-//! 2. **Shard-ordered reduction.** Results are *always* reduced in
-//!    ascending shard order, no matter which worker finished first.
-//!    [`shard_map`] returns `results[i] == job(i)` positionally, and
-//!    [`shard_reduce`] folds `job(0), job(1), …, job(shards-1)` exactly
-//!    like a serial loop would.
+//! 2. **Shard-ordered results.** [`shard_map`] returns `results[i] ==
+//!    job(i)` positionally, no matter which worker finished first; the
+//!    campaign absorbs them in that order, exactly like a serial loop.
 //! 3. **Serial equivalence.** With `threads <= 1` the jobs run inline on
-//!    the calling thread, in shard order.  Callers are expected to prove
-//!    (in tests) that their sharded decomposition reproduces the serial
-//!    algorithm for *any* shard/thread count, which then makes the thread
-//!    count a pure performance knob.
+//!    the calling thread, in shard order.  Callers prove (in tests) that
+//!    their sharded decomposition reproduces the serial algorithm for
+//!    *any* shard/thread count, which then makes the thread count a pure
+//!    performance knob.
 //!
 //! Panics in a shard job propagate to the caller once all workers have
 //! stopped picking up new shards.
@@ -37,8 +38,8 @@
 //! ## Choosing a thread count
 //!
 //! [`threads_from_env`] reads the `ALIAS_THREADS` environment variable and
-//! falls back to [`available_parallelism`]; the experiment harness and the
-//! examples use it so a single knob controls the whole pipeline.
+//! falls back to [`available_parallelism`]; the campaign, the resolver and
+//! the experiment harness use it so a single knob controls every scan.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -310,20 +311,6 @@ fn record_shard_timings(durations_ns: &[u64]) {
     }
 }
 
-/// [`shard_map`] followed by a fold over the results **in shard order**.
-///
-/// Equivalent to `shard_map(shards, threads, job).into_iter().fold(init,
-/// fold)` but spelled out as the primitive the pipeline is written
-/// against: parallel map, deterministic shard-ordered reduce.
-pub fn shard_reduce<R, A, F, G>(shards: usize, threads: usize, job: F, init: A, fold: G) -> A
-where
-    R: Send,
-    F: Fn(usize) -> R + Sync,
-    G: FnMut(A, R) -> A,
-{
-    shard_map(shards, threads, job).into_iter().fold(init, fold)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -370,24 +357,6 @@ mod tests {
         });
         assert_eq!(runs.load(Ordering::Relaxed), 100);
         assert_eq!(results.len(), 100);
-    }
-
-    #[test]
-    fn shard_reduce_folds_in_shard_order() {
-        for threads in [1usize, 2, 7] {
-            let concatenated = shard_reduce(
-                10,
-                threads,
-                |shard| vec![shard, shard + 100],
-                Vec::new(),
-                |mut acc: Vec<usize>, part| {
-                    acc.extend(part);
-                    acc
-                },
-            );
-            let expected: Vec<usize> = (0..10).flat_map(|s| [s, s + 100]).collect();
-            assert_eq!(concatenated, expected);
-        }
     }
 
     #[test]

@@ -13,9 +13,7 @@
 //!   algebra all run on the ids;
 //! * [`IdentInterner`] maps identifier byte keys ⇄ [`IdentId`] — keys in a
 //!   chunked byte arena, found through a table of their keyed 64-bit
-//!   hashes and confirmed byte for byte; grouping uses one per shard and
-//!   joins them by the hashes the identifiers carry, so no key is hashed
-//!   twice;
+//!   hashes and confirmed byte for byte; grouping uses one per keyed pass;
 //! * [`CompactAliasSet`] is the id-based alias set: a sorted, deduplicated
 //!   `Vec<AddrId>`, converted back to `BTreeSet<IpAddr>` only at the
 //!   report/rendering boundary.
@@ -31,7 +29,7 @@
 //!   may disagree on the extension tail; code that merges id sets from
 //!   several sources must either share one interner or re-map the tails.
 //! * Interning order is deterministic (insertion order), so identically
-//!   produced data yields identical ids across runs and thread counts.
+//!   produced data yields identical ids across runs.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -213,19 +211,9 @@ struct KeySpan {
 /// What the interner keeps per identifier.
 #[derive(Debug, Clone, Copy)]
 struct IdentEntry {
-    /// The keyed hash of the whole key, computed once when it was interned.
-    hash: u64,
     key: KeySpan,
     /// The next older identifier with the same 64-bit hash.
     next: u32,
-}
-
-/// A key to intern: bytes to copy in on a miss, or a key whose bytes the
-/// arena already holds.
-#[derive(Clone, Copy)]
-enum Key<'a> {
-    Bytes(&'a [u8]),
-    Stored(KeySpan),
 }
 
 /// The lookup table is keyed by hashes that are already keyed SipHash
@@ -262,9 +250,7 @@ fn key_bytes(chunks: &[Vec<u8>], span: KeySpan) -> &[u8] {
 /// full key bytes**: a 64-bit hash match alone never merges two
 /// identifiers.  The bytes live in a chunked arena; a table maps each hash
 /// to the newest identifier carrying it and identifiers with equal hashes
-/// chain through their entries.  Each identifier keeps its hash, which is
-/// what lets [`absorb`](Self::absorb) join shard interners without reading
-/// a key twice.
+/// chain through their entries.
 #[derive(Debug, Clone, Default)]
 pub struct IdentInterner {
     state: RandomState,
@@ -279,19 +265,10 @@ impl IdentInterner {
         Self::default()
     }
 
-    /// An empty interner hashing with `state`.  Interners that will be
-    /// [`absorb`](Self::absorb)ed into one another must share one state.
-    pub fn with_hasher(state: RandomState) -> Self {
-        IdentInterner {
-            state,
-            ..Self::default()
-        }
-    }
-
     /// The id of `key`, interning a copy of its bytes if new.
     pub fn intern(&mut self, key: &[u8]) -> IdentId {
         let hash = self.state.hash_one(key);
-        self.intern_hashed(hash, Key::Bytes(key))
+        self.intern_hashed(hash, key)
     }
 
     /// The bytes of the key behind `id`.
@@ -314,40 +291,9 @@ impl IdentInterner {
         self.entries.is_empty()
     }
 
-    /// Intern every key of `shard`, in its id order, and return the id each
-    /// got here (indexed by its id in `shard`).
-    ///
-    /// The shard's arena chunks are adopted and its keys looked up by the
-    /// hashes they carry: no key byte is hashed, copied or moved, and a key
-    /// is read only to confirm a hash hit.
-    ///
-    /// # Panics
-    /// Panics if `shard` was not built over a clone of this interner's
-    /// hash state — its carried hashes would mean nothing here.
-    pub fn absorb(&mut self, shard: IdentInterner) -> Vec<IdentId> {
-        if let Some(first) = shard.entries.first() {
-            assert_eq!(
-                self.state.hash_one(key_bytes(&shard.chunks, first.key)),
-                first.hash,
-                "absorbed interners must share one hash state"
-            );
-        }
-        let base = u32::try_from(self.chunks.len()).expect("fewer than 2^32 arena chunks");
-        self.chunks.extend(shard.chunks);
-        let mut ids = Vec::with_capacity(shard.entries.len());
-        for entry in &shard.entries {
-            let key = KeySpan {
-                chunk: entry.key.chunk + base,
-                ..entry.key
-            };
-            ids.push(self.intern_hashed(entry.hash, Key::Stored(key)));
-        }
-        ids
-    }
-
     /// The one lookup-or-insert: walk the chain of identifiers whose hash is
     /// `hash`, comparing key bytes, and append a new identifier on a miss.
-    fn intern_hashed(&mut self, hash: u64, key: Key<'_>) -> IdentId {
+    fn intern_hashed(&mut self, hash: u64, key: &[u8]) -> IdentId {
         let IdentInterner {
             heads,
             entries,
@@ -357,14 +303,10 @@ impl IdentInterner {
         let new = IdentId(u32::try_from(entries.len()).expect("fewer than 2^32 identifiers"));
         let next = match heads.entry(hash) {
             Entry::Occupied(mut head) => {
-                let wanted = match key {
-                    Key::Bytes(bytes) => bytes,
-                    Key::Stored(span) => key_bytes(chunks, span),
-                };
                 let mut at = head.get().0;
                 while at != NO_NEXT {
                     let entry = &entries[at as usize];
-                    if key_bytes(chunks, entry.key) == wanted {
+                    if key_bytes(chunks, entry.key) == key {
                         return IdentId(at);
                     }
                     at = entry.next;
@@ -376,11 +318,8 @@ impl IdentInterner {
                 NO_NEXT
             }
         };
-        let key = match key {
-            Key::Bytes(bytes) => store_key(chunks, bytes),
-            Key::Stored(span) => span,
-        };
-        entries.push(IdentEntry { hash, key, next });
+        let key = store_key(chunks, key);
+        entries.push(IdentEntry { key, next });
         new
     }
 }
@@ -597,14 +536,14 @@ mod tests {
         let mut interner = IdentInterner::new();
         let keys: Vec<Vec<u8>> = (0..1_000).map(|tag| tagged_key(tag, 40)).collect();
         for (tag, key) in keys.iter().enumerate() {
-            let id = interner.intern_hashed(7, Key::Bytes(key));
+            let id = interner.intern_hashed(7, key);
             assert_eq!(id, IdentId(tag as u32));
         }
         assert_eq!(interner.len(), 1_000);
         assert_eq!(interner.heads.len(), 1);
         for (tag, key) in keys.iter().enumerate() {
             let id = IdentId(tag as u32);
-            assert_eq!(interner.intern_hashed(7, Key::Bytes(key)), id);
+            assert_eq!(interner.intern_hashed(7, key), id);
             assert_eq!(interner.key(id), key);
         }
         assert_eq!(interner.len(), 1_000);
@@ -638,37 +577,6 @@ mod tests {
         // Each key's bytes were stored once.
         let stored: usize = interner.chunks.iter().map(Vec::len).sum();
         assert_eq!(stored, sizes[..7].iter().sum::<usize>());
-    }
-
-    #[test]
-    fn absorbing_shards_interns_by_the_carried_hash() {
-        let state = RandomState::new();
-        let mut left = IdentInterner::with_hasher(state.clone());
-        let mut right = IdentInterner::with_hasher(state.clone());
-        for key in [&b"a"[..], b"b", b"c"] {
-            left.intern(key);
-        }
-        for key in [&b"c"[..], b"d", b"a", b""] {
-            right.intern(key);
-        }
-        let mut joined = IdentInterner::with_hasher(state);
-        let ids = |raw: &[u32]| raw.iter().map(|&id| IdentId(id)).collect::<Vec<_>>();
-        assert_eq!(joined.absorb(left), ids(&[0, 1, 2]));
-        assert_eq!(joined.absorb(right), ids(&[2, 3, 0, 4]));
-        let keys: Vec<&[u8]> = (0..5).map(|id| joined.key(IdentId(id))).collect();
-        assert_eq!(keys, [&b"a"[..], b"b", b"c", b"d", b""]);
-        assert_eq!(joined.intern(b"d"), IdentId(3));
-        // The same keys interned directly get the same ids.
-        assert_eq!(joined.intern(b"b"), IdentId(1));
-        assert_eq!(joined.intern(b"e"), IdentId(5));
-    }
-
-    #[test]
-    #[should_panic(expected = "share one hash state")]
-    fn absorbing_an_interner_with_another_hash_state_panics() {
-        let mut shard = IdentInterner::new();
-        shard.intern(b"key");
-        IdentInterner::new().absorb(shard);
     }
 
     #[test]
@@ -763,7 +671,6 @@ mod tests {
         #[test]
         fn ident_interner_agrees_with_a_hash_map(
             keys in proptest::collection::vec(proptest::collection::vec(0u8..4, 0..6), 0..200),
-            shards in 1usize..5,
         ) {
             // Short keys over a four-letter alphabet: plenty of repeats.
             let mut oracle: HashMap<Vec<u8>, u32> = HashMap::new();
@@ -780,18 +687,6 @@ mod tests {
                 proptest::prop_assert_eq!(interner.key(id), &key[..]);
             }
             proptest::prop_assert_eq!(interner.len(), oracle.len());
-            // Sharded and joined in order, the ids are the same.
-            let state = RandomState::new();
-            let mut joined = IdentInterner::with_hasher(state.clone());
-            let mut via_shards = Vec::new();
-            for slice in keys.chunks(keys.len().div_ceil(shards).max(1)) {
-                let mut shard = IdentInterner::with_hasher(state.clone());
-                let local: Vec<IdentId> = slice.iter().map(|key| shard.intern(key)).collect();
-                let remap = joined.absorb(shard);
-                via_shards.extend(local.iter().map(|id| remap[id.index()]));
-            }
-            let direct: Vec<IdentId> = keys.iter().map(|key| IdentId(oracle[key])).collect();
-            proptest::prop_assert_eq!(via_shards, direct);
         }
 
         #[test]

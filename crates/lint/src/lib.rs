@@ -5,17 +5,18 @@
 //! re-discovering the hard way:
 //!
 //! * **Determinism** — the repo's one load-bearing correctness property is
-//!   a byte-identical `EXPERIMENTS_MEASURED.md` at any thread count and
-//!   across processes.  Twice it has been broken by the same bug class
-//!   (hash-map iteration order observed by a shared RNG / by canonical set
-//!   ordering) and caught only after the fact by parity tests.  The
-//!   [`det-hash-iter`](rules::det_hash_iter),
-//!   [`det-wallclock`](rules::det_wallclock) and
-//!   [`det-rng`](rules::det_rng) rules turn
-//!   "can this code produce different bytes on a different run?" into a
+//!   a byte-identical `EXPERIMENTS_MEASURED.md` for the same seed, run to
+//!   run, across processes and at any thread count.  Twice it has been broken by the same bug
+//!   class (hash-map iteration order observed by a shared RNG / by
+//!   canonical set ordering) and caught only after the fact by parity
+//!   tests.  The [`det-hash-iter`](rules::det_hash_iter) rule turns "can
+//!   this code produce different bytes on a different run?" into a
 //!   source-level check — the cheap engineering analogue of the alias
 //!   calculus tradition, where "can these two names denote the same thing
-//!   at runtime?" becomes decidable from the program text.
+//!   at runtime?" becomes decidable from the program text.  (The two
+//!   other sources of run-to-run difference, the wall clock and ambient
+//!   entropy, are method calls clippy can name: `clippy.toml`'s
+//!   `disallowed-methods` holds them.)
 //! * **Id space** — [`id-space`](rules::id_space) keeps
 //!   `BTreeSet<IpAddr>`/`IpAddr`-keyed containers out of the pipeline
 //!   crates and the baselines (the migration is finished: any finding

@@ -10,8 +10,7 @@
 
 use crate::index::WorkspaceIndex;
 use crate::rules::{
-    crate_hygiene::CrateHygiene, det_hash_iter::DetHashIter, det_rng::DetRng,
-    det_wallclock::DetWallclock, id_space::IdSpace, shard_purity::ShardPurity, CrossRule, Rule,
+    crate_hygiene::CrateHygiene, det_hash_iter::DetHashIter, id_space::IdSpace, CrossRule, Rule,
     Violation,
 };
 use crate::source::{self, SourceFile};
@@ -20,17 +19,12 @@ use std::path::Path;
 
 /// Every registered per-file rule, in report order.
 pub fn rules() -> Vec<Box<dyn Rule>> {
-    vec![
-        Box::new(DetHashIter),
-        Box::new(DetWallclock),
-        Box::new(DetRng),
-        Box::new(CrateHygiene),
-    ]
+    vec![Box::new(DetHashIter), Box::new(CrateHygiene)]
 }
 
 /// Every registered cross-file rule (phase 2), in report order.
 pub fn cross_rules() -> Vec<Box<dyn CrossRule>> {
-    vec![Box::new(IdSpace), Box::new(ShardPurity)]
+    vec![Box::new(IdSpace)]
 }
 
 /// The registered rule names (what `lint:allow` may refer to).

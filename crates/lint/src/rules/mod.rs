@@ -3,17 +3,14 @@
 //! Rules come in two shapes.  A [`Rule`] scans one tokenized
 //! [`SourceFile`] at a time; a [`CrossRule`] runs in phase 2 against the
 //! whole file list plus the [`WorkspaceIndex`], so it can see aliasing
-//! introduced through names and calls (re-exports, type aliases, the call
-//! graph).  Rules are registered in [`crate::registry`]; suppression
-//! (`lint:allow`) and baselining are handled by the driver, not the rules
-//! — a rule always reports everything it sees.
+//! introduced through names (re-exports, type aliases).  Rules are
+//! registered in [`crate::registry`]; suppression (`lint:allow`) is
+//! handled by the driver, not the rules — a rule always reports
+//! everything it sees.
 
 pub mod crate_hygiene;
 pub mod det_hash_iter;
-pub mod det_rng;
-pub mod det_wallclock;
 pub mod id_space;
-pub mod shard_purity;
 
 use crate::index::WorkspaceIndex;
 use crate::source::SourceFile;
@@ -56,7 +53,7 @@ pub trait Rule {
 /// Cross rules receive every scanned file plus the symbol index built
 /// over them, so they can resolve names across files — the per-file
 /// [`Rule`] shape cannot express "this container was renamed two crates
-/// away" or "this closure calls a helper that calls `thread_rng`".
+/// away".
 pub trait CrossRule {
     /// The rule's name — what `lint:allow(...)` refers to.
     fn name(&self) -> &'static str;

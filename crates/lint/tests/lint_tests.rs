@@ -24,28 +24,16 @@ fn every_rule_catches_its_seeded_fixture_violation() {
         ("crates/core/src/lib.rs::crate-hygiene", 2),
         // IpAddr-keyed containers spelled out in scoped crates.
         ("crates/core/src/lib.rs::id-space", 2),
-        // Wall-clock reads outside the alias-obs observability layer.
-        ("crates/core/src/timing.rs::det-wallclock", 2),
         // The laundering re-export: `pub use … AddrSet as GroupSet`
         // counts in midar and keeps the taint flowing.
         ("crates/midar/src/lib.rs::id-space", 1),
         // The PR2 regression: HashMap iterated (and a HashSet drained)
         // while a shared RNG is consumed.
         ("crates/netsim/src/lib.rs::det-hash-iter", 2),
-        // The transitive helper chain ends in thread_rng — also ambient
-        // entropy in its own right.
-        ("crates/netsim/src/shards.rs::det-rng", 1),
-        // A captured `let mut` and a sink reached two calls away.
-        ("crates/netsim/src/shards.rs::shard-purity", 2),
         ("crates/resolve/src/lib.rs::id-space", 1),
         // The alias dodge inside a hard crate: the import line plus one
         // use of `AddrSet`, one use of the re-exported `GroupSet`.
         ("crates/scan/src/dodge.rs::id-space", 3),
-        // A raw Instant::now in scan pacing — the post-PR10 regression
-        // shape, now that resolver/bench carve-outs are gone.
-        ("crates/scan/src/pacing.rs::det-wallclock", 1),
-        // Ambient entropy: thread_rng / from_entropy / from_os_rng.
-        ("crates/scan/src/lib.rs::det-rng", 3),
     ]
     .into_iter()
     .map(|(k, v)| (k.to_owned(), v))
@@ -92,27 +80,6 @@ fn id_space_violations_fail_the_check_in_every_scoped_crate() {
 }
 
 #[test]
-fn transitive_shard_impurity_carries_the_call_trail() {
-    let report = scan_workspace(&fixture("violations")).expect("fixture scans");
-    let purity: Vec<_> = report
-        .violations
-        .iter()
-        .filter(|v| v.rule == "shard-purity")
-        .collect();
-    assert_eq!(purity.len(), 2, "{purity:?}");
-    assert!(purity.iter().any(|v| v.message.contains("`totals`")));
-    let trail = purity
-        .iter()
-        .find(|v| v.message.contains("through"))
-        .expect("transitive finding");
-    assert!(
-        trail.message.contains("helper → deep_helper → thread_rng"),
-        "trail should name the whole chain: {}",
-        trail.message
-    );
-}
-
-#[test]
 fn reintroducing_the_pr2_pattern_in_netsim_fails_the_check() {
     // The acceptance property: the netsim HashMap-under-RNG fixture is a
     // violation on its own — take every other finding away and the check
@@ -141,8 +108,7 @@ fn suppressed_violations_are_not_reported() {
 
 #[test]
 fn clean_fixture_produces_no_findings() {
-    // The clean twins: a hard crate in id space and pure shard closures
-    // (shard-local state and the freeze idiom).
+    // The clean twin: a hard crate in id space.
     let report = scan_workspace(&fixture("clean")).expect("fixture scans");
     assert_eq!(report.problems, Vec::<String>::new());
     assert_eq!(

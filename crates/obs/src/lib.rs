@@ -1,32 +1,33 @@
 //! # alias-obs
 //!
-//! The pipeline's observability substrate: a lock-free sharded metrics
+//! The pipeline's observability substrate: a lock-free striped metrics
 //! registry (monotonic [`Counter`]s, [`Gauge`]s and fixed-boundary
 //! [`Histogram`]s), lightweight [`span()`] tracing with self/child time
 //! attribution, and a sequence-ordered [`event`] log.  Every other crate
 //! reports *what the pipeline did* through this one; nothing else in the
-//! workspace may read the wall clock (the `det-wallclock` lint enforces
-//! it — `Instant::now` is legal only inside this crate).
+//! workspace may read the wall clock (`clippy.toml` disallows
+//! `Instant::now`; the [`span`](mod@span) module holds the two `allow`s).
 //!
 //! ## Determinism classes
 //!
 //! The repo's load-bearing property is a byte-identical
-//! `EXPERIMENTS_MEASURED.md` at any `ALIAS_THREADS`, and the metrics
-//! layer honours the same split:
+//! `EXPERIMENTS_MEASURED.md` for the same seed, run to run and at any
+//! `ALIAS_THREADS`, and the metrics layer honours the same split:
 //!
 //! * [`DeterminismClass::Deterministic`] — values that are a pure
 //!   function of the campaign inputs (probe counts, absorbed rows,
-//!   candidate pairs, merged sets).  Counter stripes are merged by
-//!   commutative summation, so a total emitted from inside shard workers
-//!   is still thread-count-invariant as long as each item contributes
-//!   the same amount regardless of which shard processed it.
+//!   candidate pairs, merged sets, union-find operations).  Counter
+//!   stripes are merged by commutative summation, so a total emitted
+//!   from inside the scan's shard workers is still thread-count-invariant
+//!   as long as each item contributes the same amount regardless of which
+//!   shard processed it.
 //!   [`MetricsSnapshot::deterministic_json`] renders exactly this subset
-//!   and must be byte-identical across thread counts.
+//!   and must be byte-identical run to run and across thread counts.
 //! * [`DeterminismClass::Timing`] — wall-clock durations, shard
-//!   imbalance, scratch-pool hit rates, raw union-find op counts:
-//!   anything that depends on the shard decomposition
+//!   imbalance, scratch-pool hit rates: anything that depends on
+//!   scheduling or on the scan's shard decomposition
 //!   (`alias_exec::shards_for` derives shard counts from the *hardware*
-//!   parallelism) or on scheduling.  These render only in the full
+//!   parallelism).  These render only in the full
 //!   [`MetricsSnapshot::to_json`] / [`MetricsSnapshot::to_prometheus`]
 //!   output, never in rendered experiment documents.
 //!
@@ -70,7 +71,7 @@ pub use snapshot::{
 pub use span::{span, span_owned, SpanGuard, Stopwatch};
 
 /// Format a span path and enter it: `span!("scan.zmap")` or
-/// `span!("merge.shard{}", shard)`.
+/// `span!("resolve/technique/{}", name)`.
 #[macro_export]
 macro_rules! span {
     ($path:literal) => {

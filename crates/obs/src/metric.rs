@@ -6,8 +6,8 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
 /// Number of atomic stripes per counter.  A power of two comfortably
-/// above the worker-pool cap, so concurrent shard workers rarely share a
-/// stripe.
+/// above the scan's worker-pool cap, so concurrent shard workers rarely
+/// share a stripe.
 const STRIPES: usize = 32;
 
 /// Stripe assignment: each thread picks one stripe round-robin on first
@@ -20,16 +20,16 @@ fn stripe_index() -> usize {
     STRIPE.with(|s| *s)
 }
 
-/// Whether a metric's value is part of the thread-count-invariant
-/// contract (see the crate docs).
+/// Whether a metric's value is part of the run-to-run, thread-count-
+/// invariant determinism contract (see the crate docs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum DeterminismClass {
-    /// A pure function of the campaign inputs: byte-identical at any
-    /// `ALIAS_THREADS`, rendered by
+    /// A pure function of the campaign inputs: byte-identical run to run
+    /// and at any `ALIAS_THREADS`, rendered by
     /// [`MetricsSnapshot::deterministic_json`](crate::MetricsSnapshot::deterministic_json).
     Deterministic,
-    /// Depends on scheduling, the shard decomposition or the wall clock:
-    /// out-of-band of all rendered experiment output.
+    /// Depends on scheduling, the scan's shard decomposition or the wall
+    /// clock: out-of-band of all rendered experiment output.
     Timing,
 }
 

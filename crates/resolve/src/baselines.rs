@@ -9,8 +9,7 @@
 //! through [`ProbeTargets`], so a technique works on positions in that
 //! list and hands back ids by one array read.  Probing advances shared
 //! per-device counter state, so the [`Resolver`](crate::Resolver) runs
-//! them serially in registration order — which keeps every output
-//! byte-identical for any thread count — and each technique holds the
+//! them one at a time in registration order, and each technique holds the
 //! substrate's one [`ProbeSession`](alias_netsim::ProbeSession) for its
 //! whole sweep.
 
@@ -455,7 +454,6 @@ mod tests {
             extractor: &extractor,
             probe_start: data.finished_at,
             vantage: VantageKind::SingleVp,
-            threads: 1,
             targets: &targets,
         };
         let techniques: Vec<Box<dyn ResolutionTechnique>> = vec![
@@ -492,7 +490,6 @@ mod tests {
             extractor: &extractor,
             probe_start: data.finished_at,
             vantage: VantageKind::SingleVp,
-            threads: 1,
             targets: &targets,
         };
         let result = SpeedtrapTechnique::new().resolve(&data, &ctx);

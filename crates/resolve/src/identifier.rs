@@ -12,9 +12,8 @@ use alias_scan::CampaignData;
 /// Runs entirely in id space, over columns: the campaign store's protocol
 /// column selects the rows (one byte per observation — payloads are never
 /// touched by the filter), and
-/// [`alias_core::alias_set::group_view_compact`] groups them with
-/// `ctx.threads` shard workers building shard-local `IdentId`-keyed maps
-/// over the campaign's [`AddrId`](alias_core::intern::AddrId) column —
+/// [`alias_core::alias_set::group_view_compact`] groups them in one keyed
+/// pass over the campaign's [`AddrId`](alias_core::intern::AddrId) column —
 /// each row's id is read straight from the store (intern-at-scan), no
 /// address hashing.  The result keeps the compact sets, resolving
 /// addresses only at the report boundary.  Pure — no follow-up probing.
@@ -61,7 +60,7 @@ impl ResolutionTechnique for IdentifierTechnique {
 
     fn resolve(&self, data: &CampaignData, ctx: &TechniqueCtx<'_>) -> TechniqueResult {
         let view = data.store().select_protocol(self.protocol, None);
-        let grouped = group_view_compact(&view, ctx.extractor, ctx.threads);
+        let grouped = group_view_compact(&view, ctx.extractor, 1);
         TechniqueResult::from_compact(
             self.name().to_owned(),
             grouped.sets,
@@ -89,47 +88,38 @@ mod tests {
         let internet = InternetBuilder::new(InternetConfig::tiny(11)).build();
         let data = ActiveCampaign::with_defaults(&internet).run(&internet);
         let extractor = IdentifierExtractor::new(ExtractionConfig::paper());
-        for threads in [1usize, 2, 7] {
-            let targets = ProbeTargets::new(&data, &internet);
-            let ctx = TechniqueCtx {
-                internet: &internet,
-                extractor: &extractor,
-                probe_start: data.finished_at,
-                vantage: VantageKind::SingleVp,
-                threads,
-                targets: &targets,
-            };
-            for technique in [
-                IdentifierTechnique::ssh(),
-                IdentifierTechnique::bgp(),
-                IdentifierTechnique::snmpv3(),
-            ] {
-                let result = technique.resolve(&data, &ctx);
-                let pass = group_view_by_source(
-                    &data.store().select_protocol(technique.protocol(), None),
-                    &extractor,
-                    1,
-                );
-                let mut sets = pass.project(None, data.interner()).sets().to_vec();
-                sort_canonical_compact(&mut sets, data.interner());
-                assert_eq!(
-                    result.compact_sets(),
-                    sets,
-                    "{} threads={threads}",
-                    technique.name()
-                );
-                let mut testable: Vec<AddrId> = pass.members().iter().map(|&(id, _)| id).collect();
-                testable.sort_unstable();
-                testable.dedup();
-                assert_eq!(result.testable_ids(), testable);
-                assert_eq!(result.finished_at, data.finished_at);
-                assert!(!technique
-                    .required_sources()
-                    .contains(&DataRequirement::LiveProbing));
-                assert_ne!(result.set_count(), 0, "{}", technique.name());
-                // The id space is the campaign's, shared — not copied.
-                assert!(std::sync::Arc::ptr_eq(result.interner(), data.interner()));
-            }
+        let targets = ProbeTargets::new(&data, &internet);
+        let ctx = TechniqueCtx {
+            internet: &internet,
+            extractor: &extractor,
+            probe_start: data.finished_at,
+            vantage: VantageKind::SingleVp,
+            targets: &targets,
+        };
+        for technique in [
+            IdentifierTechnique::ssh(),
+            IdentifierTechnique::bgp(),
+            IdentifierTechnique::snmpv3(),
+        ] {
+            let result = technique.resolve(&data, &ctx);
+            let pass = group_view_by_source(
+                &data.store().select_protocol(technique.protocol(), None),
+                &extractor,
+            );
+            let mut sets = pass.project(None, data.interner()).sets().to_vec();
+            sort_canonical_compact(&mut sets, data.interner());
+            assert_eq!(result.compact_sets(), sets, "{}", technique.name());
+            let mut testable: Vec<AddrId> = pass.members().iter().map(|&(id, _)| id).collect();
+            testable.sort_unstable();
+            testable.dedup();
+            assert_eq!(result.testable_ids(), testable);
+            assert_eq!(result.finished_at, data.finished_at);
+            assert!(!technique
+                .required_sources()
+                .contains(&DataRequirement::LiveProbing));
+            assert_ne!(result.set_count(), 0, "{}", technique.name());
+            // The id space is the campaign's, shared — not copied.
+            assert!(std::sync::Arc::ptr_eq(result.interner(), data.interner()));
         }
     }
 

@@ -15,10 +15,9 @@
 //!   [`resolve`](ResolutionTechnique::resolve)), so all eight techniques
 //!   are interchangeable trait objects;
 //! * [`Resolver`] — a builder-style orchestrator
-//!   (`Resolver::builder().technique(…).threads(n)`) running scan →
+//!   (`Resolver::builder().technique(…)`) running scan →
 //!   per-technique resolution (one technique at a time, in registration
-//!   order, each with the full worker pool for its own internal sharding)
-//!   → cross-technique merge (sets sharing an address are unioned),
+//!   order) → cross-technique merge (sets sharing an address are unioned),
 //!   returning a structured [`ResolutionReport`];
 //! * an id-based data path — results are [`TechniqueResult`]s holding
 //!   `CompactAliasSet`s over the campaign's `AddrId` space
@@ -37,7 +36,6 @@
 //!     .technique(IdentifierTechnique::ssh())
 //!     .technique(IdentifierTechnique::bgp())
 //!     .technique(IdentifierTechnique::snmpv3())
-//!     .threads(2)
 //!     .build();
 //! let report = resolver.resolve(&internet);
 //! assert_eq!(report.techniques.len(), 3);

@@ -33,8 +33,7 @@ use alias_scan::{CampaignData, PayloadRef};
 use std::collections::BTreeMap;
 
 /// Signature clusters of two or more members selected for verification.
-/// The pair walk is serial — `ctx.threads` only fans the probes out — so
-/// all three counters below are pure functions of the campaign inputs.
+/// All three counters below are pure functions of the campaign inputs.
 static CANDIDATE_CLUSTERS: LazyCounter = LazyCounter::new(
     "resolve.rate_candidate_clusters",
     DeterminismClass::Deterministic,
@@ -156,14 +155,12 @@ impl ResolutionTechnique for RateLimitTechnique {
             let (_, first_rate, first_sent, _) = signature[0];
             let rate_fl = f64::from(first_rate);
             let count = u32::from(first_sent);
-            // Round-based pair walk: every round deterministically picks
-            // each pending member's next candidate pair against the forest
-            // as of the round start, probes the whole batch (sharded —
-            // the joint burst is a pure function of the substrate, so
-            // probe order cannot change any verdict), then applies the
-            // verdicts serially in batch order.  `ctx.threads` only fans
-            // the probes out; the batches, times and unions are identical
-            // for every thread count.
+            // Round-based pair walk: every round picks each pending member's
+            // next candidate pair against the forest as of the round start,
+            // then probes the pairs and applies the verdicts in batch order,
+            // one `pair_spacing` step per pair.  The joint burst is a pure
+            // function of the substrate, so a verdict applied before the
+            // next pair is probed cannot change that pair's outcome.
             let mut uf = UnionFind::new(members.len());
             let mut tested: Vec<Vec<usize>> = vec![Vec::new(); members.len()];
             let mut done: Vec<bool> = vec![false; members.len()];
@@ -187,41 +184,19 @@ impl ResolutionTechnique for RateLimitTechnique {
                     break;
                 }
                 CANDIDATE_PAIRS.add(batch.len() as u64);
-                // Probe times follow the serial schedule: one
-                // `pair_spacing` step per pair, in batch order.
-                let times: Vec<SimTime> = batch
-                    .iter()
-                    .map(|_| {
-                        now += self.pair_spacing;
-                        now
-                    })
-                    .collect();
-                let batch = &batch;
-                let times = &times;
-                let interner = &interner;
-                let ranges =
-                    alias_exec::split_even(batch.len() as u64, alias_exec::shards_for(ctx.threads));
-                let shard_replies: Vec<Vec<Option<(u32, u32)>>> =
-                    alias_exec::shard_map(ranges.len(), ctx.threads.max(1), |shard| {
-                        let range = &ranges[shard];
-                        (range.start as usize..range.end as usize)
-                            .map(|k| {
-                                let (i, j, _) = batch[k];
-                                let probe_ctx = ProbeContext {
-                                    vantage: ctx.vantage,
-                                    time: times[k],
-                                };
-                                ctx.internet.icmp_joint_rate_burst(
-                                    interner.addr(members[j]),
-                                    interner.addr(members[i]),
-                                    rate_fl,
-                                    count,
-                                    &probe_ctx,
-                                )
-                            })
-                            .collect()
-                    });
-                for (&(i, j, root), replies) in batch.iter().zip(shard_replies.iter().flatten()) {
+                for (i, j, root) in batch {
+                    now += self.pair_spacing;
+                    let probe_ctx = ProbeContext {
+                        vantage: ctx.vantage,
+                        time: now,
+                    };
+                    let replies = ctx.internet.icmp_joint_rate_burst(
+                        interner.addr(members[j]),
+                        interner.addr(members[i]),
+                        rate_fl,
+                        count,
+                        &probe_ctx,
+                    );
                     tested[i].push(root);
                     match replies {
                         // Any joint loss at `rate_fl` is alias evidence:
@@ -272,10 +247,9 @@ mod tests {
         InternetBuilder::new(config).build()
     }
 
-    fn rate_campaign(internet: &Internet, threads: usize) -> CampaignData {
+    fn rate_campaign(internet: &Internet) -> CampaignData {
         ActiveCampaign::new(CampaignConfig {
             rate_probe: Some(RateProbeConfig::default()),
-            threads,
             ..Default::default()
         })
         .run(internet)
@@ -289,7 +263,6 @@ mod tests {
             extractor: &extractor,
             probe_start: data.finished_at,
             vantage: VantageKind::SingleVp,
-            threads: 1,
             targets: &targets,
         };
         RateLimitTechnique::new().resolve(data, &ctx)
@@ -298,7 +271,7 @@ mod tests {
     #[test]
     fn every_reported_set_is_one_ground_truth_device() {
         let internet = silent_internet(7);
-        let data = rate_campaign(&internet, 1);
+        let data = rate_campaign(&internet);
         let result = resolve(&internet, &data);
         assert!(result.set_count() > 0);
         for set in result.alias_sets() {
@@ -317,7 +290,7 @@ mod tests {
         // even make them testable; the rate-limiting technique aliases
         // their (ping-visible, lossy) IPv4 interfaces completely.
         let internet = silent_internet(7);
-        let data = rate_campaign(&internet, 1);
+        let data = rate_campaign(&internet);
         let result = resolve(&internet, &data);
 
         let mut silent_addrs: Vec<IpAddr> = internet
@@ -355,7 +328,6 @@ mod tests {
             extractor: &extractor,
             probe_start: data.finished_at,
             vantage: VantageKind::SingleVp,
-            threads: 1,
             targets: &targets,
         };
         for technique in [
@@ -372,45 +344,6 @@ mod tests {
                 "{} should not cover silent routers",
                 other.technique
             );
-        }
-    }
-
-    #[test]
-    fn technique_is_deterministic_for_any_thread_count() {
-        let internet = silent_internet(11);
-        let serial = rate_campaign(&internet, 1);
-        let baseline = resolve(&internet, &serial);
-        for threads in [2usize, 8] {
-            let data = rate_campaign(&internet, threads);
-            assert_eq!(data.store(), serial.store(), "threads={threads}");
-            assert_eq!(resolve(&internet, &data), baseline, "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn batched_verification_is_identical_for_any_ctx_thread_count() {
-        // `ctx.threads` only fans the joint-burst batches out: the batch
-        // schedule, probe times and unions — and therefore the full result
-        // including `finished_at` — must not change.
-        let internet = silent_internet(13);
-        let data = rate_campaign(&internet, 1);
-        let extractor = IdentifierExtractor::new(ExtractionConfig::paper());
-        let resolve_with = |threads: usize| {
-            let targets = ProbeTargets::new(&data, &internet);
-            let ctx = TechniqueCtx {
-                internet: &internet,
-                extractor: &extractor,
-                probe_start: data.finished_at,
-                vantage: VantageKind::SingleVp,
-                threads,
-                targets: &targets,
-            };
-            RateLimitTechnique::new().resolve(&data, &ctx)
-        };
-        let baseline = resolve_with(1);
-        assert!(baseline.set_count() > 0);
-        for threads in [2usize, 5, 8] {
-            assert_eq!(resolve_with(threads), baseline, "ctx.threads={threads}");
         }
     }
 

@@ -28,18 +28,18 @@ static AGREEMENT_PAIRS: LazyCounter = LazyCounter::new(
 /// Builder for a [`Resolver`].
 pub struct ResolverBuilder {
     techniques: Vec<Box<dyn ResolutionTechnique>>,
-    threads: usize,
     extraction: ExtractionConfig,
     campaign: CampaignConfig,
+    threads: usize,
 }
 
 impl ResolverBuilder {
     fn new() -> Self {
         ResolverBuilder {
             techniques: Vec::new(),
-            threads: alias_exec::threads_from_env(),
             extraction: ExtractionConfig::paper(),
             campaign: CampaignConfig::default(),
+            threads: alias_scan::threads_from_env(),
         }
     }
 
@@ -75,7 +75,6 @@ impl ResolverBuilder {
     ///     .paper_techniques()
     ///     .technique(RateLimitTechnique::new())
     ///     .campaign(campaign)
-    ///     .threads(2)
     ///     .build()
     ///     .resolve(&internet);
     ///
@@ -108,10 +107,10 @@ impl ResolverBuilder {
             .technique(crate::RateLimitTechnique::new())
     }
 
-    /// Worker threads for the scan, each technique's own sharding and the
-    /// merge (default: the `ALIAS_THREADS` environment variable, falling
-    /// back to the available parallelism).  A pure performance knob: every
-    /// resolver output is byte-identical for any value.
+    /// Worker threads for the scan [`Resolver::resolve`] runs (default:
+    /// `ALIAS_THREADS`, or every hardware thread).  It overrides the
+    /// campaign configuration's own count and never changes an output
+    /// byte; everything after the scan runs on the calling thread.
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
         self
@@ -125,8 +124,7 @@ impl ResolverBuilder {
     }
 
     /// Campaign configuration used when the resolver runs the scan itself
-    /// ([`Resolver::resolve`]).  The builder's thread count overrides the
-    /// campaign's at run time.
+    /// ([`Resolver::resolve`]).
     pub fn campaign(mut self, config: CampaignConfig) -> Self {
         self.campaign = config;
         self
@@ -136,9 +134,9 @@ impl ResolverBuilder {
     pub fn build(self) -> Resolver {
         Resolver {
             techniques: self.techniques,
-            threads: self.threads,
             extractor: IdentifierExtractor::new(self.extraction),
             campaign: self.campaign,
+            threads: self.threads,
         }
     }
 }
@@ -148,18 +146,15 @@ impl ResolverBuilder {
 /// [`ResolutionTechnique`], and consolidates the results into a
 /// [`ResolutionReport`].
 ///
-/// Orchestration is deterministic for any thread count: techniques run
-/// one at a time in registration order — each given the full worker pool
-/// for its internal sharding (identifier grouping shards over the
-/// observations; probing techniques must be serialized anyway because
-/// probes advance shared counter state) — and the cross-technique merge
-/// unions compact id sets over the campaign interner, reducing in
-/// canonical order.
+/// Orchestration is deterministic: techniques run one at a time in
+/// registration order (probes advance shared counter state, so their order
+/// is part of the result), and the cross-technique merge unions compact id
+/// sets over the campaign interner, reducing in canonical order.
 pub struct Resolver {
     techniques: Vec<Box<dyn ResolutionTechnique>>,
-    threads: usize,
     extractor: IdentifierExtractor,
     campaign: CampaignConfig,
+    threads: usize,
 }
 
 impl Resolver {
@@ -173,19 +168,14 @@ impl Resolver {
         self.techniques.iter().map(|t| t.name()).collect()
     }
 
-    /// The worker-thread count the resolver runs with.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
     /// Run the full pipeline: active measurement campaign (with the
     /// builder's campaign configuration), per-technique resolution, merge.
     /// The produced campaign data is returned inside the report.
     pub fn resolve(&self, internet: &Internet) -> ResolutionReport {
-        let mut campaign_config = self.campaign.clone();
-        campaign_config.threads = self.threads;
         let stage = alias_obs::span("resolve/campaign");
-        let data = ActiveCampaign::new(campaign_config).run(internet);
+        let data = ActiveCampaign::new(self.campaign.clone())
+            .with_threads(self.threads)
+            .run(internet);
         drop(stage);
         let mut report = self.resolve_data(internet, &data);
         report.campaign = Some(data);
@@ -195,14 +185,9 @@ impl Resolver {
     /// Resolve pre-collected campaign data (no scan stage): per-technique
     /// resolution, then the cross-technique merge.
     ///
-    /// Techniques run one at a time, in registration order, each with the
-    /// full worker pool (`ctx.threads`) for its own internal sharding —
-    /// identifier techniques shard their grouping, and probing techniques
-    /// must be serialized anyway because live probes advance shared device
-    /// state.  Running techniques sequentially (instead of fanning them out
-    /// against each other) also keeps the per-technique wall-clock numbers
-    /// honest: each `resolve_ms` measures one technique with the machine to
-    /// itself.
+    /// Techniques run one at a time, in registration order: live probes
+    /// advance shared device state, and each `resolve_ms` measures one
+    /// technique with the machine to itself.
     pub fn resolve_data(&self, internet: &Internet, data: &CampaignData) -> ResolutionReport {
         let mut techniques = Vec::with_capacity(self.techniques.len());
         let mut technique_timings = Vec::with_capacity(self.techniques.len());
@@ -215,7 +200,6 @@ impl Resolver {
                 extractor: &self.extractor,
                 probe_start: data.finished_at,
                 vantage: self.campaign.vantage,
-                threads: self.threads,
                 targets: &targets,
             };
             for technique in &self.techniques {
@@ -254,7 +238,7 @@ impl Resolver {
             .enumerate()
             .map(|(i, t)| (t.technique.as_str(), unified.sets_of(i, t)))
             .collect();
-        merge_labeled_compact(&inputs, &unified.interner, self.threads)
+        merge_labeled_compact(&inputs, &unified.interner)
     }
 
     fn coverage(
@@ -384,9 +368,8 @@ mod tests {
     #[test]
     fn resolver_runs_scan_resolution_and_merge() {
         let internet = tiny_internet(41);
-        let resolver = Resolver::builder().paper_techniques().threads(1).build();
+        let resolver = Resolver::builder().paper_techniques().build();
         assert_eq!(resolver.technique_names(), vec!["ssh", "bgp", "snmpv3"]);
-        assert_eq!(resolver.threads(), 1);
         let report = resolver.resolve(&internet);
         assert!(report.campaign.is_some());
         assert_eq!(report.techniques.len(), 3);
@@ -430,7 +413,6 @@ mod tests {
         let data = ActiveCampaign::with_defaults(&internet).run(&internet);
         let report = Resolver::builder()
             .paper_techniques()
-            .threads(1)
             .build()
             .resolve_data(&internet, &data);
         assert!(report.campaign.is_none());
@@ -486,7 +468,6 @@ mod tests {
                 rate_probe: Some(RateProbeConfig::default()),
                 ..Default::default()
             })
-            .threads(2)
             .build()
             .resolve(&internet);
         assert_eq!(report.techniques.len(), 8);

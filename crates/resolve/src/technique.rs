@@ -28,9 +28,7 @@ pub enum DataRequirement {
     ///
     /// Probing advances shared per-device counter state.  The
     /// [`Resolver`](crate::Resolver) runs *every* technique one at a time,
-    /// in registration order, so probes always replay in the same order —
-    /// that is what keeps the pipeline byte-identical for every thread
-    /// count.
+    /// in registration order, so probes always replay in the same order.
     LiveProbing,
 }
 
@@ -47,9 +45,6 @@ pub struct TechniqueCtx<'a> {
     pub probe_start: SimTime,
     /// Vantage point for follow-up probing.
     pub vantage: VantageKind,
-    /// Worker threads available to the technique (a pure performance knob;
-    /// results must be identical for any value).
-    pub threads: usize,
     /// The campaign's addresses as probe targets, shared by every probing
     /// technique of the run.
     pub targets: &'a ProbeTargets<'a>,
@@ -58,7 +53,7 @@ pub struct TechniqueCtx<'a> {
 /// What one technique concluded.  Deterministic for a given campaign and
 /// substrate state — wall-clock timing lives in
 /// [`TechniqueTiming`](crate::TechniqueTiming), not here, so results can be
-/// compared across runs and thread counts.
+/// compared across runs.
 ///
 /// Alias sets are stored compactly as sorted [`AddrId`] vectors relative
 /// to the result's interner; the address-set views are materialised on

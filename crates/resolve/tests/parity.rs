@@ -1,6 +1,6 @@
 //! Trait-object parity: for every [`ResolutionTechnique`] impl, the
 //! `resolve()` output equals the legacy direct-call path — at tiny scale,
-//! across three seeds and 1/2/7 worker threads.
+//! across three seeds.
 //!
 //! The probing baselines advance shared per-device counter state, so each
 //! side of the comparison replays the *same sequence* of probing runs
@@ -27,7 +27,6 @@ use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::net::IpAddr;
 
 const SEEDS: [u64; 3] = [7, 404, 2023];
-const THREADS: [usize; 3] = [1, 2, 7];
 
 fn build(seed: u64) -> Internet {
     InternetBuilder::new(InternetConfig::tiny(seed)).build()
@@ -229,7 +228,7 @@ fn legacy_resolve(
 }
 
 #[test]
-fn every_technique_matches_its_legacy_path_across_seeds_and_threads() {
+fn every_technique_matches_its_legacy_path_across_seeds() {
     let extractor = IdentifierExtractor::new(ExtractionConfig::paper());
     for seed in SEEDS {
         // Two identically seeded substrates: the trait-object runs probe
@@ -254,38 +253,35 @@ fn every_technique_matches_its_legacy_path_across_seeds_and_threads() {
             Box::new(SpeedtrapTechnique::new()),
             Box::new(IffinderTechnique::new()),
         ];
-        for threads in THREADS {
-            let targets = ProbeTargets::new(&data, &trait_side);
-            let ctx = TechniqueCtx {
-                internet: &trait_side,
-                extractor: &extractor,
-                probe_start: data.finished_at,
-                vantage: alias_netsim::VantageKind::SingleVp,
-                threads,
-                targets: &targets,
-            };
-            // Trait-object pass first, then the legacy replay in the same
-            // order — both substrates see identical probe sequences.
-            let results: Vec<TechniqueResult> =
-                techniques.iter().map(|t| t.resolve(&data, &ctx)).collect();
-            for result in &results {
-                let legacy = legacy_resolve(&result.technique, &legacy_side, &data, &extractor);
-                assert_eq!(
-                    result.alias_sets(),
-                    legacy,
-                    "technique={} seed={seed} threads={threads}",
-                    result.technique
-                );
-            }
+        let targets = ProbeTargets::new(&data, &trait_side);
+        let ctx = TechniqueCtx {
+            internet: &trait_side,
+            extractor: &extractor,
+            probe_start: data.finished_at,
+            vantage: alias_netsim::VantageKind::SingleVp,
+            targets: &targets,
+        };
+        // Trait-object pass first, then the legacy replay in the same
+        // order — both substrates see identical probe sequences.
+        let results: Vec<TechniqueResult> =
+            techniques.iter().map(|t| t.resolve(&data, &ctx)).collect();
+        for result in &results {
+            let legacy = legacy_resolve(&result.technique, &legacy_side, &data, &extractor);
+            assert_eq!(
+                result.alias_sets(),
+                legacy,
+                "technique={} seed={seed}",
+                result.technique
+            );
         }
     }
 }
 
 #[test]
-fn interned_merge_matches_the_legacy_merge_across_seeds_and_threads() {
+fn interned_merge_matches_the_legacy_merge_across_seeds() {
     // The id-based pipeline end to end (grouping on IdentId/AddrId, merge
     // on AddrId) against the legacy String/BTreeSet spelling, for real
-    // campaigns over three seeds and every thread count.
+    // campaigns over three seeds.
     let extractor = IdentifierExtractor::new(ExtractionConfig::paper());
     for seed in SEEDS {
         let internet = build(seed);
@@ -306,24 +302,17 @@ fn interned_merge_matches_the_legacy_merge_across_seeds_and_threads() {
             })
             .collect();
         let legacy_merged = legacy_merge(&legacy_inputs);
-        for threads in THREADS {
-            let report = alias_resolve::Resolver::builder()
-                .paper_techniques()
-                .threads(threads)
-                .build()
-                .resolve_data(&internet, &data);
-            assert_eq!(
-                report.merged, legacy_merged,
-                "merged sets diverge from the legacy path (seed={seed} threads={threads})"
-            );
-            for (result, (name, legacy_sets)) in report.techniques.iter().zip(&legacy_inputs) {
-                assert_eq!(&result.technique, name);
-                assert_eq!(
-                    &result.alias_sets(),
-                    legacy_sets,
-                    "seed={seed} threads={threads}"
-                );
-            }
+        let report = alias_resolve::Resolver::builder()
+            .paper_techniques()
+            .build()
+            .resolve_data(&internet, &data);
+        assert_eq!(
+            report.merged, legacy_merged,
+            "merged sets diverge from the legacy path (seed={seed})"
+        );
+        for (result, (name, legacy_sets)) in report.techniques.iter().zip(&legacy_inputs) {
+            assert_eq!(&result.technique, name);
+            assert_eq!(&result.alias_sets(), legacy_sets, "seed={seed}");
         }
     }
 }
@@ -377,7 +366,7 @@ mod proptest_interned_parity {
         // included, so the cross-protocol merge has real work): the
         // interned path — grouping by IdentId over the campaign AddrId
         // space, merging on ids — must be set-for-set identical to the
-        // legacy owned-String / BTreeSet spelling at 1, 2 and 7 threads.
+        // legacy owned-String / BTreeSet spelling.
         #[test]
         fn proptest_interned_pipeline_matches_legacy(
             ssh in prop::collection::vec((0u16..120, 0u8..24), 0..60),
@@ -410,17 +399,14 @@ mod proptest_interned_parity {
             let legacy_merged = legacy_merge(&legacy_inputs);
 
             let internet = build(1);
-            for threads in THREADS {
-                let report = alias_resolve::Resolver::builder()
-                    .technique(IdentifierTechnique::ssh())
-                    .technique(IdentifierTechnique::snmpv3())
-                    .threads(threads)
+            let report = alias_resolve::Resolver::builder()
+                .technique(IdentifierTechnique::ssh())
+                .technique(IdentifierTechnique::snmpv3())
                     .build()
-                    .resolve_data(&internet, &data);
-                prop_assert_eq!(&report.merged, &legacy_merged);
-                for (result, (_, legacy_sets)) in report.techniques.iter().zip(&legacy_inputs) {
-                    prop_assert_eq!(&result.alias_sets(), legacy_sets);
-                }
+                .resolve_data(&internet, &data);
+            prop_assert_eq!(&report.merged, &legacy_merged);
+            for (result, (_, legacy_sets)) in report.techniques.iter().zip(&legacy_inputs) {
+                prop_assert_eq!(&result.alias_sets(), legacy_sets);
             }
         }
     }
@@ -442,7 +428,6 @@ fn at_least_one_baseline_produces_sets_somewhere() {
             extractor: &extractor,
             probe_start: data.finished_at,
             vantage: alias_netsim::VantageKind::SingleVp,
-            threads: 1,
             targets: &targets,
         };
         let techniques: Vec<Box<dyn ResolutionTechnique>> = vec![

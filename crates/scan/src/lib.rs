@@ -40,6 +40,10 @@ pub mod snmp;
 pub mod zgrab;
 pub mod zmap;
 
+/// The scan layer's one thread knob: `ALIAS_THREADS`, or every hardware
+/// thread when unset.  Re-exported so the layers above (which run on the
+/// calling thread) can pass the default on without depending on the pool.
+pub use alias_exec::threads_from_env;
 pub use alias_netsim::ServiceProtocol;
 pub use alias_store::{
     BgpOpenRef, DataSource, ObservationRef, ObservationStore, ObservationView, PayloadRef,

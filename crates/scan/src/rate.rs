@@ -45,24 +45,34 @@ impl TokenBucket {
         self.rate_pps
     }
 
-    /// Account for one probe and return the simulated time at which it is
-    /// sent.  Time never goes backwards; if the bucket is empty the send
-    /// time is pushed into the future.
-    pub fn acquire(&mut self, now: SimTime) -> SimTime {
+    /// The one refill / wait step every pacing loop takes: refill for the
+    /// time elapsed up to `now` (time never goes backwards) and, if no whole
+    /// token is there yet, wait until one is.  Returns that instant and the
+    /// whole tokens the bucket holds at it (at least one); the caller
+    /// subtracts what it sends.
+    #[inline]
+    fn ready(&mut self, now: SimTime) -> (SimTime, u64) {
         let now_ms = (now.as_millis() as f64).max(self.last_ms);
-        // Refill for the elapsed interval.
         let elapsed_secs = (now_ms - self.last_ms) / 1_000.0;
         self.tokens = (self.tokens + elapsed_secs * self.rate_pps).min(self.capacity);
         self.last_ms = now_ms;
         if self.tokens >= 1.0 {
-            self.tokens -= 1.0;
-            SimTime(now_ms.floor() as u64)
+            (SimTime(now_ms.floor() as u64), self.tokens.floor() as u64)
         } else {
             let wait_ms = (1.0 - self.tokens) / self.rate_pps * 1_000.0;
             self.last_ms = now_ms + wait_ms;
-            self.tokens = 0.0;
-            SimTime(self.last_ms.ceil() as u64)
+            self.tokens = 1.0;
+            (SimTime(self.last_ms.ceil() as u64), 1)
         }
+    }
+
+    /// Account for one probe and return the simulated time at which it is
+    /// sent.  Time never goes backwards; if the bucket is empty the send
+    /// time is pushed into the future.
+    pub fn acquire(&mut self, now: SimTime) -> SimTime {
+        let (at, _) = self.ready(now);
+        self.tokens -= 1.0;
+        at
     }
 
     /// Time at which `count` probes finish when sent back to back starting
@@ -93,26 +103,11 @@ impl TokenBucket {
         let mut now = now;
         let mut remaining = probes;
         while remaining > 0 {
-            // One acquire's refill, verbatim.
-            let now_ms = (now.as_millis() as f64).max(self.last_ms);
-            let elapsed_secs = (now_ms - self.last_ms) / 1_000.0;
-            self.tokens = (self.tokens + elapsed_secs * self.rate_pps).min(self.capacity);
-            self.last_ms = now_ms;
-            if self.tokens >= 1.0 {
-                // Every probe of this burst is sent at the same instant; the
-                // batched drain reproduces the per-probe `-= 1.0` sequence
-                // exactly (both are exact in f64 below the capacity cap).
-                let burst = (self.tokens.floor() as u64).min(remaining);
-                self.tokens -= burst as f64;
-                remaining -= burst;
-                now = SimTime(now_ms.floor() as u64);
-            } else {
-                let wait_ms = (1.0 - self.tokens) / self.rate_pps * 1_000.0;
-                self.last_ms = now_ms + wait_ms;
-                self.tokens = 0.0;
-                remaining -= 1;
-                now = SimTime(self.last_ms.ceil() as u64);
-            }
+            let (at, available) = self.ready(now);
+            let burst = available.min(remaining);
+            self.tokens -= burst as f64;
+            remaining -= burst;
+            now = at;
         }
         now
     }
@@ -122,20 +117,9 @@ impl TokenBucket {
     /// the per-probe loop (see [`Self::advance`]); the caller (a
     /// [`ProbeSchedule`]) meters the group out probe by probe.
     fn schedule_group(&mut self, now: SimTime) -> (SimTime, u64) {
-        let now_ms = (now.as_millis() as f64).max(self.last_ms);
-        let elapsed_secs = (now_ms - self.last_ms) / 1_000.0;
-        self.tokens = (self.tokens + elapsed_secs * self.rate_pps).min(self.capacity);
-        self.last_ms = now_ms;
-        if self.tokens >= 1.0 {
-            let burst = self.tokens.floor();
-            self.tokens -= burst;
-            (SimTime(now_ms.floor() as u64), burst as u64)
-        } else {
-            let wait_ms = (1.0 - self.tokens) / self.rate_pps * 1_000.0;
-            self.last_ms = now_ms + wait_ms;
-            self.tokens = 0.0;
-            (SimTime(self.last_ms.ceil() as u64), 1)
-        }
+        let (at, available) = self.ready(now);
+        self.tokens -= available as f64;
+        (at, available)
     }
 }
 

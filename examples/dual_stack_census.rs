@@ -34,7 +34,7 @@ fn main() {
         // Select the protocol's rows off the campaign store's tag column,
         // key them once, and derive the dual-stack pairs from the grouping.
         let view = data.store().select_protocol(protocol, None);
-        let grouping = group_view_by_source(&view, &extractor, 1).project(None, data.interner());
+        let grouping = group_view_by_source(&view, &extractor).project(None, data.interner());
         let dual = DualStackReport::from_grouping(&grouping, data.interner());
         let (simple, medium, large) = dual.size_split();
         println!(

@@ -20,8 +20,9 @@ fn main() {
     //    two-phase active measurement (ZMap SYN discovery, ZGrab-style
     //    service scans, SNMPv3 discovery, an IPv6 hitlist), hands the
     //    observations to every registered technique, and merges the
-    //    resulting alias sets across techniques.  The thread count defaults
-    //    to ALIAS_THREADS (all cores when unset) and never changes output.
+    //    resulting alias sets across techniques.  The scan's thread count
+    //    defaults to ALIAS_THREADS (all cores when unset) and never changes
+    //    output; everything after the scan runs on this thread.
     let resolver = Resolver::builder().paper_techniques().build();
     let report = resolver.resolve(&internet);
     let data = report.campaign.as_ref().expect("resolver ran the scan");

@@ -11,7 +11,6 @@
 //!
 //! * [`wire`] — BGP / SSH / SNMPv3 / TCP-IP wire formats,
 //! * [`netsim`] — the synthetic Internet used as the measurement substrate,
-//! * [`exec`] — the deterministic sharded execution engine (worker pool),
 //! * [`store`] — columnar observation storage: interned column vectors,
 //!   sharded append builders and zero-copy views,
 //! * [`scan`] — ZMap/ZGrab2-style scanners, IPv6 hitlists, IPID probing,
@@ -38,7 +37,7 @@
 //! let resolver = Resolver::builder()
 //!     .paper_techniques() // SSH + BGP + SNMPv3 identifiers
 //!     .technique(MidarTechnique::new())
-//!     .threads(2) // a pure performance knob; output is identical for any value
+//!     .threads(2) // shards the scan only; output is identical for any value
 //!     .build();
 //! let report = resolver.resolve(&internet);
 //!
@@ -56,7 +55,6 @@
 
 pub use alias_censys as censys;
 pub use alias_core as core;
-pub use alias_exec as exec;
 pub use alias_midar as midar;
 pub use alias_netsim as netsim;
 pub use alias_resolve as resolve;

@@ -30,7 +30,7 @@ fn keyed_pass(
     extraction: ExtractionConfig,
 ) -> SourceGroups {
     let view = data.store().select_protocol(protocol, None);
-    group_view_by_source(&view, &IdentifierExtractor::new(extraction), 1)
+    group_view_by_source(&view, &IdentifierExtractor::new(extraction))
 }
 
 /// One protocol's alias sets under the paper's identifier policies.
@@ -121,7 +121,7 @@ fn dual_stack_sets_pair_true_dual_stack_devices() {
 fn union_analysis_attributes_sets_to_protocols() {
     let (_, data) = build_and_scan(104);
     let labeled = labeled_ipv4(&data);
-    let merged = merge_labeled_compact(&merge_inputs(&labeled), data.interner(), 1);
+    let merged = merge_labeled_compact(&merge_inputs(&labeled), data.interner());
     assert!(!merged.is_empty());
     let attribution = ProtocolAttribution::compute(&merged);
     assert_eq!(attribution.total, merged.len());
@@ -323,15 +323,17 @@ fn resolver_merge_extends_single_technique_coverage() {
 
 #[test]
 fn parallel_execution_reproduces_the_serial_pipeline_end_to_end() {
-    // The facade-level determinism guarantee: campaign observations and the
-    // merged union sets are identical whether the pipeline runs serially or
-    // sharded over a worker pool (2 and 7 threads, two seeds).
+    // The facade-level determinism guarantee: campaign observations — and
+    // so the merged union sets derived from them — are identical whether
+    // the scan runs serially or sharded over a worker pool (2 and 7
+    // threads, two seeds).
     for seed in [109u64, 110] {
         let internet = InternetBuilder::new(InternetConfig::tiny(seed)).build();
-        let serial = ActiveCampaign::with_defaults(&internet).run(&internet);
+        let serial = ActiveCampaign::with_defaults(&internet)
+            .with_threads(1)
+            .run(&internet);
         let labeled = labeled_ipv4(&serial);
-        let inputs = merge_inputs(&labeled);
-        let merged_serial = merge_labeled_compact(&inputs, serial.interner(), 1);
+        let merged_serial = merge_labeled_compact(&merge_inputs(&labeled), serial.interner());
         for threads in [2usize, 7] {
             let sharded = ActiveCampaign::with_defaults(&internet)
                 .with_threads(threads)
@@ -341,8 +343,9 @@ fn parallel_execution_reproduces_the_serial_pipeline_end_to_end() {
                 serial.store(),
                 "seed={seed} threads={threads}"
             );
+            let labeled = labeled_ipv4(&sharded);
             assert_eq!(
-                merge_labeled_compact(&inputs, serial.interner(), threads),
+                merge_labeled_compact(&merge_inputs(&labeled), sharded.interner()),
                 merged_serial,
                 "seed={seed} threads={threads}"
             );
