@@ -11,9 +11,6 @@
 //! writes `EXPERIMENTS_MEASURED.md`, or prints the one section named on its
 //! command line ([`render_section`]).
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 use alias_censys::{CensysConfig, CensysSnapshot};
 use alias_core::alias_set::{group_view_by_source, FamilyGrouping, SourceGroups};
 use alias_core::analysis;

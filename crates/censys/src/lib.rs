@@ -20,9 +20,6 @@
 //! which crawls straight into columnar stores: a session is parsed in
 //! place and its payload encoded once, into the arena it stays in.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 use alias_netsim::{Internet, ProbeContext, ServiceProtocol, SimTime, VantageKind};
 use alias_obs::{DeterminismClass, LazyCounter};
 use alias_scan::{DataSource, ObservationStore, PayloadRef, ServiceObservation, ShardColumns};

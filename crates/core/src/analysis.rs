@@ -7,7 +7,7 @@
 //! by address.
 
 use crate::intern::{AddrId, CompactAliasSet};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 /// Dense `AddrId → Option<ASN>` annotation column.
 ///
@@ -78,8 +78,8 @@ pub fn asns_per_set(sets: &[CompactAliasSet], asn_of: &AsnTable) -> Vec<usize> {
 
 /// Attribute each set to one AS (the plurality AS of its members; ties break
 /// towards the numerically smallest ASN) and count sets per AS.
-pub fn sets_per_as(sets: &[CompactAliasSet], asn_of: &AsnTable) -> HashMap<u32, usize> {
-    let mut counts: HashMap<u32, usize> = HashMap::new();
+pub fn sets_per_as(sets: &[CompactAliasSet], asn_of: &AsnTable) -> BTreeMap<u32, usize> {
+    let mut counts: BTreeMap<u32, usize> = BTreeMap::new();
     for set in sets {
         if let Some(asn) = plurality_as(set, asn_of) {
             *counts.entry(asn).or_insert(0) += 1;
@@ -97,7 +97,8 @@ pub fn plurality_as(set: &CompactAliasSet, asn_of: &AsnTable) -> Option<u32> {
         }
     }
     votes
-        // lint:allow(det-hash-iter): max_by with a total (count, asn) order — result is order-independent
+        // Hash order, but max_by with a total (count, asn) order: the
+        // result is order-independent.
         .into_iter()
         .max_by(|a, b| a.1.cmp(&b.1).then(b.0.cmp(&a.0)))
         .map(|(asn, _)| asn)

@@ -21,9 +21,6 @@
 //! 5. [`ecdf`] and [`report`] provide the distribution and formatting
 //!    helpers the experiment binaries use to print paper-style tables.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 pub mod alias_set;
 pub mod analysis;
 pub mod dataset;

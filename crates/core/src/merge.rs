@@ -77,7 +77,7 @@ static UF_PATH_COMPRESSIONS: LazyCounter = LazyCounter::new(
 pub struct MergedSet {
     /// Member addresses.  This is the rendering boundary — merged sets go
     /// straight into reports, so they carry resolved addresses.
-    // lint:allow(id-space): report boundary — merged sets are the rendered output
+    // id-space: report boundary — merged sets are the rendered output
     pub addrs: BTreeSet<IpAddr>,
     /// Labels of every input list that contributed at least one input set.
     pub labels: BTreeSet<String>,

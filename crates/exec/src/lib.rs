@@ -41,9 +41,6 @@
 //! falls back to [`available_parallelism`]; the campaign, the resolver and
 //! the experiment harness use it so a single knob controls every scan.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 use alias_obs::{DeterminismClass, LazyCounter, LazyGauge, LazyHistogram, DURATION_US_BOUNDARIES};
 use parking_lot::Mutex;
 use std::ops::Range;

@@ -31,9 +31,6 @@
 //! * Interning order is deterministic (insertion order), so identically
 //!   produced data yields identical ids across runs.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 use serde::{Deserialize, Serialize};
 use std::collections::hash_map::{Entry, RandomState};
 use std::collections::{BTreeSet, HashMap};

@@ -21,7 +21,7 @@ pub struct IffinderOutcome {
     /// Targets that returned no ICMP error at all.
     pub silent: usize,
     /// Alias sets formed by merging the discovered pairs.
-    // lint:allow(id-space): ICMP error sources are addresses the campaign never interned — there is no id to hold
+    // id-space: ICMP error sources are addresses the campaign never interned — there is no id to hold
     pub alias_sets: Vec<BTreeSet<IpAddr>>,
 }
 
@@ -44,26 +44,28 @@ pub fn iffinder_scan(
             None => outcome.silent += 1,
         }
     }
-    // Merge pairs into sets.
-    // lint:allow(id-space): ICMP error sources are addresses the campaign never interned — this map is what numbers them
+    // Merge pairs into sets: number each address in first-seen order,
+    // `addrs[i]` being the address numbered `i`.
+    // id-space: ICMP error sources are addresses the campaign never interned — this map is what numbers them
     let mut index: HashMap<IpAddr, usize> = HashMap::new();
+    let mut addrs: Vec<IpAddr> = Vec::new();
     for (a, b) in &outcome.pairs {
-        for addr in [a, b] {
-            let next = index.len();
-            index.entry(*addr).or_insert(next);
+        for &addr in [a, b] {
+            index.entry(addr).or_insert_with(|| {
+                addrs.push(addr);
+                addrs.len() - 1
+            });
         }
     }
-    let mut uf = UnionFind::new(index.len());
+    let mut uf = UnionFind::new(addrs.len());
     for (a, b) in &outcome.pairs {
         uf.union(index[a], index[b]);
     }
-    // lint:allow(det-hash-iter): building a reverse lookup map — insertion order is immaterial
-    let reverse: HashMap<usize, IpAddr> = index.iter().map(|(a, i)| (*i, *a)).collect();
     outcome.alias_sets = uf
         .groups()
         .into_iter()
         .filter(|g| g.len() >= 2)
-        .map(|g| g.into_iter().map(|i| reverse[&i]).collect())
+        .map(|g| g.into_iter().map(|i| addrs[i]).collect())
         .collect();
     outcome
 }

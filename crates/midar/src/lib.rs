@@ -16,9 +16,6 @@
 //! * [`iffinder`] — the common-source-address technique, the oldest
 //!   baseline.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 pub mod ally;
 pub mod iffinder;
 pub mod mbt;

@@ -32,9 +32,6 @@
 //! and a seed, so every experiment in the workspace is reproducible
 //! bit-for-bit.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 pub mod builder;
 pub mod clock;
 pub mod config;

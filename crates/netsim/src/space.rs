@@ -180,7 +180,7 @@ mod tests {
     use crate::{Internet, InternetBuilder, InternetConfig, SimTime};
     use rand::{Rng, SeedableRng};
     use rand_chacha::ChaCha8Rng;
-    use std::collections::HashMap;
+    use std::collections::BTreeMap;
     use std::net::Ipv6Addr;
 
     fn tiny(seed: u64) -> Internet {
@@ -277,8 +277,8 @@ mod tests {
 
     /// The IP index as it was before the routed-space table: one map over
     /// every interface address, rebuilt here from `devices()`.
-    fn oracle(internet: &Internet) -> HashMap<IpAddr, (DeviceId, usize)> {
-        let mut map = HashMap::new();
+    fn oracle(internet: &Internet) -> BTreeMap<IpAddr, (DeviceId, usize)> {
+        let mut map = BTreeMap::new();
         for device in internet.devices() {
             for (iface_idx, iface) in device.interfaces.iter().enumerate() {
                 map.insert(iface.addr, (device.id, iface_idx));

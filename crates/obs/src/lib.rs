@@ -52,9 +52,6 @@
 //! time, so events emitted from serial orchestration points (campaign
 //! phase boundaries) are part of the deterministic subset.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 pub mod metric;
 pub mod registry;
 pub mod snapshot;

@@ -42,9 +42,6 @@
 //! assert!(!report.merged.is_empty());
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 mod baselines;
 mod identifier;
 mod ratelimit;

@@ -159,7 +159,7 @@ impl TechniqueResult {
 
     /// The inferred alias sets as address sets (materialised on demand —
     /// the report/rendering boundary).
-    // lint:allow(id-space): report boundary — resolves ids for rendering
+    // id-space: report boundary — resolves ids for rendering
     pub fn alias_sets(&self) -> Vec<BTreeSet<IpAddr>> {
         self.sets
             .iter()
@@ -171,7 +171,7 @@ impl TechniqueResult {
     /// (identifiable addresses for identifier techniques, usable counters
     /// for the IPID baselines, answering targets for iffinder) —
     /// materialised on demand.
-    // lint:allow(id-space): report boundary — resolves ids for rendering
+    // id-space: report boundary — resolves ids for rendering
     pub fn testable(&self) -> BTreeSet<IpAddr> {
         self.testable
             .iter()
@@ -233,7 +233,6 @@ mod tests {
         list.iter().map(|a| a.parse().unwrap()).collect()
     }
 
-    // lint:allow(id-space): test fixture for the report-boundary accessors
     fn set(list: &[&str]) -> BTreeSet<IpAddr> {
         addrs(list).into_iter().collect()
     }

@@ -37,6 +37,9 @@ fn build(seed: u64) -> Internet {
 /// `BTreeSet<IpAddr>` members, non-singleton sets sorted the way the
 /// collection + canonical passes used to compose (size descending, then
 /// smallest member — restably sorted by smallest member).
+// The sets leave the map in hash order and are sorted into a total order
+// below; `ProtocolIdentifier` has no `Ord`, so no `BTreeMap` here.
+#[allow(clippy::disallowed_methods)]
 fn legacy_grouping<'a, I>(observations: I, extractor: &IdentifierExtractor) -> Vec<BTreeSet<IpAddr>>
 where
     I: IntoIterator<Item = &'a alias_scan::ServiceObservation>,
@@ -73,7 +76,7 @@ where
 /// index map, union–find over the indices, `BTreeMap`/`BTreeSet`
 /// materialisation, canonical order by smallest member.
 fn legacy_merge(inputs: &[(&str, Vec<BTreeSet<IpAddr>>)]) -> Vec<MergedSet> {
-    let mut index: HashMap<IpAddr, usize> = HashMap::new();
+    let mut index: BTreeMap<IpAddr, usize> = BTreeMap::new();
     for (_, sets) in inputs {
         for set in sets {
             for &addr in set {

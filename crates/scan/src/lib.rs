@@ -27,9 +27,6 @@
 //! lists, or per-shard [`ShardColumns`] in shard order.  One thread is one
 //! shard; the output is byte-identical for any thread count.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 pub mod campaign;
 pub mod hitlist;
 pub mod ipid_probe;

@@ -48,9 +48,6 @@
 //! record types ([`ServiceObservation`], [`ServicePayload`],
 //! [`DataSource`]) live here and are re-exported at `alias-scan`'s root.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 mod payload;
 mod records;
 mod store;

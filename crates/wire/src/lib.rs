@@ -36,9 +36,6 @@
 //! panicking, so malformed or truncated responses observed by a scanner
 //! degrade gracefully.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 pub mod ber;
 pub mod bgp;
 pub mod error;

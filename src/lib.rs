@@ -50,9 +50,6 @@
 //! assert_eq!(report.coverage.agreements.len(), 6); // every technique pair
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 pub use alias_censys as censys;
 pub use alias_core as core;
 pub use alias_midar as midar;

@@ -6,6 +6,10 @@
 //! per thread and everything runs on the test's own thread (tiny scale, one
 //! worker), so the counts are exact and the budgets carry no tolerance.
 
+// The workspace denies `unsafe_code`; a counting `GlobalAlloc` is an unsafe
+// trait, and this is the one file allowed to implement it.
+#![allow(unsafe_code)]
+
 use alias_resolution::core::alias_set::group_view_compact;
 use alias_resolution::core::intern::{AddrId, CompactAliasSet};
 use alias_resolution::core::validation::cross_validate;
