@@ -1007,10 +1007,15 @@ impl RateLimitStudy {
             .build();
         let report = resolver.resolve(&internet);
 
-        let ratelimit_sets = report
-            .technique("ratelimit")
-            .map(|t| t.alias_sets())
-            .unwrap_or_default();
+        // Each campaign address's (disjoint) ratelimit set, if it has one.
+        let ratelimit = report.technique("ratelimit");
+        let mut set_of = vec![None; ratelimit.map_or(0, |t| t.interner().len())];
+        for (index, set) in ratelimit.iter().flat_map(|t| t.compact_sets()).enumerate() {
+            for id in set.iter() {
+                set_of[id.index()] = Some(index);
+            }
+        }
+        let set_of_addr = |addr: IpAddr| set_of[ratelimit?.interner().get(addr)?.index()];
         let mut silent_total = 0;
         let mut silent_resolvable = 0;
         let mut silent_aliased = 0;
@@ -1024,10 +1029,8 @@ impl RateLimitStudy {
                 continue;
             }
             silent_resolvable += 1;
-            if ratelimit_sets
-                .iter()
-                .any(|s| v4.iter().all(|a| s.contains(a)))
-            {
+            let set = set_of_addr(v4[0]);
+            if set.is_some() && v4[1..].iter().all(|&addr| set_of_addr(addr) == set) {
                 silent_aliased += 1;
             }
         }

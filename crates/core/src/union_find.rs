@@ -95,8 +95,8 @@ impl UnionFind {
         self.find(a) == self.find(b)
     }
 
-    /// Group all elements by representative: each group ascending, the
-    /// groups ordered by their smallest element.
+    /// Group the elements of every set of two or more (singletons are left
+    /// out): each group ascending, the groups ordered by smallest element.
     pub fn groups(&mut self) -> Vec<Vec<usize>> {
         // A root's group is opened at its first member; elements are walked
         // in order, which is what gives both orders above.
@@ -104,6 +104,9 @@ impl UnionFind {
         let mut groups: Vec<Vec<usize>> = Vec::new();
         for element in 0..self.len() {
             let root = self.find(element);
+            if self.size[root] < 2 {
+                continue;
+            }
             if group_of_root[root] == usize::MAX {
                 group_of_root[root] = groups.len();
                 groups.push(Vec::with_capacity(self.size[root]));
@@ -185,16 +188,15 @@ mod tests {
     }
 
     #[test]
-    fn groups_partition_all_elements() {
-        let mut uf = UnionFind::new(6);
+    fn groups_are_the_sets_of_two_or_more() {
+        let mut uf = UnionFind::new(7);
         uf.union(0, 2);
         uf.union(2, 4);
-        uf.union(1, 5);
-        let groups = uf.groups();
-        assert_eq!(groups.iter().map(Vec::len).sum::<usize>(), 6);
-        assert_eq!(groups.len(), 3);
-        // Each group ascending, the groups ordered by smallest element.
-        assert_eq!(groups, vec![vec![0, 2, 4], vec![1, 5], vec![3]]);
+        uf.union(5, 1);
+        // Each group ascending, the groups ordered by smallest element;
+        // the singletons 3 and 6 are left out.
+        assert_eq!(uf.groups(), vec![vec![0, 2, 4], vec![1, 5]]);
+        assert!(UnionFind::new(3).groups().is_empty());
     }
 
     #[test]
@@ -228,9 +230,12 @@ mod tests {
             }
             // Structural invariants hold after an arbitrary union sequence.
             prop_assert_eq!(uf.validate(), Ok(()));
-            // groups() partitions [0, n) exactly.
+            // groups() plus the untouched singletons partition [0, n)
+            // exactly, and every group has two or more members.
             let groups = uf.groups();
-            let mut all: Vec<usize> = groups.iter().flatten().copied().collect();
+            prop_assert!(groups.iter().all(|group| group.len() >= 2));
+            let singletons = (0..n).filter(|&x| (0..n).all(|y| y == x || !uf.connected(x, y)));
+            let mut all: Vec<usize> = groups.iter().flatten().copied().chain(singletons).collect();
             all.sort_unstable();
             prop_assert_eq!(all, (0..n).collect::<Vec<_>>());
             // Elements of one group are mutually connected.

@@ -61,10 +61,7 @@ pub fn iffinder_scan(
     for (a, b) in &outcome.pairs {
         uf.union(index[a], index[b]);
     }
-    outcome.alias_sets = uf
-        .groups()
-        .into_iter()
-        .filter(|g| g.len() >= 2)
+    outcome.alias_sets = (uf.groups().into_iter())
         .map(|g| g.into_iter().map(|i| addrs[i]).collect())
         .collect();
     outcome

@@ -93,12 +93,50 @@ fn step_is_impossible(prev: IpidSample, next: IpidSample, max_velocity: f64) -> 
     (delta == 0.0 && dt > 0.0) || delta > max_velocity * dt + SLACK
 }
 
+/// [`streaming_pair_test`] walking `f[0], s[0], f[1], …` at velocity cap
+/// `v`, each step after checking that the merge takes that sample next (a
+/// time gets `tie[0]` / `tie[1]` added: 1 for `b`, which loses ties); `None`
+/// where it would not.  Inlined at both call sites, one per leading series.
+#[inline(always)]
+fn interleaved(f: &[IpidSample], s: &[IpidSample], tie: [u64; 2], v: f64) -> Option<MbtVerdict> {
+    let (n, s) = (f.len(), &s[..f.len()]);
+    for k in 0..n - 1 {
+        // f[k] is taken: s[k] goes next unless f[k + 1] is ahead.
+        if s[k].time.0 + tie[1] > f[k + 1].time.0 {
+            return None;
+        }
+        if step_is_impossible(f[k], s[k], v) {
+            return Some(MbtVerdict::Inconsistent);
+        }
+        if f[k + 1].time.0 + tie[0] > s[k + 1].time.0 {
+            return None;
+        }
+        if step_is_impossible(s[k], f[k + 1], v) {
+            return Some(MbtVerdict::Inconsistent);
+        }
+    }
+    if step_is_impossible(f[n - 1], s[n - 1], v) {
+        return Some(MbtVerdict::Inconsistent);
+    }
+    Some(MbtVerdict::Consistent)
+}
+
 /// The test over two time-ordered series, as a two-pointer merge.  On equal
 /// timestamps the sample of `a` goes first, which is where a stable sort of
-/// `a ++ b` puts it.
+/// `a ++ b` puts it.  Series of one length that strictly alternate (a round
+/// robin's shape) take [`interleaved`] instead, and the merge starts over
+/// where they stop alternating.
 fn streaming_pair_test(a: &[IpidSample], b: &[IpidSample], max_velocity: f64) -> MbtVerdict {
     if a.len() < 2 || b.len() < 2 {
         return MbtVerdict::Insufficient;
+    }
+    let walked = match a.len() == b.len() {
+        true if a[0].time <= b[0].time => interleaved(a, b, [0, 1], max_velocity),
+        true => interleaved(b, a, [1, 0], max_velocity),
+        false => None,
+    };
+    if let Some(verdict) = walked {
+        return verdict;
     }
     let (mut i, mut j) = (0, 0);
     let mut prev: Option<IpidSample> = None;
@@ -260,7 +298,77 @@ mod tests {
             .collect()
     }
 
+    /// Two series of one length in a round robin's shape: the samples of
+    /// one [`walk`] dealt out alternately, the second series' counter
+    /// `offset` ahead, and swapped when `second_first` (so either series
+    /// may lead).  Zero time steps put equal timestamps across the pair.
+    fn alternating(
+        base: u16,
+        offset: u16,
+        steps: &[(u64, u16)],
+        second_first: bool,
+    ) -> (Vec<IpidSample>, Vec<IpidSample>) {
+        let steps = &steps[..steps.len() / 2 * 2];
+        let (mut first, mut second) = (Vec::new(), Vec::new());
+        for (k, sample) in walk(base, steps).into_iter().enumerate() {
+            if k % 2 == 0 {
+                first.push(sample);
+            } else {
+                second.push(IpidSample {
+                    ipid: sample.ipid.wrapping_add(offset),
+                    ..sample
+                });
+            }
+        }
+        if second_first {
+            (second, first)
+        } else {
+            (first, second)
+        }
+    }
+
+    #[test]
+    fn alternating_series_take_the_walk_and_ties_go_to_a() {
+        // One counter sampled a, b, a, b, …: consistent either way round.
+        let (a, b) = alternating(100, 0, &[(1, 5); 12], false);
+        assert_eq!(streaming_pair_test(&a, &b, 100.0), MbtVerdict::Consistent);
+        assert_eq!(streaming_pair_test(&b, &a, 100.0), MbtVerdict::Consistent);
+        // Each of `second`'s samples shares its timestamp with `first`'s
+        // next one, and ties go to `a`: with `second` as `a` the merge keeps
+        // the sampling order, with `first` as `a` it reads the counter
+        // backwards.
+        let (first, second) = alternating(100, 0, &[(0, 5), (1, 5), (0, 5), (1, 5)], false);
+        let verdict = |a: &[IpidSample], b: &[IpidSample]| streaming_pair_test(a, b, 100.0);
+        assert_eq!(verdict(&second, &first), MbtVerdict::Consistent);
+        assert_eq!(verdict(&first, &second), MbtVerdict::Inconsistent);
+        assert_eq!(
+            collect_and_sort_test(&[&first, &second], 100.0),
+            MbtVerdict::Inconsistent
+        );
+        // `b` probed first, at `a`'s timestamp: the merge still starts with
+        // `a`, and reads the counter backwards.
+        let (a, b) = alternating(100, 0, &[(1, 5), (0, 5), (1, 5), (1, 5)], true);
+        assert_eq!(verdict(&b, &a), MbtVerdict::Consistent);
+        assert_eq!(verdict(&a, &b), MbtVerdict::Inconsistent);
+    }
+
     proptest! {
+        #[test]
+        fn alternating_walk_agrees_with_collect_and_sort(
+            base in any::<u16>(),
+            offset in prop_oneof![Just(0u16), 0u16..200, any::<u16>()],
+            steps in prop::collection::vec((0u64..3, 0u16..60), 0..16),
+            second_first in any::<bool>(),
+            max_velocity in prop_oneof![Just(0.0f64), Just(40.0), Just(1_500.0)],
+        ) {
+            let (a, b) = alternating(base, offset, &steps, second_first);
+            prop_assert_eq!(a.len(), b.len());
+            prop_assert_eq!(
+                streaming_pair_test(&a, &b, max_velocity),
+                collect_and_sort_test(&[&a, &b], max_velocity)
+            );
+        }
+
         #[test]
         fn streaming_merge_agrees_with_collect_and_sort(
             base in any::<u16>(),

@@ -150,7 +150,7 @@ impl Midar {
         usable.sort_by(|a, b| a.0.total_cmp(&b.0));
         let checked: Vec<CheckedSeries<'_>> = usable
             .iter()
-            .map(|&(_, target)| CheckedSeries::new(&series[target]))
+            .map(|&(_, target)| CheckedSeries::new(series.samples(target)))
             .collect();
         let mut discovery_tests = 0u64;
         let mut candidates: Vec<(usize, usize)> = Vec::new();
@@ -202,16 +202,12 @@ impl Midar {
         CANDIDATES.add(candidates.len() as u64);
         drop(stage);
 
-        let alias_sets: Vec<Vec<usize>> = union
-            .groups()
-            .into_iter()
-            .filter(|g| g.len() >= 2)
-            .map(|g| {
-                let mut set: Vec<usize> = g.into_iter().map(|i| usable[i].1).collect();
-                set.sort_unstable();
-                set
-            })
-            .collect();
+        let mut alias_sets = union.groups();
+        for set in &mut alias_sets {
+            set.iter_mut()
+                .for_each(|member| *member = usable[*member].1);
+            set.sort_unstable();
+        }
 
         MidarOutcome {
             alias_sets,

@@ -20,11 +20,9 @@ use alias_scan::ipid_probe::{is_usable, IpidSample};
 /// Group IPv6 targets whose fragment-identifier series are mutually
 /// consistent with a single shared counter.  `series` holds one series per
 /// target; each group is the ascending indices of its members.
-pub fn speedtrap_group(series: &[Vec<IpidSample>], max_velocity: f64) -> Vec<Vec<usize>> {
+pub fn speedtrap_group(series: &[&[IpidSample]], max_velocity: f64) -> Vec<Vec<usize>> {
     // (target index, series with its time order checked once)
-    let usable: Vec<(usize, CheckedSeries<'_>)> = series
-        .iter()
-        .enumerate()
+    let usable: Vec<(usize, CheckedSeries<'_>)> = (series.iter().enumerate())
         .filter(|(_, s)| is_usable(s))
         .map(|(target, s)| (target, CheckedSeries::new(s)))
         .collect();
@@ -36,11 +34,11 @@ pub fn speedtrap_group(series: &[Vec<IpidSample>], max_velocity: f64) -> Vec<Vec
             }
         }
     }
-    uf.groups()
-        .into_iter()
-        .filter(|g| g.len() >= 2)
-        .map(|g| g.into_iter().map(|i| usable[i].0).collect())
-        .collect()
+    let mut groups = uf.groups();
+    for member in groups.iter_mut().flatten() {
+        *member = usable[*member].0;
+    }
+    groups
 }
 
 #[cfg(test)]
@@ -65,14 +63,14 @@ mod tests {
         let a = series(&[(0, 100), (2_000, 110), (4_000, 121)]);
         let c = series(&[(500, 40_000), (2_500, 40_009), (4_500, 40_020)]);
         let b = series(&[(1_000, 105), (3_000, 116), (5_000, 127)]);
-        assert_eq!(speedtrap_group(&[a, c, b], 100.0), vec![vec![0, 2]]);
+        assert_eq!(speedtrap_group(&[&a, &c, &b], 100.0), vec![vec![0, 2]]);
     }
 
     #[test]
     fn unusable_series_are_ignored() {
         let a = series(&[(0, 1)]);
         let b = series(&[(0, 2), (1_000, 3), (2_000, 4)]);
-        assert!(speedtrap_group(&[a, b], 100.0).is_empty());
+        assert!(speedtrap_group(&[&a, &b], 100.0).is_empty());
         assert!(speedtrap_group(&[], 100.0).is_empty());
     }
 }

@@ -22,7 +22,7 @@ use alias_midar::speedtrap::speedtrap_group;
 use alias_midar::{Midar, MidarConfig};
 use alias_netsim::{Internet, SimTime};
 use alias_obs::{DeterminismClass, LazyCounter};
-use alias_scan::ipid_probe::{is_usable, IpidProber, IpidProberConfig, ResolvedTarget};
+use alias_scan::ipid_probe::{is_usable, IpidProber, IpidProberConfig, IpidSample, ResolvedTarget};
 use alias_scan::CampaignData;
 use std::net::IpAddr;
 use std::sync::OnceLock;
@@ -236,14 +236,13 @@ impl ResolutionTechnique for AllyTechnique {
             }
         }
         ALLY_PAIR_TESTS.add(pair_tests);
-        let groups: Vec<Vec<usize>> = (uf.groups().into_iter()).filter(|g| g.len() >= 2).collect();
         let testable_ids = (ids.iter().zip(&testable))
             .filter(|&(_, &t)| t)
             .map(|(&id, _)| id)
             .collect();
         TechniqueResult::from_compact(
             self.name().to_owned(),
-            compact_sets(&groups, ids),
+            compact_sets(&uf.groups(), ids),
             testable_ids,
             now,
             data.interner().clone(),
@@ -300,12 +299,13 @@ impl ResolutionTechnique for SpeedtrapTechnique {
             round_spacing: self.round_spacing,
             rate_pps: self.rate_pps,
         });
-        let series = prober.collect_round_robin(
+        let column = prober.collect_round_robin(
             &mut ctx.internet.probe_session(),
             resolved,
             ctx.vantage,
             ctx.probe_start,
         );
+        let series: Vec<&[IpidSample]> = column.iter().collect();
         let finished_at = series
             .iter()
             .flat_map(|s| s.last().map(|x| x.time))

@@ -218,11 +218,9 @@ impl ResolutionTechnique for RateLimitTechnique {
                 }
             }
             for group in uf.groups() {
-                if group.len() >= 2 {
-                    sets.push(CompactAliasSet::from_ids(
-                        group.into_iter().map(|k| members[k]).collect(),
-                    ));
-                }
+                sets.push(CompactAliasSet::from_ids(
+                    group.into_iter().map(|k| members[k]).collect(),
+                ));
             }
         }
 

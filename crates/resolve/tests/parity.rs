@@ -198,8 +198,7 @@ fn legacy_resolve(
                     }
                 }
             }
-            let groups = uf.groups().into_iter().filter(|g| g.len() >= 2);
-            address_sets(groups.collect(), &addrs)
+            address_sets(uf.groups(), &addrs)
         }
         "speedtrap" => {
             let defaults = SpeedtrapTechnique::default();
@@ -215,6 +214,7 @@ fn legacy_resolve(
                 alias_netsim::VantageKind::SingleVp,
                 data.finished_at,
             );
+            let series: Vec<_> = series.iter().collect();
             address_sets(speedtrap_group(&series, defaults.max_velocity), &addrs)
         }
         "iffinder" => {

@@ -41,7 +41,7 @@ static IPID_PAIR_SCHEDULES: LazyCounter = LazyCounter::new(
 );
 
 /// One IPID sample.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct IpidSample {
     /// When the reply was received.
     pub time: SimTime,
@@ -52,6 +52,28 @@ pub struct IpidSample {
 /// Whether a series holds enough samples to run a monotonicity test.
 pub fn is_usable(samples: &[IpidSample]) -> bool {
     samples.len() >= 3
+}
+
+/// A round robin's series, one per target: one column of `rounds` slots
+/// per target, answers packed at the front.
+#[derive(Debug, Clone)]
+pub struct IpidSeries {
+    slots: Vec<IpidSample>,
+    /// Answers per target: the first so many of its slots.
+    answered: Vec<usize>,
+    rounds: usize,
+}
+
+impl IpidSeries {
+    /// The series of the target at `target` in the round robin's list.
+    pub fn samples(&self, target: usize) -> &[IpidSample] {
+        &self.slots[target * self.rounds..][..self.answered[target]]
+    }
+
+    /// Every target's series, in target order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = &[IpidSample]> + '_ {
+        (0..self.answered.len()).map(|target| self.samples(target))
+    }
 }
 
 /// A probe target resolved against the IP index
@@ -157,50 +179,70 @@ impl IpidProber {
     /// Unresponsive targets yield series with fewer (possibly zero)
     /// samples.
     ///
-    /// The bucket is stepped probe by probe: its state crosses rounds (a
-    /// round starts `round_spacing` after the previous one *ended*, and the
-    /// strictly-increasing forcing feeds back into the refill arithmetic),
-    /// so there is no per-round schedule to reuse the way a pair's is.
+    /// The bucket paces every slot first, stepped probe by probe: its state
+    /// crosses rounds (a round starts `round_spacing` after the previous one
+    /// *ended*, and the strictly-increasing forcing feeds back into the
+    /// refill arithmetic), so no per-round schedule is reused as a pair's is.
+    /// Devices are then probed one by one in time order, as slot order would
+    /// give: a probe touches only its device's counter; pacing reads no reply.
     pub fn collect_round_robin(
         &self,
         session: &mut ProbeSession<'_>,
         targets: &[ResolvedTarget],
         vantage: VantageKind,
         start: SimTime,
-    ) -> Vec<Vec<IpidSample>> {
-        let mut series: Vec<Vec<IpidSample>> = targets
-            .iter()
-            .map(|_| Vec::with_capacity(self.config.rounds))
-            .collect();
+    ) -> IpidSeries {
+        let rounds = self.config.rounds;
+        let mut slots = vec![IpidSample::default(); targets.len() * rounds];
         let mut bucket = TokenBucket::new(self.config.rate_pps, 16.0, start);
         let mut round_start = start;
         // Probe timestamps are forced to be strictly increasing so that the
         // time-ordered merge of any two series reflects the true probe
         // order, which the monotonic bounds test depends on.
         let mut last_sent = SimTime::ZERO;
-        for _ in 0..self.config.rounds {
+        for round in 0..rounds {
             let mut now = round_start;
-            for (samples, target) in series.iter_mut().zip(targets) {
+            for target in 0..targets.len() {
                 now = bucket.acquire(now);
                 if now <= last_sent {
                     now = last_sent + SimTime(1);
                 }
                 last_sent = now;
-                let Some((device_id, iface_idx)) = *target else {
-                    continue;
-                };
-                let ctx = ProbeContext { vantage, time: now };
-                if let Some(echo) = session.identifier_probe_at(device_id, iface_idx, &ctx) {
-                    samples.push(IpidSample {
-                        time: echo.time,
-                        ipid: echo.ipid,
-                    });
-                }
+                slots[target * rounds + round].time = now;
             }
             round_start = round_start.max(now) + self.config.round_spacing;
         }
-        IPID_PROBES.add((targets.len() * self.config.rounds) as u64);
-        series
+        // (device, target) keys: a device's targets together, unowned last.
+        let mut keys: Vec<u64> = (targets.iter().zip(0..))
+            .map(|(target, t)| u64::from(target.map_or(u32::MAX, |(device, _)| device.0)) << 32 | t)
+            .collect();
+        keys.sort_unstable();
+        let mut answered = vec![0; targets.len()];
+        for device in keys.chunk_by(|a, b| a >> 32 == b >> 32) {
+            for round in 0..rounds {
+                for target in device.iter().map(|&key| key as u32 as usize) {
+                    let Some((device_id, iface_idx)) = targets[target] else {
+                        continue;
+                    };
+                    let time = slots[target * rounds + round].time;
+                    // `answered[target] <= round`: answers pack in place.
+                    let ctx = ProbeContext { vantage, time };
+                    if let Some(echo) = session.identifier_probe_at(device_id, iface_idx, &ctx) {
+                        slots[target * rounds + answered[target]] = IpidSample {
+                            time: echo.time,
+                            ipid: echo.ipid,
+                        };
+                        answered[target] += 1;
+                    }
+                }
+            }
+        }
+        IPID_PROBES.add((targets.len() * rounds) as u64);
+        IpidSeries {
+            slots,
+            answered,
+            rounds,
+        }
     }
 
     /// Step the pair-pacing loop from `start` for `slots` probes and keep
@@ -347,8 +389,8 @@ mod tests {
             VantageKind::Distributed,
             SimTime::ZERO,
         );
-        assert_eq!(series.len(), targets.len());
-        for s in &series {
+        assert_eq!(series.iter().len(), targets.len());
+        for s in series.iter() {
             assert_eq!(s.len(), 5);
             assert!(is_usable(s));
             // Timestamps strictly increase.
@@ -370,9 +412,192 @@ mod tests {
             VantageKind::Distributed,
             SimTime::ZERO,
         );
-        assert_eq!(series.len(), 1);
-        assert!(series[0].is_empty());
-        assert!(!is_usable(&series[0]));
+        assert_eq!(series.iter().len(), 1);
+        let only = series.iter().next().unwrap();
+        assert!(only.is_empty());
+        assert!(!is_usable(only));
+    }
+
+    /// The round robin as it was before it paced first and probed device
+    /// by device: one loop over the slots in send order, each probed as it
+    /// is paced.  The reference for the two tests below.
+    fn slot_order_round_robin(
+        config: &IpidProberConfig,
+        session: &mut ProbeSession<'_>,
+        targets: &[ResolvedTarget],
+        vantage: VantageKind,
+        start: SimTime,
+    ) -> Vec<Vec<IpidSample>> {
+        let mut series: Vec<Vec<IpidSample>> = targets.iter().map(|_| Vec::new()).collect();
+        let mut bucket = TokenBucket::new(config.rate_pps, 16.0, start);
+        let mut round_start = start;
+        let mut last_sent = SimTime::ZERO;
+        for _ in 0..config.rounds {
+            let mut now = round_start;
+            for (samples, target) in series.iter_mut().zip(targets) {
+                now = bucket.acquire(now);
+                if now <= last_sent {
+                    now = last_sent + SimTime(1);
+                }
+                last_sent = now;
+                let Some((device_id, iface_idx)) = *target else {
+                    continue;
+                };
+                let ctx = ProbeContext { vantage, time: now };
+                if let Some(echo) = session.identifier_probe_at(device_id, iface_idx, &ctx) {
+                    samples.push(IpidSample {
+                        time: echo.time,
+                        ipid: echo.ipid,
+                    });
+                }
+            }
+            round_start = round_start.max(now) + config.round_spacing;
+        }
+        series
+    }
+
+    /// Run each sweep on two same-seed Internets, one through the prober
+    /// and one through [`slot_order_round_robin`], one session per side
+    /// for all of them; compare every series, then every device's counter
+    /// state.  Returns the samples collected.
+    fn assert_round_robin_matches_the_reference(
+        build: impl Fn() -> Internet,
+        sweeps: &[(Vec<IpAddr>, IpidProberConfig, VantageKind, SimTime)],
+    ) -> usize {
+        let (reference, probed) = (build(), build());
+        let mut samples = 0;
+        {
+            let (mut by_slot, mut by_device) = (reference.probe_session(), probed.probe_session());
+            for (addrs, config, vantage, start) in sweeps {
+                let targets = resolve(&probed, addrs);
+                let expected =
+                    slot_order_round_robin(config, &mut by_slot, &targets, *vantage, *start);
+                let prober = IpidProber::new(config.clone());
+                let series = prober.collect_round_robin(&mut by_device, &targets, *vantage, *start);
+                assert_eq!(series.iter().len(), expected.len());
+                for (target, (got, want)) in series.iter().zip(&expected).enumerate() {
+                    assert_eq!(
+                        got,
+                        &want[..],
+                        "{vantage:?} target {target} {}",
+                        addrs[target]
+                    );
+                }
+                samples += expected.iter().map(Vec::len).sum::<usize>();
+            }
+        }
+        let (by_slot, by_device) = (reference.probe_session(), probed.probe_session());
+        for device in probed.devices() {
+            assert_eq!(
+                format!("{:?}", by_device.ipid_state(device.id)),
+                format!("{:?}", by_slot.ipid_state(device.id)),
+                "device {:?}",
+                device.id
+            );
+        }
+        samples
+    }
+
+    #[test]
+    fn round_robin_matches_the_slot_order_reference() {
+        let internet = internet();
+        let devices = internet.devices();
+        // Every address of every device, in address order as MIDAR and
+        // Speedtrap take them, with addresses nobody owns between them and
+        // one device's first address repeated.
+        let mut addrs: Vec<IpAddr> = (devices.iter())
+            .flat_map(|d| d.interfaces.iter().map(|i| i.addr))
+            .collect();
+        addrs.sort_unstable();
+        for k in 0..20u8 {
+            addrs.insert(usize::from(k) * 37, IpAddr::from([198, 51, 100, k]));
+        }
+        let multi = devices.iter().find(|d| d.ipv4_addrs().len() >= 3).unwrap();
+        let again = IpAddr::V4(multi.ipv4_addrs()[0]);
+        addrs.extend([again, again]);
+        assert!(addrs.iter().any(|a| internet.lookup(*a).is_none()));
+        assert!(addrs.iter().any(IpAddr::is_ipv6));
+        assert!(devices.iter().any(|d| !d.responds_to_ping));
+        assert!(devices
+            .iter()
+            .any(|d| d.responds_to_ping && !d.visible_to_single_vp));
+
+        let config = |rounds, rate_pps| IpidProberConfig {
+            rounds,
+            round_spacing: SimTime::from_secs(10),
+            rate_pps,
+        };
+        let epoch = SimTime::from_days(21);
+        let sweeps = [
+            (
+                addrs.clone(),
+                config(4, 5_000.0),
+                VantageKind::SingleVp,
+                epoch,
+            ),
+            (
+                addrs.clone(),
+                config(3, 5_000.0),
+                VantageKind::Distributed,
+                SimTime::ZERO,
+            ),
+            // Below 1,000 pps the bucket waits between probes.
+            (
+                addrs.clone(),
+                config(3, 333.0),
+                VantageKind::Distributed,
+                epoch,
+            ),
+            (
+                addrs[..200].to_vec(),
+                config(5, 7.5),
+                VantageKind::SingleVp,
+                epoch,
+            ),
+        ];
+        let samples = assert_round_robin_matches_the_reference(self::internet, &sweeps);
+        assert!(samples > 1_000, "only {samples} samples");
+    }
+
+    /// The same comparison over every pingable IPv4 address with MIDAR's
+    /// estimation schedule and every pingable IPv6 address with
+    /// Speedtrap's, at paper scale (`cargo test --release -p alias-scan
+    /// -- --ignored round_robin`).
+    #[test]
+    #[ignore = "paper scale: two Internets of ~90k devices"]
+    fn paper_scale_round_robin_matches_the_slot_order_reference() {
+        use alias_netsim::ScalePreset;
+        let build = || {
+            InternetBuilder::new(InternetConfig::preset(ScalePreset::PaperShape, 20230418)).build()
+        };
+        let internet = build();
+        let pingable = |v6: bool| -> Vec<IpAddr> {
+            let mut addrs: Vec<IpAddr> = (internet.devices().iter())
+                .filter(|d| d.responds_to_ping)
+                .flat_map(|d| d.interfaces.iter().map(|i| i.addr))
+                .filter(|a| a.is_ipv6() == v6)
+                .collect();
+            addrs.sort_unstable();
+            addrs
+        };
+        let config = |rounds| IpidProberConfig {
+            rounds,
+            round_spacing: SimTime::from_secs(10),
+            rate_pps: 5_000.0,
+        };
+        let epoch = SimTime::from_days(21);
+        let sweeps = [
+            (pingable(false), config(12), VantageKind::SingleVp, epoch),
+            (
+                pingable(true),
+                config(6),
+                VantageKind::SingleVp,
+                epoch + SimTime::from_days(1),
+            ),
+        ];
+        drop(internet);
+        let samples = assert_round_robin_matches_the_reference(build, &sweeps);
+        assert!(samples > 100_000, "only {samples} samples");
     }
 
     /// Probe a pair given by address and return the IPIDs in probe order

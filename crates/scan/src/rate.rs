@@ -49,14 +49,19 @@ impl TokenBucket {
     /// time elapsed up to `now` (time never goes backwards) and, if no whole
     /// token is there yet, wait until one is.  Returns that instant and the
     /// whole tokens the bucket holds at it (at least one); the caller
-    /// subtracts what it sends.
+    /// subtracts what it sends.  An on-time `now` below 2^53 is exact as an
+    /// f64, so it goes back as it came, off the float round trip.
     #[inline]
     fn ready(&mut self, now: SimTime) -> (SimTime, u64) {
-        let now_ms = (now.as_millis() as f64).max(self.last_ms);
+        let now_f = now.as_millis() as f64;
+        let on_time = now_f >= self.last_ms && now.as_millis() < 1 << 53;
+        let now_ms = now_f.max(self.last_ms);
         let elapsed_secs = (now_ms - self.last_ms) / 1_000.0;
         self.tokens = (self.tokens + elapsed_secs * self.rate_pps).min(self.capacity);
         self.last_ms = now_ms;
-        if self.tokens >= 1.0 {
+        if self.tokens >= 1.0 && on_time {
+            (now, self.tokens.floor() as u64)
+        } else if self.tokens >= 1.0 {
             (SimTime(now_ms.floor() as u64), self.tokens.floor() as u64)
         } else {
             let wait_ms = (1.0 - self.tokens) / self.rate_pps * 1_000.0;
@@ -378,6 +383,71 @@ mod tests {
         assert_eq!(schedule.now(), SimTime(9));
         let mut fresh = ProbeSchedule::new(100.0, 4.0, SimTime(9));
         assert_eq!(schedule.next_send_time(), fresh.next_send_time());
+    }
+
+    /// `ready` as it was before an on-time `now` was handed straight back:
+    /// every send time takes the float round trip.  The reference for the
+    /// test below.
+    fn reference_ready(bucket: &mut TokenBucket, now: SimTime) -> (SimTime, u64) {
+        let now_ms = (now.as_millis() as f64).max(bucket.last_ms);
+        let elapsed_secs = (now_ms - bucket.last_ms) / 1_000.0;
+        bucket.tokens = (bucket.tokens + elapsed_secs * bucket.rate_pps).min(bucket.capacity);
+        bucket.last_ms = now_ms;
+        if bucket.tokens >= 1.0 {
+            (SimTime(now_ms.floor() as u64), bucket.tokens.floor() as u64)
+        } else {
+            let wait_ms = (1.0 - bucket.tokens) / bucket.rate_pps * 1_000.0;
+            bucket.last_ms = now_ms + wait_ms;
+            bucket.tokens = 1.0;
+            (SimTime(bucket.last_ms.ceil() as u64), 1)
+        }
+    }
+
+    #[test]
+    fn ready_gives_what_the_float_round_trip_gave() {
+        const TWO_53: u64 = 1 << 53;
+        let starts = [
+            0,
+            17,
+            1_814_400_000,
+            TWO_53 - 40,
+            TWO_53 - 3,
+            TWO_53,
+            TWO_53 + 5,
+        ];
+        for &(rate, capacity) in SCHEDULE_CONFIGS {
+            for start in starts.map(SimTime) {
+                let mut current = TokenBucket::new(rate, capacity, start);
+                let mut reference = current.clone();
+                let mut now = start;
+                for i in 0..900u64 {
+                    let got = current.ready(now);
+                    let want = reference_ready(&mut reference, now);
+                    let context =
+                        format!("rate {rate} capacity {capacity} start {start:?} step {i}");
+                    assert_eq!(got, want, "{context}");
+                    assert_eq!(
+                        current.tokens.to_bits(),
+                        reference.tokens.to_bits(),
+                        "{context}"
+                    );
+                    assert_eq!(
+                        current.last_ms.to_bits(),
+                        reference.last_ms.to_bits(),
+                        "{context}"
+                    );
+                    current.tokens -= 1.0;
+                    reference.tokens -= 1.0;
+                    // Self-clocked, forced one past the send time as the
+                    // IPID prober does, and oscillating behind it.
+                    now = match i % 3 {
+                        0 => got.0,
+                        1 => got.0 + SimTime(1),
+                        _ => SimTime(got.0.as_millis().saturating_sub(i % 7)),
+                    };
+                }
+            }
+        }
     }
 
     #[test]

@@ -17,6 +17,7 @@ use alias_resolution::midar::ally::{AllyTester, AllyVerdict};
 use alias_resolution::midar::mbt::{monotonic_bounds_test, MbtVerdict};
 use alias_resolution::netsim::ProbeContext;
 use alias_resolution::prelude::*;
+use alias_resolution::resolve::ProbeTargets;
 use alias_resolution::scan::ipid_probe::{IpidProber, IpidProberConfig, IpidSample};
 use alias_resolution::scan::zgrab::parse_payload;
 use alias_resolution::wire::snmp::Snmpv3Message;
@@ -527,7 +528,7 @@ fn a_pair_test_in_steady_state_allocates_nothing() {
 }
 
 #[test]
-fn a_round_robin_allocates_per_target_not_per_probe() {
+fn a_round_robin_allocates_a_constant_number_of_blocks() {
     let internet = tiny_internet();
     let pingable: Vec<_> = internet
         .devices()
@@ -537,28 +538,64 @@ fn a_round_robin_allocates_per_target_not_per_probe() {
         .map(|addr| internet.lookup(addr.into()))
         .collect();
     assert!(pingable.len() > 100);
-    let targets: Vec<_> = pingable.iter().copied().cycle().take(1_000).collect();
     let prober = IpidProber::new(IpidProberConfig {
         rounds: 12,
         round_spacing: SimTime::from_secs(10),
         rate_pps: 5_000.0,
     });
     let mut session = internet.probe_session();
-    let (count, series) = allocations(|| {
-        prober.collect_round_robin(
-            &mut session,
-            &targets,
-            VantageKind::Distributed,
-            SimTime::from_days(21),
-        )
-    });
-    assert!(series.iter().all(|s| s.len() == 12));
-    // One sample buffer per target, sized up front, and the list of them.
-    assert!(
-        count <= targets.len() as u64 + 8,
-        "{count} allocations for {} targets x 12 rounds",
-        targets.len()
-    );
+    let mut start = SimTime::from_days(21);
+    // The probe counter registers on first touch: touch it outside the count.
+    prober.collect_round_robin(&mut session, &[], VantageKind::Distributed, start);
+    for n in [100, 1_000, 4_000] {
+        let targets: Vec<_> = pingable.iter().copied().cycle().take(n).collect();
+        let (count, series) = allocations(|| {
+            prober.collect_round_robin(&mut session, &targets, VantageKind::Distributed, start)
+        });
+        assert!(series.iter().all(|s| s.len() == 12));
+        // The sample column, the answered counts and the device-order keys,
+        // whatever the number of targets.
+        assert!(
+            count <= 3,
+            "{count} allocations for {n} targets x 12 rounds"
+        );
+        start += SimTime::from_secs(3_600);
+    }
+}
+
+#[test]
+fn midar_and_ally_allocate_per_alias_set_not_per_target() {
+    let internet = tiny_internet();
+    let data = ActiveCampaign::new(CampaignConfig {
+        threads: 1,
+        ..Default::default()
+    })
+    .run(&internet);
+    let extractor = IdentifierExtractor::new(ExtractionConfig::paper());
+    let targets = ProbeTargets::new(&data, &internet);
+    // Resolved outside the count: one list a run, shared by the baselines.
+    let target_count = targets.ipv4().ids.len() as u64;
+    let ctx = TechniqueCtx {
+        internet: &internet,
+        extractor: &extractor,
+        probe_start: data.finished_at,
+        vantage: VantageKind::SingleVp,
+        targets: &targets,
+    };
+    let techniques: [&dyn ResolutionTechnique; 2] = [&MidarTechnique::new(), &AllyTechnique::new()];
+    for technique in techniques {
+        let (count, result) = allocations(|| technique.resolve(&data, &ctx));
+        let sets = result.set_count() as u64;
+        assert!(sets > 5, "{}: {sets} sets", technique.name());
+        // Each set's members, twice (by position, then by id), and a
+        // constant for the stage buffers and lists.
+        let budget = 2 * sets + 64;
+        assert!(
+            count <= budget && budget < target_count,
+            "{}: {count} allocations for {sets} sets of {target_count} targets (budget {budget})",
+            technique.name()
+        );
+    }
 }
 
 #[test]
