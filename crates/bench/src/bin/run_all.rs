@@ -8,11 +8,10 @@
 //! * `<section>` — one of `table1` … `table6`, `figure3` … `figure6`,
 //!   `stats`: print only that section (no study run, no file written).
 //! * `--metrics <path>` — record the run's alias-obs registry: `<path>`
-//!   gets the deterministic counter/gauge/event subset
+//!   gets the deterministic counter/event subset
 //!   (`MetricsSnapshot::deterministic_json`, identical run to run and for
 //!   every thread count), `<path>.full.json` the complete snapshot including
-//!   timing-class metrics, histograms and spans, and `<path>.prom` the
-//!   Prometheus text render.
+//!   timing-class counters and spans.
 //!
 //! Anything timed is measured by `benchmark/` (see `benchmark/README.md`),
 //! not here.
@@ -50,20 +49,19 @@ fn main() {
     }
 }
 
-/// Write the three `--metrics` artifacts from the registry as the run left it.
+/// Write the two `--metrics` artifacts from the registry as the run left it.
 fn write_metrics(path: &str) {
     let snapshot = alias_obs::registry().snapshot();
     for (file, contents) in [
         (path.to_owned(), snapshot.deterministic_json()),
         (format!("{path}.full.json"), snapshot.to_json()),
-        (format!("{path}.prom"), snapshot.to_prometheus()),
     ] {
         if let Err(err) = std::fs::write(&file, contents) {
             eprintln!("could not write {file}: {err}");
             std::process::exit(1);
         }
     }
-    eprintln!("metrics written to {path}, {path}.full.json and {path}.prom");
+    eprintln!("metrics written to {path} and {path}.full.json");
 }
 
 struct Args {

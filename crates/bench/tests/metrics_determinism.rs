@@ -1,31 +1,44 @@
 //! The alias-obs acceptance properties, end to end through the real
 //! pipeline: the deterministic snapshot subset is byte-identical at any
-//! `ALIAS_THREADS`, and registering metrics leaves the rendered
-//! experiment document untouched — no metric name or timing value may
-//! leak into `EXPERIMENTS_MEASURED.md`.
+//! `ALIAS_THREADS` and for pipelines run side by side, and registering
+//! metrics leaves the rendered experiment document untouched — no metric
+//! name or timing value may leak into `EXPERIMENTS_MEASURED.md`.
+//!
+//! Every thread has a registry of its own and libtest runs each test on a
+//! thread of its own, so a test reads what it ran and nothing else.
 
 use alias_bench::{render_document_with_study, Experiment, RateLimitStudy};
 use alias_netsim::ScalePreset;
 use alias_scan::ServiceProtocol;
-use std::sync::Mutex;
-
-/// The metrics registry is process-global; every test that resets and
-/// samples it must hold this lock so parallel test threads cannot
-/// interleave their campaigns' counters.
-static REGISTRY_LOCK: Mutex<()> = Mutex::new(());
+use std::sync::Barrier;
 
 const SEED: u64 = 20230418;
 
-/// Run the full pipeline (experiment + rate-limit study) on a fresh
-/// registry and return the deterministic snapshot render, the full
+/// Run the full pipeline (experiment + rate-limit study) on the calling
+/// thread and return the deterministic snapshot render, the full
 /// snapshot, and the rendered experiment document.
-fn run_once(preset: ScalePreset, threads: usize) -> (String, alias_obs::MetricsSnapshot, String) {
-    alias_obs::registry().reset();
-    let experiment = Experiment::run_with_threads(preset, SEED, threads);
-    let study = RateLimitStudy::run(preset, SEED, threads);
+fn pipeline(
+    preset: ScalePreset,
+    seed: u64,
+    threads: usize,
+) -> (String, alias_obs::MetricsSnapshot, String) {
+    let experiment = Experiment::run_with_threads(preset, seed, threads);
+    let study = RateLimitStudy::run(preset, seed, threads);
     let doc = render_document_with_study(&experiment, preset, &study);
     let snapshot = alias_obs::registry().snapshot();
     (snapshot.deterministic_json(), snapshot, doc)
+}
+
+/// [`pipeline`] on a thread of its own, so on a registry of its own.
+fn run_once(
+    preset: ScalePreset,
+    seed: u64,
+    threads: usize,
+) -> (String, alias_obs::MetricsSnapshot, String) {
+    std::thread::scope(|scope| {
+        let run = scope.spawn(|| pipeline(preset, seed, threads));
+        run.join().expect("the pipeline runs")
+    })
 }
 
 /// The byte-identity contract over a serial run, an even split, and a
@@ -33,8 +46,7 @@ fn run_once(preset: ScalePreset, threads: usize) -> (String, alias_obs::MetricsS
 /// process and every keyed pass draws a fresh `RandomState`, so an output
 /// that depends on hash order fails here too, whatever the thread count.
 fn assert_thread_invariant(preset: ScalePreset) {
-    let _guard = REGISTRY_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let (reference, snapshot, reference_doc) = run_once(preset, 1);
+    let (reference, snapshot, reference_doc) = run_once(preset, SEED, 1);
     assert!(
         snapshot
             .counters
@@ -47,7 +59,7 @@ fn assert_thread_invariant(preset: ScalePreset) {
         "the campaign driver must log phase events"
     );
     for threads in [2, 7] {
-        let (rendered, _, doc) = run_once(preset, threads);
+        let (rendered, _, doc) = run_once(preset, SEED, threads);
         assert_eq!(
             reference, rendered,
             "deterministic snapshot subset drifted between 1 and {threads} threads"
@@ -71,21 +83,34 @@ fn deterministic_subset_is_thread_invariant_at_paper() {
 }
 
 #[test]
+fn two_pipelines_side_by_side_count_what_they_count_one_after_the_other() {
+    // Two seeds, so a registry that took the other pipeline's counts
+    // could not pass for its own.
+    let seeds = [SEED, 7];
+    let sequential = seeds.map(|seed| run_once(ScalePreset::Tiny, seed, 2).0);
+    let start = Barrier::new(seeds.len());
+    let side_by_side = std::thread::scope(|scope| {
+        let runs = seeds.map(|seed| {
+            let start = &start;
+            scope.spawn(move || {
+                start.wait();
+                pipeline(ScalePreset::Tiny, seed, 2).0
+            })
+        });
+        runs.map(|run| run.join().expect("the pipeline runs"))
+    });
+    assert_ne!(sequential[0], sequential[1]);
+    assert_eq!(side_by_side, sequential);
+}
+
+#[test]
 fn metric_registration_stays_out_of_the_rendered_document() {
-    let _guard = REGISTRY_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let (_, snapshot, doc) = run_once(ScalePreset::Tiny, 2);
+    let (_, snapshot, doc) = pipeline(ScalePreset::Tiny, SEED, 2);
     for counter in &snapshot.counters {
         assert!(
             !doc.contains(counter.name),
             "metric name {} leaked into the rendered document",
             counter.name
-        );
-    }
-    for gauge in &snapshot.gauges {
-        assert!(
-            !doc.contains(gauge.name),
-            "gauge name {} leaked into the rendered document",
-            gauge.name
         );
     }
     for span in &snapshot.spans {
@@ -103,8 +128,6 @@ fn the_pipeline_opens_the_spans_the_benchmark_adopts() {
     // `benchmark/src/trace.rs::layer_of_registry_path` matches them by
     // string: a rename must fail here, not as a missed coverage floor in
     // the benchmark.
-    let _guard = REGISTRY_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    alias_obs::registry().reset();
     let experiment = Experiment::run_with_threads(ScalePreset::Tiny, SEED, 2);
     let study = RateLimitStudy::run(ScalePreset::Tiny, SEED, 2);
     let snapshot = alias_obs::registry().snapshot();
@@ -148,14 +171,6 @@ fn the_pipeline_opens_the_spans_the_benchmark_adopts() {
     assert_eq!(technique_spans.count(), study.report.techniques.len());
 }
 
-/// Render `experiment` on a fresh registry; returns the document and what
-/// the registry recorded meanwhile.
-fn render_once(experiment: &Experiment) -> (String, alias_obs::MetricsSnapshot) {
-    alias_obs::registry().reset();
-    let doc = alias_bench::render_document(experiment, ScalePreset::Tiny);
-    (doc, alias_obs::registry().snapshot())
-}
-
 fn counter(snapshot: &alias_obs::MetricsSnapshot, name: &str) -> u64 {
     let sample = snapshot.counters.iter().find(|c| c.name == name);
     sample
@@ -186,8 +201,6 @@ fn one_render_takes_three_keyed_passes_and_six_partitions() {
     // The expensive steps of a run and a render, pinned as exact counts:
     // a step that regroups a store or re-merges what another already
     // merged fails here instead of in a benchmark.
-    let _guard = REGISTRY_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    alias_obs::registry().reset();
     let experiment = Experiment::run_with_threads(ScalePreset::Tiny, SEED, 2);
     let doc = alias_bench::render_document(&experiment, ScalePreset::Tiny);
     let snapshot = alias_obs::registry().snapshot();
@@ -215,8 +228,10 @@ fn one_render_takes_three_keyed_passes_and_six_partitions() {
         assert!(snapshot.spans.iter().any(|s| s.path == path), "{path}");
     }
     // What the first render memoised, a second one reuses.
-    let (again, snapshot) = render_once(&experiment);
+    let again = alias_bench::render_document(&experiment, ScalePreset::Tiny);
     assert_eq!(again, doc);
-    assert_eq!(counter(&snapshot, "core.group_rows"), 0);
-    assert_eq!(counter(&snapshot, "bench.render_partitions"), 0);
+    let after = alias_obs::registry().snapshot();
+    for name in ["core.group_rows", "bench.render_partitions"] {
+        assert_eq!(counter(&after, name), counter(&snapshot, name), "{name}");
+    }
 }

@@ -41,7 +41,7 @@
 //! falls back to [`available_parallelism`]; the campaign, the resolver and
 //! the experiment harness use it so a single knob controls every scan.
 
-use alias_obs::{DeterminismClass, LazyCounter, LazyGauge, LazyHistogram, DURATION_US_BOUNDARIES};
+use alias_obs::{DeterminismClass, LazyCounter};
 use parking_lot::Mutex;
 use std::ops::Range;
 
@@ -59,24 +59,6 @@ static SHARDS_EXECUTED: LazyCounter = LazyCounter::new(
     "exec.shards_executed",
     DeterminismClass::Timing,
     "shards",
-    "exec",
-);
-
-/// Wall-clock duration of each shard body, microseconds.
-static SHARD_DURATION_US: LazyHistogram = LazyHistogram::new(
-    "exec.shard_duration_us",
-    DeterminismClass::Timing,
-    "us",
-    "exec",
-    DURATION_US_BOUNDARIES,
-);
-
-/// Worst slowest/fastest shard ratio observed in any one `shard_map`
-/// call, ×1000 (4000 = the slowest shard took 4× the fastest).
-static SHARD_IMBALANCE: LazyGauge = LazyGauge::new(
-    "exec.shard_imbalance_x1000",
-    DeterminismClass::Timing,
-    "x1000",
     "exec",
 );
 
@@ -242,6 +224,7 @@ pub fn split_even(n: u64, shards: usize) -> Vec<Range<u64>> {
 /// the calling thread — the serial reference path.  Workers pull shard
 /// indices from a `parking_lot`-guarded cursor, so shards of uneven cost
 /// balance across the pool, but the returned vector is always positional.
+/// Every worker counts into the caller's `alias_obs::registry()`.
 ///
 /// The pool never exceeds the machine's [`available_parallelism`]: the
 /// jobs are CPU-bound, so extra workers only time-slice the same cores —
@@ -263,49 +246,34 @@ where
     }
     let cursor = Mutex::new(0usize);
     let slots: Mutex<Vec<Option<R>>> = Mutex::new((0..shards).map(|_| None).collect());
-    let durations_ns: Mutex<Vec<u64>> = Mutex::new(vec![0; shards]);
+    let registry = alias_obs::registry();
     std::thread::scope(|scope| {
         for _ in 0..workers {
-            scope.spawn(|| loop {
-                let shard = {
-                    let mut next = cursor.lock();
-                    if *next >= shards {
-                        return;
-                    }
-                    let shard = *next;
-                    *next += 1;
-                    shard
-                };
-                let watch = alias_obs::Stopwatch::start();
-                let result = job(shard);
-                let elapsed_ns = u64::try_from(watch.elapsed().as_nanos()).unwrap_or(u64::MAX);
-                slots.lock()[shard] = Some(result);
-                durations_ns.lock()[shard] = elapsed_ns;
+            scope.spawn(|| {
+                registry.clone().install();
+                loop {
+                    let shard = {
+                        let mut next = cursor.lock();
+                        if *next >= shards {
+                            return;
+                        }
+                        let shard = *next;
+                        *next += 1;
+                        shard
+                    };
+                    let result = job(shard);
+                    slots.lock()[shard] = Some(result);
+                }
             });
         }
     });
-    record_shard_timings(&durations_ns.into_inner());
+    SHARD_MAP_CALLS.incr();
+    SHARDS_EXECUTED.add(shards as u64);
     slots
         .into_inner()
         .into_iter()
         .map(|slot| slot.expect("every shard ran"))
         .collect()
-}
-
-/// Feed one parallel `shard_map` call's per-shard wall-clock durations
-/// into the obs layer: the duration histogram, the call/shard counters,
-/// and the slowest/fastest imbalance gauge (all Timing class —
-/// out-of-band of every rendered experiment output).
-fn record_shard_timings(durations_ns: &[u64]) {
-    SHARD_MAP_CALLS.incr();
-    SHARDS_EXECUTED.add(durations_ns.len() as u64);
-    for &ns in durations_ns {
-        SHARD_DURATION_US.observe(ns / 1_000);
-    }
-    if let (Some(&min), Some(&max)) = (durations_ns.iter().min(), durations_ns.iter().max()) {
-        let imbalance_x1000 = max.saturating_mul(1_000) / min.max(1);
-        SHARD_IMBALANCE.max(imbalance_x1000);
-    }
 }
 
 #[cfg(test)]
@@ -419,41 +387,39 @@ mod tests {
     }
 
     #[test]
-    fn parallel_shard_maps_feed_the_obs_timing_metrics() {
-        if available_parallelism() < 2 {
-            // The inline serial path records nothing — there is no pool
-            // whose balance could be measured.
-            return;
-        }
-        let _ = shard_map(8, 2, |shard| {
-            std::thread::sleep(std::time::Duration::from_micros(200 * (shard as u64 + 1)));
-            shard
+    fn shard_jobs_count_into_the_callers_registry() {
+        static JOBS: LazyCounter = LazyCounter::new(
+            "test.exec.jobs",
+            DeterminismClass::Deterministic,
+            "jobs",
+            "exec",
+        );
+        let caller = std::thread::current().id();
+        let elsewhere = shard_map(8, 2, |_| {
+            let pool: ScratchPool<Vec<u8>> = ScratchPool::new();
+            pool.put(pool.take());
+            let _reused = pool.take();
+            JOBS.incr();
+            std::thread::current().id() != caller
         });
+        // Two hardware threads or more: a pool of two ran every job.
+        let pooled = available_parallelism() >= 2;
+        assert!(elsewhere.iter().all(|&e| e == pooled));
         let snapshot = alias_obs::registry().snapshot();
-        let calls = snapshot
+        let counters: Vec<(&str, u64)> = snapshot
             .counters
             .iter()
-            .find(|c| c.name == "exec.shard_map_calls")
-            .expect("call counter registered");
-        assert!(calls.value >= 1);
-        let imbalance = snapshot
-            .gauges
-            .iter()
-            .find(|g| g.name == "exec.shard_imbalance_x1000")
-            .expect("imbalance gauge registered");
-        // A ratio is always >= 1.0 (i.e. >= 1000 in x1000 fixed point).
-        assert!(imbalance.value >= 1_000, "imbalance {}", imbalance.value);
-        let pool: ScratchPool<Vec<u8>> = ScratchPool::new();
-        let fresh = pool.take();
-        pool.put(fresh);
-        let _reused = pool.take();
-        let snapshot = alias_obs::registry().snapshot();
-        let hits = snapshot
-            .counters
-            .iter()
-            .find(|c| c.name == "exec.scratch_pool_hits")
-            .expect("hit counter registered");
-        assert!(hits.value >= 1);
+            .map(|c| (c.name, c.value))
+            .collect();
+        let mut expected = vec![
+            ("exec.scratch_pool_hits", 8),
+            ("exec.scratch_pool_misses", 8),
+        ];
+        if pooled {
+            expected.extend([("exec.shard_map_calls", 1), ("exec.shards_executed", 8)]);
+        }
+        expected.push(("test.exec.jobs", 8));
+        assert_eq!(counters, expected);
     }
 
     #[test]

@@ -1,12 +1,24 @@
 //! # alias-obs
 //!
-//! The pipeline's observability substrate: a lock-free striped metrics
-//! registry (monotonic [`Counter`]s, [`Gauge`]s and fixed-boundary
-//! [`Histogram`]s), lightweight [`span()`] tracing with self/child time
-//! attribution, and a sequence-ordered [`event`] log.  Every other crate
-//! reports *what the pipeline did* through this one; nothing else in the
-//! workspace may read the wall clock (`clippy.toml` disallows
-//! `Instant::now`; the [`span`](mod@span) module holds the two `allow`s).
+//! The pipeline's observability substrate: per-thread registries of
+//! monotonic counters ([`LazyCounter`]), lightweight [`span()`] tracing
+//! with self/child time attribution, and a sequence-ordered [`event`] log.
+//! Every other crate reports *what the pipeline did* through this one;
+//! nothing else in the workspace may read the wall clock (`clippy.toml`
+//! disallows `Instant::now`; the [`span`](mod@span) module holds the one
+//! `allow`).
+//!
+//! ## One registry per pipeline thread
+//!
+//! [`registry()`] is the calling thread's [`Registry`]: counters, span
+//! statistics and the event log behind one lock.  A counter's `add`, a
+//! span's drop and an [`event`] land there.  `alias_exec::shard_map`, the
+//! one place the workspace spawns threads, installs its caller's registry
+//! in every worker, so a pipeline's snapshot is complete at any
+//! `ALIAS_THREADS`, and two pipelines on two threads keep two registries.
+//! A run touches the lock a few hundred times (hot loops count into
+//! locals and add once per shard or per call), so it costs nothing
+//! measurable.
 //!
 //! ## Determinism classes
 //!
@@ -16,29 +28,17 @@
 //!
 //! * [`DeterminismClass::Deterministic`] — values that are a pure
 //!   function of the campaign inputs (probe counts, absorbed rows,
-//!   candidate pairs, merged sets, union-find operations).  Counter
-//!   stripes are merged by commutative summation, so a total emitted
-//!   from inside the scan's shard workers is still thread-count-invariant
-//!   as long as each item contributes the same amount regardless of which
-//!   shard processed it.
+//!   candidate pairs, merged sets, union-find operations).  Addition
+//!   commutes, so a total added from inside the scan's shard workers is
+//!   still thread-count-invariant as long as each item contributes the
+//!   same amount regardless of which shard processed it.
 //!   [`MetricsSnapshot::deterministic_json`] renders exactly this subset
 //!   and must be byte-identical run to run and across thread counts.
-//! * [`DeterminismClass::Timing`] — wall-clock durations, shard
-//!   imbalance, scratch-pool hit rates: anything that depends on
-//!   scheduling or on the scan's shard decomposition
-//!   (`alias_exec::shards_for` derives shard counts from the *hardware*
-//!   parallelism).  These render only in the full
-//!   [`MetricsSnapshot::to_json`] / [`MetricsSnapshot::to_prometheus`]
-//!   output, never in rendered experiment documents.
-//!
-//! ## Hot-path discipline
-//!
-//! Counters are striped over per-thread atomic slots: `add` is one
-//! relaxed `fetch_add` on the calling thread's stripe, and `value` merges
-//! the stripes in stripe order.  Call sites hoist a handle through the
-//! `static` [`LazyCounter`]/[`LazyGauge`]/[`LazyHistogram`] wrappers so
-//! the registry lock is touched once per metric per process, not per
-//! observation.
+//! * [`DeterminismClass::Timing`] — counts that depend on scheduling or on
+//!   the scan's shard decomposition (`alias_exec::shards_for` derives
+//!   shard counts from the *hardware* parallelism), and span durations.
+//!   These render only in the full [`MetricsSnapshot::to_json`], never in
+//!   rendered experiment documents.
 //!
 //! ## Spans and events
 //!
@@ -46,8 +46,8 @@
 //! [`SpanGuard`]; guards nest through a thread-local stack, so a span's
 //! *self* time is its total minus the time attributed to its children.
 //! A span records when its guard drops, and the registry is the one place
-//! its duration lands: no caller gets a wall-clock value back.  [`event`] appends
-//! a label to a global sequence-ordered log: it records *order*, not
+//! its duration lands: no caller gets a wall-clock value back.  [`event`]
+//! appends a label to the sequence-ordered log: it records *order*, not
 //! time, so events emitted from serial orchestration points (campaign
 //! phase boundaries) are part of the deterministic subset.
 
@@ -56,15 +56,10 @@ pub mod registry;
 pub mod snapshot;
 pub mod span;
 
-pub use metric::{
-    Counter, DeterminismClass, Gauge, Histogram, LazyCounter, LazyGauge, LazyHistogram, MetricDesc,
-};
+pub use metric::{DeterminismClass, LazyCounter};
 pub use registry::{event, registry, Registry};
-pub use snapshot::{
-    CounterSample, GaugeSample, HistogramSample, MetricsSnapshot, SpanSample,
-    DURATION_US_BOUNDARIES,
-};
-pub use span::{span, span_owned, SpanGuard, Stopwatch};
+pub use snapshot::{CounterSample, GaugeSample, HistogramSample, MetricsSnapshot, SpanSample};
+pub use span::{span, span_owned, SpanGuard};
 
 /// Format a span path and enter it: `span!("scan.zmap")` or
 /// `span!("resolve/technique/{}", name)`.

@@ -1,222 +1,132 @@
-//! The global metric registry, span-stats store and event log.
+//! The per-thread registry: counters, span statistics and the event log
+//! behind one lock.
 
-use crate::metric::{Counter, Gauge, Histogram, MetricDesc};
-use crate::snapshot::{CounterSample, GaugeSample, HistogramSample, MetricsSnapshot, SpanSample};
+use crate::metric::LazyCounter;
+use crate::snapshot::{CounterSample, MetricsSnapshot, SpanSample};
+use std::cell::RefCell;
 use std::collections::BTreeMap;
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
-/// The process-wide registry.
-pub fn registry() -> &'static Registry {
-    static REGISTRY: OnceLock<Registry> = OnceLock::new();
-    REGISTRY.get_or_init(Registry::new)
+thread_local! {
+    static CURRENT: RefCell<Option<Registry>> = const { RefCell::new(None) };
 }
 
-/// Append `label` to the sequence-ordered event log.
+/// The calling thread's registry.
+///
+/// Every thread starts with an empty one of its own, so two pipelines run
+/// on two threads never share a counter.  `alias_exec::shard_map` hands its
+/// caller's registry to the workers it spawns ([`Registry::install`]), so
+/// what a shard job records lands where the caller will snapshot it.
+pub fn registry() -> Registry {
+    with_current(Registry::clone)
+}
+
+/// Run `f` on the calling thread's registry, creating it on first use.
+pub(crate) fn with_current<T>(f: impl FnOnce(&Registry) -> T) -> T {
+    CURRENT.with(|current| f(current.borrow_mut().get_or_insert_with(Registry::default)))
+}
+
+/// Append `label` to the calling thread's sequence-ordered event log.
 ///
 /// The log records *order*, not time; call it only from serial
 /// orchestration points (campaign phase boundaries, stage hand-offs) so
 /// the sequence stays part of the deterministic subset.
 pub fn event(label: impl Into<String>) {
-    registry().push_event(label.into());
+    with_current(|registry| registry.lock().events.push(label.into()));
 }
 
 /// Aggregated statistics of one span path.
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct SpanStats {
-    pub count: u64,
-    pub total_ns: u64,
-    pub child_ns: u64,
+#[derive(Debug, Default)]
+struct SpanStats {
+    count: u64,
+    total_ns: u64,
+    child_ns: u64,
 }
 
-/// One registered metric: its descriptor plus the live instrument.
-struct Registered<T: 'static> {
-    desc: MetricDesc,
-    instrument: &'static T,
+/// What a registry holds: name- and path-keyed `BTreeMap`s, so snapshots
+/// come out sorted, and the event log in sequence order.
+#[derive(Debug, Default)]
+struct Tables {
+    counters: BTreeMap<&'static str, (LazyCounter, u64)>,
+    spans: BTreeMap<String, SpanStats>,
+    events: Vec<String>,
 }
 
-/// The metric registry: name-keyed `BTreeMap`s (deterministic iteration
-/// order) guarded by plain mutexes.  The mutexes are touched only at
-/// registration, reset and snapshot time — the hot path goes through
-/// `&'static` instrument handles and never takes a lock.
-pub struct Registry {
-    counters: Mutex<BTreeMap<&'static str, Registered<Counter>>>,
-    gauges: Mutex<BTreeMap<&'static str, Registered<Gauge>>>,
-    histograms: Mutex<BTreeMap<&'static str, Registered<Histogram>>>,
-    spans: Mutex<BTreeMap<String, SpanStats>>,
-    events: Mutex<Vec<String>>,
-}
+/// A metrics registry.  Clones are handles on the same tables.
+#[derive(Debug, Clone, Default)]
+pub struct Registry(Arc<Mutex<Tables>>);
 
 impl Registry {
-    fn new() -> Self {
-        Registry {
-            counters: Mutex::new(BTreeMap::new()),
-            gauges: Mutex::new(BTreeMap::new()),
-            histograms: Mutex::new(BTreeMap::new()),
-            spans: Mutex::new(BTreeMap::new()),
-            events: Mutex::new(Vec::new()),
-        }
+    /// Make this the calling thread's registry from now on: what a layer
+    /// that spawns threads does with its caller's [`registry`] in each
+    /// thread it starts.
+    pub fn install(self) {
+        CURRENT.with(|current| *current.borrow_mut() = Some(self));
     }
 
-    /// The counter registered under `desc.name`, registering it on first
-    /// use.  The first registration's descriptor wins; re-registering
-    /// the same name with a different descriptor is a bug
+    /// The tables.  A thread that panicked while holding the lock left
+    /// them valid — every update is one addition or one push — so a
+    /// poisoned lock is taken over rather than passed on as a panic.
+    fn lock(&self) -> MutexGuard<'_, Tables> {
+        self.0.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Add `n` to `counter`, listing it from now on.  The first
+    /// descriptor under a name wins; a second, different one is a bug
     /// (`debug_assert`ed).
-    pub fn counter(&self, desc: MetricDesc) -> &'static Counter {
-        let mut counters = self.counters.lock().expect("counter registry poisoned");
-        let entry = counters.entry(desc.name).or_insert_with(|| Registered {
-            desc,
-            instrument: Box::leak(Box::new(Counter::new())),
-        });
+    pub(crate) fn add(&self, counter: LazyCounter, n: u64) {
+        let mut tables = self.lock();
+        let (registered, value) = tables.counters.entry(counter.name).or_insert((counter, 0));
         debug_assert_eq!(
-            entry.desc, desc,
+            *registered, counter,
             "metric re-registered with a new descriptor"
         );
-        entry.instrument
-    }
-
-    /// The gauge registered under `desc.name` (see [`Self::counter`]).
-    pub fn gauge(&self, desc: MetricDesc) -> &'static Gauge {
-        let mut gauges = self.gauges.lock().expect("gauge registry poisoned");
-        let entry = gauges.entry(desc.name).or_insert_with(|| Registered {
-            desc,
-            instrument: Box::leak(Box::new(Gauge::new())),
-        });
-        debug_assert_eq!(
-            entry.desc, desc,
-            "metric re-registered with a new descriptor"
-        );
-        entry.instrument
-    }
-
-    /// The histogram registered under `desc.name` (see
-    /// [`Self::counter`]); `boundaries` apply only at first
-    /// registration.
-    pub fn histogram(&self, desc: MetricDesc, boundaries: &'static [u64]) -> &'static Histogram {
-        let mut histograms = self.histograms.lock().expect("histogram registry poisoned");
-        let entry = histograms.entry(desc.name).or_insert_with(|| Registered {
-            desc,
-            instrument: Box::leak(Box::new(Histogram::new(boundaries))),
-        });
-        debug_assert_eq!(
-            entry.desc, desc,
-            "metric re-registered with a new descriptor"
-        );
-        entry.instrument
+        *value += n;
     }
 
     pub(crate) fn record_span(&self, path: &str, elapsed_ns: u64, child_ns: u64) {
-        let mut spans = self.spans.lock().expect("span registry poisoned");
-        let stats = match spans.get_mut(path) {
+        let mut tables = self.lock();
+        let stats = match tables.spans.get_mut(path) {
             Some(stats) => stats,
-            None => spans.entry(path.to_owned()).or_default(),
+            None => tables.spans.entry(path.to_owned()).or_default(),
         };
         stats.count += 1;
         stats.total_ns += elapsed_ns;
         stats.child_ns += child_ns;
     }
 
-    fn push_event(&self, label: String) {
-        self.events.lock().expect("event log poisoned").push(label);
-    }
-
-    /// Zero every registered instrument and clear the span stats and the
-    /// event log.  Descriptors stay registered — `&'static` handles held
-    /// by hot loops remain valid.  Call at run boundaries (the bench
-    /// harness resets before each measured configuration).
+    /// Forget every counter, span and event: the next snapshot lists only
+    /// what is recorded after this call.
     pub fn reset(&self) {
-        for entry in self
-            .counters
-            .lock()
-            .expect("counter registry poisoned")
-            .values()
-        {
-            entry.instrument.reset();
-        }
-        for entry in self
-            .gauges
-            .lock()
-            .expect("gauge registry poisoned")
-            .values()
-        {
-            entry.instrument.reset();
-        }
-        for entry in self
-            .histograms
-            .lock()
-            .expect("histogram registry poisoned")
-            .values()
-        {
-            entry.instrument.reset();
-        }
-        self.spans.lock().expect("span registry poisoned").clear();
-        self.events.lock().expect("event log poisoned").clear();
+        *self.lock() = Tables::default();
     }
 
-    /// A point-in-time copy of every registered metric, span path and
-    /// event, each family sorted by name/path (sequence order for
-    /// events).
+    /// A point-in-time copy of every counter, span path and event, counters
+    /// sorted by name and spans by path, events in sequence order.
     pub fn snapshot(&self) -> MetricsSnapshot {
-        let counters = self
+        let tables = self.lock();
+        let counters = tables
             .counters
-            .lock()
-            .expect("counter registry poisoned")
             .values()
-            .map(|entry| CounterSample {
-                name: entry.desc.name,
-                class: entry.desc.class,
-                unit: entry.desc.unit,
-                stage: entry.desc.stage,
-                value: entry.instrument.value(),
-            })
-            .collect();
-        let gauges = self
-            .gauges
-            .lock()
-            .expect("gauge registry poisoned")
-            .values()
-            .map(|entry| GaugeSample {
-                name: entry.desc.name,
-                class: entry.desc.class,
-                unit: entry.desc.unit,
-                stage: entry.desc.stage,
-                value: entry.instrument.value(),
-            })
-            .collect();
-        let histograms = self
-            .histograms
-            .lock()
-            .expect("histogram registry poisoned")
-            .values()
-            .map(|entry| HistogramSample {
-                name: entry.desc.name,
-                class: entry.desc.class,
-                unit: entry.desc.unit,
-                stage: entry.desc.stage,
-                boundaries: entry.instrument.boundaries(),
-                buckets: entry.instrument.bucket_counts(),
-                count: entry.instrument.count(),
-                sum: entry.instrument.sum(),
-            })
-            .collect();
-        let spans = self
-            .spans
-            .lock()
-            .expect("span registry poisoned")
-            .iter()
-            .map(|(path, stats)| SpanSample {
-                path: path.clone(),
-                count: stats.count,
-                total_ns: stats.total_ns,
-                self_ns: stats.total_ns.saturating_sub(stats.child_ns),
-            })
-            .collect();
-        let events = self.events.lock().expect("event log poisoned").clone();
+            .map(|&(counter, value)| CounterSample {
+                name: counter.name,
+                class: counter.class,
+                unit: counter.unit,
+                stage: counter.stage,
+                value,
+            });
+        let spans = tables.spans.iter().map(|(path, stats)| SpanSample {
+            path: path.clone(),
+            count: stats.count,
+            total_ns: stats.total_ns,
+            self_ns: stats.total_ns.saturating_sub(stats.child_ns),
+        });
         MetricsSnapshot {
-            counters,
-            gauges,
-            histograms,
-            spans,
-            events,
+            counters: counters.collect(),
+            gauges: Vec::new(),
+            histograms: Vec::new(),
+            spans: spans.collect(),
+            events: tables.events.clone(),
         }
     }
 }
@@ -226,52 +136,88 @@ mod tests {
     use super::*;
     use crate::metric::DeterminismClass;
 
-    #[test]
-    fn registration_is_idempotent_and_snapshot_sorted() {
-        let desc = MetricDesc::new(
-            "test.registry.alpha",
-            DeterminismClass::Deterministic,
-            "items",
-            "test",
-        );
-        let first = registry().counter(desc);
-        let second = registry().counter(desc);
-        assert!(std::ptr::eq(first, second));
-        first.add(2);
-        let beta = registry().counter(MetricDesc::new(
-            "test.registry.beta",
-            DeterminismClass::Timing,
-            "items",
-            "test",
-        ));
-        beta.incr();
-        let snapshot = registry().snapshot();
-        let names: Vec<&str> = snapshot.counters.iter().map(|c| c.name).collect();
-        let mut sorted = names.clone();
-        sorted.sort_unstable();
-        assert_eq!(names, sorted);
-        assert!(snapshot
+    static ALPHA: LazyCounter = LazyCounter::new(
+        "test.registry.alpha",
+        DeterminismClass::Deterministic,
+        "items",
+        "test",
+    );
+    static BETA: LazyCounter = LazyCounter::new(
+        "test.registry.beta",
+        DeterminismClass::Timing,
+        "items",
+        "test",
+    );
+
+    fn values(snapshot: &MetricsSnapshot) -> Vec<(&'static str, u64)> {
+        snapshot
             .counters
             .iter()
-            .any(|c| c.name == "test.registry.alpha" && c.value >= 2));
+            .map(|c| (c.name, c.value))
+            .collect()
+    }
+
+    #[test]
+    fn counters_sum_per_name_and_snapshot_sorted() {
+        BETA.incr();
+        ALPHA.add(2);
+        ALPHA.add(0);
+        BETA.add(4);
+        let expected = vec![("test.registry.alpha", 2), ("test.registry.beta", 5)];
+        assert_eq!(values(&registry().snapshot()), expected);
     }
 
     #[test]
     fn events_keep_sequence_order() {
-        // The registry is global and tests run concurrently, so assert
-        // on relative order of this test's own events only.
         event("test.order.first");
         event("test.order.second");
         let snapshot = registry().snapshot();
-        let first = snapshot.events.iter().position(|e| e == "test.order.first");
-        let second = snapshot
-            .events
-            .iter()
-            .position(|e| e == "test.order.second");
-        // Another test may have reset the registry between the two pushes
-        // and the snapshot; order is only asserted when both survived.
-        if let (Some(a), Some(b)) = (first, second) {
-            assert!(a < b);
-        }
+        assert_eq!(snapshot.events, ["test.order.first", "test.order.second"]);
+    }
+
+    #[test]
+    fn a_thread_counts_into_its_own_registry_or_the_one_it_installs() {
+        ALPHA.add(1);
+        let caller = registry();
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                ALPHA.add(10);
+                assert_eq!(
+                    values(&registry().snapshot()),
+                    [("test.registry.alpha", 10)]
+                );
+            });
+            scope.spawn(|| {
+                caller.clone().install();
+                ALPHA.add(100);
+            });
+        });
+        assert_eq!(
+            values(&registry().snapshot()),
+            [("test.registry.alpha", 101)]
+        );
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    fn a_panic_under_the_lock_leaves_the_registry_usable() {
+        static ALPHA_AGAIN: LazyCounter = LazyCounter::new(
+            "test.registry.alpha",
+            DeterminismClass::Timing,
+            "items",
+            "test",
+        );
+        ALPHA.add(1);
+        let caller = registry();
+        let panicked = std::thread::scope(|scope| {
+            let clash = scope.spawn(|| {
+                caller.clone().install();
+                ALPHA_AGAIN.add(1);
+            });
+            clash.join().is_err()
+        });
+        assert!(panicked, "a clashing descriptor panics in debug builds");
+        ALPHA.add(1);
+        assert_eq!(values(&registry().snapshot()), [("test.registry.alpha", 2)]);
     }
 }

@@ -1,16 +1,8 @@
-//! Point-in-time snapshots and their renders: full JSON, the
-//! deterministic-subset JSON (byte-identical across thread counts), and
-//! a Prometheus text exposition.
+//! Point-in-time snapshots and their two renders: the full JSON and the
+//! deterministic-subset JSON (byte-identical across thread counts).
 
 use crate::metric::DeterminismClass;
 use std::fmt::Write as _;
-
-/// Power-of-four microsecond boundaries shared by the duration
-/// histograms (shard bodies span ~µs at tiny scale to ~seconds at
-/// `huge`).
-pub const DURATION_US_BOUNDARIES: &[u64] = &[
-    64, 256, 1_024, 4_096, 16_384, 65_536, 262_144, 1_048_576, 4_194_304,
-];
 
 /// A sampled counter.
 #[derive(Debug, Clone)]
@@ -27,7 +19,8 @@ pub struct CounterSample {
     pub value: u64,
 }
 
-/// A sampled gauge.
+/// A sampled gauge.  The registry keeps no gauges; the type stays for
+/// callers that build a [`MetricsSnapshot`] field by field.
 #[derive(Debug, Clone)]
 pub struct GaugeSample {
     /// Metric name.
@@ -42,7 +35,8 @@ pub struct GaugeSample {
     pub value: u64,
 }
 
-/// A sampled histogram.
+/// A sampled histogram.  The registry keeps no histograms; the type stays
+/// for callers that build a [`MetricsSnapshot`] field by field.
 #[derive(Debug, Clone)]
 pub struct HistogramSample {
     /// Metric name.
@@ -76,16 +70,16 @@ pub struct SpanSample {
     pub self_ns: u64,
 }
 
-/// A point-in-time copy of the registry (see
-/// [`Registry::snapshot`](crate::Registry::snapshot)); every family is
-/// sorted by name/path, events keep sequence order.
+/// A point-in-time copy of a registry (see
+/// [`Registry::snapshot`](crate::Registry::snapshot)); counters are sorted
+/// by name, spans by path, events keep sequence order.
 #[derive(Debug, Clone, Default)]
 pub struct MetricsSnapshot {
     /// Sampled counters, name-sorted.
     pub counters: Vec<CounterSample>,
-    /// Sampled gauges, name-sorted.
+    /// Always empty from a registry, and read by no render.
     pub gauges: Vec<GaugeSample>,
-    /// Sampled histograms, name-sorted.
+    /// Always empty from a registry, and read by no render.
     pub histograms: Vec<HistogramSample>,
     /// Span statistics, path-sorted.
     pub spans: Vec<SpanSample>,
@@ -112,203 +106,84 @@ fn json_escape(s: &str) -> String {
     out
 }
 
-fn push_list(out: &mut String, values: &[u64]) {
-    out.push('[');
-    for (i, v) in values.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
+/// A JSON object of named arrays, one item a line — the layout both
+/// renders have always had.
+fn json_object(arrays: &[(&str, Vec<String>)]) -> String {
+    let mut out = String::from("{");
+    for (i, (key, items)) in arrays.iter().enumerate() {
+        let comma = if i == 0 { "" } else { "," };
+        let _ = write!(out, "{comma}\n  \"{key}\": [");
+        for (j, item) in items.iter().enumerate() {
+            let comma = if j == 0 { "" } else { "," };
+            let _ = write!(out, "{comma}\n    {item}");
         }
-        let _ = write!(out, "{v}");
+        out.push_str("\n  ]");
     }
-    out.push(']');
+    out.push_str("\n}\n");
+    out
 }
 
 impl MetricsSnapshot {
-    /// The deterministic subset — [`DeterminismClass::Deterministic`]
-    /// counters and gauges plus the event log — rendered as JSON.  This
-    /// string is the thread-count-invariance contract: it must be
-    /// byte-identical for any `ALIAS_THREADS` over the same campaign.
-    pub fn deterministic_json(&self) -> String {
-        let mut out = String::from("{\n  \"counters\": [");
-        let deterministic: Vec<&CounterSample> = self
-            .counters
+    fn event_items(&self) -> Vec<String> {
+        let quoted = self
+            .events
             .iter()
-            .filter(|c| c.class == DeterminismClass::Deterministic)
-            .collect();
-        for (i, counter) in deterministic.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "\n    {{\"name\": \"{}\", \"unit\": \"{}\", \"stage\": \"{}\", \"value\": {}}}",
-                counter.name, counter.unit, counter.stage, counter.value
-            );
-        }
-        out.push_str("\n  ],\n  \"gauges\": [");
-        let gauges: Vec<&GaugeSample> = self
-            .gauges
-            .iter()
-            .filter(|g| g.class == DeterminismClass::Deterministic)
-            .collect();
-        for (i, gauge) in gauges.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "\n    {{\"name\": \"{}\", \"unit\": \"{}\", \"stage\": \"{}\", \"value\": {}}}",
-                gauge.name, gauge.unit, gauge.stage, gauge.value
-            );
-        }
-        out.push_str("\n  ],\n  \"events\": [");
-        for (i, event) in self.events.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "\n    \"{}\"", json_escape(event));
-        }
-        out.push_str("\n  ]\n}\n");
-        out
+            .map(|e| format!("\"{}\"", json_escape(e)));
+        quoted.collect()
     }
 
-    /// The full snapshot — every class, histograms and span statistics
-    /// included — rendered as JSON.  Timing-class values live here and
-    /// only here; nothing of this render may flow into experiment
-    /// documents.
+    /// The deterministic subset — [`DeterminismClass::Deterministic`]
+    /// counters plus the event log — rendered as JSON.  This string is the
+    /// thread-count-invariance contract: it must be byte-identical for any
+    /// `ALIAS_THREADS` over the same campaign.
+    pub fn deterministic_json(&self) -> String {
+        let deterministic = self
+            .counters
+            .iter()
+            .filter(|c| c.class == DeterminismClass::Deterministic);
+        let counters = deterministic.map(|c| {
+            format!(
+                "{{\"name\": \"{}\", \"unit\": \"{}\", \"stage\": \"{}\", \"value\": {}}}",
+                c.name, c.unit, c.stage, c.value
+            )
+        });
+        // No gauge is recorded; the empty array keeps the artefact's bytes
+        // those of the runs that had one.
+        json_object(&[
+            ("counters", counters.collect()),
+            ("gauges", Vec::new()),
+            ("events", self.event_items()),
+        ])
+    }
+
+    /// The full snapshot — every class and the span statistics — rendered
+    /// as JSON.  Timing-class values live here and only here; nothing of
+    /// this render may flow into experiment documents.
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n  \"counters\": [");
-        for (i, c) in self.counters.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "\n    {{\"name\": \"{}\", \"class\": \"{}\", \"unit\": \"{}\", \"stage\": \"{}\", \"value\": {}}}",
+        let counters = self.counters.iter().map(|c| {
+            format!(
+                "{{\"name\": \"{}\", \"class\": \"{}\", \"unit\": \"{}\", \"stage\": \"{}\", \"value\": {}}}",
                 c.name,
                 c.class.label(),
                 c.unit,
                 c.stage,
                 c.value
-            );
-        }
-        out.push_str("\n  ],\n  \"gauges\": [");
-        for (i, g) in self.gauges.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "\n    {{\"name\": \"{}\", \"class\": \"{}\", \"unit\": \"{}\", \"stage\": \"{}\", \"value\": {}}}",
-                g.name,
-                g.class.label(),
-                g.unit,
-                g.stage,
-                g.value
-            );
-        }
-        out.push_str("\n  ],\n  \"histograms\": [");
-        for (i, h) in self.histograms.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "\n    {{\"name\": \"{}\", \"class\": \"{}\", \"unit\": \"{}\", \"stage\": \"{}\", \"boundaries\": ",
-                h.name,
-                h.class.label(),
-                h.unit,
-                h.stage
-            );
-            push_list(&mut out, h.boundaries);
-            out.push_str(", \"buckets\": ");
-            push_list(&mut out, &h.buckets);
-            let _ = write!(out, ", \"count\": {}, \"sum\": {}}}", h.count, h.sum);
-        }
-        out.push_str("\n  ],\n  \"spans\": [");
-        for (i, s) in self.spans.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "\n    {{\"path\": \"{}\", \"count\": {}, \"total_ns\": {}, \"self_ns\": {}}}",
+            )
+        });
+        let spans = self.spans.iter().map(|s| {
+            format!(
+                "{{\"path\": \"{}\", \"count\": {}, \"total_ns\": {}, \"self_ns\": {}}}",
                 json_escape(&s.path),
                 s.count,
                 s.total_ns,
                 s.self_ns
-            );
-        }
-        out.push_str("\n  ],\n  \"events\": [");
-        for (i, event) in self.events.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "\n    \"{}\"", json_escape(event));
-        }
-        out.push_str("\n  ]\n}\n");
-        out
-    }
-
-    /// Prometheus text exposition of counters, gauges, histograms and
-    /// span statistics (`alias_` prefix, dots/dashes folded to
-    /// underscores).
-    pub fn to_prometheus(&self) -> String {
-        fn prom_name(name: &str) -> String {
-            let mut out = String::with_capacity(name.len() + 6);
-            out.push_str("alias_");
-            for c in name.chars() {
-                out.push(if c == '.' || c == '-' { '_' } else { c });
-            }
-            out
-        }
-        let mut out = String::new();
-        for c in &self.counters {
-            let name = prom_name(c.name);
-            let _ = writeln!(out, "# TYPE {name} counter");
-            let _ = writeln!(
-                out,
-                "{name}{{stage=\"{}\",class=\"{}\",unit=\"{}\"}} {}",
-                c.stage,
-                c.class.label(),
-                c.unit,
-                c.value
-            );
-        }
-        for g in &self.gauges {
-            let name = prom_name(g.name);
-            let _ = writeln!(out, "# TYPE {name} gauge");
-            let _ = writeln!(
-                out,
-                "{name}{{stage=\"{}\",class=\"{}\",unit=\"{}\"}} {}",
-                g.stage,
-                g.class.label(),
-                g.unit,
-                g.value
-            );
-        }
-        for h in &self.histograms {
-            let name = prom_name(h.name);
-            let _ = writeln!(out, "# TYPE {name} histogram");
-            let mut cumulative = 0u64;
-            for (slot, &count) in h.buckets.iter().enumerate() {
-                cumulative += count;
-                let le = match h.boundaries.get(slot) {
-                    Some(boundary) => boundary.to_string(),
-                    None => "+Inf".to_owned(),
-                };
-                let _ = writeln!(out, "{name}_bucket{{le=\"{le}\"}} {cumulative}");
-            }
-            let _ = writeln!(out, "{name}_count {}", h.count);
-            let _ = writeln!(out, "{name}_sum {}", h.sum);
-        }
-        for s in &self.spans {
-            let path = &s.path;
-            let _ = writeln!(out, "alias_span_count{{path=\"{path}\"}} {}", s.count);
-            let _ = writeln!(out, "alias_span_total_ns{{path=\"{path}\"}} {}", s.total_ns);
-            let _ = writeln!(out, "alias_span_self_ns{{path=\"{path}\"}} {}", s.self_ns);
-        }
-        out
+            )
+        });
+        json_object(&[
+            ("counters", counters.collect()),
+            ("spans", spans.collect()),
+            ("events", self.event_items()),
+        ])
     }
 }
 
@@ -334,75 +209,39 @@ mod tests {
                     value: 7,
                 },
             ],
-            gauges: vec![GaugeSample {
-                name: "exec.shard_imbalance_x1000",
-                class: DeterminismClass::Timing,
-                unit: "x1000",
-                stage: "exec",
-                value: 1500,
-            }],
-            histograms: vec![HistogramSample {
-                name: "exec.shard_duration_us",
-                class: DeterminismClass::Timing,
-                unit: "us",
-                stage: "exec",
-                boundaries: &[10, 100],
-                buckets: vec![1, 2, 3],
-                count: 6,
-                sum: 999,
-            }],
             spans: vec![SpanSample {
                 path: "resolve.campaign".to_owned(),
                 count: 1,
                 total_ns: 1_000,
                 self_ns: 400,
             }],
-            events: vec!["phase:zmap_v4".to_owned()],
+            events: vec!["phase:zmap_v4".to_owned(), "phase:zgrab".to_owned()],
+            ..MetricsSnapshot::default()
         }
     }
 
     #[test]
-    fn deterministic_json_excludes_timing_metrics() {
-        let json = sample().deterministic_json();
-        assert!(json.contains("scan.probes_emitted"));
-        assert!(!json.contains("exec.shard_map_calls"));
-        assert!(!json.contains("shard_imbalance"));
-        assert!(!json.contains("total_ns"));
-        assert!(json.contains("phase:zmap_v4"));
+    fn deterministic_json_is_the_deterministic_counters_and_the_events() {
+        let expected = "{\n  \"counters\": [\
+                        \n    {\"name\": \"scan.probes_emitted\", \"unit\": \"probes\", \"stage\": \"scan\", \"value\": 42}\
+                        \n  ],\n  \"gauges\": [\n  ],\n  \"events\": [\
+                        \n    \"phase:zmap_v4\",\n    \"phase:zgrab\"\n  ]\n}\n";
+        assert_eq!(sample().deterministic_json(), expected);
     }
 
     #[test]
-    fn full_json_carries_every_family() {
+    fn full_json_carries_every_class_and_the_spans() {
         let json = sample().to_json();
         for needle in [
             "scan.probes_emitted",
+            "\"class\": \"timing\"",
             "exec.shard_map_calls",
-            "exec.shard_imbalance_x1000",
-            "exec.shard_duration_us",
-            "\"boundaries\": [10,100]",
-            "\"buckets\": [1,2,3]",
             "resolve.campaign",
             "\"self_ns\": 400",
             "phase:zmap_v4",
         ] {
             assert!(json.contains(needle), "missing {needle} in {json}");
         }
-    }
-
-    #[test]
-    fn prometheus_render_is_cumulative_and_prefixed() {
-        let text = sample().to_prometheus();
-        assert!(text.contains("# TYPE alias_scan_probes_emitted counter"));
-        assert!(text.contains(
-            "alias_scan_probes_emitted{stage=\"scan\",class=\"deterministic\",unit=\"probes\"} 42"
-        ));
-        assert!(text.contains("# TYPE alias_exec_shard_imbalance_x1000 gauge"));
-        // Histogram buckets are cumulative: 1, 1+2, 1+2+3.
-        assert!(text.contains("alias_exec_shard_duration_us_bucket{le=\"10\"} 1"));
-        assert!(text.contains("alias_exec_shard_duration_us_bucket{le=\"100\"} 3"));
-        assert!(text.contains("alias_exec_shard_duration_us_bucket{le=\"+Inf\"} 6"));
-        assert!(text.contains("alias_exec_shard_duration_us_count 6"));
-        assert!(text.contains("alias_span_self_ns{path=\"resolve.campaign\"} 400"));
     }
 
     #[test]

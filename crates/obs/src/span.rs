@@ -2,41 +2,13 @@
 //!
 //! This module is the single place the workspace reads the real clock:
 //! `clippy.toml` disallows `Instant::now` everywhere, and the `allow` on
-//! [`Stopwatch::start`] and on the span entry are the only carve-outs.
-//! Everything downstream measures durations through a [`Stopwatch`], which
-//! hands a [`Duration`] back, or a [`SpanGuard`], which records into the
-//! registry; no other crate ever holds an `Instant`.
+//! the span entry is the only carve-out.  Everything downstream measures
+//! durations through a [`SpanGuard`], which records into the registry; no
+//! other crate ever holds an `Instant`.
 
-use crate::registry::registry;
+use crate::registry::with_current;
 use std::cell::RefCell;
-use std::time::{Duration, Instant};
-
-/// A started wall-clock timer (the harness-facing primitive: ceiling
-/// timers, ad-hoc measurements).
-#[derive(Debug, Clone, Copy)]
-pub struct Stopwatch {
-    started: Instant,
-}
-
-impl Stopwatch {
-    /// Start timing now.
-    #[allow(clippy::disallowed_methods)]
-    pub fn start() -> Self {
-        Stopwatch {
-            started: Instant::now(),
-        }
-    }
-
-    /// Time elapsed since [`Stopwatch::start`].
-    pub fn elapsed(&self) -> Duration {
-        self.started.elapsed()
-    }
-
-    /// Elapsed whole milliseconds (`u64`, saturating).
-    pub fn elapsed_ms(&self) -> u64 {
-        u64::try_from(self.elapsed().as_millis()).unwrap_or(u64::MAX)
-    }
-}
+use std::time::Instant;
 
 /// One entry of the thread-local span stack.
 struct Frame {
@@ -110,13 +82,15 @@ impl Drop for SpanGuard {
             }
             frame.child_ns
         });
-        registry().record_span(&self.path, elapsed_ns, child_ns);
+        with_current(|registry| registry.record_span(&self.path, elapsed_ns, child_ns));
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::registry;
+    use std::time::Duration;
 
     #[test]
     fn nested_spans_attribute_child_time() {
@@ -131,19 +105,14 @@ mod tests {
             drop(outer);
         }
         let snapshot = registry().snapshot();
-        let outer = snapshot
-            .spans
-            .iter()
-            .find(|s| s.path == "test.span.outer")
-            .expect("outer span recorded");
-        let inner = snapshot
-            .spans
-            .iter()
-            .find(|s| s.path == "test.span.outer/inner")
-            .expect("inner span recorded");
-        assert!(outer.count >= 1 && inner.count >= 1);
+        let [outer, inner] = &snapshot.spans[..] else {
+            panic!("two spans recorded: {:?}", snapshot.spans);
+        };
+        assert_eq!(outer.path, "test.span.outer");
+        assert_eq!(inner.path, "test.span.outer/inner");
+        assert!(outer.count == 1 && inner.count == 1);
         // The parent's self time excludes the child's sleep.
-        assert!(outer.self_ns <= outer.total_ns);
+        assert_eq!(outer.self_ns, outer.total_ns - inner.total_ns);
         assert!(inner.total_ns >= 2_000_000);
     }
 
@@ -155,13 +124,5 @@ mod tests {
         let formatted = crate::span!("test.macro.shard{}", 3);
         assert_eq!(formatted.path(), "test.macro.shard3");
         drop(formatted);
-    }
-
-    #[test]
-    fn stopwatch_measures_forward() {
-        let watch = Stopwatch::start();
-        std::thread::sleep(Duration::from_millis(1));
-        assert!(watch.elapsed() >= Duration::from_millis(1));
-        let _ = watch.elapsed_ms();
     }
 }

@@ -142,11 +142,12 @@ impl ResolutionTechnique for RateLimitTechnique {
         let interner = data.interner().clone();
         let mut now = ctx.probe_start;
         let mut sets: Vec<CompactAliasSet> = Vec::new();
+        let (mut candidate_clusters, mut alias_verdicts) = (0, 0);
         for (signature, mut members) in clusters {
             if members.len() < 2 {
                 continue;
             }
-            CANDIDATE_CLUSTERS.incr();
+            candidate_clusters += 1;
             members.sort_unstable();
             // The joint test runs at the cluster's lowest lossy rate: a
             // shared limiter stays lossy there, while two independent
@@ -203,7 +204,7 @@ impl ResolutionTechnique for RateLimitTechnique {
                         // two independent limiters of this signature lose
                         // nothing at half that rate.
                         Some((replies_a, replies_b)) if replies_a + replies_b < 2 * count => {
-                            JOINT_ALIAS_VERDICTS.incr();
+                            alias_verdicts += 1;
                             uf.union(j, i);
                             done[i] = true;
                         }
@@ -222,6 +223,14 @@ impl ResolutionTechnique for RateLimitTechnique {
                     group.into_iter().map(|k| members[k]).collect(),
                 ));
             }
+        }
+        // Added only when non-zero, so the counters a run lists are those
+        // a per-cluster add would have listed.
+        if candidate_clusters > 0 {
+            CANDIDATE_CLUSTERS.add(candidate_clusters);
+        }
+        if alias_verdicts > 0 {
+            JOINT_ALIAS_VERDICTS.add(alias_verdicts);
         }
 
         TechniqueResult::from_compact(self.name().to_owned(), sets, testable, now, interner)

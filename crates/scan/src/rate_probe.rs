@@ -31,7 +31,7 @@ use std::net::{IpAddr, Ipv6Addr};
 
 /// Targets skipped by the screening burst (zero loss at the top rate).
 /// Bursts are pure per target, so the total is shard-independent even
-/// though the counter is bumped from inside shard workers.
+/// though each shard worker adds its own count.
 static SCREENED_TARGETS: LazyCounter = LazyCounter::new(
     "scan.rate_probe_screened",
     DeterminismClass::Deterministic,
@@ -161,6 +161,7 @@ impl RateProber {
         let slot = cfg.target_slot().as_millis();
         let sent = cfg.probes_per_round;
         let count = u32::from(sent);
+        let (mut screened, mut lossy) = (0, 0);
         for (offset, &addr) in targets.iter().enumerate() {
             let t0 = phase_start + SimTime((global_offset + offset) as u64 * slot);
             // The limiter is router-wide: resolve the target once and burst
@@ -180,7 +181,7 @@ impl RateProber {
                 continue;
             };
             if replies == count {
-                SCREENED_TARGETS.incr();
+                screened += 1;
                 continue;
             }
             for round in 0..cfg.rounds {
@@ -194,7 +195,7 @@ impl RateProber {
                 if lost == 0 {
                     continue;
                 }
-                LOSSY_ROUNDS.incr();
+                lossy += 1;
                 columns.push(
                     addr,
                     ServiceProtocol::IcmpRateLimit.default_port(),
@@ -209,6 +210,14 @@ impl RateProber {
                     },
                 );
             }
+        }
+        // Added only when non-zero, so the counters a run lists are those
+        // a per-target add would have listed.
+        if screened > 0 {
+            SCREENED_TARGETS.add(screened);
+        }
+        if lossy > 0 {
+            LOSSY_ROUNDS.add(lossy);
         }
     }
 
