@@ -47,10 +47,7 @@ fn bench_grouping(c: &mut Criterion) {
         ("full", SshIdentifierPolicy::Full),
     ] {
         ablation.bench_function(name, |b| {
-            let extractor = IdentifierExtractor::new(ExtractionConfig {
-                ssh: policy,
-                ..ExtractionConfig::paper()
-            });
+            let extractor = IdentifierExtractor::new(ExtractionConfig { ssh: policy });
             b.iter(|| group_view_compact(&view, &extractor, 1))
         });
     }
@@ -61,7 +58,6 @@ fn bench_grouping(c: &mut Criterion) {
     let mut derived = c.benchmark_group("grouping_derived");
     let key_only = IdentifierExtractor::new(ExtractionConfig {
         ssh: SshIdentifierPolicy::KeyOnly,
-        ..ExtractionConfig::paper()
     });
     let full_pass = experiment.keyed_pass(ServiceProtocol::Ssh);
     derived.bench_function("key_only_count_small", |b| {

@@ -11,15 +11,13 @@
 //! population size.
 
 use alias_netsim::{InternetBuilder, InternetConfig, ScalePreset, SimTime, VantageKind};
-use alias_scan::rate_probe::{RateProbeConfig, RateProber};
-use alias_scan::zmap::{ZmapConfig, ZmapScanner};
+use alias_scan::{rate_probe, zmap};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 fn bench_probe_emission(c: &mut Criterion) {
     let internet = InternetBuilder::new(InternetConfig::preset(ScalePreset::PaperShape, 3)).build();
     let (vantage, start) = (VantageKind::Distributed, SimTime::ZERO);
-    let zmap = ZmapScanner::new(ZmapConfig::default());
-    let probes_sent = zmap.scan_ipv4(&internet, vantage, start, 1).probes_sent;
+    let probes_sent = zmap::scan_ipv4(&internet, vantage, start, 0x5eed, 1).probes_sent;
     println!("probe_emission/zmap: {probes_sent} SYN probes per iteration");
 
     let mut group = c.benchmark_group("probe_emission/zmap");
@@ -27,13 +25,12 @@ fn bench_probe_emission(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::new("threads", threads),
             &threads,
-            |b, &threads| b.iter(|| zmap.scan_ipv4(&internet, vantage, start, threads)),
+            |b, &threads| b.iter(|| zmap::scan_ipv4(&internet, vantage, start, 0x5eed, threads)),
         );
     }
     group.finish();
 
-    let prober = RateProber::new(RateProbeConfig::default());
-    let targets = prober.discover_targets(&internet, &[], vantage, start, 1);
+    let targets = rate_probe::discover_targets(&internet, &[], vantage, start, 1);
     println!(
         "probe_emission/rate_probe: {} targets per iteration",
         targets.len()
@@ -43,7 +40,9 @@ fn bench_probe_emission(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::new("threads", threads),
             &threads,
-            |b, &threads| b.iter(|| prober.probe(&internet, &targets, vantage, start, threads)),
+            |b, &threads| {
+                b.iter(|| rate_probe::probe(&internet, &targets, vantage, start, threads))
+            },
         );
     }
     group.finish();

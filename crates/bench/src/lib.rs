@@ -25,7 +25,7 @@ use alias_core::merge::{
 use alias_core::report::{format_count, format_pct, render_ecdf, TextTable};
 use alias_core::validation::{common_ids, cross_validate, validate_against_midar};
 use alias_intern::{AddrId, CompactAliasSet};
-use alias_midar::{Midar, MidarConfig};
+use alias_midar::midar_resolve;
 use alias_netsim::{
     DeviceId, DeviceKind, Internet, InternetBuilder, InternetConfig, PairwiseScore, ScalePreset,
     SimTime, VantageKind,
@@ -176,7 +176,6 @@ impl Experiment {
             CensysConfig {
                 snapshot_time: SimTime::ZERO,
                 seed,
-                ..Default::default()
             },
         );
         let (censys, censys_nonstandard) = snapshot.into_default_port();
@@ -455,9 +454,10 @@ pub fn table2(exp: &Experiment) -> String {
     let targets: Vec<ResolvedTarget> = (sample.iter().flatten())
         .map(|&addr| exp.internet.lookup(addr))
         .collect();
-    let midar = Midar::new(MidarConfig::default()).resolve(
+    let midar = midar_resolve(
         &exp.internet,
         &targets,
+        VantageKind::SingleVp,
         exp.active_start + SimTime::from_days(1),
     );
     let mut next = 0u32;
@@ -778,7 +778,6 @@ pub fn stats(exp: &Experiment) -> String {
     // §2.2: non-singleton SSH hosts with diverging capabilities.
     let key_only = IdentifierExtractor::new(ExtractionConfig {
         ssh: alias_core::identifier::SshIdentifierPolicy::KeyOnly,
-        ..ExtractionConfig::paper()
     });
     // Only the number of key-grouped sets is quoted, and the host key is
     // part of the full identifier: the full pass's groups, merged where
@@ -1001,7 +1000,7 @@ impl RateLimitStudy {
                 start,
                 hitlist_coverage,
                 seed,
-                rate_probe: Some(RateProbeConfig::default()),
+                rate_probe: Some(RateProbeConfig),
                 ..Default::default()
             })
             .build();

@@ -184,7 +184,6 @@ fn check_partitions(exp: &Experiment, context: &str) {
 fn check_key_only_count(exp: &Experiment, context: &str) {
     let key_only = IdentifierExtractor::new(ExtractionConfig {
         ssh: SshIdentifierPolicy::KeyOnly,
-        ..ExtractionConfig::paper()
     });
     let view = exp.union.select_protocol(ServiceProtocol::Ssh, None);
     let direct = group_view_compact(&view, &key_only, 1);

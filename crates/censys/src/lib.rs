@@ -35,27 +35,24 @@ static SESSIONS: LazyCounter = LazyCounter::new(
     "censys",
 );
 
+/// Non-standard ports a fraction of SSH hosts are additionally listed on.
+pub const EXTRA_SSH_PORTS: [u16; 4] = [2222, 2022, 830, 8022];
+
 /// Configuration of a snapshot collection.
 #[derive(Debug, Clone)]
 pub struct CensysConfig {
     /// The snapshot date (simulated); the paper's snapshot predates the
     /// active scan by three weeks.
     pub snapshot_time: SimTime,
-    /// Non-standard ports a fraction of SSH hosts are additionally listed on.
-    pub extra_ssh_ports: Vec<u16>,
-    /// Seed for the coverage / extra-port sampling.
+    /// Seed for the extra-port sampling.
     pub seed: u64,
-    /// Whether to include (the tiny amount of) IPv6 data Censys has.
-    pub include_ipv6: bool,
 }
 
 impl Default for CensysConfig {
     fn default() -> Self {
         CensysConfig {
             snapshot_time: SimTime::ZERO,
-            extra_ssh_ports: vec![2222, 2022, 830, 8022],
             seed: 0xce9515,
-            include_ipv6: false,
         }
     }
 }
@@ -102,7 +99,8 @@ impl CensysSnapshot {
                 .into_iter()
                 .flat_map(|(protocol, addrs)| addrs.into_iter().map(move |addr| (protocol, addr)))
             {
-                if addr.is_ipv6() && !config.include_ipv6 {
+                // The paper excludes Censys's negligible IPv6 data.
+                if addr.is_ipv6() {
                     continue;
                 }
                 let Some((device_id, iface)) = internet.lookup(addr) else {
@@ -127,11 +125,8 @@ impl CensysSnapshot {
                     rows.push(addr, listed, source, time, asn, payload);
                 };
                 // A fraction of SSH hosts also appear on a non-standard port.
-                if protocol == ServiceProtocol::Ssh
-                    && !config.extra_ssh_ports.is_empty()
-                    && rng.gen_bool(nonstandard_fraction)
-                {
-                    list(config.extra_ssh_ports[rng.gen_range(0..config.extra_ssh_ports.len())]);
+                if protocol == ServiceProtocol::Ssh && rng.gen_bool(nonstandard_fraction) {
+                    list(EXTRA_SSH_PORTS[rng.gen_range(0..EXTRA_SSH_PORTS.len())]);
                 }
                 list(port);
             }
@@ -193,7 +188,7 @@ mod tests {
         assert!(!rows.is_empty());
         for obs in &rows {
             assert_eq!(obs.source, DataSource::Censys);
-            assert!(!obs.is_ipv6(), "IPv6 must be excluded by default");
+            assert!(!obs.is_ipv6(), "IPv6 is excluded");
         }
     }
 
@@ -231,7 +226,7 @@ mod tests {
         assert!(!nonstandard.is_empty());
         assert_eq!(nonstandard.validate(), Ok(()));
         for port in nonstandard.ports() {
-            assert!(snapshot.config.extra_ssh_ports.contains(port));
+            assert!(EXTRA_SSH_PORTS.contains(port));
         }
         // Every host listed on an extra port is listed on port 22 as well.
         for &addr in nonstandard.interner().addrs() {
@@ -250,28 +245,6 @@ mod tests {
         // The consuming split is the same two, moved instead of copied.
         let nonstandard = nonstandard.len();
         assert_eq!(snapshot.into_default_port(), (default_only, nonstandard));
-    }
-
-    #[test]
-    fn an_extra_port_that_is_the_default_port_lands_with_the_default_port_rows() {
-        let internet = internet();
-        let config = CensysConfig {
-            extra_ssh_ports: vec![22],
-            ..CensysConfig::default()
-        };
-        let plain = CensysSnapshot::collect(&internet, CensysConfig::default());
-        let doubled = CensysSnapshot::collect(&internet, config);
-        assert!(doubled.nonstandard().is_empty());
-        // The same hosts drew an extra row; here it sits beside the base row.
-        assert_eq!(
-            doubled.default_port().len(),
-            plain.default_port().len() + plain.nonstandard().len()
-        );
-        assert!(doubled
-            .default_port()
-            .ports()
-            .iter()
-            .all(|&p| p == 22 || p == 179));
     }
 
     #[test]

@@ -407,7 +407,6 @@ mod tests {
     fn key_only_extractor() -> IdentifierExtractor {
         IdentifierExtractor::new(ExtractionConfig {
             ssh: crate::identifier::SshIdentifierPolicy::KeyOnly,
-            ..ExtractionConfig::paper()
         })
     }
 

@@ -1,27 +1,24 @@
 //! Turning scan observations into protocol identifiers.
 
 use crate::identifier::{
-    BgpIdentifier, BgpIdentifierPolicy, ProtocolIdentifier, Snmpv3Identifier, SshIdentifier,
-    SshIdentifierPolicy,
+    BgpIdentifier, ProtocolIdentifier, Snmpv3Identifier, SshIdentifier, SshIdentifierPolicy,
 };
 use alias_scan::{PayloadRef, ServiceObservation, ServicePayload};
 use serde::{Deserialize, Serialize};
 
-/// Identifier policies for all protocols.
+/// Identifier policies.  Only SSH has a choice; BGP identifiers are
+/// always every host-wide OPEN field, SNMPv3 identifiers the engine ID.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct ExtractionConfig {
     /// SSH identifier policy.
     pub ssh: SshIdentifierPolicy,
-    /// BGP identifier policy.
-    pub bgp: BgpIdentifierPolicy,
 }
 
 impl ExtractionConfig {
-    /// The paper's configuration: full identifiers for both protocols.
+    /// The paper's configuration: the full SSH identifier.
     pub fn paper() -> Self {
         ExtractionConfig {
             ssh: SshIdentifierPolicy::Full,
-            bgp: BgpIdentifierPolicy::FullOpen,
         }
     }
 }
@@ -59,9 +56,9 @@ impl IdentifierExtractor {
             ServicePayload::Ssh(ssh) => {
                 SshIdentifier::from_observation(ssh, self.config.ssh).map(ProtocolIdentifier::Ssh)
             }
-            ServicePayload::Bgp { open, .. } => Some(ProtocolIdentifier::Bgp(
-                BgpIdentifier::from_open(open, self.config.bgp),
-            )),
+            ServicePayload::Bgp { open, .. } => {
+                Some(ProtocolIdentifier::Bgp(BgpIdentifier::from_open(open)))
+            }
             ServicePayload::Snmpv3 { engine_id, .. } => Some(ProtocolIdentifier::Snmpv3(
                 Snmpv3Identifier::from_engine_id(engine_id),
             )),
@@ -87,7 +84,7 @@ impl IdentifierExtractor {
         match payload {
             PayloadRef::Ssh(ssh) => SshIdentifier::write_key(ssh, self.config.ssh, key),
             PayloadRef::Bgp { open, .. } => {
-                BgpIdentifier::write_key(open, self.config.bgp, key);
+                BgpIdentifier::write_key(open, key);
                 true
             }
             PayloadRef::Snmpv3 { engine_id, .. } => {

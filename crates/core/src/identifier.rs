@@ -17,9 +17,8 @@
 //! * **SNMPv3** — the authoritative engine ID (the prior technique the
 //!   paper extends).
 //!
-//! Identifier *policies* expose the ablations discussed in the paper
-//! (key-only vs. combined SSH identifiers, BGP-identifier-only vs. the full
-//! OPEN tuple).
+//! The SSH identifier *policy* exposes the ablation discussed in the paper
+//! (key-only vs. combined SSH identifiers).
 //!
 //! Each identifier type also has a `write_key`: the same material as one
 //! run of bytes appended to a caller's buffer, equal for two observations
@@ -43,16 +42,6 @@ pub enum SshIdentifierPolicy {
     /// Banner + capability fingerprint + host key — the paper's identifier.
     #[default]
     Full,
-}
-
-/// How much of the BGP OPEN message to include in the identifier.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
-pub enum BgpIdentifierPolicy {
-    /// The 4-octet BGP Identifier alone.
-    IdentifierOnly,
-    /// Every host-wide OPEN field (the paper's identifier).
-    #[default]
-    FullOpen,
 }
 
 /// First key byte per protocol, so keys of different protocols never
@@ -138,62 +127,46 @@ impl SshIdentifier {
     }
 }
 
-/// The BGP identifier of one responsive address.
+/// The BGP identifier of one responsive address: every host-wide field of
+/// its OPEN message.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct BgpIdentifier {
     /// The 4-octet BGP Identifier, rendered dotted-quad.
     pub bgp_identifier: String,
-    /// The ASN from the OPEN message (four-octet capability preferred);
-    /// zero under `IdentifierOnly`.
+    /// The ASN from the OPEN message (four-octet capability preferred).
     pub asn: u32,
-    /// Hold time; zero under `IdentifierOnly`.
+    /// Hold time.
     pub hold_time: u16,
-    /// Protocol version; zero under `IdentifierOnly`.
+    /// Protocol version.
     pub version: u8,
-    /// OPEN message wire length; zero under `IdentifierOnly`.
+    /// OPEN message wire length.
     pub open_length: u16,
-    /// Canonical rendering of the advertised capabilities, empty under
-    /// `IdentifierOnly`.
+    /// Canonical rendering of the advertised capabilities.
     pub capabilities: String,
 }
 
 impl BgpIdentifier {
-    /// Build the identifier from an OPEN message under `policy`.
-    pub fn from_open(open: &OpenMessage, policy: BgpIdentifierPolicy) -> Self {
-        match policy {
-            BgpIdentifierPolicy::IdentifierOnly => BgpIdentifier {
-                bgp_identifier: open.bgp_identifier.to_string(),
-                asn: 0,
-                hold_time: 0,
-                version: 0,
-                open_length: 0,
-                capabilities: String::new(),
-            },
-            BgpIdentifierPolicy::FullOpen => BgpIdentifier {
-                bgp_identifier: open.bgp_identifier.to_string(),
-                asn: open.effective_asn(),
-                hold_time: open.hold_time,
-                version: open.version,
-                open_length: open.wire_length(),
-                capabilities: render_capabilities(&open.optional_parameters),
-            },
+    /// Build the identifier from an OPEN message.
+    pub fn from_open(open: &OpenMessage) -> Self {
+        BgpIdentifier {
+            bgp_identifier: open.bgp_identifier.to_string(),
+            asn: open.effective_asn(),
+            hold_time: open.hold_time,
+            version: open.version,
+            open_length: open.wire_length(),
+            capabilities: render_capabilities(&open.optional_parameters),
         }
     }
-}
 
-impl BgpIdentifier {
     /// Append the key of the identifier [`Self::from_open`] would build.
     ///
     /// Each optional parameter goes in as (kind, code, framed value), which
     /// is in bijection with its `code:hex` / `ptype:hex` rendering.
     /// `open_length` is left out: it is a function of the parameters' kinds
     /// and value lengths, so it can never tell two keys apart.
-    pub fn write_key(open: BgpOpenRef<'_>, policy: BgpIdentifierPolicy, out: &mut Vec<u8>) {
+    pub fn write_key(open: BgpOpenRef<'_>, out: &mut Vec<u8>) {
         out.push(KEY_BGP);
         out.extend_from_slice(&open.bgp_identifier.octets());
-        if policy == BgpIdentifierPolicy::IdentifierOnly {
-            return;
-        }
         out.extend_from_slice(&open.effective_asn().to_le_bytes());
         out.extend_from_slice(&open.hold_time.to_le_bytes());
         out.push(open.version);
@@ -365,7 +338,7 @@ mod tests {
 
     #[test]
     fn bgp_full_identifier_includes_all_open_fields() {
-        let id = BgpIdentifier::from_open(&open_msg(), BgpIdentifierPolicy::FullOpen);
+        let id = BgpIdentifier::from_open(&open_msg());
         assert_eq!(id.bgp_identifier, "148.170.0.33");
         assert_eq!(id.asn, 396_982);
         assert_eq!(id.hold_time, 90);
@@ -373,19 +346,6 @@ mod tests {
         assert!(id.open_length > 29);
         assert!(id.capabilities.contains("128:"));
         assert!(id.capabilities.contains("2:"));
-    }
-
-    #[test]
-    fn bgp_identifier_only_policy_ignores_everything_else() {
-        let mut other = open_msg();
-        other.hold_time = 180;
-        other.optional_parameters.clear();
-        let a = BgpIdentifier::from_open(&open_msg(), BgpIdentifierPolicy::IdentifierOnly);
-        let b = BgpIdentifier::from_open(&other, BgpIdentifierPolicy::IdentifierOnly);
-        assert_eq!(a, b);
-        let a_full = BgpIdentifier::from_open(&open_msg(), BgpIdentifierPolicy::FullOpen);
-        let b_full = BgpIdentifier::from_open(&other, BgpIdentifierPolicy::FullOpen);
-        assert_ne!(a_full, b_full);
     }
 
     #[test]
@@ -418,10 +378,7 @@ mod tests {
         let ssh = ProtocolIdentifier::Ssh(
             SshIdentifier::from_observation(&ssh_obs(1), SshIdentifierPolicy::Full).unwrap(),
         );
-        let bgp = ProtocolIdentifier::Bgp(BgpIdentifier::from_open(
-            &open_msg(),
-            BgpIdentifierPolicy::FullOpen,
-        ));
+        let bgp = ProtocolIdentifier::Bgp(BgpIdentifier::from_open(&open_msg()));
         assert_ne!(ssh, bgp);
         assert_eq!(ssh.protocol_name(), "ssh");
         assert_eq!(bgp.protocol_name(), "bgp");

@@ -40,6 +40,4 @@ pub use alias_wire::hex;
 pub use dual_stack::DualStackSet;
 pub use ecdf::Ecdf;
 pub use extract::{ExtractionConfig, IdentifierExtractor};
-pub use identifier::{
-    BgpIdentifier, BgpIdentifierPolicy, ProtocolIdentifier, SshIdentifier, SshIdentifierPolicy,
-};
+pub use identifier::{BgpIdentifier, ProtocolIdentifier, SshIdentifier, SshIdentifierPolicy};

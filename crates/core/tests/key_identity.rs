@@ -1,11 +1,11 @@
-//! The grouping key against its oracle: under every policy combination,
+//! The grouping key against its oracle: under every SSH policy,
 //! `IdentifierExtractor::key_into` — reading the record a store decodes in
 //! place — gives two payloads equal keys exactly when `extract_payload`
 //! gives the rows the store materialises equal identifiers, and grouping
 //! by key yields the sets grouping by identifier does.
 
 use alias_core::alias_set::group_view_compact;
-use alias_core::identifier::{BgpIdentifierPolicy, ProtocolIdentifier, SshIdentifierPolicy};
+use alias_core::identifier::{ProtocolIdentifier, SshIdentifierPolicy};
 use alias_core::{ExtractionConfig, IdentifierExtractor};
 use alias_intern::{sort_canonical_compact, AddrId, CompactAliasSet};
 use alias_netsim::{InternetBuilder, InternetConfig, ServiceProtocol, SimTime};
@@ -21,21 +21,13 @@ use proptest::test_runner::TestCaseError;
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
 
-fn extractors() -> Vec<IdentifierExtractor> {
-    let mut out = Vec::new();
-    for ssh in [
+fn extractors() -> [IdentifierExtractor; 3] {
+    [
         SshIdentifierPolicy::KeyOnly,
         SshIdentifierPolicy::KeyAndCapabilities,
         SshIdentifierPolicy::Full,
-    ] {
-        for bgp in [
-            BgpIdentifierPolicy::IdentifierOnly,
-            BgpIdentifierPolicy::FullOpen,
-        ] {
-            out.push(IdentifierExtractor::new(ExtractionConfig { ssh, bgp }));
-        }
-    }
-    out
+    ]
+    .map(|ssh| IdentifierExtractor::new(ExtractionConfig { ssh }))
 }
 
 fn key(extractor: &IdentifierExtractor, payload: PayloadRef<'_>) -> Option<Vec<u8>> {

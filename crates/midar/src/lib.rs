@@ -25,5 +25,5 @@ pub mod velocity;
 
 pub use ally::{ally_test, AllyVerdict};
 pub use mbt::{monotonic_bounds_test, MbtVerdict};
-pub use midar::{Midar, MidarConfig, MidarOutcome};
+pub use midar::{midar_resolve, MidarOutcome};
 pub use velocity::{estimate_velocity, VelocityEstimate};

@@ -42,39 +42,29 @@ static CANDIDATES: LazyCounter = LazyCounter::new(
     "resolve",
 );
 
-/// Configuration of a MIDAR run.
-#[derive(Debug, Clone)]
-pub struct MidarConfig {
-    /// Estimation-stage rounds per target.
-    pub estimation_rounds: usize,
-    /// Spacing between estimation rounds.
-    pub round_spacing: SimTime,
-    /// Probe rate in packets per second.
-    pub rate_pps: f64,
-    /// Highest counter velocity (increments/second) considered testable.
-    pub max_velocity: f64,
-    /// Width of the discovery-stage sliding window over velocity-sorted
-    /// targets.
-    pub discovery_window: usize,
-    /// Probes per address in the elimination stage.
-    pub elimination_probes: usize,
-    /// Vantage point the probes originate from.
-    pub vantage: VantageKind,
-}
+/// Highest counter velocity (increments per second) MIDAR and Speedtrap
+/// consider testable.
+pub const MAX_VELOCITY: f64 = 1_500.0;
 
-impl Default for MidarConfig {
-    fn default() -> Self {
-        MidarConfig {
-            estimation_rounds: 12,
-            round_spacing: SimTime::from_secs(10),
-            rate_pps: 5_000.0,
-            max_velocity: 1_500.0,
-            discovery_window: 24,
-            elimination_probes: 6,
-            vantage: VantageKind::SingleVp,
-        }
-    }
-}
+/// Probe rate of MIDAR's and Speedtrap's sweeps, in packets per second.
+pub const PROBE_RATE_PPS: f64 = 5_000.0;
+
+/// Spacing between the rounds of MIDAR's estimation and Speedtrap's sweep.
+pub const ROUND_SPACING: SimTime = SimTime::from_secs(10);
+
+/// Simulated pause before each pair test: an Ally test, a rate-limit joint
+/// burst, or a candidate MIDAR re-probes in elimination.
+pub const PAIR_SPACING: SimTime = SimTime(200);
+
+/// Estimation-stage rounds per target.
+const ESTIMATION_ROUNDS: usize = 12;
+
+/// Width of the discovery-stage sliding window over velocity-sorted
+/// targets.
+const DISCOVERY_WINDOW: usize = 24;
+
+/// Probes per address in the elimination stage.
+const ELIMINATION_PROBES: usize = 6;
 
 /// Result of a MIDAR run.  Targets are named by their index into the
 /// target list the run was given.
@@ -91,130 +81,116 @@ pub struct MidarOutcome {
     pub finished_at: SimTime,
 }
 
-/// The MIDAR pipeline.
-#[derive(Debug, Clone, Default)]
-pub struct Midar {
-    config: MidarConfig,
-}
+/// Run the MIDAR pipeline over `targets`, each resolved against the IP
+/// index once by the caller ([`Internet::lookup`]), probing from `vantage`.
+/// The run holds one [`ProbeSession`](alias_netsim::ProbeSession) from its
+/// first probe to its last.
+pub fn midar_resolve(
+    internet: &Internet,
+    targets: &[ResolvedTarget],
+    vantage: VantageKind,
+    start: SimTime,
+) -> MidarOutcome {
+    let mut session = internet.probe_session();
 
-impl Midar {
-    /// Create a pipeline with the given configuration.
-    pub fn new(config: MidarConfig) -> Self {
-        Midar { config }
+    // Stage 1: estimation.
+    let stage = alias_obs::span("estimation");
+    let prober = IpidProber::new(IpidProberConfig {
+        rounds: ESTIMATION_ROUNDS,
+        round_spacing: ROUND_SPACING,
+        rate_pps: PROBE_RATE_PPS,
+    });
+    let series = prober.collect_round_robin(&mut session, targets, vantage, start);
+    let mut finished_at = series
+        .iter()
+        .flat_map(|s| s.last().map(|x| x.time))
+        .max()
+        .unwrap_or(start);
+
+    // (velocity, target index) of every target worth testing.
+    let mut usable: Vec<(f64, usize)> = Vec::new();
+    for (target, samples) in series.iter().enumerate() {
+        match estimate_velocity(samples, MAX_VELOCITY) {
+            VelocityEstimate::Monotonic { velocity } if velocity <= MAX_VELOCITY => {
+                usable.push((velocity, target));
+            }
+            _ => {}
+        }
+    }
+    let testable: Vec<usize> = usable.iter().map(|&(_, target)| target).collect();
+    drop(stage);
+
+    // Stage 2: discovery over a velocity-sorted sliding window.  From
+    // here on a target is its position in `usable`; each one's series
+    // has its time order checked once, not once per test.
+    let stage = alias_obs::span("discovery");
+    usable.sort_by(|a, b| a.0.total_cmp(&b.0));
+    let checked: Vec<CheckedSeries<'_>> = usable
+        .iter()
+        .map(|&(_, target)| CheckedSeries::new(series.samples(target)))
+        .collect();
+    let mut discovery_tests = 0u64;
+    let mut candidates: Vec<(usize, usize)> = Vec::new();
+    for i in 0..checked.len() {
+        let window_end = (i + DISCOVERY_WINDOW).min(checked.len());
+        for j in i + 1..window_end {
+            discovery_tests += 1;
+            if checked[i].pair_test(checked[j], MAX_VELOCITY) == MbtVerdict::Consistent {
+                candidates.push((i, j));
+            }
+        }
+    }
+    drop(stage);
+
+    // Stage 3: elimination / corroboration with interleaved probing.
+    // Every candidate pair writes into the same two sample buffers and
+    // replays the prober's one memoised schedule.
+    let stage = alias_obs::span("elimination");
+    let mut pair_prober = IpidProber::new(IpidProberConfig {
+        rounds: 1,
+        round_spacing: SimTime::ZERO,
+        rate_pps: PROBE_RATE_PPS,
+    });
+    let mut samples = [
+        Vec::with_capacity(ELIMINATION_PROBES),
+        Vec::with_capacity(ELIMINATION_PROBES),
+    ];
+    let mut union = alias_core::union_find::UnionFind::new(usable.len());
+    let mut now = finished_at;
+    for &(i, j) in &candidates {
+        now += PAIR_SPACING;
+        pair_prober.collect_interleaved_pair(
+            &mut session,
+            [targets[usable[i].1], targets[usable[j].1]],
+            ELIMINATION_PROBES,
+            vantage,
+            now,
+            &mut samples,
+        );
+        let [sa, sb] = &samples;
+        if let Some(last) = sa.last().or(sb.last()) {
+            finished_at = finished_at.max(last.time);
+        }
+        if monotonic_bounds_test(&[sa, sb], MAX_VELOCITY) == MbtVerdict::Consistent {
+            union.union(i, j);
+        }
+    }
+    MBT_TESTS.add(discovery_tests + candidates.len() as u64);
+    CANDIDATES.add(candidates.len() as u64);
+    drop(stage);
+
+    let mut alias_sets = union.groups();
+    for set in &mut alias_sets {
+        set.iter_mut()
+            .for_each(|member| *member = usable[*member].1);
+        set.sort_unstable();
     }
 
-    /// Run the pipeline over `targets`, each resolved against the IP index
-    /// once by the caller ([`Internet::lookup`]).  The run holds one
-    /// [`ProbeSession`](alias_netsim::ProbeSession) from its first probe to
-    /// its last.
-    pub fn resolve(
-        &self,
-        internet: &Internet,
-        targets: &[ResolvedTarget],
-        start: SimTime,
-    ) -> MidarOutcome {
-        let cfg = &self.config;
-        let mut session = internet.probe_session();
-
-        // Stage 1: estimation.
-        let stage = alias_obs::span("estimation");
-        let prober = IpidProber::new(IpidProberConfig {
-            rounds: cfg.estimation_rounds,
-            round_spacing: cfg.round_spacing,
-            rate_pps: cfg.rate_pps,
-        });
-        let series = prober.collect_round_robin(&mut session, targets, cfg.vantage, start);
-        let mut finished_at = series
-            .iter()
-            .flat_map(|s| s.last().map(|x| x.time))
-            .max()
-            .unwrap_or(start);
-
-        // (velocity, target index) of every target worth testing.
-        let mut usable: Vec<(f64, usize)> = Vec::new();
-        for (target, samples) in series.iter().enumerate() {
-            match estimate_velocity(samples, cfg.max_velocity) {
-                VelocityEstimate::Monotonic { velocity } if velocity <= cfg.max_velocity => {
-                    usable.push((velocity, target));
-                }
-                _ => {}
-            }
-        }
-        let testable: Vec<usize> = usable.iter().map(|&(_, target)| target).collect();
-        drop(stage);
-
-        // Stage 2: discovery over a velocity-sorted sliding window.  From
-        // here on a target is its position in `usable`; each one's series
-        // has its time order checked once, not once per test.
-        let stage = alias_obs::span("discovery");
-        usable.sort_by(|a, b| a.0.total_cmp(&b.0));
-        let checked: Vec<CheckedSeries<'_>> = usable
-            .iter()
-            .map(|&(_, target)| CheckedSeries::new(series.samples(target)))
-            .collect();
-        let mut discovery_tests = 0u64;
-        let mut candidates: Vec<(usize, usize)> = Vec::new();
-        for i in 0..checked.len() {
-            let window_end = (i + cfg.discovery_window).min(checked.len());
-            for j in i + 1..window_end {
-                discovery_tests += 1;
-                if checked[i].pair_test(checked[j], cfg.max_velocity) == MbtVerdict::Consistent {
-                    candidates.push((i, j));
-                }
-            }
-        }
-        drop(stage);
-
-        // Stage 3: elimination / corroboration with interleaved probing.
-        // Every candidate pair writes into the same two sample buffers and
-        // replays the prober's one memoised schedule.
-        let stage = alias_obs::span("elimination");
-        let mut pair_prober = IpidProber::new(IpidProberConfig {
-            rounds: 1,
-            round_spacing: SimTime::ZERO,
-            rate_pps: cfg.rate_pps,
-        });
-        let mut samples = [
-            Vec::with_capacity(cfg.elimination_probes),
-            Vec::with_capacity(cfg.elimination_probes),
-        ];
-        let mut union = alias_core::union_find::UnionFind::new(usable.len());
-        let mut now = finished_at;
-        for &(i, j) in &candidates {
-            now += SimTime(200);
-            pair_prober.collect_interleaved_pair(
-                &mut session,
-                [targets[usable[i].1], targets[usable[j].1]],
-                cfg.elimination_probes,
-                cfg.vantage,
-                now,
-                &mut samples,
-            );
-            let [sa, sb] = &samples;
-            if let Some(last) = sa.last().or(sb.last()) {
-                finished_at = finished_at.max(last.time);
-            }
-            if monotonic_bounds_test(&[sa, sb], cfg.max_velocity) == MbtVerdict::Consistent {
-                union.union(i, j);
-            }
-        }
-        MBT_TESTS.add(discovery_tests + candidates.len() as u64);
-        CANDIDATES.add(candidates.len() as u64);
-        drop(stage);
-
-        let mut alias_sets = union.groups();
-        for set in &mut alias_sets {
-            set.iter_mut()
-                .for_each(|member| *member = usable[*member].1);
-            set.sort_unstable();
-        }
-
-        MidarOutcome {
-            alias_sets,
-            discarded: targets.len() - testable.len(),
-            testable,
-            finished_at: finished_at.max(now),
-        }
+    MidarOutcome {
+        alias_sets,
+        discarded: targets.len() - testable.len(),
+        testable,
+        finished_at: finished_at.max(now),
     }
 }
 
@@ -241,7 +217,7 @@ mod tests {
 
     fn run(internet: &Internet, targets: &[IpAddr]) -> MidarOutcome {
         let resolved: Vec<ResolvedTarget> = targets.iter().map(|&a| internet.lookup(a)).collect();
-        Midar::default().resolve(internet, &resolved, SimTime::ZERO)
+        midar_resolve(internet, &resolved, VantageKind::SingleVp, SimTime::ZERO)
     }
 
     #[test]
@@ -305,7 +281,7 @@ mod tests {
     #[test]
     fn empty_target_list_is_fine() {
         let internet = internet();
-        let outcome = Midar::default().resolve(&internet, &[], SimTime::ZERO);
+        let outcome = midar_resolve(&internet, &[], VantageKind::SingleVp, SimTime::ZERO);
         assert!(outcome.alias_sets.is_empty());
         assert!(outcome.testable.is_empty());
         assert_eq!(outcome.discarded, 0);

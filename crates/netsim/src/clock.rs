@@ -19,22 +19,22 @@ impl SimTime {
     pub const ZERO: SimTime = SimTime(0);
 
     /// Build from whole seconds.
-    pub fn from_secs(secs: u64) -> Self {
+    pub const fn from_secs(secs: u64) -> Self {
         SimTime(secs * 1_000)
     }
 
     /// Build from whole minutes.
-    pub fn from_mins(mins: u64) -> Self {
+    pub const fn from_mins(mins: u64) -> Self {
         Self::from_secs(mins * 60)
     }
 
     /// Build from whole hours.
-    pub fn from_hours(hours: u64) -> Self {
+    pub const fn from_hours(hours: u64) -> Self {
         Self::from_mins(hours * 60)
     }
 
     /// Build from whole days.
-    pub fn from_days(days: u64) -> Self {
+    pub const fn from_days(days: u64) -> Self {
         Self::from_hours(days * 24)
     }
 

@@ -18,8 +18,9 @@ use alias_core::union_find::UnionFind;
 use alias_intern::{AddrId, CompactAliasSet};
 use alias_midar::ally::{AllyTester, AllyVerdict};
 use alias_midar::iffinder::iffinder_scan;
+use alias_midar::midar::{MAX_VELOCITY, PAIR_SPACING, PROBE_RATE_PPS, ROUND_SPACING};
+use alias_midar::midar_resolve;
 use alias_midar::speedtrap::speedtrap_group;
-use alias_midar::{Midar, MidarConfig};
 use alias_netsim::{Internet, SimTime};
 use alias_obs::{DeterminismClass, LazyCounter};
 use alias_scan::ipid_probe::{is_usable, IpidProber, IpidProberConfig, IpidSample, ResolvedTarget};
@@ -119,23 +120,17 @@ fn compact_sets(groups: &[Vec<usize>], ids: &[AddrId]) -> Vec<CompactAliasSet> {
         .collect()
 }
 
-/// The MIDAR baseline: estimation → discovery → elimination over the
-/// campaign's responsive IPv4 addresses (wraps [`alias_midar::Midar`]).
-#[derive(Debug, Clone, Default)]
-pub struct MidarTechnique {
-    /// The wrapped pipeline's configuration.
-    pub config: MidarConfig,
-    /// Optional cap on the number of (sorted) targets probed, to bound the
-    /// simulated run time on large campaigns.  `None` probes everything.
-    pub max_targets: Option<usize>,
-}
+/// Width of the Ally sweep's sliding window over the sorted target list.
+const ALLY_WINDOW: usize = 4;
 
-impl MidarTechnique {
-    /// The default MIDAR pipeline over every responsive IPv4 address.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
+/// Sampling rounds per target of the Speedtrap sweep.
+const SPEEDTRAP_ROUNDS: usize = 6;
+
+/// The MIDAR baseline: estimation → discovery → elimination over every
+/// responsive IPv4 address of the campaign, probed from the run's vantage
+/// (wraps [`alias_midar::midar_resolve`]).
+#[derive(Debug, Clone, Copy, Default)]
+pub struct MidarTechnique;
 
 impl ResolutionTechnique for MidarTechnique {
     fn name(&self) -> &'static str {
@@ -147,11 +142,8 @@ impl ResolutionTechnique for MidarTechnique {
     }
 
     fn resolve(&self, data: &CampaignData, ctx: &TechniqueCtx<'_>) -> TechniqueResult {
-        let family = ctx.targets.ipv4();
-        let cap = self.max_targets.unwrap_or(usize::MAX).min(family.ids.len());
-        let (ids, resolved) = (&family.ids[..cap], &family.resolved[..cap]);
-        let outcome =
-            Midar::new(self.config.clone()).resolve(ctx.internet, resolved, ctx.probe_start);
+        let FamilyTargets { ids, resolved } = ctx.targets.ipv4();
+        let outcome = midar_resolve(ctx.internet, resolved, ctx.vantage, ctx.probe_start);
         TechniqueResult::from_compact(
             self.name().to_owned(),
             compact_sets(&outcome.alias_sets, ids),
@@ -168,33 +160,12 @@ impl ResolutionTechnique for MidarTechnique {
 ///
 /// Exhaustive pairwise Ally is quadratic and was never run at Internet
 /// scale; like MIDAR's discovery stage, this implementation only tests
-/// pairs within `window` positions of each other.  Numerically close
+/// pairs within a few positions of each other.  Numerically close
 /// addresses are the classic alias candidates (router interfaces drawn
 /// from the same prefix), so the window catches most of what exhaustive
 /// testing would.
-#[derive(Debug, Clone)]
-pub struct AllyTechnique {
-    /// Width of the sliding window over the sorted target list.
-    pub window: usize,
-    /// Simulated pause between consecutive pair tests.
-    pub pair_spacing: SimTime,
-}
-
-impl Default for AllyTechnique {
-    fn default() -> Self {
-        AllyTechnique {
-            window: 4,
-            pair_spacing: SimTime(200),
-        }
-    }
-}
-
-impl AllyTechnique {
-    /// The default windowed Ally sweep.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
+#[derive(Debug, Clone, Copy, Default)]
+pub struct AllyTechnique;
 
 impl ResolutionTechnique for AllyTechnique {
     fn name(&self) -> &'static str {
@@ -216,9 +187,9 @@ impl ResolutionTechnique for AllyTechnique {
         let mut testable = vec![false; ids.len()];
         let mut now = ctx.probe_start;
         for i in 0..ids.len() {
-            let window_end = (i + 1 + self.window).min(ids.len());
+            let window_end = (i + 1 + ALLY_WINDOW).min(ids.len());
             for j in i + 1..window_end {
-                now += self.pair_spacing;
+                now += PAIR_SPACING;
                 pair_tests += 1;
                 let pair = [resolved[i], resolved[j]];
                 match tester.test(&mut session, pair, ctx.vantage, now) {
@@ -253,35 +224,8 @@ impl ResolutionTechnique for AllyTechnique {
 /// The Speedtrap baseline: fragment-identifier time series of the
 /// campaign's responsive IPv6 addresses, grouped by the monotonic bounds
 /// test (wraps [`alias_midar::speedtrap::speedtrap_group`]).
-#[derive(Debug, Clone)]
-pub struct SpeedtrapTechnique {
-    /// Sampling rounds per target.
-    pub rounds: usize,
-    /// Spacing between successive rounds.
-    pub round_spacing: SimTime,
-    /// Probe rate in packets per second.
-    pub rate_pps: f64,
-    /// Highest counter velocity (increments/second) considered testable.
-    pub max_velocity: f64,
-}
-
-impl Default for SpeedtrapTechnique {
-    fn default() -> Self {
-        SpeedtrapTechnique {
-            rounds: 6,
-            round_spacing: SimTime::from_secs(10),
-            rate_pps: 5_000.0,
-            max_velocity: 1_500.0,
-        }
-    }
-}
-
-impl SpeedtrapTechnique {
-    /// The default Speedtrap sweep.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
+#[derive(Debug, Clone, Copy, Default)]
+pub struct SpeedtrapTechnique;
 
 impl ResolutionTechnique for SpeedtrapTechnique {
     fn name(&self) -> &'static str {
@@ -295,9 +239,9 @@ impl ResolutionTechnique for SpeedtrapTechnique {
     fn resolve(&self, data: &CampaignData, ctx: &TechniqueCtx<'_>) -> TechniqueResult {
         let FamilyTargets { ids, resolved } = ctx.targets.ipv6();
         let prober = IpidProber::new(IpidProberConfig {
-            rounds: self.rounds,
-            round_spacing: self.round_spacing,
-            rate_pps: self.rate_pps,
+            rounds: SPEEDTRAP_ROUNDS,
+            round_spacing: ROUND_SPACING,
+            rate_pps: PROBE_RATE_PPS,
         });
         let column = prober.collect_round_robin(
             &mut ctx.internet.probe_session(),
@@ -317,7 +261,7 @@ impl ResolutionTechnique for SpeedtrapTechnique {
             .collect();
         TechniqueResult::from_compact(
             self.name().to_owned(),
-            compact_sets(&speedtrap_group(&series, self.max_velocity), ids),
+            compact_sets(&speedtrap_group(&series, MAX_VELOCITY), ids),
             testable,
             finished_at,
             data.interner().clone(),
@@ -330,13 +274,6 @@ impl ResolutionTechnique for SpeedtrapTechnique {
 /// from a different source (wraps [`alias_midar::iffinder::iffinder_scan`]).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct IffinderTechnique;
-
-impl IffinderTechnique {
-    /// The common-source-address sweep.
-    pub fn new() -> Self {
-        IffinderTechnique
-    }
-}
 
 impl ResolutionTechnique for IffinderTechnique {
     fn name(&self) -> &'static str {
@@ -378,7 +315,6 @@ impl ResolutionTechnique for IffinderTechnique {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use alias_core::extract::{ExtractionConfig, IdentifierExtractor};
     use alias_netsim::{InternetBuilder, InternetConfig, VantageKind};
     use alias_scan::campaign::ActiveCampaign;
 
@@ -416,20 +352,18 @@ mod tests {
     #[test]
     fn probing_baselines_only_claim_true_aliases() {
         let (internet, data) = setup(77);
-        let extractor = IdentifierExtractor::new(ExtractionConfig::paper());
         let targets = ProbeTargets::new(&data, &internet);
         let ctx = TechniqueCtx {
             internet: &internet,
-            extractor: &extractor,
             probe_start: data.finished_at,
             vantage: VantageKind::SingleVp,
             targets: &targets,
         };
         let techniques: Vec<Box<dyn ResolutionTechnique>> = vec![
-            Box::new(MidarTechnique::new()),
-            Box::new(AllyTechnique::new()),
-            Box::new(SpeedtrapTechnique::new()),
-            Box::new(IffinderTechnique::new()),
+            Box::new(MidarTechnique),
+            Box::new(AllyTechnique),
+            Box::new(SpeedtrapTechnique),
+            Box::new(IffinderTechnique),
         ];
         for technique in &techniques {
             assert_eq!(
@@ -456,16 +390,14 @@ mod tests {
     #[test]
     fn speedtrap_groups_ipv6_counters() {
         let (internet, data) = setup(78);
-        let extractor = IdentifierExtractor::new(ExtractionConfig::paper());
         let targets = ProbeTargets::new(&data, &internet);
         let ctx = TechniqueCtx {
             internet: &internet,
-            extractor: &extractor,
             probe_start: data.finished_at,
             vantage: VantageKind::SingleVp,
             targets: &targets,
         };
-        let result = SpeedtrapTechnique::new().resolve(&data, &ctx);
+        let result = SpeedtrapTechnique.resolve(&data, &ctx);
         // Every address it reasons about is IPv6.
         assert!(result.testable().iter().all(|a| a.is_ipv6()));
         assert!(result.alias_sets().iter().flatten().all(|a| a.is_ipv6()));

@@ -4,6 +4,7 @@
 
 use crate::technique::{DataRequirement, ResolutionTechnique, TechniqueCtx, TechniqueResult};
 use alias_core::alias_set::group_view_by_source;
+use alias_core::extract::{ExtractionConfig, IdentifierExtractor};
 use alias_netsim::ServiceProtocol;
 use alias_scan::CampaignData;
 use std::sync::Arc;
@@ -18,7 +19,8 @@ use std::sync::Arc;
 /// each row's id is read straight from the store (intern-at-scan), no
 /// address hashing.  The result is that pass projected onto every source
 /// ([`TechniqueResult::from_groups`]) and keeps it, resolving addresses
-/// only at the report boundary.  Pure — no follow-up probing.
+/// only at the report boundary.  Identifiers follow the paper's policies
+/// ([`ExtractionConfig::paper`]).  Pure — no follow-up probing.
 #[derive(Debug, Clone, Copy)]
 pub struct IdentifierTechnique {
     protocol: ServiceProtocol,
@@ -60,11 +62,12 @@ impl ResolutionTechnique for IdentifierTechnique {
         vec![DataRequirement::Observations(self.protocol)]
     }
 
-    fn resolve(&self, data: &CampaignData, ctx: &TechniqueCtx<'_>) -> TechniqueResult {
+    fn resolve(&self, data: &CampaignData, _ctx: &TechniqueCtx<'_>) -> TechniqueResult {
         let view = data.store().select_protocol(self.protocol, None);
+        let extractor = IdentifierExtractor::new(ExtractionConfig::paper());
         TechniqueResult::from_groups(
             self.name().to_owned(),
-            Arc::new(group_view_by_source(&view, ctx.extractor)),
+            Arc::new(group_view_by_source(&view, &extractor)),
             None,
             data.finished_at,
             data.interner().clone(),
@@ -77,7 +80,6 @@ mod tests {
     use super::*;
     use crate::ProbeTargets;
     use alias_core::alias_set::group_view_compact;
-    use alias_core::extract::{ExtractionConfig, IdentifierExtractor};
     use alias_netsim::{InternetBuilder, InternetConfig, VantageKind};
     use alias_scan::campaign::ActiveCampaign;
 
@@ -91,7 +93,6 @@ mod tests {
         let targets = ProbeTargets::new(&data, &internet);
         let ctx = TechniqueCtx {
             internet: &internet,
-            extractor: &extractor,
             probe_start: data.finished_at,
             vantage: VantageKind::SingleVp,
             targets: &targets,

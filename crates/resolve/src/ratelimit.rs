@@ -27,7 +27,8 @@
 use crate::technique::{DataRequirement, ResolutionTechnique, TechniqueCtx, TechniqueResult};
 use alias_core::union_find::UnionFind;
 use alias_intern::{AddrId, CompactAliasSet};
-use alias_netsim::{ProbeContext, ServiceProtocol, SimTime};
+use alias_midar::midar::PAIR_SPACING;
+use alias_netsim::{ProbeContext, ServiceProtocol};
 use alias_obs::{DeterminismClass, LazyCounter};
 use alias_scan::{CampaignData, PayloadRef};
 use std::collections::BTreeMap;
@@ -61,6 +62,12 @@ static JOINT_ALIAS_VERDICTS: LazyCounter = LazyCounter::new(
 /// address, the vector of these is the device-wide loss signature.
 type LossRound = (u8, u32, u16, u16);
 
+/// How many distinct union-find roots (most recent first) a new cluster
+/// member is tested against before giving up.  Interfaces of one device
+/// sort adjacently most of the time; a little look-back recovers the cases
+/// where two same-signature devices interleave.
+const RECOVERY_ROOTS: usize = 3;
+
 /// The ICMP rate-limiting technique.
 ///
 /// Consumes the campaign's `IcmpRateLimit` observations and verifies
@@ -68,32 +75,8 @@ type LossRound = (u8, u32, u16, u16);
 /// [`DataRequirement::Observations`] and [`DataRequirement::LiveProbing`]
 /// — the resolver schedules it serially like the other probing
 /// techniques.
-#[derive(Debug, Clone)]
-pub struct RateLimitTechnique {
-    /// Simulated pause between consecutive joint bursts.
-    pub pair_spacing: SimTime,
-    /// How many distinct union-find roots (most recent first) a new
-    /// cluster member is tested against before giving up.  Interfaces of
-    /// one device sort adjacently most of the time; a little look-back
-    /// recovers the cases where two same-signature devices interleave.
-    pub recovery_roots: usize,
-}
-
-impl Default for RateLimitTechnique {
-    fn default() -> Self {
-        RateLimitTechnique {
-            pair_spacing: SimTime(200),
-            recovery_roots: 3,
-        }
-    }
-}
-
-impl RateLimitTechnique {
-    /// The default signature-cluster + joint-burst pipeline.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
+#[derive(Debug, Clone, Copy, Default)]
+pub struct RateLimitTechnique;
 
 impl ResolutionTechnique for RateLimitTechnique {
     fn name(&self) -> &'static str {
@@ -159,7 +142,7 @@ impl ResolutionTechnique for RateLimitTechnique {
             // Round-based pair walk: every round picks each pending member's
             // next candidate pair against the forest as of the round start,
             // then probes the pairs and applies the verdicts in batch order,
-            // one `pair_spacing` step per pair.  The joint burst is a pure
+            // one `PAIR_SPACING` step per pair.  The joint burst is a pure
             // function of the substrate, so a verdict applied before the
             // next pair is probed cannot change that pair's outcome.
             let mut uf = UnionFind::new(members.len());
@@ -186,7 +169,7 @@ impl ResolutionTechnique for RateLimitTechnique {
                 }
                 CANDIDATE_PAIRS.add(batch.len() as u64);
                 for (i, j, root) in batch {
-                    now += self.pair_spacing;
+                    now += PAIR_SPACING;
                     let probe_ctx = ProbeContext {
                         vantage: ctx.vantage,
                         time: now,
@@ -208,7 +191,7 @@ impl ResolutionTechnique for RateLimitTechnique {
                             uf.union(j, i);
                             done[i] = true;
                         }
-                        Some(_) if tested[i].len() >= self.recovery_roots => {
+                        Some(_) if tested[i].len() >= RECOVERY_ROOTS => {
                             done[i] = true;
                         }
                         Some(_) => {}
@@ -241,7 +224,6 @@ impl ResolutionTechnique for RateLimitTechnique {
 mod tests {
     use super::*;
     use crate::{IdentifierTechnique, ProbeTargets};
-    use alias_core::extract::{ExtractionConfig, IdentifierExtractor};
     use alias_netsim::{DeviceKind, Internet, InternetBuilder, InternetConfig, VantageKind};
     use alias_scan::campaign::{ActiveCampaign, CampaignConfig};
     use alias_scan::RateProbeConfig;
@@ -256,23 +238,21 @@ mod tests {
 
     fn rate_campaign(internet: &Internet) -> CampaignData {
         ActiveCampaign::new(CampaignConfig {
-            rate_probe: Some(RateProbeConfig::default()),
+            rate_probe: Some(RateProbeConfig),
             ..Default::default()
         })
         .run(internet)
     }
 
     fn resolve(internet: &Internet, data: &CampaignData) -> TechniqueResult {
-        let extractor = IdentifierExtractor::new(ExtractionConfig::paper());
         let targets = ProbeTargets::new(data, internet);
         let ctx = TechniqueCtx {
             internet,
-            extractor: &extractor,
             probe_start: data.finished_at,
             vantage: VantageKind::SingleVp,
             targets: &targets,
         };
-        RateLimitTechnique::new().resolve(data, &ctx)
+        RateLimitTechnique.resolve(data, &ctx)
     }
 
     #[test]
@@ -328,11 +308,9 @@ mod tests {
         }
 
         // The identifier techniques never even see those addresses.
-        let extractor = IdentifierExtractor::new(ExtractionConfig::paper());
         let targets = ProbeTargets::new(&data, &internet);
         let ctx = TechniqueCtx {
             internet: &internet,
-            extractor: &extractor,
             probe_start: data.finished_at,
             vantage: VantageKind::SingleVp,
             targets: &targets,

@@ -4,7 +4,6 @@
 use crate::baselines::ProbeTargets;
 use crate::report::ResolutionReport;
 use crate::technique::{ResolutionTechnique, TechniqueCtx};
-use alias_core::extract::{ExtractionConfig, IdentifierExtractor};
 use alias_netsim::Internet;
 use alias_scan::campaign::{ActiveCampaign, CampaignConfig};
 use alias_scan::CampaignData;
@@ -12,7 +11,6 @@ use alias_scan::CampaignData;
 /// Builder for a [`Resolver`].
 pub struct ResolverBuilder {
     techniques: Vec<Box<dyn ResolutionTechnique>>,
-    extraction: ExtractionConfig,
     campaign: CampaignConfig,
     threads: usize,
 }
@@ -21,7 +19,6 @@ impl ResolverBuilder {
     fn new() -> Self {
         ResolverBuilder {
             techniques: Vec::new(),
-            extraction: ExtractionConfig::paper(),
             campaign: CampaignConfig::default(),
             threads: alias_scan::threads_from_env(),
         }
@@ -51,13 +48,13 @@ impl ResolverBuilder {
     /// // The campaign must opt in to the rate-probe phase; without it
     /// // the technique has no observations to correlate.
     /// let campaign = CampaignConfig {
-    ///     rate_probe: Some(RateProbeConfig::default()),
+    ///     rate_probe: Some(RateProbeConfig),
     ///     ..Default::default()
     /// };
     ///
     /// let report = Resolver::builder()
     ///     .paper_techniques()
-    ///     .technique(RateLimitTechnique::new())
+    ///     .technique(RateLimitTechnique)
     ///     .campaign(campaign)
     ///     .build()
     ///     .resolve(&internet);
@@ -84,11 +81,11 @@ impl ResolverBuilder {
     /// ran the rate-probe phase ([`CampaignConfig::rate_probe`]).
     pub fn all_techniques(self) -> Self {
         self.paper_techniques()
-            .technique(crate::MidarTechnique::new())
-            .technique(crate::AllyTechnique::new())
-            .technique(crate::SpeedtrapTechnique::new())
-            .technique(crate::IffinderTechnique::new())
-            .technique(crate::RateLimitTechnique::new())
+            .technique(crate::MidarTechnique)
+            .technique(crate::AllyTechnique)
+            .technique(crate::SpeedtrapTechnique)
+            .technique(crate::IffinderTechnique)
+            .technique(crate::RateLimitTechnique)
     }
 
     /// Worker threads for the scan [`Resolver::resolve`] runs (default:
@@ -97,13 +94,6 @@ impl ResolverBuilder {
     /// byte; everything after the scan runs on the calling thread.
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
-        self
-    }
-
-    /// Identifier-extraction policies shared by the identifier techniques
-    /// (default: the paper's).
-    pub fn extraction(mut self, config: ExtractionConfig) -> Self {
-        self.extraction = config;
         self
     }
 
@@ -118,7 +108,6 @@ impl ResolverBuilder {
     pub fn build(self) -> Resolver {
         Resolver {
             techniques: self.techniques,
-            extractor: IdentifierExtractor::new(self.extraction),
             campaign: self.campaign,
             threads: self.threads,
         }
@@ -136,7 +125,6 @@ impl ResolverBuilder {
 /// sets over the campaign interner, reducing in canonical order.
 pub struct Resolver {
     techniques: Vec<Box<dyn ResolutionTechnique>>,
-    extractor: IdentifierExtractor,
     campaign: CampaignConfig,
     threads: usize,
 }
@@ -181,7 +169,6 @@ impl Resolver {
             let targets = ProbeTargets::new(data, internet);
             let ctx = TechniqueCtx {
                 internet,
-                extractor: &self.extractor,
                 probe_start: data.finished_at,
                 vantage: self.campaign.vantage,
                 targets: &targets,
@@ -269,9 +256,9 @@ mod tests {
         // Mixing identifier and probing techniques keeps results positional.
         let internet = tiny_internet(44);
         let resolver = Resolver::builder()
-            .technique(MidarTechnique::new())
+            .technique(MidarTechnique)
             .paper_techniques()
-            .technique(IffinderTechnique::new())
+            .technique(IffinderTechnique)
             .build();
         let report = resolver.resolve(&internet);
         let names: Vec<&str> = report
@@ -280,6 +267,42 @@ mod tests {
             .map(|t| t.technique.as_str())
             .collect();
         assert_eq!(names, vec!["midar", "ssh", "bgp", "snmpv3", "iffinder"]);
+    }
+
+    #[test]
+    fn midar_probes_from_the_campaign_vantage() {
+        // Devices a single vantage point cannot see answer a distributed
+        // campaign, so MIDAR, probing from that same vantage, must be able
+        // to test their addresses.
+        use alias_netsim::VantageKind;
+        use std::net::IpAddr;
+
+        let internet = tiny_internet(48);
+        let hidden: Vec<IpAddr> = (internet.devices().iter())
+            .filter(|d| {
+                let model = internet.ipid_model(d.id);
+                !d.visible_to_single_vp
+                    && d.responds_to_ping
+                    && model.is_shared_monotonic()
+                    && model.velocity().is_some_and(|v| v < 300.0)
+            })
+            .flat_map(|d| d.ssh_responding_addrs())
+            .filter(IpAddr::is_ipv4)
+            .collect();
+        assert!(!hidden.is_empty(), "seed 48 has a hidden, usable counter");
+        let report = Resolver::builder()
+            .technique(MidarTechnique)
+            .campaign(CampaignConfig {
+                vantage: VantageKind::Distributed,
+                ..Default::default()
+            })
+            .build()
+            .resolve(&internet);
+        let testable = report.technique("midar").unwrap().testable();
+        assert!(
+            hidden.iter().any(|addr| testable.contains(addr)),
+            "no hidden address of {hidden:?} was testable"
+        );
     }
 
     #[test]
@@ -299,7 +322,7 @@ mod tests {
         let report = Resolver::builder()
             .all_techniques()
             .campaign(CampaignConfig {
-                rate_probe: Some(RateProbeConfig::default()),
+                rate_probe: Some(RateProbeConfig),
                 ..Default::default()
             })
             .build()
@@ -362,10 +385,10 @@ mod tests {
         let seven = |threads: usize| {
             Resolver::builder()
                 .paper_techniques()
-                .technique(MidarTechnique::new())
-                .technique(crate::AllyTechnique::new())
-                .technique(crate::SpeedtrapTechnique::new())
-                .technique(IffinderTechnique::new())
+                .technique(MidarTechnique)
+                .technique(crate::AllyTechnique)
+                .technique(crate::SpeedtrapTechnique)
+                .technique(IffinderTechnique)
                 .threads(threads)
                 .build()
                 .resolve(&internet)

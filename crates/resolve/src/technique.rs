@@ -12,7 +12,6 @@
 
 use crate::baselines::ProbeTargets;
 use alias_core::alias_set::SourceGroups;
-use alias_core::extract::IdentifierExtractor;
 use alias_intern::{sort_canonical_compact, AddrId, AddrInterner, CompactAliasSet};
 use alias_netsim::{Internet, ServiceProtocol, SimTime, VantageKind};
 use alias_scan::{CampaignData, DataSource};
@@ -36,13 +35,11 @@ pub enum DataRequirement {
 }
 
 /// Read-only context a technique resolves against: the measurement
-/// substrate for follow-up probing plus the shared policies of the run.
+/// substrate for follow-up probing and where and when to probe it from.
 #[derive(Clone, Copy)]
 pub struct TechniqueCtx<'a> {
     /// The measurement substrate (for techniques that probe).
     pub internet: &'a Internet,
-    /// Identifier-extraction policies shared by the identifier techniques.
-    pub extractor: &'a IdentifierExtractor,
     /// Simulated time at which follow-up probing may begin (usually the
     /// campaign's `finished_at`).
     pub probe_start: SimTime,

@@ -13,8 +13,9 @@ use alias_core::merge::MergedSet;
 use alias_core::union_find::UnionFind;
 use alias_midar::ally::{ally_test, AllyVerdict};
 use alias_midar::iffinder::iffinder_scan;
+use alias_midar::midar::{MAX_VELOCITY, PAIR_SPACING, PROBE_RATE_PPS, ROUND_SPACING};
+use alias_midar::midar_resolve;
 use alias_midar::speedtrap::speedtrap_group;
-use alias_midar::{Midar, MidarConfig};
 use alias_netsim::{Internet, InternetBuilder, InternetConfig, ServiceProtocol};
 use alias_resolve::{
     canonical_sets, AllyTechnique, IdentifierTechnique, IffinderTechnique, MidarTechnique,
@@ -170,22 +171,23 @@ fn legacy_resolve(
         }
         "midar" => {
             let addrs = targets(data, false);
-            let outcome = Midar::new(MidarConfig::default()).resolve(
+            let outcome = midar_resolve(
                 internet,
                 &lookups(internet, &addrs),
+                alias_netsim::VantageKind::SingleVp,
                 data.finished_at,
             );
             address_sets(outcome.alias_sets, &addrs)
         }
         "ally" => {
             let addrs = targets(data, false);
-            let defaults = AllyTechnique::default();
             let mut uf = UnionFind::new(addrs.len());
             let mut now = data.finished_at;
             for i in 0..addrs.len() {
-                let window_end = (i + 1 + defaults.window).min(addrs.len());
+                // The technique's window: each address against the next four.
+                let window_end = (i + 1 + 4).min(addrs.len());
                 for j in i + 1..window_end {
-                    now += defaults.pair_spacing;
+                    now += PAIR_SPACING;
                     if ally_test(
                         internet,
                         addrs[i],
@@ -201,11 +203,11 @@ fn legacy_resolve(
             address_sets(uf.groups(), &addrs)
         }
         "speedtrap" => {
-            let defaults = SpeedtrapTechnique::default();
+            // The technique's sweep: six rounds on MIDAR's schedule.
             let prober = IpidProber::new(IpidProberConfig {
-                rounds: defaults.rounds,
-                round_spacing: defaults.round_spacing,
-                rate_pps: defaults.rate_pps,
+                rounds: 6,
+                round_spacing: ROUND_SPACING,
+                rate_pps: PROBE_RATE_PPS,
             });
             let addrs = targets(data, true);
             let series = prober.collect_round_robin(
@@ -215,7 +217,7 @@ fn legacy_resolve(
                 data.finished_at,
             );
             let series: Vec<_> = series.iter().collect();
-            address_sets(speedtrap_group(&series, defaults.max_velocity), &addrs)
+            address_sets(speedtrap_group(&series, MAX_VELOCITY), &addrs)
         }
         "iffinder" => {
             let outcome = iffinder_scan(
@@ -251,15 +253,14 @@ fn every_technique_matches_its_legacy_path_across_seeds() {
             Box::new(IdentifierTechnique::ssh()),
             Box::new(IdentifierTechnique::bgp()),
             Box::new(IdentifierTechnique::snmpv3()),
-            Box::new(MidarTechnique::new()),
-            Box::new(AllyTechnique::new()),
-            Box::new(SpeedtrapTechnique::new()),
-            Box::new(IffinderTechnique::new()),
+            Box::new(MidarTechnique),
+            Box::new(AllyTechnique),
+            Box::new(SpeedtrapTechnique),
+            Box::new(IffinderTechnique),
         ];
         let targets = ProbeTargets::new(&data, &trait_side);
         let ctx = TechniqueCtx {
             internet: &trait_side,
-            extractor: &extractor,
             probe_start: data.finished_at,
             vantage: alias_netsim::VantageKind::SingleVp,
             targets: &targets,
@@ -420,7 +421,6 @@ fn at_least_one_baseline_produces_sets_somewhere() {
     // Guard against the parity test passing vacuously (empty == empty): over
     // the three seeds, every technique family must produce output at least
     // once at tiny scale.
-    let extractor = IdentifierExtractor::new(ExtractionConfig::paper());
     let mut produced: BTreeSet<&'static str> = BTreeSet::new();
     for seed in SEEDS {
         let internet = build(seed);
@@ -428,7 +428,6 @@ fn at_least_one_baseline_produces_sets_somewhere() {
         let targets = ProbeTargets::new(&data, &internet);
         let ctx = TechniqueCtx {
             internet: &internet,
-            extractor: &extractor,
             probe_start: data.finished_at,
             vantage: alias_netsim::VantageKind::SingleVp,
             targets: &targets,
@@ -437,10 +436,10 @@ fn at_least_one_baseline_produces_sets_somewhere() {
             Box::new(IdentifierTechnique::ssh()),
             Box::new(IdentifierTechnique::bgp()),
             Box::new(IdentifierTechnique::snmpv3()),
-            Box::new(MidarTechnique::new()),
-            Box::new(AllyTechnique::new()),
-            Box::new(SpeedtrapTechnique::new()),
-            Box::new(IffinderTechnique::new()),
+            Box::new(MidarTechnique),
+            Box::new(AllyTechnique),
+            Box::new(SpeedtrapTechnique),
+            Box::new(IffinderTechnique),
         ];
         for technique in &techniques {
             if technique.resolve(&data, &ctx).set_count() > 0 {

@@ -15,15 +15,17 @@
 //! pipeline runs on.
 
 use crate::hitlist::Ipv6Hitlist;
-use crate::rate_probe::{RateProbeConfig, RateProber};
-use crate::snmp::{SnmpScanConfig, SnmpScanner};
-use crate::zgrab::{ZgrabConfig, ZgrabScanner};
-use crate::zmap::{ZmapConfig, ZmapScanner};
+use crate::rate_probe::{self, RateProbeConfig};
+use crate::{snmp, zgrab, zmap};
 use alias_intern::{AddrId, AddrInterner};
 use alias_netsim::{Internet, ServiceProtocol, SimTime, VantageKind};
-use alias_store::{DataSource, ObservationStore, ShardColumns};
+use alias_store::{ObservationStore, ShardColumns};
 use std::net::IpAddr;
 use std::sync::Arc;
+
+/// Stale entries added to the IPv6 hitlist, as a fraction of its active
+/// ones.
+const HITLIST_STALE_FRACTION: f64 = 0.15;
 
 /// Configuration of a measurement campaign.
 #[derive(Debug, Clone)]
@@ -32,21 +34,15 @@ pub struct CampaignConfig {
     pub vantage: VantageKind,
     /// Campaign start (simulated time).
     pub start: SimTime,
-    /// SYN scan rate in packets per second.
-    pub syn_rate_pps: f64,
-    /// Application-layer scan rate in connections per second.
-    pub grab_rate_pps: f64,
     /// IPv6 hitlist coverage of truly active addresses.
     pub hitlist_coverage: f64,
-    /// Fraction of stale entries added to the hitlist.
-    pub hitlist_stale_fraction: f64,
     /// Seed for permutations and the hitlist sample.
     pub seed: u64,
     /// Worker threads for the scan phases (1 = serial).  The campaign
     /// output is byte-identical for any value — see `alias-exec`'s
     /// shard-reduce contract.
     pub threads: usize,
-    /// ICMP rate-limiting probe phase ([`RateProber`]), or `None` to skip
+    /// ICMP rate-limiting probe phase ([`rate_probe`]), or `None` to skip
     /// it.  `None` by default so campaigns that predate the eighth
     /// technique — and every byte of their output — are unchanged.
     pub rate_probe: Option<RateProbeConfig>,
@@ -57,10 +53,7 @@ impl Default for CampaignConfig {
         CampaignConfig {
             vantage: VantageKind::SingleVp,
             start: SimTime::ZERO,
-            syn_rate_pps: 200_000.0,
-            grab_rate_pps: 50_000.0,
             hitlist_coverage: 0.72,
-            hitlist_stale_fraction: 0.15,
             seed: 0xa11a5,
             threads: 1,
             rate_probe: None,
@@ -230,28 +223,19 @@ impl ActiveCampaign {
 
         // Phase 1: IPv4 SYN discovery on ports 22 and 179.
         alias_obs::event("campaign:syn_v4");
-        let zmap = ZmapScanner::new(ZmapConfig {
-            ports: vec![22, 179],
-            rate_pps: cfg.syn_rate_pps,
-            seed: cfg.seed,
-        });
         let syn = {
             let _span = alias_obs::span("campaign/syn_v4");
-            zmap.scan_ipv4(internet, vantage, cfg.start, threads)
+            zmap::scan_ipv4(internet, vantage, cfg.start, cfg.seed, threads)
         };
         let mut now = syn.finished_at;
 
         // Phase 2: service scans of the responsive addresses.
         alias_obs::event("campaign:grab_v4");
-        let zgrab = ZgrabScanner::new(ZgrabConfig {
-            rate_pps: cfg.grab_rate_pps,
-            source: DataSource::Active,
-        });
         {
             let _span = alias_obs::span("campaign/grab_v4");
             now = absorb_phase(
                 &mut store,
-                zgrab.grab(
+                zgrab::grab(
                     internet,
                     syn.on_port(22),
                     22,
@@ -264,7 +248,7 @@ impl ActiveCampaign {
             );
             now = absorb_phase(
                 &mut store,
-                zgrab.grab(
+                zgrab::grab(
                     internet,
                     syn.on_port(179),
                     179,
@@ -279,15 +263,11 @@ impl ActiveCampaign {
 
         // Phase 3: Internet-wide SNMPv3 engine discovery.
         alias_obs::event("campaign:snmp_v4");
-        let snmp = SnmpScanner::new(SnmpScanConfig {
-            rate_pps: cfg.syn_rate_pps,
-            source: DataSource::Active,
-        });
         {
             let _span = alias_obs::span("campaign/snmp_v4");
             now = absorb_phase(
                 &mut store,
-                snmp.scan_routed_space(internet, vantage, now, threads),
+                snmp::scan_routed_space(internet, vantage, now, threads),
                 now,
             );
         }
@@ -297,17 +277,17 @@ impl ActiveCampaign {
         let hitlist = Ipv6Hitlist::generate(
             internet,
             cfg.hitlist_coverage,
-            cfg.hitlist_stale_fraction,
+            HITLIST_STALE_FRACTION,
             cfg.seed,
         );
         let v6_syn;
         {
             let _span = alias_obs::span("campaign/ipv6");
-            v6_syn = zmap.scan_ipv6_list(internet, &hitlist.addrs, vantage, now, threads);
+            v6_syn = zmap::scan_ipv6_list(internet, &hitlist.addrs, vantage, now, threads);
             now = v6_syn.finished_at;
             now = absorb_phase(
                 &mut store,
-                zgrab.grab(
+                zgrab::grab(
                     internet,
                     v6_syn.on_port(22),
                     22,
@@ -320,7 +300,7 @@ impl ActiveCampaign {
             );
             now = absorb_phase(
                 &mut store,
-                zgrab.grab(
+                zgrab::grab(
                     internet,
                     v6_syn.on_port(179),
                     179,
@@ -334,21 +314,21 @@ impl ActiveCampaign {
             let v6_targets: Vec<IpAddr> = hitlist.addrs.iter().map(|&a| IpAddr::V6(a)).collect();
             now = absorb_phase(
                 &mut store,
-                snmp.scan(internet, &v6_targets, vantage, now, threads),
+                snmp::scan(internet, &v6_targets, vantage, now, threads),
                 now,
             );
         }
 
         // Phase 5 (opt-in): ICMP rate-limiting escalation bursts against
         // the echo-responsive population.
-        if let Some(rate_cfg) = &cfg.rate_probe {
+        if cfg.rate_probe.is_some() {
             alias_obs::event("campaign:rate_probe");
             let _span = alias_obs::span("campaign/rate_probe");
-            let prober = RateProber::new(rate_cfg.clone());
-            let targets = prober.discover_targets(internet, &hitlist.addrs, vantage, now, threads);
+            let targets =
+                rate_probe::discover_targets(internet, &hitlist.addrs, vantage, now, threads);
             now = absorb_phase(
                 &mut store,
-                prober.probe(internet, &targets, vantage, now, threads),
+                rate_probe::probe(internet, &targets, vantage, now, threads),
                 now,
             );
         }
@@ -361,6 +341,7 @@ impl ActiveCampaign {
 mod tests {
     use super::*;
     use alias_netsim::{InternetBuilder, InternetConfig};
+    use alias_store::DataSource;
 
     fn campaign_data() -> (Internet, CampaignData) {
         let internet = InternetBuilder::new(InternetConfig::tiny(404)).build();
@@ -548,7 +529,6 @@ mod tests {
         // it, the full five-phase store stays byte-identical for any
         // thread count (the satellite determinism contract for the new
         // phase), and rate observations appear for both populations.
-        use crate::rate_probe::RateProbeConfig;
         for seed in [404u64, 2023] {
             let mut net_config = InternetConfig::tiny(seed);
             net_config.devices.silent_routers = 8;
@@ -567,7 +547,7 @@ mod tests {
 
             let serial = ActiveCampaign::new(CampaignConfig {
                 seed,
-                rate_probe: Some(RateProbeConfig::default()),
+                rate_probe: Some(RateProbeConfig),
                 ..Default::default()
             })
             .run(&internet);
@@ -589,7 +569,7 @@ mod tests {
                 let sharded = ActiveCampaign::new(CampaignConfig {
                     seed,
                     threads,
-                    rate_probe: Some(RateProbeConfig::default()),
+                    rate_probe: Some(RateProbeConfig),
                     ..Default::default()
                 })
                 .run(&internet);

@@ -92,16 +92,6 @@ pub struct IpidProberConfig {
     pub rate_pps: f64,
 }
 
-impl Default for IpidProberConfig {
-    fn default() -> Self {
-        IpidProberConfig {
-            rounds: 30,
-            round_spacing: SimTime::from_secs(10),
-            rate_pps: 5_000.0,
-        }
-    }
-}
-
 /// The send-time offsets (from `start`) of one interleaved pair, as the
 /// stepped pacing loop produced them, and the binade of `start` they are
 /// exact for.
@@ -365,6 +355,15 @@ mod tests {
             .map(|d| d.ipv4_addrs().into_iter().map(IpAddr::V4).collect())
     }
 
+    /// A round-robin schedule of `rounds` rounds, 10 s apart, at 5,000 pps.
+    fn config(rounds: usize) -> IpidProberConfig {
+        IpidProberConfig {
+            rounds,
+            round_spacing: SimTime::from_secs(10),
+            rate_pps: 5_000.0,
+        }
+    }
+
     fn resolve(internet: &Internet, addrs: &[IpAddr]) -> Vec<ResolvedTarget> {
         addrs.iter().map(|&addr| internet.lookup(addr)).collect()
     }
@@ -379,10 +378,7 @@ mod tests {
             .flat_map(|d| d.ipv4_addrs().into_iter().map(IpAddr::V4))
             .take(10)
             .collect();
-        let prober = IpidProber::new(IpidProberConfig {
-            rounds: 5,
-            ..Default::default()
-        });
+        let prober = IpidProber::new(config(5));
         let series = prober.collect_round_robin(
             &mut internet.probe_session(),
             &resolve(&internet, &targets),
@@ -402,10 +398,7 @@ mod tests {
     fn unresponsive_targets_yield_empty_series() {
         let internet = internet();
         let bogus: Vec<IpAddr> = vec!["198.51.100.77".parse().unwrap()];
-        let prober = IpidProber::new(IpidProberConfig {
-            rounds: 3,
-            ..Default::default()
-        });
+        let prober = IpidProber::new(config(3));
         let series = prober.collect_round_robin(
             &mut internet.probe_session(),
             &resolve(&internet, &bogus),
@@ -580,11 +573,6 @@ mod tests {
             addrs.sort_unstable();
             addrs
         };
-        let config = |rounds| IpidProberConfig {
-            rounds,
-            round_spacing: SimTime::from_secs(10),
-            rate_pps: 5_000.0,
-        };
         let epoch = SimTime::from_days(21);
         let sweeps = [
             (pingable(false), config(12), VantageKind::SingleVp, epoch),
@@ -603,7 +591,7 @@ mod tests {
     /// Probe a pair given by address and return the IPIDs in probe order
     /// (every probe answered).
     fn interleaved_ipids(internet: &Internet, a: IpAddr, b: IpAddr) -> Vec<u16> {
-        let mut prober = IpidProber::new(IpidProberConfig::default());
+        let mut prober = pair_prober(5_000.0);
         let mut samples = [Vec::new(), Vec::new()];
         prober.collect_interleaved_pair(
             &mut internet.probe_session(),

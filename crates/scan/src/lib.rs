@@ -18,14 +18,14 @@
 //! The [`campaign`] module bundles all of the above into the "active
 //! measurement" dataset used throughout the evaluation.
 //!
-//! Every probing phase has one entry point — [`ZmapScanner::scan_ipv4`] /
-//! [`scan_ipv6_list`](ZmapScanner::scan_ipv6_list), [`ZgrabScanner::grab`],
-//! [`snmp::SnmpScanner::scan`] /
-//! [`scan_routed_space`](snmp::SnmpScanner::scan_routed_space),
-//! [`RateProber::discover_targets`] / [`probe`](RateProber::probe) — taking
-//! a `threads` count and returning what the campaign absorbs: SYN hit
-//! lists, or per-shard [`ShardColumns`] in shard order.  One thread is one
-//! shard; the output is byte-identical for any thread count.
+//! Every probing phase is a module function — [`zmap::scan_ipv4`] /
+//! [`zmap::scan_ipv6_list`], [`zgrab::grab`], [`snmp::scan`] /
+//! [`snmp::scan_routed_space`], [`rate_probe::discover_targets`] /
+//! [`rate_probe::probe`] — taking a `threads` count and returning what the
+//! campaign absorbs: SYN hit lists, or per-shard [`ShardColumns`] in shard
+//! order.  One thread is one shard; the output is byte-identical for any
+//! thread count.  Rates, ports and the rate-probe ladder are constants of
+//! the module that uses them.
 
 pub mod campaign;
 pub mod hitlist;
@@ -48,9 +48,8 @@ pub use alias_store::{
 };
 pub use campaign::{ActiveCampaign, CampaignConfig, CampaignData};
 pub use hitlist::Ipv6Hitlist;
-pub use rate_probe::{RateProbeConfig, RateProber};
-pub use zgrab::ZgrabScanner;
-pub use zmap::{ZmapResults, ZmapScanner};
+pub use rate_probe::RateProbeConfig;
+pub use zmap::ZmapResults;
 
 /// Splice a phase's shard chunks into a fresh store, in shard order: how
 /// the scanner tests read what an entry point returned.

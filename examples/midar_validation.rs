@@ -18,12 +18,7 @@ fn main() {
     // probes the campaign's responsive IPv4 addresses after the scan.
     let resolver = Resolver::builder()
         .technique(IdentifierTechnique::ssh())
-        .technique(MidarTechnique {
-            // Cap the MIDAR target list to bound the run, as the paper
-            // does by sampling the sets it hands to MIDAR.
-            max_targets: Some(4_000),
-            ..MidarTechnique::new()
-        })
+        .technique(MidarTechnique)
         .build();
     let report = resolver.resolve(&internet);
 

@@ -34,7 +34,7 @@ fn main() {
     //    (escalating ICMP bursts are operationally aggressive), so enable
     //    it explicitly; everything else keeps its defaults.
     let campaign = CampaignConfig {
-        rate_probe: Some(RateProbeConfig::default()),
+        rate_probe: Some(RateProbeConfig),
         ..Default::default()
     };
     let resolver = Resolver::builder()

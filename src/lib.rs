@@ -36,7 +36,7 @@
 //! let internet = InternetBuilder::new(InternetConfig::tiny(7)).build();
 //! let resolver = Resolver::builder()
 //!     .paper_techniques() // SSH + BGP + SNMPv3 identifiers
-//!     .technique(MidarTechnique::new())
+//!     .technique(MidarTechnique)
 //!     .threads(2) // shards the scan only; output is identical for any value
 //!     .build();
 //! let report = resolver.resolve(&internet);
@@ -67,9 +67,9 @@ pub mod prelude {
     pub use alias_core::ecdf::Ecdf;
     pub use alias_core::extract::{ExtractionConfig, IdentifierExtractor};
     pub use alias_core::identifier::{
-        BgpIdentifier, BgpIdentifierPolicy, ProtocolIdentifier, SshIdentifier, SshIdentifierPolicy,
+        BgpIdentifier, ProtocolIdentifier, SshIdentifier, SshIdentifierPolicy,
     };
-    pub use alias_midar::{Midar, MidarConfig};
+    pub use alias_midar::midar_resolve;
     pub use alias_netsim::{
         DeviceKind, Internet, InternetBuilder, InternetConfig, ScalePreset, ServiceProtocol,
         SimTime, VantageKind,
@@ -81,7 +81,7 @@ pub mod prelude {
     };
     pub use alias_scan::{
         ActiveCampaign, CampaignConfig, CampaignData, DataSource, Ipv6Hitlist, RateProbeConfig,
-        ServiceObservation, ServicePayload, ZgrabScanner, ZmapScanner,
+        ServiceObservation, ServicePayload,
     };
     pub use alias_store::{
         ObservationRef, ObservationStore, ObservationView, PayloadRef, ShardColumns,

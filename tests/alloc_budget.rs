@@ -571,18 +571,16 @@ fn midar_and_ally_allocate_per_alias_set_not_per_target() {
         ..Default::default()
     })
     .run(&internet);
-    let extractor = IdentifierExtractor::new(ExtractionConfig::paper());
     let targets = ProbeTargets::new(&data, &internet);
     // Resolved outside the count: one list a run, shared by the baselines.
     let target_count = targets.ipv4().ids.len() as u64;
     let ctx = TechniqueCtx {
         internet: &internet,
-        extractor: &extractor,
         probe_start: data.finished_at,
         vantage: VantageKind::SingleVp,
         targets: &targets,
     };
-    let techniques: [&dyn ResolutionTechnique; 2] = [&MidarTechnique::new(), &AllyTechnique::new()];
+    let techniques: [&dyn ResolutionTechnique; 2] = [&MidarTechnique, &AllyTechnique];
     for technique in techniques {
         let (count, result) = allocations(|| technique.resolve(&data, &ctx));
         let sets = result.set_count() as u64;

@@ -171,8 +171,12 @@ fn midar_baseline_confirms_a_subset_of_ssh_sets_without_false_merges() {
         .collect();
     let targets: Vec<IpAddr> = sample.iter().flatten().copied().collect();
     let resolved_targets: Vec<_> = targets.iter().map(|&a| internet.lookup(a)).collect();
-    let outcome =
-        Midar::new(MidarConfig::default()).resolve(&internet, &resolved_targets, SimTime::ZERO);
+    let outcome = midar_resolve(
+        &internet,
+        &resolved_targets,
+        VantageKind::SingleVp,
+        SimTime::ZERO,
+    );
     // MIDAR cannot test every address...
     assert!(outcome.testable.len() <= targets.len());
     // ...but what it does confirm is correct.
@@ -223,7 +227,6 @@ fn identifier_policy_ablation_shows_why_the_full_identifier_is_used() {
         ServiceProtocol::Ssh,
         ExtractionConfig {
             ssh: SshIdentifierPolicy::KeyOnly,
-            ..ExtractionConfig::paper()
         },
     );
     // Both policies identify the same addresses...
@@ -255,10 +258,10 @@ fn resolver_composes_all_seven_techniques_through_one_pipeline() {
     let internet = InternetBuilder::new(InternetConfig::tiny(111)).build();
     let resolver = Resolver::builder()
         .paper_techniques()
-        .technique(MidarTechnique::new())
-        .technique(AllyTechnique::new())
-        .technique(SpeedtrapTechnique::new())
-        .technique(IffinderTechnique::new())
+        .technique(MidarTechnique)
+        .technique(AllyTechnique)
+        .technique(SpeedtrapTechnique)
+        .technique(IffinderTechnique)
         .threads(2)
         .build();
     assert_eq!(

@@ -53,7 +53,7 @@ fn real_stores_survive_the_row_doors_and_the_scan_door_matches_the_row_door() {
         assert_eq!(nonstandard.validate(), Ok(()), "seed {seed}");
         assert_eq!(
             nonstandard.ports().iter().collect::<BTreeSet<_>>(),
-            snapshot.config.extra_ssh_ports.iter().collect(),
+            alias_resolution::censys::EXTRA_SSH_PORTS.iter().collect(),
             "seed {seed}: non-standard ports"
         );
 
