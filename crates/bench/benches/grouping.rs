@@ -40,10 +40,6 @@ fn bench_grouping(c: &mut Criterion) {
     let mut ablation = c.benchmark_group("identifier_policy_ablation");
     for (name, policy) in [
         ("key_only", SshIdentifierPolicy::KeyOnly),
-        (
-            "key_and_capabilities",
-            SshIdentifierPolicy::KeyAndCapabilities,
-        ),
         ("full", SshIdentifierPolicy::Full),
     ] {
         ablation.bench_function(name, |b| {

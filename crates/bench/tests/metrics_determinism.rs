@@ -181,7 +181,7 @@ fn counter(snapshot: &alias_obs::MetricsSnapshot, name: &str) -> u64 {
 /// Union rows of the three identifier protocols whose payload yields an
 /// identifier.
 fn identifier_rows(experiment: &Experiment) -> u64 {
-    let mut key = Vec::new();
+    let mut keys = experiment.extractor.key_pass();
     let mut rows = 0;
     for protocol in [
         ServiceProtocol::Ssh,
@@ -189,8 +189,7 @@ fn identifier_rows(experiment: &Experiment) -> u64 {
         ServiceProtocol::Snmpv3,
     ] {
         let view = experiment.union.select_protocol(protocol, None);
-        let keyed = (0..view.len())
-            .filter(|&i| experiment.extractor.key_into(view.payload_at(i), &mut key));
+        let keyed = (0..view.len()).filter(|&i| keys.key(view.payload_at(i)).is_some());
         rows += keyed.count() as u64;
     }
     rows

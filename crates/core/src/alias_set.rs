@@ -2,7 +2,8 @@
 //!
 //! Grouping runs in id space and in columns: each row's identifier is
 //! written as a byte key into a reused buffer
-//! ([`IdentifierExtractor::key_into`]) and interned to an
+//! ([`KeyPass::key`](crate::extract::KeyPass::key), an SSH profile read
+//! once per chunk dictionary entry) and interned to an
 //! [`IdentId`](alias_intern::IdentId) — one keyed hash of the key, one
 //! table probe, one byte comparison on a hit — which lands in a column
 //! beside the row.  A stable counting sort of that column then yields every
@@ -190,14 +191,11 @@ impl SourceGroups {
         let mut idents = IdentInterner::new();
         let mut seen: Vec<Seen> = Vec::new();
         let mut sets = 0;
-        let mut key = Vec::new();
+        let mut keys = coarser.key_pass();
         for (members, &row) in self.groups().zip(&self.first_rows) {
-            let keyed = coarser.key_into(store.payload_at(row as usize), &mut key);
-            assert!(
-                keyed,
-                "the coarser extractor keys every row this pass keyed"
-            );
-            let group = idents.intern(&key).index();
+            let key = (keys.key(store.payload_at(row as usize)))
+                .expect("the coarser extractor keys every row this pass keyed");
+            let group = idents.intern(key).index();
             for &(id, _) in members {
                 match seen.get(group) {
                     None => seen.push(Seen::One(id)),
@@ -333,12 +331,11 @@ fn group_keyed(view: &ObservationView<'_>, extractor: &IdentifierExtractor) -> K
     assert!(rows < UNKEYED as usize, "row indices fit 32 bits");
     let mut interner = IdentInterner::new();
     let mut column = Vec::with_capacity(rows);
-    let mut key = Vec::new();
+    let mut keys = extractor.key_pass();
     for i in 0..rows {
-        column.push(if extractor.key_into(view.payload_at(i), &mut key) {
-            interner.intern(&key).0
-        } else {
-            UNKEYED
+        column.push(match keys.key(view.payload_at(i)) {
+            Some(key) => interner.intern(key).0,
+            None => UNKEYED,
         });
     }
     let idents = interner.len();

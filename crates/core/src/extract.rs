@@ -2,6 +2,7 @@
 
 use crate::identifier::{
     BgpIdentifier, ProtocolIdentifier, Snmpv3Identifier, SshIdentifier, SshIdentifierPolicy,
+    SshProfileIds,
 };
 use alias_scan::{PayloadRef, ServiceObservation, ServicePayload};
 use serde::{Deserialize, Serialize};
@@ -49,7 +50,7 @@ impl IdentifierExtractor {
 
     /// Extract the identifier from a payload alone — the identifier is a
     /// pure function of the application-layer material.  It is the oracle
-    /// [`Self::key_into`] is tested against; nothing on the hot path builds
+    /// [`KeyPass::key`] is tested against; nothing on the hot path builds
     /// one.
     pub fn extract_payload(&self, payload: &ServicePayload) -> Option<ProtocolIdentifier> {
         match payload {
@@ -68,21 +69,45 @@ impl IdentifierExtractor {
         }
     }
 
-    /// Write the grouping key of `payload`'s identifier into `key`
-    /// (cleared first), returning `false` — and leaving `key` empty — when
-    /// [`Self::extract_payload`] would return `None`.
-    ///
-    /// Under one extractor, two payloads get equal keys exactly when
-    /// `extract_payload` gives them equal identifiers; the key is written
-    /// into the caller's buffer, so keying a row allocates nothing once the
-    /// buffer has grown.  This is what the grouping loops call per row,
-    /// on the payload a store view decodes in place; an owned payload lends
-    /// one through [`ServicePayload::as_ref`].
+    /// Start a keyed pass: the grouping keys of payloads that live at least
+    /// as long as `'a`, under this extractor's policies.
+    pub fn key_pass<'a>(&self) -> KeyPass<'a> {
+        KeyPass {
+            config: self.config,
+            profiles: SshProfileIds::default(),
+            key: Vec::new(),
+        }
+    }
+}
+
+/// The key function of one keyed pass, with the table its SSH keys need:
+/// the pass's ids of the SSH profiles it met.
+///
+/// Within one pass, two payloads get equal keys exactly when
+/// [`IdentifierExtractor::extract_payload`] gives them equal identifiers;
+/// keys of two passes are not comparable.  Keys are written into one
+/// buffer, so keying a row allocates nothing once the buffer and the
+/// table have grown.  This is what the grouping loops call per row, on the
+/// payload a store view decodes in place; an owned payload lends one
+/// through [`ServicePayload::as_ref`].
+#[derive(Debug)]
+pub struct KeyPass<'a> {
+    config: ExtractionConfig,
+    profiles: SshProfileIds<'a>,
+    key: Vec<u8>,
+}
+
+impl<'a> KeyPass<'a> {
+    /// The grouping key of `payload`'s identifier; `None` where
+    /// [`IdentifierExtractor::extract_payload`] returns `None`.
     #[inline]
-    pub fn key_into(&self, payload: PayloadRef<'_>, key: &mut Vec<u8>) -> bool {
+    pub fn key(&mut self, payload: PayloadRef<'a>) -> Option<&[u8]> {
+        let key = &mut self.key;
         key.clear();
-        match payload {
-            PayloadRef::Ssh(ssh) => SshIdentifier::write_key(ssh, self.config.ssh, key),
+        let keyed = match payload {
+            PayloadRef::Ssh(ssh) => {
+                SshIdentifier::write_key(ssh, self.config.ssh, &mut self.profiles, key)
+            }
             PayloadRef::Bgp { open, .. } => {
                 BgpIdentifier::write_key(open, key);
                 true
@@ -92,7 +117,8 @@ impl IdentifierExtractor {
                 true
             }
             PayloadRef::RateLimit { .. } => false,
-        }
+        };
+        keyed.then_some(&key[..])
     }
 }
 

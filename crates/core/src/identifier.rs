@@ -22,23 +22,27 @@
 //!
 //! Each identifier type also has a `write_key`: the same material as one
 //! run of bytes appended to a caller's buffer, equal for two observations
-//! exactly when their identifiers are equal.  Grouping keys rows by those
-//! bytes, read off the borrowed payload a store decodes in place; the
-//! `String`-carrying identifiers are what the keys are tested against.
+//! of one keyed pass exactly when their identifiers are equal.  Grouping
+//! keys rows by those bytes, read off the borrowed payload a store decodes
+//! in place; the `String`-carrying identifiers are what the keys are tested
+//! against.  An SSH key names the banner and capabilities by a profile id
+//! the pass assigns (`SshProfileIds`), so its bytes are the host key's and
+//! a few more.
 
+use alias_intern::IdentInterner;
 use alias_scan::{BgpOpenRef, SshRef};
+use alias_store::SshProfiles;
 use alias_wire::bgp::{OpenMessage, OptionalParameter, ParamRef};
 use alias_wire::snmp::EngineId;
 use alias_wire::ssh::SshObservation;
 use serde::{Deserialize, Serialize};
+use std::collections::HashMap;
 
 /// How much of the SSH material to include in the identifier.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
 pub enum SshIdentifierPolicy {
     /// Host key only (what a naive approach would use).
     KeyOnly,
-    /// Host key + capability fingerprint (no banner).
-    KeyAndCapabilities,
     /// Banner + capability fingerprint + host key — the paper's identifier.
     #[default]
     Full,
@@ -79,17 +83,14 @@ impl SshIdentifier {
     /// not get far enough to identify the device).
     pub fn from_observation(obs: &SshObservation, policy: SshIdentifierPolicy) -> Option<Self> {
         let host_key = obs.host_key.as_ref()?.fingerprint();
-        let capabilities = match policy {
-            SshIdentifierPolicy::KeyOnly => String::new(),
-            _ => obs
-                .kex_init
-                .as_ref()
-                .map(|k| k.capability_fingerprint())
-                .unwrap_or_default(),
-        };
-        let banner = match policy {
-            SshIdentifierPolicy::Full => obs.banner.to_line(),
-            _ => String::new(),
+        let (banner, capabilities) = match policy {
+            SshIdentifierPolicy::KeyOnly => (String::new(), String::new()),
+            SshIdentifierPolicy::Full => (
+                obs.banner.to_line(),
+                (obs.kex_init.as_ref())
+                    .map(|k| k.capability_fingerprint())
+                    .unwrap_or_default(),
+            ),
         };
         Some(SshIdentifier {
             banner,
@@ -101,29 +102,102 @@ impl SshIdentifier {
     /// Append the key of the identifier [`Self::from_observation`] would
     /// build; `false` (nothing appended) where that returns `None`.
     ///
-    /// The banner and capability frames hold exactly the bytes of the
-    /// `banner` and `capabilities` strings — not the structured fields,
-    /// which several values can render alike — and the host key goes in raw
+    /// The key is `KEY_SSH`, under [`SshIdentifierPolicy::Full`] the pass's
+    /// id of the observation's profile (`u32`), then the host key raw
     /// (algorithm, material), which its fingerprint renders injectively.
     #[inline]
-    pub fn write_key(obs: SshRef<'_>, policy: SshIdentifierPolicy, out: &mut Vec<u8>) -> bool {
+    pub(crate) fn write_key<'a>(
+        obs: SshRef<'a>,
+        policy: SshIdentifierPolicy,
+        profiles: &mut SshProfileIds<'a>,
+        out: &mut Vec<u8>,
+    ) -> bool {
         let Some(host_key) = obs.host_key() else {
             return false;
         };
         out.push(KEY_SSH);
-        framed(out, |out| {
-            if policy == SshIdentifierPolicy::Full {
-                obs.emit_banner_line(out);
-            }
-        });
-        framed(out, |out| {
-            if policy != SshIdentifierPolicy::KeyOnly {
-                obs.emit_capability_fingerprint(out);
-            }
-        });
+        if policy == SshIdentifierPolicy::Full {
+            out.extend_from_slice(&profiles.id(obs).to_le_bytes());
+        }
         out.push(host_key.algorithm as u8);
         out.extend_from_slice(host_key.key_material);
         true
+    }
+}
+
+/// In [`SshProfileIds`]: a (dictionary, entry) slot not met yet.
+const UNSEEN: u32 = u32::MAX;
+
+/// The SSH profile ids of one keyed pass: equal ids exactly for equal
+/// banner lines and capability fingerprints — the part of the paper's SSH
+/// identifier that server software and configuration decide.
+///
+/// A profile's *identity bytes* are its banner line and its capability
+/// fingerprint, each framed: exactly the bytes of the identifier's `banner`
+/// and `capabilities` strings, not the structured fields, which several
+/// values can render alike.  They are interned with keyed SipHash and a
+/// full compare ([`IdentInterner`]).  A stored record's profile is interned
+/// once per chunk dictionary entry and remembered by (dictionary, index),
+/// so the pass reads a profile's bytes once per chunk, not once per row; an
+/// observation by parts interns its identity bytes on every call.
+///
+/// The dictionaries are told apart by address: every one met is borrowed
+/// for `'a`, longer than the table lives, so no two share one meanwhile.
+#[derive(Debug, Default)]
+pub(crate) struct SshProfileIds<'a> {
+    identities: IdentInterner,
+    identity: Vec<u8>,
+    /// Per dictionary met: where its entries' ids start in `ids`.
+    dictionaries: HashMap<usize, usize>,
+    /// The dictionary met last, and where its ids start.
+    last: Option<(&'a SshProfiles, usize)>,
+    /// The profile id of every entry of every dictionary met ([`UNSEEN`]
+    /// until its first row).
+    ids: Vec<u32>,
+}
+
+impl<'a> SshProfileIds<'a> {
+    /// The profile id of `obs`.
+    #[inline]
+    pub(crate) fn id(&mut self, obs: SshRef<'a>) -> u32 {
+        let SshRef::Record(record) = obs else {
+            return self.intern(obs);
+        };
+        let (dictionary, entry) = record.profile();
+        let base = match self.last {
+            Some((last, base)) if std::ptr::eq(last, dictionary) => base,
+            _ => self.enter(dictionary),
+        };
+        assert!(
+            entry < dictionary.len(),
+            "a stored record names an entry of its chunk's dictionary"
+        );
+        if self.ids[base + entry] == UNSEEN {
+            self.ids[base + entry] = self.intern(obs);
+        }
+        self.ids[base + entry]
+    }
+
+    /// Where `dictionary`'s ids start, room made for them if it is new.
+    fn enter(&mut self, dictionary: &'a SshProfiles) -> usize {
+        let next = self.ids.len();
+        let address = dictionary as *const SshProfiles as usize;
+        let base = *self.dictionaries.entry(address).or_insert(next);
+        if base == next {
+            self.ids.resize(next + dictionary.len(), UNSEEN);
+        }
+        self.last = Some((dictionary, base));
+        base
+    }
+
+    /// Intern `obs`'s identity bytes.
+    fn intern(&mut self, obs: SshRef<'_>) -> u32 {
+        self.identity.clear();
+        framed(&mut self.identity, |out| obs.emit_banner_line(out));
+        framed(&mut self.identity, |out| {
+            obs.emit_capability_fingerprint(out)
+        });
+        self.identities.intern(&self.identity).0
     }
 }
 

@@ -39,5 +39,5 @@ pub use alias_set::{
 pub use alias_wire::hex;
 pub use dual_stack::DualStackSet;
 pub use ecdf::Ecdf;
-pub use extract::{ExtractionConfig, IdentifierExtractor};
+pub use extract::{ExtractionConfig, IdentifierExtractor, KeyPass};
 pub use identifier::{BgpIdentifier, ProtocolIdentifier, SshIdentifier, SshIdentifierPolicy};

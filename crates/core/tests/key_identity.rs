@@ -1,8 +1,9 @@
-//! The grouping key against its oracle: under every SSH policy,
-//! `IdentifierExtractor::key_into` — reading the record a store decodes in
-//! place — gives two payloads equal keys exactly when `extract_payload`
-//! gives the rows the store materialises equal identifiers, and grouping
-//! by key yields the sets grouping by identifier does.
+//! The grouping key against its oracle: under every SSH policy, a
+//! `KeyPass` — reading the record a store decodes in place, or the parts an
+//! owned row lends — gives two payloads equal keys exactly when
+//! `extract_payload` gives the rows the store materialises equal
+//! identifiers, and grouping by key yields the sets grouping by identifier
+//! does, however the store's SSH profiles are spread over chunks.
 
 use alias_core::alias_set::group_view_compact;
 use alias_core::identifier::{ProtocolIdentifier, SshIdentifierPolicy};
@@ -11,6 +12,7 @@ use alias_intern::{sort_canonical_compact, AddrId, CompactAliasSet};
 use alias_netsim::{InternetBuilder, InternetConfig, ServiceProtocol, SimTime};
 use alias_scan::{
     ActiveCampaign, DataSource, ObservationStore, PayloadRef, ServiceObservation, ServicePayload,
+    ShardColumns, SshRef,
 };
 use alias_wire::bgp::{Capability, OpenMessage, OptionalParameter};
 use alias_wire::snmp::EngineId;
@@ -21,55 +23,62 @@ use proptest::test_runner::TestCaseError;
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
 
-fn extractors() -> [IdentifierExtractor; 3] {
-    [
-        SshIdentifierPolicy::KeyOnly,
-        SshIdentifierPolicy::KeyAndCapabilities,
-        SshIdentifierPolicy::Full,
-    ]
-    .map(|ssh| IdentifierExtractor::new(ExtractionConfig { ssh }))
+fn extractors() -> [IdentifierExtractor; 2] {
+    [SshIdentifierPolicy::KeyOnly, SshIdentifierPolicy::Full]
+        .map(|ssh| IdentifierExtractor::new(ExtractionConfig { ssh }))
 }
 
-fn key(extractor: &IdentifierExtractor, payload: PayloadRef<'_>) -> Option<Vec<u8>> {
-    // A dirty buffer: `key_into` must clear it.
-    let mut key = vec![0xee; 7];
-    let present = extractor.key_into(payload, &mut key);
-    assert!(
-        present || key.is_empty(),
-        "an absent key leaves the buffer empty"
-    );
-    present.then_some(key)
+/// `payloads` as the rows of one observation each, one address each.
+fn observations(payloads: &[ServicePayload]) -> Vec<ServiceObservation> {
+    let row = |(row, payload): (usize, &ServicePayload)| ServiceObservation {
+        addr: Ipv4Addr::from(0x0a00_0000 + row as u32).into(),
+        port: payload.protocol().default_port(),
+        source: DataSource::Active,
+        timestamp: SimTime::ZERO,
+        asn: None,
+        payload: payload.clone(),
+    };
+    payloads.iter().enumerate().map(row).collect()
 }
 
-/// `payloads` as the rows of a store, one address each.
-fn store_of(payloads: &[ServicePayload]) -> ObservationStore {
-    ObservationStore::from_observations(payloads.iter().enumerate().map(|(row, payload)| {
-        ServiceObservation {
-            addr: Ipv4Addr::from(0x0a00_0000 + row as u32).into(),
-            port: payload.protocol().default_port(),
-            source: DataSource::Active,
-            timestamp: SimTime::ZERO,
-            asn: None,
-            payload: payload.clone(),
+/// `rows` as a store of one chunk per `shard` rows: one SSH profile under
+/// several indices, one index naming several profiles.
+fn store_of(rows: &[ServiceObservation], shard: usize) -> ObservationStore {
+    let mut store = ObservationStore::new();
+    for rows in rows.chunks(shard) {
+        let mut columns = ShardColumns::new();
+        for o in rows {
+            columns.push(
+                o.addr,
+                o.port,
+                o.source,
+                o.timestamp,
+                o.asn,
+                o.payload.as_ref(),
+            );
         }
-    }))
+        store.absorb_shard(columns);
+    }
+    store
 }
 
 /// `key(a) == key(b)` ⇔ `extract_payload(a) == extract_payload(b)` over
 /// every pair of `payloads` (a payload with itself included), and the key
 /// is absent exactly when the identifier is.  Rows are keyed the way
-/// grouping keys them — off the record a store decodes in place — and the
-/// identifier is extracted from the row the store gives back.
+/// grouping keys them — off the record a store decodes in place, three rows
+/// to a chunk — and the identifier is extracted from the row the store
+/// gives back.
 fn assert_keys_match_identifiers(payloads: &[ServicePayload]) -> Result<(), TestCaseError> {
-    let store = store_of(payloads);
+    let store = store_of(&observations(payloads), 3);
     let rows = store.to_observations();
     for extractor in extractors() {
+        let mut keys = extractor.key_pass();
         let keyed: Vec<(Option<Vec<u8>>, Option<ProtocolIdentifier>)> = rows
             .iter()
             .enumerate()
             .map(|(row, observation)| {
                 (
-                    key(&extractor, store.payload_at(row)),
+                    keys.key(store.payload_at(row)).map(<[u8]>::to_vec),
                     extractor.extract_payload(&observation.payload),
                 )
             })
@@ -77,7 +86,8 @@ fn assert_keys_match_identifiers(payloads: &[ServicePayload]) -> Result<(), Test
         for (i, (key_a, ident_a)) in keyed.iter().enumerate() {
             prop_assert_eq!(&rows[i].payload, &payloads[i]);
             // The owned row lends the same key its record does.
-            prop_assert_eq!(key_a, &key(&extractor, payloads[i].as_ref()));
+            let lent = keys.key(payloads[i].as_ref()).map(<[u8]>::to_vec);
+            prop_assert_eq!(key_a, &lent);
             prop_assert_eq!(key_a.is_some(), ident_a.is_some());
             for (j, (key_b, ident_b)) in keyed.iter().enumerate().skip(i) {
                 if ident_a.is_none() || ident_b.is_none() {
@@ -429,5 +439,58 @@ fn keyed_grouping_equals_grouping_by_identifier() {
         let grouped = group_view_compact(&view, &extractor, 1);
         assert_eq!(grouped.sets, sets, "{}", protocol.name());
         assert_eq!(grouped.testable, testable, "{}", protocol.name());
+    }
+}
+
+#[test]
+fn a_profile_under_two_indices_groups_as_in_one_chunk() {
+    // Devices 1 and 2 run profiles P and Q; device 3 shares device 1's host
+    // key (a factory default) under profile Q.  The first chunk meets P
+    // first, the second Q: P is entry 0 of one dictionary and entry 1 of
+    // the other.
+    let p = || kex_with([&["curve25519-sha256"], &["ssh-ed25519"], &[], &[], &[]]);
+    let q = || {
+        kex_with([
+            &["diffie-hellman-group14-sha1"],
+            &["ssh-rsa"],
+            &[],
+            &[],
+            &[],
+        ])
+    };
+    let device = |key: u8, kex: KexInit| ssh_with("OpenSSH_8.9p1", None, Some(kex), &[key; 32]);
+    let rows = observations(&[
+        device(1, p()),
+        device(2, q()),
+        device(2, q()),
+        device(1, p()),
+        device(1, q()),
+    ]);
+    let chunked = store_of(&rows, 2);
+    let whole = store_of(&rows, rows.len());
+    assert_eq!(chunked, whole);
+    let index = |row: usize| match chunked.payload_at(row) {
+        PayloadRef::Ssh(SshRef::Record(record)) => record.profile().1,
+        other => panic!("an SSH record, not {other:?}"),
+    };
+    assert_eq!((index(0), index(3)), (0, 1));
+
+    let addr = |row: usize| chunked.addr_ids()[row];
+    let sets = |rows: &[&[usize]]| -> Vec<CompactAliasSet> {
+        let sets = rows
+            .iter()
+            .map(|rows| rows.iter().map(|&row| addr(row)).collect());
+        sets.map(CompactAliasSet::from_ids).collect()
+    };
+    for (extractor, expected) in extractors().into_iter().zip([
+        // Key only: device 3 joins device 1.
+        sets(&[&[0, 3, 4], &[1, 2]]),
+        // The paper's identifier keeps it apart.
+        sets(&[&[0, 3], &[1, 2]]),
+    ]) {
+        let from_chunks = group_view_compact(&chunked.select(None, None), &extractor, 1);
+        let from_one = group_view_compact(&whole.select(None, None), &extractor, 1);
+        assert_eq!(from_chunks, from_one, "{:?}", extractor.config());
+        assert_eq!(from_chunks.sets, expected, "{:?}", extractor.config());
     }
 }

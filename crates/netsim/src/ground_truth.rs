@@ -100,6 +100,24 @@ impl PairwiseScore {
         K: Ord + Copy,
         S: IntoIterator<Item = (K, Option<DeviceId>)>,
     {
+        Self::of_labelled_sets_over(sets, std::iter::empty())
+    }
+
+    /// [`Self::of_labelled_sets`] with recall counted over `universe` as
+    /// well as the sets' members: the addresses a technique *tested*,
+    /// labelled like the members, singletons included.  An address the
+    /// technique tested and left in no set then still counts its true pairs,
+    /// so under-merging lowers recall: a device whose three tested
+    /// addresses come back as one pair scores 1 of 3 true pairs here, and
+    /// all of them under [`Self::of_labelled_sets`].
+    pub fn of_labelled_sets_over<K, S>(
+        sets: impl IntoIterator<Item = S>,
+        universe: impl IntoIterator<Item = (K, Option<DeviceId>)>,
+    ) -> PairwiseScore
+    where
+        K: Ord + Copy,
+        S: IntoIterator<Item = (K, Option<DeviceId>)>,
+    {
         let mut score = PairwiseScore {
             inferred_pairs: 0,
             true_positive_pairs: 0,
@@ -121,6 +139,8 @@ impl PairwiseScore {
             labels.sort_unstable();
             score.true_positive_pairs += pairs_within_runs(&labels, |a, b| a == b);
         }
+        let tested = universe.into_iter();
+        owned.extend(tested.filter_map(|(address, device)| Some((device?, address))));
         owned.sort_unstable();
         owned.dedup();
         score.true_pairs = pairs_within_runs(&owned, |a, b| a.0 == b.0);
@@ -219,6 +239,41 @@ mod tests {
         assert_eq!(score.precision(), 1.0);
         // The three addresses of device 0 form 3 true pairs; only 1 inferred.
         assert!((score.recall() - 1.0 / 3.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn recall_over_the_tested_addresses_sees_an_address_left_alone() {
+        // The technique tested all three addresses of device 0 and grouped
+        // two: over its sets alone it found every pair it could see, over
+        // what it tested one of three.
+        let gt = sample_truth();
+        let tested = [
+            ip("10.0.0.1"),
+            ip("10.0.0.2"),
+            ip("10.0.0.3"),
+            ip("10.0.2.1"),
+        ];
+        let sets = [[ip("10.0.0.1"), ip("10.0.0.2")]];
+        let labelled = |addr: &IpAddr| (*addr, gt.device_of(*addr));
+        let sets = || sets.iter().map(|set| set.iter().map(labelled));
+        let old = PairwiseScore::of_labelled_sets(sets());
+        let new = PairwiseScore::of_labelled_sets_over(sets(), tested.iter().map(labelled));
+        assert_eq!(format!("{:.3}", old.recall()), "1.000");
+        assert!(new.recall() < 1.0);
+        assert_eq!(
+            new,
+            PairwiseScore {
+                inferred_pairs: 1,
+                true_positive_pairs: 1,
+                true_pairs: 3,
+            }
+        );
+        assert_eq!(new.precision(), old.precision());
+        // An empty universe is the old ruler.
+        assert_eq!(
+            PairwiseScore::of_labelled_sets_over(sets(), std::iter::empty()),
+            old
+        );
     }
 
     #[test]

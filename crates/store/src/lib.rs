@@ -39,10 +39,13 @@
 //! [`ObservationStore::from_observations`], and rows leave only through
 //! `to_observations` on a store or a view — the oracle the tests compare
 //! against.  A payload is a record in the store's own injective encoding
-//! (the table is in `payload.rs`), so two stores are equal exactly when
-//! they hold the same records row for row — however their arenas are
-//! chunked — and [`ObservationStore::validate`] checks every chunk's
-//! offsets, the chunk/row table and every record.
+//! (the table is in `payload.rs`); an SSH record keeps what varies per
+//! device and points into its chunk's dictionary of banner + KEXINIT
+//! profiles ([`SshProfiles`]) for the rest.  Two stores are equal exactly
+//! when they hold the same records row for row, profiles compared through
+//! their entries — however their arenas are chunked — and
+//! [`ObservationStore::validate`] checks every chunk's offsets and
+//! dictionary, the chunk/row table and every record.
 //!
 //! The crate sits between `alias-intern` and `alias-scan`; the observation
 //! record types ([`ServiceObservation`], [`ServicePayload`],
@@ -52,7 +55,9 @@ mod payload;
 mod records;
 mod store;
 
-pub use payload::{BgpOpenRef, BgpParams, PayloadRef, RecordParams, SshRecord, SshRef};
+pub use payload::{
+    BgpOpenRef, BgpParams, PayloadRef, RecordParams, SshProfiles, SshRecord, SshRef,
+};
 pub use records::{parse_payload, DataSource, ServiceObservation, ServicePayload};
 pub use store::{ObservationRef, ObservationStore, ObservationView, ShardColumns};
 

@@ -14,17 +14,33 @@
 //! the payload; from then on whole chunks change hands — moved when a shard
 //! is spliced on, shared when a store is cloned or united with another —
 //! and a chunk is freed when the last arena holding it goes.  The encoding
-//! is the store's own and injective — equal payloads have equal records and
-//! different payloads different ones — so comparing two arenas record by
-//! record compares the payloads they hold, however either is chunked.
+//! is the store's own and injective — within a chunk, equal payloads have
+//! equal records and different payloads different ones — so comparing two
+//! arenas record by record, an SSH record's profile index through the entry
+//! it names, compares the payloads they hold, however either is chunked.
 //! Multi-byte integers are little-endian.
 //!
 //! | Protocol | Record |
 //! |---|---|
-//! | SSH | flags `u8` (1 comments, 2 KEXINIT, 4 host key, 8 `first_kex_packet_follows`), key algorithm `u8`, cookie `[u8; 16]`, the end offsets of the 14 fields below as `u32`s, then the fields, what identifies the host first and as the identifier reads it: key material; `SSH-` protocol version `-` software (` ` comments, if present) — the banner line; the key-exchange, host-key and server-to-client cipher / MAC / compression lists, `;` between them if there is a KEXINIT — the capability fingerprint; the other five lists in wire order.  The literals are in no field.  An absent part is zeros / empty fields. |
+//! | SSH | flags `u8` (1 host key, 2 `first_kex_packet_follows`), key algorithm `u8`, cookie `[u8; 16]`, the index of the record's profile in its chunk's dictionary `u32`, then the key material to the record's end.  An absent part is zeros / empty. |
 //! | BGP | `notification_seen` `u8`, version `u8`, My AS `u16`, hold time `u16`, BGP Identifier `[u8; 4]`, then the parameters to the record's end, each a kind byte and its fields: 0 multiprotocol (AFI `u16`, SAFI `u8`), 1 route refresh, 2 four-octet AS (`u32`), 3 Cisco route refresh, 4 other capability (code `u8`, length `u32`, value), 5 other parameter (type `u8`, length `u32`, value). |
 //! | SNMPv3 | engine boots `i64`, engine time `i64`, then the engine ID to the record's end. |
 //! | ICMP rate limit | round `u8`, rate `u32`, sent `u16`, lost `u16`. |
+//!
+//! **The chunk dictionary.**  What an SSH server's software and
+//! configuration decide — the banner and the ten KEXINIT name-lists — is
+//! the same on every address of a device and on most devices of a vendor
+//! (a paper-scale store has a handful of them among 100,000 SSH rows), so a
+//! chunk keeps each such *profile* once, in an [`SshProfiles`] dictionary
+//! beside its records, and an SSH record keeps its index.  An entry is:
+//! flags `u8` (1 comments, 2 KEXINIT), the end offsets of its 13 fields as
+//! `u32`s, then the fields as the identifier reads them — `SSH-` protocol
+//! version `-` software (` ` comments, if present): the banner line; the
+//! key-exchange, host-key and server-to-client cipher / MAC / compression
+//! lists, `;` between them if there is a KEXINIT: the capability
+//! fingerprint; the other five lists in wire order.  The literals are in no
+//! field.  The dictionary is per chunk because chunks are written once and
+//! then only moved or shared: joining two stores never rewrites a record.
 
 use crate::records::ServicePayload;
 use alias_netsim::ServiceProtocol;
@@ -36,6 +52,8 @@ use alias_wire::ssh::{
     Banner, BannerRef, HostKeyAlgorithm, HostKeyRef, KexInit, KexInitRef, NameListRef,
     SshObservationRef, SshPacket,
 };
+use std::collections::{HashMap, HashSet};
+use std::hash::BuildHasher;
 use std::net::Ipv4Addr;
 use std::sync::Arc;
 
@@ -253,26 +271,13 @@ fn field_len(field: &[u8]) -> u32 {
     u32::try_from(field.len()).expect("a payload field is shorter than 4 GiB")
 }
 
-const SSH_COMMENTS: u8 = 1;
-const SSH_KEX_INIT: u8 = 2;
-const SSH_HOST_KEY: u8 = 4;
-const SSH_FIRST_KEX_PACKET_FOLLOWS: u8 = 8;
-/// Variable-length fields of an SSH record, in the order it keeps them:
-/// what identifies the host first, as the identifier reads it.
-const SSH_FIELDS: usize = 14;
-/// The key material.
-const FIELD_KEY: usize = 0;
-/// Protocol version, software, comments: with their literals, the banner
-/// line.
-const FIELD_BANNER: usize = 1;
-/// The five server capability lists: with their `;`s, the capability
-/// fingerprint.  The other five lists follow.
-const FIELD_CAPABILITIES: usize = 4;
-/// Where each name-list, in wire order, is kept.
-const FIELD_OF_LIST: [usize; 10] = [4, 5, 9, 6, 10, 7, 11, 8, 12, 13];
-/// Where the end-offset table starts: after flags, key algorithm, cookie.
-const SSH_TABLE_AT: usize = 2 + 16;
-const SSH_HEADER_LEN: usize = SSH_TABLE_AT + 4 * SSH_FIELDS;
+const SSH_HOST_KEY: u8 = 1;
+const SSH_FIRST_KEX_PACKET_FOLLOWS: u8 = 2;
+/// Where an SSH record keeps its profile index: after flags, key algorithm,
+/// cookie.
+const SSH_PROFILE_AT: usize = 2 + 16;
+/// An SSH record's fixed part; the key material follows.
+const SSH_HEADER_LEN: usize = SSH_PROFILE_AT + 4;
 /// `HostKeyAlgorithm as u8` back to the algorithm.
 const KEY_ALGORITHMS: [HostKeyAlgorithm; 4] = [
     HostKeyAlgorithm::Ed25519,
@@ -281,64 +286,68 @@ const KEY_ALGORITHMS: [HostKeyAlgorithm; 4] = [
     HostKeyAlgorithm::Dsa,
 ];
 
-/// The literal bytes a record under `flags` keeps in front of field `index`:
-/// the ones that make the banner's fields the banner line and the server
-/// capability lists the fingerprint, so that either is one run of the
-/// record.  No comments, no space; no KEXINIT, no `;`s.
+const PROFILE_COMMENTS: u8 = 1;
+const PROFILE_KEX_INIT: u8 = 2;
+/// Variable-length fields of a profile entry, in the order it keeps them:
+/// as the identifier reads them.
+const PROFILE_FIELDS: usize = 13;
+/// Protocol version, software, comments: with their literals, the banner
+/// line.
+const FIELD_BANNER: usize = 0;
+/// The five server capability lists: with their `;`s, the capability
+/// fingerprint.  The other five lists follow.
+const FIELD_CAPABILITIES: usize = 3;
+/// Where each name-list, in wire order, is kept.
+const FIELD_OF_LIST: [usize; 10] = [3, 4, 8, 5, 9, 6, 10, 7, 11, 12];
+/// A profile entry's fixed part: flags, then the end-offset table.
+const PROFILE_HEADER_LEN: usize = 1 + 4 * PROFILE_FIELDS;
+
+/// The literal bytes a profile under `flags` keeps in front of field
+/// `index`: the ones that make the banner's fields the banner line and the
+/// server capability lists the fingerprint, so that either is one run of
+/// the entry.  No comments, no space; no KEXINIT, no `;`s.
 #[inline]
 fn literal_before(index: usize, flags: u8) -> &'static [u8] {
     match index {
-        1 => b"SSH-",
-        2 => b"-",
-        3 if flags & SSH_COMMENTS != 0 => b" ",
-        5..=8 if flags & SSH_KEX_INIT != 0 => b";",
+        0 => b"SSH-",
+        1 => b"-",
+        2 if flags & PROFILE_COMMENTS != 0 => b" ",
+        4..=7 if flags & PROFILE_KEX_INIT != 0 => b";",
         _ => b"",
     }
 }
 
-fn encode_ssh(ssh: SshObservationRef<'_>, out: &mut Vec<u8>) {
-    let SshObservationRef {
-        banner,
-        kex_init,
-        host_key,
-    } = ssh;
+/// Append the profile entry of `banner` and a KEXINIT's `name_lists` (in
+/// wire order) to `out`.
+fn encode_profile(
+    banner: BannerRef<'_>,
+    name_lists: Option<[NameListRef<'_>; 10]>,
+    out: &mut Vec<u8>,
+) {
     let mut flags = 0;
-    let mut fields: [&[u8]; SSH_FIELDS] = [&[]; SSH_FIELDS];
-    let mut algorithm = 0;
-    if let Some(key) = host_key {
-        flags |= SSH_HOST_KEY;
-        algorithm = key.algorithm as u8;
-        fields[FIELD_KEY] = key.key_material;
-    }
+    let mut fields: [&[u8]; PROFILE_FIELDS] = [&[]; PROFILE_FIELDS];
     fields[FIELD_BANNER] = banner.proto_version.as_bytes();
     fields[FIELD_BANNER + 1] = banner.software.as_bytes();
     if let Some(comments) = banner.comments {
-        flags |= SSH_COMMENTS;
+        flags |= PROFILE_COMMENTS;
         fields[FIELD_BANNER + 2] = comments.as_bytes();
     }
-    let mut cookie = [0; 16];
-    if let Some(kex) = kex_init {
-        flags |= SSH_KEX_INIT;
-        if kex.first_kex_packet_follows {
-            flags |= SSH_FIRST_KEX_PACKET_FOLLOWS;
-        }
-        cookie = kex.cookie;
-        for (list, field) in kex.name_lists.into_iter().zip(FIELD_OF_LIST) {
+    if let Some(name_lists) = name_lists {
+        flags |= PROFILE_KEX_INIT;
+        for (list, field) in name_lists.into_iter().zip(FIELD_OF_LIST) {
             fields[field] = list.as_bytes();
         }
     }
-    let mut header = [0; SSH_HEADER_LEN];
+    let mut header = [0; PROFILE_HEADER_LEN];
     header[0] = flags;
-    header[1] = algorithm;
-    header[2..SSH_TABLE_AT].copy_from_slice(&cookie);
     let mut end = 0u32;
-    for (index, entry) in header[SSH_TABLE_AT..].chunks_exact_mut(4).enumerate() {
+    for (index, entry) in header[1..].chunks_exact_mut(4).enumerate() {
         end = end
             .checked_add(field_len(fields[index]) + literal_before(index, flags).len() as u32)
-            .expect("an SSH payload is shorter than 4 GiB");
+            .expect("an SSH profile is shorter than 4 GiB");
         entry.copy_from_slice(&end.to_le_bytes());
     }
-    out.reserve(SSH_HEADER_LEN + end as usize);
+    out.reserve(PROFILE_HEADER_LEN + end as usize);
     out.extend_from_slice(&header);
     for (index, field) in fields.into_iter().enumerate() {
         out.extend_from_slice(literal_before(index, flags));
@@ -346,10 +355,210 @@ fn encode_ssh(ssh: SshObservationRef<'_>, out: &mut Vec<u8>) {
     }
 }
 
+/// Append the record of `ssh`, whose profile is entry `profile` of its
+/// chunk's dictionary, to `out`.
+fn encode_ssh_record(ssh: SshObservationRef<'_>, profile: u32, out: &mut Vec<u8>) {
+    let mut header = [0; SSH_HEADER_LEN];
+    let mut key_material: &[u8] = &[];
+    if let Some(key) = ssh.host_key {
+        header[0] |= SSH_HOST_KEY;
+        header[1] = key.algorithm as u8;
+        key_material = key.key_material;
+    }
+    if let Some(kex) = ssh.kex_init {
+        if kex.first_kex_packet_follows {
+            header[0] |= SSH_FIRST_KEX_PACKET_FOLLOWS;
+        }
+        header[2..SSH_PROFILE_AT].copy_from_slice(&kex.cookie);
+    }
+    header[SSH_PROFILE_AT..].copy_from_slice(&profile.to_le_bytes());
+    out.extend_from_slice(&header);
+    out.extend_from_slice(key_material);
+}
+
+/// End of an equal-hash chain in [`SshProfiles`].
+const NO_NEXT: u32 = u32::MAX;
+
+/// The SSH profiles of one chunk's records — banner and KEXINIT name-lists,
+/// laid out as the module's table says — each kept once, in the order the
+/// chunk's rows first showed them; a record names its profile by index.
+///
+/// Banners and name-lists are attacker-supplied, so `push` finds an entry
+/// by a randomly keyed SipHash of its bytes and confirms every hit byte for
+/// byte: crafted KEXINITs can neither merge two profiles nor make the
+/// lookup quadratic.
+#[derive(Debug, Clone, Default)]
+pub struct SshProfiles {
+    /// The entries, back to back.
+    bytes: Vec<u8>,
+    /// Per entry: where it ends in `bytes`, and the next older entry with
+    /// the same hash.
+    entries: Vec<(usize, u32)>,
+    /// Keyed hash of an entry's bytes (under this map's own key) → the
+    /// newest entry with that hash.
+    heads: HashMap<u64, u32>,
+}
+
+impl SshProfiles {
+    /// Number of profiles.
+    pub fn len(&self) -> usize {
+        self.entries.len()
+    }
+
+    /// Whether the dictionary holds no profile.
+    pub fn is_empty(&self) -> bool {
+        self.entries.is_empty()
+    }
+
+    /// The bytes of entry `index`; `None` if there is none, or the offsets
+    /// do not fit the bytes.
+    fn entry(&self, index: usize) -> Option<&[u8]> {
+        let start = match index.checked_sub(1) {
+            Some(before) => self.entries.get(before)?.0,
+            None => 0,
+        };
+        self.bytes.get(start..self.entries.get(index)?.0)
+    }
+
+    /// Entry `index` read in place; `None` if there is none or it is
+    /// shorter than a profile's fixed part.
+    fn profile(&self, index: usize) -> Option<Profile<'_>> {
+        let (header, data) = self.entry(index)?.split_first_chunk()?;
+        Some(Profile { header, data })
+    }
+
+    /// The index of the profile of `banner` and `name_lists`, added if new.
+    fn intern(&mut self, banner: BannerRef<'_>, name_lists: Option<[NameListRef<'_>; 10]>) -> u32 {
+        // Written where a new entry goes, and taken back on a hit.
+        let start = self.bytes.len();
+        encode_profile(banner, name_lists, &mut self.bytes);
+        let hash = self.heads.hasher().hash_one(&self.bytes[start..]);
+        let mut at = self.heads.get(&hash).copied().unwrap_or(NO_NEXT);
+        while at != NO_NEXT {
+            if self.entry(at as usize) == Some(&self.bytes[start..]) {
+                self.bytes.truncate(start);
+                return at;
+            }
+            at = self.entries[at as usize].1;
+        }
+        let index = u32::try_from(self.entries.len())
+            .ok()
+            .filter(|&index| index != NO_NEXT)
+            .expect("fewer than 2^32 - 1 SSH profiles in a chunk");
+        let next = self.heads.insert(hash, index).unwrap_or(NO_NEXT);
+        self.entries.push((self.bytes.len(), next));
+        index
+    }
+
+    /// Check every entry: offsets in order and closing on the last byte,
+    /// each the exact bytes its own decoded profile encodes to, none a
+    /// repeat of another.
+    fn validate(&self) -> Result<(), String> {
+        let len = self.bytes.len();
+        let mut from = 0;
+        let mut seen = HashSet::new();
+        let mut again = Vec::new();
+        for (index, &(end, _)) in self.entries.iter().enumerate() {
+            if end < from || end > len {
+                return Err(format!(
+                    "entry {index} at {from}..{end} of {len} dictionary bytes"
+                ));
+            }
+            let entry = &self.bytes[from..end];
+            again.clear();
+            let parts = self.profile(index).and_then(|profile| profile.parts());
+            if !parts.is_some_and(|(banner, name_lists)| {
+                encode_profile(banner, name_lists, &mut again);
+                again == entry
+            }) {
+                return Err(format!("entry {index} is not a profile"));
+            }
+            if !seen.insert(entry) {
+                return Err(format!("entry {index} repeats an earlier one"));
+            }
+            from = end;
+        }
+        if from != len {
+            return Err(format!(
+                "the last entry ends at {from} of {len} dictionary bytes"
+            ));
+        }
+        Ok(())
+    }
+}
+
+/// A profile entry read in place: the fixed part and the field bytes.
+#[derive(Debug, Clone, Copy)]
+struct Profile<'a> {
+    header: &'a [u8; PROFILE_HEADER_LEN],
+    data: &'a [u8],
+}
+
+impl<'a> Profile<'a> {
+    #[inline]
+    fn has(&self, flag: u8) -> bool {
+        self.header[0] & flag != 0
+    }
+
+    /// Where field `index - 1` ends in `data` (0 for `index` 0).
+    #[inline]
+    fn end_before(&self, index: usize) -> usize {
+        let Some(before) = index.checked_sub(1) else {
+            return 0;
+        };
+        let at = 1 + 4 * before;
+        let end = self.header[at..at + 4].first_chunk().expect("four bytes");
+        u32::from_le_bytes(*end) as usize
+    }
+
+    /// Fields `from..to` and the literals among them, as one run; `None`
+    /// if the table does not fit the data.
+    #[inline]
+    fn run(&self, from: usize, to: usize) -> Option<&'a [u8]> {
+        self.data.get(self.end_before(from)..self.end_before(to))
+    }
+
+    /// Field `index` as the text it was encoded from; `None` if it is not,
+    /// or it does not start with its literal.
+    fn text(&self, index: usize) -> Option<&'a str> {
+        let literal = literal_before(index, self.header[0]);
+        let field = self.run(index, index + 1)?.strip_prefix(literal)?;
+        std::str::from_utf8(field).ok()
+    }
+
+    /// The banner and, with a KEXINIT, its name-lists; `None` unless the
+    /// table covers the data exactly, the banner's fields are text and the
+    /// lists name-lists.
+    fn parts(&self) -> Option<(BannerRef<'a>, Option<[NameListRef<'a>; 10]>)> {
+        if self.end_before(PROFILE_FIELDS) != self.data.len() {
+            return None;
+        }
+        let name_lists = if self.has(PROFILE_KEX_INIT) {
+            let mut name_lists = [NameListRef::default(); 10];
+            for (list, field) in name_lists.iter_mut().zip(FIELD_OF_LIST) {
+                *list = NameListRef::new(self.text(field)?).ok()?;
+            }
+            Some(name_lists)
+        } else {
+            None
+        };
+        let banner = BannerRef {
+            proto_version: self.text(FIELD_BANNER)?,
+            software: self.text(FIELD_BANNER + 1)?,
+            comments: match self.has(PROFILE_COMMENTS) {
+                true => Some(self.text(FIELD_BANNER + 2)?),
+                false => None,
+            },
+        };
+        Some((banner, name_lists))
+    }
+}
+
 /// An SSH observation, in whichever of the two shapes its bytes have: the
 /// parts by slice (read off a session, or lent by an owned observation), or
-/// a stored record, which keeps what the identifier reads — key material,
-/// banner line, capability fingerprint — each as one run of bytes.
+/// a stored record, whose profile entry keeps what the identifier reads
+/// besides the key — banner line, capability fingerprint — each as one run
+/// of bytes.
 ///
 /// # Panics
 /// The accessors panic on a record the store's encoder did not write,
@@ -387,11 +596,9 @@ impl<'a> SshRef<'a> {
     pub fn emit_banner_line(&self, out: &mut Vec<u8>) {
         match self {
             SshRef::Parts(parts) => parts.banner.emit_line(out),
-            SshRef::Record(record) => out.extend_from_slice(
-                record
-                    .run(FIELD_BANNER, FIELD_CAPABILITIES)
-                    .expect(OWN_RECORD),
-            ),
+            SshRef::Record(record) => {
+                out.extend_from_slice(record.profile_run(FIELD_BANNER, FIELD_CAPABILITIES))
+            }
         }
     }
 
@@ -406,11 +613,8 @@ impl<'a> SshRef<'a> {
                     kex.emit_capability_fingerprint(out);
                 }
             }
-            SshRef::Record(record) => out.extend_from_slice(
-                record
-                    .run(FIELD_CAPABILITIES, FIELD_CAPABILITIES + 5)
-                    .expect(OWN_RECORD),
-            ),
+            SshRef::Record(record) => out
+                .extend_from_slice(record.profile_run(FIELD_CAPABILITIES, FIELD_CAPABILITIES + 5)),
         }
     }
 
@@ -425,11 +629,30 @@ impl<'a> SshRef<'a> {
 
 const OWN_RECORD: &str = "the arena holds only records its own encoder wrote";
 
-/// An SSH record read in place: the fixed header and the field bytes.
-#[derive(Debug, Clone, Copy)]
+/// The profile index an SSH record's fixed part holds.
+#[inline]
+fn profile_index(header: &[u8; SSH_HEADER_LEN]) -> usize {
+    let index = header[SSH_PROFILE_AT..].first_chunk().expect("four bytes");
+    u32::from_le_bytes(*index) as usize
+}
+
+/// An SSH record read in place: the fixed part, the key material, and the
+/// dictionary its profile index points into.
+#[derive(Clone, Copy)]
 pub struct SshRecord<'a> {
     header: &'a [u8; SSH_HEADER_LEN],
-    data: &'a [u8],
+    key_material: &'a [u8],
+    profiles: &'a SshProfiles,
+}
+
+impl std::fmt::Debug for SshRecord<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("SshRecord")
+            .field("header", self.header)
+            .field("key_material", &self.key_material)
+            .field("profile", &self.profiles.profile(self.profile_index()))
+            .finish()
+    }
 }
 
 impl<'a> SshRecord<'a> {
@@ -438,29 +661,27 @@ impl<'a> SshRecord<'a> {
         self.header[0] & flag != 0
     }
 
-    /// Where field `index - 1` ends in `data` (0 for `index` 0).
     #[inline]
-    fn end_before(&self, index: usize) -> usize {
-        let Some(before) = index.checked_sub(1) else {
-            return 0;
-        };
-        let at = SSH_TABLE_AT + 4 * before;
-        let end = self.header[at..at + 4].first_chunk().expect("four bytes");
-        u32::from_le_bytes(*end) as usize
+    fn profile_index(&self) -> usize {
+        profile_index(self.header)
     }
 
-    /// Fields `from..to` and the literals among them, as one run; `None`
-    /// if the table does not fit the data.
+    /// Where the record's profile lives: its chunk's dictionary and the
+    /// entry's index there.  Two records with equal pairs have equal
+    /// profiles (a dictionary holds each profile once, so within one
+    /// dictionary the converse holds too): what lets a keyed pass read a
+    /// profile once per chunk, not once per row.
     #[inline]
-    fn run(&self, from: usize, to: usize) -> Option<&'a [u8]> {
-        self.data.get(self.end_before(from)..self.end_before(to))
+    pub fn profile(&self) -> (&'a SshProfiles, usize) {
+        (self.profiles, self.profile_index())
     }
 
-    /// Field `index`; `None` if the table does not fit the data.
+    /// Profile fields `from..to` and the literals among them, as one run.
     #[inline]
-    fn field(&self, index: usize) -> Option<&'a [u8]> {
-        let literal = literal_before(index, self.header[0]).len();
-        self.run(index, index + 1)?.get(literal..)
+    fn profile_run(&self, from: usize, to: usize) -> &'a [u8] {
+        (self.profiles.profile(self.profile_index()))
+            .and_then(|profile| profile.run(from, to))
+            .expect(OWN_RECORD)
     }
 
     /// `Some(None)` without a host key; `None` if it does not decode.
@@ -471,43 +692,21 @@ impl<'a> SshRecord<'a> {
         }
         Some(Some(HostKeyRef {
             algorithm: *KEY_ALGORITHMS.get(usize::from(self.header[1]))?,
-            key_material: self.field(FIELD_KEY)?,
+            key_material: self.key_material,
         }))
     }
 
-    /// Field `index` as the text it was encoded from; `None` if it is not.
-    fn text(&self, index: usize) -> Option<&'a str> {
-        std::str::from_utf8(self.field(index)?).ok()
-    }
-
-    /// Every part; `None` unless the table covers the data exactly, the
-    /// banner's fields are text and the lists name-lists.
+    /// Every part; `None` unless the profile index names an entry that
+    /// decodes and the key algorithm is one.
     fn parts(&self) -> Option<SshObservationRef<'a>> {
-        if self.end_before(SSH_FIELDS) != self.data.len() {
-            return None;
-        }
-        let kex_init = if self.has(SSH_KEX_INIT) {
-            let mut name_lists = [NameListRef::default(); 10];
-            for (list, field) in name_lists.iter_mut().zip(FIELD_OF_LIST) {
-                *list = NameListRef::new(self.text(field)?).ok()?;
-            }
-            Some(KexInitRef {
-                cookie: *self.header[2..].first_chunk().expect("the header holds it"),
-                name_lists,
-                first_kex_packet_follows: self.has(SSH_FIRST_KEX_PACKET_FOLLOWS),
-            })
-        } else {
-            None
-        };
+        let (banner, name_lists) = self.profiles.profile(self.profile_index())?.parts()?;
+        let kex_init = name_lists.map(|name_lists| KexInitRef {
+            cookie: *self.header[2..].first_chunk().expect("the header holds it"),
+            name_lists,
+            first_kex_packet_follows: self.has(SSH_FIRST_KEX_PACKET_FOLLOWS),
+        });
         Some(SshObservationRef {
-            banner: BannerRef {
-                proto_version: self.text(FIELD_BANNER)?,
-                software: self.text(FIELD_BANNER + 1)?,
-                comments: match self.has(SSH_COMMENTS) {
-                    true => Some(self.text(FIELD_BANNER + 2)?),
-                    false => None,
-                },
-            },
+            banner,
             kex_init,
             host_key: self.host_key()?,
         })
@@ -573,10 +772,17 @@ impl<'a> PayloadRef<'a> {
         }
     }
 
-    /// Append the payload's record to `out`: the one encoder.
-    fn encode(self, out: &mut Vec<u8>) {
+    /// Append the payload's record to `out`, an SSH payload's profile
+    /// interned into `profiles`, the dictionary beside `out`: the one
+    /// encoder.
+    fn encode(self, profiles: &mut SshProfiles, out: &mut Vec<u8>) {
         match self {
-            PayloadRef::Ssh(ssh) => encode_ssh(ssh.parts(), out),
+            PayloadRef::Ssh(ssh) => {
+                let parts = ssh.parts();
+                let name_lists = parts.kex_init.map(|kex| kex.name_lists);
+                let profile = profiles.intern(parts.banner, name_lists);
+                encode_ssh_record(parts, profile, out);
+            }
             PayloadRef::Bgp {
                 open,
                 notification_seen,
@@ -612,14 +818,24 @@ impl<'a> PayloadRef<'a> {
         }
     }
 
-    /// Read `record` in place as a payload of `protocol`: the one reader.
-    /// `None` if it is not a record [`Self::encode`] writes for one.
+    /// Read `record`, which `profiles` sits beside, in place as a payload
+    /// of `protocol`: the one reader.  `None` if it is not a record
+    /// [`Self::encode`] writes for one (an SSH record's profile is read
+    /// when asked for).
     #[inline]
-    fn decode(protocol: ServiceProtocol, record: &'a [u8]) -> Option<Self> {
+    fn decode(
+        protocol: ServiceProtocol,
+        record: &'a [u8],
+        profiles: &'a SshProfiles,
+    ) -> Option<Self> {
         Some(match protocol {
             ServiceProtocol::Ssh => {
-                let (header, data) = record.split_first_chunk()?;
-                PayloadRef::Ssh(SshRef::Record(SshRecord { header, data }))
+                let (header, key_material) = record.split_first_chunk()?;
+                PayloadRef::Ssh(SshRef::Record(SshRecord {
+                    header,
+                    key_material,
+                    profiles,
+                }))
             }
             ServiceProtocol::Bgp => {
                 let (&[seen, version, as0, as1, hold0, hold1, a, b, c, d], params) =
@@ -702,11 +918,13 @@ fn parse_bgp(bytes: &[u8]) -> Option<PayloadRef<'_>> {
 
 /// One run of records, back to back in one buffer, with where each ends
 /// (offsets into this chunk's buffer; `usize`: the `huge` preset's payloads
-/// pass 4 GiB).  Written by exactly one arena, while no other holds it.
+/// pass 4 GiB), and the SSH profiles its SSH records point into.  Written
+/// by exactly one arena, while no other holds it.
 #[derive(Debug, Clone, Default)]
 struct Chunk {
     bytes: Vec<u8>,
     ends: Vec<usize>,
+    profiles: SshProfiles,
 }
 
 impl Chunk {
@@ -715,9 +933,28 @@ impl Chunk {
         let start = row.checked_sub(1).map_or(0, |before| self.ends[before]);
         &self.bytes[start..self.ends[row]]
     }
+}
 
-    fn records(&self) -> impl Iterator<Item = &[u8]> {
-        (0..self.ends.len()).map(|row| self.record(row))
+/// Whether record `a` (beside dictionary `a_profiles`) and record `b`
+/// (beside `b_profiles`), both of protocol `tag`, hold one payload: byte for
+/// byte, except that two SSH records' profile indices are compared through
+/// the entries they name.
+fn same_record(
+    tag: ServiceProtocol,
+    (a, a_profiles): (&[u8], &SshProfiles),
+    (b, b_profiles): (&[u8], &SshProfiles),
+) -> bool {
+    if tag != ServiceProtocol::Ssh {
+        return a == b;
+    }
+    match (a.split_first_chunk(), b.split_first_chunk()) {
+        (Some((a_header, a_key)), Some((b_header, b_key))) => {
+            a_header[..SSH_PROFILE_AT] == b_header[..SSH_PROFILE_AT]
+                && a_key == b_key
+                && a_profiles.entry(profile_index(a_header))
+                    == b_profiles.entry(profile_index(b_header))
+        }
+        _ => a == b,
     }
 }
 
@@ -726,7 +963,7 @@ impl Chunk {
 /// by the scan or crawl that pushed it; after that chunks only change
 /// hands — a spliced shard's chunk is moved in, a cloned or united store's
 /// chunks are shared — so two arenas holding the same rows may be chunked
-/// differently: equality reads record by record.
+/// differently: equality ([`Self::same_payloads`]) reads record by record.
 ///
 /// Only the last chunk may hold no rows (one opened for rows to come).
 #[derive(Debug, Clone, Default)]
@@ -734,20 +971,12 @@ pub(crate) struct PayloadArena {
     chunks: Vec<(usize, Arc<Chunk>)>,
 }
 
-impl PartialEq for PayloadArena {
-    fn eq(&self, other: &Self) -> bool {
-        self.len() == other.len() && self.records().eq(other.records())
-    }
-}
-
-impl Eq for PayloadArena {}
-
 impl PayloadArena {
     /// An empty arena with room for `rows` end offsets.
     pub(crate) fn with_capacity(rows: usize) -> Self {
         let chunk = Chunk {
-            bytes: Vec::new(),
             ends: Vec::with_capacity(rows),
+            ..Chunk::default()
         };
         PayloadArena {
             chunks: vec![(0, Arc::new(chunk))],
@@ -759,7 +988,9 @@ impl PayloadArena {
         (self.chunks.last()).map_or(0, |(start, chunk)| start + chunk.ends.len())
     }
 
-    /// Total record bytes.
+    /// Total record bytes, without the profile dictionaries: a record's
+    /// length is a function of its payload alone, a dictionary's of how the
+    /// rows were chunked.
     pub(crate) fn byte_len(&self) -> usize {
         self.chunks.iter().map(|(_, chunk)| chunk.bytes.len()).sum()
     }
@@ -768,7 +999,7 @@ impl PayloadArena {
     /// shares it, to a new one otherwise.
     pub(crate) fn push(&mut self, payload: PayloadRef<'_>) {
         if let Some(chunk) = self.chunks.last_mut().and_then(|(_, c)| Arc::get_mut(c)) {
-            payload.encode(&mut chunk.bytes);
+            payload.encode(&mut chunk.profiles, &mut chunk.bytes);
             chunk.ends.push(chunk.bytes.len());
             return;
         }
@@ -798,30 +1029,41 @@ impl PayloadArena {
         }
     }
 
-    /// Every record, in row order.
-    fn records(&self) -> impl Iterator<Item = &[u8]> {
-        self.chunks.iter().flat_map(|(_, chunk)| chunk.records())
+    /// Every record in row order, with the dictionary beside it.
+    fn records(&self) -> impl Iterator<Item = (&[u8], &SshProfiles)> {
+        self.chunks.iter().flat_map(|(_, chunk)| {
+            (0..chunk.ends.len()).map(|row| (chunk.record(row), &chunk.profiles))
+        })
     }
 
-    #[inline]
-    fn record(&self, row: usize) -> &[u8] {
-        let after = self.chunks.partition_point(|&(start, _)| start <= row);
-        let (start, chunk) = &self.chunks[after.checked_sub(1).expect("a row of the arena")];
-        chunk.record(row - start)
+    /// Whether `self` and `other` hold the same payloads, row `i` of either
+    /// being of protocol `protocols[i]`: record by record, however either is
+    /// chunked.
+    pub(crate) fn same_payloads(
+        &self,
+        other: &PayloadArena,
+        protocols: &[ServiceProtocol],
+    ) -> bool {
+        self.len() == other.len()
+            && (self.records().zip(other.records()).zip(protocols))
+                .all(|((a, b), &tag)| same_record(tag, a, b))
     }
 
     /// Row `row`'s payload, decoded in place under its protocol tag.
     #[inline]
     pub(crate) fn get(&self, row: usize, protocol: ServiceProtocol) -> PayloadRef<'_> {
-        PayloadRef::decode(protocol, self.record(row))
-            .expect("the arena holds only records its own encoder wrote")
+        let after = self.chunks.partition_point(|&(start, _)| start <= row);
+        let (start, chunk) = &self.chunks[after.checked_sub(1).expect("a row of the arena")];
+        PayloadRef::decode(protocol, chunk.record(row - start), &chunk.profiles).expect(OWN_RECORD)
     }
 
     /// Check the arena against the protocol column: the chunk table lists
     /// each chunk at the row the ones before it end on, none but the last
     /// empty; every chunk's end offsets non-decreasing and the last one its
-    /// buffer's length; and every record the exact bytes its own decoded
-    /// payload encodes to.
+    /// buffer's length; every chunk's profile dictionary sound
+    /// ([`SshProfiles`]'s own check); and every record the exact bytes its
+    /// own decoded payload encodes to, an SSH record's profile index naming
+    /// an entry of its chunk's dictionary.
     pub(crate) fn validate(&self, protocols: &[ServiceProtocol]) -> Result<(), String> {
         let mut first_row = 0;
         for (at, (start, chunk)) in self.chunks.iter().enumerate() {
@@ -849,18 +1091,22 @@ impl PayloadArena {
                      {len} chunk bytes"
                 ));
             }
+            (chunk.profiles.validate())
+                .map_err(|drift| format!("ssh profile drift in chunk {at}: {drift}"))?;
             first_row += rows;
         }
         let mut again = Vec::new();
-        for (row, (record, &tag)) in self.records().zip(protocols).enumerate() {
+        // Only SSH payloads intern a profile, and those are encoded below.
+        let mut unused = SshProfiles::default();
+        for (row, ((record, profiles), &tag)) in self.records().zip(protocols).enumerate() {
             again.clear();
-            let sound = match PayloadRef::decode(tag, record) {
+            let sound = match PayloadRef::decode(tag, record, profiles) {
                 Some(PayloadRef::Ssh(SshRef::Record(ssh))) => ssh.parts().is_some_and(|parts| {
-                    encode_ssh(parts, &mut again);
+                    encode_ssh_record(parts, ssh.profile_index() as u32, &mut again);
                     again == record
                 }),
                 Some(payload) => {
-                    payload.encode(&mut again);
+                    payload.encode(&mut unused, &mut again);
                     again == record
                 }
                 None => false,
@@ -880,12 +1126,6 @@ mod tests {
     use super::*;
     use alias_wire::bgp::Capability;
     use alias_wire::ssh::{HostKey, NameList, SshObservation};
-
-    fn record_of(payload: &ServicePayload) -> Vec<u8> {
-        let mut out = Vec::new();
-        payload.as_ref().encode(&mut out);
-        out
-    }
 
     fn ssh(software: &str, comments: Option<&str>, kex_init: Option<KexInit>) -> ServicePayload {
         ServicePayload::Ssh(SshObservation {
@@ -910,6 +1150,18 @@ mod tests {
             },
             notification_seen: true,
         }
+    }
+
+    fn pushed(rows: &[ServicePayload]) -> PayloadArena {
+        let mut arena = PayloadArena::default();
+        for row in rows {
+            arena.push(row.as_ref());
+        }
+        arena
+    }
+
+    fn tags(rows: &[ServicePayload]) -> Vec<ServiceProtocol> {
+        rows.iter().map(ServicePayload::protocol).collect()
     }
 
     #[test]
@@ -952,13 +1204,16 @@ mod tests {
             bgp(vec![other(1, &[]), other(2, &[])]),
             bgp(vec![]),
         ];
-        let records: Vec<Vec<u8>> = payloads.iter().map(record_of).collect();
-        for (i, a) in records.iter().enumerate() {
-            let protocol = payloads[i].protocol();
-            let decoded = PayloadRef::decode(protocol, a).expect("its own record");
-            assert_eq!(decoded.to_owned(), payloads[i]);
-            for (j, b) in records.iter().enumerate().skip(i + 1) {
-                assert_ne!(a, b, "payloads {i} and {j}");
+        // One chunk, so one dictionary: each SSH payload its own profile.
+        let arena = pushed(&payloads);
+        let chunk = &arena.chunks[0].1;
+        assert_eq!(chunk.profiles.len(), 6);
+        for (i, payload) in payloads.iter().enumerate() {
+            let a = chunk.record(i);
+            let decoded = PayloadRef::decode(payload.protocol(), a, &chunk.profiles);
+            assert_eq!(&decoded.expect("its own record").to_owned(), payload);
+            for j in i + 1..payloads.len() {
+                assert_ne!(a, chunk.record(j), "payloads {i} and {j}");
             }
         }
     }
@@ -981,12 +1236,13 @@ mod tests {
             },
             notification_seen: false,
         };
+        let mut profiles = SshProfiles::default();
         let mut from_wire = Vec::new();
-        open(BgpParams::Wire(wire)).encode(&mut from_wire);
+        open(BgpParams::Wire(wire)).encode(&mut profiles, &mut from_wire);
         let mut from_list = Vec::new();
-        open(BgpParams::List(&owned)).encode(&mut from_list);
+        open(BgpParams::List(&owned)).encode(&mut profiles, &mut from_list);
         assert_eq!(from_wire, from_list);
-        let stored = PayloadRef::decode(ServiceProtocol::Bgp, &from_wire).unwrap();
+        let stored = PayloadRef::decode(ServiceProtocol::Bgp, &from_wire, &profiles).unwrap();
         let PayloadRef::Bgp { open: stored, .. } = stored else {
             panic!("a BGP record");
         };
@@ -994,8 +1250,9 @@ mod tests {
         assert_eq!(stored.to_owned().optional_parameters, owned);
         assert_eq!(stored.effective_asn(), 396_982);
         let mut from_record = Vec::new();
-        open(stored.params).encode(&mut from_record);
+        open(stored.params).encode(&mut SshProfiles::default(), &mut from_record);
         assert_eq!(from_record, from_wire);
+        assert!(profiles.is_empty(), "a BGP payload interns no profile");
     }
 
     /// Chunk `at` of `arena`, to break: copied first if another arena
@@ -1012,11 +1269,8 @@ mod tests {
                 Capability::RouteRefresh,
             )]),
         ];
-        let tags = [ServiceProtocol::Ssh, ServiceProtocol::Bgp];
-        let mut arena = PayloadArena::default();
-        for row in &rows {
-            arena.push(row.as_ref());
-        }
+        let tags = tags(&rows);
+        let arena = pushed(&rows);
         assert_eq!(arena.validate(&tags), Ok(()));
         assert_eq!(arena.get(1, tags[1]).to_owned(), rows[1]);
         let drift = |arena: &PayloadArena| arena.validate(&tags).unwrap_err();
@@ -1032,22 +1286,18 @@ mod tests {
         chunk_mut(&mut broken, 0).bytes.push(0);
         assert!(drift(&broken).contains("the last record of chunk 0 ends at"));
 
-        // A cookie with no KEXINIT flag: decodes, but no payload encodes to it.
+        // A host key's material with no host-key flag: decodes, but no
+        // payload encodes to it.
         let mut broken = arena.clone();
-        chunk_mut(&mut broken, 0).bytes[0] &= !SSH_KEX_INIT;
+        chunk_mut(&mut broken, 0).bytes[0] &= !SSH_HOST_KEY;
         assert!(drift(&broken).contains("tag/payload drift at row 0"));
         // A key algorithm that is none.
         let mut broken = arena.clone();
         chunk_mut(&mut broken, 0).bytes[1] = 9;
         assert!(drift(&broken).contains("tag/payload drift at row 0"));
-        // Text that is not UTF-8: would encode back, but never to a row.
-        // (Past the header, the three key bytes and `SSH-`: the version.)
+        // A profile index past the dictionary.
         let mut broken = arena.clone();
-        chunk_mut(&mut broken, 0).bytes[SSH_HEADER_LEN + 3 + 4] = 0xff;
-        assert!(drift(&broken).contains("tag/payload drift at row 0"));
-        // A literal that is not the banner line's.
-        let mut broken = arena.clone();
-        chunk_mut(&mut broken, 0).bytes[SSH_HEADER_LEN + 3] = b's';
+        chunk_mut(&mut broken, 0).bytes[SSH_PROFILE_AT] = 1;
         assert!(drift(&broken).contains("tag/payload drift at row 0"));
         // A parameter kind that is none, and a record under the wrong tag.
         let mut broken = arena.clone();
@@ -1072,7 +1322,7 @@ mod tests {
         }
         assert_eq!(chunked.chunks.len(), 2);
         assert_eq!(chunked.validate(&tags), Ok(()));
-        assert_eq!(chunked, arena);
+        assert!(chunked.same_payloads(&arena, &tags));
         for listed in [2, 0] {
             let mut broken = chunked.clone();
             broken.chunks[1].0 = listed;
@@ -1089,6 +1339,74 @@ mod tests {
     }
 
     #[test]
+    fn validate_reports_profile_dictionaries_push_never_writes() {
+        let rows = [
+            ssh("a", Some("b"), Some(KexInit::typical_openssh())),
+            ssh("c", None, None),
+            ssh("a", Some("b"), Some(KexInit::typical_openssh())),
+        ];
+        let tags = tags(&rows);
+        let arena = pushed(&rows);
+        assert_eq!(arena.chunks[0].1.profiles.len(), 2);
+        assert_eq!(arena.validate(&tags), Ok(()));
+        let drift = |arena: &PayloadArena| arena.validate(&tags).unwrap_err();
+        fn profiles(arena: &mut PayloadArena) -> &mut SshProfiles {
+            &mut chunk_mut(arena, 0).profiles
+        }
+        let first_len = arena.chunks[0].1.profiles.entry(0).unwrap().len();
+
+        // A duplicate entry: the second row's profile rewritten as the
+        // first's.  Every row still decodes to a payload, but push never
+        // keeps a profile twice.
+        let mut broken = arena.clone();
+        let dictionary = profiles(&mut broken);
+        let first = dictionary.entry(0).unwrap().to_vec();
+        dictionary.bytes.truncate(first_len);
+        dictionary.bytes.extend_from_slice(&first);
+        dictionary.entries[1].0 = 2 * first_len;
+        assert!(drift(&broken).contains("ssh profile drift in chunk 0: entry 1 repeats"));
+
+        // Truncated entries: short of their table, short of their fields,
+        // and cut off behind the last offset.
+        for keep in [3, first_len - 1] {
+            let mut broken = arena.clone();
+            let dictionary = profiles(&mut broken);
+            dictionary.bytes.drain(keep..first_len);
+            dictionary.entries[0].0 = keep;
+            dictionary.entries[1].0 -= first_len - keep;
+            assert!(
+                drift(&broken).contains("entry 0 is not a profile"),
+                "{keep}"
+            );
+        }
+        let mut broken = arena.clone();
+        profiles(&mut broken).bytes.pop();
+        assert!(drift(&broken).contains("entry 1 at"));
+        let mut broken = arena.clone();
+        profiles(&mut broken).bytes.push(b'x');
+        assert!(drift(&broken).contains("the last entry ends at"));
+
+        // Text that is not UTF-8, and a literal that is not the banner
+        // line's.
+        let mut broken = arena.clone();
+        profiles(&mut broken).bytes[PROFILE_HEADER_LEN + 4] = 0xff;
+        assert!(drift(&broken).contains("entry 0 is not a profile"));
+        let mut broken = arena.clone();
+        profiles(&mut broken).bytes[PROFILE_HEADER_LEN] = b's';
+        assert!(drift(&broken).contains("entry 0 is not a profile"));
+
+        // An out-of-range index, and one that names the wrong profile: the
+        // second is a different payload, not drift — and a different store.
+        let mut broken = arena.clone();
+        chunk_mut(&mut broken, 0).bytes[SSH_PROFILE_AT] = 2;
+        assert!(drift(&broken).contains("tag/payload drift at row 0"));
+        let mut other = arena.clone();
+        chunk_mut(&mut other, 0).bytes[SSH_PROFILE_AT] = 1;
+        assert_eq!(other.validate(&tags), Ok(()));
+        assert!(!other.same_payloads(&arena, &tags));
+    }
+
+    #[test]
     fn chunking_is_not_part_of_an_arenas_value() {
         let rows = [
             ssh("a", Some("b"), Some(KexInit::typical_openssh())),
@@ -1098,20 +1416,17 @@ mod tests {
                 Capability::RouteRefresh,
             )]),
             ssh("d", Some(""), None),
+            ssh("c", None, None),
+            ssh("a", Some("b"), Some(KexInit::typical_openssh())),
         ];
-        let tags: Vec<ServiceProtocol> = rows.iter().map(ServicePayload::protocol).collect();
-        let pushed = |rows: &[ServicePayload]| {
-            let mut arena = PayloadArena::default();
-            for row in rows {
-                arena.push(row.as_ref());
-            }
-            arena
-        };
+        let tags = tags(&rows);
         // One chunk.
         let whole = pushed(&rows);
         assert_eq!(whole.chunks.len(), 1);
         // A chunk per shard, an empty shard among them, the first one taken
-        // into an arena opened with room and nothing in it.
+        // into an arena opened with room and nothing in it.  The profiles of
+        // rows 2 and 5 and of rows 0 and 6 land in other chunks, under other
+        // indices.
         let mut sharded = PayloadArena::with_capacity(8);
         for shard in [&rows[..2], &rows[2..2], &rows[2..3], &rows[3..]] {
             sharded.append(pushed(shard));
@@ -1126,29 +1441,73 @@ mod tests {
         assert_eq!(grown.chunks.len(), 2);
         // Pushing into the clone left the original as it was...
         assert_eq!((first.len(), first.chunks.len()), (3, 1));
-        assert_eq!(first, pushed(&rows[..3]));
+        assert!(first.same_payloads(&pushed(&rows[..3]), &tags));
         // ...and with the clone gone, the original writes on in place.
-        assert_eq!(grown, whole);
+        assert!(grown.same_payloads(&whole, &tags));
         drop(grown);
         let mut first = first;
         first.push(rows[3].as_ref());
         assert_eq!(first.chunks.len(), 1);
         let mut grown = first.clone();
-        grown.push(rows[4].as_ref());
+        for row in &rows[4..] {
+            grown.push(row.as_ref());
+        }
         assert_eq!(grown.chunks.len(), 2);
 
         for arena in [&sharded, &grown] {
             assert_eq!(arena.validate(&tags), Ok(()));
-            assert_eq!(arena, &whole);
+            assert!(arena.same_payloads(&whole, &tags));
             assert_eq!(arena.byte_len(), whole.byte_len());
             for (row, payload) in rows.iter().enumerate() {
                 assert_eq!(&arena.get(row, tags[row]).to_owned(), payload);
             }
         }
         // A record less and a different record both differ.
-        assert_ne!(pushed(&rows[..4]), whole);
+        assert!(!pushed(&rows[..6]).same_payloads(&whole, &tags));
         let mut other = rows.clone();
         other[4] = ssh("e", Some(""), None);
-        assert_ne!(pushed(&other), whole);
+        assert!(!pushed(&other).same_payloads(&whole, &tags));
+    }
+
+    /// Row `n` of a shard whose every row has a profile of its own: a
+    /// banner and a KEXINIT no other row has, some lists drawn from `draws`.
+    fn own_profile(n: usize, draws: [u8; 4]) -> ServicePayload {
+        let name = |draw: u8| format!("alg-{}@{n}", draw % 5);
+        ServicePayload::Ssh(SshObservation {
+            banner: Banner {
+                proto_version: "2.0".to_owned(),
+                software: format!("server_{n}"),
+                comments: (!draws[0].is_multiple_of(3)).then(|| format!("build {}", draws[1])),
+            },
+            kex_init: Some(KexInit {
+                cookie: [draws[2]; 16],
+                kex_algorithms: NameList::new([name(draws[0]), name(draws[1])]),
+                encryption_server_to_client: NameList::new([name(draws[2])]),
+                first_kex_packet_follows: draws[3].is_multiple_of(2),
+                ..KexInit::typical_openssh()
+            }),
+            host_key: (!draws[3].is_multiple_of(4))
+                .then(|| HostKey::new(HostKeyAlgorithm::Ed25519, vec![draws[1]; 32])),
+        })
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn a_shard_of_a_thousand_profiles_gives_back_every_row(
+            draws in proptest::collection::vec(proptest::prelude::any::<[u8; 4]>(), 1_000..1_100),
+        ) {
+            // Every row's profile is new to the dictionary, and every row
+            // after the first thousand repeats one of the first thousand's.
+            let mut rows: Vec<ServicePayload> =
+                draws.iter().enumerate().map(|(n, &d)| own_profile(n, d)).collect();
+            rows.extend((0..100).map(|n| own_profile(n * 7, draws[n * 7])));
+            let arena = pushed(&rows);
+            let tags = tags(&rows);
+            proptest::prop_assert_eq!(arena.chunks[0].1.profiles.len(), draws.len());
+            proptest::prop_assert_eq!(arena.validate(&tags), Ok(()));
+            for (row, payload) in rows.iter().enumerate() {
+                proptest::prop_assert_eq!(&arena.get(row, tags[row]).to_owned(), payload);
+            }
+        }
     }
 }

@@ -46,8 +46,9 @@ static ROWS_ABSORBED: LazyCounter = LazyCounter::new(
 /// Payload record bytes spliced onto campaign stores by
 /// [`ObservationStore::absorb_shard`]: with `store.rows_absorbed`, the mean
 /// record size; with the span around a phase, its ingest rate in bytes.  A
-/// row's record is a function of its payload alone, so the total is
-/// thread-count-invariant.
+/// record's length is a function of its payload alone, so the total is
+/// thread-count-invariant; the chunks' SSH profile dictionaries, which
+/// depend on how the rows were sharded, are not counted.
 static PAYLOAD_BYTES: LazyCounter = LazyCounter::new(
     "store.payload_bytes",
     DeterminismClass::Deterministic,
@@ -68,7 +69,10 @@ static ADDR_REMAPS: LazyCounter = LazyCounter::new(
 
 /// Columnar storage for a batch of observations, with every observed
 /// address interned to a dense [`AddrId`] in first-observation order.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+///
+/// Two stores are equal when they hold the same rows, however their
+/// payload arenas are chunked.
+#[derive(Debug, Clone, Default)]
 pub struct ObservationStore {
     addrs: Vec<AddrId>,
     protocols: Vec<ServiceProtocol>,
@@ -79,6 +83,21 @@ pub struct ObservationStore {
     payloads: PayloadArena,
     interner: Arc<AddrInterner>,
 }
+
+impl PartialEq for ObservationStore {
+    fn eq(&self, other: &Self) -> bool {
+        self.addrs == other.addrs
+            && self.protocols == other.protocols
+            && self.sources == other.sources
+            && self.ports == other.ports
+            && self.timestamps == other.timestamps
+            && self.asns == other.asns
+            && self.interner == other.interner
+            && (self.payloads).same_payloads(&other.payloads, &self.protocols)
+    }
+}
+
+impl Eq for ObservationStore {}
 
 impl ObservationStore {
     /// An empty store.
@@ -767,6 +786,52 @@ mod tests {
         drop(again);
         assert_eq!(one.to_observations(), rows);
         assert_eq!(phased.to_observations(), rows);
+    }
+
+    #[test]
+    fn one_profile_under_different_indices_is_one_payload() {
+        // Three SSH profiles (software versions) over nine rows, first seen
+        // in a different order by every chunk they land in.
+        let software = ["OpenSSH_8.9p1", "dropbear_2020.81", "Cisco-1.25"];
+        let rows: Vec<ServiceObservation> = (0..9u8)
+            .map(|n| {
+                let mut row = ssh_obs(&format!("10.0.0.{n}"), n % 4, DataSource::Active);
+                let ServicePayload::Ssh(session) = &mut row.payload else {
+                    unreachable!("ssh_obs builds SSH rows");
+                };
+                session.banner =
+                    Banner::new(software[(n as usize * 2 + n as usize / 3) % 3], None).unwrap();
+                row
+            })
+            .collect();
+        let index_of = |store: &ObservationStore, row: usize| match store.payload_at(row) {
+            PayloadRef::Ssh(crate::SshRef::Record(record)) => record.profile().1,
+            other => panic!("an SSH record, not {other:?}"),
+        };
+        let one = ObservationStore::from(shard_of(&rows));
+        let mut per_row = ObservationStore::new();
+        for row in rows.chunks(1) {
+            per_row.absorb_shard(shard_of(row));
+        }
+        let mut united = ObservationStore::from(shard_of(&rows[..3])).clone();
+        united.extend_from(&ObservationStore::from(shard_of(&rows[3..])));
+        // A profile's index is where its chunk first saw it.
+        assert_eq!(index_of(&one, 5), 1);
+        assert_eq!(index_of(&per_row, 5), 0);
+        assert_eq!(index_of(&united, 5), 2);
+        for store in [&one, &per_row, &united] {
+            assert_eq!(store.validate(), Ok(()));
+            assert_eq!(store, &ObservationStore::from_observations(rows.clone()));
+            assert_eq!(store.to_observations(), rows);
+            assert_eq!(store.payload_bytes(), one.payload_bytes());
+        }
+        // A row whose profile differs makes another store.
+        let mut other = rows.clone();
+        let ServicePayload::Ssh(session) = &mut other[5].payload else {
+            unreachable!("ssh_obs builds SSH rows");
+        };
+        session.banner = Banner::new(software[0], None).unwrap();
+        assert_ne!(ObservationStore::from_observations(other), one);
     }
 
     #[test]
