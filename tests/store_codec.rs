@@ -117,29 +117,12 @@ impl Write for Fnv1a {
     }
 }
 
-#[test]
-fn the_paper_scale_censys_store_is_the_parent_commits_byte_for_byte() {
-    // One digest over the `Debug` of every column, of the interner's
-    // address list and of every payload as an owned row — what the store
-    // holds, whatever its record layout — taken at the commit before SSH
-    // records pointed into chunk dictionaries.  (Not the store's own
-    // `Debug`: that prints the interner's hash map, whose order no two runs
-    // share, and the arena's layout.)
-    let seed = 20230418;
-    let internet =
-        InternetBuilder::new(InternetConfig::preset(ScalePreset::PaperShape, seed)).build();
-    let snapshot = CensysSnapshot::collect(
-        &internet,
-        CensysConfig {
-            seed,
-            ..Default::default()
-        },
-    );
-    assert_eq!(snapshot.nonstandard().len(), 12_024);
-    let (store, _) = snapshot.into_default_port();
-    // Record bytes only: 33,346,366 while every SSH record carried its
-    // banner and name-lists, before they moved into the chunk dictionary.
-    assert_eq!((store.len(), store.payload_bytes()), (64_412, 3_308_654));
+/// One digest over the `Debug` of every column, of the interner's address
+/// list and of every payload as an owned row: what `store` holds, whatever
+/// its record layout.  (Not the store's own `Debug`: that prints the
+/// interner's hash map, whose order no two runs share, and the arena's
+/// layout.)
+fn digest(store: &ObservationStore) -> u64 {
     let mut digest = Fnv1a(0xcbf2_9ce4_8422_2325);
     write!(
         digest,
@@ -156,5 +139,57 @@ fn the_paper_scale_censys_store_is_the_parent_commits_byte_for_byte() {
     for row in 0..store.len() {
         write!(digest, "{:?}", store.payload_at(row).to_owned()).unwrap();
     }
-    assert_eq!(digest.0, 0x0493_4649_b3ed_2728);
+    digest.0
+}
+
+/// The benchmark seed's paper-scale Internet.
+fn paper_internet(seed: u64) -> Internet {
+    InternetBuilder::new(InternetConfig::preset(ScalePreset::PaperShape, seed)).build()
+}
+
+#[test]
+fn the_paper_scale_censys_store_is_the_parent_commits_byte_for_byte() {
+    // Taken at the commit before SSH records pointed into chunk
+    // dictionaries.
+    let seed = 20230418;
+    let internet = paper_internet(seed);
+    let snapshot = CensysSnapshot::collect(
+        &internet,
+        CensysConfig {
+            seed,
+            ..Default::default()
+        },
+    );
+    assert_eq!(snapshot.nonstandard().len(), 12_024);
+    let (store, _) = snapshot.into_default_port();
+    // Record bytes only: 33,346,366 while every SSH record carried its
+    // banner and name-lists, before they moved into the chunk dictionary.
+    assert_eq!((store.len(), store.payload_bytes()), (64_412, 3_308_654));
+    assert_eq!(digest(&store), 0x0493_4649_b3ed_2728);
+}
+
+#[test]
+fn the_paper_scale_campaign_store_is_the_parent_commits_byte_for_byte() {
+    // Taken before the grab found a chunk's SSH profiles by comparing
+    // fields, the SNMP sweep encoded only the requests an agent reads and
+    // a store adopted its first shard's interner; at one and two scan
+    // threads, which shard the phases differently.
+    let seed = 20230418;
+    let internet = paper_internet(seed);
+    for threads in [1, 2] {
+        let campaign = ActiveCampaign::new(CampaignConfig {
+            seed,
+            threads,
+            ..Default::default()
+        })
+        .run(&internet);
+        let store = campaign.store();
+        assert_eq!(store.validate(), Ok(()), "threads={threads}");
+        assert_eq!(
+            (store.len(), store.payload_bytes()),
+            (85_378, 3_661_540),
+            "threads={threads}"
+        );
+        assert_eq!(digest(store), 0xadbd_4bbe_28b4_2e82, "threads={threads}");
+    }
 }
