@@ -91,44 +91,41 @@ impl CensysSnapshot {
             if !device.censys_covered {
                 continue;
             }
-            let per_protocol = [
-                (ServiceProtocol::Ssh, device.ssh_responding_addrs()),
-                (ServiceProtocol::Bgp, device.bgp_responding_addrs()),
-            ];
-            for (protocol, addr) in per_protocol
-                .into_iter()
-                .flat_map(|(protocol, addrs)| addrs.into_iter().map(move |addr| (protocol, addr)))
-            {
-                // The paper excludes Censys's negligible IPv6 data.
-                if addr.is_ipv6() {
-                    continue;
-                }
-                let Some((device_id, iface)) = internet.lookup(addr) else {
-                    continue;
-                };
+            for protocol in [ServiceProtocol::Ssh, ServiceProtocol::Bgp] {
                 let port = protocol.default_port();
-                sessions += 1;
-                if !internet.service_session_into(device_id, iface, port, &ctx, &mut session) {
-                    continue;
-                }
-                let Some(payload) = PayloadRef::parse(protocol, &session) else {
-                    continue;
-                };
-                let asn = Some(internet.asn_at(device_id, iface).0);
-                let mut list = |listed: u16| {
-                    let rows = if listed == port {
-                        &mut default_port
-                    } else {
-                        &mut nonstandard
+                for (iface, interface) in device.interfaces.iter().enumerate() {
+                    let responds = match protocol {
+                        ServiceProtocol::Ssh => device.ssh_responds_on(iface),
+                        _ => device.bgp_responds_on(iface),
                     };
-                    let (source, time) = (DataSource::Censys, config.snapshot_time);
-                    rows.push(addr, listed, source, time, asn, payload);
-                };
-                // A fraction of SSH hosts also appear on a non-standard port.
-                if protocol == ServiceProtocol::Ssh && rng.gen_bool(nonstandard_fraction) {
-                    list(EXTRA_SSH_PORTS[rng.gen_range(0..EXTRA_SSH_PORTS.len())]);
+                    // The paper excludes Censys's negligible IPv6 data.
+                    if !responds || interface.addr.is_ipv6() {
+                        continue;
+                    }
+                    sessions += 1;
+                    if !internet.service_session_into(device.id, iface, port, &ctx, &mut session) {
+                        continue;
+                    }
+                    let Some(payload) = PayloadRef::parse(protocol, &session) else {
+                        continue;
+                    };
+                    let (addr, asn) = (interface.addr, Some(interface.asn.0));
+                    let mut list = |listed: u16| {
+                        let rows = if listed == port {
+                            &mut default_port
+                        } else {
+                            &mut nonstandard
+                        };
+                        let (source, time) = (DataSource::Censys, config.snapshot_time);
+                        rows.push(addr, listed, source, time, asn, payload);
+                    };
+                    // A fraction of SSH hosts also appear on a non-standard
+                    // port.
+                    if protocol == ServiceProtocol::Ssh && rng.gen_bool(nonstandard_fraction) {
+                        list(EXTRA_SSH_PORTS[rng.gen_range(0..EXTRA_SSH_PORTS.len())]);
+                    }
+                    list(port);
                 }
-                list(port);
             }
         }
         SESSIONS.add(sessions);

@@ -444,19 +444,21 @@ impl Internet {
         ctx: &ProbeContext,
     ) -> Option<Vec<u8>> {
         let mut out = Vec::new();
-        self.snmp_probe_into(device_id, iface_idx, request, ctx, &mut out)
+        self.snmp_probe_into(device_id, iface_idx, || request, ctx, &mut out)
             .then_some(out)
     }
 
     /// [`Self::snmp_probe_at`], capturing the response into a caller-owned
     /// buffer (cleared first) so a sweep reuses one allocation across
-    /// targets.  Returns whether the agent answered; `request` is only read
-    /// by an interface that answers SNMP at all.
-    pub fn snmp_probe_into(
+    /// targets.  Returns whether the agent answered.  The datagram comes
+    /// from `request`, called once, and only by an interface that answers
+    /// SNMP at all: a sweep builds a request only for an agent that reads
+    /// it.
+    pub fn snmp_probe_into<'r>(
         &self,
         device_id: DeviceId,
         iface_idx: usize,
-        request: &[u8],
+        request: impl FnOnce() -> &'r [u8],
         ctx: &ProbeContext,
         out: &mut Vec<u8>,
     ) -> bool {
@@ -471,7 +473,7 @@ impl Internet {
             snmp.engine_boots,
             self.boot_time,
             ctx.time,
-            request,
+            request(),
             out,
         )
     }
@@ -950,6 +952,52 @@ mod tests {
         ));
         // Garbage requests are ignored.
         assert!(internet.snmp_probe(addr, b"not-snmp", &ctx).is_none());
+    }
+
+    #[test]
+    fn the_request_writer_runs_once_for_each_visible_listening_interface_only() {
+        let internet = tiny_internet();
+        let request = Snmpv3Message::DiscoveryRequest { msg_id: 5 }.to_bytes();
+        let mut reply = Vec::new();
+        for ctx in [
+            ProbeContext::single(SimTime::from_secs(9)),
+            ProbeContext::distributed(SimTime::from_secs(9)),
+        ] {
+            let (mut listening, mut silent) = (0, 0);
+            for device in internet.devices() {
+                let visible = internet.device_visible(device, &ctx);
+                for iface in 0..device.interfaces.len() {
+                    let reads = visible && device.snmp_responds_on(iface);
+                    let mut calls = 0;
+                    let answered = internet.snmp_probe_into(
+                        device.id,
+                        iface,
+                        || {
+                            calls += 1;
+                            &request[..]
+                        },
+                        &ctx,
+                        &mut reply,
+                    );
+                    assert_eq!((calls, answered), (usize::from(reads), reads));
+                    // The same interface, sent garbage: read, never answered.
+                    let mut calls = 0;
+                    let garbage = || {
+                        calls += 1;
+                        &b"not-snmp"[..]
+                    };
+                    assert!(!internet.snmp_probe_into(device.id, iface, garbage, &ctx, &mut reply));
+                    assert!(reply.is_empty());
+                    assert_eq!(calls, usize::from(reads));
+                    if reads {
+                        listening += 1;
+                    } else {
+                        silent += 1;
+                    }
+                }
+            }
+            assert!(listening > 10 && silent > 10, "{listening} / {silent}");
+        }
     }
 
     #[test]

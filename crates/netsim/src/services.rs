@@ -50,10 +50,13 @@ pub fn ssh_session_bytes_into(
     effective.kexinit.emit_packet(&cookie, out);
 
     // Ephemeral key and signature are opaque to the scanner; deterministic
-    // filler derived from the host key keeps captures reproducible.
-    let material = &host_key.key_material;
-    let ephemeral: [u8; 32] =
-        std::array::from_fn(|i| material[i % material.len()].wrapping_add(i as u8));
+    // filler derived from the host key keeps captures reproducible.  The
+    // material is cycled, so an empty key gives zeros, not a panic.
+    let mut ephemeral = [0u8; 32];
+    let material = host_key.key_material.iter().cycle();
+    for (i, (slot, byte)) in ephemeral.iter_mut().zip(material).enumerate() {
+        *slot = byte.wrapping_add(i as u8);
+    }
     KexReply::emit_packet_from(host_key, &ephemeral, &[0xa5; 64], out);
 }
 
@@ -130,6 +133,48 @@ mod tests {
         assert_eq!(packets[1].message_number(), Some(SSH_MSG_KEX_ECDH_REPLY));
         let reply = KexReply::parse_packet(&packets[1]).unwrap();
         assert_eq!(reply.host_key, key());
+    }
+
+    #[test]
+    fn the_ephemeral_filler_cycles_the_key_material_as_the_modulo_did() {
+        let profile = &ssh_profiles()[0];
+        for len in 1..=40u8 {
+            let host_key = HostKey::new(
+                HostKeyAlgorithm::Rsa,
+                (0..len).map(|b| b.wrapping_mul(7)).collect(),
+            );
+            let material = &host_key.key_material;
+            let ephemeral: [u8; 32] =
+                std::array::from_fn(|i| material[i % material.len()].wrapping_add(i as u8));
+            let mut expected = Vec::new();
+            profile.banner.emit(&mut expected);
+            let cookie_seed = 99u64.to_be_bytes();
+            let cookie: [u8; 16] =
+                std::array::from_fn(|i| cookie_seed[i % 8] ^ (i as u8).wrapping_mul(37));
+            profile.kexinit.emit_packet(&cookie, &mut expected);
+            KexReply::emit_packet_from(&host_key, &ephemeral, &[0xa5; 64], &mut expected);
+            assert_eq!(
+                ssh_session_bytes(profile, None, &host_key, 99),
+                expected,
+                "{len}"
+            );
+        }
+    }
+
+    #[test]
+    fn an_empty_host_key_gives_a_session_without_one() {
+        let profiles = ssh_profiles();
+        let empty = HostKey::new(HostKeyAlgorithm::Ed25519, Vec::new());
+        let bytes = ssh_session_bytes(&profiles[0], None, &empty, 7);
+        let (banner, consumed) = Banner::parse(&bytes).unwrap();
+        assert_eq!(banner, profiles[0].banner);
+        let packets = SshPacket::parse_stream(&bytes[consumed..]);
+        let kex = KexInit::parse_packet(&packets[0]).unwrap();
+        assert_eq!(
+            kex.capability_fingerprint(),
+            profiles[0].kexinit.capability_fingerprint()
+        );
+        assert!(KexReply::parse_packet(&packets[1]).is_err());
     }
 
     #[test]

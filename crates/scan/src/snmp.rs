@@ -46,9 +46,11 @@ type ResolvedTarget = Option<(IpAddr, DeviceId, usize)>;
 /// never materialises its address list.  An unpopulated target consumes its
 /// schedule slot (the probe *is* sent) but skips request construction,
 /// probe dispatch and ASN attribution entirely — none of which can be
-/// observed for an address that does not exist.  The request and the reply
-/// live in two buffers reused across the shard: the only allocation a
-/// stored row costs here is its engine ID.
+/// observed for an address that does not exist — and a populated one gets
+/// its request encoded only if an agent there reads it (the simulator
+/// calls the writer past its visibility and listening checks).  The
+/// request and the reply live in two buffers reused across the shard: the
+/// only allocation a stored row costs here is its engine ID.
 fn scan_slice(
     internet: &Internet,
     targets: impl Iterator<Item = ResolvedTarget>,
@@ -64,10 +66,15 @@ fn scan_slice(
             continue;
         };
         let msg_id = 0x0101 + (global_offset + offset) as i64;
-        request.clear();
-        Snmpv3Message::DiscoveryRequest { msg_id }.encode_into(&mut request);
+        let request = &mut request;
+        let write_request = move || {
+            let request = request;
+            request.clear();
+            Snmpv3Message::DiscoveryRequest { msg_id }.encode_into(request);
+            &request[..]
+        };
         let ctx = ProbeContext { vantage, time: now };
-        if !internet.snmp_probe_into(device_id, iface_idx, &request, &ctx, &mut reply) {
+        if !internet.snmp_probe_into(device_id, iface_idx, write_request, &ctx, &mut reply) {
             continue;
         }
         let Ok(Snmpv3Message::Report { usm, .. }) = Snmpv3Message::parse(&reply) else {

@@ -236,6 +236,21 @@ mod tests {
     }
 
     #[test]
+    fn a_server_with_an_empty_host_key_is_grabbed_without_one() {
+        use alias_wire::ssh::{HostKey, HostKeyAlgorithm};
+        let profile = &alias_netsim::profiles::ssh_profiles()[0];
+        let empty = HostKey::new(HostKeyAlgorithm::Ed25519, Vec::new());
+        let session = alias_netsim::services::ssh_session_bytes(profile, None, &empty, 7);
+        let Some(PayloadRef::Ssh(ssh)) = PayloadRef::parse(ServiceProtocol::Ssh, &session) else {
+            panic!("banner and KEXINIT parse");
+        };
+        let parts = ssh.parts();
+        assert_eq!(parts.banner.to_owned(), profile.banner);
+        assert!(parts.kex_init.is_some());
+        assert!(parts.host_key.is_none());
+    }
+
+    #[test]
     fn parse_payload_rejects_garbage() {
         assert!(parse_payload(ServiceProtocol::Ssh, b"not ssh at all").is_none());
         assert!(parse_payload(ServiceProtocol::Bgp, &[0xff; 10]).is_none());

@@ -41,6 +41,10 @@
 //! fingerprint; the other five lists in wire order.  The literals are in no
 //! field.  The dictionary is per chunk because chunks are written once and
 //! then only moved or shared: joining two stores never rewrites a record.
+//! A pushed SSH payload finds its entry without being encoded: while the
+//! dictionary is small, by comparing its flags, end offsets and field bytes
+//! with each entry in turn; past `PROFILE_WALK_LIMIT` (32) entries, by a keyed
+//! hash ([`SshProfiles`] says why both are safe against crafted banners).
 
 use crate::records::ServicePayload;
 use alias_netsim::ServiceProtocol;
@@ -317,13 +321,13 @@ fn literal_before(index: usize, flags: u8) -> &'static [u8] {
     }
 }
 
-/// Append the profile entry of `banner` and a KEXINIT's `name_lists` (in
-/// wire order) to `out`.
-fn encode_profile(
-    banner: BannerRef<'_>,
-    name_lists: Option<[NameListRef<'_>; 10]>,
-    out: &mut Vec<u8>,
-) {
+/// The entry of `banner` and a KEXINIT's `name_lists` (in wire order)
+/// before it is written: its fixed part — flags, then each field's end
+/// offset, from the slices' lengths — and its fields, by slice.
+fn profile_layout<'a>(
+    banner: BannerRef<'a>,
+    name_lists: Option<[NameListRef<'a>; 10]>,
+) -> ([u8; PROFILE_HEADER_LEN], [&'a [u8]; PROFILE_FIELDS]) {
     let mut flags = 0;
     let mut fields: [&[u8]; PROFILE_FIELDS] = [&[]; PROFILE_FIELDS];
     fields[FIELD_BANNER] = banner.proto_version.as_bytes();
@@ -347,12 +351,59 @@ fn encode_profile(
             .expect("an SSH profile is shorter than 4 GiB");
         entry.copy_from_slice(&end.to_le_bytes());
     }
-    out.reserve(PROFILE_HEADER_LEN + end as usize);
-    out.extend_from_slice(&header);
-    for (index, field) in fields.into_iter().enumerate() {
-        out.extend_from_slice(literal_before(index, flags));
+    (header, fields)
+}
+
+/// Append the entry laid out as `header` and `fields` to `out`.
+fn write_profile(
+    header: &[u8; PROFILE_HEADER_LEN],
+    fields: &[&[u8]; PROFILE_FIELDS],
+    out: &mut Vec<u8>,
+) {
+    // The last end offset is the entry's length past its fixed part.
+    let data_len = u32::from_le_bytes(*header.last_chunk().expect("four bytes"));
+    out.reserve(PROFILE_HEADER_LEN + data_len as usize);
+    out.extend_from_slice(header);
+    for (index, field) in fields.iter().enumerate() {
+        out.extend_from_slice(literal_before(index, header[0]));
         out.extend_from_slice(field);
     }
+}
+
+/// Append the profile entry of `banner` and a KEXINIT's `name_lists` (in
+/// wire order) to `out`.
+fn encode_profile(
+    banner: BannerRef<'_>,
+    name_lists: Option<[NameListRef<'_>; 10]>,
+    out: &mut Vec<u8>,
+) {
+    let (header, fields) = profile_layout(banner, name_lists);
+    write_profile(&header, &fields, out);
+}
+
+/// Whether `entry`, an entry [`write_profile`] wrote, is the one it writes
+/// for `header` and `fields`: the flags and the end-offset table first,
+/// then the field bytes.  Equal tables under equal flags put equal
+/// literals in equal places, so only the fields' own bytes are left to
+/// compare.
+fn is_entry_of(
+    entry: &[u8],
+    header: &[u8; PROFILE_HEADER_LEN],
+    fields: &[&[u8]; PROFILE_FIELDS],
+) -> bool {
+    let Some((entry_header, data)) = entry.split_first_chunk() else {
+        return false;
+    };
+    if entry_header != header {
+        return false;
+    }
+    let mut at = 0;
+    fields.iter().enumerate().all(|(index, field)| {
+        at += literal_before(index, header[0]).len();
+        let same = data.get(at..at + field.len()) == Some(*field);
+        at += field.len();
+        same
+    })
 }
 
 /// Append the record of `ssh`, whose profile is entry `profile` of its
@@ -379,14 +430,27 @@ fn encode_ssh_record(ssh: SshObservationRef<'_>, profile: u32, out: &mut Vec<u8>
 /// End of an equal-hash chain in [`SshProfiles`].
 const NO_NEXT: u32 = u32::MAX;
 
+/// Profiles a chunk's dictionary holds while [`SshProfiles`] looks a
+/// profile up by walking every entry: past this many, by the keyed hash.
+/// A paper-scale chunk holds at most 18.
+const PROFILE_WALK_LIMIT: usize = 32;
+
 /// The SSH profiles of one chunk's records — banner and KEXINIT name-lists,
 /// laid out as the module's table says — each kept once, in the order the
 /// chunk's rows first showed them; a record names its profile by index.
 ///
-/// Banners and name-lists are attacker-supplied, so `push` finds an entry
-/// by a randomly keyed SipHash of its bytes and confirms every hit byte for
-/// byte: crafted KEXINITs can neither merge two profiles nor make the
-/// lookup quadratic.
+/// A chunk holds a handful of profiles, so while it holds at most
+/// `PROFILE_WALK_LIMIT` (32), `push` finds one by walking the entries and
+/// comparing each with the candidate's fields in place — flags and end
+/// offsets first, then the field bytes — with nothing encoded or hashed.
+/// A miss, or a larger dictionary, encodes the candidate where a new entry
+/// goes, looks it up by a randomly keyed SipHash of its bytes and confirms
+/// every hit byte for byte.  Every new entry enters the hash table, so
+/// passing the limit needs no rebuild.  Banners and name-lists are
+/// attacker-supplied: every hit either way is a full compare, so crafted
+/// KEXINITs cannot merge two profiles, and the walk is bounded by the
+/// constant with the keyed hash beyond it, so they cannot make the lookup
+/// quadratic either.
 #[derive(Debug, Clone, Default)]
 pub struct SshProfiles {
     /// The entries, back to back.
@@ -429,9 +493,19 @@ impl SshProfiles {
 
     /// The index of the profile of `banner` and `name_lists`, added if new.
     fn intern(&mut self, banner: BannerRef<'_>, name_lists: Option<[NameListRef<'_>; 10]>) -> u32 {
+        let (header, fields) = profile_layout(banner, name_lists);
+        if self.entries.len() <= PROFILE_WALK_LIMIT {
+            let mut start = 0;
+            for (index, &(end, _)) in self.entries.iter().enumerate() {
+                if is_entry_of(&self.bytes[start..end], &header, &fields) {
+                    return index as u32;
+                }
+                start = end;
+            }
+        }
         // Written where a new entry goes, and taken back on a hit.
         let start = self.bytes.len();
-        encode_profile(banner, name_lists, &mut self.bytes);
+        write_profile(&header, &fields, &mut self.bytes);
         let hash = self.heads.hasher().hash_one(&self.bytes[start..]);
         let mut at = self.heads.get(&hash).copied().unwrap_or(NO_NEXT);
         while at != NO_NEXT {
@@ -1491,7 +1565,118 @@ mod tests {
         })
     }
 
+    /// An SSH payload lent as parts, its profile the 13 `fields` (the
+    /// comments and the ten lists always present), its key `key`.
+    fn lent<'a>(fields: &'a [String; PROFILE_FIELDS], key: &'a [u8]) -> PayloadRef<'a> {
+        let name_lists = FIELD_OF_LIST.map(|field| NameListRef::new(&fields[field]).unwrap());
+        PayloadRef::Ssh(SshRef::Parts(SshObservationRef {
+            banner: BannerRef {
+                proto_version: &fields[FIELD_BANNER],
+                software: &fields[FIELD_BANNER + 1],
+                comments: Some(&fields[FIELD_BANNER + 2]),
+            },
+            kex_init: Some(KexInitRef {
+                cookie: [key[0]; 16],
+                name_lists,
+                first_kex_packet_follows: false,
+            }),
+            host_key: Some(HostKeyRef {
+                algorithm: HostKeyAlgorithm::Ed25519,
+                key_material: key,
+            }),
+        }))
+    }
+
+    /// Push `profiles[order[i]]` as row `i` into one arena, and check that
+    /// every row's profile index is where a first-seen map of the profiles'
+    /// entry bytes puts it, that every row reads back, and `validate`.
+    fn pushes_like_a_first_seen_map(profiles: &[[String; PROFILE_FIELDS]], order: &[usize]) {
+        let keys: Vec<[u8; 4]> = (0..order.len()).map(|n| (n as u32).to_le_bytes()).collect();
+        let rows: Vec<PayloadRef<'_>> = (order.iter().zip(&keys))
+            .map(|(&profile, key)| lent(&profiles[profile], key))
+            .collect();
+        let mut arena = PayloadArena::default();
+        let mut first_seen: HashMap<Vec<u8>, u32> = HashMap::new();
+        for row in &rows {
+            arena.push(*row);
+            let PayloadRef::Ssh(ssh) = row else {
+                unreachable!("lent rows are SSH")
+            };
+            let parts = ssh.parts();
+            let mut entry = Vec::new();
+            encode_profile(
+                parts.banner,
+                parts.kex_init.map(|kex| kex.name_lists),
+                &mut entry,
+            );
+            let next = first_seen.len() as u32;
+            let expected = *first_seen.entry(entry).or_insert(next);
+            let chunk = &arena.chunks[0].1;
+            let record = chunk.record(chunk.ends.len() - 1);
+            let (header, _) = record.split_first_chunk().unwrap();
+            assert_eq!(profile_index(header), expected as usize);
+        }
+        let tags = vec![ServiceProtocol::Ssh; rows.len()];
+        assert_eq!(arena.chunks[0].1.profiles.len(), first_seen.len());
+        assert_eq!(arena.validate(&tags), Ok(()));
+        for (n, row) in rows.iter().enumerate() {
+            assert_eq!(
+                arena.get(n, ServiceProtocol::Ssh).to_owned(),
+                row.to_owned()
+            );
+        }
+    }
+
+    /// 13 fields of four digits each, profile `n`'s own in the software.
+    fn digits(n: usize) -> [String; PROFILE_FIELDS] {
+        std::array::from_fn(|field| match field {
+            1 => format!("{n:04}"),
+            _ => "0000".to_owned(),
+        })
+    }
+
+    #[test]
+    fn a_chunk_that_passes_the_walk_limit_keeps_first_seen_indices() {
+        // 40 profiles, each met first while the dictionary is walked or
+        // past the limit, then all repeated twice in interleaved orders.
+        let profiles: Vec<[String; PROFILE_FIELDS]> = (0..40).map(digits).collect();
+        assert!(profiles.len() > PROFILE_WALK_LIMIT);
+        let mut order: Vec<usize> = Vec::new();
+        for n in 0..profiles.len() {
+            // Each new profile after a repeat of an older one.
+            order.extend([n, n / 2]);
+        }
+        order.extend((0..profiles.len()).rev());
+        order.extend((0..profiles.len()).map(|n| (n * 7) % profiles.len()));
+        pushes_like_a_first_seen_map(&profiles, &order);
+    }
+
     proptest::proptest! {
+        #[test]
+        fn profiles_that_differ_in_one_byte_of_equal_fields_are_told_apart(
+            edits in proptest::collection::vec((0..PROFILE_FIELDS, 0..4usize, 0..26u8), 60..100),
+            repeats in proptest::collection::vec(proptest::prelude::any::<u32>(), 100),
+        ) {
+            // Every profile has the same field lengths, so the same end
+            // offsets: only their bytes tell them apart, each from the base
+            // one in one letter where the base has a digit.
+            let edits: std::collections::BTreeSet<_> = edits.into_iter().collect();
+            proptest::prop_assume!(edits.len() >= 40);
+            let profiles: Vec<[String; PROFILE_FIELDS]> = edits
+                .iter()
+                .map(|&(field, at, letter)| {
+                    let mut fields = digits(0);
+                    let mut bytes = fields[field].clone().into_bytes();
+                    bytes[at] = b'a' + letter;
+                    fields[field] = String::from_utf8(bytes).unwrap();
+                    fields
+                })
+                .collect();
+            let mut order: Vec<usize> = (0..profiles.len()).collect();
+            order.extend(repeats.iter().map(|&repeat| repeat as usize % profiles.len()));
+            pushes_like_a_first_seen_map(&profiles, &order);
+        }
+
         #[test]
         fn a_shard_of_a_thousand_profiles_gives_back_every_row(
             draws in proptest::collection::vec(proptest::prelude::any::<[u8; 4]>(), 1_000..1_100),

@@ -17,7 +17,8 @@
 //! global contention), and [`ObservationStore::absorb_shard`] remaps each
 //! shard's dense local ids onto the store's id space — one hash lookup per
 //! *distinct* address per shard instead of the one-per-observation post-hoc
-//! interning pass a row campaign needs.
+//! interning pass a row campaign needs.  The first shard a store takes is
+//! not remapped at all: its interner becomes the store's.
 //!
 //! Reading is zero-copy: [`ObservationStore::select`] scans the two
 //! one-byte filter columns and yields an [`ObservationView`] whose accessors
@@ -56,8 +57,9 @@ static PAYLOAD_BYTES: LazyCounter = LazyCounter::new(
     "store",
 );
 
-/// Distinct-address remap lookups performed while splicing shards (and a
-/// crawl's columns) onto stores.  An address observed by k shards is
+/// Distinct-address remap lookups performed while splicing shards onto
+/// stores.  A store's first shard is adopted, not remapped (a crawl's
+/// columns never are), and an address observed by k later shards is
 /// remapped k times, so the total depends on the shard decomposition:
 /// timing class.
 static ADDR_REMAPS: LazyCounter = LazyCounter::new(
@@ -129,9 +131,10 @@ impl ObservationStore {
 
     /// Splice a scan shard onto the store and count its rows and payload
     /// bytes as the campaign's: the shard's dense local ids are remapped
-    /// through one hash lookup per *distinct* shard address, then every
-    /// column is moved over — the payload arena's chunks as they are, no
-    /// record copied.  Absorbing shards in shard order reproduces the serial
+    /// through one hash lookup per *distinct* shard address (none for the
+    /// first shard of a store with no rows, which takes the shard's
+    /// interner), then every column is moved over — the payload arena's
+    /// chunks as they are, no record copied.  Absorbing shards in shard order reproduces the serial
     /// first-observation id order and the serial rows, which is what keeps a
     /// sharded campaign equal to a serial one.
     pub fn absorb_shard(&mut self, shard: ShardColumns) {
@@ -140,6 +143,11 @@ impl ObservationStore {
         self.splice(shard);
     }
 
+    /// Move `shard`'s rows onto the store.  A store with no rows yet takes
+    /// the shard's interner and columns as they are — the shard's ids are
+    /// already its first-observation order, which is what interning its
+    /// addresses into an empty id space would give them — and every later
+    /// shard is remapped.
     fn splice(&mut self, shard: ShardColumns) {
         let ShardColumns {
             interner: local,
@@ -151,6 +159,17 @@ impl ObservationStore {
             asns,
             payloads,
         } = shard;
+        if self.is_empty() && self.interner.is_empty() && !addrs.is_empty() {
+            self.interner = Arc::new(local);
+            self.addrs = addrs;
+            self.protocols = protocols;
+            self.sources = sources;
+            self.ports = ports;
+            self.timestamps = timestamps;
+            self.asns = asns;
+            self.payloads.append(payloads);
+            return;
+        }
         let global = Arc::make_mut(&mut self.interner);
         let remap: Vec<AddrId> = local.addrs().iter().map(|&a| global.intern(a)).collect();
         ADDR_REMAPS.add(remap.len() as u64);
@@ -413,12 +432,13 @@ impl ShardColumns {
         Self::default()
     }
 
-    /// An empty shard builder with room for `rows` observations, so a scan
-    /// loop that knows its target count pays one allocation per column
-    /// instead of the doubling ladder.
+    /// An empty shard builder with room for `rows` observations of as many
+    /// addresses, so a scan loop that knows its target count pays one
+    /// allocation per column, and one for the interner, instead of the
+    /// doubling ladder.
     pub fn with_capacity(rows: usize) -> Self {
         ShardColumns {
-            interner: AddrInterner::default(),
+            interner: AddrInterner::with_capacity(rows),
             addrs: Vec::with_capacity(rows),
             protocols: Vec::with_capacity(rows),
             sources: Vec::with_capacity(rows),

@@ -170,11 +170,12 @@ fn a_bgp_session_into_a_warm_buffer_allocates_nothing() {
 
 #[test]
 fn a_censys_crawl_allocates_per_device_not_per_session() {
-    // What is left is the `*_responding_addrs()` lists of a covered device
-    // that runs the service and the columns of the two stores doubling —
-    // 438 to 505 for 355 devices at these seeds (0.6 a device at paper
-    // scale), nothing per session and nothing that grows with a payload's
-    // size.  One owned observation per session put it at 10 a device.
+    // What is left is the columns and interners of the two stores
+    // doubling: 172 to 184 for 355 devices at these seeds, nothing per
+    // device, nothing per session and nothing that grows with a payload's
+    // size.  The `*_responding_addrs()` lists built per covered device put
+    // it at 459 to 526, and one owned observation per session at 10 a
+    // device.
     for seed in [14u64, 404, 2023] {
         let internet = InternetBuilder::new(InternetConfig::tiny(seed)).build();
         let devices = internet.devices().len() as u64;
@@ -185,7 +186,7 @@ fn a_censys_crawl_allocates_per_device_not_per_session() {
         let (count, snapshot) = allocations(|| CensysSnapshot::collect(&internet, config));
         let rows = snapshot.default_port().len() + snapshot.nonstandard().len();
         assert!(rows > 100, "seed {seed}: {rows} rows");
-        let budget = 2 * devices;
+        let budget = devices / 2 + 16;
         assert!(
             count <= budget,
             "seed {seed}: {count} allocations for {rows} rows of {devices} devices (budget {budget})"
@@ -194,10 +195,12 @@ fn a_censys_crawl_allocates_per_device_not_per_session() {
 }
 
 #[test]
-fn pushing_every_ssh_session_into_one_warm_shard_allocates_at_most_64_in_total() {
+fn pushing_every_ssh_session_into_one_warm_shard_allocates_at_most_32_in_total() {
     // The scan door: the session parsed in place and encoded straight into
     // the shard's arena.  Nothing is allocated per session; what is counted
-    // is the arena, the shard's interner and its columns growing.
+    // is the arena and its profile dictionary growing, and the columns and
+    // the interner, each allocated once at the target count: 31 for 415
+    // sessions, 45 while the interner grew by doubling.
     let internet = tiny_internet();
     let ctx = ProbeContext {
         vantage: VantageKind::Distributed,
@@ -225,7 +228,7 @@ fn pushing_every_ssh_session_into_one_warm_shard_allocates_at_most_64_in_total()
     });
     assert!(shard.len() > 100, "only {} sessions answered", shard.len());
     assert!(
-        count <= 64,
+        count <= 32,
         "{count} allocations to push {} sessions ({} bytes)",
         shard.len(),
         shard.payload_bytes()
@@ -246,10 +249,15 @@ fn discovery_exchanges(internet: &Internet) -> Vec<(IpAddr, u64, Option<Snmpv3Me
     for device in internet.devices() {
         for (iface, interface) in device.interfaces.iter().enumerate() {
             let (count, report) = allocations(|| {
-                request.clear();
-                Snmpv3Message::DiscoveryRequest { msg_id: 0x0101 }.encode_into(&mut request);
+                let request = &mut request;
+                let write_request = move || {
+                    let request = request;
+                    request.clear();
+                    Snmpv3Message::DiscoveryRequest { msg_id: 0x0101 }.encode_into(request);
+                    &request[..]
+                };
                 internet
-                    .snmp_probe_into(device.id, iface, &request, &ctx, &mut reply)
+                    .snmp_probe_into(device.id, iface, write_request, &ctx, &mut reply)
                     .then(|| Snmpv3Message::parse(&reply).expect("an agent's own Report"))
             });
             exchanges.push((interface.addr, count, report));
