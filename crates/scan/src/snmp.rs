@@ -68,6 +68,7 @@ fn scan_slice(
         let msg_id = 0x0101 + (global_offset + offset) as i64;
         let request = &mut request;
         let write_request = move || {
+            // Moved out of the closure, the borrow can lend the bytes out.
             let request = request;
             request.clear();
             Snmpv3Message::DiscoveryRequest { msg_id }.encode_into(request);

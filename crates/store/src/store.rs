@@ -134,9 +134,10 @@ impl ObservationStore {
     /// through one hash lookup per *distinct* shard address (none for the
     /// first shard of a store with no rows, which takes the shard's
     /// interner), then every column is moved over — the payload arena's
-    /// chunks as they are, no record copied.  Absorbing shards in shard order reproduces the serial
-    /// first-observation id order and the serial rows, which is what keeps a
-    /// sharded campaign equal to a serial one.
+    /// chunks as they are, no record copied.  Absorbing shards in shard
+    /// order reproduces the serial first-observation id order and the
+    /// serial rows, which is what keeps a sharded campaign equal to a
+    /// serial one.
     pub fn absorb_shard(&mut self, shard: ShardColumns) {
         ROWS_ABSORBED.add(shard.len() as u64);
         PAYLOAD_BYTES.add(shard.payload_bytes() as u64);
