@@ -54,8 +54,7 @@ fn bench_probing(c: &mut Criterion) {
     let internet = InternetBuilder::new(InternetConfig::tiny(42)).build();
     let pingable: Vec<ResolvedTarget> = internet
         .devices()
-        .iter()
-        .filter(|d| d.responds_to_ping)
+        .filter(|d| d.responds_to_ping())
         .flat_map(|d| d.ipv4_addrs())
         .map(|addr| internet.lookup(addr.into()))
         .collect();

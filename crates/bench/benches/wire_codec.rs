@@ -76,7 +76,14 @@ fn bench_snmp(c: &mut Criterion) {
             reply.clear();
             let msg_id = black_box(0x0101);
             Snmpv3Message::DiscoveryRequest { msg_id }.encode_into(&mut request);
-            Snmpv3Message::encode_report_into(&mut reply, msg_id, &engine_id, 12, 34_567, 1);
+            Snmpv3Message::encode_report_into(
+                &mut reply,
+                msg_id,
+                engine_id.as_bytes(),
+                12,
+                34_567,
+                1,
+            );
             Snmpv3Message::parse(black_box(&reply)).unwrap()
         })
     });

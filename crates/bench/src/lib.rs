@@ -1019,7 +1019,7 @@ impl RateLimitStudy {
         let mut silent_resolvable = 0;
         let mut silent_aliased = 0;
         for device in internet.devices() {
-            if device.kind != DeviceKind::SilentRouter {
+            if device.kind() != DeviceKind::SilentRouter {
                 continue;
             }
             silent_total += 1;

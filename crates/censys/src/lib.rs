@@ -88,22 +88,19 @@ impl CensysSnapshot {
         let mut sessions = 0u64;
 
         for device in internet.devices() {
-            if !device.censys_covered {
+            if !device.censys_covered() {
                 continue;
             }
             for protocol in [ServiceProtocol::Ssh, ServiceProtocol::Bgp] {
                 let port = protocol.default_port();
-                for (iface, interface) in device.interfaces.iter().enumerate() {
-                    let responds = match protocol {
-                        ServiceProtocol::Ssh => device.ssh_responds_on(iface),
-                        _ => device.bgp_responds_on(iface),
-                    };
+                for (iface, interface) in device.interfaces().iter().enumerate() {
                     // The paper excludes Censys's negligible IPv6 data.
-                    if !responds || interface.addr.is_ipv6() {
+                    if !device.responds_on(protocol, iface) || interface.addr.is_ipv6() {
                         continue;
                     }
                     sessions += 1;
-                    if !internet.service_session_into(device.id, iface, port, &ctx, &mut session) {
+                    if !internet.service_session_into(device.id(), iface, port, &ctx, &mut session)
+                    {
                         continue;
                     }
                     let Some(payload) = PayloadRef::parse(protocol, &session) else {
@@ -195,10 +192,10 @@ mod tests {
         let snapshot = CensysSnapshot::collect(&internet, CensysConfig::default());
         for obs in &rows(&snapshot) {
             let (device_id, _) = internet.lookup(obs.addr).unwrap();
-            assert!(internet.device(device_id).censys_covered);
+            assert!(internet.device(device_id).censys_covered());
         }
         // Some devices exist that Censys does not cover at all.
-        assert!(internet.devices().iter().any(|d| !d.censys_covered));
+        assert!(internet.devices().any(|d| !d.censys_covered()));
     }
 
     #[test]
@@ -207,7 +204,7 @@ mod tests {
         let snapshot = CensysSnapshot::collect(&internet, CensysConfig::default());
         let invisible_but_seen = rows(&snapshot).iter().any(|obs| {
             let (device_id, _) = internet.lookup(obs.addr).unwrap();
-            !internet.device(device_id).visible_to_single_vp
+            !internet.device(device_id).visible_to_single_vp()
         });
         assert!(
             invisible_but_seen,

@@ -123,10 +123,9 @@ mod tests {
     fn device_pair(internet: &Internet, want_shared: bool) -> Option<(IpAddr, IpAddr)> {
         internet
             .devices()
-            .iter()
             .find(|d| {
-                let model = internet.ipid_model(d.id);
-                d.responds_to_ping
+                let model = internet.ipid_model(d.id());
+                d.responds_to_ping()
                     && d.ipv4_addrs().len() >= 2
                     && model.is_shared_monotonic() == want_shared
                     && model.velocity().map(|v| v < 500.0).unwrap_or(!want_shared)
@@ -153,15 +152,14 @@ mod tests {
         let internet = internet();
         // Take first addresses of two different pingable routers with
         // shared counters; their bases almost surely differ.
-        let routers: Vec<&alias_netsim::Device> = internet
+        let routers: Vec<alias_netsim::DeviceRef> = internet
             .devices()
-            .iter()
             .filter(|d| {
-                d.responds_to_ping
-                    && matches!(d.kind, DeviceKind::IspRouter | DeviceKind::BorderRouter)
+                d.responds_to_ping()
+                    && matches!(d.kind(), DeviceKind::IspRouter | DeviceKind::BorderRouter)
                     && !d.ipv4_addrs().is_empty()
                     && matches!(
-                        internet.ipid_model(d.id),
+                        internet.ipid_model(d.id()),
                         IpidModel::SharedMonotonic { .. } | IpidModel::Random
                     )
             })
@@ -181,8 +179,7 @@ mod tests {
         let dead: IpAddr = "198.18.0.1".parse().unwrap();
         let live = internet
             .devices()
-            .iter()
-            .find(|d| d.responds_to_ping && !d.ipv4_addrs().is_empty())
+            .find(|d| d.responds_to_ping() && !d.ipv4_addrs().is_empty())
             .map(|d| IpAddr::V4(d.ipv4_addrs()[0]))
             .unwrap();
         assert_eq!(

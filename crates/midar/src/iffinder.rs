@@ -78,7 +78,6 @@ mod tests {
         let truth = internet.ground_truth();
         let targets: Vec<IpAddr> = internet
             .devices()
-            .iter()
             .filter(|d| d.ipv4_addrs().len() >= 2)
             .flat_map(|d| d.ipv4_addrs().into_iter().map(IpAddr::V4))
             .collect();
@@ -98,7 +97,6 @@ mod tests {
         let internet = InternetBuilder::new(InternetConfig::tiny(3030)).build();
         let targets: Vec<IpAddr> = internet
             .devices()
-            .iter()
             .flat_map(|d| d.ipv4_addrs().into_iter().map(IpAddr::V4))
             .collect();
         let outcome = iffinder_scan(&internet, &targets, VantageKind::Distributed, SimTime::ZERO);

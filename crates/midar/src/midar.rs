@@ -197,7 +197,7 @@ pub fn midar_resolve(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use alias_netsim::{Device, InternetBuilder, InternetConfig};
+    use alias_netsim::{DeviceRef, InternetBuilder, InternetConfig};
     use std::net::IpAddr;
 
     fn internet() -> Internet {
@@ -206,11 +206,10 @@ mod tests {
 
     /// Targets: all IPv4 addresses of the pingable multi-address devices
     /// `keep` accepts.
-    fn targets(internet: &Internet, keep: impl Fn(&Device) -> bool) -> Vec<IpAddr> {
+    fn targets(internet: &Internet, keep: impl Fn(&DeviceRef) -> bool) -> Vec<IpAddr> {
         internet
             .devices()
-            .iter()
-            .filter(|d| d.responds_to_ping && d.ipv4_addrs().len() >= 2 && keep(d))
+            .filter(|d| d.responds_to_ping() && d.ipv4_addrs().len() >= 2 && keep(d))
             .flat_map(|d| d.ipv4_addrs().into_iter().map(IpAddr::V4))
             .collect()
     }
@@ -264,7 +263,7 @@ mod tests {
         // Restrict the run to devices we know are testable, so the test is
         // deterministic: low-velocity shared counters that answer ping.
         let good_targets = targets(&internet, |d| {
-            let model = internet.ipid_model(d.id);
+            let model = internet.ipid_model(d.id());
             model.is_shared_monotonic() && model.velocity().unwrap_or(f64::MAX) < 300.0
         });
         if good_targets.len() < 2 {

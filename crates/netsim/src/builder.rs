@@ -5,18 +5,24 @@
 //! archetypes, wires up services, anomalies and measurement-visibility
 //! flags, and returns an [`Internet`] ready to be scanned.  Everything is
 //! derived from a `ChaCha8` stream seeded with `config.seed`, so identical
-//! configurations produce identical Internets.
+//! configurations produce identical Internets.  Devices are written straight
+//! into the Internet's columns ([`crate::device`]): an interface is pushed
+//! onto the interface column as it is allocated, an ACL sets answer bits in
+//! place, and a device is closed by pushing its row.
 
 use crate::config::{InternetConfig, IpidMix};
-use crate::device::{BgpService, Device, DeviceKind, Interface, SnmpService, SshService};
-use crate::ids::{Asn, DeviceId};
-use crate::internet::{Internet, ProbeState};
+use crate::device::{
+    BgpService, DeviceKind, DeviceRow, DeviceTable, Interface, SnmpRow, Span, SshRow, BGP, CENSYS,
+    DYNAMIC, PING, SNMP, SSH, SSH_DIVERGENT, VISIBLE,
+};
+use crate::ids::Asn;
+use crate::internet::Internet;
 use crate::ipid::{IpidModel, IpidState};
-use crate::profiles::{bgp_profiles, pick_weighted, ssh_profiles, BgpProfileId, SshProfileId};
+use crate::profiles::{bgp_profiles, ssh_profiles, BgpProfileId, SshProfileId, WeightedSet};
 use crate::ratelimit::IcmpRateLimit;
 use crate::topology::{AsKind, AutonomousSystem, PrefixAllocator};
 use alias_wire::snmp::EngineId;
-use alias_wire::ssh::{HostKey, HostKeyAlgorithm};
+use alias_wire::ssh::HostKeyAlgorithm;
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -42,15 +48,21 @@ pub struct InternetBuilder {
     config: InternetConfig,
 }
 
+/// The ASes of each kind, drawn by Zipf-style weight.
 struct AsPool {
-    /// Indices into the AS vector, by kind.
-    cloud: Vec<usize>,
-    isp: Vec<usize>,
-    enterprise: Vec<usize>,
-    /// Zipf-style weights aligned with the index vectors.
-    cloud_weights: Vec<u32>,
-    isp_weights: Vec<u32>,
-    enterprise_weights: Vec<u32>,
+    cloud: WeightedSet,
+    isp: WeightedSet,
+    enterprise: WeightedSet,
+}
+
+impl AsPool {
+    fn of(&self, kind: AsKind) -> &WeightedSet {
+        match kind {
+            AsKind::CloudProvider => &self.cloud,
+            AsKind::Isp => &self.isp,
+            AsKind::Enterprise => &self.enterprise,
+        }
+    }
 }
 
 impl InternetBuilder {
@@ -70,69 +82,55 @@ impl InternetBuilder {
 
         let (mut ases, pool) = build_ases(&config, &mut rng);
 
-        let ssh_weights: Vec<u32> = ssh_profile_table.iter().map(|p| p.weight).collect();
-        // Profile subsets by context (indices into the profile table).
-        let server_profiles: Vec<usize> = ssh_profile_table
-            .iter()
-            .enumerate()
-            .filter(|(_, p)| p.name.starts_with("openssh"))
-            .map(|(i, _)| i)
-            .collect();
-        let embedded_profiles: Vec<usize> = ssh_profile_table
-            .iter()
-            .enumerate()
-            .filter(|(_, p)| p.name.starts_with("dropbear") || p.name.contains("mikrotik"))
-            .map(|(i, _)| i)
-            .collect();
-        let router_profiles: Vec<usize> = ssh_profile_table
-            .iter()
-            .enumerate()
-            .filter(|(_, p)| {
-                p.name.contains("cisco")
-                    || p.name.contains("mikrotik")
-                    || p.name.contains("juniper")
-            })
-            .map(|(i, _)| i)
-            .collect();
-        let open_bgp_profiles: Vec<usize> = bgp_profile_table
-            .iter()
-            .enumerate()
-            .filter(|(_, p)| p.sends_open)
-            .map(|(i, _)| i)
-            .collect();
-        let open_bgp_weights: Vec<u32> = open_bgp_profiles
-            .iter()
-            .map(|&i| bgp_profile_table[i].weight)
-            .collect();
+        // Profile subsets by context, each weighted once.
+        let ssh_subset = |keep: fn(&str) -> bool| {
+            let profiles = ssh_profile_table.iter().enumerate();
+            WeightedSet::new(
+                profiles
+                    .filter(|(_, p)| keep(p.name))
+                    .map(|(i, p)| (i, p.weight)),
+            )
+        };
+        let all_ssh = ssh_subset(|_| true);
+        let server_ssh = ssh_subset(|name| name.starts_with("openssh"));
+        let embedded_ssh =
+            ssh_subset(|name| name.starts_with("dropbear") || name.contains("mikrotik"));
+        let router_ssh = ssh_subset(|name| {
+            name.contains("cisco") || name.contains("mikrotik") || name.contains("juniper")
+        });
+        let bgp = bgp_profile_table.iter().enumerate();
+        let open_bgp = WeightedSet::new(
+            bgp.filter(|(_, p)| p.sends_open)
+                .map(|(i, p)| (i, p.weight)),
+        );
         let silent_bgp_profile = bgp_profile_table
             .iter()
             .position(|p| !p.sends_open)
             .expect("profile table contains a silent profile");
 
+        let mut devices = DeviceTable::with_capacity(config.total_devices());
         // Factory-default host keys shared by a small number of devices.
-        let default_keys: Vec<HostKey> = (0..3)
-            .map(|i| HostKey::new(HostKeyAlgorithm::Rsa, vec![0xd0 + i as u8; 32]))
-            .collect();
+        let default_keys: [Span; 3] =
+            std::array::from_fn(|i| Span::push(&mut devices.host_keys, &[0xd0 + i as u8; 32]));
         // Misconfigured BGP identifiers shared by unrelated speakers.
         let duplicate_bgp_ids = [Ipv4Addr::new(1, 1, 1, 1), Ipv4Addr::new(192, 168, 1, 1)];
 
-        let mut devices: Vec<Device> = Vec::with_capacity(config.total_devices());
-        let mut probe_states: Vec<ProbeState> = Vec::with_capacity(config.total_devices());
+        let mut ipid = Vec::with_capacity(config.total_devices());
         let mut ctx = GenContext {
             config: &config,
             rng: &mut rng,
             ases: &mut ases,
             pool: &pool,
             devices: &mut devices,
-            probe_states: &mut probe_states,
-            ssh_weights: &ssh_weights,
-            server_profiles: &server_profiles,
-            embedded_profiles: &embedded_profiles,
-            router_profiles: &router_profiles,
-            open_bgp_profiles: &open_bgp_profiles,
-            open_bgp_weights: &open_bgp_weights,
+            ipid: &mut ipid,
+            all_ssh: &all_ssh,
+            server_ssh: &server_ssh,
+            embedded_ssh: &embedded_ssh,
+            router_ssh: &router_ssh,
+            ssh_profiles: ssh_profile_table.len(),
+            open_bgp: &open_bgp,
             silent_bgp_profile,
-            default_keys: &default_keys,
+            default_keys,
             duplicate_bgp_ids: &duplicate_bgp_ids,
         };
 
@@ -158,12 +156,12 @@ impl InternetBuilder {
             ctx.gen_silent_router();
         }
 
-        assign_icmp_limits(&config, &mut devices);
+        assign_icmp_limits(&config, &mut devices.rows);
 
         Internet::from_parts(
             config,
             devices,
-            probe_states,
+            ipid,
             ases,
             ssh_profile_table,
             bgp_profile_table,
@@ -175,14 +173,7 @@ impl InternetBuilder {
 fn build_ases(config: &InternetConfig, rng: &mut ChaCha8Rng) -> (Vec<AutonomousSystem>, AsPool) {
     let mut allocator = PrefixAllocator::new();
     let mut ases = Vec::new();
-    let mut pool = AsPool {
-        cloud: Vec::new(),
-        isp: Vec::new(),
-        enterprise: Vec::new(),
-        cloud_weights: Vec::new(),
-        isp_weights: Vec::new(),
-        enterprise_weights: Vec::new(),
-    };
+    let (mut cloud, mut isp, mut enterprise) = (Vec::new(), Vec::new(), Vec::new());
 
     // Expected IPv4 addresses per kind, used to size prefixes generously.
     let d = &config.devices;
@@ -222,8 +213,7 @@ fn build_ases(config: &InternetConfig, rng: &mut ChaCha8Rng) -> (Vec<AutonomousS
             &mut allocator,
             &mut ases,
         );
-        pool.cloud.push(idx);
-        pool.cloud_weights.push(weight);
+        cloud.push((idx, weight));
     }
     for rank in 0..config.as_counts.isp {
         let asn = ISP_ASNS
@@ -234,8 +224,7 @@ fn build_ases(config: &InternetConfig, rng: &mut ChaCha8Rng) -> (Vec<AutonomousS
         let share = weight as f64 / (0..config.as_counts.isp).map(zipf).sum::<u32>() as f64;
         let capacity = ((isp_expected as f64 * share) * 2.5) as u32 + 128;
         let idx = push_as(AsKind::Isp, asn, capacity, &mut allocator, &mut ases);
-        pool.isp.push(idx);
-        pool.isp_weights.push(weight);
+        isp.push((idx, weight));
     }
     for rank in 0..config.as_counts.enterprise {
         let asn = 64_512 + rng.gen_range(0..50_000u32) + rank as u32;
@@ -243,68 +232,76 @@ fn build_ases(config: &InternetConfig, rng: &mut ChaCha8Rng) -> (Vec<AutonomousS
         let share = weight as f64 / (0..config.as_counts.enterprise).map(zipf).sum::<u32>() as f64;
         let capacity = ((enterprise_expected as f64 * share) * 2.5) as u32 + 64;
         let idx = push_as(AsKind::Enterprise, asn, capacity, &mut allocator, &mut ases);
-        pool.enterprise.push(idx);
-        pool.enterprise_weights.push(weight);
+        enterprise.push((idx, weight));
     }
+    let pool = AsPool {
+        cloud: WeightedSet::new(cloud),
+        isp: WeightedSet::new(isp),
+        enterprise: WeightedSet::new(enterprise),
+    };
     (ases, pool)
 }
 
-/// Mutable state shared by the per-archetype generators.
+/// Mutable state shared by the per-archetype generators.  The device being
+/// generated owns the interfaces pushed since the last row was closed.
 struct GenContext<'a> {
     config: &'a InternetConfig,
     rng: &'a mut ChaCha8Rng,
     ases: &'a mut Vec<AutonomousSystem>,
     pool: &'a AsPool,
-    devices: &'a mut Vec<Device>,
-    probe_states: &'a mut Vec<ProbeState>,
-    ssh_weights: &'a [u32],
-    server_profiles: &'a [usize],
-    embedded_profiles: &'a [usize],
-    router_profiles: &'a [usize],
-    open_bgp_profiles: &'a [usize],
-    open_bgp_weights: &'a [u32],
+    devices: &'a mut DeviceTable,
+    ipid: &'a mut Vec<IpidState>,
+    all_ssh: &'a WeightedSet,
+    server_ssh: &'a WeightedSet,
+    embedded_ssh: &'a WeightedSet,
+    router_ssh: &'a WeightedSet,
+    ssh_profiles: usize,
+    open_bgp: &'a WeightedSet,
     silent_bgp_profile: usize,
-    default_keys: &'a [HostKey],
+    default_keys: [Span; 3],
     duplicate_bgp_ids: &'a [Ipv4Addr; 2],
 }
 
 impl GenContext<'_> {
-    fn next_id(&self) -> DeviceId {
-        DeviceId(self.devices.len() as u32)
-    }
-
     fn pick_as(&mut self, kind: AsKind) -> usize {
-        let (indices, weights) = match kind {
-            AsKind::CloudProvider => (&self.pool.cloud, &self.pool.cloud_weights),
-            AsKind::Isp => (&self.pool.isp, &self.pool.isp_weights),
-            AsKind::Enterprise => (&self.pool.enterprise, &self.pool.enterprise_weights),
-        };
         let roll = self.rng.gen::<u32>();
-        indices[pick_weighted(weights, roll)]
+        self.pool.of(kind).pick(roll)
     }
 
-    /// Allocate an IPv4 address in the AS at `as_idx`, falling back to other
-    /// ASes of the same kind if its prefix is exhausted.
-    fn alloc_v4(&mut self, as_idx: usize) -> (Ipv4Addr, Asn) {
-        if let Some(addr) = self.ases[as_idx].alloc_v4() {
-            return (addr, self.ases[as_idx].asn);
-        }
+    /// The open device's first position in the interface columns.
+    fn first_iface(&self) -> usize {
+        self.devices.starts[self.devices.starts.len() - 1] as usize
+    }
+
+    /// The open device's answer bytes.
+    fn open_answers(&mut self) -> &mut [u8] {
+        let first = self.first_iface();
+        &mut self.devices.answers[first..]
+    }
+
+    fn push_iface(&mut self, addr: IpAddr, asn: Asn) {
+        self.devices.ifaces.push(Interface { addr, asn });
+        self.devices.answers.push(0);
+    }
+
+    /// Give the open device an IPv4 interface in the AS at `as_idx`,
+    /// falling back to other ASes of the same kind if its prefix is
+    /// exhausted.
+    fn push_v4(&mut self, as_idx: usize) {
         let kind = self.ases[as_idx].kind;
-        let candidates: Vec<usize> = match kind {
-            AsKind::CloudProvider => self.pool.cloud.clone(),
-            AsKind::Isp => self.pool.isp.clone(),
-            AsKind::Enterprise => self.pool.enterprise.clone(),
-        };
-        for idx in candidates {
+        let fallback = self.pool.of(kind).members();
+        for idx in std::iter::once(as_idx).chain(fallback.iter().copied()) {
             if let Some(addr) = self.ases[idx].alloc_v4() {
-                return (addr, self.ases[idx].asn);
+                return self.push_iface(IpAddr::V4(addr), self.ases[idx].asn);
             }
         }
         panic!("all {kind:?} prefixes exhausted; increase prefix slack in build_ases");
     }
 
-    fn alloc_v6(&mut self, as_idx: usize) -> (std::net::Ipv6Addr, Asn) {
-        (self.ases[as_idx].alloc_v6(), self.ases[as_idx].asn)
+    /// Give the open device an IPv6 interface in the AS at `as_idx`.
+    fn push_v6(&mut self, as_idx: usize) {
+        let addr = self.ases[as_idx].alloc_v6();
+        self.push_iface(IpAddr::V6(addr), self.ases[as_idx].asn);
     }
 
     /// Sample from a capped Pareto-like heavy tail with the given minimum and
@@ -321,44 +318,49 @@ impl GenContext<'_> {
         (value.round() as usize).clamp(min, max)
     }
 
-    /// An ACL mask over `n` interfaces with the given coverage probability,
-    /// guaranteed to allow at least one interface.
-    fn acl_mask(&mut self, n: usize, coverage: f64) -> Vec<bool> {
-        let mut mask: Vec<bool> = (0..n).map(|_| self.rng.gen_bool(coverage)).collect();
-        if !mask.iter().any(|&b| b) && n > 0 {
-            let idx = self.rng.gen_range(0..n);
-            mask[idx] = true;
+    /// Open a service's ACL on each of the open device's interfaces with
+    /// the given coverage probability, and on at least one.
+    fn acl_mask(&mut self, coverage: f64, service: u8) {
+        let first = self.first_iface();
+        let answers = &mut self.devices.answers[first..];
+        let mut any = false;
+        for answer in answers.iter_mut() {
+            if self.rng.gen_bool(coverage) {
+                *answer |= service;
+                any = true;
+            }
         }
-        mask
+        if !any && !answers.is_empty() {
+            let idx = self.rng.gen_range(0..answers.len());
+            answers[idx] |= service;
+        }
     }
 
-    fn unique_host_key(&mut self) -> HostKey {
+    fn unique_host_key(&mut self) -> (HostKeyAlgorithm, Span) {
         let default_fraction = self.config.anomalies.default_key_fraction;
-        if !self.default_keys.is_empty() && self.rng.gen_bool(default_fraction) {
+        if self.rng.gen_bool(default_fraction) {
             let idx = self.rng.gen_range(0..self.default_keys.len());
-            return self.default_keys[idx].clone();
+            return (HostKeyAlgorithm::Rsa, self.default_keys[idx]);
         }
-        let mut material = vec![0u8; 32];
+        let mut material = [0u8; 32];
         self.rng.fill(&mut material[..]);
         let algorithm = if self.rng.gen_bool(0.7) {
             HostKeyAlgorithm::Ed25519
         } else {
             HostKeyAlgorithm::Rsa
         };
-        HostKey::new(algorithm, material)
+        (
+            algorithm,
+            Span::push(&mut self.devices.host_keys, &material),
+        )
     }
 
-    fn pick_ssh_profile(&mut self, subset: &[usize]) -> SshProfileId {
-        if subset.is_empty() {
-            let roll = self.rng.gen::<u32>();
-            return SshProfileId(pick_weighted(self.ssh_weights, roll) as u16);
-        }
-        let weights: Vec<u32> = subset.iter().map(|&i| self.ssh_weights[i]).collect();
+    fn pick_ssh_profile(&mut self, profiles: &WeightedSet) -> SshProfileId {
         let roll = self.rng.gen::<u32>();
-        SshProfileId(subset[pick_weighted(&weights, roll)] as u16)
+        SshProfileId(profiles.pick(roll) as u16)
     }
 
-    fn ipid_state(&mut self, mix: IpidMix, interfaces: usize) -> IpidState {
+    fn ipid_state(&mut self, mix: IpidMix) -> IpidState {
         let roll: f64 = self.rng.gen();
         let model = if roll < mix.shared_monotonic {
             let velocity = if self.rng.gen_bool(mix.high_velocity_given_shared) {
@@ -376,72 +378,93 @@ impl GenContext<'_> {
         } else {
             IpidModel::Constant(0)
         };
-        IpidState::new(model, interfaces.max(1), self.rng.gen())
+        IpidState::new(model, self.rng.gen())
     }
 
-    fn visibility(&mut self) -> (bool, bool) {
+    /// The visibility and Censys flags.
+    fn visibility(&mut self) -> u8 {
         let visible_to_single_vp = !self
             .rng
             .gen_bool(self.config.visibility.single_vp_invisible_fraction);
         let censys_covered = self.rng.gen_bool(self.config.visibility.censys_coverage);
-        (visible_to_single_vp, censys_covered)
+        flag(VISIBLE, visible_to_single_vp) | flag(CENSYS, censys_covered)
     }
 
-    fn ssh_service(&mut self, interfaces: usize, subset: &[usize], coverage: f64) -> SshService {
-        let profile = self.pick_ssh_profile(subset);
-        let respond = self.acl_mask(interfaces, coverage);
-        let responding: Vec<usize> = respond
-            .iter()
-            .enumerate()
-            .filter(|(_, &r)| r)
-            .map(|(i, _)| i)
-            .collect();
-        let mut divergent_capability_ifaces = Vec::new();
+    fn ssh_service(&mut self, profiles: &WeightedSet, coverage: f64) -> SshRow {
+        let profile = self.pick_ssh_profile(profiles);
+        self.acl_mask(coverage, SSH);
+        let answers = self.open_answers();
+        let responding = answers.iter().filter(|&&a| a & SSH != 0).count();
+        let last = answers.iter().rposition(|&a| a & SSH != 0);
         let mut divergent_profile = None;
-        if responding.len() >= 2
+        if responding >= 2
             && self
                 .rng
                 .gen_bool(self.config.anomalies.capability_divergence_fraction)
         {
-            divergent_capability_ifaces.push(responding[responding.len() - 1]);
-            // Diverge to some other profile.
-            let other = self.pick_ssh_profile(&[]);
-            if other != profile {
-                divergent_profile = Some(other);
-            } else {
-                divergent_profile = Some(SshProfileId(
-                    ((other.0 as usize + 1) % self.ssh_weights.len()) as u16,
-                ));
+            if let Some(last) = last {
+                self.open_answers()[last] |= SSH_DIVERGENT;
             }
+            // Diverge to some other profile.
+            let other = self.pick_ssh_profile(self.all_ssh);
+            divergent_profile = Some(if other != profile {
+                other
+            } else {
+                SshProfileId(((other.0 as usize + 1) % self.ssh_profiles) as u16)
+            });
         }
-        SshService {
+        let (algorithm, key) = self.unique_host_key();
+        SshRow {
             profile,
-            host_key: self.unique_host_key(),
-            respond,
-            divergent_capability_ifaces,
             divergent_profile,
+            algorithm,
+            key,
         }
     }
 
-    fn snmp_service(&mut self, interfaces: usize, coverage: f64) -> SnmpService {
+    fn snmp_service(&mut self, coverage: f64) -> SnmpRow {
         let enterprise = [9u32, 2636, 30065, 25461, 14988, 2011][self.rng.gen_range(0..6usize)];
         let mac: [u8; 6] = self.rng.gen();
-        SnmpService {
-            engine_id: EngineId::from_enterprise_mac(enterprise, mac),
-            engine_boots: self.rng.gen_range(1..60),
-            respond: self.acl_mask(interfaces, coverage),
+        let engine_id = EngineId::enterprise_mac_bytes(enterprise, mac);
+        let engine_boots = self.rng.gen_range(1..60);
+        self.acl_mask(coverage, SNMP);
+        SnmpRow {
+            engine_id: Span::push(&mut self.devices.engine_ids, &engine_id),
+            engine_boots,
         }
     }
 
-    /// A device and its row of the probe-state column, at the same index
-    /// of the two parallel vectors.
-    fn push_device(&mut self, device: Device, ipid: IpidState) {
-        self.probe_states.push(ProbeState {
-            visible_to_single_vp: device.visible_to_single_vp,
-            responds_to_ping: device.responds_to_ping,
-            ipid,
-        });
-        self.devices.push(device);
+    /// The open device's BGP service, answering on the interfaces the ACL
+    /// opens.
+    fn bgp_service(
+        &mut self,
+        profile: usize,
+        bgp_identifier: Ipv4Addr,
+        as_idx: usize,
+    ) -> BgpService {
+        self.acl_mask(self.config.acl.bgp_coverage, BGP);
+        BgpService {
+            profile: BgpProfileId(profile as u16),
+            bgp_identifier,
+            asn: self.ases[as_idx].asn.0,
+        }
+    }
+
+    /// The open device's first address, if it is IPv4.
+    fn first_v4(&self) -> Option<Ipv4Addr> {
+        match self.devices.ifaces.get(self.first_iface())?.addr {
+            IpAddr::V4(addr) => Some(addr),
+            IpAddr::V6(_) => None,
+        }
+    }
+
+    /// Close the open device: push its row, its flags and its IPID state.
+    fn push_device(&mut self, row: DeviceRow, flags: u8, ipid: IpidState) {
+        let devices = &mut *self.devices;
+        devices.rows.push(row);
+        devices.flags.push(flags);
+        devices.starts.push(devices.ifaces.len() as u32);
+        self.ipid.push(ipid);
     }
 
     // ------------------------------------------------------------------
@@ -450,42 +473,22 @@ impl GenContext<'_> {
 
     fn gen_cloud_vm(&mut self) {
         let as_idx = self.pick_as(AsKind::CloudProvider);
-        let mut interfaces = Vec::with_capacity(2);
         let ipv6_only = self.rng.gen_bool(self.config.cloud.vm_ipv6_only_prob);
         if !ipv6_only {
-            let (addr, asn) = self.alloc_v4(as_idx);
-            interfaces.push(Interface {
-                addr: IpAddr::V4(addr),
-                asn,
-            });
+            self.push_v4(as_idx);
         }
         if ipv6_only || self.rng.gen_bool(self.config.cloud.vm_dual_stack_prob) {
-            let (addr, asn) = self.alloc_v6(as_idx);
-            interfaces.push(Interface {
-                addr: IpAddr::V6(addr),
-                asn,
-            });
+            self.push_v6(as_idx);
         }
-        let n = interfaces.len();
-        let ssh = self.ssh_service(n, self.server_profiles, 1.0);
-        let ipid = self.ipid_state(self.config.ipid_servers, n);
-        let (visible_to_single_vp, censys_covered) = self.visibility();
-        let responds_to_ping = self.rng.gen_bool(self.config.ping.server_prob);
-        let device = Device {
-            id: self.next_id(),
-            kind: DeviceKind::CloudVm,
-            interfaces,
+        let ssh = self.ssh_service(self.server_ssh, 1.0);
+        let ipid = self.ipid_state(self.config.ipid_servers);
+        let visibility = self.visibility();
+        let ping = self.rng.gen_bool(self.config.ping.server_prob);
+        let row = DeviceRow {
             ssh: Some(ssh),
-            bgp: None,
-            snmp: None,
-            responds_to_ping,
-            icmp_limit: IcmpRateLimit::UNLIMITED,
-            icmp_error_source: None,
-            visible_to_single_vp,
-            censys_covered,
-            dynamic_addresses: false,
+            ..DeviceRow::new(DeviceKind::CloudVm)
         };
-        self.push_device(device, ipid);
+        self.push_device(row, visibility | flag(PING, ping), ipid);
     }
 
     fn gen_cloud_server(&mut self) {
@@ -504,92 +507,51 @@ impl GenContext<'_> {
         } else {
             0
         };
-        let mut interfaces = Vec::with_capacity(v4_count + v6_count);
         for _ in 0..v4_count {
-            let (addr, asn) = self.alloc_v4(as_idx);
-            interfaces.push(Interface {
-                addr: IpAddr::V4(addr),
-                asn,
-            });
+            self.push_v4(as_idx);
         }
         for _ in 0..v6_count {
-            let (addr, asn) = self.alloc_v6(as_idx);
-            interfaces.push(Interface {
-                addr: IpAddr::V6(addr),
-                asn,
-            });
+            self.push_v6(as_idx);
         }
-        let n = interfaces.len();
-        let ssh = self.ssh_service(n, self.server_profiles, self.config.acl.ssh_coverage);
+        let ssh = self.ssh_service(self.server_ssh, self.config.acl.ssh_coverage);
         let snmp = if self.rng.gen_bool(cloud.server_snmp_prob) {
-            Some(self.snmp_service(n, self.config.acl.snmp_coverage))
+            Some(self.snmp_service(self.config.acl.snmp_coverage))
         } else {
             None
         };
-        let ipid = self.ipid_state(self.config.ipid_servers, n);
-        let (visible_to_single_vp, censys_covered) = self.visibility();
-        let responds_to_ping = self.rng.gen_bool(self.config.ping.server_prob);
+        let ipid = self.ipid_state(self.config.ipid_servers);
+        let visibility = self.visibility();
+        let ping = self.rng.gen_bool(self.config.ping.server_prob);
         let common_source = self.rng.gen_bool(self.config.ping.common_source_prob);
-        let device = Device {
-            id: self.next_id(),
-            kind: DeviceKind::CloudServer,
+        let has_iface = self.devices.ifaces.len() > self.first_iface();
+        let row = DeviceRow {
             ssh: Some(ssh),
-            bgp: None,
             snmp,
-            responds_to_ping,
-            icmp_limit: IcmpRateLimit::UNLIMITED,
-            icmp_error_source: if common_source && !interfaces.is_empty() {
-                Some(0)
-            } else {
-                None
-            },
-            visible_to_single_vp,
-            censys_covered,
-            dynamic_addresses: false,
-            interfaces,
+            icmp_error_source: (common_source && has_iface).then_some(0),
+            ..DeviceRow::new(DeviceKind::CloudServer)
         };
-        self.push_device(device, ipid);
+        self.push_device(row, visibility | flag(PING, ping), ipid);
     }
 
     fn gen_enterprise_server(&mut self) {
         let as_idx = self.pick_as(AsKind::Enterprise);
-        let mut interfaces = Vec::with_capacity(2);
-        let (addr, asn) = self.alloc_v4(as_idx);
-        interfaces.push(Interface {
-            addr: IpAddr::V4(addr),
-            asn,
-        });
+        self.push_v4(as_idx);
         if self.rng.gen_bool(self.config.enterprise_two_addr_prob) {
-            let (addr, asn) = self.alloc_v4(as_idx);
-            interfaces.push(Interface {
-                addr: IpAddr::V4(addr),
-                asn,
-            });
+            self.push_v4(as_idx);
         }
-        let n = interfaces.len();
         let ssh = if self.rng.gen_bool(self.config.enterprise_ssh_prob) {
-            Some(self.ssh_service(n, self.server_profiles, self.config.acl.ssh_coverage))
+            Some(self.ssh_service(self.server_ssh, self.config.acl.ssh_coverage))
         } else {
             None
         };
-        let ipid = self.ipid_state(self.config.ipid_servers, n);
-        let (visible_to_single_vp, censys_covered) = self.visibility();
-        let responds_to_ping = self.rng.gen_bool(self.config.ping.server_prob);
-        let device = Device {
-            id: self.next_id(),
-            kind: DeviceKind::EnterpriseServer,
+        let ipid = self.ipid_state(self.config.ipid_servers);
+        let visibility = self.visibility();
+        let ping = self.rng.gen_bool(self.config.ping.server_prob);
+        let row = DeviceRow {
             ssh,
-            bgp: None,
-            snmp: None,
-            responds_to_ping,
-            icmp_limit: IcmpRateLimit::UNLIMITED,
-            icmp_error_source: None,
-            visible_to_single_vp,
-            censys_covered,
-            dynamic_addresses: false,
-            interfaces,
+            ..DeviceRow::new(DeviceKind::EnterpriseServer)
         };
-        self.push_device(device, ipid);
+        self.push_device(row, visibility | flag(PING, ping), ipid);
     }
 
     fn gen_isp_router(&mut self) {
@@ -602,64 +564,40 @@ impl GenContext<'_> {
         } else {
             0
         };
-        let mut interfaces = Vec::with_capacity(v4_count + v6_count);
         for _ in 0..v4_count {
-            let (addr, asn) = self.alloc_v4(as_idx);
-            interfaces.push(Interface {
-                addr: IpAddr::V4(addr),
-                asn,
-            });
+            self.push_v4(as_idx);
         }
         for _ in 0..v6_count {
-            let (addr, asn) = self.alloc_v6(as_idx);
-            interfaces.push(Interface {
-                addr: IpAddr::V6(addr),
-                asn,
-            });
+            self.push_v6(as_idx);
         }
-        let n = interfaces.len();
         let snmp = if self.rng.gen_bool(isp.router_snmp_prob) {
-            Some(self.snmp_service(n, self.config.acl.snmp_coverage))
+            Some(self.snmp_service(self.config.acl.snmp_coverage))
         } else {
             None
         };
         let ssh = if self.rng.gen_bool(isp.router_ssh_prob) {
-            Some(self.ssh_service(n, self.router_profiles, self.config.acl.ssh_coverage))
+            Some(self.ssh_service(self.router_ssh, self.config.acl.ssh_coverage))
         } else {
             None
         };
         let bgp = if self.rng.gen_bool(isp.router_silent_bgp_prob) {
-            Some(BgpService {
-                profile: BgpProfileId(self.silent_bgp_profile as u16),
-                bgp_identifier: match interfaces.first().map(|i| i.addr) {
-                    Some(IpAddr::V4(a)) => a,
-                    _ => Ipv4Addr::new(10, 0, 0, 1),
-                },
-                asn: self.ases[as_idx].asn.0,
-                respond: self.acl_mask(n, self.config.acl.bgp_coverage),
-            })
+            let identifier = self.first_v4().unwrap_or(Ipv4Addr::new(10, 0, 0, 1));
+            Some(self.bgp_service(self.silent_bgp_profile, identifier, as_idx))
         } else {
             None
         };
-        let ipid = self.ipid_state(self.config.ipid_routers, n);
-        let (visible_to_single_vp, censys_covered) = self.visibility();
-        let responds_to_ping = self.rng.gen_bool(self.config.ping.router_prob);
+        let ipid = self.ipid_state(self.config.ipid_routers);
+        let visibility = self.visibility();
+        let ping = self.rng.gen_bool(self.config.ping.router_prob);
         let common_source = self.rng.gen_bool(self.config.ping.common_source_prob);
-        let device = Device {
-            id: self.next_id(),
-            kind: DeviceKind::IspRouter,
+        let row = DeviceRow {
             ssh,
             bgp,
             snmp,
-            responds_to_ping,
-            icmp_limit: IcmpRateLimit::UNLIMITED,
-            icmp_error_source: if common_source { Some(0) } else { None },
-            visible_to_single_vp,
-            censys_covered,
-            dynamic_addresses: false,
-            interfaces,
+            icmp_error_source: common_source.then_some(0),
+            ..DeviceRow::new(DeviceKind::IspRouter)
         };
-        self.push_device(device, ipid);
+        self.push_device(row, visibility | flag(PING, ping), ipid);
     }
 
     fn gen_border_router(&mut self) {
@@ -672,8 +610,6 @@ impl GenContext<'_> {
         } else {
             0
         };
-
-        let mut interfaces = Vec::with_capacity(v4_count + v6_count);
         for i in 0..v4_count {
             // The first interface is always in the primary AS; the rest may be
             // numbered from neighbouring ASes (inter-AS links).
@@ -682,125 +618,78 @@ impl GenContext<'_> {
             } else {
                 primary_as
             };
-            let (addr, asn) = self.alloc_v4(as_idx);
-            interfaces.push(Interface {
-                addr: IpAddr::V4(addr),
-                asn,
-            });
+            self.push_v4(as_idx);
         }
         for _ in 0..v6_count {
-            let (addr, asn) = self.alloc_v6(primary_as);
-            interfaces.push(Interface {
-                addr: IpAddr::V6(addr),
-                asn,
-            });
+            self.push_v6(primary_as);
         }
-        let n = interfaces.len();
 
         let roll = self.rng.gen::<u32>();
-        let bgp_profile =
-            BgpProfileId(self.open_bgp_profiles[pick_weighted(self.open_bgp_weights, roll)] as u16);
+        let bgp_profile = self.open_bgp.pick(roll);
         let bgp_identifier = if self
             .rng
             .gen_bool(self.config.anomalies.duplicate_bgp_identifier_fraction)
         {
             self.duplicate_bgp_ids[self.rng.gen_range(0..self.duplicate_bgp_ids.len())]
         } else {
-            match interfaces.first().map(|i| i.addr) {
-                Some(IpAddr::V4(a)) => a,
-                _ => Ipv4Addr::new(172, 16, 0, 1),
-            }
+            self.first_v4().unwrap_or(Ipv4Addr::new(172, 16, 0, 1))
         };
-        let bgp = BgpService {
-            profile: bgp_profile,
-            bgp_identifier,
-            asn: self.ases[primary_as].asn.0,
-            respond: self.acl_mask(n, self.config.acl.bgp_coverage),
-        };
+        let bgp = self.bgp_service(bgp_profile, bgp_identifier, primary_as);
         let snmp = if self.rng.gen_bool(border.snmp_prob) {
-            Some(self.snmp_service(n, self.config.acl.snmp_coverage))
+            Some(self.snmp_service(self.config.acl.snmp_coverage))
         } else {
             None
         };
         let ssh = if self.rng.gen_bool(border.ssh_prob) {
-            Some(self.ssh_service(n, self.router_profiles, self.config.acl.ssh_coverage))
+            Some(self.ssh_service(self.router_ssh, self.config.acl.ssh_coverage))
         } else {
             None
         };
-        let ipid = self.ipid_state(self.config.ipid_routers, n);
-        let (visible_to_single_vp, censys_covered) = self.visibility();
-        let responds_to_ping = self.rng.gen_bool(self.config.ping.router_prob);
+        let ipid = self.ipid_state(self.config.ipid_routers);
+        let visibility = self.visibility();
+        let ping = self.rng.gen_bool(self.config.ping.router_prob);
         let common_source = self.rng.gen_bool(self.config.ping.common_source_prob);
-        let device = Device {
-            id: self.next_id(),
-            kind: DeviceKind::BorderRouter,
+        let row = DeviceRow {
             ssh,
             bgp: Some(bgp),
             snmp,
-            responds_to_ping,
-            icmp_limit: IcmpRateLimit::UNLIMITED,
-            icmp_error_source: if common_source { Some(0) } else { None },
-            visible_to_single_vp,
-            censys_covered,
-            dynamic_addresses: false,
-            interfaces,
+            icmp_error_source: common_source.then_some(0),
+            ..DeviceRow::new(DeviceKind::BorderRouter)
         };
-        self.push_device(device, ipid);
+        self.push_device(row, visibility | flag(PING, ping), ipid);
     }
 
     fn gen_cpe(&mut self) {
         let as_idx = self.pick_as(AsKind::Isp);
         let isp = self.config.isp;
-        let mut interfaces = Vec::with_capacity(2);
-        let (addr, asn) = self.alloc_v4(as_idx);
-        interfaces.push(Interface {
-            addr: IpAddr::V4(addr),
-            asn,
-        });
+        self.push_v4(as_idx);
         if self.rng.gen_bool(isp.cpe_two_addr_prob) {
-            let (addr, asn) = self.alloc_v4(as_idx);
-            interfaces.push(Interface {
-                addr: IpAddr::V4(addr),
-                asn,
-            });
+            self.push_v4(as_idx);
         }
         if self.rng.gen_bool(isp.cpe_dual_stack_prob) {
-            let (addr, asn) = self.alloc_v6(as_idx);
-            interfaces.push(Interface {
-                addr: IpAddr::V6(addr),
-                asn,
-            });
+            self.push_v6(as_idx);
         }
-        let n = interfaces.len();
         let snmp = if self.rng.gen_bool(isp.cpe_snmp_prob) {
-            Some(self.snmp_service(n, 1.0))
+            Some(self.snmp_service(1.0))
         } else {
             None
         };
         let ssh = if self.rng.gen_bool(isp.cpe_ssh_prob) {
-            Some(self.ssh_service(n, self.embedded_profiles, 1.0))
+            Some(self.ssh_service(self.embedded_ssh, 1.0))
         } else {
             None
         };
-        let ipid = self.ipid_state(self.config.ipid_routers, n);
-        let (visible_to_single_vp, censys_covered) = self.visibility();
-        let responds_to_ping = self.rng.gen_bool(self.config.ping.router_prob);
-        let dynamic_addresses = self.rng.gen_bool(isp.cpe_dynamic_prob);
-        let device = Device {
-            id: self.next_id(),
-            kind: DeviceKind::Cpe,
+        let ipid = self.ipid_state(self.config.ipid_routers);
+        let visibility = self.visibility();
+        let ping = self.rng.gen_bool(self.config.ping.router_prob);
+        let dynamic = self.rng.gen_bool(isp.cpe_dynamic_prob);
+        let row = DeviceRow {
             ssh,
-            bgp: None,
             snmp,
-            responds_to_ping,
-            icmp_limit: IcmpRateLimit::UNLIMITED,
-            icmp_error_source: None,
-            visible_to_single_vp,
-            censys_covered,
-            dynamic_addresses,
-            interfaces,
+            ..DeviceRow::new(DeviceKind::Cpe)
         };
-        self.push_device(device, ipid);
+        let flags = visibility | flag(PING, ping) | flag(DYNAMIC, dynamic);
+        self.push_device(row, flags, ipid);
     }
 
     /// An ISP router with every identifier service disabled: no SSH, BGP
@@ -818,42 +707,28 @@ impl GenContext<'_> {
         } else {
             0
         };
-        let mut interfaces = Vec::with_capacity(v4_count + v6_count);
         for _ in 0..v4_count {
-            let (addr, asn) = self.alloc_v4(as_idx);
-            interfaces.push(Interface {
-                addr: IpAddr::V4(addr),
-                asn,
-            });
+            self.push_v4(as_idx);
         }
         for _ in 0..v6_count {
-            let (addr, asn) = self.alloc_v6(as_idx);
-            interfaces.push(Interface {
-                addr: IpAddr::V6(addr),
-                asn,
-            });
+            self.push_v6(as_idx);
         }
-        let n = interfaces.len();
-        let ipid = IpidState::new(IpidModel::Random, n.max(1), self.rng.gen());
-        let (_, censys_covered) = self.visibility();
-        let device = Device {
-            id: self.next_id(),
-            kind: DeviceKind::SilentRouter,
-            ssh: None,
-            bgp: None,
-            snmp: None,
-            responds_to_ping: true,
-            icmp_limit: IcmpRateLimit::UNLIMITED,
-            icmp_error_source: None,
-            // Deterministically visible: the population exists to measure
-            // what *only* rate-limiting can resolve, so its reachability
-            // must not depend on the visibility roll.
-            visible_to_single_vp: true,
-            censys_covered,
-            dynamic_addresses: false,
-            interfaces,
-        };
-        self.push_device(device, ipid);
+        let ipid = IpidState::new(IpidModel::Random, self.rng.gen());
+        // Deterministically visible: the population exists to measure what
+        // *only* rate-limiting can resolve, so its reachability must not
+        // depend on the visibility roll.
+        let censys = self.visibility() & CENSYS;
+        let row = DeviceRow::new(DeviceKind::SilentRouter);
+        self.push_device(row, VISIBLE | PING | censys, ipid);
+    }
+}
+
+/// `bit` if `on`, else no bit.
+fn flag(bit: u8, on: bool) -> u8 {
+    if on {
+        bit
+    } else {
+        0
     }
 }
 
@@ -865,7 +740,7 @@ const ICMP_LIMIT_SEED_SALT: u64 = 0x1c3d_11a5_b0c4_e7f2;
 /// dedicated RNG stream keeps the main generation stream untouched, so
 /// every population generated before the limiter existed stays
 /// byte-identical field-for-field.
-fn assign_icmp_limits(config: &InternetConfig, devices: &mut [Device]) {
+fn assign_icmp_limits(config: &InternetConfig, devices: &mut [DeviceRow]) {
     let limits = &config.icmp_limits;
     let mut rng = ChaCha8Rng::seed_from_u64(config.seed ^ ICMP_LIMIT_SEED_SALT);
     for device in devices {
@@ -892,21 +767,16 @@ mod tests {
         let a = InternetBuilder::new(InternetConfig::tiny(11)).build();
         let b = InternetBuilder::new(InternetConfig::tiny(11)).build();
         assert_eq!(a.devices().len(), b.devices().len());
-        for (da, db) in a.devices().iter().zip(b.devices()) {
-            assert_eq!(da.interfaces, db.interfaces);
-            assert_eq!(da.kind, db.kind);
-            assert_eq!(da.ssh.is_some(), db.ssh.is_some());
-            if let (Some(sa), Some(sb)) = (&da.ssh, &db.ssh) {
-                assert_eq!(sa.host_key, sb.host_key);
-                assert_eq!(sa.profile, sb.profile);
-            }
+        for (da, db) in a.devices().zip(b.devices()) {
+            assert_eq!(da.interfaces(), db.interfaces());
+            assert_eq!(da.kind(), db.kind());
+            assert_eq!(da.ssh(), db.ssh());
         }
         let c = InternetBuilder::new(InternetConfig::tiny(12)).build();
         let differs = a
             .devices()
-            .iter()
             .zip(c.devices())
-            .any(|(da, dc)| da.interfaces != dc.interfaces);
+            .any(|(da, dc)| da.interfaces() != dc.interfaces());
         assert!(differs, "different seeds must produce different Internets");
     }
 
@@ -929,16 +799,16 @@ mod tests {
         let internet = InternetBuilder::new(InternetConfig::tiny(5)).build();
         let mut seen = std::collections::HashSet::new();
         for device in internet.devices() {
-            assert!(!device.interfaces.is_empty());
-            for iface in &device.interfaces {
+            assert!(!device.interfaces().is_empty());
+            for iface in device.interfaces() {
                 assert!(
                     seen.insert(iface.addr),
                     "duplicate address {:?}",
                     iface.addr
                 );
                 let (owner, idx) = internet.lookup(iface.addr).unwrap();
-                assert_eq!(owner, device.id);
-                assert_eq!(device.interfaces[idx].addr, iface.addr);
+                assert_eq!(owner, device.id());
+                assert_eq!(device.interfaces()[idx].addr, iface.addr);
             }
         }
     }
@@ -947,7 +817,7 @@ mod tests {
     fn addresses_fall_inside_their_as_prefix() {
         let internet = InternetBuilder::new(InternetConfig::tiny(9)).build();
         for device in internet.devices() {
-            for iface in &device.interfaces {
+            for iface in device.interfaces() {
                 let asys = internet.ases().iter().find(|a| a.asn == iface.asn).unwrap();
                 match iface.addr {
                     IpAddr::V4(a) => assert!(asys.ipv4_prefix.contains(a)),
@@ -962,8 +832,7 @@ mod tests {
         let internet = InternetBuilder::new(InternetConfig::tiny(21)).build();
         let multi_as_border = internet
             .devices()
-            .iter()
-            .filter(|d| d.kind == DeviceKind::BorderRouter && d.asns().len() >= 2)
+            .filter(|d| d.kind() == DeviceKind::BorderRouter && d.asns().len() >= 2)
             .count();
         assert!(
             multi_as_border > 0,
@@ -971,7 +840,7 @@ mod tests {
         );
         // Non-border devices never span ASes.
         for device in internet.devices() {
-            if matches!(device.kind, DeviceKind::CloudVm | DeviceKind::Cpe) {
+            if matches!(device.kind(), DeviceKind::CloudVm | DeviceKind::Cpe) {
                 assert_eq!(device.asns().len(), 1);
             }
         }
@@ -982,9 +851,8 @@ mod tests {
         let internet = InternetBuilder::new(InternetConfig::small(2)).build();
         let ids: Vec<Ipv4Addr> = internet
             .devices()
-            .iter()
-            .filter(|d| d.kind == DeviceKind::BorderRouter)
-            .filter_map(|d| d.bgp.as_ref())
+            .filter(|d| d.kind() == DeviceKind::BorderRouter)
+            .filter_map(|d| d.bgp())
             .map(|b| b.bgp_identifier)
             .collect();
         assert!(!ids.is_empty());
@@ -998,9 +866,8 @@ mod tests {
         let internet = InternetBuilder::new(InternetConfig::small(4)).build();
         let keys: Vec<String> = internet
             .devices()
-            .iter()
-            .filter_map(|d| d.ssh.as_ref())
-            .map(|s| s.host_key.fingerprint())
+            .filter_map(|d| d.ssh())
+            .map(|s| s.host_key.to_owned().fingerprint())
             .collect();
         let unique: std::collections::HashSet<_> = keys.iter().collect();
         assert!(unique.len() as f64 >= keys.len() as f64 * 0.98);
@@ -1028,18 +895,19 @@ mod tests {
         let limits = config.icmp_limits;
         let internet = InternetBuilder::new(config).build();
         for device in internet.devices() {
-            let (lo, hi) = match device.kind {
+            let (lo, hi) = match device.kind() {
                 DeviceKind::IspRouter | DeviceKind::BorderRouter => limits.router_rate_range,
                 DeviceKind::SilentRouter => limits.silent_rate_range,
                 _ => limits.endpoint_rate_range,
             };
+            let limit = device.icmp_limit();
             assert!(
-                (lo..=hi).contains(&device.icmp_limit.rate_pps),
+                (lo..=hi).contains(&limit.rate_pps),
                 "{:?}: rate {} outside [{lo}, {hi}]",
-                device.kind,
-                device.icmp_limit.rate_pps
+                device.kind(),
+                limit.rate_pps
             );
-            assert_eq!(device.icmp_limit.burst, limits.burst);
+            assert_eq!(limit.burst, limits.burst);
         }
     }
 
@@ -1050,18 +918,17 @@ mod tests {
         let internet = InternetBuilder::new(config).build();
         let silent: Vec<_> = internet
             .devices()
-            .iter()
-            .filter(|d| d.kind == DeviceKind::SilentRouter)
+            .filter(|d| d.kind() == DeviceKind::SilentRouter)
             .collect();
         assert_eq!(silent.len(), 25);
-        for device in &silent {
-            assert!(device.ssh.is_none());
-            assert!(device.bgp.is_none());
-            assert!(device.snmp.is_none());
-            assert!(device.responds_to_ping);
-            assert!(device.visible_to_single_vp);
-            assert!(device.icmp_error_source.is_none());
-            assert!(device.interfaces.len() >= 2);
+        for device in silent {
+            assert!(device.ssh().is_none());
+            assert!(device.bgp().is_none());
+            assert!(device.snmp().is_none());
+            assert!(device.responds_to_ping());
+            assert!(device.visible_to_single_vp());
+            assert!(device.icmp_error_source().is_none());
+            assert!(device.interfaces().len() >= 2);
         }
     }
 
@@ -1075,11 +942,11 @@ mod tests {
         config.devices.silent_routers = 15;
         let extended = InternetBuilder::new(config).build();
         assert_eq!(extended.devices().len(), base.devices().len() + 15,);
-        for (a, b) in base.devices().iter().zip(extended.devices()) {
-            assert_eq!(a.kind, b.kind);
-            assert_eq!(a.interfaces, b.interfaces);
-            assert_eq!(a.responds_to_ping, b.responds_to_ping);
-            assert_eq!(a.icmp_limit, b.icmp_limit);
+        for (a, b) in base.devices().zip(extended.devices()) {
+            assert_eq!(a.kind(), b.kind());
+            assert_eq!(a.interfaces(), b.interfaces());
+            assert_eq!(a.responds_to_ping(), b.responds_to_ping());
+            assert_eq!(a.icmp_limit(), b.icmp_limit());
         }
     }
 

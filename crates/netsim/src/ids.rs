@@ -30,10 +30,6 @@ impl fmt::Display for DeviceId {
     }
 }
 
-/// Index of an interface within a device.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub struct InterfaceIndex(pub u16);
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -9,7 +9,7 @@
 
 use crate::clock::SimTime;
 use crate::config::InternetConfig;
-use crate::device::{Device, DeviceKind};
+use crate::device::{DeviceKind, DeviceRef, DeviceTable, BGP, SNMP, SSH, SSH_DIVERGENT};
 use crate::ground_truth::{GroundTruth, PairwiseScore};
 use crate::ids::{Asn, DeviceId};
 use crate::ipid::{IpidModel, IpidState};
@@ -117,15 +117,14 @@ pub struct EchoObservation {
     pub time: SimTime,
 }
 
-/// One device's row of the probe-state column: the three things an
-/// identifier probe reads.  The two flags are copies of the [`Device`]'s
-/// (fixed at build time); the counter state is the one piece of the
-/// simulated Internet that probing mutates.
+/// The probe-state column: the one piece of the simulated Internet that
+/// probing mutates.  Every device's IPID counter state by [`DeviceId`],
+/// and the per-interface probe counts of the `PerInterface` model, one per
+/// interface of the interface column.
 #[derive(Debug)]
 pub(crate) struct ProbeState {
-    pub(crate) visible_to_single_vp: bool,
-    pub(crate) responds_to_ping: bool,
-    pub(crate) ipid: IpidState,
+    pub(crate) ipid: Vec<IpidState>,
+    pub(crate) per_interface: Vec<u64>,
 }
 
 /// Exclusive access to every device's IPID counter state for a run of
@@ -140,54 +139,57 @@ pub(crate) struct ProbeState {
 /// one technique's sweep and drop it before calling anything that probes
 /// on its own.
 pub struct ProbeSession<'a> {
-    states: MutexGuard<'a, Vec<ProbeState>>,
+    devices: &'a DeviceTable,
+    state: MutexGuard<'a, ProbeState>,
 }
 
 impl ProbeSession<'_> {
     /// One identifier probe of an interface already resolved via
     /// [`Internet::lookup`] — the body behind [`Internet::icmp_echo`] and
     /// [`Internet::ipv6_fragment_probe`]: both families draw from the same
-    /// device-wide counter.  Visibility and `responds_to_ping` are checked
-    /// on every probe, and only an answered probe advances the counter.
+    /// device-wide counter.  Visibility and ping are checked on every
+    /// probe, and only an answered probe advances the counter.
     pub fn identifier_probe_at(
         &mut self,
         device_id: DeviceId,
         iface_idx: usize,
         ctx: &ProbeContext,
     ) -> Option<EchoObservation> {
-        let state = &mut self.states[device_id.index()];
-        let visible = match ctx.vantage {
-            VantageKind::SingleVp => state.visible_to_single_vp,
-            VantageKind::Distributed => true,
-        };
-        if !visible || !state.responds_to_ping {
+        if !self.devices.pingable(device_id, ctx.vantage) {
             return None;
         }
+        let ProbeState {
+            ipid,
+            per_interface,
+        } = &mut *self.state;
+        let per_interface = &mut per_interface[self.devices.range(device_id)];
         Some(EchoObservation {
-            ipid: state.ipid.next_ipid(ctx.time, iface_idx),
+            ipid: ipid[device_id.index()].next_ipid(ctx.time, iface_idx, per_interface),
             time: ctx.time,
         })
     }
 
-    /// A device's IPID counter state as it stands (tests compare two runs
-    /// through its `Debug` form).
-    pub fn ipid_state(&self, device_id: DeviceId) -> &IpidState {
-        &self.states[device_id.index()].ipid
+    /// A device's IPID counter state as it stands, with its per-interface
+    /// probe counts (tests compare two runs through its `Debug` form).
+    pub fn ipid_state(&self, device_id: DeviceId) -> (&IpidState, &[u64]) {
+        let per_interface = &self.state.per_interface[self.devices.range(device_id)];
+        (&self.state.ipid[device_id.index()], per_interface)
     }
 }
 
 /// The simulated Internet.
 pub struct Internet {
     config: InternetConfig,
-    devices: Vec<Device>,
-    /// The probe-state column, indexed by [`DeviceId`]: everything an
-    /// identifier probe reads or writes, behind one lock.
-    probe_states: Mutex<Vec<ProbeState>>,
+    /// Every device and interface, as columns.
+    devices: DeviceTable,
+    /// Everything an identifier probe writes, behind one lock.
+    probe_state: Mutex<ProbeState>,
     ases: Vec<AutonomousSystem>,
     /// The IP index, IPv4 half: the routed space and its slot table.
     space: RoutedSpace,
-    /// The IP index, IPv6 half (hitlist-sized, never on a sweep).
-    v6_index: HashMap<Ipv6Addr, (DeviceId, usize)>,
+    /// The IP index, IPv6 half (hitlist-sized, never on a sweep): each
+    /// address's position in the interface column.
+    v6_index: HashMap<Ipv6Addr, u32>,
     ssh_profiles: Vec<SshProfile>,
     bgp_profiles: Vec<BgpProfile>,
     /// Simulated time each device last (re)booted, for SNMP engine time.
@@ -198,26 +200,29 @@ impl Internet {
     /// Assemble an Internet from generated parts (used by the builder).
     pub(crate) fn from_parts(
         config: InternetConfig,
-        devices: Vec<Device>,
-        probe_states: Vec<ProbeState>,
+        devices: DeviceTable,
+        ipid: Vec<IpidState>,
         ases: Vec<AutonomousSystem>,
         ssh_profiles: Vec<SshProfile>,
         bgp_profiles: Vec<BgpProfile>,
     ) -> Self {
-        assert_eq!(devices.len(), probe_states.len());
+        assert_eq!(devices.rows.len(), ipid.len());
         let space = RoutedSpace::new(ases.iter().map(|a| a.ipv4_prefix).collect(), &devices);
-        let mut v6_index = HashMap::new();
-        for device in &devices {
-            for (iface_idx, iface) in device.interfaces.iter().enumerate() {
-                if let IpAddr::V6(addr) = iface.addr {
-                    v6_index.insert(addr, (device.id, iface_idx));
-                }
-            }
-        }
+        let v6 = devices.ifaces.iter().enumerate();
+        let v6_index = v6
+            .filter_map(|(position, iface)| match iface.addr {
+                IpAddr::V6(addr) => Some((addr, position as u32)),
+                IpAddr::V4(_) => None,
+            })
+            .collect();
+        let per_interface = vec![0; devices.ifaces.len()];
         Internet {
             config,
             devices,
-            probe_states: Mutex::new(probe_states),
+            probe_state: Mutex::new(ProbeState {
+                ipid,
+                per_interface,
+            }),
             ases,
             space,
             v6_index,
@@ -232,14 +237,15 @@ impl Internet {
         &self.config
     }
 
-    /// All devices.
-    pub fn devices(&self) -> &[Device] {
-        &self.devices
+    /// All devices, in id order.
+    pub fn devices(&self) -> impl ExactSizeIterator<Item = DeviceRef<'_>> + Clone {
+        let ids = 0..self.devices.rows.len() as u32;
+        ids.map(|id| self.devices.get(DeviceId(id)))
     }
 
     /// A device by id.
-    pub fn device(&self, id: DeviceId) -> &Device {
-        &self.devices[id.index()]
+    pub fn device(&self, id: DeviceId) -> DeviceRef<'_> {
+        self.devices.get(id)
     }
 
     /// All autonomous systems.
@@ -249,14 +255,14 @@ impl Internet {
 
     /// Number of addresses in the index.
     pub fn address_count(&self) -> usize {
-        self.space.owner_count() + self.v6_index.len()
+        self.devices.ifaces.len()
     }
 
     /// The device and interface index owning `addr`.
     pub fn lookup(&self, addr: IpAddr) -> Option<(DeviceId, usize)> {
         match addr {
             IpAddr::V4(v4) => self.space.owner_at(self.space.index_of(v4)?),
-            IpAddr::V6(v6) => self.v6_index.get(&v6).copied(),
+            IpAddr::V6(v6) => self.v6_index.get(&v6).map(|&iface| self.space.owner(iface)),
         }
     }
 
@@ -277,26 +283,25 @@ impl Internet {
     /// [`Self::lookup`] — lets a scanner that probes and attributes the same
     /// address pay the index lookup once.
     pub fn asn_at(&self, device_id: DeviceId, iface_idx: usize) -> Asn {
-        self.device(device_id).interfaces[iface_idx].asn
+        self.devices.ifaces[self.devices.range(device_id)][iface_idx].asn
     }
 
     /// Every IPv6 address on which at least one service answers — the
-    /// population an ideal IPv6 hitlist would contain.
+    /// population an ideal IPv6 hitlist would contain, sorted.  One walk of
+    /// the interface column counts them and a second fills the output, its
+    /// one allocation.
     pub fn active_ipv6_service_addrs(&self) -> Vec<Ipv6Addr> {
-        let mut out = Vec::new();
-        for device in &self.devices {
-            for addr in device
-                .ssh_responding_addrs()
-                .into_iter()
-                .chain(device.bgp_responding_addrs())
-                .chain(device.snmp_responding_addrs())
-            {
-                if let IpAddr::V6(v6) = addr {
-                    out.push(v6);
-                }
-            }
-        }
-        out.sort();
+        let table = &self.devices;
+        let answering = || {
+            let ifaces = table.ifaces.iter().zip(&table.answers);
+            ifaces.filter_map(|(iface, &answers)| match iface.addr {
+                IpAddr::V6(v6) if answers & (SSH | BGP | SNMP) != 0 => Some(v6),
+                _ => None,
+            })
+        };
+        let mut out = Vec::with_capacity(answering().count());
+        out.extend(answering());
+        out.sort_unstable();
         out.dedup();
         out
     }
@@ -311,13 +316,6 @@ impl Internet {
         &self.bgp_profiles
     }
 
-    fn device_visible(&self, device: &Device, ctx: &ProbeContext) -> bool {
-        match ctx.vantage {
-            VantageKind::SingleVp => device.visible_to_single_vp,
-            VantageKind::Distributed => true,
-        }
-    }
-
     /// Send a TCP SYN to `dst:port`.
     pub fn syn_probe(&self, dst: IpAddr, port: u16, ctx: &ProbeContext) -> SynResult {
         let Some((device_id, iface_idx)) = self.lookup(dst) else {
@@ -329,7 +327,8 @@ impl Internet {
     /// [`Self::syn_probe`] against an interface already resolved via
     /// [`Self::lookup`].  A sweep over a mostly-unpopulated address space
     /// resolves each address once, skips the (vast) unrouted majority, and
-    /// probes the hits without re-hashing the address per port.
+    /// probes the hits by reading one device flag byte and one interface
+    /// answer byte.
     pub fn syn_probe_at(
         &self,
         device_id: DeviceId,
@@ -337,16 +336,15 @@ impl Internet {
         port: u16,
         ctx: &ProbeContext,
     ) -> SynResult {
-        let device = self.device(device_id);
-        if !self.device_visible(device, ctx) {
+        if !self.devices.visible(device_id, ctx.vantage) {
             return SynResult::Timeout;
         }
-        let open = match port {
-            SSH_PORT => device.ssh_responds_on(iface_idx),
-            BGP_PORT => device.bgp_responds_on(iface_idx),
-            _ => false,
+        let service = match port {
+            SSH_PORT => SSH,
+            BGP_PORT => BGP,
+            _ => 0,
         };
-        if open {
+        if self.devices.answers_at(device_id, iface_idx) & service != 0 {
             SynResult::SynAck
         } else {
             SynResult::Rst
@@ -361,24 +359,13 @@ impl Internet {
     /// data (the silent BGP majority).
     pub fn service_session(&self, dst: IpAddr, port: u16, ctx: &ProbeContext) -> Option<Vec<u8>> {
         let (device_id, iface_idx) = self.lookup(dst)?;
-        self.service_session_at(device_id, iface_idx, port, ctx)
-    }
-
-    /// [`Self::service_session`] against an interface already resolved via
-    /// [`Self::lookup`].
-    pub fn service_session_at(
-        &self,
-        device_id: DeviceId,
-        iface_idx: usize,
-        port: u16,
-        ctx: &ProbeContext,
-    ) -> Option<Vec<u8>> {
         let mut out = Vec::new();
         self.service_session_into(device_id, iface_idx, port, ctx, &mut out)
             .then_some(out)
     }
 
-    /// [`Self::service_session_at`], capturing the session bytes into a
+    /// [`Self::service_session`] against an interface already resolved via
+    /// [`Self::lookup`], capturing the session bytes into a
     /// caller-owned buffer (cleared first) so a scan loop can reuse one
     /// allocation across targets.  Returns whether a service answered at
     /// all; an accepted-then-silent session (the silent BGP majority)
@@ -392,34 +379,30 @@ impl Internet {
         out: &mut Vec<u8>,
     ) -> bool {
         out.clear();
-        let device = self.device(device_id);
-        if !self.device_visible(device, ctx) {
+        if !self.devices.visible(device_id, ctx.vantage) {
             return false;
         }
+        let answers = self.devices.answers_at(device_id, iface_idx);
+        let row = &self.devices.rows[device_id.index()];
         match port {
-            SSH_PORT if device.ssh_responds_on(iface_idx) => {
-                let ssh = device.ssh.as_ref().expect("responds implies configured");
+            SSH_PORT if answers & SSH != 0 => {
+                let ssh = row.ssh.as_ref().expect("answers imply configured");
                 let profile = &self.ssh_profiles[ssh.profile.0 as usize];
-                let divergent = if ssh.divergent_capability_ifaces.contains(&iface_idx) {
-                    ssh.divergent_profile
-                        .map(|p| &self.ssh_profiles[p.0 as usize])
-                } else {
-                    None
+                let divergent = match ssh.divergent_profile {
+                    Some(other) if answers & SSH_DIVERGENT != 0 => {
+                        Some(&self.ssh_profiles[other.0 as usize])
+                    }
+                    _ => None,
                 };
                 let cookie_seed = (device_id.0 as u64) << 32
                     | (iface_idx as u64) << 16
                     | (ctx.time.as_millis() & 0xffff);
-                services::ssh_session_bytes_into(
-                    profile,
-                    divergent,
-                    &ssh.host_key,
-                    cookie_seed,
-                    out,
-                );
+                let host_key = self.devices.host_key(ssh);
+                services::ssh_session_bytes_into(profile, divergent, host_key, cookie_seed, out);
                 true
             }
-            BGP_PORT if device.bgp_responds_on(iface_idx) => {
-                let bgp = device.bgp.as_ref().expect("responds implies configured");
+            BGP_PORT if answers & BGP != 0 => {
+                let bgp = row.bgp.as_ref().expect("answers imply configured");
                 let profile = &self.bgp_profiles[bgp.profile.0 as usize];
                 services::bgp_session_bytes_into(profile, bgp.bgp_identifier, bgp.asn, out);
                 true
@@ -463,13 +446,15 @@ impl Internet {
         out: &mut Vec<u8>,
     ) -> bool {
         out.clear();
-        let device = self.device(device_id);
-        if !self.device_visible(device, ctx) || !device.snmp_responds_on(iface_idx) {
+        if !self.devices.visible(device_id, ctx.vantage)
+            || self.devices.answers_at(device_id, iface_idx) & SNMP == 0
+        {
             return false;
         }
-        let snmp = device.snmp.as_ref().expect("responds implies configured");
+        let row = &self.devices.rows[device_id.index()];
+        let snmp = row.snmp.as_ref().expect("answers imply configured");
         services::snmp_report_into(
-            &snmp.engine_id,
+            self.devices.engine_id(snmp),
             snmp.engine_boots,
             self.boot_time,
             ctx.time,
@@ -492,14 +477,15 @@ impl Internet {
     /// [`ProbeSession`] for who may hold one and for how long.
     pub fn probe_session(&self) -> ProbeSession<'_> {
         ProbeSession {
-            states: self.probe_states.lock(),
+            devices: &self.devices,
+            state: self.probe_state.lock(),
         }
     }
 
     /// The IPID counter model of a device (takes the column's lock for the
     /// read, so not while a [`ProbeSession`] is alive on this thread).
     pub fn ipid_model(&self, device_id: DeviceId) -> IpidModel {
-        self.probe_session().ipid_state(device_id).model()
+        self.probe_state.lock().ipid[device_id.index()].model()
     }
 
     /// [`ProbeSession::identifier_probe_at`] as a session of one probe.
@@ -539,10 +525,10 @@ impl Internet {
     }
 
     /// [`Self::ping_responds`] for a device already resolved via
-    /// [`Self::lookup`] or [`RoutedSpace::owner_at`].
+    /// [`Self::lookup`] or [`RoutedSpace::owner_at`]: one read of its flag
+    /// byte.
     pub fn ping_responds_at(&self, device_id: DeviceId, ctx: &ProbeContext) -> bool {
-        let device = self.device(device_id);
-        self.device_visible(device, ctx) && device.responds_to_ping
+        self.devices.pingable(device_id, ctx.vantage)
     }
 
     /// Probe `dst` (IPv4) with `count` evenly paced ICMP echo requests at
@@ -567,31 +553,6 @@ impl Internet {
         if !dst.is_ipv4() {
             return None;
         }
-        self.rate_burst_any_family(dst, rate_pps, count, ctx)
-    }
-
-    /// IPv6 twin of [`icmp_rate_burst`](Self::icmp_rate_burst): echo bursts
-    /// against an IPv6 interface drain the same router-wide limiter.
-    pub fn ipv6_rate_burst(
-        &self,
-        dst: IpAddr,
-        rate_pps: f64,
-        count: u32,
-        ctx: &ProbeContext,
-    ) -> Option<u32> {
-        if !dst.is_ipv6() {
-            return None;
-        }
-        self.rate_burst_any_family(dst, rate_pps, count, ctx)
-    }
-
-    fn rate_burst_any_family(
-        &self,
-        dst: IpAddr,
-        rate_pps: f64,
-        count: u32,
-        ctx: &ProbeContext,
-    ) -> Option<u32> {
         let (device_id, _) = self.lookup(dst)?;
         self.rate_burst_at(device_id, rate_pps, count, ctx)
     }
@@ -607,12 +568,11 @@ impl Internet {
         count: u32,
         ctx: &ProbeContext,
     ) -> Option<u32> {
-        let device = self.device(device_id);
-        if !self.device_visible(device, ctx) || !device.responds_to_ping {
+        if !self.ping_responds_at(device_id, ctx) {
             return None;
         }
         Some(crate::ratelimit::solo_burst_replies(
-            device.icmp_limit,
+            self.devices.rows[device_id.index()].icmp_limit,
             rate_pps,
             count,
         ))
@@ -635,50 +595,39 @@ impl Internet {
     ) -> Option<(u32, u32)> {
         let (device_a, _) = self.lookup(a)?;
         let (device_b, _) = self.lookup(b)?;
-        let dev_a = self.device(device_a);
-        let dev_b = self.device(device_b);
-        if !self.device_visible(dev_a, ctx)
-            || !dev_a.responds_to_ping
-            || !self.device_visible(dev_b, ctx)
-            || !dev_b.responds_to_ping
-        {
+        if !self.ping_responds_at(device_a, ctx) || !self.ping_responds_at(device_b, ctx) {
             return None;
         }
+        let limit = |device: DeviceId| self.devices.rows[device.index()].icmp_limit;
         if device_a == device_b {
             Some(crate::ratelimit::joint_burst_replies_shared(
-                dev_a.icmp_limit,
+                limit(device_a),
                 rate_pps,
                 count_per_addr,
             ))
         } else {
-            Some((
-                crate::ratelimit::solo_burst_replies(
-                    dev_a.icmp_limit,
-                    rate_pps / 2.0,
-                    count_per_addr,
-                ),
-                crate::ratelimit::solo_burst_replies(
-                    dev_b.icmp_limit,
-                    rate_pps / 2.0,
-                    count_per_addr,
-                ),
-            ))
+            let half = |device| {
+                crate::ratelimit::solo_burst_replies(limit(device), rate_pps / 2.0, count_per_addr)
+            };
+            Some((half(device_a), half(device_b)))
         }
     }
 
     /// Send a UDP datagram to a closed port on `dst` and observe the source
     /// address of the resulting ICMP port-unreachable (the iffinder /
-    /// common-source-address technique).  `None` means no error was returned.
+    /// common-source-address technique).  `None` means no error was
+    /// returned.  A device with a common error source answers from it only
+    /// in the probed address's family (an ICMPv6 error cannot leave from an
+    /// IPv4 address); otherwise it answers from the probed address.
     pub fn udp_closed_port_probe(&self, dst: IpAddr, ctx: &ProbeContext) -> Option<IpAddr> {
         let (device_id, _) = self.lookup(dst)?;
-        let device = self.device(device_id);
-        if !self.device_visible(device, ctx) || !device.responds_to_ping {
+        if !self.ping_responds_at(device_id, ctx) {
             return None;
         }
-        match device.icmp_error_source {
-            Some(iface_idx) => Some(device.interfaces[iface_idx].addr),
-            None => Some(dst),
-        }
+        let source = self.device(device_id).icmp_error_source();
+        let source = source.map(|iface| self.devices.ifaces[self.devices.range(device_id)][iface]);
+        let source = source.filter(|source| source.addr.is_ipv4() == dst.is_ipv4());
+        Some(source.map_or(dst, |source| source.addr))
     }
 
     /// Reassign addresses of dynamic devices to model address churn over the
@@ -702,24 +651,21 @@ impl Internet {
         // different order on every process run and break the seed
         // reproducibility guarantee.
         let mut pools: BTreeMap<Asn, Vec<DeviceId>> = BTreeMap::new();
-        for device in &self.devices {
-            if device.dynamic_addresses {
-                if let Some(iface) = device.interfaces.first() {
-                    if iface.addr.is_ipv4() {
-                        pools.entry(iface.asn).or_default().push(device.id);
-                    }
+        for device in self.devices().filter(|device| device.dynamic_addresses()) {
+            if let Some(iface) = device.interfaces().first() {
+                if iface.addr.is_ipv4() {
+                    pools.entry(iface.asn).or_default().push(device.id());
                 }
             }
         }
 
         let mut swapped = 0;
-        for (_, pool) in pools {
+        for (_, mut pool) in pools {
             if pool.len() < 2 {
                 continue;
             }
-            let mut shuffled = pool.clone();
-            shuffled.shuffle(&mut rng);
-            for pair in shuffled.chunks_exact(2) {
+            pool.shuffle(&mut rng);
+            for pair in pool.chunks_exact(2) {
                 if rand::Rng::gen_bool(&mut rng, prob) {
                     self.swap_first_v4(pair[0], pair[1]);
                     swapped += 1;
@@ -729,11 +675,13 @@ impl Internet {
         swapped
     }
 
+    /// Exchange the first interfaces' addresses of two devices, in the
+    /// interface column and in the slot table.
     fn swap_first_v4(&mut self, a: DeviceId, b: DeviceId) {
-        let addr_a = self.devices[a.index()].interfaces[0].addr;
-        let addr_b = self.devices[b.index()].interfaces[0].addr;
-        self.devices[a.index()].interfaces[0].addr = addr_b;
-        self.devices[b.index()].interfaces[0].addr = addr_a;
+        let [a, b] = [a, b].map(|device| self.devices.starts[device.index()] as usize);
+        let (addr_a, addr_b) = (self.devices.ifaces[a].addr, self.devices.ifaces[b].addr);
+        self.devices.ifaces[a].addr = addr_b;
+        self.devices.ifaces[b].addr = addr_a;
         let (IpAddr::V4(v4_a), IpAddr::V4(v4_b)) = (addr_a, addr_b) else {
             unreachable!("churn pools hold devices whose first interface is IPv4");
         };
@@ -744,9 +692,9 @@ impl Internet {
     pub fn ground_truth(&self) -> GroundTruth {
         let mut gt = GroundTruth::default();
         gt.owner.reserve(self.address_count());
-        for device in &self.devices {
-            for iface in &device.interfaces {
-                gt.insert(device.id, iface.addr);
+        for device in self.devices() {
+            for iface in device.interfaces() {
+                gt.insert(device.id(), iface.addr);
             }
         }
         gt
@@ -773,9 +721,14 @@ impl Internet {
     /// `stats` experiment binary and in tests).
     pub fn population_stats(&self) -> PopulationStats {
         let mut stats = PopulationStats::default();
-        for device in &self.devices {
+        for &answers in &self.devices.answers {
+            stats.ssh_responding_addrs += usize::from(answers & SSH != 0);
+            stats.bgp_responding_addrs += usize::from(answers & BGP != 0);
+            stats.snmp_responding_addrs += usize::from(answers & SNMP != 0);
+        }
+        for device in self.devices() {
             stats.devices += 1;
-            match device.kind {
+            match device.kind() {
                 DeviceKind::CloudVm => stats.cloud_vms += 1,
                 DeviceKind::CloudServer => stats.cloud_servers += 1,
                 DeviceKind::IspRouter => stats.isp_routers += 1,
@@ -787,17 +740,7 @@ impl Internet {
             if device.is_dual_stack() {
                 stats.dual_stack_devices += 1;
             }
-            // A respond mask is aligned with the interfaces; a flag past
-            // them answers on nothing.
-            let responding = |respond: &[bool]| {
-                let flags = respond.iter().take(device.interfaces.len());
-                flags.filter(|&&responds| responds).count()
-            };
-            stats.ssh_responding_addrs += device.ssh.as_ref().map_or(0, |s| responding(&s.respond));
-            stats.bgp_responding_addrs += device.bgp.as_ref().map_or(0, |s| responding(&s.respond));
-            stats.snmp_responding_addrs +=
-                device.snmp.as_ref().map_or(0, |s| responding(&s.respond));
-            if let Some(bgp) = &device.bgp {
+            if let Some(bgp) = device.bgp() {
                 let profile = &self.bgp_profiles[bgp.profile.0 as usize];
                 if profile.sends_open {
                     stats.bgp_open_senders += 1;
@@ -859,11 +802,10 @@ mod tests {
         let internet = tiny_internet();
         let device = internet
             .devices()
-            .iter()
-            .find(|d| !d.interfaces.is_empty())
+            .find(|d| !d.interfaces().is_empty())
             .expect("devices exist");
-        let iface = device.interfaces[0];
-        assert_eq!(internet.lookup(iface.addr), Some((device.id, 0)));
+        let iface = device.interfaces()[0];
+        assert_eq!(internet.lookup(iface.addr), Some((device.id(), 0)));
         assert_eq!(internet.ip_to_asn(iface.addr), Some(iface.asn));
         assert_eq!(internet.ip_to_asn("203.0.113.7".parse().unwrap()), None);
     }
@@ -874,7 +816,7 @@ mod tests {
         let ctx = ProbeContext::distributed(SimTime::from_secs(1));
         let mut saw_ssh = false;
         for device in internet.devices() {
-            for addr in device.ssh_responding_addrs() {
+            for addr in device.answering(ServiceProtocol::Ssh) {
                 assert_eq!(internet.syn_probe(addr, SSH_PORT, &ctx), SynResult::SynAck);
                 saw_ssh = true;
             }
@@ -883,11 +825,10 @@ mod tests {
         // An address that exists but has no BGP service answers RST.
         let non_bgp = internet
             .devices()
-            .iter()
-            .find(|d| d.bgp.is_none() && !d.interfaces.is_empty())
+            .find(|d| d.bgp().is_none() && !d.interfaces().is_empty())
             .unwrap();
         assert_eq!(
-            internet.syn_probe(non_bgp.interfaces[0].addr, BGP_PORT, &ctx),
+            internet.syn_probe(non_bgp.interfaces()[0].addr, BGP_PORT, &ctx),
             SynResult::Rst
         );
         // A hole in the address space times out.
@@ -906,7 +847,7 @@ mod tests {
         let mut single_count = 0;
         let mut distributed_count = 0;
         for device in internet.devices() {
-            for addr in device.ssh_responding_addrs() {
+            for addr in device.answering(ServiceProtocol::Ssh) {
                 if internet.syn_probe(addr, SSH_PORT, &single) == SynResult::SynAck {
                     single_count += 1;
                 }
@@ -923,12 +864,10 @@ mod tests {
     fn service_session_produces_parseable_ssh() {
         let internet = tiny_internet();
         let ctx = ProbeContext::distributed(SimTime::from_secs(5));
-        let device = internet
+        let addr = internet
             .devices()
-            .iter()
-            .find(|d| !d.ssh_responding_addrs().is_empty())
+            .find_map(|d| d.answering(ServiceProtocol::Ssh).next())
             .unwrap();
-        let addr = device.ssh_responding_addrs()[0];
         let bytes = internet.service_session(addr, SSH_PORT, &ctx).unwrap();
         let (banner, _) = alias_wire::ssh::Banner::parse(&bytes).unwrap();
         assert!(banner.is_v2() || !banner.software.is_empty());
@@ -939,12 +878,10 @@ mod tests {
         let internet = tiny_internet();
         let ctx = ProbeContext::distributed(SimTime::from_secs(9));
         let request = Snmpv3Message::DiscoveryRequest { msg_id: 5 }.to_bytes();
-        let device = internet
+        let addr = internet
             .devices()
-            .iter()
-            .find(|d| !d.snmp_responding_addrs().is_empty())
+            .find_map(|d| d.answering(ServiceProtocol::Snmpv3).next())
             .expect("tiny preset has SNMP devices");
-        let addr = device.snmp_responding_addrs()[0];
         let reply = internet.snmp_probe(addr, &request, &ctx).unwrap();
         assert!(matches!(
             Snmpv3Message::parse(&reply).unwrap(),
@@ -965,12 +902,13 @@ mod tests {
         ] {
             let (mut listening, mut silent) = (0, 0);
             for device in internet.devices() {
-                let visible = internet.device_visible(device, &ctx);
-                for iface in 0..device.interfaces.len() {
-                    let reads = visible && device.snmp_responds_on(iface);
+                let visible =
+                    ctx.vantage == VantageKind::Distributed || device.visible_to_single_vp();
+                for iface in 0..device.interfaces().len() {
+                    let reads = visible && device.responds_on(ServiceProtocol::Snmpv3, iface);
                     let mut calls = 0;
                     let answered = internet.snmp_probe_into(
-                        device.id,
+                        device.id(),
                         iface,
                         || {
                             calls += 1;
@@ -986,7 +924,13 @@ mod tests {
                         calls += 1;
                         &b"not-snmp"[..]
                     };
-                    assert!(!internet.snmp_probe_into(device.id, iface, garbage, &ctx, &mut reply));
+                    assert!(!internet.snmp_probe_into(
+                        device.id(),
+                        iface,
+                        garbage,
+                        &ctx,
+                        &mut reply
+                    ));
                     assert!(reply.is_empty());
                     assert_eq!(calls, usize::from(reads));
                     if reads {
@@ -1005,8 +949,7 @@ mod tests {
         let internet = tiny_internet();
         let device = internet
             .devices()
-            .iter()
-            .find(|d| d.responds_to_ping && !d.ipv4_addrs().is_empty())
+            .find(|d| d.responds_to_ping() && !d.ipv4_addrs().is_empty())
             .unwrap();
         let addr = IpAddr::V4(device.ipv4_addrs()[0]);
         let a = internet
@@ -1017,7 +960,7 @@ mod tests {
             .unwrap();
         // For every model except Constant the two samples differ with
         // overwhelming probability; accept equality only for constant models.
-        let model = internet.ipid_model(device.id);
+        let model = internet.ipid_model(device.id());
         if !matches!(model, IpidModel::Constant(_)) {
             assert_ne!((a.ipid, a.time), (b.ipid, b.time));
         }
@@ -1028,17 +971,16 @@ mod tests {
         let internet = tiny_internet();
         let device = internet
             .devices()
-            .iter()
             .find(|d| {
-                d.responds_to_ping
+                d.responds_to_ping()
                     && !d.ipv4_addrs().is_empty()
-                    && d.interfaces.iter().any(|i| i.addr.is_ipv6())
-                    && internet.ipid_model(d.id).is_shared_monotonic()
+                    && d.interfaces().iter().any(|i| i.addr.is_ipv6())
+                    && internet.ipid_model(d.id()).is_shared_monotonic()
             })
             .expect("tiny preset has dual-stack shared-counter devices");
         let v4 = IpAddr::V4(device.ipv4_addrs()[0]);
         let v6 = device
-            .interfaces
+            .interfaces()
             .iter()
             .map(|i| i.addr)
             .find(IpAddr::is_ipv6)
@@ -1053,7 +995,7 @@ mod tests {
         // Alternating v4/v6 probes of a low-velocity shared counter draw
         // from one sequence: strictly increasing across the families.
         if internet
-            .ipid_model(device.id)
+            .ipid_model(device.id())
             .velocity()
             .unwrap_or(f64::MAX)
             < 100.0
@@ -1077,27 +1019,30 @@ mod tests {
         // each where it has them.
         let mut picked: Vec<(DeviceId, usize, IpAddr)> = Vec::new();
         let mut models = [0usize; 4];
-        for device in held.devices().iter().filter(|d| d.responds_to_ping) {
-            let slot = match held.ipid_model(device.id) {
+        for device in held.devices().filter(|d| d.responds_to_ping()) {
+            let slot = match held.ipid_model(device.id()) {
                 IpidModel::SharedMonotonic { .. } => 0,
                 IpidModel::PerInterface { .. } => 1,
                 IpidModel::Random => 2,
                 IpidModel::Constant(_) => 3,
             };
-            let v4 = device.interfaces.iter().enumerate();
+            let v4 = device.interfaces().iter().enumerate();
             let v4: Vec<_> = v4.filter(|(_, i)| i.addr.is_ipv4()).take(2).collect();
             if models[slot] < 2 && !v4.is_empty() {
                 models[slot] += 1;
-                picked.extend(v4.iter().map(|&(idx, i)| (device.id, idx, i.addr)));
+                picked.extend(v4.iter().map(|&(idx, i)| (device.id(), idx, i.addr)));
             }
         }
         assert_eq!(models, [2; 4], "the tiny population has every model");
         // And one device only the distributed vantage can see.
-        let hidden = (held.devices().iter())
-            .find(|d| d.responds_to_ping && !d.visible_to_single_vp && !d.ipv4_addrs().is_empty())
+        let hidden = held
+            .devices()
+            .find(|d| {
+                d.responds_to_ping() && !d.visible_to_single_vp() && !d.ipv4_addrs().is_empty()
+            })
             .expect("the tiny population has hosts one vantage point cannot see");
-        let iface = hidden.interfaces.iter().position(|i| i.addr.is_ipv4());
-        picked.extend(iface.map(|idx| (hidden.id, idx, hidden.interfaces[idx].addr)));
+        let iface = hidden.interfaces().iter().position(|i| i.addr.is_ipv4());
+        picked.extend(iface.map(|idx| (hidden.id(), idx, hidden.interfaces()[idx].addr)));
 
         let mut session = held.probe_session();
         let mut answered = [0usize; 2];
@@ -1119,12 +1064,44 @@ mod tests {
         let one_shot = one_shot.probe_session();
         for device in held.devices() {
             assert_eq!(
-                format!("{:?}", session.ipid_state(device.id)),
-                format!("{:?}", one_shot.ipid_state(device.id)),
+                format!("{:?}", session.ipid_state(device.id())),
+                format!("{:?}", one_shot.ipid_state(device.id())),
                 "device {:?}",
-                device.id
+                device.id()
             );
         }
+    }
+
+    #[test]
+    fn a_common_error_source_answers_only_in_the_probed_family() {
+        let internet = tiny_internet();
+        let ctx = ProbeContext::distributed(SimTime::from_secs(1));
+        let (mut v4, mut v6) = (0, 0);
+        for device in internet.devices().filter(|d| d.responds_to_ping()) {
+            let Some(source) = device.icmp_error_source() else {
+                continue;
+            };
+            let source = device.interfaces()[source].addr;
+            assert!(source.is_ipv4());
+            for iface in device.interfaces() {
+                let answer = internet.udp_closed_port_probe(iface.addr, &ctx);
+                if iface.addr.is_ipv4() {
+                    assert_eq!(answer, Some(source), "{}", iface.addr);
+                    v4 += 1;
+                } else {
+                    assert_eq!(
+                        answer,
+                        Some(iface.addr),
+                        "an ICMPv6 error from an IPv6 source"
+                    );
+                    v6 += 1;
+                }
+            }
+        }
+        assert!(
+            v4 > 10 && v6 > 2,
+            "{v4} IPv4 and {v6} IPv6 interfaces probed"
+        );
     }
 
     #[test]
@@ -1135,9 +1112,8 @@ mod tests {
         let mut internet = InternetBuilder::new(config).build();
         let before: Vec<(DeviceId, IpAddr)> = internet
             .devices()
-            .iter()
-            .filter(|d| d.dynamic_addresses)
-            .map(|d| (d.id, d.interfaces[0].addr))
+            .filter(|d| d.dynamic_addresses())
+            .map(|d| (d.id(), d.interfaces()[0].addr))
             .collect();
         assert!(before.len() >= 2);
         let swapped = internet.apply_churn(SimTime::ZERO, SimTime::from_days(21));
@@ -1147,8 +1123,8 @@ mod tests {
         );
         // The index still maps every address to the device now holding it.
         for device in internet.devices() {
-            for (idx, iface) in device.interfaces.iter().enumerate() {
-                assert_eq!(internet.lookup(iface.addr), Some((device.id, idx)));
+            for (idx, iface) in device.interfaces().iter().enumerate() {
+                assert_eq!(internet.lookup(iface.addr), Some((device.id(), idx)));
             }
         }
     }
@@ -1161,17 +1137,14 @@ mod tests {
         let ctx = ProbeContext::distributed(SimTime::from_secs(1));
         let silent = internet
             .devices()
-            .iter()
-            .find(|d| d.kind == DeviceKind::SilentRouter)
+            .find(|d| d.kind() == DeviceKind::SilentRouter)
             .unwrap();
         let v4 = IpAddr::V4(silent.ipv4_addrs()[0]);
         assert!(internet.ping_responds(v4, &ctx));
-        // Family routing mirrors icmp_echo / ipv6_fragment_probe.
-        assert!(internet.ipv6_rate_burst(v4, 256.0, 24, &ctx).is_none());
         let below = internet.icmp_rate_burst(v4, 50.0, 24, &ctx).unwrap();
         assert_eq!(below, 24, "a 50 pps burst never trips a silent limiter");
         let above = internet
-            .icmp_rate_burst(v4, silent.icmp_limit.rate_pps * 4.0, 24, &ctx)
+            .icmp_rate_burst(v4, silent.icmp_limit().rate_pps * 4.0, 24, &ctx)
             .unwrap();
         assert!(above < 24, "4x the limiter rate must lose probes");
         // Holes in the address space are unresponsive.
@@ -1188,8 +1161,7 @@ mod tests {
         let ctx = ProbeContext::distributed(SimTime::from_secs(1));
         let silents: Vec<_> = internet
             .devices()
-            .iter()
-            .filter(|d| d.kind == DeviceKind::SilentRouter && d.ipv4_addrs().len() >= 2)
+            .filter(|d| d.kind() == DeviceKind::SilentRouter && d.ipv4_addrs().len() >= 2)
             .collect();
         assert!(silents.len() >= 2);
         let dev = silents[0];
@@ -1229,8 +1201,8 @@ mod tests {
         let gt = internet.ground_truth();
         assert_eq!(gt.address_count(), internet.address_count());
         for device in internet.devices() {
-            for iface in &device.interfaces {
-                assert_eq!(gt.device_of(iface.addr), Some(device.id));
+            for iface in device.interfaces() {
+                assert_eq!(gt.device_of(iface.addr), Some(device.id()));
             }
         }
     }

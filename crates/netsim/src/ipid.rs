@@ -55,38 +55,27 @@ impl IpidModel {
     }
 }
 
-/// Mutable per-device IPID state.
+/// Mutable per-device IPID state.  The per-interface probe counts of the
+/// `PerInterface` model are not in it: they are one column over every
+/// interface, whose run for the device each [`Self::next_ipid`] is handed.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct IpidState {
     model: IpidModel,
     /// Base offset of the shared counter.
     base: u16,
-    /// How many interfaces the device has (a probe on a higher index counts
-    /// against the last one).
-    interfaces: usize,
     /// Number of probe-elicited packets sent so far (shared counter).
     probes_sent: u64,
-    /// Per-interface probe counts: one slot per interface (at least one)
-    /// under `PerInterface`, empty for every other model.
-    per_interface_probes: Vec<u64>,
     /// Seed for the `Random` model so sequences are reproducible.
     seed: u64,
 }
 
 impl IpidState {
-    /// Create fresh state for a device with `interfaces` interfaces.
-    /// Allocates only for the one model that counts per interface.
-    pub fn new(model: IpidModel, interfaces: usize, seed: u64) -> Self {
-        let per_interface_probes = match model {
-            IpidModel::PerInterface { .. } => vec![0; interfaces.max(1)],
-            _ => Vec::new(),
-        };
+    /// Create fresh state for a device.
+    pub fn new(model: IpidModel, seed: u64) -> Self {
         IpidState {
             model,
             base: (seed % 65_536) as u16,
-            interfaces,
             probes_sent: 0,
-            per_interface_probes,
             seed,
         }
     }
@@ -105,7 +94,10 @@ impl IpidState {
 
     /// Produce the IPID for a packet generated at simulated time `now` on
     /// interface `iface`, and account for the generated packet.
-    pub fn next_ipid(&mut self, now: SimTime, iface: usize) -> u16 {
+    /// `per_interface` holds the device's per-interface probe counts, one
+    /// per interface (at least one): a probe on a higher index counts
+    /// against the last one.
+    pub fn next_ipid(&mut self, now: SimTime, iface: usize, per_interface: &mut [u64]) -> u16 {
         match self.model {
             IpidModel::SharedMonotonic { velocity } => {
                 self.probes_sent += 1;
@@ -113,15 +105,11 @@ impl IpidState {
                 (self.base as u64 + background + self.probes_sent) as u16
             }
             IpidModel::PerInterface { velocity } => {
-                let idx = iface.min(self.interfaces.saturating_sub(1));
-                self.per_interface_probes[idx] += 1;
+                let idx = iface.min(per_interface.len() - 1);
+                per_interface[idx] += 1;
                 let background = (velocity * now.as_secs_f64()) as u64;
-                // A device without interfaces has no counter to offset.
-                let base = match self.interfaces {
-                    0 => 0,
-                    _ => self.per_interface_base(idx),
-                };
-                (base as u64 + background + self.per_interface_probes[idx]) as u16
+                let base = self.per_interface_base(idx);
+                (base as u64 + background + per_interface[idx]) as u16
             }
             IpidModel::Random => {
                 self.probes_sent += 1;
@@ -148,8 +136,9 @@ mod tests {
     use super::*;
 
     fn samples(state: &mut IpidState, iface: usize, n: usize, step_ms: u64) -> Vec<u16> {
+        let mut counts = [0; 4];
         (0..n)
-            .map(|i| state.next_ipid(SimTime(i as u64 * step_ms), iface))
+            .map(|i| state.next_ipid(SimTime(i as u64 * step_ms), iface, &mut counts))
             .collect()
     }
 
@@ -163,28 +152,28 @@ mod tests {
 
     #[test]
     fn shared_monotonic_is_monotonic_across_interfaces() {
-        let mut state = IpidState::new(IpidModel::SharedMonotonic { velocity: 10.0 }, 4, 42);
+        let mut state = IpidState::new(IpidModel::SharedMonotonic { velocity: 10.0 }, 42);
         let mut seq = Vec::new();
         for i in 0..100 {
-            seq.push(state.next_ipid(SimTime(i * 100), (i % 4) as usize));
+            seq.push(state.next_ipid(SimTime(i * 100), (i % 4) as usize, &mut [0; 4]));
         }
         assert!(is_monotonic_mod_2_16(&seq));
     }
 
     #[test]
     fn per_interface_counters_do_not_interleave_monotonically() {
-        let mut state = IpidState::new(IpidModel::PerInterface { velocity: 5.0 }, 2, 7);
+        let mut state = IpidState::new(IpidModel::PerInterface { velocity: 5.0 }, 7);
         // Individually monotonic...
         let a = samples(&mut state, 0, 50, 100);
         assert!(is_monotonic_mod_2_16(&a));
-        let mut state = IpidState::new(IpidModel::PerInterface { velocity: 5.0 }, 2, 7);
+        let mut state = IpidState::new(IpidModel::PerInterface { velocity: 5.0 }, 7);
         let b = samples(&mut state, 1, 50, 100);
         assert!(is_monotonic_mod_2_16(&b));
         // ...but the interleaved sequence jumps between the two bases.
-        let mut state = IpidState::new(IpidModel::PerInterface { velocity: 5.0 }, 2, 7);
-        let mut interleaved = Vec::new();
+        let mut state = IpidState::new(IpidModel::PerInterface { velocity: 5.0 }, 7);
+        let (mut interleaved, mut counts) = (Vec::new(), [0; 2]);
         for i in 0..60u64 {
-            interleaved.push(state.next_ipid(SimTime(i * 100), (i % 2) as usize));
+            interleaved.push(state.next_ipid(SimTime(i * 100), (i % 2) as usize, &mut counts));
         }
         assert!(!is_monotonic_mod_2_16(&interleaved));
     }
@@ -194,25 +183,26 @@ mod tests {
         // The first packet of interface `i` at time zero is its base + 1;
         // an index past the last interface counts against the last one.
         let seed = 0xfeed_f00d_u64;
-        let mut state = IpidState::new(IpidModel::PerInterface { velocity: 0.0 }, 3, seed);
+        let mut state = IpidState::new(IpidModel::PerInterface { velocity: 0.0 }, seed);
+        let mut counts = [0; 3];
         for i in 0..3u64 {
             let base = (seed.wrapping_mul(0x9e37_79b9).wrapping_add(i * 7919) % 65_536) as u16;
             assert_eq!(
-                state.next_ipid(SimTime::ZERO, i as usize),
+                state.next_ipid(SimTime::ZERO, i as usize, &mut counts),
                 base.wrapping_add(1)
             );
         }
-        let last = state.next_ipid(SimTime::ZERO, 2);
-        assert_eq!(state.next_ipid(SimTime::ZERO, 9), last.wrapping_add(1));
-        // No interfaces at all: one counter, offset by nothing.
-        let mut bare = IpidState::new(IpidModel::PerInterface { velocity: 0.0 }, 0, seed);
-        assert_eq!(bare.next_ipid(SimTime::ZERO, 4), 1);
-        assert_eq!(bare.next_ipid(SimTime::ZERO, 0), 2);
+        let last = state.next_ipid(SimTime::ZERO, 2, &mut counts);
+        assert_eq!(
+            state.next_ipid(SimTime::ZERO, 9, &mut counts),
+            last.wrapping_add(1)
+        );
+        assert_eq!(counts, [1, 1, 3]);
     }
 
     #[test]
     fn random_model_has_no_small_increments() {
-        let mut state = IpidState::new(IpidModel::Random, 1, 99);
+        let mut state = IpidState::new(IpidModel::Random, 99);
         let seq = samples(&mut state, 0, 200, 50);
         assert!(!is_monotonic_mod_2_16(&seq));
         // Values should cover a wide range of the space.
@@ -223,7 +213,7 @@ mod tests {
 
     #[test]
     fn constant_model_never_changes() {
-        let mut state = IpidState::new(IpidModel::Constant(0), 3, 1);
+        let mut state = IpidState::new(IpidModel::Constant(0), 1);
         assert!(samples(&mut state, 0, 20, 10).iter().all(|&v| v == 0));
     }
 
@@ -232,15 +222,15 @@ mod tests {
         // 40k increments per second with samples 1 s apart advances the
         // 16-bit counter by more than half its range every interval — the
         // "high velocity" failure mode the paper cites for MIDAR.
-        let mut state = IpidState::new(IpidModel::SharedMonotonic { velocity: 40_000.0 }, 1, 3);
+        let mut state = IpidState::new(IpidModel::SharedMonotonic { velocity: 40_000.0 }, 3);
         let seq = samples(&mut state, 0, 10, 1_000);
         assert!(!is_monotonic_mod_2_16(&seq));
     }
 
     #[test]
     fn determinism_per_seed() {
-        let mut a = IpidState::new(IpidModel::Random, 1, 1234);
-        let mut b = IpidState::new(IpidModel::Random, 1, 1234);
+        let mut a = IpidState::new(IpidModel::Random, 1234);
+        let mut b = IpidState::new(IpidModel::Random, 1234);
         assert_eq!(samples(&mut a, 0, 32, 17), samples(&mut b, 0, 32, 17));
     }
 

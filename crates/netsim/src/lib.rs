@@ -50,7 +50,7 @@ pub mod vantage;
 pub use builder::InternetBuilder;
 pub use clock::SimTime;
 pub use config::{InternetConfig, ScalePreset};
-pub use device::{Device, DeviceKind, Interface};
+pub use device::{DeviceKind, DeviceRef, Interface};
 pub use ground_truth::{GroundTruth, PairwiseScore};
 pub use ids::{Asn, DeviceId};
 pub use internet::{Internet, ProbeContext, ProbeSession, ServiceProtocol, SynResult};

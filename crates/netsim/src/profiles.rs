@@ -260,24 +260,47 @@ pub fn bgp_capabilities_for(profile: &BgpProfile, asn: u32) -> impl Iterator<Ite
     })
 }
 
-/// Pick an index from `weights` using `roll`, a uniformly random value in
-/// `[0, total_weight)`.
-pub fn pick_weighted(weights: &[u32], roll: u32) -> usize {
-    let total: u32 = weights.iter().sum();
-    debug_assert!(total > 0);
-    let mut remaining = roll % total.max(1);
-    for (idx, &w) in weights.iter().enumerate() {
-        if remaining < w {
-            return idx;
+/// Members drawn in proportion to their weights: a roll lands by binary
+/// search over the running totals, summed once when the set is built.
+#[derive(Debug, Clone)]
+pub struct WeightedSet {
+    members: Vec<usize>,
+    totals: Vec<u32>,
+}
+
+impl WeightedSet {
+    /// A set of `(member, weight)` pairs, at least one of them.
+    pub fn new(weighted: impl IntoIterator<Item = (usize, u32)>) -> Self {
+        let (members, mut totals): (Vec<usize>, Vec<u32>) = weighted.into_iter().unzip();
+        assert!(!members.is_empty(), "a weighted set needs a member");
+        let mut total = 0;
+        for weight in &mut totals {
+            total += *weight;
+            *weight = total;
         }
-        remaining -= w;
+        WeightedSet { members, totals }
     }
-    weights.len() - 1
+
+    /// The members, in the order they were given.
+    pub fn members(&self) -> &[usize] {
+        &self.members
+    }
+
+    /// The member `roll` (reduced modulo the total weight) lands on: the
+    /// first whose running total exceeds it, or the last when every weight
+    /// is zero.
+    pub fn pick(&self, roll: u32) -> usize {
+        let total = self.totals[self.totals.len() - 1];
+        let roll = roll % total.max(1);
+        let at = self.totals.partition_point(|&running| running <= roll);
+        self.members[at.min(self.members.len() - 1)]
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn ssh_profiles_have_distinct_fingerprints_per_vendor_family() {
@@ -339,13 +362,51 @@ mod tests {
         )));
     }
 
+    /// The pick as a linear scan, subtracting weight by weight.
+    fn linear_pick(weights: &[u32], roll: u32) -> usize {
+        let total: u32 = weights.iter().sum();
+        let mut remaining = roll % total.max(1);
+        for (idx, &w) in weights.iter().enumerate() {
+            if remaining < w {
+                return idx;
+            }
+            remaining -= w;
+        }
+        weights.len() - 1
+    }
+
+    fn indexed(weights: &[u32]) -> WeightedSet {
+        WeightedSet::new(weights.iter().copied().enumerate())
+    }
+
     #[test]
     fn weighted_pick_respects_bounds_and_weights() {
-        let weights = [1, 0, 3];
-        let picks: Vec<usize> = (0..4).map(|roll| pick_weighted(&weights, roll)).collect();
+        let set = indexed(&[1, 0, 3]);
+        let picks: Vec<usize> = (0..4).map(|roll| set.pick(roll)).collect();
         assert_eq!(picks, vec![0, 2, 2, 2]);
         // Never out of range, even for large rolls.
-        assert!(pick_weighted(&weights, u32::MAX) < weights.len());
+        assert!(set.pick(u32::MAX) < 3);
+        // Members are named, not positions.
+        assert_eq!(WeightedSet::new([(7, 0), (9, 2)]).pick(1), 9);
+    }
+
+    proptest! {
+        #[test]
+        fn the_binary_search_picks_what_the_linear_scan_picks(
+            weights in prop::collection::vec(
+                prop_oneof![Just(0u32), 0..4u32, 0..100_000u32],
+                1..40,
+            ),
+            rolls in prop::collection::vec(
+                prop_oneof![Just(u32::MAX), Just(0u32), any::<u32>()],
+                1..20,
+            ),
+        ) {
+            let set = indexed(&weights);
+            for roll in rolls {
+                prop_assert_eq!((roll, set.pick(roll)), (roll, linear_pick(&weights, roll)));
+            }
+        }
     }
 
     #[test]

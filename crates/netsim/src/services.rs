@@ -8,9 +8,9 @@
 use crate::clock::SimTime;
 use crate::profiles::{bgp_capabilities_for, BgpProfile, SshProfile};
 use alias_wire::bgp::{CeaseSubcode, NotificationMessage, OpenMessage, AS_TRANS};
-use alias_wire::snmp::{EngineId, Snmpv3Message};
+use alias_wire::snmp::Snmpv3Message;
 use alias_wire::ssh::hostkey::KexReply;
-use alias_wire::ssh::HostKey;
+use alias_wire::ssh::HostKeyRef;
 use std::net::Ipv4Addr;
 
 /// The server→client byte stream of one scripted SSH service-scan session:
@@ -23,7 +23,7 @@ use std::net::Ipv4Addr;
 pub fn ssh_session_bytes(
     profile: &SshProfile,
     divergent_profile: Option<&SshProfile>,
-    host_key: &HostKey,
+    host_key: HostKeyRef<'_>,
     cookie_seed: u64,
 ) -> Vec<u8> {
     let mut out = Vec::with_capacity(1024);
@@ -36,7 +36,7 @@ pub fn ssh_session_bytes(
 pub fn ssh_session_bytes_into(
     profile: &SshProfile,
     divergent_profile: Option<&SshProfile>,
-    host_key: &HostKey,
+    host_key: HostKeyRef<'_>,
     cookie_seed: u64,
     out: &mut Vec<u8>,
 ) {
@@ -90,7 +90,7 @@ pub fn bgp_session_bytes_into(
 /// engine-discovery request; returns `false`, writing nothing, if the
 /// request is not a well-formed discovery.
 pub fn snmp_report_into(
-    engine_id: &EngineId,
+    engine_id: &[u8],
     engine_boots: i64,
     booted_at: SimTime,
     now: SimTime,
@@ -110,8 +110,10 @@ mod tests {
     use super::*;
     use crate::profiles::{bgp_profiles, ssh_profiles};
     use alias_wire::bgp::BgpMessage;
-    use alias_wire::snmp::UsmSecurityParameters;
-    use alias_wire::ssh::{Banner, HostKeyAlgorithm, KexInit, SshPacket, SSH_MSG_KEX_ECDH_REPLY};
+    use alias_wire::snmp::{EngineId, UsmSecurityParameters};
+    use alias_wire::ssh::{
+        Banner, HostKey, HostKeyAlgorithm, KexInit, SshPacket, SSH_MSG_KEX_ECDH_REPLY,
+    };
 
     fn key() -> HostKey {
         HostKey::new(HostKeyAlgorithm::Ed25519, (0..32).collect())
@@ -120,7 +122,7 @@ mod tests {
     #[test]
     fn ssh_session_is_parseable_end_to_end() {
         let profiles = ssh_profiles();
-        let bytes = ssh_session_bytes(&profiles[0], None, &key(), 42);
+        let bytes = ssh_session_bytes(&profiles[0], None, key().as_ref(), 42);
         let (banner, consumed) = Banner::parse(&bytes).unwrap();
         assert_eq!(banner, profiles[0].banner);
         let packets = SshPacket::parse_stream(&bytes[consumed..]);
@@ -152,9 +154,9 @@ mod tests {
             let cookie: [u8; 16] =
                 std::array::from_fn(|i| cookie_seed[i % 8] ^ (i as u8).wrapping_mul(37));
             profile.kexinit.emit_packet(&cookie, &mut expected);
-            KexReply::emit_packet_from(&host_key, &ephemeral, &[0xa5; 64], &mut expected);
+            KexReply::emit_packet_from(host_key.as_ref(), &ephemeral, &[0xa5; 64], &mut expected);
             assert_eq!(
-                ssh_session_bytes(profile, None, &host_key, 99),
+                ssh_session_bytes(profile, None, host_key.as_ref(), 99),
                 expected,
                 "{len}"
             );
@@ -165,7 +167,7 @@ mod tests {
     fn an_empty_host_key_gives_a_session_without_one() {
         let profiles = ssh_profiles();
         let empty = HostKey::new(HostKeyAlgorithm::Ed25519, Vec::new());
-        let bytes = ssh_session_bytes(&profiles[0], None, &empty, 7);
+        let bytes = ssh_session_bytes(&profiles[0], None, empty.as_ref(), 7);
         let (banner, consumed) = Banner::parse(&bytes).unwrap();
         assert_eq!(banner, profiles[0].banner);
         let packets = SshPacket::parse_stream(&bytes[consumed..]);
@@ -184,7 +186,7 @@ mod tests {
             .iter()
             .find(|p| p.name.starts_with("dropbear"))
             .unwrap();
-        let bytes = ssh_session_bytes(&profiles[0], Some(dropbear), &key(), 1);
+        let bytes = ssh_session_bytes(&profiles[0], Some(dropbear), key().as_ref(), 1);
         let (banner, consumed) = Banner::parse(&bytes).unwrap();
         assert_eq!(banner, dropbear.banner);
         let packets = SshPacket::parse_stream(&bytes[consumed..]);
@@ -199,8 +201,8 @@ mod tests {
     #[test]
     fn ssh_cookie_varies_with_seed_but_fingerprint_does_not() {
         let profiles = ssh_profiles();
-        let a = ssh_session_bytes(&profiles[0], None, &key(), 1);
-        let b = ssh_session_bytes(&profiles[0], None, &key(), 2);
+        let a = ssh_session_bytes(&profiles[0], None, key().as_ref(), 1);
+        let b = ssh_session_bytes(&profiles[0], None, key().as_ref(), 2);
         assert_ne!(a, b);
         let parse_fp = |bytes: &[u8]| {
             let (_, consumed) = Banner::parse(bytes).unwrap();
@@ -263,7 +265,12 @@ mod tests {
         let now = SimTime::from_days(3);
         let mut reply = Vec::new();
         assert!(snmp_report_into(
-            &engine, 4, booted, now, &request, &mut reply
+            engine.as_bytes(),
+            4,
+            booted,
+            now,
+            &request,
+            &mut reply
         ));
         match Snmpv3Message::parse(&reply).unwrap() {
             Snmpv3Message::Report { msg_id, usm, .. } => {
@@ -281,7 +288,14 @@ mod tests {
         let engine = EngineId::from_enterprise_mac(9, [1, 2, 3, 4, 5, 6]);
         let mut reply = Vec::new();
         let (t0, out) = (SimTime::ZERO, &mut reply);
-        assert!(!snmp_report_into(&engine, 1, t0, t0, b"junk", out));
+        assert!(!snmp_report_into(
+            engine.as_bytes(),
+            1,
+            t0,
+            t0,
+            b"junk",
+            out
+        ));
         // A Report is not a discovery request.
         let usm = UsmSecurityParameters {
             engine_id: engine.clone(),
@@ -290,7 +304,8 @@ mod tests {
             user_name: vec![],
         };
         let not_a_request = Snmpv3Message::report_for(1, usm, 0).to_bytes();
-        assert!(!snmp_report_into(&engine, 1, t0, t0, &not_a_request, out));
+        let engine = engine.as_bytes();
+        assert!(!snmp_report_into(engine, 1, t0, t0, &not_a_request, out));
         assert!(reply.is_empty());
     }
 }

@@ -5,13 +5,14 @@
 //! every routed IPv4 prefix, treated as one index space `[0, len)`.
 //! [`RoutedSpace`] maps indices to addresses and back, and is also the IPv4
 //! half of the simulator's IP index: a dense slot table says, for every
-//! index, which device interface holds that address, if any.  A sweep walks
-//! *indices* and asks [`RoutedSpace::owner_at`] — one table read, no hashing
-//! — and turns an index into an address only for the minority that exist.
+//! index, which interface of the Internet's interface column holds that
+//! address, if any.  A sweep walks *indices* and asks
+//! [`RoutedSpace::owner_at`] — two column reads, no hashing, no device — and
+//! turns an index into an address only for the minority that exist.
 //! Addresses are never materialised as a list: at the larger scale tiers the
 //! space runs to tens of millions of them.
 
-use crate::device::Device;
+use crate::device::DeviceTable;
 use crate::ids::DeviceId;
 use crate::topology::Ipv4Prefix;
 use std::net::{IpAddr, Ipv4Addr};
@@ -29,21 +30,23 @@ pub struct RoutedSpace {
     /// `offsets[i]` is the index of `prefixes[i]`'s first address.
     offsets: Vec<u64>,
     total: u64,
-    /// Per routed address: its entry in `owners`, or [`VACANT`].
+    /// Per routed address: the position of its interface in the interface
+    /// column, or [`VACANT`].
     slots: Vec<u32>,
-    /// `(device, interface index)` of every IPv4 interface.
+    /// Per position in the interface column, of either family: the device
+    /// and its interface index there — the IP index's answer.
     owners: Vec<(DeviceId, u32)>,
 }
 
 impl RoutedSpace {
     /// Flatten `prefixes` (the ASes' announcements, in AS order) and index
-    /// every IPv4 interface of `devices`.
+    /// every interface of `devices`.
     ///
     /// # Panics
     /// Panics if the prefixes overlap or are not in ascending order, or if
     /// an IPv4 interface lies outside all of them: the builder allocates
     /// prefixes bottom-up and addresses only from inside them.
-    pub(crate) fn new(prefixes: Vec<Ipv4Prefix>, devices: &[Device]) -> Self {
+    pub(crate) fn new(prefixes: Vec<Ipv4Prefix>, devices: &DeviceTable) -> Self {
         let mut offsets = Vec::with_capacity(prefixes.len());
         let mut total: u64 = 0;
         let mut next_free: u64 = 0;
@@ -62,19 +65,21 @@ impl RoutedSpace {
             offsets,
             total,
             slots: vec![VACANT; total as usize],
-            owners: Vec::new(),
+            owners: Vec::with_capacity(devices.ifaces.len()),
         };
-        for device in devices {
-            for (iface_idx, iface) in device.interfaces.iter().enumerate() {
-                let IpAddr::V4(addr) = iface.addr else {
-                    continue;
-                };
-                let index = space
-                    .index_of(addr)
-                    .unwrap_or_else(|| panic!("{addr} of {:?} is not routed", device.id));
-                space.slots[index as usize] = space.owners.len() as u32;
-                space.owners.push((device.id, iface_idx as u32));
-            }
+        for (device, run) in devices.starts.windows(2).enumerate() {
+            let owner = DeviceId(device as u32);
+            space
+                .owners
+                .extend((0..run[1] - run[0]).map(|iface| (owner, iface)));
+        }
+        for (position, iface) in devices.ifaces.iter().enumerate() {
+            let IpAddr::V4(addr) = iface.addr else {
+                continue;
+            };
+            let index = space.index_of(addr);
+            let index = index.unwrap_or_else(|| panic!("{addr} is not routed"));
+            space.slots[index as usize] = position as u32;
         }
         space
     }
@@ -87,11 +92,6 @@ impl RoutedSpace {
     /// Whether the space holds no addresses.
     pub fn is_empty(&self) -> bool {
         self.total == 0
-    }
-
-    /// Number of addresses an interface holds.
-    pub(crate) fn owner_count(&self) -> usize {
-        self.owners.len()
     }
 
     #[cold]
@@ -144,10 +144,14 @@ impl RoutedSpace {
         let Some(&slot) = self.slots.get(index as usize) else {
             self.out_of_range(index)
         };
-        (slot != VACANT).then(|| {
-            let (device_id, iface_idx) = self.owners[slot as usize];
-            (device_id, iface_idx as usize)
-        })
+        (slot != VACANT).then(|| self.owner(slot))
+    }
+
+    /// The device and interface index of position `iface` of the interface
+    /// column.
+    pub(crate) fn owner(&self, iface: u32) -> (DeviceId, usize) {
+        let (device_id, iface_idx) = self.owners[iface as usize];
+        (device_id, iface_idx as usize)
     }
 
     /// Exchange the owners of two routed addresses (address churn).
@@ -280,8 +284,8 @@ mod tests {
     fn oracle(internet: &Internet) -> BTreeMap<IpAddr, (DeviceId, usize)> {
         let mut map = BTreeMap::new();
         for device in internet.devices() {
-            for (iface_idx, iface) in device.interfaces.iter().enumerate() {
-                map.insert(iface.addr, (device.id, iface_idx));
+            for (iface_idx, iface) in device.interfaces().iter().enumerate() {
+                map.insert(iface.addr, (device.id(), iface_idx));
             }
         }
         map
@@ -308,7 +312,8 @@ mod tests {
             assert_eq!(space.addr_at(index as u64), addr, "{label} {index}");
             hits += usize::from(expected.is_some());
         }
-        assert_eq!(hits, space.owner_count(), "{label}");
+        let v4 = oracle.keys().filter(|addr| addr.is_ipv4()).count();
+        assert_eq!(hits, v4, "{label}");
         let mut v6 = 0usize;
         for (&addr, &owner) in &oracle {
             if addr.is_ipv6() {

@@ -18,42 +18,3 @@ pub enum VantageKind {
     /// A distributed scanning fleet (Censys-like).
     Distributed,
 }
-
-/// A vantage point description.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct VantagePoint {
-    /// Human-readable label, e.g. `"de-fra-dc1"`.
-    pub label: String,
-    /// The infrastructure kind.
-    pub kind: VantageKind,
-}
-
-impl VantagePoint {
-    /// The single vantage point used by the active measurements.
-    pub fn active_default() -> Self {
-        VantagePoint {
-            label: "de-datacenter-vp1".to_owned(),
-            kind: VantageKind::SingleVp,
-        }
-    }
-
-    /// The distributed vantage used for Censys-like snapshots.
-    pub fn distributed() -> Self {
-        VantagePoint {
-            label: "distributed-fleet".to_owned(),
-            kind: VantageKind::Distributed,
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn default_vantages() {
-        assert_eq!(VantagePoint::active_default().kind, VantageKind::SingleVp);
-        assert_eq!(VantagePoint::distributed().kind, VantageKind::Distributed);
-        assert!(!VantagePoint::active_default().label.is_empty());
-    }
-}

@@ -282,8 +282,7 @@ mod tests {
 
         let mut silent_addrs: Vec<IpAddr> = internet
             .devices()
-            .iter()
-            .filter(|d| d.kind == DeviceKind::SilentRouter)
+            .filter(|d| d.kind() == DeviceKind::SilentRouter)
             .flat_map(|d| d.ipv4_addrs().into_iter().map(IpAddr::V4))
             .collect();
         silent_addrs.sort_unstable();
@@ -293,7 +292,7 @@ mod tests {
         // covering all of its IPv4 interfaces.
         let sets = result.alias_sets();
         for device in internet.devices() {
-            if device.kind != DeviceKind::SilentRouter {
+            if device.kind() != DeviceKind::SilentRouter {
                 continue;
             }
             let v4: Vec<IpAddr> = device.ipv4_addrs().into_iter().map(IpAddr::V4).collect();
@@ -303,7 +302,7 @@ mod tests {
             assert!(
                 sets.iter().any(|s| v4.iter().all(|a| s.contains(a))),
                 "silent router {:?} not aliased",
-                device.id
+                device.id()
             );
         }
 

@@ -278,15 +278,16 @@ mod tests {
         use std::net::IpAddr;
 
         let internet = tiny_internet(48);
-        let hidden: Vec<IpAddr> = (internet.devices().iter())
+        let hidden: Vec<IpAddr> = internet
+            .devices()
             .filter(|d| {
-                let model = internet.ipid_model(d.id);
-                !d.visible_to_single_vp
-                    && d.responds_to_ping
+                let model = internet.ipid_model(d.id());
+                !d.visible_to_single_vp()
+                    && d.responds_to_ping()
                     && model.is_shared_monotonic()
                     && model.velocity().is_some_and(|v| v < 300.0)
             })
-            .flat_map(|d| d.ssh_responding_addrs())
+            .flat_map(|d| d.answering(alias_netsim::ServiceProtocol::Ssh))
             .filter(IpAddr::is_ipv4)
             .collect();
         assert!(!hidden.is_empty(), "seed 48 has a hidden, usable counter");
@@ -338,9 +339,8 @@ mod tests {
 
         let mut silent_addrs: Vec<IpAddr> = internet
             .devices()
-            .iter()
-            .filter(|d| d.kind == DeviceKind::SilentRouter)
-            .flat_map(|d| d.interfaces.iter().map(|i| i.addr))
+            .filter(|d| d.kind() == DeviceKind::SilentRouter)
+            .flat_map(|d| d.interfaces().iter().map(|i| i.addr))
             .collect();
         silent_addrs.sort_unstable();
         let mut ratelimit_covered = 0usize;

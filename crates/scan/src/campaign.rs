@@ -603,23 +603,13 @@ mod tests {
     fn observation_addresses_are_really_responsive_in_ground_truth() {
         let (internet, data) = campaign_data();
         for obs in data.store().select(None, None).iter() {
-            let (device_id, _) = internet
+            let (device_id, iface) = internet
                 .lookup(obs.addr)
                 .expect("observed address must exist");
+            // Rate observations need no identifier service — only an
+            // echo-responsive interface of the device.
             let device = internet.device(device_id);
-            let responding = match obs.protocol() {
-                ServiceProtocol::Ssh => device.ssh_responding_addrs(),
-                ServiceProtocol::Bgp => device.bgp_responding_addrs(),
-                ServiceProtocol::Snmpv3 => device.snmp_responding_addrs(),
-                // Rate observations need no identifier service — only an
-                // echo-responsive interface of the device.
-                ServiceProtocol::IcmpRateLimit => {
-                    assert!(device.responds_to_ping);
-                    assert!(device.interface_index(obs.addr).is_some());
-                    continue;
-                }
-            };
-            assert!(responding.contains(&obs.addr));
+            assert!(device.responds_on(obs.protocol(), iface), "{obs:?}");
         }
     }
 }

@@ -341,10 +341,9 @@ mod tests {
     fn pingable_device_addrs(internet: &Internet, shared_counter: bool) -> Option<Vec<IpAddr>> {
         internet
             .devices()
-            .iter()
             .find(|d| {
-                let model = internet.ipid_model(d.id);
-                d.responds_to_ping
+                let model = internet.ipid_model(d.id());
+                d.responds_to_ping()
                     && d.ipv4_addrs().len() >= 2
                     && model.is_shared_monotonic() == shared_counter
                     && model
@@ -373,8 +372,7 @@ mod tests {
         let internet = internet();
         let targets: Vec<IpAddr> = internet
             .devices()
-            .iter()
-            .filter(|d| d.responds_to_ping)
+            .filter(|d| d.responds_to_ping())
             .flat_map(|d| d.ipv4_addrs().into_iter().map(IpAddr::V4))
             .take(10)
             .collect();
@@ -482,10 +480,10 @@ mod tests {
         let (by_slot, by_device) = (reference.probe_session(), probed.probe_session());
         for device in probed.devices() {
             assert_eq!(
-                format!("{:?}", by_device.ipid_state(device.id)),
-                format!("{:?}", by_slot.ipid_state(device.id)),
+                format!("{:?}", by_device.ipid_state(device.id())),
+                format!("{:?}", by_slot.ipid_state(device.id())),
                 "device {:?}",
-                device.id
+                device.id()
             );
         }
         samples
@@ -498,22 +496,23 @@ mod tests {
         // Every address of every device, in address order as MIDAR and
         // Speedtrap take them, with addresses nobody owns between them and
         // one device's first address repeated.
-        let mut addrs: Vec<IpAddr> = (devices.iter())
-            .flat_map(|d| d.interfaces.iter().map(|i| i.addr))
+        let mut addrs: Vec<IpAddr> = devices
+            .clone()
+            .flat_map(|d| d.interfaces().iter().map(|i| i.addr))
             .collect();
         addrs.sort_unstable();
         for k in 0..20u8 {
             addrs.insert(usize::from(k) * 37, IpAddr::from([198, 51, 100, k]));
         }
-        let multi = devices.iter().find(|d| d.ipv4_addrs().len() >= 3).unwrap();
+        let multi = devices.clone().find(|d| d.ipv4_addrs().len() >= 3).unwrap();
         let again = IpAddr::V4(multi.ipv4_addrs()[0]);
         addrs.extend([again, again]);
         assert!(addrs.iter().any(|a| internet.lookup(*a).is_none()));
         assert!(addrs.iter().any(IpAddr::is_ipv6));
-        assert!(devices.iter().any(|d| !d.responds_to_ping));
+        assert!(devices.clone().any(|d| !d.responds_to_ping()));
         assert!(devices
-            .iter()
-            .any(|d| d.responds_to_ping && !d.visible_to_single_vp));
+            .clone()
+            .any(|d| d.responds_to_ping() && !d.visible_to_single_vp()));
 
         let config = |rounds, rate_pps| IpidProberConfig {
             rounds,
@@ -565,9 +564,10 @@ mod tests {
         };
         let internet = build();
         let pingable = |v6: bool| -> Vec<IpAddr> {
-            let mut addrs: Vec<IpAddr> = (internet.devices().iter())
-                .filter(|d| d.responds_to_ping)
-                .flat_map(|d| d.interfaces.iter().map(|i| i.addr))
+            let mut addrs: Vec<IpAddr> = internet
+                .devices()
+                .filter(|d| d.responds_to_ping())
+                .flat_map(|d| d.interfaces().iter().map(|i| i.addr))
                 .filter(|a| a.is_ipv6() == v6)
                 .collect();
             addrs.sort_unstable();
@@ -631,10 +631,10 @@ mod tests {
     #[test]
     fn interleaved_pair_from_random_counters_does_not_interlock() {
         let internet = internet();
-        let device = internet.devices().iter().find(|d| {
-            d.responds_to_ping
+        let device = internet.devices().find(|d| {
+            d.responds_to_ping()
                 && d.ipv4_addrs().len() >= 2
-                && matches!(internet.ipid_model(d.id), IpidModel::Random)
+                && matches!(internet.ipid_model(d.id()), IpidModel::Random)
         });
         let Some(device) = device else { return };
         let addrs: Vec<IpAddr> = device.ipv4_addrs().into_iter().map(IpAddr::V4).collect();
@@ -796,29 +796,31 @@ mod tests {
         // same-seed Internet and replays the same pairs in the same order.
         let (by_address, resolved) = (internet(), internet());
         let devices = by_address.devices();
-        let v4 = |d: &alias_netsim::Device| d.ipv4_addrs().into_iter().map(IpAddr::V4);
-        let multi: Vec<&alias_netsim::Device> = devices
-            .iter()
-            .filter(|d| d.responds_to_ping && d.ipv4_addrs().len() >= 2)
+        let v4 = |d: alias_netsim::DeviceRef| d.ipv4_addrs().into_iter().map(IpAddr::V4);
+        let multi: Vec<alias_netsim::DeviceRef> = devices
+            .clone()
+            .filter(|d| d.responds_to_ping() && d.ipv4_addrs().len() >= 2)
             .collect();
         let silent = devices
-            .iter()
-            .find(|d| !d.responds_to_ping && !d.ipv4_addrs().is_empty())
+            .clone()
+            .find(|d| !d.responds_to_ping() && !d.ipv4_addrs().is_empty())
             .expect("the tiny population has hosts that ignore ping");
         let hidden = devices
-            .iter()
-            .find(|d| d.responds_to_ping && !d.visible_to_single_vp && !d.ipv4_addrs().is_empty())
+            .clone()
+            .find(|d| {
+                d.responds_to_ping() && !d.visible_to_single_vp() && !d.ipv4_addrs().is_empty()
+            })
             .expect("the tiny population has hosts one vantage point cannot see");
         let v6 = devices
-            .iter()
-            .find(|d| d.responds_to_ping && d.ipv6_addrs().len() >= 2)
+            .clone()
+            .find(|d| d.responds_to_ping() && d.ipv6_addrs().len() >= 2)
             .expect("the tiny population has multi-address IPv6 hosts");
         let missing: IpAddr = "198.51.100.77".parse().unwrap();
         assert!(by_address.lookup(missing).is_none());
 
-        let first = |d: &alias_netsim::Device| v4(d).next().unwrap();
+        let first = |d: alias_netsim::DeviceRef| v4(d).next().unwrap();
         let mut pairs: Vec<[IpAddr; 2]> = Vec::new();
-        for (device, next) in multi.iter().zip(multi.iter().skip(1)).take(12) {
+        for (&device, &next) in multi.iter().zip(multi.iter().skip(1)).take(12) {
             let addrs: Vec<IpAddr> = v4(device).collect();
             pairs.push([addrs[0], addrs[1]]); // aliases
             pairs.push([addrs[1], first(next)]); // two devices
@@ -867,10 +869,10 @@ mod tests {
         let by_address = by_address.probe_session();
         for device in devices {
             assert_eq!(
-                format!("{:?}", by_address.ipid_state(device.id)),
-                format!("{:?}", session.ipid_state(device.id)),
+                format!("{:?}", by_address.ipid_state(device.id())),
+                format!("{:?}", session.ipid_state(device.id())),
                 "device {:?}",
-                device.id
+                device.id()
             );
         }
     }

@@ -239,11 +239,7 @@ mod tests {
     #[test]
     fn discovery_covers_silent_routers_and_both_families() {
         let internet = internet_with_silent(77, 10);
-        let hitlist: Vec<Ipv6Addr> = internet
-            .devices()
-            .iter()
-            .flat_map(|d| d.ipv6_addrs())
-            .collect();
+        let hitlist: Vec<Ipv6Addr> = internet.devices().flat_map(|d| d.ipv6_addrs()).collect();
         let targets =
             discover_targets(&internet, &hitlist, VantageKind::SingleVp, SimTime::ZERO, 1);
         assert!(targets.iter().any(|a| a.is_ipv4()));
@@ -258,7 +254,7 @@ mod tests {
         // Every silent router's v4 interfaces are in the routed space and
         // answer ping, so discovery must pick all of them up.
         for device in internet.devices() {
-            if device.kind == DeviceKind::SilentRouter {
+            if device.kind() == DeviceKind::SilentRouter {
                 for addr in device.ipv4_addrs() {
                     assert!(targets.contains(&IpAddr::V4(addr)), "missing {addr}");
                 }
@@ -290,7 +286,7 @@ mod tests {
             // Only limiter-constrained device classes can lose packets at
             // these rates; endpoints' limiters sit far above the ladder.
             let (device_id, _) = internet.lookup(obs.addr).unwrap();
-            let kind = internet.device(device_id).kind;
+            let kind = internet.device(device_id).kind();
             assert!(
                 matches!(
                     kind,

@@ -202,7 +202,7 @@ fn count_pass(probes: u64, shards: &[ShardColumns]) {
 mod tests {
     use super::*;
     use crate::store_of;
-    use alias_netsim::{InternetBuilder, InternetConfig};
+    use alias_netsim::{InternetBuilder, InternetConfig, ServiceProtocol};
     use alias_store::{ObservationStore, ServicePayload};
 
     fn internet() -> Internet {
@@ -234,8 +234,7 @@ mod tests {
         let expected = sorted_distinct(
             internet
                 .devices()
-                .iter()
-                .flat_map(|d| d.snmp_responding_addrs())
+                .flat_map(|d| d.answering(ServiceProtocol::Snmpv3))
                 .filter(|a| a.is_ipv4()),
         );
         assert!(!expected.is_empty());
@@ -250,9 +249,11 @@ mod tests {
         for obs in &routed_space_scan(&internet, 1).to_observations() {
             let (device_id, _) = internet.lookup(obs.addr).unwrap();
             let device = internet.device(device_id);
-            let expected = &device.snmp.as_ref().unwrap().engine_id;
+            let expected = device.snmp().unwrap().engine_id;
             match &obs.payload {
-                ServicePayload::Snmpv3 { engine_id, .. } => assert_eq!(engine_id, expected),
+                ServicePayload::Snmpv3 { engine_id, .. } => {
+                    assert_eq!(engine_id.as_bytes(), expected)
+                }
                 other => panic!("unexpected payload {other:?}"),
             }
         }
@@ -292,12 +293,11 @@ mod tests {
     #[test]
     fn explicit_target_scan_only_touches_targets() {
         let internet = internet();
-        let device = internet
+        let targets: Vec<IpAddr> = internet
             .devices()
-            .iter()
-            .find(|d| !d.snmp_responding_addrs().is_empty())
-            .unwrap();
-        let targets = vec![device.snmp_responding_addrs()[0]];
+            .find_map(|d| d.answering(ServiceProtocol::Snmpv3).next())
+            .into_iter()
+            .collect();
         let observations = store_of(scan(
             &internet,
             &targets,

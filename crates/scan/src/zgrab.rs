@@ -240,7 +240,7 @@ mod tests {
         use alias_wire::ssh::{HostKey, HostKeyAlgorithm};
         let profile = &alias_netsim::profiles::ssh_profiles()[0];
         let empty = HostKey::new(HostKeyAlgorithm::Ed25519, Vec::new());
-        let session = alias_netsim::services::ssh_session_bytes(profile, None, &empty, 7);
+        let session = alias_netsim::services::ssh_session_bytes(profile, None, empty.as_ref(), 7);
         let Some(PayloadRef::Ssh(ssh)) = PayloadRef::parse(ServiceProtocol::Ssh, &session) else {
             panic!("banner and KEXINIT parse");
         };

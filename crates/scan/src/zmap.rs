@@ -228,9 +228,8 @@ mod tests {
     fn expected_ssh_addrs(internet: &Internet, vantage: VantageKind) -> Vec<IpAddr> {
         let mut addrs: Vec<IpAddr> = internet
             .devices()
-            .iter()
-            .filter(|d| vantage == VantageKind::Distributed || d.visible_to_single_vp)
-            .flat_map(|d| d.ssh_responding_addrs())
+            .filter(|d| vantage == VantageKind::Distributed || d.visible_to_single_vp())
+            .flat_map(|d| d.answering(alias_netsim::ServiceProtocol::Ssh))
             .filter(|a| a.is_ipv4())
             .collect();
         addrs.sort_unstable();
@@ -294,8 +293,7 @@ mod tests {
         let results = sweep(&internet, VantageKind::Distributed);
         let mut expected: Vec<IpAddr> = internet
             .devices()
-            .iter()
-            .flat_map(|d| d.bgp_responding_addrs())
+            .flat_map(|d| d.answering(alias_netsim::ServiceProtocol::Bgp))
             .filter(|a| a.is_ipv4())
             .collect();
         expected.sort_unstable();

@@ -254,13 +254,8 @@ mod tests {
         for protocol in [ServiceProtocol::Ssh, ServiceProtocol::Bgp] {
             let captured: Vec<Vec<u8>> = internet
                 .devices()
-                .iter()
                 .filter_map(|device| {
-                    let addrs = match protocol {
-                        ServiceProtocol::Ssh => device.ssh_responding_addrs(),
-                        _ => device.bgp_responding_addrs(),
-                    };
-                    let (id, iface) = internet.lookup(*addrs.first()?)?;
+                    let (id, iface) = internet.lookup(device.answering(protocol).next()?)?;
                     let port = protocol.default_port();
                     let mut session = Vec::new();
                     (internet.service_session_into(id, iface, port, &ctx, &mut session)
@@ -275,9 +270,8 @@ mod tests {
         let request = Snmpv3Message::DiscoveryRequest { msg_id: 0x0101 }.to_bytes();
         let reports: Vec<Vec<u8>> = internet
             .devices()
-            .iter()
             .filter_map(|device| {
-                let addr = *device.snmp_responding_addrs().first()?;
+                let addr = device.answering(ServiceProtocol::Snmpv3).next()?;
                 let (id, iface) = internet.lookup(addr)?;
                 internet.snmp_probe_at(id, iface, &request, &ctx)
             })

@@ -40,11 +40,15 @@ impl EngineId {
     /// The conventional enterprise-format engine ID: enterprise number with
     /// the high bit set, format octet 3 (MAC), followed by six octets.
     pub fn from_enterprise_mac(enterprise: u32, mac: [u8; 6]) -> Self {
-        let mut bytes = Vec::with_capacity(11);
-        bytes.extend_from_slice(&(enterprise | 0x8000_0000).to_be_bytes());
-        bytes.push(3);
-        bytes.extend_from_slice(&mac);
-        EngineId(bytes)
+        EngineId(Self::enterprise_mac_bytes(enterprise, mac).to_vec())
+    }
+
+    /// The octets of [`Self::from_enterprise_mac`], without the allocation.
+    pub fn enterprise_mac_bytes(enterprise: u32, mac: [u8; 6]) -> [u8; 11] {
+        let mut bytes = [3; 11];
+        bytes[..4].copy_from_slice(&(enterprise | 0x8000_0000).to_be_bytes());
+        bytes[5..].copy_from_slice(&mac);
+        bytes
     }
 
     /// Whether this is the empty (discovery) engine ID.
@@ -181,7 +185,7 @@ impl Snmpv3Message {
     pub fn encode_report_into(
         out: &mut Vec<u8>,
         request_msg_id: i64,
-        engine_id: &EngineId,
+        engine_id: &[u8],
         engine_boots: i64,
         engine_time: i64,
         counter: i64,
@@ -189,7 +193,7 @@ impl Snmpv3Message {
         encode_message(
             out,
             request_msg_id,
-            &engine_id.0,
+            engine_id,
             engine_boots,
             engine_time,
             &[],
@@ -665,7 +669,7 @@ mod tests {
                     Snmpv3Message::encode_report_into(
                         &mut out,
                         *msg_id,
-                        &usm.engine_id,
+                        usm.engine_id.as_bytes(),
                         usm.engine_boots,
                         usm.engine_time,
                         *unknown_engine_ids,

@@ -87,8 +87,7 @@ impl HostKey {
 
     /// Append the key blob to `out`.
     pub fn emit_blob(&self, out: &mut Vec<u8>) {
-        write_string(out, self.algorithm.name().as_bytes());
-        write_string(out, &self.key_material);
+        self.as_ref().emit_blob(out);
     }
 
     /// The key with its material borrowed.
@@ -157,6 +156,12 @@ impl HostKeyRef<'_> {
     pub fn to_owned(&self) -> HostKey {
         HostKey::new(self.algorithm, self.key_material.to_vec())
     }
+
+    /// Append the key blob to `out`.
+    pub fn emit_blob(&self, out: &mut Vec<u8>) {
+        write_string(out, self.algorithm.name().as_bytes());
+        write_string(out, self.key_material);
+    }
 }
 
 /// The key-exchange reply message carrying the host key.
@@ -217,7 +222,7 @@ impl KexReply {
     pub fn to_payload(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(128);
         Self::emit_payload_from(
-            &self.host_key,
+            self.host_key.as_ref(),
             &self.ephemeral_public,
             &self.signature,
             &mut out,
@@ -226,7 +231,7 @@ impl KexReply {
     }
 
     fn emit_payload_from(
-        host_key: &HostKey,
+        host_key: HostKeyRef<'_>,
         ephemeral_public: &[u8],
         signature: &[u8],
         out: &mut Vec<u8>,
@@ -241,7 +246,7 @@ impl KexReply {
     /// parts — what [`Self::to_packet`] emits for a `KexReply` holding
     /// them, without building one.
     pub fn emit_packet_from(
-        host_key: &HostKey,
+        host_key: HostKeyRef<'_>,
         ephemeral_public: &[u8],
         signature: &[u8],
         out: &mut Vec<u8>,

@@ -53,11 +53,7 @@ fn main() {
 
     // Sanity check against ground truth: how many devices really are
     // dual-stack?
-    let truly_dual = internet
-        .devices()
-        .iter()
-        .filter(|d| d.is_dual_stack())
-        .count();
+    let truly_dual = internet.devices().filter(|d| d.is_dual_stack()).count();
     println!(
         "\nAcross the three protocols {} dual-stack sets were inferred; \
          the ground truth holds {} dual-stack devices (the gap is hitlist coverage, ACLs and\n\

@@ -21,8 +21,7 @@ fn main() {
     let internet = InternetBuilder::new(config).build();
     let silent: Vec<_> = internet
         .devices()
-        .iter()
-        .filter(|d| d.kind == DeviceKind::SilentRouter)
+        .filter(|d| d.kind() == DeviceKind::SilentRouter)
         .collect();
     println!(
         "Population: {} devices, {} of them silent routers",

@@ -66,8 +66,8 @@ fn real_stores_survive_the_row_doors_and_the_scan_door_matches_the_row_door() {
         let mut rows = Vec::new();
         for device in internet.devices() {
             for (protocol, addrs) in [
-                (ServiceProtocol::Ssh, device.ssh_responding_addrs()),
-                (ServiceProtocol::Bgp, device.bgp_responding_addrs()),
+                (ServiceProtocol::Ssh, device.answering(ServiceProtocol::Ssh)),
+                (ServiceProtocol::Bgp, device.answering(ServiceProtocol::Bgp)),
             ] {
                 let port = protocol.default_port();
                 for addr in addrs {
@@ -158,57 +158,57 @@ fn internet_digest(internet: &Internet) -> u64 {
         write!(
             digest,
             "{:?}{:?}{:?}{:?}{:?}",
-            device.kind,
-            device.visible_to_single_vp,
-            device.censys_covered,
-            device.responds_to_ping,
-            device.dynamic_addresses
+            device.kind(),
+            device.visible_to_single_vp(),
+            device.censys_covered(),
+            device.responds_to_ping(),
+            device.dynamic_addresses()
         )
         .unwrap();
-        for (iface, interface) in device.interfaces.iter().enumerate() {
+        for (iface, interface) in device.interfaces().iter().enumerate() {
             write!(
                 digest,
                 "{:?}{:?}{:?}{:?}{:?}",
                 interface.addr,
                 interface.asn,
-                device.ssh_responds_on(iface),
-                device.bgp_responds_on(iface),
-                device.snmp_responds_on(iface)
+                device.responds_on(ServiceProtocol::Ssh, iface),
+                device.responds_on(ServiceProtocol::Bgp, iface),
+                device.responds_on(ServiceProtocol::Snmpv3, iface)
             )
             .unwrap();
         }
-        if let Some(ssh) = &device.ssh {
+        if let Some(ssh) = device.ssh() {
             write!(
                 digest,
                 "ssh{:?}{:?}{:?}{:?}{:?}",
                 ssh.profile,
-                ssh.divergent_profile,
-                ssh.divergent_capability_ifaces.first(),
+                ssh.divergent.map(|(_, profile)| profile),
+                ssh.divergent.map(|(iface, _)| iface),
                 ssh.host_key.algorithm,
                 ssh.host_key.key_material
             )
             .unwrap();
         }
-        if let Some(bgp) = &device.bgp {
+        if let Some(bgp) = device.bgp() {
             let (profile, identifier, asn) = (bgp.profile, bgp.bgp_identifier, bgp.asn);
             write!(digest, "bgp{profile:?}{identifier:?}{asn:?}").unwrap();
         }
-        if let Some(snmp) = &device.snmp {
-            let (engine_id, boots) = (snmp.engine_id.as_bytes(), snmp.engine_boots);
+        if let Some(snmp) = device.snmp() {
+            let (engine_id, boots) = (snmp.engine_id, snmp.engine_boots);
             write!(digest, "snmp{engine_id:?}{boots:?}").unwrap();
         }
         write!(
             digest,
             "{:?}{:?}{:?}{:?}",
-            device.icmp_limit.rate_pps,
-            device.icmp_limit.burst,
-            device.icmp_error_source,
-            internet.ipid_model(device.id)
+            device.icmp_limit().rate_pps,
+            device.icmp_limit().burst,
+            device.icmp_error_source(),
+            internet.ipid_model(device.id())
         )
         .unwrap();
     }
     for device in internet.devices() {
-        for interface in &device.interfaces {
+        for interface in device.interfaces() {
             write!(digest, "{:?}", internet.lookup(interface.addr)).unwrap();
         }
     }
@@ -226,11 +226,12 @@ fn the_paper_scale_internet_is_the_parent_commits_device_for_device() {
         config.devices.silent_routers = 300;
         config
     };
-    let digests = [paper_internet(seed), InternetBuilder::new(study).build()].map(|mut internet| {
-        let built = internet_digest(&internet);
-        internet.apply_churn(SimTime::ZERO, SimTime::from_days(21));
-        [built, internet_digest(&internet)]
-    });
+    let digests =
+        [paper_internet(seed), InternetBuilder::new(study).build()].map(|mut internet| {
+            let built = internet_digest(&internet);
+            internet.apply_churn(SimTime::ZERO, SimTime::from_days(21));
+            [built, internet_digest(&internet)]
+        });
     assert_eq!(
         digests,
         [
