@@ -38,6 +38,10 @@ static SESSIONS: LazyCounter = LazyCounter::new(
 /// Non-standard ports a fraction of SSH hosts are additionally listed on.
 pub const EXTRA_SSH_PORTS: [u16; 4] = [2222, 2022, 830, 8022];
 
+/// Fraction of SSH sessions also listed on one of [`EXTRA_SSH_PORTS`].
+const NONSTANDARD_PORT_FRACTION: f64 = 0.2;
+const _: () = assert!(NONSTANDARD_PORT_FRACTION >= 0.0 && NONSTANDARD_PORT_FRACTION <= 1.0);
+
 /// Configuration of a snapshot collection.
 #[derive(Debug, Clone)]
 pub struct CensysConfig {
@@ -78,10 +82,6 @@ impl CensysSnapshot {
             vantage: VantageKind::Distributed,
             time: config.snapshot_time,
         };
-        let nonstandard_fraction = internet
-            .config()
-            .visibility
-            .censys_nonstandard_port_fraction;
         let mut default_port = ShardColumns::new();
         let mut nonstandard = ShardColumns::new();
         let mut session = Vec::new();
@@ -118,7 +118,7 @@ impl CensysSnapshot {
                     };
                     // A fraction of SSH hosts also appear on a non-standard
                     // port.
-                    if protocol == ServiceProtocol::Ssh && rng.gen_bool(nonstandard_fraction) {
+                    if protocol == ServiceProtocol::Ssh && rng.gen_bool(NONSTANDARD_PORT_FRACTION) {
                         list(EXTRA_SSH_PORTS[rng.gen_range(0..EXTRA_SSH_PORTS.len())]);
                     }
                     list(port);

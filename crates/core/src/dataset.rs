@@ -1,12 +1,11 @@
 //! Dataset overview statistics (the paper's Table 1).
 
 use alias_scan::{DataSource, ObservationStore, ServiceObservation, ServiceProtocol};
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 use std::net::IpAddr;
 
 /// Distinct-IP and distinct-AS counts for one slice of the data.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DatasetSummary {
     /// Distinct responsive addresses.
     pub ips: usize,

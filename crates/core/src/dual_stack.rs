@@ -8,10 +8,9 @@
 
 use crate::alias_set::FamilyGrouping;
 use alias_intern::{AddrId, AddrInterner, CompactAliasSet};
-use serde::{Deserialize, Serialize};
 
 /// One dual-stack set, in the id space of the grouping it came from.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DualStackSet {
     /// IPv4 members, sorted and distinct.
     pub ipv4: Vec<AddrId>,
@@ -38,7 +37,7 @@ impl DualStackSet {
 
 /// All dual-stack sets of a grouping, plus the counters the paper reports
 /// in Table 4.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct DualStackReport {
     /// The dual-stack sets, largest first.
     pub sets: Vec<DualStackSet>,

@@ -4,10 +4,8 @@
 //! set, sets per AS).  This module provides the small numeric helper the
 //! experiment binaries use to regenerate those series.
 
-use serde::{Deserialize, Serialize};
-
 /// An empirical CDF over `f64` samples.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Ecdf {
     /// Sorted samples.
     sorted: Vec<f64>,

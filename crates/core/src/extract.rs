@@ -5,11 +5,10 @@ use crate::identifier::{
     SshProfileIds,
 };
 use alias_scan::{PayloadRef, ServiceObservation, ServicePayload};
-use serde::{Deserialize, Serialize};
 
 /// Identifier policies.  Only SSH has a choice; BGP identifiers are
 /// always every host-wide OPEN field, SNMPv3 identifiers the engine ID.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ExtractionConfig {
     /// SSH identifier policy.
     pub ssh: SshIdentifierPolicy,

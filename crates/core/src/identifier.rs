@@ -35,11 +35,10 @@ use alias_store::SshProfiles;
 use alias_wire::bgp::{OpenMessage, OptionalParameter, ParamRef};
 use alias_wire::snmp::EngineId;
 use alias_wire::ssh::SshObservation;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// How much of the SSH material to include in the identifier.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum SshIdentifierPolicy {
     /// Host key only (what a naive approach would use).
     KeyOnly,
@@ -66,7 +65,7 @@ fn framed(out: &mut Vec<u8>, write: impl FnOnce(&mut Vec<u8>)) {
 }
 
 /// The SSH identifier of one responsive address.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct SshIdentifier {
     /// The banner line (software + comments), empty under `KeyOnly`.
     pub banner: String,
@@ -203,7 +202,7 @@ impl<'a> SshProfileIds<'a> {
 
 /// The BGP identifier of one responsive address: every host-wide field of
 /// its OPEN message.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct BgpIdentifier {
     /// The 4-octet BGP Identifier, rendered dotted-quad.
     pub bgp_identifier: String,
@@ -281,7 +280,7 @@ fn render_capabilities(params: &[OptionalParameter]) -> String {
 }
 
 /// The SNMPv3 identifier: the authoritative engine ID.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Snmpv3Identifier {
     /// Hex rendering of the engine ID.
     pub engine_id: String,
@@ -309,7 +308,7 @@ impl Snmpv3Identifier {
 /// Identifiers from different protocols never compare equal, even if their
 /// textual material coincides: grouping is always per protocol, and only the
 /// union analysis (via shared addresses) links protocols together.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum ProtocolIdentifier {
     /// An SSH identifier.
     Ssh(SshIdentifier),

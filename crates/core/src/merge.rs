@@ -16,7 +16,6 @@
 use crate::union_find::UnionFind;
 use alias_intern::{AddrId, AddrInterner, CompactAliasSet};
 use alias_obs::{DeterminismClass, LazyCounter};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 use std::net::IpAddr;
 
@@ -73,7 +72,7 @@ static UF_PATH_COMPRESSIONS: LazyCounter = LazyCounter::new(
 );
 
 /// A merged set with the labels (protocols / sources) that contributed to it.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MergedSet {
     /// Member addresses.  This is the rendering boundary — merged sets go
     /// straight into reports, so they carry resolved addresses.
@@ -247,7 +246,7 @@ fn sort_canonical(merged: &mut [MergedSet]) {
 }
 
 /// How many services each address answers (the 97% / 3% split of §4.1).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MultiServiceStats {
     /// Addresses answering exactly one protocol.
     pub single_service: usize,
@@ -297,7 +296,7 @@ impl MultiServiceStats {
 }
 
 /// Attribution of merged sets to the protocols able to identify them.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ProtocolAttribution {
     /// Merged sets identifiable only via SNMPv3.
     pub snmpv3_only: usize,

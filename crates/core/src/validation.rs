@@ -15,11 +15,10 @@
 //! per-address tree probes.
 
 use alias_intern::{AddrId, CompactAliasSet};
-use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
 
 /// Outcome of one pairwise validation.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ValidationResult {
     /// Number of sets (from technique A) that could be tested.
     pub sample_size: usize,
@@ -141,7 +140,7 @@ pub fn cross_validate(
 /// is the set of addresses for which MIDAR produced usable measurements;
 /// sampled sets whose projection onto `testable` retains fewer than two
 /// addresses are reported as `unverifiable`.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MidarValidation {
     /// Sets in the sample.
     pub sampled: usize,

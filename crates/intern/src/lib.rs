@@ -31,16 +31,13 @@
 //! * Interning order is deterministic (insertion order), so identically
 //!   produced data yields identical ids across runs.
 
-use serde::{Deserialize, Serialize};
 use std::collections::hash_map::{Entry, RandomState};
 use std::collections::{BTreeSet, HashMap};
 use std::hash::{BuildHasher, BuildHasherDefault, Hasher};
 use std::net::IpAddr;
 
 /// Dense id of an interned address (index into its [`AddrInterner`]).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct AddrId(pub u32);
 
 impl AddrId {
@@ -52,9 +49,7 @@ impl AddrId {
 }
 
 /// Dense id of an interned identifier (index into its [`IdentInterner`]).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct IdentId(pub u32);
 
 impl IdentId {
@@ -347,7 +342,7 @@ fn store_key(chunks: &mut Vec<Vec<u8>>, key: &[u8]) -> KeySpan {
 /// indexes straight into a forest sized to the interner — no re-keying.
 /// Addresses come back only at the report/rendering boundary via
 /// [`to_addr_set`](Self::to_addr_set).
-#[derive(Debug, Clone, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Hash)]
 pub struct CompactAliasSet {
     members: Vec<AddrId>,
 }

@@ -3,14 +3,19 @@
 //!
 //! The builder creates the AS topology, populates it with devices of the six
 //! archetypes, wires up services, anomalies and measurement-visibility
-//! flags, and returns an [`Internet`] ready to be scanned.  Everything is
-//! derived from a `ChaCha8` stream seeded with `config.seed`, so identical
-//! configurations produce identical Internets.  Devices are written straight
-//! into the Internet's columns ([`crate::device`]): an interface is pushed
-//! onto the interface column as it is allocated, an ACL sets answer bits in
-//! place, and a device is closed by pushing its row.
+//! flags, and returns an [`Internet`] ready to be scanned.  The
+//! configuration chooses the seed and how many ASes and devices of each
+//! kind there are; how each archetype is shaped — its probabilities,
+//! address ranges, IPID mix and ICMP limiter — is calibrated to the paper's
+//! Table 1 and fixed by this module's constants, each checked at compile
+//! time.  Everything is derived from a `ChaCha8` stream seeded with
+//! `config.seed`, so identical configurations produce identical Internets.
+//! Devices are written straight into the Internet's columns
+//! ([`crate::device`]): an interface is pushed onto the interface column as
+//! it is allocated, an ACL sets answer bits in place, and a device is closed
+//! by pushing its row.
 
-use crate::config::{InternetConfig, IpidMix};
+use crate::config::InternetConfig;
 use crate::device::{
     BgpService, DeviceKind, DeviceRow, DeviceTable, Interface, SnmpRow, Span, SshRow, BGP, CENSYS,
     DYNAMIC, PING, SNMP, SSH, SSH_DIVERGENT, VISIBLE,
@@ -27,6 +32,7 @@ use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use std::net::{IpAddr, Ipv4Addr};
+use std::ops::RangeInclusive;
 
 /// Real-world cloud-provider ASNs (from the paper's Table 5/6) used for the
 /// first generated cloud ASes so reports read naturally.
@@ -42,6 +48,177 @@ const ISP_ASNS: &[u32] = &[
     42_689, 19_429, 12_389, 852, 17_511, 4_837, 6_939, 9_808, 7_922, 7_684, 197_540, 20_857, 7_506,
     24_940, 3_356, 1_299, 6_453, 2_914, 6_762, 1_273, 5_511, 3_491, 6_461,
 ];
+
+// ----------------------------------------------------------------------
+// The population's shape, calibrated to the paper's Table 1
+// ----------------------------------------------------------------------
+
+/// `p`, checked at compile time to be a probability.
+const fn probability(p: f64) -> f64 {
+    assert!(p >= 0.0 && p <= 1.0, "not a probability");
+    p
+}
+
+/// Probability that a single-address cloud VM also has one IPv6 address.
+const VM_DUAL_STACK_PROB: f64 = probability(0.035);
+/// Probability that a cloud VM is IPv6-only (no IPv4 interface).
+const VM_IPV6_ONLY_PROB: f64 = probability(0.012);
+/// IPv4 addresses on a multi-address cloud server.
+const SERVER_V4: RangeInclusive<usize> = 2..=6;
+/// Fraction of cloud servers that are large load-balancer clusters.
+const SERVER_LB_FRACTION: f64 = probability(0.03);
+/// Most IPv4 addresses on a load-balancer cluster.
+const SERVER_LB_MAX: usize = 220;
+/// Probability that a cloud server is dual-stack.
+const SERVER_DUAL_STACK_PROB: f64 = probability(0.22);
+/// IPv6 addresses on a dual-stack cloud server.
+const SERVER_V6: RangeInclusive<usize> = 2..=8;
+/// Probability that a cloud server also runs SNMPv3.
+const SERVER_SNMP_PROB: f64 = probability(0.04);
+
+/// Probability that an ISP router runs SNMPv3.
+const ROUTER_SNMP_PROB: f64 = probability(0.88);
+/// Probability that an ISP router also answers SSH.
+const ROUTER_SSH_PROB: f64 = probability(0.14);
+/// Mean number of IPv4 interfaces on an ISP or silent router (a heavy tail).
+const ROUTER_IFACES_MEAN: f64 = 9.0;
+/// Most interfaces on an ISP or silent router.
+const ROUTER_IFACES_MAX: usize = 400;
+/// Probability that an ISP or silent router is dual-stack.
+const ROUTER_DUAL_STACK_PROB: f64 = probability(0.06);
+/// Most IPv6 interfaces on a dual-stack ISP or silent router.
+const ROUTER_V6_MAX: usize = 6;
+/// Probability that an ISP router has TCP/179 open but closes silently
+/// (the "5.8M close immediately" population).
+const ROUTER_SILENT_BGP_PROB: f64 = probability(0.55);
+/// Probability that a CPE device runs SNMPv3.
+const CPE_SNMP_PROB: f64 = probability(0.62);
+/// Probability that a CPE device runs SSH (dropbear-style).
+const CPE_SSH_PROB: f64 = probability(0.22);
+/// Probability that a CPE device has a second IPv4 address.
+const CPE_TWO_ADDR_PROB: f64 = probability(0.04);
+/// Probability that a CPE device is dual-stack.
+const CPE_DUAL_STACK_PROB: f64 = probability(0.015);
+/// Probability that a CPE device sits in a dynamic (churning) pool.
+const CPE_DYNAMIC_PROB: f64 = probability(0.5);
+
+/// Mean number of IPv4 interfaces on a border router.
+const BORDER_IFACES_MEAN: f64 = 11.0;
+/// Most interfaces on a border router.
+const BORDER_IFACES_MAX: usize = 500;
+/// Probability that each interface after a border router's first is
+/// numbered from a neighbouring AS — the multi-AS alias sets of Fig. 5.
+const BORDER_FOREIGN_AS_PROB: f64 = probability(0.28);
+/// Probability that a border router also runs SNMPv3.
+const BORDER_SNMP_PROB: f64 = probability(0.45);
+/// Probability that a border router also answers SSH.
+const BORDER_SSH_PROB: f64 = probability(0.12);
+/// Probability that a border router is dual-stack.
+const BORDER_DUAL_STACK_PROB: f64 = probability(0.14);
+/// Most IPv6 interfaces on a dual-stack border router.
+const BORDER_V6_MAX: usize = 8;
+
+/// Probability that an enterprise server answers SSH.
+const ENTERPRISE_SSH_PROB: f64 = probability(0.92);
+/// Probability that an enterprise server has a second address.
+const ENTERPRISE_TWO_ADDR_PROB: f64 = probability(0.08);
+
+/// The probability that a deployed SSH service answers on a given interface
+/// (firewalls and ACLs limit alias discovery); cloud VMs and CPE answer on
+/// every interface.
+const SSH_COVERAGE: f64 = probability(0.9);
+/// ACL coverage of BGP, as [`SSH_COVERAGE`].
+const BGP_COVERAGE: f64 = probability(0.75);
+/// ACL coverage of SNMPv3, as [`SSH_COVERAGE`].
+const SNMP_COVERAGE: f64 = probability(0.85);
+
+/// Fraction of SSH devices shipping a factory-default (shared) host key.
+const DEFAULT_KEY_FRACTION: f64 = probability(0.003);
+/// Fraction of multi-interface SSH devices whose interfaces advertise
+/// diverging algorithm capabilities (the paper measures 0.4%).
+const CAPABILITY_DIVERGENCE_FRACTION: f64 = probability(0.004);
+/// Fraction of BGP speakers with a misconfigured, non-unique identifier.
+const DUPLICATE_BGP_IDENTIFIER_FRACTION: f64 = probability(0.01);
+
+/// Fraction of devices that do not answer the single-VP active scan (rate
+/// limiting / IDS filtering) but do answer distributed scans.
+const SINGLE_VP_INVISIBLE_FRACTION: f64 = probability(0.27);
+/// Fraction of devices covered by the Censys-like snapshot.
+const CENSYS_COVERAGE: f64 = probability(0.88);
+
+/// Probability that a router (ISP, border, CPE) answers echo probes.
+const ROUTER_PING_PROB: f64 = probability(0.85);
+/// Probability that a server answers echo probes.
+const SERVER_PING_PROB: f64 = probability(0.6);
+/// Probability that a router or cloud server sources ICMP errors from one
+/// interface (what the iffinder technique detects).
+const COMMON_SOURCE_PROB: f64 = probability(0.3);
+
+/// A device class's mixture of IPID counter behaviours; what the three
+/// kinds leave of the probability is a constant (zero) IPID.
+struct IpidMix {
+    /// Probability of a shared monotonic counter (the MIDAR-friendly case).
+    shared_monotonic: f64,
+    /// Probability of per-interface counters.
+    per_interface: f64,
+    /// Probability of random IPIDs.
+    random: f64,
+    /// Given a shared monotonic counter, probability that its velocity is
+    /// too high for reliable sampling.
+    high_velocity_given_shared: f64,
+}
+
+impl IpidMix {
+    /// What the three kinds leave: the probability of a constant IPID.
+    const fn constant(&self) -> f64 {
+        1.0 - (self.shared_monotonic + self.per_interface + self.random)
+    }
+}
+
+/// Routers (ISP, border, CPE): some shared counters, many alternatives.
+const ROUTER_IPID: IpidMix = IpidMix {
+    shared_monotonic: probability(0.35),
+    per_interface: probability(0.25),
+    random: probability(0.25),
+    high_velocity_given_shared: probability(0.35),
+};
+/// Servers: shared counters are rare on modern server stacks.
+const SERVER_IPID: IpidMix = IpidMix {
+    shared_monotonic: probability(0.12),
+    per_interface: probability(0.08),
+    random: probability(0.55),
+    high_velocity_given_shared: probability(0.25),
+};
+const _: () = assert!(ROUTER_IPID.constant() >= 0.0 && SERVER_IPID.constant() >= 0.0);
+
+/// A limiter's sustained-rate range (pps), checked at compile time to be
+/// positive and ordered.
+const fn rate_range(lo: f64, hi: f64) -> RangeInclusive<f64> {
+    assert!(lo > 0.0 && hi >= lo, "not a rate range");
+    RangeInclusive::new(lo, hi)
+}
+
+/// Every device polices ICMP replies with one router-wide token bucket
+/// (Vermeulen et al., arXiv 2002.00252) whose sustained rate is drawn from
+/// its class's range; this is the range of ISP and border routers.
+///
+/// The ranges let escalating-rate probing (256 → 4096 pps, 24 probes per
+/// round) fingerprint every router-class limiter while endpoint limiters
+/// never trip, which keeps the technique's candidates, and its probing
+/// cost, to the router population, as in the paper.  Below ~90 pps
+/// independent same-signature devices would be lossy even at half the
+/// first escalation rate, breaking the joint-probe discrimination; keep
+/// [`SILENT_ICMP_PPS`]'s floor well above that.
+const ROUTER_ICMP_PPS: RangeInclusive<f64> = rate_range(300.0, 2_500.0);
+/// Endpoint-class limiters (cloud VMs and servers, enterprise servers,
+/// CPE): high enough that probing never trips them.
+const ENDPOINT_ICMP_PPS: RangeInclusive<f64> = rate_range(8_000.0, 40_000.0);
+/// Silent routers' limiters.
+const SILENT_ICMP_PPS: RangeInclusive<f64> = rate_range(120.0, 1_000.0);
+/// Bucket capacity (replies answered back-to-back from a full bucket),
+/// shared by every class.
+const ICMP_BURST: f64 = 8.0;
+const _: () = assert!(ICMP_BURST >= 1.0);
 
 /// Builds a synthetic [`Internet`] from a configuration.
 pub struct InternetBuilder {
@@ -117,7 +294,6 @@ impl InternetBuilder {
 
         let mut ipid = Vec::with_capacity(config.total_devices());
         let mut ctx = GenContext {
-            config: &config,
             rng: &mut rng,
             ases: &mut ases,
             pool: &pool,
@@ -156,7 +332,7 @@ impl InternetBuilder {
             ctx.gen_silent_router();
         }
 
-        assign_icmp_limits(&config, &mut devices.rows);
+        assign_icmp_limits(config.seed, &mut devices.rows);
 
         Internet::from_parts(
             config,
@@ -178,9 +354,9 @@ fn build_ases(config: &InternetConfig, rng: &mut ChaCha8Rng) -> (Vec<AutonomousS
     // Expected IPv4 addresses per kind, used to size prefixes generously.
     let d = &config.devices;
     let cloud_expected = d.cloud_vms + d.cloud_servers * 8;
-    let isp_expected = (d.isp_routers as f64 * config.isp.router_ifaces_mean) as usize
-        + (d.silent_routers as f64 * config.isp.router_ifaces_mean) as usize
-        + (d.border_routers as f64 * config.border.ifaces_mean) as usize
+    let isp_expected = (d.isp_routers as f64 * ROUTER_IFACES_MEAN) as usize
+        + (d.silent_routers as f64 * ROUTER_IFACES_MEAN) as usize
+        + (d.border_routers as f64 * BORDER_IFACES_MEAN) as usize
         + d.cpe_devices * 2;
     let enterprise_expected = d.enterprise_servers * 2;
 
@@ -195,16 +371,19 @@ fn build_ases(config: &InternetConfig, rng: &mut ChaCha8Rng) -> (Vec<AutonomousS
         ases.len() - 1
     };
 
-    // Zipf-style weights: the first ASes of each kind are the giants.
+    // Zipf-style weights: the first ASes of each kind are the giants.  An
+    // AS's share of its kind's addresses is its weight over the kind's total.
     let zipf = |rank: usize| -> u32 { (10_000.0 / (rank as f64 + 1.0).powf(0.82)) as u32 + 1 };
+    let total = |count: usize| (0..count).map(zipf).sum::<u32>() as f64;
 
+    let cloud_total = total(config.as_counts.cloud);
     for rank in 0..config.as_counts.cloud {
         let asn = CLOUD_ASNS
             .get(rank)
             .copied()
             .unwrap_or_else(|| 210_000 + rank as u32);
         let weight = zipf(rank);
-        let share = weight as f64 / (0..config.as_counts.cloud).map(zipf).sum::<u32>() as f64;
+        let share = weight as f64 / cloud_total;
         let capacity = ((cloud_expected as f64 * share) * 2.5) as u32 + 128;
         let idx = push_as(
             AsKind::CloudProvider,
@@ -215,21 +394,23 @@ fn build_ases(config: &InternetConfig, rng: &mut ChaCha8Rng) -> (Vec<AutonomousS
         );
         cloud.push((idx, weight));
     }
+    let isp_total = total(config.as_counts.isp);
     for rank in 0..config.as_counts.isp {
         let asn = ISP_ASNS
             .get(rank)
             .copied()
             .unwrap_or_else(|| 220_000 + rank as u32);
         let weight = zipf(rank);
-        let share = weight as f64 / (0..config.as_counts.isp).map(zipf).sum::<u32>() as f64;
+        let share = weight as f64 / isp_total;
         let capacity = ((isp_expected as f64 * share) * 2.5) as u32 + 128;
         let idx = push_as(AsKind::Isp, asn, capacity, &mut allocator, &mut ases);
         isp.push((idx, weight));
     }
+    let enterprise_total = total(config.as_counts.enterprise);
     for rank in 0..config.as_counts.enterprise {
         let asn = 64_512 + rng.gen_range(0..50_000u32) + rank as u32;
         let weight = zipf(rank);
-        let share = weight as f64 / (0..config.as_counts.enterprise).map(zipf).sum::<u32>() as f64;
+        let share = weight as f64 / enterprise_total;
         let capacity = ((enterprise_expected as f64 * share) * 2.5) as u32 + 64;
         let idx = push_as(AsKind::Enterprise, asn, capacity, &mut allocator, &mut ases);
         enterprise.push((idx, weight));
@@ -245,7 +426,6 @@ fn build_ases(config: &InternetConfig, rng: &mut ChaCha8Rng) -> (Vec<AutonomousS
 /// Mutable state shared by the per-archetype generators.  The device being
 /// generated owns the interfaces pushed since the last row was closed.
 struct GenContext<'a> {
-    config: &'a InternetConfig,
     rng: &'a mut ChaCha8Rng,
     ases: &'a mut Vec<AutonomousSystem>,
     pool: &'a AsPool,
@@ -337,8 +517,7 @@ impl GenContext<'_> {
     }
 
     fn unique_host_key(&mut self) -> (HostKeyAlgorithm, Span) {
-        let default_fraction = self.config.anomalies.default_key_fraction;
-        if self.rng.gen_bool(default_fraction) {
+        if self.rng.gen_bool(DEFAULT_KEY_FRACTION) {
             let idx = self.rng.gen_range(0..self.default_keys.len());
             return (HostKeyAlgorithm::Rsa, self.default_keys[idx]);
         }
@@ -383,10 +562,8 @@ impl GenContext<'_> {
 
     /// The visibility and Censys flags.
     fn visibility(&mut self) -> u8 {
-        let visible_to_single_vp = !self
-            .rng
-            .gen_bool(self.config.visibility.single_vp_invisible_fraction);
-        let censys_covered = self.rng.gen_bool(self.config.visibility.censys_coverage);
+        let visible_to_single_vp = !self.rng.gen_bool(SINGLE_VP_INVISIBLE_FRACTION);
+        let censys_covered = self.rng.gen_bool(CENSYS_COVERAGE);
         flag(VISIBLE, visible_to_single_vp) | flag(CENSYS, censys_covered)
     }
 
@@ -397,11 +574,7 @@ impl GenContext<'_> {
         let responding = answers.iter().filter(|&&a| a & SSH != 0).count();
         let last = answers.iter().rposition(|&a| a & SSH != 0);
         let mut divergent_profile = None;
-        if responding >= 2
-            && self
-                .rng
-                .gen_bool(self.config.anomalies.capability_divergence_fraction)
-        {
+        if responding >= 2 && self.rng.gen_bool(CAPABILITY_DIVERGENCE_FRACTION) {
             if let Some(last) = last {
                 self.open_answers()[last] |= SSH_DIVERGENT;
             }
@@ -442,7 +615,7 @@ impl GenContext<'_> {
         bgp_identifier: Ipv4Addr,
         as_idx: usize,
     ) -> BgpService {
-        self.acl_mask(self.config.acl.bgp_coverage, BGP);
+        self.acl_mask(BGP_COVERAGE, BGP);
         BgpService {
             profile: BgpProfileId(profile as u16),
             bgp_identifier,
@@ -467,43 +640,14 @@ impl GenContext<'_> {
         self.ipid.push(ipid);
     }
 
-    // ------------------------------------------------------------------
-    // Archetype generators
-    // ------------------------------------------------------------------
-
-    fn gen_cloud_vm(&mut self) {
-        let as_idx = self.pick_as(AsKind::CloudProvider);
-        let ipv6_only = self.rng.gen_bool(self.config.cloud.vm_ipv6_only_prob);
-        if !ipv6_only {
-            self.push_v4(as_idx);
-        }
-        if ipv6_only || self.rng.gen_bool(self.config.cloud.vm_dual_stack_prob) {
-            self.push_v6(as_idx);
-        }
-        let ssh = self.ssh_service(self.server_ssh, 1.0);
-        let ipid = self.ipid_state(self.config.ipid_servers);
-        let visibility = self.visibility();
-        let ping = self.rng.gen_bool(self.config.ping.server_prob);
-        let row = DeviceRow {
-            ssh: Some(ssh),
-            ..DeviceRow::new(DeviceKind::CloudVm)
-        };
-        self.push_device(row, visibility | flag(PING, ping), ipid);
-    }
-
-    fn gen_cloud_server(&mut self) {
-        let as_idx = self.pick_as(AsKind::CloudProvider);
-        let cloud = &self.config.cloud;
-        let v4_count = if self.rng.gen_bool(cloud.server_lb_fraction) {
-            self.heavy_tail(8, 24.0, cloud.server_lb_max)
-        } else {
-            self.rng
-                .gen_range(cloud.server_v4_range.0..=cloud.server_v4_range.1)
-        };
-        let dual_stack = self.rng.gen_bool(cloud.server_dual_stack_prob);
+    /// Give the open device an ISP or silent router's interfaces, in an ISP
+    /// it picks; returns the ISP.
+    fn push_router_ifaces(&mut self) -> usize {
+        let as_idx = self.pick_as(AsKind::Isp);
+        let v4_count = self.heavy_tail(2, ROUTER_IFACES_MEAN, ROUTER_IFACES_MAX);
+        let dual_stack = self.rng.gen_bool(ROUTER_DUAL_STACK_PROB);
         let v6_count = if dual_stack {
-            self.rng
-                .gen_range(cloud.server_v6_range.0..=cloud.server_v6_range.1)
+            self.rng.gen_range(1..=ROUTER_V6_MAX)
         } else {
             0
         };
@@ -513,16 +657,61 @@ impl GenContext<'_> {
         for _ in 0..v6_count {
             self.push_v6(as_idx);
         }
-        let ssh = self.ssh_service(self.server_ssh, self.config.acl.ssh_coverage);
-        let snmp = if self.rng.gen_bool(cloud.server_snmp_prob) {
-            Some(self.snmp_service(self.config.acl.snmp_coverage))
-        } else {
-            None
-        };
-        let ipid = self.ipid_state(self.config.ipid_servers);
+        as_idx
+    }
+
+    // ------------------------------------------------------------------
+    // Archetype generators
+    // ------------------------------------------------------------------
+
+    fn gen_cloud_vm(&mut self) {
+        let as_idx = self.pick_as(AsKind::CloudProvider);
+        let ipv6_only = self.rng.gen_bool(VM_IPV6_ONLY_PROB);
+        if !ipv6_only {
+            self.push_v4(as_idx);
+        }
+        if ipv6_only || self.rng.gen_bool(VM_DUAL_STACK_PROB) {
+            self.push_v6(as_idx);
+        }
+        let ssh = self.ssh_service(self.server_ssh, 1.0);
+        let ipid = self.ipid_state(SERVER_IPID);
         let visibility = self.visibility();
-        let ping = self.rng.gen_bool(self.config.ping.server_prob);
-        let common_source = self.rng.gen_bool(self.config.ping.common_source_prob);
+        let ping = self.rng.gen_bool(SERVER_PING_PROB);
+        let row = DeviceRow {
+            ssh: Some(ssh),
+            ..DeviceRow::new(DeviceKind::CloudVm)
+        };
+        self.push_device(row, visibility | flag(PING, ping), ipid);
+    }
+
+    fn gen_cloud_server(&mut self) {
+        let as_idx = self.pick_as(AsKind::CloudProvider);
+        let v4_count = if self.rng.gen_bool(SERVER_LB_FRACTION) {
+            self.heavy_tail(8, 24.0, SERVER_LB_MAX)
+        } else {
+            self.rng.gen_range(SERVER_V4)
+        };
+        let dual_stack = self.rng.gen_bool(SERVER_DUAL_STACK_PROB);
+        let v6_count = if dual_stack {
+            self.rng.gen_range(SERVER_V6)
+        } else {
+            0
+        };
+        for _ in 0..v4_count {
+            self.push_v4(as_idx);
+        }
+        for _ in 0..v6_count {
+            self.push_v6(as_idx);
+        }
+        let ssh = self.ssh_service(self.server_ssh, SSH_COVERAGE);
+        let snmp = self
+            .rng
+            .gen_bool(SERVER_SNMP_PROB)
+            .then(|| self.snmp_service(SNMP_COVERAGE));
+        let ipid = self.ipid_state(SERVER_IPID);
+        let visibility = self.visibility();
+        let ping = self.rng.gen_bool(SERVER_PING_PROB);
+        let common_source = self.rng.gen_bool(COMMON_SOURCE_PROB);
         let has_iface = self.devices.ifaces.len() > self.first_iface();
         let row = DeviceRow {
             ssh: Some(ssh),
@@ -536,17 +725,16 @@ impl GenContext<'_> {
     fn gen_enterprise_server(&mut self) {
         let as_idx = self.pick_as(AsKind::Enterprise);
         self.push_v4(as_idx);
-        if self.rng.gen_bool(self.config.enterprise_two_addr_prob) {
+        if self.rng.gen_bool(ENTERPRISE_TWO_ADDR_PROB) {
             self.push_v4(as_idx);
         }
-        let ssh = if self.rng.gen_bool(self.config.enterprise_ssh_prob) {
-            Some(self.ssh_service(self.server_ssh, self.config.acl.ssh_coverage))
-        } else {
-            None
-        };
-        let ipid = self.ipid_state(self.config.ipid_servers);
+        let ssh = self
+            .rng
+            .gen_bool(ENTERPRISE_SSH_PROB)
+            .then(|| self.ssh_service(self.server_ssh, SSH_COVERAGE));
+        let ipid = self.ipid_state(SERVER_IPID);
         let visibility = self.visibility();
-        let ping = self.rng.gen_bool(self.config.ping.server_prob);
+        let ping = self.rng.gen_bool(SERVER_PING_PROB);
         let row = DeviceRow {
             ssh,
             ..DeviceRow::new(DeviceKind::EnterpriseServer)
@@ -555,41 +743,23 @@ impl GenContext<'_> {
     }
 
     fn gen_isp_router(&mut self) {
-        let as_idx = self.pick_as(AsKind::Isp);
-        let isp = self.config.isp;
-        let v4_count = self.heavy_tail(2, isp.router_ifaces_mean, isp.router_ifaces_max);
-        let dual_stack = self.rng.gen_bool(isp.router_dual_stack_prob);
-        let v6_count = if dual_stack {
-            self.rng.gen_range(1..=isp.router_v6_max.max(1))
-        } else {
-            0
-        };
-        for _ in 0..v4_count {
-            self.push_v4(as_idx);
-        }
-        for _ in 0..v6_count {
-            self.push_v6(as_idx);
-        }
-        let snmp = if self.rng.gen_bool(isp.router_snmp_prob) {
-            Some(self.snmp_service(self.config.acl.snmp_coverage))
-        } else {
-            None
-        };
-        let ssh = if self.rng.gen_bool(isp.router_ssh_prob) {
-            Some(self.ssh_service(self.router_ssh, self.config.acl.ssh_coverage))
-        } else {
-            None
-        };
-        let bgp = if self.rng.gen_bool(isp.router_silent_bgp_prob) {
+        let as_idx = self.push_router_ifaces();
+        let snmp = self
+            .rng
+            .gen_bool(ROUTER_SNMP_PROB)
+            .then(|| self.snmp_service(SNMP_COVERAGE));
+        let ssh = self
+            .rng
+            .gen_bool(ROUTER_SSH_PROB)
+            .then(|| self.ssh_service(self.router_ssh, SSH_COVERAGE));
+        let bgp = self.rng.gen_bool(ROUTER_SILENT_BGP_PROB).then(|| {
             let identifier = self.first_v4().unwrap_or(Ipv4Addr::new(10, 0, 0, 1));
-            Some(self.bgp_service(self.silent_bgp_profile, identifier, as_idx))
-        } else {
-            None
-        };
-        let ipid = self.ipid_state(self.config.ipid_routers);
+            self.bgp_service(self.silent_bgp_profile, identifier, as_idx)
+        });
+        let ipid = self.ipid_state(ROUTER_IPID);
         let visibility = self.visibility();
-        let ping = self.rng.gen_bool(self.config.ping.router_prob);
-        let common_source = self.rng.gen_bool(self.config.ping.common_source_prob);
+        let ping = self.rng.gen_bool(ROUTER_PING_PROB);
+        let common_source = self.rng.gen_bool(COMMON_SOURCE_PROB);
         let row = DeviceRow {
             ssh,
             bgp,
@@ -602,18 +772,17 @@ impl GenContext<'_> {
 
     fn gen_border_router(&mut self) {
         let primary_as = self.pick_as(AsKind::Isp);
-        let border = self.config.border;
-        let v4_count = self.heavy_tail(2, border.ifaces_mean, border.ifaces_max);
-        let dual_stack = self.rng.gen_bool(border.dual_stack_prob);
+        let v4_count = self.heavy_tail(2, BORDER_IFACES_MEAN, BORDER_IFACES_MAX);
+        let dual_stack = self.rng.gen_bool(BORDER_DUAL_STACK_PROB);
         let v6_count = if dual_stack {
-            self.rng.gen_range(1..=border.v6_max.max(1))
+            self.rng.gen_range(1..=BORDER_V6_MAX)
         } else {
             0
         };
         for i in 0..v4_count {
             // The first interface is always in the primary AS; the rest may be
             // numbered from neighbouring ASes (inter-AS links).
-            let as_idx = if i > 0 && self.rng.gen_bool(border.foreign_as_prob) {
+            let as_idx = if i > 0 && self.rng.gen_bool(BORDER_FOREIGN_AS_PROB) {
                 self.pick_as(AsKind::Isp)
             } else {
                 primary_as
@@ -626,29 +795,24 @@ impl GenContext<'_> {
 
         let roll = self.rng.gen::<u32>();
         let bgp_profile = self.open_bgp.pick(roll);
-        let bgp_identifier = if self
-            .rng
-            .gen_bool(self.config.anomalies.duplicate_bgp_identifier_fraction)
-        {
+        let bgp_identifier = if self.rng.gen_bool(DUPLICATE_BGP_IDENTIFIER_FRACTION) {
             self.duplicate_bgp_ids[self.rng.gen_range(0..self.duplicate_bgp_ids.len())]
         } else {
             self.first_v4().unwrap_or(Ipv4Addr::new(172, 16, 0, 1))
         };
         let bgp = self.bgp_service(bgp_profile, bgp_identifier, primary_as);
-        let snmp = if self.rng.gen_bool(border.snmp_prob) {
-            Some(self.snmp_service(self.config.acl.snmp_coverage))
-        } else {
-            None
-        };
-        let ssh = if self.rng.gen_bool(border.ssh_prob) {
-            Some(self.ssh_service(self.router_ssh, self.config.acl.ssh_coverage))
-        } else {
-            None
-        };
-        let ipid = self.ipid_state(self.config.ipid_routers);
+        let snmp = self
+            .rng
+            .gen_bool(BORDER_SNMP_PROB)
+            .then(|| self.snmp_service(SNMP_COVERAGE));
+        let ssh = self
+            .rng
+            .gen_bool(BORDER_SSH_PROB)
+            .then(|| self.ssh_service(self.router_ssh, SSH_COVERAGE));
+        let ipid = self.ipid_state(ROUTER_IPID);
         let visibility = self.visibility();
-        let ping = self.rng.gen_bool(self.config.ping.router_prob);
-        let common_source = self.rng.gen_bool(self.config.ping.common_source_prob);
+        let ping = self.rng.gen_bool(ROUTER_PING_PROB);
+        let common_source = self.rng.gen_bool(COMMON_SOURCE_PROB);
         let row = DeviceRow {
             ssh,
             bgp: Some(bgp),
@@ -661,28 +825,25 @@ impl GenContext<'_> {
 
     fn gen_cpe(&mut self) {
         let as_idx = self.pick_as(AsKind::Isp);
-        let isp = self.config.isp;
         self.push_v4(as_idx);
-        if self.rng.gen_bool(isp.cpe_two_addr_prob) {
+        if self.rng.gen_bool(CPE_TWO_ADDR_PROB) {
             self.push_v4(as_idx);
         }
-        if self.rng.gen_bool(isp.cpe_dual_stack_prob) {
+        if self.rng.gen_bool(CPE_DUAL_STACK_PROB) {
             self.push_v6(as_idx);
         }
-        let snmp = if self.rng.gen_bool(isp.cpe_snmp_prob) {
-            Some(self.snmp_service(1.0))
-        } else {
-            None
-        };
-        let ssh = if self.rng.gen_bool(isp.cpe_ssh_prob) {
-            Some(self.ssh_service(self.embedded_ssh, 1.0))
-        } else {
-            None
-        };
-        let ipid = self.ipid_state(self.config.ipid_routers);
+        let snmp = self
+            .rng
+            .gen_bool(CPE_SNMP_PROB)
+            .then(|| self.snmp_service(1.0));
+        let ssh = self
+            .rng
+            .gen_bool(CPE_SSH_PROB)
+            .then(|| self.ssh_service(self.embedded_ssh, 1.0));
+        let ipid = self.ipid_state(ROUTER_IPID);
         let visibility = self.visibility();
-        let ping = self.rng.gen_bool(self.config.ping.router_prob);
-        let dynamic = self.rng.gen_bool(isp.cpe_dynamic_prob);
+        let ping = self.rng.gen_bool(ROUTER_PING_PROB);
+        let dynamic = self.rng.gen_bool(CPE_DYNAMIC_PROB);
         let row = DeviceRow {
             ssh,
             snmp,
@@ -698,21 +859,7 @@ impl GenContext<'_> {
     /// It still answers ICMP echo, so only the router-wide rate limiter
     /// can reveal which of its interfaces are aliases.
     fn gen_silent_router(&mut self) {
-        let as_idx = self.pick_as(AsKind::Isp);
-        let isp = self.config.isp;
-        let v4_count = self.heavy_tail(2, isp.router_ifaces_mean, isp.router_ifaces_max);
-        let dual_stack = self.rng.gen_bool(isp.router_dual_stack_prob);
-        let v6_count = if dual_stack {
-            self.rng.gen_range(1..=isp.router_v6_max.max(1))
-        } else {
-            0
-        };
-        for _ in 0..v4_count {
-            self.push_v4(as_idx);
-        }
-        for _ in 0..v6_count {
-            self.push_v6(as_idx);
-        }
+        self.push_router_ifaces();
         let ipid = IpidState::new(IpidModel::Random, self.rng.gen());
         // Deterministically visible: the population exists to measure what
         // *only* rate-limiting can resolve, so its reachability must not
@@ -740,20 +887,23 @@ const ICMP_LIMIT_SEED_SALT: u64 = 0x1c3d_11a5_b0c4_e7f2;
 /// dedicated RNG stream keeps the main generation stream untouched, so
 /// every population generated before the limiter existed stays
 /// byte-identical field-for-field.
-fn assign_icmp_limits(config: &InternetConfig, devices: &mut [DeviceRow]) {
-    let limits = &config.icmp_limits;
-    let mut rng = ChaCha8Rng::seed_from_u64(config.seed ^ ICMP_LIMIT_SEED_SALT);
+fn assign_icmp_limits(seed: u64, devices: &mut [DeviceRow]) {
+    let mut rng = ChaCha8Rng::seed_from_u64(seed ^ ICMP_LIMIT_SEED_SALT);
     for device in devices {
-        let (lo, hi) = match device.kind {
-            DeviceKind::IspRouter | DeviceKind::BorderRouter => limits.router_rate_range,
-            DeviceKind::SilentRouter => limits.silent_rate_range,
-            DeviceKind::CloudVm
-            | DeviceKind::CloudServer
-            | DeviceKind::EnterpriseServer
-            | DeviceKind::Cpe => limits.endpoint_rate_range,
-        };
-        let rate_pps = rng.gen_range(lo..=hi);
-        device.icmp_limit = IcmpRateLimit::new(rate_pps, limits.burst);
+        let rate_pps = rng.gen_range(icmp_rate_range(device.kind));
+        device.icmp_limit = IcmpRateLimit::new(rate_pps, ICMP_BURST);
+    }
+}
+
+/// The sustained-rate range a device class's limiter is drawn from.
+fn icmp_rate_range(kind: DeviceKind) -> RangeInclusive<f64> {
+    match kind {
+        DeviceKind::IspRouter | DeviceKind::BorderRouter => ROUTER_ICMP_PPS,
+        DeviceKind::SilentRouter => SILENT_ICMP_PPS,
+        DeviceKind::CloudVm
+        | DeviceKind::CloudServer
+        | DeviceKind::EnterpriseServer
+        | DeviceKind::Cpe => ENDPOINT_ICMP_PPS,
     }
 }
 
@@ -892,14 +1042,9 @@ mod tests {
     fn every_device_gets_a_class_appropriate_icmp_limit() {
         let mut config = InternetConfig::tiny(17);
         config.devices.silent_routers = 10;
-        let limits = config.icmp_limits;
         let internet = InternetBuilder::new(config).build();
         for device in internet.devices() {
-            let (lo, hi) = match device.kind() {
-                DeviceKind::IspRouter | DeviceKind::BorderRouter => limits.router_rate_range,
-                DeviceKind::SilentRouter => limits.silent_rate_range,
-                _ => limits.endpoint_rate_range,
-            };
+            let (lo, hi) = icmp_rate_range(device.kind()).into_inner();
             let limit = device.icmp_limit();
             assert!(
                 (lo..=hi).contains(&limit.rate_pps),
@@ -907,7 +1052,7 @@ mod tests {
                 device.kind(),
                 limit.rate_pps
             );
-            assert_eq!(limit.burst, limits.burst);
+            assert_eq!(limit.burst, ICMP_BURST);
         }
     }
 
@@ -954,7 +1099,7 @@ mod tests {
     #[should_panic(expected = "invalid InternetConfig")]
     fn invalid_config_is_rejected() {
         let mut config = InternetConfig::tiny(1);
-        config.acl.ssh_coverage = 2.0;
+        config.visibility.hitlist_coverage = 2.0;
         let _ = InternetBuilder::new(config);
     }
 }

@@ -5,13 +5,10 @@
 //! is expressed in simulated milliseconds so experiments are deterministic
 //! and fast regardless of wall-clock speed.
 
-use serde::{Deserialize, Serialize};
 use std::ops::{Add, AddAssign, Sub};
 
 /// A point in simulated time, in milliseconds since the start of the run.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct SimTime(pub u64);
 
 impl SimTime {

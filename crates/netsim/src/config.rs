@@ -1,8 +1,12 @@
-//! Generation parameters for the synthetic Internet.
+//! What a caller chooses about the synthetic Internet: its seed, its size
+//! and the IPv6 hitlist's coverage.
 //!
-//! Every knob that shapes the paper's numbers is an explicit parameter here,
-//! so the experiment binaries (and the ablation benches) can vary them and
-//! the defaults can be tuned against the paper's reported shapes.
+//! Everything else that shapes the population — each archetype's
+//! probabilities and address ranges, ACL coverage, identifier anomalies,
+//! visibility, IPID mixes, ICMP behaviour and churn — calibrates it to the
+//! paper's Table 1 shapes and is a constant of the module that reads it:
+//! [`crate::builder`] for generation, [`crate::internet`] for the churn
+//! rate and `alias-censys` for the non-standard-port fraction.
 //!
 //! Scaling note: the paper measures ~24M SSH hosts; the default
 //! [`ScalePreset::PaperShape`] population is roughly 1/400 of that for SSH
@@ -13,10 +17,8 @@
 //! dominates, BGP sets are larger and more multi-AS) and is documented in
 //! EXPERIMENTS.md.
 
-use serde::{Deserialize, Serialize};
-
 /// How many ASes of each kind to generate.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AsCounts {
     /// Cloud / hosting providers.
     pub cloud: usize,
@@ -27,7 +29,7 @@ pub struct AsCounts {
 }
 
 /// How many devices of each archetype to generate (totals across all ASes).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DeviceCounts {
     /// Single-address cloud VMs (SSH).
     pub cloud_vms: usize,
@@ -48,206 +50,15 @@ pub struct DeviceCounts {
     pub silent_routers: usize,
 }
 
-/// Parameters for cloud-provider devices.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct CloudParams {
-    /// Probability that a single-address VM also has one IPv6 address.
-    pub vm_dual_stack_prob: f64,
-    /// Probability that a VM is IPv6-only (no IPv4 interface).
-    pub vm_ipv6_only_prob: f64,
-    /// Minimum and maximum IPv4 addresses on a multi-address cloud server.
-    pub server_v4_range: (usize, usize),
-    /// Fraction of cloud servers that are large load-balancer clusters.
-    pub server_lb_fraction: f64,
-    /// Maximum IPv4 addresses on a load-balancer cluster.
-    pub server_lb_max: usize,
-    /// Probability that a cloud server is dual-stack.
-    pub server_dual_stack_prob: f64,
-    /// Minimum and maximum IPv6 addresses on a dual-stack cloud server.
-    pub server_v6_range: (usize, usize),
-    /// Probability that a cloud server also runs SNMPv3.
-    pub server_snmp_prob: f64,
-}
-
-/// Parameters for ISP devices.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct IspParams {
-    /// Probability that an ISP router runs SNMPv3.
-    pub router_snmp_prob: f64,
-    /// Probability that an ISP router also answers SSH.
-    pub router_ssh_prob: f64,
-    /// Mean number of IPv4 interfaces on an ISP router (geometric-ish tail).
-    pub router_ifaces_mean: f64,
-    /// Hard cap on ISP-router interfaces.
-    pub router_ifaces_max: usize,
-    /// Probability that an ISP router is dual-stack.
-    pub router_dual_stack_prob: f64,
-    /// Maximum IPv6 interfaces on a dual-stack router.
-    pub router_v6_max: usize,
-    /// Probability that an ISP router has TCP/179 open but closes silently
-    /// (contributes to the "5.8M close immediately" population).
-    pub router_silent_bgp_prob: f64,
-    /// Probability that a CPE device runs SNMPv3.
-    pub cpe_snmp_prob: f64,
-    /// Probability that a CPE device runs SSH (dropbear-style).
-    pub cpe_ssh_prob: f64,
-    /// Probability that a CPE device has a second IPv4 address.
-    pub cpe_two_addr_prob: f64,
-    /// Probability that a CPE device is dual-stack.
-    pub cpe_dual_stack_prob: f64,
-    /// Probability that a CPE device sits in a dynamic (churning) pool.
-    pub cpe_dynamic_prob: f64,
-}
-
-/// Parameters for border routers (the BGP population).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct BorderParams {
-    /// Mean number of IPv4 interfaces.
-    pub ifaces_mean: f64,
-    /// Hard cap on interfaces.
-    pub ifaces_max: usize,
-    /// Probability that each additional interface is numbered from a
-    /// neighbouring (foreign) AS — drives the multi-AS alias sets of Fig. 5.
-    pub foreign_as_prob: f64,
-    /// Probability that a border router also runs SNMPv3.
-    pub snmp_prob: f64,
-    /// Probability that a border router also answers SSH.
-    pub ssh_prob: f64,
-    /// Probability that a border router is dual-stack.
-    pub dual_stack_prob: f64,
-    /// Maximum IPv6 interfaces on a dual-stack border router.
-    pub v6_max: usize,
-}
-
-/// Access-control coverage: the probability that a deployed service answers
-/// on any given interface (firewalls and ACLs limit alias discovery).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct AclParams {
-    /// Interface coverage for SSH.
-    pub ssh_coverage: f64,
-    /// Interface coverage for BGP.
-    pub bgp_coverage: f64,
-    /// Interface coverage for SNMPv3.
-    pub snmp_coverage: f64,
-}
-
-/// Pathologies that stress the identifiers.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct AnomalyParams {
-    /// Fraction of SSH devices shipping a factory-default (shared) host key.
-    pub default_key_fraction: f64,
-    /// Fraction of multi-interface SSH devices whose interfaces advertise
-    /// diverging algorithm capabilities (the paper measures 0.4%).
-    pub capability_divergence_fraction: f64,
-    /// Fraction of BGP speakers with a misconfigured, non-unique BGP
-    /// identifier.
-    pub duplicate_bgp_identifier_fraction: f64,
-}
-
-/// What each measurement channel can see.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+/// What the measurement channels can see that a caller reads.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct VisibilityParams {
-    /// Fraction of devices that do not answer the single-VP active scan
-    /// (rate limiting / IDS filtering) but do answer distributed scans.
-    pub single_vp_invisible_fraction: f64,
-    /// Fraction of devices covered by the Censys-like snapshot.
-    pub censys_coverage: f64,
-    /// Fraction of Censys-covered SSH devices additionally listed on a
-    /// non-standard port (excluded from the default-port analysis).
-    pub censys_nonstandard_port_fraction: f64,
     /// Fraction of active IPv6 service addresses present in the IPv6 hitlist.
     pub hitlist_coverage: f64,
 }
 
-/// Mixture of IPID counter behaviours for a device class.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct IpidMix {
-    /// Probability of a shared monotonic counter (the MIDAR-friendly case).
-    pub shared_monotonic: f64,
-    /// Probability of per-interface counters.
-    pub per_interface: f64,
-    /// Probability of random IPIDs.
-    pub random: f64,
-    /// Probability of a constant (usually zero) IPID.
-    pub constant: f64,
-    /// Given a shared monotonic counter, probability that its velocity is
-    /// too high for reliable sampling.
-    pub high_velocity_given_shared: f64,
-}
-
-impl IpidMix {
-    /// A router-like mix: some shared counters, many alternatives.
-    pub fn router() -> Self {
-        IpidMix {
-            shared_monotonic: 0.35,
-            per_interface: 0.25,
-            random: 0.25,
-            constant: 0.15,
-            high_velocity_given_shared: 0.35,
-        }
-    }
-
-    /// A server-like mix: shared counters are rare on modern server stacks.
-    pub fn server() -> Self {
-        IpidMix {
-            shared_monotonic: 0.12,
-            per_interface: 0.08,
-            random: 0.55,
-            constant: 0.25,
-            high_velocity_given_shared: 0.25,
-        }
-    }
-}
-
-/// Address churn parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct ChurnParams {
-    /// Probability per simulated day that a dynamic device's addresses are
-    /// reassigned within its pool.
-    pub daily_reassign_prob: f64,
-}
-
-/// ICMP behaviour parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct PingParams {
-    /// Probability that a router answers echo probes.
-    pub router_prob: f64,
-    /// Probability that a server answers echo probes.
-    pub server_prob: f64,
-    /// Probability that a device sources ICMP errors from a fixed interface
-    /// (making the iffinder common-source-address technique applicable).
-    pub common_source_prob: f64,
-}
-
-/// Router-wide ICMP rate-limiter parameters (Vermeulen et al., arXiv
-/// 2002.00252).  Every device polices ICMP replies with one token bucket
-/// shared by all its interfaces; the per-device sustained rate is drawn
-/// uniformly from the range matching the device class.
-///
-/// The ranges are chosen so escalating-rate probing (256 → 4096 pps, 24
-/// probes per round) fingerprints every router-class limiter while
-/// endpoint limiters never trip — keeping the technique's candidate set,
-/// and therefore its probing cost, to the router population, as in the
-/// paper.  Rates below ~90 pps would make independent same-signature
-/// devices lossy even at half the first escalation rate, breaking the
-/// joint-probe discrimination; keep `silent_rate_range.0` well above that.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct IcmpLimitParams {
-    /// Sustained-rate range (pps) for ISP and border routers.
-    pub router_rate_range: (f64, f64),
-    /// Sustained-rate range (pps) for endpoint-class devices (cloud VMs and
-    /// servers, enterprise servers, CPE) — high enough that probing never
-    /// trips it.
-    pub endpoint_rate_range: (f64, f64),
-    /// Sustained-rate range (pps) for silent routers.
-    pub silent_rate_range: (f64, f64),
-    /// Bucket capacity (replies answered back-to-back from a full bucket),
-    /// shared by every class.
-    pub burst: f64,
-}
-
 /// Named size presets.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ScalePreset {
     /// A few hundred devices — unit/integration tests.
     Tiny,
@@ -265,7 +76,7 @@ pub enum ScalePreset {
 }
 
 /// Complete generation configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct InternetConfig {
     /// RNG seed; every derived structure is deterministic in this seed.
     pub seed: u64,
@@ -273,32 +84,8 @@ pub struct InternetConfig {
     pub as_counts: AsCounts,
     /// Device population.
     pub devices: DeviceCounts,
-    /// Cloud archetype parameters.
-    pub cloud: CloudParams,
-    /// ISP archetype parameters.
-    pub isp: IspParams,
-    /// Border-router archetype parameters.
-    pub border: BorderParams,
-    /// Enterprise-server SSH probability (they are otherwise single-address).
-    pub enterprise_ssh_prob: f64,
-    /// Probability that an enterprise server has a second address.
-    pub enterprise_two_addr_prob: f64,
-    /// ACL coverage.
-    pub acl: AclParams,
-    /// Identifier pathologies.
-    pub anomalies: AnomalyParams,
-    /// Measurement-channel visibility.
+    /// Measurement-channel visibility: the IPv6 hitlist's coverage.
     pub visibility: VisibilityParams,
-    /// IPID behaviour of router-like devices.
-    pub ipid_routers: IpidMix,
-    /// IPID behaviour of server-like devices.
-    pub ipid_servers: IpidMix,
-    /// Churn behaviour.
-    pub churn: ChurnParams,
-    /// ICMP behaviour.
-    pub ping: PingParams,
-    /// Router-wide ICMP rate-limiter behaviour.
-    pub icmp_limits: IcmpLimitParams,
 }
 
 impl InternetConfig {
@@ -386,76 +173,8 @@ impl InternetConfig {
             seed,
             as_counts,
             devices,
-            cloud: CloudParams {
-                vm_dual_stack_prob: 0.035,
-                vm_ipv6_only_prob: 0.012,
-                server_v4_range: (2, 6),
-                server_lb_fraction: 0.03,
-                server_lb_max: 220,
-                server_dual_stack_prob: 0.22,
-                server_v6_range: (2, 8),
-                server_snmp_prob: 0.04,
-            },
-            isp: IspParams {
-                router_snmp_prob: 0.88,
-                router_ssh_prob: 0.14,
-                router_ifaces_mean: 9.0,
-                router_ifaces_max: 400,
-                router_dual_stack_prob: 0.06,
-                router_v6_max: 6,
-                router_silent_bgp_prob: 0.55,
-                cpe_snmp_prob: 0.62,
-                cpe_ssh_prob: 0.22,
-                cpe_two_addr_prob: 0.04,
-                cpe_dual_stack_prob: 0.015,
-                cpe_dynamic_prob: 0.5,
-            },
-            border: BorderParams {
-                ifaces_mean: 11.0,
-                ifaces_max: 500,
-                foreign_as_prob: 0.28,
-                snmp_prob: 0.45,
-                ssh_prob: 0.12,
-                dual_stack_prob: 0.14,
-                v6_max: 8,
-            },
-            enterprise_ssh_prob: 0.92,
-            enterprise_two_addr_prob: 0.08,
-            acl: AclParams {
-                ssh_coverage: 0.9,
-                bgp_coverage: 0.75,
-                snmp_coverage: 0.85,
-            },
-            anomalies: AnomalyParams {
-                default_key_fraction: 0.003,
-                capability_divergence_fraction: 0.004,
-                duplicate_bgp_identifier_fraction: 0.01,
-            },
             visibility: VisibilityParams {
-                single_vp_invisible_fraction: 0.27,
-                censys_coverage: 0.88,
-                censys_nonstandard_port_fraction: 0.2,
                 hitlist_coverage: 0.72,
-            },
-            ipid_routers: IpidMix::router(),
-            ipid_servers: IpidMix::server(),
-            // Roughly 6% of dynamic pools are reassigned over the three weeks
-            // separating the Censys snapshot from the active scan — enough to
-            // reproduce the churn-driven validation disagreements the paper
-            // discusses without letting churn dominate them.
-            churn: ChurnParams {
-                daily_reassign_prob: 0.003,
-            },
-            ping: PingParams {
-                router_prob: 0.85,
-                server_prob: 0.6,
-                common_source_prob: 0.3,
-            },
-            icmp_limits: IcmpLimitParams {
-                router_rate_range: (300.0, 2_500.0),
-                endpoint_rate_range: (8_000.0, 40_000.0),
-                silent_rate_range: (120.0, 1_000.0),
-                burst: 8.0,
             },
         }
     }
@@ -487,114 +206,24 @@ impl InternetConfig {
             + d.silent_routers
     }
 
-    /// Sanity-check probability parameters; returns a list of offending
-    /// field names (empty when the configuration is valid).
+    /// Sanity-check what a caller sets; returns the offending field names
+    /// (empty when the configuration is valid).
     pub fn validate(&self) -> Vec<&'static str> {
         let mut bad = Vec::new();
-        let mut check = |name: &'static str, value: f64| {
-            if !(0.0..=1.0).contains(&value) {
-                bad.push(name);
-            }
-        };
-        check("cloud.vm_dual_stack_prob", self.cloud.vm_dual_stack_prob);
-        check("cloud.vm_ipv6_only_prob", self.cloud.vm_ipv6_only_prob);
-        check("cloud.server_lb_fraction", self.cloud.server_lb_fraction);
-        check(
-            "cloud.server_dual_stack_prob",
-            self.cloud.server_dual_stack_prob,
-        );
-        check("cloud.server_snmp_prob", self.cloud.server_snmp_prob);
-        check("isp.router_snmp_prob", self.isp.router_snmp_prob);
-        check("isp.router_ssh_prob", self.isp.router_ssh_prob);
-        check(
-            "isp.router_dual_stack_prob",
-            self.isp.router_dual_stack_prob,
-        );
-        check(
-            "isp.router_silent_bgp_prob",
-            self.isp.router_silent_bgp_prob,
-        );
-        check("isp.cpe_snmp_prob", self.isp.cpe_snmp_prob);
-        check("isp.cpe_ssh_prob", self.isp.cpe_ssh_prob);
-        check("isp.cpe_two_addr_prob", self.isp.cpe_two_addr_prob);
-        check("isp.cpe_dual_stack_prob", self.isp.cpe_dual_stack_prob);
-        check("isp.cpe_dynamic_prob", self.isp.cpe_dynamic_prob);
-        check("border.foreign_as_prob", self.border.foreign_as_prob);
-        check("border.snmp_prob", self.border.snmp_prob);
-        check("border.ssh_prob", self.border.ssh_prob);
-        check("border.dual_stack_prob", self.border.dual_stack_prob);
-        check("enterprise_ssh_prob", self.enterprise_ssh_prob);
-        check("enterprise_two_addr_prob", self.enterprise_two_addr_prob);
-        check("acl.ssh_coverage", self.acl.ssh_coverage);
-        check("acl.bgp_coverage", self.acl.bgp_coverage);
-        check("acl.snmp_coverage", self.acl.snmp_coverage);
-        check(
-            "anomalies.default_key_fraction",
-            self.anomalies.default_key_fraction,
-        );
-        check(
-            "anomalies.capability_divergence_fraction",
-            self.anomalies.capability_divergence_fraction,
-        );
-        check(
-            "anomalies.duplicate_bgp_identifier_fraction",
-            self.anomalies.duplicate_bgp_identifier_fraction,
-        );
-        check(
-            "visibility.single_vp_invisible_fraction",
-            self.visibility.single_vp_invisible_fraction,
-        );
-        check(
-            "visibility.censys_coverage",
-            self.visibility.censys_coverage,
-        );
-        check(
-            "visibility.censys_nonstandard_port_fraction",
-            self.visibility.censys_nonstandard_port_fraction,
-        );
-        check(
-            "visibility.hitlist_coverage",
-            self.visibility.hitlist_coverage,
-        );
-        check("churn.daily_reassign_prob", self.churn.daily_reassign_prob);
-        check("ping.router_prob", self.ping.router_prob);
-        check("ping.server_prob", self.ping.server_prob);
-        check("ping.common_source_prob", self.ping.common_source_prob);
-        for (name, mix) in [
-            ("ipid_routers", self.ipid_routers),
-            ("ipid_servers", self.ipid_servers),
+        // The builder draws ASes of every kind by weight, so each kind
+        // needs at least one.
+        let counts = &self.as_counts;
+        for (name, count) in [
+            ("as_counts.cloud", counts.cloud),
+            ("as_counts.isp", counts.isp),
+            ("as_counts.enterprise", counts.enterprise),
         ] {
-            let total = mix.shared_monotonic + mix.per_interface + mix.random + mix.constant;
-            if (total - 1.0).abs() > 1e-6 {
-                bad.push(match name {
-                    "ipid_routers" => "ipid_routers (mix does not sum to 1)",
-                    _ => "ipid_servers (mix does not sum to 1)",
-                });
-            }
-        }
-        if self.as_counts.cloud == 0 || self.as_counts.isp == 0 {
-            bad.push("as_counts");
-        }
-        for (name, (lo, hi)) in [
-            (
-                "icmp_limits.router_rate_range",
-                self.icmp_limits.router_rate_range,
-            ),
-            (
-                "icmp_limits.endpoint_rate_range",
-                self.icmp_limits.endpoint_rate_range,
-            ),
-            (
-                "icmp_limits.silent_rate_range",
-                self.icmp_limits.silent_rate_range,
-            ),
-        ] {
-            if !(lo > 0.0 && hi >= lo) {
+            if count == 0 {
                 bad.push(name);
             }
         }
-        if self.icmp_limits.burst < 1.0 {
-            bad.push("icmp_limits.burst");
+        if !(0.0..=1.0).contains(&self.visibility.hitlist_coverage) {
+            bad.push("visibility.hitlist_coverage");
         }
         bad
     }
@@ -637,23 +266,26 @@ mod tests {
     }
 
     #[test]
-    fn validation_catches_bad_probabilities() {
+    fn validation_catches_a_bad_hitlist_coverage() {
         let mut config = InternetConfig::tiny(1);
-        config.acl.ssh_coverage = 1.5;
-        config.isp.cpe_snmp_prob = -0.1;
-        let bad = config.validate();
-        assert!(bad.contains(&"acl.ssh_coverage"));
-        assert!(bad.contains(&"isp.cpe_snmp_prob"));
+        config.visibility.hitlist_coverage = 1.5;
+        assert_eq!(config.validate(), ["visibility.hitlist_coverage"]);
     }
 
     #[test]
-    fn validation_catches_bad_icmp_limit_ranges() {
-        let mut config = InternetConfig::tiny(1);
-        config.icmp_limits.router_rate_range = (500.0, 100.0);
-        config.icmp_limits.burst = 0.5;
-        let bad = config.validate();
-        assert!(bad.contains(&"icmp_limits.router_rate_range"));
-        assert!(bad.contains(&"icmp_limits.burst"));
+    fn validation_names_each_as_kind_left_empty() {
+        for (name, clear) in [
+            (
+                "as_counts.cloud",
+                (|c: &mut AsCounts| c.cloud = 0) as fn(&mut AsCounts),
+            ),
+            ("as_counts.isp", |c: &mut AsCounts| c.isp = 0),
+            ("as_counts.enterprise", |c: &mut AsCounts| c.enterprise = 0),
+        ] {
+            let mut config = InternetConfig::tiny(1);
+            clear(&mut config.as_counts);
+            assert_eq!(config.validate(), [name]);
+        }
     }
 
     #[test]
@@ -662,21 +294,6 @@ mod tests {
         let base = config.total_devices();
         config.devices.silent_routers = 12;
         assert_eq!(config.total_devices(), base + 12);
-    }
-
-    #[test]
-    fn validation_catches_bad_ipid_mix() {
-        let mut config = InternetConfig::tiny(1);
-        config.ipid_routers.random += 0.5;
-        assert!(!config.validate().is_empty());
-    }
-
-    #[test]
-    fn ipid_mixes_sum_to_one() {
-        for mix in [IpidMix::router(), IpidMix::server()] {
-            let total = mix.shared_monotonic + mix.per_interface + mix.random + mix.constant;
-            assert!((total - 1.0).abs() < 1e-9);
-        }
     }
 
     #[test]

@@ -1,10 +1,9 @@
 //! Small identifier newtypes used throughout the simulator.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// An autonomous system number.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Asn(pub u32);
 
 impl fmt::Display for Asn {
@@ -14,7 +13,7 @@ impl fmt::Display for Asn {
 }
 
 /// Index of a device inside the simulated Internet.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct DeviceId(pub u32);
 
 impl DeviceId {

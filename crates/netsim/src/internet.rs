@@ -32,8 +32,16 @@ pub const BGP_PORT: u16 = 179;
 /// Default UDP port of SNMP.
 pub const SNMP_PORT: u16 = 161;
 
+/// Probability per simulated day that a dynamic pair's addresses are
+/// swapped.  Roughly 6 % of dynamic pools are reassigned over the three
+/// weeks separating the Censys snapshot from the active scan — enough to
+/// reproduce the churn-driven validation disagreements the paper discusses
+/// without letting churn dominate them.
+const DAILY_REASSIGN_PROB: f64 = 0.003;
+const _: () = assert!(DAILY_REASSIGN_PROB >= 0.0 && DAILY_REASSIGN_PROB <= 1.0);
+
 /// Application protocols the toolkit scans for.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ServiceProtocol {
     /// SSH on TCP/22.
     Ssh,
@@ -633,13 +641,14 @@ impl Internet {
     /// Reassign addresses of dynamic devices to model address churn over the
     /// interval `[from, to]`.
     ///
-    /// Dynamic devices in the same AS pool swap IPv4 addresses with a
-    /// probability derived from [`crate::config::ChurnParams`]; this is what
-    /// breaks long-running measurements (the paper attributes part of the
-    /// MIDAR disagreement to churn over its three-week run).
+    /// Dynamic devices in the same AS pool are paired at random, and each
+    /// pair swaps IPv4 addresses with probability 0.003 per elapsed day
+    /// (certain from about 333 days on); this is what breaks long-running
+    /// measurements (the paper attributes part of the MIDAR disagreement to
+    /// churn over its three-week run).
     pub fn apply_churn(&mut self, from: SimTime, to: SimTime) -> usize {
         let elapsed_days = (to.since(from).as_secs() as f64) / 86_400.0;
-        let prob = (self.config.churn.daily_reassign_prob * elapsed_days).min(1.0);
+        let prob = (DAILY_REASSIGN_PROB * elapsed_days).min(1.0);
         if prob <= 0.0 {
             return 0;
         }
@@ -1106,21 +1115,16 @@ mod tests {
 
     #[test]
     fn churn_swaps_dynamic_addresses_and_keeps_index_consistent() {
-        let mut config = InternetConfig::tiny(7);
-        config.churn.daily_reassign_prob = 1.0;
-        config.isp.cpe_dynamic_prob = 1.0;
-        let mut internet = InternetBuilder::new(config).build();
+        let mut internet = InternetBuilder::new(InternetConfig::tiny(7)).build();
         let before: Vec<(DeviceId, IpAddr)> = internet
             .devices()
             .filter(|d| d.dynamic_addresses())
             .map(|d| (d.id(), d.interfaces()[0].addr))
             .collect();
         assert!(before.len() >= 2);
-        let swapped = internet.apply_churn(SimTime::ZERO, SimTime::from_days(21));
-        assert!(
-            swapped > 0,
-            "three weeks at probability 1.0 must swap something"
-        );
+        // 400 days make every pair's swap certain.
+        let swapped = internet.apply_churn(SimTime::ZERO, SimTime::from_days(400));
+        assert!(swapped > 0, "certain churn must swap something");
         // The index still maps every address to the device now holding it.
         for device in internet.devices() {
             for (idx, iface) in device.interfaces().iter().enumerate() {

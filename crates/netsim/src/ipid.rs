@@ -10,10 +10,9 @@
 //! the same reasons.
 
 use crate::clock::SimTime;
-use serde::{Deserialize, Serialize};
 
 /// How a device assigns IPv4 Identification values.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum IpidModel {
     /// One counter shared by every interface, incremented for each generated
     /// packet; background traffic advances it at `velocity` packets/second.
@@ -58,7 +57,7 @@ impl IpidModel {
 /// Mutable per-device IPID state.  The per-interface probe counts of the
 /// `PerInterface` model are not in it: they are one column over every
 /// interface, whose run for the device each [`Self::next_ipid`] is handed.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct IpidState {
     model: IpidModel,
     /// Base offset of the shared counter.

@@ -28,9 +28,12 @@
 //! * the **ground truth** the real Internet never reveals, used for
 //!   precision/recall style evaluation ([`ground_truth`]).
 //!
-//! Everything is generated deterministically from an [`config::InternetConfig`]
-//! and a seed, so every experiment in the workspace is reproducible
-//! bit-for-bit.
+//! Everything is generated deterministically from an
+//! [`config::InternetConfig`] — a seed, a size preset and the hitlist's
+//! coverage — so every experiment in the workspace is reproducible
+//! bit-for-bit.  The population's shape (each archetype's probabilities and
+//! ranges, ACLs, IPID mixes, ICMP limiters) is calibrated to the paper's
+//! Table 1 and fixed by [`builder`]'s constants, not configured.
 
 pub mod builder;
 pub mod clock;

@@ -14,7 +14,6 @@
 
 use alias_wire::bgp::{Capability, CapabilityRef, ParamRef};
 use alias_wire::ssh::{Banner, KexInit, NameList};
-use serde::{Deserialize, Serialize};
 
 /// A shared SSH implementation profile.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -30,7 +29,7 @@ pub struct SshProfile {
 }
 
 /// Index into the global SSH profile table.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct SshProfileId(pub u16);
 
 /// A shared BGP implementation profile: everything in the OPEN message that
@@ -53,7 +52,7 @@ pub struct BgpProfile {
 }
 
 /// Index into the global BGP profile table.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct BgpProfileId(pub u16);
 
 fn openssh_kexinit(order_flip: bool) -> KexInit {

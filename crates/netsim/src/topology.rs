@@ -9,11 +9,10 @@
 //! ASes.
 
 use crate::ids::Asn;
-use serde::{Deserialize, Serialize};
 use std::net::{Ipv4Addr, Ipv6Addr};
 
 /// Broad AS categories used by the generator and in the paper's analysis.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AsKind {
     /// Cloud / hosting provider (DigitalOcean, AWS, OVH, Hetzner, ...).
     CloudProvider,
@@ -24,7 +23,7 @@ pub enum AsKind {
 }
 
 /// A routed IPv4 prefix.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Ipv4Prefix {
     /// Network base address.
     pub base: Ipv4Addr,
@@ -59,7 +58,7 @@ impl Ipv4Prefix {
 }
 
 /// A routed IPv6 prefix, modelled as a 64-bit network identifier.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Ipv6Prefix {
     /// Network base address.
     pub base: Ipv6Addr,
@@ -82,7 +81,7 @@ impl Ipv6Prefix {
 }
 
 /// An autonomous system: identity, category and its address allocations.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct AutonomousSystem {
     /// The AS number.
     pub asn: Asn,
@@ -143,7 +142,7 @@ impl AutonomousSystem {
 /// into globally-unique-looking space beginning at `1.0.0.0`; compactness is
 /// what lets the ZMap-like scanner sweep "the whole announced Internet" in
 /// milliseconds.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PrefixAllocator {
     next_v4_base: u32,
     next_v6_site: u32,

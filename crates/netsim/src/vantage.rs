@@ -8,10 +8,8 @@
 //! (Table 1).  Probes therefore carry the kind of vantage point that emitted
 //! them.
 
-use serde::{Deserialize, Serialize};
-
 /// The kind of measurement infrastructure a probe originates from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum VantageKind {
     /// A single scanning host (the paper's own active measurements).
     SingleVp,

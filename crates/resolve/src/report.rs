@@ -6,7 +6,6 @@ use alias_core::validation::{common_ids, cross_validate, ValidationResult};
 use alias_intern::{AddrId, AddrInterner, CompactAliasSet};
 use alias_obs::{DeterminismClass, LazyCounter};
 use alias_scan::CampaignData;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
@@ -21,7 +20,7 @@ static AGREEMENT_PAIRS: LazyCounter = LazyCounter::new(
 
 /// Coverage of one technique: how many sets it produced and how many
 /// addresses they span.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TechniqueCoverage {
     /// The technique's name.
     pub technique: String,
@@ -36,7 +35,7 @@ pub struct TechniqueCoverage {
 /// Pairwise agreement between two techniques, computed the way the paper's
 /// Table 2 does: both partitions are projected onto the addresses testable
 /// by *both* techniques and compared set-by-set for exact membership match.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TechniqueAgreement {
     /// First technique (the one whose sets are sampled).
     pub a: String,
@@ -47,7 +46,7 @@ pub struct TechniqueAgreement {
 }
 
 /// Coverage and cross-technique agreement statistics of one run.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CoverageStats {
     /// Per-technique coverage, in registration order.
     pub per_technique: Vec<TechniqueCoverage>,

@@ -17,7 +17,6 @@
 use crate::rate::TokenBucket;
 use alias_netsim::{DeviceId, ProbeContext, ProbeSession, SimTime, VantageKind};
 use alias_obs::{DeterminismClass, LazyCounter};
-use serde::{Deserialize, Serialize};
 
 /// Probe slots the IPID prober sent: one per target per round of a
 /// round-robin sweep, `2 × probes_per_addr` per interleaved pair (a slot
@@ -41,7 +40,7 @@ static IPID_PAIR_SCHEDULES: LazyCounter = LazyCounter::new(
 );
 
 /// One IPID sample.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct IpidSample {
     /// When the reply was received.
     pub time: SimTime,

@@ -14,11 +14,10 @@ use alias_netsim::{ServiceProtocol, SimTime};
 use alias_wire::bgp::OpenMessage;
 use alias_wire::snmp::EngineId;
 use alias_wire::ssh::SshObservation;
-use serde::{Deserialize, Serialize};
 use std::net::IpAddr;
 
 /// Where a record came from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum DataSource {
     /// The toolkit's own single-VP active measurements.
     Active,
@@ -44,7 +43,7 @@ impl DataSource {
 // one among the rows that pass through the doors, so boxing it would add
 // an allocation per row without shrinking the typical one.
 #[allow(clippy::large_enum_variant)]
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ServicePayload {
     /// An SSH banner exchange (banner, KEXINIT, host key where obtained).
     Ssh(SshObservation),
@@ -144,7 +143,7 @@ pub fn parse_payload(protocol: ServiceProtocol, bytes: &[u8]) -> Option<ServiceP
 }
 
 /// One responsive (address, port) with parsed payload and provenance.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ServiceObservation {
     /// The probed address.
     pub addr: IpAddr,

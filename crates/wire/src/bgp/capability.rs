@@ -5,13 +5,12 @@
 
 use crate::error::check_len;
 use crate::{Result, WireError};
-use serde::{Deserialize, Serialize};
 
 /// Optional-parameter type code for capabilities (RFC 5492).
 const PARAM_TYPE_CAPABILITY: u8 = 2;
 
 /// A single capability advertised inside the capabilities optional parameter.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Capability {
     /// Multiprotocol extensions (code 1) with AFI/SAFI.
     Multiprotocol {
@@ -205,7 +204,7 @@ impl CapabilityRef<'_> {
 }
 
 /// One optional parameter inside a BGP OPEN message.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum OptionalParameter {
     /// A capabilities parameter holding exactly one capability.
     ///

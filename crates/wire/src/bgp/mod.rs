@@ -24,7 +24,6 @@ pub use open::{OpenMessage, OpenRef, AS_TRANS};
 
 use crate::error::check_len;
 use crate::{Result, WireError};
-use serde::{Deserialize, Serialize};
 
 /// Length of the fixed BGP message header (marker + length + type).
 pub const BGP_HEADER_LEN: usize = 19;
@@ -34,7 +33,7 @@ pub const BGP_MAX_MESSAGE_LEN: usize = 4096;
 pub const BGP_MARKER: [u8; 16] = [0xff; 16];
 
 /// The BGP message type octet.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MessageType {
     /// OPEN (1).
     Open,
@@ -70,7 +69,7 @@ impl MessageType {
 }
 
 /// The common BGP message header.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MessageHeader {
     /// Total message length, header included.
     pub length: u16,
@@ -110,7 +109,7 @@ impl MessageHeader {
 }
 
 /// Any BGP message the scanner can receive after the handshake.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum BgpMessage {
     /// An OPEN message.
     Open(OpenMessage),

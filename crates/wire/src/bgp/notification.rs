@@ -7,10 +7,9 @@
 use super::{MessageHeader, MessageType, BGP_HEADER_LEN};
 use crate::error::check_len;
 use crate::Result;
-use serde::{Deserialize, Serialize};
 
 /// Cease subcodes (RFC 4486).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CeaseSubcode {
     /// Maximum number of prefixes reached (1).
     MaxPrefixes,
@@ -65,7 +64,7 @@ impl CeaseSubcode {
 }
 
 /// A parsed NOTIFICATION message.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct NotificationMessage {
     /// Major error code (6 = Cease).
     pub error_code: u8,

@@ -4,7 +4,6 @@ use super::capability::{Capability, OptionalParameter, ParamRef, WireParams};
 use super::{MessageHeader, MessageType, BGP_HEADER_LEN, BGP_MARKER};
 use crate::error::check_len;
 use crate::{Result, WireError};
-use serde::{Deserialize, Serialize};
 use std::net::Ipv4Addr;
 
 /// Minimum length of an OPEN message body (version .. opt parm len).
@@ -19,7 +18,7 @@ pub const AS_TRANS: u16 = 23_456;
 /// Every field of the OPEN message is host-wide configuration: the paper
 /// combines all of them (together with the message length) into the unique
 /// identifier used to group aliases and dual-stack addresses.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct OpenMessage {
     /// Protocol version; 4 for every deployed speaker.
     pub version: u8,

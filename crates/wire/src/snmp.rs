@@ -11,7 +11,6 @@
 
 use crate::ber::{self, Tlv, TAG_GET_REQUEST_PDU, TAG_REPORT_PDU, TAG_SEQUENCE};
 use crate::{Result, WireError};
-use serde::{Deserialize, Serialize};
 
 /// SNMP version number for SNMPv3 as carried on the wire.
 pub const SNMP_VERSION_3: i64 = 3;
@@ -21,7 +20,7 @@ pub const SECURITY_MODEL_USM: i64 = 3;
 pub const USM_STATS_UNKNOWN_ENGINE_IDS: [u32; 11] = [1, 3, 6, 1, 6, 3, 15, 1, 1, 4, 0];
 
 /// An SNMPv3 engine identifier (5–32 octets per RFC 3411).
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct EngineId(pub Vec<u8>);
 
 impl EngineId {
@@ -68,7 +67,7 @@ impl EngineId {
 }
 
 /// The USM security parameters carried as a nested OCTET STRING.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct UsmSecurityParameters {
     /// The authoritative engine ID (empty in discovery requests).
     pub engine_id: EngineId,
@@ -105,7 +104,7 @@ fn at_least<'a, const N: usize>(parent: Tlv<'a>, field: &'static str) -> Result<
 }
 
 /// The SNMPv3 messages the toolkit exchanges.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Snmpv3Message {
     /// The unauthenticated discovery GET sent by the scanner.
     DiscoveryRequest {

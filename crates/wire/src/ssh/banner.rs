@@ -11,14 +11,13 @@
 //! first component of the paper's SSH identifier.
 
 use crate::{Result, WireError};
-use serde::{Deserialize, Serialize};
 
 /// Maximum banner length accepted (RFC 4253 allows 255 characters including
 /// CR LF).
 pub const MAX_BANNER_LEN: usize = 255;
 
 /// A parsed SSH identification banner.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Banner {
     /// Protocol version, `"2.0"` for every modern server.
     pub proto_version: String,

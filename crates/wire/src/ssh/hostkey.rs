@@ -12,11 +12,10 @@ use super::packet::{
     read_string, write_string, write_string_with, SshPacket, SSH_MSG_KEX_ECDH_REPLY,
 };
 use crate::{Result, WireError};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Host-key algorithms the toolkit recognises.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum HostKeyAlgorithm {
     /// `ssh-ed25519`.
     Ed25519,
@@ -60,7 +59,7 @@ impl fmt::Display for HostKeyAlgorithm {
 }
 
 /// A server host key: algorithm plus the raw public-key material.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct HostKey {
     /// Key algorithm.
     pub algorithm: HostKeyAlgorithm,
@@ -169,7 +168,7 @@ impl HostKeyRef<'_> {
 /// The layout matches `SSH_MSG_KEX_ECDH_REPLY` (RFC 5656 §4 / RFC 8731):
 /// host key blob, ephemeral public key, signature.  Only the host key is of
 /// interest to the scanner; the other fields are carried opaquely.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct KexReply {
     /// The server host key.
     pub host_key: HostKey,

@@ -11,10 +11,9 @@ use super::names::{NameList, NameListRef};
 use super::packet::{SshPacket, SSH_MSG_KEXINIT};
 use crate::error::check_len;
 use crate::{Result, WireError};
-use serde::{Deserialize, Serialize};
 
 /// A parsed `SSH_MSG_KEXINIT`.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct KexInit {
     /// 16 random bytes; not part of any identifier.
     pub cookie: [u8; 16],

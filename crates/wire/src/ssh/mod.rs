@@ -28,12 +28,10 @@ pub use kexinit::{KexInit, KexInitRef};
 pub use names::{NameList, NameListRef};
 pub use packet::{SshPacket, SSH_MSG_KEXINIT, SSH_MSG_KEX_ECDH_REPLY};
 
-use serde::{Deserialize, Serialize};
-
 /// Everything a scanner learns from one SSH connection attempt.
 ///
 /// This is the unit the identifier-extraction code in `alias-core` consumes.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SshObservation {
     /// The server identification banner.
     pub banner: Banner,

@@ -13,15 +13,13 @@
 
 use crate::error::check_len;
 use crate::{Result, WireError};
-use serde::{Deserialize, Serialize};
 
 /// An ordered list of algorithm names, stored as its comma-joined wire text.
 ///
 /// The text is either empty (no names) or non-empty comma-free names
-/// separated by single commas; [`NameList::new`], [`NameList::parse`] and
-/// deserialisation all enforce that, so `parse(emit(x)) == x` for every
-/// list that can exist.  The serde form is that one string (it was a
-/// sequence of names while the list stored them separately).
+/// separated by single commas; [`NameList::new`] and [`NameList::parse`]
+/// both enforce that, so `parse(emit(x)) == x` for every list that can
+/// exist.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
 pub struct NameList(String);
 
@@ -160,24 +158,6 @@ impl<S: AsRef<str>> FromIterator<S> for NameList {
     }
 }
 
-impl Serialize for NameList {
-    fn to_value(&self) -> serde::Value {
-        self.0.to_value()
-    }
-}
-
-impl Deserialize for NameList {
-    fn from_value(value: &serde::Value) -> std::result::Result<Self, serde::Error> {
-        let text = String::from_value(value)?;
-        if !well_formed(&text) {
-            return Err(serde::Error::new(format!(
-                "name-list {text:?} contains an empty name"
-            )));
-        }
-        Ok(NameList(text))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -264,17 +244,5 @@ mod tests {
     fn an_empty_name_is_refused() {
         // Would emit as the empty list, or next to others as a `BadValue`.
         let _ = NameList::new(["aes128-ctr", ""]);
-    }
-
-    #[test]
-    fn serde_form_is_the_joined_text_and_is_checked() {
-        let list = NameList::new(["none", "zlib"]);
-        assert_eq!(list.to_value(), serde::Value::Str("none,zlib".to_owned()));
-        assert_eq!(NameList::from_value(&list.to_value()).unwrap(), list);
-        let empty = NameList::from_value(&serde::Value::Str(String::new())).unwrap();
-        assert_eq!((empty.len(), empty.is_empty()), (0, true));
-        for bad in [",a", "a,", "a,,b"] {
-            assert!(NameList::from_value(&serde::Value::Str(bad.to_owned())).is_err());
-        }
     }
 }

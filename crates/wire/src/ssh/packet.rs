@@ -16,7 +16,6 @@
 
 use crate::error::check_len;
 use crate::{Result, WireError};
-use serde::{Deserialize, Serialize};
 
 /// Message number of `SSH_MSG_KEXINIT`.
 pub const SSH_MSG_KEXINIT: u8 = 20;
@@ -33,7 +32,7 @@ const BLOCK: usize = 8;
 const MAX_PACKET: usize = 35_000;
 
 /// An unencrypted SSH binary packet.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SshPacket {
     /// The message payload (first byte is the message number).
     pub payload: Vec<u8>,
