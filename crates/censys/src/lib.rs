@@ -17,12 +17,14 @@
 //!   Censys IPv6 data.
 //!
 //! All of those behaviours are reproduced by [`CensysSnapshot::collect`],
-//! which crawls straight into columnar stores: a session is parsed in
-//! place and its payload encoded once, into the arena it stays in.
+//! which crawls straight into columnar stores through their scan door,
+//! [`ShardColumns::push_session`]: a session is parsed in place and its
+//! payload encoded once, into the arena it stays in, and a banner and
+//! KEXINIT that repeat, cookie aside, are parsed once per store.
 
 use alias_netsim::{Internet, ProbeContext, ServiceProtocol, SimTime, VantageKind};
 use alias_obs::{DeterminismClass, LazyCounter};
-use alias_scan::{DataSource, ObservationStore, PayloadRef, ServiceObservation, ShardColumns};
+use alias_scan::{DataSource, ObservationStore, ServiceObservation, ShardColumns};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
@@ -103,25 +105,19 @@ impl CensysSnapshot {
                     {
                         continue;
                     }
-                    let Some(payload) = PayloadRef::parse(protocol, &session) else {
-                        continue;
-                    };
                     let (addr, asn) = (interface.addr, Some(interface.asn.0));
-                    let mut list = |listed: u16| {
-                        let rows = if listed == port {
-                            &mut default_port
-                        } else {
-                            &mut nonstandard
-                        };
-                        let (source, time) = (DataSource::Censys, config.snapshot_time);
-                        rows.push(addr, listed, source, time, asn, payload);
-                    };
+                    let (source, time) = (DataSource::Censys, config.snapshot_time);
+                    if !default_port.push_session(addr, port, source, time, asn, protocol, &session)
+                    {
+                        continue;
+                    }
                     // A fraction of SSH hosts also appear on a non-standard
                     // port.
                     if protocol == ServiceProtocol::Ssh && rng.gen_bool(NONSTANDARD_PORT_FRACTION) {
-                        list(EXTRA_SSH_PORTS[rng.gen_range(0..EXTRA_SSH_PORTS.len())]);
+                        let listed = EXTRA_SSH_PORTS[rng.gen_range(0..EXTRA_SSH_PORTS.len())];
+                        nonstandard
+                            .push_session(addr, listed, source, time, asn, protocol, &session);
                     }
-                    list(port);
                 }
             }
         }

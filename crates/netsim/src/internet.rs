@@ -14,7 +14,7 @@ use crate::ground_truth::{GroundTruth, PairwiseScore};
 use crate::ids::{Asn, DeviceId};
 use crate::ipid::{IpidModel, IpidState};
 use crate::profiles::{BgpProfile, SshProfile};
-use crate::services;
+use crate::services::{self, SshTemplates};
 use crate::space::RoutedSpace;
 use crate::topology::AutonomousSystem;
 use crate::vantage::VantageKind;
@@ -198,7 +198,9 @@ pub struct Internet {
     /// The IP index, IPv6 half (hitlist-sized, never on a sweep): each
     /// address's position in the interface column.
     v6_index: HashMap<Ipv6Addr, u32>,
-    ssh_profiles: Vec<SshProfile>,
+    /// Each SSH profile's banner line and KEXINIT packet, written once:
+    /// all a session needs of the profile table.
+    ssh_templates: SshTemplates,
     bgp_profiles: Vec<BgpProfile>,
     /// Simulated time each device last (re)booted, for SNMP engine time.
     boot_time: SimTime,
@@ -234,7 +236,7 @@ impl Internet {
             ases,
             space,
             v6_index,
-            ssh_profiles,
+            ssh_templates: SshTemplates::new(&ssh_profiles),
             bgp_profiles,
             boot_time: SimTime::ZERO,
         }
@@ -314,11 +316,6 @@ impl Internet {
         out
     }
 
-    /// The SSH profile table.
-    pub fn ssh_profiles(&self) -> &[SshProfile] {
-        &self.ssh_profiles
-    }
-
     /// The BGP profile table.
     pub fn bgp_profiles(&self) -> &[BgpProfile] {
         &self.bgp_profiles
@@ -395,18 +392,15 @@ impl Internet {
         match port {
             SSH_PORT if answers & SSH != 0 => {
                 let ssh = row.ssh.as_ref().expect("answers imply configured");
-                let profile = &self.ssh_profiles[ssh.profile.0 as usize];
-                let divergent = match ssh.divergent_profile {
-                    Some(other) if answers & SSH_DIVERGENT != 0 => {
-                        Some(&self.ssh_profiles[other.0 as usize])
-                    }
-                    _ => None,
+                let profile = match ssh.divergent_profile {
+                    Some(other) if answers & SSH_DIVERGENT != 0 => other,
+                    _ => ssh.profile,
                 };
                 let cookie_seed = (device_id.0 as u64) << 32
                     | (iface_idx as u64) << 16
                     | (ctx.time.as_millis() & 0xffff);
                 let host_key = self.devices.host_key(ssh);
-                services::ssh_session_bytes_into(profile, divergent, host_key, cookie_seed, out);
+                (self.ssh_templates).session_into(profile.0 as usize, host_key, cookie_seed, out);
                 true
             }
             BGP_PORT if answers & BGP != 0 => {

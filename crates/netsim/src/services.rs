@@ -15,7 +15,8 @@ use std::net::Ipv4Addr;
 
 /// The server→client byte stream of one scripted SSH service-scan session:
 /// identification banner, `SSH_MSG_KEXINIT`, and the key-exchange reply
-/// carrying the host key.
+/// carrying the host key.  The definition of a session's bytes: an
+/// `Internet` copies what it writes before the reply from a template.
 ///
 /// `divergent_profile` substitutes a different capability profile, used for
 /// the small fraction of devices whose interfaces disagree about their
@@ -27,28 +28,33 @@ pub fn ssh_session_bytes(
     cookie_seed: u64,
 ) -> Vec<u8> {
     let mut out = Vec::with_capacity(1024);
-    ssh_session_bytes_into(profile, divergent_profile, host_key, cookie_seed, &mut out);
+    let effective = divergent_profile.unwrap_or(profile);
+    ssh_greeting_into(effective, &session_cookie(cookie_seed), &mut out);
+    kex_reply_into(host_key, &mut out);
     out
 }
 
-/// [`ssh_session_bytes`], appending to a caller-owned buffer so a scan loop
-/// can reuse one allocation across millions of sessions.
-pub fn ssh_session_bytes_into(
-    profile: &SshProfile,
-    divergent_profile: Option<&SshProfile>,
-    host_key: HostKeyRef<'_>,
-    cookie_seed: u64,
-    out: &mut Vec<u8>,
-) {
-    let effective = divergent_profile.unwrap_or(profile);
-    effective.banner.emit(out);
-
-    // The cookie is random per connection on real servers; derive it from the
-    // seed so captures are deterministic but visibly non-constant.
+/// The KEXINIT cookie of a session seeded with `cookie_seed`.  The cookie
+/// is random per connection on real servers; deriving it from the seed
+/// keeps captures deterministic but visibly non-constant.
+fn session_cookie(cookie_seed: u64) -> [u8; 16] {
     let seed_bytes = cookie_seed.to_be_bytes();
-    let cookie: [u8; 16] = std::array::from_fn(|i| seed_bytes[i % 8] ^ (i as u8).wrapping_mul(37));
-    effective.kexinit.emit_packet(&cookie, out);
+    std::array::from_fn(|i| seed_bytes[i % 8] ^ (i as u8).wrapping_mul(37))
+}
 
+/// Append what `profile` alone decides of a session — the banner line and
+/// the KEXINIT packet, carrying `cookie` — to `out`; returns where the
+/// cookie starts in `out`.
+fn ssh_greeting_into(profile: &SshProfile, cookie: &[u8; 16], out: &mut Vec<u8>) -> usize {
+    profile.banner.emit(out);
+    // Packet length `u32`, padding length and message number come first.
+    let cookie_at = out.len() + 4 + 1 + 1;
+    profile.kexinit.emit_packet(cookie, out);
+    cookie_at
+}
+
+/// Append the key-exchange reply carrying `host_key` to `out`.
+fn kex_reply_into(host_key: HostKeyRef<'_>, out: &mut Vec<u8>) {
     // Ephemeral key and signature are opaque to the scanner; deterministic
     // filler derived from the host key keeps captures reproducible.  The
     // material is cycled, so an empty key gives zeros, not a panic.
@@ -58,6 +64,49 @@ pub fn ssh_session_bytes_into(
         *slot = byte.wrapping_add(i as u8);
     }
     KexReply::emit_packet_from(host_key, &ephemeral, &[0xa5; 64], out);
+}
+
+/// Room reserved per profile in [`SshTemplates`], ample for the table's.
+const TEMPLATE_BYTES: usize = 1024;
+
+/// Every SSH profile's banner line and KEXINIT packet, written once with a
+/// zero cookie by [`ssh_greeting_into`], back to back: a session copies
+/// its profile's, writes its cookie in and appends the key-exchange reply.
+pub(crate) struct SshTemplates {
+    bytes: Vec<u8>,
+    /// Per profile: where its template starts, its cookie starts and its
+    /// template ends in `bytes`.
+    spans: Vec<(usize, usize, usize)>,
+}
+
+impl SshTemplates {
+    /// The templates of `profiles`, indexed like them.
+    pub(crate) fn new(profiles: &[SshProfile]) -> Self {
+        let mut bytes = Vec::with_capacity(TEMPLATE_BYTES * profiles.len());
+        let mut spans = Vec::with_capacity(profiles.len());
+        for profile in profiles {
+            let start = bytes.len();
+            let cookie_at = ssh_greeting_into(profile, &[0; 16], &mut bytes);
+            spans.push((start, cookie_at, bytes.len()));
+        }
+        SshTemplates { bytes, spans }
+    }
+
+    /// Append the session [`ssh_session_bytes`] gives for profile `profile`
+    /// (the effective one), `host_key` and `cookie_seed` to `out`.
+    pub(crate) fn session_into(
+        &self,
+        profile: usize,
+        host_key: HostKeyRef<'_>,
+        cookie_seed: u64,
+        out: &mut Vec<u8>,
+    ) {
+        let (start, cookie_at, end) = self.spans[profile];
+        let cookie_at = out.len() + cookie_at - start;
+        out.extend_from_slice(&self.bytes[start..end]);
+        out[cookie_at..cookie_at + 16].copy_from_slice(&session_cookie(cookie_seed));
+        kex_reply_into(host_key, out);
+    }
 }
 
 /// The server→client byte stream of a BGP service-scan session: an OPEN
@@ -160,6 +209,37 @@ mod tests {
                 expected,
                 "{len}"
             );
+        }
+    }
+
+    #[test]
+    fn a_templated_session_is_the_emitters_session_byte_for_byte() {
+        let profiles = ssh_profiles();
+        let templates = SshTemplates::new(&profiles);
+        let keys = [
+            HostKey::new(HostKeyAlgorithm::Ed25519, Vec::new()),
+            key(),
+            HostKey::new(HostKeyAlgorithm::Rsa, (0..=255).collect()),
+        ];
+        let mut templated = Vec::new();
+        for (index, profile) in profiles.iter().enumerate() {
+            let divergents = std::iter::once(None).chain(profiles.iter().enumerate().map(Some));
+            for divergent in divergents {
+                let effective = divergent.map_or(index, |(other, _)| other);
+                for host_key in &keys {
+                    for seed in [0, 7, u64::MAX] {
+                        let divergent = divergent.map(|(_, profile)| profile);
+                        let expected =
+                            ssh_session_bytes(profile, divergent, host_key.as_ref(), seed);
+                        // Appended after bytes already in the buffer, as
+                        // the emitter appends.
+                        templated.clear();
+                        templated.push(0xee);
+                        templates.session_into(effective, host_key.as_ref(), seed, &mut templated);
+                        assert_eq!(templated[1..], expected, "{} {seed}", profile.name);
+                    }
+                }
+            }
         }
     }
 

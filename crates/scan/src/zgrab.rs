@@ -4,14 +4,17 @@
 //! SYN scan, complete the TCP handshake and record the protocol exchange —
 //! for SSH the banner, `SSH_MSG_KEXINIT` and the host key from the
 //! key-exchange reply; for BGP the unsolicited OPEN (and the NOTIFICATION
-//! that usually follows).  The captured bytes are parsed in place with
-//! `alias-wire` and the borrowed result encoded straight into the arena of
-//! a per-shard [`ShardColumns`]: no owned observation is built.
+//! that usually follows).  The captured bytes go through the scan door,
+//! [`ShardColumns::push_session`]: parsed in place with `alias-wire` and
+//! encoded straight into the arena of a per-shard [`ShardColumns`], no owned
+//! observation built.  A shard parses the banner and KEXINIT of each of its
+//! servers' profiles once; a later session repeating them, cookie aside, is
+//! written from that parse.
 
 use crate::rate::ProbeSchedule;
 use alias_netsim::{Internet, ProbeContext, ServiceProtocol, SimTime, VantageKind};
 use alias_obs::{DeterminismClass, LazyCounter};
-use alias_store::{DataSource, PayloadRef, ShardColumns};
+use alias_store::{DataSource, ShardColumns};
 use std::net::IpAddr;
 
 /// Application-layer sessions attempted: one per grab target, whatever it
@@ -23,20 +26,14 @@ static GRAB_SESSIONS: LazyCounter = LazyCounter::new(
     "scan",
 );
 
-// The owned-row payload parser lives next to the record types in
-// `alias-store`; re-exported here because its callers (the row-door tests)
-// import it from this module.
-pub use alias_store::parse_payload;
-
 /// Connection attempts per second.
 const RATE_PPS: f64 = 50_000.0;
 
 /// The probe loop of one shard: one paced session attempt per target,
 /// drawing send times from `schedule`, capturing session bytes into the
-/// reusable `scratch` buffer, and pushing results into `columns` (the
-/// address is interned shard-locally as it is observed).  A session is
-/// parsed whole before anything is pushed, so one that any step rejects
-/// leaves the shard exactly as it was.
+/// reusable `scratch` buffer, and pushing them through `columns`' scan door
+/// (the address is interned shard-locally as it is observed).  A session
+/// that does not parse leaves the shard exactly as it was.
 ///
 /// Each target is resolved against the IP index exactly once; the probe
 /// dispatch and the ASN attribution reuse the resolved interface.
@@ -60,17 +57,8 @@ fn grab_slice(
         if !internet.service_session_into(device_id, iface_idx, port, &ctx, scratch) {
             continue;
         }
-        let Some(payload) = PayloadRef::parse(protocol, scratch) else {
-            continue;
-        };
-        columns.push(
-            addr,
-            port,
-            DataSource::Active,
-            now,
-            Some(internet.asn_at(device_id, iface_idx).0),
-            payload,
-        );
+        let asn = Some(internet.asn_at(device_id, iface_idx).0);
+        columns.push_session(addr, port, DataSource::Active, now, asn, protocol, scratch);
     }
 }
 
@@ -138,7 +126,7 @@ mod tests {
     use super::*;
     use crate::store_of;
     use alias_netsim::{InternetBuilder, InternetConfig};
-    use alias_store::{ObservationStore, ServicePayload};
+    use alias_store::{ObservationStore, PayloadRef, ServicePayload};
 
     fn internet() -> Internet {
         InternetBuilder::new(InternetConfig::tiny(123)).build()
@@ -248,13 +236,5 @@ mod tests {
         assert_eq!(parts.banner.to_owned(), profile.banner);
         assert!(parts.kex_init.is_some());
         assert!(parts.host_key.is_none());
-    }
-
-    #[test]
-    fn parse_payload_rejects_garbage() {
-        assert!(parse_payload(ServiceProtocol::Ssh, b"not ssh at all").is_none());
-        assert!(parse_payload(ServiceProtocol::Bgp, &[0xff; 10]).is_none());
-        assert!(parse_payload(ServiceProtocol::Bgp, &[]).is_none());
-        assert!(parse_payload(ServiceProtocol::Snmpv3, &[]).is_none());
     }
 }

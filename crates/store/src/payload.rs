@@ -45,6 +45,9 @@
 //! dictionary is small, by comparing its flags, end offsets and field bytes
 //! with each entry in turn; past `PROFILE_WALK_LIMIT` (32) entries, by a keyed
 //! hash ([`SshProfiles`] says why both are safe against crafted banners).
+//! A session pushed through the scan door whose banner and KEXINIT bytes,
+//! cookie aside, repeat ones its writer parsed does not look its entry up
+//! at all (`SessionMemo`).
 
 use crate::records::ServicePayload;
 use alias_netsim::ServiceProtocol;
@@ -409,18 +412,33 @@ fn is_entry_of(
 /// Append the record of `ssh`, whose profile is entry `profile` of its
 /// chunk's dictionary, to `out`.
 fn encode_ssh_record(ssh: SshObservationRef<'_>, profile: u32, out: &mut Vec<u8>) {
+    let kex = ssh
+        .kex_init
+        .map(|kex| (kex.cookie, kex.first_kex_packet_follows));
+    write_ssh_record(ssh.host_key, kex, profile, out);
+}
+
+/// Append the record of an SSH observation with `host_key`, a KEXINIT's
+/// cookie and `first_kex_packet_follows` flag if there is one, and profile
+/// entry `profile` to `out`.
+fn write_ssh_record(
+    host_key: Option<HostKeyRef<'_>>,
+    kex: Option<([u8; 16], bool)>,
+    profile: u32,
+    out: &mut Vec<u8>,
+) {
     let mut header = [0; SSH_HEADER_LEN];
     let mut key_material: &[u8] = &[];
-    if let Some(key) = ssh.host_key {
+    if let Some(key) = host_key {
         header[0] |= SSH_HOST_KEY;
         header[1] = key.algorithm as u8;
         key_material = key.key_material;
     }
-    if let Some(kex) = ssh.kex_init {
-        if kex.first_kex_packet_follows {
+    if let Some((cookie, first_kex_packet_follows)) = kex {
+        if first_kex_packet_follows {
             header[0] |= SSH_FIRST_KEX_PACKET_FOLLOWS;
         }
-        header[2..SSH_PROFILE_AT].copy_from_slice(&kex.cookie);
+        header[2..SSH_PROFILE_AT].copy_from_slice(&cookie);
     }
     header[SSH_PROFILE_AT..].copy_from_slice(&profile.to_le_bytes());
     out.extend_from_slice(&header);
@@ -439,7 +457,10 @@ const PROFILE_WALK_LIMIT: usize = 32;
 /// laid out as the module's table says — each kept once, in the order the
 /// chunk's rows first showed them; a record names its profile by index.
 ///
-/// A chunk holds a handful of profiles, so while it holds at most
+/// A session at the scan door whose banner and KEXINIT repeat, cookie
+/// aside, one its shard parsed reuses that parse's index and never comes
+/// here (`SessionMemo`); the row door and the memo's misses do.  A chunk
+/// holds a handful of profiles, so while it holds at most
 /// `PROFILE_WALK_LIMIT` (32), `push` finds one by walking the entries and
 /// comparing each with the candidate's fields in place — flags and end
 /// offsets first, then the field bytes — with nothing encoded or hashed.
@@ -806,7 +827,7 @@ impl<'a> PayloadRef<'a> {
     /// scanner.
     pub fn parse(protocol: ServiceProtocol, bytes: &'a [u8]) -> Option<Self> {
         match protocol {
-            ServiceProtocol::Ssh => parse_ssh(bytes).map(|ssh| PayloadRef::Ssh(ssh.into())),
+            ServiceProtocol::Ssh => parse_ssh(bytes).map(|(ssh, _)| PayloadRef::Ssh(ssh.into())),
             ServiceProtocol::Bgp => parse_bgp(bytes),
             ServiceProtocol::Snmpv3 | ServiceProtocol::IcmpRateLimit => None,
         }
@@ -950,14 +971,23 @@ impl<'a> PayloadRef<'a> {
     }
 }
 
-fn parse_ssh(bytes: &[u8]) -> Option<SshObservationRef<'_>> {
+/// Parse an SSH session in place; with it, when the session's first binary
+/// packet is the KEXINIT, where its cookie starts and where that packet
+/// ends: the session's wire prefix, which [`SessionMemo`] keeps.
+fn parse_ssh(bytes: &[u8]) -> Option<(SshObservationRef<'_>, Option<(usize, usize)>)> {
     let (banner, consumed) = Banner::parse_borrowed(bytes).ok()?;
     let mut kex_init = None;
     let mut host_key = None;
-    for payload in SshPacket::payloads(&bytes[consumed..]) {
+    let mut prefix = None;
+    let mut rest = &bytes[consumed..];
+    while let Ok((payload, used)) = SshPacket::parse_borrowed(rest) {
+        let start = bytes.len() - rest.len();
+        rest = &rest[used..];
         if kex_init.is_none() {
             if let Ok(kex) = KexInit::parse_borrowed(payload) {
                 kex_init = Some(kex);
+                // Packet length, padding length and message number first.
+                prefix = (start == consumed).then_some((start + 4 + 1 + 1, start + used));
                 continue;
             }
         }
@@ -967,11 +997,77 @@ fn parse_ssh(bytes: &[u8]) -> Option<SshObservationRef<'_>> {
             }
         }
     }
-    Some(SshObservationRef {
+    let ssh = SshObservationRef {
         banner,
         kex_init,
         host_key,
-    })
+    };
+    Some((ssh, prefix))
+}
+
+/// Bytes a [`SessionMemo`] keeps its prefixes in: room for 32 of 1 KiB (a
+/// paper-scale prefix is under 700 bytes).
+const MEMO_BYTES: usize = PROFILE_WALK_LIMIT << 10;
+
+/// The wire prefixes of at most `PROFILE_WALK_LIMIT` (32) SSH sessions a
+/// writer parsed in full, with what each decided: its profile's index in
+/// the chunk being written and `first_kex_packet_follows`.  Parsing is a
+/// function of the bytes and the cookie is carried, not read, so a session
+/// repeating a prefix, cookie aside, is byte-equal to one that passed every
+/// check.  Writer state only, in no chunk or store.
+#[derive(Clone, Default)]
+pub(crate) struct SessionMemo {
+    /// The chunk the indices are of: the writer's chunk count then.
+    chunk: usize,
+    /// The prefixes, back to back: allocated at the first, never grown.
+    prefixes: Vec<u8>,
+    /// Per prefix: its end in `prefixes`, its cookie's offset in it, its
+    /// profile index and `first_kex_packet_follows`.
+    entries: [(usize, usize, u32, bool); PROFILE_WALK_LIMIT],
+    len: usize,
+    /// Sessions parsed in full because no prefix matched.
+    pub(crate) misses: u64,
+}
+
+/// Prints none of the memo's state: it is not part of the rows.
+impl std::fmt::Debug for SessionMemo {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("SessionMemo").finish_non_exhaustive()
+    }
+}
+
+impl SessionMemo {
+    /// The entry whose prefix `session` starts with, cookie aside, its end
+    /// given as the prefix's length.
+    fn find(&self, session: &[u8]) -> Option<(usize, usize, u32, bool)> {
+        let mut start = 0;
+        let mut entries = self.entries[..self.len].iter();
+        entries.find_map(|&(end, cookie_at, profile, follows)| {
+            let prefix = &self.prefixes[std::mem::replace(&mut start, end)..end];
+            let (head, cookie_end) = (session.get(..prefix.len())?, cookie_at + 16);
+            (head[..cookie_at] == prefix[..cookie_at] && head[cookie_end..] == prefix[cookie_end..])
+                .then_some((prefix.len(), cookie_at, profile, follows))
+        })
+    }
+
+    /// Keep `prefix` and what it decided, if there is room.
+    fn remember(&mut self, prefix: &[u8], cookie_at: usize, profile: u32, follows: bool) {
+        if self.len < PROFILE_WALK_LIMIT && self.prefixes.len() + prefix.len() <= MEMO_BYTES {
+            self.prefixes
+                .reserve_exact(MEMO_BYTES - self.prefixes.len());
+            self.prefixes.extend_from_slice(prefix);
+            self.entries[self.len] = (self.prefixes.len(), cookie_at, profile, follows);
+            self.len += 1;
+        }
+    }
+
+    /// Empty the memo if the writer's chunk count is no longer `chunk`.
+    fn bind(&mut self, chunk: usize) {
+        if self.chunk != chunk {
+            (self.chunk, self.len) = (chunk, 0);
+            self.prefixes.clear();
+        }
+    }
 }
 
 fn parse_bgp(bytes: &[u8]) -> Option<PayloadRef<'_>> {
@@ -1072,13 +1168,64 @@ impl PayloadArena {
     /// Append one payload's record: to the last chunk while no other arena
     /// shares it, to a new one otherwise.
     pub(crate) fn push(&mut self, payload: PayloadRef<'_>) {
-        if let Some(chunk) = self.chunks.last_mut().and_then(|(_, c)| Arc::get_mut(c)) {
-            payload.encode(&mut chunk.profiles, &mut chunk.bytes);
-            chunk.ends.push(chunk.bytes.len());
-            return;
+        let (_, chunk) = self.open_chunk();
+        payload.encode(&mut chunk.profiles, &mut chunk.bytes);
+        chunk.ends.push(chunk.bytes.len());
+    }
+
+    /// The chunk records go to — the last while no other arena shares it, a
+    /// new one otherwise — with the number of chunks, which names it.
+    fn open_chunk(&mut self) -> (usize, &mut Chunk) {
+        // No chunk is ever downgraded, so a sole strong count is sole access.
+        if (self.chunks.last()).is_none_or(|(_, chunk)| Arc::strong_count(chunk) > 1) {
+            self.chunks.push((self.len(), Arc::default()));
         }
-        self.chunks.push((self.len(), Arc::default()));
-        self.push(payload)
+        let count = self.chunks.len();
+        let (_, chunk) = self.chunks.last_mut().expect("a chunk is open");
+        (
+            count,
+            Arc::get_mut(chunk).expect("no other arena shares the chunk"),
+        )
+    }
+
+    /// Parse `session` as a `protocol` session and append its record, the
+    /// one [`PayloadRef::parse`] and [`Self::push`] give; whether it
+    /// parsed.  An SSH session that repeats a prefix of `memo` is written
+    /// from it; any other is parsed in full and its prefix memoised.
+    pub(crate) fn push_session(
+        &mut self,
+        memo: &mut SessionMemo,
+        protocol: ServiceProtocol,
+        session: &[u8],
+    ) -> bool {
+        if protocol != ServiceProtocol::Ssh {
+            let payload = PayloadRef::parse(protocol, session);
+            payload.inspect(|&payload| self.push(payload));
+            return payload.is_some();
+        }
+        let (count, chunk) = self.open_chunk();
+        memo.bind(count);
+        if let Some((end, cookie_at, profile, follows)) = memo.find(session) {
+            // What `parse_ssh` reads after the KEXINIT: the first reply's key.
+            let replies = SshPacket::payloads(&session[end..]).map(KexReply::parse_borrowed);
+            let host_key = replies.flatten().next().map(|reply| reply.host_key);
+            let cookie = *session[cookie_at..].first_chunk().expect("in the prefix");
+            write_ssh_record(host_key, Some((cookie, follows)), profile, &mut chunk.bytes);
+            chunk.ends.push(chunk.bytes.len());
+            return true;
+        }
+        memo.misses += 1;
+        let Some((ssh, prefix)) = parse_ssh(session) else {
+            return false;
+        };
+        let profile = (chunk.profiles).intern(ssh.banner, ssh.kex_init.map(|kex| kex.name_lists));
+        encode_ssh_record(ssh, profile, &mut chunk.bytes);
+        chunk.ends.push(chunk.bytes.len());
+        if let (Some((cookie_at, end)), Some(kex)) = (prefix, ssh.kex_init) {
+            let follows = kex.first_kex_packet_follows;
+            memo.remember(&session[..end], cookie_at, profile, follows);
+        }
+        true
     }
 
     /// Append every record of `other` by sharing its chunks.
@@ -1693,6 +1840,256 @@ mod tests {
             for (row, payload) in rows.iter().enumerate() {
                 proptest::prop_assert_eq!(&arena.get(row, tags[row]).to_owned(), payload);
             }
+        }
+    }
+
+    /// Every SSH and BGP session a tiny Internet's interfaces answer, at
+    /// two probe times (so two cookies per address), captured once.
+    fn tiny_sessions() -> &'static [(ServiceProtocol, Vec<u8>)] {
+        use alias_netsim::{InternetBuilder, InternetConfig, ProbeContext, SimTime, VantageKind};
+        static SESSIONS: std::sync::OnceLock<Vec<(ServiceProtocol, Vec<u8>)>> =
+            std::sync::OnceLock::new();
+        SESSIONS.get_or_init(|| {
+            let internet = InternetBuilder::new(InternetConfig::tiny(14)).build();
+            let mut sessions = Vec::new();
+            for secs in [5, 6] {
+                let ctx = ProbeContext {
+                    vantage: VantageKind::Distributed,
+                    time: SimTime::from_secs(secs),
+                };
+                for device in internet.devices() {
+                    for protocol in [ServiceProtocol::Ssh, ServiceProtocol::Bgp] {
+                        for addr in device.answering(protocol) {
+                            let (id, iface) = internet.lookup(addr).unwrap();
+                            let port = protocol.default_port();
+                            let mut session = Vec::new();
+                            if internet.service_session_into(id, iface, port, &ctx, &mut session) {
+                                sessions.push((protocol, session));
+                            }
+                        }
+                    }
+                }
+            }
+            sessions
+        })
+    }
+
+    /// Push `sessions` into `door` through [`PayloadArena::push_session`]
+    /// with `memo`, and into `reference` as [`PayloadRef::parse`] and
+    /// [`PayloadArena::push`]: each must be accepted by both or neither.
+    fn push_both<'a>(
+        sessions: impl IntoIterator<Item = (ServiceProtocol, &'a [u8])>,
+        door: &mut PayloadArena,
+        memo: &mut SessionMemo,
+        reference: &mut PayloadArena,
+    ) {
+        for (protocol, session) in sessions {
+            let parsed = PayloadRef::parse(protocol, session);
+            parsed.inspect(|&payload| reference.push(payload));
+            let pushed = door.push_session(memo, protocol, session);
+            assert_eq!(pushed, parsed.is_some(), "{protocol:?} {session:02x?}");
+        }
+    }
+
+    /// The two arenas are one layout: chunk for chunk, the same first row,
+    /// record bytes, end offsets and dictionary, entry for entry in order.
+    fn assert_laid_out_alike(a: &PayloadArena, b: &PayloadArena) {
+        let ends = |profiles: &SshProfiles| -> Vec<usize> {
+            profiles.entries.iter().map(|&(end, _)| end).collect()
+        };
+        assert_eq!(a.chunks.len(), b.chunks.len());
+        for ((a_start, a), (b_start, b)) in a.chunks.iter().zip(&b.chunks) {
+            assert_eq!(a_start, b_start);
+            assert_eq!((&a.bytes, &a.ends), (&b.bytes, &b.ends));
+            assert_eq!(a.profiles.bytes, b.profiles.bytes);
+            assert_eq!(ends(&a.profiles), ends(&b.profiles));
+        }
+    }
+
+    /// Sessions of the profiles `profiles` yields, in that order: banner
+    /// software `n` and the OpenSSH KEXINIT, a key and cookie per session.
+    fn sessions_of_profiles(profiles: impl IntoIterator<Item = usize>) -> Vec<Vec<u8>> {
+        use alias_netsim::profiles::SshProfile;
+        use alias_netsim::services::ssh_session_bytes;
+        let profiles = profiles.into_iter().enumerate().map(|(at, n)| {
+            let profile = SshProfile {
+                name: "numbered",
+                banner: Banner::new(&format!("numbered_{n}"), None).unwrap(),
+                kexinit: KexInit::typical_openssh(),
+                weight: 1,
+            };
+            let key = HostKey::new(HostKeyAlgorithm::Ed25519, vec![at as u8; 32]);
+            ssh_session_bytes(&profile, None, key.as_ref(), at as u64)
+        });
+        profiles.collect()
+    }
+
+    #[test]
+    fn the_session_door_writes_every_tiny_session_as_parse_and_push_do() {
+        let sessions = tiny_sessions();
+        let (mut door, mut reference) = (PayloadArena::default(), PayloadArena::default());
+        let mut memo = SessionMemo::default();
+        let borrowed = sessions
+            .iter()
+            .map(|(protocol, bytes)| (*protocol, &bytes[..]));
+        push_both(borrowed, &mut door, &mut memo, &mut reference);
+        assert_laid_out_alike(&door, &reference);
+        let tags: Vec<ServiceProtocol> = (sessions.iter())
+            .filter(|(protocol, bytes)| PayloadRef::parse(*protocol, bytes).is_some())
+            .map(|&(protocol, _)| protocol)
+            .collect();
+        assert_eq!(door.validate(&tags), Ok(()));
+        // One full parse per distinct banner + KEXINIT, cookie aside.
+        let mut prefixes = HashSet::new();
+        let ssh = sessions
+            .iter()
+            .filter(|(protocol, _)| *protocol == ServiceProtocol::Ssh);
+        for (_, bytes) in ssh.clone() {
+            let (_, prefix) = parse_ssh(bytes).unwrap();
+            let (cookie_at, end) = prefix.expect("a simulated server sends its KEXINIT first");
+            let mut masked = bytes[..end].to_vec();
+            masked[cookie_at..cookie_at + 16].fill(0);
+            prefixes.insert(masked);
+        }
+        assert!(ssh.count() > 20 * prefixes.len());
+        assert_eq!(memo.misses, prefixes.len() as u64);
+    }
+
+    #[test]
+    fn profiles_past_the_memos_bound_are_parsed_every_time() {
+        // 40 profiles: the first 32 are memoised, the other 8 never are.
+        let order: Vec<usize> = (0..40).chain((0..40).rev()).chain(0..40).collect();
+        let sessions = sessions_of_profiles(order);
+        let (mut door, mut reference) = (PayloadArena::default(), PayloadArena::default());
+        let mut memo = SessionMemo::default();
+        let borrowed = sessions
+            .iter()
+            .map(|bytes| (ServiceProtocol::Ssh, &bytes[..]));
+        push_both(borrowed, &mut door, &mut memo, &mut reference);
+        assert_laid_out_alike(&door, &reference);
+        assert_eq!(memo.len, PROFILE_WALK_LIMIT);
+        assert_eq!(memo.misses, 40 + 2 * 8);
+
+        // A prefix longer than the memo's buffer is not memoised either.
+        let mut long = KexInit::typical_openssh();
+        long.languages_server_to_client = NameList::new(["x".repeat(MEMO_BYTES)]);
+        let profile = alias_netsim::profiles::SshProfile {
+            name: "long",
+            banner: Banner::new("long", None).unwrap(),
+            kexinit: long,
+            weight: 1,
+        };
+        let key = HostKey::new(HostKeyAlgorithm::Ed25519, vec![1; 32]);
+        let session = alias_netsim::services::ssh_session_bytes(&profile, None, key.as_ref(), 9);
+        let (mut door, mut reference) = (PayloadArena::default(), PayloadArena::default());
+        let mut memo = SessionMemo::default();
+        let twice = [(ServiceProtocol::Ssh, &session[..]); 2];
+        push_both(twice, &mut door, &mut memo, &mut reference);
+        assert_laid_out_alike(&door, &reference);
+        assert_eq!((memo.len, memo.misses), (0, 2));
+    }
+
+    #[test]
+    fn the_memo_does_not_carry_across_a_new_chunk() {
+        // Profiles 0..4 go into the first chunk.  A clone then shares it,
+        // so the next rows open a second chunk, whose dictionary starts
+        // with the profiles in the order the second batch meets them.
+        let batches = [
+            sessions_of_profiles([0, 1, 2, 3, 0, 1]),
+            sessions_of_profiles([3, 2, 4, 3, 2]),
+        ];
+        let (mut door, mut reference) = (PayloadArena::default(), PayloadArena::default());
+        let mut memo = SessionMemo::default();
+        for (at, batch) in batches.iter().enumerate() {
+            let shared = (door.clone(), reference.clone());
+            let sessions = batch.iter().map(|bytes| (ServiceProtocol::Ssh, &bytes[..]));
+            push_both(sessions, &mut door, &mut memo, &mut reference);
+            assert_eq!(door.chunks.len(), at + 1);
+            drop(shared);
+        }
+        assert_laid_out_alike(&door, &reference);
+        assert_eq!(memo.misses, 4 + 3);
+        let tags = vec![ServiceProtocol::Ssh; door.len()];
+        assert_eq!(door.validate(&tags), Ok(()));
+    }
+
+    /// `session`, a simulated server's banner, KEXINIT packet and reply
+    /// packet, damaged the way `kind` says with `draw` choosing where.
+    fn mutated(session: &[u8], other: &[u8], kind: u8, draw: u64) -> Vec<u8> {
+        let mut out = session.to_vec();
+        let banner_end = out.iter().position(|&b| b == b'\n').unwrap() + 1;
+        let packet_length = u32::from_be_bytes(*out[banner_end..].first_chunk().unwrap());
+        let packet_end = banner_end + 4 + packet_length as usize;
+        let payload_end = packet_end - usize::from(out[banner_end + 4]);
+        let cookie_at = banner_end + 6;
+        let pick = |range: std::ops::Range<usize>| range.start + (draw as usize) % range.len();
+        match kind {
+            // A line before the banner.
+            1 => {
+                out.splice(0..0, *b"hello, scanner\r\n");
+            }
+            // The banner ended by LF alone.
+            2 => {
+                out.remove(banner_end - 2);
+            }
+            // `first_kex_packet_follows` flipped.
+            3 => out[payload_end - 5] ^= 1,
+            // The cookie alone changed.
+            4 => out[pick(cookie_at..cookie_at + 16)] ^= (draw >> 32) as u8 | 1,
+            // The KEXINIT cut short, or one of its bytes garbled.
+            5 => out.truncate(pick(banner_end + 1..packet_end)),
+            6 => out[pick(banner_end..packet_end)] = (draw >> 32) as u8,
+            // The first name-list's first name made empty or not ASCII.
+            7 => out[cookie_at + 16 + 4] = [b',', 0x80][(draw >> 32) as usize & 1],
+            // No key-exchange reply, or a second one after it.
+            8 => out.truncate(packet_end),
+            9 => {
+                let other_banner_end = other.iter().position(|&b| b == b'\n').unwrap() + 1;
+                let other_len =
+                    u32::from_be_bytes(*other[other_banner_end..].first_chunk().unwrap());
+                out.extend_from_slice(&other[other_banner_end + 4 + other_len as usize..]);
+            }
+            // The key-exchange reply sent before the KEXINIT.
+            10 => {
+                let reply = out.split_off(packet_end);
+                out.splice(banner_end..banner_end, reply);
+            }
+            _ => {}
+        }
+        out
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn the_session_door_writes_mutated_sessions_as_parse_and_push_do(
+            draws in proptest::collection::vec(
+                (proptest::prelude::any::<u16>(), 0..13u8, proptest::prelude::any::<u64>()),
+                20..120,
+            ),
+        ) {
+            let real = tiny_sessions();
+            let of = |protocol| real.iter().filter(move |(p, _)| *p == protocol).map(|(_, s)| s);
+            let ssh: Vec<&Vec<u8>> = of(ServiceProtocol::Ssh).collect();
+            let bgp: Vec<&Vec<u8>> = of(ServiceProtocol::Bgp).filter(|s| !s.is_empty()).collect();
+            let sessions: Vec<(ServiceProtocol, Vec<u8>)> = draws
+                .iter()
+                .map(|&(at, kind, draw)| {
+                    let session = ssh[usize::from(at) % ssh.len()];
+                    let other = ssh[(usize::from(at) + 1) % ssh.len()];
+                    match kind {
+                        // A BGP speaker's bytes at the SSH door, and SSH
+                        // bytes at the BGP door.
+                        11 => (ServiceProtocol::Ssh, bgp[usize::from(at) % bgp.len()].clone()),
+                        12 => (ServiceProtocol::Bgp, session.clone()),
+                        _ => (ServiceProtocol::Ssh, mutated(session, other, kind, draw)),
+                    }
+                })
+                .collect();
+            let (mut door, mut reference) = (PayloadArena::default(), PayloadArena::default());
+            let mut memo = SessionMemo::default();
+            let borrowed = sessions.iter().map(|(protocol, bytes)| (*protocol, &bytes[..]));
+            push_both(borrowed, &mut door, &mut memo, &mut reference);
+            assert_laid_out_alike(&door, &reference);
         }
     }
 }

@@ -26,7 +26,7 @@
 //! materialising rows; rows come back only through `to_observations`, the
 //! test oracle.
 
-use crate::payload::{PayloadArena, PayloadRef};
+use crate::payload::{PayloadArena, PayloadRef, SessionMemo};
 use crate::records::{DataSource, ServiceObservation};
 use alias_intern::{AddrId, AddrInterner};
 use alias_netsim::{ServiceProtocol, SimTime};
@@ -66,6 +66,16 @@ static ADDR_REMAPS: LazyCounter = LazyCounter::new(
     "store.addr_remaps",
     DeterminismClass::Timing,
     "lookups",
+    "store",
+);
+
+/// SSH sessions [`ShardColumns::push_session`] parsed in full, added as a
+/// shard is spliced onto a store.  Each shard parses its own first
+/// sessions, so the total depends on how targets were split: timing class.
+static SSH_FULL_PARSES: LazyCounter = LazyCounter::new(
+    "store.ssh_full_parses",
+    DeterminismClass::Timing,
+    "sessions",
     "store",
 );
 
@@ -159,7 +169,9 @@ impl ObservationStore {
             timestamps,
             asns,
             payloads,
+            memo,
         } = shard;
+        SSH_FULL_PARSES.add(memo.misses);
         if self.is_empty() && self.interner.is_empty() && !addrs.is_empty() {
             self.interner = Arc::new(local);
             self.addrs = addrs;
@@ -425,6 +437,8 @@ pub struct ShardColumns {
     timestamps: Vec<SimTime>,
     asns: Vec<Option<u32>>,
     payloads: PayloadArena,
+    /// What [`Self::push_session`] keeps of the SSH sessions it parsed.
+    memo: SessionMemo,
 }
 
 impl ShardColumns {
@@ -447,6 +461,7 @@ impl ShardColumns {
             timestamps: Vec::with_capacity(rows),
             asns: Vec::with_capacity(rows),
             payloads: PayloadArena::with_capacity(rows),
+            memo: SessionMemo::default(),
         }
     }
 
@@ -461,14 +476,51 @@ impl ShardColumns {
         asn: Option<u32>,
         payload: PayloadRef<'_>,
     ) {
+        self.payloads.push(payload);
+        self.push_fields(addr, port, source, timestamp, asn, payload.protocol());
+    }
+
+    /// The scan door: append `session`, the bytes a server sent, as
+    /// [`Self::push`] appends what [`PayloadRef::parse`] reads of it as a
+    /// `protocol` session; whether it parsed.  The shard parses each of up
+    /// to 32 distinct SSH banner + KEXINIT runs once, cookie aside.
+    #[allow(clippy::too_many_arguments)]
+    pub fn push_session(
+        &mut self,
+        addr: IpAddr,
+        port: u16,
+        source: DataSource,
+        timestamp: SimTime,
+        asn: Option<u32>,
+        protocol: ServiceProtocol,
+        session: &[u8],
+    ) -> bool {
+        let pushed = self
+            .payloads
+            .push_session(&mut self.memo, protocol, session);
+        if pushed {
+            self.push_fields(addr, port, source, timestamp, asn, protocol);
+        }
+        pushed
+    }
+
+    /// Append a row's fields beside the payload just pushed.
+    fn push_fields(
+        &mut self,
+        addr: IpAddr,
+        port: u16,
+        source: DataSource,
+        timestamp: SimTime,
+        asn: Option<u32>,
+        protocol: ServiceProtocol,
+    ) {
         let id = self.interner.intern(addr);
         self.addrs.push(id);
-        self.protocols.push(payload.protocol());
+        self.protocols.push(protocol);
         self.sources.push(source);
         self.ports.push(port);
         self.timestamps.push(timestamp);
         self.asns.push(asn);
-        self.payloads.push(payload);
     }
 
     /// Number of rows in the shard.

@@ -19,7 +19,7 @@ use alias_resolution::netsim::ProbeContext;
 use alias_resolution::prelude::*;
 use alias_resolution::resolve::ProbeTargets;
 use alias_resolution::scan::ipid_probe::{IpidProber, IpidProberConfig, IpidSample};
-use alias_resolution::scan::zgrab::parse_payload;
+use alias_resolution::store::parse_payload;
 use alias_resolution::wire::snmp::Snmpv3Message;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -140,6 +140,8 @@ fn an_ssh_session_is_emitted_and_parsed_within_24_allocations() {
 
 #[test]
 fn a_bgp_session_into_a_warm_buffer_allocates_nothing() {
+    // And an SSH session's emission: its profile's template copied, the
+    // cookie written into it and the key-exchange reply appended.
     let internet = tiny_internet();
     let ctx = ProbeContext {
         vantage: VantageKind::Distributed,
@@ -166,6 +168,19 @@ fn a_bgp_session_into_a_warm_buffer_allocates_nothing() {
     }
     assert!(opens > 5, "only {opens} speakers sent an OPEN");
     assert!(silent > 5, "only {silent} speakers closed silently");
+    let ssh_port = ServiceProtocol::Ssh.default_port();
+    let mut emitted = 0;
+    for device in internet.devices() {
+        for addr in device.answering(ServiceProtocol::Ssh) {
+            let (device_id, iface) = internet.lookup(addr).expect("a device's own address");
+            let (count, answered) = allocations(|| {
+                internet.service_session_into(device_id, iface, ssh_port, &ctx, &mut session)
+            });
+            assert_eq!(count, 0, "{addr}");
+            emitted += usize::from(answered && !session.is_empty());
+        }
+    }
+    assert!(emitted > 100, "only {emitted} SSH sessions emitted");
 }
 
 #[test]
@@ -196,11 +211,13 @@ fn a_censys_crawl_allocates_per_device_not_per_session() {
 
 #[test]
 fn pushing_every_ssh_session_into_one_warm_shard_allocates_at_most_32_in_total() {
-    // The scan door: the session parsed in place and encoded straight into
-    // the shard's arena.  Nothing is allocated per session; what is counted
-    // is the arena and its profile dictionary growing, and the columns and
-    // the interner, each allocated once at the target count: 31 for 415
-    // sessions, 45 while the interner grew by doubling.
+    // The scan door: the session parsed in place, or matched against the
+    // banner + KEXINIT prefixes the shard has parsed, and encoded straight
+    // into the shard's arena.  Nothing is allocated per session; what is
+    // counted is the arena and its profile dictionary growing, the prefix
+    // memo's one buffer, and the columns and the interner, each allocated
+    // once at the target count: 32 for 415 sessions (31 before the memo),
+    // 45 while the interner grew by doubling.
     let internet = tiny_internet();
     let ctx = ProbeContext {
         vantage: VantageKind::Distributed,
@@ -220,8 +237,10 @@ fn pushing_every_ssh_session_into_one_warm_shard_allocates_at_most_32_in_total()
             if !internet.service_session_into(device_id, iface, ssh_port, &ctx, &mut session) {
                 continue;
             }
-            let payload = PayloadRef::parse(ServiceProtocol::Ssh, &session).expect("a session");
-            shard.push(addr, ssh_port, DataSource::Active, ctx.time, None, payload);
+            let (source, protocol) = (DataSource::Active, ServiceProtocol::Ssh);
+            let pushed =
+                shard.push_session(addr, ssh_port, source, ctx.time, None, protocol, &session);
+            assert!(pushed, "{addr}: a session");
         }
         shard
     });
@@ -405,8 +424,9 @@ fn internets() -> impl Iterator<Item = (String, InternetConfig)> {
 
 #[test]
 fn building_an_internet_allocates_a_bounded_number_of_blocks() {
-    // The profile tables, the ASes, and the device columns and the IP index
-    // growing: 340 blocks for 355 devices, 367 for 6,070.  While every
+    // The profile tables and the SSH templates, the ASes, and the device
+    // columns and the IP index growing: 342 blocks for 355 devices, 369
+    // for 6,070 (two of them the templates' arena and span table).  While every
     // device was an object graph of its own (interfaces, a host key, an
     // engine ID, a respond mask per service), a paper-scale build made
     // 399,143 allocations.
@@ -422,8 +442,9 @@ fn building_an_internet_allocates_a_bounded_number_of_blocks() {
 
 #[test]
 fn dropping_an_internet_frees_a_bounded_number_of_blocks() {
-    // One block per column and per profile-table string, whatever the
-    // population: 114 at tiny and at small.  The object graph freed
+    // One block per column and per BGP profile-table string, whatever the
+    // population: 21 at tiny and at small (114 while the Internet kept the
+    // SSH profile table, which now goes once its templates are written).  The object graph freed
     // 282,201 blocks at paper scale.
     for (label, config) in internets() {
         let internet = InternetBuilder::new(config).build();

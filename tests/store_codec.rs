@@ -1,14 +1,15 @@
 //! The payload codec on real data: stores built by a campaign and by a
 //! Censys crawl come back from rows as the stores they were, and a session
-//! pushed through the scan door (parsed in place, encoded straight into a
-//! shard's arena) is the row the row door (`parse_payload`, then
-//! `from_observations`) makes of it — equal stores, which since a store
-//! compares its arena record by record means equal record bytes, however
-//! either side's arena is chunked.
+//! pushed through the scan door (`ShardColumns::push_session`: parsed in
+//! place, or written from the banner + KEXINIT prefix the shard parsed
+//! before, encoded straight into a shard's arena) is the row the row door
+//! (`parse_payload`, then `from_observations`) makes of it — equal stores,
+//! which since a store compares its arena record by record means equal
+//! record bytes, however either side's arena is chunked.
 
 use alias_resolution::netsim::ProbeContext;
 use alias_resolution::prelude::*;
-use alias_resolution::scan::zgrab::parse_payload;
+use alias_resolution::store::parse_payload;
 use std::collections::BTreeSet;
 use std::fmt::Write;
 
@@ -77,8 +78,8 @@ fn real_stores_survive_the_row_doors_and_the_scan_door_matches_the_row_door() {
                     }
                     let asn = Some(internet.asn_at(device_id, iface).0);
                     let source = DataSource::Active;
-                    let pushed = PayloadRef::parse(protocol, &session)
-                        .map(|payload| shard.push(addr, port, source, ctx.time, asn, payload));
+                    let pushed =
+                        shard.push_session(addr, port, source, ctx.time, asn, protocol, &session);
                     let row = parse_payload(protocol, &session).map(|payload| ServiceObservation {
                         addr,
                         port,
@@ -87,7 +88,7 @@ fn real_stores_survive_the_row_doors_and_the_scan_door_matches_the_row_door() {
                         asn,
                         payload,
                     });
-                    assert_eq!(pushed.is_some(), row.is_some(), "seed {seed}: {addr}");
+                    assert_eq!(pushed, row.is_some(), "seed {seed}: {addr}");
                     rows.extend(row);
                 }
             }
