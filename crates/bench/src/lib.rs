@@ -85,14 +85,14 @@ pub struct Experiment {
     /// Censys snapshot observations restricted to default ports.
     pub censys: ObservationStore,
     /// Censys observations on non-standard ports (excluded from analyses).
-    pub censys_nonstandard: usize,
+    pub(crate) censys_nonstandard: usize,
     /// Union of active and Censys default-port observations (active rows
     /// first, so row order matches the historical concatenation).
     pub union: ObservationStore,
     /// The identifier extractor (paper policies).
     pub extractor: IdentifierExtractor,
     /// Simulated time of the active campaign start.
-    pub active_start: SimTime,
+    pub(crate) active_start: SimTime,
     /// The paper's three identifier techniques over the active campaign:
     /// per-technique alias sets, merged sets and coverage/agreement
     /// statistics.  Each technique result is the active projection of the
@@ -321,7 +321,7 @@ impl Experiment {
 
     /// Per-protocol responsive addresses of one family in the union data,
     /// as sorted distinct ids of the union store's id space.
-    pub fn responsive_ids(&self, protocol: ServiceProtocol, ipv6: bool) -> Vec<AddrId> {
+    pub(crate) fn responsive_ids(&self, protocol: ServiceProtocol, ipv6: bool) -> Vec<AddrId> {
         let interner = self.union.interner();
         let mut ids: Vec<AddrId> = self
             .union
@@ -339,7 +339,7 @@ impl Experiment {
 
     /// Dense id → ASN annotation column over the union store's id space,
     /// built on first use.
-    pub fn asn_table(&self) -> &AsnTable {
+    pub(crate) fn asn_table(&self) -> &AsnTable {
         self.asns.get_or_init(|| {
             AsnTable::from_pairs(
                 self.union.interner().len(),
@@ -868,7 +868,7 @@ fn render_under_span(exp: &Experiment, name: &str, section: Section) -> String {
 
 /// Run every experiment, each under a `bench/render/<section>` span, and
 /// return `(section title, rendered text)` pairs.
-pub fn run_all(exp: &Experiment) -> Vec<(&'static str, String)> {
+pub(crate) fn run_all(exp: &Experiment) -> Vec<(&'static str, String)> {
     SECTIONS
         .iter()
         .map(|&(title, name, section)| (title, render_under_span(exp, name, section)))
@@ -881,7 +881,7 @@ pub fn section_names() -> [&'static str; 11] {
 }
 
 /// Render the one section `name` spells (`table1` … `figure6`, `stats`)
-/// under the same span [`run_all`] opens for it; `None` for any other name.
+/// under the same span `run_all` opens for it; `None` for any other name.
 pub fn render_section(exp: &Experiment, name: &str) -> Option<String> {
     let &(_, _, section) = SECTIONS.iter().find(|entry| entry.1 == name)?;
     Some(render_under_span(exp, name, section))
@@ -956,16 +956,16 @@ pub struct RateLimitStudy {
     pub silent_total: usize,
     /// Silent routers with at least two IPv4 interfaces — the ones an
     /// IPv4 alias set can prove anything about.
-    pub silent_resolvable: usize,
+    pub(crate) silent_resolvable: usize,
     /// Resolvable silent routers whose IPv4 interfaces the rate-limiting
     /// technique grouped into one alias set, completely.
-    pub silent_aliased: usize,
+    pub(crate) silent_aliased: usize,
     /// Merged sets carrying *only* the `ratelimit` label — aliases no
     /// other technique corroborates.
-    pub ratelimit_only_sets: usize,
+    pub(crate) ratelimit_only_sets: usize,
     /// Every technique's alias sets scored against the true aliasing
     /// relation, in registration order, then the merged sets (`"merged"`).
-    pub truth: Vec<(String, PairwiseScore)>,
+    pub(crate) truth: Vec<(String, PairwiseScore)>,
 }
 
 impl RateLimitStudy {
@@ -1114,7 +1114,7 @@ impl RateLimitStudy {
     /// sets, the address pairs it claims, how many of them really share a
     /// device, and the pairwise precision and recall that makes — which
     /// technique the false merges come from.
-    pub fn render_truth(&self) -> String {
+    pub(crate) fn render_truth(&self) -> String {
         let mut table = TextTable::new([
             "Technique",
             "Inferred pairs",

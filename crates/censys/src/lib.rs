@@ -69,8 +69,6 @@ impl Default for CensysConfig {
 /// store in crawl order.
 #[derive(Debug, Clone)]
 pub struct CensysSnapshot {
-    /// The configuration the snapshot was collected with.
-    pub config: CensysConfig,
     default_port: ObservationStore,
     nonstandard: ObservationStore,
 }
@@ -123,7 +121,6 @@ impl CensysSnapshot {
         }
         SESSIONS.add(sessions);
         CensysSnapshot {
-            config,
             default_port: default_port.into(),
             nonstandard: nonstandard.into(),
         }

@@ -129,7 +129,7 @@ pub fn group_view_by_source(
 impl SourceGroups {
     /// The tagged members of every identifier group (singletons included),
     /// in identifier first-seen order.
-    pub fn groups(&self) -> impl Iterator<Item = &[(AddrId, DataSource)]> + '_ {
+    pub(crate) fn groups(&self) -> impl Iterator<Item = &[(AddrId, DataSource)]> + '_ {
         runs(&self.offsets, &self.members)
     }
 

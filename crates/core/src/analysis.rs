@@ -21,7 +21,7 @@ pub struct AsnTable {
 
 impl AsnTable {
     /// An empty table where every id is unannotated.
-    pub fn new(len: usize) -> Self {
+    pub(crate) fn new(len: usize) -> Self {
         AsnTable {
             asns: vec![None; len],
         }
@@ -38,7 +38,7 @@ impl AsnTable {
     }
 
     /// Annotate one id, growing the table if needed.
-    pub fn annotate(&mut self, id: AddrId, asn: u32) {
+    pub(crate) fn annotate(&mut self, id: AddrId, asn: u32) {
         if id.index() >= self.asns.len() {
             self.asns.resize(id.index() + 1, None);
         }
@@ -46,18 +46,8 @@ impl AsnTable {
     }
 
     /// The AS annotation of `id`, if any.
-    pub fn get(&self, id: AddrId) -> Option<u32> {
+    pub(crate) fn get(&self, id: AddrId) -> Option<u32> {
         self.asns.get(id.index()).copied().flatten()
-    }
-
-    /// Number of id slots (annotated or not).
-    pub fn len(&self) -> usize {
-        self.asns.len()
-    }
-
-    /// True when the table covers no ids at all.
-    pub fn is_empty(&self) -> bool {
-        self.asns.is_empty()
     }
 }
 
@@ -89,7 +79,7 @@ pub fn sets_per_as(sets: &[CompactAliasSet], asn_of: &AsnTable) -> BTreeMap<u32,
 }
 
 /// The plurality AS of a set's members.
-pub fn plurality_as(set: &CompactAliasSet, asn_of: &AsnTable) -> Option<u32> {
+pub(crate) fn plurality_as(set: &CompactAliasSet, asn_of: &AsnTable) -> Option<u32> {
     let mut votes: HashMap<u32, usize> = HashMap::new();
     for id in set.iter() {
         if let Some(asn) = asn_of.get(id) {
@@ -185,6 +175,6 @@ mod tests {
         assert_eq!(asns.get(AddrId(5)), Some(42));
         assert_eq!(asns.get(AddrId(3)), None);
         assert_eq!(asns.get(AddrId(900)), None, "out of range reads as None");
-        assert_eq!(asns.len(), 6);
+        assert_eq!(asns.asns.len(), 6);
     }
 }

@@ -1,8 +1,7 @@
 //! Dataset overview statistics (the paper's Table 1).
 
-use alias_scan::{DataSource, ObservationStore, ServiceObservation, ServiceProtocol};
-use std::collections::{BTreeMap, BTreeSet};
-use std::net::IpAddr;
+use alias_scan::{ObservationStore, ServiceProtocol};
+use std::collections::BTreeMap;
 
 /// Distinct-IP and distinct-AS counts for one slice of the data.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -13,60 +12,13 @@ pub struct DatasetSummary {
     pub asns: usize,
 }
 
-/// Filter describing one Table 1 cell.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DatasetFilter {
-    /// Restrict to one protocol (`None` = all protocols, i.e. the union row).
-    pub protocol: Option<ServiceProtocol>,
-    /// Restrict to one data source (`None` = union of sources).
-    pub source: Option<DataSource>,
-    /// Restrict to IPv6 (`true`) or IPv4 (`false`).
-    pub ipv6: bool,
-}
-
 impl DatasetSummary {
-    /// Compute the summary of all observations matching `filter`.
-    pub fn compute<'a, I>(observations: I, filter: DatasetFilter) -> Self
-    where
-        I: IntoIterator<Item = &'a ServiceObservation>,
-    {
-        // Collect-then-dedup instead of a tree set: distinctness is the
-        // only thing needed, and the sort happens once at the end.
-        let mut ips: Vec<IpAddr> = Vec::new();
-        let mut asns: BTreeSet<u32> = BTreeSet::new();
-        for obs in observations {
-            if obs.is_ipv6() != filter.ipv6 {
-                continue;
-            }
-            if let Some(protocol) = filter.protocol {
-                if obs.protocol() != protocol {
-                    continue;
-                }
-            }
-            if let Some(source) = filter.source {
-                if obs.source != source {
-                    continue;
-                }
-            }
-            ips.push(obs.addr);
-            if let Some(asn) = obs.asn {
-                asns.insert(asn);
-            }
-        }
-        ips.sort_unstable();
-        ips.dedup();
-        DatasetSummary {
-            ips: ips.len(),
-            asns: asns.len(),
-        }
-    }
-
     /// Every Table 1 cell of one store from one pass over its columns: a
-    /// summary per protocol row ([`TABLE_PROTOCOLS`] order, then every
+    /// summary per protocol row (`TABLE_PROTOCOLS` order, then every
     /// protocol together) and address family (`[IPv4, IPv6]`).
     ///
-    /// Each cell equals [`Self::compute`] over the store's rows under that
-    /// cell's filter, but the pass reads only the protocol, id and ASN
+    /// Each cell equals a filter over the store's rows (the tests' row
+    /// reference), but the pass reads only the protocol, id and ASN
     /// columns — payloads are never touched — and distinctness is a bit per
     /// cell: per dense id for addresses, per AS number for origin ASes.
     pub fn cells_of_store(store: &ObservationStore) -> [[DatasetSummary; 2]; 4] {
@@ -119,7 +71,7 @@ impl DatasetSummary {
 }
 
 /// The protocols Table 1 gives a row each, in row order.
-pub const TABLE_PROTOCOLS: [ServiceProtocol; 3] = [
+pub(crate) const TABLE_PROTOCOLS: [ServiceProtocol; 3] = [
     ServiceProtocol::Ssh,
     ServiceProtocol::Bgp,
     ServiceProtocol::Snmpv3,
@@ -129,8 +81,60 @@ pub const TABLE_PROTOCOLS: [ServiceProtocol; 3] = [
 mod tests {
     use super::*;
     use alias_netsim::SimTime;
-    use alias_scan::ServicePayload;
+    use alias_scan::{DataSource, ServiceObservation, ServicePayload};
     use alias_wire::snmp::EngineId;
+    use std::collections::BTreeSet;
+    use std::net::IpAddr;
+
+    /// Filter describing one Table 1 cell.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    struct DatasetFilter {
+        /// Restrict to one protocol (`None` = all protocols, i.e. the union row).
+        protocol: Option<ServiceProtocol>,
+        /// Restrict to one data source (`None` = union of sources).
+        source: Option<DataSource>,
+        /// Restrict to IPv6 (`true`) or IPv4 (`false`).
+        ipv6: bool,
+    }
+
+    impl DatasetSummary {
+        /// Compute the summary of all observations matching `filter`: the row
+        /// reference `cells_of_store` is held to.
+        fn compute<'a, I>(observations: I, filter: DatasetFilter) -> Self
+        where
+            I: IntoIterator<Item = &'a ServiceObservation>,
+        {
+            // Collect-then-dedup instead of a tree set: distinctness is the
+            // only thing needed, and the sort happens once at the end.
+            let mut ips: Vec<IpAddr> = Vec::new();
+            let mut asns: BTreeSet<u32> = BTreeSet::new();
+            for obs in observations {
+                if obs.is_ipv6() != filter.ipv6 {
+                    continue;
+                }
+                if let Some(protocol) = filter.protocol {
+                    if obs.protocol() != protocol {
+                        continue;
+                    }
+                }
+                if let Some(source) = filter.source {
+                    if obs.source != source {
+                        continue;
+                    }
+                }
+                ips.push(obs.addr);
+                if let Some(asn) = obs.asn {
+                    asns.insert(asn);
+                }
+            }
+            ips.sort_unstable();
+            ips.dedup();
+            DatasetSummary {
+                ips: ips.len(),
+                asns: asns.len(),
+            }
+        }
+    }
 
     fn snmp_obs(addr: &str, asn: u32, source: DataSource) -> ServiceObservation {
         ServiceObservation {

@@ -20,17 +20,12 @@ pub struct DualStackSet {
 
 impl DualStackSet {
     /// Total number of member addresses.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.ipv4.len() + self.ipv6.len()
     }
 
-    /// Whether the set is empty (never the case for constructed sets).
-    pub fn is_empty(&self) -> bool {
-        self.ipv4.is_empty() && self.ipv6.is_empty()
-    }
-
     /// Whether the set is the minimal one-IPv4 / one-IPv6 pairing.
-    pub fn is_simple_pair(&self) -> bool {
+    pub(crate) fn is_simple_pair(&self) -> bool {
         self.ipv4.len() == 1 && self.ipv6.len() == 1
     }
 }
@@ -73,17 +68,10 @@ impl DualStackReport {
         distinct(self.sets.iter().flat_map(|s| &s.ipv6))
     }
 
-    /// Fraction of sets that are a single IPv4 + single IPv6 pair.
-    pub fn simple_pair_fraction(&self) -> f64 {
-        if self.sets.is_empty() {
-            return 0.0;
-        }
-        self.sets.iter().filter(|s| s.is_simple_pair()).count() as f64 / self.sets.len() as f64
-    }
-
-    /// Fraction of sets with a total of 2–10 addresses that are not simple
-    /// pairs, and fraction with more than 10 addresses (the three-way split
-    /// the paper reports).
+    /// Fraction of sets that are a single IPv4 + single IPv6 pair, fraction
+    /// with a total of 2–10 addresses that are not simple pairs, and
+    /// fraction with more than 10 addresses (the three-way split the paper
+    /// reports).
     pub fn size_split(&self) -> (f64, f64, f64) {
         if self.sets.is_empty() {
             return (0.0, 0.0, 0.0);
@@ -144,9 +132,8 @@ mod tests {
         assert_eq!(report.ipv4_addresses(), 1);
         assert_eq!(report.ipv6_addresses(), 1);
         assert!(report.sets[0].is_simple_pair());
-        assert_eq!(report.simple_pair_fraction(), 1.0);
+        assert_eq!(report.size_split().0, 1.0);
         assert_eq!(report.sets[0].len(), 2);
-        assert!(!report.sets[0].is_empty());
     }
 
     #[test]
@@ -157,7 +144,7 @@ mod tests {
             ssh_obs("2001:db8::7", 2),
         ]);
         assert_eq!(report.set_count(), 0);
-        assert_eq!(report.simple_pair_fraction(), 0.0);
+        assert_eq!(report.size_split().0, 0.0);
     }
 
     #[test]

@@ -13,7 +13,7 @@ pub struct Ecdf {
 
 impl Ecdf {
     /// Build from any collection of samples (NaNs are dropped).
-    pub fn from_values<I>(values: I) -> Self
+    pub(crate) fn from_values<I>(values: I) -> Self
     where
         I: IntoIterator<Item = f64>,
     {
@@ -38,15 +38,6 @@ impl Ecdf {
     /// Whether the ECDF has no samples.
     pub fn is_empty(&self) -> bool {
         self.sorted.is_empty()
-    }
-
-    /// P(X ≤ x).
-    pub fn fraction_le(&self, x: f64) -> f64 {
-        if self.sorted.is_empty() {
-            return 0.0;
-        }
-        let count = self.sorted.partition_point(|&v| v <= x);
-        count as f64 / self.sorted.len() as f64
     }
 
     /// The q-quantile (q in `[0, 1]`), `None` for an empty ECDF.
@@ -75,11 +66,6 @@ impl Ecdf {
         }
         points
     }
-
-    /// Sample the ECDF at the given x values (useful for fixed plotting grids).
-    pub fn sample_at(&self, xs: &[f64]) -> Vec<(f64, f64)> {
-        xs.iter().map(|&x| (x, self.fraction_le(x))).collect()
-    }
 }
 
 #[cfg(test)]
@@ -92,10 +78,15 @@ mod tests {
         let ecdf = Ecdf::from_counts([2usize, 2, 2, 3, 10, 100]);
         assert_eq!(ecdf.len(), 6);
         assert!(!ecdf.is_empty());
-        assert!((ecdf.fraction_le(2.0) - 0.5).abs() < 1e-9);
-        assert!((ecdf.fraction_le(9.9) - 4.0 / 6.0).abs() < 1e-9);
-        assert_eq!(ecdf.fraction_le(100.0), 1.0);
-        assert_eq!(ecdf.fraction_le(1.0), 0.0);
+        assert_eq!(
+            ecdf.points(),
+            [
+                (2.0, 0.5),
+                (3.0, 4.0 / 6.0),
+                (10.0, 5.0 / 6.0),
+                (100.0, 1.0)
+            ]
+        );
     }
 
     #[test]
@@ -121,15 +112,6 @@ mod tests {
     }
 
     #[test]
-    fn sample_at_grid() {
-        let ecdf = Ecdf::from_counts([1usize, 2, 3, 4]);
-        let sampled = ecdf.sample_at(&[0.0, 2.0, 10.0]);
-        assert_eq!(sampled[0].1, 0.0);
-        assert_eq!(sampled[1].1, 0.5);
-        assert_eq!(sampled[2].1, 1.0);
-    }
-
-    #[test]
     fn nan_values_are_dropped() {
         let ecdf = Ecdf::from_values([1.0, f64::NAN, 2.0]);
         assert_eq!(ecdf.len(), 2);
@@ -139,15 +121,14 @@ mod tests {
         #[test]
         fn ecdf_is_a_valid_cdf(values in prop::collection::vec(0u32..10_000, 1..200)) {
             let ecdf = Ecdf::from_counts(values.iter().map(|&v| v as usize));
-            // Monotone non-decreasing over a grid, bounded by [0, 1].
-            let mut last = 0.0;
-            for x in (0..=10_000u32).step_by(97) {
-                let p = ecdf.fraction_le(x as f64);
-                prop_assert!((0.0..=1.0).contains(&p));
-                prop_assert!(p >= last);
-                last = p;
+            // Strictly increasing steps, bounded by (0, 1], ending at one.
+            let points = ecdf.points();
+            let mut last = (f64::NEG_INFINITY, 0.0);
+            for &(x, p) in &points {
+                prop_assert!(x > last.0 && p > last.1 && p <= 1.0);
+                last = (x, p);
             }
-            prop_assert_eq!(ecdf.fraction_le(10_000.0), 1.0);
+            prop_assert_eq!(last.1, 1.0);
         }
     }
 }

@@ -165,9 +165,18 @@ mod tests {
             engine_boots: 3,
             engine_time: 100,
         });
-        assert_eq!(extractor.extract(&ssh).unwrap().protocol_name(), "ssh");
-        assert_eq!(extractor.extract(&bgp).unwrap().protocol_name(), "bgp");
-        assert_eq!(extractor.extract(&snmp).unwrap().protocol_name(), "snmpv3");
+        assert!(matches!(
+            extractor.extract(&ssh).unwrap(),
+            ProtocolIdentifier::Ssh(_)
+        ));
+        assert!(matches!(
+            extractor.extract(&bgp).unwrap(),
+            ProtocolIdentifier::Bgp(_)
+        ));
+        assert!(matches!(
+            extractor.extract(&snmp).unwrap(),
+            ProtocolIdentifier::Snmpv3(_)
+        ));
     }
 
     #[test]

@@ -68,11 +68,11 @@ fn framed(out: &mut Vec<u8>, write: impl FnOnce(&mut Vec<u8>)) {
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct SshIdentifier {
     /// The banner line (software + comments), empty under `KeyOnly`.
-    pub banner: String,
+    pub(crate) banner: String,
     /// The capability fingerprint, empty under `KeyOnly`.
-    pub capabilities: String,
+    pub(crate) capabilities: String,
     /// The host-key fingerprint.
-    pub host_key: String,
+    pub(crate) host_key: String,
 }
 
 impl SshIdentifier {
@@ -80,7 +80,10 @@ impl SshIdentifier {
     ///
     /// Returns `None` when the observation lacks the host key (the scan did
     /// not get far enough to identify the device).
-    pub fn from_observation(obs: &SshObservation, policy: SshIdentifierPolicy) -> Option<Self> {
+    pub(crate) fn from_observation(
+        obs: &SshObservation,
+        policy: SshIdentifierPolicy,
+    ) -> Option<Self> {
         let host_key = obs.host_key.as_ref()?.fingerprint();
         let (banner, capabilities) = match policy {
             SshIdentifierPolicy::KeyOnly => (String::new(), String::new()),
@@ -205,22 +208,22 @@ impl<'a> SshProfileIds<'a> {
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct BgpIdentifier {
     /// The 4-octet BGP Identifier, rendered dotted-quad.
-    pub bgp_identifier: String,
+    pub(crate) bgp_identifier: String,
     /// The ASN from the OPEN message (four-octet capability preferred).
-    pub asn: u32,
+    pub(crate) asn: u32,
     /// Hold time.
-    pub hold_time: u16,
+    pub(crate) hold_time: u16,
     /// Protocol version.
-    pub version: u8,
+    pub(crate) version: u8,
     /// OPEN message wire length.
-    pub open_length: u16,
+    pub(crate) open_length: u16,
     /// Canonical rendering of the advertised capabilities.
-    pub capabilities: String,
+    pub(crate) capabilities: String,
 }
 
 impl BgpIdentifier {
     /// Build the identifier from an OPEN message.
-    pub fn from_open(open: &OpenMessage) -> Self {
+    pub(crate) fn from_open(open: &OpenMessage) -> Self {
         BgpIdentifier {
             bgp_identifier: open.bgp_identifier.to_string(),
             asn: open.effective_asn(),
@@ -237,7 +240,7 @@ impl BgpIdentifier {
     /// is in bijection with its `code:hex` / `ptype:hex` rendering.
     /// `open_length` is left out: it is a function of the parameters' kinds
     /// and value lengths, so it can never tell two keys apart.
-    pub fn write_key(open: BgpOpenRef<'_>, out: &mut Vec<u8>) {
+    pub(crate) fn write_key(open: BgpOpenRef<'_>, out: &mut Vec<u8>) {
         out.push(KEY_BGP);
         out.extend_from_slice(&open.bgp_identifier.octets());
         out.extend_from_slice(&open.effective_asn().to_le_bytes());
@@ -283,12 +286,12 @@ fn render_capabilities(params: &[OptionalParameter]) -> String {
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Snmpv3Identifier {
     /// Hex rendering of the engine ID.
-    pub engine_id: String,
+    pub(crate) engine_id: String,
 }
 
 impl Snmpv3Identifier {
     /// Build the identifier from an engine ID.
-    pub fn from_engine_id(engine_id: &EngineId) -> Self {
+    pub(crate) fn from_engine_id(engine_id: &EngineId) -> Self {
         Snmpv3Identifier {
             engine_id: engine_id.to_hex(),
         }
@@ -297,7 +300,7 @@ impl Snmpv3Identifier {
     /// Append the key of the identifier [`Self::from_engine_id`] would
     /// build: the engine ID's bytes, which the hex rendering is one-to-one
     /// with.
-    pub fn write_key(engine_id: &[u8], out: &mut Vec<u8>) {
+    pub(crate) fn write_key(engine_id: &[u8], out: &mut Vec<u8>) {
         out.push(KEY_SNMPV3);
         out.extend_from_slice(engine_id);
     }
@@ -316,17 +319,6 @@ pub enum ProtocolIdentifier {
     Bgp(BgpIdentifier),
     /// An SNMPv3 identifier.
     Snmpv3(Snmpv3Identifier),
-}
-
-impl ProtocolIdentifier {
-    /// The protocol this identifier belongs to.
-    pub fn protocol_name(&self) -> &'static str {
-        match self {
-            ProtocolIdentifier::Ssh(_) => "ssh",
-            ProtocolIdentifier::Bgp(_) => "bgp",
-            ProtocolIdentifier::Snmpv3(_) => "snmpv3",
-        }
-    }
 }
 
 #[cfg(test)]
@@ -453,7 +445,5 @@ mod tests {
         );
         let bgp = ProtocolIdentifier::Bgp(BgpIdentifier::from_open(&open_msg()));
         assert_ne!(ssh, bgp);
-        assert_eq!(ssh.protocol_name(), "ssh");
-        assert_eq!(bgp.protocol_name(), "bgp");
     }
 }

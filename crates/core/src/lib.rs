@@ -33,11 +33,5 @@ pub mod report;
 pub mod union_find;
 pub mod validation;
 
-pub use alias_set::{
-    group_view_by_source, group_view_compact, CompactGrouping, FamilyGrouping, SourceGroups,
-};
-pub use alias_wire::hex;
-pub use dual_stack::DualStackSet;
-pub use ecdf::Ecdf;
-pub use extract::{ExtractionConfig, IdentifierExtractor, KeyPass};
-pub use identifier::{BgpIdentifier, ProtocolIdentifier, SshIdentifier, SshIdentifierPolicy};
+pub(crate) use alias_wire::hex;
+pub use extract::{ExtractionConfig, IdentifierExtractor};

@@ -84,7 +84,7 @@ pub struct MergedSet {
 
 impl MergedSet {
     /// Whether only the given label contributed to this set.
-    pub fn only_from(&self, label: &str) -> bool {
+    pub(crate) fn only_from(&self, label: &str) -> bool {
         self.labels.len() == 1 && self.labels.contains(label)
     }
 }
@@ -96,11 +96,11 @@ impl MergedSet {
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct LabeledPartition {
     /// The input labels, by input position.
-    pub labels: Vec<String>,
+    pub(crate) labels: Vec<String>,
     /// The merged sets, ordered by their smallest member id.
     pub sets: Vec<CompactAliasSet>,
     /// Per merged set: bit `i` is set when input `i` contributed a set.
-    pub label_masks: Vec<u64>,
+    pub(crate) label_masks: Vec<u64>,
 }
 
 impl LabeledPartition {
@@ -110,12 +110,6 @@ impl LabeledPartition {
         inputs
             .filter(|(_, l)| *l == label)
             .fold(0, |mask, (i, _)| mask | 1 << i)
-    }
-
-    /// Whether only inputs labelled `label` contributed to set `index`.
-    pub fn only_from(&self, index: usize, label: &str) -> bool {
-        let mask = self.label_masks[index];
-        mask != 0 && mask & !self.mask_of(label) == 0
     }
 
     /// Resolve the partition into [`MergedSet`]s in canonical order —
@@ -249,11 +243,11 @@ fn sort_canonical(merged: &mut [MergedSet]) {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MultiServiceStats {
     /// Addresses answering exactly one protocol.
-    pub single_service: usize,
+    pub(crate) single_service: usize,
     /// Addresses answering exactly two protocols.
-    pub two_services: usize,
+    pub(crate) two_services: usize,
     /// Addresses answering all three protocols.
-    pub three_services: usize,
+    pub(crate) three_services: usize,
 }
 
 impl MultiServiceStats {
@@ -281,7 +275,7 @@ impl MultiServiceStats {
     }
 
     /// Total addresses counted.
-    pub fn total(&self) -> usize {
+    pub(crate) fn total(&self) -> usize {
         self.single_service + self.two_services + self.three_services
     }
 
@@ -456,9 +450,6 @@ mod tests {
         let partition = partition_labeled_compact(&inputs, interner.len());
         // Ordered by smallest member id: 10.0.0.1 was interned first.
         assert_eq!(partition.label_masks, vec![0b101, 0b110]);
-        assert!(!partition.only_from(0, "snmpv3"));
-        assert!(partition.only_from(1, "snmpv3"));
-        assert!(!partition.only_from(1, "ssh"));
         let merged = partition.materialise(&interner);
         assert_eq!(merged, merge_labeled_compact(&inputs, &interner));
         assert_eq!(merged[1].labels.len(), 1);

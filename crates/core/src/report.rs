@@ -52,16 +52,6 @@ impl TextTable {
         self
     }
 
-    /// Number of data rows.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// Whether the table has no data rows.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-
     /// Render the table with aligned columns.
     pub fn render(&self) -> String {
         let columns = self
@@ -137,8 +127,7 @@ mod tests {
         let mut table = TextTable::new(["Protocol", "# IPs", "# ASN"]);
         table.row(["SSH", "15.9M", "46.1k"]);
         table.row(["BGP", "364k", "6.5k"]);
-        assert_eq!(table.len(), 2);
-        assert!(!table.is_empty());
+        assert_eq!(table.rows.len(), 2);
         let rendered = table.render();
         let lines: Vec<&str> = rendered.lines().collect();
         assert_eq!(lines.len(), 4);

@@ -10,15 +10,15 @@
 /// `finds` / `unions` / `path_compressions` counts depend on the order the
 /// unions are made in.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct UnionFindStats {
+pub(crate) struct UnionFindStats {
     /// Calls to [`UnionFind::find`] (including the two inside each union).
-    pub finds: u64,
+    pub(crate) finds: u64,
     /// Calls to [`UnionFind::union`].
-    pub unions: u64,
+    pub(crate) unions: u64,
     /// Unions that actually joined two distinct sets.
-    pub effective_unions: u64,
+    pub(crate) effective_unions: u64,
     /// Parent links rewritten by path compression.
-    pub path_compressions: u64,
+    pub(crate) path_compressions: u64,
 }
 
 /// Disjoint-set forest over `usize` elements with path compression and union
@@ -41,18 +41,13 @@ impl UnionFind {
     }
 
     /// The forest's operation tallies so far.
-    pub fn stats(&self) -> UnionFindStats {
+    pub(crate) fn stats(&self) -> UnionFindStats {
         self.stats
     }
 
     /// Number of elements.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.parent.len()
-    }
-
-    /// Whether the forest is empty.
-    pub fn is_empty(&self) -> bool {
-        self.parent.is_empty()
     }
 
     /// Find the representative of `x`'s set.
@@ -91,7 +86,8 @@ impl UnionFind {
     }
 
     /// Whether `a` and `b` are in the same set.
-    pub fn connected(&mut self, a: usize, b: usize) -> bool {
+    #[cfg(test)]
+    pub(crate) fn connected(&mut self, a: usize, b: usize) -> bool {
         self.find(a) == self.find(b)
     }
 
@@ -124,7 +120,8 @@ impl UnionFind {
     /// Idempotence of the canonical root is what alias-set merging leans
     /// on; this checks it without path compression, so a valid forest is
     /// left untouched.
-    pub fn validate(&self) -> Result<(), String> {
+    #[cfg(test)]
+    pub(crate) fn validate(&self) -> Result<(), String> {
         let n = self.parent.len();
         if self.size.len() != n {
             return Err(format!(
@@ -175,7 +172,6 @@ mod tests {
     fn singletons_then_unions() {
         let mut uf = UnionFind::new(5);
         assert_eq!(uf.len(), 5);
-        assert!(!uf.is_empty());
         assert!(!uf.connected(0, 1));
         assert!(uf.union(0, 1));
         assert!(uf.connected(0, 1));

@@ -96,12 +96,6 @@ impl Universe {
     }
 }
 
-/// Restrict `sets` to the ids in `universe`, dropping sets that no longer
-/// have at least two members.
-pub fn project_compact(sets: &[CompactAliasSet], universe: &[AddrId]) -> Vec<CompactAliasSet> {
-    Universe::new(universe).project(sets)
-}
-
 /// Count the sets of `projected_a` whose exact membership also appears in
 /// `projected_b`.
 fn agreement(projected_a: &[CompactAliasSet], projected_b: &[CompactAliasSet]) -> ValidationResult {
@@ -145,7 +139,7 @@ pub struct MidarValidation {
     /// Sets in the sample.
     pub sampled: usize,
     /// Sets MIDAR could not test (insufficient usable addresses).
-    pub unverifiable: usize,
+    pub(crate) unverifiable: usize,
     /// The pairwise comparison over the verifiable sets.
     pub result: ValidationResult,
 }
@@ -180,6 +174,12 @@ pub fn validate_against_midar(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Restrict `sets` to the ids in `universe`, dropping sets that no
+    /// longer have at least two members.
+    fn project_compact(sets: &[CompactAliasSet], universe: &[AddrId]) -> Vec<CompactAliasSet> {
+        Universe::new(universe).project(sets)
+    }
     use proptest::prelude::*;
 
     fn ids(raw: &[u32]) -> Vec<AddrId> {

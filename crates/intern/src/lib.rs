@@ -267,7 +267,8 @@ impl IdentInterner {
     ///
     /// # Panics
     /// Panics if `id` was not produced by this interner.
-    pub fn key(&self, id: IdentId) -> &[u8] {
+    #[cfg(test)]
+    pub(crate) fn key(&self, id: IdentId) -> &[u8] {
         key_bytes(&self.chunks, self.entries[id.index()].key)
     }
 
@@ -407,7 +408,8 @@ impl CompactAliasSet {
     /// Every constructor establishes this, and the PR4 determinism bug was
     /// precisely a set that escaped canonical order — so parity tests call
     /// this on their way through.
-    pub fn validate(&self) -> Result<(), String> {
+    #[cfg(test)]
+    pub(crate) fn validate(&self) -> Result<(), String> {
         for pair in self.members.windows(2) {
             if pair[0] >= pair[1] {
                 return Err(format!(

@@ -19,7 +19,7 @@ pub struct IffinderOutcome {
     /// Alias pairs discovered (probed address, responding address).
     pub pairs: Vec<(IpAddr, IpAddr)>,
     /// Targets that returned no ICMP error at all.
-    pub silent: usize,
+    pub(crate) silent: usize,
     /// Alias sets formed by merging the discovered pairs.
     // id-space: ICMP error sources are addresses the campaign never interned — there is no id to hold
     pub alias_sets: Vec<BTreeSet<IpAddr>>,

@@ -23,7 +23,4 @@ pub mod midar;
 pub mod speedtrap;
 pub mod velocity;
 
-pub use ally::{ally_test, AllyVerdict};
-pub use mbt::{monotonic_bounds_test, MbtVerdict};
-pub use midar::{midar_resolve, MidarOutcome};
-pub use velocity::{estimate_velocity, VelocityEstimate};
+pub use midar::midar_resolve;

@@ -18,13 +18,6 @@ pub enum MbtVerdict {
     Insufficient,
 }
 
-impl MbtVerdict {
-    /// Whether the verdict supports aliasing.
-    pub fn is_consistent(self) -> bool {
-        self == MbtVerdict::Consistent
-    }
-}
-
 /// Merge several per-address sample series by time and test whether the
 /// result is a single monotonic (mod 2^16) sequence.
 ///
@@ -38,7 +31,7 @@ impl MbtVerdict {
 /// on the fly: no allocation, and the walk stops at the first violation.
 /// Any other shape is collected and sorted first; the verdict is the same
 /// either way.  A caller that tests one series against many others checks
-/// its time order once with [`CheckedSeries`] instead.
+/// its time order once with `CheckedSeries` instead.
 pub fn monotonic_bounds_test(series: &[&[IpidSample]], max_velocity: f64) -> MbtVerdict {
     match series {
         [a, b] => CheckedSeries::new(a).pair_test(CheckedSeries::new(b), max_velocity),
@@ -51,14 +44,14 @@ pub fn monotonic_bounds_test(series: &[&[IpidSample]], max_velocity: f64) -> Mbt
 /// all-pairs pass) — [`monotonic_bounds_test`] re-validates both series on
 /// every call.
 #[derive(Debug, Clone, Copy)]
-pub struct CheckedSeries<'a> {
+pub(crate) struct CheckedSeries<'a> {
     samples: &'a [IpidSample],
     time_ordered: bool,
 }
 
 impl<'a> CheckedSeries<'a> {
     /// Check `samples`' time order.
-    pub fn new(samples: &'a [IpidSample]) -> Self {
+    pub(crate) fn new(samples: &'a [IpidSample]) -> Self {
         CheckedSeries {
             samples,
             time_ordered: is_time_ordered(samples),
@@ -66,7 +59,7 @@ impl<'a> CheckedSeries<'a> {
     }
 
     /// [`monotonic_bounds_test`] of this series and `other`.
-    pub fn pair_test(self, other: CheckedSeries<'_>, max_velocity: f64) -> MbtVerdict {
+    pub(crate) fn pair_test(self, other: CheckedSeries<'_>, max_velocity: f64) -> MbtVerdict {
         if self.time_ordered && other.time_ordered {
             streaming_pair_test(self.samples, other.samples, max_velocity)
         } else {
@@ -255,8 +248,6 @@ mod tests {
             monotonic_bounds_test(&[&a, &b], 100.0),
             MbtVerdict::Insufficient
         );
-        assert!(!MbtVerdict::Insufficient.is_consistent());
-        assert!(MbtVerdict::Consistent.is_consistent());
     }
 
     #[test]

@@ -74,8 +74,6 @@ pub struct MidarOutcome {
     pub alias_sets: Vec<Vec<usize>>,
     /// Targets whose IPID counters were usable at all, ascending.
     pub testable: Vec<usize>,
-    /// Targets discarded during estimation (unresponsive or unusable).
-    pub discarded: usize,
     /// Simulated time the run finished (MIDAR runs take long; the paper's
     /// took three weeks, long enough for churn to matter).
     pub finished_at: SimTime,
@@ -188,7 +186,6 @@ pub fn midar_resolve(
 
     MidarOutcome {
         alias_sets,
-        discarded: targets.len() - testable.len(),
         testable,
         finished_at: finished_at.max(now),
     }
@@ -252,8 +249,6 @@ mod tests {
         let targets = targets(&internet, |_| true);
         let outcome = run(&internet, &targets);
         assert!(outcome.testable.len() < targets.len());
-        assert!(outcome.discarded > 0);
-        assert_eq!(outcome.discarded + outcome.testable.len(), targets.len());
         assert!(outcome.testable.windows(2).all(|w| w[0] < w[1]));
     }
 
@@ -283,6 +278,5 @@ mod tests {
         let outcome = midar_resolve(&internet, &[], VantageKind::SingleVp, SimTime::ZERO);
         assert!(outcome.alias_sets.is_empty());
         assert!(outcome.testable.is_empty());
-        assert_eq!(outcome.discarded, 0);
     }
 }

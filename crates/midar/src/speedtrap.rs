@@ -6,12 +6,12 @@
 //! identical — a monotonic bounds test over interleaved identifier samples —
 //! and is implemented here over generic identifier time series.
 //!
-//! Substitution note (see DESIGN.md): the simulated network models the
-//! device-wide counter but not IPv6 fragmentation itself, so the experiment
-//! harness feeds this module counter samples collected through the generic
-//! IPID probing path rather than through real fragment headers.  The
-//! decision logic — which is what the paper compares against — is exercised
-//! unchanged.
+//! Substitution note (see docs/TECHNIQUES.md § Speedtrap): the simulated
+//! network models the device-wide counter but not IPv6 fragmentation
+//! itself, so the experiment harness feeds this module counter samples
+//! collected through the generic IPID probing path rather than through real
+//! fragment headers.  The decision logic — which is what the paper compares
+//! against — is exercised unchanged.
 
 use crate::mbt::{CheckedSeries, MbtVerdict};
 use alias_core::union_find::UnionFind;

@@ -24,17 +24,6 @@ pub enum VelocityEstimate {
     Insufficient,
 }
 
-impl VelocityEstimate {
-    /// Whether the address is usable for IPID-based alias resolution, given
-    /// the highest velocity the probing schedule can track.
-    pub fn is_usable(&self, max_velocity: f64) -> bool {
-        match self {
-            VelocityEstimate::Monotonic { velocity } => *velocity <= max_velocity,
-            _ => false,
-        }
-    }
-}
-
 /// Estimate the counter velocity of one address from its samples.
 ///
 /// The estimator checks that forward (mod 2^16) deltas between consecutive
@@ -94,8 +83,6 @@ mod tests {
             }
             other => panic!("unexpected estimate {other:?}"),
         }
-        assert!(estimate_velocity(&s, 1_000.0).is_usable(100.0));
-        assert!(!estimate_velocity(&s, 1_000.0).is_usable(5.0));
     }
 
     #[test]
@@ -105,7 +92,6 @@ mod tests {
             estimate_velocity(&s, 1_000.0),
             VelocityEstimate::NonMonotonic
         );
-        assert!(!VelocityEstimate::NonMonotonic.is_usable(1_000.0));
     }
 
     #[test]

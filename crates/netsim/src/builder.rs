@@ -979,10 +979,16 @@ mod tests {
 
     #[test]
     fn border_routers_span_multiple_ases() {
+        let as_count = |device: crate::DeviceRef<'_>| {
+            let mut asns: Vec<Asn> = device.interfaces().iter().map(|i| i.asn).collect();
+            asns.sort();
+            asns.dedup();
+            asns.len()
+        };
         let internet = InternetBuilder::new(InternetConfig::tiny(21)).build();
         let multi_as_border = internet
             .devices()
-            .filter(|d| d.kind() == DeviceKind::BorderRouter && d.asns().len() >= 2)
+            .filter(|&d| d.kind() == DeviceKind::BorderRouter && as_count(d) >= 2)
             .count();
         assert!(
             multi_as_border > 0,
@@ -991,7 +997,7 @@ mod tests {
         // Non-border devices never span ASes.
         for device in internet.devices() {
             if matches!(device.kind(), DeviceKind::CloudVm | DeviceKind::Cpe) {
-                assert_eq!(device.asns().len(), 1);
+                assert_eq!(as_count(device), 1);
             }
         }
     }

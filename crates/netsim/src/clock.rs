@@ -21,12 +21,12 @@ impl SimTime {
     }
 
     /// Build from whole minutes.
-    pub const fn from_mins(mins: u64) -> Self {
+    pub(crate) const fn from_mins(mins: u64) -> Self {
         Self::from_secs(mins * 60)
     }
 
     /// Build from whole hours.
-    pub const fn from_hours(hours: u64) -> Self {
+    pub(crate) const fn from_hours(hours: u64) -> Self {
         Self::from_mins(hours * 60)
     }
 

@@ -19,30 +19,30 @@
 
 /// How many ASes of each kind to generate.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct AsCounts {
+pub(crate) struct AsCounts {
     /// Cloud / hosting providers.
-    pub cloud: usize,
+    pub(crate) cloud: usize,
     /// ISPs / telcos.
-    pub isp: usize,
+    pub(crate) isp: usize,
     /// Enterprise / stub networks.
-    pub enterprise: usize,
+    pub(crate) enterprise: usize,
 }
 
 /// How many devices of each archetype to generate (totals across all ASes).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DeviceCounts {
     /// Single-address cloud VMs (SSH).
-    pub cloud_vms: usize,
+    pub(crate) cloud_vms: usize,
     /// Multi-address cloud servers / load balancers (SSH).
-    pub cloud_servers: usize,
+    pub(crate) cloud_servers: usize,
     /// Enterprise servers (SSH, mostly single address).
-    pub enterprise_servers: usize,
+    pub(crate) enterprise_servers: usize,
     /// ISP aggregation/access routers (SNMPv3, some SSH).
-    pub isp_routers: usize,
+    pub(crate) isp_routers: usize,
     /// Border routers (BGP speakers that answer with an OPEN).
-    pub border_routers: usize,
+    pub(crate) border_routers: usize,
     /// Customer-premises equipment (SNMPv3 / dropbear SSH singletons).
-    pub cpe_devices: usize,
+    pub(crate) cpe_devices: usize,
     /// ISP routers with every identifier service disabled (no SSH, BGP or
     /// SNMP; random IPID; per-probed-address ICMP errors) — the population
     /// only the ICMP rate-limiting technique can alias.  Zero in every
@@ -79,9 +79,9 @@ pub enum ScalePreset {
 #[derive(Debug, Clone, PartialEq)]
 pub struct InternetConfig {
     /// RNG seed; every derived structure is deterministic in this seed.
-    pub seed: u64,
+    pub(crate) seed: u64,
     /// AS population.
-    pub as_counts: AsCounts,
+    pub(crate) as_counts: AsCounts,
     /// Device population.
     pub devices: DeviceCounts,
     /// Measurement-channel visibility: the IPv6 hitlist's coverage.
@@ -189,13 +189,8 @@ impl InternetConfig {
         Self::preset(ScalePreset::Small, seed)
     }
 
-    /// The default experiment preset.
-    pub fn paper_shape(seed: u64) -> Self {
-        Self::preset(ScalePreset::PaperShape, seed)
-    }
-
     /// Total number of devices that will be generated.
-    pub fn total_devices(&self) -> usize {
+    pub(crate) fn total_devices(&self) -> usize {
         let d = &self.devices;
         d.cloud_vms
             + d.cloud_servers
@@ -208,7 +203,7 @@ impl InternetConfig {
 
     /// Sanity-check what a caller sets; returns the offending field names
     /// (empty when the configuration is valid).
-    pub fn validate(&self) -> Vec<&'static str> {
+    pub(crate) fn validate(&self) -> Vec<&'static str> {
         let mut bad = Vec::new();
         // The builder draws ASes of every kind by weight, so each kind
         // needs at least one.
@@ -256,7 +251,7 @@ mod tests {
     fn preset_sizes_are_ordered() {
         let tiny = InternetConfig::tiny(1).total_devices();
         let small = InternetConfig::small(1).total_devices();
-        let paper = InternetConfig::paper_shape(1).total_devices();
+        let paper = InternetConfig::preset(ScalePreset::PaperShape, 1).total_devices();
         let large = InternetConfig::preset(ScalePreset::Large, 1).total_devices();
         let huge = InternetConfig::preset(ScalePreset::Huge, 1).total_devices();
         assert!(tiny < small && small < paper && paper < large && large < huge);

@@ -390,15 +390,6 @@ impl<'a> DeviceRef<'a> {
         let has = |ipv6: bool| self.interfaces().iter().any(|i| i.addr.is_ipv6() == ipv6);
         has(false) && has(true)
     }
-
-    /// The ASNs this device's interfaces are numbered from (deduplicated,
-    /// sorted).
-    pub fn asns(self) -> Vec<Asn> {
-        let mut asns: Vec<Asn> = self.interfaces().iter().map(|i| i.asn).collect();
-        asns.sort();
-        asns.dedup();
-        asns
-    }
 }
 
 #[cfg(test)]
@@ -445,15 +436,6 @@ mod tests {
         assert_eq!(dev.ipv4_addrs().len(), 3);
         assert_eq!(dev.ipv6_addrs().len(), 1);
         assert!(dev.is_dual_stack());
-    }
-
-    #[test]
-    fn asns_are_deduplicated_and_sorted() {
-        let table = table();
-        assert_eq!(
-            table.get(DeviceId(0)).asns(),
-            vec![Asn(65_001), Asn(65_002)]
-        );
     }
 
     #[test]

@@ -17,12 +17,12 @@ use std::net::IpAddr;
 #[derive(Debug, Clone, Default)]
 pub struct GroundTruth {
     /// Address → owning device.
-    pub owner: HashMap<IpAddr, DeviceId>,
+    pub(crate) owner: HashMap<IpAddr, DeviceId>,
 }
 
 impl GroundTruth {
     /// Record that `addr` belongs to `device`.
-    pub fn insert(&mut self, device: DeviceId, addr: IpAddr) {
+    pub(crate) fn insert(&mut self, device: DeviceId, addr: IpAddr) {
         self.owner.insert(addr, device);
     }
 
@@ -37,11 +37,6 @@ impl GroundTruth {
             (Some(da), Some(db)) => da == db,
             _ => false,
         }
-    }
-
-    /// Number of known addresses.
-    pub fn address_count(&self) -> usize {
-        self.owner.len()
     }
 
     /// Score a collection of inferred alias sets against the ground truth
@@ -65,7 +60,7 @@ pub struct PairwiseScore {
     /// Of those, the pairs that really share a device.
     pub true_positive_pairs: u64,
     /// True alias pairs among all addresses covered by the inference.
-    pub true_pairs: u64,
+    pub(crate) true_pairs: u64,
 }
 
 /// Unordered pairs among `n` things.
@@ -110,7 +105,7 @@ impl PairwiseScore {
     /// so under-merging lowers recall: a device whose three tested
     /// addresses come back as one pair scores 1 of 3 true pairs here, and
     /// all of them under [`Self::of_labelled_sets`].
-    pub fn of_labelled_sets_over<K, S>(
+    pub(crate) fn of_labelled_sets_over<K, S>(
         sets: impl IntoIterator<Item = S>,
         universe: impl IntoIterator<Item = (K, Option<DeviceId>)>,
     ) -> PairwiseScore
@@ -164,17 +159,6 @@ impl PairwiseScore {
             self.true_positive_pairs as f64 / self.true_pairs as f64
         }
     }
-
-    /// Harmonic mean of precision and recall.
-    pub fn f1(&self) -> f64 {
-        let p = self.precision();
-        let r = self.recall();
-        if p + r == 0.0 {
-            0.0
-        } else {
-            2.0 * p * r / (p + r)
-        }
-    }
 }
 
 #[cfg(test)]
@@ -203,7 +187,7 @@ mod tests {
         assert!(!gt.are_aliases(ip("10.0.0.1"), ip("10.0.1.1")));
         assert!(!gt.are_aliases(ip("10.0.0.1"), ip("192.0.2.1")));
         assert_eq!(gt.device_of(ip("10.0.1.2")), Some(DeviceId(1)));
-        assert_eq!(gt.address_count(), 6);
+        assert_eq!(gt.owner.len(), 6);
     }
 
     #[test]
@@ -216,7 +200,6 @@ mod tests {
         let score = gt.score_sets(sets.iter().map(|s| s.iter()));
         assert_eq!(score.precision(), 1.0);
         assert_eq!(score.recall(), 1.0);
-        assert_eq!(score.f1(), 1.0);
     }
 
     #[test]

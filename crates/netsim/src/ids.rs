@@ -18,7 +18,7 @@ pub struct DeviceId(pub u32);
 
 impl DeviceId {
     /// The device's position in the device table.
-    pub fn index(self) -> usize {
+    pub(crate) fn index(self) -> usize {
         self.0 as usize
     }
 }

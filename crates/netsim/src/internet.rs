@@ -26,9 +26,9 @@ use std::collections::{BTreeMap, HashMap};
 use std::net::{IpAddr, Ipv6Addr};
 
 /// Default TCP port of the SSH service.
-pub const SSH_PORT: u16 = 22;
+pub(crate) const SSH_PORT: u16 = 22;
 /// Default TCP port of BGP.
-pub const BGP_PORT: u16 = 179;
+pub(crate) const BGP_PORT: u16 = 179;
 /// Default UDP port of SNMP.
 pub const SNMP_PORT: u16 = 161;
 
@@ -87,24 +87,6 @@ pub struct ProbeContext {
     pub time: SimTime,
 }
 
-impl ProbeContext {
-    /// A single-VP probe at the given time.
-    pub fn single(time: SimTime) -> Self {
-        ProbeContext {
-            vantage: VantageKind::SingleVp,
-            time,
-        }
-    }
-
-    /// A distributed-fleet probe at the given time.
-    pub fn distributed(time: SimTime) -> Self {
-        ProbeContext {
-            vantage: VantageKind::Distributed,
-            time,
-        }
-    }
-}
-
 /// Outcome of a TCP SYN probe.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SynResult {
@@ -141,7 +123,7 @@ pub(crate) struct ProbeState {
 /// The state lives in, and persists in, the [`Internet`]; the session only
 /// holds its one lock, so a sweep of millions of probes pays for it once.
 /// The lock is not re-entrant: while a session is alive, the one-shot
-/// entry points ([`Internet::icmp_echo`], [`Internet::identifier_probe_at`],
+/// entry points ([`Internet::icmp_echo`], `Internet::identifier_probe_at`,
 /// [`Internet::ipv6_fragment_probe`], [`Internet::ipid_model`]) block — on
 /// the same thread, forever.  Hold a session for one collection loop or
 /// one technique's sweep and drop it before calling anything that probes
@@ -277,21 +259,15 @@ impl Internet {
     }
 
     /// The routed IPv4 space — what an Internet-wide sweep iterates, by
-    /// index, resolving each index with [`RoutedSpace::owner_at`].
+    /// index, resolving each index with `RoutedSpace::owner_at`.
     pub fn routed_space(&self) -> &RoutedSpace {
         &self.space
     }
 
-    /// The AS announcing `addr`, mirroring what a scanner would learn from a
-    /// BGP routing table / IP-to-ASN database.
-    pub fn ip_to_asn(&self, addr: IpAddr) -> Option<Asn> {
-        let (device_id, iface_idx) = self.lookup(addr)?;
-        Some(self.asn_at(device_id, iface_idx))
-    }
-
-    /// [`Self::ip_to_asn`] for an interface already resolved via
-    /// [`Self::lookup`] — lets a scanner that probes and attributes the same
-    /// address pay the index lookup once.
+    /// The AS announcing an interface already resolved via [`Self::lookup`],
+    /// mirroring what a scanner would learn from a BGP routing table /
+    /// IP-to-ASN database; a scanner that probes and attributes the same
+    /// address pays the index lookup once.
     pub fn asn_at(&self, device_id: DeviceId, iface_idx: usize) -> Asn {
         self.devices.ifaces[self.devices.range(device_id)][iface_idx].asn
     }
@@ -316,20 +292,7 @@ impl Internet {
         out
     }
 
-    /// The BGP profile table.
-    pub fn bgp_profiles(&self) -> &[BgpProfile] {
-        &self.bgp_profiles
-    }
-
-    /// Send a TCP SYN to `dst:port`.
-    pub fn syn_probe(&self, dst: IpAddr, port: u16, ctx: &ProbeContext) -> SynResult {
-        let Some((device_id, iface_idx)) = self.lookup(dst) else {
-            return SynResult::Timeout;
-        };
-        self.syn_probe_at(device_id, iface_idx, port, ctx)
-    }
-
-    /// [`Self::syn_probe`] against an interface already resolved via
+    /// Send a TCP SYN to `port` on an interface already resolved via
     /// [`Self::lookup`].  A sweep over a mostly-unpopulated address space
     /// resolves each address once, skips the (vast) unrouted majority, and
     /// probes the hits by reading one device flag byte and one interface
@@ -356,25 +319,12 @@ impl Internet {
         }
     }
 
-    /// Complete the TCP handshake on `dst:port` and capture the unsolicited
-    /// (or banner-exchange) bytes the server sends.
-    ///
-    /// Returns `None` if no service answers at all, and `Some(Vec::new())`
-    /// for services that accept the connection but close without sending
-    /// data (the silent BGP majority).
-    pub fn service_session(&self, dst: IpAddr, port: u16, ctx: &ProbeContext) -> Option<Vec<u8>> {
-        let (device_id, iface_idx) = self.lookup(dst)?;
-        let mut out = Vec::new();
-        self.service_session_into(device_id, iface_idx, port, ctx, &mut out)
-            .then_some(out)
-    }
-
-    /// [`Self::service_session`] against an interface already resolved via
-    /// [`Self::lookup`], capturing the session bytes into a
-    /// caller-owned buffer (cleared first) so a scan loop can reuse one
-    /// allocation across targets.  Returns whether a service answered at
-    /// all; an accepted-then-silent session (the silent BGP majority)
-    /// returns `true` with an empty buffer, mirroring `Some(vec![])`.
+    /// Complete the TCP handshake on `port` of an interface already resolved
+    /// via [`Self::lookup`] and capture the unsolicited (or banner-exchange)
+    /// bytes the server sends into a caller-owned buffer (cleared first), so
+    /// a scan loop can reuse one allocation across targets.  Returns whether
+    /// a service answered at all; an accepted-then-silent session (the
+    /// silent BGP majority) returns `true` with an empty buffer.
     pub fn service_session_into(
         &self,
         device_id: DeviceId,
@@ -413,29 +363,10 @@ impl Internet {
         }
     }
 
-    /// Send an SNMPv3 datagram to `dst` and capture the response.
-    pub fn snmp_probe(&self, dst: IpAddr, request: &[u8], ctx: &ProbeContext) -> Option<Vec<u8>> {
-        let (device_id, iface_idx) = self.lookup(dst)?;
-        self.snmp_probe_at(device_id, iface_idx, request, ctx)
-    }
-
-    /// [`Self::snmp_probe`] against an interface already resolved via
-    /// [`Self::lookup`].
-    pub fn snmp_probe_at(
-        &self,
-        device_id: DeviceId,
-        iface_idx: usize,
-        request: &[u8],
-        ctx: &ProbeContext,
-    ) -> Option<Vec<u8>> {
-        let mut out = Vec::new();
-        self.snmp_probe_into(device_id, iface_idx, || request, ctx, &mut out)
-            .then_some(out)
-    }
-
-    /// [`Self::snmp_probe_at`], capturing the response into a caller-owned
-    /// buffer (cleared first) so a sweep reuses one allocation across
-    /// targets.  Returns whether the agent answered.  The datagram comes
+    /// Send an SNMPv3 datagram to an interface already resolved via
+    /// [`Self::lookup`], capturing the response into a caller-owned buffer
+    /// (cleared first) so a sweep reuses one allocation across targets.
+    /// Returns whether the agent answered.  The datagram comes
     /// from `request`, called once, and only by an interface that answers
     /// SNMP at all: a sweep builds a request only for an agent that reads
     /// it.
@@ -491,7 +422,7 @@ impl Internet {
     }
 
     /// [`ProbeSession::identifier_probe_at`] as a session of one probe.
-    pub fn identifier_probe_at(
+    pub(crate) fn identifier_probe_at(
         &self,
         device_id: DeviceId,
         iface_idx: usize,
@@ -527,15 +458,18 @@ impl Internet {
     }
 
     /// [`Self::ping_responds`] for a device already resolved via
-    /// [`Self::lookup`] or [`RoutedSpace::owner_at`]: one read of its flag
+    /// [`Self::lookup`] or `RoutedSpace::owner_at`: one read of its flag
     /// byte.
     pub fn ping_responds_at(&self, device_id: DeviceId, ctx: &ProbeContext) -> bool {
         self.devices.pingable(device_id, ctx.vantage)
     }
 
-    /// Probe `dst` (IPv4) with `count` evenly paced ICMP echo requests at
-    /// `rate_pps` and count the replies surviving the device's router-wide
-    /// rate limiter — the rate-limiting technique's measurement primitive.
+    /// Probe a device already resolved via [`Self::lookup`] with `count`
+    /// evenly paced ICMP echo requests at `rate_pps` and count the replies
+    /// surviving its router-wide rate limiter — the rate-limiting
+    /// technique's measurement primitive.  The limiter is router-wide, so
+    /// only the device matters — an escalation ladder that bursts the same
+    /// target several times resolves it once.
     ///
     /// The limiter bucket starts full: the prober enforces an inter-burst
     /// cool-down long enough to refill any configured limiter, which models
@@ -545,24 +479,6 @@ impl Internet {
     /// workers with byte-identical results.  The burst never touches the
     /// IPID counter: rate-probing must not perturb the IPID time series
     /// the other techniques sample.
-    pub fn icmp_rate_burst(
-        &self,
-        dst: IpAddr,
-        rate_pps: f64,
-        count: u32,
-        ctx: &ProbeContext,
-    ) -> Option<u32> {
-        if !dst.is_ipv4() {
-            return None;
-        }
-        let (device_id, _) = self.lookup(dst)?;
-        self.rate_burst_at(device_id, rate_pps, count, ctx)
-    }
-
-    /// An echo burst against a device already resolved via
-    /// [`Self::lookup`].  The limiter is router-wide, so only the device
-    /// matters — an escalation ladder that bursts the same target several
-    /// times resolves it once.
     pub fn rate_burst_at(
         &self,
         device_id: DeviceId,
@@ -760,29 +676,29 @@ impl Internet {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PopulationStats {
     /// Total devices.
-    pub devices: usize,
+    pub(crate) devices: usize,
     /// Single-address cloud VMs.
-    pub cloud_vms: usize,
+    pub(crate) cloud_vms: usize,
     /// Multi-address cloud servers.
-    pub cloud_servers: usize,
+    pub(crate) cloud_servers: usize,
     /// ISP routers.
-    pub isp_routers: usize,
+    pub(crate) isp_routers: usize,
     /// Border routers.
-    pub border_routers: usize,
+    pub(crate) border_routers: usize,
     /// CPE devices.
-    pub cpe_devices: usize,
+    pub(crate) cpe_devices: usize,
     /// Enterprise servers.
-    pub enterprise_servers: usize,
+    pub(crate) enterprise_servers: usize,
     /// Silent routers (no identifier services at all).
-    pub silent_routers: usize,
+    pub(crate) silent_routers: usize,
     /// Devices with both IPv4 and IPv6 interfaces.
-    pub dual_stack_devices: usize,
+    pub(crate) dual_stack_devices: usize,
     /// Interface addresses answering SSH.
-    pub ssh_responding_addrs: usize,
+    pub(crate) ssh_responding_addrs: usize,
     /// Interface addresses answering BGP.
-    pub bgp_responding_addrs: usize,
+    pub(crate) bgp_responding_addrs: usize,
     /// Interface addresses answering SNMPv3.
-    pub snmp_responding_addrs: usize,
+    pub(crate) snmp_responding_addrs: usize,
     /// BGP speakers that send an OPEN to unsolicited peers.
     pub bgp_open_senders: usize,
     /// BGP speakers that close silently.
@@ -800,6 +716,48 @@ mod tests {
         InternetBuilder::new(InternetConfig::tiny(42)).build()
     }
 
+    fn single(time: SimTime) -> ProbeContext {
+        ProbeContext {
+            vantage: VantageKind::SingleVp,
+            time,
+        }
+    }
+
+    fn distributed(time: SimTime) -> ProbeContext {
+        ProbeContext {
+            vantage: VantageKind::Distributed,
+            time,
+        }
+    }
+
+    /// A SYN to `dst`, resolved the way a sweep resolves it.
+    fn syn(internet: &Internet, dst: IpAddr, port: u16, ctx: &ProbeContext) -> SynResult {
+        match internet.lookup(dst) {
+            Some((device, iface)) => internet.syn_probe_at(device, iface, port, ctx),
+            None => SynResult::Timeout,
+        }
+    }
+
+    /// The SNMP reply of the interface behind `dst`, if it answers.
+    fn snmp(
+        internet: &Internet,
+        dst: IpAddr,
+        request: &[u8],
+        ctx: &ProbeContext,
+    ) -> Option<Vec<u8>> {
+        let (device, iface) = internet.lookup(dst)?;
+        let mut out = Vec::new();
+        internet
+            .snmp_probe_into(device, iface, || request, ctx, &mut out)
+            .then_some(out)
+    }
+
+    /// The reply count of an echo burst at the device behind `dst`.
+    fn burst(internet: &Internet, dst: IpAddr, rate_pps: f64, ctx: &ProbeContext) -> Option<u32> {
+        let (device, _) = internet.lookup(dst)?;
+        internet.rate_burst_at(device, rate_pps, 24, ctx)
+    }
+
     #[test]
     fn lookup_and_asn_mapping_are_consistent() {
         let internet = tiny_internet();
@@ -809,18 +767,18 @@ mod tests {
             .expect("devices exist");
         let iface = device.interfaces()[0];
         assert_eq!(internet.lookup(iface.addr), Some((device.id(), 0)));
-        assert_eq!(internet.ip_to_asn(iface.addr), Some(iface.asn));
-        assert_eq!(internet.ip_to_asn("203.0.113.7".parse().unwrap()), None);
+        assert_eq!(internet.asn_at(device.id(), 0), iface.asn);
+        assert_eq!(internet.lookup("203.0.113.7".parse().unwrap()), None);
     }
 
     #[test]
     fn syn_probe_matches_service_configuration() {
         let internet = tiny_internet();
-        let ctx = ProbeContext::distributed(SimTime::from_secs(1));
+        let ctx = distributed(SimTime::from_secs(1));
         let mut saw_ssh = false;
         for device in internet.devices() {
             for addr in device.answering(ServiceProtocol::Ssh) {
-                assert_eq!(internet.syn_probe(addr, SSH_PORT, &ctx), SynResult::SynAck);
+                assert_eq!(syn(&internet, addr, SSH_PORT, &ctx), SynResult::SynAck);
                 saw_ssh = true;
             }
         }
@@ -831,12 +789,17 @@ mod tests {
             .find(|d| d.bgp().is_none() && !d.interfaces().is_empty())
             .unwrap();
         assert_eq!(
-            internet.syn_probe(non_bgp.interfaces()[0].addr, BGP_PORT, &ctx),
+            syn(&internet, non_bgp.interfaces()[0].addr, BGP_PORT, &ctx),
             SynResult::Rst
         );
         // A hole in the address space times out.
         assert_eq!(
-            internet.syn_probe("250.250.250.250".parse().unwrap(), SSH_PORT, &ctx),
+            syn(
+                &internet,
+                "250.250.250.250".parse().unwrap(),
+                SSH_PORT,
+                &ctx
+            ),
             SynResult::Timeout
         );
     }
@@ -845,16 +808,16 @@ mod tests {
     fn single_vp_sees_fewer_hosts_than_distributed() {
         let internet = tiny_internet();
         let time = SimTime::from_secs(1);
-        let single = ProbeContext::single(time);
-        let distributed = ProbeContext::distributed(time);
+        let single = single(time);
+        let distributed = distributed(time);
         let mut single_count = 0;
         let mut distributed_count = 0;
         for device in internet.devices() {
             for addr in device.answering(ServiceProtocol::Ssh) {
-                if internet.syn_probe(addr, SSH_PORT, &single) == SynResult::SynAck {
+                if syn(&internet, addr, SSH_PORT, &single) == SynResult::SynAck {
                     single_count += 1;
                 }
-                if internet.syn_probe(addr, SSH_PORT, &distributed) == SynResult::SynAck {
+                if syn(&internet, addr, SSH_PORT, &distributed) == SynResult::SynAck {
                     distributed_count += 1;
                 }
             }
@@ -866,12 +829,14 @@ mod tests {
     #[test]
     fn service_session_produces_parseable_ssh() {
         let internet = tiny_internet();
-        let ctx = ProbeContext::distributed(SimTime::from_secs(5));
+        let ctx = distributed(SimTime::from_secs(5));
         let addr = internet
             .devices()
             .find_map(|d| d.answering(ServiceProtocol::Ssh).next())
             .unwrap();
-        let bytes = internet.service_session(addr, SSH_PORT, &ctx).unwrap();
+        let (device, iface) = internet.lookup(addr).unwrap();
+        let mut bytes = Vec::new();
+        assert!(internet.service_session_into(device, iface, SSH_PORT, &ctx, &mut bytes));
         let (banner, _) = alias_wire::ssh::Banner::parse(&bytes).unwrap();
         assert!(banner.is_v2() || !banner.software.is_empty());
     }
@@ -879,19 +844,19 @@ mod tests {
     #[test]
     fn snmp_probe_answers_discovery_only_on_configured_interfaces() {
         let internet = tiny_internet();
-        let ctx = ProbeContext::distributed(SimTime::from_secs(9));
+        let ctx = distributed(SimTime::from_secs(9));
         let request = Snmpv3Message::DiscoveryRequest { msg_id: 5 }.to_bytes();
         let addr = internet
             .devices()
             .find_map(|d| d.answering(ServiceProtocol::Snmpv3).next())
             .expect("tiny preset has SNMP devices");
-        let reply = internet.snmp_probe(addr, &request, &ctx).unwrap();
+        let reply = snmp(&internet, addr, &request, &ctx).unwrap();
         assert!(matches!(
             Snmpv3Message::parse(&reply).unwrap(),
             Snmpv3Message::Report { msg_id: 5, .. }
         ));
         // Garbage requests are ignored.
-        assert!(internet.snmp_probe(addr, b"not-snmp", &ctx).is_none());
+        assert!(snmp(&internet, addr, b"not-snmp", &ctx).is_none());
     }
 
     #[test]
@@ -900,8 +865,8 @@ mod tests {
         let request = Snmpv3Message::DiscoveryRequest { msg_id: 5 }.to_bytes();
         let mut reply = Vec::new();
         for ctx in [
-            ProbeContext::single(SimTime::from_secs(9)),
-            ProbeContext::distributed(SimTime::from_secs(9)),
+            single(SimTime::from_secs(9)),
+            distributed(SimTime::from_secs(9)),
         ] {
             let (mut listening, mut silent) = (0, 0);
             for device in internet.devices() {
@@ -956,10 +921,10 @@ mod tests {
             .unwrap();
         let addr = IpAddr::V4(device.ipv4_addrs()[0]);
         let a = internet
-            .icmp_echo(addr, &ProbeContext::distributed(SimTime::from_secs(1)))
+            .icmp_echo(addr, &distributed(SimTime::from_secs(1)))
             .unwrap();
         let b = internet
-            .icmp_echo(addr, &ProbeContext::distributed(SimTime::from_secs(2)))
+            .icmp_echo(addr, &distributed(SimTime::from_secs(2)))
             .unwrap();
         // For every model except Constant the two samples differ with
         // overwhelming probability; accept equality only for constant models.
@@ -990,10 +955,10 @@ mod tests {
             .unwrap();
         // Families are routed to the right probe.
         assert!(internet
-            .ipv6_fragment_probe(v4, &ProbeContext::distributed(SimTime::from_secs(1)))
+            .ipv6_fragment_probe(v4, &distributed(SimTime::from_secs(1)))
             .is_none());
         assert!(internet
-            .icmp_echo(v6, &ProbeContext::distributed(SimTime::from_secs(1)))
+            .icmp_echo(v6, &distributed(SimTime::from_secs(1)))
             .is_none());
         // Alternating v4/v6 probes of a low-velocity shared counter draw
         // from one sequence: strictly increasing across the families.
@@ -1004,10 +969,10 @@ mod tests {
             < 100.0
         {
             let a = internet
-                .icmp_echo(v4, &ProbeContext::distributed(SimTime::from_secs(2)))
+                .icmp_echo(v4, &distributed(SimTime::from_secs(2)))
                 .unwrap();
             let b = internet
-                .ipv6_fragment_probe(v6, &ProbeContext::distributed(SimTime::from_secs(2)))
+                .ipv6_fragment_probe(v6, &distributed(SimTime::from_secs(2)))
                 .unwrap();
             assert!(b.ipid > a.ipid, "fragment id {} vs ipid {}", b.ipid, a.ipid);
         }
@@ -1052,10 +1017,7 @@ mod tests {
         for round in 0..6u64 {
             for (n, &(device, iface, addr)) in picked.iter().enumerate() {
                 let time = SimTime(round * 10_000 + n as u64 * 3);
-                for (v, ctx) in [ProbeContext::single(time), ProbeContext::distributed(time)]
-                    .iter()
-                    .enumerate()
-                {
+                for (v, ctx) in [single(time), distributed(time)].iter().enumerate() {
                     let sample = session.identifier_probe_at(device, iface, ctx);
                     assert_eq!(sample, one_shot.icmp_echo(addr, ctx), "{addr} {ctx:?}");
                     answered[v] += usize::from(sample.is_some());
@@ -1078,7 +1040,7 @@ mod tests {
     #[test]
     fn a_common_error_source_answers_only_in_the_probed_family() {
         let internet = tiny_internet();
-        let ctx = ProbeContext::distributed(SimTime::from_secs(1));
+        let ctx = distributed(SimTime::from_secs(1));
         let (mut v4, mut v6) = (0, 0);
         for device in internet.devices().filter(|d| d.responds_to_ping()) {
             let Some(source) = device.icmp_error_source() else {
@@ -1132,23 +1094,21 @@ mod tests {
         let mut config = InternetConfig::tiny(13);
         config.devices.silent_routers = 10;
         let internet = InternetBuilder::new(config).build();
-        let ctx = ProbeContext::distributed(SimTime::from_secs(1));
+        let ctx = distributed(SimTime::from_secs(1));
         let silent = internet
             .devices()
             .find(|d| d.kind() == DeviceKind::SilentRouter)
             .unwrap();
         let v4 = IpAddr::V4(silent.ipv4_addrs()[0]);
         assert!(internet.ping_responds(v4, &ctx));
-        let below = internet.icmp_rate_burst(v4, 50.0, 24, &ctx).unwrap();
+        let below = burst(&internet, v4, 50.0, &ctx).unwrap();
         assert_eq!(below, 24, "a 50 pps burst never trips a silent limiter");
-        let above = internet
-            .icmp_rate_burst(v4, silent.icmp_limit().rate_pps * 4.0, 24, &ctx)
-            .unwrap();
+        let above = burst(&internet, v4, silent.icmp_limit().rate_pps * 4.0, &ctx).unwrap();
         assert!(above < 24, "4x the limiter rate must lose probes");
         // Holes in the address space are unresponsive.
         let hole: IpAddr = "250.250.250.250".parse().unwrap();
         assert!(!internet.ping_responds(hole, &ctx));
-        assert!(internet.icmp_rate_burst(hole, 256.0, 24, &ctx).is_none());
+        assert!(burst(&internet, hole, 256.0, &ctx).is_none());
     }
 
     #[test]
@@ -1156,7 +1116,7 @@ mod tests {
         let mut config = InternetConfig::tiny(29);
         config.devices.silent_routers = 10;
         let internet = InternetBuilder::new(config).build();
-        let ctx = ProbeContext::distributed(SimTime::from_secs(1));
+        let ctx = distributed(SimTime::from_secs(1));
         let silents: Vec<_> = internet
             .devices()
             .filter(|d| d.kind() == DeviceKind::SilentRouter && d.ipv4_addrs().len() >= 2)
@@ -1168,7 +1128,7 @@ mod tests {
         // Find the lowest escalation rate that trips the limiter solo.
         let rate = [256.0, 512.0, 1024.0, 2048.0, 4096.0f64]
             .into_iter()
-            .find(|&r| internet.icmp_rate_burst(a, r, 24, &ctx).unwrap() < 24)
+            .find(|&r| burst(&internet, a, r, &ctx).unwrap() < 24)
             .expect("silent limiters trip within the escalation ladder");
         // Same device: the shared bucket makes joint probing lossy at a
         // combined rate whose halves are individually loss-free.
@@ -1186,9 +1146,7 @@ mod tests {
         assert_eq!(ia, 24, "half of the first lossy rate is loss-free");
         assert_eq!(
             ib,
-            internet
-                .icmp_rate_burst(other, rate / 2.0, 24, &ctx)
-                .unwrap(),
+            burst(&internet, other, rate / 2.0, &ctx).unwrap(),
             "cross-device joint probing is two independent half-rate streams"
         );
     }
@@ -1197,7 +1155,7 @@ mod tests {
     fn ground_truth_covers_every_interface() {
         let internet = tiny_internet();
         let gt = internet.ground_truth();
-        assert_eq!(gt.address_count(), internet.address_count());
+        assert_eq!(gt.owner.len(), internet.address_count());
         for device in internet.devices() {
             for iface in device.interfaces() {
                 assert_eq!(gt.device_of(iface.addr), Some(device.id()));

@@ -56,7 +56,7 @@ impl IpidModel {
 
 /// Mutable per-device IPID state.  The per-interface probe counts of the
 /// `PerInterface` model are not in it: they are one column over every
-/// interface, whose run for the device each [`Self::next_ipid`] is handed.
+/// interface, whose run for the device each `Self::next_ipid` is handed.
 #[derive(Debug, Clone)]
 pub struct IpidState {
     model: IpidModel,
@@ -70,7 +70,7 @@ pub struct IpidState {
 
 impl IpidState {
     /// Create fresh state for a device.
-    pub fn new(model: IpidModel, seed: u64) -> Self {
+    pub(crate) fn new(model: IpidModel, seed: u64) -> Self {
         IpidState {
             model,
             base: (seed % 65_536) as u16,
@@ -87,7 +87,7 @@ impl IpidState {
     }
 
     /// The model this state implements.
-    pub fn model(&self) -> IpidModel {
+    pub(crate) fn model(&self) -> IpidModel {
         self.model
     }
 
@@ -96,7 +96,12 @@ impl IpidState {
     /// `per_interface` holds the device's per-interface probe counts, one
     /// per interface (at least one): a probe on a higher index counts
     /// against the last one.
-    pub fn next_ipid(&mut self, now: SimTime, iface: usize, per_interface: &mut [u64]) -> u16 {
+    pub(crate) fn next_ipid(
+        &mut self,
+        now: SimTime,
+        iface: usize,
+        per_interface: &mut [u64],
+    ) -> u16 {
         match self.model {
             IpidModel::SharedMonotonic { velocity } => {
                 self.probes_sent += 1;

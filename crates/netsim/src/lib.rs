@@ -9,13 +9,13 @@
 //! equivalent that exercises the same code paths:
 //!
 //! * an **AS-level topology** of cloud providers, ISPs and enterprise
-//!   networks with realistic address allocations ([`topology`]),
+//!   networks with realistic address allocations (`topology`),
 //! * the **routed space**: the announced IPv4 prefixes as one index range
 //!   with a dense table of who holds each address — what an Internet-wide
-//!   sweep iterates, and the IPv4 half of the IP index ([`space`]),
+//!   sweep iterates, and the IPv4 half of the IP index (`space`),
 //! * **devices** (routers, servers, CPE) with one or many IPv4/IPv6
 //!   interfaces, per-device protocol configuration and ground-truth
-//!   identity ([`device`]),
+//!   identity (`device`),
 //! * **services** that answer probes with real wire bytes produced by
 //!   `alias-wire` — SSH banners/KEXINIT/host keys, BGP OPEN/NOTIFICATION,
 //!   SNMPv3 engine reports ([`services`]),
@@ -24,41 +24,37 @@
 //!   MIDAR can confirm an alias set ([`ipid`]),
 //! * measurement frictions that shape the paper's numbers: ACLs, single- vs
 //!   distributed-vantage-point visibility, rate limiting and address churn
-//!   ([`internet`], [`vantage`]),
+//!   ([`internet`], `vantage`),
 //! * the **ground truth** the real Internet never reveals, used for
-//!   precision/recall style evaluation ([`ground_truth`]).
+//!   precision/recall style evaluation (`ground_truth`).
 //!
 //! Everything is generated deterministically from an
 //! [`config::InternetConfig`] — a seed, a size preset and the hitlist's
 //! coverage — so every experiment in the workspace is reproducible
 //! bit-for-bit.  The population's shape (each archetype's probabilities and
 //! ranges, ACLs, IPID mixes, ICMP limiters) is calibrated to the paper's
-//! Table 1 and fixed by [`builder`]'s constants, not configured.
+//! Table 1 and fixed by `builder`'s constants, not configured.
 
-pub mod builder;
-pub mod clock;
-pub mod config;
-pub mod device;
-pub mod ground_truth;
-pub mod ids;
+mod builder;
+mod clock;
+mod config;
+mod device;
+mod ground_truth;
+mod ids;
 pub mod internet;
 pub mod ipid;
 pub mod profiles;
-pub mod ratelimit;
+mod ratelimit;
 pub mod services;
-pub mod space;
-pub mod topology;
-pub mod vantage;
+mod space;
+mod topology;
+mod vantage;
 
 pub use builder::InternetBuilder;
 pub use clock::SimTime;
 pub use config::{InternetConfig, ScalePreset};
-pub use device::{DeviceKind, DeviceRef, Interface};
+pub use device::{DeviceKind, DeviceRef};
 pub use ground_truth::{GroundTruth, PairwiseScore};
-pub use ids::{Asn, DeviceId};
+pub use ids::DeviceId;
 pub use internet::{Internet, ProbeContext, ProbeSession, ServiceProtocol, SynResult};
-pub use ratelimit::{
-    joint_burst_replies_shared, solo_burst_replies, IcmpRateLimit, IcmpTokenBucket,
-};
-pub use space::RoutedSpace;
 pub use vantage::VantageKind;

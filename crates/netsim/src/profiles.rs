@@ -35,20 +35,20 @@ pub struct SshProfileId(pub u16);
 /// A shared BGP implementation profile: everything in the OPEN message that
 /// is implementation/configuration- rather than device-specific.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BgpProfile {
+pub(crate) struct BgpProfile {
     /// Short human-readable name of the implementation.
-    pub name: &'static str,
+    pub(crate) name: &'static str,
     /// Proposed hold time.
-    pub hold_time: u16,
+    pub(crate) hold_time: u16,
     /// Advertised capabilities in order.
-    pub capabilities: Vec<Capability>,
+    pub(crate) capabilities: Vec<Capability>,
     /// Whether speakers with this profile send an OPEN + NOTIFICATION to
     /// unsolicited peers (true) or close immediately after the handshake
     /// (false).  The paper observes 5.8M speakers closing immediately and
     /// only 364k sending an OPEN.
-    pub sends_open: bool,
+    pub(crate) sends_open: bool,
     /// Relative prevalence weight used when sampling profiles.
-    pub weight: u32,
+    pub(crate) weight: u32,
 }
 
 /// Index into the global BGP profile table.
@@ -203,7 +203,7 @@ pub fn ssh_profiles() -> Vec<SshProfile> {
 }
 
 /// The table of BGP implementation profiles used by the generator.
-pub fn bgp_profiles() -> Vec<BgpProfile> {
+pub(crate) fn bgp_profiles() -> Vec<BgpProfile> {
     vec![
         BgpProfile {
             name: "cisco-classic",
@@ -250,7 +250,10 @@ pub fn bgp_profiles() -> Vec<BgpProfile> {
 
 /// The optional parameters of a BGP profile, with the per-device ASN
 /// substituted into the four-octet-AS capability.
-pub fn bgp_capabilities_for(profile: &BgpProfile, asn: u32) -> impl Iterator<Item = ParamRef<'_>> {
+pub(crate) fn bgp_capabilities_for(
+    profile: &BgpProfile,
+    asn: u32,
+) -> impl Iterator<Item = ParamRef<'_>> {
     profile.capabilities.iter().map(move |cap| {
         ParamRef::Capability(match cap {
             Capability::FourOctetAs { .. } => CapabilityRef::FourOctetAs { asn },
@@ -262,14 +265,14 @@ pub fn bgp_capabilities_for(profile: &BgpProfile, asn: u32) -> impl Iterator<Ite
 /// Members drawn in proportion to their weights: a roll lands by binary
 /// search over the running totals, summed once when the set is built.
 #[derive(Debug, Clone)]
-pub struct WeightedSet {
+pub(crate) struct WeightedSet {
     members: Vec<usize>,
     totals: Vec<u32>,
 }
 
 impl WeightedSet {
     /// A set of `(member, weight)` pairs, at least one of them.
-    pub fn new(weighted: impl IntoIterator<Item = (usize, u32)>) -> Self {
+    pub(crate) fn new(weighted: impl IntoIterator<Item = (usize, u32)>) -> Self {
         let (members, mut totals): (Vec<usize>, Vec<u32>) = weighted.into_iter().unzip();
         assert!(!members.is_empty(), "a weighted set needs a member");
         let mut total = 0;
@@ -281,14 +284,14 @@ impl WeightedSet {
     }
 
     /// The members, in the order they were given.
-    pub fn members(&self) -> &[usize] {
+    pub(crate) fn members(&self) -> &[usize] {
         &self.members
     }
 
     /// The member `roll` (reduced modulo the total weight) lands on: the
     /// first whose running total exceeds it, or the last when every weight
     /// is zero.
-    pub fn pick(&self, roll: u32) -> usize {
+    pub(crate) fn pick(&self, roll: u32) -> usize {
         let total = self.totals[self.totals.len() - 1];
         let roll = roll % total.max(1);
         let at = self.totals.partition_point(|&running| running <= roll);

@@ -33,13 +33,13 @@ pub struct IcmpRateLimit {
 
 impl IcmpRateLimit {
     /// A limiter with the given sustained rate and burst capacity.
-    pub const fn new(rate_pps: f64, burst: f64) -> Self {
+    pub(crate) const fn new(rate_pps: f64, burst: f64) -> Self {
         IcmpRateLimit { rate_pps, burst }
     }
 
     /// A limiter no realistic probing rate can trip — the builder's
     /// placeholder before the limiter-assignment pass runs.
-    pub const UNLIMITED: IcmpRateLimit = IcmpRateLimit {
+    pub(crate) const UNLIMITED: IcmpRateLimit = IcmpRateLimit {
         rate_pps: 1e12,
         burst: 1e6,
     };
@@ -48,7 +48,7 @@ impl IcmpRateLimit {
 /// Receiver-side token bucket: the mirror of `alias-scan`'s sender-side
 /// `TokenBucket`, with the same fractional-millisecond refill arithmetic.
 #[derive(Debug, Clone)]
-pub struct IcmpTokenBucket {
+pub(crate) struct IcmpTokenBucket {
     rate_pps: f64,
     capacity: f64,
     tokens: f64,
@@ -57,7 +57,7 @@ pub struct IcmpTokenBucket {
 
 impl IcmpTokenBucket {
     /// A bucket with `limit`'s parameters, full at time zero.
-    pub fn full(limit: IcmpRateLimit) -> Self {
+    pub(crate) fn full(limit: IcmpRateLimit) -> Self {
         assert!(limit.rate_pps > 0.0, "limiter rate must be positive");
         let capacity = limit.burst.max(1.0);
         IcmpTokenBucket {
@@ -71,7 +71,7 @@ impl IcmpTokenBucket {
     /// Whether a probe arriving `at_ms` milliseconds into the burst is
     /// answered.  Refills for the elapsed time first; out-of-order arrival
     /// times are clamped forward like the sender bucket's `acquire`.
-    pub fn allow(&mut self, at_ms: f64) -> bool {
+    pub(crate) fn allow(&mut self, at_ms: f64) -> bool {
         let at_ms = at_ms.max(self.last_ms);
         let elapsed_secs = (at_ms - self.last_ms) / 1000.0;
         self.tokens = (self.tokens + elapsed_secs * self.rate_pps).min(self.capacity);
@@ -87,7 +87,7 @@ impl IcmpTokenBucket {
 
 /// Replies to a burst of `count` evenly paced probes at `rate_pps` against
 /// a limiter starting from a full bucket.
-pub fn solo_burst_replies(limit: IcmpRateLimit, rate_pps: f64, count: u32) -> u32 {
+pub(crate) fn solo_burst_replies(limit: IcmpRateLimit, rate_pps: f64, count: u32) -> u32 {
     assert!(rate_pps > 0.0, "probing rate must be positive");
     let gap_ms = 1000.0 / rate_pps;
     let mut bucket = IcmpTokenBucket::full(limit);
@@ -101,7 +101,7 @@ pub fn solo_burst_replies(limit: IcmpRateLimit, rate_pps: f64, count: u32) -> u3
 /// arrival drains the one shared bucket, so each address sees the other's
 /// traffic in its own loss.  Even arrival slots belong to the first
 /// address, odd slots to the second.
-pub fn joint_burst_replies_shared(
+pub(crate) fn joint_burst_replies_shared(
     limit: IcmpRateLimit,
     rate_pps: f64,
     count_per_addr: u32,

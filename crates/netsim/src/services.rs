@@ -109,18 +109,11 @@ impl SshTemplates {
     }
 }
 
-/// The server→client byte stream of a BGP service-scan session: an OPEN
-/// message followed by a Cease/Connection-Rejected NOTIFICATION, or nothing
-/// at all for speakers that close silently.
-pub fn bgp_session_bytes(profile: &BgpProfile, bgp_identifier: Ipv4Addr, asn: u32) -> Vec<u8> {
-    let mut out = Vec::new();
-    bgp_session_bytes_into(profile, bgp_identifier, asn, &mut out);
-    out
-}
-
-/// [`bgp_session_bytes`], appending to a caller-owned buffer: a session
-/// into a warm buffer allocates nothing.
-pub fn bgp_session_bytes_into(
+/// Append the server→client byte stream of a BGP service-scan session to a
+/// caller-owned buffer: an OPEN message followed by a
+/// Cease/Connection-Rejected NOTIFICATION, or nothing at all for speakers
+/// that close silently.  A session into a warm buffer allocates nothing.
+pub(crate) fn bgp_session_bytes_into(
     profile: &BgpProfile,
     bgp_identifier: Ipv4Addr,
     asn: u32,
@@ -138,7 +131,7 @@ pub fn bgp_session_bytes_into(
 /// Append to `out` the SNMPv3 Report a device sends in response to an
 /// engine-discovery request; returns `false`, writing nothing, if the
 /// request is not a well-formed discovery.
-pub fn snmp_report_into(
+pub(crate) fn snmp_report_into(
     engine_id: &[u8],
     engine_boots: i64,
     booted_at: SimTime,
@@ -298,7 +291,8 @@ mod tests {
     fn bgp_open_sender_produces_figure2_style_exchange() {
         let profiles = bgp_profiles();
         let cisco = profiles.iter().find(|p| p.name == "cisco-classic").unwrap();
-        let bytes = bgp_session_bytes(cisco, Ipv4Addr::new(148, 170, 0, 33), 64_512);
+        let mut bytes = Vec::new();
+        bgp_session_bytes_into(cisco, Ipv4Addr::new(148, 170, 0, 33), 64_512, &mut bytes);
         let messages = BgpMessage::parse_stream(&bytes);
         assert_eq!(messages.len(), 2);
         match &messages[0] {
@@ -319,7 +313,8 @@ mod tests {
     fn bgp_large_asn_uses_as_trans_and_capability() {
         let profiles = bgp_profiles();
         let frr = profiles.iter().find(|p| p.name == "frr").unwrap();
-        let bytes = bgp_session_bytes(frr, Ipv4Addr::new(10, 0, 0, 1), 396_982);
+        let mut bytes = Vec::new();
+        bgp_session_bytes_into(frr, Ipv4Addr::new(10, 0, 0, 1), 396_982, &mut bytes);
         let messages = BgpMessage::parse_stream(&bytes);
         match &messages[0] {
             BgpMessage::Open(open) => {
@@ -334,7 +329,9 @@ mod tests {
     fn silent_bgp_speaker_sends_nothing() {
         let profiles = bgp_profiles();
         let silent = profiles.iter().find(|p| !p.sends_open).unwrap();
-        assert!(bgp_session_bytes(silent, Ipv4Addr::new(10, 0, 0, 1), 65_000).is_empty());
+        let mut bytes = Vec::new();
+        bgp_session_bytes_into(silent, Ipv4Addr::new(10, 0, 0, 1), 65_000, &mut bytes);
+        assert!(bytes.is_empty());
     }
 
     #[test]

@@ -125,7 +125,7 @@ impl RoutedSpace {
     }
 
     /// The index of `addr`, or `None` if no routed prefix covers it.
-    pub fn index_of(&self, addr: Ipv4Addr) -> Option<u64> {
+    pub(crate) fn index_of(&self, addr: Ipv4Addr) -> Option<u64> {
         let addr = u32::from(addr);
         let slot = self
             .prefixes
@@ -162,20 +162,6 @@ impl RoutedSpace {
         });
         self.slots.swap(a, b);
     }
-
-    /// Iterate the addresses at indices `[start, end)` in index order: one
-    /// binary search to find the first prefix, then a linear walk — no
-    /// per-address search and no materialised target list.
-    pub fn iter_range(&self, start: u64, end: u64) -> impl Iterator<Item = Ipv4Addr> + '_ {
-        let end = end.min(self.total);
-        let mut slot = if start < end { self.slot_of(start) } else { 0 };
-        (start..end).map(move |index| {
-            while index - self.offsets[slot] >= self.prefixes[slot].size() {
-                slot += 1;
-            }
-            self.addr_in(slot, index)
-        })
-    }
 }
 
 #[cfg(test)]
@@ -206,31 +192,15 @@ mod tests {
     }
 
     #[test]
-    fn range_walk_matches_random_access() {
-        let internet = tiny(3);
-        let space = internet.routed_space();
-        let n = space.len();
-        for (start, end) in [(0, n), (1, n - 1), (n / 3, 2 * n / 3), (n - 1, n), (5, 5)] {
-            let walked: Vec<Ipv4Addr> = space.iter_range(start, end).collect();
-            let indexed: Vec<Ipv4Addr> = (start..end).map(|i| space.addr_at(i)).collect();
-            assert_eq!(walked, indexed, "range {start}..{end}");
-        }
-    }
-
-    #[test]
     fn full_walk_matches_prefix_concatenation() {
         let internet = tiny(3);
         let space = internet.routed_space();
-        let walked: Vec<Ipv4Addr> = space.iter_range(0, space.len()).collect();
-        let expected: Vec<Ipv4Addr> = prefixes(&internet).iter().flat_map(|p| p.iter()).collect();
+        let walked: Vec<Ipv4Addr> = (0..space.len()).map(|i| space.addr_at(i)).collect();
+        let expected: Vec<Ipv4Addr> = prefixes(&internet)
+            .iter()
+            .flat_map(|p| (0..p.size()).map(|k| Ipv4Addr::from(u32::from(p.base) + k as u32)))
+            .collect();
         assert_eq!(walked, expected);
-    }
-
-    #[test]
-    fn out_of_bounds_end_is_clamped() {
-        let internet = tiny(3);
-        let space = internet.routed_space();
-        assert_eq!(space.iter_range(0, u64::MAX).count() as u64, space.len());
     }
 
     #[test]
@@ -300,7 +270,7 @@ mod tests {
         let space = internet.routed_space();
         assert_eq!(internet.address_count(), oracle.len(), "{label}");
         let mut hits = 0usize;
-        for (index, addr) in space.iter_range(0, space.len()).enumerate() {
+        for (index, addr) in (0..space.len()).map(|i| space.addr_at(i)).enumerate() {
             let expected = oracle.get(&IpAddr::V4(addr)).copied();
             assert_eq!(
                 internet.lookup(IpAddr::V4(addr)),

@@ -13,7 +13,7 @@ use std::net::{Ipv4Addr, Ipv6Addr};
 
 /// Broad AS categories used by the generator and in the paper's analysis.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum AsKind {
+pub(crate) enum AsKind {
     /// Cloud / hosting provider (DigitalOcean, AWS, OVH, Hetzner, ...).
     CloudProvider,
     /// Internet service provider / telco.
@@ -24,36 +24,17 @@ pub enum AsKind {
 
 /// A routed IPv4 prefix.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct Ipv4Prefix {
+pub(crate) struct Ipv4Prefix {
     /// Network base address.
-    pub base: Ipv4Addr,
+    pub(crate) base: Ipv4Addr,
     /// Prefix length.
-    pub len: u8,
+    pub(crate) len: u8,
 }
 
 impl Ipv4Prefix {
     /// Number of addresses covered by the prefix.
-    pub fn size(&self) -> u64 {
+    pub(crate) fn size(&self) -> u64 {
         1u64 << (32 - self.len as u32)
-    }
-
-    /// Whether `addr` falls inside the prefix.
-    pub fn contains(&self, addr: Ipv4Addr) -> bool {
-        let base = u32::from(self.base);
-        let a = u32::from(addr);
-        let mask = if self.len == 0 {
-            0
-        } else {
-            u32::MAX << (32 - self.len as u32)
-        };
-        (a & mask) == (base & mask)
-    }
-
-    /// Iterate over every address in the prefix.
-    pub fn iter(&self) -> impl Iterator<Item = Ipv4Addr> {
-        let base = u32::from(self.base);
-        let size = self.size();
-        (0..size).map(move |offset| Ipv4Addr::from(base + offset as u32))
     }
 }
 
@@ -63,32 +44,18 @@ pub struct Ipv6Prefix {
     /// Network base address.
     pub base: Ipv6Addr,
     /// Prefix length (always ≤ 64 in the simulator).
-    pub len: u8,
-}
-
-impl Ipv6Prefix {
-    /// Whether `addr` falls inside the prefix.
-    pub fn contains(&self, addr: Ipv6Addr) -> bool {
-        let base = u128::from(self.base);
-        let a = u128::from(addr);
-        let mask = if self.len == 0 {
-            0
-        } else {
-            u128::MAX << (128 - self.len as u32)
-        };
-        (a & mask) == (base & mask)
-    }
+    pub(crate) len: u8,
 }
 
 /// An autonomous system: identity, category and its address allocations.
 #[derive(Debug, Clone)]
 pub struct AutonomousSystem {
     /// The AS number.
-    pub asn: Asn,
+    pub(crate) asn: Asn,
     /// Category.
-    pub kind: AsKind,
+    pub(crate) kind: AsKind,
     /// The IPv4 prefix announced by this AS.
-    pub ipv4_prefix: Ipv4Prefix,
+    pub(crate) ipv4_prefix: Ipv4Prefix,
     /// The IPv6 prefix announced by this AS.
     pub ipv6_prefix: Ipv6Prefix,
     /// Next free IPv4 offset inside the prefix (starts at 1 to skip the
@@ -100,7 +67,12 @@ pub struct AutonomousSystem {
 
 impl AutonomousSystem {
     /// Create an AS with the given allocations.
-    pub fn new(asn: Asn, kind: AsKind, ipv4_prefix: Ipv4Prefix, ipv6_prefix: Ipv6Prefix) -> Self {
+    pub(crate) fn new(
+        asn: Asn,
+        kind: AsKind,
+        ipv4_prefix: Ipv4Prefix,
+        ipv6_prefix: Ipv6Prefix,
+    ) -> Self {
         AutonomousSystem {
             asn,
             kind,
@@ -113,7 +85,7 @@ impl AutonomousSystem {
 
     /// Allocate the next unused IPv4 address in this AS, or `None` if the
     /// prefix is exhausted.
-    pub fn alloc_v4(&mut self) -> Option<Ipv4Addr> {
+    pub(crate) fn alloc_v4(&mut self) -> Option<Ipv4Addr> {
         if u64::from(self.next_v4) >= self.ipv4_prefix.size() {
             return None;
         }
@@ -123,15 +95,10 @@ impl AutonomousSystem {
     }
 
     /// Allocate the next unused IPv6 address in this AS.
-    pub fn alloc_v6(&mut self) -> Ipv6Addr {
+    pub(crate) fn alloc_v6(&mut self) -> Ipv6Addr {
         let addr = Ipv6Addr::from(u128::from(self.ipv6_prefix.base) + self.next_v6 as u128);
         self.next_v6 += 1;
         addr
-    }
-
-    /// Number of IPv4 addresses allocated so far.
-    pub fn allocated_v4(&self) -> u32 {
-        self.next_v4 - 1
     }
 }
 
@@ -143,7 +110,7 @@ impl AutonomousSystem {
 /// what lets the ZMap-like scanner sweep "the whole announced Internet" in
 /// milliseconds.
 #[derive(Debug, Clone)]
-pub struct PrefixAllocator {
+pub(crate) struct PrefixAllocator {
     next_v4_base: u32,
     next_v6_site: u32,
 }
@@ -156,7 +123,7 @@ impl Default for PrefixAllocator {
 
 impl PrefixAllocator {
     /// Create an allocator starting at the bottom of the synthetic space.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         PrefixAllocator {
             next_v4_base: u32::from(Ipv4Addr::new(1, 0, 0, 0)),
             next_v6_site: 1,
@@ -164,7 +131,7 @@ impl PrefixAllocator {
     }
 
     /// Allocate an IPv4 prefix with room for at least `capacity` addresses.
-    pub fn alloc_v4_prefix(&mut self, capacity: u32) -> Ipv4Prefix {
+    pub(crate) fn alloc_v4_prefix(&mut self, capacity: u32) -> Ipv4Prefix {
         // Round up to a power of two, minimum /24-equivalent of 256 addresses,
         // plus one slot for the unused network address.
         let needed = (capacity + 1).max(256).next_power_of_two();
@@ -179,7 +146,7 @@ impl PrefixAllocator {
     }
 
     /// Allocate an IPv6 prefix (a synthetic /48 per AS).
-    pub fn alloc_v6_prefix(&mut self) -> Ipv6Prefix {
+    pub(crate) fn alloc_v6_prefix(&mut self) -> Ipv6Prefix {
         let site = self.next_v6_site;
         self.next_v6_site += 1;
         // 2400:xxxx:yyyy::/48 with the site number split across two groups.
@@ -196,6 +163,22 @@ impl PrefixAllocator {
 mod tests {
     use super::*;
 
+    impl Ipv4Prefix {
+        /// Whether `addr` falls inside the prefix.
+        pub(crate) fn contains(&self, addr: Ipv4Addr) -> bool {
+            let mask = u32::MAX.checked_shl(32 - self.len as u32).unwrap_or(0);
+            (u32::from(addr) & mask) == (u32::from(self.base) & mask)
+        }
+    }
+
+    impl Ipv6Prefix {
+        /// Whether `addr` falls inside the prefix.
+        pub(crate) fn contains(&self, addr: Ipv6Addr) -> bool {
+            let mask = u128::MAX.checked_shl(128 - self.len as u32).unwrap_or(0);
+            (u128::from(addr) & mask) == (u128::from(self.base) & mask)
+        }
+    }
+
     #[test]
     fn prefix_contains_and_size() {
         let p = Ipv4Prefix {
@@ -205,8 +188,6 @@ mod tests {
         assert_eq!(p.size(), 1024);
         assert!(p.contains(Ipv4Addr::new(1, 2, 3, 200)));
         assert!(!p.contains(Ipv4Addr::new(1, 2, 4, 1)));
-        assert_eq!(p.iter().count(), 1024);
-        assert_eq!(p.iter().next().unwrap(), Ipv4Addr::new(1, 2, 0, 0));
     }
 
     #[test]
@@ -248,7 +229,7 @@ mod tests {
             count += 1;
         }
         assert_eq!(count, 255);
-        assert_eq!(asys.allocated_v4(), 255);
+        assert_eq!(asys.next_v4 - 1, 255);
     }
 
     #[test]

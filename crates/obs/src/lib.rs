@@ -5,14 +5,14 @@
 //! with self/child time attribution, and a sequence-ordered [`event`] log.
 //! Every other crate reports *what the pipeline did* through this one;
 //! nothing else in the workspace may read the wall clock (`clippy.toml`
-//! disallows `Instant::now`; the [`span`](mod@span) module holds the one
+//! disallows `Instant::now`; the `span` module holds the one
 //! `allow`).
 //!
 //! ## One registry per pipeline thread
 //!
-//! [`registry()`] is the calling thread's [`Registry`]: counters, span
+//! [`registry()`] is the calling thread's `Registry`: counters, span
 //! statistics and the event log behind one lock.  A counter's `add`, a
-//! span's drop and an [`event`] land there.  `alias_exec::shard_map`, the
+//! span's drop and an [`event`] land there.  The scan's `shard_map`, the
 //! one place the workspace spawns threads, installs its caller's registry
 //! in every worker, so a pipeline's snapshot is complete at any
 //! `ALIAS_THREADS`, and two pipelines on two threads keep two registries.
@@ -35,7 +35,7 @@
 //!   [`MetricsSnapshot::deterministic_json`] renders exactly this subset
 //!   and must be byte-identical run to run and across thread counts.
 //! * [`DeterminismClass::Timing`] — counts that depend on scheduling or on
-//!   the scan's shard decomposition (`alias_exec::shards_for` derives
+//!   the scan's shard decomposition (the scan's `shards_for` derives
 //!   shard counts from the *hardware* parallelism), and span durations.
 //!   These render only in the full [`MetricsSnapshot::to_json`], never in
 //!   rendered experiment documents.
@@ -43,7 +43,7 @@
 //! ## Spans and events
 //!
 //! [`span()`] (or the [`span!`] macro, which formats a path) returns a
-//! [`SpanGuard`]; guards nest through a thread-local stack, so a span's
+//! `SpanGuard`; guards nest through a thread-local stack, so a span's
 //! *self* time is its total minus the time attributed to its children.
 //! A span records when its guard drops, and the registry is the one place
 //! its duration lands: no caller gets a wall-clock value back.  [`event`]
@@ -51,15 +51,15 @@
 //! time, so events emitted from serial orchestration points (campaign
 //! phase boundaries) are part of the deterministic subset.
 
-pub mod metric;
-pub mod registry;
-pub mod snapshot;
-pub mod span;
+mod metric;
+mod registry;
+mod snapshot;
+mod span;
 
 pub use metric::{DeterminismClass, LazyCounter};
-pub use registry::{event, registry, Registry};
-pub use snapshot::{CounterSample, GaugeSample, HistogramSample, MetricsSnapshot, SpanSample};
-pub use span::{span, span_owned, SpanGuard};
+pub use registry::{event, registry};
+pub use snapshot::{MetricsSnapshot, SpanSample};
+pub use span::{span, span_owned};
 
 /// Format a span path and enter it: `span!("scan.zmap")` or
 /// `span!("resolve/technique/{}", name)`.

@@ -18,7 +18,7 @@ pub enum DeterminismClass {
 
 impl DeterminismClass {
     /// The class's lowercase label, as rendered in snapshots.
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             DeterminismClass::Deterministic => "deterministic",
             DeterminismClass::Timing => "timing",

@@ -14,8 +14,8 @@ thread_local! {
 /// The calling thread's registry.
 ///
 /// Every thread starts with an empty one of its own, so two pipelines run
-/// on two threads never share a counter.  `alias_exec::shard_map` hands its
-/// caller's registry to the workers it spawns ([`Registry::install`]), so
+/// on two threads never share a counter.  `alias_scan`'s `shard_map` hands its
+/// caller's registry to the workers it spawns (`Registry::install`), so
 /// what a shard job records lands where the caller will snapshot it.
 pub fn registry() -> Registry {
     with_current(Registry::clone)

@@ -12,9 +12,9 @@ pub struct CounterSample {
     /// Determinism class.
     pub class: DeterminismClass,
     /// Unit label.
-    pub unit: &'static str,
+    pub(crate) unit: &'static str,
     /// Emitting stage.
-    pub stage: &'static str,
+    pub(crate) stage: &'static str,
     /// Sampled total.
     pub value: u64,
 }
@@ -71,7 +71,7 @@ pub struct SpanSample {
 }
 
 /// A point-in-time copy of a registry (see
-/// [`Registry::snapshot`](crate::Registry::snapshot)); counters are sorted
+/// `Registry::snapshot`); counters are sorted
 /// by name, spans by path, events keep sequence order.
 #[derive(Debug, Clone, Default)]
 pub struct MetricsSnapshot {

@@ -63,13 +63,6 @@ pub struct SpanGuard {
     started: Instant,
 }
 
-impl SpanGuard {
-    /// The span's full `/`-separated path.
-    pub fn path(&self) -> &str {
-        &self.path
-    }
-}
-
 impl Drop for SpanGuard {
     fn drop(&mut self) {
         let elapsed_ns = u64::try_from(self.started.elapsed().as_nanos()).unwrap_or(u64::MAX);
@@ -96,10 +89,10 @@ mod tests {
     fn nested_spans_attribute_child_time() {
         {
             let outer = span("test.span.outer");
-            assert_eq!(outer.path(), "test.span.outer");
+            assert_eq!(outer.path, "test.span.outer");
             {
                 let inner = span("inner");
-                assert_eq!(inner.path(), "test.span.outer/inner");
+                assert_eq!(inner.path, "test.span.outer/inner");
                 std::thread::sleep(Duration::from_millis(2));
             }
             drop(outer);
@@ -119,10 +112,10 @@ mod tests {
     #[test]
     fn span_macro_formats_paths() {
         let literal = crate::span!("test.macro.literal");
-        assert_eq!(literal.path(), "test.macro.literal");
+        assert_eq!(literal.path, "test.macro.literal");
         drop(literal);
         let formatted = crate::span!("test.macro.shard{}", 3);
-        assert_eq!(formatted.path(), "test.macro.shard3");
+        assert_eq!(formatted.path, "test.macro.shard3");
         drop(formatted);
     }
 }

@@ -45,7 +45,7 @@ pub struct FamilyTargets {
     /// The campaign ids of the family's addresses, in address order.
     pub ids: Vec<AddrId>,
     /// Each target's interface, resolved against the IP index once.
-    pub resolved: Vec<ResolvedTarget>,
+    pub(crate) resolved: Vec<ResolvedTarget>,
 }
 
 /// The target lists the probing baselines work from: the campaign's
@@ -79,7 +79,7 @@ impl<'a> ProbeTargets<'a> {
     }
 
     /// The campaign's IPv6 addresses.
-    pub fn ipv6(&self) -> &FamilyTargets {
+    pub(crate) fn ipv6(&self) -> &FamilyTargets {
         self.ipv6.get_or_init(|| self.family(true))
     }
 

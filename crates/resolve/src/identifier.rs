@@ -28,7 +28,7 @@ pub struct IdentifierTechnique {
 
 impl IdentifierTechnique {
     /// A technique for one protocol's identifier.
-    pub fn new(protocol: ServiceProtocol) -> Self {
+    pub(crate) fn new(protocol: ServiceProtocol) -> Self {
         IdentifierTechnique { protocol }
     }
 
@@ -45,11 +45,6 @@ impl IdentifierTechnique {
     /// SNMPv3: the authoritative engine ID.
     pub fn snmpv3() -> Self {
         Self::new(ServiceProtocol::Snmpv3)
-    }
-
-    /// The protocol this technique extracts identifiers from.
-    pub fn protocol(&self) -> ServiceProtocol {
-        self.protocol
     }
 }
 
@@ -103,7 +98,7 @@ mod tests {
             IdentifierTechnique::snmpv3(),
         ] {
             let result = technique.resolve(&data, &ctx);
-            let view = data.store().select_protocol(technique.protocol(), None);
+            let view = data.store().select_protocol(technique.protocol, None);
             let direct = group_view_compact(&view, &extractor, 1);
             assert_eq!(result.compact_sets(), direct.sets, "{}", technique.name());
             assert_eq!(result.testable_ids(), direct.testable);

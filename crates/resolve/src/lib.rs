@@ -50,12 +50,11 @@ mod resolver;
 mod technique;
 
 pub use baselines::{
-    AllyTechnique, FamilyTargets, IffinderTechnique, MidarTechnique, ProbeTargets,
-    SpeedtrapTechnique,
+    AllyTechnique, IffinderTechnique, MidarTechnique, ProbeTargets, SpeedtrapTechnique,
 };
 pub use identifier::IdentifierTechnique;
 pub use ratelimit::RateLimitTechnique;
-pub use report::{CoverageStats, ResolutionReport, TechniqueAgreement, TechniqueCoverage};
+pub use report::{CoverageStats, ResolutionReport};
 pub use resolver::{Resolver, ResolverBuilder};
 pub use technique::{
     canonical_sets, DataRequirement, ResolutionTechnique, TechniqueCtx, TechniqueResult,

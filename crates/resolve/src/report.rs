@@ -116,11 +116,6 @@ impl ResolutionReport {
     pub fn technique(&self, name: &str) -> Option<&TechniqueResult> {
         self.techniques.iter().find(|t| t.technique == name)
     }
-
-    /// Distinct addresses covered by the merged sets.
-    pub fn merged_addresses(&self) -> usize {
-        distinct_addresses(&self.merged)
-    }
 }
 
 /// Per-technique coverage, and the agreement of every technique pair, in

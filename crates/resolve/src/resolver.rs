@@ -203,7 +203,9 @@ mod tests {
         assert_eq!(report.techniques.len(), 3);
         assert!(!report.merged.is_empty());
         assert_eq!(report.coverage.merged_sets, report.merged.len());
-        assert_eq!(report.coverage.merged_addresses, report.merged_addresses());
+        let merged: std::collections::BTreeSet<_> =
+            report.merged.iter().flat_map(|set| &set.addrs).collect();
+        assert_eq!(report.coverage.merged_addresses, merged.len());
         // 3 techniques -> 3 pairwise agreements.
         assert_eq!(report.coverage.agreements.len(), 3);
         assert!(report.technique("ssh").is_some());

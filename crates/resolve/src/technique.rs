@@ -81,7 +81,7 @@ pub struct TechniqueResult {
 impl TechniqueResult {
     /// Assemble a result from id-space sets sharing `interner` (sets are
     /// brought into canonical order, testable ids sorted and deduplicated).
-    pub fn from_compact(
+    pub(crate) fn from_compact(
         technique: String,
         mut sets: Vec<CompactAliasSet>,
         mut testable: Vec<AddrId>,
@@ -126,7 +126,7 @@ impl TechniqueResult {
     /// the campaign did not observe, e.g. iffinder's ICMP source addresses
     /// — extend a private copy of the id space (existing ids stay valid;
     /// the campaign interner itself is never mutated).
-    pub fn from_addr_sets(
+    pub(crate) fn from_addr_sets(
         technique: String,
         sets: Vec<Vec<IpAddr>>,
         testable: Vec<IpAddr>,
@@ -169,7 +169,7 @@ impl TechniqueResult {
     }
 
     /// The testable addresses as sorted distinct ids.
-    pub fn testable_ids(&self) -> &[AddrId] {
+    pub(crate) fn testable_ids(&self) -> &[AddrId] {
         &self.testable
     }
 

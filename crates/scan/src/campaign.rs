@@ -17,7 +17,7 @@
 use crate::hitlist::Ipv6Hitlist;
 use crate::rate_probe::{self, RateProbeConfig};
 use crate::{snmp, zgrab, zmap};
-use alias_intern::{AddrId, AddrInterner};
+use alias_intern::AddrInterner;
 use alias_netsim::{Internet, ServiceProtocol, SimTime, VantageKind};
 use alias_store::{ObservationStore, ShardColumns};
 use std::net::IpAddr;
@@ -39,8 +39,8 @@ pub struct CampaignConfig {
     /// Seed for permutations and the hitlist sample.
     pub seed: u64,
     /// Worker threads for the scan phases (1 = serial).  The campaign
-    /// output is byte-identical for any value — see `alias-exec`'s
-    /// shard-reduce contract.
+    /// output is byte-identical for any value — see the scan
+    /// pool's shard-reduce contract.
     pub threads: usize,
     /// ICMP rate-limiting probe phase ([`rate_probe`]), or `None` to skip
     /// it.  `None` by default so campaigns that predate the eighth
@@ -66,38 +66,18 @@ impl Default for CampaignConfig {
 #[derive(Debug, Clone)]
 pub struct CampaignData {
     /// All observations, stored column-wise with every observed address
-    /// interned to a dense [`AddrId`] in first-observation order.
+    /// interned to a dense [`AddrId`](alias_intern::AddrId) in first-observation order.
     store: ObservationStore,
-    /// The IPv6 hitlist used.
-    pub hitlist: Ipv6Hitlist,
     /// Simulated time the campaign finished.
     pub finished_at: SimTime,
-    /// Total SYN probes sent during discovery.
-    pub syn_probes_sent: u64,
 }
 
 impl CampaignData {
-    /// Bundle a finished store with campaign metadata.
-    fn new(
-        store: ObservationStore,
-        hitlist: Ipv6Hitlist,
-        finished_at: SimTime,
-        syn_probes_sent: u64,
-    ) -> Self {
-        CampaignData {
-            store,
-            hitlist,
-            finished_at,
-            syn_probes_sent,
-        }
-    }
-
     /// Wrap a pre-collected store (a Censys snapshot through
     /// [`ObservationStore::from_observations`], a union of data sources) so
     /// it can be fed to consumers of campaign data — most notably
-    /// `alias-resolve`'s techniques — without having run a scan.  The
-    /// hitlist is empty and no SYN probes are accounted; `finished_at` is
-    /// the latest observation timestamp.
+    /// `alias-resolve`'s techniques — without having run a scan;
+    /// `finished_at` is the latest observation timestamp.
     pub fn from_store(store: ObservationStore) -> Self {
         let finished_at = store
             .timestamps()
@@ -105,7 +85,7 @@ impl CampaignData {
             .copied()
             .max()
             .unwrap_or(SimTime::ZERO);
-        Self::new(store, Ipv6Hitlist { addrs: Vec::new() }, finished_at, 0)
+        CampaignData { store, finished_at }
     }
 
     /// The columnar observation store.
@@ -129,22 +109,11 @@ impl CampaignData {
     }
 
     /// The campaign's address interner: every observed address mapped to a
-    /// dense [`AddrId`], in first-observation order.  Shared behind an
+    /// dense [`AddrId`](alias_intern::AddrId), in first-observation order.  Shared behind an
     /// `Arc` so techniques and reports can reference the id space without
     /// copying it.
     pub fn interner(&self) -> &Arc<AddrInterner> {
         self.store.interner()
-    }
-
-    /// The dense id of an observed address ([`None`] for addresses the
-    /// campaign never observed).
-    pub fn addr_id(&self, addr: IpAddr) -> Option<AddrId> {
-        self.store.addr_id(addr)
-    }
-
-    /// Number of distinct responsive addresses for a protocol.
-    pub fn address_count(&self, protocol: ServiceProtocol) -> usize {
-        self.store.address_count(protocol)
     }
 }
 
@@ -164,18 +133,13 @@ impl ActiveCampaign {
     /// from the Internet's own configuration and the worker-thread count
     /// from the `ALIAS_THREADS` environment variable (unset, empty, `0` or
     /// unparsable values fall back to the available parallelism — see
-    /// [`alias_exec::threads_from_env`]).  The thread count is a pure
+    /// [`threads_from_env`](crate::threads_from_env)).  The thread count is a pure
     /// performance knob and never changes the campaign output.
     pub fn with_defaults(internet: &Internet) -> Self {
         let mut config = CampaignConfig::default();
         config.hitlist_coverage = internet.config().visibility.hitlist_coverage;
-        config.threads = alias_exec::threads_from_env();
+        config.threads = crate::exec::threads_from_env();
         Self::new(config)
-    }
-
-    /// The campaign configuration.
-    pub fn config(&self) -> &CampaignConfig {
-        &self.config
     }
 
     /// Set the worker-thread count for the scan phases (builder style).
@@ -333,7 +297,10 @@ impl ActiveCampaign {
             );
         }
 
-        CampaignData::new(store, hitlist, now, syn.probes_sent + v6_syn.probes_sent)
+        CampaignData {
+            store,
+            finished_at: now,
+        }
     }
 }
 
@@ -366,7 +333,6 @@ mod tests {
         let addrs = data.store().interner().addrs();
         assert!(addrs.iter().any(|a| a.is_ipv6()));
         assert!(addrs.iter().any(|a| !a.is_ipv6()));
-        assert!(data.syn_probes_sent > 0);
         assert!(data.finished_at > SimTime::ZERO);
         assert!(!data.is_empty());
     }
@@ -415,9 +381,7 @@ mod tests {
                     Ok(()),
                     "seed={seed} threads={threads}"
                 );
-                assert_eq!(sharded.hitlist.addrs, serial.hitlist.addrs);
                 assert_eq!(sharded.finished_at, serial.finished_at);
-                assert_eq!(sharded.syn_probes_sent, serial.syn_probes_sent);
             }
         }
     }
@@ -449,9 +413,7 @@ mod tests {
             })
             .run(&internet);
             assert_eq!(sharded.store(), serial.store(), "threads={threads}");
-            assert_eq!(sharded.hitlist.addrs, serial.hitlist.addrs);
             assert_eq!(sharded.finished_at, serial.finished_at);
-            assert_eq!(sharded.syn_probes_sent, serial.syn_probes_sent);
         }
     }
 
@@ -461,8 +423,6 @@ mod tests {
         let rows = data.store().to_observations();
         let wrapped = CampaignData::from_store(ObservationStore::from_observations(rows.clone()));
         assert_eq!(wrapped.store(), data.store());
-        assert!(wrapped.hitlist.addrs.is_empty());
-        assert_eq!(wrapped.syn_probes_sent, 0);
         assert_eq!(
             wrapped.finished_at,
             rows.iter().map(|o| o.timestamp).max().unwrap()
@@ -483,11 +443,14 @@ mod tests {
         assert_eq!(data.interner().len(), distinct.len());
         for row in 0..data.len() {
             let obs = data.store().get(row);
-            let id = data.addr_id(obs.addr).expect("observed address interned");
+            let id = data
+                .store()
+                .addr_id(obs.addr)
+                .expect("observed address interned");
             assert_eq!(id, obs.addr_id);
             assert_eq!(data.interner().addr(id), obs.addr);
         }
-        assert_eq!(data.addr_id("203.0.113.99".parse().unwrap()), None);
+        assert_eq!(data.store().addr_id("203.0.113.99".parse().unwrap()), None);
         // The row door builds the same id space for the same records.
         let reimported = ObservationStore::from_observations(rows);
         assert_eq!(reimported.interner().addrs(), data.interner().addrs());
@@ -496,12 +459,12 @@ mod tests {
     #[test]
     fn with_defaults_respects_alias_threads() {
         // `with_defaults` takes its thread count from ALIAS_THREADS via
-        // `alias_exec::threads_from_env`.  The parsing rule — valid values
+        // `threads_from_env`.  The parsing rule — valid values
         // taken verbatim; unset / 0 / garbage falling back to the available
         // parallelism — is asserted through the env-free seam
         // (`threads_from_value`), because mutating the environment while
         // sibling tests read it concurrently is UB on glibc.
-        let fallback = alias_exec::available_parallelism();
+        let fallback = crate::exec::available_parallelism();
         for (value, expected) in [
             (Some("3"), 3),
             (Some("0"), fallback),
@@ -509,7 +472,7 @@ mod tests {
             (None, fallback),
         ] {
             assert_eq!(
-                alias_exec::threads_from_value(value),
+                crate::exec::threads_from_value(value),
                 expected,
                 "ALIAS_THREADS={value:?}"
             );
@@ -518,8 +481,8 @@ mod tests {
         // the campaign config (read-only env access: race-free).
         let internet = InternetBuilder::new(InternetConfig::tiny(404)).build();
         assert_eq!(
-            ActiveCampaign::with_defaults(&internet).config().threads,
-            alias_exec::threads_from_env()
+            ActiveCampaign::with_defaults(&internet).config.threads,
+            crate::exec::threads_from_env()
         );
     }
 
@@ -594,8 +557,8 @@ mod tests {
         })
         .run(&internet);
         assert!(
-            single.address_count(ServiceProtocol::Ssh)
-                < distributed.address_count(ServiceProtocol::Ssh)
+            single.store().address_count(ServiceProtocol::Ssh)
+                < distributed.store().address_count(ServiceProtocol::Ssh)
         );
     }
 

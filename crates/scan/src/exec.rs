@@ -1,12 +1,10 @@
-//! # alias-exec
-//!
 //! Deterministic sharded execution for the scan layer.
 //!
 //! A scan phase is embarrassingly parallel once its work is partitioned by
 //! address: every shard owns a disjoint slice of an address-indexed domain
 //! (a permutation range, a target list) and can be processed
-//! independently.  This crate provides the one execution primitive the
-//! seven scanner entry points of `alias-scan` are written against:
+//! independently.  This module provides the one execution primitive the
+//! seven scanner entry points of this crate are written against:
 //! [`shard_map`], backed by a `std::thread` worker pool whose shared state
 //! (the shard cursor and the result slots) is guarded by `parking_lot`
 //! locks.  Nothing above the observation store is sharded: grouping, the
@@ -79,7 +77,7 @@ static SCRATCH_MISSES: LazyCounter = LazyCounter::new(
 );
 
 /// The number of hardware threads available, with a safe fallback of 1.
-pub fn available_parallelism() -> usize {
+pub(crate) fn available_parallelism() -> usize {
     std::thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)
         .unwrap_or(1)
@@ -88,7 +86,7 @@ pub fn available_parallelism() -> usize {
 /// How many shards callers typically create per worker thread: more shards
 /// than threads keeps the pool busy when per-shard cost is uneven, without
 /// affecting the (shard-order-reduced, deterministic) output.
-pub const SHARDS_PER_THREAD: usize = 4;
+pub(crate) const SHARDS_PER_THREAD: usize = 4;
 
 /// The shard count for a phase run with `threads` workers.
 ///
@@ -103,7 +101,7 @@ pub const SHARDS_PER_THREAD: usize = 4;
 /// the serial one.  Shard count is a pure performance knob: the shard-reduce
 /// contract makes the output byte-identical for any value, so deriving it
 /// from the machine cannot change results.
-pub fn shards_for(threads: usize) -> usize {
+pub(crate) fn shards_for(threads: usize) -> usize {
     if threads <= 1 {
         return 1;
     }
@@ -123,13 +121,13 @@ pub fn shards_for(threads: usize) -> usize {
 /// (the `Vec` idiom: `buf.clear()` then fill).  Which physical buffer a
 /// shard receives affects capacity only, never contents, so shard results
 /// stay pure functions of the shard index.
-pub struct ScratchPool<T> {
+pub(crate) struct ScratchPool<T> {
     free: Mutex<Vec<T>>,
 }
 
 impl<T: Default> ScratchPool<T> {
     /// Create an empty pool.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         ScratchPool {
             free: Mutex::new(Vec::new()),
         }
@@ -138,7 +136,7 @@ impl<T: Default> ScratchPool<T> {
     /// Take a scratch buffer: a previously returned one if available,
     /// otherwise `T::default()`.  Contents are unspecified — clear before
     /// use.
-    pub fn take(&self) -> T {
+    pub(crate) fn take(&self) -> T {
         match self.free.lock().pop() {
             Some(buffer) => {
                 SCRATCH_HITS.incr();
@@ -152,7 +150,7 @@ impl<T: Default> ScratchPool<T> {
     }
 
     /// Return a buffer to the pool for the next shard to reuse.
-    pub fn put(&self, buffer: T) {
+    pub(crate) fn put(&self, buffer: T) {
         self.free.lock().push(buffer);
     }
 }
@@ -165,7 +163,7 @@ impl<T: Default> Default for ScratchPool<T> {
 
 /// Thread count from the `ALIAS_THREADS` environment variable.
 ///
-/// Unset, empty or `0` mean "use [`available_parallelism`]"; anything else
+/// Unset, empty or `0` mean "use `available_parallelism`"; anything else
 /// that fails to parse as a positive integer warns on stderr and also falls
 /// back, so a typo degrades performance instead of silently changing
 /// results (which it never could — see the determinism contract).
@@ -177,7 +175,7 @@ pub fn threads_from_env() -> usize {
 /// honouring `ALIAS_THREADS` can test the unset/`0`/garbage fallbacks
 /// without mutating the process environment — concurrent `setenv` while
 /// other threads read it is undefined behaviour on glibc.
-pub fn threads_from_value(raw: Option<&str>) -> usize {
+pub(crate) fn threads_from_value(raw: Option<&str>) -> usize {
     match raw {
         Some(raw) if !raw.trim().is_empty() => match raw.trim().parse::<usize>() {
             Ok(0) => available_parallelism(),
@@ -200,7 +198,7 @@ pub fn threads_from_value(raw: Option<&str>) -> usize {
 ///
 /// Fewer than `shards` ranges are returned when `n < shards` (empty shards
 /// are never emitted); zero items yield no ranges.
-pub fn split_even(n: u64, shards: usize) -> Vec<Range<u64>> {
+pub(crate) fn split_even(n: u64, shards: usize) -> Vec<Range<u64>> {
     let shards = shards.max(1) as u64;
     let mut out = Vec::new();
     let base = n / shards;
@@ -232,7 +230,7 @@ pub fn split_even(n: u64, shards: usize) -> Vec<Range<u64>> {
 /// path instead of four context-switching workers.  Worker count is
 /// invisible to the output (shard-ordered reduction), so the cap is a pure
 /// performance decision.
-pub fn shard_map<R, F>(shards: usize, threads: usize, job: F) -> Vec<R>
+pub(crate) fn shard_map<R, F>(shards: usize, threads: usize, job: F) -> Vec<R>
 where
     R: Send,
     F: Fn(usize) -> R + Sync,

@@ -18,7 +18,7 @@ use std::net::Ipv6Addr;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Ipv6Hitlist {
     /// Candidate addresses, deduplicated, in hitlist order.
-    pub addrs: Vec<Ipv6Addr>,
+    pub(crate) addrs: Vec<Ipv6Addr>,
 }
 
 impl Ipv6Hitlist {
@@ -55,14 +55,6 @@ impl Ipv6Hitlist {
         addrs.sort();
         addrs.dedup();
         addrs.shuffle(&mut rng);
-        Ipv6Hitlist { addrs }
-    }
-
-    /// Build a hitlist from an explicit address list (e.g. loaded from disk).
-    pub fn from_addrs(addrs: Vec<Ipv6Addr>) -> Self {
-        let mut addrs = addrs;
-        addrs.sort();
-        addrs.dedup();
         Ipv6Hitlist { addrs }
     }
 
@@ -128,14 +120,6 @@ mod tests {
         assert_eq!(a, b);
         let c = Ipv6Hitlist::generate(&internet, 0.7, 0.2, 6);
         assert_ne!(a, c);
-    }
-
-    #[test]
-    fn from_addrs_deduplicates() {
-        let addr: Ipv6Addr = "2001:db8::1".parse().unwrap();
-        let list = Ipv6Hitlist::from_addrs(vec![addr, addr]);
-        assert_eq!(list.len(), 1);
-        assert!(!list.is_empty());
     }
 
     #[test]

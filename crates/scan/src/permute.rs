@@ -10,7 +10,7 @@
 
 /// A bijective pseudorandom permutation of `[0, n)`.
 #[derive(Debug, Clone)]
-pub struct IndexPermutation {
+pub(crate) struct IndexPermutation {
     n: u64,
     modulus: u64,
     multiplier: u64,
@@ -19,7 +19,7 @@ pub struct IndexPermutation {
 
 impl IndexPermutation {
     /// Create a permutation of `[0, n)` seeded with `seed`.
-    pub fn new(n: u64, seed: u64) -> Self {
+    pub(crate) fn new(n: u64, seed: u64) -> Self {
         let modulus = n.max(2).next_power_of_two();
         // Full-period LCG over a power-of-two modulus requires:
         //   increment odd, multiplier ≡ 1 (mod 4).
@@ -33,27 +33,19 @@ impl IndexPermutation {
         }
     }
 
-    /// Number of elements in the permutation.
-    pub fn len(&self) -> u64 {
-        self.n
-    }
-
-    /// Whether the permutation is empty.
-    pub fn is_empty(&self) -> bool {
-        self.n == 0
-    }
-
     /// Iterate over all indices exactly once in pseudorandom order: the
-    /// whole raw period, out-of-range values skipped.
-    pub fn iter(&self) -> impl Iterator<Item = u64> + '_ {
+    /// whole raw period, out-of-range values skipped.  The serial reference
+    /// the sharded [`Self::iter_raw_range`] walk is held to.
+    #[cfg(test)]
+    pub(crate) fn iter(&self) -> impl Iterator<Item = u64> + '_ {
         self.iter_raw_range(0, self.raw_len())
     }
 
     /// Number of raw LCG steps making up one full period (the power-of-two
     /// modulus).  Raw steps are the shardable unit: splitting `[0,
     /// raw_len())` into contiguous ranges and concatenating the
-    /// [`Self::iter_raw_range`] outputs reproduces [`Self::iter`] exactly.
-    pub fn raw_len(&self) -> u64 {
+    /// [`Self::iter_raw_range`] outputs reproduces `Self::iter` exactly.
+    pub(crate) fn raw_len(&self) -> u64 {
         self.modulus
     }
 
@@ -84,10 +76,10 @@ impl IndexPermutation {
     /// Iterate the in-range indices emitted during raw steps `[start, end)`.
     ///
     /// Concatenating the outputs for contiguous raw ranges covering
-    /// `[0, raw_len())` yields exactly the sequence of [`Self::iter`]:
+    /// `[0, raw_len())` yields exactly the sequence of `Self::iter`:
     /// same values, same order — the foundation of the deterministic
     /// sharded scan.
-    pub fn iter_raw_range(&self, start: u64, end: u64) -> impl Iterator<Item = u64> + '_ {
+    pub(crate) fn iter_raw_range(&self, start: u64, end: u64) -> impl Iterator<Item = u64> + '_ {
         let end = end.min(self.modulus);
         let mut state = if start < end { self.state_at(start) } else { 0 };
         let mut step = start;
@@ -147,7 +139,6 @@ mod tests {
     #[test]
     fn empty_and_tiny() {
         assert_eq!(IndexPermutation::new(0, 3).iter().count(), 0);
-        assert!(IndexPermutation::new(0, 3).is_empty());
         assert_eq!(
             IndexPermutation::new(1, 3).iter().collect::<Vec<_>>(),
             vec![0]

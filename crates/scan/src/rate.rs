@@ -14,7 +14,7 @@ use alias_netsim::SimTime;
 /// well above 1000 probes/second are honoured even though [`SimTime`] has
 /// millisecond granularity.
 #[derive(Debug, Clone)]
-pub struct TokenBucket {
+pub(crate) struct TokenBucket {
     /// Sustained rate in probes per second.
     rate_pps: f64,
     /// Maximum burst size in probes.
@@ -30,7 +30,7 @@ impl TokenBucket {
     ///
     /// # Panics
     /// Panics if `rate_pps` is not strictly positive.
-    pub fn new(rate_pps: f64, capacity: f64, start: SimTime) -> Self {
+    pub(crate) fn new(rate_pps: f64, capacity: f64, start: SimTime) -> Self {
         assert!(rate_pps > 0.0, "probe rate must be positive");
         TokenBucket {
             rate_pps,
@@ -38,11 +38,6 @@ impl TokenBucket {
             tokens: capacity.max(1.0),
             last_ms: start.as_millis() as f64,
         }
-    }
-
-    /// The sustained rate in probes per second.
-    pub fn rate_pps(&self) -> f64 {
-        self.rate_pps
     }
 
     /// The one refill / wait step every pacing loop takes: refill for the
@@ -74,16 +69,10 @@ impl TokenBucket {
     /// Account for one probe and return the simulated time at which it is
     /// sent.  Time never goes backwards; if the bucket is empty the send
     /// time is pushed into the future.
-    pub fn acquire(&mut self, now: SimTime) -> SimTime {
+    pub(crate) fn acquire(&mut self, now: SimTime) -> SimTime {
         let (at, _) = self.ready(now);
         self.tokens -= 1.0;
         at
-    }
-
-    /// Time at which `count` probes finish when sent back to back starting
-    /// from `start` (convenience for estimating campaign durations).
-    pub fn duration_for(rate_pps: f64, count: u64) -> SimTime {
-        SimTime(((count as f64 / rate_pps) * 1_000.0).ceil() as u64)
     }
 
     /// Replay `probes` acquires, feeding each send time back as the next
@@ -104,7 +93,7 @@ impl TokenBucket {
     /// bit-identical state.  That turns the O(probes) replay into
     /// O(distinct send times): at 200k pps a million-probe fast-forward
     /// collapses from a million acquires to ~5k batch steps.
-    pub fn advance(&mut self, now: SimTime, probes: u64) -> SimTime {
+    pub(crate) fn advance(&mut self, now: SimTime, probes: u64) -> SimTime {
         let mut now = now;
         let mut remaining = probes;
         while remaining > 0 {
@@ -144,7 +133,7 @@ impl TokenBucket {
 /// cheap: a sharded scan clones the schedule, skips it to the shard's first
 /// probe index, and every worker resumes the serial pacing exactly.
 #[derive(Debug, Clone)]
-pub struct ProbeSchedule {
+pub(crate) struct ProbeSchedule {
     bucket: TokenBucket,
     /// Last send time handed out (the feedback value; `start` initially).
     now: SimTime,
@@ -157,7 +146,7 @@ pub struct ProbeSchedule {
 impl ProbeSchedule {
     /// The schedule of `TokenBucket::new(rate_pps, capacity, start)` driven
     /// by the self-clocked acquire loop from `start`.
-    pub fn new(rate_pps: f64, capacity: f64, start: SimTime) -> Self {
+    pub(crate) fn new(rate_pps: f64, capacity: f64, start: SimTime) -> Self {
         ProbeSchedule {
             bucket: TokenBucket::new(rate_pps, capacity, start),
             now: start,
@@ -168,7 +157,7 @@ impl ProbeSchedule {
 
     /// The send time of the next probe — the value the `acquire` feedback
     /// loop would produce.
-    pub fn next_send_time(&mut self) -> SimTime {
+    pub(crate) fn next_send_time(&mut self) -> SimTime {
         if self.group_left == 0 {
             let (time, count) = self.bucket.schedule_group(self.now);
             self.group_time = time;
@@ -181,7 +170,7 @@ impl ProbeSchedule {
 
     /// Fast-forward the schedule past `probes` sends, as if
     /// [`next_send_time`](Self::next_send_time) had been called that many times.
-    pub fn skip(&mut self, probes: u64) {
+    pub(crate) fn skip(&mut self, probes: u64) {
         let mut remaining = probes;
         while remaining > 0 {
             if self.group_left == 0 {
@@ -194,11 +183,6 @@ impl ProbeSchedule {
             remaining -= take;
             self.now = self.group_time;
         }
-    }
-
-    /// The send time of the most recent probe (`start` before any).
-    pub fn now(&self) -> SimTime {
-        self.now
     }
 }
 
@@ -338,7 +322,7 @@ mod tests {
             let mut manual = TokenBucket::new(rate, capacity, start);
             let mut now = start;
             let mut schedule = ProbeSchedule::new(rate, capacity, start);
-            assert_eq!(schedule.now(), start);
+            assert_eq!(schedule.now, start);
             for i in 0..probes {
                 now = manual.acquire(now);
                 let at = schedule.next_send_time();
@@ -346,7 +330,7 @@ mod tests {
                     at, now,
                     "probe {i} diverged at rate={rate} capacity={capacity}"
                 );
-                assert_eq!(schedule.now(), now);
+                assert_eq!(schedule.now, now);
             }
         }
     }
@@ -363,7 +347,7 @@ mod tests {
                 let mut skipped = ProbeSchedule::new(rate, capacity, start);
                 skipped.skip(split);
                 if split > 0 {
-                    assert_eq!(skipped.now(), sends[split as usize - 1]);
+                    assert_eq!(skipped.now, sends[split as usize - 1]);
                 }
                 for expected in &sends[split as usize..] {
                     assert_eq!(
@@ -380,7 +364,7 @@ mod tests {
     fn probe_schedule_skip_zero_is_identity() {
         let mut schedule = ProbeSchedule::new(100.0, 4.0, SimTime(9));
         schedule.skip(0);
-        assert_eq!(schedule.now(), SimTime(9));
+        assert_eq!(schedule.now, SimTime(9));
         let mut fresh = ProbeSchedule::new(100.0, 4.0, SimTime(9));
         assert_eq!(schedule.next_send_time(), fresh.next_send_time());
     }
@@ -457,11 +441,6 @@ mod tests {
             bucket.advance(SimTime::from_secs(3), 0),
             SimTime::from_secs(3)
         );
-    }
-
-    #[test]
-    fn duration_estimate() {
-        assert_eq!(TokenBucket::duration_for(1_000.0, 10_000).as_secs(), 10);
     }
 
     #[test]

@@ -92,8 +92,8 @@ pub fn discover_targets(
 ) -> Vec<IpAddr> {
     let ctx = ProbeContext { vantage, time: at };
     let space = internet.routed_space();
-    let ranges = alias_exec::split_even(space.len(), alias_exec::shards_for(threads));
-    let per_shard: Vec<Vec<IpAddr>> = alias_exec::shard_map(ranges.len(), threads, |shard| {
+    let ranges = crate::exec::split_even(space.len(), crate::exec::shards_for(threads));
+    let per_shard: Vec<Vec<IpAddr>> = crate::exec::shard_map(ranges.len(), threads, |shard| {
         let range = &ranges[shard];
         (range.start..range.end)
             .filter_map(|index| {
@@ -199,8 +199,8 @@ pub fn probe(
     start: SimTime,
     threads: usize,
 ) -> Vec<ShardColumns> {
-    let ranges = alias_exec::split_even(targets.len() as u64, alias_exec::shards_for(threads));
-    alias_exec::shard_map(ranges.len(), threads, |shard| {
+    let ranges = crate::exec::split_even(targets.len() as u64, crate::exec::shards_for(threads));
+    crate::exec::shard_map(ranges.len(), threads, |shard| {
         let range = &ranges[shard];
         let mut columns = ShardColumns::new();
         probe_slice(

@@ -105,16 +105,16 @@ fn scan_slice(
 /// token-bucket schedule (fast-forwarded to their first target) and use the
 /// same global message-id sequence, so the engine-time values in the Report
 /// payloads — which depend on the probe time — match probe for probe.
-pub fn scan(
+pub(crate) fn scan(
     internet: &Internet,
     targets: &[IpAddr],
     vantage: VantageKind,
     start: SimTime,
     threads: usize,
 ) -> Vec<ShardColumns> {
-    let ranges = alias_exec::split_even(targets.len() as u64, alias_exec::shards_for(threads));
+    let ranges = crate::exec::split_even(targets.len() as u64, crate::exec::shards_for(threads));
     let starts = schedule_starts(&ranges, start);
-    let shards = alias_exec::shard_map(ranges.len(), threads, |shard| {
+    let shards = crate::exec::shard_map(ranges.len(), threads, |shard| {
         let range = &ranges[shard];
         let mut schedule = starts[shard].clone();
         let mut columns = ShardColumns::new();
@@ -168,9 +168,9 @@ pub fn scan_routed_space(
     threads: usize,
 ) -> Vec<ShardColumns> {
     let space = internet.routed_space();
-    let ranges = alias_exec::split_even(space.len(), alias_exec::shards_for(threads));
+    let ranges = crate::exec::split_even(space.len(), crate::exec::shards_for(threads));
     let starts = schedule_starts(&ranges, start);
-    let shards = alias_exec::shard_map(ranges.len(), threads, |shard| {
+    let shards = crate::exec::shard_map(ranges.len(), threads, |shard| {
         let range = &ranges[shard];
         let mut schedule = starts[shard].clone();
         let mut columns = ShardColumns::new();

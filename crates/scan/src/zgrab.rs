@@ -85,7 +85,7 @@ pub fn grab(
     threads: usize,
 ) -> Vec<ShardColumns> {
     GRAB_SESSIONS.add(targets.len() as u64);
-    let ranges = alias_exec::split_even(targets.len() as u64, alias_exec::shards_for(threads));
+    let ranges = crate::exec::split_even(targets.len() as u64, crate::exec::shards_for(threads));
     // Fast-forward the schedule through the shard boundaries so each
     // worker resumes the pacing exactly where a single loop would be.  The
     // skip is batched per send time, so dealing out all boundaries costs
@@ -99,9 +99,9 @@ pub fn grab(
             state
         })
         .collect();
-    let scratch_pool = alias_exec::ScratchPool::<Vec<u8>>::new();
+    let scratch_pool = crate::exec::ScratchPool::<Vec<u8>>::new();
     let scratch_pool = &scratch_pool;
-    alias_exec::shard_map(ranges.len(), threads, |shard| {
+    crate::exec::shard_map(ranges.len(), threads, |shard| {
         let range = &ranges[shard];
         let mut schedule = starts[shard].clone();
         let mut columns = ShardColumns::with_capacity((range.end - range.start) as usize);

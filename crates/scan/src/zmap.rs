@@ -6,9 +6,9 @@
 //! order (so consecutive probes do not hammer one network), paced by a token
 //! bucket, and records which addresses answered SYN-ACK on which port.  The
 //! sweep walks the *indices* of the simulator's routed space
-//! ([`alias_netsim::RoutedSpace`]) and asks its slot table who, if anyone,
-//! holds each one; only the populated minority is ever turned into an
-//! address.
+//! ([`Internet::routed_space`](alias_netsim::Internet::routed_space)) and
+//! asks its slot table who, if anyone, holds each one; only the populated
+//! minority is ever turned into an address.
 
 use crate::permute::IndexPermutation;
 use crate::rate::TokenBucket;
@@ -43,7 +43,7 @@ static PACING_SIM_MS: LazyCounter = LazyCounter::new(
 );
 
 /// The ports every sweep probes, one SYN each per address: SSH and BGP.
-pub const PORTS: [u16; 2] = [22, 179];
+pub(crate) const PORTS: [u16; 2] = [22, 179];
 
 /// SYN probe rate in packets per second.  The SNMPv3 discovery sweep is
 /// paced at the same rate.
@@ -57,7 +57,7 @@ pub struct ZmapResults {
     /// Total SYN probes sent.
     pub probes_sent: u64,
     /// Simulated time the scan finished.
-    pub finished_at: SimTime,
+    pub(crate) finished_at: SimTime,
 }
 
 impl ZmapResults {
@@ -156,8 +156,8 @@ pub fn scan_ipv4(
 
     // Shard the raw LCG step range: concatenating the in-range values of
     // contiguous raw-step slices reproduces the whole permutation order.
-    let ranges = alias_exec::split_even(permutation.raw_len(), alias_exec::shards_for(threads));
-    let per_shard = alias_exec::shard_map(ranges.len(), threads, |shard| {
+    let ranges = crate::exec::split_even(permutation.raw_len(), crate::exec::shards_for(threads));
+    let per_shard = crate::exec::shard_map(ranges.len(), threads, |shard| {
         syn_slice(internet, vantage, start, &permutation, &ranges[shard])
     });
     assemble_results(per_shard, space_len * PORTS.len() as u64, start)
@@ -193,15 +193,15 @@ fn syn_v6_slice(
 /// Probe an explicit IPv6 target list (hitlist-driven, since sweeping the
 /// IPv6 space is impossible) with `threads` shard workers over disjoint
 /// slices of the list; byte-identical output for any thread count.
-pub fn scan_ipv6_list(
+pub(crate) fn scan_ipv6_list(
     internet: &Internet,
     targets: &[Ipv6Addr],
     vantage: VantageKind,
     start: SimTime,
     threads: usize,
 ) -> ZmapResults {
-    let ranges = alias_exec::split_even(targets.len() as u64, alias_exec::shards_for(threads));
-    let per_shard = alias_exec::shard_map(ranges.len(), threads, |shard| {
+    let ranges = crate::exec::split_even(targets.len() as u64, crate::exec::shards_for(threads));
+    let per_shard = crate::exec::shard_map(ranges.len(), threads, |shard| {
         let range = &ranges[shard];
         syn_v6_slice(
             internet,

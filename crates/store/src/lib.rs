@@ -55,9 +55,7 @@ mod payload;
 mod records;
 mod store;
 
-pub use payload::{
-    BgpOpenRef, BgpParams, PayloadRef, RecordParams, SshProfiles, SshRecord, SshRef,
-};
+pub use payload::{BgpOpenRef, PayloadRef, SshProfiles, SshRef};
 pub use records::{parse_payload, DataSource, ServiceObservation, ServicePayload};
 pub use store::{ObservationRef, ObservationStore, ObservationView, ShardColumns};
 

@@ -113,7 +113,7 @@ pub struct BgpOpenRef<'a> {
     /// Protocol version.
     pub version: u8,
     /// The two-octet `My Autonomous System` field.
-    pub my_as: u16,
+    pub(crate) my_as: u16,
     /// Proposed hold time in seconds.
     pub hold_time: u16,
     /// The BGP Identifier.
@@ -135,7 +135,7 @@ impl BgpOpenRef<'_> {
     }
 
     /// Copy the message into an owned [`OpenMessage`].
-    pub fn to_owned(&self) -> OpenMessage {
+    pub(crate) fn to_owned(self) -> OpenMessage {
         OpenMessage {
             version: self.version,
             my_as: self.my_as,
@@ -810,7 +810,7 @@ impl<'a> SshRecord<'a> {
 
 impl<'a> PayloadRef<'a> {
     /// The protocol this payload belongs to.
-    pub fn protocol(&self) -> ServiceProtocol {
+    pub(crate) fn protocol(&self) -> ServiceProtocol {
         match self {
             PayloadRef::Ssh(_) => ServiceProtocol::Ssh,
             PayloadRef::Bgp { .. } => ServiceProtocol::Bgp,

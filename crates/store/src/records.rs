@@ -25,16 +25,6 @@ pub enum DataSource {
     Censys,
 }
 
-impl DataSource {
-    /// Short label used in reports.
-    pub fn name(self) -> &'static str {
-        match self {
-            DataSource::Active => "active",
-            DataSource::Censys => "censys",
-        }
-    }
-}
-
 /// Parsed application-layer material of one observation, owned: the row
 /// type at the store's two doors.  Inside a store a payload is a record of
 /// bytes, read as a [`PayloadRef`].
@@ -165,12 +155,6 @@ impl ServiceObservation {
         self.payload.protocol()
     }
 
-    /// Whether the observation is on the protocol's default port (the paper
-    /// restricts Censys data to default ports).
-    pub fn is_default_port(&self) -> bool {
-        self.port == self.protocol().default_port()
-    }
-
     /// Whether the observed address is IPv6.
     pub fn is_ipv6(&self) -> bool {
         self.addr.is_ipv6()
@@ -204,16 +188,11 @@ mod tests {
     fn protocol_and_port_helpers() {
         let on_default = ssh_observation(22);
         assert_eq!(on_default.protocol(), ServiceProtocol::Ssh);
-        assert!(on_default.is_default_port());
         assert!(!on_default.is_ipv6());
-        let off_default = ssh_observation(2222);
-        assert!(!off_default.is_default_port());
     }
 
     #[test]
     fn data_source_labels() {
-        assert_eq!(DataSource::Active.name(), "active");
-        assert_eq!(DataSource::Censys.name(), "censys");
         assert!(DataSource::Active < DataSource::Censys);
     }
 
@@ -272,7 +251,10 @@ mod tests {
             .filter_map(|device| {
                 let addr = device.answering(ServiceProtocol::Snmpv3).next()?;
                 let (id, iface) = internet.lookup(addr)?;
-                internet.snmp_probe_at(id, iface, &request, &ctx)
+                let mut report = Vec::new();
+                internet
+                    .snmp_probe_into(id, iface, || &request[..], &ctx, &mut report)
+                    .then_some(report)
             })
             .take(3)
             .collect();

@@ -296,7 +296,7 @@ impl ObservationStore {
 
     /// The address of row `row` (resolved through the interner).
     #[inline]
-    pub fn addr_at(&self, row: usize) -> IpAddr {
+    pub(crate) fn addr_at(&self, row: usize) -> IpAddr {
         self.interner.addr(self.addrs[row])
     }
 
@@ -599,22 +599,10 @@ impl<'a> ObservationView<'a> {
         self.store.payload_at(self.rows[i] as usize)
     }
 
-    /// The origin AS of the `i`-th selected row.
-    #[inline]
-    pub fn asn_at(&self, i: usize) -> Option<u32> {
-        self.store.asns[self.rows[i] as usize]
-    }
-
     /// The data source of the `i`-th selected row.
     #[inline]
     pub fn source_at(&self, i: usize) -> DataSource {
         self.store.sources[self.rows[i] as usize]
-    }
-
-    /// A borrowed view of the `i`-th selected row.
-    #[inline]
-    pub fn get(&self, i: usize) -> ObservationRef<'a> {
-        self.store.get(self.rows[i] as usize)
     }
 
     /// Iterator over the selected rows as [`ObservationRef`]s.
@@ -637,11 +625,11 @@ pub struct ObservationRef<'a> {
     /// The observed address.
     pub addr: IpAddr,
     /// The probed port.
-    pub port: u16,
+    pub(crate) port: u16,
     /// Data source.
     pub source: DataSource,
     /// Observation time.
-    pub timestamp: SimTime,
+    pub(crate) timestamp: SimTime,
     /// Origin AS.
     pub asn: Option<u32>,
     /// The parsed payload, borrowed from the store's arena.
@@ -780,9 +768,9 @@ mod tests {
         // Positional accessors resolve through the columns.
         assert_eq!(ssh.addr_id_at(2), store.addr_ids()[3]);
         assert_eq!(ssh.addr_at(0), "10.0.0.1".parse::<IpAddr>().unwrap());
-        assert_eq!(ssh.asn_at(1), Some(101));
+        assert_eq!(store.asns()[ssh.rows()[1] as usize], Some(101));
         assert_eq!(ssh.payload_at(0).to_owned(), rows[0].payload);
-        assert_eq!(ssh.get(1).to_observation(), rows[1]);
+        assert_eq!(store.get(ssh.rows()[1] as usize).to_observation(), rows[1]);
         assert_eq!(ssh.store().len(), store.len());
     }
 

@@ -16,36 +16,34 @@ use crate::error::check_len;
 use crate::{Result, WireError};
 
 /// Universal tag: INTEGER.
-pub const TAG_INTEGER: u8 = 0x02;
+pub(crate) const TAG_INTEGER: u8 = 0x02;
 /// Universal tag: OCTET STRING.
-pub const TAG_OCTET_STRING: u8 = 0x04;
-/// Universal tag: NULL.
-pub const TAG_NULL: u8 = 0x05;
+pub(crate) const TAG_OCTET_STRING: u8 = 0x04;
 /// Universal tag: OBJECT IDENTIFIER.
-pub const TAG_OID: u8 = 0x06;
+pub(crate) const TAG_OID: u8 = 0x06;
 /// Universal constructed tag: SEQUENCE.
-pub const TAG_SEQUENCE: u8 = 0x30;
+pub(crate) const TAG_SEQUENCE: u8 = 0x30;
 /// Application tag: Counter32 (SNMP).
-pub const TAG_COUNTER32: u8 = 0x41;
+pub(crate) const TAG_COUNTER32: u8 = 0x41;
 /// Context constructed tag 8: SNMPv3 Report PDU.
-pub const TAG_REPORT_PDU: u8 = 0xa8;
+pub(crate) const TAG_REPORT_PDU: u8 = 0xa8;
 /// Context constructed tag 0: SNMP GetRequest PDU.
-pub const TAG_GET_REQUEST_PDU: u8 = 0xa0;
+pub(crate) const TAG_GET_REQUEST_PDU: u8 = 0xa0;
 
 /// A BER element read in place: the tag octet and the content octets,
 /// borrowed from the buffer it was decoded from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Tlv<'a> {
+pub(crate) struct Tlv<'a> {
     /// The tag octet (short-form tags only, which is all SNMP uses).
-    pub tag: u8,
+    pub(crate) tag: u8,
     /// The raw content octets.
-    pub content: &'a [u8],
+    pub(crate) content: &'a [u8],
 }
 
 impl<'a> Tlv<'a> {
     /// Decode one element from the front of `buf`; returns the element and
     /// the number of bytes consumed.
-    pub fn decode(buf: &'a [u8]) -> Result<(Self, usize)> {
+    pub(crate) fn decode(buf: &'a [u8]) -> Result<(Self, usize)> {
         check_len(buf, 2)?;
         let tag = buf[0];
         let (length, header_len) = decode_length(&buf[1..])?;
@@ -56,7 +54,7 @@ impl<'a> Tlv<'a> {
     }
 
     /// Interpret this element as an INTEGER.
-    pub fn as_integer(&self) -> Result<i64> {
+    pub(crate) fn as_integer(&self) -> Result<i64> {
         if self.tag != TAG_INTEGER && self.tag != TAG_COUNTER32 {
             return Err(WireError::UnknownType {
                 tag: self.tag as u16,
@@ -66,7 +64,7 @@ impl<'a> Tlv<'a> {
     }
 
     /// Interpret this element as an OCTET STRING, returning the raw bytes.
-    pub fn as_octet_string(&self) -> Result<&'a [u8]> {
+    pub(crate) fn as_octet_string(&self) -> Result<&'a [u8]> {
         if self.tag != TAG_OCTET_STRING {
             return Err(WireError::UnknownType {
                 tag: self.tag as u16,
@@ -83,7 +81,7 @@ impl<'a> Tlv<'a> {
     /// a message is accepted or rejected exactly as if all children had
     /// been collected.  When fewer than `N` children exist the remaining
     /// slots hold empty placeholders; callers check the count.
-    pub fn children<const N: usize>(&self) -> Result<([Tlv<'a>; N], usize)> {
+    pub(crate) fn children<const N: usize>(&self) -> Result<([Tlv<'a>; N], usize)> {
         let mut first = [Tlv {
             tag: 0,
             content: &[],
@@ -106,7 +104,7 @@ impl<'a> Tlv<'a> {
 /// in after `body` has run, and whatever `body` appended in between.  Every
 /// element whose content is not of a fixed size goes through here, so the
 /// crate has one length encoder.
-pub fn write_constructed(out: &mut Vec<u8>, tag: u8, body: impl FnOnce(&mut Vec<u8>)) {
+pub(crate) fn write_constructed(out: &mut Vec<u8>, tag: u8, body: impl FnOnce(&mut Vec<u8>)) {
     out.push(tag);
     out.push(0);
     let start = out.len();
@@ -128,13 +126,13 @@ pub fn write_constructed(out: &mut Vec<u8>, tag: u8, body: impl FnOnce(&mut Vec<
 }
 
 /// Append an INTEGER (two's-complement, minimal length).
-pub fn write_integer(out: &mut Vec<u8>, value: i64) {
+pub(crate) fn write_integer(out: &mut Vec<u8>, value: i64) {
     write_tagged_integer(out, TAG_INTEGER, value);
 }
 
 /// Append integer content under an arbitrary tag (SNMP's Counter32 is an
 /// application-tagged INTEGER).
-pub fn write_tagged_integer(out: &mut Vec<u8>, tag: u8, value: i64) {
+pub(crate) fn write_tagged_integer(out: &mut Vec<u8>, tag: u8, value: i64) {
     let bytes = value.to_be_bytes();
     let mut start = 0;
     while start < 7 {
@@ -153,12 +151,12 @@ pub fn write_tagged_integer(out: &mut Vec<u8>, tag: u8, value: i64) {
 }
 
 /// Append an OCTET STRING.
-pub fn write_octet_string(out: &mut Vec<u8>, data: &[u8]) {
+pub(crate) fn write_octet_string(out: &mut Vec<u8>, data: &[u8]) {
     write_constructed(out, TAG_OCTET_STRING, |out| out.extend_from_slice(data));
 }
 
 /// Append an OBJECT IDENTIFIER from its numeric components.
-pub fn write_oid(out: &mut Vec<u8>, components: &[u32]) {
+pub(crate) fn write_oid(out: &mut Vec<u8>, components: &[u32]) {
     write_constructed(out, TAG_OID, |out| {
         if components.len() >= 2 {
             out.push((components[0] * 40 + components[1]) as u8);
@@ -220,9 +218,12 @@ fn write_base128(value: u32, out: &mut Vec<u8>) {
 #[cfg(test)]
 pub(crate) mod tree {
     use super::{
-        check_len, Result, WireError, TAG_COUNTER32, TAG_INTEGER, TAG_NULL, TAG_OCTET_STRING,
-        TAG_OID, TAG_SEQUENCE,
+        check_len, Result, WireError, TAG_COUNTER32, TAG_INTEGER, TAG_OCTET_STRING, TAG_OID,
+        TAG_SEQUENCE,
     };
+
+    /// Universal tag: NULL, which no production reader or writer needs.
+    pub(crate) const TAG_NULL: u8 = 0x05;
 
     /// A BER element: tag plus raw contents.
     #[derive(Debug, Clone, PartialEq, Eq)]
@@ -431,7 +432,7 @@ pub(crate) mod tree {
 
 #[cfg(test)]
 mod tests {
-    use super::tree::Element;
+    use super::tree::{Element, TAG_NULL};
     use super::*;
 
     /// What one writer call appends to an empty buffer.

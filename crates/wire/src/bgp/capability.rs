@@ -63,19 +63,13 @@ impl Capability {
     }
 
     /// Append [`Self::value_bytes`] to `out`.
-    pub fn emit_value(&self, out: &mut Vec<u8>) {
+    pub(crate) fn emit_value(&self, out: &mut Vec<u8>) {
         self.as_ref().emit_value(out);
     }
 
-    /// Parse one capability from `buf`; returns the capability and bytes consumed.
-    pub fn parse(buf: &[u8]) -> Result<(Self, usize)> {
-        let (capability, consumed) = Self::parse_borrowed(buf)?;
-        Ok((capability.to_owned(), consumed))
-    }
-
-    /// [`Self::parse`] without the copy: an unmodelled capability's value as
-    /// a slice of `buf`.
-    pub fn parse_borrowed(buf: &[u8]) -> Result<(CapabilityRef<'_>, usize)> {
+    /// Parse one capability from `buf`; returns the capability, an
+    /// unmodelled capability's value as a slice of `buf`, and bytes consumed.
+    pub(crate) fn parse_borrowed(buf: &[u8]) -> Result<(CapabilityRef<'_>, usize)> {
         check_len(buf, 2)?;
         let code = buf[0];
         let len = buf[1] as usize;
@@ -122,14 +116,6 @@ impl Capability {
             other => CapabilityRef::Other { code: other, value },
         };
         Ok((cap, 2 + len))
-    }
-
-    /// Emit the capability (code, length, value) to `out`.
-    pub fn emit(&self, out: &mut Vec<u8>) {
-        let value = self.value_bytes();
-        out.push(self.code());
-        out.push(value.len() as u8);
-        out.extend_from_slice(&value);
     }
 }
 
@@ -189,8 +175,8 @@ impl CapabilityRef<'_> {
     }
 
     /// Copy the capability into an owned [`Capability`].
-    pub fn to_owned(&self) -> Capability {
-        match *self {
+    pub(crate) fn to_owned(self) -> Capability {
+        match self {
             CapabilityRef::Multiprotocol { afi, safi } => Capability::Multiprotocol { afi, safi },
             CapabilityRef::RouteRefresh => Capability::RouteRefresh,
             CapabilityRef::FourOctetAs { asn } => Capability::FourOctetAs { asn },
@@ -234,18 +220,13 @@ impl OptionalParameter {
         }
     }
 
-    /// Parse the optional-parameters block of an OPEN message.
-    pub fn parse_all(buf: &[u8]) -> Result<Vec<OptionalParameter>> {
-        Ok(WireParams::parse(buf)?.to_owned())
-    }
-
     /// Emit the parameter to `out`.
-    pub fn emit(&self, out: &mut Vec<u8>) {
+    pub(crate) fn emit(&self, out: &mut Vec<u8>) {
         self.as_ref().emit(out);
     }
 
     /// Emit a whole list of parameters, returning the encoded block.
-    pub fn emit_all(params: &[OptionalParameter]) -> Vec<u8> {
+    pub(crate) fn emit_all(params: &[OptionalParameter]) -> Vec<u8> {
         let mut out = Vec::new();
         for p in params {
             p.emit(&mut out);
@@ -271,7 +252,7 @@ pub enum ParamRef<'a> {
 impl ParamRef<'_> {
     /// Emit the parameter (type, length, value) to `out`, the lengths
     /// patched in behind the value: nothing is allocated.
-    pub fn emit(&self, out: &mut Vec<u8>) {
+    pub(crate) fn emit(&self, out: &mut Vec<u8>) {
         match *self {
             ParamRef::Capability(cap) => {
                 out.extend_from_slice(&[PARAM_TYPE_CAPABILITY, 0, cap.code(), 0]);
@@ -301,8 +282,7 @@ impl ParamRef<'_> {
 }
 
 /// The optional-parameters block of an OPEN message, checked and left in
-/// place: [`Self::iter`] reads the parameters [`OptionalParameter::parse_all`]
-/// returns straight off the wire bytes.
+/// place: [`Self::iter`] reads the parameters straight off the wire bytes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WireParams<'a>(&'a [u8]);
 
@@ -372,6 +352,19 @@ impl<'a> WireParamIter<'a> {
 mod tests {
     use super::*;
 
+    /// A capability's wire form: code, length, value.
+    fn emit(cap: &Capability) -> Vec<u8> {
+        let value = cap.value_bytes();
+        let mut out = vec![cap.code(), value.len() as u8];
+        out.extend_from_slice(&value);
+        out
+    }
+
+    /// The optional-parameters block of an OPEN message, owned.
+    fn parse_all(buf: &[u8]) -> Result<Vec<OptionalParameter>> {
+        Ok(WireParams::parse(buf)?.to_owned())
+    }
+
     #[test]
     fn capability_roundtrip() {
         let caps = [
@@ -385,11 +378,10 @@ mod tests {
             },
         ];
         for cap in caps {
-            let mut buf = Vec::new();
-            cap.emit(&mut buf);
-            let (parsed, consumed) = Capability::parse(&buf).unwrap();
+            let buf = emit(&cap);
+            let (parsed, consumed) = Capability::parse_borrowed(&buf).unwrap();
             assert_eq!(consumed, buf.len());
-            assert_eq!(parsed, cap);
+            assert_eq!(parsed.to_owned(), cap);
         }
     }
 
@@ -398,13 +390,13 @@ mod tests {
         // Route refresh with a non-empty value.
         let buf = [2u8, 1, 0];
         assert!(matches!(
-            Capability::parse(&buf),
+            Capability::parse_borrowed(&buf),
             Err(WireError::BadLength { .. })
         ));
         // Four-octet AS with only two bytes.
         let buf = [65u8, 2, 0, 1];
         assert!(matches!(
-            Capability::parse(&buf),
+            Capability::parse_borrowed(&buf),
             Err(WireError::BadLength { .. })
         ));
     }
@@ -419,19 +411,18 @@ mod tests {
         ];
         let encoded = OptionalParameter::emit_all(&params);
         assert_eq!(encoded.len(), 8);
-        let parsed = OptionalParameter::parse_all(&encoded).unwrap();
+        let parsed = parse_all(&encoded).unwrap();
         assert_eq!(parsed, params);
     }
 
     #[test]
     fn packed_capabilities_are_flattened() {
         // One capabilities parameter carrying two capabilities back to back.
-        let mut inner = Vec::new();
-        Capability::RouteRefresh.emit(&mut inner);
-        Capability::Multiprotocol { afi: 1, safi: 1 }.emit(&mut inner);
+        let mut inner = emit(&Capability::RouteRefresh);
+        inner.extend(emit(&Capability::Multiprotocol { afi: 1, safi: 1 }));
         let mut block = vec![2u8, inner.len() as u8];
         block.extend_from_slice(&inner);
-        let parsed = OptionalParameter::parse_all(&block).unwrap();
+        let parsed = parse_all(&block).unwrap();
         assert_eq!(parsed.len(), 2);
     }
 
@@ -442,12 +433,12 @@ mod tests {
             value: vec![0xde, 0xad],
         }];
         let encoded = OptionalParameter::emit_all(&params);
-        assert_eq!(OptionalParameter::parse_all(&encoded).unwrap(), params);
+        assert_eq!(parse_all(&encoded).unwrap(), params);
     }
 
     #[test]
     fn truncated_parameter_block_is_rejected() {
         let block = [2u8, 10, 0, 0];
-        assert!(OptionalParameter::parse_all(&block).is_err());
+        assert!(parse_all(&block).is_err());
     }
 }

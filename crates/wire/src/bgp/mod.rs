@@ -19,7 +19,8 @@ mod notification;
 mod open;
 
 pub use capability::{Capability, CapabilityRef, OptionalParameter, ParamRef, WireParams};
-pub use notification::{CeaseSubcode, NotificationMessage, NotificationRef};
+pub(crate) use notification::NotificationRef;
+pub use notification::{CeaseSubcode, NotificationMessage};
 pub use open::{OpenMessage, OpenRef, AS_TRANS};
 
 use crate::error::check_len;
@@ -28,9 +29,9 @@ use crate::{Result, WireError};
 /// Length of the fixed BGP message header (marker + length + type).
 pub const BGP_HEADER_LEN: usize = 19;
 /// Maximum BGP message length permitted by RFC 4271.
-pub const BGP_MAX_MESSAGE_LEN: usize = 4096;
+pub(crate) const BGP_MAX_MESSAGE_LEN: usize = 4096;
 /// The all-ones marker required by RFC 4271 §4.1.
-pub const BGP_MARKER: [u8; 16] = [0xff; 16];
+pub(crate) const BGP_MARKER: [u8; 16] = [0xff; 16];
 
 /// The BGP message type octet.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -57,7 +58,7 @@ impl MessageType {
     }
 
     /// Parse a wire value.
-    pub fn from_code(code: u8) -> Result<Self> {
+    pub(crate) fn from_code(code: u8) -> Result<Self> {
         match code {
             1 => Ok(MessageType::Open),
             2 => Ok(MessageType::Update),
@@ -101,7 +102,7 @@ impl MessageHeader {
     }
 
     /// Emit the header to `out`.
-    pub fn emit(&self, out: &mut Vec<u8>) {
+    pub(crate) fn emit(&self, out: &mut Vec<u8>) {
         out.extend_from_slice(&BGP_MARKER);
         out.extend_from_slice(&self.length.to_be_bytes());
         out.push(self.message_type.code());
@@ -158,23 +159,6 @@ impl BgpMessage {
         Ok((msg, total))
     }
 
-    /// Emit the message to a freshly allocated vector.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        match self {
-            BgpMessage::Open(open) => open.to_bytes(),
-            BgpMessage::Notification(n) => n.to_bytes(),
-            BgpMessage::Keepalive => {
-                let mut out = Vec::with_capacity(BGP_HEADER_LEN);
-                MessageHeader {
-                    length: BGP_HEADER_LEN as u16,
-                    message_type: MessageType::Keepalive,
-                }
-                .emit(&mut out);
-                out
-            }
-        }
-    }
-
     /// Parse all messages in a captured byte stream, stopping at the first
     /// error or when the buffer is exhausted.
     pub fn parse_stream(buf: &[u8]) -> Vec<BgpMessage> {
@@ -208,7 +192,7 @@ pub enum BgpMessageRef<'a> {
 impl BgpMessageRef<'_> {
     /// Copy the message into an owned [`BgpMessage`].
     pub fn to_owned(&self) -> BgpMessage {
-        match self {
+        match *self {
             BgpMessageRef::Open(open) => BgpMessage::Open(open.to_owned()),
             BgpMessageRef::Notification(n) => BgpMessage::Notification(n.to_owned()),
             BgpMessageRef::Keepalive => BgpMessage::Keepalive,
@@ -279,7 +263,12 @@ mod tests {
 
     #[test]
     fn keepalive_roundtrip() {
-        let bytes = BgpMessage::Keepalive.to_bytes();
+        let mut bytes = Vec::new();
+        MessageHeader {
+            length: BGP_HEADER_LEN as u16,
+            message_type: MessageType::Keepalive,
+        }
+        .emit(&mut bytes);
         let (msg, consumed) = BgpMessage::parse(&bytes).unwrap();
         assert_eq!(msg, BgpMessage::Keepalive);
         assert_eq!(consumed, BGP_HEADER_LEN);

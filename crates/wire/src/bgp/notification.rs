@@ -94,13 +94,9 @@ impl NotificationMessage {
             && CeaseSubcode::from_code(self.error_subcode) == CeaseSubcode::ConnectionRejected
     }
 
-    /// Parse a NOTIFICATION body (everything after the common header).
-    pub fn parse_body(body: &[u8]) -> Result<Self> {
-        Self::parse_borrowed(body).map(|notification| notification.to_owned())
-    }
-
-    /// [`Self::parse_body`] without the copy: the data as a slice of `body`.
-    pub fn parse_borrowed(body: &[u8]) -> Result<NotificationRef<'_>> {
+    /// Parse a NOTIFICATION body (everything after the common header), the
+    /// data as a slice of `body`.
+    pub(crate) fn parse_borrowed(body: &[u8]) -> Result<NotificationRef<'_>> {
         check_len(body, 2)?;
         Ok(NotificationRef {
             error_code: body[0],
@@ -134,16 +130,16 @@ impl NotificationMessage {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct NotificationRef<'a> {
     /// Major error code (6 = Cease).
-    pub error_code: u8,
+    pub(crate) error_code: u8,
     /// Error subcode.
-    pub error_subcode: u8,
+    pub(crate) error_subcode: u8,
     /// Diagnostic data.
-    pub data: &'a [u8],
+    pub(crate) data: &'a [u8],
 }
 
 impl NotificationRef<'_> {
     /// Copy the message into an owned [`NotificationMessage`].
-    pub fn to_owned(&self) -> NotificationMessage {
+    pub(crate) fn to_owned(self) -> NotificationMessage {
         NotificationMessage {
             error_code: self.error_code,
             error_subcode: self.error_subcode,
@@ -198,6 +194,6 @@ mod tests {
 
     #[test]
     fn truncated_body_is_rejected() {
-        assert!(NotificationMessage::parse_body(&[6]).is_err());
+        assert!(NotificationMessage::parse_borrowed(&[6]).is_err());
     }
 }

@@ -47,17 +47,6 @@ impl OpenMessage {
         self.my_as as u32
     }
 
-    /// All advertised capabilities, in wire order.
-    pub fn capabilities(&self) -> Vec<&Capability> {
-        self.optional_parameters
-            .iter()
-            .filter_map(|p| match p {
-                OptionalParameter::Capability(c) => Some(c),
-                OptionalParameter::Other { .. } => None,
-            })
-            .collect()
-    }
-
     /// Total emitted message length in bytes (header included).  Part of the
     /// identifier because it summarises the optional-parameter layout.
     pub fn wire_length(&self) -> u16 {
@@ -65,14 +54,9 @@ impl OpenMessage {
         (BGP_HEADER_LEN + OPEN_MIN_BODY_LEN + params.len()) as u16
     }
 
-    /// Parse an OPEN message body (everything after the common header).
-    pub fn parse_body(body: &[u8]) -> Result<Self> {
-        Self::parse_borrowed(body).map(|open| open.to_owned())
-    }
-
-    /// [`Self::parse_body`] without the copies: the optional parameters
-    /// checked and left in `body`.
-    pub fn parse_borrowed(body: &[u8]) -> Result<OpenRef<'_>> {
+    /// Parse an OPEN message body (everything after the common header), the
+    /// optional parameters checked and left in `body`.
+    pub(crate) fn parse_borrowed(body: &[u8]) -> Result<OpenRef<'_>> {
         check_len(body, OPEN_MIN_BODY_LEN)?;
         let version = body[0];
         if version != 4 {
@@ -152,7 +136,7 @@ impl OpenMessage {
     }
 }
 
-/// An [`OpenMessage`] read in place ([`OpenMessage::parse_borrowed`]): the
+/// An [`OpenMessage`] read in place (`OpenMessage::parse_borrowed`): the
 /// fixed fields by value, the optional parameters still on the wire.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct OpenRef<'a> {
@@ -170,7 +154,7 @@ pub struct OpenRef<'a> {
 
 impl OpenRef<'_> {
     /// Copy the message into an owned [`OpenMessage`].
-    pub fn to_owned(&self) -> OpenMessage {
+    pub(crate) fn to_owned(self) -> OpenMessage {
         OpenMessage {
             version: self.version,
             my_as: self.my_as,
@@ -249,16 +233,6 @@ mod tests {
                 asn: 396_982,
             }));
         assert_eq!(open.effective_asn(), 396_982);
-    }
-
-    #[test]
-    fn capabilities_accessor_skips_unknown_parameters() {
-        let mut open = figure2_open();
-        open.optional_parameters.push(OptionalParameter::Other {
-            param_type: 1,
-            value: vec![1],
-        });
-        assert_eq!(open.capabilities().len(), 2);
     }
 
     #[test]

@@ -34,7 +34,7 @@ pub fn push_hex(out: &mut String, bytes: &[u8]) {
 }
 
 /// The lowercase-hex rendering of `bytes` as a fresh `String`.
-pub fn hex_string(bytes: &[u8]) -> String {
+pub(crate) fn hex_string(bytes: &[u8]) -> String {
     let mut out = String::with_capacity(bytes.len() * 2);
     push_hex(&mut out, bytes);
     out

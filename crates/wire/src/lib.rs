@@ -26,16 +26,16 @@
 //! * [`snmp`] — a minimal SNMPv3 message codec (RFC 3412/3414) sufficient
 //!   for unauthenticated engine-ID discovery, the identifier used by the
 //!   prior protocol-centric technique the paper compares against.  It sits
-//!   on [`ber`], which has no tree: a borrowed reader ([`ber::Tlv`]) and
+//!   on `ber`, which has no tree: a borrowed reader (`ber::Tlv`) and
 //!   writers that append to the caller's buffer.
 //!
 //! All parsing is bounds-checked and returns [`WireError`] rather than
 //! panicking, so malformed or truncated responses observed by a scanner
 //! degrade gracefully.
 
-pub mod ber;
+mod ber;
 pub mod bgp;
-pub mod error;
+mod error;
 pub mod hex;
 pub mod snmp;
 pub mod ssh;

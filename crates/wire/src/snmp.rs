@@ -7,17 +7,17 @@
 //! and engine time counters.  The engine ID is device-wide and therefore
 //! groups aliases exactly like the SSH/BGP identifiers introduced by the
 //! paper.  This module implements just those two messages on top of the
-//! [`crate::ber`] codec.
+//! `crate::ber` codec.
 
 use crate::ber::{self, Tlv, TAG_GET_REQUEST_PDU, TAG_REPORT_PDU, TAG_SEQUENCE};
 use crate::{Result, WireError};
 
 /// SNMP version number for SNMPv3 as carried on the wire.
-pub const SNMP_VERSION_3: i64 = 3;
+pub(crate) const SNMP_VERSION_3: i64 = 3;
 /// The USM security model number.
-pub const SECURITY_MODEL_USM: i64 = 3;
+pub(crate) const SECURITY_MODEL_USM: i64 = 3;
 /// OID of `usmStatsUnknownEngineIDs.0`, reported during engine discovery.
-pub const USM_STATS_UNKNOWN_ENGINE_IDS: [u32; 11] = [1, 3, 6, 1, 6, 3, 15, 1, 1, 4, 0];
+pub(crate) const USM_STATS_UNKNOWN_ENGINE_IDS: [u32; 11] = [1, 3, 6, 1, 6, 3, 15, 1, 1, 4, 0];
 
 /// An SNMPv3 engine identifier (5–32 octets per RFC 3411).
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -26,7 +26,7 @@ pub struct EngineId(pub Vec<u8>);
 impl EngineId {
     /// Build an engine ID, enforcing the RFC 3411 length bounds (the empty
     /// engine ID used for discovery requests is also allowed).
-    pub fn new(bytes: Vec<u8>) -> Result<Self> {
+    pub(crate) fn new(bytes: Vec<u8>) -> Result<Self> {
         if bytes.is_empty() || (5..=32).contains(&bytes.len()) {
             Ok(EngineId(bytes))
         } else {
@@ -48,11 +48,6 @@ impl EngineId {
         bytes[..4].copy_from_slice(&(enterprise | 0x8000_0000).to_be_bytes());
         bytes[5..].copy_from_slice(&mac);
         bytes
-    }
-
-    /// Whether this is the empty (discovery) engine ID.
-    pub fn is_empty(&self) -> bool {
-        self.0.is_empty()
     }
 
     /// The raw engine-ID octets.
@@ -129,14 +124,6 @@ impl Snmpv3Message {
     const FLAGS_REPORTABLE: u8 = 0x04;
     /// msgFlags for the report: no auth, no priv, not reportable.
     const FLAGS_NONE: u8 = 0x00;
-
-    /// The message ID.
-    pub fn msg_id(&self) -> i64 {
-        match self {
-            Snmpv3Message::DiscoveryRequest { msg_id } => *msg_id,
-            Snmpv3Message::Report { msg_id, .. } => *msg_id,
-        }
-    }
 
     /// Build the Report answering a discovery request.
     pub fn report_for(request_msg_id: i64, usm: UsmSecurityParameters, counter: i64) -> Self {
@@ -333,7 +320,10 @@ mod tests {
         let msg = Snmpv3Message::DiscoveryRequest { msg_id: 0x1337 };
         let parsed = Snmpv3Message::parse(&msg.to_bytes()).unwrap();
         assert_eq!(parsed, msg);
-        assert_eq!(parsed.msg_id(), 0x1337);
+        assert!(matches!(
+            parsed,
+            Snmpv3Message::DiscoveryRequest { msg_id: 0x1337 }
+        ));
     }
 
     #[test]
@@ -361,7 +351,7 @@ mod tests {
         ber::write_constructed(&mut bytes, TAG_SEQUENCE, |out| {
             ber::write_integer(out, 1);
             ber::write_octet_string(out, b"public");
-            out.extend_from_slice(&[ber::TAG_NULL, 0, ber::TAG_NULL, 0]);
+            out.extend_from_slice(&[ber::tree::TAG_NULL, 0, ber::tree::TAG_NULL, 0]);
         });
         assert_eq!(
             Snmpv3Message::parse(&bytes),

@@ -68,7 +68,7 @@ impl Banner {
     }
 
     /// The banner with every field borrowed.
-    pub fn as_ref(&self) -> BannerRef<'_> {
+    pub(crate) fn as_ref(&self) -> BannerRef<'_> {
         BannerRef {
             proto_version: &self.proto_version,
             software: &self.software,
@@ -85,7 +85,7 @@ impl Banner {
     }
 
     /// Append [`Self::to_line`]'s bytes to `out`.
-    pub fn emit_line(&self, out: &mut Vec<u8>) {
+    pub(crate) fn emit_line(&self, out: &mut Vec<u8>) {
         self.as_ref().emit_line(out);
     }
 
@@ -174,7 +174,7 @@ impl Banner {
 }
 
 /// A [`Banner`] whose fields borrow their text — from a session buffer
-/// ([`Banner::parse_borrowed`]), an owned banner ([`Banner::as_ref`]) or a
+/// ([`Banner::parse_borrowed`]), an owned banner (`Banner::as_ref`) or a
 /// stored record.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BannerRef<'a> {

@@ -29,7 +29,7 @@ pub enum HostKeyAlgorithm {
 
 impl HostKeyAlgorithm {
     /// The algorithm name as it appears in the key blob.
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             HostKeyAlgorithm::Ed25519 => "ssh-ed25519",
             HostKeyAlgorithm::Rsa => "ssh-rsa",
@@ -85,7 +85,7 @@ impl HostKey {
     }
 
     /// Append the key blob to `out`.
-    pub fn emit_blob(&self, out: &mut Vec<u8>) {
+    pub(crate) fn emit_blob(&self, out: &mut Vec<u8>) {
         self.as_ref().emit_blob(out);
     }
 
@@ -104,7 +104,7 @@ impl HostKey {
 
     /// [`Self::from_blob`] without the copy: the material as a slice of
     /// `blob`.
-    pub fn from_blob_borrowed(blob: &[u8]) -> Result<HostKeyRef<'_>> {
+    pub(crate) fn from_blob_borrowed(blob: &[u8]) -> Result<HostKeyRef<'_>> {
         let (name, consumed) = read_string(blob)?;
         let name = std::str::from_utf8(name).map_err(|_| WireError::BadEncoding {
             field: "hostkey.algorithm",
@@ -140,7 +140,7 @@ impl HostKey {
 }
 
 /// A [`HostKey`] whose material borrows its bytes — from a key-exchange
-/// reply ([`HostKey::from_blob_borrowed`]), an owned key
+/// reply (`HostKey::from_blob_borrowed`), an owned key
 /// ([`HostKey::as_ref`]) or a stored record.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HostKeyRef<'a> {
@@ -157,7 +157,7 @@ impl HostKeyRef<'_> {
     }
 
     /// Append the key blob to `out`.
-    pub fn emit_blob(&self, out: &mut Vec<u8>) {
+    pub(crate) fn emit_blob(&self, out: &mut Vec<u8>) {
         write_string(out, self.algorithm.name().as_bytes());
         write_string(out, self.key_material);
     }
@@ -180,11 +180,11 @@ pub struct KexReply {
 
 impl KexReply {
     /// Parse a key-exchange reply payload (starting at the message number).
-    pub fn parse_payload(payload: &[u8]) -> Result<Self> {
+    pub(crate) fn parse_payload(payload: &[u8]) -> Result<Self> {
         Self::parse_borrowed(payload).map(|reply| reply.to_owned())
     }
 
-    /// [`Self::parse_payload`] without the copies: every part as a slice of
+    /// `Self::parse_payload` without the copies: every part as a slice of
     /// `payload`.
     pub fn parse_borrowed(payload: &[u8]) -> Result<KexReplyRef<'_>> {
         if payload.is_empty() {
@@ -217,18 +217,6 @@ impl KexReply {
         Self::parse_payload(&packet.payload)
     }
 
-    /// Emit the payload (message number included).
-    pub fn to_payload(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(128);
-        Self::emit_payload_from(
-            self.host_key.as_ref(),
-            &self.ephemeral_public,
-            &self.signature,
-            &mut out,
-        );
-        out
-    }
-
     fn emit_payload_from(
         host_key: HostKeyRef<'_>,
         ephemeral_public: &[u8],
@@ -242,8 +230,7 @@ impl KexReply {
     }
 
     /// Append a reply, framed as a binary packet, to `out` from borrowed
-    /// parts — what [`Self::to_packet`] emits for a `KexReply` holding
-    /// them, without building one.
+    /// parts, without building a `KexReply`.
     pub fn emit_packet_from(
         host_key: HostKeyRef<'_>,
         ephemeral_public: &[u8],
@@ -254,11 +241,6 @@ impl KexReply {
             Self::emit_payload_from(host_key, ephemeral_public, signature, out)
         });
     }
-
-    /// Wrap the reply in a binary packet.
-    pub fn to_packet(&self) -> SshPacket {
-        SshPacket::new(self.to_payload())
-    }
 }
 
 /// A [`KexReply`] whose parts borrow the packet payload
@@ -268,9 +250,9 @@ pub struct KexReplyRef<'a> {
     /// The server host key.
     pub host_key: HostKeyRef<'a>,
     /// The server's ephemeral key-exchange public value (opaque).
-    pub ephemeral_public: &'a [u8],
+    pub(crate) ephemeral_public: &'a [u8],
     /// Signature over the exchange hash (opaque).
-    pub signature: &'a [u8],
+    pub(crate) signature: &'a [u8],
 }
 
 impl KexReplyRef<'_> {
@@ -357,19 +339,23 @@ mod tests {
             ephemeral_public: vec![9u8; 32],
             signature: vec![7u8; 64],
         };
-        let packet = reply.to_packet();
+        let mut wire = Vec::new();
+        KexReply::emit_packet_from(
+            reply.host_key.as_ref(),
+            &reply.ephemeral_public,
+            &reply.signature,
+            &mut wire,
+        );
+        let (packet, consumed) = SshPacket::parse(&wire).unwrap();
+        assert_eq!(consumed, wire.len());
         let parsed = KexReply::parse_packet(&packet).unwrap();
         assert_eq!(parsed, reply);
     }
 
     #[test]
     fn kex_reply_rejects_wrong_message_number() {
-        let mut payload = KexReply {
-            host_key: sample_key(),
-            ephemeral_public: vec![],
-            signature: vec![],
-        }
-        .to_payload();
+        let mut payload = Vec::new();
+        KexReply::emit_payload_from(sample_key().as_ref(), &[], &[], &mut payload);
         payload[0] = 30;
         assert!(matches!(
             KexReply::parse_payload(&payload),

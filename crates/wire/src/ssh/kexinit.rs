@@ -45,7 +45,7 @@ impl KexInit {
     /// The algorithm lists that describe the *server's* capabilities, in the
     /// order the paper's identifier concatenates them: key-exchange, host
     /// key, then the server-to-client cipher/MAC/compression preferences.
-    pub fn server_capability_lists(&self) -> [&NameList; 5] {
+    pub(crate) fn server_capability_lists(&self) -> [&NameList; 5] {
         let lists = self.name_lists();
         KexInitRef::SERVER_CAPABILITY_LISTS.map(|at| lists[at])
     }
@@ -122,7 +122,7 @@ impl KexInit {
     }
 
     /// The message with its name-lists borrowed.
-    pub fn as_ref(&self) -> KexInitRef<'_> {
+    pub(crate) fn as_ref(&self) -> KexInitRef<'_> {
         KexInitRef {
             cookie: self.cookie,
             name_lists: self.name_lists().map(NameList::as_ref),
@@ -197,7 +197,7 @@ impl KexInit {
     /// Append the KEXINIT payload to `out`, carrying `cookie` in place of
     /// the stored one — a server sends the same lists with a fresh cookie
     /// on every connection, and should not have to clone them to do so.
-    pub fn emit_payload(&self, cookie: &[u8; 16], out: &mut Vec<u8>) {
+    pub(crate) fn emit_payload(&self, cookie: &[u8; 16], out: &mut Vec<u8>) {
         out.push(SSH_MSG_KEXINIT);
         out.extend_from_slice(cookie);
         for list in self.name_lists() {
@@ -208,7 +208,7 @@ impl KexInit {
     }
 
     /// Append the KEXINIT, framed as a binary packet, to `out` (see
-    /// [`Self::emit_payload`] for `cookie`).
+    /// `Self::emit_payload` for `cookie`).
     pub fn emit_packet(&self, cookie: &[u8; 16], out: &mut Vec<u8>) {
         SshPacket::emit_framed(out, |out| self.emit_payload(cookie, out));
     }
@@ -220,7 +220,7 @@ impl KexInit {
 }
 
 /// A [`KexInit`] whose name-lists borrow their text — from a packet payload
-/// ([`KexInit::parse_borrowed`]), an owned message ([`KexInit::as_ref`]) or
+/// ([`KexInit::parse_borrowed`]), an owned message (`KexInit::as_ref`) or
 /// a stored record.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct KexInitRef<'a> {
@@ -236,10 +236,10 @@ impl<'a> KexInitRef<'a> {
     /// Positions in [`Self::name_lists`] of the lists that describe the
     /// *server*: key-exchange, host key, then the server-to-client cipher /
     /// MAC / compression preferences.
-    pub const SERVER_CAPABILITY_LISTS: [usize; 5] = [0, 1, 3, 5, 7];
+    pub(crate) const SERVER_CAPABILITY_LISTS: [usize; 5] = [0, 1, 3, 5, 7];
 
     /// [`KexInit::server_capability_lists`], borrowed.
-    pub fn server_capability_lists(&self) -> [NameListRef<'a>; 5] {
+    pub(crate) fn server_capability_lists(&self) -> [NameListRef<'a>; 5] {
         Self::SERVER_CAPABILITY_LISTS.map(|at| self.name_lists[at])
     }
 

@@ -18,9 +18,9 @@
 
 pub mod banner;
 pub mod hostkey;
-pub mod kexinit;
-pub mod names;
-pub mod packet;
+mod kexinit;
+mod names;
+mod packet;
 
 pub use banner::{Banner, BannerRef};
 pub use hostkey::{HostKey, HostKeyAlgorithm, HostKeyRef};

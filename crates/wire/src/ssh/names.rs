@@ -57,7 +57,7 @@ impl NameList {
 
     /// The comma-joined textual form (what appears on the wire after the
     /// length prefix).
-    pub fn joined(&self) -> &str {
+    pub(crate) fn joined(&self) -> &str {
         &self.0
     }
 
@@ -77,18 +77,8 @@ impl NameList {
         self.0.is_empty()
     }
 
-    /// The first (most preferred) name, if any.
-    pub fn preferred(&self) -> Option<&str> {
-        self.names().next()
-    }
-
-    /// Whether the list contains `name`.
-    pub fn contains(&self, name: &str) -> bool {
-        self.names().any(|n| n == name)
-    }
-
     /// The list, borrowed.
-    pub fn as_ref(&self) -> NameListRef<'_> {
+    pub(crate) fn as_ref(&self) -> NameListRef<'_> {
         NameListRef(&self.0)
     }
 
@@ -100,7 +90,7 @@ impl NameList {
     }
 
     /// [`Self::parse`] without the copy: the list as a slice of `buf`.
-    pub fn parse_borrowed(buf: &[u8]) -> Result<(NameListRef<'_>, usize)> {
+    pub(crate) fn parse_borrowed(buf: &[u8]) -> Result<(NameListRef<'_>, usize)> {
         check_len(buf, 4)?;
         let len = u32::from_be_bytes([buf[0], buf[1], buf[2], buf[3]]) as usize;
         check_len(buf, 4 + len)?;
@@ -120,9 +110,9 @@ impl NameList {
 }
 
 /// A [`NameList`] that borrows its joined text — from a packet payload
-/// ([`NameList::parse_borrowed`]), an owned list ([`NameList::as_ref`]) or a
+/// (`NameList::parse_borrowed`), an owned list (`NameList::as_ref`) or a
 /// stored record ([`NameListRef::new`]).  Holds what a `NameList` can hold
-/// and nothing else, so [`Self::to_owned`] has nothing to check.
+/// and nothing else, so `Self::to_owned` has nothing to check.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct NameListRef<'a>(&'a str);
 
@@ -136,18 +126,13 @@ impl<'a> NameListRef<'a> {
         Ok(NameListRef(joined))
     }
 
-    /// The comma-joined textual form.
-    pub fn joined(&self) -> &'a str {
-        self.0
-    }
-
-    /// [`Self::joined`]'s bytes.
+    /// The comma-joined textual form's bytes.
     pub fn as_bytes(&self) -> &'a [u8] {
         self.0.as_bytes()
     }
 
     /// Copy the list into an owned [`NameList`].
-    pub fn to_owned(&self) -> NameList {
+    pub(crate) fn to_owned(self) -> NameList {
         NameList(self.0.to_owned())
     }
 }
@@ -170,9 +155,9 @@ mod tests {
         let (parsed, consumed) = NameList::parse(&buf).unwrap();
         assert_eq!(consumed, buf.len());
         assert_eq!(parsed, list);
-        assert_eq!(parsed.preferred(), Some("curve25519-sha256"));
-        assert!(parsed.contains("ecdh-sha2-nistp256"));
-        assert!(!parsed.contains("diffie-hellman-group1-sha1"));
+        assert_eq!(parsed.names().next(), Some("curve25519-sha256"));
+        assert!(parsed.names().any(|n| n == "ecdh-sha2-nistp256"));
+        assert!(!parsed.names().any(|n| n == "diffie-hellman-group1-sha1"));
     }
 
     #[test]
@@ -184,7 +169,7 @@ mod tests {
         let (parsed, consumed) = NameList::parse(&buf).unwrap();
         assert_eq!(consumed, 4);
         assert!(parsed.is_empty());
-        assert_eq!(parsed.preferred(), None);
+        assert_eq!(parsed.names().next(), None);
     }
 
     #[test]

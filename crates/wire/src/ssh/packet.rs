@@ -35,7 +35,7 @@ const MAX_PACKET: usize = 35_000;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SshPacket {
     /// The message payload (first byte is the message number).
-    pub payload: Vec<u8>,
+    pub(crate) payload: Vec<u8>,
 }
 
 impl SshPacket {
@@ -91,7 +91,7 @@ impl SshPacket {
     /// appends — the framing goes around it in place, so a message emitter
     /// can write straight into a session buffer.  Same zero padding as
     /// [`Self::to_bytes`].
-    pub fn emit_framed(out: &mut Vec<u8>, write_payload: impl FnOnce(&mut Vec<u8>)) {
+    pub(crate) fn emit_framed(out: &mut Vec<u8>, write_payload: impl FnOnce(&mut Vec<u8>)) {
         let start = out.len();
         out.extend_from_slice(&[0u8; 5]);
         write_payload(out);

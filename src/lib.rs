@@ -62,28 +62,21 @@ pub use alias_wire as wire;
 /// The most commonly used types, re-exported flat.
 pub mod prelude {
     pub use alias_censys::{CensysConfig, CensysSnapshot};
-    pub use alias_core::alias_set::{FamilyGrouping, SourceGroups};
-    pub use alias_core::dual_stack::{DualStackReport, DualStackSet};
-    pub use alias_core::ecdf::Ecdf;
+    pub use alias_core::dual_stack::DualStackReport;
     pub use alias_core::extract::{ExtractionConfig, IdentifierExtractor};
-    pub use alias_core::identifier::{
-        BgpIdentifier, ProtocolIdentifier, SshIdentifier, SshIdentifierPolicy,
-    };
+    pub use alias_core::identifier::SshIdentifierPolicy;
     pub use alias_midar::midar_resolve;
     pub use alias_netsim::{
         DeviceKind, Internet, InternetBuilder, InternetConfig, ScalePreset, ServiceProtocol,
         SimTime, VantageKind,
     };
     pub use alias_resolve::{
-        AllyTechnique, CoverageStats, DataRequirement, IdentifierTechnique, IffinderTechnique,
-        MidarTechnique, RateLimitTechnique, ResolutionReport, ResolutionTechnique, Resolver,
-        ResolverBuilder, SpeedtrapTechnique, TechniqueCtx, TechniqueResult,
+        AllyTechnique, IdentifierTechnique, IffinderTechnique, MidarTechnique, ResolutionTechnique,
+        Resolver, SpeedtrapTechnique, TechniqueCtx,
     };
     pub use alias_scan::{
         ActiveCampaign, CampaignConfig, CampaignData, DataSource, Ipv6Hitlist, RateProbeConfig,
         ServiceObservation, ServicePayload,
     };
-    pub use alias_store::{
-        ObservationRef, ObservationStore, ObservationView, PayloadRef, ShardColumns,
-    };
+    pub use alias_store::{ObservationStore, PayloadRef, ShardColumns};
 }
