@@ -72,6 +72,7 @@ fn bench_grouping(c: &mut Criterion) {
                 let sets = collection.family_sets(false).iter();
                 experiment
                     .internet
+                    .ground_truth()
                     .score_sets(sets.map(|set| set.ids().iter().map(|id| &addrs[id.index()])))
             })
         })

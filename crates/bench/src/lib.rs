@@ -1040,15 +1040,16 @@ impl RateLimitStudy {
             .count();
         // Who is wrong: each technique's sets and the merged sets against
         // the device every address really sits on.
+        let ground_truth = internet.ground_truth();
         let mut truth: Vec<(String, PairwiseScore)> = Vec::new();
         for technique in &report.techniques {
             let addrs = technique.interner().addrs();
             let sets = technique.compact_sets().iter();
-            let score =
-                internet.score_sets(sets.map(|set| set.ids().iter().map(|id| &addrs[id.index()])));
+            let score = ground_truth
+                .score_sets(sets.map(|set| set.ids().iter().map(|id| &addrs[id.index()])));
             truth.push((technique.technique.clone(), score));
         }
-        let merged = internet.score_sets(report.merged.iter().map(|set| set.addrs.iter()));
+        let merged = ground_truth.score_sets(report.merged.iter().map(|set| set.addrs.iter()));
         truth.push(("merged".to_owned(), merged));
         RateLimitStudy {
             report,

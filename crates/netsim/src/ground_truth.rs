@@ -8,27 +8,20 @@
 //! reports alongside the paper-style agreement numbers.
 
 use crate::ids::DeviceId;
-use std::collections::HashMap;
+use crate::Internet;
 use std::net::IpAddr;
 
-/// The true aliasing relation of a simulated Internet, as a map of its
-/// own.  [`crate::Internet::score_sets`] scores against the Internet's IP
-/// index without building one.
-#[derive(Debug, Clone, Default)]
-pub struct GroundTruth {
-    /// Address → owning device.
-    pub(crate) owner: HashMap<IpAddr, DeviceId>,
+/// The true aliasing relation of a simulated Internet: a view of its IP
+/// index ([`Internet::ground_truth`]), built without a map.
+#[derive(Clone, Copy)]
+pub struct GroundTruth<'a> {
+    pub(crate) internet: &'a Internet,
 }
 
-impl GroundTruth {
-    /// Record that `addr` belongs to `device`.
-    pub(crate) fn insert(&mut self, device: DeviceId, addr: IpAddr) {
-        self.owner.insert(addr, device);
-    }
-
+impl GroundTruth<'_> {
     /// The device owning `addr`, if it exists.
     pub fn device_of(&self, addr: IpAddr) -> Option<DeviceId> {
-        self.owner.get(&addr).copied()
+        self.internet.device_of(addr)
     }
 
     /// Whether two addresses are true aliases (same device).
@@ -59,7 +52,8 @@ pub struct PairwiseScore {
     pub inferred_pairs: u64,
     /// Of those, the pairs that really share a device.
     pub true_positive_pairs: u64,
-    /// True alias pairs among all addresses covered by the inference.
+    /// True alias pairs among all addresses covered by the inference and
+    /// its universe.
     pub(crate) true_pairs: u64,
 }
 
@@ -77,9 +71,9 @@ fn pairs_within_runs<T>(sorted: &[T], same: impl Fn(&T, &T) -> bool) -> u64 {
 
 impl PairwiseScore {
     /// Score inferred alias sets whose members arrive as `(address, owning
-    /// device)` — the one scoring body; its callers differ only in where
-    /// the device label comes from.  `address` is any key that is equal
-    /// exactly for equal addresses (an `IpAddr`, an interned id).
+    /// device)` — the one scorer; its callers differ only in where the
+    /// device label comes from.  `address` is any key that is equal exactly
+    /// for equal addresses (an `IpAddr`, an interned id).
     ///
     /// A set of `n` members infers `n·(n−1)/2` pairs; the pairs among its
     /// members that share a device are the true positives (found by
@@ -164,49 +158,52 @@ impl PairwiseScore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeMap;
 
     fn ip(s: &str) -> IpAddr {
         s.parse().unwrap()
     }
 
-    fn sample_truth() -> GroundTruth {
-        let mut gt = GroundTruth::default();
-        gt.insert(DeviceId(0), ip("10.0.0.1"));
-        gt.insert(DeviceId(0), ip("10.0.0.2"));
-        gt.insert(DeviceId(0), ip("10.0.0.3"));
-        gt.insert(DeviceId(1), ip("10.0.1.1"));
-        gt.insert(DeviceId(1), ip("10.0.1.2"));
-        gt.insert(DeviceId(2), ip("10.0.2.1"));
-        gt
+    /// Owners of a sample relation: three addresses on device 0, two on
+    /// device 1, one on device 2.
+    fn sample_owner(addr: IpAddr) -> Option<DeviceId> {
+        let owners = [
+            ("10.0.0.1", 0),
+            ("10.0.0.2", 0),
+            ("10.0.0.3", 0),
+            ("10.0.1.1", 1),
+            ("10.0.1.2", 1),
+            ("10.0.2.1", 2),
+        ];
+        let owner = owners.iter().find(|(member, _)| ip(member) == addr);
+        owner.map(|&(_, device)| DeviceId(device))
     }
 
-    #[test]
-    fn alias_lookup() {
-        let gt = sample_truth();
-        assert!(gt.are_aliases(ip("10.0.0.1"), ip("10.0.0.3")));
-        assert!(!gt.are_aliases(ip("10.0.0.1"), ip("10.0.1.1")));
-        assert!(!gt.are_aliases(ip("10.0.0.1"), ip("192.0.2.1")));
-        assert_eq!(gt.device_of(ip("10.0.1.2")), Some(DeviceId(1)));
-        assert_eq!(gt.owner.len(), 6);
+    /// `sets` scored with each member labelled by `owner`.
+    fn score(owner: impl Fn(IpAddr) -> Option<DeviceId>, sets: &[Vec<IpAddr>]) -> PairwiseScore {
+        let labelled = |set: &Vec<IpAddr>| {
+            set.iter()
+                .map(|&addr| (addr, owner(addr)))
+                .collect::<Vec<_>>()
+        };
+        PairwiseScore::of_labelled_sets(sets.iter().map(labelled))
     }
 
     #[test]
     fn perfect_inference_scores_one() {
-        let gt = sample_truth();
         let sets: Vec<Vec<IpAddr>> = vec![
             vec![ip("10.0.0.1"), ip("10.0.0.2"), ip("10.0.0.3")],
             vec![ip("10.0.1.1"), ip("10.0.1.2")],
         ];
-        let score = gt.score_sets(sets.iter().map(|s| s.iter()));
+        let score = score(sample_owner, &sets);
         assert_eq!(score.precision(), 1.0);
         assert_eq!(score.recall(), 1.0);
     }
 
     #[test]
     fn over_merging_hurts_precision() {
-        let gt = sample_truth();
         let sets: Vec<Vec<IpAddr>> = vec![vec![ip("10.0.0.1"), ip("10.0.0.2"), ip("10.0.1.1")]];
-        let score = gt.score_sets(sets.iter().map(|s| s.iter()));
+        let score = score(sample_owner, &sets);
         assert!(score.precision() < 1.0);
         // 1 true pair inferred of 3 inferred pairs.
         assert_eq!(score.true_positive_pairs, 1);
@@ -215,10 +212,9 @@ mod tests {
 
     #[test]
     fn splitting_hurts_recall() {
-        let gt = sample_truth();
         let sets: Vec<Vec<IpAddr>> =
             vec![vec![ip("10.0.0.1"), ip("10.0.0.2")], vec![ip("10.0.0.3")]];
-        let score = gt.score_sets(sets.iter().map(|s| s.iter()));
+        let score = score(sample_owner, &sets);
         assert_eq!(score.precision(), 1.0);
         // The three addresses of device 0 form 3 true pairs; only 1 inferred.
         assert!((score.recall() - 1.0 / 3.0).abs() < 1e-9);
@@ -229,7 +225,6 @@ mod tests {
         // The technique tested all three addresses of device 0 and grouped
         // two: over its sets alone it found every pair it could see, over
         // what it tested one of three.
-        let gt = sample_truth();
         let tested = [
             ip("10.0.0.1"),
             ip("10.0.0.2"),
@@ -237,7 +232,7 @@ mod tests {
             ip("10.0.2.1"),
         ];
         let sets = [[ip("10.0.0.1"), ip("10.0.0.2")]];
-        let labelled = |addr: &IpAddr| (*addr, gt.device_of(*addr));
+        let labelled = |addr: &IpAddr| (*addr, sample_owner(*addr));
         let sets = || sets.iter().map(|set| set.iter().map(labelled));
         let old = PairwiseScore::of_labelled_sets(sets());
         let new = PairwiseScore::of_labelled_sets_over(sets(), tested.iter().map(labelled));
@@ -261,16 +256,17 @@ mod tests {
 
     #[test]
     fn empty_inference_scores_trivially() {
-        let gt = sample_truth();
-        let sets: Vec<Vec<IpAddr>> = Vec::new();
-        let score = gt.score_sets(sets.iter().map(|s| s.iter()));
+        let score = score(sample_owner, &[]);
         assert_eq!(score.precision(), 1.0);
         assert_eq!(score.recall(), 1.0);
     }
 
     /// The pairwise definition, word for word: enumerate every pair of
-    /// every set and ask the ground truth.
-    fn score_by_definition(gt: &GroundTruth, sets: &[Vec<IpAddr>]) -> PairwiseScore {
+    /// every set and ask `owner` whether both members share a device.
+    fn score_by_definition(
+        owner: impl Fn(IpAddr) -> Option<DeviceId>,
+        sets: &[Vec<IpAddr>],
+    ) -> PairwiseScore {
         let pairs = |members: &[IpAddr]| -> Vec<(IpAddr, IpAddr)> {
             let indices = 0..members.len();
             let pairs = indices.flat_map(|i| (i + 1..members.len()).map(move |j| (i, j)));
@@ -281,7 +277,8 @@ mod tests {
         seen.sort_unstable();
         seen.dedup();
         let aliases = |pairs: &[(IpAddr, IpAddr)]| {
-            pairs.iter().filter(|&&(a, b)| gt.are_aliases(a, b)).count() as u64
+            let same = |&&(a, b): &&(IpAddr, IpAddr)| owner(a).is_some() && owner(a) == owner(b);
+            pairs.iter().filter(same).count() as u64
         };
         PairwiseScore {
             inferred_pairs: inferred.len() as u64,
@@ -299,12 +296,13 @@ mod tests {
             let universe = rng.gen_range(1..400u32);
             let devices = rng.gen_range(1..=universe);
             let addr = |n: u32| IpAddr::from(std::net::Ipv4Addr::from(0x0a00_0000 + n));
-            let mut gt = GroundTruth::default();
+            let mut owners = BTreeMap::new();
             for n in 0..universe {
                 if rng.gen_range(0..5) != 0 {
-                    gt.insert(DeviceId(rng.gen_range(0..devices)), addr(n));
+                    owners.insert(addr(n), DeviceId(rng.gen_range(0..devices)));
                 }
             }
+            let owner = |addr: IpAddr| owners.get(&addr).copied();
             // Sets drawn with replacement: duplicate members and sets that
             // overlap come for free; empty, singleton and (every tenth
             // case) 300-member sets are forced in.
@@ -320,14 +318,13 @@ mod tests {
                 let big = (0..rng.gen_range(300..340)).map(|_| addr(rng.gen_range(0..universe)));
                 sets.push(big.collect());
             }
-            let score = gt.score_sets(sets.iter().map(|set| set.iter()));
-            assert_eq!(score, score_by_definition(&gt, &sets), "case {case}");
+            let score = score(owner, &sets);
+            assert_eq!(score, score_by_definition(owner, &sets), "case {case}");
         }
     }
 
     #[test]
     fn unknown_and_repeated_members_count_as_the_definition_counts_them() {
-        let gt = sample_truth();
         let unknown = ip("192.0.2.1");
         // {a, a, b, unknown}: six inferred pairs, of which a–a, a–b and
         // a–b again are true; among the distinct addresses only a–b is.
@@ -337,7 +334,7 @@ mod tests {
             ip("10.0.0.2"),
             unknown,
         ]];
-        let score = gt.score_sets(sets.iter().map(|s| s.iter()));
+        let score = score(sample_owner, &sets);
         assert_eq!(
             score,
             PairwiseScore {
@@ -346,6 +343,6 @@ mod tests {
                 true_pairs: 1,
             }
         );
-        assert_eq!(score, score_by_definition(&gt, &sets));
+        assert_eq!(score, score_by_definition(sample_owner, &sets));
     }
 }

@@ -10,7 +10,7 @@
 use crate::clock::SimTime;
 use crate::config::InternetConfig;
 use crate::device::{DeviceKind, DeviceRef, DeviceTable, BGP, SNMP, SSH, SSH_DIVERGENT};
-use crate::ground_truth::{GroundTruth, PairwiseScore};
+use crate::ground_truth::GroundTruth;
 use crate::ids::{Asn, DeviceId};
 use crate::ipid::{IpidModel, IpidState};
 use crate::profiles::{BgpProfile, SshProfile};
@@ -607,33 +607,14 @@ impl Internet {
         self.space.swap_owners(v4_a, v4_b);
     }
 
-    /// The true aliasing relation, as an address → device map of its own.
-    pub fn ground_truth(&self) -> GroundTruth {
-        let mut gt = GroundTruth::default();
-        gt.owner.reserve(self.address_count());
-        for device in self.devices() {
-            for iface in device.interfaces() {
-                gt.insert(device.id(), iface.addr);
-            }
-        }
-        gt
+    /// The true aliasing relation: a view of the IP index.
+    pub fn ground_truth(&self) -> GroundTruth<'_> {
+        GroundTruth { internet: self }
     }
 
     /// The device owning `addr`, read off the IP index.
     pub fn device_of(&self, addr: IpAddr) -> Option<DeviceId> {
         self.lookup(addr).map(|(device, _)| device)
-    }
-
-    /// Score a collection of inferred alias sets against the true aliasing
-    /// relation ([`PairwiseScore::of_labelled_sets`] with each member's
-    /// owner read off the IP index — no [`GroundTruth`] map is built).
-    pub fn score_sets<'a, I, S>(&self, sets: I) -> PairwiseScore
-    where
-        I: IntoIterator<Item = S>,
-        S: IntoIterator<Item = &'a IpAddr>,
-    {
-        let labelled = |set: S| set.into_iter().map(|&addr| (addr, self.device_of(addr)));
-        PairwiseScore::of_labelled_sets(sets.into_iter().map(labelled))
     }
 
     /// Summary statistics about the generated population (used by the
@@ -1155,12 +1136,27 @@ mod tests {
     fn ground_truth_covers_every_interface() {
         let internet = tiny_internet();
         let gt = internet.ground_truth();
-        assert_eq!(gt.owner.len(), internet.address_count());
+        let mut interfaces = 0;
         for device in internet.devices() {
             for iface in device.interfaces() {
                 assert_eq!(gt.device_of(iface.addr), Some(device.id()));
+                interfaces += 1;
+            }
+            // Two interfaces of one device are aliases.
+            if let [a, b, ..] = device.interfaces() {
+                assert!(gt.are_aliases(a.addr, b.addr));
             }
         }
+        assert_eq!(interfaces, internet.address_count());
+        // Interfaces of two devices are not, nor is an address nobody holds.
+        let firsts: Vec<IpAddr> = (internet.devices().take(2))
+            .map(|device| device.interfaces()[0].addr)
+            .collect();
+        assert!(!gt.are_aliases(firsts[0], firsts[1]));
+        let nobody: IpAddr = "192.0.2.1".parse().unwrap();
+        assert!(internet.lookup(nobody).is_none());
+        assert!(!gt.are_aliases(firsts[0], nobody));
+        assert_eq!(gt.device_of(nobody), None);
     }
 
     #[test]

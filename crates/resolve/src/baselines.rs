@@ -3,8 +3,7 @@
 //! interchangeable with the identifier techniques.
 //!
 //! All four perform **live follow-up probing** against the measurement
-//! substrate (declared via [`DataRequirement::LiveProbing`]), starting at
-//! `ctx.probe_start` with targets drawn from the campaign's responsive
+//! substrate, starting at `ctx.probe_start` with targets drawn from the campaign's responsive
 //! addresses — one address-sorted list per family, shared by all four
 //! through [`ProbeTargets`], so a technique works on positions in that
 //! list and hands back ids by one array read.  Probing advances shared
@@ -13,7 +12,7 @@
 //! substrate's one [`ProbeSession`](alias_netsim::ProbeSession) for its
 //! whole sweep.
 
-use crate::technique::{DataRequirement, ResolutionTechnique, TechniqueCtx, TechniqueResult};
+use crate::technique::{ResolutionTechnique, TechniqueCtx, TechniqueResult};
 use alias_core::union_find::UnionFind;
 use alias_intern::{AddrId, CompactAliasSet};
 use alias_midar::ally::{AllyTester, AllyVerdict};
@@ -137,10 +136,6 @@ impl ResolutionTechnique for MidarTechnique {
         "midar"
     }
 
-    fn required_sources(&self) -> Vec<DataRequirement> {
-        vec![DataRequirement::LiveProbing]
-    }
-
     fn resolve(&self, data: &CampaignData, ctx: &TechniqueCtx<'_>) -> TechniqueResult {
         let FamilyTargets { ids, resolved } = ctx.targets.ipv4();
         let outcome = midar_resolve(ctx.internet, resolved, ctx.vantage, ctx.probe_start);
@@ -170,10 +165,6 @@ pub struct AllyTechnique;
 impl ResolutionTechnique for AllyTechnique {
     fn name(&self) -> &'static str {
         "ally"
-    }
-
-    fn required_sources(&self) -> Vec<DataRequirement> {
-        vec![DataRequirement::LiveProbing]
     }
 
     fn resolve(&self, data: &CampaignData, ctx: &TechniqueCtx<'_>) -> TechniqueResult {
@@ -232,10 +223,6 @@ impl ResolutionTechnique for SpeedtrapTechnique {
         "speedtrap"
     }
 
-    fn required_sources(&self) -> Vec<DataRequirement> {
-        vec![DataRequirement::LiveProbing]
-    }
-
     fn resolve(&self, data: &CampaignData, ctx: &TechniqueCtx<'_>) -> TechniqueResult {
         let FamilyTargets { ids, resolved } = ctx.targets.ipv6();
         let prober = IpidProber::new(IpidProberConfig {
@@ -278,10 +265,6 @@ pub struct IffinderTechnique;
 impl ResolutionTechnique for IffinderTechnique {
     fn name(&self) -> &'static str {
         "iffinder"
-    }
-
-    fn required_sources(&self) -> Vec<DataRequirement> {
-        vec![DataRequirement::LiveProbing]
     }
 
     fn resolve(&self, data: &CampaignData, ctx: &TechniqueCtx<'_>) -> TechniqueResult {
@@ -366,15 +349,12 @@ mod tests {
             Box::new(IffinderTechnique),
         ];
         for technique in &techniques {
-            assert_eq!(
-                technique.required_sources(),
-                vec![DataRequirement::LiveProbing]
-            );
             let result = technique.resolve(&data, &ctx);
             assert_eq!(result.technique, technique.name());
             let addrs = result.interner().addrs();
             let sets = result.compact_sets().iter();
             let precision = internet
+                .ground_truth()
                 .score_sets(sets.map(|set| set.ids().iter().map(|id| &addrs[id.index()])))
                 .precision();
             assert!(

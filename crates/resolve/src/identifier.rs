@@ -2,7 +2,7 @@
 //! application-layer identifiers (SSH host keys + capabilities, BGP OPEN
 //! fields, SNMPv3 engine IDs).
 
-use crate::technique::{DataRequirement, ResolutionTechnique, TechniqueCtx, TechniqueResult};
+use crate::technique::{ResolutionTechnique, TechniqueCtx, TechniqueResult};
 use alias_core::alias_set::group_view_by_source;
 use alias_core::extract::{ExtractionConfig, IdentifierExtractor};
 use alias_netsim::ServiceProtocol;
@@ -51,10 +51,6 @@ impl IdentifierTechnique {
 impl ResolutionTechnique for IdentifierTechnique {
     fn name(&self) -> &'static str {
         self.protocol.name()
-    }
-
-    fn required_sources(&self) -> Vec<DataRequirement> {
-        vec![DataRequirement::Observations(self.protocol)]
     }
 
     fn resolve(&self, data: &CampaignData, _ctx: &TechniqueCtx<'_>) -> TechniqueResult {
@@ -106,9 +102,6 @@ mod tests {
             let pass = result.groups().expect("identifier results keep their pass");
             assert_eq!(**pass, group_view_by_source(&view, &extractor));
             assert_eq!(result.finished_at, data.finished_at);
-            assert!(!technique
-                .required_sources()
-                .contains(&DataRequirement::LiveProbing));
             assert_ne!(result.set_count(), 0, "{}", technique.name());
             // The id space is the campaign's, shared — not copied.
             assert!(std::sync::Arc::ptr_eq(result.interner(), data.interner()));
@@ -116,13 +109,9 @@ mod tests {
     }
 
     #[test]
-    fn names_and_requirements() {
+    fn names() {
         assert_eq!(IdentifierTechnique::ssh().name(), "ssh");
         assert_eq!(IdentifierTechnique::bgp().name(), "bgp");
         assert_eq!(IdentifierTechnique::snmpv3().name(), "snmpv3");
-        assert_eq!(
-            IdentifierTechnique::ssh().required_sources(),
-            vec![DataRequirement::Observations(ServiceProtocol::Ssh)]
-        );
     }
 }

@@ -11,7 +11,6 @@
 //!
 //! * [`ResolutionTechnique`] — the trait every technique implements
 //!   ([`name`](ResolutionTechnique::name),
-//!   [`required_sources`](ResolutionTechnique::required_sources),
 //!   [`resolve`](ResolutionTechnique::resolve)), so all eight techniques
 //!   are interchangeable trait objects;
 //! * [`Resolver`] — a builder-style orchestrator
@@ -56,6 +55,4 @@ pub use identifier::IdentifierTechnique;
 pub use ratelimit::RateLimitTechnique;
 pub use report::{CoverageStats, ResolutionReport};
 pub use resolver::{Resolver, ResolverBuilder};
-pub use technique::{
-    canonical_sets, DataRequirement, ResolutionTechnique, TechniqueCtx, TechniqueResult,
-};
+pub use technique::{canonical_sets, ResolutionTechnique, TechniqueCtx, TechniqueResult};

@@ -24,7 +24,7 @@
 //! usable IPID counter or ICMP error source, the technique uniquely covers
 //! the simulator's `SilentRouter` population.
 
-use crate::technique::{DataRequirement, ResolutionTechnique, TechniqueCtx, TechniqueResult};
+use crate::technique::{ResolutionTechnique, TechniqueCtx, TechniqueResult};
 use alias_core::union_find::UnionFind;
 use alias_intern::{AddrId, CompactAliasSet};
 use alias_midar::midar::PAIR_SPACING;
@@ -71,23 +71,14 @@ const RECOVERY_ROOTS: usize = 3;
 /// The ICMP rate-limiting technique.
 ///
 /// Consumes the campaign's `IcmpRateLimit` observations and verifies
-/// signature clusters with live joint bursts, so it declares both
-/// [`DataRequirement::Observations`] and [`DataRequirement::LiveProbing`]
-/// — the resolver schedules it serially like the other probing
-/// techniques.
+/// signature clusters with live joint bursts: it probes, like the
+/// baselines.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct RateLimitTechnique;
 
 impl ResolutionTechnique for RateLimitTechnique {
     fn name(&self) -> &'static str {
         "ratelimit"
-    }
-
-    fn required_sources(&self) -> Vec<DataRequirement> {
-        vec![
-            DataRequirement::Observations(ServiceProtocol::IcmpRateLimit),
-            DataRequirement::LiveProbing,
-        ]
     }
 
     fn resolve(&self, data: &CampaignData, ctx: &TechniqueCtx<'_>) -> TechniqueResult {

@@ -203,9 +203,11 @@ mod tests {
         assert_eq!(report.techniques.len(), 3);
         assert!(!report.merged.is_empty());
         assert_eq!(report.coverage.merged_sets, report.merged.len());
-        let merged: std::collections::BTreeSet<_> =
-            report.merged.iter().flat_map(|set| &set.addrs).collect();
+        let merged: BTreeSet<_> = report.merged.iter().flat_map(|set| &set.addrs).collect();
         assert_eq!(report.coverage.merged_addresses, merged.len());
+        // Counted without a tree: the merged sets are a partition.
+        let members: usize = report.merged.iter().map(|set| set.addrs.len()).sum();
+        assert_eq!(members, merged.len());
         // 3 techniques -> 3 pairwise agreements.
         assert_eq!(report.coverage.agreements.len(), 3);
         assert!(report.technique("ssh").is_some());

@@ -13,26 +13,11 @@
 use crate::baselines::ProbeTargets;
 use alias_core::alias_set::SourceGroups;
 use alias_intern::{sort_canonical_compact, AddrId, AddrInterner, CompactAliasSet};
-use alias_netsim::{Internet, ServiceProtocol, SimTime, VantageKind};
+use alias_netsim::{Internet, SimTime, VantageKind};
 use alias_scan::{CampaignData, DataSource};
 use std::collections::BTreeSet;
 use std::net::IpAddr;
 use std::sync::Arc;
-
-/// What a technique consumes, declared up front so callers can check a
-/// campaign before running it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DataRequirement {
-    /// Service observations of one protocol from the campaign data.
-    Observations(ServiceProtocol),
-    /// Live follow-up probing against the measurement substrate (IPID /
-    /// fragment-identifier sampling, ICMP error elicitation).
-    ///
-    /// Probing advances shared per-device counter state.  The
-    /// [`Resolver`](crate::Resolver) runs *every* technique one at a time,
-    /// in registration order, so probes always replay in the same order.
-    LiveProbing,
-}
 
 /// Read-only context a technique resolves against: the measurement
 /// substrate for follow-up probing and where and when to probe it from.
@@ -244,9 +229,6 @@ pub fn canonical_sets<T: Ord>(mut sets: Vec<BTreeSet<T>>) -> Vec<BTreeSet<T>> {
 pub trait ResolutionTechnique: Send + Sync {
     /// Short lowercase name, used as the merge label and in reports.
     fn name(&self) -> &'static str;
-
-    /// The data sources the technique consumes.
-    fn required_sources(&self) -> Vec<DataRequirement>;
 
     /// Resolve alias sets from campaign data (and, for probing techniques,
     /// follow-up measurements against `ctx.internet`).

@@ -392,10 +392,9 @@ mod tests {
                 dedicated job — CI keeps the tiny- and paper-scale parity tests"]
     fn sharded_campaign_is_byte_identical_to_serial_at_large_scale() {
         // The same guarantee as `sharded_campaign_is_byte_identical_to_serial`
-        // at the `ALIAS_SCALE=large` tier: the scratch-pool reuse, batched
-        // schedule fast-forwards and hardware-capped shard counts must not
-        // leak into the output even when the routed space runs to millions
-        // of probes.
+        // at the `ALIAS_SCALE=large` tier: the dealt pacing schedules and
+        // hardware-capped shard counts must not leak into the output even
+        // when the routed space runs to millions of probes.
         use alias_netsim::ScalePreset;
         let seed = 20230418;
         let internet =

@@ -60,22 +60,6 @@ static SHARDS_EXECUTED: LazyCounter = LazyCounter::new(
     "exec",
 );
 
-/// `ScratchPool::take` calls served from a returned buffer.
-static SCRATCH_HITS: LazyCounter = LazyCounter::new(
-    "exec.scratch_pool_hits",
-    DeterminismClass::Timing,
-    "takes",
-    "exec",
-);
-
-/// `ScratchPool::take` calls that had to allocate a fresh buffer.
-static SCRATCH_MISSES: LazyCounter = LazyCounter::new(
-    "exec.scratch_pool_misses",
-    DeterminismClass::Timing,
-    "takes",
-    "exec",
-);
-
 /// The number of hardware threads available, with a safe fallback of 1.
 pub(crate) fn available_parallelism() -> usize {
     std::thread::available_parallelism()
@@ -106,59 +90,6 @@ pub(crate) fn shards_for(threads: usize) -> usize {
         return 1;
     }
     threads.min(available_parallelism()) * SHARDS_PER_THREAD
-}
-
-/// A pool of reusable scratch buffers shared by shard workers.
-///
-/// Shard jobs that need transient working memory (a probe-response buffer, a
-/// staging vector) would otherwise allocate it once per *shard*; the pool
-/// caps that at once per *worker* by letting each job [`take`](Self::take) a
-/// buffer at shard start and [`put`](Self::put) it back at shard end.
-///
-/// Determinism: a pooled buffer carries no data between shards — `take`
-/// hands out either a fresh `T::default()` or a buffer that a previous shard
-/// explicitly returned, and callers must clear/overwrite it before reading
-/// (the `Vec` idiom: `buf.clear()` then fill).  Which physical buffer a
-/// shard receives affects capacity only, never contents, so shard results
-/// stay pure functions of the shard index.
-pub(crate) struct ScratchPool<T> {
-    free: Mutex<Vec<T>>,
-}
-
-impl<T: Default> ScratchPool<T> {
-    /// Create an empty pool.
-    pub(crate) fn new() -> Self {
-        ScratchPool {
-            free: Mutex::new(Vec::new()),
-        }
-    }
-
-    /// Take a scratch buffer: a previously returned one if available,
-    /// otherwise `T::default()`.  Contents are unspecified — clear before
-    /// use.
-    pub(crate) fn take(&self) -> T {
-        match self.free.lock().pop() {
-            Some(buffer) => {
-                SCRATCH_HITS.incr();
-                buffer
-            }
-            None => {
-                SCRATCH_MISSES.incr();
-                T::default()
-            }
-        }
-    }
-
-    /// Return a buffer to the pool for the next shard to reuse.
-    pub(crate) fn put(&self, buffer: T) {
-        self.free.lock().push(buffer);
-    }
-}
-
-impl<T: Default> Default for ScratchPool<T> {
-    fn default() -> Self {
-        Self::new()
-    }
 }
 
 /// Thread count from the `ALIAS_THREADS` environment variable.
@@ -352,39 +283,6 @@ mod tests {
     }
 
     #[test]
-    fn scratch_pool_reuses_returned_buffers() {
-        let pool: ScratchPool<Vec<u32>> = ScratchPool::new();
-        let mut a = pool.take();
-        assert!(a.is_empty());
-        a.extend([1, 2, 3]);
-        let capacity = a.capacity();
-        pool.put(a);
-        // The returned buffer comes back (capacity preserved); callers clear
-        // it before use.
-        let mut b = pool.take();
-        b.clear();
-        assert!(b.capacity() >= capacity);
-        // The pool is empty again, so a second take allocates fresh.
-        let c = pool.take();
-        assert!(c.is_empty() && c.capacity() == 0);
-    }
-
-    #[test]
-    fn scratch_pool_is_safe_from_shard_workers() {
-        let pool: ScratchPool<Vec<usize>> = ScratchPool::new();
-        let results = shard_map(64, 8, |shard| {
-            let mut buf = pool.take();
-            buf.clear();
-            buf.extend(0..shard);
-            let sum: usize = buf.iter().sum();
-            pool.put(buf);
-            sum
-        });
-        let expected: Vec<usize> = (0..64).map(|s| (0..s).sum()).collect();
-        assert_eq!(results, expected);
-    }
-
-    #[test]
     fn shard_jobs_count_into_the_callers_registry() {
         static JOBS: LazyCounter = LazyCounter::new(
             "test.exec.jobs",
@@ -394,9 +292,6 @@ mod tests {
         );
         let caller = std::thread::current().id();
         let elsewhere = shard_map(8, 2, |_| {
-            let pool: ScratchPool<Vec<u8>> = ScratchPool::new();
-            pool.put(pool.take());
-            let _reused = pool.take();
             JOBS.incr();
             std::thread::current().id() != caller
         });
@@ -409,10 +304,7 @@ mod tests {
             .iter()
             .map(|c| (c.name, c.value))
             .collect();
-        let mut expected = vec![
-            ("exec.scratch_pool_hits", 8),
-            ("exec.scratch_pool_misses", 8),
-        ];
+        let mut expected = Vec::new();
         if pooled {
             expected.extend([("exec.shard_map_calls", 1), ("exec.shards_executed", 8)]);
         }

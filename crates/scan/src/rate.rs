@@ -7,6 +7,7 @@
 //! time) a measurement campaign takes — which in turn interacts with churn.
 
 use alias_netsim::SimTime;
+use std::ops::Range;
 
 /// A token bucket that hands out send times.
 ///
@@ -75,40 +76,15 @@ impl TokenBucket {
         at
     }
 
-    /// Replay `probes` acquires, feeding each send time back as the next
-    /// call's `now` — exactly the pacing loop every scanner runs.  Returns
-    /// the last send time (`now` unchanged when `probes == 0`).
-    ///
-    /// This is the shard fast-forward: cloning a bucket and advancing it to
-    /// a shard's first probe index reproduces, probe for probe, the
-    /// timestamps the serial scan would have assigned to that shard.
-    ///
-    /// The replay is batched per *send time*, not per probe.  In the
-    /// self-clocked loop every float operation of [`Self::acquire`] other
-    /// than the token decrement is a no-op between two probes that share a
-    /// timestamp (elapsed time is zero, so the refill adds `0.0` and the
-    /// `min` clamp returns the unchanged value), and consecutive `- 1.0`
-    /// steps on a token count below the 64-probe capacity cap are exact in
-    /// f64 — so draining `floor(tokens)` probes in one subtraction lands on
-    /// bit-identical state.  That turns the O(probes) replay into
-    /// O(distinct send times): at 200k pps a million-probe fast-forward
-    /// collapses from a million acquires to ~5k batch steps.
-    pub(crate) fn advance(&mut self, now: SimTime, probes: u64) -> SimTime {
-        let mut now = now;
-        let mut remaining = probes;
-        while remaining > 0 {
-            let (at, available) = self.ready(now);
-            let burst = available.min(remaining);
-            self.tokens -= burst as f64;
-            remaining -= burst;
-            now = at;
-        }
-        now
-    }
-
     /// One batched step of the self-clocked schedule: the time of the next
-    /// probe group and how many probes share it.  Same float trajectory as
-    /// the per-probe loop (see [`Self::advance`]); the caller (a
+    /// probe group and how many probes share it, drained in one
+    /// subtraction.  Same float trajectory as the per-probe loop: between
+    /// two probes that share a send time every float operation of
+    /// [`Self::acquire`] but the token decrement is a no-op (no time
+    /// elapses, so the refill adds `0.0` and the `min` clamp returns the
+    /// value unchanged), and `- 1.0` steps on a token count below the
+    /// 64-probe capacity cap are exact in f64, so draining `floor(tokens)`
+    /// at once lands on bit-identical state.  The caller (a
     /// [`ProbeSchedule`]) meters the group out probe by probe.
     fn schedule_group(&mut self, now: SimTime) -> (SimTime, u64) {
         let (at, available) = self.ready(now);
@@ -125,13 +101,14 @@ impl TokenBucket {
 /// sequence without per-probe float math: the bucket trajectory is advanced
 /// one *send-time group* at a time (all probes sharing a timestamp in one
 /// batch, bit-identical to the per-probe loop — see
-/// [`TokenBucket::advance`]), and [`next_send_time`](Self::next_send_time) just meters the
-/// current group out.  The hot path per probe is a counter decrement.
+/// `TokenBucket::schedule_group`), and
+/// [`next_send_time`](Self::next_send_time) just meters the current group
+/// out.  The hot path per probe is a counter decrement.
 ///
-/// [`skip`](Self::skip) fast-forwards the schedule over a probe range in
-/// O(distinct send times), which is what makes per-shard schedule hand-off
-/// cheap: a sharded scan clones the schedule, skips it to the shard's first
-/// probe index, and every worker resumes the serial pacing exactly.
+/// [`deal`](Self::deal) fast-forwards the schedule over each shard of a
+/// scan phase in O(distinct send times): every shard worker resumes the
+/// serial pacing exactly, and the phase's finish time is where the replay
+/// ends.  At 200k pps a million-probe fast-forward is ~5k batch steps.
 #[derive(Debug, Clone)]
 pub(crate) struct ProbeSchedule {
     bucket: TokenBucket,
@@ -168,9 +145,32 @@ impl ProbeSchedule {
         self.group_time
     }
 
+    /// Deal the schedule of `(rate_pps, capacity, start)` out over a phase
+    /// whose shards take the contiguous probe ranges `shards`, in order:
+    /// shard `i` gets the schedule after every probe of shards `0..i`.
+    /// With it, the send time of the phase's last probe (`start` if there
+    /// is none) — the one pacing replay of every scan phase.
+    pub(crate) fn deal(
+        rate_pps: f64,
+        capacity: f64,
+        start: SimTime,
+        shards: &[Range<u64>],
+    ) -> (Vec<ProbeSchedule>, SimTime) {
+        let mut boundary = ProbeSchedule::new(rate_pps, capacity, start);
+        let starts = shards
+            .iter()
+            .map(|range| {
+                let state = boundary.clone();
+                boundary.skip(range.end - range.start);
+                state
+            })
+            .collect();
+        (starts, boundary.now)
+    }
+
     /// Fast-forward the schedule past `probes` sends, as if
     /// [`next_send_time`](Self::next_send_time) had been called that many times.
-    pub(crate) fn skip(&mut self, probes: u64) {
+    fn skip(&mut self, probes: u64) {
         let mut remaining = probes;
         while remaining > 0 {
             if self.group_left == 0 {
@@ -238,27 +238,6 @@ mod tests {
         assert!(last.as_secs() >= 4 && last.as_secs() <= 6, "took {last:?}");
     }
 
-    #[test]
-    fn advance_matches_the_manual_acquire_loop() {
-        for (rate, capacity, probes) in [(10.0, 2.0, 25u64), (1_000.0, 10.0, 500), (7.5, 1.0, 13)] {
-            let start = SimTime::ZERO;
-            // Manual loop, as the scanners run it.
-            let mut manual = TokenBucket::new(rate, capacity, start);
-            let mut now = start;
-            for _ in 0..probes {
-                now = manual.acquire(now);
-            }
-            // Fast-forward in one call, and in two stacked calls.
-            let mut forwarded = TokenBucket::new(rate, capacity, start);
-            assert_eq!(forwarded.advance(start, probes), now);
-            let mut split = TokenBucket::new(rate, capacity, start);
-            let mid = split.advance(start, probes / 2);
-            assert_eq!(split.advance(mid, probes - probes / 2), now);
-            // The bucket state also matches: the next probe lands identically.
-            assert_eq!(manual.acquire(now), forwarded.acquire(now));
-        }
-    }
-
     /// Campaign-relevant and adversarial `(rate, capacity)` corners: the
     /// four capacities the scanners actually use, sub-1000 pps rates that
     /// exercise fractional-millisecond waits, and rates far above 1000 pps
@@ -274,45 +253,6 @@ mod tests {
         (200_000.0, 64.0),
         (1_000_000.0, 64.0),
     ];
-
-    #[test]
-    fn advance_is_bit_identical_to_the_acquire_loop_across_configs() {
-        for &(rate, capacity) in SCHEDULE_CONFIGS {
-            let start = SimTime(17);
-            let probes = 1_800u64;
-            let mut manual = TokenBucket::new(rate, capacity, start);
-            let mut now = start;
-            let mut sends = Vec::with_capacity(probes as usize);
-            for _ in 0..probes {
-                now = manual.acquire(now);
-                sends.push(now);
-            }
-            // Single-shot fast-forward lands on the same final send time.
-            let mut forwarded = TokenBucket::new(rate, capacity, start);
-            assert_eq!(
-                forwarded.advance(start, probes),
-                now,
-                "advance diverged at rate={rate} capacity={capacity}"
-            );
-            // ...and on bit-identical internal state.
-            assert_eq!(forwarded.tokens.to_bits(), manual.tokens.to_bits());
-            assert_eq!(forwarded.last_ms.to_bits(), manual.last_ms.to_bits());
-            // Every split point is a valid hand-off: advance to the split,
-            // then replay the tail probe by probe — the tail timestamps
-            // must match the serial run exactly.
-            for split in [0, 1, 7, probes / 3, probes / 2, probes - 1, probes] {
-                let mut bucket = TokenBucket::new(rate, capacity, start);
-                let mut at = bucket.advance(start, split);
-                for expected in &sends[split as usize..] {
-                    at = bucket.acquire(at);
-                    assert_eq!(
-                        at, *expected,
-                        "split={split} diverged at rate={rate} capacity={capacity}"
-                    );
-                }
-            }
-        }
-    }
 
     #[test]
     fn probe_schedule_replays_the_acquire_loop_exactly() {
@@ -367,6 +307,33 @@ mod tests {
         assert_eq!(schedule.now, SimTime(9));
         let mut fresh = ProbeSchedule::new(100.0, 4.0, SimTime(9));
         assert_eq!(schedule.next_send_time(), fresh.next_send_time());
+    }
+
+    #[test]
+    fn a_dealt_schedule_resumes_each_shard_where_stepping_is() {
+        for &(rate, capacity) in SCHEDULE_CONFIGS {
+            let (start, probes) = (SimTime(3), 1_000u64);
+            let mut stepped = ProbeSchedule::new(rate, capacity, start);
+            let sends: Vec<SimTime> = (0..probes).map(|_| stepped.next_send_time()).collect();
+            for shards in [1, 2, 7, 64] {
+                let ranges = crate::exec::split_even(probes, shards);
+                let (starts, finished) = ProbeSchedule::deal(rate, capacity, start, &ranges);
+                assert_eq!(finished, sends[probes as usize - 1]);
+                for (range, mut schedule) in ranges.iter().zip(starts) {
+                    for expected in &sends[range.start as usize..range.end as usize] {
+                        assert_eq!(
+                            schedule.next_send_time(),
+                            *expected,
+                            "{shards} shards at rate={rate} capacity={capacity}"
+                        );
+                    }
+                }
+            }
+            // No probe: the phase ends where it starts.
+            let (starts, finished) = ProbeSchedule::deal(rate, capacity, start, &[]);
+            assert!(starts.is_empty());
+            assert_eq!(finished, start);
+        }
     }
 
     /// `ready` as it was before an on-time `now` was handed straight back:
@@ -432,15 +399,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn advance_zero_probes_is_identity() {
-        let mut bucket = TokenBucket::new(5.0, 1.0, SimTime::ZERO);
-        assert_eq!(
-            bucket.advance(SimTime::from_secs(3), 0),
-            SimTime::from_secs(3)
-        );
     }
 
     #[test]

@@ -113,7 +113,8 @@ pub(crate) fn scan(
     threads: usize,
 ) -> Vec<ShardColumns> {
     let ranges = crate::exec::split_even(targets.len() as u64, crate::exec::shards_for(threads));
-    let starts = schedule_starts(&ranges, start);
+    // Discovery is paced at the SYN sweep's rate.
+    let (starts, _) = ProbeSchedule::deal(crate::zmap::RATE_PPS, 32.0, start, &ranges);
     let shards = crate::exec::shard_map(ranges.len(), threads, |shard| {
         let range = &ranges[shard];
         let mut schedule = starts[shard].clone();
@@ -137,22 +138,6 @@ pub(crate) fn scan(
     shards
 }
 
-/// Deal the pacing schedule out at the shard boundaries: shard `i` receives
-/// the schedule state after every probe of shards `0..i`, batched per send
-/// time so the whole pass is cheap even when the sharded space runs to tens
-/// of millions of probes.  Discovery is paced at the SYN sweep's rate.
-fn schedule_starts(ranges: &[std::ops::Range<u64>], start: SimTime) -> Vec<ProbeSchedule> {
-    let mut boundary = ProbeSchedule::new(crate::zmap::RATE_PPS, 32.0, start);
-    ranges
-        .iter()
-        .map(|range| {
-            let state = boundary.clone();
-            boundary.skip(range.end - range.start);
-            state
-        })
-        .collect()
-}
-
 /// Probe every IPv4 address in the routed prefixes (the paper's
 /// Internet-wide SNMPv3 scan) with `threads` shard workers, returning
 /// per-shard column chunks in shard order.
@@ -169,7 +154,7 @@ pub fn scan_routed_space(
 ) -> Vec<ShardColumns> {
     let space = internet.routed_space();
     let ranges = crate::exec::split_even(space.len(), crate::exec::shards_for(threads));
-    let starts = schedule_starts(&ranges, start);
+    let (starts, _) = ProbeSchedule::deal(crate::zmap::RATE_PPS, 32.0, start, &ranges);
     let shards = crate::exec::shard_map(ranges.len(), threads, |shard| {
         let range = &ranges[shard];
         let mut schedule = starts[shard].clone();

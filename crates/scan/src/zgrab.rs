@@ -30,14 +30,13 @@ static GRAB_SESSIONS: LazyCounter = LazyCounter::new(
 const RATE_PPS: f64 = 50_000.0;
 
 /// The probe loop of one shard: one paced session attempt per target,
-/// drawing send times from `schedule`, capturing session bytes into the
-/// reusable `scratch` buffer, and pushing them through `columns`' scan door
-/// (the address is interned shard-locally as it is observed).  A session
-/// that does not parse leaves the shard exactly as it was.
+/// drawing send times from `schedule`, capturing session bytes into one
+/// buffer reused across the shard, and pushing them through `columns`' scan
+/// door (the address is interned shard-locally as it is observed).  A
+/// session that does not parse leaves the shard exactly as it was.
 ///
 /// Each target is resolved against the IP index exactly once; the probe
 /// dispatch and the ASN attribution reuse the resolved interface.
-#[allow(clippy::too_many_arguments)]
 fn grab_slice(
     internet: &Internet,
     targets: &[IpAddr],
@@ -45,20 +44,20 @@ fn grab_slice(
     protocol: ServiceProtocol,
     vantage: VantageKind,
     schedule: &mut ProbeSchedule,
-    scratch: &mut Vec<u8>,
     columns: &mut ShardColumns,
 ) {
+    let mut session = Vec::new();
     for &addr in targets {
         let now = schedule.next_send_time();
         let Some((device_id, iface_idx)) = internet.lookup(addr) else {
             continue;
         };
         let ctx = ProbeContext { vantage, time: now };
-        if !internet.service_session_into(device_id, iface_idx, port, &ctx, scratch) {
+        if !internet.service_session_into(device_id, iface_idx, port, &ctx, &mut session) {
             continue;
         }
         let asn = Some(internet.asn_at(device_id, iface_idx).0);
-        columns.push_session(addr, port, DataSource::Active, now, asn, protocol, scratch);
+        columns.push_session(addr, port, DataSource::Active, now, asn, protocol, &session);
     }
 }
 
@@ -86,26 +85,11 @@ pub fn grab(
 ) -> Vec<ShardColumns> {
     GRAB_SESSIONS.add(targets.len() as u64);
     let ranges = crate::exec::split_even(targets.len() as u64, crate::exec::shards_for(threads));
-    // Fast-forward the schedule through the shard boundaries so each
-    // worker resumes the pacing exactly where a single loop would be.  The
-    // skip is batched per send time, so dealing out all boundaries costs
-    // one serial pass over the schedule's *groups*, not its probes.
-    let mut boundary = ProbeSchedule::new(RATE_PPS, 32.0, start);
-    let starts: Vec<ProbeSchedule> = ranges
-        .iter()
-        .map(|range| {
-            let state = boundary.clone();
-            boundary.skip(range.end - range.start);
-            state
-        })
-        .collect();
-    let scratch_pool = crate::exec::ScratchPool::<Vec<u8>>::new();
-    let scratch_pool = &scratch_pool;
+    let (starts, _) = ProbeSchedule::deal(RATE_PPS, 32.0, start, &ranges);
     crate::exec::shard_map(ranges.len(), threads, |shard| {
         let range = &ranges[shard];
         let mut schedule = starts[shard].clone();
         let mut columns = ShardColumns::with_capacity((range.end - range.start) as usize);
-        let mut scratch = scratch_pool.take();
         grab_slice(
             internet,
             &targets[range.start as usize..range.end as usize],
@@ -113,10 +97,8 @@ pub fn grab(
             protocol,
             vantage,
             &mut schedule,
-            &mut scratch,
             &mut columns,
         );
-        scratch_pool.put(scratch);
         columns
     })
 }

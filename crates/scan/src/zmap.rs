@@ -11,7 +11,7 @@
 //! minority is ever turned into an address.
 
 use crate::permute::IndexPermutation;
-use crate::rate::TokenBucket;
+use crate::rate::ProbeSchedule;
 use alias_netsim::{Internet, ProbeContext, SimTime, SynResult, VantageKind};
 use alias_obs::{DeterminismClass, LazyCounter};
 use std::net::{IpAddr, Ipv6Addr};
@@ -120,9 +120,13 @@ fn assemble_results(
         }
     }
     // Replay the serial pacing schedule to land on the identical finish
-    // time (the bucket is a pure function of the probe count).
-    let mut bucket = TokenBucket::new(RATE_PPS, 64.0, start);
-    let finished_at = bucket.advance(start, probes_sent);
+    // time (the schedule is a pure function of the probe count).
+    let (_, finished_at) = ProbeSchedule::deal(
+        RATE_PPS,
+        64.0,
+        start,
+        std::slice::from_ref(&(0..probes_sent)),
+    );
     PROBES_EMITTED.add(probes_sent);
     RESPONSIVE_PAIRS.add(responsive.iter().map(|addrs| addrs.len() as u64).sum());
     PACING_SIM_MS.add(finished_at.since(start).as_millis());

@@ -41,10 +41,11 @@
 //! fingerprint; the other five lists in wire order.  The literals are in no
 //! field.  The dictionary is per chunk because chunks are written once and
 //! then only moved or shared: joining two stores never rewrites a record.
-//! A pushed SSH payload finds its entry without being encoded: while the
-//! dictionary is small, by comparing its flags, end offsets and field bytes
-//! with each entry in turn; past `PROFILE_WALK_LIMIT` (32) entries, by a keyed
-//! hash ([`SshProfiles`] says why both are safe against crafted banners).
+//! A pushed SSH payload finds its entry without being encoded, by comparing
+//! its flags, end offsets and field bytes with each entry in turn.  A chunk
+//! holds at most `PROFILES_PER_CHUNK` (32) profiles: a payload whose profile
+//! would be the 33rd goes to a new chunk, so the walk is bounded whatever
+//! the banners are ([`SshProfiles`]).
 //! A session pushed through the scan door whose banner and KEXINIT bytes,
 //! cookie aside, repeat ones its writer parsed does not look its entry up
 //! at all (`SessionMemo`).
@@ -59,8 +60,6 @@ use alias_wire::ssh::{
     Banner, BannerRef, HostKeyAlgorithm, HostKeyRef, KexInit, KexInitRef, NameListRef,
     SshObservationRef, SshPacket,
 };
-use std::collections::{HashMap, HashSet};
-use std::hash::BuildHasher;
 use std::net::Ipv4Addr;
 use std::sync::Arc;
 
@@ -445,13 +444,10 @@ fn write_ssh_record(
     out.extend_from_slice(key_material);
 }
 
-/// End of an equal-hash chain in [`SshProfiles`].
-const NO_NEXT: u32 = u32::MAX;
-
-/// Profiles a chunk's dictionary holds while [`SshProfiles`] looks a
-/// profile up by walking every entry: past this many, by the keyed hash.
-/// A paper-scale chunk holds at most 18.
-const PROFILE_WALK_LIMIT: usize = 32;
+/// Profiles a chunk's dictionary holds at most: a payload whose profile
+/// would be one more goes to a new chunk.  A paper-scale chunk holds at
+/// most 9.
+const PROFILES_PER_CHUNK: usize = 32;
 
 /// The SSH profiles of one chunk's records — banner and KEXINIT name-lists,
 /// laid out as the module's table says — each kept once, in the order the
@@ -459,50 +455,42 @@ const PROFILE_WALK_LIMIT: usize = 32;
 ///
 /// A session at the scan door whose banner and KEXINIT repeat, cookie
 /// aside, one its shard parsed reuses that parse's index and never comes
-/// here (`SessionMemo`); the row door and the memo's misses do.  A chunk
-/// holds a handful of profiles, so while it holds at most
-/// `PROFILE_WALK_LIMIT` (32), `push` finds one by walking the entries and
-/// comparing each with the candidate's fields in place — flags and end
-/// offsets first, then the field bytes — with nothing encoded or hashed.
-/// A miss, or a larger dictionary, encodes the candidate where a new entry
-/// goes, looks it up by a randomly keyed SipHash of its bytes and confirms
-/// every hit byte for byte.  Every new entry enters the hash table, so
-/// passing the limit needs no rebuild.  Banners and name-lists are
-/// attacker-supplied: every hit either way is a full compare, so crafted
-/// KEXINITs cannot merge two profiles, and the walk is bounded by the
-/// constant with the keyed hash beyond it, so they cannot make the lookup
-/// quadratic either.
+/// here (`SessionMemo`); the row door and the memo's misses do.  A lookup
+/// walks the entries and compares each with the candidate's fields in
+/// place — flags and end offsets first, then the field bytes — with
+/// nothing encoded or hashed.  Banners and name-lists are
+/// attacker-supplied: every hit is a full compare, so crafted KEXINITs
+/// cannot merge two profiles, and a dictionary holds at most
+/// `PROFILES_PER_CHUNK` (32) entries, so they cannot make the lookup
+/// quadratic either: the arena opens a new chunk for a profile that finds
+/// the dictionary full.
 #[derive(Debug, Clone, Default)]
 pub struct SshProfiles {
     /// The entries, back to back.
     bytes: Vec<u8>,
-    /// Per entry: where it ends in `bytes`, and the next older entry with
-    /// the same hash.
-    entries: Vec<(usize, u32)>,
-    /// Keyed hash of an entry's bytes (under this map's own key) → the
-    /// newest entry with that hash.
-    heads: HashMap<u64, u32>,
+    /// Where each entry ends in `bytes`.
+    ends: Vec<usize>,
 }
 
 impl SshProfiles {
     /// Number of profiles.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.ends.len()
     }
 
     /// Whether the dictionary holds no profile.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.ends.is_empty()
     }
 
     /// The bytes of entry `index`; `None` if there is none, or the offsets
     /// do not fit the bytes.
     fn entry(&self, index: usize) -> Option<&[u8]> {
         let start = match index.checked_sub(1) {
-            Some(before) => self.entries.get(before)?.0,
+            Some(before) => *self.ends.get(before)?,
             None => 0,
         };
-        self.bytes.get(start..self.entries.get(index)?.0)
+        self.bytes.get(start..*self.ends.get(index)?)
     }
 
     /// Entry `index` read in place; `None` if there is none or it is
@@ -512,48 +500,43 @@ impl SshProfiles {
         Some(Profile { header, data })
     }
 
-    /// The index of the profile of `banner` and `name_lists`, added if new.
-    fn intern(&mut self, banner: BannerRef<'_>, name_lists: Option<[NameListRef<'_>; 10]>) -> u32 {
+    /// The index of the profile of `banner` and `name_lists`, added if new;
+    /// `None` if it is new and the dictionary full.
+    fn intern(
+        &mut self,
+        banner: BannerRef<'_>,
+        name_lists: Option<[NameListRef<'_>; 10]>,
+    ) -> Option<u32> {
         let (header, fields) = profile_layout(banner, name_lists);
-        if self.entries.len() <= PROFILE_WALK_LIMIT {
-            let mut start = 0;
-            for (index, &(end, _)) in self.entries.iter().enumerate() {
-                if is_entry_of(&self.bytes[start..end], &header, &fields) {
-                    return index as u32;
-                }
-                start = end;
+        let mut start = 0;
+        for (index, &end) in self.ends.iter().enumerate() {
+            if is_entry_of(&self.bytes[start..end], &header, &fields) {
+                return Some(index as u32);
             }
+            start = end;
         }
-        // Written where a new entry goes, and taken back on a hit.
-        let start = self.bytes.len();
+        if self.ends.len() == PROFILES_PER_CHUNK {
+            return None;
+        }
         write_profile(&header, &fields, &mut self.bytes);
-        let hash = self.heads.hasher().hash_one(&self.bytes[start..]);
-        let mut at = self.heads.get(&hash).copied().unwrap_or(NO_NEXT);
-        while at != NO_NEXT {
-            if self.entry(at as usize) == Some(&self.bytes[start..]) {
-                self.bytes.truncate(start);
-                return at;
-            }
-            at = self.entries[at as usize].1;
-        }
-        let index = u32::try_from(self.entries.len())
-            .ok()
-            .filter(|&index| index != NO_NEXT)
-            .expect("fewer than 2^32 - 1 SSH profiles in a chunk");
-        let next = self.heads.insert(hash, index).unwrap_or(NO_NEXT);
-        self.entries.push((self.bytes.len(), next));
-        index
+        self.ends.push(self.bytes.len());
+        Some(self.ends.len() as u32 - 1)
     }
 
-    /// Check every entry: offsets in order and closing on the last byte,
-    /// each the exact bytes its own decoded profile encodes to, none a
-    /// repeat of another.
+    /// Check every entry: at most `PROFILES_PER_CHUNK` of them, offsets in
+    /// order and closing on the last byte, each the exact bytes its own
+    /// decoded profile encodes to, none a repeat of another.
     fn validate(&self) -> Result<(), String> {
+        if self.ends.len() > PROFILES_PER_CHUNK {
+            return Err(format!(
+                "{} entries, past the bound of {PROFILES_PER_CHUNK}",
+                self.ends.len()
+            ));
+        }
         let len = self.bytes.len();
         let mut from = 0;
-        let mut seen = HashSet::new();
         let mut again = Vec::new();
-        for (index, &(end, _)) in self.entries.iter().enumerate() {
+        for (index, &end) in self.ends.iter().enumerate() {
             if end < from || end > len {
                 return Err(format!(
                     "entry {index} at {from}..{end} of {len} dictionary bytes"
@@ -568,7 +551,7 @@ impl SshProfiles {
             }) {
                 return Err(format!("entry {index} is not a profile"));
             }
-            if !seen.insert(entry) {
+            if (0..index).any(|before| self.entry(before) == Some(entry)) {
                 return Err(format!("entry {index} repeats an earlier one"));
             }
             from = end;
@@ -867,17 +850,12 @@ impl<'a> PayloadRef<'a> {
         }
     }
 
-    /// Append the payload's record to `out`, an SSH payload's profile
-    /// interned into `profiles`, the dictionary beside `out`: the one
-    /// encoder.
-    fn encode(self, profiles: &mut SshProfiles, out: &mut Vec<u8>) {
+    /// Append the payload's record to `out`, an SSH payload's naming entry
+    /// `profile` of the dictionary beside `out` (other payloads ignore it):
+    /// the one encoder.
+    fn encode(self, profile: u32, out: &mut Vec<u8>) {
         match self {
-            PayloadRef::Ssh(ssh) => {
-                let parts = ssh.parts();
-                let name_lists = parts.kex_init.map(|kex| kex.name_lists);
-                let profile = profiles.intern(parts.banner, name_lists);
-                encode_ssh_record(parts, profile, out);
-            }
+            PayloadRef::Ssh(ssh) => encode_ssh_record(ssh.parts(), profile, out),
             PayloadRef::Bgp {
                 open,
                 notification_seen,
@@ -1007,9 +985,9 @@ fn parse_ssh(bytes: &[u8]) -> Option<(SshObservationRef<'_>, Option<(usize, usiz
 
 /// Bytes a [`SessionMemo`] keeps its prefixes in: room for 32 of 1 KiB (a
 /// paper-scale prefix is under 700 bytes).
-const MEMO_BYTES: usize = PROFILE_WALK_LIMIT << 10;
+const MEMO_BYTES: usize = PROFILES_PER_CHUNK << 10;
 
-/// The wire prefixes of at most `PROFILE_WALK_LIMIT` (32) SSH sessions a
+/// The wire prefixes of at most `PROFILES_PER_CHUNK` (32) SSH sessions a
 /// writer parsed in full, with what each decided: its profile's index in
 /// the chunk being written and `first_kex_packet_follows`.  Parsing is a
 /// function of the bytes and the cookie is carried, not read, so a session
@@ -1023,7 +1001,7 @@ pub(crate) struct SessionMemo {
     prefixes: Vec<u8>,
     /// Per prefix: its end in `prefixes`, its cookie's offset in it, its
     /// profile index and `first_kex_packet_follows`.
-    entries: [(usize, usize, u32, bool); PROFILE_WALK_LIMIT],
+    entries: [(usize, usize, u32, bool); PROFILES_PER_CHUNK],
     len: usize,
     /// Sessions parsed in full because no prefix matched.
     pub(crate) misses: u64,
@@ -1052,7 +1030,7 @@ impl SessionMemo {
 
     /// Keep `prefix` and what it decided, if there is room.
     fn remember(&mut self, prefix: &[u8], cookie_at: usize, profile: u32, follows: bool) {
-        if self.len < PROFILE_WALK_LIMIT && self.prefixes.len() + prefix.len() <= MEMO_BYTES {
+        if self.len < PROFILES_PER_CHUNK && self.prefixes.len() + prefix.len() <= MEMO_BYTES {
             self.prefixes
                 .reserve_exact(MEMO_BYTES - self.prefixes.len());
             self.prefixes.extend_from_slice(prefix);
@@ -1166,11 +1144,34 @@ impl PayloadArena {
     }
 
     /// Append one payload's record: to the last chunk while no other arena
-    /// shares it, to a new one otherwise.
+    /// shares it and, for SSH, its dictionary holds or has room for the
+    /// profile; to a new one otherwise.
     pub(crate) fn push(&mut self, payload: PayloadRef<'_>) {
-        let (_, chunk) = self.open_chunk();
-        payload.encode(&mut chunk.profiles, &mut chunk.bytes);
+        let (_, chunk, profile) = match payload {
+            PayloadRef::Ssh(ssh) => self.intern(ssh.parts()),
+            _ => {
+                let (count, chunk) = self.open_chunk();
+                (count, chunk, 0)
+            }
+        };
+        payload.encode(profile, &mut chunk.bytes);
         chunk.ends.push(chunk.bytes.len());
+    }
+
+    /// The chunk an SSH record of `ssh` goes to, with the number of chunks
+    /// and the index of its profile in that chunk's dictionary: the open
+    /// chunk ([`Self::open_chunk`]), or a new one if its dictionary is full
+    /// without the profile.
+    fn intern(&mut self, ssh: SshObservationRef<'_>) -> (usize, &mut Chunk, u32) {
+        let name_lists = ssh.kex_init.map(|kex| kex.name_lists);
+        let (_, chunk) = self.open_chunk();
+        let tried = chunk.profiles.intern(ssh.banner, name_lists);
+        if tried.is_none() {
+            self.chunks.push((self.len(), Arc::default()));
+        }
+        let (count, chunk) = self.open_chunk();
+        let profile = tried.or_else(|| chunk.profiles.intern(ssh.banner, name_lists));
+        (count, chunk, profile.expect("an empty dictionary has room"))
     }
 
     /// The chunk records go to — the last while no other arena shares it, a
@@ -1191,7 +1192,8 @@ impl PayloadArena {
     /// Parse `session` as a `protocol` session and append its record, the
     /// one [`PayloadRef::parse`] and [`Self::push`] give; whether it
     /// parsed.  An SSH session that repeats a prefix of `memo` is written
-    /// from it; any other is parsed in full and its prefix memoised.
+    /// from it; any other is parsed in full and its prefix memoised, the
+    /// memo bound first to the chunk the record went to.
     pub(crate) fn push_session(
         &mut self,
         memo: &mut SessionMemo,
@@ -1218,9 +1220,12 @@ impl PayloadArena {
         let Some((ssh, prefix)) = parse_ssh(session) else {
             return false;
         };
-        let profile = (chunk.profiles).intern(ssh.banner, ssh.kex_init.map(|kex| kex.name_lists));
+        let (count, chunk, profile) = self.intern(ssh);
         encode_ssh_record(ssh, profile, &mut chunk.bytes);
         chunk.ends.push(chunk.bytes.len());
+        // The memo's indices are of the chunk the record went to: a new one
+        // if the open chunk's dictionary was full.
+        memo.bind(count);
         if let (Some((cookie_at, end)), Some(kex)) = (prefix, ssh.kex_init) {
             let follows = kex.first_kex_packet_follows;
             memo.remember(&session[..end], cookie_at, profile, follows);
@@ -1281,10 +1286,10 @@ impl PayloadArena {
     /// Check the arena against the protocol column: the chunk table lists
     /// each chunk at the row the ones before it end on, none but the last
     /// empty; every chunk's end offsets non-decreasing and the last one its
-    /// buffer's length; every chunk's profile dictionary sound
-    /// ([`SshProfiles`]'s own check); and every record the exact bytes its
-    /// own decoded payload encodes to, an SSH record's profile index naming
-    /// an entry of its chunk's dictionary.
+    /// buffer's length; every chunk's profile dictionary sound and within
+    /// its bound ([`SshProfiles`]'s own check); and every record the exact
+    /// bytes its own decoded payload encodes to, an SSH record's profile
+    /// index naming an entry of its chunk's dictionary.
     pub(crate) fn validate(&self, protocols: &[ServiceProtocol]) -> Result<(), String> {
         let mut first_row = 0;
         for (at, (start, chunk)) in self.chunks.iter().enumerate() {
@@ -1317,8 +1322,6 @@ impl PayloadArena {
             first_row += rows;
         }
         let mut again = Vec::new();
-        // Only SSH payloads intern a profile, and those are encoded below.
-        let mut unused = SshProfiles::default();
         for (row, ((record, profiles), &tag)) in self.records().zip(protocols).enumerate() {
             again.clear();
             let sound = match PayloadRef::decode(tag, record, profiles) {
@@ -1327,7 +1330,7 @@ impl PayloadArena {
                     again == record
                 }),
                 Some(payload) => {
-                    payload.encode(&mut unused, &mut again);
+                    payload.encode(0, &mut again);
                     again == record
                 }
                 None => false,
@@ -1457,11 +1460,11 @@ mod tests {
             },
             notification_seen: false,
         };
-        let mut profiles = SshProfiles::default();
+        let profiles = SshProfiles::default();
         let mut from_wire = Vec::new();
-        open(BgpParams::Wire(wire)).encode(&mut profiles, &mut from_wire);
+        open(BgpParams::Wire(wire)).encode(0, &mut from_wire);
         let mut from_list = Vec::new();
-        open(BgpParams::List(&owned)).encode(&mut profiles, &mut from_list);
+        open(BgpParams::List(&owned)).encode(0, &mut from_list);
         assert_eq!(from_wire, from_list);
         let stored = PayloadRef::decode(ServiceProtocol::Bgp, &from_wire, &profiles).unwrap();
         let PayloadRef::Bgp { open: stored, .. } = stored else {
@@ -1471,9 +1474,8 @@ mod tests {
         assert_eq!(stored.to_owned().optional_parameters, owned);
         assert_eq!(stored.effective_asn(), 396_982);
         let mut from_record = Vec::new();
-        open(stored.params).encode(&mut SshProfiles::default(), &mut from_record);
+        open(stored.params).encode(0, &mut from_record);
         assert_eq!(from_record, from_wire);
-        assert!(profiles.is_empty(), "a BGP payload interns no profile");
     }
 
     /// Chunk `at` of `arena`, to break: copied first if another arena
@@ -1584,7 +1586,7 @@ mod tests {
         let first = dictionary.entry(0).unwrap().to_vec();
         dictionary.bytes.truncate(first_len);
         dictionary.bytes.extend_from_slice(&first);
-        dictionary.entries[1].0 = 2 * first_len;
+        dictionary.ends[1] = 2 * first_len;
         assert!(drift(&broken).contains("ssh profile drift in chunk 0: entry 1 repeats"));
 
         // Truncated entries: short of their table, short of their fields,
@@ -1593,8 +1595,8 @@ mod tests {
             let mut broken = arena.clone();
             let dictionary = profiles(&mut broken);
             dictionary.bytes.drain(keep..first_len);
-            dictionary.entries[0].0 = keep;
-            dictionary.entries[1].0 -= first_len - keep;
+            dictionary.ends[0] = keep;
+            dictionary.ends[1] -= first_len - keep;
             assert!(
                 drift(&broken).contains("entry 0 is not a profile"),
                 "{keep}"
@@ -1734,44 +1736,80 @@ mod tests {
         }))
     }
 
+    /// The dictionary entry of `payload`, an SSH payload.
+    fn entry_of(payload: PayloadRef<'_>) -> Vec<u8> {
+        let PayloadRef::Ssh(ssh) = payload else {
+            unreachable!("an SSH payload")
+        };
+        let parts = ssh.parts();
+        let mut entry = Vec::new();
+        encode_profile(
+            parts.banner,
+            parts.kex_init.map(|kex| kex.name_lists),
+            &mut entry,
+        );
+        entry
+    }
+
+    /// Check what an arena promises of its dictionaries, whoever wrote it:
+    /// every row reads back as `rows` has it and `validate` passes; every
+    /// chunk's dictionary holds at most `PROFILES_PER_CHUNK` entries, in the
+    /// order the chunk's SSH records first name them, each named.
+    fn assert_bounded_and_first_seen(arena: &PayloadArena, rows: &[ServicePayload]) {
+        let tags = tags(rows);
+        assert_eq!(arena.validate(&tags), Ok(()));
+        for (row, payload) in rows.iter().enumerate() {
+            assert_eq!(&arena.get(row, tags[row]).to_owned(), payload);
+        }
+        for (start, chunk) in &arena.chunks {
+            assert!(chunk.profiles.len() <= PROFILES_PER_CHUNK);
+            let mut named = 0;
+            for row in (0..chunk.ends.len()).filter(|row| tags[start + row] == ServiceProtocol::Ssh)
+            {
+                let (header, _) = chunk.record(row).split_first_chunk().unwrap();
+                let index = profile_index(header);
+                assert!(
+                    index <= named,
+                    "row {} names entry {index} of {named}",
+                    start + row
+                );
+                named += usize::from(index == named);
+            }
+            assert_eq!(named, chunk.profiles.len());
+        }
+    }
+
     /// Push `profiles[order[i]]` as row `i` into one arena, and check that
-    /// every row's profile index is where a first-seen map of the profiles'
-    /// entry bytes puts it, that every row reads back, and `validate`.
+    /// every row goes to the chunk, and names the entry, where a first-seen
+    /// map of the profiles' entry bytes puts it — one map per chunk, a new
+    /// chunk for a profile that finds the map full — and
+    /// [`assert_bounded_and_first_seen`].
     fn pushes_like_a_first_seen_map(profiles: &[[String; PROFILE_FIELDS]], order: &[usize]) {
         let keys: Vec<[u8; 4]> = (0..order.len()).map(|n| (n as u32).to_le_bytes()).collect();
         let rows: Vec<PayloadRef<'_>> = (order.iter().zip(&keys))
             .map(|(&profile, key)| lent(&profiles[profile], key))
             .collect();
         let mut arena = PayloadArena::default();
-        let mut first_seen: HashMap<Vec<u8>, u32> = HashMap::new();
+        let mut first_seen: std::collections::HashMap<Vec<u8>, usize> = Default::default();
+        let mut chunks = 1;
         for row in &rows {
             arena.push(*row);
-            let PayloadRef::Ssh(ssh) = row else {
-                unreachable!("lent rows are SSH")
-            };
-            let parts = ssh.parts();
-            let mut entry = Vec::new();
-            encode_profile(
-                parts.banner,
-                parts.kex_init.map(|kex| kex.name_lists),
-                &mut entry,
-            );
-            let next = first_seen.len() as u32;
+            let entry = entry_of(*row);
+            if !first_seen.contains_key(&entry) && first_seen.len() == PROFILES_PER_CHUNK {
+                first_seen.clear();
+                chunks += 1;
+            }
+            let next = first_seen.len();
             let expected = *first_seen.entry(entry).or_insert(next);
-            let chunk = &arena.chunks[0].1;
+            assert_eq!(arena.chunks.len(), chunks);
+            let chunk = &arena.chunks[chunks - 1].1;
             let record = chunk.record(chunk.ends.len() - 1);
             let (header, _) = record.split_first_chunk().unwrap();
-            assert_eq!(profile_index(header), expected as usize);
+            assert_eq!(profile_index(header), expected);
         }
-        let tags = vec![ServiceProtocol::Ssh; rows.len()];
-        assert_eq!(arena.chunks[0].1.profiles.len(), first_seen.len());
-        assert_eq!(arena.validate(&tags), Ok(()));
-        for (n, row) in rows.iter().enumerate() {
-            assert_eq!(
-                arena.get(n, ServiceProtocol::Ssh).to_owned(),
-                row.to_owned()
-            );
-        }
+        assert_eq!(arena.chunks[chunks - 1].1.profiles.len(), first_seen.len());
+        let rows: Vec<ServicePayload> = rows.iter().map(PayloadRef::to_owned).collect();
+        assert_bounded_and_first_seen(&arena, &rows);
     }
 
     /// 13 fields of four digits each, profile `n`'s own in the software.
@@ -1783,19 +1821,46 @@ mod tests {
     }
 
     #[test]
-    fn a_chunk_that_passes_the_walk_limit_keeps_first_seen_indices() {
-        // 40 profiles, each met first while the dictionary is walked or
-        // past the limit, then all repeated twice in interleaved orders.
-        let profiles: Vec<[String; PROFILE_FIELDS]> = (0..40).map(digits).collect();
-        assert!(profiles.len() > PROFILE_WALK_LIMIT);
+    fn profiles_past_a_chunks_bound_open_chunks_with_first_seen_indices() {
+        // 70 profiles, each new one after a repeat of an older one — by then
+        // perhaps in an older chunk — then all repeated twice in
+        // interleaved orders: three chunks' worth of dictionaries, and more.
+        let profiles: Vec<[String; PROFILE_FIELDS]> = (0..70).map(digits).collect();
         let mut order: Vec<usize> = Vec::new();
         for n in 0..profiles.len() {
-            // Each new profile after a repeat of an older one.
             order.extend([n, n / 2]);
         }
         order.extend((0..profiles.len()).rev());
         order.extend((0..profiles.len()).map(|n| (n * 7) % profiles.len()));
         pushes_like_a_first_seen_map(&profiles, &order);
+    }
+
+    #[test]
+    fn validate_reports_a_dictionary_past_its_bound() {
+        let profiles: Vec<[String; PROFILE_FIELDS]> =
+            (0..=PROFILES_PER_CHUNK).map(digits).collect();
+        let key = [7];
+        let mut arena = PayloadArena::default();
+        for fields in &profiles[..PROFILES_PER_CHUNK] {
+            arena.push(lent(fields, &key));
+        }
+        let tags = vec![ServiceProtocol::Ssh; PROFILES_PER_CHUNK];
+        assert_eq!(arena.chunks.len(), 1);
+        assert_eq!(arena.validate(&tags), Ok(()));
+        // A 33rd entry, sound in itself, in the full dictionary.
+        let mut broken = arena.clone();
+        let dictionary = &mut chunk_mut(&mut broken, 0).profiles;
+        let extra = entry_of(lent(&profiles[PROFILES_PER_CHUNK], &key));
+        dictionary.bytes.extend_from_slice(&extra);
+        dictionary.ends.push(dictionary.bytes.len());
+        assert_eq!(
+            broken.validate(&tags),
+            Err("ssh profile drift in chunk 0: 33 entries, past the bound of 32".to_owned())
+        );
+        // Pushed, the same profile opens a chunk of its own.
+        arena.push(lent(&profiles[PROFILES_PER_CHUNK], &key));
+        assert_eq!(arena.chunks.len(), 2);
+        assert_eq!(arena.validate(&[ServiceProtocol::Ssh; 33]), Ok(()));
     }
 
     proptest::proptest! {
@@ -1830,16 +1895,15 @@ mod tests {
         ) {
             // Every row's profile is new to the dictionary, and every row
             // after the first thousand repeats one of the first thousand's.
+            // Each repeat's profile is in an older chunk than the open one,
+            // so every row adds an entry to its chunk's dictionary, and each
+            // chunk but the last holds 32 rows.
             let mut rows: Vec<ServicePayload> =
                 draws.iter().enumerate().map(|(n, &d)| own_profile(n, d)).collect();
             rows.extend((0..100).map(|n| own_profile(n * 7, draws[n * 7])));
             let arena = pushed(&rows);
-            let tags = tags(&rows);
-            proptest::prop_assert_eq!(arena.chunks[0].1.profiles.len(), draws.len());
-            proptest::prop_assert_eq!(arena.validate(&tags), Ok(()));
-            for (row, payload) in rows.iter().enumerate() {
-                proptest::prop_assert_eq!(&arena.get(row, tags[row]).to_owned(), payload);
-            }
+            assert_bounded_and_first_seen(&arena, &rows);
+            proptest::prop_assert_eq!(arena.chunks.len(), rows.len().div_ceil(PROFILES_PER_CHUNK));
         }
     }
 
@@ -1894,15 +1958,12 @@ mod tests {
     /// The two arenas are one layout: chunk for chunk, the same first row,
     /// record bytes, end offsets and dictionary, entry for entry in order.
     fn assert_laid_out_alike(a: &PayloadArena, b: &PayloadArena) {
-        let ends = |profiles: &SshProfiles| -> Vec<usize> {
-            profiles.entries.iter().map(|&(end, _)| end).collect()
-        };
         assert_eq!(a.chunks.len(), b.chunks.len());
         for ((a_start, a), (b_start, b)) in a.chunks.iter().zip(&b.chunks) {
             assert_eq!(a_start, b_start);
             assert_eq!((&a.bytes, &a.ends), (&b.bytes, &b.ends));
             assert_eq!(a.profiles.bytes, b.profiles.bytes);
-            assert_eq!(ends(&a.profiles), ends(&b.profiles));
+            assert_eq!(a.profiles.ends, b.profiles.ends);
         }
     }
 
@@ -1940,7 +2001,7 @@ mod tests {
             .collect();
         assert_eq!(door.validate(&tags), Ok(()));
         // One full parse per distinct banner + KEXINIT, cookie aside.
-        let mut prefixes = HashSet::new();
+        let mut prefixes = std::collections::HashSet::new();
         let ssh = sessions
             .iter()
             .filter(|(protocol, _)| *protocol == ServiceProtocol::Ssh);
@@ -1956,9 +2017,11 @@ mod tests {
     }
 
     #[test]
-    fn profiles_past_the_memos_bound_are_parsed_every_time() {
-        // 40 profiles: the first 32 are memoised, the other 8 never are.
-        let order: Vec<usize> = (0..40).chain((0..40).rev()).chain(0..40).collect();
+    fn a_full_parse_that_opens_a_chunk_memoises_into_that_chunk() {
+        // 80 profiles, each new one twice running and then one met earlier,
+        // perhaps in an older chunk: dictionaries fill and chunks open in
+        // the middle of the pass, at a full parse.
+        let order: Vec<usize> = (0..80).flat_map(|n| [n, n, n / 2]).collect();
         let sessions = sessions_of_profiles(order);
         let (mut door, mut reference) = (PayloadArena::default(), PayloadArena::default());
         let mut memo = SessionMemo::default();
@@ -1966,11 +2029,54 @@ mod tests {
             .iter()
             .map(|bytes| (ServiceProtocol::Ssh, &bytes[..]));
         push_both(borrowed, &mut door, &mut memo, &mut reference);
+        // No record names an entry of another chunk than its own.
         assert_laid_out_alike(&door, &reference);
-        assert_eq!(memo.len, PROFILE_WALK_LIMIT);
-        assert_eq!(memo.misses, 40 + 2 * 8);
+        assert!(door.chunks.len() >= 3);
+        let tags = vec![ServiceProtocol::Ssh; door.len()];
+        assert_eq!(door.validate(&tags), Ok(()));
+        // A session is parsed in full exactly when its profile is new to
+        // the chunk it goes to: the profile that opened a chunk is
+        // memoised there, and its repeat is not parsed again.
+        let entries: usize = door
+            .chunks
+            .iter()
+            .map(|(_, chunk)| chunk.profiles.len())
+            .sum();
+        assert_eq!(memo.misses, entries as u64);
+    }
 
-        // A prefix longer than the memo's buffer is not memoised either.
+    #[test]
+    fn prefixes_past_the_memos_bound_are_parsed_every_time() {
+        // 20 profiles, each sent with `first_kex_packet_follows` clear and
+        // then set: 40 prefixes, one chunk of 20 entries.  The first 32
+        // prefixes are memoised, the other 8 never are.
+        let order = (0..3).flat_map(|_| (0..20).flat_map(|n| [n, n]));
+        let sessions: Vec<Vec<u8>> = (sessions_of_profiles(order).into_iter().enumerate())
+            .map(|(at, s)| {
+                if at % 2 == 1 {
+                    mutated(&s, &s, 3, 0)
+                } else {
+                    s
+                }
+            })
+            .collect();
+        let (mut door, mut reference) = (PayloadArena::default(), PayloadArena::default());
+        let mut memo = SessionMemo::default();
+        let borrowed = sessions
+            .iter()
+            .map(|bytes| (ServiceProtocol::Ssh, &bytes[..]));
+        push_both(borrowed, &mut door, &mut memo, &mut reference);
+        assert_laid_out_alike(&door, &reference);
+        assert_eq!(door.chunks.len(), 1);
+        assert_eq!(door.chunks[0].1.profiles.len(), 20);
+        assert_eq!(memo.len, PROFILES_PER_CHUNK);
+        assert_eq!(memo.misses, 40 + 2 * 8);
+        let tags = vec![ServiceProtocol::Ssh; door.len()];
+        assert_eq!(door.validate(&tags), Ok(()));
+    }
+
+    #[test]
+    fn a_prefix_longer_than_the_memos_buffer_is_parsed_every_time() {
         let mut long = KexInit::typical_openssh();
         long.languages_server_to_client = NameList::new(["x".repeat(MEMO_BYTES)]);
         let profile = alias_netsim::profiles::SshProfile {

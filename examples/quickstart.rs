@@ -59,7 +59,9 @@ fn main() {
     //    against ground truth — something the paper could not do.
     let ssh = report.technique("ssh").expect("ssh technique registered");
     let ssh_sets = ssh.alias_sets();
-    let score = internet.score_sets(ssh_sets.iter().map(|s| s.iter()));
+    let score = internet
+        .ground_truth()
+        .score_sets(ssh_sets.iter().map(|s| s.iter()));
     println!(
         "SSH alias sets vs ground truth: precision {:.3}, recall {:.3}",
         score.precision(),

@@ -9,7 +9,7 @@
 
 use alias_resolution::netsim::ProbeContext;
 use alias_resolution::prelude::*;
-use alias_resolution::store::parse_payload;
+use alias_resolution::store::{parse_payload, SshRef};
 use std::collections::BTreeSet;
 use std::fmt::Write;
 
@@ -143,6 +143,16 @@ fn digest(store: &ObservationStore) -> u64 {
     digest.0
 }
 
+/// Entries in the largest SSH profile dictionary among `store`'s chunks:
+/// what bounds the walk that finds a pushed profile's entry.
+fn largest_dictionary(store: &ObservationStore) -> usize {
+    let dictionaries = (0..store.len()).filter_map(|row| match store.payload_at(row) {
+        PayloadRef::Ssh(SshRef::Record(record)) => Some(record.profile().0.len()),
+        _ => None,
+    });
+    dictionaries.max().unwrap_or(0)
+}
+
 /// The benchmark seed's paper-scale Internet.
 fn paper_internet(seed: u64) -> Internet {
     InternetBuilder::new(InternetConfig::preset(ScalePreset::PaperShape, seed)).build()
@@ -261,6 +271,8 @@ fn the_paper_scale_censys_store_is_the_parent_commits_byte_for_byte() {
     // banner and name-lists, before they moved into the chunk dictionary.
     assert_eq!((store.len(), store.payload_bytes()), (64_412, 3_308_654));
     assert_eq!(digest(&store), 0x0493_4649_b3ed_2728);
+    // Well within the bound of 32 profiles a chunk holds.
+    assert_eq!(largest_dictionary(&store), 9);
 }
 
 #[test]
@@ -286,5 +298,10 @@ fn the_paper_scale_campaign_store_is_the_parent_commits_byte_for_byte() {
             "threads={threads}"
         );
         assert_eq!(digest(store), 0xadbd_4bbe_28b4_2e82, "threads={threads}");
+        // A phase's one shard keeps 9 profiles in its chunk, well within
+        // the bound of 32; more shards' chunks keep subsets of them.
+        let largest = largest_dictionary(store);
+        assert!(largest <= 9, "threads={threads}: {largest}");
+        assert!(threads > 1 || largest == 9, "{largest}");
     }
 }
