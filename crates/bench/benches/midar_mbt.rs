@@ -6,9 +6,9 @@
 use alias_core::validation::cross_validate;
 use alias_intern::{AddrId, CompactAliasSet};
 use alias_midar::ally::AllyTester;
-use alias_midar::mbt::monotonic_bounds_test;
+use alias_midar::mbt::{monotonic_bounds_test, step_is_impossible};
 use alias_midar::velocity::estimate_velocity;
-use alias_netsim::{InternetBuilder, InternetConfig, SimTime, VantageKind};
+use alias_netsim::{InternetBuilder, InternetConfig, ProbeContext, SimTime, VantageKind};
 use alias_scan::ipid_probe::{IpidProber, IpidProberConfig, IpidSample, ResolvedTarget};
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
@@ -48,8 +48,9 @@ fn bench_mbt(c: &mut Criterion) {
 }
 
 /// Live probing in steady state, three simulated weeks in: one pair test of
-/// each of the study's two pair sweeps (12 probes through a held session,
-/// buffers and schedule warm), and one estimation-shaped round-robin.
+/// each of the study's two pair sweeps (up to 12 probes through a held
+/// session, stopping where the sweep's rule refutes, buffers and schedule
+/// warm), and one estimation-shaped round-robin.
 fn bench_probing(c: &mut Criterion) {
     let internet = InternetBuilder::new(InternetConfig::tiny(42)).build();
     let pingable: Vec<ResolvedTarget> = internet
@@ -85,9 +86,12 @@ fn bench_probing(c: &mut Criterion) {
                 &mut session,
                 black_box(pair),
                 6,
-                VantageKind::Distributed,
-                now,
+                ProbeContext {
+                    vantage: VantageKind::Distributed,
+                    time: now,
+                },
                 &mut samples,
+                |prev, next| step_is_impossible(prev, next, 1_500.0),
             );
             monotonic_bounds_test(&[&samples[0], &samples[1]], 1_500.0)
         })

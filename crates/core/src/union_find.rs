@@ -86,8 +86,7 @@ impl UnionFind {
     }
 
     /// Whether `a` and `b` are in the same set.
-    #[cfg(test)]
-    pub(crate) fn connected(&mut self, a: usize, b: usize) -> bool {
+    pub fn connected(&mut self, a: usize, b: usize) -> bool {
         self.find(a) == self.find(b)
     }
 

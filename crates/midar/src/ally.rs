@@ -2,25 +2,37 @@
 //!
 //! Ally probes two candidate addresses in tight alternation and accepts them
 //! as aliases when the interleaved IPID sequence is in order and the values
-//! stay close together — the behaviour of one shared counter.
+//! stay close together — the behaviour of one shared counter.  Probing stops
+//! at the first reply that is not close to the one before it.
 
-use alias_netsim::{Internet, ProbeSession, SimTime, VantageKind};
-use alias_scan::ipid_probe::{IpidProber, IpidProberConfig, IpidSample, ResolvedTarget};
+use alias_netsim::{Internet, ProbeContext, ProbeSession, SimTime, VantageKind};
+use alias_scan::ipid_probe::{IpidProber, IpidProberConfig, IpidSample, PairEnd, ResolvedTarget};
 use std::net::IpAddr;
 
-/// Verdict of an Ally test.
+/// Verdict of an Ally test: how its pair ended.  A pair ends at whichever
+/// comes first in probe order, its first reply that is not close to the
+/// one before it or its first unanswered probe.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AllyVerdict {
     /// The pair behaves like one shared counter.
     Alias,
     /// The pair cannot share a counter.
     NotAlias,
-    /// One or both addresses did not answer enough probes.
+    /// A probe went unanswered before any reply refuted the pair.
     Unresponsive,
 }
 
 /// Probes sent to each address of a pair.
 const PROBES_PER_ADDR: usize = 6;
+
+/// Whether a shared counter could read `to` right after `from`: in order,
+/// with a tolerance on the gap (Ally's classic "within 200, in order"
+/// heuristic, scaled for the probe spacing used here).
+pub(crate) fn close(from: IpidSample, to: IpidSample) -> bool {
+    const MAX_GAP: u16 = 1_000;
+    let delta = to.ipid.wrapping_sub(from.ipid);
+    delta > 0 && delta < MAX_GAP
+}
 
 /// Runs Ally tests; a sweep over many pairs keeps one tester so every test
 /// after the first reuses its two sample buffers and the prober's one
@@ -62,33 +74,21 @@ impl AllyTester {
         vantage: VantageKind,
         start: SimTime,
     ) -> AllyVerdict {
-        self.prober.collect_interleaved_pair(
+        let end = self.prober.collect_interleaved_pair(
             session,
             pair,
             PROBES_PER_ADDR,
-            vantage,
-            start,
+            ProbeContext {
+                vantage,
+                time: start,
+            },
             &mut self.samples,
+            |from, to| !close(from, to),
         );
-        let [a, b] = &self.samples;
-        if a.len() < PROBES_PER_ADDR || b.len() < PROBES_PER_ADDR {
-            return AllyVerdict::Unresponsive;
-        }
-        // In-order check with a tolerance on the gap between consecutive
-        // values (Ally's classic "within 200, in order" heuristic, scaled
-        // for the probe spacing used here).  Every probe was answered, so
-        // the probe order is a[0], b[0], a[1], b[1], ...
-        const MAX_GAP: u16 = 1_000;
-        let close = |from: u16, to: u16| {
-            let delta = to.wrapping_sub(from);
-            delta > 0 && delta < MAX_GAP
-        };
-        let within_rounds = a.iter().zip(b).all(|(a, b)| close(a.ipid, b.ipid));
-        let across_rounds = b.iter().zip(&a[1..]).all(|(b, a)| close(b.ipid, a.ipid));
-        if within_rounds && across_rounds {
-            AllyVerdict::Alias
-        } else {
-            AllyVerdict::NotAlias
+        match end {
+            PairEnd::Complete => AllyVerdict::Alias,
+            PairEnd::Refuted => AllyVerdict::NotAlias,
+            PairEnd::Unanswered => AllyVerdict::Unresponsive,
         }
     }
 }

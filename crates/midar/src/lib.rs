@@ -10,9 +10,8 @@
 //! * [`velocity`] — RadarGun-style velocity estimation, used to discard
 //!   counters too fast (or too erratic) to be sampled reliably.
 //! * [`midar`] — a MIDAR-style pipeline (estimation → discovery →
-//!   elimination/corroboration) that turns a target list into alias sets.
-//! * [`speedtrap`] — a Speedtrap-style placeholder check for IPv6, where the
-//!   Identification field only exists in fragment headers.
+//!   elimination/corroboration) that turns a target list into alias sets;
+//!   over IPv6 targets it is the Speedtrap baseline.
 //! * [`iffinder`] — the common-source-address technique, the oldest
 //!   baseline.
 
@@ -20,7 +19,6 @@ pub mod ally;
 pub mod iffinder;
 pub mod mbt;
 pub mod midar;
-pub mod speedtrap;
 pub mod velocity;
 
 pub use midar::midar_resolve;

@@ -40,9 +40,8 @@ pub fn monotonic_bounds_test(series: &[&[IpidSample]], max_velocity: f64) -> Mbt
 }
 
 /// A sample series with its time order checked once, for a sweep that
-/// tests it against many others (MIDAR's discovery window, Speedtrap's
-/// all-pairs pass) — [`monotonic_bounds_test`] re-validates both series on
-/// every call.
+/// tests it against many others (MIDAR's discovery window) —
+/// [`monotonic_bounds_test`] re-validates both series on every call.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct CheckedSeries<'a> {
     samples: &'a [IpidSample],
@@ -78,8 +77,9 @@ fn is_time_ordered(samples: &[IpidSample]) -> bool {
 /// mod 2^16.  If the counter moved further than the velocity bound allows,
 /// the samples cannot be explained by one counter (either they are
 /// unrelated, or the counter wrapped because it is too fast to be testable
-/// — MIDAR rejects both).
-fn step_is_impossible(prev: IpidSample, next: IpidSample, max_velocity: f64) -> bool {
+/// — MIDAR rejects both).  MIDAR's elimination stage stops probing a pair
+/// at the first such step.
+pub fn step_is_impossible(prev: IpidSample, next: IpidSample, max_velocity: f64) -> bool {
     const SLACK: f64 = 64.0;
     let dt = next.time.since(prev.time).as_secs_f64();
     let delta = next.ipid.wrapping_sub(prev.ipid) as f64;
@@ -358,6 +358,49 @@ mod tests {
                 streaming_pair_test(&a, &b, max_velocity),
                 collect_and_sort_test(&[&a, &b], max_velocity)
             );
+        }
+
+        #[test]
+        fn a_walk_finds_an_impossible_step_exactly_when_the_test_is_inconsistent(
+            base in any::<u16>(),
+            offset in prop_oneof![Just(0u16), 0u16..200, any::<u16>()],
+            steps in prop::collection::vec((1u64..3, 0u16..60), 4..16),
+            second_first in any::<bool>(),
+            max_velocity in prop_oneof![Just(0.0f64), Just(40.0), Just(1_500.0)],
+        ) {
+            // What the elimination stage's stop rule sees: the pair's
+            // replies in probe order, each against the one before.  Time
+            // steps of at least one keep probe order and time order one.
+            let (a, b) = alternating(base, offset, &steps, second_first);
+            let probe_order: Vec<IpidSample> = if a[0].time < b[0].time {
+                a.iter().zip(&b).flat_map(|(x, y)| [*x, *y]).collect()
+            } else {
+                b.iter().zip(&a).flat_map(|(x, y)| [*x, *y]).collect()
+            };
+            let stops = (probe_order.windows(2)).any(|w| step_is_impossible(w[0], w[1], max_velocity));
+            prop_assert_eq!(
+                stops,
+                monotonic_bounds_test(&[&a, &b], max_velocity) == MbtVerdict::Inconsistent
+            );
+        }
+
+        #[test]
+        fn allys_walk_refutes_exactly_when_its_full_series_check_fails(
+            base in any::<u16>(),
+            offset in prop_oneof![Just(0u16), 0u16..200, 900u16..1_100, any::<u16>()],
+            steps in prop::collection::vec((1u64..3, 0u16..600), 4..16),
+            second_first in any::<bool>(),
+        ) {
+            use crate::ally::close;
+            let (a, b) = alternating(base, offset, &steps, second_first);
+            // Ally's check of a pair answered in full, as it ran before the
+            // pair stopped early: each value close to the one probed before
+            // it, within rounds (a[k], b[k]) and across them (b[k], a[k+1]).
+            let within = a.iter().zip(&b).all(|(a, b)| close(*a, *b));
+            let across = b.iter().zip(&a[1..]).all(|(b, a)| close(*b, *a));
+            let probe_order: Vec<IpidSample> = a.iter().zip(&b).flat_map(|(x, y)| [*x, *y]).collect();
+            let refuted = probe_order.windows(2).any(|w| !close(w[0], w[1]));
+            prop_assert_eq!(refuted, !(within && across));
         }
 
         #[test]

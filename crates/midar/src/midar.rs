@@ -14,19 +14,26 @@
 //!    pairs (a sliding window, like MIDAR's).
 //! 3. **Elimination / corroboration** — re-probe every surviving candidate
 //!    pair with tightly interleaved probes and keep only pairs whose merged
-//!    sequence still passes the MBT.
+//!    sequence still passes the MBT.  A pair's probing stops at the first
+//!    reply the MBT cannot follow, and a candidate whose two targets are
+//!    already joined is not re-probed.
 //!
 //! Confirmed pairs are merged into alias sets with union–find.
+//!
+//! Speedtrap (Luckie et al., IMC 2013) is this pipeline over IPv6 targets:
+//! the simulated device answers a fragment-eliciting probe from the same
+//! device-wide counter as an IPv4 echo, so the one code path serves both.
 
-use crate::mbt::{monotonic_bounds_test, CheckedSeries, MbtVerdict};
+use crate::mbt::{monotonic_bounds_test, step_is_impossible, CheckedSeries, MbtVerdict};
 use crate::velocity::{estimate_velocity, VelocityEstimate};
-use alias_netsim::{Internet, SimTime, VantageKind};
+use alias_netsim::{Internet, ProbeContext, SimTime, VantageKind};
 use alias_obs::{DeterminismClass, LazyCounter};
 use alias_scan::ipid_probe::{IpidProber, IpidProberConfig, ResolvedTarget};
 
-/// Monotonic bounds tests run by the discovery and elimination stages.
-/// Both stages are serial, so the count is a pure function of the targets
-/// and the substrate's state.
+/// Monotonic bounds tests run by the discovery and elimination stages:
+/// one per discovery-window pair and one per candidate elimination
+/// re-probed.  Both stages are serial, so the count is a pure function of
+/// the targets and the substrate's state.
 static MBT_TESTS: LazyCounter = LazyCounter::new(
     "midar.mbt_tests",
     DeterminismClass::Deterministic,
@@ -34,7 +41,8 @@ static MBT_TESTS: LazyCounter = LazyCounter::new(
     "resolve",
 );
 
-/// Candidate pairs the discovery stage handed to elimination.
+/// Candidate pairs the discovery stage handed to elimination, re-probed or
+/// skipped as already joined.
 static CANDIDATES: LazyCounter = LazyCounter::new(
     "midar.candidates",
     DeterminismClass::Deterministic,
@@ -42,15 +50,15 @@ static CANDIDATES: LazyCounter = LazyCounter::new(
     "resolve",
 );
 
-/// Highest counter velocity (increments per second) MIDAR and Speedtrap
-/// consider testable.
-pub const MAX_VELOCITY: f64 = 1_500.0;
+/// Highest counter velocity (increments per second) MIDAR considers
+/// testable.
+const MAX_VELOCITY: f64 = 1_500.0;
 
-/// Probe rate of MIDAR's and Speedtrap's sweeps, in packets per second.
-pub const PROBE_RATE_PPS: f64 = 5_000.0;
+/// Probe rate of MIDAR's sweeps, in packets per second.
+const PROBE_RATE_PPS: f64 = 5_000.0;
 
-/// Spacing between the rounds of MIDAR's estimation and Speedtrap's sweep.
-pub const ROUND_SPACING: SimTime = SimTime::from_secs(10);
+/// Spacing between the rounds of MIDAR's estimation.
+const ROUND_SPACING: SimTime = SimTime::from_secs(10);
 
 /// Simulated pause before each pair test: an Ally test, a rate-limit joint
 /// burst, or a candidate MIDAR re-probes in elimination.
@@ -142,7 +150,10 @@ pub fn midar_resolve(
 
     // Stage 3: elimination / corroboration with interleaved probing.
     // Every candidate pair writes into the same two sample buffers and
-    // replays the prober's one memoised schedule.
+    // replays the prober's one memoised schedule.  Probing a pair stops at
+    // the first step the bounds test rejects, which fixes its verdict
+    // already; a pair the union-find joins is not re-probed, and keeps its
+    // place in the schedule.
     let stage = alias_obs::span("elimination");
     let mut pair_prober = IpidProber::new(IpidProberConfig {
         rounds: 1,
@@ -155,15 +166,20 @@ pub fn midar_resolve(
     ];
     let mut union = alias_core::union_find::UnionFind::new(usable.len());
     let mut now = finished_at;
+    let mut elimination_tests = 0u64;
     for &(i, j) in &candidates {
         now += PAIR_SPACING;
+        if union.connected(i, j) {
+            continue;
+        }
+        elimination_tests += 1;
         pair_prober.collect_interleaved_pair(
             &mut session,
             [targets[usable[i].1], targets[usable[j].1]],
             ELIMINATION_PROBES,
-            vantage,
-            now,
+            ProbeContext { vantage, time: now },
             &mut samples,
+            |prev, next| step_is_impossible(prev, next, MAX_VELOCITY),
         );
         let [sa, sb] = &samples;
         if let Some(last) = sa.last().or(sb.last()) {
@@ -173,7 +189,7 @@ pub fn midar_resolve(
             union.union(i, j);
         }
     }
-    MBT_TESTS.add(discovery_tests + candidates.len() as u64);
+    MBT_TESTS.add(discovery_tests + elimination_tests);
     CANDIDATES.add(candidates.len() as u64);
     drop(stage);
 

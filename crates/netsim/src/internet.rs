@@ -436,10 +436,10 @@ impl Internet {
     /// fragment header's Identification value (the Speedtrap probe).
     ///
     /// The simulator models the device-wide identifier counter but not IPv6
-    /// fragmentation itself (see the substitution note in `alias-midar`'s
-    /// `speedtrap` module), so the fragment Identification is drawn from the
-    /// same per-device counter state as the IPv4 IPID — which is exactly the
-    /// behaviour Speedtrap's shared-counter inference relies on.
+    /// fragmentation itself (see docs/TECHNIQUES.md § Speedtrap), so the
+    /// fragment Identification is drawn from the same per-device counter
+    /// state as the IPv4 IPID — which is exactly the behaviour Speedtrap's
+    /// shared-counter inference relies on.
     pub fn ipv6_fragment_probe(&self, dst: IpAddr, ctx: &ProbeContext) -> Option<EchoObservation> {
         if !dst.is_ipv6() {
             return None;

@@ -17,17 +17,17 @@ use alias_core::union_find::UnionFind;
 use alias_intern::{AddrId, CompactAliasSet};
 use alias_midar::ally::{AllyTester, AllyVerdict};
 use alias_midar::iffinder::iffinder_scan;
-use alias_midar::midar::{MAX_VELOCITY, PAIR_SPACING, PROBE_RATE_PPS, ROUND_SPACING};
+use alias_midar::midar::PAIR_SPACING;
 use alias_midar::midar_resolve;
-use alias_midar::speedtrap::speedtrap_group;
 use alias_netsim::{Internet, SimTime};
 use alias_obs::{DeterminismClass, LazyCounter};
-use alias_scan::ipid_probe::{is_usable, IpidProber, IpidProberConfig, IpidSample, ResolvedTarget};
+use alias_scan::ipid_probe::ResolvedTarget;
 use alias_scan::CampaignData;
 use std::net::IpAddr;
 use std::sync::OnceLock;
 
-/// Pair tests run by the Ally sweep (serial, so a pure function of the
+/// Pairs the Ally sweep probed: its window's pairs less those whose two
+/// addresses were already joined (serial, so a pure function of the
 /// campaign's addresses).
 static ALLY_PAIR_TESTS: LazyCounter = LazyCounter::new(
     "ally.pair_tests",
@@ -122,8 +122,24 @@ fn compact_sets(groups: &[Vec<usize>], ids: &[AddrId]) -> Vec<CompactAliasSet> {
 /// Width of the Ally sweep's sliding window over the sorted target list.
 const ALLY_WINDOW: usize = 4;
 
-/// Sampling rounds per target of the Speedtrap sweep.
-const SPEEDTRAP_ROUNDS: usize = 6;
+/// [`alias_midar::midar_resolve`] over one family's targets, as a
+/// technique's result.
+fn midar_result(
+    name: &str,
+    data: &CampaignData,
+    ctx: &TechniqueCtx<'_>,
+    family: &FamilyTargets,
+) -> TechniqueResult {
+    let FamilyTargets { ids, resolved } = family;
+    let outcome = midar_resolve(ctx.internet, resolved, ctx.vantage, ctx.probe_start);
+    TechniqueResult::from_compact(
+        name.to_owned(),
+        compact_sets(&outcome.alias_sets, ids),
+        outcome.testable.iter().map(|&i| ids[i]).collect(),
+        outcome.finished_at,
+        data.interner().clone(),
+    )
+}
 
 /// The MIDAR baseline: estimation → discovery → elimination over every
 /// responsive IPv4 address of the campaign, probed from the run's vantage
@@ -137,15 +153,7 @@ impl ResolutionTechnique for MidarTechnique {
     }
 
     fn resolve(&self, data: &CampaignData, ctx: &TechniqueCtx<'_>) -> TechniqueResult {
-        let FamilyTargets { ids, resolved } = ctx.targets.ipv4();
-        let outcome = midar_resolve(ctx.internet, resolved, ctx.vantage, ctx.probe_start);
-        TechniqueResult::from_compact(
-            self.name().to_owned(),
-            compact_sets(&outcome.alias_sets, ids),
-            outcome.testable.iter().map(|&i| ids[i]).collect(),
-            outcome.finished_at,
-            data.interner().clone(),
-        )
+        midar_result(self.name(), data, ctx, ctx.targets.ipv4())
     }
 }
 
@@ -180,7 +188,11 @@ impl ResolutionTechnique for AllyTechnique {
         for i in 0..ids.len() {
             let window_end = (i + 1 + ALLY_WINDOW).min(ids.len());
             for j in i + 1..window_end {
+                // A joined pair keeps its place in the schedule unprobed.
                 now += PAIR_SPACING;
+                if uf.connected(i, j) {
+                    continue;
+                }
                 pair_tests += 1;
                 let pair = [resolved[i], resolved[j]];
                 match tester.test(&mut session, pair, ctx.vantage, now) {
@@ -212,9 +224,10 @@ impl ResolutionTechnique for AllyTechnique {
     }
 }
 
-/// The Speedtrap baseline: fragment-identifier time series of the
-/// campaign's responsive IPv6 addresses, grouped by the monotonic bounds
-/// test (wraps [`alias_midar::speedtrap::speedtrap_group`]).
+/// The Speedtrap baseline: MIDAR's pipeline over every responsive IPv6
+/// address of the campaign, whose fragment-eliciting probes read the same
+/// device-wide counter an IPv4 echo does (wraps
+/// [`alias_midar::midar_resolve`]).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SpeedtrapTechnique;
 
@@ -224,35 +237,7 @@ impl ResolutionTechnique for SpeedtrapTechnique {
     }
 
     fn resolve(&self, data: &CampaignData, ctx: &TechniqueCtx<'_>) -> TechniqueResult {
-        let FamilyTargets { ids, resolved } = ctx.targets.ipv6();
-        let prober = IpidProber::new(IpidProberConfig {
-            rounds: SPEEDTRAP_ROUNDS,
-            round_spacing: ROUND_SPACING,
-            rate_pps: PROBE_RATE_PPS,
-        });
-        let column = prober.collect_round_robin(
-            &mut ctx.internet.probe_session(),
-            resolved,
-            ctx.vantage,
-            ctx.probe_start,
-        );
-        let series: Vec<&[IpidSample]> = column.iter().collect();
-        let finished_at = series
-            .iter()
-            .flat_map(|s| s.last().map(|x| x.time))
-            .max()
-            .unwrap_or(ctx.probe_start);
-        let testable = (ids.iter().zip(&series))
-            .filter(|(_, s)| is_usable(s))
-            .map(|(&id, _)| id)
-            .collect();
-        TechniqueResult::from_compact(
-            self.name().to_owned(),
-            compact_sets(&speedtrap_group(&series, MAX_VELOCITY), ids),
-            testable,
-            finished_at,
-            data.interner().clone(),
-        )
+        midar_result(self.name(), data, ctx, ctx.targets.ipv6())
     }
 }
 

@@ -13,16 +13,15 @@ use alias_core::merge::MergedSet;
 use alias_core::union_find::UnionFind;
 use alias_midar::ally::{ally_test, AllyVerdict};
 use alias_midar::iffinder::iffinder_scan;
-use alias_midar::midar::{MAX_VELOCITY, PAIR_SPACING, PROBE_RATE_PPS, ROUND_SPACING};
+use alias_midar::midar::PAIR_SPACING;
 use alias_midar::midar_resolve;
-use alias_midar::speedtrap::speedtrap_group;
 use alias_netsim::{Internet, InternetBuilder, InternetConfig, ServiceProtocol};
 use alias_resolve::{
     canonical_sets, AllyTechnique, IdentifierTechnique, IffinderTechnique, MidarTechnique,
     ProbeTargets, ResolutionTechnique, SpeedtrapTechnique, TechniqueCtx, TechniqueResult,
 };
 use alias_scan::campaign::{ActiveCampaign, CampaignData};
-use alias_scan::ipid_probe::{IpidProber, IpidProberConfig, ResolvedTarget};
+use alias_scan::ipid_probe::ResolvedTarget;
 use alias_scan::ObservationStore;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::net::IpAddr;
@@ -169,8 +168,9 @@ fn legacy_resolve(
             let rows = data.store().to_observations();
             legacy_grouping(rows.iter().filter(|o| o.protocol() == protocol), extractor)
         }
-        "midar" => {
-            let addrs = targets(data, false);
+        "midar" | "speedtrap" => {
+            // Speedtrap is MIDAR's pipeline over the IPv6 targets.
+            let addrs = targets(data, name == "speedtrap");
             let outcome = midar_resolve(
                 internet,
                 &lookups(internet, &addrs),
@@ -187,7 +187,11 @@ fn legacy_resolve(
                 // The technique's window: each address against the next four.
                 let window_end = (i + 1 + 4).min(addrs.len());
                 for j in i + 1..window_end {
+                    // A pair already joined keeps its slot, unprobed.
                     now += PAIR_SPACING;
+                    if uf.connected(i, j) {
+                        continue;
+                    }
                     if ally_test(
                         internet,
                         addrs[i],
@@ -201,23 +205,6 @@ fn legacy_resolve(
                 }
             }
             address_sets(uf.groups(), &addrs)
-        }
-        "speedtrap" => {
-            // The technique's sweep: six rounds on MIDAR's schedule.
-            let prober = IpidProber::new(IpidProberConfig {
-                rounds: 6,
-                round_spacing: ROUND_SPACING,
-                rate_pps: PROBE_RATE_PPS,
-            });
-            let addrs = targets(data, true);
-            let series = prober.collect_round_robin(
-                &mut internet.probe_session(),
-                &lookups(internet, &addrs),
-                alias_netsim::VantageKind::SingleVp,
-                data.finished_at,
-            );
-            let series: Vec<_> = series.iter().collect();
-            address_sets(speedtrap_group(&series, MAX_VELOCITY), &addrs)
         }
         "iffinder" => {
             let outcome = iffinder_scan(

@@ -18,10 +18,10 @@ use crate::rate::TokenBucket;
 use alias_netsim::{DeviceId, ProbeContext, ProbeSession, SimTime, VantageKind};
 use alias_obs::{DeterminismClass, LazyCounter};
 
-/// Probe slots the IPID prober sent: one per target per round of a
-/// round-robin sweep, `2 × probes_per_addr` per interleaved pair (a slot
-/// whose target does not exist or does not answer still counts — it took
-/// its turn in the schedule).
+/// Probes the IPID prober sent: one per target per round of a round-robin
+/// sweep, and per interleaved pair every probe up to the one that ended it
+/// (a probe to an address nobody owns, or one that goes unanswered, still
+/// counts — it was sent).
 static IPID_PROBES: LazyCounter = LazyCounter::new(
     "scan.ipid_probes",
     DeterminismClass::Deterministic,
@@ -39,6 +39,28 @@ static IPID_PAIR_SCHEDULES: LazyCounter = LazyCounter::new(
     "scan",
 );
 
+/// Interleaved pairs whose probing ended before their last slot, at an
+/// unanswered probe or at a reply the stop rule refuted.
+static IPID_PAIR_STOPS: LazyCounter = LazyCounter::new(
+    "scan.ipid_pair_stops",
+    DeterminismClass::Deterministic,
+    "pairs",
+    "scan",
+);
+
+/// How an interleaved pair test ended
+/// ([`IpidProber::collect_interleaved_pair`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PairEnd {
+    /// Every probe was answered and no reply was refuted.
+    Complete,
+    /// A probe went unanswered; nothing after it was sent.
+    Unanswered,
+    /// The stop rule refuted a reply against the reply before it; that
+    /// reply is the last sample, and nothing after it was sent.
+    Refuted,
+}
+
 /// One IPID sample.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct IpidSample {
@@ -46,11 +68,6 @@ pub struct IpidSample {
     pub time: SimTime,
     /// The observed IPID value.
     pub ipid: u16,
-}
-
-/// Whether a series holds enough samples to run a monotonicity test.
-pub fn is_usable(samples: &[IpidSample]) -> bool {
-    samples.len() >= 3
 }
 
 /// A round robin's series, one per target: one column of `rounds` slots
@@ -131,8 +148,10 @@ impl PairSchedule {
 pub struct IpidProber {
     config: IpidProberConfig,
     schedule: PairSchedule,
-    /// Probe slots of interleaved pairs sent so far.
+    /// Probes of interleaved pairs sent so far.
     pair_probes: u64,
+    /// Pairs that ended before their last slot.
+    pair_stops: u64,
     /// Times the stepped pair loop ran.
     pair_schedules: u64,
 }
@@ -141,6 +160,7 @@ impl Drop for IpidProber {
     fn drop(&mut self) {
         if self.pair_schedules > 0 {
             IPID_PROBES.add(self.pair_probes);
+            IPID_PAIR_STOPS.add(self.pair_stops);
             IPID_PAIR_SCHEDULES.add(self.pair_schedules);
         }
     }
@@ -153,6 +173,7 @@ impl IpidProber {
             config,
             schedule: PairSchedule::default(),
             pair_probes: 0,
+            pair_stops: 0,
             pair_schedules: 0,
         }
     }
@@ -270,14 +291,21 @@ impl IpidProber {
     }
 
     /// Tightly interleave probes to a pair of interfaces (A, B, A, B, ...),
-    /// as the Ally test and MIDAR's elimination stage require.
+    /// as the Ally test and MIDAR's elimination stage require, from
+    /// `at.vantage` starting at `start = at.time`, and say how the pair
+    /// ended.
     ///
     /// The targets come resolved ([`ResolvedTarget`]; `None` for an address
-    /// that does not exist, which still takes its turn in the schedule and
-    /// never answers).  Each target's samples are written into the buffer
-    /// at its index, cleared first, so a caller testing many pairs reuses
-    /// one buffer pair.  With every reply in, the probe order is
+    /// that does not exist, which never answers).  Each target's samples
+    /// are written into the buffer at its index, cleared first, so a caller
+    /// testing many pairs reuses one buffer pair.  The probe order is
     /// `samples[0][0], samples[1][0], samples[0][1], ...`.
+    ///
+    /// **The pair stops early**, at the first unanswered probe or at the
+    /// first reply for which `refutes(reply before, reply)` holds (that
+    /// reply is kept).  Send times strictly increase, so the replies so far
+    /// are the two series' time-ordered merge: a step-by-step test over it
+    /// has already failed where the rule refutes.
     ///
     /// **The schedule is memoised.**  A sweep tests hundreds of thousands
     /// of pairs whose send times are the same handful of offsets from
@@ -298,29 +326,42 @@ impl IpidProber {
         session: &mut ProbeSession<'_>,
         targets: [ResolvedTarget; 2],
         probes_per_addr: usize,
-        vantage: VantageKind,
-        start: SimTime,
+        at: ProbeContext,
         samples: &mut [Vec<IpidSample>; 2],
-    ) {
+        refutes: impl Fn(IpidSample, IpidSample) -> bool,
+    ) -> PairEnd {
         samples[0].clear();
         samples[1].clear();
         let slots = probes_per_addr * 2;
-        self.pair_probes += slots as u64;
-        for (i, &offset) in self.pair_offsets(start, slots).iter().enumerate() {
-            let Some((device_id, iface_idx)) = targets[i % 2] else {
-                continue;
-            };
+        let (mut end, mut sent) = (PairEnd::Complete, slots);
+        for (i, &offset) in self.pair_offsets(at.time, slots).iter().enumerate() {
             let ctx = ProbeContext {
-                vantage,
-                time: start + SimTime(offset),
+                time: at.time + SimTime(offset),
+                ..at
             };
-            if let Some(echo) = session.identifier_probe_at(device_id, iface_idx, &ctx) {
-                samples[i % 2].push(IpidSample {
-                    time: echo.time,
-                    ipid: echo.ipid,
-                });
+            let echo = targets[i % 2].and_then(|(device_id, iface_idx)| {
+                session.identifier_probe_at(device_id, iface_idx, &ctx)
+            });
+            let Some(echo) = echo else {
+                (end, sent) = (PairEnd::Unanswered, i + 1);
+                break;
+            };
+            let sample = IpidSample {
+                time: echo.time,
+                ipid: echo.ipid,
+            };
+            // Every earlier probe was answered: the other series' last
+            // sample is the reply before this one.
+            let previous = samples[1 - i % 2].last().copied();
+            samples[i % 2].push(sample);
+            if previous.is_some_and(|previous| refutes(previous, sample)) {
+                (end, sent) = (PairEnd::Refuted, i + 1);
+                break;
             }
         }
+        self.pair_probes += sent as u64;
+        self.pair_stops += u64::from(sent < slots);
+        end
     }
 }
 
@@ -385,7 +426,6 @@ mod tests {
         assert_eq!(series.iter().len(), targets.len());
         for s in series.iter() {
             assert_eq!(s.len(), 5);
-            assert!(is_usable(s));
             // Timestamps strictly increase.
             assert!(s.windows(2).all(|w| w[1].time > w[0].time));
         }
@@ -405,7 +445,6 @@ mod tests {
         assert_eq!(series.iter().len(), 1);
         let only = series.iter().next().unwrap();
         assert!(only.is_empty());
-        assert!(!is_usable(only));
     }
 
     /// The round robin as it was before it paced first and probed device
@@ -550,9 +589,9 @@ mod tests {
         assert!(samples > 1_000, "only {samples} samples");
     }
 
-    /// The same comparison over every pingable IPv4 address with MIDAR's
-    /// estimation schedule and every pingable IPv6 address with
-    /// Speedtrap's, at paper scale (`cargo test --release -p alias-scan
+    /// The same comparison over every pingable IPv4 address and then every
+    /// pingable IPv6 address with MIDAR's estimation schedule (Speedtrap
+    /// runs it over IPv6), at paper scale (`cargo test --release -p alias-scan
     /// -- --ignored round_robin`).
     #[test]
     #[ignore = "paper scale: two Internets of ~90k devices"]
@@ -577,7 +616,7 @@ mod tests {
             (pingable(false), config(12), VantageKind::SingleVp, epoch),
             (
                 pingable(true),
-                config(6),
+                config(12),
                 VantageKind::SingleVp,
                 epoch + SimTime::from_days(1),
             ),
@@ -587,19 +626,33 @@ mod tests {
         assert!(samples > 100_000, "only {samples} samples");
     }
 
-    /// Probe a pair given by address and return the IPIDs in probe order
-    /// (every probe answered).
+    /// A stop rule that refutes nothing.
+    fn never(_: IpidSample, _: IpidSample) -> bool {
+        false
+    }
+
+    /// The context of a pair started at `start`.
+    fn at(vantage: VantageKind, start: SimTime) -> ProbeContext {
+        ProbeContext {
+            vantage,
+            time: start,
+        }
+    }
+
+    /// Probe a pair given by address, refuting nothing, and return the
+    /// IPIDs in probe order (every probe answered).
     fn interleaved_ipids(internet: &Internet, a: IpAddr, b: IpAddr) -> Vec<u16> {
         let mut prober = pair_prober(5_000.0);
         let mut samples = [Vec::new(), Vec::new()];
-        prober.collect_interleaved_pair(
+        let end = prober.collect_interleaved_pair(
             &mut internet.probe_session(),
             [internet.lookup(a), internet.lookup(b)],
             10,
-            VantageKind::Distributed,
-            SimTime::ZERO,
+            at(VantageKind::Distributed, SimTime::ZERO),
             &mut samples,
+            never,
         );
+        assert_eq!(end, PairEnd::Complete);
         assert_eq!(samples[0].len(), 10);
         assert_eq!(samples[1].len(), 10);
         samples[0]
@@ -753,40 +806,127 @@ mod tests {
 
     /// The pair probe as it was before sessions and resolved targets: every
     /// probe steps its own bucket, looks its address up again and takes the
-    /// substrate's lock for one probe.  The reference for the test below.
+    /// substrate's lock for one probe; it stops as the prober does, at the
+    /// first unanswered probe or refuted reply.  The reference for the test
+    /// below.
     fn address_based_pair(
         prober: &IpidProber,
         internet: &Internet,
         pair: [IpAddr; 2],
         probes_per_addr: usize,
-        vantage: VantageKind,
-        start: SimTime,
-    ) -> [Vec<IpidSample>; 2] {
+        at: ProbeContext,
+        refutes: impl Fn(IpidSample, IpidSample) -> bool,
+    ) -> ([Vec<IpidSample>; 2], PairEnd) {
         let mut samples = [Vec::new(), Vec::new()];
-        let mut bucket = TokenBucket::new(prober.config.rate_pps, 4.0, start);
-        let mut now = start;
+        let mut bucket = TokenBucket::new(prober.config.rate_pps, 4.0, at.time);
+        let mut now = at.time;
         let mut last_sent = SimTime::ZERO;
+        let mut order: Vec<IpidSample> = Vec::new();
         for i in 0..probes_per_addr * 2 {
             now = bucket.acquire(now);
             if now <= last_sent {
                 now = last_sent + SimTime(1);
             }
             last_sent = now;
-            let ctx = ProbeContext { vantage, time: now };
+            let ctx = ProbeContext { time: now, ..at };
             let target = pair[i % 2];
             let echo = if target.is_ipv6() {
                 internet.ipv6_fragment_probe(target, &ctx)
             } else {
                 internet.icmp_echo(target, &ctx)
             };
-            if let Some(echo) = echo {
-                samples[i % 2].push(IpidSample {
-                    time: echo.time,
-                    ipid: echo.ipid,
-                });
+            let Some(echo) = echo else {
+                return (samples, PairEnd::Unanswered);
+            };
+            let sample = IpidSample {
+                time: echo.time,
+                ipid: echo.ipid,
+            };
+            samples[i % 2].push(sample);
+            order.push(sample);
+            if order.len() >= 2 && refutes(order[order.len() - 2], sample) {
+                return (samples, PairEnd::Refuted);
             }
         }
-        samples
+        (samples, PairEnd::Complete)
+    }
+
+    /// A stop rule in the shape of the bounds test's: the counter may not
+    /// stand still or move more than 1,500 per second plus 64.
+    fn too_far(prev: IpidSample, next: IpidSample) -> bool {
+        let delta = next.ipid.wrapping_sub(prev.ipid) as f64;
+        delta == 0.0 || delta > 1.5 * next.time.since(prev.time).as_millis() as f64 + 64.0
+    }
+
+    #[test]
+    fn a_stopped_pair_is_the_prefix_of_the_full_pair_up_to_its_first_refuted_step() {
+        // Each device is probed in one pair only, so the two same-seed
+        // Internets agree on every counter a pair reads.
+        let (full, stopped) = (internet(), internet());
+        let devices: Vec<alias_netsim::DeviceRef> = full
+            .devices()
+            .filter(|d| d.responds_to_ping() && d.ipv4_addrs().len() >= 2)
+            .take(60)
+            .collect();
+        let first = |d: &alias_netsim::DeviceRef| IpAddr::V4(d.ipv4_addrs()[0]);
+        let mut pairs: Vec<[IpAddr; 2]> = Vec::new();
+        for chunk in devices.chunks_exact(3) {
+            pairs.push([first(&chunk[0]), IpAddr::V4(chunk[0].ipv4_addrs()[1])]);
+            pairs.push([first(&chunk[1]), first(&chunk[2])]);
+        }
+        let silent = full
+            .devices()
+            .find(|d| !d.responds_to_ping() && !d.ipv4_addrs().is_empty())
+            .unwrap();
+        pairs.push([first(&silent), first(&devices[0])]);
+
+        let (mut full_prober, mut stopped_prober) = (pair_prober(20.0), pair_prober(20.0));
+        let (mut full_samples, mut stopped_samples) =
+            ([Vec::new(), Vec::new()], [Vec::new(), Vec::new()]);
+        let (mut full_session, mut stopped_session) =
+            (full.probe_session(), stopped.probe_session());
+        let mut refuted = 0;
+        for (n, pair) in pairs.iter().enumerate() {
+            let start = at(
+                VantageKind::SingleVp,
+                SimTime::from_days(21) + SimTime(n as u64 * 700),
+            );
+            let targets = pair.map(|addr| full.lookup(addr));
+            let full_end = full_prober.collect_interleaved_pair(
+                &mut full_session,
+                targets,
+                6,
+                start,
+                &mut full_samples,
+                never,
+            );
+            let end = stopped_prober.collect_interleaved_pair(
+                &mut stopped_session,
+                targets,
+                6,
+                start,
+                &mut stopped_samples,
+                too_far,
+            );
+            // Probe order, as the bounds test's time-ordered merge reads it.
+            let merged = |samples: &[Vec<IpidSample>; 2]| -> Vec<IpidSample> {
+                let mut all: Vec<IpidSample> = samples.iter().flatten().copied().collect();
+                all.sort_by_key(|sample| sample.time);
+                all
+            };
+            let (whole, prefix) = (merged(&full_samples), merged(&stopped_samples));
+            let first_refuted = whole.windows(2).position(|w| too_far(w[0], w[1]));
+            match (full_end, first_refuted) {
+                (PairEnd::Complete, Some(step)) => {
+                    assert_eq!((end, &prefix[..]), (PairEnd::Refuted, &whole[..step + 2]));
+                    refuted += 1;
+                }
+                _ => assert_eq!((end, &prefix), (full_end, &whole), "pair {pair:?}"),
+            }
+        }
+        assert!(refuted > 0);
+        assert!(stopped_prober.pair_probes < full_prober.pair_probes);
+        assert!(stopped_prober.pair_stops > full_prober.pair_stops);
     }
 
     #[test]
@@ -837,29 +977,38 @@ mod tests {
         let mut prober = pair_prober(20.0);
         let mut buffers = [Vec::new(), Vec::new()];
         let mut answered = 0;
+        let mut ends = Vec::new();
         // One session for the whole sweep on the resolved side; the
         // address side takes the lock probe by probe.
         let mut session = resolved.probe_session();
-        for (n, pair) in pairs.iter().enumerate() {
-            let start = SimTime(n as u64 * 700);
-            let vantage = if n % 2 == 0 {
+        // Every pair twice: refuting nothing, then with a bounds rule.
+        for (n, (pair, rule)) in (pairs.iter())
+            .flat_map(|pair| [(pair, never as fn(_, _) -> _), (pair, too_far)])
+            .enumerate()
+        {
+            let vantage = if n % 4 < 2 {
                 VantageKind::SingleVp
             } else {
                 VantageKind::Distributed
             };
-            let expected = address_based_pair(&prober, &by_address, *pair, 6, vantage, start);
-            prober.collect_interleaved_pair(
+            let start = at(vantage, SimTime(n as u64 * 700));
+            let expected = address_based_pair(&prober, &by_address, *pair, 6, start, rule);
+            let end = prober.collect_interleaved_pair(
                 &mut session,
                 pair.map(|addr| resolved.lookup(addr)),
                 6,
-                vantage,
                 start,
                 &mut buffers,
+                rule,
             );
-            assert_eq!(buffers, expected, "pair {pair:?}");
+            assert_eq!((&buffers, end), (&expected.0, expected.1), "pair {pair:?}");
             answered += buffers[0].len() + buffers[1].len();
+            ends.push(end);
         }
         assert!(answered > 0);
+        for end in [PairEnd::Complete, PairEnd::Unanswered, PairEnd::Refuted] {
+            assert!(ends.contains(&end), "no pair ended {end:?}");
+        }
         assert!(
             prober.pair_schedules < pairs.len() as u64,
             "later pairs replay the memoised schedule"

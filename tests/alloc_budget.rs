@@ -14,11 +14,11 @@ use alias_intern::{AddrId, CompactAliasSet};
 use alias_resolution::core::alias_set::group_view_compact;
 use alias_resolution::core::validation::cross_validate;
 use alias_resolution::midar::ally::{AllyTester, AllyVerdict};
-use alias_resolution::midar::mbt::{monotonic_bounds_test, MbtVerdict};
+use alias_resolution::midar::mbt::{monotonic_bounds_test, step_is_impossible, MbtVerdict};
 use alias_resolution::netsim::ProbeContext;
 use alias_resolution::prelude::*;
 use alias_resolution::resolve::ProbeTargets;
-use alias_resolution::scan::ipid_probe::{IpidProber, IpidProberConfig, IpidSample};
+use alias_resolution::scan::ipid_probe::{IpidProber, IpidProberConfig, IpidSample, PairEnd};
 use alias_resolution::store::parse_payload;
 use alias_resolution::wire::snmp::Snmpv3Message;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -565,33 +565,49 @@ fn a_pair_test_in_steady_state_allocates_nothing() {
     }
     assert!(answered > 30, "only {answered} pairs answered");
 
-    // MIDAR's elimination stage: probe into two caller-owned buffers, then
-    // the bounds test straight on them.  Only the first pair grows them and
-    // fills the memo.
+    // MIDAR's elimination stage: probe into two caller-owned buffers,
+    // stopping at the first step the bounds test rejects, then the bounds
+    // test straight on them.  Only the first pair grows them and fills the
+    // memo.
     let mut prober = IpidProber::new(IpidProberConfig {
         rounds: 1,
         round_spacing: SimTime::ZERO,
         rate_pps: 5_000.0,
     });
     let mut samples = [Vec::new(), Vec::new()];
+    let mut ends = Vec::new();
     for (n, pair) in targets.windows(2).enumerate() {
-        let start = epoch + SimTime(60_000 + n as u64 * 200);
-        let (count, _) = allocations(|| {
-            prober.collect_interleaved_pair(
+        let at = ProbeContext {
+            vantage: VantageKind::Distributed,
+            time: epoch + SimTime(60_000 + n as u64 * 200),
+        };
+        let (count, (end, _)) = allocations(|| {
+            let end = prober.collect_interleaved_pair(
                 &mut session,
                 [pair[0], pair[1]],
                 6,
-                VantageKind::Distributed,
-                start,
+                at,
                 &mut samples,
+                |prev, next| step_is_impossible(prev, next, 1_500.0),
             );
-            monotonic_bounds_test(&[&samples[0], &samples[1]], 1_500.0)
+            (
+                end,
+                monotonic_bounds_test(&[&samples[0], &samples[1]], 1_500.0),
+            )
         });
-        assert_eq!(samples[0].len() + samples[1].len(), 12);
+        let probed = samples[0].len() + samples[1].len();
+        match end {
+            PairEnd::Complete => assert_eq!(probed, 12, "pair {n}"),
+            PairEnd::Refuted => assert!((2..=12).contains(&probed), "pair {n}: {probed}"),
+            PairEnd::Unanswered => assert!(probed < 12, "pair {n}: {probed}"),
+        }
         if n > 0 {
             assert_eq!(count, 0, "pair {n}");
         }
+        ends.push(end);
     }
+    // Pairs of two devices stop early.
+    assert!(ends.contains(&PairEnd::Refuted));
 }
 
 #[test]
