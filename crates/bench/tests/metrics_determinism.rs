@@ -222,7 +222,13 @@ fn one_render_takes_three_keyed_passes_and_six_partitions() {
             && s.count == 1
     });
     assert_eq!(sections.count(), 11);
-    for stage in ["estimation", "discovery", "elimination"] {
+    for stage in [
+        "estimation",
+        "discovery",
+        "discovery/sort",
+        "discovery/window",
+        "elimination",
+    ] {
         let path = format!("bench/render/table2/{stage}");
         assert!(snapshot.spans.iter().any(|s| s.path == path), "{path}");
     }

@@ -31,6 +31,7 @@
 //! * Interning order is deterministic (insertion order), so identically
 //!   produced data yields identical ids across runs.
 
+use std::cmp::Reverse;
 use std::collections::hash_map::{Entry, RandomState};
 use std::collections::{BTreeSet, HashMap};
 use std::hash::{BuildHasher, BuildHasherDefault, Hasher};
@@ -428,20 +429,30 @@ impl CompactAliasSet {
 /// order *total* even when distinct sets share their smallest address and
 /// size — a corner where the pre-interning pipeline silently depended on
 /// hash-map iteration order.
+///
+/// Cost: one key pass over the members (each set's smallest address is
+/// read once) plus O(S log S) key comparisons for S sets; only sets equal
+/// on both keys pay for the full member comparison.
 pub fn sort_canonical_compact(sets: &mut [CompactAliasSet], interner: &AddrInterner) {
-    sets.sort_by(|a, b| {
-        a.min_addr(interner)
-            .cmp(&b.min_addr(interner))
-            .then_with(|| b.len().cmp(&a.len()))
-            .then_with(|| {
-                // Rare: full member comparison in address order.
-                let mut a_addrs: Vec<IpAddr> = a.iter().map(|id| interner.addr(id)).collect();
-                let mut b_addrs: Vec<IpAddr> = b.iter().map(|id| interner.addr(id)).collect();
-                a_addrs.sort_unstable();
-                b_addrs.sort_unstable();
-                a_addrs.cmp(&b_addrs)
-            })
+    let addr_order = |set: &CompactAliasSet| {
+        let mut addrs: Vec<IpAddr> = set.iter().map(|id| interner.addr(id)).collect();
+        addrs.sort_unstable();
+        addrs
+    };
+    let key = |set: &CompactAliasSet| (set.min_addr(interner), Reverse(set.len()));
+    let mut keyed: Vec<_> = (sets.iter_mut())
+        .map(|set| (key(set), std::mem::take(set)))
+        .collect();
+    // Equal under the full comparison means equal members, so an unstable
+    // sort gives the one order a stable sort would.
+    keyed.sort_unstable_by(|(a_key, a), (b_key, b)| {
+        a_key
+            .cmp(b_key)
+            .then_with(|| addr_order(a).cmp(&addr_order(b)))
     });
+    for (slot, (_, set)) in sets.iter_mut().zip(keyed) {
+        *slot = set;
+    }
 }
 
 #[cfg(test)]
@@ -661,7 +672,58 @@ mod tests {
         assert!(duplicated.validate().unwrap_err().contains("not canonical"));
     }
 
+    /// The comparator `sort_canonical_compact` sorted with before it keyed
+    /// each set once: smallest address and size read afresh on both sides
+    /// of every comparison.  The oracle of the keyed sort.
+    fn oracle_cmp(
+        a: &CompactAliasSet,
+        b: &CompactAliasSet,
+        interner: &AddrInterner,
+    ) -> std::cmp::Ordering {
+        a.min_addr(interner)
+            .cmp(&b.min_addr(interner))
+            .then_with(|| b.len().cmp(&a.len()))
+            .then_with(|| {
+                let mut a_addrs: Vec<IpAddr> = a.iter().map(|id| interner.addr(id)).collect();
+                let mut b_addrs: Vec<IpAddr> = b.iter().map(|id| interner.addr(id)).collect();
+                a_addrs.sort_unstable();
+                b_addrs.sort_unstable();
+                a_addrs.cmp(&b_addrs)
+            })
+    }
+
+    /// Address `k` of a twelve-address universe, a third of it IPv6.
+    fn universe_addr(k: u8) -> IpAddr {
+        if k.is_multiple_of(3) {
+            IpAddr::from([0x2001, 0xdb8, 0, 0, 0, 0, 0, u16::from(k)])
+        } else {
+            IpAddr::from([10, 0, 0, k])
+        }
+    }
+
     proptest::proptest! {
+        #[test]
+        fn keyed_canonical_sort_matches_the_per_comparison_oracle(
+            first_seen in proptest::collection::vec(0u8..12, 0..24),
+            raw_sets in proptest::collection::vec(proptest::collection::vec(0u8..12, 0..5), 0..40),
+        ) {
+            // Ids in a random first-seen order, so id order is not address
+            // order; up to 40 sets of at most four over twelve addresses
+            // share smallest addresses and sizes, overlap and repeat.
+            let mut interner = AddrInterner::from_addrs(first_seen.into_iter().map(universe_addr));
+            let sets: Vec<CompactAliasSet> = (raw_sets.iter())
+                .map(|set| {
+                    let ids = set.iter().map(|&k| interner.intern(universe_addr(k))).collect();
+                    CompactAliasSet::from_ids(ids)
+                })
+                .collect();
+            let mut keyed = sets.clone();
+            sort_canonical_compact(&mut keyed, &interner);
+            let mut oracle = sets;
+            oracle.sort_by(|a, b| oracle_cmp(a, b, &interner));
+            proptest::prop_assert_eq!(keyed, oracle);
+        }
+
         #[test]
         fn ident_interner_agrees_with_a_hash_map(
             keys in proptest::collection::vec(proptest::collection::vec(0u8..4, 0..6), 0..200),

@@ -85,6 +85,17 @@ pub struct MidarOutcome {
     /// Simulated time the run finished (MIDAR runs take long; the paper's
     /// took three weeks, long enough for churn to matter).
     pub finished_at: SimTime,
+    /// Monotonic bounds tests run: this run's share of `midar.mbt_tests`.
+    pub mbt_tests: u64,
+    /// Candidate pairs discovery handed to elimination: this run's share of
+    /// `midar.candidates`.
+    pub candidates: u64,
+    /// IPID probes sent, estimation's round robin and elimination's pairs:
+    /// this run's share of `scan.ipid_probes`.
+    pub ipid_probes: u64,
+    /// Elimination pairs whose probing ended before their last slot: this
+    /// run's share of `scan.ipid_pair_stops`.
+    pub pair_stops: u64,
 }
 
 /// Run the MIDAR pipeline over `targets`, each resolved against the IP
@@ -128,13 +139,18 @@ pub fn midar_resolve(
 
     // Stage 2: discovery over a velocity-sorted sliding window.  From
     // here on a target is its position in `usable`; each one's series
-    // has its time order checked once, not once per test.
+    // has its time order checked once, not once per test.  The span has a
+    // child for each half: `sort` (the velocity sort and those checks) and
+    // `window` (the pairwise walk).
     let stage = alias_obs::span("discovery");
+    let step = alias_obs::span("sort");
     usable.sort_by(|a, b| a.0.total_cmp(&b.0));
     let checked: Vec<CheckedSeries<'_>> = usable
         .iter()
         .map(|&(_, target)| CheckedSeries::new(series.samples(target)))
         .collect();
+    drop(step);
+    let step = alias_obs::span("window");
     let mut discovery_tests = 0u64;
     let mut candidates: Vec<(usize, usize)> = Vec::new();
     for i in 0..checked.len() {
@@ -146,6 +162,7 @@ pub fn midar_resolve(
             }
         }
     }
+    drop(step);
     drop(stage);
 
     // Stage 3: elimination / corroboration with interleaved probing.
@@ -189,8 +206,10 @@ pub fn midar_resolve(
             union.union(i, j);
         }
     }
-    MBT_TESTS.add(discovery_tests + elimination_tests);
+    let mbt_tests = discovery_tests + elimination_tests;
+    MBT_TESTS.add(mbt_tests);
     CANDIDATES.add(candidates.len() as u64);
+    let (pair_probes, pair_stops) = pair_prober.pair_tally();
     drop(stage);
 
     let mut alias_sets = union.groups();
@@ -204,6 +223,10 @@ pub fn midar_resolve(
         alias_sets,
         testable,
         finished_at: finished_at.max(now),
+        mbt_tests,
+        candidates: candidates.len() as u64,
+        ipid_probes: (targets.len() * ESTIMATION_ROUNDS) as u64 + pair_probes,
+        pair_stops,
     }
 }
 

@@ -36,6 +36,32 @@ static ALLY_PAIR_TESTS: LazyCounter = LazyCounter::new(
     "resolve",
 );
 
+/// One `midar_resolve` technique's shares of the summed MIDAR and IPID
+/// counters, in [`MidarOutcome`](alias_midar::midar::MidarOutcome)'s
+/// order: bounds tests, candidates, IPID probes, pair stops.
+type MidarCounters = [LazyCounter; 4];
+
+/// A deterministic counter of the resolve stage.
+const fn resolve_counter(name: &'static str, unit: &'static str) -> LazyCounter {
+    LazyCounter::new(name, DeterminismClass::Deterministic, unit, "resolve")
+}
+
+/// MIDAR's shares (`midar_resolve` over the IPv4 targets).
+static MIDAR_COUNTERS: MidarCounters = [
+    resolve_counter("resolve.midar_mbt_tests", "tests"),
+    resolve_counter("resolve.midar_candidates", "pairs"),
+    resolve_counter("resolve.midar_ipid_probes", "probes"),
+    resolve_counter("resolve.midar_ipid_pair_stops", "pairs"),
+];
+
+/// Speedtrap's shares (`midar_resolve` over the IPv6 targets).
+static SPEEDTRAP_COUNTERS: MidarCounters = [
+    resolve_counter("resolve.speedtrap_mbt_tests", "tests"),
+    resolve_counter("resolve.speedtrap_candidates", "pairs"),
+    resolve_counter("resolve.speedtrap_ipid_probes", "probes"),
+    resolve_counter("resolve.speedtrap_ipid_pair_stops", "pairs"),
+];
+
 /// The campaign's addresses of one family as probe targets: two parallel
 /// arrays, to which a baseline adds its own (a series or a testable flag
 /// per target).
@@ -123,15 +149,25 @@ fn compact_sets(groups: &[Vec<usize>], ids: &[AddrId]) -> Vec<CompactAliasSet> {
 const ALLY_WINDOW: usize = 4;
 
 /// [`alias_midar::midar_resolve`] over one family's targets, as a
-/// technique's result.
+/// technique's result; the run's tallies go to the technique's `counters`.
 fn midar_result(
     name: &str,
+    counters: &MidarCounters,
     data: &CampaignData,
     ctx: &TechniqueCtx<'_>,
     family: &FamilyTargets,
 ) -> TechniqueResult {
     let FamilyTargets { ids, resolved } = family;
     let outcome = midar_resolve(ctx.internet, resolved, ctx.vantage, ctx.probe_start);
+    let tallies = [
+        outcome.mbt_tests,
+        outcome.candidates,
+        outcome.ipid_probes,
+        outcome.pair_stops,
+    ];
+    for (counter, tally) in counters.iter().zip(tallies) {
+        counter.add(tally);
+    }
     TechniqueResult::from_compact(
         name.to_owned(),
         compact_sets(&outcome.alias_sets, ids),
@@ -153,7 +189,7 @@ impl ResolutionTechnique for MidarTechnique {
     }
 
     fn resolve(&self, data: &CampaignData, ctx: &TechniqueCtx<'_>) -> TechniqueResult {
-        midar_result(self.name(), data, ctx, ctx.targets.ipv4())
+        midar_result(self.name(), &MIDAR_COUNTERS, data, ctx, ctx.targets.ipv4())
     }
 }
 
@@ -237,7 +273,13 @@ impl ResolutionTechnique for SpeedtrapTechnique {
     }
 
     fn resolve(&self, data: &CampaignData, ctx: &TechniqueCtx<'_>) -> TechniqueResult {
-        midar_result(self.name(), data, ctx, ctx.targets.ipv6())
+        midar_result(
+            self.name(),
+            &SPEEDTRAP_COUNTERS,
+            data,
+            ctx,
+            ctx.targets.ipv6(),
+        )
     }
 }
 
@@ -349,6 +391,52 @@ mod tests {
                 precision,
                 result.set_count()
             );
+        }
+    }
+
+    #[test]
+    fn midar_and_speedtrap_counters_add_up_to_the_summed_ones() {
+        // A thread of its own: a fresh registry that only these two runs
+        // (and the campaign before them) write.
+        let counts = std::thread::spawn(|| {
+            let (internet, data) = setup(79);
+            let targets = ProbeTargets::new(&data, &internet);
+            let ctx = TechniqueCtx {
+                internet: &internet,
+                probe_start: data.finished_at,
+                vantage: VantageKind::SingleVp,
+                targets: &targets,
+            };
+            let before = alias_obs::registry().snapshot();
+            MidarTechnique.resolve(&data, &ctx);
+            SpeedtrapTechnique.resolve(&data, &ctx);
+            let after = alias_obs::registry().snapshot();
+            let read = |snapshot: &alias_obs::MetricsSnapshot, name: &str| {
+                (snapshot.counters.iter())
+                    .find(|c| c.name == name)
+                    .map_or(0, |c| c.value)
+            };
+            move |name: &str| read(&after, name) - read(&before, name)
+        })
+        .join()
+        .expect("the runs finish");
+        for (sum, share) in [
+            ("midar.mbt_tests", "mbt_tests"),
+            ("midar.candidates", "candidates"),
+            ("scan.ipid_probes", "ipid_probes"),
+            ("scan.ipid_pair_stops", "ipid_pair_stops"),
+        ] {
+            let (midar, speedtrap) = (
+                counts(&format!("resolve.midar_{share}")),
+                counts(&format!("resolve.speedtrap_{share}")),
+            );
+            assert_eq!(counts(sum), midar + speedtrap, "{sum}");
+        }
+        // Both runs tested and probed something (the tiny world stops no
+        // pair early).
+        for share in ["mbt_tests", "ipid_probes"] {
+            assert!(counts(&format!("resolve.midar_{share}")) > 0, "{share}");
+            assert!(counts(&format!("resolve.speedtrap_{share}")) > 0, "{share}");
         }
     }
 

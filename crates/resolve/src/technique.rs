@@ -69,13 +69,21 @@ impl TechniqueResult {
     pub(crate) fn from_compact(
         technique: String,
         mut sets: Vec<CompactAliasSet>,
-        mut testable: Vec<AddrId>,
+        testable: Vec<AddrId>,
         finished_at: SimTime,
         interner: Arc<AddrInterner>,
     ) -> Self {
         sort_canonical_compact(&mut sets, &interner);
-        testable.sort_unstable();
-        testable.dedup();
+        // Ids are dense below `interner.len()`: mark them, read them back
+        // in order.
+        let mut marked = vec![false; interner.len()];
+        for id in testable {
+            marked[id.index()] = true;
+        }
+        let testable = (0..)
+            .zip(marked)
+            .filter_map(|(id, m)| m.then_some(AddrId(id)))
+            .collect();
         TechniqueResult {
             technique,
             sets,
@@ -294,6 +302,38 @@ mod tests {
     }
 
     #[test]
+    fn from_compact_sorts_and_dedups_testable_ids() {
+        let interner = Arc::new(AddrInterner::from_addrs(
+            (1..=6).map(|i| IpAddr::from([10, 0, 0, i])),
+        ));
+        let last = AddrId(interner.len() as u32 - 1);
+        let testable = |ids: Vec<AddrId>| {
+            let result = TechniqueResult::from_compact(
+                "t".into(),
+                vec![],
+                ids,
+                SimTime::ZERO,
+                interner.clone(),
+            );
+            result.testable_ids().to_vec()
+        };
+        assert_eq!(
+            testable(vec![
+                AddrId(3),
+                last,
+                AddrId(0),
+                AddrId(3),
+                last,
+                AddrId(1),
+                AddrId(0)
+            ]),
+            vec![AddrId(0), AddrId(1), AddrId(3), last]
+        );
+        assert_eq!(testable(vec![]), vec![]);
+        assert_eq!(testable(vec![last, last]), vec![last]);
+    }
+
+    #[test]
     fn novel_addresses_extend_a_private_interner_copy() {
         let base = Arc::new(AddrInterner::from_addrs(
             ["10.0.0.1"].iter().map(|s| s.parse().unwrap()),
@@ -314,5 +354,99 @@ mod tests {
             "base ids stay valid in the extension"
         );
         assert_eq!(result.alias_sets(), vec![set(&["10.0.0.1", "192.0.2.7"])]);
+    }
+
+    /// The per-comparison comparator canonical order was sorted with before
+    /// each set's key was read once (the oracle `alias-intern` tests the
+    /// keyed sort against): smallest address, larger set first, then the
+    /// members in address order.
+    fn oracle_cmp(
+        a: &CompactAliasSet,
+        b: &CompactAliasSet,
+        interner: &AddrInterner,
+    ) -> std::cmp::Ordering {
+        let addr_order = |set: &CompactAliasSet| {
+            let mut addrs: Vec<IpAddr> = set.iter().map(|id| interner.addr(id)).collect();
+            addrs.sort_unstable();
+            addrs
+        };
+        a.min_addr(interner)
+            .cmp(&b.min_addr(interner))
+            .then_with(|| b.len().cmp(&a.len()))
+            .then_with(|| addr_order(a).cmp(&addr_order(b)))
+    }
+
+    /// The paper-scale Censys ∪ active store resolved by the three
+    /// identifier techniques, as `snapshot-resolve-1t` resolves it: every
+    /// result, and each one's projections onto one source, has its sets in
+    /// the oracle's order and its testable ids strictly ascending
+    /// (`cargo test --release -p alias-resolve --lib -- --ignored
+    /// canonical_order`, a CI step).
+    #[test]
+    #[ignore = "paper scale: one world, crawl and campaign, a few seconds in release"]
+    fn paper_scale_identifier_results_are_in_canonical_order() {
+        use crate::Resolver;
+        use alias_censys::{CensysConfig, CensysSnapshot};
+        use alias_netsim::{InternetBuilder, InternetConfig, ScalePreset};
+        use alias_scan::campaign::{ActiveCampaign, CampaignConfig};
+
+        let seed = 20230418;
+        let config = InternetConfig::preset(ScalePreset::PaperShape, seed);
+        let hitlist_coverage = config.visibility.hitlist_coverage;
+        let mut internet = InternetBuilder::new(config).build();
+        let snapshot = CensysConfig {
+            snapshot_time: SimTime::ZERO,
+            seed,
+        };
+        let (censys, _) = CensysSnapshot::collect(&internet, snapshot).into_default_port();
+        let start = SimTime::from_days(21);
+        internet.apply_churn(SimTime::ZERO, start);
+        let campaign = CampaignConfig {
+            vantage: VantageKind::SingleVp,
+            start,
+            hitlist_coverage,
+            seed,
+            ..Default::default()
+        };
+        let mut union = ActiveCampaign::new(campaign).run(&internet).into_store();
+        union.extend_from(&censys);
+        let data = CampaignData::from_store(union);
+        let report = Resolver::builder()
+            .paper_techniques()
+            .build()
+            .resolve_data(&internet, &data);
+        assert_eq!(report.techniques.len(), 3);
+        for result in &report.techniques {
+            let groups = result
+                .groups()
+                .expect("an identifier result keeps its pass");
+            let projections = [DataSource::Active, DataSource::Censys].map(|source| {
+                TechniqueResult::from_groups(
+                    result.technique.clone(),
+                    groups.clone(),
+                    Some(source),
+                    result.finished_at,
+                    result.interner().clone(),
+                )
+            });
+            for (checked, view) in [result]
+                .into_iter()
+                .chain(&projections)
+                .zip(["all", "active", "censys"])
+            {
+                let name = format!("{} ({view})", checked.technique);
+                let (sets, interner) = (checked.compact_sets(), checked.interner());
+                for (i, pair) in sets.windows(2).enumerate() {
+                    assert_ne!(
+                        oracle_cmp(&pair[0], &pair[1], interner),
+                        std::cmp::Ordering::Greater,
+                        "{name}: sets {i} and {} out of order",
+                        i + 1
+                    );
+                }
+                let testable = checked.testable_ids();
+                assert!(testable.windows(2).all(|w| w[0] < w[1]), "{name}");
+            }
+        }
     }
 }

@@ -178,6 +178,13 @@ impl IpidProber {
         }
     }
 
+    /// Probes of interleaved pairs sent so far, and pairs that ended before
+    /// their last slot: what the prober adds to `scan.ipid_probes` and
+    /// `scan.ipid_pair_stops` when it is dropped.
+    pub fn pair_tally(&self) -> (u64, u64) {
+        (self.pair_probes, self.pair_stops)
+    }
+
     /// Round-robin sample every target: one probe per target per round,
     /// `rounds` rounds, targets probed in order within a round.  Returns
     /// one series per target, in target order.
