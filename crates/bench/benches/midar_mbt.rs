@@ -9,7 +9,7 @@ use alias_midar::ally::AllyTester;
 use alias_midar::mbt::{monotonic_bounds_test, step_is_impossible};
 use alias_midar::velocity::estimate_velocity;
 use alias_netsim::{InternetBuilder, InternetConfig, ProbeContext, SimTime, VantageKind};
-use alias_scan::ipid_probe::{IpidProber, IpidProberConfig, IpidSample, ResolvedTarget};
+use alias_scan::ipid_probe::{IpidProber, IpidSample, ResolvedTarget, RoundRobin};
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
 fn synthetic_series(base: u16, velocity: f64, samples: usize) -> Vec<IpidSample> {
@@ -72,11 +72,7 @@ fn bench_probing(c: &mut Criterion) {
             tester.test(&mut session, black_box(pair), VantageKind::Distributed, now)
         })
     });
-    let mut prober = IpidProber::new(IpidProberConfig {
-        rounds: 1,
-        round_spacing: SimTime::ZERO,
-        rate_pps: 5_000.0,
-    });
+    let mut prober = IpidProber::new(5_000.0);
     let mut samples = [Vec::new(), Vec::new()];
     let mut now = epoch;
     group.bench_function("elimination_5000pps", |bench| {
@@ -99,15 +95,15 @@ fn bench_probing(c: &mut Criterion) {
     group.finish();
 
     let targets: Vec<ResolvedTarget> = pingable.iter().copied().cycle().take(1_000).collect();
-    let prober = IpidProber::new(IpidProberConfig {
+    let round_robin = RoundRobin {
         rounds: 12,
         round_spacing: SimTime::from_secs(10),
         rate_pps: 5_000.0,
-    });
+    };
     let mut group = c.benchmark_group("round_robin");
     group.bench_function("1k_targets_12_rounds", |bench| {
         bench.iter(|| {
-            prober.collect_round_robin(
+            round_robin.collect(
                 &mut session,
                 black_box(&targets),
                 VantageKind::Distributed,

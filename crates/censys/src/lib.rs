@@ -9,7 +9,8 @@
 //! * it scans from a **distributed** fleet, so rate limiting and IDS filters
 //!   hide fewer hosts from it (it finds ~6M more SSH hosts in Table 1);
 //! * it scans **all ports**, so part of its SSH data sits on non-standard
-//!   ports that the paper excludes;
+//!   ports that the paper excludes — the crawl counts those listings for
+//!   Table 1 and keeps none of them;
 //! * its coverage of the simulated population is itself imperfect;
 //! * it is a **snapshot from an earlier date**, so churn separates it from
 //!   the active measurements;
@@ -17,7 +18,7 @@
 //!   Censys IPv6 data.
 //!
 //! All of those behaviours are reproduced by [`CensysSnapshot::collect`],
-//! which crawls straight into columnar stores through their scan door,
+//! which crawls straight into one columnar store through its scan door,
 //! [`ShardColumns::push_session`]: a session is parsed in place and its
 //! payload encoded once, into the arena it stays in, and a banner and
 //! KEXINIT that repeat, cookie aside, are parsed once per store.
@@ -38,7 +39,7 @@ static SESSIONS: LazyCounter = LazyCounter::new(
 );
 
 /// Non-standard ports a fraction of SSH hosts are additionally listed on.
-pub const EXTRA_SSH_PORTS: [u16; 4] = [2222, 2022, 830, 8022];
+const EXTRA_SSH_PORTS: [u16; 4] = [2222, 2022, 830, 8022];
 
 /// Fraction of SSH sessions also listed on one of [`EXTRA_SSH_PORTS`].
 const NONSTANDARD_PORT_FRACTION: f64 = 0.2;
@@ -65,12 +66,12 @@ impl Default for CensysConfig {
 
 /// A collected snapshot: the rows on the protocols' default ports — the
 /// view the paper uses ("we only consider hosts that are running SSH and
-/// BGP on the default ports") — and the rows on non-standard ports, each a
-/// store in crawl order.
+/// BGP on the default ports") — as a store in crawl order, and how many
+/// listings on non-standard ports the crawl counted beside them.
 #[derive(Debug, Clone)]
 pub struct CensysSnapshot {
     default_port: ObservationStore,
-    nonstandard: ObservationStore,
+    nonstandard: usize,
 }
 
 impl CensysSnapshot {
@@ -83,7 +84,7 @@ impl CensysSnapshot {
             time: config.snapshot_time,
         };
         let mut default_port = ShardColumns::new();
-        let mut nonstandard = ShardColumns::new();
+        let mut nonstandard = 0;
         let mut session = Vec::new();
         let mut sessions = 0u64;
 
@@ -110,11 +111,13 @@ impl CensysSnapshot {
                         continue;
                     }
                     // A fraction of SSH hosts also appear on a non-standard
-                    // port.
+                    // port.  Only the count is kept, but the port is still
+                    // drawn: both draws per listing keep the RNG stream, and
+                    // so Table 1's count, what it was when the listings were
+                    // stored.
                     if protocol == ServiceProtocol::Ssh && rng.gen_bool(NONSTANDARD_PORT_FRACTION) {
-                        let listed = EXTRA_SSH_PORTS[rng.gen_range(0..EXTRA_SSH_PORTS.len())];
-                        nonstandard
-                            .push_session(addr, listed, source, time, asn, protocol, &session);
+                        rng.gen_range(0..EXTRA_SSH_PORTS.len());
+                        nonstandard += 1;
                     }
                 }
             }
@@ -122,19 +125,8 @@ impl CensysSnapshot {
         SESSIONS.add(sessions);
         CensysSnapshot {
             default_port: default_port.into(),
-            nonstandard: nonstandard.into(),
+            nonstandard,
         }
-    }
-
-    /// The default-port rows.
-    pub fn default_port(&self) -> &ObservationStore {
-        &self.default_port
-    }
-
-    /// The rows on non-standard ports (excluded from the analysis but
-    /// reported in the dataset overview).
-    pub fn nonstandard(&self) -> &ObservationStore {
-        &self.nonstandard
     }
 
     /// The default-port rows exported as owned observations: the one way
@@ -144,10 +136,10 @@ impl CensysSnapshot {
     }
 
     /// Consume the snapshot into its default-port store and the number of
-    /// non-standard-port rows left behind — for a caller that keeps only
-    /// those two, nothing is copied.
+    /// non-standard-port listings (excluded from the analysis but reported
+    /// in the dataset overview).
     pub fn into_default_port(self) -> (ObservationStore, usize) {
-        (self.default_port, self.nonstandard.len())
+        (self.default_port, self.nonstandard)
     }
 }
 
@@ -160,18 +152,11 @@ mod tests {
         InternetBuilder::new(InternetConfig::tiny(606)).build()
     }
 
-    /// Every listed row of a snapshot, default-port rows first.
-    fn rows(snapshot: &CensysSnapshot) -> Vec<ServiceObservation> {
-        let mut rows = snapshot.default_port_observations();
-        rows.extend(snapshot.nonstandard().to_observations());
-        rows
-    }
-
     #[test]
     fn snapshot_marks_every_record_as_censys() {
         let internet = internet();
         let snapshot = CensysSnapshot::collect(&internet, CensysConfig::default());
-        let rows = rows(&snapshot);
+        let rows = snapshot.default_port_observations();
         assert!(!rows.is_empty());
         for obs in &rows {
             assert_eq!(obs.source, DataSource::Censys);
@@ -183,7 +168,7 @@ mod tests {
     fn coverage_skips_uncovered_devices() {
         let internet = internet();
         let snapshot = CensysSnapshot::collect(&internet, CensysConfig::default());
-        for obs in &rows(&snapshot) {
+        for obs in &snapshot.default_port_observations() {
             let (device_id, _) = internet.lookup(obs.addr).unwrap();
             assert!(internet.device(device_id).censys_covered());
         }
@@ -195,7 +180,8 @@ mod tests {
     fn censys_sees_hosts_the_single_vp_misses() {
         let internet = internet();
         let snapshot = CensysSnapshot::collect(&internet, CensysConfig::default());
-        let invisible_but_seen = rows(&snapshot).iter().any(|obs| {
+        let rows = snapshot.default_port_observations();
+        let invisible_but_seen = rows.iter().any(|obs| {
             let (device_id, _) = internet.lookup(obs.addr).unwrap();
             !internet.device(device_id).visible_to_single_vp()
         });
@@ -206,32 +192,21 @@ mod tests {
     }
 
     #[test]
-    fn nonstandard_ports_exist_and_are_filterable() {
+    fn nonstandard_listings_are_counted_beside_the_default_port_rows() {
         let internet = internet();
         let snapshot = CensysSnapshot::collect(&internet, CensysConfig::default());
-        let nonstandard = snapshot.nonstandard();
-        assert!(!nonstandard.is_empty());
-        assert_eq!(nonstandard.validate(), Ok(()));
-        for port in nonstandard.ports() {
-            assert!(EXTRA_SSH_PORTS.contains(port));
-        }
-        // Every host listed on an extra port is listed on port 22 as well.
-        for &addr in nonstandard.interner().addrs() {
-            assert!(snapshot.default_port().addr_id(addr).is_some(), "{addr}");
-        }
-        let default_only = snapshot.default_port().clone();
-        assert_eq!(default_only.validate(), Ok(()));
-        assert!(default_only
-            .select(None, None)
-            .iter()
-            .all(|o| o.is_default_port()));
-        assert_eq!(
-            snapshot.default_port_observations(),
-            default_only.to_observations()
+        let rows = snapshot.default_port_observations();
+        assert!(rows.iter().all(|o| o.port == o.protocol().default_port()));
+        // Each extra listing is an SSH host also listed on port 22.
+        let ssh = rows.iter().filter(|o| o.protocol() == ServiceProtocol::Ssh);
+        let ssh = ssh.count();
+        let (store, nonstandard) = snapshot.into_default_port();
+        assert!(
+            nonstandard > 0 && nonstandard < ssh,
+            "{nonstandard} of {ssh}"
         );
-        // The consuming split is the same two, moved instead of copied.
-        let nonstandard = nonstandard.len();
-        assert_eq!(snapshot.into_default_port(), (default_only, nonstandard));
+        assert_eq!(store.validate(), Ok(()));
+        assert_eq!(store.to_observations(), rows);
     }
 
     #[test]
@@ -245,9 +220,10 @@ mod tests {
             .iter()
             .find(|c| c.name == "censys.sessions");
         let sessions = sessions.expect("the crawl counts its sessions");
-        // Every row but the extra-port ones is an attempted session that
-        // answered; silent BGP speakers are attempts without a row.
-        assert!(sessions.value >= snapshot.default_port().len() as u64);
+        // Every row is an attempted session that answered; silent BGP
+        // speakers are attempts without a row.
+        let rows = snapshot.default_port_observations().len();
+        assert!(sessions.value >= rows as u64);
         let opened: Vec<&str> = recorded.spans.iter().map(|s| s.path.as_str()).collect();
         assert_eq!(opened, ["censys/collect"]);
     }
@@ -257,7 +233,6 @@ mod tests {
         let internet = internet();
         let a = CensysSnapshot::collect(&internet, CensysConfig::default());
         let b = CensysSnapshot::collect(&internet, CensysConfig::default());
-        assert_eq!(a.default_port(), b.default_port());
-        assert_eq!(a.nonstandard(), b.nonstandard());
+        assert_eq!(a.into_default_port(), b.into_default_port());
     }
 }

@@ -144,7 +144,7 @@ mod tests {
             timestamp: SimTime::ZERO,
             asn: Some(asn),
             payload: ServicePayload::Snmpv3 {
-                engine_id: EngineId::from_enterprise_mac(9, [0; 6]),
+                engine_id: EngineId(EngineId::enterprise_mac_bytes(9, [0; 6]).to_vec()),
                 engine_boots: 1,
                 engine_time: 1,
             },

@@ -161,7 +161,7 @@ mod tests {
             notification_seen: true,
         });
         let snmp = observation(ServicePayload::Snmpv3 {
-            engine_id: EngineId::from_enterprise_mac(9, [0, 1, 2, 3, 4, 5]),
+            engine_id: EngineId(EngineId::enterprise_mac_bytes(9, [0, 1, 2, 3, 4, 5]).to_vec()),
             engine_boots: 3,
             engine_time: 100,
         });

@@ -32,7 +32,7 @@
 use alias_intern::IdentInterner;
 use alias_scan::{BgpOpenRef, SshRef};
 use alias_store::SshProfiles;
-use alias_wire::bgp::{OpenMessage, OptionalParameter, ParamRef};
+use alias_wire::bgp::{CapabilityRef, OpenMessage, OptionalParameter, ParamRef};
 use alias_wire::snmp::EngineId;
 use alias_wire::ssh::SshObservation;
 use std::collections::HashMap;
@@ -236,19 +236,29 @@ impl BgpIdentifier {
 
     /// Append the key of the identifier [`Self::from_open`] would build.
     ///
-    /// Each optional parameter goes in as (kind, code, framed value), which
-    /// is in bijection with its `code:hex` / `ptype:hex` rendering.
-    /// `open_length` is left out: it is a function of the parameters' kinds
-    /// and value lengths, so it can never tell two keys apart.
+    /// Layout: the protocol byte, the BGP Identifier's four octets, the
+    /// hold time, the version, the optional parameters, then the ASN
+    /// (`u32`, little-endian).  Each optional parameter goes in as (kind,
+    /// code, framed value), which is in bijection with its `code:hex` /
+    /// `ptype:hex` rendering; the ASN has a fixed size and comes last, so
+    /// the parameter run is what lies between the version and it, and the
+    /// key stays unambiguous.  The ASN is the first four-octet-AS
+    /// capability's, met in the same walk, else the two-octet field's
+    /// ([`OpenMessage::effective_asn`]): the parameters are read once.
+    /// `open_length` is left out: it is a function of the parameters'
+    /// kinds and value lengths, so it can never tell two keys apart.
     pub(crate) fn write_key(open: BgpOpenRef<'_>, out: &mut Vec<u8>) {
         out.push(KEY_BGP);
         out.extend_from_slice(&open.bgp_identifier.octets());
-        out.extend_from_slice(&open.effective_asn().to_le_bytes());
         out.extend_from_slice(&open.hold_time.to_le_bytes());
         out.push(open.version);
+        let mut four_octet_as = None;
         for param in open.params.iter() {
             match param {
                 ParamRef::Capability(cap) => {
+                    if let CapabilityRef::FourOctetAs { asn } = cap {
+                        four_octet_as.get_or_insert(asn);
+                    }
                     out.extend_from_slice(&[0, cap.code()]);
                     framed(out, |out| cap.emit_value(out));
                 }
@@ -258,6 +268,8 @@ impl BgpIdentifier {
                 }
             }
         }
+        let asn = four_octet_as.unwrap_or(u32::from(open.my_as));
+        out.extend_from_slice(&asn.to_le_bytes());
     }
 }
 
@@ -433,7 +445,7 @@ mod tests {
 
     #[test]
     fn snmp_identifier_is_engine_hex() {
-        let engine = EngineId::from_enterprise_mac(9, [1, 2, 3, 4, 5, 6]);
+        let engine = EngineId(EngineId::enterprise_mac_bytes(9, [1, 2, 3, 4, 5, 6]).to_vec());
         let id = Snmpv3Identifier::from_engine_id(&engine);
         assert_eq!(id.engine_id, engine.to_hex());
     }

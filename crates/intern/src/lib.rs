@@ -86,16 +86,6 @@ impl AddrInterner {
         }
     }
 
-    /// Intern every address yielded by `addrs`, in order (duplicates keep
-    /// their first id).
-    pub fn from_addrs<I: IntoIterator<Item = IpAddr>>(addrs: I) -> Self {
-        let mut interner = AddrInterner::new();
-        for addr in addrs {
-            interner.intern(addr);
-        }
-        interner
-    }
-
     /// The id of `addr`, interning it if new.
     pub fn intern(&mut self, addr: IpAddr) -> AddrId {
         match self.ids.entry(addr) {
@@ -459,6 +449,15 @@ pub fn sort_canonical_compact(sets: &mut [CompactAliasSet], interner: &AddrInter
 mod tests {
     use super::*;
 
+    /// An interner of `addrs`, interned in order.
+    fn interner_of(addrs: impl IntoIterator<Item = IpAddr>) -> AddrInterner {
+        let mut interner = AddrInterner::new();
+        for addr in addrs {
+            interner.intern(addr);
+        }
+        interner
+    }
+
     fn ip(s: &str) -> IpAddr {
         s.parse().unwrap()
     }
@@ -482,8 +481,8 @@ mod tests {
     }
 
     #[test]
-    fn from_addrs_keeps_first_occurrence_order() {
-        let interner = AddrInterner::from_addrs(
+    fn interning_keeps_first_occurrence_order() {
+        let interner = interner_of(
             ["10.0.0.2", "10.0.0.1", "10.0.0.2", "2001:db8::1"]
                 .iter()
                 .map(|s| ip(s)),
@@ -495,7 +494,7 @@ mod tests {
 
     #[test]
     fn extension_preserves_existing_ids() {
-        let mut base = AddrInterner::from_addrs([ip("10.0.0.1"), ip("10.0.0.2")]);
+        let mut base = interner_of([ip("10.0.0.1"), ip("10.0.0.2")]);
         let mut extended = base.clone();
         let novel = extended.intern(ip("192.0.2.1"));
         assert_eq!(novel, AddrId(2));
@@ -586,7 +585,7 @@ mod tests {
 
     #[test]
     fn compact_set_sorts_dedups_and_resolves() {
-        let interner = AddrInterner::from_addrs([ip("10.0.0.9"), ip("10.0.0.1"), ip("10.0.0.5")]);
+        let interner = interner_of([ip("10.0.0.9"), ip("10.0.0.1"), ip("10.0.0.5")]);
         let set = CompactAliasSet::from_ids(vec![AddrId(2), AddrId(0), AddrId(2), AddrId(1)]);
         assert_eq!(set.ids(), &[AddrId(0), AddrId(1), AddrId(2)]);
         assert_eq!(set.len(), 3);
@@ -614,7 +613,7 @@ mod tests {
 
     #[test]
     fn canonical_compact_order_is_by_smallest_address_then_size() {
-        let interner = AddrInterner::from_addrs([
+        let interner = interner_of([
             ip("10.9.0.1"),
             ip("10.0.0.5"),
             ip("10.4.0.1"),
@@ -648,7 +647,7 @@ mod tests {
     #[test]
     fn validators_report_broken_bijections_and_unsorted_sets() {
         assert_eq!(AddrInterner::new().validate(), Ok(()));
-        let mut interner = AddrInterner::from_addrs([ip("10.0.0.1"), ip("10.0.0.2")]);
+        let mut interner = interner_of([ip("10.0.0.1"), ip("10.0.0.2")]);
         assert_eq!(interner.validate(), Ok(()));
         interner.addrs.push(ip("10.0.0.3")); // stored but never mapped
         let err = interner.validate().unwrap_err();
@@ -710,7 +709,7 @@ mod tests {
             // Ids in a random first-seen order, so id order is not address
             // order; up to 40 sets of at most four over twelve addresses
             // share smallest addresses and sizes, overlap and repeat.
-            let mut interner = AddrInterner::from_addrs(first_seen.into_iter().map(universe_addr));
+            let mut interner = interner_of(first_seen.into_iter().map(universe_addr));
             let sets: Vec<CompactAliasSet> = (raw_sets.iter())
                 .map(|set| {
                     let ids = set.iter().map(|&k| interner.intern(universe_addr(k))).collect();
@@ -751,7 +750,7 @@ mod tests {
                 .iter()
                 .map(|&v| IpAddr::from([10, 0, (v >> 8) as u8, (v & 0xff) as u8]))
                 .collect();
-            let interner = AddrInterner::from_addrs(addrs.iter().copied());
+            let interner = interner_of(addrs.iter().copied());
             let distinct: BTreeSet<IpAddr> = addrs.iter().copied().collect();
             proptest::prop_assert_eq!(interner.len(), distinct.len());
             for &addr in &distinct {

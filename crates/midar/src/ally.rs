@@ -5,9 +5,8 @@
 //! stay close together — the behaviour of one shared counter.  Probing stops
 //! at the first reply that is not close to the one before it.
 
-use alias_netsim::{Internet, ProbeContext, ProbeSession, SimTime, VantageKind};
-use alias_scan::ipid_probe::{IpidProber, IpidProberConfig, IpidSample, PairEnd, ResolvedTarget};
-use std::net::IpAddr;
+use alias_netsim::{ProbeContext, ProbeSession, SimTime, VantageKind};
+use alias_scan::ipid_probe::{IpidProber, IpidSample, PairEnd, ResolvedTarget};
 
 /// Verdict of an Ally test: how its pair ended.  A pair ends at whichever
 /// comes first in probe order, its first reply that is not close to the
@@ -46,11 +45,7 @@ pub struct AllyTester {
 impl Default for AllyTester {
     fn default() -> Self {
         AllyTester {
-            prober: IpidProber::new(IpidProberConfig {
-                rounds: 1,
-                round_spacing: SimTime::ZERO,
-                rate_pps: 20.0,
-            }),
+            prober: IpidProber::new(20.0),
             samples: [
                 Vec::with_capacity(PROBES_PER_ADDR),
                 Vec::with_capacity(PROBES_PER_ADDR),
@@ -66,7 +61,8 @@ impl AllyTester {
     }
 
     /// Test a pair of interfaces already resolved with
-    /// [`Internet::lookup`], probing through the session the sweep holds.
+    /// [`Internet::lookup`](alias_netsim::Internet::lookup), probing
+    /// through the session the sweep holds.
     pub fn test(
         &mut self,
         session: &mut ProbeSession<'_>,
@@ -93,27 +89,23 @@ impl AllyTester {
     }
 }
 
-/// Run one Ally test against the simulated Internet.
-pub fn ally_test(
-    internet: &Internet,
-    a: IpAddr,
-    b: IpAddr,
-    vantage: VantageKind,
-    start: SimTime,
-) -> AllyVerdict {
-    AllyTester::new().test(
-        &mut internet.probe_session(),
-        [internet.lookup(a), internet.lookup(b)],
-        vantage,
-        start,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use alias_netsim::ipid::IpidModel;
-    use alias_netsim::{DeviceKind, InternetBuilder, InternetConfig};
+    use alias_netsim::{DeviceKind, Internet, InternetBuilder, InternetConfig};
+    use std::net::IpAddr;
+
+    /// One Ally test of two addresses, each looked up, in a session of
+    /// its own.
+    fn ally_test(internet: &Internet, a: IpAddr, b: IpAddr) -> AllyVerdict {
+        AllyTester::new().test(
+            &mut internet.probe_session(),
+            [internet.lookup(a), internet.lookup(b)],
+            VantageKind::Distributed,
+            SimTime::ZERO,
+        )
+    }
 
     fn internet() -> Internet {
         InternetBuilder::new(InternetConfig::tiny(909)).build()
@@ -127,7 +119,7 @@ mod tests {
                 let model = internet.ipid_model(d.id());
                 d.responds_to_ping()
                     && d.ipv4_addrs().len() >= 2
-                    && model.is_shared_monotonic() == want_shared
+                    && matches!(model, IpidModel::SharedMonotonic { .. }) == want_shared
                     && model.velocity().map(|v| v < 500.0).unwrap_or(!want_shared)
             })
             .map(|d| {
@@ -140,10 +132,7 @@ mod tests {
     fn shared_counter_pair_is_alias() {
         let internet = internet();
         if let Some((a, b)) = device_pair(&internet, true) {
-            assert_eq!(
-                ally_test(&internet, a, b, VantageKind::Distributed, SimTime::ZERO),
-                AllyVerdict::Alias
-            );
+            assert_eq!(ally_test(&internet, a, b), AllyVerdict::Alias);
         }
     }
 
@@ -168,7 +157,7 @@ mod tests {
         if routers.len() == 2 {
             let a = IpAddr::V4(routers[0].ipv4_addrs()[0]);
             let b = IpAddr::V4(routers[1].ipv4_addrs()[0]);
-            let verdict = ally_test(&internet, a, b, VantageKind::Distributed, SimTime::ZERO);
+            let verdict = ally_test(&internet, a, b);
             assert_ne!(verdict, AllyVerdict::Alias);
         }
     }
@@ -182,15 +171,6 @@ mod tests {
             .find(|d| d.responds_to_ping() && !d.ipv4_addrs().is_empty())
             .map(|d| IpAddr::V4(d.ipv4_addrs()[0]))
             .unwrap();
-        assert_eq!(
-            ally_test(
-                &internet,
-                live,
-                dead,
-                VantageKind::Distributed,
-                SimTime::ZERO
-            ),
-            AllyVerdict::Unresponsive
-        );
+        assert_eq!(ally_test(&internet, live, dead), AllyVerdict::Unresponsive);
     }
 }

@@ -83,7 +83,8 @@ mod tests {
             .collect();
         let outcome = iffinder_scan(&internet, &targets, VantageKind::Distributed, SimTime::ZERO);
         for (a, b) in &outcome.pairs {
-            assert!(truth.are_aliases(*a, *b));
+            assert!(truth.device_of(*a).is_some());
+            assert_eq!(truth.device_of(*a), truth.device_of(*b));
         }
         for set in &outcome.alias_sets {
             assert!(set.len() >= 2);

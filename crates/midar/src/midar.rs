@@ -28,7 +28,7 @@ use crate::mbt::{monotonic_bounds_test, step_is_impossible, CheckedSeries, MbtVe
 use crate::velocity::{estimate_velocity, VelocityEstimate};
 use alias_netsim::{Internet, ProbeContext, SimTime, VantageKind};
 use alias_obs::{DeterminismClass, LazyCounter};
-use alias_scan::ipid_probe::{IpidProber, IpidProberConfig, ResolvedTarget};
+use alias_scan::ipid_probe::{IpidProber, ResolvedTarget, RoundRobin};
 
 /// Monotonic bounds tests run by the discovery and elimination stages:
 /// one per discovery-window pair and one per candidate elimination
@@ -112,12 +112,12 @@ pub fn midar_resolve(
 
     // Stage 1: estimation.
     let stage = alias_obs::span("estimation");
-    let prober = IpidProber::new(IpidProberConfig {
+    let estimation = RoundRobin {
         rounds: ESTIMATION_ROUNDS,
         round_spacing: ROUND_SPACING,
         rate_pps: PROBE_RATE_PPS,
-    });
-    let series = prober.collect_round_robin(&mut session, targets, vantage, start);
+    };
+    let series = estimation.collect(&mut session, targets, vantage, start);
     let mut finished_at = series
         .iter()
         .flat_map(|s| s.last().map(|x| x.time))
@@ -172,11 +172,7 @@ pub fn midar_resolve(
     // already; a pair the union-find joins is not re-probed, and keeps its
     // place in the schedule.
     let stage = alias_obs::span("elimination");
-    let mut pair_prober = IpidProber::new(IpidProberConfig {
-        rounds: 1,
-        round_spacing: SimTime::ZERO,
-        rate_pps: PROBE_RATE_PPS,
-    });
+    let mut pair_prober = IpidProber::new(PROBE_RATE_PPS);
     let mut samples = [
         Vec::with_capacity(ELIMINATION_PROBES),
         Vec::with_capacity(ELIMINATION_PROBES),
@@ -269,7 +265,8 @@ mod tests {
             for i in 0..members.len() {
                 for j in i + 1..members.len() {
                     assert!(
-                        truth.are_aliases(members[i], members[j]),
+                        truth.device_of(members[i]).is_some()
+                            && truth.device_of(members[i]) == truth.device_of(members[j]),
                         "false alias {:?} / {:?}",
                         members[i],
                         members[j]
@@ -298,7 +295,7 @@ mod tests {
         // deterministic: low-velocity shared counters that answer ping.
         let good_targets = targets(&internet, |d| {
             let model = internet.ipid_model(d.id());
-            model.is_shared_monotonic() && model.velocity().unwrap_or(f64::MAX) < 300.0
+            matches!(model, alias_netsim::ipid::IpidModel::SharedMonotonic { velocity } if velocity < 300.0)
         });
         if good_targets.len() < 2 {
             return;

@@ -23,7 +23,7 @@ use crate::profiles::{BgpProfileId, SshProfileId};
 use crate::ratelimit::IcmpRateLimit;
 use crate::vantage::VantageKind;
 use alias_wire::ssh::{HostKeyAlgorithm, HostKeyRef};
-use std::net::{IpAddr, Ipv4Addr, Ipv6Addr};
+use std::net::{IpAddr, Ipv4Addr};
 use std::ops::Range;
 
 /// Broad device archetypes used by the generator and reported in analyses.
@@ -253,8 +253,8 @@ pub struct SnmpService<'a> {
 
 /// A simulated device, read through the [`Internet`](crate::Internet)'s
 /// columns: everything about it that probing never changes.  Its IPID
-/// counter, the one thing probing does change, is read with
-/// [`Internet::ipid_model`](crate::Internet::ipid_model).
+/// counter, the one thing probing does change, is read through a
+/// [`ProbeSession`](crate::ProbeSession).
 #[derive(Clone, Copy)]
 pub struct DeviceRef<'a> {
     table: &'a DeviceTable,
@@ -375,16 +375,6 @@ impl<'a> DeviceRef<'a> {
         .collect()
     }
 
-    /// All IPv6 interface addresses.
-    pub fn ipv6_addrs(self) -> Vec<Ipv6Addr> {
-        let v6 = self.interfaces().iter().map(|i| i.addr);
-        v6.filter_map(|addr| match addr {
-            IpAddr::V6(a) => Some(a),
-            IpAddr::V4(_) => None,
-        })
-        .collect()
-    }
-
     /// Whether the device has at least one IPv4 and one IPv6 interface.
     pub fn is_dual_stack(self) -> bool {
         let has = |ipv6: bool| self.interfaces().iter().any(|i| i.addr.is_ipv6() == ipv6);
@@ -434,7 +424,10 @@ mod tests {
         let table = table();
         let dev = table.get(DeviceId(0));
         assert_eq!(dev.ipv4_addrs().len(), 3);
-        assert_eq!(dev.ipv6_addrs().len(), 1);
+        assert_eq!(
+            dev.interfaces().iter().filter(|i| i.addr.is_ipv6()).count(),
+            1
+        );
         assert!(dev.is_dual_stack());
     }
 

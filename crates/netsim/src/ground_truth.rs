@@ -24,14 +24,6 @@ impl GroundTruth<'_> {
         self.internet.device_of(addr)
     }
 
-    /// Whether two addresses are true aliases (same device).
-    pub fn are_aliases(&self, a: IpAddr, b: IpAddr) -> bool {
-        match (self.device_of(a), self.device_of(b)) {
-            (Some(da), Some(db)) => da == db,
-            _ => false,
-        }
-    }
-
     /// Score a collection of inferred alias sets against the ground truth
     /// ([`PairwiseScore::of_labelled_sets`] with each member's owner looked
     /// up here).
@@ -146,6 +138,14 @@ impl PairwiseScore {
     }
 
     /// Pairwise recall (1.0 when there were no true pairs to find).
+    ///
+    /// The true pairs counted are those among the inferred sets' own
+    /// members (and the scorer's universe, where one is given), not among
+    /// every address of the Internet.  So recall cannot see a true pair
+    /// lost together with its members' set: splitting off or dropping the
+    /// addresses of a false merge can raise recall while
+    /// [`Self::true_positive_pairs`] falls.  A check that must not lose
+    /// true pairs reads that count as well.
     pub fn recall(&self) -> f64 {
         if self.true_pairs == 0 {
             1.0

@@ -37,12 +37,6 @@ pub enum IpidModel {
 }
 
 impl IpidModel {
-    /// Whether the model can, in principle, be confirmed by a shared-counter
-    /// monotonicity test.
-    pub fn is_shared_monotonic(&self) -> bool {
-        matches!(self, IpidModel::SharedMonotonic { .. })
-    }
-
     /// Velocity in increments per second, where meaningful.
     pub fn velocity(&self) -> Option<f64> {
         match self {
@@ -240,8 +234,6 @@ mod tests {
 
     #[test]
     fn model_accessors() {
-        assert!(IpidModel::SharedMonotonic { velocity: 1.0 }.is_shared_monotonic());
-        assert!(!IpidModel::Random.is_shared_monotonic());
         assert_eq!(
             IpidModel::PerInterface { velocity: 2.0 }.velocity(),
             Some(2.0)

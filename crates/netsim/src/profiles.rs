@@ -414,9 +414,13 @@ mod tests {
     #[test]
     fn banners_are_valid_wire_banners() {
         for profile in ssh_profiles() {
-            let bytes = profile.banner.to_bytes();
-            let (parsed, _) = Banner::parse(&bytes).unwrap();
-            assert_eq!(parsed, profile.banner);
+            let mut bytes = Vec::new();
+            profile.banner.emit(&mut bytes);
+            let (parsed, consumed) = Banner::parse_borrowed(&bytes).unwrap();
+            assert_eq!(
+                (parsed.to_owned(), consumed),
+                (profile.banner.clone(), bytes.len())
+            );
         }
     }
 }

@@ -9,7 +9,7 @@ use crate::clock::SimTime;
 use crate::profiles::{bgp_capabilities_for, BgpProfile, SshProfile};
 use alias_wire::bgp::{CeaseSubcode, NotificationMessage, OpenMessage, AS_TRANS};
 use alias_wire::snmp::Snmpv3Message;
-use alias_wire::ssh::hostkey::KexReply;
+use alias_wire::ssh::hostkey::emit_kex_reply;
 use alias_wire::ssh::HostKeyRef;
 use std::net::Ipv4Addr;
 
@@ -63,7 +63,7 @@ fn kex_reply_into(host_key: HostKeyRef<'_>, out: &mut Vec<u8>) {
     for (i, (slot, byte)) in ephemeral.iter_mut().zip(material).enumerate() {
         *slot = byte.wrapping_add(i as u8);
     }
-    KexReply::emit_packet_from(host_key, &ephemeral, &[0xa5; 64], out);
+    emit_kex_reply(host_key, &ephemeral, &[0xa5; 64], out);
 }
 
 /// Room reserved per profile in [`SshTemplates`], ample for the table's.
@@ -151,32 +151,58 @@ pub(crate) fn snmp_report_into(
 mod tests {
     use super::*;
     use crate::profiles::{bgp_profiles, ssh_profiles};
-    use alias_wire::bgp::BgpMessage;
+    use alias_wire::bgp::{messages, BgpMessageRef, CapabilityRef, OpenRef, ParamRef};
     use alias_wire::snmp::{EngineId, UsmSecurityParameters};
+    use alias_wire::ssh::hostkey::parse_kex_reply;
     use alias_wire::ssh::{
-        Banner, HostKey, HostKeyAlgorithm, KexInit, SshPacket, SSH_MSG_KEX_ECDH_REPLY,
+        packet_payloads, Banner, HostKey, HostKeyAlgorithm, KexInit, SSH_MSG_KEX_ECDH_REPLY,
     };
 
     fn key() -> HostKey {
         HostKey::new(HostKeyAlgorithm::Ed25519, (0..32).collect())
     }
 
+    /// A session's banner and the payloads of the packets behind it, read
+    /// the way the scan reads them.
+    fn parse_session(bytes: &[u8]) -> (Banner, Vec<&[u8]>) {
+        let (banner, consumed) = Banner::parse_borrowed(bytes).unwrap();
+        (
+            banner.to_owned(),
+            packet_payloads(&bytes[consumed..]).collect(),
+        )
+    }
+
+    fn kex_init(payload: &[u8]) -> KexInit {
+        KexInit::parse_borrowed(payload).unwrap().to_owned()
+    }
+
+    fn engine_id() -> EngineId {
+        EngineId(EngineId::enterprise_mac_bytes(9, [1, 2, 3, 4, 5, 6]).to_vec())
+    }
+
+    /// The ASN `open` advertises in its four-octet capability, if any.
+    fn four_octet_asn(open: OpenRef<'_>) -> Option<u32> {
+        open.optional_parameters
+            .iter()
+            .find_map(|param| match param {
+                ParamRef::Capability(CapabilityRef::FourOctetAs { asn }) => Some(asn),
+                _ => None,
+            })
+    }
+
     #[test]
     fn ssh_session_is_parseable_end_to_end() {
         let profiles = ssh_profiles();
         let bytes = ssh_session_bytes(&profiles[0], None, key().as_ref(), 42);
-        let (banner, consumed) = Banner::parse(&bytes).unwrap();
+        let (banner, packets) = parse_session(&bytes);
         assert_eq!(banner, profiles[0].banner);
-        let packets = SshPacket::parse_stream(&bytes[consumed..]);
         assert_eq!(packets.len(), 2);
-        let kex = KexInit::parse_packet(&packets[0]).unwrap();
         assert_eq!(
-            kex.capability_fingerprint(),
+            kex_init(packets[0]).capability_fingerprint(),
             profiles[0].kexinit.capability_fingerprint()
         );
-        assert_eq!(packets[1].message_number(), Some(SSH_MSG_KEX_ECDH_REPLY));
-        let reply = KexReply::parse_packet(&packets[1]).unwrap();
-        assert_eq!(reply.host_key, key());
+        assert_eq!(packets[1].first(), Some(&SSH_MSG_KEX_ECDH_REPLY));
+        assert_eq!(parse_kex_reply(packets[1]).unwrap().to_owned(), key());
     }
 
     #[test]
@@ -196,7 +222,7 @@ mod tests {
             let cookie: [u8; 16] =
                 std::array::from_fn(|i| cookie_seed[i % 8] ^ (i as u8).wrapping_mul(37));
             profile.kexinit.emit_packet(&cookie, &mut expected);
-            KexReply::emit_packet_from(host_key.as_ref(), &ephemeral, &[0xa5; 64], &mut expected);
+            emit_kex_reply(host_key.as_ref(), &ephemeral, &[0xa5; 64], &mut expected);
             assert_eq!(
                 ssh_session_bytes(profile, None, host_key.as_ref(), 99),
                 expected,
@@ -241,15 +267,13 @@ mod tests {
         let profiles = ssh_profiles();
         let empty = HostKey::new(HostKeyAlgorithm::Ed25519, Vec::new());
         let bytes = ssh_session_bytes(&profiles[0], None, empty.as_ref(), 7);
-        let (banner, consumed) = Banner::parse(&bytes).unwrap();
+        let (banner, packets) = parse_session(&bytes);
         assert_eq!(banner, profiles[0].banner);
-        let packets = SshPacket::parse_stream(&bytes[consumed..]);
-        let kex = KexInit::parse_packet(&packets[0]).unwrap();
         assert_eq!(
-            kex.capability_fingerprint(),
+            kex_init(packets[0]).capability_fingerprint(),
             profiles[0].kexinit.capability_fingerprint()
         );
-        assert!(KexReply::parse_packet(&packets[1]).is_err());
+        assert!(parse_kex_reply(packets[1]).is_err());
     }
 
     #[test]
@@ -260,15 +284,13 @@ mod tests {
             .find(|p| p.name.starts_with("dropbear"))
             .unwrap();
         let bytes = ssh_session_bytes(&profiles[0], Some(dropbear), key().as_ref(), 1);
-        let (banner, consumed) = Banner::parse(&bytes).unwrap();
+        let (banner, packets) = parse_session(&bytes);
         assert_eq!(banner, dropbear.banner);
-        let packets = SshPacket::parse_stream(&bytes[consumed..]);
-        let kex = KexInit::parse_packet(&packets[0]).unwrap();
         assert_eq!(
-            kex.capability_fingerprint(),
+            kex_init(packets[0]).capability_fingerprint(),
             dropbear.kexinit.capability_fingerprint()
         );
-        assert_eq!(KexReply::parse_packet(&packets[1]).unwrap().host_key, key());
+        assert_eq!(parse_kex_reply(packets[1]).unwrap().to_owned(), key());
     }
 
     #[test]
@@ -277,13 +299,7 @@ mod tests {
         let a = ssh_session_bytes(&profiles[0], None, key().as_ref(), 1);
         let b = ssh_session_bytes(&profiles[0], None, key().as_ref(), 2);
         assert_ne!(a, b);
-        let parse_fp = |bytes: &[u8]| {
-            let (_, consumed) = Banner::parse(bytes).unwrap();
-            let packets = SshPacket::parse_stream(&bytes[consumed..]);
-            KexInit::parse_packet(&packets[0])
-                .unwrap()
-                .capability_fingerprint()
-        };
+        let parse_fp = |bytes: &[u8]| kex_init(parse_session(bytes).1[0]).capability_fingerprint();
         assert_eq!(parse_fp(&a), parse_fp(&b));
     }
 
@@ -293,20 +309,19 @@ mod tests {
         let cisco = profiles.iter().find(|p| p.name == "cisco-classic").unwrap();
         let mut bytes = Vec::new();
         bgp_session_bytes_into(cisco, Ipv4Addr::new(148, 170, 0, 33), 64_512, &mut bytes);
-        let messages = BgpMessage::parse_stream(&bytes);
+        let messages: Vec<_> = messages(&bytes).collect();
         assert_eq!(messages.len(), 2);
-        match &messages[0] {
-            BgpMessage::Open(open) => {
+        match messages[0] {
+            BgpMessageRef::Open(open) => {
                 assert_eq!(open.bgp_identifier, Ipv4Addr::new(148, 170, 0, 33));
                 assert_eq!(open.hold_time, 180);
-                assert_eq!(open.effective_asn(), 64_512);
+                assert_eq!((open.my_as, four_octet_asn(open)), (64_512, None));
             }
             other => panic!("expected OPEN, got {other:?}"),
         }
-        match &messages[1] {
-            BgpMessage::Notification(n) => assert!(n.is_connection_rejected()),
-            other => panic!("expected NOTIFICATION, got {other:?}"),
-        }
+        assert_eq!(messages[1], BgpMessageRef::Notification);
+        // Cease (6) / Connection Rejected (5), no data.
+        assert_eq!(bytes[bytes.len() - 2..], [6, 5]);
     }
 
     #[test]
@@ -315,11 +330,13 @@ mod tests {
         let frr = profiles.iter().find(|p| p.name == "frr").unwrap();
         let mut bytes = Vec::new();
         bgp_session_bytes_into(frr, Ipv4Addr::new(10, 0, 0, 1), 396_982, &mut bytes);
-        let messages = BgpMessage::parse_stream(&bytes);
-        match &messages[0] {
-            BgpMessage::Open(open) => {
-                assert_eq!(open.my_as, AS_TRANS);
-                assert_eq!(open.effective_asn(), 396_982);
+        let first = messages(&bytes).next();
+        match first {
+            Some(BgpMessageRef::Open(open)) => {
+                assert_eq!(
+                    (open.my_as, four_octet_asn(open)),
+                    (AS_TRANS, Some(396_982))
+                );
             }
             other => panic!("expected OPEN, got {other:?}"),
         }
@@ -336,8 +353,9 @@ mod tests {
 
     #[test]
     fn snmp_discovery_gets_a_report_with_engine_time() {
-        let engine = EngineId::from_enterprise_mac(9, [1, 2, 3, 4, 5, 6]);
-        let request = Snmpv3Message::DiscoveryRequest { msg_id: 77 }.to_bytes();
+        let engine = engine_id();
+        let mut request = Vec::new();
+        Snmpv3Message::DiscoveryRequest { msg_id: 77 }.encode_into(&mut request);
         let booted = SimTime::from_days(1);
         let now = SimTime::from_days(3);
         let mut reply = Vec::new();
@@ -362,7 +380,7 @@ mod tests {
 
     #[test]
     fn snmp_garbage_and_non_discovery_requests_are_ignored() {
-        let engine = EngineId::from_enterprise_mac(9, [1, 2, 3, 4, 5, 6]);
+        let engine = engine_id();
         let mut reply = Vec::new();
         let (t0, out) = (SimTime::ZERO, &mut reply);
         assert!(!snmp_report_into(
@@ -380,7 +398,13 @@ mod tests {
             engine_time: 1,
             user_name: vec![],
         };
-        let not_a_request = Snmpv3Message::report_for(1, usm, 0).to_bytes();
+        let report = Snmpv3Message::Report {
+            msg_id: 1,
+            usm,
+            unknown_engine_ids: 0,
+        };
+        let mut not_a_request = Vec::new();
+        report.encode_into(&mut not_a_request);
         let engine = engine.as_bytes();
         assert!(!snmp_report_into(engine, 1, t0, t0, &not_a_request, out));
         assert!(reply.is_empty());

@@ -55,4 +55,4 @@ pub use identifier::IdentifierTechnique;
 pub use ratelimit::RateLimitTechnique;
 pub use report::{CoverageStats, ResolutionReport};
 pub use resolver::{Resolver, ResolverBuilder};
-pub use technique::{canonical_sets, ResolutionTechnique, TechniqueCtx, TechniqueResult};
+pub use technique::{ResolutionTechnique, TechniqueCtx, TechniqueResult};

@@ -135,11 +135,6 @@ impl Resolver {
         ResolverBuilder::new()
     }
 
-    /// Names of the registered techniques, in registration order.
-    pub fn technique_names(&self) -> Vec<&'static str> {
-        self.techniques.iter().map(|t| t.name()).collect()
-    }
-
     /// Run the full pipeline: active measurement campaign (with the
     /// builder's campaign configuration), per-technique resolution, merge.
     /// The produced campaign data is returned inside the report.
@@ -197,10 +192,10 @@ mod tests {
     fn resolver_runs_scan_resolution_and_merge() {
         let internet = tiny_internet(41);
         let resolver = Resolver::builder().paper_techniques().build();
-        assert_eq!(resolver.technique_names(), vec!["ssh", "bgp", "snmpv3"]);
         let report = resolver.resolve(&internet);
         assert!(report.campaign.is_some());
-        assert_eq!(report.techniques.len(), 3);
+        let names: Vec<&str> = report.techniques.iter().map(|t| &*t.technique).collect();
+        assert_eq!(names, ["ssh", "bgp", "snmpv3"]);
         assert!(!report.merged.is_empty());
         assert_eq!(report.coverage.merged_sets, report.merged.len());
         let merged: BTreeSet<_> = report.merged.iter().flat_map(|set| &set.addrs).collect();
@@ -288,8 +283,7 @@ mod tests {
                 let model = internet.ipid_model(d.id());
                 !d.visible_to_single_vp()
                     && d.responds_to_ping()
-                    && model.is_shared_monotonic()
-                    && model.velocity().is_some_and(|v| v < 300.0)
+                    && matches!(model, alias_netsim::ipid::IpidModel::SharedMonotonic { velocity } if velocity < 300.0)
             })
             .flat_map(|d| d.answering(alias_netsim::ServiceProtocol::Ssh))
             .filter(IpAddr::is_ipv4)

@@ -217,16 +217,6 @@ impl TechniqueResult {
     }
 }
 
-/// Sort alias sets into the canonical order every technique reports:
-/// ascending by smallest member.  Alias sets partition their universe, so
-/// smallest members are distinct and the order is total — the same
-/// convention `alias-core`'s merge output uses.  Generic over the member
-/// type: address sets at the report boundary, id sets anywhere else.
-pub fn canonical_sets<T: Ord>(mut sets: Vec<BTreeSet<T>>) -> Vec<BTreeSet<T>> {
-    sets.sort_by(|a, b| a.iter().next().cmp(&b.iter().next()));
-    sets
-}
-
 /// One alias-resolution technique, as an interchangeable trait object.
 ///
 /// Implementations wrap the paper's identifier extraction (SSH, BGP,
@@ -255,22 +245,17 @@ mod tests {
         addrs(list).into_iter().collect()
     }
 
-    #[test]
-    fn canonical_sets_sorts_by_smallest_member() {
-        let sets = canonical_sets(vec![
-            set(&["10.9.0.1", "10.9.0.2"]),
-            set(&["10.0.0.5", "10.0.0.6"]),
-            set(&["10.4.0.1", "10.4.0.2"]),
-        ]);
-        let firsts: Vec<IpAddr> = sets.iter().map(|s| *s.iter().next().unwrap()).collect();
-        let mut sorted = firsts.clone();
-        sorted.sort();
-        assert_eq!(firsts, sorted);
+    fn interner_of(addrs: impl IntoIterator<Item = IpAddr>) -> AddrInterner {
+        let mut interner = AddrInterner::new();
+        for addr in addrs {
+            interner.intern(addr);
+        }
+        interner
     }
 
     #[test]
     fn result_accessors_count_sets_and_addresses() {
-        let interner = Arc::new(AddrInterner::from_addrs(
+        let interner = Arc::new(interner_of(
             ["10.0.0.1", "10.0.0.2", "10.1.0.1", "10.1.0.2", "10.2.0.1"]
                 .iter()
                 .map(|s| s.parse().unwrap()),
@@ -303,9 +288,7 @@ mod tests {
 
     #[test]
     fn from_compact_sorts_and_dedups_testable_ids() {
-        let interner = Arc::new(AddrInterner::from_addrs(
-            (1..=6).map(|i| IpAddr::from([10, 0, 0, i])),
-        ));
+        let interner = Arc::new(interner_of((1..=6).map(|i| IpAddr::from([10, 0, 0, i]))));
         let last = AddrId(interner.len() as u32 - 1);
         let testable = |ids: Vec<AddrId>| {
             let result = TechniqueResult::from_compact(
@@ -335,9 +318,7 @@ mod tests {
 
     #[test]
     fn novel_addresses_extend_a_private_interner_copy() {
-        let base = Arc::new(AddrInterner::from_addrs(
-            ["10.0.0.1"].iter().map(|s| s.parse().unwrap()),
-        ));
+        let base = Arc::new(interner_of(["10.0.0.1"].iter().map(|s| s.parse().unwrap())));
         let result = TechniqueResult::from_addr_sets(
             "iffinder".into(),
             vec![addrs(&["10.0.0.1", "192.0.2.7"])],

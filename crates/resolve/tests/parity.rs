@@ -11,14 +11,14 @@ use alias_core::extract::{ExtractionConfig, IdentifierExtractor};
 use alias_core::identifier::ProtocolIdentifier;
 use alias_core::merge::MergedSet;
 use alias_core::union_find::UnionFind;
-use alias_midar::ally::{ally_test, AllyVerdict};
+use alias_midar::ally::{AllyTester, AllyVerdict};
 use alias_midar::iffinder::iffinder_scan;
 use alias_midar::midar::PAIR_SPACING;
 use alias_midar::midar_resolve;
 use alias_netsim::{Internet, InternetBuilder, InternetConfig, ServiceProtocol};
 use alias_resolve::{
-    canonical_sets, AllyTechnique, IdentifierTechnique, IffinderTechnique, MidarTechnique,
-    ProbeTargets, ResolutionTechnique, SpeedtrapTechnique, TechniqueCtx, TechniqueResult,
+    AllyTechnique, IdentifierTechnique, IffinderTechnique, MidarTechnique, ProbeTargets,
+    ResolutionTechnique, SpeedtrapTechnique, TechniqueCtx, TechniqueResult,
 };
 use alias_scan::campaign::{ActiveCampaign, CampaignData};
 use alias_scan::ipid_probe::ResolvedTarget;
@@ -134,6 +134,14 @@ fn targets(data: &CampaignData, ipv6: bool) -> Vec<IpAddr> {
     addrs.into_iter().collect()
 }
 
+/// Sort alias sets into the canonical order every technique reports:
+/// ascending by smallest member.  Alias sets partition their universe, so
+/// smallest members are distinct and the order is total.
+fn canonical_sets<T: Ord>(mut sets: Vec<BTreeSet<T>>) -> Vec<BTreeSet<T>> {
+    sets.sort_by(|a, b| a.iter().next().cmp(&b.iter().next()));
+    sets
+}
+
 /// Index groups over `addrs` (what the IPID baselines report since they
 /// take resolved targets) as canonical address sets.
 fn address_sets(groups: Vec<Vec<usize>>, addrs: &[IpAddr]) -> Vec<BTreeSet<IpAddr>> {
@@ -192,14 +200,15 @@ fn legacy_resolve(
                     if uf.connected(i, j) {
                         continue;
                     }
-                    if ally_test(
-                        internet,
-                        addrs[i],
-                        addrs[j],
+                    // A fresh tester and session per pair, each address
+                    // looked up again.
+                    let verdict = AllyTester::new().test(
+                        &mut internet.probe_session(),
+                        [internet.lookup(addrs[i]), internet.lookup(addrs[j])],
                         alias_netsim::VantageKind::SingleVp,
                         now,
-                    ) == AllyVerdict::Alias
-                    {
+                    );
+                    if verdict == AllyVerdict::Alias {
                         uf.union(i, j);
                     }
                 }
@@ -341,7 +350,9 @@ mod proptest_interned_parity {
             timestamp: SimTime::ZERO,
             asn: None,
             payload: ServicePayload::Snmpv3 {
-                engine_id: EngineId::from_enterprise_mac(9, [engine, 0, 0, 0, 0, 1]),
+                engine_id: EngineId(
+                    EngineId::enterprise_mac_bytes(9, [engine, 0, 0, 0, 0, 1]).to_vec(),
+                ),
                 engine_boots: 1,
                 engine_time: 60,
             },

@@ -345,7 +345,9 @@ mod tests {
         for obs in view.iter() {
             assert_eq!(obs.source, DataSource::Active);
             assert!(obs.asn.is_some(), "missing ASN annotation for {obs:?}");
-            assert!(obs.is_default_port());
+        }
+        for obs in data.store().to_observations() {
+            assert_eq!(obs.port, obs.protocol().default_port());
         }
     }
 

@@ -97,9 +97,11 @@ impl IpidSeries {
 /// behind an address, or `None` for an address no device owns.
 pub type ResolvedTarget = Option<(DeviceId, usize)>;
 
-/// Configuration of the IPID prober.
+/// A round-robin sweep of a target set: `rounds` samples per target, the
+/// rounds `round_spacing` apart, paced at `rate_pps`
+/// ([`collect`](Self::collect)).
 #[derive(Debug, Clone)]
-pub struct IpidProberConfig {
+pub struct RoundRobin {
     /// Samples collected per target per round.
     pub rounds: usize,
     /// Spacing between successive rounds.
@@ -138,53 +140,7 @@ impl PairSchedule {
     }
 }
 
-/// Collects IPID time series from the simulated Internet.
-///
-/// A prober is the unit of one sweep: it keeps the pair schedule it last
-/// stepped (see [`collect_interleaved_pair`](Self::collect_interleaved_pair))
-/// and tallies the pair probes it sent, adding them to the run's counters
-/// once, when it is dropped.
-#[derive(Debug)]
-pub struct IpidProber {
-    config: IpidProberConfig,
-    schedule: PairSchedule,
-    /// Probes of interleaved pairs sent so far.
-    pair_probes: u64,
-    /// Pairs that ended before their last slot.
-    pair_stops: u64,
-    /// Times the stepped pair loop ran.
-    pair_schedules: u64,
-}
-
-impl Drop for IpidProber {
-    fn drop(&mut self) {
-        if self.pair_schedules > 0 {
-            IPID_PROBES.add(self.pair_probes);
-            IPID_PAIR_STOPS.add(self.pair_stops);
-            IPID_PAIR_SCHEDULES.add(self.pair_schedules);
-        }
-    }
-}
-
-impl IpidProber {
-    /// Create a prober with the given configuration.
-    pub fn new(config: IpidProberConfig) -> Self {
-        IpidProber {
-            config,
-            schedule: PairSchedule::default(),
-            pair_probes: 0,
-            pair_stops: 0,
-            pair_schedules: 0,
-        }
-    }
-
-    /// Probes of interleaved pairs sent so far, and pairs that ended before
-    /// their last slot: what the prober adds to `scan.ipid_probes` and
-    /// `scan.ipid_pair_stops` when it is dropped.
-    pub fn pair_tally(&self) -> (u64, u64) {
-        (self.pair_probes, self.pair_stops)
-    }
-
+impl RoundRobin {
     /// Round-robin sample every target: one probe per target per round,
     /// `rounds` rounds, targets probed in order within a round.  Returns
     /// one series per target, in target order.
@@ -202,16 +158,16 @@ impl IpidProber {
     /// refill arithmetic), so no per-round schedule is reused as a pair's is.
     /// Devices are then probed one by one in time order, as slot order would
     /// give: a probe touches only its device's counter; pacing reads no reply.
-    pub fn collect_round_robin(
+    pub fn collect(
         &self,
         session: &mut ProbeSession<'_>,
         targets: &[ResolvedTarget],
         vantage: VantageKind,
         start: SimTime,
     ) -> IpidSeries {
-        let rounds = self.config.rounds;
+        let rounds = self.rounds;
         let mut slots = vec![IpidSample::default(); targets.len() * rounds];
-        let mut bucket = TokenBucket::new(self.config.rate_pps, 16.0, start);
+        let mut bucket = TokenBucket::new(self.rate_pps, 16.0, start);
         let mut round_start = start;
         // Probe timestamps are forced to be strictly increasing so that the
         // time-ordered merge of any two series reflects the true probe
@@ -227,7 +183,7 @@ impl IpidProber {
                 last_sent = now;
                 slots[target * rounds + round].time = now;
             }
-            round_start = round_start.max(now) + self.config.round_spacing;
+            round_start = round_start.max(now) + self.round_spacing;
         }
         // (device, target) keys: a device's targets together, unowned last.
         let mut keys: Vec<u64> = (targets.iter().zip(0..))
@@ -261,6 +217,55 @@ impl IpidProber {
             rounds,
         }
     }
+}
+
+/// Probes interleaved pairs of targets at one rate.
+///
+/// A prober is the unit of one sweep: it keeps the pair schedule it last
+/// stepped (see [`collect_interleaved_pair`](Self::collect_interleaved_pair))
+/// and tallies the pair probes it sent, adding them to the run's counters
+/// once, when it is dropped.
+#[derive(Debug)]
+pub struct IpidProber {
+    /// Probe rate in packets per second.
+    rate_pps: f64,
+    schedule: PairSchedule,
+    /// Probes of interleaved pairs sent so far.
+    pair_probes: u64,
+    /// Pairs that ended before their last slot.
+    pair_stops: u64,
+    /// Times the stepped pair loop ran.
+    pair_schedules: u64,
+}
+
+impl Drop for IpidProber {
+    fn drop(&mut self) {
+        if self.pair_schedules > 0 {
+            IPID_PROBES.add(self.pair_probes);
+            IPID_PAIR_STOPS.add(self.pair_stops);
+            IPID_PAIR_SCHEDULES.add(self.pair_schedules);
+        }
+    }
+}
+
+impl IpidProber {
+    /// A prober pacing its pairs at `rate_pps` packets per second.
+    pub fn new(rate_pps: f64) -> Self {
+        IpidProber {
+            rate_pps,
+            schedule: PairSchedule::default(),
+            pair_probes: 0,
+            pair_stops: 0,
+            pair_schedules: 0,
+        }
+    }
+
+    /// Probes of interleaved pairs sent so far, and pairs that ended before
+    /// their last slot: what the prober adds to `scan.ipid_probes` and
+    /// `scan.ipid_pair_stops` when it is dropped.
+    pub fn pair_tally(&self) -> (u64, u64) {
+        (self.pair_probes, self.pair_stops)
+    }
 
     /// Step the pair-pacing loop from `start` for `slots` probes and keep
     /// its send-time offsets.  This loop is the only definition of the
@@ -271,13 +276,13 @@ impl IpidProber {
         let offsets = &mut self.schedule.offsets;
         offsets.clear();
         offsets.reserve(slots);
-        let mut bucket = TokenBucket::new(self.config.rate_pps, 4.0, start);
+        let mut bucket = TokenBucket::new(self.rate_pps, 4.0, start);
         let mut now = start;
         let mut last_sent = SimTime::ZERO;
         for _ in 0..slots {
             now = bucket.acquire(now);
             // Strictly increasing timestamps keep the merged probe order
-            // recoverable by time (see collect_round_robin).
+            // recoverable by time (see `RoundRobin::collect`).
             if now <= last_sent {
                 now = last_sent + SimTime(1);
             }
@@ -392,7 +397,7 @@ mod tests {
                 let model = internet.ipid_model(d.id());
                 d.responds_to_ping()
                     && d.ipv4_addrs().len() >= 2
-                    && model.is_shared_monotonic() == shared_counter
+                    && matches!(model, IpidModel::SharedMonotonic { .. }) == shared_counter
                     && model
                         .velocity()
                         .map(|v| v < 1_000.0)
@@ -402,8 +407,8 @@ mod tests {
     }
 
     /// A round-robin schedule of `rounds` rounds, 10 s apart, at 5,000 pps.
-    fn config(rounds: usize) -> IpidProberConfig {
-        IpidProberConfig {
+    fn config(rounds: usize) -> RoundRobin {
+        RoundRobin {
             rounds,
             round_spacing: SimTime::from_secs(10),
             rate_pps: 5_000.0,
@@ -423,8 +428,7 @@ mod tests {
             .flat_map(|d| d.ipv4_addrs().into_iter().map(IpAddr::V4))
             .take(10)
             .collect();
-        let prober = IpidProber::new(config(5));
-        let series = prober.collect_round_robin(
+        let series = config(5).collect(
             &mut internet.probe_session(),
             &resolve(&internet, &targets),
             VantageKind::Distributed,
@@ -442,8 +446,7 @@ mod tests {
     fn unresponsive_targets_yield_empty_series() {
         let internet = internet();
         let bogus: Vec<IpAddr> = vec!["198.51.100.77".parse().unwrap()];
-        let prober = IpidProber::new(config(3));
-        let series = prober.collect_round_robin(
+        let series = config(3).collect(
             &mut internet.probe_session(),
             &resolve(&internet, &bogus),
             VantageKind::Distributed,
@@ -458,7 +461,7 @@ mod tests {
     /// by device: one loop over the slots in send order, each probed as it
     /// is paced.  The reference for the two tests below.
     fn slot_order_round_robin(
-        config: &IpidProberConfig,
+        config: &RoundRobin,
         session: &mut ProbeSession<'_>,
         targets: &[ResolvedTarget],
         vantage: VantageKind,
@@ -498,7 +501,7 @@ mod tests {
     /// state.  Returns the samples collected.
     fn assert_round_robin_matches_the_reference(
         build: impl Fn() -> Internet,
-        sweeps: &[(Vec<IpAddr>, IpidProberConfig, VantageKind, SimTime)],
+        sweeps: &[(Vec<IpAddr>, RoundRobin, VantageKind, SimTime)],
     ) -> usize {
         let (reference, probed) = (build(), build());
         let mut samples = 0;
@@ -508,8 +511,7 @@ mod tests {
                 let targets = resolve(&probed, addrs);
                 let expected =
                     slot_order_round_robin(config, &mut by_slot, &targets, *vantage, *start);
-                let prober = IpidProber::new(config.clone());
-                let series = prober.collect_round_robin(&mut by_device, &targets, *vantage, *start);
+                let series = config.collect(&mut by_device, &targets, *vantage, *start);
                 assert_eq!(series.iter().len(), expected.len());
                 for (target, (got, want)) in series.iter().zip(&expected).enumerate() {
                     assert_eq!(
@@ -559,7 +561,7 @@ mod tests {
             .clone()
             .any(|d| d.responds_to_ping() && !d.visible_to_single_vp()));
 
-        let config = |rounds, rate_pps| IpidProberConfig {
+        let config = |rounds, rate_pps| RoundRobin {
             rounds,
             round_spacing: SimTime::from_secs(10),
             rate_pps,
@@ -649,7 +651,7 @@ mod tests {
     /// Probe a pair given by address, refuting nothing, and return the
     /// IPIDs in probe order (every probe answered).
     fn interleaved_ipids(internet: &Internet, a: IpAddr, b: IpAddr) -> Vec<u16> {
-        let mut prober = pair_prober(5_000.0);
+        let mut prober = IpidProber::new(5_000.0);
         let mut samples = [Vec::new(), Vec::new()];
         let end = prober.collect_interleaved_pair(
             &mut internet.probe_session(),
@@ -726,14 +728,6 @@ mod tests {
         offsets.iter().map(|&o| start + SimTime(o)).collect()
     }
 
-    fn pair_prober(rate_pps: f64) -> IpidProber {
-        IpidProber::new(IpidProberConfig {
-            rounds: 1,
-            round_spacing: SimTime::ZERO,
-            rate_pps,
-        })
-    }
-
     #[test]
     fn memoised_pair_schedule_equals_a_fresh_stepped_loop() {
         // One prober per rate, reused across the whole sequence of starts
@@ -755,7 +749,7 @@ mod tests {
         let mut reused = 0u64;
         let mut pairs = 0u64;
         for rate in [3.0, 7.3, 20.0, 333.0, 999.9, 5_000.0, 50_000.0] {
-            let mut prober = pair_prober(rate);
+            let mut prober = IpidProber::new(rate);
             for n in 2..=40usize {
                 // Every start for a few slot counts, a sample for the rest.
                 let stride = if n % 13 == 2 { 1 } else { 17 };
@@ -781,11 +775,11 @@ mod tests {
             let sends = memoised_send_times(prober, 12, SimTime(start));
             assert_eq!(
                 sends,
-                stepped_send_times(prober.config.rate_pps, 12, SimTime(start))
+                stepped_send_times(prober.rate_pps, 12, SimTime(start))
             );
             sends.iter().map(|t| t.as_millis() - start).collect()
         };
-        let mut slow = pair_prober(3.0);
+        let mut slow = IpidProber::new(3.0);
         assert_eq!(
             times(&mut slow, 1_814_400_000),
             [0, 1, 2, 3, 334, 667, 1_000, 1_334, 1_667, 2_000, 2_334, 2_667]
@@ -797,12 +791,12 @@ mod tests {
             [0, 1, 2, 3, 334, 667, 1_001, 1_334, 1_667, 2_001, 2_334, 2_667]
         );
         // Nothing is ever sent at time zero: the burst is forced apart.
-        let mut fast = pair_prober(5_000.0);
+        let mut fast = IpidProber::new(5_000.0);
         assert_eq!(times(&mut fast, 0)[..4], [1, 2, 3, 4]);
         assert_eq!(times(&mut fast, 1_000)[..4], [0, 1, 2, 3]);
         // The two schedules the study runs, by value.
         assert_eq!(
-            times(&mut pair_prober(20.0), 1_814_400_000),
+            times(&mut IpidProber::new(20.0), 1_814_400_000),
             [0, 1, 2, 3, 50, 100, 150, 200, 250, 300, 350, 400]
         );
         assert_eq!(
@@ -825,7 +819,7 @@ mod tests {
         refutes: impl Fn(IpidSample, IpidSample) -> bool,
     ) -> ([Vec<IpidSample>; 2], PairEnd) {
         let mut samples = [Vec::new(), Vec::new()];
-        let mut bucket = TokenBucket::new(prober.config.rate_pps, 4.0, at.time);
+        let mut bucket = TokenBucket::new(prober.rate_pps, 4.0, at.time);
         let mut now = at.time;
         let mut last_sent = SimTime::ZERO;
         let mut order: Vec<IpidSample> = Vec::new();
@@ -837,11 +831,10 @@ mod tests {
             last_sent = now;
             let ctx = ProbeContext { time: now, ..at };
             let target = pair[i % 2];
-            let echo = if target.is_ipv6() {
-                internet.ipv6_fragment_probe(target, &ctx)
-            } else {
-                internet.icmp_echo(target, &ctx)
-            };
+            let echo = internet.lookup(target).and_then(|(device_id, iface_idx)| {
+                let mut session = internet.probe_session();
+                session.identifier_probe_at(device_id, iface_idx, &ctx)
+            });
             let Some(echo) = echo else {
                 return (samples, PairEnd::Unanswered);
             };
@@ -887,7 +880,7 @@ mod tests {
             .unwrap();
         pairs.push([first(&silent), first(&devices[0])]);
 
-        let (mut full_prober, mut stopped_prober) = (pair_prober(20.0), pair_prober(20.0));
+        let (mut full_prober, mut stopped_prober) = (IpidProber::new(20.0), IpidProber::new(20.0));
         let (mut full_samples, mut stopped_samples) =
             ([Vec::new(), Vec::new()], [Vec::new(), Vec::new()]);
         let (mut full_session, mut stopped_session) =
@@ -943,6 +936,13 @@ mod tests {
         let (by_address, resolved) = (internet(), internet());
         let devices = by_address.devices();
         let v4 = |d: alias_netsim::DeviceRef| d.ipv4_addrs().into_iter().map(IpAddr::V4);
+        let v6 = |d: alias_netsim::DeviceRef<'_>| {
+            let addrs = d.interfaces().iter().map(|i| i.addr);
+            addrs
+                .filter(IpAddr::is_ipv6)
+                .collect::<Vec<_>>()
+                .into_iter()
+        };
         let multi: Vec<alias_netsim::DeviceRef> = devices
             .clone()
             .filter(|d| d.responds_to_ping() && d.ipv4_addrs().len() >= 2)
@@ -957,9 +957,9 @@ mod tests {
                 d.responds_to_ping() && !d.visible_to_single_vp() && !d.ipv4_addrs().is_empty()
             })
             .expect("the tiny population has hosts one vantage point cannot see");
-        let v6 = devices
+        let v6_host = devices
             .clone()
-            .find(|d| d.responds_to_ping() && d.ipv6_addrs().len() >= 2)
+            .find(|d| d.responds_to_ping() && v6(*d).count() >= 2)
             .expect("the tiny population has multi-address IPv6 hosts");
         let missing: IpAddr = "198.51.100.77".parse().unwrap();
         assert!(by_address.lookup(missing).is_none());
@@ -978,10 +978,10 @@ mod tests {
         pairs.push([missing, live]);
         pairs.push([live, missing]);
         pairs.push([missing, missing]);
-        let v6_addrs: Vec<IpAddr> = v6.ipv6_addrs().into_iter().map(IpAddr::V6).collect();
+        let v6_addrs: Vec<IpAddr> = v6(v6_host).collect();
         pairs.push([v6_addrs[0], v6_addrs[1]]);
 
-        let mut prober = pair_prober(20.0);
+        let mut prober = IpidProber::new(20.0);
         let mut buffers = [Vec::new(), Vec::new()];
         let mut answered = 0;
         let mut ends = Vec::new();

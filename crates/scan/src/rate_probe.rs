@@ -239,7 +239,15 @@ mod tests {
     #[test]
     fn discovery_covers_silent_routers_and_both_families() {
         let internet = internet_with_silent(77, 10);
-        let hitlist: Vec<Ipv6Addr> = internet.devices().flat_map(|d| d.ipv6_addrs()).collect();
+        let addrs = internet
+            .devices()
+            .flat_map(|d| d.interfaces().iter().map(|i| i.addr));
+        let hitlist: Vec<Ipv6Addr> = addrs
+            .filter_map(|addr| match addr {
+                IpAddr::V6(v6) => Some(v6),
+                IpAddr::V4(_) => None,
+            })
+            .collect();
         let targets =
             discover_targets(&internet, &hitlist, VantageKind::SingleVp, SimTime::ZERO, 1);
         assert!(targets.iter().any(|a| a.is_ipv4()));

@@ -151,7 +151,9 @@ mod tests {
             assert_eq!(obs.protocol(), ServiceProtocol::Ssh);
             assert!(obs.asn.is_some());
             match &obs.payload {
-                ServicePayload::Ssh(ssh) => assert!(ssh.is_complete()),
+                ServicePayload::Ssh(ssh) => {
+                    assert!(ssh.kex_init.is_some() && ssh.host_key.is_some())
+                }
                 other => panic!("unexpected payload {other:?}"),
             }
         }

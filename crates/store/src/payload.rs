@@ -52,13 +52,13 @@
 
 use crate::records::ServicePayload;
 use alias_netsim::ServiceProtocol;
-use alias_wire::bgp::{BgpMessage, BgpMessageRef, CapabilityRef, OpenMessage, OpenRef};
+use alias_wire::bgp::{messages, BgpMessageRef, CapabilityRef, OpenMessage, OpenRef};
 use alias_wire::bgp::{OptionalParameter, ParamRef, WireParams};
 use alias_wire::snmp::EngineId;
-use alias_wire::ssh::hostkey::KexReply;
+use alias_wire::ssh::hostkey::parse_kex_reply;
 use alias_wire::ssh::{
-    Banner, BannerRef, HostKeyAlgorithm, HostKeyRef, KexInit, KexInitRef, NameListRef,
-    SshObservationRef, SshPacket,
+    packet_payloads, parse_packet, Banner, BannerRef, HostKeyAlgorithm, HostKeyRef, KexInit,
+    KexInitRef, NameListRef, SshObservationRef,
 };
 use std::net::Ipv4Addr;
 use std::sync::Arc;
@@ -111,8 +111,10 @@ pub enum PayloadRef<'a> {
 pub struct BgpOpenRef<'a> {
     /// Protocol version.
     pub version: u8,
-    /// The two-octet `My Autonomous System` field.
-    pub(crate) my_as: u16,
+    /// The two-octet `My Autonomous System` field
+    /// ([`AS_TRANS`](alias_wire::bgp::AS_TRANS) when the speaker's ASN
+    /// needs four octets; [`OpenMessage::effective_asn`]).
+    pub my_as: u16,
     /// Proposed hold time in seconds.
     pub hold_time: u16,
     /// The BGP Identifier.
@@ -122,17 +124,6 @@ pub struct BgpOpenRef<'a> {
 }
 
 impl BgpOpenRef<'_> {
-    /// The speaker's AS number ([`OpenMessage::effective_asn`]).
-    pub fn effective_asn(&self) -> u32 {
-        self.params
-            .iter()
-            .find_map(|param| match param {
-                ParamRef::Capability(CapabilityRef::FourOctetAs { asn }) => Some(asn),
-                _ => None,
-            })
-            .unwrap_or(u32::from(self.my_as))
-    }
-
     /// Copy the message into an owned [`OpenMessage`].
     pub(crate) fn to_owned(self) -> OpenMessage {
         OpenMessage {
@@ -958,7 +949,7 @@ fn parse_ssh(bytes: &[u8]) -> Option<(SshObservationRef<'_>, Option<(usize, usiz
     let mut host_key = None;
     let mut prefix = None;
     let mut rest = &bytes[consumed..];
-    while let Ok((payload, used)) = SshPacket::parse_borrowed(rest) {
+    while let Ok((payload, used)) = parse_packet(rest) {
         let start = bytes.len() - rest.len();
         rest = &rest[used..];
         if kex_init.is_none() {
@@ -970,8 +961,8 @@ fn parse_ssh(bytes: &[u8]) -> Option<(SshObservationRef<'_>, Option<(usize, usiz
             }
         }
         if host_key.is_none() {
-            if let Ok(reply) = KexReply::parse_borrowed(payload) {
-                host_key = Some(reply.host_key);
+            if let Ok(key) = parse_kex_reply(payload) {
+                host_key = Some(key);
             }
         }
     }
@@ -1051,10 +1042,10 @@ impl SessionMemo {
 fn parse_bgp(bytes: &[u8]) -> Option<PayloadRef<'_>> {
     let mut open = None;
     let mut notification_seen = false;
-    for message in BgpMessage::messages(bytes) {
+    for message in messages(bytes) {
         match message {
             BgpMessageRef::Open(o) if open.is_none() => open = Some(o),
-            BgpMessageRef::Notification(_) => notification_seen = true,
+            BgpMessageRef::Notification => notification_seen = true,
             _ => {}
         }
     }
@@ -1209,8 +1200,8 @@ impl PayloadArena {
         memo.bind(count);
         if let Some((end, cookie_at, profile, follows)) = memo.find(session) {
             // What `parse_ssh` reads after the KEXINIT: the first reply's key.
-            let replies = SshPacket::payloads(&session[end..]).map(KexReply::parse_borrowed);
-            let host_key = replies.flatten().next().map(|reply| reply.host_key);
+            let replies = packet_payloads(&session[end..]).map(parse_kex_reply);
+            let host_key = replies.flatten().next();
             let cookie = *session[cookie_at..].first_chunk().expect("in the prefix");
             write_ssh_record(host_key, Some((cookie, follows)), profile, &mut chunk.bytes);
             chunk.ends.push(chunk.bytes.len());
@@ -1448,7 +1439,7 @@ mod tests {
         // opaque parameter — three entries once flattened.
         let block = [2, 8, 65, 4, 0, 6, 14, 182, 2, 0, 9, 2, 0xde, 0xad];
         let wire = WireParams::parse(&block).unwrap();
-        let owned: Vec<OptionalParameter> = wire.to_owned();
+        let owned: Vec<OptionalParameter> = wire.iter().map(|p| p.to_owned()).collect();
         assert_eq!(owned.len(), 3);
         let open = |params| PayloadRef::Bgp {
             open: BgpOpenRef {
@@ -1472,7 +1463,7 @@ mod tests {
         };
         assert!(matches!(stored.params, BgpParams::Record(_)));
         assert_eq!(stored.to_owned().optional_parameters, owned);
-        assert_eq!(stored.effective_asn(), 396_982);
+        assert_eq!(stored.to_owned().effective_asn(), 396_982);
         let mut from_record = Vec::new();
         open(stored.params).encode(0, &mut from_record);
         assert_eq!(from_record, from_wire);

@@ -649,12 +649,6 @@ impl ObservationRef<'_> {
         self.addr.is_ipv6()
     }
 
-    /// Whether the observation is on the protocol's default port.
-    #[inline]
-    pub fn is_default_port(&self) -> bool {
-        self.port == self.protocol().default_port()
-    }
-
     /// Copy the row into an owned observation.
     fn to_observation(self) -> ServiceObservation {
         ServiceObservation {
@@ -698,7 +692,7 @@ mod tests {
             timestamp: SimTime::from_secs(900),
             asn: None,
             payload: ServicePayload::Snmpv3 {
-                engine_id: EngineId::from_enterprise_mac(9, [engine_byte; 6]),
+                engine_id: EngineId(EngineId::enterprise_mac_bytes(9, [engine_byte; 6]).to_vec()),
                 engine_boots: 2,
                 engine_time: 1_000,
             },
@@ -952,7 +946,7 @@ mod tests {
         let store = ObservationStore::from_observations(sample_rows());
         let row = store.get(3);
         assert!(row.is_ipv6());
-        assert!(row.is_default_port());
+        assert_eq!(row.port, row.protocol().default_port());
         assert_eq!(row.protocol(), ServiceProtocol::Ssh);
         let snmp = store.get(2);
         assert!(!snmp.is_ipv6());

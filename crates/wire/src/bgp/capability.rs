@@ -308,11 +308,6 @@ impl<'a> WireParams<'a> {
         // `parse` has walked the block to its end without an error.
         std::iter::from_fn(move || walk.next_param().ok().flatten())
     }
-
-    /// Copy the parameters into an owned list.
-    pub fn to_owned(&self) -> Vec<OptionalParameter> {
-        self.iter().map(|param| param.to_owned()).collect()
-    }
 }
 
 /// The walk behind [`WireParams`]: the unread rest of the block, and the
@@ -362,7 +357,10 @@ mod tests {
 
     /// The optional-parameters block of an OPEN message, owned.
     fn parse_all(buf: &[u8]) -> Result<Vec<OptionalParameter>> {
-        Ok(WireParams::parse(buf)?.to_owned())
+        Ok(WireParams::parse(buf)?
+            .iter()
+            .map(|p| p.to_owned())
+            .collect())
     }
 
     #[test]

@@ -12,14 +12,13 @@
 //! The fields highlighted by the paper as forming the *BGP identifier* —
 //! Version, My Autonomous System, Hold Time, BGP Identifier, the optional
 //! parameters (capabilities) and the OPEN message length — are all exposed
-//! on [`OpenMessage`].
+//! on [`OpenMessage`], and read in place by [`messages`] as an [`OpenRef`].
 
 mod capability;
 mod notification;
 mod open;
 
 pub use capability::{Capability, CapabilityRef, OptionalParameter, ParamRef, WireParams};
-pub(crate) use notification::NotificationRef;
 pub use notification::{CeaseSubcode, NotificationMessage};
 pub use open::{OpenMessage, OpenRef, AS_TRANS};
 
@@ -109,101 +108,104 @@ impl MessageHeader {
     }
 }
 
-/// Any BGP message the scanner can receive after the handshake.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum BgpMessage {
-    /// An OPEN message.
-    Open(OpenMessage),
-    /// A NOTIFICATION message.
-    Notification(NotificationMessage),
-    /// A KEEPALIVE message (no body).
-    Keepalive,
+/// Parse one BGP message from the front of `buf`, in place.
+///
+/// Returns the message and the number of bytes consumed, so a stream of
+/// back-to-back messages (OPEN immediately followed by NOTIFICATION, as
+/// observed in the paper's scans) can be walked with repeated calls.
+fn parse_message(buf: &[u8]) -> Result<(BgpMessageRef<'_>, usize)> {
+    let header = MessageHeader::parse(buf)?;
+    let total = header.length as usize;
+    check_len(buf, total)?;
+    let body = &buf[BGP_HEADER_LEN..total];
+    let msg = match header.message_type {
+        MessageType::Open => BgpMessageRef::Open(OpenMessage::parse_borrowed(body)?),
+        MessageType::Notification => {
+            NotificationMessage::check_body(body)?;
+            BgpMessageRef::Notification
+        }
+        MessageType::Keepalive => {
+            if !body.is_empty() {
+                return Err(WireError::BadLength {
+                    field: "keepalive.body",
+                });
+            }
+            BgpMessageRef::Keepalive
+        }
+        MessageType::Update => {
+            return Err(WireError::UnknownType {
+                tag: MessageType::Update.code() as u16,
+            })
+        }
+    };
+    Ok((msg, total))
 }
 
-impl BgpMessage {
-    /// Parse one BGP message from the front of `buf`.
-    ///
-    /// Returns the message and the number of bytes consumed, so a stream of
-    /// back-to-back messages (OPEN immediately followed by NOTIFICATION, as
-    /// observed in the paper's scans) can be walked with repeated calls.
-    pub fn parse(buf: &[u8]) -> Result<(Self, usize)> {
-        let (message, consumed) = Self::parse_borrowed(buf)?;
-        Ok((message.to_owned(), consumed))
-    }
-
-    /// [`Self::parse`] without the copies: the message read in place.
-    pub fn parse_borrowed(buf: &[u8]) -> Result<(BgpMessageRef<'_>, usize)> {
-        let header = MessageHeader::parse(buf)?;
-        let total = header.length as usize;
-        check_len(buf, total)?;
-        let body = &buf[BGP_HEADER_LEN..total];
-        let msg = match header.message_type {
-            MessageType::Open => BgpMessageRef::Open(OpenMessage::parse_borrowed(body)?),
-            MessageType::Notification => {
-                BgpMessageRef::Notification(NotificationMessage::parse_borrowed(body)?)
-            }
-            MessageType::Keepalive => {
-                if !body.is_empty() {
-                    return Err(WireError::BadLength {
-                        field: "keepalive.body",
-                    });
-                }
-                BgpMessageRef::Keepalive
-            }
-            MessageType::Update => {
-                return Err(WireError::UnknownType {
-                    tag: MessageType::Update.code() as u16,
-                })
-            }
-        };
-        Ok((msg, total))
-    }
-
-    /// Parse all messages in a captured byte stream, stopping at the first
-    /// error or when the buffer is exhausted.
-    pub fn parse_stream(buf: &[u8]) -> Vec<BgpMessage> {
-        Self::messages(buf)
-            .map(|message| message.to_owned())
-            .collect()
-    }
-
-    /// The messages of a captured byte stream, read in place, stopping at
-    /// the first error or when the buffer is exhausted.
-    pub fn messages(mut buf: &[u8]) -> impl Iterator<Item = BgpMessageRef<'_>> {
-        std::iter::from_fn(move || {
-            let (message, consumed) = BgpMessage::parse_borrowed(buf).ok()?;
-            buf = &buf[consumed..];
-            Some(message)
-        })
-    }
+/// The messages of a captured byte stream, read in place, stopping at the
+/// first error or when the buffer is exhausted.
+pub fn messages(mut buf: &[u8]) -> impl Iterator<Item = BgpMessageRef<'_>> {
+    std::iter::from_fn(move || {
+        let (message, consumed) = parse_message(buf).ok()?;
+        buf = &buf[consumed..];
+        Some(message)
+    })
 }
 
-/// A [`BgpMessage`] read in place ([`BgpMessage::parse_borrowed`]).
+/// Any BGP message the scanner can receive after the handshake, read in
+/// place ([`messages`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BgpMessageRef<'a> {
     /// An OPEN message.
     Open(OpenRef<'a>),
-    /// A NOTIFICATION message.
-    Notification(NotificationRef<'a>),
+    /// A NOTIFICATION message; the scanner only notes that one came.
+    Notification,
     /// A KEEPALIVE message (no body).
     Keepalive,
-}
-
-impl BgpMessageRef<'_> {
-    /// Copy the message into an owned [`BgpMessage`].
-    pub fn to_owned(&self) -> BgpMessage {
-        match *self {
-            BgpMessageRef::Open(open) => BgpMessage::Open(open.to_owned()),
-            BgpMessageRef::Notification(n) => BgpMessage::Notification(n.to_owned()),
-            BgpMessageRef::Keepalive => BgpMessage::Keepalive,
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::net::Ipv4Addr;
+
+    /// `open` as a speaker sends it.
+    pub(crate) fn open_bytes(open: &OpenMessage) -> Vec<u8> {
+        let mut out = Vec::new();
+        let params = open.optional_parameters.iter().map(|param| param.as_ref());
+        let OpenMessage {
+            version,
+            my_as,
+            hold_time,
+            bgp_identifier,
+            ..
+        } = *open;
+        OpenMessage::emit_parts(version, my_as, hold_time, bgp_identifier, params, &mut out);
+        out
+    }
+
+    /// `open`, copied.
+    pub(crate) fn owned(open: OpenRef<'_>) -> OpenMessage {
+        OpenMessage {
+            version: open.version,
+            my_as: open.my_as,
+            hold_time: open.hold_time,
+            bgp_identifier: open.bgp_identifier,
+            optional_parameters: open
+                .optional_parameters
+                .iter()
+                .map(|p| p.to_owned())
+                .collect(),
+        }
+    }
+
+    /// The OPEN message at the front of `buf`, owned, and the bytes it
+    /// took.
+    pub(crate) fn parse_open(buf: &[u8]) -> Result<(OpenMessage, usize)> {
+        match parse_message(buf)? {
+            (BgpMessageRef::Open(open), consumed) => Ok((owned(open), consumed)),
+            (other, _) => panic!("not an OPEN: {other:?}"),
+        }
+    }
 
     fn sample_open() -> OpenMessage {
         OpenMessage {
@@ -269,8 +271,8 @@ mod tests {
             message_type: MessageType::Keepalive,
         }
         .emit(&mut bytes);
-        let (msg, consumed) = BgpMessage::parse(&bytes).unwrap();
-        assert_eq!(msg, BgpMessage::Keepalive);
+        let (msg, consumed) = parse_message(&bytes).unwrap();
+        assert_eq!(msg, BgpMessageRef::Keepalive);
         assert_eq!(consumed, BGP_HEADER_LEN);
     }
 
@@ -278,22 +280,19 @@ mod tests {
     fn stream_of_open_then_notification() {
         // This is the exact exchange Figure 2 of the paper dissects: an OPEN
         // followed by a NOTIFICATION (Cease / Connection Rejected).
-        let mut stream = sample_open().to_bytes();
-        stream.extend_from_slice(
-            &NotificationMessage::cease(CeaseSubcode::ConnectionRejected).to_bytes(),
-        );
-        let msgs = BgpMessage::parse_stream(&stream);
+        let mut stream = open_bytes(&sample_open());
+        NotificationMessage::cease(CeaseSubcode::ConnectionRejected).emit(&mut stream);
+        let msgs: Vec<_> = messages(&stream).collect();
         assert_eq!(msgs.len(), 2);
-        assert!(matches!(msgs[0], BgpMessage::Open(_)));
-        assert!(matches!(msgs[1], BgpMessage::Notification(_)));
+        assert!(matches!(msgs[0], BgpMessageRef::Open(open) if owned(open) == sample_open()));
+        assert_eq!(msgs[1], BgpMessageRef::Notification);
     }
 
     #[test]
     fn stream_stops_at_garbage() {
-        let mut stream = sample_open().to_bytes();
+        let mut stream = open_bytes(&sample_open());
         stream.extend_from_slice(&[0xab; 7]);
-        let msgs = BgpMessage::parse_stream(&stream);
-        assert_eq!(msgs.len(), 1);
+        assert_eq!(messages(&stream).count(), 1);
     }
 
     #[test]
@@ -306,7 +305,7 @@ mod tests {
         .emit(&mut out);
         out.extend_from_slice(&[0, 0, 0, 0]);
         assert!(matches!(
-            BgpMessage::parse(&out),
+            parse_message(&out),
             Err(WireError::UnknownType { .. })
         ));
     }

@@ -87,29 +87,10 @@ impl NotificationMessage {
         }
     }
 
-    /// Whether this is the Cease / Connection Rejected notification the
-    /// paper's scans observe.
-    pub fn is_connection_rejected(&self) -> bool {
-        self.error_code == Self::ERROR_CEASE
-            && CeaseSubcode::from_code(self.error_subcode) == CeaseSubcode::ConnectionRejected
-    }
-
-    /// Parse a NOTIFICATION body (everything after the common header), the
-    /// data as a slice of `body`.
-    pub(crate) fn parse_borrowed(body: &[u8]) -> Result<NotificationRef<'_>> {
-        check_len(body, 2)?;
-        Ok(NotificationRef {
-            error_code: body[0],
-            error_subcode: body[1],
-            data: &body[2..],
-        })
-    }
-
-    /// Emit the full message (header + body) to a freshly allocated vector.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        self.emit(&mut out);
-        out
+    /// Check a NOTIFICATION body (everything after the common header): an
+    /// error code and a subcode, then any data.
+    pub(crate) fn check_body(body: &[u8]) -> Result<()> {
+        check_len(body, 2)
     }
 
     /// Append the full message (header + body) to `out`.
@@ -125,41 +106,22 @@ impl NotificationMessage {
     }
 }
 
-/// A [`NotificationMessage`] whose diagnostic data borrows the message
-/// body ([`NotificationMessage::parse_borrowed`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct NotificationRef<'a> {
-    /// Major error code (6 = Cease).
-    pub(crate) error_code: u8,
-    /// Error subcode.
-    pub(crate) error_subcode: u8,
-    /// Diagnostic data.
-    pub(crate) data: &'a [u8],
-}
-
-impl NotificationRef<'_> {
-    /// Copy the message into an owned [`NotificationMessage`].
-    pub(crate) fn to_owned(self) -> NotificationMessage {
-        NotificationMessage {
-            error_code: self.error_code,
-            error_subcode: self.error_subcode,
-            data: self.data.to_vec(),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bgp::BgpMessage;
+    use crate::bgp::{parse_message, BgpMessageRef};
+    use crate::emitted;
 
     #[test]
     fn figure2_notification_length_is_21() {
         // Figure 2: NOTIFICATION, Length: 21, Cease / Connection Rejected.
-        let n = NotificationMessage::cease(CeaseSubcode::ConnectionRejected);
-        let bytes = n.to_bytes();
+        let cease = NotificationMessage::cease(CeaseSubcode::ConnectionRejected);
+        let bytes = emitted(|out| cease.emit(out));
         assert_eq!(bytes.len(), 21);
-        assert!(n.is_connection_rejected());
+        assert_eq!(
+            bytes[BGP_HEADER_LEN..],
+            [NotificationMessage::ERROR_CEASE, 5]
+        );
     }
 
     #[test]
@@ -169,10 +131,11 @@ mod tests {
             error_subcode: CeaseSubcode::AdminShutdown.code(),
             data: vec![1, 2, 3],
         };
-        let bytes = n.to_bytes();
-        let (msg, consumed) = BgpMessage::parse(&bytes).unwrap();
+        let bytes = emitted(|out| n.emit(out));
+        assert_eq!(bytes[BGP_HEADER_LEN..], [6, 2, 1, 2, 3]);
+        let (msg, consumed) = parse_message(&bytes).unwrap();
         assert_eq!(consumed, bytes.len());
-        assert_eq!(msg, BgpMessage::Notification(n));
+        assert_eq!(msg, BgpMessageRef::Notification);
     }
 
     #[test]
@@ -183,17 +146,7 @@ mod tests {
     }
 
     #[test]
-    fn non_cease_is_not_connection_rejected() {
-        let n = NotificationMessage {
-            error_code: 2,
-            error_subcode: 5,
-            data: vec![],
-        };
-        assert!(!n.is_connection_rejected());
-    }
-
-    #[test]
     fn truncated_body_is_rejected() {
-        assert!(NotificationMessage::parse_borrowed(&[6]).is_err());
+        assert!(NotificationMessage::check_body(&[6]).is_err());
     }
 }

@@ -88,25 +88,10 @@ impl OpenMessage {
         })
     }
 
-    /// Emit the full message (header + body) to a freshly allocated vector.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        let params = self.optional_parameters.iter().map(|param| param.as_ref());
-        let OpenMessage {
-            version,
-            my_as,
-            hold_time,
-            bgp_identifier,
-            ..
-        } = *self;
-        Self::emit_parts(version, my_as, hold_time, bgp_identifier, params, &mut out);
-        out
-    }
-
     /// Append to `out` the full message (header + body) these fields and
-    /// optional parameters make — what [`Self::to_bytes`] emits, for a
-    /// speaker that keeps no `OpenMessage`.  The two lengths are patched in
-    /// behind the parameters: nothing is allocated.
+    /// optional parameters make, for a speaker that keeps no
+    /// `OpenMessage`.  The two lengths are patched in behind the
+    /// parameters: nothing is allocated.
     pub fn emit_parts<'a>(
         version: u8,
         my_as: u16,
@@ -152,23 +137,11 @@ pub struct OpenRef<'a> {
     pub optional_parameters: WireParams<'a>,
 }
 
-impl OpenRef<'_> {
-    /// Copy the message into an owned [`OpenMessage`].
-    pub(crate) fn to_owned(self) -> OpenMessage {
-        OpenMessage {
-            version: self.version,
-            my_as: self.my_as,
-            hold_time: self.hold_time,
-            bgp_identifier: self.bgp_identifier,
-            optional_parameters: self.optional_parameters.to_owned(),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bgp::BgpMessage;
+    use crate::bgp::tests::{open_bytes, owned, parse_open};
+    use crate::bgp::{messages, BgpMessageRef};
 
     /// The OPEN message dissected in Figure 2 of the paper.
     fn figure2_open() -> OpenMessage {
@@ -189,7 +162,7 @@ mod tests {
         // Figure 2 reports Length: 37 and Optional Parameters Length: 8.
         let open = figure2_open();
         assert_eq!(open.wire_length(), 37);
-        let bytes = open.to_bytes();
+        let bytes = open_bytes(&open);
         assert_eq!(bytes.len(), 37);
         assert_eq!(bytes[37 - 9], 8); // optional parameters length octet
     }
@@ -197,10 +170,10 @@ mod tests {
     #[test]
     fn open_roundtrip() {
         let open = figure2_open();
-        let bytes = open.to_bytes();
-        let (msg, consumed) = BgpMessage::parse(&bytes).unwrap();
+        let bytes = open_bytes(&open);
+        let (parsed, consumed) = parse_open(&bytes).unwrap();
         assert_eq!(consumed, bytes.len());
-        assert_eq!(msg, BgpMessage::Open(open));
+        assert_eq!(parsed, open);
     }
 
     #[test]
@@ -212,16 +185,18 @@ mod tests {
             param_type: 9,
             value: vec![0xde, 0xad],
         });
-        let once = open.to_bytes();
+        let once = open_bytes(&open);
         let mut twice = once.clone();
         let params = open.optional_parameters.iter().map(|p| p.as_ref());
         OpenMessage::emit_parts(4, open.my_as, 90, open.bgp_identifier, params, &mut twice);
         assert_eq!(twice, [once.clone(), once].concat());
-        let messages = BgpMessage::parse_stream(&twice);
-        assert_eq!(
-            messages,
-            [BgpMessage::Open(open.clone()), BgpMessage::Open(open)]
-        );
+        let opens: Vec<OpenMessage> = messages(&twice)
+            .map(|message| match message {
+                BgpMessageRef::Open(open) => owned(open),
+                other => panic!("not an OPEN: {other:?}"),
+            })
+            .collect();
+        assert_eq!(opens, [open.clone(), open]);
     }
 
     #[test]
@@ -237,10 +212,10 @@ mod tests {
 
     #[test]
     fn rejects_wrong_version() {
-        let mut bytes = figure2_open().to_bytes();
+        let mut bytes = open_bytes(&figure2_open());
         bytes[BGP_HEADER_LEN] = 3;
         assert!(matches!(
-            BgpMessage::parse(&bytes),
+            parse_open(&bytes),
             Err(WireError::BadValue { .. })
         ));
     }
@@ -249,20 +224,20 @@ mod tests {
     fn rejects_reserved_hold_time() {
         let mut open = figure2_open();
         open.hold_time = 2;
-        let bytes = open.to_bytes();
+        let bytes = open_bytes(&open);
         assert!(matches!(
-            BgpMessage::parse(&bytes),
+            parse_open(&bytes),
             Err(WireError::BadValue { .. })
         ));
     }
 
     #[test]
     fn rejects_inconsistent_opt_parm_len() {
-        let mut bytes = figure2_open().to_bytes();
+        let mut bytes = open_bytes(&figure2_open());
         // Claim fewer optional-parameter bytes than are present.
         bytes[BGP_HEADER_LEN + 9] = 4;
         assert!(matches!(
-            BgpMessage::parse(&bytes),
+            parse_open(&bytes),
             Err(WireError::BadLength { .. })
         ));
     }
@@ -277,8 +252,7 @@ mod tests {
             optional_parameters: vec![],
         };
         assert_eq!(open.wire_length(), 29);
-        let bytes = open.to_bytes();
-        let (msg, _) = BgpMessage::parse(&bytes).unwrap();
-        assert_eq!(msg, BgpMessage::Open(open));
+        let (parsed, _) = parse_open(&open_bytes(&open)).unwrap();
+        assert_eq!(parsed, open);
     }
 }

@@ -44,3 +44,11 @@ pub use error::WireError;
 
 /// Convenience result alias used across the crate.
 pub type Result<T> = core::result::Result<T, WireError>;
+
+/// What `emit` appends to an empty buffer.
+#[cfg(test)]
+pub(crate) fn emitted(emit: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+    let mut out = Vec::new();
+    emit(&mut out);
+    out
+}

@@ -36,13 +36,9 @@ impl EngineId {
         }
     }
 
-    /// The conventional enterprise-format engine ID: enterprise number with
-    /// the high bit set, format octet 3 (MAC), followed by six octets.
-    pub fn from_enterprise_mac(enterprise: u32, mac: [u8; 6]) -> Self {
-        EngineId(Self::enterprise_mac_bytes(enterprise, mac).to_vec())
-    }
-
-    /// The octets of [`Self::from_enterprise_mac`], without the allocation.
+    /// The octets of the conventional enterprise-format engine ID:
+    /// enterprise number with the high bit set, format octet 3 (MAC),
+    /// followed by six octets.
     pub fn enterprise_mac_bytes(enterprise: u32, mac: [u8; 6]) -> [u8; 11] {
         let mut bytes = [3; 11];
         bytes[..4].copy_from_slice(&(enterprise | 0x8000_0000).to_be_bytes());
@@ -125,24 +121,8 @@ impl Snmpv3Message {
     /// msgFlags for the report: no auth, no priv, not reportable.
     const FLAGS_NONE: u8 = 0x00;
 
-    /// Build the Report answering a discovery request.
-    pub fn report_for(request_msg_id: i64, usm: UsmSecurityParameters, counter: i64) -> Self {
-        Snmpv3Message::Report {
-            msg_id: request_msg_id,
-            usm,
-            unknown_engine_ids: counter,
-        }
-    }
-
-    /// Encode the message to its BER byte representation.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        self.encode_into(&mut out);
-        out
-    }
-
-    /// [`Self::to_bytes`], appending to a caller-owned buffer so a scan loop
-    /// encodes every datagram of a sweep in one allocation.
+    /// Append the message's BER encoding to a caller-owned buffer, so a
+    /// scan loop encodes every datagram of a sweep in one allocation.
     pub fn encode_into(&self, out: &mut Vec<u8>) {
         match self {
             Snmpv3Message::DiscoveryRequest { msg_id } => {
@@ -165,7 +145,7 @@ impl Snmpv3Message {
     }
 
     /// Append the Report an agent with `engine_id` answers a discovery
-    /// request with — the bytes of [`Self::report_for`] with an empty user
+    /// request with — the bytes of the [`Self::Report`] with an empty user
     /// name, without building the owned message (which would copy the
     /// engine ID).
     pub fn encode_report_into(
@@ -286,10 +266,21 @@ fn encode_message(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::emitted;
+
+    fn report_for(msg_id: i64, usm: UsmSecurityParameters, counter: i64) -> Snmpv3Message {
+        Snmpv3Message::Report {
+            msg_id,
+            usm,
+            unknown_engine_ids: counter,
+        }
+    }
 
     fn sample_usm() -> UsmSecurityParameters {
         UsmSecurityParameters {
-            engine_id: EngineId::from_enterprise_mac(9, [0, 0x1b, 0x54, 0xaa, 0xbb, 0xcc]),
+            engine_id: EngineId(
+                EngineId::enterprise_mac_bytes(9, [0, 0x1b, 0x54, 0xaa, 0xbb, 0xcc]).to_vec(),
+            ),
             engine_boots: 17,
             engine_time: 123_456,
             user_name: Vec::new(),
@@ -307,7 +298,7 @@ mod tests {
 
     #[test]
     fn enterprise_mac_engine_id_layout() {
-        let id = EngineId::from_enterprise_mac(9, [1, 2, 3, 4, 5, 6]);
+        let id = EngineId(EngineId::enterprise_mac_bytes(9, [1, 2, 3, 4, 5, 6]).to_vec());
         assert_eq!(id.0.len(), 11);
         assert_eq!(id.0[0], 0x80); // enterprise high bit
         assert_eq!(id.0[3], 9);
@@ -318,7 +309,7 @@ mod tests {
     #[test]
     fn discovery_request_roundtrip() {
         let msg = Snmpv3Message::DiscoveryRequest { msg_id: 0x1337 };
-        let parsed = Snmpv3Message::parse(&msg.to_bytes()).unwrap();
+        let parsed = Snmpv3Message::parse(&emitted(|out| msg.encode_into(out))).unwrap();
         assert_eq!(parsed, msg);
         assert!(matches!(
             parsed,
@@ -328,8 +319,8 @@ mod tests {
 
     #[test]
     fn report_roundtrip_preserves_engine() {
-        let msg = Snmpv3Message::report_for(42, sample_usm(), 7);
-        let parsed = Snmpv3Message::parse(&msg.to_bytes()).unwrap();
+        let msg = report_for(42, sample_usm(), 7);
+        let parsed = Snmpv3Message::parse(&emitted(|out| msg.encode_into(out))).unwrap();
         match parsed {
             Snmpv3Message::Report {
                 msg_id,
@@ -603,7 +594,7 @@ mod tests {
                     user_name: user_name.to_vec(),
                 };
                 let counter = [0, 1, 0xffff_ffff][j];
-                messages.push(Snmpv3Message::report_for(MSG_IDS[i + j], usm, counter));
+                messages.push(report_for(MSG_IDS[i + j], usm, counter));
             }
         }
         while messages.len() < 400 {
@@ -617,7 +608,7 @@ mod tests {
                     engine_time: rng.integer(),
                     user_name: rng.bytes_of(&[0, 0, 3, 90]),
                 };
-                Snmpv3Message::report_for(msg_id, usm, (rng.next() >> 32) as i64)
+                report_for(msg_id, usm, (rng.next() >> 32) as i64)
             });
         }
         messages
@@ -645,7 +636,6 @@ mod tests {
             out.clear();
             message.encode_into(&mut out);
             assert_eq!(out, expected, "{message:?}");
-            assert_eq!(message.to_bytes(), expected);
             long_form += usize::from(expected[1] >= 0x80);
             if let Snmpv3Message::Report {
                 msg_id,
@@ -677,7 +667,7 @@ mod tests {
     #[test]
     fn the_parser_agrees_with_the_tree_codec_on_every_prefix() {
         for message in corpus() {
-            let bytes = message.to_bytes();
+            let bytes = emitted(|out| message.encode_into(out));
             assert_eq!(Snmpv3Message::parse(&bytes), Ok(message));
             for end in 0..=bytes.len() {
                 assert_parsers_agree(&bytes[..end]);
@@ -712,7 +702,7 @@ mod tests {
         // Spliced over every octet of well-formed messages: every length field
         // at every nesting depth is hit, as is every tag and content octet.
         for message in corpus().iter().take(40) {
-            let bytes = message.to_bytes();
+            let bytes = emitted(|out| message.encode_into(out));
             for at in 0..bytes.len() {
                 for length in hostile {
                     let mut spliced = bytes[..at].to_vec();
@@ -726,7 +716,10 @@ mod tests {
 
     #[test]
     fn the_parser_agrees_with_the_tree_codec_on_120_000_seeded_mutations() {
-        let encoded: Vec<Vec<u8>> = corpus().iter().map(Snmpv3Message::to_bytes).collect();
+        let encoded: Vec<Vec<u8>> = corpus()
+            .iter()
+            .map(|m| emitted(|out| m.encode_into(out)))
+            .collect();
         let mut rng = SplitMix(20_230_418);
         let (mut accepted, mut rejected) = (0u32, 0u32);
         for _ in 0..120_000 {

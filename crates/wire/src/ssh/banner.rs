@@ -89,30 +89,18 @@ impl Banner {
         self.as_ref().emit_line(out);
     }
 
-    /// The banner as sent on the wire, CR LF terminated.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        self.emit(&mut out);
-        out
-    }
-
-    /// Append [`Self::to_bytes`]'s bytes to `out`.
+    /// Append the banner as sent on the wire, CR LF terminated, to `out`.
     pub fn emit(&self, out: &mut Vec<u8>) {
         self.emit_line(out);
         out.extend_from_slice(b"\r\n");
     }
 
-    /// Parse the first identification line found in `buf`.
+    /// Parse the first identification line found in `buf`, the fields as
+    /// slices of `buf`.
     ///
     /// RFC 4253 allows the server to send other lines before the banner;
     /// they are skipped.  Returns the banner and the total number of bytes
     /// consumed up to and including the banner's line terminator.
-    pub fn parse(buf: &[u8]) -> Result<(Self, usize)> {
-        let (banner, consumed) = Self::parse_borrowed(buf)?;
-        Ok((banner.to_owned(), consumed))
-    }
-
-    /// [`Self::parse`] without the copies: the fields as slices of `buf`.
     pub fn parse_borrowed(buf: &[u8]) -> Result<(BannerRef<'_>, usize)> {
         let mut offset = 0;
         while offset < buf.len() {
@@ -165,12 +153,6 @@ impl Banner {
             available: buf.len(),
         })
     }
-
-    /// Whether the server speaks protocol 2.0 (or the 1.99 compatibility
-    /// version).
-    pub fn is_v2(&self) -> bool {
-        self.proto_version == "2.0" || self.proto_version == "1.99"
-    }
 }
 
 /// A [`Banner`] whose fields borrow their text — from a session buffer
@@ -212,29 +194,34 @@ impl BannerRef<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::emitted;
+
+    fn parse(buf: &[u8]) -> Result<(Banner, usize)> {
+        Banner::parse_borrowed(buf).map(|(banner, consumed)| (banner.to_owned(), consumed))
+    }
 
     #[test]
     fn roundtrip_simple() {
         let banner = Banner::new("OpenSSH_8.9p1", None).unwrap();
-        let bytes = banner.to_bytes();
+        let bytes = emitted(|out| banner.emit(out));
         assert_eq!(bytes, b"SSH-2.0-OpenSSH_8.9p1\r\n");
-        let (parsed, consumed) = Banner::parse(&bytes).unwrap();
+        let (parsed, consumed) = parse(&bytes).unwrap();
         assert_eq!(consumed, bytes.len());
         assert_eq!(parsed, banner);
-        assert!(parsed.is_v2());
+        assert_eq!(parsed.proto_version, "2.0");
     }
 
     #[test]
     fn roundtrip_with_comments() {
         let banner = Banner::new("OpenSSH_8.9p1", Some("Ubuntu-3ubuntu0.1")).unwrap();
-        let (parsed, _) = Banner::parse(&banner.to_bytes()).unwrap();
+        let (parsed, _) = parse(&emitted(|out| banner.emit(out))).unwrap();
         assert_eq!(parsed.comments.as_deref(), Some("Ubuntu-3ubuntu0.1"));
     }
 
     #[test]
     fn pre_banner_lines_are_skipped() {
         let raw = b"Welcome to router-7\r\nSSH-2.0-dropbear_2020.81\r\n";
-        let (parsed, consumed) = Banner::parse(raw).unwrap();
+        let (parsed, consumed) = parse(raw).unwrap();
         assert_eq!(parsed.software, "dropbear_2020.81");
         assert_eq!(consumed, raw.len());
     }
@@ -242,21 +229,21 @@ mod tests {
     #[test]
     fn lf_only_terminator_is_accepted() {
         let raw = b"SSH-2.0-lancom\n";
-        let (parsed, _) = Banner::parse(raw).unwrap();
+        let (parsed, _) = parse(raw).unwrap();
         assert_eq!(parsed.software, "lancom");
     }
 
     #[test]
     fn missing_newline_is_truncated() {
         assert!(matches!(
-            Banner::parse(b"SSH-2.0-OpenSSH"),
+            parse(b"SSH-2.0-OpenSSH"),
             Err(WireError::Truncated { .. })
         ));
     }
 
     #[test]
     fn missing_software_is_rejected() {
-        assert!(Banner::parse(b"SSH-2.0-\r\n").is_err());
+        assert!(parse(b"SSH-2.0-\r\n").is_err());
     }
 
     #[test]
@@ -273,9 +260,9 @@ mod tests {
     }
 
     #[test]
-    fn ssh1_banner_is_parsed_but_not_v2() {
-        let (parsed, _) = Banner::parse(b"SSH-1.5-Cisco-1.25\r\n").unwrap();
-        assert!(!parsed.is_v2());
+    fn ssh1_banner_is_parsed_with_its_version() {
+        let (parsed, _) = parse(b"SSH-1.5-Cisco-1.25\r\n").unwrap();
+        assert_eq!(parsed.proto_version, "1.5");
         assert_eq!(parsed.software, "Cisco-1.25");
     }
 }

@@ -9,7 +9,7 @@
 //! an administrator clones them or a vendor ships factory-default keys.
 
 use super::packet::{
-    read_string, write_string, write_string_with, SshPacket, SSH_MSG_KEX_ECDH_REPLY,
+    emit_framed, read_string, write_string, write_string_with, SSH_MSG_KEX_ECDH_REPLY,
 };
 use crate::{Result, WireError};
 use std::fmt;
@@ -76,19 +76,6 @@ impl HostKey {
         }
     }
 
-    /// Encode the key blob (`string algorithm-name, string key material`) as
-    /// transmitted inside the key-exchange reply.
-    pub fn to_blob(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(8 + self.key_material.len() + 16);
-        self.emit_blob(&mut out);
-        out
-    }
-
-    /// Append the key blob to `out`.
-    pub(crate) fn emit_blob(&self, out: &mut Vec<u8>) {
-        self.as_ref().emit_blob(out);
-    }
-
     /// The key with its material borrowed.
     pub fn as_ref(&self) -> HostKeyRef<'_> {
         HostKeyRef {
@@ -97,13 +84,7 @@ impl HostKey {
         }
     }
 
-    /// Parse a key blob.
-    pub fn from_blob(blob: &[u8]) -> Result<Self> {
-        Self::from_blob_borrowed(blob).map(|key| key.to_owned())
-    }
-
-    /// [`Self::from_blob`] without the copy: the material as a slice of
-    /// `blob`.
+    /// Parse a key blob, the material as a slice of `blob`.
     pub(crate) fn from_blob_borrowed(blob: &[u8]) -> Result<HostKeyRef<'_>> {
         let (name, consumed) = read_string(blob)?;
         let name = std::str::from_utf8(name).map_err(|_| WireError::BadEncoding {
@@ -156,119 +137,77 @@ impl HostKeyRef<'_> {
         HostKey::new(self.algorithm, self.key_material.to_vec())
     }
 
-    /// Append the key blob to `out`.
+    /// Append the key blob (`string algorithm-name, string key material`),
+    /// as transmitted inside the key-exchange reply, to `out`.
     pub(crate) fn emit_blob(&self, out: &mut Vec<u8>) {
         write_string(out, self.algorithm.name().as_bytes());
         write_string(out, self.key_material);
     }
 }
 
-/// The key-exchange reply message carrying the host key.
+/// Parse a key-exchange reply payload (starting at the message number)
+/// and return the host key it carries, borrowed from `payload`.
 ///
 /// The layout matches `SSH_MSG_KEX_ECDH_REPLY` (RFC 5656 §4 / RFC 8731):
-/// host key blob, ephemeral public key, signature.  Only the host key is of
-/// interest to the scanner; the other fields are carried opaquely.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct KexReply {
-    /// The server host key.
-    pub host_key: HostKey,
-    /// The server's ephemeral key-exchange public value (opaque).
-    pub ephemeral_public: Vec<u8>,
-    /// Signature over the exchange hash (opaque).
-    pub signature: Vec<u8>,
-}
-
-impl KexReply {
-    /// Parse a key-exchange reply payload (starting at the message number).
-    pub(crate) fn parse_payload(payload: &[u8]) -> Result<Self> {
-        Self::parse_borrowed(payload).map(|reply| reply.to_owned())
-    }
-
-    /// `Self::parse_payload` without the copies: every part as a slice of
-    /// `payload`.
-    pub fn parse_borrowed(payload: &[u8]) -> Result<KexReplyRef<'_>> {
-        if payload.is_empty() {
-            return Err(WireError::Truncated {
-                needed: 1,
-                available: 0,
-            });
-        }
-        if payload[0] != SSH_MSG_KEX_ECDH_REPLY {
-            return Err(WireError::UnknownType {
-                tag: payload[0] as u16,
-            });
-        }
-        let mut offset = 1;
-        let (blob, consumed) = read_string(&payload[offset..])?;
-        let host_key = HostKey::from_blob_borrowed(blob)?;
-        offset += consumed;
-        let (ephemeral_public, consumed) = read_string(&payload[offset..])?;
-        offset += consumed;
-        let (signature, _) = read_string(&payload[offset..])?;
-        Ok(KexReplyRef {
-            host_key,
-            ephemeral_public,
-            signature,
-        })
-    }
-
-    /// Parse from a binary packet.
-    pub fn parse_packet(packet: &SshPacket) -> Result<Self> {
-        Self::parse_payload(&packet.payload)
-    }
-
-    fn emit_payload_from(
-        host_key: HostKeyRef<'_>,
-        ephemeral_public: &[u8],
-        signature: &[u8],
-        out: &mut Vec<u8>,
-    ) {
-        out.push(SSH_MSG_KEX_ECDH_REPLY);
-        write_string_with(out, |out| host_key.emit_blob(out));
-        write_string(out, ephemeral_public);
-        write_string(out, signature);
-    }
-
-    /// Append a reply, framed as a binary packet, to `out` from borrowed
-    /// parts, without building a `KexReply`.
-    pub fn emit_packet_from(
-        host_key: HostKeyRef<'_>,
-        ephemeral_public: &[u8],
-        signature: &[u8],
-        out: &mut Vec<u8>,
-    ) {
-        SshPacket::emit_framed(out, |out| {
-            Self::emit_payload_from(host_key, ephemeral_public, signature, out)
+/// host key blob, ephemeral public key, signature.  Only the host key is
+/// of interest to the scanner; the other two must be present and are
+/// skipped.
+pub fn parse_kex_reply(payload: &[u8]) -> Result<HostKeyRef<'_>> {
+    if payload.is_empty() {
+        return Err(WireError::Truncated {
+            needed: 1,
+            available: 0,
         });
     }
-}
-
-/// A [`KexReply`] whose parts borrow the packet payload
-/// ([`KexReply::parse_borrowed`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct KexReplyRef<'a> {
-    /// The server host key.
-    pub host_key: HostKeyRef<'a>,
-    /// The server's ephemeral key-exchange public value (opaque).
-    pub(crate) ephemeral_public: &'a [u8],
-    /// Signature over the exchange hash (opaque).
-    pub(crate) signature: &'a [u8],
-}
-
-impl KexReplyRef<'_> {
-    /// Copy the reply into an owned [`KexReply`].
-    pub fn to_owned(&self) -> KexReply {
-        KexReply {
-            host_key: self.host_key.to_owned(),
-            ephemeral_public: self.ephemeral_public.to_vec(),
-            signature: self.signature.to_vec(),
-        }
+    if payload[0] != SSH_MSG_KEX_ECDH_REPLY {
+        return Err(WireError::UnknownType {
+            tag: payload[0] as u16,
+        });
     }
+    let mut offset = 1;
+    let (blob, consumed) = read_string(&payload[offset..])?;
+    let host_key = HostKey::from_blob_borrowed(blob)?;
+    offset += consumed;
+    let (_ephemeral_public, consumed) = read_string(&payload[offset..])?;
+    offset += consumed;
+    let (_signature, _) = read_string(&payload[offset..])?;
+    Ok(host_key)
+}
+
+fn emit_kex_reply_payload(
+    host_key: HostKeyRef<'_>,
+    ephemeral_public: &[u8],
+    signature: &[u8],
+    out: &mut Vec<u8>,
+) {
+    out.push(SSH_MSG_KEX_ECDH_REPLY);
+    write_string_with(out, |out| host_key.emit_blob(out));
+    write_string(out, ephemeral_public);
+    write_string(out, signature);
+}
+
+/// Append a key-exchange reply carrying `host_key` (the ephemeral key and
+/// the signature opaque), framed as a binary packet, to `out`.
+pub fn emit_kex_reply(
+    host_key: HostKeyRef<'_>,
+    ephemeral_public: &[u8],
+    signature: &[u8],
+    out: &mut Vec<u8>,
+) {
+    emit_framed(out, |out| {
+        emit_kex_reply_payload(host_key, ephemeral_public, signature, out)
+    });
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::emitted;
+    use crate::ssh::parse_packet;
+
+    fn from_blob(blob: &[u8]) -> Result<HostKey> {
+        HostKey::from_blob_borrowed(blob).map(|key| key.to_owned())
+    }
 
     fn sample_key() -> HostKey {
         HostKey::new(
@@ -286,7 +225,7 @@ mod tests {
             HostKeyAlgorithm::Dsa,
         ] {
             let key = HostKey::new(alg, vec![1, 2, 3, 4]);
-            let parsed = HostKey::from_blob(&key.to_blob()).unwrap();
+            let parsed = from_blob(&emitted(|out| key.as_ref().emit_blob(out))).unwrap();
             assert_eq!(parsed, key);
         }
     }
@@ -319,46 +258,37 @@ mod tests {
     #[test]
     fn empty_key_material_is_rejected() {
         let key = HostKey::new(HostKeyAlgorithm::Rsa, vec![]);
-        assert!(HostKey::from_blob(&key.to_blob()).is_err());
+        assert!(from_blob(&emitted(|out| key.as_ref().emit_blob(out))).is_err());
     }
 
     #[test]
     fn trailing_bytes_in_blob_are_rejected() {
-        let mut blob = sample_key().to_blob();
+        let mut blob = emitted(|out| sample_key().as_ref().emit_blob(out));
         blob.push(0);
-        assert!(matches!(
-            HostKey::from_blob(&blob),
-            Err(WireError::BadLength { .. })
-        ));
+        assert!(matches!(from_blob(&blob), Err(WireError::BadLength { .. })));
     }
 
     #[test]
     fn kex_reply_roundtrip() {
-        let reply = KexReply {
-            host_key: sample_key(),
-            ephemeral_public: vec![9u8; 32],
-            signature: vec![7u8; 64],
-        };
+        let key = sample_key();
         let mut wire = Vec::new();
-        KexReply::emit_packet_from(
-            reply.host_key.as_ref(),
-            &reply.ephemeral_public,
-            &reply.signature,
-            &mut wire,
-        );
-        let (packet, consumed) = SshPacket::parse(&wire).unwrap();
+        emit_kex_reply(key.as_ref(), &[9u8; 32], &[7u8; 64], &mut wire);
+        let (payload, consumed) = parse_packet(&wire).unwrap();
         assert_eq!(consumed, wire.len());
-        let parsed = KexReply::parse_packet(&packet).unwrap();
-        assert_eq!(parsed, reply);
+        assert_eq!(parse_kex_reply(payload).unwrap().to_owned(), key);
+        // The ephemeral key and the signature must be there.
+        for cut in 1..payload.len() {
+            assert!(parse_kex_reply(&payload[..cut]).is_err(), "cut at {cut}");
+        }
     }
 
     #[test]
     fn kex_reply_rejects_wrong_message_number() {
         let mut payload = Vec::new();
-        KexReply::emit_payload_from(sample_key().as_ref(), &[], &[], &mut payload);
+        emit_kex_reply_payload(sample_key().as_ref(), &[], &[], &mut payload);
         payload[0] = 30;
         assert!(matches!(
-            KexReply::parse_payload(&payload),
+            parse_kex_reply(&payload),
             Err(WireError::UnknownType { .. })
         ));
     }

@@ -8,7 +8,7 @@
 //! configurations.
 
 use super::names::{NameList, NameListRef};
-use super::packet::{SshPacket, SSH_MSG_KEXINIT};
+use super::packet::{emit_framed, SSH_MSG_KEXINIT};
 use crate::error::check_len;
 use crate::{Result, WireError};
 
@@ -130,13 +130,8 @@ impl KexInit {
         }
     }
 
-    /// Parse a KEXINIT payload (starting at the message-number byte).
-    pub fn parse_payload(payload: &[u8]) -> Result<Self> {
-        Self::parse_borrowed(payload).map(|kex| kex.to_owned())
-    }
-
-    /// [`Self::parse_payload`] without the copies: the name-lists as slices
-    /// of `payload`.
+    /// Parse a KEXINIT payload (starting at the message-number byte), the
+    /// name-lists as slices of `payload`.
     pub fn parse_borrowed(payload: &[u8]) -> Result<KexInitRef<'_>> {
         check_len(payload, 1 + 16)?;
         if payload[0] != SSH_MSG_KEXINIT {
@@ -182,19 +177,7 @@ impl KexInit {
         }
     }
 
-    /// Parse a KEXINIT from a binary packet.
-    pub fn parse_packet(packet: &SshPacket) -> Result<Self> {
-        Self::parse_payload(&packet.payload)
-    }
-
-    /// Emit the KEXINIT payload (message number included).
-    pub fn to_payload(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(512);
-        self.emit_payload(&self.cookie, &mut out);
-        out
-    }
-
-    /// Append the KEXINIT payload to `out`, carrying `cookie` in place of
+    /// Append the KEXINIT payload (message number included) to `out`, carrying `cookie` in place of
     /// the stored one — a server sends the same lists with a fresh cookie
     /// on every connection, and should not have to clone them to do so.
     pub(crate) fn emit_payload(&self, cookie: &[u8; 16], out: &mut Vec<u8>) {
@@ -210,12 +193,7 @@ impl KexInit {
     /// Append the KEXINIT, framed as a binary packet, to `out` (see
     /// `Self::emit_payload` for `cookie`).
     pub fn emit_packet(&self, cookie: &[u8; 16], out: &mut Vec<u8>) {
-        SshPacket::emit_framed(out, |out| self.emit_payload(cookie, out));
-    }
-
-    /// Wrap the KEXINIT in a binary packet.
-    pub fn to_packet(&self) -> SshPacket {
-        SshPacket::new(self.to_payload())
+        emit_framed(out, |out| self.emit_payload(cookie, out));
     }
 }
 
@@ -266,15 +244,27 @@ impl<'a> KexInitRef<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ssh::parse_packet;
+
+    fn parse_payload(payload: &[u8]) -> Result<KexInit> {
+        KexInit::parse_borrowed(payload).map(|kex| kex.to_owned())
+    }
+
+    fn to_payload(kex: &KexInit) -> Vec<u8> {
+        let mut out = Vec::new();
+        kex.emit_payload(&kex.cookie, &mut out);
+        out
+    }
 
     #[test]
     fn roundtrip_via_packet() {
-        let kex = KexInit::typical_openssh();
-        let packet = kex.to_packet();
-        let bytes = packet.to_bytes();
-        let (reparsed_packet, _) = SshPacket::parse(&bytes).unwrap();
-        let parsed = KexInit::parse_packet(&reparsed_packet).unwrap();
-        assert_eq!(parsed, kex);
+        let mut kex = KexInit::typical_openssh();
+        kex.cookie = [7u8; 16];
+        let mut bytes = Vec::new();
+        kex.emit_packet(&kex.cookie, &mut bytes);
+        let (payload, consumed) = parse_packet(&bytes).unwrap();
+        assert_eq!(consumed, bytes.len());
+        assert_eq!(parse_payload(payload).unwrap(), kex);
     }
 
     #[test]
@@ -309,22 +299,19 @@ mod tests {
 
     #[test]
     fn wrong_message_number_is_rejected() {
-        let mut payload = KexInit::typical_openssh().to_payload();
+        let mut payload = to_payload(&KexInit::typical_openssh());
         payload[0] = 21;
         assert!(matches!(
-            KexInit::parse_payload(&payload),
+            parse_payload(&payload),
             Err(WireError::UnknownType { .. })
         ));
     }
 
     #[test]
     fn truncated_payload_is_rejected() {
-        let payload = KexInit::typical_openssh().to_payload();
+        let payload = to_payload(&KexInit::typical_openssh());
         for cut in [0, 5, 17, 40, payload.len() - 1] {
-            assert!(
-                KexInit::parse_payload(&payload[..cut]).is_err(),
-                "cut at {cut}"
-            );
+            assert!(parse_payload(&payload[..cut]).is_err(), "cut at {cut}");
         }
     }
 
@@ -332,7 +319,7 @@ mod tests {
     fn first_kex_packet_follows_roundtrips() {
         let mut kex = KexInit::typical_openssh();
         kex.first_kex_packet_follows = true;
-        let parsed = KexInit::parse_payload(&kex.to_payload()).unwrap();
+        let parsed = parse_payload(&to_payload(&kex)).unwrap();
         assert!(parsed.first_kex_packet_follows);
     }
 }

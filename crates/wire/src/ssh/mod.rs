@@ -26,7 +26,7 @@ pub use banner::{Banner, BannerRef};
 pub use hostkey::{HostKey, HostKeyAlgorithm, HostKeyRef};
 pub use kexinit::{KexInit, KexInitRef};
 pub use names::{NameList, NameListRef};
-pub use packet::{SshPacket, SSH_MSG_KEXINIT, SSH_MSG_KEX_ECDH_REPLY};
+pub use packet::{packet_payloads, parse_packet, SSH_MSG_KEXINIT, SSH_MSG_KEX_ECDH_REPLY};
 
 /// Everything a scanner learns from one SSH connection attempt.
 ///
@@ -42,12 +42,6 @@ pub struct SshObservation {
 }
 
 impl SshObservation {
-    /// Whether the observation carries enough material to build the full SSH
-    /// identifier of the paper (banner + capabilities + host key).
-    pub fn is_complete(&self) -> bool {
-        self.kex_init.is_some() && self.host_key.is_some()
-    }
-
     /// The observation with every part borrowed.
     pub fn as_ref(&self) -> SshObservationRef<'_> {
         SshObservationRef {
@@ -79,28 +73,5 @@ impl SshObservationRef<'_> {
             kex_init: self.kex_init.map(|kex| kex.to_owned()),
             host_key: self.host_key.map(|key| key.to_owned()),
         }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn observation_completeness() {
-        let banner = Banner::new("OpenSSH_8.9p1", Some("Ubuntu-3ubuntu0.1")).unwrap();
-        let partial = SshObservation {
-            banner: banner.clone(),
-            kex_init: None,
-            host_key: None,
-        };
-        assert!(!partial.is_complete());
-
-        let full = SshObservation {
-            banner,
-            kex_init: Some(KexInit::typical_openssh()),
-            host_key: Some(HostKey::new(HostKeyAlgorithm::Ed25519, vec![7u8; 32])),
-        };
-        assert!(full.is_complete());
     }
 }

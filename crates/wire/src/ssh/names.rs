@@ -17,9 +17,8 @@ use crate::{Result, WireError};
 /// An ordered list of algorithm names, stored as its comma-joined wire text.
 ///
 /// The text is either empty (no names) or non-empty comma-free names
-/// separated by single commas; [`NameList::new`] and [`NameList::parse`]
-/// both enforce that, so `parse(emit(x)) == x` for every list that can
-/// exist.
+/// separated by single commas; [`NameList::new`] and the parser both
+/// enforce that, so `parse(emit(x)) == x` for every list that can exist.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
 pub struct NameList(String);
 
@@ -33,8 +32,8 @@ impl NameList {
     ///
     /// # Panics
     /// Panics if a name is empty or contains a comma: such a list would not
-    /// come back from [`emit`](Self::emit) → [`parse`](Self::parse) as the
-    /// names it was built from.
+    /// come back from [`emit`](Self::emit) → parse as the names it was
+    /// built from.
     pub fn new<I, S>(names: I) -> Self
     where
         I: IntoIterator<Item = S>,
@@ -82,14 +81,8 @@ impl NameList {
         NameListRef(&self.0)
     }
 
-    /// Parse a name-list from the front of `buf`; returns the list and bytes
-    /// consumed (4 + string length).
-    pub fn parse(buf: &[u8]) -> Result<(Self, usize)> {
-        let (list, consumed) = Self::parse_borrowed(buf)?;
-        Ok((list.to_owned(), consumed))
-    }
-
-    /// [`Self::parse`] without the copy: the list as a slice of `buf`.
+    /// Parse a name-list from the front of `buf`; returns the list, a slice
+    /// of `buf`, and the bytes consumed (4 + string length).
     pub(crate) fn parse_borrowed(buf: &[u8]) -> Result<(NameListRef<'_>, usize)> {
         check_len(buf, 4)?;
         let len = u32::from_be_bytes([buf[0], buf[1], buf[2], buf[3]]) as usize;
@@ -147,12 +140,16 @@ impl<S: AsRef<str>> FromIterator<S> for NameList {
 mod tests {
     use super::*;
 
+    fn parse(buf: &[u8]) -> Result<(NameList, usize)> {
+        NameList::parse_borrowed(buf).map(|(list, consumed)| (list.to_owned(), consumed))
+    }
+
     #[test]
     fn roundtrip() {
         let list = NameList::new(["curve25519-sha256", "ecdh-sha2-nistp256"]);
         let mut buf = Vec::new();
         list.emit(&mut buf);
-        let (parsed, consumed) = NameList::parse(&buf).unwrap();
+        let (parsed, consumed) = parse(&buf).unwrap();
         assert_eq!(consumed, buf.len());
         assert_eq!(parsed, list);
         assert_eq!(parsed.names().next(), Some("curve25519-sha256"));
@@ -166,7 +163,7 @@ mod tests {
         let mut buf = Vec::new();
         list.emit(&mut buf);
         assert_eq!(buf, [0, 0, 0, 0]);
-        let (parsed, consumed) = NameList::parse(&buf).unwrap();
+        let (parsed, consumed) = parse(&buf).unwrap();
         assert_eq!(consumed, 4);
         assert!(parsed.is_empty());
         assert_eq!(parsed.names().next(), None);
@@ -188,26 +185,20 @@ mod tests {
         let mut buf = Vec::new();
         buf.extend_from_slice(&3u32.to_be_bytes());
         buf.extend_from_slice(b",ab");
-        assert!(NameList::parse(&buf).is_err());
+        assert!(parse(&buf).is_err());
 
         // Length pointing past the end.
         let mut buf = Vec::new();
         buf.extend_from_slice(&10u32.to_be_bytes());
         buf.extend_from_slice(b"abc");
-        assert!(matches!(
-            NameList::parse(&buf),
-            Err(WireError::Truncated { .. })
-        ));
+        assert!(matches!(parse(&buf), Err(WireError::Truncated { .. })));
 
         // Non-ASCII.
         let mut buf = Vec::new();
         let s = "é".as_bytes();
         buf.extend_from_slice(&(s.len() as u32).to_be_bytes());
         buf.extend_from_slice(s);
-        assert!(matches!(
-            NameList::parse(&buf),
-            Err(WireError::BadEncoding { .. })
-        ));
+        assert!(matches!(parse(&buf), Err(WireError::BadEncoding { .. })));
     }
 
     #[test]

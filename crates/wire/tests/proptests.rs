@@ -3,10 +3,15 @@
 //! arbitrary input.
 
 use alias_wire::bgp::{
-    BgpMessage, Capability, CeaseSubcode, NotificationMessage, OpenMessage, OptionalParameter,
+    messages, BgpMessageRef, Capability, CeaseSubcode, NotificationMessage, OpenMessage,
+    OptionalParameter, BGP_HEADER_LEN,
 };
 use alias_wire::snmp::{EngineId, Snmpv3Message, UsmSecurityParameters};
-use alias_wire::ssh::{Banner, HostKey, HostKeyAlgorithm, KexInit, NameList, SshPacket};
+use alias_wire::ssh::hostkey::{emit_kex_reply, parse_kex_reply};
+use alias_wire::ssh::{
+    packet_payloads, parse_packet, Banner, HostKey, HostKeyAlgorithm, KexInit, NameList,
+    SSH_MSG_KEX_ECDH_REPLY,
+};
 use proptest::prelude::*;
 use std::net::Ipv4Addr;
 
@@ -74,13 +79,55 @@ fn arb_kexinit() -> impl Strategy<Value = KexInit> {
         })
 }
 
+/// Whether `message` is the OPEN `open`, compared where it lies.
+fn is_open(message: BgpMessageRef<'_>, open: &OpenMessage) -> bool {
+    let BgpMessageRef::Open(read) = message else {
+        return false;
+    };
+    let params = open
+        .optional_parameters
+        .iter()
+        .map(OptionalParameter::as_ref);
+    (
+        read.version,
+        read.my_as,
+        read.hold_time,
+        read.bgp_identifier,
+    ) == (
+        open.version,
+        open.my_as,
+        open.hold_time,
+        open.bgp_identifier,
+    ) && read.optional_parameters.iter().eq(params)
+}
+
+/// `data` as an SSH `string`: its length, big-endian, then its bytes.
+fn ssh_string(data: &[u8]) -> Vec<u8> {
+    [&(data.len() as u32).to_be_bytes()[..], data].concat()
+}
+
+/// `kex` through the door a server writes and a scanner reads it by.
+fn kexinit_roundtrip(kex: &KexInit) -> KexInit {
+    let mut bytes = Vec::new();
+    kex.emit_packet(&kex.cookie, &mut bytes);
+    let (payload, consumed) = parse_packet(&bytes).unwrap();
+    assert_eq!(consumed, bytes.len());
+    KexInit::parse_borrowed(payload).unwrap().to_owned()
+}
+
 proptest! {
     #[test]
     fn bgp_open_roundtrips(open in arb_open()) {
-        let bytes = open.to_bytes();
-        let (parsed, consumed) = BgpMessage::parse(&bytes).unwrap();
-        prop_assert_eq!(consumed, bytes.len());
-        prop_assert_eq!(parsed, BgpMessage::Open(open));
+        // Twice in a row: the second parses only where the first ended.
+        let mut stream = Vec::new();
+        for _ in 0..2 {
+            let params = open.optional_parameters.iter().map(|param| param.as_ref());
+            OpenMessage::emit_parts(4, open.my_as, open.hold_time, open.bgp_identifier, params, &mut stream);
+        }
+        prop_assert_eq!(stream.len(), 2 * usize::from(open.wire_length()));
+        let read: Vec<_> = messages(&stream).collect();
+        prop_assert_eq!(read.len(), 2);
+        prop_assert!(read.iter().all(|&m| is_open(m, &open)), "{:?} read back as {:?}", open, read);
     }
 
     #[test]
@@ -90,29 +137,45 @@ proptest! {
             error_subcode: CeaseSubcode::from_code(code).code(),
             data,
         };
-        let (parsed, _) = BgpMessage::parse(&n.to_bytes()).unwrap();
-        prop_assert_eq!(parsed, BgpMessage::Notification(n));
+        let mut stream = Vec::new();
+        n.emit(&mut stream);
+        prop_assert_eq!(&stream[BGP_HEADER_LEN..][..2], [n.error_code, n.error_subcode]);
+        prop_assert_eq!(&stream[BGP_HEADER_LEN + 2..], &n.data[..]);
+        n.emit(&mut stream);
+        prop_assert_eq!(messages(&stream).collect::<Vec<_>>(), [BgpMessageRef::Notification; 2]);
     }
 
     #[test]
     fn bgp_parser_never_panics(data in prop::collection::vec(any::<u8>(), 0..128)) {
-        let _ = BgpMessage::parse(&data);
-        let _ = BgpMessage::parse_stream(&data);
+        let _ = messages(&data).count();
     }
 
     #[test]
-    fn ssh_packet_roundtrips(payload in prop::collection::vec(any::<u8>(), 0..512)) {
-        let packet = SshPacket::new(payload);
-        let bytes = packet.to_bytes();
-        let (parsed, consumed) = SshPacket::parse(&bytes).unwrap();
+    fn ssh_packet_roundtrips(material in prop::collection::vec(any::<u8>(), 1..512),
+                             ephemeral in prop::collection::vec(any::<u8>(), 0..512),
+                             signature in prop::collection::vec(any::<u8>(), 0..512)) {
+        // A packet as a server frames one: a key-exchange reply, its
+        // payload laid out by hand.
+        let key = HostKey::new(HostKeyAlgorithm::Rsa, material.clone());
+        let mut bytes = Vec::new();
+        emit_kex_reply(key.as_ref(), &ephemeral, &signature, &mut bytes);
+        prop_assert_eq!(bytes.len() % 8, 0);
+        let (payload, consumed) = parse_packet(&bytes).unwrap();
         prop_assert_eq!(consumed, bytes.len());
-        prop_assert_eq!(parsed, packet);
+        let blob = [ssh_string(b"ssh-rsa"), ssh_string(&material)].concat();
+        let mut expected = vec![SSH_MSG_KEX_ECDH_REPLY];
+        for field in [&blob, &ephemeral, &signature] {
+            expected.extend(ssh_string(field));
+        }
+        prop_assert_eq!(payload, &expected[..]);
+        prop_assert_eq!(parse_kex_reply(payload).unwrap().to_owned(), key);
+        prop_assert_eq!(packet_payloads(&bytes).collect::<Vec<_>>(), [payload]);
     }
 
     #[test]
     fn ssh_packet_parser_never_panics(data in prop::collection::vec(any::<u8>(), 0..256)) {
-        let _ = SshPacket::parse(&data);
-        let _ = SshPacket::parse_stream(&data);
+        let _ = parse_packet(&data);
+        let _ = packet_payloads(&data).count();
     }
 
     #[test]
@@ -121,22 +184,20 @@ proptest! {
         prop_assert_eq!(list.names().count(), list.len());
         prop_assert_eq!(list.names().collect::<Vec<_>>(), names);
         prop_assert_eq!(list.is_empty(), names.is_empty());
-        let mut buf = Vec::new();
-        list.emit(&mut buf);
-        let (parsed, consumed) = NameList::parse(&buf).unwrap();
-        prop_assert_eq!(consumed, buf.len());
-        prop_assert_eq!(parsed, list);
+        // Through a KEXINIT, the message a name-list travels in.
+        let mut kex = KexInit::typical_openssh();
+        kex.encryption_server_to_client = list.clone();
+        prop_assert_eq!(kexinit_roundtrip(&kex).encryption_server_to_client, list);
     }
 
     #[test]
     fn kexinit_roundtrips(kex in arb_kexinit()) {
-        let parsed = KexInit::parse_payload(&kex.to_payload()).unwrap();
-        prop_assert_eq!(parsed, kex);
+        prop_assert_eq!(kexinit_roundtrip(&kex), kex);
     }
 
     #[test]
     fn kexinit_parser_never_panics(data in prop::collection::vec(any::<u8>(), 0..512)) {
-        let _ = KexInit::parse_payload(&data);
+        let _ = KexInit::parse_borrowed(&data);
     }
 
     #[test]
@@ -146,22 +207,27 @@ proptest! {
         prop_assume!(!software.contains(['\r', '\n', ' ']));
         let comments = comments.filter(|c| !c.contains(['\r', '\n']) && !c.is_empty());
         if let Ok(banner) = Banner::new(&software, comments.as_deref()) {
-            let (parsed, consumed) = Banner::parse(&banner.to_bytes()).unwrap();
-            prop_assert_eq!(consumed, banner.to_bytes().len());
-            prop_assert_eq!(parsed, banner);
+            let mut bytes = Vec::new();
+            banner.emit(&mut bytes);
+            let (parsed, consumed) = Banner::parse_borrowed(&bytes).unwrap();
+            prop_assert_eq!(consumed, bytes.len());
+            prop_assert_eq!(parsed.to_owned(), banner);
         }
     }
 
     #[test]
     fn banner_parser_never_panics(data in prop::collection::vec(any::<u8>(), 0..128)) {
-        let _ = Banner::parse(&data);
+        let _ = Banner::parse_borrowed(&data);
     }
 
     #[test]
     fn host_key_roundtrips(material in prop::collection::vec(any::<u8>(), 1..64)) {
         for alg in [HostKeyAlgorithm::Ed25519, HostKeyAlgorithm::Rsa, HostKeyAlgorithm::EcdsaP256, HostKeyAlgorithm::Dsa] {
             let key = HostKey::new(alg, material.clone());
-            prop_assert_eq!(HostKey::from_blob(&key.to_blob()).unwrap(), key);
+            let mut bytes = Vec::new();
+            emit_kex_reply(key.as_ref(), &[], &[], &mut bytes);
+            let (payload, _) = parse_packet(&bytes).unwrap();
+            prop_assert_eq!(parse_kex_reply(payload).unwrap().to_owned(), key);
         }
     }
 
@@ -170,13 +236,15 @@ proptest! {
                               time in 0i64..100_000_000, enterprise in 1u32..60_000,
                               mac in any::<[u8; 6]>(), counter in 0i64..1_000_000) {
         let usm = UsmSecurityParameters {
-            engine_id: EngineId::from_enterprise_mac(enterprise, mac),
+            engine_id: EngineId(EngineId::enterprise_mac_bytes(enterprise, mac).to_vec()),
             engine_boots: boots,
             engine_time: time,
             user_name: Vec::new(),
         };
-        let msg = Snmpv3Message::report_for(msg_id, usm, counter);
-        prop_assert_eq!(Snmpv3Message::parse(&msg.to_bytes()).unwrap(), msg);
+        let msg = Snmpv3Message::Report { msg_id, usm, unknown_engine_ids: counter };
+        let mut bytes = Vec::new();
+        msg.encode_into(&mut bytes);
+        prop_assert_eq!(Snmpv3Message::parse(&bytes).unwrap(), msg);
     }
 
     #[test]

@@ -18,7 +18,7 @@ use alias_resolution::midar::mbt::{monotonic_bounds_test, step_is_impossible, Mb
 use alias_resolution::netsim::ProbeContext;
 use alias_resolution::prelude::*;
 use alias_resolution::resolve::ProbeTargets;
-use alias_resolution::scan::ipid_probe::{IpidProber, IpidProberConfig, IpidSample, PairEnd};
+use alias_resolution::scan::ipid_probe::{IpidProber, IpidSample, PairEnd, RoundRobin};
 use alias_resolution::store::parse_payload;
 use alias_resolution::wire::snmp::Snmpv3Message;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -130,7 +130,7 @@ fn an_ssh_session_is_emitted_and_parsed_within_24_allocations() {
             let Some(ServicePayload::Ssh(observation)) = payload else {
                 continue;
             };
-            assert!(observation.is_complete());
+            assert!(observation.kex_init.is_some() && observation.host_key.is_some());
             assert!(count <= 24, "{addr}: {count} allocations for one session");
             sessions += 1;
         }
@@ -185,10 +185,10 @@ fn a_bgp_session_into_a_warm_buffer_allocates_nothing() {
 
 #[test]
 fn a_censys_crawl_allocates_per_device_not_per_session() {
-    // What is left is the columns and interners of the two stores
-    // doubling: 172 to 184 for 355 devices at these seeds, nothing per
-    // device, nothing per session and nothing that grows with a payload's
-    // size.  The `*_responding_addrs()` lists built per covered device put
+    // What is left is the columns and interner of the store doubling:
+    // 98 to 102 for 355 devices at these seeds (162 to 175 while the crawl
+    // also stored its non-standard-port listings), nothing per device,
+    // nothing per session and nothing that grows with a payload's size.  The `*_responding_addrs()` lists built per covered device put
     // it at 459 to 526, and one owned observation per session at 10 a
     // device.
     for seed in [14u64, 404, 2023] {
@@ -199,7 +199,8 @@ fn a_censys_crawl_allocates_per_device_not_per_session() {
             ..Default::default()
         };
         let (count, snapshot) = allocations(|| CensysSnapshot::collect(&internet, config));
-        let rows = snapshot.default_port().len() + snapshot.nonstandard().len();
+        let (store, nonstandard) = snapshot.into_default_port();
+        let rows = store.len() + nonstandard;
         assert!(rows > 100, "seed {seed}: {rows} rows");
         let budget = devices / 2 + 16;
         assert!(
@@ -569,11 +570,7 @@ fn a_pair_test_in_steady_state_allocates_nothing() {
     // stopping at the first step the bounds test rejects, then the bounds
     // test straight on them.  Only the first pair grows them and fills the
     // memo.
-    let mut prober = IpidProber::new(IpidProberConfig {
-        rounds: 1,
-        round_spacing: SimTime::ZERO,
-        rate_pps: 5_000.0,
-    });
+    let mut prober = IpidProber::new(5_000.0);
     let mut samples = [Vec::new(), Vec::new()];
     let mut ends = Vec::new();
     for (n, pair) in targets.windows(2).enumerate() {
@@ -620,19 +617,19 @@ fn a_round_robin_allocates_a_constant_number_of_blocks() {
         .map(|addr| internet.lookup(addr.into()))
         .collect();
     assert!(pingable.len() > 100);
-    let prober = IpidProber::new(IpidProberConfig {
+    let round_robin = RoundRobin {
         rounds: 12,
         round_spacing: SimTime::from_secs(10),
         rate_pps: 5_000.0,
-    });
+    };
     let mut session = internet.probe_session();
     let mut start = SimTime::from_days(21);
     // The probe counter registers on first touch: touch it outside the count.
-    prober.collect_round_robin(&mut session, &[], VantageKind::Distributed, start);
+    round_robin.collect(&mut session, &[], VantageKind::Distributed, start);
     for n in [100, 1_000, 4_000] {
         let targets: Vec<_> = pingable.iter().copied().cycle().take(n).collect();
         let (count, series) = allocations(|| {
-            prober.collect_round_robin(&mut session, &targets, VantageKind::Distributed, start)
+            round_robin.collect(&mut session, &targets, VantageKind::Distributed, start)
         });
         assert!(series.iter().all(|s| s.len() == 12));
         // The sample column, the answered counts and the device-order keys,

@@ -110,3 +110,26 @@ fn every_member_takes_the_workspace_lints_and_only_the_allocator_allows_unsafe()
         assert!(!lifts || file == allocator, "{}", file.display());
     }
 }
+
+/// No non-test line of `crates/*/src` (CI's rule, as above) calls
+/// `.unwrap()`: a fallible step either handles its error or says why it
+/// cannot fail, in an `expect`.  Comment lines, doc examples included, are
+/// not code.  Clippy cannot state this (docs/LINTS.md).
+#[test]
+fn no_non_test_line_of_a_crate_unwraps() {
+    let mut found = Vec::new();
+    let members = fs::read_dir(root().join("crates")).unwrap();
+    for src in members.map(|e| e.unwrap().path().join("src")) {
+        for file in rs_files(&src) {
+            let text = fs::read_to_string(&file).unwrap();
+            let lines = text.lines().take_while(|l| *l != "#[cfg(test)]");
+            for (i, line) in lines.enumerate() {
+                let code = line.trim_start();
+                if !code.starts_with("//") && code.contains(".unwrap()") {
+                    found.push(format!("{}:{}: {code}", file.display(), i + 1));
+                }
+            }
+        }
+    }
+    assert!(found.is_empty(), "{found:#?}");
+}

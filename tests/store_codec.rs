@@ -10,7 +10,6 @@
 use alias_resolution::netsim::ProbeContext;
 use alias_resolution::prelude::*;
 use alias_resolution::store::{parse_payload, SshRef};
-use std::collections::BTreeSet;
 use std::fmt::Write;
 
 #[test]
@@ -42,20 +41,14 @@ fn real_stores_survive_the_row_doors_and_the_scan_door_matches_the_row_door() {
         );
         // The crawl fills columns; its one row export, re-imported, is the
         // store the crawl built.
-        let censys = snapshot.default_port();
+        let exported = snapshot.default_port_observations();
+        let (censys, _) = snapshot.into_default_port();
         assert!(censys.len() > 100, "seed {seed}: {} rows", censys.len());
         assert_eq!(censys.validate(), Ok(()), "seed {seed}");
         assert_eq!(
-            &ObservationStore::from_observations(snapshot.default_port_observations()),
+            ObservationStore::from_observations(exported),
             censys,
             "seed {seed}: Censys store"
-        );
-        let nonstandard = snapshot.nonstandard();
-        assert_eq!(nonstandard.validate(), Ok(()), "seed {seed}");
-        assert_eq!(
-            nonstandard.ports().iter().collect::<BTreeSet<_>>(),
-            alias_resolution::censys::EXTRA_SSH_PORTS.iter().collect(),
-            "seed {seed}: non-standard ports"
         );
 
         let ctx = ProbeContext {
@@ -265,8 +258,8 @@ fn the_paper_scale_censys_store_is_the_parent_commits_byte_for_byte() {
             ..Default::default()
         },
     );
-    assert_eq!(snapshot.nonstandard().len(), 12_024);
-    let (store, _) = snapshot.into_default_port();
+    let (store, nonstandard) = snapshot.into_default_port();
+    assert_eq!(nonstandard, 12_024);
     // Record bytes only: 33,346,366 while every SSH record carried its
     // banner and name-lists, before they moved into the chunk dictionary.
     assert_eq!((store.len(), store.payload_bytes()), (64_412, 3_308_654));
