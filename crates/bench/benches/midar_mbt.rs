@@ -1,12 +1,13 @@
 //! IPID baseline micro-benchmarks: the monotonic bounds test and velocity
-//! estimation that MIDAR runs for every candidate pair, one pair probe and
-//! one round-robin sweep through a held probe session, and the agreement
-//! projection every pair of techniques goes through.
+//! estimation that MIDAR runs for every candidate pair, MIDAR's discovery
+//! window with the step bound evaluated and read from a table, one pair
+//! probe and one round-robin sweep through a held probe session, and the
+//! agreement projection every pair of techniques goes through.
 
 use alias_core::validation::cross_validate;
 use alias_intern::{AddrId, CompactAliasSet};
 use alias_midar::ally::AllyTester;
-use alias_midar::mbt::{monotonic_bounds_test, step_is_impossible};
+use alias_midar::mbt::{monotonic_bounds_test, MbtVerdict, StepBounds};
 use alias_midar::velocity::estimate_velocity;
 use alias_netsim::{InternetBuilder, InternetConfig, ProbeContext, SimTime, VantageKind};
 use alias_scan::ipid_probe::{IpidProber, IpidSample, ResolvedTarget, RoundRobin};
@@ -47,6 +48,64 @@ fn bench_mbt(c: &mut Criterion) {
     });
 }
 
+/// Twelve rounds of `targets` series in a round robin's shape: a round
+/// spreads its probes over 79 s, as MIDAR's one probe a millisecond does
+/// over the study's 78,970 targets, and the next starts 10 s after it
+/// ends.  Targets `8m` to `8m + 7` read one counter, so about 30 % of a
+/// window's pairs are consistent (the study's discovery finds 27 %); the
+/// probe order within a round is a fixed shuffle.  Returned sorted by
+/// velocity, as the discovery window walks them.
+fn round_robin_series(targets: u64) -> Vec<Vec<IpidSample>> {
+    const ROUND_MS: u64 = 79_000;
+    let mut series: Vec<(u64, Vec<IpidSample>)> = (0..targets)
+        .map(|t| {
+            let counter = t / 8;
+            let velocity = 10 + counter % 97 * 10;
+            let base = (counter * 7_919) as u16;
+            let offset = (t * 7_919) % targets * ROUND_MS / targets;
+            let samples = (0..12)
+                .map(|round| {
+                    let time = round * (ROUND_MS + 10_000) + offset;
+                    IpidSample {
+                        time: SimTime(time),
+                        ipid: base.wrapping_add((velocity * time / 1_000) as u16),
+                    }
+                })
+                .collect();
+            (velocity, samples)
+        })
+        .collect();
+    series.sort_by_key(|&(velocity, _)| velocity);
+    series.into_iter().map(|(_, samples)| samples).collect()
+}
+
+/// MIDAR's discovery window (each series against the next 23) over 4,000
+/// round-robin series: the step bound evaluated in f64 at every step, and
+/// read from MIDAR's table.
+fn bench_discovery_window(c: &mut Criterion) {
+    const WINDOW: usize = 24;
+    let series = round_robin_series(4_000);
+    let window = |test: &dyn Fn(&[IpidSample], &[IpidSample]) -> MbtVerdict| {
+        let mut consistent = 0u32;
+        for i in 0..series.len() {
+            for j in i + 1..(i + WINDOW).min(series.len()) {
+                consistent += u32::from(test(&series[i], &series[j]) == MbtVerdict::Consistent);
+            }
+        }
+        consistent
+    };
+    let bounds = StepBounds::new(1_500.0);
+    let f64_step = |a: &[IpidSample], b: &[IpidSample]| monotonic_bounds_test(&[a, b], 1_500.0);
+    let table = |a: &[IpidSample], b: &[IpidSample]| bounds.pair_test(a, b);
+    assert_eq!(window(&f64_step), window(&table));
+    let mut group = c.benchmark_group("discovery_window_4k");
+    group.bench_function("f64_step", |bench| {
+        bench.iter(|| window(black_box(&f64_step)))
+    });
+    group.bench_function("table", |bench| bench.iter(|| window(black_box(&table))));
+    group.finish();
+}
+
 /// Live probing in steady state, three simulated weeks in: one pair test of
 /// each of the study's two pair sweeps (up to 12 probes through a held
 /// session, stopping where the sweep's rule refutes, buffers and schedule
@@ -73,6 +132,7 @@ fn bench_probing(c: &mut Criterion) {
         })
     });
     let mut prober = IpidProber::new(5_000.0);
+    let bounds = StepBounds::new(1_500.0);
     let mut samples = [Vec::new(), Vec::new()];
     let mut now = epoch;
     group.bench_function("elimination_5000pps", |bench| {
@@ -87,9 +147,9 @@ fn bench_probing(c: &mut Criterion) {
                     time: now,
                 },
                 &mut samples,
-                |prev, next| step_is_impossible(prev, next, 1_500.0),
+                |prev, next| bounds.step_is_impossible(prev, next),
             );
-            monotonic_bounds_test(&[&samples[0], &samples[1]], 1_500.0)
+            bounds.pair_test(&samples[0], &samples[1])
         })
     });
     group.finish();
@@ -136,5 +196,11 @@ fn bench_cross_validate(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, bench_mbt, bench_probing, bench_cross_validate);
+criterion_group!(
+    benches,
+    bench_mbt,
+    bench_discovery_window,
+    bench_probing,
+    bench_cross_validate
+);
 criterion_main!(benches);

@@ -11,8 +11,8 @@ use alias_core::{ExtractionConfig, IdentifierExtractor};
 use alias_intern::{sort_canonical_compact, AddrId, CompactAliasSet};
 use alias_netsim::{InternetBuilder, InternetConfig, ServiceProtocol, SimTime};
 use alias_scan::{
-    ActiveCampaign, DataSource, ObservationStore, PayloadRef, ServiceObservation, ServicePayload,
-    ShardColumns, SshRef,
+    ActiveCampaign, CampaignConfig, DataSource, ObservationStore, PayloadRef, ServiceObservation,
+    ServicePayload, ShardColumns, SshRef,
 };
 use alias_wire::bgp::{Capability, OpenMessage, OptionalParameter};
 use alias_wire::snmp::EngineId;
@@ -407,7 +407,11 @@ fn crafted_collisions_key_the_way_their_identifiers_compare() {
 #[test]
 fn keyed_grouping_equals_grouping_by_identifier() {
     let internet = InternetBuilder::new(InternetConfig::tiny(14)).build();
-    let data = ActiveCampaign::with_defaults(&internet).run(&internet);
+    let data = ActiveCampaign::new(CampaignConfig {
+        hitlist_coverage: internet.config().visibility.hitlist_coverage,
+        ..Default::default()
+    })
+    .run(&internet);
     let extractor = IdentifierExtractor::new(ExtractionConfig::paper());
     for protocol in [
         ServiceProtocol::Ssh,

@@ -10,6 +10,7 @@
 
 use alias_core::union_find::UnionFind;
 use alias_netsim::{Internet, ProbeContext, SimTime, VantageKind};
+use alias_scan::ipid_probe::ResolvedTarget;
 use std::collections::{BTreeSet, HashMap};
 use std::net::IpAddr;
 
@@ -26,19 +27,24 @@ pub struct IffinderOutcome {
 }
 
 /// Probe every target with a UDP datagram to a closed port and collect
-/// common-source-address evidence.
+/// common-source-address evidence.  Each target comes with the interface
+/// it was resolved to once by the caller ([`Internet::lookup`]); an
+/// unresolved one never answers.
 pub fn iffinder_scan(
     internet: &Internet,
-    targets: &[IpAddr],
+    targets: impl IntoIterator<Item = (IpAddr, ResolvedTarget)>,
     vantage: VantageKind,
     start: SimTime,
 ) -> IffinderOutcome {
     let mut outcome = IffinderOutcome::default();
     let mut now = start;
-    for &addr in targets {
+    for (addr, target) in targets {
         now += SimTime(1);
         let ctx = ProbeContext { vantage, time: now };
-        match internet.udp_closed_port_probe(addr, &ctx) {
+        let source = target.and_then(|(device_id, iface_idx)| {
+            internet.udp_closed_port_probe_at(device_id, iface_idx, &ctx)
+        });
+        match source {
             Some(source) if source != addr => outcome.pairs.push((addr, source)),
             Some(_) => {}
             None => outcome.silent += 1,
@@ -72,6 +78,14 @@ mod tests {
     use super::*;
     use alias_netsim::{InternetBuilder, InternetConfig};
 
+    /// `addrs`, each with its interface.
+    fn resolved<'a>(
+        internet: &'a Internet,
+        addrs: &'a [IpAddr],
+    ) -> impl Iterator<Item = (IpAddr, ResolvedTarget)> + 'a {
+        addrs.iter().map(|&addr| (addr, internet.lookup(addr)))
+    }
+
     #[test]
     fn discovered_pairs_are_true_aliases() {
         let internet = InternetBuilder::new(InternetConfig::tiny(3030)).build();
@@ -81,7 +95,12 @@ mod tests {
             .filter(|d| d.ipv4_addrs().len() >= 2)
             .flat_map(|d| d.ipv4_addrs().into_iter().map(IpAddr::V4))
             .collect();
-        let outcome = iffinder_scan(&internet, &targets, VantageKind::Distributed, SimTime::ZERO);
+        let outcome = iffinder_scan(
+            &internet,
+            resolved(&internet, &targets),
+            VantageKind::Distributed,
+            SimTime::ZERO,
+        );
         for (a, b) in &outcome.pairs {
             assert!(truth.device_of(*a).is_some());
             assert_eq!(truth.device_of(*a), truth.device_of(*b));
@@ -100,7 +119,12 @@ mod tests {
             .devices()
             .flat_map(|d| d.ipv4_addrs().into_iter().map(IpAddr::V4))
             .collect();
-        let outcome = iffinder_scan(&internet, &targets, VantageKind::Distributed, SimTime::ZERO);
+        let outcome = iffinder_scan(
+            &internet,
+            resolved(&internet, &targets),
+            VantageKind::Distributed,
+            SimTime::ZERO,
+        );
         assert!(outcome.pairs.len() < targets.len() / 2);
         assert!(outcome.silent > 0);
     }

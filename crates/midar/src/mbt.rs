@@ -5,6 +5,7 @@
 //! increasing sequence (modulo 16-bit wrap-around).  The test tolerates a
 //! bounded number of wraps, inferred from the counter velocity.
 
+use alias_netsim::SimTime;
 use alias_scan::ipid_probe::IpidSample;
 
 /// Verdict of a monotonic bounds test.
@@ -33,9 +34,10 @@ pub enum MbtVerdict {
 /// either way.  A caller that tests one series against many others checks
 /// its time order once with `CheckedSeries` instead.
 pub fn monotonic_bounds_test(series: &[&[IpidSample]], max_velocity: f64) -> MbtVerdict {
+    let impossible = |prev, next| step_is_impossible(prev, next, max_velocity);
     match series {
-        [a, b] => CheckedSeries::new(a).pair_test(CheckedSeries::new(b), max_velocity),
-        _ => collect_and_sort_test(series, max_velocity),
+        [a, b] => CheckedSeries::new(a).pair_test_by(CheckedSeries::new(b), impossible),
+        _ => collect_and_sort_test(series, impossible),
     }
 }
 
@@ -57,12 +59,23 @@ impl<'a> CheckedSeries<'a> {
         }
     }
 
-    /// [`monotonic_bounds_test`] of this series and `other`.
-    pub(crate) fn pair_test(self, other: CheckedSeries<'_>, max_velocity: f64) -> MbtVerdict {
+    /// [`StepBounds::pair_test`] of this series and `other`.
+    pub(crate) fn pair_test(self, other: CheckedSeries<'_>, bounds: &StepBounds) -> MbtVerdict {
+        self.pair_test_by(other, |prev, next| bounds.step_is_impossible(prev, next))
+    }
+
+    /// The test of this series and `other` with `impossible` as the step
+    /// rule.
+    #[inline(always)]
+    fn pair_test_by(
+        self,
+        other: CheckedSeries<'_>,
+        impossible: impl Fn(IpidSample, IpidSample) -> bool + Copy,
+    ) -> MbtVerdict {
         if self.time_ordered && other.time_ordered {
-            streaming_pair_test(self.samples, other.samples, max_velocity)
+            streaming_pair_test(self.samples, other.samples, impossible)
         } else {
-            collect_and_sort_test(&[self.samples, other.samples], max_velocity)
+            collect_and_sort_test(&[self.samples, other.samples], impossible)
         }
     }
 }
@@ -80,35 +93,113 @@ fn is_time_ordered(samples: &[IpidSample]) -> bool {
 /// — MIDAR rejects both).  MIDAR's elimination stage stops probing a pair
 /// at the first such step.
 pub fn step_is_impossible(prev: IpidSample, next: IpidSample, max_velocity: f64) -> bool {
-    const SLACK: f64 = 64.0;
     let dt = next.time.since(prev.time).as_secs_f64();
     let delta = next.ipid.wrapping_sub(prev.ipid) as f64;
-    (delta == 0.0 && dt > 0.0) || delta > max_velocity * dt + SLACK
+    (delta == 0.0 && dt > 0.0) || delta > step_bound(max_velocity, dt)
 }
 
-/// [`streaming_pair_test`] walking `f[0], s[0], f[1], …` at velocity cap
-/// `v`, each step after checking that the merge takes that sample next (a
-/// time gets `tie[0]` / `tie[1]` added: 1 for `b`, which loses ties); `None`
-/// where it would not.  Inlined at both call sites, one per leading series.
+/// The largest forward counter step [`step_is_impossible`] allows after
+/// `dt` seconds at velocity cap `max_velocity`.
+fn step_bound(max_velocity: f64, dt: f64) -> f64 {
+    const SLACK: f64 = 64.0;
+    max_velocity * dt + SLACK
+}
+
+/// Gaps (ms) a [`StepBounds`] table covers at most, 128 KiB of entries.
+const STEP_TABLE_CAP: usize = 1 << 16;
+
+/// [`step_is_impossible`] at one velocity cap, with the bound read from a
+/// table per millisecond gap instead of evaluated in floating point.
+///
+/// A counter step is a whole number, so it exceeds the bound exactly when
+/// it exceeds the bound's floor, and the table holds that floor for each
+/// gap while the bound is below 65,535.  The bound grows with the gap, so
+/// from the first gap where it reaches 65,535 on the table is *saturated*:
+/// no 16-bit step can exceed it, and only a step of zero is impossible.
+/// At MIDAR's 1,500/s cap that happens at 43,648 ms (43,648 entries, 85
+/// KiB).  A cap too low to saturate within `STEP_TABLE_CAP` gaps (below
+/// about 1,000/s) leaves the gaps past the table to the floating-point
+/// rule.
+#[derive(Debug, Clone)]
+pub struct StepBounds {
+    /// `floor(bound)` per gap, for the gaps before saturation or the cap.
+    floors: Vec<u16>,
+    /// Whether the gaps past `floors` are saturated.
+    saturated: bool,
+    max_velocity: f64,
+}
+
+impl StepBounds {
+    /// The table of `max_velocity`'s bound, one allocation.
+    pub fn new(max_velocity: f64) -> Self {
+        assert!(max_velocity >= 0.0, "a velocity cap is not negative");
+        let bound_at = |gap: usize| step_bound(max_velocity, SimTime(gap as u64).as_secs_f64());
+        let saturation = (0..STEP_TABLE_CAP).find(|&gap| bound_at(gap) >= f64::from(u16::MAX));
+        StepBounds {
+            floors: (0..saturation.unwrap_or(STEP_TABLE_CAP))
+                .map(|gap| bound_at(gap) as u16)
+                .collect(),
+            saturated: saturation.is_some(),
+            max_velocity,
+        }
+    }
+
+    /// [`step_is_impossible`] at this table's velocity cap.
+    #[inline]
+    pub fn step_is_impossible(&self, prev: IpidSample, next: IpidSample) -> bool {
+        let gap = next.time.since(prev.time).as_millis();
+        let delta = next.ipid.wrapping_sub(prev.ipid);
+        if delta == 0 {
+            // The bound is at least the slack, which a zero step never
+            // exceeds.
+            return gap > 0;
+        }
+        match usize::try_from(gap)
+            .ok()
+            .and_then(|gap| self.floors.get(gap))
+        {
+            Some(&floor) => delta > floor,
+            None if self.saturated => false,
+            None => step_is_impossible(prev, next, self.max_velocity),
+        }
+    }
+
+    /// [`monotonic_bounds_test`] of two series at this table's velocity
+    /// cap.
+    pub fn pair_test(&self, a: &[IpidSample], b: &[IpidSample]) -> MbtVerdict {
+        CheckedSeries::new(a).pair_test(CheckedSeries::new(b), self)
+    }
+}
+
+/// [`streaming_pair_test`] walking `f[0], s[0], f[1], …` with step rule
+/// `impossible`, each step after checking that the merge takes that sample
+/// next (a time gets `tie[0]` / `tie[1]` added: 1 for `b`, which loses
+/// ties); `None` where it would not.  Inlined at both call sites, one per
+/// leading series.
 #[inline(always)]
-fn interleaved(f: &[IpidSample], s: &[IpidSample], tie: [u64; 2], v: f64) -> Option<MbtVerdict> {
+fn interleaved(
+    f: &[IpidSample],
+    s: &[IpidSample],
+    tie: [u64; 2],
+    impossible: impl Fn(IpidSample, IpidSample) -> bool,
+) -> Option<MbtVerdict> {
     let (n, s) = (f.len(), &s[..f.len()]);
     for k in 0..n - 1 {
         // f[k] is taken: s[k] goes next unless f[k + 1] is ahead.
         if s[k].time.0 + tie[1] > f[k + 1].time.0 {
             return None;
         }
-        if step_is_impossible(f[k], s[k], v) {
+        if impossible(f[k], s[k]) {
             return Some(MbtVerdict::Inconsistent);
         }
         if f[k + 1].time.0 + tie[0] > s[k + 1].time.0 {
             return None;
         }
-        if step_is_impossible(s[k], f[k + 1], v) {
+        if impossible(s[k], f[k + 1]) {
             return Some(MbtVerdict::Inconsistent);
         }
     }
-    if step_is_impossible(f[n - 1], s[n - 1], v) {
+    if impossible(f[n - 1], s[n - 1]) {
         return Some(MbtVerdict::Inconsistent);
     }
     Some(MbtVerdict::Consistent)
@@ -119,13 +210,17 @@ fn interleaved(f: &[IpidSample], s: &[IpidSample], tie: [u64; 2], v: f64) -> Opt
 /// `a ++ b` puts it.  Series of one length that strictly alternate (a round
 /// robin's shape) take [`interleaved`] instead, and the merge starts over
 /// where they stop alternating.
-fn streaming_pair_test(a: &[IpidSample], b: &[IpidSample], max_velocity: f64) -> MbtVerdict {
+fn streaming_pair_test(
+    a: &[IpidSample],
+    b: &[IpidSample],
+    impossible: impl Fn(IpidSample, IpidSample) -> bool + Copy,
+) -> MbtVerdict {
     if a.len() < 2 || b.len() < 2 {
         return MbtVerdict::Insufficient;
     }
     let walked = match a.len() == b.len() {
-        true if a[0].time <= b[0].time => interleaved(a, b, [0, 1], max_velocity),
-        true => interleaved(b, a, [1, 0], max_velocity),
+        true if a[0].time <= b[0].time => interleaved(a, b, [0, 1], impossible),
+        true => interleaved(b, a, [1, 0], impossible),
         false => None,
     };
     if let Some(verdict) = walked {
@@ -142,7 +237,7 @@ fn streaming_pair_test(a: &[IpidSample], b: &[IpidSample], max_velocity: f64) ->
             j += 1;
             b[j - 1]
         };
-        if prev.is_some_and(|prev| step_is_impossible(prev, next, max_velocity)) {
+        if prev.is_some_and(|prev| impossible(prev, next)) {
             return MbtVerdict::Inconsistent;
         }
         prev = Some(next);
@@ -153,16 +248,16 @@ fn streaming_pair_test(a: &[IpidSample], b: &[IpidSample], max_velocity: f64) ->
 /// The test over any number of series in any order: collect, stable-sort
 /// by time, walk.  Also the reference the streaming merge is tested
 /// against.
-fn collect_and_sort_test(series: &[&[IpidSample]], max_velocity: f64) -> MbtVerdict {
+fn collect_and_sort_test(
+    series: &[&[IpidSample]],
+    impossible: impl Fn(IpidSample, IpidSample) -> bool,
+) -> MbtVerdict {
     let mut merged: Vec<IpidSample> = series.iter().flat_map(|s| s.iter().copied()).collect();
     if merged.len() < 4 || series.iter().any(|s| s.len() < 2) {
         return MbtVerdict::Insufficient;
     }
     merged.sort_by_key(|s| s.time);
-    if merged
-        .windows(2)
-        .any(|w| step_is_impossible(w[0], w[1], max_velocity))
-    {
+    if merged.windows(2).any(|w| impossible(w[0], w[1])) {
         MbtVerdict::Inconsistent
     } else {
         MbtVerdict::Consistent
@@ -174,6 +269,82 @@ mod tests {
     use super::*;
     use alias_netsim::SimTime;
     use proptest::prelude::*;
+
+    /// The streaming merge at velocity cap `v`.
+    fn streaming_pair_test(a: &[IpidSample], b: &[IpidSample], v: f64) -> MbtVerdict {
+        super::streaming_pair_test(a, b, |prev, next| step_is_impossible(prev, next, v))
+    }
+
+    /// The collect-and-sort reference at velocity cap `v`.
+    fn collect_and_sort_test(series: &[&[IpidSample]], v: f64) -> MbtVerdict {
+        super::collect_and_sort_test(series, |prev, next| step_is_impossible(prev, next, v))
+    }
+
+    /// A step of `delta` counter values over `gap` milliseconds.
+    fn step(gap: u64, delta: u16) -> (IpidSample, IpidSample) {
+        let prev = IpidSample {
+            time: SimTime(1_000),
+            ipid: 65_000,
+        };
+        let next = IpidSample {
+            time: SimTime(1_000 + gap),
+            ipid: prev.ipid.wrapping_add(delta),
+        };
+        (prev, next)
+    }
+
+    #[test]
+    fn the_table_is_the_f64_rule_at_every_gap() {
+        for cap in [0.0, 40.0, 100.0, 1_000.0, 1_500.0] {
+            let bounds = StepBounds::new(cap);
+            let table = bounds.floors.len() as u64;
+            // Caps 0, 40 and 100 never reach 65,535 within the table's
+            // length cap; 1,000 and 1,500 saturate inside it.
+            assert_eq!(bounds.saturated, cap >= 1_000.0, "cap {cap}");
+            let last = if bounds.saturated {
+                table + 5_000
+            } else {
+                2 * table
+            };
+            for gap in 0..=last {
+                // Each side of the threshold, the ends of the range, and
+                // the largest steps, which start past the 16-bit wrap.
+                let bound = step_bound(cap, SimTime(gap).as_secs_f64());
+                let floor = bound.min(65_535.0) as u16;
+                for delta in [
+                    0,
+                    1,
+                    floor.saturating_sub(1),
+                    floor,
+                    floor.saturating_add(1),
+                ]
+                .into_iter()
+                .chain([32_768, 65_534, 65_535])
+                {
+                    let (prev, next) = step(gap, delta);
+                    assert_eq!(
+                        bounds.step_is_impossible(prev, next),
+                        step_is_impossible(prev, next, cap),
+                        "cap {cap} gap {gap} delta {delta}"
+                    );
+                }
+            }
+        }
+        // MIDAR's cap saturates at 43,648 ms: the first gap whose bound
+        // reaches 65,535.
+        let bounds = StepBounds::new(1_500.0);
+        assert_eq!(bounds.floors.len(), 43_648);
+        assert_eq!(*bounds.floors.last().expect("a table"), 65_534);
+        // A zero step is impossible at any gap but zero, a step back in
+        // time is a zero gap.
+        let (prev, next) = step(1_000_000, 0);
+        assert!(bounds.step_is_impossible(prev, next));
+        assert!(!bounds.step_is_impossible(prev, prev));
+        assert_eq!(
+            bounds.step_is_impossible(next, prev),
+            step_is_impossible(next, prev, 1_500.0)
+        );
+    }
 
     fn series(samples: &[(u64, u16)]) -> Vec<IpidSample> {
         samples

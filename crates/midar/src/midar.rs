@@ -24,7 +24,7 @@
 //! the simulated device answers a fragment-eliciting probe from the same
 //! device-wide counter as an IPv4 echo, so the one code path serves both.
 
-use crate::mbt::{monotonic_bounds_test, step_is_impossible, CheckedSeries, MbtVerdict};
+use crate::mbt::{CheckedSeries, MbtVerdict, StepBounds};
 use crate::velocity::{estimate_velocity, VelocityEstimate};
 use alias_netsim::{Internet, ProbeContext, SimTime, VantageKind};
 use alias_obs::{DeterminismClass, LazyCounter};
@@ -109,6 +109,8 @@ pub fn midar_resolve(
     start: SimTime,
 ) -> MidarOutcome {
     let mut session = internet.probe_session();
+    // Every bounds test of the run reads its step rule from one table.
+    let bounds = StepBounds::new(MAX_VELOCITY);
 
     // Stage 1: estimation.
     let stage = alias_obs::span("estimation");
@@ -157,7 +159,7 @@ pub fn midar_resolve(
         let window_end = (i + DISCOVERY_WINDOW).min(checked.len());
         for j in i + 1..window_end {
             discovery_tests += 1;
-            if checked[i].pair_test(checked[j], MAX_VELOCITY) == MbtVerdict::Consistent {
+            if checked[i].pair_test(checked[j], &bounds) == MbtVerdict::Consistent {
                 candidates.push((i, j));
             }
         }
@@ -192,13 +194,13 @@ pub fn midar_resolve(
             ELIMINATION_PROBES,
             ProbeContext { vantage, time: now },
             &mut samples,
-            |prev, next| step_is_impossible(prev, next, MAX_VELOCITY),
+            |prev, next| bounds.step_is_impossible(prev, next),
         );
         let [sa, sb] = &samples;
         if let Some(last) = sa.last().or(sb.last()) {
             finished_at = finished_at.max(last.time);
         }
-        if monotonic_bounds_test(&[sa, sb], MAX_VELOCITY) == MbtVerdict::Consistent {
+        if bounds.pair_test(sa, sb) == MbtVerdict::Consistent {
             union.union(i, j);
         }
     }

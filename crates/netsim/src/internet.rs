@@ -436,8 +436,8 @@ impl Internet {
     /// evenly paced ICMP echo requests at `rate_pps` and count the replies
     /// surviving its router-wide rate limiter — the rate-limiting
     /// technique's measurement primitive.  The limiter is router-wide, so
-    /// only the device matters — an escalation ladder that bursts the same
-    /// target several times resolves it once.
+    /// only the device matters — the rate prober steps each device's
+    /// escalation ladder once, however many of its interfaces it targets.
     ///
     /// The limiter bucket starts full: the prober enforces an inter-burst
     /// cool-down long enough to refill any configured limiter, which models
@@ -499,21 +499,31 @@ impl Internet {
         }
     }
 
-    /// Send a UDP datagram to a closed port on `dst` and observe the source
-    /// address of the resulting ICMP port-unreachable (the iffinder /
-    /// common-source-address technique).  `None` means no error was
-    /// returned.  A device with a common error source answers from it only
-    /// in the probed address's family (an ICMPv6 error cannot leave from an
-    /// IPv4 address); otherwise it answers from the probed address.
-    pub fn udp_closed_port_probe(&self, dst: IpAddr, ctx: &ProbeContext) -> Option<IpAddr> {
-        let (device_id, _) = self.lookup(dst)?;
+    /// Send a UDP datagram to a closed port on an interface already resolved
+    /// via [`Self::lookup`] and observe the source address of the resulting
+    /// ICMP port-unreachable (the iffinder / common-source-address
+    /// technique).  `None` means no error was returned.  A device with a
+    /// common error source answers from it only in the probed interface's
+    /// family (an ICMPv6 error cannot leave from an IPv4 address); otherwise
+    /// it answers from the probed address.
+    pub fn udp_closed_port_probe_at(
+        &self,
+        device_id: DeviceId,
+        iface_idx: usize,
+        ctx: &ProbeContext,
+    ) -> Option<IpAddr> {
         if !self.ping_responds_at(device_id, ctx) {
             return None;
         }
+        let ifaces = &self.devices.ifaces[self.devices.range(device_id)];
+        let probed = ifaces[iface_idx].addr;
         let source = self.device(device_id).icmp_error_source();
-        let source = source.map(|iface| self.devices.ifaces[self.devices.range(device_id)][iface]);
-        let source = source.filter(|source| source.addr.is_ipv4() == dst.is_ipv4());
-        Some(source.map_or(dst, |source| source.addr))
+        let source = source.map(|iface| ifaces[iface].addr);
+        Some(
+            source
+                .filter(|source| source.is_ipv4() == probed.is_ipv4())
+                .unwrap_or(probed),
+        )
     }
 
     /// Reassign addresses of dynamic devices to model address churn over the
@@ -991,8 +1001,9 @@ mod tests {
             };
             let source = device.interfaces()[source].addr;
             assert!(source.is_ipv4());
-            for iface in device.interfaces() {
-                let answer = internet.udp_closed_port_probe(iface.addr, &ctx);
+            for (iface_idx, iface) in device.interfaces().iter().enumerate() {
+                assert_eq!(internet.lookup(iface.addr), Some((device.id(), iface_idx)));
+                let answer = internet.udp_closed_port_probe_at(device.id(), iface_idx, &ctx);
                 if iface.addr.is_ipv4() {
                     assert_eq!(answer, Some(source), "{}", iface.addr);
                     v4 += 1;

@@ -87,8 +87,25 @@ impl IcmpTokenBucket {
 
 /// Replies to a burst of `count` evenly paced probes at `rate_pps` against
 /// a limiter starting from a full bucket.
+///
+/// A limiter refilling at least twice as fast as the burst arrives answers
+/// every probe, so its bucket is not stepped.  The induction: the first
+/// probe finds the full bucket, `max(burst, 1) ≥ 1` token; a probe that
+/// finds at least one token leaves at least zero, and the next gap refills
+/// `limit.rate_pps / rate_pps ≥ 2` tokens (or up to the capacity, itself
+/// at least one), so the next probe finds at least one too.  The refill's
+/// float error is a few ulps of the elapsed time, far below the spare
+/// token.
 pub(crate) fn solo_burst_replies(limit: IcmpRateLimit, rate_pps: f64, count: u32) -> u32 {
     assert!(rate_pps > 0.0, "probing rate must be positive");
+    if limit.rate_pps >= 2.0 * rate_pps {
+        return count;
+    }
+    stepped_burst_replies(limit, rate_pps, count)
+}
+
+/// [`solo_burst_replies`] by stepping the bucket through every probe.
+fn stepped_burst_replies(limit: IcmpRateLimit, rate_pps: f64, count: u32) -> u32 {
     let gap_ms = 1000.0 / rate_pps;
     let mut bucket = IcmpTokenBucket::full(limit);
     (0..count)
@@ -125,6 +142,7 @@ pub(crate) fn joint_burst_replies_shared(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn full_bucket_answers_the_burst_then_paces() {
@@ -195,6 +213,43 @@ mod tests {
         // Two *independent* devices each see only their own 512 pps —
         // modelled as a solo burst per device — and lose nothing.
         assert_eq!(solo_burst_replies(limit, 512.0, 24) * 2, 48);
+    }
+
+    proptest! {
+        #[test]
+        fn a_limiter_twice_the_rate_answers_what_stepping_answers(
+            burst in 1u32..=64,
+            count in 1u32..=1_000,
+            // A probing rate anywhere from 2^-8 to 2^21 pps, and a limiter
+            // exactly twice as fast or up to 2^13 times as fast.
+            rate_exp in -8i32..=20,
+            rate_mantissa in 1.0f64..2.0,
+            headroom in prop_oneof![
+                Just(2.0f64),
+                (1i32..=12, 1.0f64..2.0).prop_map(|(exp, mantissa)| mantissa * 2f64.powi(exp)),
+            ],
+        ) {
+            let rate_pps = rate_mantissa * 2f64.powi(rate_exp);
+            let limit = IcmpRateLimit::new(rate_pps * headroom, f64::from(burst));
+            prop_assert!(limit.rate_pps >= 2.0 * rate_pps);
+            prop_assert_eq!(stepped_burst_replies(limit, rate_pps, count), count);
+            prop_assert_eq!(solo_burst_replies(limit, rate_pps, count), count);
+        }
+    }
+
+    #[test]
+    fn the_fast_path_starts_at_exactly_twice_the_rate() {
+        // Just below twice the rate the bucket is stepped, and a long
+        // enough burst loses a probe to the refill falling short.
+        let limit = IcmpRateLimit::new(1_000.0, 1.0);
+        assert_eq!(solo_burst_replies(limit, 500.0, 1_000), 1_000);
+        assert_eq!(stepped_burst_replies(limit, 500.0, 1_000), 1_000);
+        let below = IcmpRateLimit::new(999.0, 1.0);
+        assert!(solo_burst_replies(below, 1_000.0, 1_000) < 1_000);
+        assert_eq!(
+            solo_burst_replies(below, 500.0, 1_000),
+            stepped_burst_replies(below, 500.0, 1_000)
+        );
     }
 
     #[test]

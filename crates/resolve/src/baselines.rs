@@ -296,10 +296,9 @@ impl ResolutionTechnique for IffinderTechnique {
 
     fn resolve(&self, data: &CampaignData, ctx: &TechniqueCtx<'_>) -> TechniqueResult {
         let interner = data.interner();
-        let targets: Vec<IpAddr> = (ctx.targets.ipv4().ids.iter())
-            .map(|&id| interner.addr(id))
-            .collect();
-        let outcome = iffinder_scan(ctx.internet, &targets, ctx.vantage, ctx.probe_start);
+        let FamilyTargets { ids, resolved } = ctx.targets.ipv4();
+        let targets = (ids.iter().zip(resolved)).map(|(&id, &target)| (interner.addr(id), target));
+        let outcome = iffinder_scan(ctx.internet, targets, ctx.vantage, ctx.probe_start);
         // Positive alias evidence is the only per-address signal the scan
         // reports, so "testable" is the addresses involved in a discovered
         // pair.  ICMP errors can arrive from interfaces the campaign never
@@ -316,7 +315,7 @@ impl ResolutionTechnique for IffinderTechnique {
             testable,
             // iffinder_scan advances the clock by one millisecond per
             // probed target.
-            ctx.probe_start + SimTime(targets.len() as u64),
+            ctx.probe_start + SimTime(ids.len() as u64),
             interner.clone(),
         )
     }
@@ -326,11 +325,15 @@ impl ResolutionTechnique for IffinderTechnique {
 mod tests {
     use super::*;
     use alias_netsim::{InternetBuilder, InternetConfig, VantageKind};
-    use alias_scan::campaign::ActiveCampaign;
+    use alias_scan::campaign::{ActiveCampaign, CampaignConfig};
 
     fn setup(seed: u64) -> (alias_netsim::Internet, CampaignData) {
         let internet = InternetBuilder::new(InternetConfig::tiny(seed)).build();
-        let data = ActiveCampaign::with_defaults(&internet).run(&internet);
+        let data = ActiveCampaign::new(CampaignConfig {
+            hitlist_coverage: internet.config().visibility.hitlist_coverage,
+            ..Default::default()
+        })
+        .run(&internet);
         (internet, data)
     }
 

@@ -72,14 +72,18 @@ mod tests {
     use crate::ProbeTargets;
     use alias_core::alias_set::group_view_compact;
     use alias_netsim::{InternetBuilder, InternetConfig, VantageKind};
-    use alias_scan::campaign::ActiveCampaign;
+    use alias_scan::campaign::{ActiveCampaign, CampaignConfig};
 
     #[test]
     fn identifier_technique_matches_a_direct_grouping() {
         // The technique projects a source-tagged pass; read directly, the
         // same rows must give the same sets and testable ids, id for id.
         let internet = InternetBuilder::new(InternetConfig::tiny(11)).build();
-        let data = ActiveCampaign::with_defaults(&internet).run(&internet);
+        let data = ActiveCampaign::new(CampaignConfig {
+            hitlist_coverage: internet.config().visibility.hitlist_coverage,
+            ..Default::default()
+        })
+        .run(&internet);
         let extractor = IdentifierExtractor::new(ExtractionConfig::paper());
         let targets = ProbeTargets::new(&data, &internet);
         let ctx = TechniqueCtx {

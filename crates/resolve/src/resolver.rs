@@ -236,7 +236,11 @@ mod tests {
     #[test]
     fn merge_unions_overlapping_sets_across_techniques() {
         let internet = tiny_internet(43);
-        let data = ActiveCampaign::with_defaults(&internet).run(&internet);
+        let data = ActiveCampaign::new(CampaignConfig {
+            hitlist_coverage: internet.config().visibility.hitlist_coverage,
+            ..Default::default()
+        })
+        .run(&internet);
         let report = Resolver::builder()
             .paper_techniques()
             .build()

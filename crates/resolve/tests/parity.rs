@@ -20,7 +20,7 @@ use alias_resolve::{
     AllyTechnique, IdentifierTechnique, IffinderTechnique, MidarTechnique, ProbeTargets,
     ResolutionTechnique, SpeedtrapTechnique, TechniqueCtx, TechniqueResult,
 };
-use alias_scan::campaign::{ActiveCampaign, CampaignData};
+use alias_scan::campaign::{ActiveCampaign, CampaignConfig, CampaignData};
 use alias_scan::ipid_probe::ResolvedTarget;
 use alias_scan::ObservationStore;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
@@ -216,9 +216,10 @@ fn legacy_resolve(
             address_sets(uf.groups(), &addrs)
         }
         "iffinder" => {
+            let addrs = targets(data, false);
             let outcome = iffinder_scan(
                 internet,
-                &targets(data, false),
+                addrs.iter().map(|&addr| (addr, internet.lookup(addr))),
                 alias_netsim::VantageKind::SingleVp,
                 data.finished_at,
             );
@@ -236,12 +237,19 @@ fn every_technique_matches_its_legacy_path_across_seeds() {
         // one, the legacy replay probes the other, in the same order.
         let trait_side = build(seed);
         let legacy_side = build(seed);
-        let data = ActiveCampaign::with_defaults(&trait_side).run(&trait_side);
+        let data = ActiveCampaign::new(CampaignConfig {
+            hitlist_coverage: trait_side.config().visibility.hitlist_coverage,
+            ..Default::default()
+        })
+        .run(&trait_side);
         assert_eq!(
             data.store(),
-            ActiveCampaign::with_defaults(&legacy_side)
-                .run(&legacy_side)
-                .store(),
+            ActiveCampaign::new(CampaignConfig {
+                hitlist_coverage: legacy_side.config().visibility.hitlist_coverage,
+                ..Default::default()
+            })
+            .run(&legacy_side)
+            .store(),
             "identically seeded substrates must scan identically (seed={seed})"
         );
 
@@ -285,7 +293,11 @@ fn interned_merge_matches_the_legacy_merge_across_seeds() {
     let extractor = IdentifierExtractor::new(ExtractionConfig::paper());
     for seed in SEEDS {
         let internet = build(seed);
-        let data = ActiveCampaign::with_defaults(&internet).run(&internet);
+        let data = ActiveCampaign::new(CampaignConfig {
+            hitlist_coverage: internet.config().visibility.hitlist_coverage,
+            ..Default::default()
+        })
+        .run(&internet);
         let rows = data.store().to_observations();
         let protocols = [
             ServiceProtocol::Ssh,
@@ -422,7 +434,11 @@ fn at_least_one_baseline_produces_sets_somewhere() {
     let mut produced: BTreeSet<&'static str> = BTreeSet::new();
     for seed in SEEDS {
         let internet = build(seed);
-        let data = ActiveCampaign::with_defaults(&internet).run(&internet);
+        let data = ActiveCampaign::new(CampaignConfig {
+            hitlist_coverage: internet.config().visibility.hitlist_coverage,
+            ..Default::default()
+        })
+        .run(&internet);
         let targets = ProbeTargets::new(&data, &internet);
         let ctx = TechniqueCtx {
             internet: &internet,

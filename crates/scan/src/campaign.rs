@@ -129,19 +129,6 @@ impl ActiveCampaign {
         ActiveCampaign { config }
     }
 
-    /// Create a campaign with default settings, taking the hitlist coverage
-    /// from the Internet's own configuration and the worker-thread count
-    /// from the `ALIAS_THREADS` environment variable (unset, empty, `0` or
-    /// unparsable values fall back to the available parallelism — see
-    /// [`threads_from_env`](crate::threads_from_env)).  The thread count is a pure
-    /// performance knob and never changes the campaign output.
-    pub fn with_defaults(internet: &Internet) -> Self {
-        let mut config = CampaignConfig::default();
-        config.hitlist_coverage = internet.config().visibility.hitlist_coverage;
-        config.threads = crate::exec::threads_from_env();
-        Self::new(config)
-    }
-
     /// Set the worker-thread count for the scan phases (builder style).
     /// A pure performance knob: the campaign output is byte-identical for
     /// any value.
@@ -312,7 +299,10 @@ mod tests {
 
     fn campaign_data() -> (Internet, CampaignData) {
         let internet = InternetBuilder::new(InternetConfig::tiny(404)).build();
-        let campaign = ActiveCampaign::with_defaults(&internet);
+        let campaign = ActiveCampaign::new(CampaignConfig {
+            hitlist_coverage: internet.config().visibility.hitlist_coverage,
+            ..Default::default()
+        });
         let data = campaign.run(&internet);
         (internet, data)
     }
@@ -455,36 +445,6 @@ mod tests {
         // The row door builds the same id space for the same records.
         let reimported = ObservationStore::from_observations(rows);
         assert_eq!(reimported.interner().addrs(), data.interner().addrs());
-    }
-
-    #[test]
-    fn with_defaults_respects_alias_threads() {
-        // `with_defaults` takes its thread count from ALIAS_THREADS via
-        // `threads_from_env`.  The parsing rule — valid values
-        // taken verbatim; unset / 0 / garbage falling back to the available
-        // parallelism — is asserted through the env-free seam
-        // (`threads_from_value`), because mutating the environment while
-        // sibling tests read it concurrently is UB on glibc.
-        let fallback = crate::exec::available_parallelism();
-        for (value, expected) in [
-            (Some("3"), 3),
-            (Some("0"), fallback),
-            (Some("not-a-number"), fallback),
-            (None, fallback),
-        ] {
-            assert_eq!(
-                crate::exec::threads_from_value(value),
-                expected,
-                "ALIAS_THREADS={value:?}"
-            );
-        }
-        // And `with_defaults` wires that env-derived value straight into
-        // the campaign config (read-only env access: race-free).
-        let internet = InternetBuilder::new(InternetConfig::tiny(404)).build();
-        assert_eq!(
-            ActiveCampaign::with_defaults(&internet).config.threads,
-            crate::exec::threads_from_env()
-        );
     }
 
     #[test]

@@ -14,7 +14,7 @@ use alias_intern::{AddrId, CompactAliasSet};
 use alias_resolution::core::alias_set::group_view_compact;
 use alias_resolution::core::validation::cross_validate;
 use alias_resolution::midar::ally::{AllyTester, AllyVerdict};
-use alias_resolution::midar::mbt::{monotonic_bounds_test, step_is_impossible, MbtVerdict};
+use alias_resolution::midar::mbt::{monotonic_bounds_test, MbtVerdict, StepBounds};
 use alias_resolution::netsim::ProbeContext;
 use alias_resolution::prelude::*;
 use alias_resolution::resolve::ProbeTargets;
@@ -530,6 +530,40 @@ fn a_bounds_test_on_time_ordered_series_allocates_nothing() {
 }
 
 #[test]
+fn a_step_table_is_one_allocation_and_a_pair_test_on_it_none() {
+    // MIDAR builds one table a run: one block, whether the cap saturates
+    // inside the table (1,500/s) or the table stops at its length cap
+    // (40/s).
+    for cap in [40.0, 1_500.0] {
+        let (count, _) = allocations(|| StepBounds::new(cap));
+        assert_eq!(count, 1, "cap {cap}");
+    }
+    // Round-robin-like series: gaps on both sides of the 43,648 ms
+    // saturation gap.
+    let series = |base: u16, offset_ms: u64| -> Vec<IpidSample> {
+        (0..12u64)
+            .map(|i| IpidSample {
+                time: SimTime(offset_ms + i * 89_000),
+                ipid: base.wrapping_add(11 * i as u16),
+            })
+            .collect()
+    };
+    let bounds = StepBounds::new(1_500.0);
+    let a = series(100, 0);
+    for (other, expected) in [
+        (series(105, 30_000), MbtVerdict::Consistent),
+        (series(105, 60_000), MbtVerdict::Consistent),
+        (series(60_000, 30_000), MbtVerdict::Inconsistent),
+        (series(105, 30_000)[..1].to_vec(), MbtVerdict::Insufficient),
+    ] {
+        let (count, verdict) = allocations(|| bounds.pair_test(&a, &other));
+        assert_eq!(verdict, expected);
+        assert_eq!(verdict, monotonic_bounds_test(&[&a, &other], 1_500.0));
+        assert_eq!(count, 0, "{expected:?}");
+    }
+}
+
+#[test]
 fn a_pair_test_in_steady_state_allocates_nothing() {
     let internet = tiny_internet();
     let targets: Vec<_> = internet
@@ -567,10 +601,11 @@ fn a_pair_test_in_steady_state_allocates_nothing() {
     assert!(answered > 30, "only {answered} pairs answered");
 
     // MIDAR's elimination stage: probe into two caller-owned buffers,
-    // stopping at the first step the bounds test rejects, then the bounds
-    // test straight on them.  Only the first pair grows them and fills the
+    // stopping at the first step the bounds table rejects, then the bounds
+    // test on the table straight on them.  Only the first pair grows them and fills the
     // memo.
     let mut prober = IpidProber::new(5_000.0);
+    let bounds = StepBounds::new(1_500.0);
     let mut samples = [Vec::new(), Vec::new()];
     let mut ends = Vec::new();
     for (n, pair) in targets.windows(2).enumerate() {
@@ -585,12 +620,9 @@ fn a_pair_test_in_steady_state_allocates_nothing() {
                 6,
                 at,
                 &mut samples,
-                |prev, next| step_is_impossible(prev, next, 1_500.0),
+                |prev, next| bounds.step_is_impossible(prev, next),
             );
-            (
-                end,
-                monotonic_bounds_test(&[&samples[0], &samples[1]], 1_500.0),
-            )
+            (end, bounds.pair_test(&samples[0], &samples[1]))
         });
         let probed = samples[0].len() + samples[1].len();
         match end {

@@ -19,7 +19,11 @@ const PROTOCOLS: [ServiceProtocol; 3] = [
 
 fn build_and_scan(seed: u64) -> (Internet, CampaignData) {
     let internet = InternetBuilder::new(InternetConfig::tiny(seed)).build();
-    let data = ActiveCampaign::with_defaults(&internet).run(&internet);
+    let data = ActiveCampaign::new(CampaignConfig {
+        hitlist_coverage: internet.config().visibility.hitlist_coverage,
+        ..Default::default()
+    })
+    .run(&internet);
     (internet, data)
 }
 
@@ -194,9 +198,12 @@ fn midar_baseline_confirms_a_subset_of_ssh_sets_without_false_merges() {
 #[test]
 fn censys_snapshot_extends_single_vp_coverage() {
     let internet = InternetBuilder::new(InternetConfig::tiny(107)).build();
-    let active = ActiveCampaign::with_defaults(&internet)
-        .run(&internet)
-        .into_store();
+    let active = ActiveCampaign::new(CampaignConfig {
+        hitlist_coverage: internet.config().visibility.hitlist_coverage,
+        ..Default::default()
+    })
+    .run(&internet)
+    .into_store();
     let (censys, _) =
         CensysSnapshot::collect(&internet, CensysConfig::default()).into_default_port();
 
@@ -332,15 +339,21 @@ fn parallel_execution_reproduces_the_serial_pipeline_end_to_end() {
     // threads, two seeds).
     for seed in [109u64, 110] {
         let internet = InternetBuilder::new(InternetConfig::tiny(seed)).build();
-        let serial = ActiveCampaign::with_defaults(&internet)
-            .with_threads(1)
-            .run(&internet);
+        let serial = ActiveCampaign::new(CampaignConfig {
+            hitlist_coverage: internet.config().visibility.hitlist_coverage,
+            ..Default::default()
+        })
+        .with_threads(1)
+        .run(&internet);
         let labeled = labeled_ipv4(&serial);
         let merged_serial = merge_labeled_compact(&merge_inputs(&labeled), serial.interner());
         for threads in [2usize, 7] {
-            let sharded = ActiveCampaign::with_defaults(&internet)
-                .with_threads(threads)
-                .run(&internet);
+            let sharded = ActiveCampaign::new(CampaignConfig {
+                hitlist_coverage: internet.config().visibility.hitlist_coverage,
+                ..Default::default()
+            })
+            .with_threads(threads)
+            .run(&internet);
             assert_eq!(
                 sharded.store(),
                 serial.store(),
