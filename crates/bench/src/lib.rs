@@ -1295,15 +1295,49 @@ mod tests {
         // Recall is over the merged sets' own members, so dropping a false
         // merge can raise it while true pairs are lost: each seed also
         // keeps the true pairs the merge found when Speedtrap ran MIDAR's
-        // pipeline.
-        const SEEDS: [(u64, f64, u64); 4] = [
-            (20230418, 0.9601, 495_163),
-            (777001, 0.9500, 463_912),
-            (9160016, 0.8735, 579_173),
-            (31337007, 0.9429, 575_337),
+        // pipeline.  Last, the FNV-1a 64 digests of `render()` and
+        // `render_truth()`: the study's bytes, which no tiny golden file
+        // pins at the scale where iffinder finds sources the campaign
+        // never observed (`render()` at the first seed is
+        // `silent-study-1t`'s `doc_digest`).
+        const SEEDS: [(u64, f64, u64, u64, u64); 4] = [
+            (
+                20230418,
+                0.9601,
+                495_163,
+                0xdca5_4b64_d203_f4e7,
+                0x9d83_e398_716f_ff61,
+            ),
+            (
+                777001,
+                0.9500,
+                463_912,
+                0x1641_0188_b565_029d,
+                0x0e72_6d31_dd79_3a7f,
+            ),
+            (
+                9160016,
+                0.8735,
+                579_173,
+                0xea4c_8891_5c9e_c788,
+                0x2f5c_4c21_4337_9d15,
+            ),
+            (
+                31337007,
+                0.9429,
+                575_337,
+                0xda8d_d7c1_62bf_6317,
+                0xe8ca_8800_d2d4_c1ee,
+            ),
         ];
-        for (seed, merged_recall, true_pairs_found) in SEEDS {
+        for (seed, merged_recall, true_pairs_found, render, truth) in SEEDS {
             let study = RateLimitStudy::run(ScalePreset::PaperShape, seed, 1);
+            assert_eq!(fnv1a(&study.render()), render, "seed {seed}: render()");
+            assert_eq!(
+                fnv1a(&study.render_truth()),
+                truth,
+                "seed {seed}: render_truth()"
+            );
             assert_eq!(study.truth.len(), 9, "eight techniques and the merge");
             for (technique, score) in &study.truth {
                 let floor = match technique.as_str() {
@@ -1330,6 +1364,14 @@ mod tests {
                 merged.true_positive_pairs
             );
         }
+    }
+
+    /// FNV-1a 64 of a rendered text: the digest `benchmark/` records as a
+    /// workload's `doc_digest`.
+    fn fnv1a(text: &str) -> u64 {
+        text.bytes().fold(0xcbf2_9ce4_8422_2325, |hash, byte| {
+            (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
     }
 
     #[test]
