@@ -23,7 +23,9 @@ use alias_core::merge::{
     partition_labeled_compact, LabeledPartition, MultiServiceStats, ProtocolAttribution,
 };
 use alias_core::report::{format_count, format_pct, render_ecdf, TextTable};
-use alias_core::validation::{common_ids, cross_validate, validate_against_midar};
+use alias_core::validation::{
+    common_ids, cross_validate, validate_against_midar, ValidationResult,
+};
 use alias_intern::{AddrId, CompactAliasSet};
 use alias_midar::midar_resolve;
 use alias_netsim::{
@@ -94,8 +96,8 @@ pub struct Experiment {
     /// Simulated time of the active campaign start.
     pub(crate) active_start: SimTime,
     /// The paper's three identifier techniques over the active campaign:
-    /// per-technique alias sets, merged sets and coverage/agreement
-    /// statistics.  Each technique result is the active projection of the
+    /// per-technique alias sets and merged sets, agreement rows on demand.
+    /// Each technique result is the active projection of the
     /// run's one keyed pass per protocol over the union store, and keeps
     /// that pass ([`Self::keyed_pass`]).
     pub resolution: ResolutionReport,
@@ -194,9 +196,9 @@ impl Experiment {
             start: active_start,
             hitlist_coverage,
             seed,
+            threads,
             ..Default::default()
         })
-        .with_threads(threads)
         .run(&internet);
         let finished_at = data.finished_at;
         let active = data.into_store();
@@ -960,6 +962,9 @@ pub struct RateLimitStudy {
     /// Merged sets carrying *only* the `ratelimit` label — aliases no
     /// other technique corroborates.
     pub(crate) ratelimit_only_sets: usize,
+    /// The agreement of each technique registered before `ratelimit` with
+    /// it, in registration order.
+    agreements: Vec<(String, ValidationResult)>,
     /// Every technique's alias sets scored against the true aliasing
     /// relation, in registration order, then the merged sets (`"merged"`).
     pub(crate) truth: Vec<(String, PairwiseScore)>,
@@ -1030,6 +1035,11 @@ impl RateLimitStudy {
                 silent_aliased += 1;
             }
         }
+        let agreements = (report.techniques.iter())
+            .map(|t| t.technique.as_str())
+            .take_while(|&name| name != "ratelimit")
+            .filter_map(|name| Some((name.to_owned(), report.agreement(name, "ratelimit")?)))
+            .collect();
         let ratelimit_only_sets = report
             .merged
             .iter()
@@ -1055,6 +1065,7 @@ impl RateLimitStudy {
             silent_resolvable,
             silent_aliased,
             ratelimit_only_sets,
+            agreements,
         }
     }
 
@@ -1065,28 +1076,25 @@ impl RateLimitStudy {
     /// counts and repeats.
     pub fn render(&self) -> String {
         let mut table = TextTable::new(["Technique", "Alias sets", "Covered", "Testable"]);
-        for coverage in &self.report.coverage.per_technique {
+        for technique in &self.report.techniques {
             table.row([
-                coverage.technique.clone(),
-                format_count(coverage.alias_sets),
-                format_count(coverage.covered_addresses),
-                format_count(coverage.testable_addresses),
+                technique.technique.clone(),
+                format_count(technique.set_count()),
+                format_count(technique.covered_addresses()),
+                format_count(technique.testable_count()),
             ]);
         }
         let mut out = String::from("ICMP rate-limiting study (silent-router population)\n");
         out.push_str(&table.render());
 
         let mut agreement = TextTable::new(["Pair", "Sample", "Agree", "Disagree", "Agreement"]);
-        for row in &self.report.coverage.agreements {
-            if row.a != "ratelimit" && row.b != "ratelimit" {
-                continue;
-            }
+        for (technique, result) in &self.agreements {
             agreement.row([
-                format!("{}-{}", row.a, row.b),
-                format_count(row.result.sample_size),
-                format_count(row.result.agree),
-                format_count(row.result.disagree),
-                format_pct(row.result.agreement_rate()),
+                format!("{technique}-ratelimit"),
+                format_count(result.sample_size),
+                format_count(result.agree),
+                format_count(result.disagree),
+                format_pct(result.agreement_rate()),
             ]);
         }
         out.push_str("\nAgreement with the other techniques:\n");
@@ -1339,6 +1347,14 @@ mod tests {
                 "seed {seed}: render_truth()"
             );
             assert_eq!(study.truth.len(), 9, "eight techniques and the merge");
+            let space = study.report.techniques[0].interner();
+            for technique in &study.report.techniques {
+                let name = &technique.technique;
+                assert!(
+                    Arc::ptr_eq(technique.interner(), space),
+                    "seed {seed}: {name} in its own id space"
+                );
+            }
             for (technique, score) in &study.truth {
                 let floor = match technique.as_str() {
                     "ssh" => 0.98,

@@ -169,6 +169,16 @@ fn the_pipeline_opens_the_spans_the_benchmark_adopts() {
             .is_some_and(|name| !name.contains('/'))
     });
     assert_eq!(technique_spans.count(), study.report.techniques.len());
+    // The shared target list of each family, built inside the first
+    // technique that asks for it, and the study's agreement rows, each
+    // computed on demand.
+    for path in [
+        "resolve/technique/midar/targets",
+        "resolve/technique/speedtrap/targets",
+        "resolve/agreement",
+    ] {
+        assert!(opened.contains(&path), "{path}");
+    }
 }
 
 fn counter(snapshot: &alias_obs::MetricsSnapshot, name: &str) -> u64 {

@@ -105,10 +105,20 @@ fn check_resolution(exp: &Experiment, context: &str) {
         );
     }
     assert_eq!(exp.resolution.merged, direct.merged, "{context} merged");
-    assert_eq!(
-        exp.resolution.coverage, direct.coverage,
-        "{context} coverage"
-    );
+    // The coverage and agreement figures: per-technique counts and the
+    // three agreement rows.
+    let counts = |report: &alias_resolve::ResolutionReport| {
+        let techniques = report.techniques.iter();
+        techniques
+            .map(|t| (t.set_count(), t.covered_addresses(), t.testable_count()))
+            .collect::<Vec<_>>()
+    };
+    assert_eq!(counts(&exp.resolution), counts(&direct), "{context} counts");
+    for (a, b) in [("ssh", "bgp"), ("ssh", "snmpv3"), ("bgp", "snmpv3")] {
+        let row = exp.resolution.agreement(a, b);
+        assert!(row.is_some(), "{context} {a}-{b}");
+        assert_eq!(row, direct.agreement(a, b), "{context} {a}-{b}");
+    }
 }
 
 /// Merge address sets the way the tables did before they ran in the union

@@ -8,28 +8,25 @@
 //! introduction — the simulator reproduces that, and this implementation
 //! exists mainly as the historical baseline.
 
-use alias_core::union_find::UnionFind;
 use alias_netsim::{Internet, ProbeContext, SimTime, VantageKind};
 use alias_scan::ipid_probe::ResolvedTarget;
-use std::collections::{BTreeSet, HashMap};
 use std::net::IpAddr;
 
 /// Result of an iffinder run.
 #[derive(Debug, Clone, Default)]
 pub struct IffinderOutcome {
-    /// Alias pairs discovered (probed address, responding address).
-    pub pairs: Vec<(IpAddr, IpAddr)>,
+    /// Alias pairs discovered: the probed target's position in the target
+    /// list and the address the ICMP error came from.
+    pub pairs: Vec<(usize, IpAddr)>,
     /// Targets that returned no ICMP error at all.
     pub(crate) silent: usize,
-    /// Alias sets formed by merging the discovered pairs.
-    // id-space: ICMP error sources are addresses the campaign never interned — there is no id to hold
-    pub alias_sets: Vec<BTreeSet<IpAddr>>,
 }
 
 /// Probe every target with a UDP datagram to a closed port and collect
 /// common-source-address evidence.  Each target comes with the interface
 /// it was resolved to once by the caller ([`Internet::lookup`]); an
-/// unresolved one never answers.
+/// unresolved one never answers.  Merging the pairs into sets is the
+/// caller's: an error source may be an address the caller never numbered.
 pub fn iffinder_scan(
     internet: &Internet,
     targets: impl IntoIterator<Item = (IpAddr, ResolvedTarget)>,
@@ -38,38 +35,18 @@ pub fn iffinder_scan(
 ) -> IffinderOutcome {
     let mut outcome = IffinderOutcome::default();
     let mut now = start;
-    for (addr, target) in targets {
+    for (i, (addr, target)) in targets.into_iter().enumerate() {
         now += SimTime(1);
         let ctx = ProbeContext { vantage, time: now };
         let source = target.and_then(|(device_id, iface_idx)| {
             internet.udp_closed_port_probe_at(device_id, iface_idx, &ctx)
         });
         match source {
-            Some(source) if source != addr => outcome.pairs.push((addr, source)),
+            Some(source) if source != addr => outcome.pairs.push((i, source)),
             Some(_) => {}
             None => outcome.silent += 1,
         }
     }
-    // Merge pairs into sets: number each address in first-seen order,
-    // `addrs[i]` being the address numbered `i`.
-    // id-space: ICMP error sources are addresses the campaign never interned — this map is what numbers them
-    let mut index: HashMap<IpAddr, usize> = HashMap::new();
-    let mut addrs: Vec<IpAddr> = Vec::new();
-    for (a, b) in &outcome.pairs {
-        for &addr in [a, b] {
-            index.entry(addr).or_insert_with(|| {
-                addrs.push(addr);
-                addrs.len() - 1
-            });
-        }
-    }
-    let mut uf = UnionFind::new(addrs.len());
-    for (a, b) in &outcome.pairs {
-        uf.union(index[a], index[b]);
-    }
-    outcome.alias_sets = (uf.groups().into_iter())
-        .map(|g| g.into_iter().map(|i| addrs[i]).collect())
-        .collect();
     outcome
 }
 
@@ -101,12 +78,11 @@ mod tests {
             VantageKind::Distributed,
             SimTime::ZERO,
         );
-        for (a, b) in &outcome.pairs {
-            assert!(truth.device_of(*a).is_some());
-            assert_eq!(truth.device_of(*a), truth.device_of(*b));
-        }
-        for set in &outcome.alias_sets {
-            assert!(set.len() >= 2);
+        for &(i, source) in &outcome.pairs {
+            let probed = targets[i];
+            assert_ne!(probed, source);
+            assert!(truth.device_of(probed).is_some());
+            assert_eq!(truth.device_of(probed), truth.device_of(source));
         }
     }
 

@@ -24,7 +24,7 @@ use alias_obs::{DeterminismClass, LazyCounter};
 use alias_scan::ipid_probe::ResolvedTarget;
 use alias_scan::CampaignData;
 use std::net::IpAddr;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 /// Pairs the Ally sweep probed: its window's pairs less those whose two
 /// addresses were already joined (serial, so a pure function of the
@@ -113,6 +113,7 @@ impl<'a> ProbeTargets<'a> {
     /// over all observations.  Within a family, address order is the order
     /// of the addresses' bits, which sorts as plain integers.
     fn family(&self, ipv6: bool) -> FamilyTargets {
+        let _span = alias_obs::span("targets");
         let interner = self.data.interner();
         let mut sorted: Vec<(u128, AddrId)> = (interner.addrs().iter())
             .enumerate()
@@ -295,28 +296,42 @@ impl ResolutionTechnique for IffinderTechnique {
     }
 
     fn resolve(&self, data: &CampaignData, ctx: &TechniqueCtx<'_>) -> TechniqueResult {
-        let interner = data.interner();
         let FamilyTargets { ids, resolved } = ctx.targets.ipv4();
+        let mut interner = data.interner().clone();
         let targets = (ids.iter().zip(resolved)).map(|(&id, &target)| (interner.addr(id), target));
         let outcome = iffinder_scan(ctx.internet, targets, ctx.vantage, ctx.probe_start);
+        // ICMP errors can come from interfaces the campaign never observed:
+        // the first such source copies the campaign interner, and every one
+        // is interned into that copy (campaign ids keep their values).
+        let pairs: Vec<(AddrId, AddrId)> = (outcome.pairs.iter())
+            .map(|&(i, source)| {
+                let source = match interner.get(source) {
+                    Some(id) => id,
+                    None => Arc::make_mut(&mut interner).intern(source),
+                };
+                (ids[i], source)
+            })
+            .collect();
+        let mut uf = UnionFind::new(interner.len());
+        for &(a, b) in &pairs {
+            uf.union(a.index(), b.index());
+        }
+        let sets = (uf.groups().into_iter())
+            .map(|group| group.into_iter().map(|id| AddrId(id as u32)).collect())
+            .map(CompactAliasSet::from_ids)
+            .collect();
         // Positive alias evidence is the only per-address signal the scan
         // reports, so "testable" is the addresses involved in a discovered
-        // pair.  ICMP errors can arrive from interfaces the campaign never
-        // observed, so this goes through the address entry point, which
-        // extends a private interner copy for novel sources.
-        let testable: Vec<IpAddr> = outcome.pairs.iter().flat_map(|(a, b)| [*a, *b]).collect();
-        TechniqueResult::from_addr_sets(
+        // pair.
+        let testable = pairs.into_iter().flat_map(|(a, b)| [a, b]).collect();
+        TechniqueResult::from_compact(
             self.name().to_owned(),
-            outcome
-                .alias_sets
-                .into_iter()
-                .map(|set| set.into_iter().collect())
-                .collect(),
+            sets,
             testable,
             // iffinder_scan advances the clock by one millisecond per
             // probed target.
             ctx.probe_start + SimTime(ids.len() as u64),
-            interner.clone(),
+            interner,
         )
     }
 }

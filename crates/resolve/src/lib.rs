@@ -53,6 +53,6 @@ pub use baselines::{
 };
 pub use identifier::IdentifierTechnique;
 pub use ratelimit::RateLimitTechnique;
-pub use report::{CoverageStats, ResolutionReport};
+pub use report::ResolutionReport;
 pub use resolver::{Resolver, ResolverBuilder};
 pub use technique::{ResolutionTechnique, TechniqueCtx, TechniqueResult};

@@ -3,59 +3,19 @@
 use crate::technique::TechniqueResult;
 use alias_core::merge::{merge_labeled_compact, MergedSet};
 use alias_core::validation::{common_ids, cross_validate, ValidationResult};
-use alias_intern::{AddrId, AddrInterner, CompactAliasSet};
+use alias_intern::{AddrInterner, CompactAliasSet};
 use alias_obs::{DeterminismClass, LazyCounter};
 use alias_scan::CampaignData;
 use std::sync::Arc;
 
-/// Technique pairs whose agreement the coverage statistics computed: one
-/// per unordered pair of registered techniques.
+/// Technique pairs whose agreement row [`ResolutionReport::agreement`]
+/// computed.
 static AGREEMENT_PAIRS: LazyCounter = LazyCounter::new(
     "resolve.agreement_pairs",
     DeterminismClass::Deterministic,
     "pairs",
     "resolve",
 );
-
-/// Coverage of one technique: how many sets it produced and how many
-/// addresses they span.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TechniqueCoverage {
-    /// The technique's name.
-    pub technique: String,
-    /// Inferred alias sets (two or more members).
-    pub alias_sets: usize,
-    /// Addresses covered by those sets.
-    pub covered_addresses: usize,
-    /// Addresses the technique could make claims about at all.
-    pub testable_addresses: usize,
-}
-
-/// Pairwise agreement between two techniques, computed the way the paper's
-/// Table 2 does: both partitions are projected onto the addresses testable
-/// by *both* techniques and compared set-by-set for exact membership match.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TechniqueAgreement {
-    /// First technique (the one whose sets are sampled).
-    pub a: String,
-    /// Second technique (the one matched against).
-    pub b: String,
-    /// The comparison outcome.
-    pub result: ValidationResult,
-}
-
-/// Coverage and cross-technique agreement statistics of one run.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct CoverageStats {
-    /// Per-technique coverage, in registration order.
-    pub per_technique: Vec<TechniqueCoverage>,
-    /// Number of merged (cross-technique) sets.
-    pub merged_sets: usize,
-    /// Addresses covered by the merged sets.
-    pub merged_addresses: usize,
-    /// Pairwise agreement for every technique pair, in registration order.
-    pub agreements: Vec<TechniqueAgreement>,
-}
 
 /// Everything one [`Resolver`](crate::Resolver) run produced.
 #[derive(Debug, Clone)]
@@ -67,36 +27,41 @@ pub struct ResolutionReport {
     /// results were merged directly
     /// ([`ResolutionReport::from_techniques`]).
     pub campaign: Option<CampaignData>,
-    /// Per-technique results, in registration order.
+    /// Per-technique results, in registration order, all in one id space.
     pub techniques: Vec<TechniqueResult>,
-    /// Cross-technique merged sets (per the resolver's merge policy), in
+    /// Cross-technique merged sets (sets sharing an address unioned), in
     /// canonical order.
     pub merged: Vec<MergedSet>,
-    /// Coverage and agreement statistics.
-    pub coverage: CoverageStats,
 }
 
 impl ResolutionReport {
-    /// Merge per-technique results and compute their coverage and agreement
-    /// statistics, under the `resolve/merge` span: sets sharing an address
-    /// are unioned across techniques — the paper's consolidation — in one
-    /// id space built once over `base` (the campaign's interner) and shared
-    /// by the merge and the agreement statistics.  `campaign` is `None`.
-    pub fn from_techniques(techniques: Vec<TechniqueResult>, base: &Arc<AddrInterner>) -> Self {
+    /// Bring per-technique results into one id space and merge them, under
+    /// the `resolve/merge` span: sets sharing an address are unioned across
+    /// techniques — the paper's consolidation.  The space is `base` (the
+    /// campaign's interner), extended by one copy with the addresses of
+    /// results whose interner is another (iffinder's, when an ICMP error
+    /// came from an address the campaign never observed); afterwards every
+    /// result refers to it and campaign ids keep their values.  `campaign`
+    /// is `None`.
+    pub fn from_techniques(mut techniques: Vec<TechniqueResult>, base: &Arc<AddrInterner>) -> Self {
         let _stage = alias_obs::span("resolve/merge");
-        let unified = UnifiedSpace::build(base, &techniques);
-        let inputs: Vec<(&str, &[CompactAliasSet])> = techniques
-            .iter()
-            .enumerate()
-            .map(|(i, t)| (t.technique.as_str(), unified.sets_of(i, t)))
+        let mut interner = base.clone();
+        for technique in &mut techniques {
+            if !Arc::ptr_eq(technique.interner(), base) {
+                technique.reintern(Arc::make_mut(&mut interner));
+            }
+        }
+        for technique in &mut techniques {
+            technique.set_interner(interner.clone());
+        }
+        let inputs: Vec<(&str, &[CompactAliasSet])> = (techniques.iter())
+            .map(|t| (t.technique.as_str(), t.compact_sets()))
             .collect();
-        let merged = merge_labeled_compact(&inputs, &unified.interner);
-        let coverage = coverage(&unified, &techniques, &merged);
+        let merged = merge_labeled_compact(&inputs, &interner);
         ResolutionReport {
             campaign: None,
             techniques,
             merged,
-            coverage,
         }
     }
 
@@ -104,117 +69,182 @@ impl ResolutionReport {
     pub fn technique(&self, name: &str) -> Option<&TechniqueResult> {
         self.techniques.iter().find(|t| t.technique == name)
     }
-}
 
-/// Per-technique coverage, and the agreement of every technique pair, in
-/// the unified id space.
-fn coverage(
-    unified: &UnifiedSpace,
-    techniques: &[TechniqueResult],
-    merged: &[MergedSet],
-) -> CoverageStats {
-    let per_technique = techniques
-        .iter()
-        .map(|t| TechniqueCoverage {
-            technique: t.technique.clone(),
-            alias_sets: t.set_count(),
-            covered_addresses: t.covered_addresses(),
-            testable_addresses: t.testable_count(),
-        })
-        .collect();
-    // The pairwise agreement statistics run entirely in the unified id
-    // space.  Agreement counts only compare memberships, which the
-    // bijective address ↔ id relabeling preserves, so the numbers are
-    // identical to the former address-set formulation.
-    let span = alias_obs::span("agreement");
-    let mut agreements = Vec::new();
-    for i in 0..techniques.len() {
-        for j in i + 1..techniques.len() {
-            let (a, b) = (&techniques[i], &techniques[j]);
-            let common = common_ids(unified.testable_of(i, a), unified.testable_of(j, b));
-            agreements.push(TechniqueAgreement {
-                a: a.technique.clone(),
-                b: b.technique.clone(),
-                result: cross_validate(unified.sets_of(i, a), unified.sets_of(j, b), &common),
-            });
-        }
-    }
-    AGREEMENT_PAIRS.add(agreements.len() as u64);
-    drop(span);
-    CoverageStats {
-        per_technique,
-        merged_sets: merged.len(),
-        // The merged sets are a partition: no address is in two of them.
-        merged_addresses: merged.iter().map(|set| set.addrs.len()).sum(),
-        agreements,
+    /// The agreement of technique `a` with technique `b`, computed the way
+    /// the paper's Table 2 does: both partitions are projected onto the
+    /// addresses testable by *both* and `a`'s sets are sampled, each
+    /// checked for an exact membership match among `b`'s.  `None` if
+    /// either name is not in the report.
+    pub fn agreement(&self, a: &str, b: &str) -> Option<ValidationResult> {
+        let (a, b) = (self.technique(a)?, self.technique(b)?);
+        let _span = alias_obs::span("resolve/agreement");
+        AGREEMENT_PAIRS.add(1);
+        let common = common_ids(a.testable_ids(), b.testable_ids());
+        Some(cross_validate(a.compact_sets(), b.compact_sets(), &common))
     }
 }
 
-/// Every technique result brought into one id space.
-///
-/// Techniques normally share the campaign interner as-is; one that
-/// extended it (or used a foreign interner) has its sets and testable ids
-/// re-interned into the unified space — ids of campaign addresses are
-/// preserved, so the common case stays translation-free (`None` entries
-/// borrow straight from the result).
-struct UnifiedSpace {
-    interner: Arc<AddrInterner>,
-    sets: Vec<Option<Vec<CompactAliasSet>>>,
-    testables: Vec<Option<Vec<AddrId>>>,
-}
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use alias_core::merge::MergedSet;
+    use alias_intern::AddrId;
+    use alias_netsim::SimTime;
+    use std::collections::BTreeSet;
+    use std::net::IpAddr;
 
-impl UnifiedSpace {
-    fn build(base: &Arc<AddrInterner>, techniques: &[TechniqueResult]) -> Self {
-        let mut interner: Arc<AddrInterner> = base.clone();
-        let mut sets = Vec::with_capacity(techniques.len());
-        let mut testables = Vec::with_capacity(techniques.len());
-        for t in techniques {
-            // Campaign-interner ids stay valid in the unified space (it
-            // only ever extends the base), so results that share the
-            // campaign id space need no translation.
-            if Arc::ptr_eq(t.interner(), base) {
-                sets.push(None);
-                testables.push(None);
-                continue;
-            }
-            let target = Arc::make_mut(&mut interner);
-            sets.push(Some(
-                t.compact_sets()
-                    .iter()
-                    .map(|set| {
-                        CompactAliasSet::from_ids(
-                            set.iter()
-                                .map(|id| target.intern(t.interner().addr(id)))
-                                .collect(),
-                        )
-                    })
-                    .collect(),
-            ));
-            let mut ids: Vec<AddrId> = t
-                .testable_ids()
-                .iter()
-                .map(|&id| target.intern(t.interner().addr(id)))
-                .collect();
-            ids.sort_unstable();
-            ids.dedup();
-            testables.push(Some(ids));
-        }
-        UnifiedSpace {
-            interner,
-            sets,
-            testables,
-        }
+    fn addrs(list: &[&str]) -> Vec<IpAddr> {
+        list.iter().map(|a| a.parse().unwrap()).collect()
     }
 
-    /// Technique `i`'s sets in the unified space.
-    fn sets_of<'a>(&'a self, i: usize, t: &'a TechniqueResult) -> &'a [CompactAliasSet] {
-        self.sets[i].as_deref().unwrap_or_else(|| t.compact_sets())
+    fn interner_of(list: &[&str]) -> AddrInterner {
+        let mut interner = AddrInterner::new();
+        for addr in addrs(list) {
+            interner.intern(addr);
+        }
+        interner
     }
 
-    /// Technique `i`'s sorted distinct testable ids in the unified space.
-    fn testable_of<'a>(&'a self, i: usize, t: &'a TechniqueResult) -> &'a [AddrId] {
-        self.testables[i]
-            .as_deref()
-            .unwrap_or_else(|| t.testable_ids())
+    /// A result named `name` over `interner`, its sets and testable
+    /// addresses given as addresses the interner holds.
+    fn result(
+        name: &str,
+        sets: &[&[&str]],
+        testable: &[&str],
+        interner: &Arc<AddrInterner>,
+    ) -> TechniqueResult {
+        let ids = |list: &[&str]| -> Vec<AddrId> {
+            (addrs(list).into_iter())
+                .map(|addr| interner.get(addr).expect("the test interned it"))
+                .collect()
+        };
+        let sets = sets.iter().map(|set| CompactAliasSet::from_ids(ids(set)));
+        TechniqueResult::from_compact(
+            name.to_owned(),
+            sets.collect(),
+            ids(testable),
+            SimTime::ZERO,
+            interner.clone(),
+        )
+    }
+
+    fn address_set(list: &[&str]) -> BTreeSet<IpAddr> {
+        addrs(list).into_iter().collect()
+    }
+
+    #[test]
+    fn results_are_brought_into_one_id_space() {
+        let base = Arc::new(interner_of(&[
+            "10.0.0.1", "10.0.0.2", "10.0.0.3", "10.0.0.4", "10.0.0.5", "10.0.0.6",
+        ]));
+        let before = base.addrs().to_vec();
+        // Shares the base.
+        let shared = result(
+            "shared",
+            &[&["10.0.0.1", "10.0.0.2"], &["10.0.0.3", "10.0.0.4"]],
+            &["10.0.0.1", "10.0.0.2", "10.0.0.3", "10.0.0.4"],
+            &base,
+        );
+        // Extends a copy of the base with a novel address.
+        let mut copy = (*base).clone();
+        copy.intern("192.0.2.7".parse().unwrap());
+        let extended = result(
+            "extended",
+            &[&["10.0.0.3", "192.0.2.7"]],
+            &["10.0.0.3", "10.0.0.6", "192.0.2.7"],
+            &Arc::new(copy),
+        );
+        // A foreign numbering: two novel addresses, one of them the
+        // extender's.
+        let foreign = Arc::new(interner_of(&[
+            "192.0.2.9",
+            "10.0.0.5",
+            "192.0.2.7",
+            "10.0.0.2",
+            "10.0.0.1",
+            "10.0.0.3",
+            "10.0.0.4",
+        ]));
+        let foreign = result(
+            "foreign",
+            &[
+                &["10.0.0.1", "10.0.0.2", "10.0.0.5"],
+                &["192.0.2.7", "192.0.2.9"],
+            ],
+            &[
+                "10.0.0.1",
+                "10.0.0.2",
+                "10.0.0.3",
+                "10.0.0.4",
+                "10.0.0.5",
+                "192.0.2.7",
+                "192.0.2.9",
+            ],
+            &foreign,
+        );
+        let report = ResolutionReport::from_techniques(vec![shared, extended, foreign], &base);
+
+        let space = report.techniques[0].interner();
+        for technique in &report.techniques {
+            assert!(
+                Arc::ptr_eq(technique.interner(), space),
+                "{}",
+                technique.technique
+            );
+        }
+        assert_eq!(base.addrs(), before, "the base is never mutated");
+        assert_eq!(space.len(), before.len() + 2, "each novel address once");
+        for (id, &addr) in before.iter().enumerate() {
+            assert_eq!(space.get(addr), Some(AddrId(id as u32)), "{addr}");
+        }
+        // Every result keeps its sets, testable ids sorted and distinct.
+        let sets = |name: &str| report.technique(name).unwrap().alias_sets();
+        assert_eq!(
+            sets("shared"),
+            [
+                address_set(&["10.0.0.1", "10.0.0.2"]),
+                address_set(&["10.0.0.3", "10.0.0.4"])
+            ]
+        );
+        assert_eq!(sets("extended"), [address_set(&["10.0.0.3", "192.0.2.7"])]);
+        assert_eq!(
+            sets("foreign"),
+            [
+                address_set(&["10.0.0.1", "10.0.0.2", "10.0.0.5"]),
+                address_set(&["192.0.2.7", "192.0.2.9"])
+            ]
+        );
+        let foreign = report.technique("foreign").unwrap();
+        assert_eq!(foreign.testable_count(), 7);
+        assert!(foreign.testable_ids().windows(2).all(|w| w[0] < w[1]));
+
+        let merged = |list: &[&str], labels: &[&str]| MergedSet {
+            addrs: address_set(list),
+            labels: labels.iter().map(|&l| l.to_owned()).collect(),
+        };
+        assert_eq!(
+            report.merged,
+            [
+                merged(
+                    &["10.0.0.1", "10.0.0.2", "10.0.0.5"],
+                    &["foreign", "shared"]
+                ),
+                merged(
+                    &["10.0.0.3", "10.0.0.4", "192.0.2.7", "192.0.2.9"],
+                    &["extended", "foreign", "shared"]
+                ),
+            ]
+        );
+
+        // Common testable {.1, .2, .3, .4}: `shared`'s two sets survive the
+        // projection, `foreign` holds only the first of them.
+        let row = report.agreement("shared", "foreign").unwrap();
+        assert_eq!((row.sample_size, row.agree, row.disagree), (2, 1, 1));
+        // Common testable {.3, 192.0.2.7} — the shared novel address is one
+        // id: `extended`'s set survives, `foreign` splits it.
+        let row = report.agreement("extended", "foreign").unwrap();
+        assert_eq!((row.sample_size, row.agree, row.disagree), (1, 0, 1));
+        assert_eq!(report.agreement("shared", "midar"), None);
+        assert_eq!(report.agreement("midar", "shared"), None);
     }
 }

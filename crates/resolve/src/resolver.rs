@@ -140,9 +140,11 @@ impl Resolver {
     /// The produced campaign data is returned inside the report.
     pub fn resolve(&self, internet: &Internet) -> ResolutionReport {
         let stage = alias_obs::span("resolve/campaign");
-        let data = ActiveCampaign::new(self.campaign.clone())
-            .with_threads(self.threads)
-            .run(internet);
+        let data = ActiveCampaign::new(CampaignConfig {
+            threads: self.threads,
+            ..self.campaign.clone()
+        })
+        .run(internet);
         drop(stage);
         let mut report = self.resolve_data(internet, &data);
         report.campaign = Some(data);
@@ -197,14 +199,14 @@ mod tests {
         let names: Vec<&str> = report.techniques.iter().map(|t| &*t.technique).collect();
         assert_eq!(names, ["ssh", "bgp", "snmpv3"]);
         assert!(!report.merged.is_empty());
-        assert_eq!(report.coverage.merged_sets, report.merged.len());
         let merged: BTreeSet<_> = report.merged.iter().flat_map(|set| &set.addrs).collect();
-        assert_eq!(report.coverage.merged_addresses, merged.len());
         // Counted without a tree: the merged sets are a partition.
         let members: usize = report.merged.iter().map(|set| set.addrs.len()).sum();
         assert_eq!(members, merged.len());
-        // 3 techniques -> 3 pairwise agreements.
-        assert_eq!(report.coverage.agreements.len(), 3);
+        // 3 techniques -> 3 pairwise agreements, each on demand.
+        for (a, b) in [("ssh", "bgp"), ("ssh", "snmpv3"), ("bgp", "snmpv3")] {
+            assert!(report.agreement(a, b).is_some(), "{a}-{b}");
+        }
         assert!(report.technique("ssh").is_some());
         assert!(report.technique("midar").is_none());
     }
@@ -332,12 +334,11 @@ mod tests {
             .resolve(&internet);
         assert_eq!(report.techniques.len(), 8);
         // Coverage and agreement rows include the new technique.
-        assert!(report
-            .coverage
-            .per_technique
-            .iter()
-            .any(|c| c.technique == "ratelimit" && c.alias_sets > 0));
-        assert_eq!(report.coverage.agreements.len(), 8 * 7 / 2);
+        assert!(report.technique("ratelimit").unwrap().set_count() > 0);
+        for technique in &report.techniques[..7] {
+            let row = report.agreement(&technique.technique, "ratelimit");
+            assert!(row.is_some(), "{}", technique.technique);
+        }
 
         let mut silent_addrs: Vec<IpAddr> = internet
             .devices()
@@ -404,9 +405,5 @@ mod tests {
         );
         assert_eq!(threaded.techniques, serial.techniques);
         assert_eq!(threaded.merged, serial.merged);
-        assert_eq!(
-            threaded.coverage.merged_addresses,
-            serial.coverage.merged_addresses
-        );
     }
 }

@@ -112,47 +112,27 @@ impl TechniqueResult {
         result
     }
 
-    /// Assemble a result from address lists, interning the members against
-    /// `interner` (members need not be sorted or distinct —
-    /// [`from_compact`](Self::from_compact) canonicalises).  Addresses the
-    /// interner has never seen — follow-up probing can discover interfaces
-    /// the campaign did not observe, e.g. iffinder's ICMP source addresses
-    /// — extend a private copy of the id space (existing ids stay valid;
-    /// the campaign interner itself is never mutated).
-    pub(crate) fn from_addr_sets(
-        technique: String,
-        sets: Vec<Vec<IpAddr>>,
-        testable: Vec<IpAddr>,
-        finished_at: SimTime,
-        interner: Arc<AddrInterner>,
-    ) -> Self {
-        let mut interner = interner;
-        let all_known = sets
-            .iter()
-            .flatten()
-            .chain(testable.iter())
-            .all(|&addr| interner.contains(addr));
-        if !all_known {
-            let extended = Arc::make_mut(&mut interner);
-            for &addr in sets.iter().flatten().chain(testable.iter()) {
-                extended.intern(addr);
-            }
+    /// Re-intern the sets and testable ids into `space`, which the caller
+    /// then points the result at ([`set_interner`](Self::set_interner)):
+    /// members keep their addresses, the testable ids end up sorted and
+    /// distinct, and canonical order (by address) is unchanged.  A keyed
+    /// pass ([`groups`](Self::groups)) keeps its own store's ids.
+    pub(crate) fn reintern(&mut self, space: &mut AddrInterner) {
+        let from = &self.interner;
+        let mut map = |id: AddrId| space.intern(from.addr(id));
+        for set in &mut self.sets {
+            *set = CompactAliasSet::from_ids(set.iter().map(&mut map).collect());
         }
-        let compact = sets
-            .iter()
-            .map(|set| {
-                CompactAliasSet::from_ids(
-                    set.iter()
-                        .map(|&addr| interner.get(addr).expect("member interned above"))
-                        .collect(),
-                )
-            })
-            .collect();
-        let testable_ids = testable
-            .iter()
-            .map(|&addr| interner.get(addr).expect("member interned above"))
-            .collect();
-        Self::from_compact(technique, compact, testable_ids, finished_at, interner)
+        for id in &mut self.testable {
+            *id = map(*id);
+        }
+        self.testable.sort_unstable();
+        self.testable.dedup();
+    }
+
+    /// Refer the result's ids to `interner`.
+    pub(crate) fn set_interner(&mut self, interner: Arc<AddrInterner>) {
+        self.interner = interner;
     }
 
     /// The alias sets in id space, canonical order (smallest member address
@@ -255,18 +235,21 @@ mod tests {
 
     #[test]
     fn result_accessors_count_sets_and_addresses() {
-        let interner = Arc::new(interner_of(
-            ["10.0.0.1", "10.0.0.2", "10.1.0.1", "10.1.0.2", "10.2.0.1"]
-                .iter()
-                .map(|s| s.parse().unwrap()),
-        ));
-        let result = TechniqueResult::from_addr_sets(
+        let interner = Arc::new(interner_of(addrs(&[
+            "10.0.0.1", "10.0.0.2", "10.1.0.1", "10.1.0.2", "10.2.0.1",
+        ])));
+        let ids = |list: &[&str]| -> Vec<AddrId> {
+            (addrs(list).into_iter())
+                .map(|addr| interner.get(addr).expect("interned above"))
+                .collect()
+        };
+        let result = TechniqueResult::from_compact(
             "test".into(),
             vec![
-                addrs(&["10.1.0.1", "10.1.0.2"]),
-                addrs(&["10.0.0.1", "10.0.0.2"]),
+                CompactAliasSet::from_ids(ids(&["10.1.0.1", "10.1.0.2"])),
+                CompactAliasSet::from_ids(ids(&["10.0.0.1", "10.0.0.2"])),
             ],
-            addrs(&["10.0.0.1", "10.0.0.2", "10.1.0.1", "10.1.0.2", "10.2.0.1"]),
+            ids(&["10.0.0.1", "10.0.0.2", "10.1.0.1", "10.1.0.2", "10.2.0.1"]),
             SimTime::ZERO,
             interner.clone(),
         );
@@ -282,7 +265,7 @@ mod tests {
                 set(&["10.1.0.1", "10.1.0.2"]),
             ]
         );
-        // No novel addresses: the campaign interner is shared, not copied.
+        // The campaign interner is shared, not copied.
         assert!(Arc::ptr_eq(result.interner(), &interner));
     }
 
@@ -314,27 +297,6 @@ mod tests {
         );
         assert_eq!(testable(vec![]), vec![]);
         assert_eq!(testable(vec![last, last]), vec![last]);
-    }
-
-    #[test]
-    fn novel_addresses_extend_a_private_interner_copy() {
-        let base = Arc::new(interner_of(["10.0.0.1"].iter().map(|s| s.parse().unwrap())));
-        let result = TechniqueResult::from_addr_sets(
-            "iffinder".into(),
-            vec![addrs(&["10.0.0.1", "192.0.2.7"])],
-            addrs(&["10.0.0.1", "192.0.2.7"]),
-            SimTime::ZERO,
-            base.clone(),
-        );
-        assert!(!Arc::ptr_eq(result.interner(), &base));
-        assert_eq!(base.len(), 1, "the campaign id space is never mutated");
-        assert_eq!(result.interner().len(), 2);
-        assert_eq!(
-            result.interner().get("10.0.0.1".parse().unwrap()),
-            base.get("10.0.0.1".parse().unwrap()),
-            "base ids stay valid in the extension"
-        );
-        assert_eq!(result.alias_sets(), vec![set(&["10.0.0.1", "192.0.2.7"])]);
     }
 
     /// The per-comparison comparator canonical order was sorted with before

@@ -223,7 +223,17 @@ fn legacy_resolve(
                 alias_netsim::VantageKind::SingleVp,
                 data.finished_at,
             );
-            canonical_sets(outcome.alias_sets)
+            // Each discovered pair joins every set holding either address.
+            let mut sets: Vec<BTreeSet<IpAddr>> = Vec::new();
+            for &(i, source) in &outcome.pairs {
+                let pair = [addrs[i], source];
+                let (joined, mut rest): (Vec<_>, Vec<_>) = sets
+                    .into_iter()
+                    .partition(|set| pair.iter().any(|addr| set.contains(addr)));
+                rest.push(joined.into_iter().flatten().chain(pair).collect());
+                sets = rest;
+            }
+            canonical_sets(sets)
         }
         other => panic!("unknown technique {other}"),
     }

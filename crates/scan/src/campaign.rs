@@ -129,14 +129,6 @@ impl ActiveCampaign {
         ActiveCampaign { config }
     }
 
-    /// Set the worker-thread count for the scan phases (builder style).
-    /// A pure performance knob: the campaign output is byte-identical for
-    /// any value.
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.config.threads = threads.max(1);
-        self
-    }
-
     /// Run the campaign.
     ///
     /// Each scan phase runs as shard workers over disjoint slices of its

@@ -6,7 +6,7 @@
 //!
 //! Run with: `cargo run --release --example midar_validation`
 
-use alias_intern::{AddrId, AddrInterner, CompactAliasSet};
+use alias_intern::{AddrId, CompactAliasSet};
 use alias_resolution::core::validation::validate_against_midar;
 use alias_resolution::prelude::*;
 
@@ -42,27 +42,21 @@ fn main() {
     // aliasing claim about the addresses.  Counters that were sampleable
     // but never corroborated into a set leave the sampled set unverified
     // rather than contradicted.
-    let ssh_sets = ssh.alias_sets();
-    let midar_sets = midar.alias_sets();
-    let sample: Vec<_> = ssh_sets.iter().filter(|s| s.len() <= 10).cloned().collect();
-    // The validator is id-native: bring both sides into one id space.
-    let mut space = AddrInterner::new();
-    let sample_compact: Vec<CompactAliasSet> = sample
-        .iter()
-        .map(|set| CompactAliasSet::from_addr_set(set, &mut space))
+    // The validator is id-native, and the report's sets share one id
+    // space.
+    let sample: Vec<CompactAliasSet> = (ssh.compact_sets().iter())
+        .filter(|s| s.len() <= 10)
+        .cloned()
         .collect();
-    let midar_compact: Vec<CompactAliasSet> = midar_sets
-        .iter()
-        .map(|set| CompactAliasSet::from_addr_set(set, &mut space))
-        .collect();
-    let mut positively_grouped: Vec<AddrId> = midar_compact
+    let midar_sets = midar.compact_sets();
+    let mut positively_grouped: Vec<AddrId> = midar_sets
         .iter()
         .flat_map(|set| set.ids())
         .copied()
         .collect();
     positively_grouped.sort_unstable();
     positively_grouped.dedup();
-    let validation = validate_against_midar(&sample_compact, &midar_compact, &positively_grouped);
+    let validation = validate_against_midar(&sample, midar_sets, &positively_grouped);
     println!(
         "MIDAR could verify {} of {} sampled SSH sets ({:.0}% coverage); \
          of those, {} agree and {} disagree ({:.0}% agreement)",
@@ -75,10 +69,10 @@ fn main() {
     );
 
     // The report's built-in pairwise statistics tell the same story.
-    let agreement = &report.coverage.agreements[0];
+    let agreement = report.agreement("ssh", "midar").expect("both registered");
     println!(
-        "Report agreement {}-{}: {}/{} comparable sets agree",
-        agreement.a, agreement.b, agreement.result.agree, agreement.result.sample_size,
+        "Report agreement ssh-midar: {}/{} comparable sets agree",
+        agreement.agree, agreement.sample_size,
     );
     println!(
         "\nAs in the paper, coverage is low (most counters are random, constant or too fast)\n\

@@ -35,24 +35,35 @@ fn main() {
     // 3. Per-technique results: alias sets grouped by application-layer
     //    identifier (banner + capabilities + host key for SSH; the OPEN
     //    fields for BGP; the engine ID for SNMPv3).
-    for coverage in &report.coverage.per_technique {
+    for technique in &report.techniques {
         println!(
             "{:>7}: {} testable addresses, {} alias sets covering {} addresses",
-            coverage.technique,
-            coverage.testable_addresses,
-            coverage.alias_sets,
-            coverage.covered_addresses,
+            technique.technique,
+            technique.testable_count(),
+            technique.set_count(),
+            technique.covered_addresses(),
         );
     }
+    // The merged sets are a partition: no address is in two of them.
     println!(
         "  union: {} merged sets covering {} addresses",
-        report.coverage.merged_sets, report.coverage.merged_addresses
+        report.merged.len(),
+        report
+            .merged
+            .iter()
+            .map(|set| set.addrs.len())
+            .sum::<usize>()
     );
-    for agreement in &report.coverage.agreements {
-        println!(
-            "  {}-{}: {}/{} comparable sets agree",
-            agreement.a, agreement.b, agreement.result.agree, agreement.result.sample_size,
-        );
+    // Pairwise agreement, computed on demand for each pair.
+    for (i, a) in report.techniques.iter().enumerate() {
+        for b in &report.techniques[i + 1..] {
+            let (a, b) = (&a.technique, &b.technique);
+            let agreement = report.agreement(a, b).expect("both registered");
+            println!(
+                "  {a}-{b}: {}/{} comparable sets agree",
+                agreement.agree, agreement.sample_size,
+            );
+        }
     }
 
     // 4. Because the substrate is simulated, the inference can be scored

@@ -44,13 +44,13 @@ fn main() {
 
     // 3. Coverage per technique — the silent routers only ever show up in
     //    the `ratelimit` row.
-    for coverage in &report.coverage.per_technique {
+    for technique in &report.techniques {
         println!(
             "{:>9}: {} testable addresses, {} alias sets covering {}",
-            coverage.technique,
-            coverage.testable_addresses,
-            coverage.alias_sets,
-            coverage.covered_addresses,
+            technique.technique,
+            technique.testable_count(),
+            technique.set_count(),
+            technique.covered_addresses(),
         );
     }
 

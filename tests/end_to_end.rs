@@ -286,8 +286,15 @@ fn resolver_composes_all_seven_techniques_through_one_pipeline() {
             "iffinder"
         ]
     );
-    // 7 techniques -> C(7,2) = 21 pairwise agreement rows.
-    assert_eq!(report.coverage.agreements.len(), 21);
+    // 7 techniques -> C(7,2) = 21 pairwise agreement rows, each on demand.
+    let mut rows = 0;
+    for (i, a) in names.iter().enumerate() {
+        for b in &names[i + 1..] {
+            assert!(report.agreement(a, b).is_some(), "{a}-{b}");
+            rows += 1;
+        }
+    }
+    assert_eq!(rows, 21);
     assert!(!report.merged.is_empty());
 
     // The paper's headline, visible straight from the report: the
@@ -320,13 +327,13 @@ fn resolver_merge_extends_single_technique_coverage() {
         .resolve(&internet);
     // Merged (multi-protocol) coverage is at least any single technique's.
     let best = report
-        .coverage
-        .per_technique
+        .techniques
         .iter()
-        .map(|t| t.covered_addresses)
+        .map(|t| t.covered_addresses())
         .max()
         .unwrap();
-    assert!(report.coverage.merged_addresses >= best);
+    let merged: usize = report.merged.iter().map(|set| set.addrs.len()).sum();
+    assert!(merged >= best);
     // Labels survive the merge: some set is corroborated by 2+ protocols.
     assert!(report.merged.iter().any(|m| m.labels.len() >= 2));
 }
@@ -341,18 +348,18 @@ fn parallel_execution_reproduces_the_serial_pipeline_end_to_end() {
         let internet = InternetBuilder::new(InternetConfig::tiny(seed)).build();
         let serial = ActiveCampaign::new(CampaignConfig {
             hitlist_coverage: internet.config().visibility.hitlist_coverage,
+            threads: 1,
             ..Default::default()
         })
-        .with_threads(1)
         .run(&internet);
         let labeled = labeled_ipv4(&serial);
         let merged_serial = merge_labeled_compact(&merge_inputs(&labeled), serial.interner());
         for threads in [2usize, 7] {
             let sharded = ActiveCampaign::new(CampaignConfig {
                 hitlist_coverage: internet.config().visibility.hitlist_coverage,
+                threads,
                 ..Default::default()
             })
-            .with_threads(threads)
             .run(&internet);
             assert_eq!(
                 sharded.store(),
