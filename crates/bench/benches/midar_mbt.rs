@@ -1,13 +1,14 @@
 //! IPID baseline micro-benchmarks: the monotonic bounds test and velocity
 //! estimation that MIDAR runs for every candidate pair, MIDAR's discovery
-//! window with the step bound evaluated and read from a table, one pair
+//! window with the step bound evaluated, read from a table, and read by
+//! the two-gap kernel over the series' columns, one pair
 //! probe and one round-robin sweep through a held probe session, and the
 //! agreement projection every pair of techniques goes through.
 
 use alias_core::validation::cross_validate;
 use alias_intern::{AddrId, CompactAliasSet};
 use alias_midar::ally::AllyTester;
-use alias_midar::mbt::{monotonic_bounds_test, MbtVerdict, StepBounds};
+use alias_midar::mbt::{monotonic_bounds_test, MbtVerdict, SeriesColumns, StepBounds};
 use alias_midar::velocity::estimate_velocity;
 use alias_netsim::{InternetBuilder, InternetConfig, ProbeContext, SimTime, VantageKind};
 use alias_scan::ipid_probe::{IpidProber, IpidSample, ResolvedTarget, RoundRobin};
@@ -80,29 +81,34 @@ fn round_robin_series(targets: u64) -> Vec<Vec<IpidSample>> {
 }
 
 /// MIDAR's discovery window (each series against the next 23) over 4,000
-/// round-robin series: the step bound evaluated in f64 at every step, and
-/// read from MIDAR's table.
+/// round-robin series: the step bound evaluated in f64 at every step, read
+/// from MIDAR's table, and the two-gap kernel over the series' columns
+/// (every series here is regular, so the kernel serves every pair).
 fn bench_discovery_window(c: &mut Criterion) {
     const WINDOW: usize = 24;
     let series = round_robin_series(4_000);
-    let window = |test: &dyn Fn(&[IpidSample], &[IpidSample]) -> MbtVerdict| {
+    let window = |test: &dyn Fn(usize, usize) -> MbtVerdict| {
         let mut consistent = 0u32;
         for i in 0..series.len() {
             for j in i + 1..(i + WINDOW).min(series.len()) {
-                consistent += u32::from(test(&series[i], &series[j]) == MbtVerdict::Consistent);
+                consistent += u32::from(test(i, j) == MbtVerdict::Consistent);
             }
         }
         consistent
     };
     let bounds = StepBounds::new(1_500.0);
-    let f64_step = |a: &[IpidSample], b: &[IpidSample]| monotonic_bounds_test(&[a, b], 1_500.0);
-    let table = |a: &[IpidSample], b: &[IpidSample]| bounds.pair_test(a, b);
+    let f64_step = |i: usize, j: usize| monotonic_bounds_test(&[&series[i], &series[j]], 1_500.0);
+    let table = |i: usize, j: usize| bounds.pair_test(&series[i], &series[j]);
+    let columns = SeriesColumns::<12>::new(series.iter().map(Vec::as_slice).enumerate(), &bounds);
+    let kernel = |i: usize, j: usize| columns.pair_test(i, j);
     assert_eq!(window(&f64_step), window(&table));
+    assert_eq!(window(&table), window(&kernel));
     let mut group = c.benchmark_group("discovery_window_4k");
     group.bench_function("f64_step", |bench| {
         bench.iter(|| window(black_box(&f64_step)))
     });
     group.bench_function("table", |bench| bench.iter(|| window(black_box(&table))));
+    group.bench_function("kernel", |bench| bench.iter(|| window(black_box(&kernel))));
     group.finish();
 }
 

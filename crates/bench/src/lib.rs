@@ -253,7 +253,7 @@ impl Experiment {
         let technique = self.resolution.technique(protocol.name());
         technique
             .and_then(TechniqueResult::groups)
-            .expect("every protocol's technique keeps its pass")
+            .expect("`Experiment::run` builds every protocol's technique from its keyed pass (`TechniqueResult::from_groups`), which keeps it")
     }
 
     /// Alias sets of one protocol over one data source (`None` = union),
@@ -965,9 +965,9 @@ pub struct RateLimitStudy {
     /// The agreement of each technique registered before `ratelimit` with
     /// it, in registration order.
     agreements: Vec<(String, ValidationResult)>,
-    /// Every technique's alias sets scored against the true aliasing
-    /// relation, in registration order, then the merged sets (`"merged"`).
-    pub(crate) truth: Vec<(String, PairwiseScore)>,
+    /// The study's Internet, kept for [`truth`](Self::truth): scoring reads
+    /// its IP index and is done only when asked.
+    internet: Internet,
 }
 
 impl RateLimitStudy {
@@ -984,9 +984,10 @@ impl RateLimitStudy {
     }
 
     /// Build the silent-router Internet, run the campaign with the
-    /// rate-probing phase, resolve with all eight techniques, and score
-    /// the result against ground truth.  `threads` shards the campaign's
-    /// scan phases and nothing else; it never changes an output byte.
+    /// rate-probing phase and resolve with all eight techniques; the
+    /// result is scored against ground truth only when the truth block is
+    /// rendered.  `threads` shards the campaign's scan phases and nothing
+    /// else; it never changes an output byte.
     pub fn run(preset: ScalePreset, seed: u64, threads: usize) -> Self {
         let mut config = InternetConfig::preset(preset, seed);
         config.devices.silent_routers = Self::silent_routers(preset);
@@ -1045,28 +1046,30 @@ impl RateLimitStudy {
             .iter()
             .filter(|m| m.labels.len() == 1 && m.labels.contains("ratelimit"))
             .count();
-        // Who is wrong: each technique's sets and the merged sets against
-        // the device every address really sits on.
-        let ground_truth = internet.ground_truth();
-        let mut truth: Vec<(String, PairwiseScore)> = Vec::new();
-        for technique in &report.techniques {
-            let addrs = technique.interner().addrs();
-            let sets = technique.compact_sets().iter();
-            let score = ground_truth
-                .score_sets(sets.map(|set| set.ids().iter().map(|id| &addrs[id.index()])));
-            truth.push((technique.technique.clone(), score));
-        }
-        let merged = ground_truth.score_sets(report.merged.iter().map(|set| set.addrs.iter()));
-        truth.push(("merged".to_owned(), merged));
         RateLimitStudy {
             report,
-            truth,
             silent_total,
             silent_resolvable,
             silent_aliased,
             ratelimit_only_sets,
             agreements,
+            internet,
         }
+    }
+
+    /// Who is wrong: every technique's alias sets, in registration order,
+    /// then the merged sets (`"merged"`), each scored against the device
+    /// every address really sits on.
+    pub(crate) fn truth(&self) -> Vec<(String, PairwiseScore)> {
+        let ground_truth = self.internet.ground_truth();
+        let techniques = self.report.techniques.iter().map(|technique| {
+            let addrs = technique.interner().addrs();
+            let sets = (technique.compact_sets().iter())
+                .map(|set| set.ids().iter().map(|id| &addrs[id.index()]));
+            (technique.technique.clone(), ground_truth.score_sets(sets))
+        });
+        let merged = ground_truth.score_sets(self.report.merged.iter().map(|set| set.addrs.iter()));
+        techniques.chain([("merged".to_owned(), merged)]).collect()
     }
 
     /// Render the study: per-technique coverage, the agreement rows
@@ -1128,9 +1131,9 @@ impl RateLimitStudy {
             "Precision",
             "Recall",
         ]);
-        for (technique, score) in &self.truth {
+        for (technique, score) in self.truth() {
             table.row([
-                technique.clone(),
+                technique,
                 score.inferred_pairs.to_string(),
                 score.true_positive_pairs.to_string(),
                 format!("{:.3}", score.precision()),
@@ -1279,11 +1282,12 @@ mod tests {
         assert!(doc.starts_with(&render_document(&exp, ScalePreset::Tiny)));
         // The truth block: the eight techniques as registered, merged last,
         // scored alike at every thread count, printed after the study.
-        let scored: Vec<&str> = study.truth.iter().map(|(name, _)| name.as_str()).collect();
+        let truth = study.truth();
+        let scored: Vec<&str> = truth.iter().map(|(name, _)| name.as_str()).collect();
         let registered = study.report.techniques.iter().map(|t| t.technique.as_str());
         assert_eq!(scored, registered.chain(["merged"]).collect::<Vec<_>>());
-        assert_eq!(serial.truth, study.truth);
-        let (_, merged) = &study.truth[8];
+        assert_eq!(serial.truth(), truth);
+        let (_, merged) = &truth[8];
         assert!(merged.inferred_pairs >= merged.true_positive_pairs);
         assert!(merged.true_positive_pairs > 0);
         assert!(doc.ends_with(&format!("```text\n{}```\n\n", study.render_truth())));
@@ -1346,7 +1350,8 @@ mod tests {
                 truth,
                 "seed {seed}: render_truth()"
             );
-            assert_eq!(study.truth.len(), 9, "eight techniques and the merge");
+            let truth = study.truth();
+            assert_eq!(truth.len(), 9, "eight techniques and the merge");
             let space = study.report.techniques[0].interner();
             for technique in &study.report.techniques {
                 let name = &technique.technique;
@@ -1355,7 +1360,7 @@ mod tests {
                     "seed {seed}: {name} in its own id space"
                 );
             }
-            for (technique, score) in &study.truth {
+            for (technique, score) in &truth {
                 let floor = match technique.as_str() {
                     "ssh" => 0.98,
                     "merged" => 0.997,
@@ -1367,7 +1372,7 @@ mod tests {
                     score.precision()
                 );
             }
-            let (name, merged) = &study.truth[8];
+            let (name, merged) = &truth[8];
             assert_eq!(name, "merged");
             assert!(
                 merged.recall() >= merged_recall - 0.000_05,

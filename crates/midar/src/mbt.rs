@@ -154,13 +154,22 @@ impl StepBounds {
             // exceeds.
             return gap > 0;
         }
-        match usize::try_from(gap)
-            .ok()
-            .and_then(|gap| self.floors.get(gap))
-        {
-            Some(&floor) => delta > floor,
-            None if self.saturated => false,
+        match self.floor_at(gap) {
+            Some(floor) => delta > floor,
             None => step_is_impossible(prev, next, self.max_velocity),
+        }
+    }
+
+    /// The floor of the bound after `gap` ms, read as `u16::MAX` past a
+    /// saturated table (no step exceeds it); `None` past a table that does
+    /// not saturate, where only the f64 rule answers.  Inside the table the
+    /// bound is below 65,535, so a floor of `u16::MAX` means saturated.
+    #[inline]
+    fn floor_at(&self, gap: u64) -> Option<u16> {
+        if gap < self.floors.len() as u64 {
+            Some(self.floors[gap as usize])
+        } else {
+            self.saturated.then_some(u16::MAX)
         }
     }
 
@@ -169,6 +178,205 @@ impl StepBounds {
     pub fn pair_test(&self, a: &[IpidSample], b: &[IpidSample]) -> MbtVerdict {
         CheckedSeries::new(a).pair_test(CheckedSeries::new(b), self)
     }
+}
+
+/// Marks a series [`SeriesColumns`] cannot hold in the kernel's columns.
+const IRREGULAR: u64 = u64::MAX;
+
+/// A regular series as the kernel reads it: its first sample's time
+/// (`IRREGULAR` for a series held otherwise) and its IPIDs in round order.
+#[derive(Debug, Clone, Copy)]
+struct RegularSeries<const N: usize> {
+    start: u64,
+    ipids: [u16; N],
+}
+
+/// One round robin's series in columns, for a sweep that tests many pairs
+/// of them (MIDAR's discovery window): 32 bytes a series at `N` = 12.
+///
+/// A round robin probes every target once a round, each at its round's
+/// start plus its position, and a device answers every round or none.  So
+/// a series of a responsive target is *regular*: `N` samples at
+/// `t0 + r·P`, with one period `P` for the whole sweep.  Two regular
+/// series with `t0_a < t0_b` and `g = t0_b − t0_a < P` merge as
+/// `a₀ b₀ a₁ b₁ …`, and the merge's steps take only two gaps: `g` for the
+/// `N` steps inside a round and `P − g` for the `N − 1` that cross rounds.
+/// The pair is consistent iff every within-round step (mod 2¹⁶) lies in
+/// `[1, floor(g)]` and every cross-round step in `[1, floor(P − g)]`: two
+/// reads of the [`StepBounds`] table and fixed-length lanes with no early
+/// exit (`kernel_test`).
+///
+/// Every other pair takes the streaming `CheckedSeries::pair_test`, the
+/// definition: a pair with an irregular series (fewer samples, uneven
+/// spacing, another period), with equal starts, with `g ≥ P`, or with a
+/// gap past a table that does not saturate.
+#[derive(Debug)]
+pub struct SeriesColumns<'a, const N: usize> {
+    bounds: &'a StepBounds,
+    /// The period of the first regular series given; a series with
+    /// another one is held as irregular.
+    period: u64,
+    /// Per series, by position.
+    regular: Vec<RegularSeries<N>>,
+    /// The irregular series, by position, in position order.
+    irregular: Vec<(usize, CheckedSeries<'a>)>,
+}
+
+impl<'a, const N: usize> SeriesColumns<'a, N> {
+    /// The columns of `series`, tested against `bounds`: (position,
+    /// samples) pairs, each position below `series.len()` given once.
+    /// Each series' regularity is checked once, from its own samples, in
+    /// the order given, so a caller can read the samples front to back
+    /// whatever order their positions take.
+    pub fn new<I>(series: I, bounds: &'a StepBounds) -> Self
+    where
+        I: IntoIterator<Item = (usize, &'a [IpidSample])>,
+        I::IntoIter: ExactSizeIterator,
+    {
+        const { assert!(N >= 2, "a pair test needs two samples a series") };
+        let series = series.into_iter();
+        let mut columns = SeriesColumns {
+            bounds,
+            period: 0,
+            regular: vec![
+                RegularSeries {
+                    start: IRREGULAR,
+                    ipids: [0; N],
+                };
+                series.len()
+            ],
+            irregular: Vec::new(),
+        };
+        for (position, samples) in series {
+            let period = regular_period::<N>(samples);
+            if columns.period == 0 {
+                columns.period = period.unwrap_or(0);
+            }
+            if period.is_some_and(|period| period == columns.period) {
+                columns.regular[position] = RegularSeries {
+                    start: samples[0].time.as_millis(),
+                    ipids: std::array::from_fn(|r| samples[r].ipid),
+                };
+            } else {
+                (columns.irregular).push((position, CheckedSeries::new(samples)));
+            }
+        }
+        (columns.irregular).sort_unstable_by_key(|&(position, _)| position);
+        columns
+    }
+
+    /// Series held.
+    pub(crate) fn len(&self) -> usize {
+        self.regular.len()
+    }
+
+    /// The verdict of `CheckedSeries::pair_test` of series `i` (as `a`) and
+    /// `j`: the two-gap kernel where the pair allows it, else the
+    /// streaming test.
+    #[inline]
+    pub fn pair_test(&self, i: usize, j: usize) -> MbtVerdict {
+        match self.kernel_test(i, j) {
+            Some(verdict) => verdict,
+            None => self.streaming_test(i, j),
+        }
+    }
+
+    /// The two-gap kernel's verdict of series `i` and `j`, or `None` where
+    /// the pair is not two regular series the kernel serves.
+    #[inline]
+    pub(crate) fn kernel_test(&self, i: usize, j: usize) -> Option<MbtVerdict> {
+        let (series_i, series_j) = (&self.regular[i], &self.regular[j]);
+        let (start_i, start_j) = (series_i.start, series_j.start);
+        if start_i == IRREGULAR || start_j == IRREGULAR {
+            return None;
+        }
+        // Two distinct starts less than a period apart.
+        let gap = start_i.abs_diff(start_j);
+        if gap.wrapping_sub(1) >= self.period.wrapping_sub(1) {
+            return None;
+        }
+        let floors = (
+            self.bounds.floor_at(gap),
+            self.bounds.floor_at(self.period - gap),
+        );
+        let (Some(within), Some(across)) = floors else {
+            return None;
+        };
+        // The lead picked by index, not by a branch on the start order.
+        let pair = [&series_i.ipids, &series_j.ipids];
+        let trail_first = usize::from(start_j < start_i);
+        let (a, b) = (pair[trail_first], pair[1 - trail_first]);
+        // A step lies in [1, floor] iff one less, mod 2^16, is below the
+        // floor (a zero step wraps to 65,535, which no floor exceeds).  The
+        // lanes are or-ed, so none of them exits early.
+        let past = |prev: u16, next: u16, floor: u16| {
+            u16::from(next.wrapping_sub(prev).wrapping_sub(1) >= floor)
+        };
+        let mut past_bounds = 0;
+        for r in 0..N {
+            past_bounds |= past(a[r], b[r], within);
+        }
+        for r in 0..N - 1 {
+            past_bounds |= past(b[r], a[r + 1], across);
+        }
+        Some(match past_bounds {
+            0 => MbtVerdict::Consistent,
+            _ => MbtVerdict::Inconsistent,
+        })
+    }
+
+    /// [`CheckedSeries::pair_test`] of series `i` and `j`: an irregular
+    /// series as checked when the columns were built, a regular one rebuilt
+    /// from its start, the period and its IPIDs (time-ordered by
+    /// construction).
+    fn streaming_test(&self, i: usize, j: usize) -> MbtVerdict {
+        let (mut rebuilt_i, mut rebuilt_j) =
+            ([IpidSample::default(); N], [IpidSample::default(); N]);
+        let a = self.checked(i, &mut rebuilt_i);
+        let b = self.checked(j, &mut rebuilt_j);
+        a.pair_test(b, self.bounds)
+    }
+
+    /// Series `position` as a `CheckedSeries`, rebuilt into `buffer` if it
+    /// is regular.
+    fn checked<'s>(
+        &'s self,
+        position: usize,
+        buffer: &'s mut [IpidSample; N],
+    ) -> CheckedSeries<'s> {
+        let RegularSeries { start, ipids } = self.regular[position];
+        if start == IRREGULAR {
+            let found = self.irregular.binary_search_by_key(&position, |&(p, _)| p);
+            // `new` is given every position once and lists, sorted, each
+            // one it leaves `IRREGULAR`.
+            return self.irregular[found.expect("an irregular position is listed")].1;
+        }
+        for (r, (slot, &ipid)) in buffer.iter_mut().zip(&ipids).enumerate() {
+            *slot = IpidSample {
+                time: SimTime(start + r as u64 * self.period),
+                ipid,
+            };
+        }
+        CheckedSeries {
+            samples: buffer,
+            time_ordered: true,
+        }
+    }
+}
+
+/// The period of `samples` if they are `N` samples at `t0 + r·P` for some
+/// `P > 0`.
+fn regular_period<const N: usize>(samples: &[IpidSample]) -> Option<u64> {
+    if samples.len() != N {
+        return None;
+    }
+    let period = samples[1]
+        .time
+        .as_millis()
+        .checked_sub(samples[0].time.as_millis())?;
+    let even = (samples.windows(2))
+        .all(|w| w[1].time.as_millis().checked_sub(w[0].time.as_millis()) == Some(period));
+    (period > 0 && even).then_some(period)
 }
 
 /// [`streaming_pair_test`] walking `f[0], s[0], f[1], …` with step rule
@@ -514,7 +722,153 @@ mod tests {
         assert_eq!(verdict(&a, &b), MbtVerdict::Inconsistent);
     }
 
+    /// One merged step of a regular pair, relative to the floor of the
+    /// bound at its gap.
+    #[derive(Debug, Clone, Copy)]
+    enum Step {
+        /// 1 to 100: inside any bound.
+        Small(u16),
+        /// The floor, less 0 to 2: inside the bound, at its edge.
+        AtFloor(u16),
+        /// One to three past the floor: outside it, unless saturated.
+        PastFloor(u16),
+        /// No step: impossible at any positive gap.
+        Zero,
+        /// Anything, wraps included.
+        Any(u16),
+    }
+
+    /// Mostly steps inside the bound, so that about a quarter of the
+    /// pairs are consistent.
+    fn any_step() -> impl Strategy<Value = Step> {
+        (0u8..53, any::<u16>()).prop_map(|(kind, value)| match kind {
+            0..=39 => Step::Small(value % 100 + 1),
+            40..=49 => Step::AtFloor(value % 3),
+            50 => Step::PastFloor(value % 3),
+            51 => Step::Zero,
+            _ => Step::Any(value),
+        })
+    }
+
+    /// Two regular series of `rounds` samples, `period` apart: the lead's
+    /// starts at `start`, the trail's `gap` later, the counter read
+    /// alternately and moved by `steps` (within a round, then across).
+    fn regular_pair(
+        cap: f64,
+        start: u64,
+        period: u64,
+        gap: u64,
+        base: u16,
+        steps: &[Step],
+    ) -> (Vec<IpidSample>, Vec<IpidSample>) {
+        let floor = |gap: u64| step_bound(cap, SimTime(gap).as_secs_f64()).min(65_535.0) as u16;
+        let (mut lead, mut trail) = (Vec::new(), Vec::new());
+        let mut ipid = base;
+        for (k, step) in steps.iter().enumerate() {
+            let round = (k / 2) as u64;
+            let (time, floor) = match k % 2 {
+                0 => (start + round * period, floor(period.saturating_sub(gap))),
+                _ => (start + gap + round * period, floor(gap)),
+            };
+            if k > 0 {
+                ipid = ipid.wrapping_add(match *step {
+                    Step::Small(delta) | Step::Any(delta) => delta,
+                    Step::AtFloor(less) => floor.saturating_sub(less),
+                    Step::PastFloor(more) => floor.wrapping_add(1 + more),
+                    Step::Zero => 0,
+                });
+            }
+            let sample = IpidSample {
+                time: SimTime(time),
+                ipid,
+            };
+            match k % 2 {
+                0 => lead.push(sample),
+                _ => trail.push(sample),
+            }
+        }
+        (lead, trail)
+    }
+
     proptest! {
+        #[test]
+        fn the_two_gap_kernel_is_the_bounds_test_on_regular_pairs(
+            start in 0u64..1_000_000_000,
+            period in prop_oneof![2u64..200, 40_000u64..140_000],
+            // Per mille of the period, past 1,000 included.
+            per_mille in prop::collection::vec(0u64..=1_010, 8),
+            base in any::<u16>(),
+            steps in prop::collection::vec(any_step(), 24),
+            trail_first in any::<bool>(),
+        ) {
+            // Random gaps, equal starts, a period or more apart, and each
+            // side of where the tables of caps 1,500 and 1,000 saturate and
+            // where those of 40 and 100 end.
+            let edges = [43_647, 43_648, 65_470, 65_471, 65_535, 65_536];
+            let gaps = (per_mille.iter().map(|&m| period * m / 1_000))
+                .chain([0, 1, period - 1, period, period + 1])
+                .chain(edges.iter().flat_map(|&edge: &u64| [edge, period.saturating_sub(edge)]));
+            for gap in gaps {
+                for cap in [40.0, 100.0, 1_000.0, 1_500.0] {
+                    let (lead, trail) = regular_pair(cap, start, period, gap, base, &steps);
+                    let (a, b) = if trail_first { (trail, lead) } else { (lead, trail) };
+                    let bounds = StepBounds::new(cap);
+                    let columns = SeriesColumns::<12>::new([(0, a.as_slice()), (1, b.as_slice())], &bounds);
+                    prop_assert!(columns.irregular.is_empty());
+                    // The kernel serves two distinct starts less than a
+                    // period apart whose two gaps the table answers.
+                    let answered = |gap: u64| bounds.saturated || gap < bounds.floors.len() as u64;
+                    let served = gap > 0 && gap < period && answered(gap) && answered(period - gap);
+                    let reference = monotonic_bounds_test(&[&a, &b], cap);
+                    let kernel = columns.kernel_test(0, 1);
+                    prop_assert!(
+                        kernel.is_some() == served && kernel.is_none_or(|v| v == reference),
+                        "cap {cap} period {period} gap {gap}: kernel {kernel:?}, reference {reference:?}"
+                    );
+                    prop_assert_eq!(columns.pair_test(0, 1), reference);
+                }
+            }
+        }
+
+        #[test]
+        fn columns_of_any_series_give_the_bounds_test_verdict(
+            cap in prop_oneof![Just(100.0f64), Just(1_500.0)],
+            // Per series: its start and a shape — regular at the shared
+            // period, regular at another, a sample short, or one sample
+            // moved by a millisecond.
+            shapes in prop::collection::vec((0u64..40_000, 0u8..4, any::<u16>(), 0usize..12), 2..8),
+        ) {
+            const PERIOD: u64 = 50_000;
+            let series: Vec<Vec<IpidSample>> = shapes
+                .iter()
+                .map(|&(start, shape, base, at)| {
+                    let period = if shape == 1 { PERIOD + 1 } else { PERIOD };
+                    let mut samples: Vec<IpidSample> = (0..12u64)
+                        .map(|r| IpidSample {
+                            time: SimTime(start + r * period),
+                            ipid: base.wrapping_add((r * 700) as u16),
+                        })
+                        .collect();
+                    match shape {
+                        2 => {
+                            samples.remove(at);
+                        }
+                        3 => samples[at].time.0 += 1,
+                        _ => {}
+                    }
+                    samples
+                })
+                .collect();
+            let bounds = StepBounds::new(cap);
+            let columns = SeriesColumns::<12>::new(series.iter().map(Vec::as_slice).enumerate().rev(), &bounds);
+            for i in 0..series.len() {
+                for j in 0..series.len() {
+                    let reference = monotonic_bounds_test(&[&series[i], &series[j]], cap);
+                    prop_assert!(columns.pair_test(i, j) == reference, "{i} {j}: {shapes:?}");
+                }
+            }
+        }
+
         #[test]
         fn alternating_walk_agrees_with_collect_and_sort(
             base in any::<u16>(),

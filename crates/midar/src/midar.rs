@@ -24,11 +24,11 @@
 //! the simulated device answers a fragment-eliciting probe from the same
 //! device-wide counter as an IPv4 echo, so the one code path serves both.
 
-use crate::mbt::{CheckedSeries, MbtVerdict, StepBounds};
+use crate::mbt::{MbtVerdict, SeriesColumns, StepBounds};
 use crate::velocity::{estimate_velocity, VelocityEstimate};
 use alias_netsim::{Internet, ProbeContext, SimTime, VantageKind};
 use alias_obs::{DeterminismClass, LazyCounter};
-use alias_scan::ipid_probe::{IpidProber, ResolvedTarget, RoundRobin};
+use alias_scan::ipid_probe::{IpidProber, IpidSeries, ResolvedTarget, RoundRobin};
 
 /// Monotonic bounds tests run by the discovery and elimination stages:
 /// one per discovery-window pair and one per candidate elimination
@@ -70,6 +70,13 @@ const ESTIMATION_ROUNDS: usize = 12;
 /// Width of the discovery-stage sliding window over velocity-sorted
 /// targets.
 const DISCOVERY_WINDOW: usize = 24;
+
+/// The estimation stage's round robin.
+const ESTIMATION: RoundRobin = RoundRobin {
+    rounds: ESTIMATION_ROUNDS,
+    round_spacing: ROUND_SPACING,
+    rate_pps: PROBE_RATE_PPS,
+};
 
 /// Probes per address in the elimination stage.
 const ELIMINATION_PROBES: usize = 6;
@@ -114,54 +121,33 @@ pub fn midar_resolve(
 
     // Stage 1: estimation.
     let stage = alias_obs::span("estimation");
-    let estimation = RoundRobin {
-        rounds: ESTIMATION_ROUNDS,
-        round_spacing: ROUND_SPACING,
-        rate_pps: PROBE_RATE_PPS,
-    };
-    let series = estimation.collect(&mut session, targets, vantage, start);
+    let series = ESTIMATION.collect(&mut session, targets, vantage, start);
     let mut finished_at = series
         .iter()
         .flat_map(|s| s.last().map(|x| x.time))
         .max()
         .unwrap_or(start);
-
-    // (velocity, target index) of every target worth testing.
-    let mut usable: Vec<(f64, usize)> = Vec::new();
-    for (target, samples) in series.iter().enumerate() {
-        match estimate_velocity(samples, MAX_VELOCITY) {
-            VelocityEstimate::Monotonic { velocity } if velocity <= MAX_VELOCITY => {
-                usable.push((velocity, target));
-            }
-            _ => {}
-        }
-    }
+    let usable = usable_targets(&series);
     let testable: Vec<usize> = usable.iter().map(|&(_, target)| target).collect();
     drop(stage);
 
     // Stage 2: discovery over a velocity-sorted sliding window.  From
-    // here on a target is its position in `usable`; each one's series
-    // has its time order checked once, not once per test.  The span has a
-    // child for each half: `sort` (the velocity sort and those checks) and
-    // `window` (the pairwise walk).
+    // here on a target is its position in `by_velocity`.  The span has a
+    // child for each half: `sort` (the velocity sort and the series'
+    // columns, each series' shape checked once) and `window` (the pairwise
+    // tests).
     let stage = alias_obs::span("discovery");
     let step = alias_obs::span("sort");
-    usable.sort_by(|a, b| a.0.total_cmp(&b.0));
-    let checked: Vec<CheckedSeries<'_>> = usable
-        .iter()
-        .map(|&(_, target)| CheckedSeries::new(series.samples(target)))
-        .collect();
+    let by_velocity = velocity_order(usable);
+    let columns = discovery_columns(&series, &by_velocity, &testable, targets.len(), &bounds);
     drop(step);
     let step = alias_obs::span("window");
     let mut discovery_tests = 0u64;
     let mut candidates: Vec<(usize, usize)> = Vec::new();
-    for i in 0..checked.len() {
-        let window_end = (i + DISCOVERY_WINDOW).min(checked.len());
-        for j in i + 1..window_end {
-            discovery_tests += 1;
-            if checked[i].pair_test(checked[j], &bounds) == MbtVerdict::Consistent {
-                candidates.push((i, j));
-            }
+    for (i, j) in window_pairs(columns.len()) {
+        discovery_tests += 1;
+        if columns.pair_test(i, j) == MbtVerdict::Consistent {
+            candidates.push((i, j));
         }
     }
     drop(step);
@@ -179,7 +165,7 @@ pub fn midar_resolve(
         Vec::with_capacity(ELIMINATION_PROBES),
         Vec::with_capacity(ELIMINATION_PROBES),
     ];
-    let mut union = alias_core::union_find::UnionFind::new(usable.len());
+    let mut union = alias_core::union_find::UnionFind::new(by_velocity.len());
     let mut now = finished_at;
     let mut elimination_tests = 0u64;
     for &(i, j) in &candidates {
@@ -190,7 +176,7 @@ pub fn midar_resolve(
         elimination_tests += 1;
         pair_prober.collect_interleaved_pair(
             &mut session,
-            [targets[usable[i].1], targets[usable[j].1]],
+            [targets[by_velocity[i]], targets[by_velocity[j]]],
             ELIMINATION_PROBES,
             ProbeContext { vantage, time: now },
             &mut samples,
@@ -213,7 +199,7 @@ pub fn midar_resolve(
     let mut alias_sets = union.groups();
     for set in &mut alias_sets {
         set.iter_mut()
-            .for_each(|member| *member = usable[*member].1);
+            .for_each(|member| *member = by_velocity[*member]);
         set.sort_unstable();
     }
 
@@ -228,9 +214,63 @@ pub fn midar_resolve(
     }
 }
 
+/// (velocity, target index) of every target whose counter estimation
+/// finds monotonic and at most `MAX_VELOCITY`, in target order.  A
+/// velocity is forward steps over a positive time, so never negative.
+fn usable_targets(series: &IpidSeries) -> Vec<(f64, usize)> {
+    let usable = |velocity: f64| (0.0..=MAX_VELOCITY).contains(&velocity);
+    (series.iter().enumerate())
+        .filter_map(
+            |(target, samples)| match estimate_velocity(samples, MAX_VELOCITY) {
+                VelocityEstimate::Monotonic { velocity } if usable(velocity) => {
+                    Some((velocity, target))
+                }
+                _ => None,
+            },
+        )
+        .collect()
+}
+
+/// The target at each position of the discovery window: `usable` in
+/// velocity order, ties in target order.  Non-negative velocities order
+/// as their bits do, so (bits, target) pairs sort as integers, in
+/// `usable`'s own buffer.
+fn velocity_order(usable: Vec<(f64, usize)>) -> Vec<usize> {
+    let mut keys: Vec<(u64, usize)> = (usable.into_iter())
+        .map(|(velocity, target)| (velocity.to_bits(), target))
+        .collect();
+    keys.sort_unstable();
+    keys.into_iter().map(|(_, target)| target).collect()
+}
+
+/// The discovery window's columns: the series of the target at each
+/// position of `by_velocity`, read in target order (`testable`,
+/// ascending) and written to its position, out of `targets` targets.
+fn discovery_columns<'a>(
+    series: &'a IpidSeries,
+    by_velocity: &[usize],
+    testable: &[usize],
+    targets: usize,
+    bounds: &'a StepBounds,
+) -> SeriesColumns<'a, ESTIMATION_ROUNDS> {
+    let mut position = vec![0; targets];
+    for (at, &target) in by_velocity.iter().enumerate() {
+        position[target] = at;
+    }
+    let series = (testable.iter()).map(|&target| (position[target], series.samples(target)));
+    SeriesColumns::new(series, bounds)
+}
+
+/// The discovery window's pairs over `n` velocity-sorted targets: each
+/// one with the next `DISCOVERY_WINDOW − 1`.
+fn window_pairs(n: usize) -> impl Iterator<Item = (usize, usize)> {
+    (0..n).flat_map(move |i| (i + 1..(i + DISCOVERY_WINDOW).min(n)).map(move |j| (i, j)))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mbt::CheckedSeries;
     use alias_netsim::{DeviceRef, InternetBuilder, InternetConfig};
     use std::net::IpAddr;
 
@@ -308,6 +348,77 @@ mod tests {
             "expected at least one alias set from {} testable addrs",
             outcome.testable.len()
         );
+    }
+
+    /// Every discovery-window pair of the paper-scale silent-router
+    /// study's MIDAR run (seed 20230418; MIDAR is the study's first probing
+    /// technique, so its input is the campaign's) gets the two-gap kernel's
+    /// verdict and the streaming test's, and they agree
+    /// (`cargo test --release -p alias-midar -- --ignored discovery_kernel`,
+    /// a CI step).
+    #[test]
+    #[ignore = "paper scale: the study's campaign and MIDAR's estimation, seconds in release"]
+    fn discovery_kernel_serves_every_window_pair_of_the_paper_study() {
+        use alias_netsim::ScalePreset;
+        use alias_scan::{ActiveCampaign, CampaignConfig, RateProbeConfig};
+        const SEED: u64 = 20230418;
+        let mut config = InternetConfig::preset(ScalePreset::PaperShape, SEED);
+        // The study's silent routers at paper scale.
+        config.devices.silent_routers = 300;
+        let hitlist_coverage = config.visibility.hitlist_coverage;
+        let mut internet = InternetBuilder::new(config).build();
+        let start = SimTime::from_days(21);
+        internet.apply_churn(SimTime::ZERO, start);
+        let data = ActiveCampaign::new(CampaignConfig {
+            vantage: VantageKind::SingleVp,
+            start,
+            hitlist_coverage,
+            seed: SEED,
+            threads: 1,
+            rate_probe: Some(RateProbeConfig),
+        })
+        .run(&internet);
+        // The campaign's IPv4 addresses in address order, as the study's
+        // MIDAR takes them.
+        let mut addrs: Vec<IpAddr> = (data.interner().addrs().iter())
+            .filter(|addr| addr.is_ipv4())
+            .copied()
+            .collect();
+        addrs.sort_unstable();
+        let targets: Vec<ResolvedTarget> = addrs.iter().map(|&a| internet.lookup(a)).collect();
+        let series = ESTIMATION.collect(
+            &mut internet.probe_session(),
+            &targets,
+            VantageKind::SingleVp,
+            data.finished_at,
+        );
+        let usable = usable_targets(&series);
+        let testable: Vec<usize> = usable.iter().map(|&(_, target)| target).collect();
+        let by_velocity = velocity_order(usable.clone());
+        // The window's order is the stable velocity sort's.
+        let mut sorted = usable.clone();
+        sorted.sort_by(|a, b| a.0.total_cmp(&b.0));
+        assert!((sorted.iter().map(|&(_, target)| target)).eq(by_velocity.iter().copied()));
+        let bounds = StepBounds::new(MAX_VELOCITY);
+        let columns = discovery_columns(&series, &by_velocity, &testable, targets.len(), &bounds);
+        let samples = |position: usize| series.samples(by_velocity[position]);
+        let (mut pairs, mut served, mut consistent) = (0u64, 0u64, 0u64);
+        for (i, j) in window_pairs(columns.len()) {
+            let reference =
+                CheckedSeries::new(samples(i)).pair_test(CheckedSeries::new(samples(j)), &bounds);
+            pairs += 1;
+            consistent += u64::from(reference == MbtVerdict::Consistent);
+            if let Some(verdict) = columns.kernel_test(i, j) {
+                served += 1;
+                assert_eq!(verdict, reference, "pair ({i}, {j})");
+            }
+            assert_eq!(columns.pair_test(i, j), reference, "pair ({i}, {j})");
+        }
+        assert_eq!(usable.len(), 47_322);
+        assert_eq!(pairs, 1_088_130);
+        assert_eq!(served, pairs, "the kernel serves every window pair");
+        // The study's `resolve.midar_candidates`.
+        assert_eq!(consistent, 290_637);
     }
 
     #[test]

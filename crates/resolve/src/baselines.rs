@@ -115,19 +115,28 @@ impl<'a> ProbeTargets<'a> {
     fn family(&self, ipv6: bool) -> FamilyTargets {
         let _span = alias_obs::span("targets");
         let interner = self.data.interner();
-        let mut sorted: Vec<(u128, AddrId)> = (interner.addrs().iter())
-            .enumerate()
-            .filter(|(_, addr)| addr.is_ipv6() == ipv6)
-            .map(|(id, addr)| {
-                let bits = match *addr {
-                    IpAddr::V4(v4) => u128::from(u32::from(v4)),
-                    IpAddr::V6(v6) => u128::from(v6),
-                };
-                (bits, AddrId(id as u32))
-            })
-            .collect();
-        sorted.sort_unstable();
-        let ids: Vec<AddrId> = sorted.into_iter().map(|(_, id)| id).collect();
+        let addrs = interner.addrs().iter().zip(0u32..);
+        let ids: Vec<AddrId> = if ipv6 {
+            let mut sorted: Vec<(u128, u32)> = addrs
+                .filter_map(|(addr, id)| match *addr {
+                    IpAddr::V6(v6) => Some((u128::from(v6), id)),
+                    IpAddr::V4(_) => None,
+                })
+                .collect();
+            sorted.sort_unstable();
+            sorted.into_iter().map(|(_, id)| AddrId(id)).collect()
+        } else {
+            // An IPv4 address and its id pack into one `u64` key, which
+            // sorts in address order.
+            let mut sorted: Vec<u64> = addrs
+                .filter_map(|(addr, id)| match *addr {
+                    IpAddr::V4(v4) => Some(u64::from(u32::from(v4)) << 32 | u64::from(id)),
+                    IpAddr::V6(_) => None,
+                })
+                .collect();
+            sorted.sort_unstable();
+            sorted.into_iter().map(|key| AddrId(key as u32)).collect()
+        };
         FamilyTargets {
             resolved: (ids.iter())
                 .map(|&id| self.internet.lookup(interner.addr(id)))
