@@ -99,8 +99,10 @@ fn bench_discovery_window(c: &mut Criterion) {
     let bounds = StepBounds::new(1_500.0);
     let f64_step = |i: usize, j: usize| monotonic_bounds_test(&[&series[i], &series[j]], 1_500.0);
     let table = |i: usize, j: usize| bounds.pair_test(&series[i], &series[j]);
-    let columns = SeriesColumns::<12>::new(series.iter().map(Vec::as_slice).enumerate(), &bounds);
-    let kernel = |i: usize, j: usize| columns.pair_test(i, j);
+    let columns = SeriesColumns::new(series.iter().map(Vec::as_slice), &bounds);
+    let kernel = |i: usize, j: usize| {
+        (columns.kernel_test(i, j)).unwrap_or_else(|| bounds.pair_test(&series[i], &series[j]))
+    };
     assert_eq!(window(&f64_step), window(&table));
     assert_eq!(window(&table), window(&kernel));
     let mut group = c.benchmark_group("discovery_window_4k");

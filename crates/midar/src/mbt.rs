@@ -5,6 +5,7 @@
 //! increasing sequence (modulo 16-bit wrap-around).  The test tolerates a
 //! bounded number of wraps, inferred from the counter velocity.
 
+use crate::midar::ESTIMATION_ROUNDS;
 use alias_netsim::SimTime;
 use alias_scan::ipid_probe::IpidSample;
 
@@ -180,112 +181,87 @@ impl StepBounds {
     }
 }
 
-/// Marks a series [`SeriesColumns`] cannot hold in the kernel's columns.
+/// Marks a series the kernel does not serve: not regular at the columns'
+/// period.
 const IRREGULAR: u64 = u64::MAX;
 
-/// A regular series as the kernel reads it: its first sample's time
-/// (`IRREGULAR` for a series held otherwise) and its IPIDs in round order.
+/// A series as the kernel reads it: its first sample's time (`IRREGULAR`
+/// for a series it does not serve) and its IPIDs in round order.
 #[derive(Debug, Clone, Copy)]
-struct RegularSeries<const N: usize> {
+struct RegularSeries {
     start: u64,
-    ipids: [u16; N],
+    ipids: [u16; ESTIMATION_ROUNDS],
 }
 
-/// One round robin's series in columns, for a sweep that tests many pairs
-/// of them (MIDAR's discovery window): 32 bytes a series at `N` = 12.
+/// MIDAR's estimation series in columns, for a sweep that tests many pairs
+/// of them (the discovery window): 32 bytes a series.
 ///
 /// A round robin probes every target once a round, each at its round's
 /// start plus its position, and a device answers every round or none.  So
-/// a series of a responsive target is *regular*: `N` samples at
-/// `t0 + r·P`, with one period `P` for the whole sweep.  Two regular
-/// series with `t0_a < t0_b` and `g = t0_b − t0_a < P` merge as
+/// a series of a responsive target is *regular*: `ESTIMATION_ROUNDS`
+/// samples at `t0 + r·P`, with one period `P` for the whole sweep.  Two
+/// regular series with `t0_a < t0_b` and `g = t0_b − t0_a < P` merge as
 /// `a₀ b₀ a₁ b₁ …`, and the merge's steps take only two gaps: `g` for the
-/// `N` steps inside a round and `P − g` for the `N − 1` that cross rounds.
-/// The pair is consistent iff every within-round step (mod 2¹⁶) lies in
+/// steps inside a round and `P − g` for those that cross rounds.  The pair
+/// is consistent iff every within-round step (mod 2¹⁶) lies in
 /// `[1, floor(g)]` and every cross-round step in `[1, floor(P − g)]`: two
 /// reads of the [`StepBounds`] table and fixed-length lanes with no early
-/// exit (`kernel_test`).
+/// exit ([`SeriesColumns::kernel_test`]).
 ///
-/// Every other pair takes the streaming `CheckedSeries::pair_test`, the
-/// definition: a pair with an irregular series (fewer samples, uneven
-/// spacing, another period), with equal starts, with `g ≥ P`, or with a
-/// gap past a table that does not saturate.
+/// The kernel serves no other pair, and the caller runs
+/// [`StepBounds::pair_test`], the definition, on the samples: a pair with
+/// an irregular series (fewer samples, uneven spacing, another period),
+/// with equal starts, with `g ≥ P`, or with a gap past a table that does
+/// not saturate.
 #[derive(Debug)]
-pub struct SeriesColumns<'a, const N: usize> {
+pub struct SeriesColumns<'a> {
     bounds: &'a StepBounds,
     /// The period of the first regular series given; a series with
-    /// another one is held as irregular.
+    /// another one is irregular.
     period: u64,
-    /// Per series, by position.
-    regular: Vec<RegularSeries<N>>,
-    /// The irregular series, by position, in position order.
-    irregular: Vec<(usize, CheckedSeries<'a>)>,
+    /// Per series, in the order given.
+    series: Vec<RegularSeries>,
 }
 
-impl<'a, const N: usize> SeriesColumns<'a, N> {
-    /// The columns of `series`, tested against `bounds`: (position,
-    /// samples) pairs, each position below `series.len()` given once.
-    /// Each series' regularity is checked once, from its own samples, in
-    /// the order given, so a caller can read the samples front to back
-    /// whatever order their positions take.
-    pub fn new<I>(series: I, bounds: &'a StepBounds) -> Self
-    where
-        I: IntoIterator<Item = (usize, &'a [IpidSample])>,
-        I::IntoIter: ExactSizeIterator,
-    {
-        const { assert!(N >= 2, "a pair test needs two samples a series") };
-        let series = series.into_iter();
-        let mut columns = SeriesColumns {
+impl<'a> SeriesColumns<'a> {
+    /// The columns of `series`, tested against `bounds`.  Each series'
+    /// regularity is checked once, from its own samples.
+    pub fn new<'s>(
+        series: impl IntoIterator<Item = &'s [IpidSample]>,
+        bounds: &'a StepBounds,
+    ) -> Self {
+        let mut period = 0;
+        let series = (series.into_iter())
+            .map(|samples| {
+                let own = regular_period(samples);
+                if period == 0 {
+                    period = own.unwrap_or(0);
+                }
+                match own {
+                    Some(own) if own == period => RegularSeries {
+                        start: samples[0].time.as_millis(),
+                        ipids: std::array::from_fn(|r| samples[r].ipid),
+                    },
+                    _ => RegularSeries {
+                        start: IRREGULAR,
+                        ipids: [0; ESTIMATION_ROUNDS],
+                    },
+                }
+            })
+            .collect();
+        SeriesColumns {
             bounds,
-            period: 0,
-            regular: vec![
-                RegularSeries {
-                    start: IRREGULAR,
-                    ipids: [0; N],
-                };
-                series.len()
-            ],
-            irregular: Vec::new(),
-        };
-        for (position, samples) in series {
-            let period = regular_period::<N>(samples);
-            if columns.period == 0 {
-                columns.period = period.unwrap_or(0);
-            }
-            if period.is_some_and(|period| period == columns.period) {
-                columns.regular[position] = RegularSeries {
-                    start: samples[0].time.as_millis(),
-                    ipids: std::array::from_fn(|r| samples[r].ipid),
-                };
-            } else {
-                (columns.irregular).push((position, CheckedSeries::new(samples)));
-            }
-        }
-        (columns.irregular).sort_unstable_by_key(|&(position, _)| position);
-        columns
-    }
-
-    /// Series held.
-    pub(crate) fn len(&self) -> usize {
-        self.regular.len()
-    }
-
-    /// The verdict of `CheckedSeries::pair_test` of series `i` (as `a`) and
-    /// `j`: the two-gap kernel where the pair allows it, else the
-    /// streaming test.
-    #[inline]
-    pub fn pair_test(&self, i: usize, j: usize) -> MbtVerdict {
-        match self.kernel_test(i, j) {
-            Some(verdict) => verdict,
-            None => self.streaming_test(i, j),
+            period,
+            series,
         }
     }
 
-    /// The two-gap kernel's verdict of series `i` and `j`, or `None` where
-    /// the pair is not two regular series the kernel serves.
+    /// The verdict of [`StepBounds::pair_test`] of series `i` (as `a`) and
+    /// `j` by the two-gap kernel, or `None` where the pair is not two
+    /// regular series the kernel serves.
     #[inline]
-    pub(crate) fn kernel_test(&self, i: usize, j: usize) -> Option<MbtVerdict> {
-        let (series_i, series_j) = (&self.regular[i], &self.regular[j]);
+    pub fn kernel_test(&self, i: usize, j: usize) -> Option<MbtVerdict> {
+        let (series_i, series_j) = (&self.series[i], &self.series[j]);
         let (start_i, start_j) = (series_i.start, series_j.start);
         if start_i == IRREGULAR || start_j == IRREGULAR {
             return None;
@@ -313,10 +289,10 @@ impl<'a, const N: usize> SeriesColumns<'a, N> {
             u16::from(next.wrapping_sub(prev).wrapping_sub(1) >= floor)
         };
         let mut past_bounds = 0;
-        for r in 0..N {
+        for r in 0..ESTIMATION_ROUNDS {
             past_bounds |= past(a[r], b[r], within);
         }
-        for r in 0..N - 1 {
+        for r in 0..ESTIMATION_ROUNDS - 1 {
             past_bounds |= past(b[r], a[r + 1], across);
         }
         Some(match past_bounds {
@@ -324,50 +300,12 @@ impl<'a, const N: usize> SeriesColumns<'a, N> {
             _ => MbtVerdict::Inconsistent,
         })
     }
-
-    /// [`CheckedSeries::pair_test`] of series `i` and `j`: an irregular
-    /// series as checked when the columns were built, a regular one rebuilt
-    /// from its start, the period and its IPIDs (time-ordered by
-    /// construction).
-    fn streaming_test(&self, i: usize, j: usize) -> MbtVerdict {
-        let (mut rebuilt_i, mut rebuilt_j) =
-            ([IpidSample::default(); N], [IpidSample::default(); N]);
-        let a = self.checked(i, &mut rebuilt_i);
-        let b = self.checked(j, &mut rebuilt_j);
-        a.pair_test(b, self.bounds)
-    }
-
-    /// Series `position` as a `CheckedSeries`, rebuilt into `buffer` if it
-    /// is regular.
-    fn checked<'s>(
-        &'s self,
-        position: usize,
-        buffer: &'s mut [IpidSample; N],
-    ) -> CheckedSeries<'s> {
-        let RegularSeries { start, ipids } = self.regular[position];
-        if start == IRREGULAR {
-            let found = self.irregular.binary_search_by_key(&position, |&(p, _)| p);
-            // `new` is given every position once and lists, sorted, each
-            // one it leaves `IRREGULAR`.
-            return self.irregular[found.expect("an irregular position is listed")].1;
-        }
-        for (r, (slot, &ipid)) in buffer.iter_mut().zip(&ipids).enumerate() {
-            *slot = IpidSample {
-                time: SimTime(start + r as u64 * self.period),
-                ipid,
-            };
-        }
-        CheckedSeries {
-            samples: buffer,
-            time_ordered: true,
-        }
-    }
 }
 
-/// The period of `samples` if they are `N` samples at `t0 + r·P` for some
-/// `P > 0`.
-fn regular_period<const N: usize>(samples: &[IpidSample]) -> Option<u64> {
-    if samples.len() != N {
+/// The period of `samples` if they are `ESTIMATION_ROUNDS` samples at
+/// `t0 + r·P` for some `P > 0`.
+fn regular_period(samples: &[IpidSample]) -> Option<u64> {
+    if samples.len() != ESTIMATION_ROUNDS {
         return None;
     }
     let period = samples[1]
@@ -813,8 +751,8 @@ mod tests {
                     let (lead, trail) = regular_pair(cap, start, period, gap, base, &steps);
                     let (a, b) = if trail_first { (trail, lead) } else { (lead, trail) };
                     let bounds = StepBounds::new(cap);
-                    let columns = SeriesColumns::<12>::new([(0, a.as_slice()), (1, b.as_slice())], &bounds);
-                    prop_assert!(columns.irregular.is_empty());
+                    let columns = SeriesColumns::new([a.as_slice(), b.as_slice()], &bounds);
+                    prop_assert!(columns.series.iter().all(|series| series.start != IRREGULAR));
                     // The kernel serves two distinct starts less than a
                     // period apart whose two gaps the table answers.
                     let answered = |gap: u64| bounds.saturated || gap < bounds.floors.len() as u64;
@@ -825,27 +763,26 @@ mod tests {
                         kernel.is_some() == served && kernel.is_none_or(|v| v == reference),
                         "cap {cap} period {period} gap {gap}: kernel {kernel:?}, reference {reference:?}"
                     );
-                    prop_assert_eq!(columns.pair_test(0, 1), reference);
                 }
             }
         }
 
         #[test]
-        fn columns_of_any_series_give_the_bounds_test_verdict(
+        fn the_kernel_serves_exactly_the_regular_pairs_of_any_columns(
             cap in prop_oneof![Just(100.0f64), Just(1_500.0)],
-            // Per series: its start and a shape — regular at the shared
-            // period, regular at another, a sample short, or one sample
-            // moved by a millisecond.
+            // Per series: its start and a shape — regular at one period,
+            // regular at another, a sample short, or one sample moved by a
+            // millisecond.
             shapes in prop::collection::vec((0u64..40_000, 0u8..4, any::<u16>(), 0usize..12), 2..8),
         ) {
             const PERIOD: u64 = 50_000;
+            let period_of = |shape: u8| if shape == 1 { PERIOD + 1 } else { PERIOD };
             let series: Vec<Vec<IpidSample>> = shapes
                 .iter()
                 .map(|&(start, shape, base, at)| {
-                    let period = if shape == 1 { PERIOD + 1 } else { PERIOD };
                     let mut samples: Vec<IpidSample> = (0..12u64)
                         .map(|r| IpidSample {
-                            time: SimTime(start + r * period),
+                            time: SimTime(start + r * period_of(shape)),
                             ipid: base.wrapping_add((r * 700) as u16),
                         })
                         .collect();
@@ -860,11 +797,21 @@ mod tests {
                 })
                 .collect();
             let bounds = StepBounds::new(cap);
-            let columns = SeriesColumns::<12>::new(series.iter().map(Vec::as_slice).enumerate().rev(), &bounds);
+            let columns = SeriesColumns::new(series.iter().map(Vec::as_slice), &bounds);
+            // The columns' period is the first regular series'; starts are
+            // less than any period apart, and both caps' tables answer
+            // every gap below 65,536 ms.
+            let period = shapes.iter().find(|&&(_, shape, ..)| shape < 2).map(|&(_, shape, ..)| period_of(shape));
+            let regular = |k: usize| shapes[k].1 < 2 && Some(period_of(shapes[k].1)) == period;
             for i in 0..series.len() {
                 for j in 0..series.len() {
+                    let served = regular(i) && regular(j) && shapes[i].0 != shapes[j].0;
                     let reference = monotonic_bounds_test(&[&series[i], &series[j]], cap);
-                    prop_assert!(columns.pair_test(i, j) == reference, "{i} {j}: {shapes:?}");
+                    let kernel = columns.kernel_test(i, j);
+                    prop_assert!(
+                        kernel.is_some() == served && kernel.is_none_or(|v| v == reference),
+                        "{i} {j}: kernel {kernel:?}, reference {reference:?}, {shapes:?}"
+                    );
                 }
             }
         }

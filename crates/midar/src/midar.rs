@@ -65,7 +65,7 @@ const ROUND_SPACING: SimTime = SimTime::from_secs(10);
 pub const PAIR_SPACING: SimTime = SimTime(200);
 
 /// Estimation-stage rounds per target.
-const ESTIMATION_ROUNDS: usize = 12;
+pub(crate) const ESTIMATION_ROUNDS: usize = 12;
 
 /// Width of the discovery-stage sliding window over velocity-sorted
 /// targets.
@@ -135,18 +135,22 @@ pub fn midar_resolve(
     // here on a target is its position in `by_velocity`.  The span has a
     // child for each half: `sort` (the velocity sort and the series'
     // columns, each series' shape checked once) and `window` (the pairwise
-    // tests).
+    // tests: the two-gap kernel where it serves the pair, else the
+    // streaming test on the samples).
     let stage = alias_obs::span("discovery");
     let step = alias_obs::span("sort");
     let by_velocity = velocity_order(usable);
-    let columns = discovery_columns(&series, &by_velocity, &testable, targets.len(), &bounds);
+    let series_at = |position: usize| series.samples(by_velocity[position]);
+    let columns = SeriesColumns::new((0..by_velocity.len()).map(series_at), &bounds);
     drop(step);
     let step = alias_obs::span("window");
     let mut discovery_tests = 0u64;
     let mut candidates: Vec<(usize, usize)> = Vec::new();
-    for (i, j) in window_pairs(columns.len()) {
+    for (i, j) in window_pairs(by_velocity.len()) {
         discovery_tests += 1;
-        if columns.pair_test(i, j) == MbtVerdict::Consistent {
+        let verdict = (columns.kernel_test(i, j))
+            .unwrap_or_else(|| bounds.pair_test(series_at(i), series_at(j)));
+        if verdict == MbtVerdict::Consistent {
             candidates.push((i, j));
         }
     }
@@ -243,24 +247,6 @@ fn velocity_order(usable: Vec<(f64, usize)>) -> Vec<usize> {
     keys.into_iter().map(|(_, target)| target).collect()
 }
 
-/// The discovery window's columns: the series of the target at each
-/// position of `by_velocity`, read in target order (`testable`,
-/// ascending) and written to its position, out of `targets` targets.
-fn discovery_columns<'a>(
-    series: &'a IpidSeries,
-    by_velocity: &[usize],
-    testable: &[usize],
-    targets: usize,
-    bounds: &'a StepBounds,
-) -> SeriesColumns<'a, ESTIMATION_ROUNDS> {
-    let mut position = vec![0; targets];
-    for (at, &target) in by_velocity.iter().enumerate() {
-        position[target] = at;
-    }
-    let series = (testable.iter()).map(|&target| (position[target], series.samples(target)));
-    SeriesColumns::new(series, bounds)
-}
-
 /// The discovery window's pairs over `n` velocity-sorted targets: each
 /// one with the next `DISCOVERY_WINDOW − 1`.
 fn window_pairs(n: usize) -> impl Iterator<Item = (usize, usize)> {
@@ -270,7 +256,6 @@ fn window_pairs(n: usize) -> impl Iterator<Item = (usize, usize)> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mbt::CheckedSeries;
     use alias_netsim::{DeviceRef, InternetBuilder, InternetConfig};
     use std::net::IpAddr;
 
@@ -393,26 +378,23 @@ mod tests {
             data.finished_at,
         );
         let usable = usable_targets(&series);
-        let testable: Vec<usize> = usable.iter().map(|&(_, target)| target).collect();
         let by_velocity = velocity_order(usable.clone());
         // The window's order is the stable velocity sort's.
         let mut sorted = usable.clone();
         sorted.sort_by(|a, b| a.0.total_cmp(&b.0));
         assert!((sorted.iter().map(|&(_, target)| target)).eq(by_velocity.iter().copied()));
         let bounds = StepBounds::new(MAX_VELOCITY);
-        let columns = discovery_columns(&series, &by_velocity, &testable, targets.len(), &bounds);
-        let samples = |position: usize| series.samples(by_velocity[position]);
+        let series_at = |position: usize| series.samples(by_velocity[position]);
+        let columns = SeriesColumns::new((0..by_velocity.len()).map(series_at), &bounds);
         let (mut pairs, mut served, mut consistent) = (0u64, 0u64, 0u64);
-        for (i, j) in window_pairs(columns.len()) {
-            let reference =
-                CheckedSeries::new(samples(i)).pair_test(CheckedSeries::new(samples(j)), &bounds);
+        for (i, j) in window_pairs(by_velocity.len()) {
+            let reference = bounds.pair_test(series_at(i), series_at(j));
             pairs += 1;
             consistent += u64::from(reference == MbtVerdict::Consistent);
             if let Some(verdict) = columns.kernel_test(i, j) {
                 served += 1;
                 assert_eq!(verdict, reference, "pair ({i}, {j})");
             }
-            assert_eq!(columns.pair_test(i, j), reference, "pair ({i}, {j})");
         }
         assert_eq!(usable.len(), 47_322);
         assert_eq!(pairs, 1_088_130);

@@ -116,26 +116,24 @@ impl<'a> ProbeTargets<'a> {
         let _span = alias_obs::span("targets");
         let interner = self.data.interner();
         let addrs = interner.addrs().iter().zip(0u32..);
-        let ids: Vec<AddrId> = if ipv6 {
-            let mut sorted: Vec<(u128, u32)> = addrs
-                .filter_map(|(addr, id)| match *addr {
+        let ids = if ipv6 {
+            sorted_ids(
+                addrs.filter_map(|(addr, id)| match *addr {
                     IpAddr::V6(v6) => Some((u128::from(v6), id)),
                     IpAddr::V4(_) => None,
-                })
-                .collect();
-            sorted.sort_unstable();
-            sorted.into_iter().map(|(_, id)| AddrId(id)).collect()
+                }),
+                |(_, id)| id,
+            )
         } else {
             // An IPv4 address and its id pack into one `u64` key, which
             // sorts in address order.
-            let mut sorted: Vec<u64> = addrs
-                .filter_map(|(addr, id)| match *addr {
+            sorted_ids(
+                addrs.filter_map(|(addr, id)| match *addr {
                     IpAddr::V4(v4) => Some(u64::from(u32::from(v4)) << 32 | u64::from(id)),
                     IpAddr::V6(_) => None,
-                })
-                .collect();
-            sorted.sort_unstable();
-            sorted.into_iter().map(|key| AddrId(key as u32)).collect()
+                }),
+                |key| key as u32,
+            )
         };
         FamilyTargets {
             resolved: (ids.iter())
@@ -144,6 +142,13 @@ impl<'a> ProbeTargets<'a> {
             ids,
         }
     }
+}
+
+/// The ids of `keys`, each read off its key by `id`, in key order.
+fn sorted_ids<K: Ord>(keys: impl Iterator<Item = K>, id: impl Fn(K) -> u32) -> Vec<AddrId> {
+    let mut keys: Vec<K> = keys.collect();
+    keys.sort_unstable();
+    keys.into_iter().map(|key| AddrId(id(key))).collect()
 }
 
 /// Index groups over `ids` (a baseline's alias sets, by target position)
