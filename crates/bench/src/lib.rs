@@ -433,7 +433,7 @@ pub fn table2(exp: &Experiment) -> String {
             format_count(result.sample_size),
             format_count(result.agree),
             format_count(result.disagree),
-            format_pct(result.agreement_rate()),
+            format_agreement(&result),
         ]);
     }
 
@@ -487,7 +487,7 @@ pub fn table2(exp: &Experiment) -> String {
         format_count(validation.result.sample_size),
         format_count(validation.result.agree),
         format_count(validation.result.disagree),
-        format_pct(validation.result.agreement_rate()),
+        format_agreement(&validation.result),
     ]);
 
     let mut out = String::from("Table 2: Alias Sets Validation\n");
@@ -924,6 +924,14 @@ pub fn render_document(exp: &Experiment, preset: ScalePreset) -> String {
     doc
 }
 
+/// A validation row's agreement as a percentage, or `n/a` when no set
+/// could be compared.
+fn format_agreement(result: &ValidationResult) -> String {
+    result
+        .agreement_rate()
+        .map_or_else(|| "n/a".to_owned(), format_pct)
+}
+
 /// [`render_document`] plus the ICMP rate-limiting study as a final
 /// section — the form `run_all` writes to `EXPERIMENTS_MEASURED.md`.
 pub fn render_document_with_study(
@@ -1097,7 +1105,7 @@ impl RateLimitStudy {
                 format_count(result.sample_size),
                 format_count(result.agree),
                 format_count(result.disagree),
-                format_pct(result.agreement_rate()),
+                format_agreement(result),
             ]);
         }
         out.push_str("\nAgreement with the other techniques:\n");

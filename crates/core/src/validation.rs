@@ -29,13 +29,9 @@ pub struct ValidationResult {
 }
 
 impl ValidationResult {
-    /// Agreement rate in `[0, 1]`; 1.0 when nothing could be tested.
-    pub fn agreement_rate(&self) -> f64 {
-        if self.sample_size == 0 {
-            1.0
-        } else {
-            self.agree as f64 / self.sample_size as f64
-        }
+    /// Agreement rate in `[0, 1]`; `None` when nothing could be tested.
+    pub fn agreement_rate(&self) -> Option<f64> {
+        (self.sample_size > 0).then(|| self.agree as f64 / self.sample_size as f64)
     }
 }
 
@@ -198,7 +194,7 @@ mod tests {
         assert_eq!(result.sample_size, 2);
         assert_eq!(result.agree, 2);
         assert_eq!(result.disagree, 0);
-        assert_eq!(result.agreement_rate(), 1.0);
+        assert_eq!(result.agreement_rate(), Some(1.0));
     }
 
     #[test]
@@ -210,7 +206,7 @@ mod tests {
         let result = cross_validate(&a, &b, &common);
         assert_eq!(result.sample_size, 1);
         assert_eq!(result.disagree, 1);
-        assert_eq!(result.agreement_rate(), 0.0);
+        assert_eq!(result.agreement_rate(), Some(0.0));
     }
 
     #[test]
@@ -236,10 +232,10 @@ mod tests {
     }
 
     #[test]
-    fn empty_sample_has_full_agreement_by_convention() {
+    fn an_empty_sample_has_no_agreement_rate() {
         let result = cross_validate(&[], &[], &[]);
         assert_eq!(result.sample_size, 0);
-        assert_eq!(result.agreement_rate(), 1.0);
+        assert_eq!(result.agreement_rate(), None);
     }
 
     #[test]

@@ -57,15 +57,16 @@ fn main() {
     positively_grouped.sort_unstable();
     positively_grouped.dedup();
     let validation = validate_against_midar(&sample, midar_sets, &positively_grouped);
+    let agreement_pct = (validation.result.agreement_rate())
+        .map_or_else(|| "n/a".to_owned(), |rate| format!("{:.0}%", rate * 100.0));
     println!(
         "MIDAR could verify {} of {} sampled SSH sets ({:.0}% coverage); \
-         of those, {} agree and {} disagree ({:.0}% agreement)",
+         of those, {} agree and {} disagree ({agreement_pct} agreement)",
         validation.result.sample_size,
         validation.sampled,
         validation.coverage() * 100.0,
         validation.result.agree,
         validation.result.disagree,
-        validation.result.agreement_rate() * 100.0,
     );
 
     // The report's built-in pairwise statistics tell the same story.
