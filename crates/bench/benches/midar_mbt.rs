@@ -10,8 +10,10 @@ use alias_intern::{AddrId, CompactAliasSet};
 use alias_midar::ally::AllyTester;
 use alias_midar::mbt::{monotonic_bounds_test, MbtVerdict, SeriesColumns, StepBounds};
 use alias_midar::velocity::estimate_velocity;
-use alias_netsim::{InternetBuilder, InternetConfig, ProbeContext, SimTime, VantageKind};
-use alias_scan::ipid_probe::{IpidProber, IpidSample, ResolvedTarget, RoundRobin};
+use alias_netsim::{
+    InternetBuilder, InternetConfig, IpidSample, ProbeContext, Route, SimTime, VantageKind,
+};
+use alias_scan::ipid_probe::{IpidProber, RoundRobin};
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
 fn synthetic_series(base: u16, velocity: f64, samples: usize) -> Vec<IpidSample> {
@@ -120,11 +122,11 @@ fn bench_discovery_window(c: &mut Criterion) {
 /// warm), and one estimation-shaped round-robin.
 fn bench_probing(c: &mut Criterion) {
     let internet = InternetBuilder::new(InternetConfig::tiny(42)).build();
-    let pingable: Vec<ResolvedTarget> = internet
+    let pingable: Vec<Option<Route>> = internet
         .devices()
         .filter(|d| d.responds_to_ping())
         .flat_map(|d| d.ipv4_addrs())
-        .map(|addr| internet.lookup(addr.into()))
+        .map(|addr| internet.route(addr.into()))
         .collect();
     let pair = [pingable[0], pingable[1]];
     let epoch = SimTime::from_days(21);
@@ -162,7 +164,7 @@ fn bench_probing(c: &mut Criterion) {
     });
     group.finish();
 
-    let targets: Vec<ResolvedTarget> = pingable.iter().copied().cycle().take(1_000).collect();
+    let targets: Vec<Option<Route>> = pingable.iter().copied().cycle().take(1_000).collect();
     let round_robin = RoundRobin {
         rounds: 12,
         round_spacing: SimTime::from_secs(10),

@@ -35,13 +35,11 @@ use alias_netsim::{
 use alias_obs::{DeterminismClass, LazyCounter};
 use alias_resolve::{ResolutionReport, Resolver, TechniqueResult};
 use alias_scan::campaign::{ActiveCampaign, CampaignConfig};
-use alias_scan::ipid_probe::ResolvedTarget;
 use alias_scan::{DataSource, ObservationStore, RateProbeConfig, ServiceProtocol};
-use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::hash::Hash;
 use std::net::IpAddr;
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 /// Which population size to run the experiments on (`ALIAS_SCALE` env var:
 /// `tiny`, `small`, `paper`, `large` or `huge`).
@@ -126,6 +124,7 @@ impl<K: Eq + Hash, V> Memo<K, V> {
     fn get_or_compute(&self, key: K, compute: impl FnOnce() -> V) -> Arc<V> {
         self.0
             .lock()
+            .unwrap_or_else(PoisonError::into_inner)
             .entry(key)
             .or_insert_with(|| Arc::new(compute()))
             .clone()
@@ -359,8 +358,9 @@ impl Experiment {
     /// built on first use — the labels ground-truth scoring reads.
     pub fn device_column(&self) -> &[Option<DeviceId>] {
         self.devices.get_or_init(|| {
+            let truth = self.internet.ground_truth();
             let addrs = self.union.interner().addrs().iter();
-            addrs.map(|&addr| self.internet.device_of(addr)).collect()
+            addrs.map(|&addr| truth.device_of(addr)).collect()
         })
     }
 }
@@ -453,8 +453,8 @@ pub fn table2(exp: &Experiment) -> String {
         .collect();
     // MIDAR names a target by its position in the list it was given, so
     // the comparison runs in that index space: target `i` is id `i`.
-    let targets: Vec<ResolvedTarget> = (sample.iter().flatten())
-        .map(|&addr| exp.internet.lookup(addr))
+    let targets: Vec<_> = (sample.iter().flatten())
+        .map(|&addr| exp.internet.route(addr))
         .collect();
     let midar = midar_resolve(
         &exp.internet,

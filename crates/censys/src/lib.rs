@@ -100,7 +100,7 @@ impl CensysSnapshot {
                         continue;
                     }
                     sessions += 1;
-                    if !internet.service_session_into(device.id(), iface, port, &ctx, &mut session)
+                    if !internet.service_session_into(device.route(iface), port, &ctx, &mut session)
                     {
                         continue;
                     }
@@ -169,7 +169,7 @@ mod tests {
         let internet = internet();
         let snapshot = CensysSnapshot::collect(&internet, CensysConfig::default());
         for obs in &snapshot.default_port_observations() {
-            let (device_id, _) = internet.lookup(obs.addr).unwrap();
+            let device_id = internet.ground_truth().device_of(obs.addr).unwrap();
             assert!(internet.device(device_id).censys_covered());
         }
         // Some devices exist that Censys does not cover at all.
@@ -182,7 +182,7 @@ mod tests {
         let snapshot = CensysSnapshot::collect(&internet, CensysConfig::default());
         let rows = snapshot.default_port_observations();
         let invisible_but_seen = rows.iter().any(|obs| {
-            let (device_id, _) = internet.lookup(obs.addr).unwrap();
+            let device_id = internet.ground_truth().device_of(obs.addr).unwrap();
             !internet.device(device_id).visible_to_single_vp()
         });
         assert!(

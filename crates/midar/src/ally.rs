@@ -5,8 +5,8 @@
 //! stay close together — the behaviour of one shared counter.  Probing stops
 //! at the first reply that is not close to the one before it.
 
-use alias_netsim::{ProbeContext, ProbeSession, SimTime, VantageKind};
-use alias_scan::ipid_probe::{IpidProber, IpidSample, PairEnd, ResolvedTarget};
+use alias_netsim::{IpidSample, ProbeContext, ProbeSession, Route, SimTime, VantageKind};
+use alias_scan::ipid_probe::{IpidProber, PairEnd};
 
 /// Verdict of an Ally test: how its pair ended.  A pair ends at whichever
 /// comes first in probe order, its first reply that is not close to the
@@ -60,13 +60,13 @@ impl AllyTester {
         Self::default()
     }
 
-    /// Test a pair of interfaces already resolved with
-    /// [`Internet::lookup`](alias_netsim::Internet::lookup), probing
-    /// through the session the sweep holds.
+    /// Test a pair of interfaces already routed with
+    /// [`Internet::route`](alias_netsim::Internet::route), probing through
+    /// the session the sweep holds.
     pub fn test(
         &mut self,
         session: &mut ProbeSession<'_>,
-        pair: [ResolvedTarget; 2],
+        pair: [Option<Route>; 2],
         vantage: VantageKind,
         start: SimTime,
     ) -> AllyVerdict {
@@ -101,7 +101,7 @@ mod tests {
     fn ally_test(internet: &Internet, a: IpAddr, b: IpAddr) -> AllyVerdict {
         AllyTester::new().test(
             &mut internet.probe_session(),
-            [internet.lookup(a), internet.lookup(b)],
+            [internet.route(a), internet.route(b)],
             VantageKind::Distributed,
             SimTime::ZERO,
         )

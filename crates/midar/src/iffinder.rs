@@ -8,8 +8,7 @@
 //! introduction — the simulator reproduces that, and this implementation
 //! exists mainly as the historical baseline.
 
-use alias_netsim::{Internet, ProbeContext, SimTime, VantageKind};
-use alias_scan::ipid_probe::ResolvedTarget;
+use alias_netsim::{Internet, ProbeContext, Route, SimTime, VantageKind};
 use std::net::IpAddr;
 
 /// Result of an iffinder run.
@@ -23,13 +22,13 @@ pub struct IffinderOutcome {
 }
 
 /// Probe every target with a UDP datagram to a closed port and collect
-/// common-source-address evidence.  Each target comes with the interface
-/// it was resolved to once by the caller ([`Internet::lookup`]); an
-/// unresolved one never answers.  Merging the pairs into sets is the
+/// common-source-address evidence.  Each target comes with the route the
+/// caller resolved once ([`Internet::route`]); an unrouted one never
+/// answers.  Merging the pairs into sets is the
 /// caller's: an error source may be an address the caller never numbered.
 pub fn iffinder_scan(
     internet: &Internet,
-    targets: impl IntoIterator<Item = (IpAddr, ResolvedTarget)>,
+    targets: impl IntoIterator<Item = (IpAddr, Option<Route>)>,
     vantage: VantageKind,
     start: SimTime,
 ) -> IffinderOutcome {
@@ -38,9 +37,7 @@ pub fn iffinder_scan(
     for (i, (addr, target)) in targets.into_iter().enumerate() {
         now += SimTime(1);
         let ctx = ProbeContext { vantage, time: now };
-        let source = target.and_then(|(device_id, iface_idx)| {
-            internet.udp_closed_port_probe_at(device_id, iface_idx, &ctx)
-        });
+        let source = target.and_then(|route| internet.udp_closed_port_probe_at(route, &ctx));
         match source {
             Some(source) if source != addr => outcome.pairs.push((i, source)),
             Some(_) => {}
@@ -59,8 +56,8 @@ mod tests {
     fn resolved<'a>(
         internet: &'a Internet,
         addrs: &'a [IpAddr],
-    ) -> impl Iterator<Item = (IpAddr, ResolvedTarget)> + 'a {
-        addrs.iter().map(|&addr| (addr, internet.lookup(addr)))
+    ) -> impl Iterator<Item = (IpAddr, Option<Route>)> + 'a {
+        addrs.iter().map(|&addr| (addr, internet.route(addr)))
     }
 
     #[test]

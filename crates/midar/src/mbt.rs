@@ -6,8 +6,7 @@
 //! bounded number of wraps, inferred from the counter velocity.
 
 use crate::midar::ESTIMATION_ROUNDS;
-use alias_netsim::SimTime;
-use alias_scan::ipid_probe::IpidSample;
+use alias_netsim::{IpidSample, SimTime};
 
 /// Verdict of a monotonic bounds test.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

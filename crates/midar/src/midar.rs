@@ -26,9 +26,9 @@
 
 use crate::mbt::{MbtVerdict, SeriesColumns, StepBounds};
 use crate::velocity::{estimate_velocity, VelocityEstimate};
-use alias_netsim::{Internet, ProbeContext, SimTime, VantageKind};
+use alias_netsim::{Internet, ProbeContext, Route, SimTime, VantageKind};
 use alias_obs::{DeterminismClass, LazyCounter};
-use alias_scan::ipid_probe::{IpidProber, IpidSeries, ResolvedTarget, RoundRobin};
+use alias_scan::ipid_probe::{IpidProber, IpidSeries, RoundRobin};
 
 /// Monotonic bounds tests run by the discovery and elimination stages:
 /// one per discovery-window pair and one per candidate elimination
@@ -105,13 +105,14 @@ pub struct MidarOutcome {
     pub pair_stops: u64,
 }
 
-/// Run the MIDAR pipeline over `targets`, each resolved against the IP
-/// index once by the caller ([`Internet::lookup`]), probing from `vantage`.
+/// Run the MIDAR pipeline over `targets`, each routed once by the caller
+/// ([`Internet::route`]; `None` for an address no device holds), probing
+/// from `vantage`.
 /// The run holds one [`ProbeSession`](alias_netsim::ProbeSession) from its
 /// first probe to its last.
 pub fn midar_resolve(
     internet: &Internet,
-    targets: &[ResolvedTarget],
+    targets: &[Option<Route>],
     vantage: VantageKind,
     start: SimTime,
 ) -> MidarOutcome {
@@ -145,13 +146,15 @@ pub fn midar_resolve(
     drop(step);
     let step = alias_obs::span("window");
     let mut discovery_tests = 0u64;
-    let mut candidates: Vec<(usize, usize)> = Vec::new();
+    // Candidates are `u32` window positions, half the bytes of `usize` ones.
+    u32::try_from(by_velocity.len()).expect("the series of 2^32 targets would fill 768 GiB");
+    let mut candidates: Vec<(u32, u32)> = Vec::new();
     for (i, j) in window_pairs(by_velocity.len()) {
         discovery_tests += 1;
         let verdict = (columns.kernel_test(i, j))
             .unwrap_or_else(|| bounds.pair_test(series_at(i), series_at(j)));
         if verdict == MbtVerdict::Consistent {
-            candidates.push((i, j));
+            candidates.push((i as u32, j as u32));
         }
     }
     drop(step);
@@ -173,6 +176,7 @@ pub fn midar_resolve(
     let mut now = finished_at;
     let mut elimination_tests = 0u64;
     for &(i, j) in &candidates {
+        let (i, j) = (i as usize, j as usize);
         now += PAIR_SPACING;
         if union.connected(i, j) {
             continue;
@@ -274,8 +278,8 @@ mod tests {
     }
 
     fn run(internet: &Internet, targets: &[IpAddr]) -> MidarOutcome {
-        let resolved: Vec<ResolvedTarget> = targets.iter().map(|&a| internet.lookup(a)).collect();
-        midar_resolve(internet, &resolved, VantageKind::SingleVp, SimTime::ZERO)
+        let routes: Vec<Option<Route>> = targets.iter().map(|&a| internet.route(a)).collect();
+        midar_resolve(internet, &routes, VantageKind::SingleVp, SimTime::ZERO)
     }
 
     #[test]
@@ -370,7 +374,7 @@ mod tests {
             .copied()
             .collect();
         addrs.sort_unstable();
-        let targets: Vec<ResolvedTarget> = addrs.iter().map(|&a| internet.lookup(a)).collect();
+        let targets: Vec<Option<Route>> = addrs.iter().map(|&a| internet.route(a)).collect();
         let series = ESTIMATION.collect(
             &mut internet.probe_session(),
             &targets,

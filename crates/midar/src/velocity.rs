@@ -6,7 +6,7 @@
 //! are discarded — they are exactly the reason the paper's MIDAR validation
 //! could verify only 13% of the sampled alias sets.
 
-use alias_scan::ipid_probe::IpidSample;
+use alias_netsim::IpidSample;
 
 /// Outcome of velocity estimation for one address.
 #[derive(Debug, Clone, Copy, PartialEq)]

@@ -911,6 +911,7 @@ fn icmp_rate_range(kind: DeviceKind) -> RangeInclusive<f64> {
 mod tests {
     use super::*;
     use crate::config::ScalePreset;
+    use crate::ServiceProtocol;
 
     #[test]
     fn builds_are_deterministic_in_the_seed() {
@@ -936,10 +937,13 @@ mod tests {
         let expected = config.total_devices();
         let internet = InternetBuilder::new(config).build();
         assert_eq!(internet.devices().len(), expected);
-        let stats = internet.population_stats();
-        assert_eq!(stats.cloud_vms, internet.config().devices.cloud_vms);
+        let kinds = |kind| internet.devices().filter(|d| d.kind() == kind).count();
         assert_eq!(
-            stats.border_routers,
+            kinds(DeviceKind::CloudVm),
+            internet.config().devices.cloud_vms
+        );
+        assert_eq!(
+            kinds(DeviceKind::BorderRouter),
             internet.config().devices.border_routers
         );
     }
@@ -956,9 +960,9 @@ mod tests {
                     "duplicate address {:?}",
                     iface.addr
                 );
-                let (owner, idx) = internet.lookup(iface.addr).unwrap();
-                assert_eq!(owner, device.id());
-                assert_eq!(device.interfaces()[idx].addr, iface.addr);
+                let route = internet.route(iface.addr).unwrap();
+                assert_eq!(route.device, device.id());
+                assert_eq!(internet.addr_at(route), iface.addr);
             }
         }
     }
@@ -1033,15 +1037,20 @@ mod tests {
     fn small_preset_population_shape_is_plausible() {
         let internet = InternetBuilder::new(InternetConfig::preset(ScalePreset::Small, 8)).build();
         let stats = internet.population_stats();
+        let answering = |protocol| {
+            let devices = internet.devices();
+            devices
+                .map(|d| d.answering(protocol).count())
+                .sum::<usize>()
+        };
         // SSH is the dominant responsive service, as in the paper's Table 1
-        // (note that `bgp_responding_addrs` counts every open port 179,
-        // including the silent majority that never sends an OPEN).
-        assert!(stats.ssh_responding_addrs > stats.bgp_responding_addrs * 2);
+        // (note that BGP's count holds every open port 179, including the
+        // silent majority that never sends an OPEN).
+        assert!(answering(ServiceProtocol::Ssh) > answering(ServiceProtocol::Bgp) * 2);
         // SNMP responds on many addresses but fewer than SSH.
-        assert!(stats.snmp_responding_addrs > 0);
-        // Silent BGP speakers outnumber OPEN senders.
+        assert!(answering(ServiceProtocol::Snmpv3) > 0);
         assert!(stats.bgp_silent_closers > 0);
-        assert!(stats.dual_stack_devices > 0);
+        assert!(internet.devices().any(|d| d.is_dual_stack()));
     }
 
     #[test]

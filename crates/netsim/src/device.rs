@@ -17,7 +17,7 @@
 //! building or dropping the table allocates per column, not per device.
 //! Callers read a device through the [`DeviceRef`] view.
 
-use crate::ids::{Asn, DeviceId};
+use crate::ids::{Asn, DeviceId, Route};
 use crate::internet::ServiceProtocol;
 use crate::profiles::{BgpProfileId, SshProfileId};
 use crate::ratelimit::IcmpRateLimit;
@@ -283,6 +283,17 @@ impl<'a> DeviceRef<'a> {
     /// All interfaces, IPv4 and IPv6.
     pub fn interfaces(self) -> &'a [Interface] {
         &self.table.ifaces[self.table.range(self.id)]
+    }
+
+    /// The route to interface `iface`, for a crawl that walks the devices
+    /// rather than the IP index.
+    pub fn route(self, iface: usize) -> Route {
+        let iface = (iface < self.interfaces().len()).then_some(iface as u32);
+        let iface = iface.unwrap_or_else(|| panic!("{} has no interface", self.id));
+        Route {
+            device: self.id,
+            iface,
+        }
     }
 
     /// Whether `protocol` answers on interface `iface` (the ICMP

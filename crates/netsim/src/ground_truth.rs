@@ -21,7 +21,7 @@ pub struct GroundTruth<'a> {
 impl GroundTruth<'_> {
     /// The device owning `addr`, if it exists.
     pub fn device_of(&self, addr: IpAddr) -> Option<DeviceId> {
-        self.internet.device_of(addr)
+        self.internet.route(addr).map(|route| route.device)
     }
 
     /// Score a collection of inferred alias sets against the ground truth

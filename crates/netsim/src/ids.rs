@@ -12,9 +12,10 @@ impl fmt::Display for Asn {
     }
 }
 
-/// Index of a device inside the simulated Internet.
+/// Index of a device inside the simulated Internet: ground truth, named
+/// only by scoring ([`GroundTruth`](crate::GroundTruth)) and tests.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct DeviceId(pub u32);
+pub struct DeviceId(pub(crate) u32);
 
 impl DeviceId {
     /// The device's position in the device table.
@@ -26,6 +27,39 @@ impl DeviceId {
 impl fmt::Display for DeviceId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "dev{}", self.0)
+    }
+}
+
+/// An interface as the IP index resolved it
+/// ([`Internet::route`](crate::Internet::route)): the handle every probe
+/// takes, so a sweep pays for the index once per address.
+///
+/// A route has no equality, order or hash, and its fields are private: a
+/// measurement sends probes along routes but cannot tell whether two of
+/// them reach one device, which is what alias resolution infers and only
+/// ground truth knows.  Its `Debug` form is for diagnostics.
+///
+/// ```compile_fail
+/// fn same(a: alias_netsim::Route, b: alias_netsim::Route) -> bool { a == b }
+/// ```
+///
+/// ```compile_fail
+/// use std::collections::BTreeMap;
+/// fn keyed(route: alias_netsim::Route) -> BTreeMap<alias_netsim::Route, u32> {
+///     BTreeMap::from([(route, 1)])
+/// }
+/// ```
+#[derive(Clone, Copy)]
+pub struct Route {
+    pub(crate) device: DeviceId,
+    pub(crate) iface: u32,
+}
+
+/// As the `(DeviceId, usize)` pair the IP index once returned.
+impl fmt::Debug for Route {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let iface = self.iface as usize;
+        f.debug_tuple("").field(&self.device).field(&iface).finish()
     }
 }
 
@@ -44,5 +78,17 @@ mod tests {
     fn ordering_is_numeric() {
         assert!(Asn(5) < Asn(10));
         assert!(DeviceId(1) < DeviceId(2));
+    }
+
+    #[test]
+    fn a_route_prints_as_the_device_and_interface_pair() {
+        let route = Route {
+            device: DeviceId(5),
+            iface: 3,
+        };
+        assert_eq!(
+            format!("{:?}", Some(route)),
+            format!("{:?}", Some((DeviceId(5), 3usize)))
+        );
     }
 }

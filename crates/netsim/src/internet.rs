@@ -9,21 +9,22 @@
 
 use crate::clock::SimTime;
 use crate::config::InternetConfig;
-use crate::device::{DeviceKind, DeviceRef, DeviceTable, BGP, SNMP, SSH, SSH_DIVERGENT};
+use crate::device::{DeviceRef, DeviceTable, BGP, SNMP, SSH, SSH_DIVERGENT};
 use crate::ground_truth::GroundTruth;
-use crate::ids::{Asn, DeviceId};
+use crate::ids::{Asn, DeviceId, Route};
 use crate::ipid::{IpidModel, IpidState};
 use crate::profiles::{BgpProfile, SshProfile};
+use crate::ratelimit::IcmpRateLimit;
 use crate::services::{self, SshTemplates};
 use crate::space::RoutedSpace;
 use crate::topology::AutonomousSystem;
 use crate::vantage::VantageKind;
-use parking_lot::{Mutex, MutexGuard};
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use std::collections::{BTreeMap, HashMap};
 use std::net::{IpAddr, Ipv6Addr};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Default TCP port of the SSH service.
 pub(crate) const SSH_PORT: u16 = 22;
@@ -98,13 +99,14 @@ pub enum SynResult {
     Timeout,
 }
 
-/// What an ICMP echo probe observed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct EchoObservation {
-    /// The IPID of the echo reply's IPv4 header.
-    pub ipid: u16,
-    /// Simulated time the reply was received.
+/// What an identifier probe observed: one sample of an IPID series.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct IpidSample {
+    /// When the reply was received.
     pub time: SimTime,
+    /// The IPID of the reply (an echo reply's IPv4 Identification, a
+    /// fragment's IPv6 one).
+    pub ipid: u16,
 }
 
 /// The probe-state column: the one piece of the simulated Internet that
@@ -133,33 +135,70 @@ pub struct ProbeSession<'a> {
 }
 
 impl ProbeSession<'_> {
-    /// One identifier probe of an interface already resolved via
-    /// [`Internet::lookup`]: an ICMP echo's IPID for an IPv4 address, a
-    /// fragmented reply's Identification for an IPv6 one (the Speedtrap
-    /// probe).  Both families draw from the same device-wide counter: the
-    /// simulator models the counter but not IPv6 fragmentation itself (see
-    /// docs/TECHNIQUES.md § Speedtrap), which is exactly the behaviour
-    /// Speedtrap's shared-counter inference relies on.  Visibility and ping
-    /// are checked on every probe, and only an answered probe advances the
-    /// counter.
-    pub fn identifier_probe_at(
-        &mut self,
-        device_id: DeviceId,
-        iface_idx: usize,
-        ctx: &ProbeContext,
-    ) -> Option<EchoObservation> {
-        if !self.devices.pingable(device_id, ctx.vantage) {
+    /// One identifier probe along `route`: an ICMP echo's IPID for an IPv4
+    /// address, a fragmented reply's Identification for an IPv6 one (the
+    /// Speedtrap probe).  Both families draw from the same device-wide
+    /// counter: the simulator models the counter but not IPv6 fragmentation
+    /// itself (see docs/TECHNIQUES.md § Speedtrap), which is exactly the
+    /// behaviour Speedtrap's shared-counter inference relies on.  Visibility
+    /// and ping are checked on every probe, and only an answered probe
+    /// advances the counter.
+    pub fn identifier_probe_at(&mut self, route: Route, ctx: &ProbeContext) -> Option<IpidSample> {
+        let Route { device, .. } = route;
+        if !self.devices.pingable(device, ctx.vantage) {
             return None;
         }
         let ProbeState {
             ipid,
             per_interface,
         } = &mut *self.state;
-        let per_interface = &mut per_interface[self.devices.range(device_id)];
-        Some(EchoObservation {
-            ipid: ipid[device_id.index()].next_ipid(ctx.time, iface_idx, per_interface),
+        let per_interface = &mut per_interface[self.devices.range(device)];
+        Some(IpidSample {
+            ipid: ipid[device.index()].next_ipid(ctx.time, route.iface as usize, per_interface),
             time: ctx.time,
         })
+    }
+
+    /// A round robin's identifier probes: route `t` (`None` takes no probe)
+    /// at the send times the caller paced into its `rounds` slots,
+    /// `slots[t * rounds..][..rounds]`.  Replies overwrite a route's slots
+    /// from the front, in send order; the counts per route are returned.
+    /// A probe moves only its own device's counter, so the session probes
+    /// device by device, each one's routes round by round: the replies the
+    /// slot order gives.
+    pub fn identifier_probe_slots(
+        &mut self,
+        routes: &[Option<Route>],
+        rounds: usize,
+        vantage: VantageKind,
+        slots: &mut [IpidSample],
+    ) -> Vec<usize> {
+        assert_eq!(slots.len(), routes.len() * rounds, "rounds slots a route");
+        // (device, route) keys: a device's routes together, unrouted last.
+        let mut keys: Vec<u64> = (routes.iter().zip(0..))
+            .map(|(route, t)| u64::from(route.map_or(u32::MAX, |route| route.device.0)) << 32 | t)
+            .collect();
+        keys.sort_unstable();
+        let mut answered = vec![0; routes.len()];
+        for device in keys.chunk_by(|a, b| a >> 32 == b >> 32) {
+            for round in 0..rounds {
+                for target in device.iter().map(|&key| key as u32 as usize) {
+                    let Some(route) = routes[target] else {
+                        continue;
+                    };
+                    // `answered[target] <= round`: replies pack in place.
+                    let ctx = ProbeContext {
+                        vantage,
+                        time: slots[target * rounds + round].time,
+                    };
+                    if let Some(sample) = self.identifier_probe_at(route, &ctx) {
+                        slots[target * rounds + answered[target]] = sample;
+                        answered[target] += 1;
+                    }
+                }
+            }
+        }
+        answered
     }
 
     /// A device's IPID counter state as it stands, with its per-interface
@@ -253,8 +292,9 @@ impl Internet {
         self.devices.ifaces.len()
     }
 
-    /// The device and interface index owning `addr`.
-    pub fn lookup(&self, addr: IpAddr) -> Option<(DeviceId, usize)> {
+    /// The route to the interface holding `addr`, read off the IP index;
+    /// `None` for an address no device holds.
+    pub fn route(&self, addr: IpAddr) -> Option<Route> {
         match addr {
             IpAddr::V4(v4) => self.space.owner_at(self.space.index_of(v4)?),
             IpAddr::V6(v6) => self.v6_index.get(&v6).map(|&iface| self.space.owner(iface)),
@@ -267,12 +307,18 @@ impl Internet {
         &self.space
     }
 
-    /// The AS announcing an interface already resolved via [`Self::lookup`],
-    /// mirroring what a scanner would learn from a BGP routing table /
-    /// IP-to-ASN database; a scanner that probes and attributes the same
-    /// address pays the index lookup once.
-    pub fn asn_at(&self, device_id: DeviceId, iface_idx: usize) -> Asn {
-        self.devices.ifaces[self.devices.range(device_id)][iface_idx].asn
+    /// The address `route` leads to: what a scanner that kept only the
+    /// route reads back when it records an answer.
+    pub fn addr_at(&self, route: Route) -> IpAddr {
+        self.device(route.device).interfaces()[route.iface as usize].addr
+    }
+
+    /// The AS announcing the address `route` leads to, mirroring what a
+    /// scanner would learn from a BGP routing table / IP-to-ASN database; a
+    /// scanner that probes and attributes the same address pays the index
+    /// lookup once.
+    pub fn asn_at(&self, route: Route) -> Asn {
+        self.device(route.device).interfaces()[route.iface as usize].asn
     }
 
     /// Every IPv6 address on which at least one service answers — the
@@ -295,19 +341,13 @@ impl Internet {
         out
     }
 
-    /// Send a TCP SYN to `port` on an interface already resolved via
-    /// [`Self::lookup`].  A sweep over a mostly-unpopulated address space
-    /// resolves each address once, skips the (vast) unrouted majority, and
-    /// probes the hits by reading one device flag byte and one interface
-    /// answer byte.
-    pub fn syn_probe_at(
-        &self,
-        device_id: DeviceId,
-        iface_idx: usize,
-        port: u16,
-        ctx: &ProbeContext,
-    ) -> SynResult {
-        if !self.devices.visible(device_id, ctx.vantage) {
+    /// Send a TCP SYN to `port` along `route`.  A sweep over a
+    /// mostly-unpopulated address space resolves each address once, skips
+    /// the (vast) unrouted majority, and probes the hits by reading one
+    /// device flag byte and one interface answer byte.
+    pub fn syn_probe_at(&self, route: Route, port: u16, ctx: &ProbeContext) -> SynResult {
+        let Route { device, .. } = route;
+        if !self.devices.visible(device, ctx.vantage) {
             return SynResult::Timeout;
         }
         let service = match port {
@@ -315,33 +355,33 @@ impl Internet {
             BGP_PORT => BGP,
             _ => 0,
         };
-        if self.devices.answers_at(device_id, iface_idx) & service != 0 {
+        if self.devices.answers_at(device, route.iface as usize) & service != 0 {
             SynResult::SynAck
         } else {
             SynResult::Rst
         }
     }
 
-    /// Complete the TCP handshake on `port` of an interface already resolved
-    /// via [`Self::lookup`] and capture the unsolicited (or banner-exchange)
-    /// bytes the server sends into a caller-owned buffer (cleared first), so
-    /// a scan loop can reuse one allocation across targets.  Returns whether
-    /// a service answered at all; an accepted-then-silent session (the
-    /// silent BGP majority) returns `true` with an empty buffer.
+    /// Complete the TCP handshake on `port` along `route` and capture the
+    /// unsolicited (or banner-exchange) bytes the server sends into a
+    /// caller-owned buffer (cleared first), so a scan loop can reuse one
+    /// allocation across targets.  Returns whether a service answered at
+    /// all; an accepted-then-silent session (the silent BGP majority)
+    /// returns `true` with an empty buffer.
     pub fn service_session_into(
         &self,
-        device_id: DeviceId,
-        iface_idx: usize,
+        route: Route,
         port: u16,
         ctx: &ProbeContext,
         out: &mut Vec<u8>,
     ) -> bool {
         out.clear();
-        if !self.devices.visible(device_id, ctx.vantage) {
+        let Route { device, .. } = route;
+        if !self.devices.visible(device, ctx.vantage) {
             return false;
         }
-        let answers = self.devices.answers_at(device_id, iface_idx);
-        let row = &self.devices.rows[device_id.index()];
+        let answers = self.devices.answers_at(device, route.iface as usize);
+        let row = &self.devices.rows[device.index()];
         match port {
             SSH_PORT if answers & SSH != 0 => {
                 let ssh = row.ssh.as_ref().expect("answers imply configured");
@@ -349,8 +389,8 @@ impl Internet {
                     Some(other) if answers & SSH_DIVERGENT != 0 => other,
                     _ => ssh.profile,
                 };
-                let cookie_seed = (device_id.0 as u64) << 32
-                    | (iface_idx as u64) << 16
+                let cookie_seed = u64::from(device.0) << 32
+                    | u64::from(route.iface) << 16
                     | (ctx.time.as_millis() & 0xffff);
                 let host_key = self.devices.host_key(ssh);
                 (self.ssh_templates).session_into(profile.0 as usize, host_key, cookie_seed, out);
@@ -366,28 +406,27 @@ impl Internet {
         }
     }
 
-    /// Send an SNMPv3 datagram to an interface already resolved via
-    /// [`Self::lookup`], capturing the response into a caller-owned buffer
-    /// (cleared first) so a sweep reuses one allocation across targets.
-    /// Returns whether the agent answered.  The datagram comes
-    /// from `request`, called once, and only by an interface that answers
-    /// SNMP at all: a sweep builds a request only for an agent that reads
-    /// it.
+    /// Send an SNMPv3 datagram along `route`, capturing the response into a
+    /// caller-owned buffer (cleared first) so a sweep reuses one allocation
+    /// across targets.  Returns whether the agent answered.  The datagram
+    /// comes from `request`, called once, and only by an interface that
+    /// answers SNMP at all: a sweep builds a request only for an agent that
+    /// reads it.
     pub fn snmp_probe_into<'r>(
         &self,
-        device_id: DeviceId,
-        iface_idx: usize,
+        route: Route,
         request: impl FnOnce() -> &'r [u8],
         ctx: &ProbeContext,
         out: &mut Vec<u8>,
     ) -> bool {
         out.clear();
-        if !self.devices.visible(device_id, ctx.vantage)
-            || self.devices.answers_at(device_id, iface_idx) & SNMP == 0
+        let Route { device, .. } = route;
+        if !self.devices.visible(device, ctx.vantage)
+            || self.devices.answers_at(device, route.iface as usize) & SNMP == 0
         {
             return false;
         }
-        let row = &self.devices.rows[device_id.index()];
+        let row = &self.devices.rows[device.index()];
         let snmp = row.snmp.as_ref().expect("answers imply configured");
         services::snmp_report_into(
             self.devices.engine_id(snmp),
@@ -402,9 +441,11 @@ impl Internet {
     /// Lock the probe-state column for a run of identifier probes.  See
     /// [`ProbeSession`] for who may hold one and for how long.
     pub fn probe_session(&self) -> ProbeSession<'_> {
+        // Probes leave whole counter values: a poisoned lock is taken as is.
+        let state = self.probe_state.lock();
         ProbeSession {
             devices: &self.devices,
-            state: self.probe_state.lock(),
+            state: state.unwrap_or_else(PoisonError::into_inner),
         }
     }
 
@@ -413,55 +454,56 @@ impl Internet {
     /// Simulator ground truth that no pipeline stage reads: tests pick the
     /// devices an IPID technique can confirm by it.
     pub fn ipid_model(&self, device_id: DeviceId) -> IpidModel {
-        self.probe_state.lock().ipid[device_id.index()].model()
+        let state = self.probe_state.lock();
+        state.unwrap_or_else(PoisonError::into_inner).ipid[device_id.index()].model()
     }
 
-    /// Whether `dst` answers ICMP echo at all from this vantage — the
-    /// stateless discovery check the rate prober sweeps with.  Unlike an
-    /// identifier probe it never advances the IPID counter, so sweeping the
-    /// routed space leaves the substrate untouched.
-    pub fn ping_responds(&self, dst: IpAddr, ctx: &ProbeContext) -> bool {
-        self.lookup(dst)
-            .is_some_and(|(device_id, _)| self.ping_responds_at(device_id, ctx))
+    /// Whether `route` answers ICMP echo at all from this vantage — the
+    /// stateless discovery check the rate prober sweeps with: one read of
+    /// a flag byte.  Unlike an identifier probe it never advances the IPID
+    /// counter, so sweeping the routed space leaves the substrate
+    /// untouched.
+    pub fn ping_responds_at(&self, route: Route, ctx: &ProbeContext) -> bool {
+        self.devices.pingable(route.device, ctx.vantage)
     }
 
-    /// [`Self::ping_responds`] for a device already resolved via
-    /// [`Self::lookup`] or `RoutedSpace::owner_at`: one read of its flag
-    /// byte.
-    pub fn ping_responds_at(&self, device_id: DeviceId, ctx: &ProbeContext) -> bool {
-        self.devices.pingable(device_id, ctx.vantage)
+    /// The ICMP limiter answering echo along `route`, with a key equal for
+    /// exactly the routes it answers: today the device's router-wide
+    /// limiter, keyed by the device.  Everything netsim memoises per limiter
+    /// reads the key here.
+    pub(crate) fn limiter(&self, route: Route) -> (usize, IcmpRateLimit) {
+        let device = route.device.index();
+        (device, self.devices.rows[device].icmp_limit)
     }
 
-    /// Probe a device already resolved via [`Self::lookup`] with `count`
-    /// evenly paced ICMP echo requests at `rate_pps` and count the replies
-    /// surviving its router-wide rate limiter — the rate-limiting
-    /// technique's measurement primitive.  The limiter is router-wide, so
-    /// only the device matters — the rate prober steps each device's
-    /// escalation ladder once, however many of its interfaces it targets.
+    /// The number of limiter keys: every [`Self::limiter`] key is below it.
+    pub(crate) fn limiters(&self) -> usize {
+        self.devices.rows.len()
+    }
+
+    /// Probe `route` with `count` evenly paced ICMP echo requests at
+    /// `rate_pps` and count the replies surviving the limiter that answers
+    /// it — the rate-limiting technique's measurement primitive.
     ///
     /// The limiter bucket starts full: the prober enforces an inter-burst
     /// cool-down long enough to refill any configured limiter, which models
     /// the steady state a real limiter returns to *and* makes the reply
-    /// count a pure function of (device, rate, count) — bursts against
+    /// count a pure function of (limiter, rate, count) — bursts against
     /// different targets can run in any order on any number of shard
-    /// workers with byte-identical results.  The burst never touches the
-    /// IPID counter: rate-probing must not perturb the IPID time series
-    /// the other techniques sample.
-    pub fn rate_burst_at(
+    /// workers with byte-identical results, and
+    /// [`Self::rate_ladders`] steps each limiter once.  The burst never
+    /// touches the IPID counter: rate-probing must not perturb the IPID
+    /// time series the other techniques sample.
+    pub(crate) fn rate_burst_at(
         &self,
-        device_id: DeviceId,
+        route: Route,
         rate_pps: f64,
         count: u32,
         ctx: &ProbeContext,
     ) -> Option<u32> {
-        if !self.ping_responds_at(device_id, ctx) {
-            return None;
-        }
-        Some(crate::ratelimit::solo_burst_replies(
-            self.devices.rows[device_id.index()].icmp_limit,
-            rate_pps,
-            count,
-        ))
+        let (_, limit) = self.limiter(route);
+        (self.ping_responds_at(route, ctx))
+            .then(|| crate::ratelimit::solo_burst_replies(limit, rate_pps, count))
     }
 
     /// Probe `a` and `b` with interleaved echo requests (a, b, a, b, …) at
@@ -479,45 +521,37 @@ impl Internet {
         count_per_addr: u32,
         ctx: &ProbeContext,
     ) -> Option<(u32, u32)> {
-        let (device_a, _) = self.lookup(a)?;
-        let (device_b, _) = self.lookup(b)?;
-        if !self.ping_responds_at(device_a, ctx) || !self.ping_responds_at(device_b, ctx) {
+        let (route_a, route_b) = (self.route(a)?, self.route(b)?);
+        if !self.ping_responds_at(route_a, ctx) || !self.ping_responds_at(route_b, ctx) {
             return None;
         }
-        let limit = |device: DeviceId| self.devices.rows[device.index()].icmp_limit;
-        if device_a == device_b {
+        let ((key_a, limit_a), (key_b, limit_b)) = (self.limiter(route_a), self.limiter(route_b));
+        if key_a == key_b {
             Some(crate::ratelimit::joint_burst_replies_shared(
-                limit(device_a),
+                limit_a,
                 rate_pps,
                 count_per_addr,
             ))
         } else {
-            let half = |device| {
-                crate::ratelimit::solo_burst_replies(limit(device), rate_pps / 2.0, count_per_addr)
-            };
-            Some((half(device_a), half(device_b)))
+            let half =
+                |limit| crate::ratelimit::solo_burst_replies(limit, rate_pps / 2.0, count_per_addr);
+            Some((half(limit_a), half(limit_b)))
         }
     }
 
-    /// Send a UDP datagram to a closed port on an interface already resolved
-    /// via [`Self::lookup`] and observe the source address of the resulting
-    /// ICMP port-unreachable (the iffinder / common-source-address
-    /// technique).  `None` means no error was returned.  A device with a
-    /// common error source answers from it only in the probed interface's
-    /// family (an ICMPv6 error cannot leave from an IPv4 address); otherwise
-    /// it answers from the probed address.
-    pub fn udp_closed_port_probe_at(
-        &self,
-        device_id: DeviceId,
-        iface_idx: usize,
-        ctx: &ProbeContext,
-    ) -> Option<IpAddr> {
-        if !self.ping_responds_at(device_id, ctx) {
+    /// Send a UDP datagram to a closed port along `route` and observe the
+    /// source address of the resulting ICMP port-unreachable (the iffinder /
+    /// common-source-address technique).  `None` means no error was
+    /// returned.  A device with a common error source answers from it only
+    /// in the probed interface's family (an ICMPv6 error cannot leave from
+    /// an IPv4 address); otherwise it answers from the probed address.
+    pub fn udp_closed_port_probe_at(&self, route: Route, ctx: &ProbeContext) -> Option<IpAddr> {
+        if !self.ping_responds_at(route, ctx) {
             return None;
         }
-        let ifaces = &self.devices.ifaces[self.devices.range(device_id)];
-        let probed = ifaces[iface_idx].addr;
-        let source = self.device(device_id).icmp_error_source();
+        let ifaces = &self.devices.ifaces[self.devices.range(route.device)];
+        let probed = ifaces[route.iface as usize].addr;
+        let source = self.device(route.device).icmp_error_source();
         let source = source.map(|iface| ifaces[iface].addr);
         Some(
             source
@@ -590,74 +624,24 @@ impl Internet {
         GroundTruth { internet: self }
     }
 
-    /// The device owning `addr`, read off the IP index.
-    pub fn device_of(&self, addr: IpAddr) -> Option<DeviceId> {
-        self.lookup(addr).map(|(device, _)| device)
-    }
-
-    /// Summary statistics about the generated population (used by the
-    /// `stats` experiment binary and in tests).
+    /// How many BGP speakers send an OPEN to an unsolicited peer and how
+    /// many close silently: what the `stats` section quotes (§2.3).
     pub fn population_stats(&self) -> PopulationStats {
         let mut stats = PopulationStats::default();
-        for &answers in &self.devices.answers {
-            stats.ssh_responding_addrs += usize::from(answers & SSH != 0);
-            stats.bgp_responding_addrs += usize::from(answers & BGP != 0);
-            stats.snmp_responding_addrs += usize::from(answers & SNMP != 0);
-        }
-        for device in self.devices() {
-            stats.devices += 1;
-            match device.kind() {
-                DeviceKind::CloudVm => stats.cloud_vms += 1,
-                DeviceKind::CloudServer => stats.cloud_servers += 1,
-                DeviceKind::IspRouter => stats.isp_routers += 1,
-                DeviceKind::BorderRouter => stats.border_routers += 1,
-                DeviceKind::Cpe => stats.cpe_devices += 1,
-                DeviceKind::EnterpriseServer => stats.enterprise_servers += 1,
-                DeviceKind::SilentRouter => stats.silent_routers += 1,
-            }
-            if device.is_dual_stack() {
-                stats.dual_stack_devices += 1;
-            }
-            if let Some(bgp) = device.bgp() {
-                let profile = &self.bgp_profiles[bgp.profile.0 as usize];
-                if profile.sends_open {
-                    stats.bgp_open_senders += 1;
-                } else {
-                    stats.bgp_silent_closers += 1;
-                }
+        for bgp in self.devices().filter_map(|device| device.bgp()) {
+            if self.bgp_profiles[bgp.profile.0 as usize].sends_open {
+                stats.bgp_open_senders += 1;
+            } else {
+                stats.bgp_silent_closers += 1;
             }
         }
         stats
     }
 }
 
-/// Aggregate counts describing the generated population.
+/// What the `stats` section quotes of the generated population.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PopulationStats {
-    /// Total devices.
-    pub(crate) devices: usize,
-    /// Single-address cloud VMs.
-    pub(crate) cloud_vms: usize,
-    /// Multi-address cloud servers.
-    pub(crate) cloud_servers: usize,
-    /// ISP routers.
-    pub(crate) isp_routers: usize,
-    /// Border routers.
-    pub(crate) border_routers: usize,
-    /// CPE devices.
-    pub(crate) cpe_devices: usize,
-    /// Enterprise servers.
-    pub(crate) enterprise_servers: usize,
-    /// Silent routers (no identifier services at all).
-    pub(crate) silent_routers: usize,
-    /// Devices with both IPv4 and IPv6 interfaces.
-    pub(crate) dual_stack_devices: usize,
-    /// Interface addresses answering SSH.
-    pub(crate) ssh_responding_addrs: usize,
-    /// Interface addresses answering BGP.
-    pub(crate) bgp_responding_addrs: usize,
-    /// Interface addresses answering SNMPv3.
-    pub(crate) snmp_responding_addrs: usize,
     /// BGP speakers that send an OPEN to unsolicited peers.
     pub bgp_open_senders: usize,
     /// BGP speakers that close silently.
@@ -669,6 +653,7 @@ mod tests {
     use super::*;
     use crate::builder::InternetBuilder;
     use crate::config::InternetConfig;
+    use crate::device::DeviceKind;
     use alias_wire::snmp::Snmpv3Message;
 
     fn tiny_internet() -> Internet {
@@ -689,10 +674,15 @@ mod tests {
         }
     }
 
+    /// The device and interface index a route leads to.
+    fn owner(route: Option<Route>) -> Option<(DeviceId, usize)> {
+        route.map(|route| (route.device, route.iface as usize))
+    }
+
     /// A SYN to `dst`, resolved the way a sweep resolves it.
     fn syn(internet: &Internet, dst: IpAddr, port: u16, ctx: &ProbeContext) -> SynResult {
-        match internet.lookup(dst) {
-            Some((device, iface)) => internet.syn_probe_at(device, iface, port, ctx),
+        match internet.route(dst) {
+            Some(route) => internet.syn_probe_at(route, port, ctx),
             None => SynResult::Timeout,
         }
     }
@@ -704,17 +694,21 @@ mod tests {
         request: &[u8],
         ctx: &ProbeContext,
     ) -> Option<Vec<u8>> {
-        let (device, iface) = internet.lookup(dst)?;
+        let route = internet.route(dst)?;
         let mut out = Vec::new();
         internet
-            .snmp_probe_into(device, iface, || request, ctx, &mut out)
+            .snmp_probe_into(route, || request, ctx, &mut out)
             .then_some(out)
     }
 
-    /// The reply count of an echo burst at the device behind `dst`.
+    /// The reply count of an echo burst at `dst`.
     fn burst(internet: &Internet, dst: IpAddr, rate_pps: f64, ctx: &ProbeContext) -> Option<u32> {
-        let (device, _) = internet.lookup(dst)?;
-        internet.rate_burst_at(device, rate_pps, 24, ctx)
+        internet.rate_burst_at(internet.route(dst)?, rate_pps, 24, ctx)
+    }
+
+    /// Whether `dst` answers echo.
+    fn pings(internet: &Internet, dst: IpAddr, ctx: &ProbeContext) -> bool {
+        (internet.route(dst)).is_some_and(|route| internet.ping_responds_at(route, ctx))
     }
 
     #[test]
@@ -725,9 +719,10 @@ mod tests {
             .find(|d| !d.interfaces().is_empty())
             .expect("devices exist");
         let iface = device.interfaces()[0];
-        assert_eq!(internet.lookup(iface.addr), Some((device.id(), 0)));
-        assert_eq!(internet.asn_at(device.id(), 0), iface.asn);
-        assert_eq!(internet.lookup("203.0.113.7".parse().unwrap()), None);
+        assert_eq!(owner(internet.route(iface.addr)), Some((device.id(), 0)));
+        assert_eq!(internet.asn_at(device.route(0)), iface.asn);
+        assert_eq!(internet.addr_at(device.route(0)), iface.addr);
+        assert!(internet.route("203.0.113.7".parse().unwrap()).is_none());
     }
 
     #[test]
@@ -793,9 +788,9 @@ mod tests {
             .devices()
             .find_map(|d| d.answering(ServiceProtocol::Ssh).next())
             .unwrap();
-        let (device, iface) = internet.lookup(addr).unwrap();
+        let route = internet.route(addr).unwrap();
         let mut bytes = Vec::new();
-        assert!(internet.service_session_into(device, iface, SSH_PORT, &ctx, &mut bytes));
+        assert!(internet.service_session_into(route, SSH_PORT, &ctx, &mut bytes));
         let (banner, _) = alias_wire::ssh::Banner::parse_borrowed(&bytes).unwrap();
         assert_eq!(banner.proto_version, "2.0");
     }
@@ -837,8 +832,7 @@ mod tests {
                     let reads = visible && device.responds_on(ServiceProtocol::Snmpv3, iface);
                     let mut calls = 0;
                     let answered = internet.snmp_probe_into(
-                        device.id(),
-                        iface,
+                        device.route(iface),
                         || {
                             calls += 1;
                             &request[..]
@@ -854,8 +848,7 @@ mod tests {
                         &b"not-snmp"[..]
                     };
                     assert!(!internet.snmp_probe_into(
-                        device.id(),
-                        iface,
+                        device.route(iface),
                         garbage,
                         &ctx,
                         &mut reply
@@ -875,10 +868,10 @@ mod tests {
 
     /// One identifier probe of `addr`, resolved by address, in a session
     /// of its own.
-    fn probe(internet: &Internet, addr: IpAddr, ctx: &ProbeContext) -> Option<EchoObservation> {
-        let (device_id, iface_idx) = internet.lookup(addr)?;
+    fn probe(internet: &Internet, addr: IpAddr, ctx: &ProbeContext) -> Option<IpidSample> {
+        let route = internet.route(addr)?;
         let mut session = internet.probe_session();
-        session.identifier_probe_at(device_id, iface_idx, ctx)
+        session.identifier_probe_at(route, ctx)
     }
 
     #[test]
@@ -971,7 +964,7 @@ mod tests {
             for (n, &(device, iface, addr)) in picked.iter().enumerate() {
                 let time = SimTime(round * 10_000 + n as u64 * 3);
                 for (v, ctx) in [single(time), distributed(time)].iter().enumerate() {
-                    let sample = session.identifier_probe_at(device, iface, ctx);
+                    let sample = session.identifier_probe_at(held.device(device).route(iface), ctx);
                     assert_eq!(sample, probe(&one_shot, addr, ctx), "{addr} {ctx:?}");
                     answered[v] += usize::from(sample.is_some());
                 }
@@ -1002,8 +995,11 @@ mod tests {
             let source = device.interfaces()[source].addr;
             assert!(source.is_ipv4());
             for (iface_idx, iface) in device.interfaces().iter().enumerate() {
-                assert_eq!(internet.lookup(iface.addr), Some((device.id(), iface_idx)));
-                let answer = internet.udp_closed_port_probe_at(device.id(), iface_idx, &ctx);
+                assert_eq!(
+                    owner(internet.route(iface.addr)),
+                    Some((device.id(), iface_idx))
+                );
+                let answer = internet.udp_closed_port_probe_at(device.route(iface_idx), &ctx);
                 if iface.addr.is_ipv4() {
                     assert_eq!(answer, Some(source), "{}", iface.addr);
                     v4 += 1;
@@ -1038,7 +1034,7 @@ mod tests {
         // The index still maps every address to the device now holding it.
         for device in internet.devices() {
             for (idx, iface) in device.interfaces().iter().enumerate() {
-                assert_eq!(internet.lookup(iface.addr), Some((device.id(), idx)));
+                assert_eq!(owner(internet.route(iface.addr)), Some((device.id(), idx)));
             }
         }
     }
@@ -1054,14 +1050,14 @@ mod tests {
             .find(|d| d.kind() == DeviceKind::SilentRouter)
             .unwrap();
         let v4 = IpAddr::V4(silent.ipv4_addrs()[0]);
-        assert!(internet.ping_responds(v4, &ctx));
+        assert!(pings(&internet, v4, &ctx));
         let below = burst(&internet, v4, 50.0, &ctx).unwrap();
         assert_eq!(below, 24, "a 50 pps burst never trips a silent limiter");
         let above = burst(&internet, v4, silent.icmp_limit().rate_pps * 4.0, &ctx).unwrap();
         assert!(above < 24, "4x the limiter rate must lose probes");
         // Holes in the address space are unresponsive.
         let hole: IpAddr = "250.250.250.250".parse().unwrap();
-        assert!(!internet.ping_responds(hole, &ctx));
+        assert!(!pings(&internet, hole, &ctx));
         assert!(burst(&internet, hole, 256.0, &ctx).is_none());
     }
 
@@ -1127,7 +1123,7 @@ mod tests {
             .collect();
         assert_ne!(gt.device_of(firsts[0]), gt.device_of(firsts[1]));
         let nobody: IpAddr = "192.0.2.1".parse().unwrap();
-        assert!(internet.lookup(nobody).is_none());
+        assert!(internet.route(nobody).is_none());
         assert_eq!(gt.device_of(nobody), None);
     }
 
@@ -1135,19 +1131,8 @@ mod tests {
     fn population_stats_add_up() {
         let internet = tiny_internet();
         let stats = internet.population_stats();
-        assert_eq!(stats.devices, internet.devices().len());
-        assert_eq!(
-            stats.devices,
-            stats.cloud_vms
-                + stats.cloud_servers
-                + stats.isp_routers
-                + stats.border_routers
-                + stats.cpe_devices
-                + stats.enterprise_servers
-                + stats.silent_routers
-        );
-        assert!(stats.ssh_responding_addrs > 0);
-        assert!(stats.snmp_responding_addrs > 0);
-        assert!(stats.bgp_open_senders > 0);
+        let speakers = internet.devices().filter(|d| d.bgp().is_some()).count();
+        assert_eq!(stats.bgp_open_senders + stats.bgp_silent_closers, speakers);
+        assert!(stats.bgp_open_senders > 0 && stats.bgp_silent_closers > 0);
     }
 }

@@ -44,7 +44,7 @@ mod ids;
 pub mod internet;
 pub mod ipid;
 pub mod profiles;
-mod ratelimit;
+pub mod ratelimit;
 pub mod services;
 mod space;
 mod topology;
@@ -55,6 +55,6 @@ pub use clock::SimTime;
 pub use config::{InternetConfig, ScalePreset};
 pub use device::{DeviceKind, DeviceRef};
 pub use ground_truth::{GroundTruth, PairwiseScore};
-pub use ids::DeviceId;
-pub use internet::{Internet, ProbeContext, ProbeSession, ServiceProtocol, SynResult};
+pub use ids::{DeviceId, Route};
+pub use internet::{Internet, IpidSample, ProbeContext, ProbeSession, ServiceProtocol, SynResult};
 pub use vantage::VantageKind;

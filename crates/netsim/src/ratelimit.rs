@@ -18,6 +18,15 @@
 //! and makes every reply count a pure function of (limiter, rate, count) —
 //! bursts against different targets can run in any order on any number of
 //! shard workers with byte-identical results.
+//!
+//! The rate prober's escalation ladder is such a function of the limiter,
+//! so [`RateLadders`] steps it once per limiter and hands each route its
+//! limiter's ladder: which routes share a limiter stays on this side.
+
+use crate::clock::SimTime;
+use crate::ids::Route;
+use crate::internet::{Internet, ProbeContext};
+use crate::vantage::VantageKind;
 
 /// A device's router-wide ICMP rate-limiter parameters.  Plain data (no
 /// interior mutability): burst evaluation builds its own transient
@@ -137,6 +146,97 @@ pub(crate) fn joint_burst_replies_shared(
         }
     }
     replies
+}
+
+/// [`RateLadders`] entry of a limiter no listed route leads to.
+const UNSTEPPED: u32 = u32::MAX;
+/// [`RateLadders`] entry of a limiter whose routes do not answer echo.
+const SILENT: u32 = u32::MAX - 1;
+
+/// Escalation ladders of ICMP bursts, stepped once per limiter
+/// ([`Internet::rate_ladders`]) and read per route.
+pub struct RateLadders<'a> {
+    internet: &'a Internet,
+    rounds: usize,
+    /// Per limiter key: [`UNSTEPPED`], [`SILENT`] or its row of `losses`.
+    rows: Vec<u32>,
+    /// `rounds` losses a row; row 0, all zeros, serves every screened
+    /// limiter, and each lossy one has a row of its own.
+    losses: Vec<u8>,
+}
+
+impl RateLadders<'_> {
+    /// The probes lost at each rate of the ladder along `route`, in ladder
+    /// order (all zeros where none was lost even at the top rate), or `None`
+    /// where the route does not answer echo.
+    ///
+    /// # Panics
+    /// Panics if `route` was not among the routes the ladders were stepped
+    /// for.
+    pub fn of(&self, route: Route) -> Option<&[u8]> {
+        let row = self.rows[self.internet.limiter(route).0];
+        assert_ne!(row, UNSTEPPED, "{route:?} was not stepped");
+        (row != SILENT).then(|| &self.losses[row as usize * self.rounds..][..self.rounds])
+    }
+
+    /// Limiters that lost probes at the top rate.
+    pub fn lossy(&self) -> u64 {
+        (self.losses.len() / self.rounds - 1) as u64
+    }
+}
+
+impl Internet {
+    /// Step an escalation ladder, a burst of `count` echo requests at each
+    /// of `rates` (ascending), for the limiter answering each of `routes`:
+    /// once per limiter, however many of its routes are listed.
+    ///
+    /// A screening burst at the top rate runs first: a limiter that loses
+    /// nothing there cannot lose at any lower rate (loss is monotone in the
+    /// probing rate), so the rest of its ladder is skipped.  A burst reads
+    /// the limiter and whether the route answers echo from `vantage`, not
+    /// the time.
+    ///
+    /// # Panics
+    /// Panics if `rates` is empty.
+    pub fn rate_ladders(
+        &self,
+        routes: &[Route],
+        rates: &[f64],
+        count: u8,
+        vantage: VantageKind,
+    ) -> RateLadders<'_> {
+        let ctx = ProbeContext {
+            vantage,
+            time: SimTime::ZERO,
+        };
+        let (&top, lower) = rates.split_last().expect("a ladder has at least one rate");
+        let count = u32::from(count);
+        let lost = |replies: u32| (count - replies) as u8;
+        let (mut rows, mut losses) = (vec![UNSTEPPED; self.limiters()], vec![0; rates.len()]);
+        for &route in routes {
+            let row = &mut rows[self.limiter(route).0];
+            if *row != UNSTEPPED {
+                continue;
+            }
+            let burst = |rate| self.rate_burst_at(route, rate, count, &ctx);
+            *row = match burst(top) {
+                None => SILENT,
+                Some(replies) if replies == count => 0,
+                Some(top) => {
+                    let next = u32::try_from(losses.len() / rates.len());
+                    losses.extend(lower.iter().map(|&rate| burst(rate).map_or(0, lost)));
+                    losses.push(lost(top));
+                    next.expect("fewer limiters than 2^32")
+                }
+            };
+        }
+        RateLadders {
+            internet: self,
+            rounds: rates.len(),
+            rows,
+            losses,
+        }
+    }
 }
 
 #[cfg(test)]

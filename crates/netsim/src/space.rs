@@ -7,13 +7,14 @@
 //! half of the simulator's IP index: a dense slot table says, for every
 //! index, which interface of the Internet's interface column holds that
 //! address, if any.  A sweep walks *indices* and asks
-//! [`RoutedSpace::owner_at`] — two column reads, no hashing, no device — and
-//! turns an index into an address only for the minority that exist.
+//! [`RoutedSpace::owner_at`] — two column reads, no hashing — for the
+//! [`Route`] to probe, and turns an index into an address only for the
+//! minority that exist.
 //! Addresses are never materialised as a list: at the larger scale tiers the
 //! space runs to tens of millions of them.
 
 use crate::device::DeviceTable;
-use crate::ids::DeviceId;
+use crate::ids::{DeviceId, Route};
 use crate::topology::Ipv4Prefix;
 use std::net::{IpAddr, Ipv4Addr};
 
@@ -33,9 +34,9 @@ pub struct RoutedSpace {
     /// Per routed address: the position of its interface in the interface
     /// column, or [`VACANT`].
     slots: Vec<u32>,
-    /// Per position in the interface column, of either family: the device
-    /// and its interface index there — the IP index's answer.
-    owners: Vec<(DeviceId, u32)>,
+    /// Per position in the interface column, of either family: the route
+    /// to it — the IP index's answer.
+    owners: Vec<Route>,
 }
 
 impl RoutedSpace {
@@ -68,10 +69,10 @@ impl RoutedSpace {
             owners: Vec::with_capacity(devices.ifaces.len()),
         };
         for (device, run) in devices.starts.windows(2).enumerate() {
-            let owner = DeviceId(device as u32);
+            let device = DeviceId(device as u32);
             space
                 .owners
-                .extend((0..run[1] - run[0]).map(|iface| (owner, iface)));
+                .extend((0..run[1] - run[0]).map(|iface| Route { device, iface }));
         }
         for (position, iface) in devices.ifaces.iter().enumerate() {
             let IpAddr::V4(addr) = iface.addr else {
@@ -135,23 +136,21 @@ impl RoutedSpace {
         (within < self.prefixes[slot].size()).then(|| self.offsets[slot] + within)
     }
 
-    /// The device and interface index holding the address at `index`, or
+    /// The route to the interface holding the address at `index`, or
     /// `None` for the unpopulated majority of the space.
     ///
     /// # Panics
     /// Panics if `index >= len()`.
-    pub fn owner_at(&self, index: u64) -> Option<(DeviceId, usize)> {
+    pub fn owner_at(&self, index: u64) -> Option<Route> {
         let Some(&slot) = self.slots.get(index as usize) else {
             self.out_of_range(index)
         };
         (slot != VACANT).then(|| self.owner(slot))
     }
 
-    /// The device and interface index of position `iface` of the interface
-    /// column.
-    pub(crate) fn owner(&self, iface: u32) -> (DeviceId, usize) {
-        let (device_id, iface_idx) = self.owners[iface as usize];
-        (device_id, iface_idx as usize)
+    /// The route to position `iface` of the interface column.
+    pub(crate) fn owner(&self, iface: u32) -> Route {
+        self.owners[iface as usize]
     }
 
     /// Exchange the owners of two routed addresses (address churn).
@@ -167,6 +166,7 @@ impl RoutedSpace {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ids::Asn;
     use crate::{Internet, InternetBuilder, InternetConfig, SimTime};
     use rand::{Rng, SeedableRng};
     use rand_chacha::ChaCha8Rng;
@@ -250,34 +250,46 @@ mod tests {
     }
 
     /// The IP index as it was before the routed-space table: one map over
-    /// every interface address, rebuilt here from `devices()`.
-    fn oracle(internet: &Internet) -> BTreeMap<IpAddr, (DeviceId, usize)> {
+    /// every interface address, rebuilt here from `devices()`, to the
+    /// device, the interface index and the interface's AS.
+    fn oracle(internet: &Internet) -> BTreeMap<IpAddr, (DeviceId, usize, Asn)> {
         let mut map = BTreeMap::new();
         for device in internet.devices() {
             for (iface_idx, iface) in device.interfaces().iter().enumerate() {
-                map.insert(iface.addr, (device.id(), iface_idx));
+                map.insert(iface.addr, (device.id(), iface_idx, iface.asn));
             }
         }
         map
     }
 
-    /// `lookup` against the oracle on every address that could matter:
-    /// the whole routed space (hits and misses), every IPv6 interface, and
-    /// seeded addresses outside every prefix / unassigned inside the
-    /// announced IPv6 prefixes.
+    /// What `route` says of `addr`, in the oracle's terms; the route leads
+    /// back to `addr`.
+    fn routed(
+        internet: &Internet,
+        addr: IpAddr,
+        route: Option<Route>,
+    ) -> Option<(DeviceId, usize, Asn)> {
+        let route = route?;
+        assert_eq!(internet.addr_at(route), addr);
+        Some((route.device, route.iface as usize, internet.asn_at(route)))
+    }
+
+    /// `Internet::route` and `RoutedSpace::owner_at` against the oracle on
+    /// every address that could matter: the whole routed space (hits and
+    /// misses), every IPv6 interface, and seeded addresses outside every
+    /// prefix / unassigned inside the announced IPv6 prefixes.  Every route
+    /// round-trips: it leads back to its address and its AS.
     fn assert_index_matches_oracle(internet: &Internet, label: &str) {
         let oracle = oracle(internet);
         let space = internet.routed_space();
         assert_eq!(internet.address_count(), oracle.len(), "{label}");
         let mut hits = 0usize;
         for (index, addr) in (0..space.len()).map(|i| space.addr_at(i)).enumerate() {
-            let expected = oracle.get(&IpAddr::V4(addr)).copied();
-            assert_eq!(
-                internet.lookup(IpAddr::V4(addr)),
-                expected,
-                "{label} {addr}"
-            );
-            assert_eq!(space.owner_at(index as u64), expected, "{label} {addr}");
+            let (v4, expected) = (IpAddr::V4(addr), oracle.get(&IpAddr::V4(addr)).copied());
+            let route = internet.route(v4);
+            assert_eq!(routed(internet, v4, route), expected, "{label} {addr}");
+            let owner = space.owner_at(index as u64);
+            assert_eq!(routed(internet, v4, owner), expected, "{label} {addr}");
             assert_eq!(space.index_of(addr), Some(index as u64), "{label} {addr}");
             assert_eq!(space.addr_at(index as u64), addr, "{label} {index}");
             hits += usize::from(expected.is_some());
@@ -287,7 +299,8 @@ mod tests {
         let mut v6 = 0usize;
         for (&addr, &owner) in &oracle {
             if addr.is_ipv6() {
-                assert_eq!(internet.lookup(addr), Some(owner), "{label} {addr}");
+                let route = internet.route(addr);
+                assert_eq!(routed(internet, addr, route), Some(owner), "{label} {addr}");
                 v6 += 1;
             }
         }
@@ -304,7 +317,7 @@ mod tests {
                 continue;
             }
             assert_eq!(space.index_of(addr), None, "{label} {addr}");
-            assert_eq!(internet.lookup(IpAddr::V4(addr)), None, "{label} {addr}");
+            assert!(internet.route(IpAddr::V4(addr)).is_none(), "{label} {addr}");
             outside += 1;
         }
         let ases = internet.ases();
@@ -316,7 +329,7 @@ mod tests {
             if oracle.contains_key(&IpAddr::V6(addr)) {
                 continue;
             }
-            assert_eq!(internet.lookup(IpAddr::V6(addr)), None, "{label} {addr}");
+            assert!(internet.route(IpAddr::V6(addr)).is_none(), "{label} {addr}");
             unassigned += 1;
         }
     }

@@ -19,9 +19,8 @@ use alias_midar::ally::{AllyTester, AllyVerdict};
 use alias_midar::iffinder::iffinder_scan;
 use alias_midar::midar::PAIR_SPACING;
 use alias_midar::midar_resolve;
-use alias_netsim::{Internet, SimTime};
+use alias_netsim::{Internet, Route, SimTime};
 use alias_obs::{DeterminismClass, LazyCounter};
-use alias_scan::ipid_probe::ResolvedTarget;
 use alias_scan::CampaignData;
 use std::net::IpAddr;
 use std::sync::{Arc, OnceLock};
@@ -69,13 +68,13 @@ static SPEEDTRAP_COUNTERS: MidarCounters = [
 pub struct FamilyTargets {
     /// The campaign ids of the family's addresses, in address order.
     pub ids: Vec<AddrId>,
-    /// Each target's interface, resolved against the IP index once.
-    pub(crate) resolved: Vec<ResolvedTarget>,
+    /// Each target's route, read off the IP index once.
+    pub(crate) routes: Vec<Option<Route>>,
 }
 
 /// The target lists the probing baselines work from: the campaign's
 /// distinct addresses per family, sorted by address, as ids with their
-/// resolved interfaces.  One instance serves a whole
+/// routes.  One instance serves a whole
 /// [`Resolver::resolve_data`](crate::Resolver::resolve_data); each family
 /// is collected, sorted and looked up the first time a technique asks for
 /// it, so a run with no probing baseline never pays for it and a run with
@@ -88,7 +87,7 @@ pub struct ProbeTargets<'a> {
 }
 
 impl<'a> ProbeTargets<'a> {
-    /// Target lists over `data`'s addresses, resolved against `internet`.
+    /// Target lists over `data`'s addresses, routed through `internet`.
     pub fn new(data: &'a CampaignData, internet: &'a Internet) -> Self {
         ProbeTargets {
             data,
@@ -136,8 +135,8 @@ impl<'a> ProbeTargets<'a> {
             )
         };
         FamilyTargets {
-            resolved: (ids.iter())
-                .map(|&id| self.internet.lookup(interner.addr(id)))
+            routes: (ids.iter())
+                .map(|&id| self.internet.route(interner.addr(id)))
                 .collect(),
             ids,
         }
@@ -172,8 +171,8 @@ fn midar_result(
     ctx: &TechniqueCtx<'_>,
     family: &FamilyTargets,
 ) -> TechniqueResult {
-    let FamilyTargets { ids, resolved } = family;
-    let outcome = midar_resolve(ctx.internet, resolved, ctx.vantage, ctx.probe_start);
+    let FamilyTargets { ids, routes } = family;
+    let outcome = midar_resolve(ctx.internet, routes, ctx.vantage, ctx.probe_start);
     let tallies = [
         outcome.mbt_tests,
         outcome.candidates,
@@ -227,7 +226,7 @@ impl ResolutionTechnique for AllyTechnique {
     }
 
     fn resolve(&self, data: &CampaignData, ctx: &TechniqueCtx<'_>) -> TechniqueResult {
-        let FamilyTargets { ids, resolved } = ctx.targets.ipv4();
+        let FamilyTargets { ids, routes } = ctx.targets.ipv4();
         // One session and one tester for the whole sweep: every pair test
         // writes into the tester's one pair of sample buffers.
         let mut session = ctx.internet.probe_session();
@@ -245,7 +244,7 @@ impl ResolutionTechnique for AllyTechnique {
                     continue;
                 }
                 pair_tests += 1;
-                let pair = [resolved[i], resolved[j]];
+                let pair = [routes[i], routes[j]];
                 match tester.test(&mut session, pair, ctx.vantage, now) {
                     AllyVerdict::Alias => {
                         uf.union(i, j);
@@ -310,9 +309,9 @@ impl ResolutionTechnique for IffinderTechnique {
     }
 
     fn resolve(&self, data: &CampaignData, ctx: &TechniqueCtx<'_>) -> TechniqueResult {
-        let FamilyTargets { ids, resolved } = ctx.targets.ipv4();
+        let FamilyTargets { ids, routes } = ctx.targets.ipv4();
         let mut interner = data.interner().clone();
-        let targets = (ids.iter().zip(resolved)).map(|(&id, &target)| (interner.addr(id), target));
+        let targets = (ids.iter().zip(routes)).map(|(&id, &route)| (interner.addr(id), route));
         let outcome = iffinder_scan(ctx.internet, targets, ctx.vantage, ctx.probe_start);
         // ICMP errors can come from interfaces the campaign never observed:
         // the first such source copies the campaign interner, and every one
@@ -385,9 +384,12 @@ mod tests {
                 .map(|&id| data.interner().addr(id))
                 .collect();
             assert_eq!(addrs, observed);
-            let lookups: Vec<ResolvedTarget> = addrs.iter().map(|&a| internet.lookup(a)).collect();
-            assert_eq!(family.resolved, lookups);
-            assert!(family.resolved.iter().all(Option::is_some));
+            // Every route leads back to its own address.
+            let routed = family
+                .routes
+                .iter()
+                .map(|route| route.map(|r| internet.addr_at(r)));
+            assert!(routed.eq(addrs.iter().copied().map(Some)));
         }
     }
 

@@ -255,7 +255,12 @@ mod tests {
         for set in result.alias_sets() {
             let devices: BTreeSet<_> = set
                 .iter()
-                .map(|&addr| internet.lookup(addr).expect("known address").0)
+                .map(|&addr| {
+                    internet
+                        .ground_truth()
+                        .device_of(addr)
+                        .expect("known address")
+                })
                 .collect();
             assert_eq!(devices.len(), 1, "impure alias set {set:?}");
         }

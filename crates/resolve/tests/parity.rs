@@ -15,13 +15,12 @@ use alias_midar::ally::{AllyTester, AllyVerdict};
 use alias_midar::iffinder::iffinder_scan;
 use alias_midar::midar::PAIR_SPACING;
 use alias_midar::midar_resolve;
-use alias_netsim::{Internet, InternetBuilder, InternetConfig, ServiceProtocol};
+use alias_netsim::{Internet, InternetBuilder, InternetConfig, Route, ServiceProtocol};
 use alias_resolve::{
     AllyTechnique, IdentifierTechnique, IffinderTechnique, MidarTechnique, ProbeTargets,
     ResolutionTechnique, SpeedtrapTechnique, TechniqueCtx, TechniqueResult,
 };
 use alias_scan::campaign::{ActiveCampaign, CampaignConfig, CampaignData};
-use alias_scan::ipid_probe::ResolvedTarget;
 use alias_scan::ObservationStore;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::net::IpAddr;
@@ -153,8 +152,8 @@ fn address_sets(groups: Vec<Vec<usize>>, addrs: &[IpAddr]) -> Vec<BTreeSet<IpAdd
     )
 }
 
-fn lookups(internet: &Internet, addrs: &[IpAddr]) -> Vec<ResolvedTarget> {
-    addrs.iter().map(|&addr| internet.lookup(addr)).collect()
+fn routes(internet: &Internet, addrs: &[IpAddr]) -> Vec<Option<Route>> {
+    addrs.iter().map(|&addr| internet.route(addr)).collect()
 }
 
 /// The legacy direct-call equivalent of one technique, replayed against
@@ -181,7 +180,7 @@ fn legacy_resolve(
             let addrs = targets(data, name == "speedtrap");
             let outcome = midar_resolve(
                 internet,
-                &lookups(internet, &addrs),
+                &routes(internet, &addrs),
                 alias_netsim::VantageKind::SingleVp,
                 data.finished_at,
             );
@@ -201,10 +200,10 @@ fn legacy_resolve(
                         continue;
                     }
                     // A fresh tester and session per pair, each address
-                    // looked up again.
+                    // routed again.
                     let verdict = AllyTester::new().test(
                         &mut internet.probe_session(),
-                        [internet.lookup(addrs[i]), internet.lookup(addrs[j])],
+                        [internet.route(addrs[i]), internet.route(addrs[j])],
                         alias_netsim::VantageKind::SingleVp,
                         now,
                     );
@@ -219,7 +218,7 @@ fn legacy_resolve(
             let addrs = targets(data, false);
             let outcome = iffinder_scan(
                 internet,
-                addrs.iter().map(|&addr| (addr, internet.lookup(addr))),
+                addrs.iter().map(|&addr| (addr, internet.route(addr))),
                 alias_netsim::VantageKind::SingleVp,
                 data.finished_at,
             );

@@ -519,12 +519,12 @@ mod tests {
     fn observation_addresses_are_really_responsive_in_ground_truth() {
         let (internet, data) = campaign_data();
         for obs in data.store().select(None, None).iter() {
-            let (device_id, iface) = internet
-                .lookup(obs.addr)
-                .expect("observed address must exist");
+            let device_id = internet.ground_truth().device_of(obs.addr);
+            let device = internet.device(device_id.expect("observed address must exist"));
+            let iface = device.interfaces().iter().position(|i| i.addr == obs.addr);
+            let iface = iface.expect("the device holds the address");
             // Rate observations need no identifier service — only an
             // echo-responsive interface of the device.
-            let device = internet.device(device_id);
             assert!(device.responds_on(obs.protocol(), iface), "{obs:?}");
         }
     }

@@ -5,9 +5,9 @@
 //! (a permutation range, a target list) and can be processed
 //! independently.  This module provides the one execution primitive the
 //! seven scanner entry points of this crate are written against:
-//! [`shard_map`], backed by a `std::thread` worker pool whose shared state
-//! (the shard cursor and the result slots) is guarded by `parking_lot`
-//! locks.  Nothing above the observation store is sharded: grouping, the
+//! [`shard_map`], backed by a `std::thread` worker pool that takes shards
+//! from an atomic cursor and puts results into slots behind one lock.
+//! Nothing above the observation store is sharded: grouping, the
 //! partition merge and the joint-burst verification were slower at two
 //! threads in every measurement (docs/PERF.md § PR 24) and run on the
 //! calling thread.
@@ -40,8 +40,9 @@
 //! the experiment harness use it so a single knob controls every scan.
 
 use alias_obs::{DeterminismClass, LazyCounter};
-use parking_lot::Mutex;
 use std::ops::Range;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, PoisonError};
 
 /// Parallel `shard_map` invocations (the inline serial path is not
 /// counted — it exists precisely because no pool ran).
@@ -151,7 +152,7 @@ pub(crate) fn split_even(n: u64, shards: usize) -> Vec<Range<u64>> {
 ///
 /// With `threads <= 1` or a single shard the jobs run inline, in order, on
 /// the calling thread — the serial reference path.  Workers pull shard
-/// indices from a `parking_lot`-guarded cursor, so shards of uneven cost
+/// indices from an atomic cursor, so shards of uneven cost
 /// balance across the pool, but the returned vector is always positional.
 /// Every worker counts into the caller's `alias_obs::registry()`.
 ///
@@ -173,7 +174,7 @@ where
     if workers <= 1 || shards == 1 {
         return (0..shards).map(job).collect();
     }
-    let cursor = Mutex::new(0usize);
+    let cursor = AtomicUsize::new(0);
     let slots: Mutex<Vec<Option<R>>> = Mutex::new((0..shards).map(|_| None).collect());
     let registry = alias_obs::registry();
     std::thread::scope(|scope| {
@@ -181,17 +182,15 @@ where
             scope.spawn(|| {
                 registry.clone().install();
                 loop {
-                    let shard = {
-                        let mut next = cursor.lock();
-                        if *next >= shards {
-                            return;
-                        }
-                        let shard = *next;
-                        *next += 1;
-                        shard
-                    };
+                    // Relaxed: an index publishes nothing; results pass the lock.
+                    let shard = cursor.fetch_add(1, Ordering::Relaxed);
+                    if shard >= shards {
+                        return;
+                    }
                     let result = job(shard);
-                    slots.lock()[shard] = Some(result);
+                    // Slots are written whole: a poisoned lock holds valid ones.
+                    let mut slots = slots.lock().unwrap_or_else(PoisonError::into_inner);
+                    slots[shard] = Some(result);
                 }
             });
         }
@@ -200,6 +199,7 @@ where
     SHARDS_EXECUTED.add(shards as u64);
     slots
         .into_inner()
+        .unwrap_or_else(PoisonError::into_inner)
         .into_iter()
         .map(|slot| slot.expect("every shard ran"))
         .collect()

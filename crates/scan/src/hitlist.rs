@@ -47,7 +47,7 @@ impl Ipv6Hitlist {
             let prefix = prefixes[rng.gen_range(0..prefixes.len())];
             let offset: u64 = rng.gen_range(1_000_000..u32::MAX as u64);
             let addr = Ipv6Addr::from(u128::from(prefix.base) + offset as u128);
-            if internet.lookup(std::net::IpAddr::V6(addr)).is_none() {
+            if internet.route(std::net::IpAddr::V6(addr)).is_none() {
                 addrs.push(addr);
                 added += 1;
             }

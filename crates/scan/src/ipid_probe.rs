@@ -15,7 +15,7 @@
 //! rather than once per probe.
 
 use crate::rate::TokenBucket;
-use alias_netsim::{DeviceId, ProbeContext, ProbeSession, SimTime, VantageKind};
+use alias_netsim::{IpidSample, ProbeContext, ProbeSession, Route, SimTime, VantageKind};
 use alias_obs::{DeterminismClass, LazyCounter};
 
 /// Probes the IPID prober sent: one per target per round of a round-robin
@@ -61,15 +61,6 @@ pub enum PairEnd {
     Refuted,
 }
 
-/// One IPID sample.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct IpidSample {
-    /// When the reply was received.
-    pub time: SimTime,
-    /// The observed IPID value.
-    pub ipid: u16,
-}
-
 /// A round robin's series, one per target: one column of `rounds` slots
 /// per target, answers packed at the front.
 #[derive(Debug, Clone)]
@@ -91,11 +82,6 @@ impl IpidSeries {
         (0..self.answered.len()).map(|target| self.samples(target))
     }
 }
-
-/// A probe target resolved against the IP index
-/// ([`Internet::lookup`](alias_netsim::Internet::lookup)): the interface
-/// behind an address, or `None` for an address no device owns.
-pub type ResolvedTarget = Option<(DeviceId, usize)>;
 
 /// A round-robin sweep of a target set: `rounds` samples per target, the
 /// rounds `round_spacing` apart, paced at `rate_pps`
@@ -145,23 +131,24 @@ impl RoundRobin {
     /// `rounds` rounds, targets probed in order within a round.  Returns
     /// one series per target, in target order.
     ///
-    /// The targets come resolved ([`ResolvedTarget`]): IPv4 and IPv6
+    /// The targets come routed
+    /// ([`Internet::route`](alias_netsim::Internet::route)): IPv4 and IPv6
     /// interfaces draw from the same device-wide counter (ICMP echo and
     /// fragment-eliciting probes in the field), and an address no device
-    /// owns still takes its turn in the schedule and never answers.
-    /// Unresponsive targets yield series with fewer (possibly zero)
-    /// samples.
+    /// owns (`None`) still takes its turn in the schedule and never
+    /// answers.  Unresponsive targets yield series with fewer (possibly
+    /// zero) samples.
     ///
     /// The bucket paces every slot first, stepped probe by probe: its state
     /// crosses rounds (a round starts `round_spacing` after the previous one
     /// *ended*, and the strictly-increasing forcing feeds back into the
     /// refill arithmetic), so no per-round schedule is reused as a pair's is.
-    /// Devices are then probed one by one in time order, as slot order would
-    /// give: a probe touches only its device's counter; pacing reads no reply.
+    /// The session then sends the paced probes
+    /// ([`ProbeSession::identifier_probe_slots`]): pacing reads no reply.
     pub fn collect(
         &self,
         session: &mut ProbeSession<'_>,
-        targets: &[ResolvedTarget],
+        targets: &[Option<Route>],
         vantage: VantageKind,
         start: SimTime,
     ) -> IpidSeries {
@@ -185,31 +172,7 @@ impl RoundRobin {
             }
             round_start = round_start.max(now) + self.round_spacing;
         }
-        // (device, target) keys: a device's targets together, unowned last.
-        let mut keys: Vec<u64> = (targets.iter().zip(0..))
-            .map(|(target, t)| u64::from(target.map_or(u32::MAX, |(device, _)| device.0)) << 32 | t)
-            .collect();
-        keys.sort_unstable();
-        let mut answered = vec![0; targets.len()];
-        for device in keys.chunk_by(|a, b| a >> 32 == b >> 32) {
-            for round in 0..rounds {
-                for target in device.iter().map(|&key| key as u32 as usize) {
-                    let Some((device_id, iface_idx)) = targets[target] else {
-                        continue;
-                    };
-                    let time = slots[target * rounds + round].time;
-                    // `answered[target] <= round`: answers pack in place.
-                    let ctx = ProbeContext { vantage, time };
-                    if let Some(echo) = session.identifier_probe_at(device_id, iface_idx, &ctx) {
-                        slots[target * rounds + answered[target]] = IpidSample {
-                            time: echo.time,
-                            ipid: echo.ipid,
-                        };
-                        answered[target] += 1;
-                    }
-                }
-            }
-        }
+        let answered = session.identifier_probe_slots(targets, rounds, vantage, &mut slots);
         IPID_PROBES.add((targets.len() * rounds) as u64);
         IpidSeries {
             slots,
@@ -307,8 +270,8 @@ impl IpidProber {
     /// `at.vantage` starting at `start = at.time`, and say how the pair
     /// ended.
     ///
-    /// The targets come resolved ([`ResolvedTarget`]; `None` for an address
-    /// that does not exist, which never answers).  Each target's samples
+    /// The targets come routed (`None` for an address that does not exist,
+    /// which never answers).  Each target's samples
     /// are written into the buffer at its index, cleared first, so a caller
     /// testing many pairs reuses one buffer pair.  The probe order is
     /// `samples[0][0], samples[1][0], samples[0][1], ...`.
@@ -336,7 +299,7 @@ impl IpidProber {
     pub fn collect_interleaved_pair(
         &mut self,
         session: &mut ProbeSession<'_>,
-        targets: [ResolvedTarget; 2],
+        targets: [Option<Route>; 2],
         probes_per_addr: usize,
         at: ProbeContext,
         samples: &mut [Vec<IpidSample>; 2],
@@ -351,16 +314,10 @@ impl IpidProber {
                 time: at.time + SimTime(offset),
                 ..at
             };
-            let echo = targets[i % 2].and_then(|(device_id, iface_idx)| {
-                session.identifier_probe_at(device_id, iface_idx, &ctx)
-            });
-            let Some(echo) = echo else {
+            let sample = targets[i % 2].and_then(|route| session.identifier_probe_at(route, &ctx));
+            let Some(sample) = sample else {
                 (end, sent) = (PairEnd::Unanswered, i + 1);
                 break;
-            };
-            let sample = IpidSample {
-                time: echo.time,
-                ipid: echo.ipid,
             };
             // Every earlier probe was answered: the other series' last
             // sample is the reply before this one.
@@ -415,8 +372,8 @@ mod tests {
         }
     }
 
-    fn resolve(internet: &Internet, addrs: &[IpAddr]) -> Vec<ResolvedTarget> {
-        addrs.iter().map(|&addr| internet.lookup(addr)).collect()
+    fn resolve(internet: &Internet, addrs: &[IpAddr]) -> Vec<Option<Route>> {
+        addrs.iter().map(|&addr| internet.route(addr)).collect()
     }
 
     #[test]
@@ -463,7 +420,7 @@ mod tests {
     fn slot_order_round_robin(
         config: &RoundRobin,
         session: &mut ProbeSession<'_>,
-        targets: &[ResolvedTarget],
+        targets: &[Option<Route>],
         vantage: VantageKind,
         start: SimTime,
     ) -> Vec<Vec<IpidSample>> {
@@ -479,16 +436,11 @@ mod tests {
                     now = last_sent + SimTime(1);
                 }
                 last_sent = now;
-                let Some((device_id, iface_idx)) = *target else {
+                let Some(route) = *target else {
                     continue;
                 };
                 let ctx = ProbeContext { vantage, time: now };
-                if let Some(echo) = session.identifier_probe_at(device_id, iface_idx, &ctx) {
-                    samples.push(IpidSample {
-                        time: echo.time,
-                        ipid: echo.ipid,
-                    });
-                }
+                samples.extend(session.identifier_probe_at(route, &ctx));
             }
             round_start = round_start.max(now) + config.round_spacing;
         }
@@ -554,7 +506,7 @@ mod tests {
         let multi = devices.clone().find(|d| d.ipv4_addrs().len() >= 3).unwrap();
         let again = IpAddr::V4(multi.ipv4_addrs()[0]);
         addrs.extend([again, again]);
-        assert!(addrs.iter().any(|a| internet.lookup(*a).is_none()));
+        assert!(addrs.iter().any(|a| internet.route(*a).is_none()));
         assert!(addrs.iter().any(IpAddr::is_ipv6));
         assert!(devices.clone().any(|d| !d.responds_to_ping()));
         assert!(devices
@@ -655,7 +607,7 @@ mod tests {
         let mut samples = [Vec::new(), Vec::new()];
         let end = prober.collect_interleaved_pair(
             &mut internet.probe_session(),
-            [internet.lookup(a), internet.lookup(b)],
+            [internet.route(a), internet.route(b)],
             10,
             at(VantageKind::Distributed, SimTime::ZERO),
             &mut samples,
@@ -831,16 +783,12 @@ mod tests {
             last_sent = now;
             let ctx = ProbeContext { time: now, ..at };
             let target = pair[i % 2];
-            let echo = internet.lookup(target).and_then(|(device_id, iface_idx)| {
+            let sample = internet.route(target).and_then(|route| {
                 let mut session = internet.probe_session();
-                session.identifier_probe_at(device_id, iface_idx, &ctx)
+                session.identifier_probe_at(route, &ctx)
             });
-            let Some(echo) = echo else {
+            let Some(sample) = sample else {
                 return (samples, PairEnd::Unanswered);
-            };
-            let sample = IpidSample {
-                time: echo.time,
-                ipid: echo.ipid,
             };
             samples[i % 2].push(sample);
             order.push(sample);
@@ -891,7 +839,7 @@ mod tests {
                 VantageKind::SingleVp,
                 SimTime::from_days(21) + SimTime(n as u64 * 700),
             );
-            let targets = pair.map(|addr| full.lookup(addr));
+            let targets = pair.map(|addr| full.route(addr));
             let full_end = full_prober.collect_interleaved_pair(
                 &mut full_session,
                 targets,
@@ -962,7 +910,7 @@ mod tests {
             .find(|d| d.responds_to_ping() && v6(*d).count() >= 2)
             .expect("the tiny population has multi-address IPv6 hosts");
         let missing: IpAddr = "198.51.100.77".parse().unwrap();
-        assert!(by_address.lookup(missing).is_none());
+        assert!(by_address.route(missing).is_none());
 
         let first = |d: alias_netsim::DeviceRef| v4(d).next().unwrap();
         let mut pairs: Vec<[IpAddr; 2]> = Vec::new();
@@ -1002,7 +950,7 @@ mod tests {
             let expected = address_based_pair(&prober, &by_address, *pair, 6, start, rule);
             let end = prober.collect_interleaved_pair(
                 &mut session,
-                pair.map(|addr| resolved.lookup(addr)),
+                pair.map(|addr| resolved.route(addr)),
                 6,
                 start,
                 &mut buffers,

@@ -12,17 +12,14 @@
 //!
 //! 1. **Discovery** — a ping sweep over the routed IPv4 space (walked by
 //!    index through the simulator's slot table) and the IPv6 hitlist
-//!    selects the echo-responsive addresses, each with the interface it
+//!    selects the echo-responsive addresses, each as the route it
 //!    resolved to.
 //! 2. **Ladders** — each target is burst-probed at a ladder of rates
 //!    (`base · 2^round`).  A burst's reply count is a pure function of
-//!    (device, rate, count), and the limiter is router-wide, so the
-//!    ladder is a property of the device: each distinct device is stepped
-//!    once, on the calling thread, before any shard runs.  A screening
-//!    burst at the *highest* rate runs first: a device with zero loss
-//!    there cannot lose packets at any lower rate (loss is monotone in the
-//!    probing rate), so the rest of its ladder is skipped.
-//! 3. **Recording** — each target reads its device's ladder, and only its
+//!    (limiter, rate, count), so the simulator steps the ladder once per
+//!    limiter ([`Internet::rate_ladders`]), on the calling thread, before
+//!    any shard runs.
+//! 3. **Recording** — each target reads its limiter's ladder, and only its
 //!    **lossy** rounds are recorded, as [`PayloadRef::RateLimit`]
 //!    observations.
 //!
@@ -30,13 +27,14 @@
 //! index and the round number — so the output is byte-identical for any
 //! shard count without any pacing-state hand-off between shards.
 
-use alias_netsim::{DeviceId, Internet, ProbeContext, ServiceProtocol, SimTime, VantageKind};
+use alias_netsim::ratelimit::RateLadders;
+use alias_netsim::{Internet, ProbeContext, Route, ServiceProtocol, SimTime, VantageKind};
 use alias_obs::{DeterminismClass, LazyCounter};
 use alias_store::{DataSource, PayloadRef, ShardColumns};
 use std::net::{IpAddr, Ipv6Addr};
 
 /// Targets skipped by the screening burst (zero loss at the top rate).
-/// Ladders are pure per device, so the total is shard-independent even
+/// Ladders are pure per limiter, so the total is shard-independent even
 /// though each shard worker adds its own count.
 static SCREENED_TARGETS: LazyCounter = LazyCounter::new(
     "scan.rate_probe_screened",
@@ -45,9 +43,9 @@ static SCREENED_TARGETS: LazyCounter = LazyCounter::new(
     "scan",
 );
 
-/// Devices whose ladder was stepped past the screen (lossy at the top
-/// rate), once per device however many targets sit on it.  Stepped on the
-/// calling thread before the shards run.
+/// Limiters whose ladder was stepped past the screen (lossy at the top
+/// rate), once per limiter however many targets it answers: today one per
+/// device.  Stepped on the calling thread before the shards run.
 static STEPPED_LADDERS: LazyCounter = LazyCounter::new(
     "scan.rate_probe_ladders",
     DeterminismClass::Deterministic,
@@ -70,8 +68,9 @@ const BASE_RATE_PPS: f64 = 256.0;
 /// Number of escalation rounds.
 const ROUNDS: u8 = 5;
 
-/// Echo requests per burst (one burst per round).
-const PROBES_PER_ROUND: u16 = 24;
+/// Echo requests per burst (one burst per round); a round's loss fits a
+/// byte.
+const PROBES_PER_ROUND: u8 = 24;
 
 /// Simulated time between consecutive rounds of one target.
 const ROUND_SPACING: SimTime = SimTime(250);
@@ -81,10 +80,6 @@ const TARGET_SLOT: SimTime = SimTime(ROUND_SPACING.0 * ROUNDS as u64);
 
 const _: () = assert!(ROUNDS >= 1, "need at least one escalation round");
 const _: () = assert!(PROBES_PER_ROUND >= 1, "need at least one probe");
-const _: () = assert!(
-    PROBES_PER_ROUND <= u8::MAX as u16,
-    "a round's loss fits a byte"
-);
 
 /// The rate-limiting probe phase takes no settings: this module's
 /// constants fix its escalation ladder.  A campaign runs the phase when its
@@ -92,119 +87,41 @@ const _: () = assert!(
 #[derive(Debug, Clone, Default)]
 pub struct RateProbeConfig;
 
-/// An echo-responsive interface, as discovery resolved it: eight bytes a
-/// target, its address read back from the device table only when a lossy
-/// round is recorded.
-#[derive(Debug, Clone, Copy)]
-pub struct RateTarget {
-    device: DeviceId,
-    iface: u32,
-}
-
-impl RateTarget {
-    fn new(device: DeviceId, iface: usize) -> Self {
-        let iface = u32::try_from(iface).expect("a device has fewer than 2^32 interfaces");
-        RateTarget { device, iface }
-    }
-
-    /// The probed address.
-    fn addr(self, internet: &Internet) -> IpAddr {
-        internet.device(self.device).interfaces()[self.iface as usize].addr
-    }
-}
-
-/// What one device's limiter does to the escalation ladder.  Six bytes, so
-/// the table over the paper-scale study's 93,600 devices is 548 KiB.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Ladder {
-    /// No target on the device has been met yet.
-    Unstepped,
-    /// The device does not answer echo from the vantage.
-    Silent,
-    /// No loss at the top rate, so none anywhere on the ladder.
-    Screened,
-    /// Probes lost in each round; a zero is a lossless round.
-    Lossy([u8; ROUNDS as usize]),
-}
-
-const _: () = assert!(std::mem::size_of::<Ladder>() == 1 + ROUNDS as usize);
-
 /// The probing rate of escalation round `round`.
 fn round_rate(round: u8) -> f64 {
     BASE_RATE_PPS * f64::from(1u32 << u32::from(round))
 }
 
 /// Discover the echo-responsive target population: every address of the
-/// routed IPv4 space plus the IPv6 hitlist that answers ping, with
-/// `threads` shard workers over the routed space.  A pure membership filter
-/// with no measurement state, so concatenating the per-shard survivors in
-/// shard order gives the same list for any thread count; the (much
-/// smaller) IPv6 hitlist is filtered on the calling thread.
+/// routed IPv4 space plus the IPv6 hitlist that answers ping, as routes
+/// (eight bytes a target, its address read back only when a lossy round
+/// is recorded), with `threads` shard workers over the routed space.  A
+/// pure membership filter with no measurement state, so concatenating the
+/// per-shard survivors in shard order gives the same list for any thread
+/// count; the (much smaller) IPv6 hitlist is filtered on the calling
+/// thread.
 pub fn discover_targets(
     internet: &Internet,
     hitlist_v6: &[Ipv6Addr],
     vantage: VantageKind,
     at: SimTime,
     threads: usize,
-) -> Vec<RateTarget> {
+) -> Vec<Route> {
     let ctx = ProbeContext { vantage, time: at };
     let space = internet.routed_space();
+    let pingable = |route: &Route| internet.ping_responds_at(*route, &ctx);
     let ranges = crate::exec::split_even(space.len(), crate::exec::shards_for(threads));
-    let per_shard: Vec<Vec<RateTarget>> = crate::exec::shard_map(ranges.len(), threads, |shard| {
+    let per_shard: Vec<Vec<Route>> = crate::exec::shard_map(ranges.len(), threads, |shard| {
         let range = &ranges[shard];
-        (range.start..range.end)
-            .filter_map(|index| {
-                let (device, iface) = space.owner_at(index)?;
-                (internet.ping_responds_at(device, &ctx)).then(|| RateTarget::new(device, iface))
-            })
-            .collect()
+        let routes = (range.start..range.end).filter_map(|index| space.owner_at(index));
+        routes.filter(pingable).collect()
     });
-    let mut targets: Vec<RateTarget> = per_shard.into_iter().flatten().collect();
-    targets.extend(hitlist_v6.iter().filter_map(|&v6| {
-        let (device, iface) = internet.lookup(IpAddr::V6(v6))?;
-        (internet.ping_responds_at(device, &ctx)).then(|| RateTarget::new(device, iface))
-    }));
+    let mut targets: Vec<Route> = per_shard.into_iter().flatten().collect();
+    let hitlist = hitlist_v6
+        .iter()
+        .filter_map(|&v6| internet.route(IpAddr::V6(v6)));
+    targets.extend(hitlist.filter(pingable));
     targets
-}
-
-/// Step the ladder of every device that holds a target, once each, into a
-/// table indexed by device.  The screen is the top round's burst, so a
-/// screened device is stepped once and a lossy one once per round.
-fn step_ladders(internet: &Internet, targets: &[RateTarget], vantage: VantageKind) -> Vec<Ladder> {
-    // A burst reads only the device's limiter and whether it answers echo
-    // from the vantage, not the time.
-    let ctx = ProbeContext {
-        vantage,
-        time: SimTime::ZERO,
-    };
-    let count = u32::from(PROBES_PER_ROUND);
-    let lost = |replies: u32| (count - replies) as u8;
-    let mut ladders = vec![Ladder::Unstepped; internet.devices().len()];
-    let mut stepped = 0;
-    for target in targets {
-        let ladder = &mut ladders[target.device.0 as usize];
-        if *ladder != Ladder::Unstepped {
-            continue;
-        }
-        let burst = |round| internet.rate_burst_at(target.device, round_rate(round), count, &ctx);
-        *ladder = match burst(ROUNDS - 1) {
-            None => Ladder::Silent,
-            Some(replies) if replies == count => Ladder::Screened,
-            Some(top) => {
-                stepped += 1;
-                let mut losses = [0; ROUNDS as usize];
-                for (round, loss) in (0..ROUNDS - 1).zip(&mut losses) {
-                    *loss = burst(round).map_or(0, lost);
-                }
-                losses[usize::from(ROUNDS - 1)] = lost(top);
-                Ladder::Lossy(losses)
-            }
-        };
-    }
-    if stepped > 0 {
-        STEPPED_LADDERS.add(stepped);
-    }
-    ladders
 }
 
 /// The recording loop of one shard.  Target `global_offset + i` owns the
@@ -212,27 +129,26 @@ fn step_ladders(internet: &Internet, targets: &[RateTarget], vantage: VantageKin
 /// so timestamps never depend on how the target list was split.
 fn probe_slice(
     internet: &Internet,
-    targets: &[RateTarget],
-    ladders: &[Ladder],
+    targets: &[Route],
+    ladders: &RateLadders<'_>,
     global_offset: usize,
     phase_start: SimTime,
     columns: &mut ShardColumns,
 ) {
     let slot = TARGET_SLOT.as_millis();
     let (mut screened, mut lossy) = (0, 0);
-    for (offset, target) in targets.iter().enumerate() {
-        let losses = match ladders[target.device.0 as usize] {
-            Ladder::Lossy(losses) => losses,
-            Ladder::Screened => {
-                screened += 1;
-                continue;
-            }
-            Ladder::Silent | Ladder::Unstepped => continue,
+    for (offset, &target) in targets.iter().enumerate() {
+        let Some(losses) = ladders.of(target) else {
+            continue;
         };
+        if losses.iter().all(|&lost| lost == 0) {
+            screened += 1;
+            continue;
+        }
         let t0 = phase_start + SimTime((global_offset + offset) as u64 * slot);
-        let addr = target.addr(internet);
-        let asn = internet.asn_at(target.device, target.iface as usize).0;
-        for (round, &lost) in (0..ROUNDS).zip(&losses) {
+        let addr = internet.addr_at(target);
+        let asn = internet.asn_at(target).0;
+        for (round, &lost) in (0..ROUNDS).zip(losses) {
             if lost == 0 {
                 continue;
             }
@@ -246,7 +162,7 @@ fn probe_slice(
                 PayloadRef::RateLimit {
                     round,
                     rate_pps: round_rate(round) as u32,
-                    sent: PROBES_PER_ROUND,
+                    sent: u16::from(PROBES_PER_ROUND),
                     lost: u16::from(lost),
                 },
             );
@@ -262,20 +178,24 @@ fn probe_slice(
     }
 }
 
-/// Probe every target through the escalation ladder: each distinct
-/// device's ladder is stepped once on the calling thread, then `threads`
+/// Probe every target through the escalation ladder: each limiter's
+/// ladder is stepped once on the calling thread, then `threads`
 /// shard workers record disjoint slices of the target list, returning
 /// per-shard column chunks in shard order (the form the campaign store
 /// absorbs).  Byte-identical for any thread count: timestamps are a pure
 /// function of the global target index.
 pub fn probe(
     internet: &Internet,
-    targets: &[RateTarget],
+    targets: &[Route],
     vantage: VantageKind,
     start: SimTime,
     threads: usize,
 ) -> Vec<ShardColumns> {
-    let ladders = step_ladders(internet, targets, vantage);
+    let rates: [f64; ROUNDS as usize] = std::array::from_fn(|round| round_rate(round as u8));
+    let ladders = internet.rate_ladders(targets, &rates, PROBES_PER_ROUND, vantage);
+    if ladders.lossy() > 0 {
+        STEPPED_LADDERS.add(ladders.lossy());
+    }
     let ranges = crate::exec::split_even(targets.len() as u64, crate::exec::shards_for(threads));
     crate::exec::shard_map(ranges.len(), threads, |shard| {
         let range = &ranges[shard];
@@ -298,6 +218,7 @@ mod tests {
     use crate::store_of;
     use alias_netsim::{DeviceKind, InternetBuilder, InternetConfig};
     use alias_store::{ObservationStore, ServicePayload};
+    use std::collections::BTreeSet;
 
     fn internet_with_silent(seed: u64, silent: usize) -> Internet {
         let mut config = InternetConfig::tiny(seed);
@@ -327,17 +248,16 @@ mod tests {
             .collect();
         let discovered =
             discover_targets(&internet, &hitlist, VantageKind::SingleVp, SimTime::ZERO, 1);
-        let targets: Vec<IpAddr> = discovered.iter().map(|t| t.addr(&internet)).collect();
+        let targets: Vec<IpAddr> = discovered.iter().map(|&t| internet.addr_at(t)).collect();
         assert!(targets.iter().any(|a| a.is_ipv4()));
         assert!(targets.iter().any(|a| a.is_ipv6()));
         let ctx = ProbeContext {
             vantage: VantageKind::SingleVp,
             time: SimTime::ZERO,
         };
-        for (target, &addr) in discovered.iter().zip(&targets) {
-            assert!(internet.ping_responds(addr, &ctx));
-            let resolved = Some((target.device, target.iface as usize));
-            assert_eq!(internet.lookup(addr), resolved);
+        for &addr in &targets {
+            let route = internet.route(addr).expect("discovered addresses route");
+            assert!(internet.ping_responds_at(route, &ctx));
         }
         // Every silent router's v4 interfaces are in the routed space and
         // answer ping, so discovery must pick all of them up.
@@ -367,13 +287,13 @@ mod tests {
             };
             assert!(round < ROUNDS);
             assert_eq!(f64::from(rate_pps), round_rate(round));
-            assert_eq!(sent, PROBES_PER_ROUND);
+            assert_eq!(sent, u16::from(PROBES_PER_ROUND));
             assert!(lost >= 1 && lost <= sent);
             assert_eq!(obs.port, 0);
             assert!(obs.asn.is_some());
             // Only limiter-constrained device classes can lose packets at
             // these rates; endpoints' limiters sit far above the ladder.
-            let (device_id, _) = internet.lookup(obs.addr).unwrap();
+            let device_id = internet.ground_truth().device_of(obs.addr).unwrap();
             let kind = internet.device(device_id).kind();
             assert!(
                 matches!(
@@ -418,41 +338,60 @@ mod tests {
         }
     }
 
-    /// The rate phase as one target at a time: look the address up, screen
-    /// it at the top rate, then burst it through every round.
-    fn reference_ladders(internet: &Internet, addrs: &[IpAddr], start: SimTime) -> ShardColumns {
+    /// The ladders of `targets`, stepped as the probe phase steps them.
+    fn ladders<'a>(
+        internet: &'a Internet,
+        targets: &[Route],
+        vantage: VantageKind,
+    ) -> RateLadders<'a> {
+        let rates: [f64; ROUNDS as usize] = std::array::from_fn(|round| round_rate(round as u8));
+        internet.rate_ladders(targets, &rates, PROBES_PER_ROUND, vantage)
+    }
+
+    /// The devices behind the targets that lose probes.
+    fn lossy_devices(internet: &Internet, targets: &[Route], vantage: VantageKind) -> usize {
+        let ladders = ladders(internet, targets, vantage);
+        let lossy = targets.iter().filter(|&&target| {
+            let losses = ladders.of(target).unwrap_or_default();
+            losses.iter().any(|&lost| lost > 0)
+        });
+        let truth = internet.ground_truth();
+        let devices: BTreeSet<_> = lossy
+            .map(|&t| truth.device_of(internet.addr_at(t)))
+            .collect();
+        devices.len()
+    }
+
+    /// The rate phase as one target at a time: each target's ladder
+    /// stepped on its own, then every lossy round recorded.
+    fn reference_ladders(
+        internet: &Internet,
+        targets: &[Route],
+        vantage: VantageKind,
+        start: SimTime,
+    ) -> ShardColumns {
         let mut columns = ShardColumns::new();
-        let count = u32::from(PROBES_PER_ROUND);
-        for (index, &addr) in addrs.iter().enumerate() {
+        for (index, &target) in targets.iter().enumerate() {
             let t0 = start + SimTime(index as u64 * TARGET_SLOT.as_millis());
-            let (device, iface) = internet.lookup(addr).expect("discovered addresses resolve");
-            let burst = |round, time| {
-                let ctx = ProbeContext {
-                    vantage: VantageKind::SingleVp,
-                    time,
-                };
-                internet.rate_burst_at(device, round_rate(round), count, &ctx)
-            };
-            if burst(ROUNDS - 1, t0).is_none_or(|replies| replies == count) {
+            let ladder = ladders(internet, &[target], vantage);
+            let Some(losses) = ladder.of(target) else {
                 continue;
-            }
-            for round in 0..ROUNDS {
-                let time = t0 + SimTime(u64::from(round) * ROUND_SPACING.as_millis());
-                let replies = burst(round, time).expect("the screen answered");
-                if replies == count {
+            };
+            for (round, &lost) in (0..ROUNDS).zip(losses) {
+                if lost == 0 {
                     continue;
                 }
                 columns.push(
-                    addr,
+                    internet.addr_at(target),
                     ServiceProtocol::IcmpRateLimit.default_port(),
                     DataSource::Active,
-                    time,
-                    Some(internet.asn_at(device, iface).0),
+                    t0 + SimTime(u64::from(round) * ROUND_SPACING.as_millis()),
+                    Some(internet.asn_at(target).0),
                     PayloadRef::RateLimit {
                         round,
                         rate_pps: round_rate(round) as u32,
-                        sent: PROBES_PER_ROUND,
-                        lost: PROBES_PER_ROUND - replies as u16,
+                        sent: u16::from(PROBES_PER_ROUND),
+                        lost: u16::from(lost),
                     },
                 );
             }
@@ -461,24 +400,22 @@ mod tests {
     }
 
     #[test]
-    fn one_ladder_per_device_records_what_a_ladder_per_target_records() {
+    fn one_ladder_per_limiter_records_what_a_ladder_per_target_records() {
         for seed in [77u64, 99, 2023] {
             let internet = internet_with_silent(seed, 10);
             let (vantage, start) = (VantageKind::SingleVp, SimTime(5_000));
             let targets = discover_targets(&internet, &[], vantage, start, 1);
-            let addrs: Vec<IpAddr> = targets.iter().map(|t| t.addr(&internet)).collect();
-            let reference = store_of(vec![reference_ladders(&internet, &addrs, start)]);
+            let reference = store_of(vec![reference_ladders(&internet, &targets, vantage, start)]);
             assert!(!reference.is_empty(), "seed={seed}");
-            // Several targets share a device, and a ladder per device is
-            // fewer than the lossy targets.
-            let ladders = step_ladders(&internet, &targets, vantage);
-            let lossy_devices = (ladders.iter())
-                .filter(|l| matches!(l, Ladder::Lossy(_)))
-                .count();
-            let lossy_targets = (targets.iter())
-                .filter(|t| matches!(ladders[t.device.0 as usize], Ladder::Lossy(_)))
-                .count();
-            assert!(lossy_devices < lossy_targets, "seed={seed}");
+            // Several lossy targets share a device: one ladder serves them.
+            let rows = reference.to_observations();
+            let lossy_targets: BTreeSet<IpAddr> = rows.iter().map(|o| o.addr).collect();
+            let lossy_devices = lossy_devices(&internet, &targets, vantage);
+            assert!(lossy_devices < lossy_targets.len(), "seed={seed}");
+            assert_eq!(
+                ladders(&internet, &targets, vantage).lossy(),
+                lossy_devices as u64
+            );
             for threads in [1usize, 2, 7] {
                 let store = store_of(probe(&internet, &targets, vantage, start, threads));
                 assert_eq!(store, reference, "seed={seed} threads={threads}");
@@ -491,9 +428,7 @@ mod tests {
         let internet = internet_with_silent(77, 10);
         let (vantage, start) = (VantageKind::SingleVp, SimTime::ZERO);
         let targets = discover_targets(&internet, &[], vantage, start, 1);
-        let ladders = step_ladders(&internet, &targets, vantage);
-        let lossy = ladders.iter().filter(|l| matches!(l, Ladder::Lossy(_)));
-        let lossy = lossy.count() as u64;
+        let lossy = lossy_devices(&internet, &targets, vantage) as u64;
         assert!(lossy > 0);
         for threads in [1usize, 2, 7] {
             // A thread of its own: a fresh registry that only this run writes.

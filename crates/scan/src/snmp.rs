@@ -10,7 +10,7 @@
 //! reply buffer serve a whole shard.
 
 use crate::rate::ProbeSchedule;
-use alias_netsim::{internet::SNMP_PORT, DeviceId, Internet, ProbeContext, SimTime, VantageKind};
+use alias_netsim::{internet::SNMP_PORT, Internet, ProbeContext, Route, SimTime, VantageKind};
 use alias_obs::{DeterminismClass, LazyCounter};
 use alias_store::{DataSource, PayloadRef, ShardColumns};
 use alias_wire::snmp::Snmpv3Message;
@@ -34,16 +34,13 @@ static SNMP_REPORTS: LazyCounter = LazyCounter::new(
     "scan",
 );
 
-/// One target of a discovery pass, resolved: its address and the interface
-/// holding it, or `None` where nothing does (the datagram is sent anyway).
-type ResolvedTarget = Option<(IpAddr, DeviceId, usize)>;
-
 /// The probe loop of one shard: one paced discovery request per target,
 /// with message ids continuing the global sequence from `global_offset` and
 /// send times drawn from `schedule`; results are pushed into `columns`.
 ///
-/// Targets arrive resolved and as an iterator, so the routed-space sweep
-/// never materialises its address list.  An unpopulated target consumes its
+/// Targets arrive as an iterator of addresses, each with its route or
+/// `None` where no interface holds it (the datagram is sent anyway), so the
+/// routed-space sweep never materialises its address list.  An unpopulated target consumes its
 /// schedule slot (the probe *is* sent) but skips request construction,
 /// probe dispatch and ASN attribution entirely — none of which can be
 /// observed for an address that does not exist — and a populated one gets
@@ -53,7 +50,7 @@ type ResolvedTarget = Option<(IpAddr, DeviceId, usize)>;
 /// only allocation a stored row costs here is its engine ID.
 fn scan_slice(
     internet: &Internet,
-    targets: impl Iterator<Item = ResolvedTarget>,
+    targets: impl Iterator<Item = Option<(IpAddr, Route)>>,
     global_offset: usize,
     vantage: VantageKind,
     schedule: &mut ProbeSchedule,
@@ -62,7 +59,7 @@ fn scan_slice(
     let (mut request, mut reply) = (Vec::new(), Vec::new());
     for (offset, target) in targets.enumerate() {
         let now = schedule.next_send_time();
-        let Some((addr, device_id, iface_idx)) = target else {
+        let Some((addr, route)) = target else {
             continue;
         };
         let msg_id = 0x0101 + (global_offset + offset) as i64;
@@ -75,7 +72,7 @@ fn scan_slice(
             &request[..]
         };
         let ctx = ProbeContext { vantage, time: now };
-        if !internet.snmp_probe_into(device_id, iface_idx, write_request, &ctx, &mut reply) {
+        if !internet.snmp_probe_into(route, write_request, &ctx, &mut reply) {
             continue;
         }
         let Ok(Snmpv3Message::Report { usm, .. }) = Snmpv3Message::parse(&reply) else {
@@ -86,7 +83,7 @@ fn scan_slice(
             SNMP_PORT,
             DataSource::Active,
             now,
-            Some(internet.asn_at(device_id, iface_idx).0),
+            Some(internet.asn_at(route).0),
             PayloadRef::Snmpv3 {
                 engine_id: usm.engine_id.as_bytes(),
                 engine_boots: usm.engine_boots,
@@ -123,10 +120,7 @@ pub(crate) fn scan(
             internet,
             targets[range.start as usize..range.end as usize]
                 .iter()
-                .map(|&addr| {
-                    let (device_id, iface_idx) = internet.lookup(addr)?;
-                    Some((addr, device_id, iface_idx))
-                }),
+                .map(|&addr| Some((addr, internet.route(addr)?))),
             range.start as usize,
             vantage,
             &mut schedule,
@@ -162,8 +156,8 @@ pub fn scan_routed_space(
         scan_slice(
             internet,
             (range.start..range.end).map(|index| {
-                let (device_id, iface_idx) = space.owner_at(index)?;
-                Some((IpAddr::V4(space.addr_at(index)), device_id, iface_idx))
+                let route = space.owner_at(index)?;
+                Some((IpAddr::V4(space.addr_at(index)), route))
             }),
             range.start as usize,
             vantage,
@@ -232,7 +226,7 @@ mod tests {
     fn engine_id_matches_ground_truth_device() {
         let internet = internet();
         for obs in &routed_space_scan(&internet, 1).to_observations() {
-            let (device_id, _) = internet.lookup(obs.addr).unwrap();
+            let device_id = internet.ground_truth().device_of(obs.addr).unwrap();
             let device = internet.device(device_id);
             let expected = device.snmp().unwrap().engine_id;
             match &obs.payload {

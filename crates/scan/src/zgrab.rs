@@ -36,7 +36,7 @@ const RATE_PPS: f64 = 50_000.0;
 /// session that does not parse leaves the shard exactly as it was.
 ///
 /// Each target is resolved against the IP index exactly once; the probe
-/// dispatch and the ASN attribution reuse the resolved interface.
+/// dispatch and the ASN attribution reuse the route.
 fn grab_slice(
     internet: &Internet,
     targets: &[IpAddr],
@@ -49,14 +49,14 @@ fn grab_slice(
     let mut session = Vec::new();
     for &addr in targets {
         let now = schedule.next_send_time();
-        let Some((device_id, iface_idx)) = internet.lookup(addr) else {
+        let Some(route) = internet.route(addr) else {
             continue;
         };
         let ctx = ProbeContext { vantage, time: now };
-        if !internet.service_session_into(device_id, iface_idx, port, &ctx, &mut session) {
+        if !internet.service_session_into(route, port, &ctx, &mut session) {
             continue;
         }
-        let asn = Some(internet.asn_at(device_id, iface_idx).0);
+        let asn = Some(internet.asn_at(route).0);
         columns.push_session(addr, port, DataSource::Active, now, asn, protocol, &session);
     }
 }

@@ -93,12 +93,12 @@ fn syn_slice(
     };
     for index in permutation.iter_raw_range(range.start, range.end) {
         // Absent addresses time out on every port.
-        let Some((device_id, iface_idx)) = space.owner_at(index) else {
+        let Some(route) = space.owner_at(index) else {
             continue;
         };
         let addr = IpAddr::V4(space.addr_at(index));
         for (hits, port) in found.iter_mut().zip(PORTS) {
-            if internet.syn_probe_at(device_id, iface_idx, port, &ctx) == SynResult::SynAck {
+            if internet.syn_probe_at(route, port, &ctx) == SynResult::SynAck {
                 hits.push(addr);
             }
         }
@@ -182,11 +182,11 @@ fn syn_v6_slice(
     };
     for &addr in targets {
         let addr = IpAddr::V6(addr);
-        let Some((device_id, iface_idx)) = internet.lookup(addr) else {
+        let Some(route) = internet.route(addr) else {
             continue;
         };
         for (hits, port) in found.iter_mut().zip(PORTS) {
-            if internet.syn_probe_at(device_id, iface_idx, port, &ctx) == SynResult::SynAck {
+            if internet.syn_probe_at(route, port, &ctx) == SynResult::SynAck {
                 hits.push(addr);
             }
         }

@@ -1915,10 +1915,10 @@ mod tests {
                 for device in internet.devices() {
                     for protocol in [ServiceProtocol::Ssh, ServiceProtocol::Bgp] {
                         for addr in device.answering(protocol) {
-                            let (id, iface) = internet.lookup(addr).unwrap();
+                            let route = internet.route(addr).unwrap();
                             let port = protocol.default_port();
                             let mut session = Vec::new();
-                            if internet.service_session_into(id, iface, port, &ctx, &mut session) {
+                            if internet.service_session_into(route, port, &ctx, &mut session) {
                                 sessions.push((protocol, session));
                             }
                         }

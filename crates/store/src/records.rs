@@ -233,10 +233,10 @@ mod tests {
             let captured: Vec<Vec<u8>> = internet
                 .devices()
                 .filter_map(|device| {
-                    let (id, iface) = internet.lookup(device.answering(protocol).next()?)?;
+                    let route = internet.route(device.answering(protocol).next()?)?;
                     let port = protocol.default_port();
                     let mut session = Vec::new();
-                    (internet.service_session_into(id, iface, port, &ctx, &mut session)
+                    (internet.service_session_into(route, port, &ctx, &mut session)
                         && parse_payload(protocol, &session).is_some())
                     .then_some(session)
                 })
@@ -251,10 +251,10 @@ mod tests {
             .devices()
             .filter_map(|device| {
                 let addr = device.answering(ServiceProtocol::Snmpv3).next()?;
-                let (id, iface) = internet.lookup(addr)?;
+                let route = internet.route(addr)?;
                 let mut report = Vec::new();
                 internet
-                    .snmp_probe_into(id, iface, || &request[..], &ctx, &mut report)
+                    .snmp_probe_into(route, || &request[..], &ctx, &mut report)
                     .then_some(report)
             })
             .take(3)

@@ -15,10 +15,10 @@ use alias_resolution::core::alias_set::group_view_compact;
 use alias_resolution::core::validation::cross_validate;
 use alias_resolution::midar::ally::{AllyTester, AllyVerdict};
 use alias_resolution::midar::mbt::{monotonic_bounds_test, MbtVerdict, StepBounds};
-use alias_resolution::netsim::ProbeContext;
+use alias_resolution::netsim::{IpidSample, ProbeContext};
 use alias_resolution::prelude::*;
 use alias_resolution::resolve::ProbeTargets;
-use alias_resolution::scan::ipid_probe::{IpidProber, IpidSample, PairEnd, RoundRobin};
+use alias_resolution::scan::ipid_probe::{IpidProber, PairEnd, RoundRobin};
 use alias_resolution::store::parse_payload;
 use alias_resolution::wire::snmp::Snmpv3Message;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -120,10 +120,10 @@ fn an_ssh_session_is_emitted_and_parsed_within_24_allocations() {
     let ssh_port = ServiceProtocol::Ssh.default_port();
     for device in internet.devices() {
         for addr in device.answering(ServiceProtocol::Ssh) {
-            let (device_id, iface) = internet.lookup(addr).expect("a device's own address");
+            let route = internet.route(addr).expect("a device's own address");
             let (count, payload) = allocations(|| {
                 internet
-                    .service_session_into(device_id, iface, ssh_port, &ctx, &mut session)
+                    .service_session_into(route, ssh_port, &ctx, &mut session)
                     .then(|| parse_payload(ServiceProtocol::Ssh, &session))
                     .flatten()
             });
@@ -152,10 +152,10 @@ fn a_bgp_session_into_a_warm_buffer_allocates_nothing() {
     let bgp_port = ServiceProtocol::Bgp.default_port();
     for device in internet.devices() {
         for addr in device.answering(ServiceProtocol::Bgp) {
-            let (device_id, iface) = internet.lookup(addr).expect("a device's own address");
+            let route = internet.route(addr).expect("a device's own address");
             let (count, payload) = allocations(|| {
                 internet
-                    .service_session_into(device_id, iface, bgp_port, &ctx, &mut session)
+                    .service_session_into(route, bgp_port, &ctx, &mut session)
                     .then(|| PayloadRef::parse(ServiceProtocol::Bgp, &session).is_some())
             });
             assert_eq!(count, 0, "{addr}");
@@ -172,10 +172,9 @@ fn a_bgp_session_into_a_warm_buffer_allocates_nothing() {
     let mut emitted = 0;
     for device in internet.devices() {
         for addr in device.answering(ServiceProtocol::Ssh) {
-            let (device_id, iface) = internet.lookup(addr).expect("a device's own address");
-            let (count, answered) = allocations(|| {
-                internet.service_session_into(device_id, iface, ssh_port, &ctx, &mut session)
-            });
+            let route = internet.route(addr).expect("a device's own address");
+            let (count, answered) =
+                allocations(|| internet.service_session_into(route, ssh_port, &ctx, &mut session));
             assert_eq!(count, 0, "{addr}");
             emitted += usize::from(answered && !session.is_empty());
         }
@@ -228,14 +227,14 @@ fn pushing_every_ssh_session_into_one_warm_shard_allocates_at_most_32_in_total()
     let targets: Vec<_> = internet
         .devices()
         .flat_map(|device| device.answering(ServiceProtocol::Ssh))
-        .map(|addr| (addr, internet.lookup(addr).expect("a device's own address")))
+        .map(|addr| (addr, internet.route(addr).expect("a device's own address")))
         .collect();
     // Grown once, outside the count: a scan loop reuses it across targets.
     let mut session = Vec::with_capacity(4096);
     let (count, shard) = allocations(|| {
         let mut shard = ShardColumns::with_capacity(targets.len());
-        for &(addr, (device_id, iface)) in &targets {
-            if !internet.service_session_into(device_id, iface, ssh_port, &ctx, &mut session) {
+        for &(addr, route) in &targets {
+            if !internet.service_session_into(route, ssh_port, &ctx, &mut session) {
                 continue;
             }
             let (source, protocol) = (DataSource::Active, ServiceProtocol::Ssh);
@@ -276,7 +275,7 @@ fn discovery_exchanges(internet: &Internet) -> Vec<(IpAddr, u64, Option<Snmpv3Me
                     &request[..]
                 };
                 internet
-                    .snmp_probe_into(device.id(), iface, write_request, &ctx, &mut reply)
+                    .snmp_probe_into(device.route(iface), write_request, &ctx, &mut reply)
                     .then(|| Snmpv3Message::parse(&reply).expect("an agent's own Report"))
             });
             exchanges.push((interface.addr, count, report));
@@ -293,7 +292,8 @@ fn an_answered_snmp_discovery_exchange_allocates_only_the_engine_id() {
         let Some(Snmpv3Message::Report { msg_id, usm, .. }) = report else {
             continue;
         };
-        let (device_id, _) = internet.lookup(addr).expect("a device's own address");
+        let device_id = internet.ground_truth().device_of(addr);
+        let device_id = device_id.expect("a device's own address");
         let engine_id = internet.device(device_id).snmp().unwrap().engine_id;
         assert_eq!((msg_id, usm.engine_id.as_bytes()), (0x0101, engine_id));
         assert!(count <= 1, "{addr}: {count} allocations for one exchange");
@@ -571,7 +571,7 @@ fn a_pair_test_in_steady_state_allocates_nothing() {
         .filter(|d| d.responds_to_ping())
         .flat_map(|d| d.ipv4_addrs())
         .take(40)
-        .map(|addr| internet.lookup(addr.into()))
+        .map(|addr| internet.route(addr.into()))
         .collect();
     assert_eq!(targets.len(), 40);
 
@@ -646,7 +646,7 @@ fn a_round_robin_allocates_a_constant_number_of_blocks() {
         .devices()
         .filter(|d| d.responds_to_ping())
         .flat_map(|d| d.ipv4_addrs())
-        .map(|addr| internet.lookup(addr.into()))
+        .map(|addr| internet.route(addr.into()))
         .collect();
     assert!(pingable.len() > 100);
     let round_robin = RoundRobin {

@@ -174,13 +174,8 @@ fn midar_baseline_confirms_a_subset_of_ssh_sets_without_false_merges() {
         .filter(|s| s.len() <= 10)
         .collect();
     let targets: Vec<IpAddr> = sample.iter().flatten().copied().collect();
-    let resolved_targets: Vec<_> = targets.iter().map(|&a| internet.lookup(a)).collect();
-    let outcome = midar_resolve(
-        &internet,
-        &resolved_targets,
-        VantageKind::SingleVp,
-        SimTime::ZERO,
-    );
+    let routes: Vec<_> = targets.iter().map(|&a| internet.route(a)).collect();
+    let outcome = midar_resolve(&internet, &routes, VantageKind::SingleVp, SimTime::ZERO);
     // MIDAR cannot test every address...
     assert!(outcome.testable.len() <= targets.len());
     // ...but what it does confirm is correct.

@@ -133,3 +133,28 @@ fn no_non_test_line_of_a_crate_unwraps() {
     }
     assert!(found.is_empty(), "{found:#?}");
 }
+
+/// The measurement crates see no ground truth: no non-test line of `scan`,
+/// `midar` or `resolve` (CI's rule, as above; comment lines are not code)
+/// names a device.  The types state the rest (a `Route` has no equality,
+/// `DeviceId`'s field is private); clippy's `disallowed-*` lists cannot
+/// state this, as they bind a whole crate and each crate's tests name
+/// these to score what they infer (docs/LINTS.md).
+#[test]
+fn no_non_test_line_of_a_measurement_crate_names_a_device() {
+    let mut found = Vec::new();
+    for krate in ["scan", "midar", "resolve"] {
+        for file in rs_files(&root().join("crates").join(krate).join("src")) {
+            let text = fs::read_to_string(&file).unwrap();
+            let lines = text.lines().take_while(|l| *l != "#[cfg(test)]");
+            for (i, line) in lines.enumerate() {
+                let code = line.trim_start();
+                let names = ["DeviceId", "device_of", "ground_truth"].map(|n| code.contains(n));
+                if !code.starts_with("//") && names.contains(&true) {
+                    found.push(format!("{}:{}: {code}", file.display(), i + 1));
+                }
+            }
+        }
+    }
+    assert!(found.is_empty(), "{found:#?}");
+}

@@ -65,11 +65,11 @@ fn real_stores_survive_the_row_doors_and_the_scan_door_matches_the_row_door() {
             ] {
                 let port = protocol.default_port();
                 for addr in addrs {
-                    let (device_id, iface) = internet.lookup(addr).expect("a device's own address");
-                    if !internet.service_session_into(device_id, iface, port, &ctx, &mut session) {
+                    let route = internet.route(addr).expect("a device's own address");
+                    if !internet.service_session_into(route, port, &ctx, &mut session) {
                         continue;
                     }
-                    let asn = Some(internet.asn_at(device_id, iface).0);
+                    let asn = Some(internet.asn_at(route).0);
                     let source = DataSource::Active;
                     let pushed =
                         shard.push_session(addr, port, source, ctx.time, asn, protocol, &session);
@@ -213,7 +213,7 @@ fn internet_digest(internet: &Internet) -> u64 {
     }
     for device in internet.devices() {
         for interface in device.interfaces() {
-            write!(digest, "{:?}", internet.lookup(interface.addr)).unwrap();
+            write!(digest, "{:?}", internet.route(interface.addr)).unwrap();
         }
     }
     digest.0
