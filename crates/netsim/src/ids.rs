@@ -55,7 +55,7 @@ pub struct Route {
     pub(crate) iface: u32,
 }
 
-/// As the `(DeviceId, usize)` pair the IP index once returned.
+/// A `(DeviceId, usize)` pair: the form the pinned Internet digests read.
 impl fmt::Debug for Route {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let iface = self.iface as usize;

@@ -8,7 +8,7 @@
 //! are correlated under *joint* probing share a device, even when the
 //! device exposes no SSH/BGP/SNMP identifier at all.
 //!
-//! [`IcmpTokenBucket`] mirrors the sender-side `TokenBucket` in
+//! `IcmpTokenBucket` mirrors the sender-side `TokenBucket` in
 //! `alias-scan` (`scan/rate.rs`): same rate/capacity parameters, same
 //! fractional-millisecond accounting — but it decides whether an
 //! *arriving* probe is answered instead of when a departing probe may be
@@ -30,7 +30,7 @@ use crate::vantage::VantageKind;
 
 /// A device's router-wide ICMP rate-limiter parameters.  Plain data (no
 /// interior mutability): burst evaluation builds its own transient
-/// [`IcmpTokenBucket`], so concurrent probes of different targets never
+/// `IcmpTokenBucket`, so concurrent probes of different targets never
 /// contend.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct IcmpRateLimit {
@@ -358,5 +358,40 @@ mod tests {
             solo_burst_replies(IcmpRateLimit::UNLIMITED, 1e6, 1000),
             1000
         );
+    }
+
+    /// Ladders stepped once per limiter, read per route, equal each
+    /// route's own bursts at every rate, unscreened and at a late time: a
+    /// burst reads neither the time nor the other routes of its limiter.
+    #[test]
+    fn one_ladder_per_limiter_is_every_routes_own_bursts() {
+        use crate::{InternetBuilder, InternetConfig};
+        let mut config = InternetConfig::tiny(77);
+        config.devices.silent_routers = 10;
+        let internet = InternetBuilder::new(config).build();
+        let routes: Vec<Route> = (internet.devices())
+            .flat_map(|d| (0..d.interfaces().len()).map(move |i| d.route(i)))
+            .collect();
+        let rates = [256.0, 512.0, 1024.0, 2048.0, 4096.0];
+        let mut silent = 0;
+        for vantage in [VantageKind::SingleVp, VantageKind::Distributed] {
+            let mut lossy = 0;
+            let ladders = internet.rate_ladders(&routes, &rates, 24, vantage);
+            let ctx = ProbeContext {
+                vantage,
+                time: SimTime::from_days(21),
+            };
+            for &route in &routes {
+                let bursts: Option<Vec<u8>> = (rates.iter())
+                    .map(|&rate| Some(24 - internet.rate_burst_at(route, rate, 24, &ctx)? as u8))
+                    .collect();
+                assert_eq!(ladders.of(route), bursts.as_deref(), "{route:?}");
+                lossy += usize::from(bursts.as_ref().is_some_and(|b| b.iter().any(|&l| l > 0)));
+                silent += usize::from(bursts.is_none());
+            }
+            // One row per lossy limiter: fewer than the lossy routes.
+            assert!(ladders.lossy() > 0 && (ladders.lossy() as usize) < lossy);
+        }
+        assert!(silent > 0);
     }
 }
