@@ -64,12 +64,43 @@ impl IdentId {
 /// Bidirectional `IpAddr` ⇄ [`AddrId`] map with dense, insertion-ordered
 /// ids.
 ///
+/// The lookup side is one map per family, keyed by the address bits: an
+/// IPv4 entry is eight bytes where an `IpAddr` key made it 24, and
+/// `1.2.3.4` and `::ffff:1.2.3.4` stay two addresses.  Both maps keep std's
+/// randomly keyed hasher.
+///
 /// Cloning is O(n); share one interner behind an `Arc` where several
 /// readers need the same id space (lookups take `&self`).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Default)]
 pub struct AddrInterner {
-    ids: HashMap<IpAddr, AddrId>,
+    v4: HashMap<u32, AddrId>,
+    v6: HashMap<u128, AddrId>,
     addrs: Vec<IpAddr>,
+    /// What [`Self::with_capacity`] asked for: each family's map reserves
+    /// it when its first address comes, so a one-family shard allocates
+    /// one map.
+    capacity: usize,
+}
+
+/// Two interners are equal when they hold the same addresses under the
+/// same ids: the maps are those addresses' inverse.
+impl PartialEq for AddrInterner {
+    fn eq(&self, other: &Self) -> bool {
+        self.addrs == other.addrs
+    }
+}
+
+impl Eq for AddrInterner {}
+
+/// `map`, reserved for `capacity` entries if it has none yet.
+fn reserved<K>(map: &mut HashMap<K, AddrId>, capacity: usize) -> &mut HashMap<K, AddrId>
+where
+    K: Eq + std::hash::Hash,
+{
+    if map.capacity() == 0 {
+        map.reserve(capacity);
+    }
+    map
 }
 
 impl AddrInterner {
@@ -81,34 +112,43 @@ impl AddrInterner {
     /// An empty interner with room for `capacity` addresses.
     pub fn with_capacity(capacity: usize) -> Self {
         AddrInterner {
-            ids: HashMap::with_capacity(capacity),
             addrs: Vec::with_capacity(capacity),
+            capacity,
+            ..Self::default()
         }
     }
 
     /// The id of `addr`, interning it if new.
     pub fn intern(&mut self, addr: IpAddr) -> AddrId {
-        match self.ids.entry(addr) {
-            Entry::Occupied(entry) => *entry.get(),
-            Entry::Vacant(entry) => {
-                let id = AddrId(self.addrs.len() as u32);
-                self.addrs.push(addr);
-                entry.insert(id);
-                id
-            }
+        let next = AddrId(self.addrs.len() as u32);
+        let capacity = self.capacity;
+        let id = match addr {
+            IpAddr::V4(v4) => *reserved(&mut self.v4, capacity)
+                .entry(u32::from(v4))
+                .or_insert(next),
+            IpAddr::V6(v6) => *reserved(&mut self.v6, capacity)
+                .entry(u128::from(v6))
+                .or_insert(next),
+        };
+        if id == next {
+            self.addrs.push(addr);
         }
+        id
     }
 
     /// The id of `addr`, if it has been interned.
     #[inline]
     pub fn get(&self, addr: IpAddr) -> Option<AddrId> {
-        self.ids.get(&addr).copied()
+        match addr {
+            IpAddr::V4(v4) => self.v4.get(&u32::from(v4)).copied(),
+            IpAddr::V6(v6) => self.v6.get(&u128::from(v6)).copied(),
+        }
     }
 
     /// Whether `addr` has been interned.
     #[inline]
     pub fn contains(&self, addr: IpAddr) -> bool {
-        self.ids.contains_key(&addr)
+        self.get(addr).is_some()
     }
 
     /// The address behind `id`.
@@ -140,25 +180,27 @@ impl AddrInterner {
         &self.addrs
     }
 
-    /// Check the bijection invariant: the id map and the address vector are
-    /// mutual inverses over the dense id range `0..len`.
+    /// Check the bijection invariant: the two family maps and the address
+    /// vector are mutual inverses over the dense id range `0..len`.
     ///
-    /// The runtime twin of the `det-hash-iter` lint's premise — a broken
-    /// bijection is exactly the state where id-space arithmetic silently
-    /// resolves to the wrong address.  Walks the vector (never the hash
-    /// map), so the check itself is deterministic.
+    /// The runtime check behind the id-space rules that `clippy.toml`'s
+    /// `disallowed-methods` (no hash-iteration order reaches an output) and
+    /// `tests/source_rules.rs` (address-keyed containers say why) state
+    /// statically — a broken bijection is exactly the state where id-space
+    /// arithmetic silently resolves to the wrong address.  Walks the vector
+    /// (never a hash map), so the check itself is deterministic.
     pub fn validate(&self) -> Result<(), String> {
-        if self.ids.len() != self.addrs.len() {
+        let mapped = self.v4.len() + self.v6.len();
+        if mapped != self.addrs.len() {
             return Err(format!(
-                "interner bijection broken: {} mapped ids vs {} stored addresses",
-                self.ids.len(),
+                "interner bijection broken: {mapped} mapped ids vs {} stored addresses",
                 self.addrs.len()
             ));
         }
         for (index, &addr) in self.addrs.iter().enumerate() {
-            match self.ids.get(&addr) {
-                Some(&id) if id.index() == index => {}
-                Some(&id) => {
+            match self.get(addr) {
+                Some(id) if id.index() == index => {}
+                Some(id) => {
                     return Err(format!(
                         "interner bijection broken: {addr} stored at id {index} but mapped to {}",
                         id.0
@@ -493,15 +535,30 @@ mod tests {
     }
 
     #[test]
+    fn a_v4_address_and_its_v4_mapped_v6_form_are_two_addresses() {
+        // One map keyed by the address's integer value would merge
+        // `1.2.3.4` and `::1.2.3.4` (both 0x0102_0304); one map a family
+        // keeps all three apart.
+        let mut interner = AddrInterner::with_capacity(4);
+        let v4 = interner.intern(ip("1.2.3.4"));
+        let mapped = interner.intern(ip("::ffff:1.2.3.4"));
+        let low = interner.intern(ip("::1.2.3.4"));
+        assert_eq!([v4, mapped, low], [AddrId(0), AddrId(1), AddrId(2)]);
+        assert_eq!(interner.get(ip("1.2.3.4")), Some(v4));
+        assert_eq!(interner.addr(mapped), ip("::ffff:1.2.3.4"));
+        assert_eq!(interner.validate(), Ok(()));
+        // Equal interners hold the same addresses in the same order,
+        // whatever capacity either was given.
+        assert_eq!(interner, interner_of(interner.addrs().to_vec()));
+    }
+
+    #[test]
     fn extension_preserves_existing_ids() {
         let mut base = interner_of([ip("10.0.0.1"), ip("10.0.0.2")]);
         let mut extended = base.clone();
         let novel = extended.intern(ip("192.0.2.1"));
         assert_eq!(novel, AddrId(2));
-        assert_eq!(
-            extended.get(ip("10.0.0.1")),
-            base.ids.get(&ip("10.0.0.1")).copied()
-        );
+        assert_eq!(extended.get(ip("10.0.0.1")), base.get(ip("10.0.0.1")));
         assert_eq!(base.len(), 2);
         // The base growing independently may reuse the extension id for a
         // different address — the documented tail-disagreement hazard.
@@ -652,11 +709,12 @@ mod tests {
         interner.addrs.push(ip("10.0.0.3")); // stored but never mapped
         let err = interner.validate().unwrap_err();
         assert!(err.contains("mapped ids vs 3 stored"), "{err}");
-        interner.ids.insert(ip("10.0.0.9"), AddrId(2)); // lengths agree again…
+        let key = |addr: &str| u32::from(addr.parse::<std::net::Ipv4Addr>().unwrap());
+        interner.v4.insert(key("10.0.0.9"), AddrId(2)); // lengths agree again…
         let err = interner.validate().unwrap_err();
         assert!(err.contains("never mapped"), "{err}"); // …but 10.0.0.3 has no id
-        interner.ids.remove(&ip("10.0.0.9"));
-        interner.ids.insert(ip("10.0.0.3"), AddrId(0)); // mapped to the wrong slot
+        interner.v4.remove(&key("10.0.0.9"));
+        interner.v4.insert(key("10.0.0.3"), AddrId(0)); // mapped to the wrong slot
         let err = interner.validate().unwrap_err();
         assert!(err.contains("but mapped to 0"), "{err}");
 

@@ -506,39 +506,6 @@ impl Internet {
             .then(|| crate::ratelimit::solo_burst_replies(limit, rate_pps, count))
     }
 
-    /// Probe `a` and `b` with interleaved echo requests (a, b, a, b, …) at
-    /// a combined `rate_pps`, `count_per_addr` probes each, and count the
-    /// per-address replies — the joint test that discriminates a shared
-    /// limiter from two independent ones.  Same device: every arrival
-    /// drains one bucket, so both addresses lose.  Different devices: each
-    /// limiter sees only its own half-rate stream, modelled as two solo
-    /// bursts at `rate_pps / 2`.  `None` if either address is unresponsive.
-    pub fn icmp_joint_rate_burst(
-        &self,
-        a: IpAddr,
-        b: IpAddr,
-        rate_pps: f64,
-        count_per_addr: u32,
-        ctx: &ProbeContext,
-    ) -> Option<(u32, u32)> {
-        let (route_a, route_b) = (self.route(a)?, self.route(b)?);
-        if !self.ping_responds_at(route_a, ctx) || !self.ping_responds_at(route_b, ctx) {
-            return None;
-        }
-        let ((key_a, limit_a), (key_b, limit_b)) = (self.limiter(route_a), self.limiter(route_b));
-        if key_a == key_b {
-            Some(crate::ratelimit::joint_burst_replies_shared(
-                limit_a,
-                rate_pps,
-                count_per_addr,
-            ))
-        } else {
-            let half =
-                |limit| crate::ratelimit::solo_burst_replies(limit, rate_pps / 2.0, count_per_addr);
-            Some((half(limit_a), half(limit_b)))
-        }
-    }
-
     /// Send a UDP datagram to a closed port along `route` and observe the
     /// source address of the resulting ICMP port-unreachable (the iffinder /
     /// common-source-address technique).  `None` means no error was
@@ -1080,25 +1047,34 @@ mod tests {
             .into_iter()
             .find(|&r| burst(&internet, a, r, &ctx).unwrap() < 24)
             .expect("silent limiters trip within the escalation ladder");
-        // Same device: the shared bucket makes joint probing lossy at a
-        // combined rate whose halves are individually loss-free.
-        let (ja, jb) = internet
-            .icmp_joint_rate_burst(a, b, rate, 24, &ctx)
-            .unwrap();
-        assert!(ja + jb < 48, "shared limiter: joint loss at {rate} pps");
+        // Same device, probed round robin at half the rate each: the shared
+        // bucket makes the pair lossy at a combined rate whose halves are
+        // individually loss-free.  The pair door this group burst replaced
+        // answered (11, 19) here.
+        let route = |addr| internet.route(addr).expect("routed");
+        let mut bursts = internet.group_bursts();
+        let mut pair = |x, y| {
+            let replies = bursts.burst(&[route(x), route(y)], rate / 2.0, 24, &ctx);
+            <[u32; 2]>::try_from(replies.expect("both answer echo")).expect("two routes")
+        };
+        assert_eq!(rate, 512.0);
+        assert_eq!(
+            pair(a, b),
+            [11, 19],
+            "shared limiter: joint loss at {rate} pps"
+        );
         // Different devices: each limiter sees only its own half-rate
         // stream — exactly two solo bursts at rate / 2.  The probed address
         // itself is loss-free there (it lost nothing below `rate`).
         let other = IpAddr::V4(silents[1].ipv4_addrs()[0]);
-        let (ia, ib) = internet
-            .icmp_joint_rate_burst(a, other, rate, 24, &ctx)
-            .unwrap();
+        let [ia, ib] = pair(a, other);
         assert_eq!(ia, 24, "half of the first lossy rate is loss-free");
         assert_eq!(
             ib,
             burst(&internet, other, rate / 2.0, &ctx).unwrap(),
             "cross-device joint probing is two independent half-rate streams"
         );
+        assert_eq!(ib, 24);
     }
 
     #[test]

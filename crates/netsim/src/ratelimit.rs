@@ -21,7 +21,10 @@
 //!
 //! The rate prober's escalation ladder is such a function of the limiter,
 //! so [`RateLadders`] steps it once per limiter and hands each route its
-//! limiter's ladder: which routes share a limiter stays on this side.
+//! limiter's ladder, and [`GroupBursts`] probes up to sixteen routes round
+//! robin, stepping a shared limiter over its routes' merged arrivals and
+//! answering a lone one from a per-limiter memo: which routes share a
+//! limiter stays on this side.
 
 use crate::clock::SimTime;
 use crate::ids::Route;
@@ -122,30 +125,48 @@ fn stepped_burst_replies(limit: IcmpRateLimit, rate_pps: f64, count: u32) -> u32
         .count() as u32
 }
 
-/// Per-address replies when two interfaces of the **same** device are
-/// probed alternately (a, b, a, b, …) at a combined `rate_pps`: every
-/// arrival drains the one shared bucket, so each address sees the other's
-/// traffic in its own loss.  Even arrival slots belong to the first
-/// address, odd slots to the second.
-pub(crate) fn joint_burst_replies_shared(
-    limit: IcmpRateLimit,
+/// Most addresses one group burst probes ([`GroupBursts::burst`]).  At
+/// the rate-limiting technique's top per-address rate, half the ladder's
+/// 4,096 pps, sixteen streams are 32,768 pps in aggregate.
+pub const GROUP_BURST_MAX: usize = 16;
+
+/// Per-address replies to a group burst: `limiters.len()` addresses probed
+/// round robin (slot `r·n + q` belongs to address `q`), `count` probes each
+/// at `rate_pps` each, every address answered by its `(key, limit)`.  An
+/// address alone on its limiter sees an evenly paced stream, a solo burst,
+/// which `solo` answers; a limiter that two or more addresses share is
+/// stepped once, over their merged arrivals.
+fn group_burst_replies(
+    limiters: &[(usize, IcmpRateLimit)],
     rate_pps: f64,
-    count_per_addr: u32,
-) -> (u32, u32) {
-    assert!(rate_pps > 0.0, "probing rate must be positive");
-    let gap_ms = 1000.0 / rate_pps;
-    let mut bucket = IcmpTokenBucket::full(limit);
-    let mut replies = (0u32, 0u32);
-    for i in 0..count_per_addr * 2 {
-        if bucket.allow(i as f64 * gap_ms) {
-            if i % 2 == 0 {
-                replies.0 += 1;
-            } else {
-                replies.1 += 1;
+    count: u32,
+    replies: &mut [u32],
+    mut solo: impl FnMut(usize, IcmpRateLimit) -> u32,
+) {
+    let n = limiters.len();
+    let gap_ms = 1000.0 / (rate_pps * n as f64);
+    for (q, &(key, limit)) in limiters.iter().enumerate() {
+        let shares = |&(other, _): &(usize, IcmpRateLimit)| other == key;
+        if limiters[..q].iter().any(shares) {
+            continue; // stepped with the limiter's first address
+        }
+        if !limiters[q + 1..].iter().any(shares) {
+            replies[q] = solo(key, limit);
+            continue;
+        }
+        let mut bucket = IcmpTokenBucket::full(limit);
+        for (slot, reply) in replies.iter_mut().enumerate() {
+            if shares(&limiters[slot]) {
+                *reply = 0;
+            }
+        }
+        for round in 0..count as usize {
+            for slot in (q..n).filter(|&slot| shares(&limiters[slot])) {
+                let at_ms = (round * n + slot) as f64 * gap_ms;
+                replies[slot] += u32::from(bucket.allow(at_ms));
             }
         }
     }
-    replies
 }
 
 /// [`RateLadders`] entry of a limiter no listed route leads to.
@@ -182,6 +203,71 @@ impl RateLadders<'_> {
     /// Limiters that lost probes at the top rate.
     pub fn lossy(&self) -> u64 {
         (self.losses.len() / self.rounds - 1) as u64
+    }
+}
+
+/// Echo bursts at groups of up to [`GROUP_BURST_MAX`] routes probed round
+/// robin ([`Internet::group_bursts`]): the joint test that tells a shared
+/// limiter from independent ones.
+///
+/// Every address sees `rate_pps`, the group `n · rate_pps` in aggregate.
+/// Routes that share a limiter drain one bucket at their summed rate, so a
+/// limiter that loses nothing alone at `rate_pps` but loses at twice it
+/// loses as soon as two of its routes are in the group.  Independent
+/// limiters each see their own stream and lose what they would alone.  A
+/// route alone on its limiter is answered from a memo of solo bursts kept
+/// per limiter key (`Internet::limiter`), which stays on this side.
+pub struct GroupBursts<'a> {
+    internet: &'a Internet,
+    /// Per limiter key: the last solo burst answered, `(rate bits, count,
+    /// replies)`; rate bits 0, which no positive rate has, is unset.
+    solo: Vec<(u64, u32, u32)>,
+    replies: [u32; GROUP_BURST_MAX],
+}
+
+impl GroupBursts<'_> {
+    /// Probe `routes` round robin, `count` echo requests each at `rate_pps`
+    /// each, and count each route's replies (in `routes` order), or `None`
+    /// where a route does not answer echo.  Like every burst, it starts
+    /// from full buckets and reads the vantage, not the time.
+    ///
+    /// # Panics
+    /// Panics if `routes` is empty or longer than [`GROUP_BURST_MAX`], or
+    /// if `rate_pps` is not positive.
+    pub fn burst(
+        &mut self,
+        routes: &[Route],
+        rate_pps: f64,
+        count: u32,
+        ctx: &ProbeContext,
+    ) -> Option<&[u32]> {
+        let n = routes.len();
+        assert!((1..=GROUP_BURST_MAX).contains(&n), "{n} routes in a group");
+        assert!(rate_pps > 0.0, "probing rate must be positive");
+        let internet = self.internet;
+        if !routes
+            .iter()
+            .all(|&route| internet.ping_responds_at(route, ctx))
+        {
+            return None;
+        }
+        let mut limiters = [(0, IcmpRateLimit::UNLIMITED); GROUP_BURST_MAX];
+        for (limiter, &route) in limiters.iter_mut().zip(routes) {
+            *limiter = internet.limiter(route);
+        }
+        let (solo, replies) = (&mut self.solo, &mut self.replies[..n]);
+        group_burst_replies(&limiters[..n], rate_pps, count, replies, |key, limit| {
+            let memo = &mut solo[key];
+            if memo.0 != rate_pps.to_bits() || memo.1 != count {
+                *memo = (
+                    rate_pps.to_bits(),
+                    count,
+                    solo_burst_replies(limit, rate_pps, count),
+                );
+            }
+            memo.2
+        });
+        Some(replies)
     }
 }
 
@@ -235,6 +321,15 @@ impl Internet {
             rounds: rates.len(),
             rows,
             losses,
+        }
+    }
+
+    /// A memo-holding handle for group bursts ([`GroupBursts`]).
+    pub fn group_bursts(&self) -> GroupBursts<'_> {
+        GroupBursts {
+            internet: self,
+            solo: vec![(0, 0, 0); self.limiters()],
+            replies: [0; GROUP_BURST_MAX],
         }
     }
 }
@@ -300,22 +395,71 @@ mod tests {
         }
     }
 
+    /// A group burst's replies with every solo burst stepped.
+    fn group(limiters: &[(usize, IcmpRateLimit)], rate_pps: f64) -> Vec<u32> {
+        let mut replies = vec![u32::MAX; limiters.len()];
+        let solo = |_, limit| solo_burst_replies(limit, rate_pps, 24);
+        group_burst_replies(limiters, rate_pps, 24, &mut replies, solo);
+        replies
+    }
+
     #[test]
     fn joint_probing_of_a_shared_bucket_shows_correlated_loss() {
         let limit = IcmpRateLimit::new(500.0, 8.0);
         // Solo at 512 pps: no loss (needs ~23 ms for 24 probes; the bucket
         // plus refill cover it).
         assert_eq!(solo_burst_replies(limit, 512.0, 24), 24);
-        // Jointly probing two addresses of the same device at a combined
-        // 1024 pps (512 pps each) drains the shared bucket: both lose.
-        let (a, b) = joint_burst_replies_shared(limit, 1024.0, 24);
-        assert!(a + b < 48, "the shared bucket drops joint traffic");
-        // Two *independent* devices each see only their own 512 pps —
-        // modelled as a solo burst per device — and lose nothing.
-        assert_eq!(solo_burst_replies(limit, 512.0, 24) * 2, 48);
+        // Jointly probing two addresses of the same device at 512 pps each
+        // (1024 pps combined) drains the shared bucket: both lose.
+        let shared = group(&[(0, limit), (0, limit)], 512.0);
+        assert!(shared.iter().sum::<u32>() < 48, "{shared:?}");
+        // Two *independent* devices each see only their own 512 pps and
+        // lose nothing.
+        assert_eq!(group(&[(0, limit), (1, limit)], 512.0), [24, 24]);
+    }
+
+    /// The rate-limiting technique's regime: a limiter lossy at its first
+    /// lossy ladder rate `R_fl` but not below it, probed at `R_fl / 2` each.
+    fn lossy_at_twice(limiter_pps: f64) -> Option<f64> {
+        let limit = IcmpRateLimit::new(limiter_pps, 8.0);
+        let ladder = [256.0, 512.0, 1024.0, 2048.0, 4096.0];
+        let first = ladder
+            .into_iter()
+            .find(|&r| solo_burst_replies(limit, r, 24) < 24)?;
+        Some(first / 2.0)
     }
 
     proptest! {
+        // A limiter with two or more routes in a group loses in total,
+        // wherever its routes sit, and every independent limiter loses
+        // nothing, as alone.
+        #[test]
+        fn a_shared_limiter_loses_and_independent_ones_do_not(
+            limiter_pps in 120.0f64..2_500.0,
+            others in prop::collection::vec(1.0f64..8.0, 0..GROUP_BURST_MAX - 1),
+            shared_at in prop::collection::vec(0usize..GROUP_BURST_MAX, 2..GROUP_BURST_MAX + 1),
+        ) {
+            let rate = lossy_at_twice(limiter_pps).expect("lossy within the ladder");
+            // Independent limiters at one to eight times the rate, and the
+            // shared one inserted at two or more of the group's slots.
+            let mut limiters: Vec<(usize, IcmpRateLimit)> = (others.iter().zip(1..))
+                .map(|(&times, key)| (key, IcmpRateLimit::new(rate * times, 8.0)))
+                .collect();
+            prop_assume!(limiters.iter().all(|&(_, l)| solo_burst_replies(l, rate, 24) == 24));
+            let shared = IcmpRateLimit::new(limiter_pps, 8.0);
+            for &at in shared_at.iter().take(GROUP_BURST_MAX - limiters.len()) {
+                limiters.insert(at % (limiters.len() + 1), (0, shared));
+            }
+            let replies = group(&limiters, rate);
+            let on = |shared: bool| (limiters.iter().zip(&replies))
+                .filter(move |((key, _), _)| (*key == 0) == shared)
+                .map(|(_, &replies)| replies);
+            let members = on(true).count() as u32;
+            prop_assert!(members >= 2);
+            prop_assert!(on(true).sum::<u32>() < 24 * members, "{limiters:?} {replies:?}");
+            prop_assert!(on(false).all(|replies| replies == 24), "{limiters:?} {replies:?}");
+        }
+
         #[test]
         fn a_limiter_twice_the_rate_answers_what_stepping_answers(
             burst in 1u32..=64,
@@ -393,5 +537,85 @@ mod tests {
             assert!(ladders.lossy() > 0 && (ladders.lossy() as usize) < lossy);
         }
         assert!(silent > 0);
+    }
+
+    /// A tiny Internet with silent routers; a silent router's two routes;
+    /// and routes of other devices that answer echo from `ctx`, each device
+    /// once.
+    fn sharers_and_others(ctx: &ProbeContext) -> (Internet, [Route; 2], Vec<Route>) {
+        use crate::{DeviceKind, InternetBuilder, InternetConfig};
+        let mut config = InternetConfig::tiny(29);
+        config.devices.silent_routers = 10;
+        let internet = InternetBuilder::new(config).build();
+        let silent = (internet.devices())
+            .find(|d| d.kind() == DeviceKind::SilentRouter && d.ipv4_addrs().len() >= 2)
+            .expect("a multi-address silent router");
+        let pair = [silent.route(0), silent.route(1)];
+        let others = (internet.devices())
+            .filter(|d| d.id() != silent.id() && !d.interfaces().is_empty())
+            .map(|d| d.route(0))
+            .filter(|&route| internet.ping_responds_at(route, ctx))
+            .collect();
+        (internet, pair, others)
+    }
+
+    #[test]
+    fn a_route_alone_on_its_limiter_gets_its_solo_burst() {
+        let ctx = ProbeContext {
+            vantage: VantageKind::Distributed,
+            time: SimTime::from_secs(1),
+        };
+        let (internet, [route, _], others) = sharers_and_others(&ctx);
+        let mut bursts = internet.group_bursts();
+        let mut group = others[..GROUP_BURST_MAX - 1].to_vec();
+        group.push(route);
+        // Twice at each rate, the second answered from the memo, and at a
+        // rate where the route loses alone as well as where it does not.
+        for rate in [128.0, 1024.0, 1024.0, 128.0, 128.0] {
+            let replies = bursts.burst(&group, rate, 24, &ctx).expect("all answer");
+            for (&route, &replies) in group.iter().zip(replies) {
+                let solo = internet.rate_burst_at(route, rate, 24, &ctx);
+                assert_eq!(Some(replies), solo, "{route:?} at {rate} pps");
+            }
+        }
+        let lossy = bursts.burst(&group, 1024.0, 24, &ctx).expect("all answer");
+        assert!(
+            lossy[GROUP_BURST_MAX - 1] < 24,
+            "the silent route loses alone"
+        );
+        // A route that does not answer echo silences the group.
+        let silent = (internet.devices())
+            .map(|d| d.route(0))
+            .find(|&route| !internet.ping_responds_at(route, &ctx))
+            .expect("an unpingable device");
+        group[0] = silent;
+        assert!(bursts.burst(&group, 128.0, 24, &ctx).is_none());
+    }
+
+    /// Sixteen streams, the two sharers at slots 0 and 15: the slot-15
+    /// probe comes one slot before the next slot-0 probe and takes the
+    /// token the bucket refilled over fifteen slots, so every loss falls
+    /// on the slot-0 stream.  Reading which stream lost would miss the
+    /// match; the total does not.
+    #[test]
+    fn sharers_at_the_ends_of_a_group_put_all_the_loss_on_one_stream() {
+        let ctx = ProbeContext {
+            vantage: VantageKind::Distributed,
+            time: SimTime::from_secs(1),
+        };
+        let (internet, [a, b], others) = sharers_and_others(&ctx);
+        let rate_fl = [256.0, 512.0, 1024.0, 2048.0, 4096.0]
+            .into_iter()
+            .find(|&rate| internet.rate_burst_at(a, rate, 24, &ctx) < Some(24))
+            .expect("silent limiters trip within the ladder");
+        let mut group = vec![a];
+        group.extend_from_slice(&others[..GROUP_BURST_MAX - 2]);
+        group.push(b);
+        let mut bursts = internet.group_bursts();
+        let replies = bursts
+            .burst(&group, rate_fl / 2.0, 24, &ctx)
+            .expect("all answer");
+        assert_eq!((replies[0], replies[GROUP_BURST_MAX - 1]), (7, 24));
+        assert!(replies[1..GROUP_BURST_MAX - 1].iter().all(|&r| r == 24));
     }
 }

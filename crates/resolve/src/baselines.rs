@@ -41,7 +41,7 @@ static ALLY_PAIR_TESTS: LazyCounter = LazyCounter::new(
 type MidarCounters = [LazyCounter; 4];
 
 /// A deterministic counter of the resolve stage.
-const fn resolve_counter(name: &'static str, unit: &'static str) -> LazyCounter {
+pub(crate) const fn resolve_counter(name: &'static str, unit: &'static str) -> LazyCounter {
     LazyCounter::new(name, DeterminismClass::Deterministic, unit, "resolve")
 }
 

@@ -9,69 +9,79 @@
 //!
 //! 1. groups addresses by identical loss signature (candidate clusters —
 //!    pure id-space bookkeeping over the campaign's [`AddrId`]s);
-//! 2. verifies candidates with a live **joint burst**: probing two
-//!    addresses in an interleaved stream at the cluster's lowest lossy
-//!    rate `R_fl`.  Interfaces of one device drain a shared bucket and
-//!    keep losing packets; interfaces of two different devices each see
-//!    only an `R_fl / 2` stream, which their limiters — loss-free at that
-//!    rate by construction of the signature — absorb without loss.  The
-//!    verdict is exact, not statistical, because the simulator's limiter
-//!    is deterministic;
-//! 3. unions verified pairs and reports groups of two or more as alias
-//!    sets, in the pipeline's canonical order.
+//! 2. verifies each cluster with live **group bursts**: up to sixteen
+//!    addresses probed round robin at `R_fl / 2` each, `R_fl` the cluster's
+//!    lowest lossy rate.  Interfaces of one device drain a shared bucket at
+//!    `R_fl` or more and lose packets; an address alone on its limiter sees
+//!    only its `R_fl / 2` stream, which its limiter — loss-free at that rate
+//!    by construction of the signature — absorbs without loss.  The walk
+//!    keeps a list of **roots**, one per limiter found so far: a member is
+//!    tested against the most recent root alone, then against the others
+//!    fifteen at a time, and becomes a root itself only when none of them
+//!    shares its limiter, so the roots stay pairwise independent and a
+//!    burst holds at most one pair that shares.  A burst is read by its
+//!    total loss: none means no root in it shares the member's limiter, a
+//!    root that lost is the one that does, and where only the member lost
+//!    the burst's roots are bisected.  The verdict is exact, not
+//!    statistical, because the simulator's limiter is deterministic;
+//! 3. reports each root with the members that joined it as an alias set,
+//!    in the pipeline's canonical order.
 //!
 //! Because the signal needs no SSH banner, BGP identifier, SNMP engine ID,
 //! usable IPID counter or ICMP error source, the technique uniquely covers
 //! the simulator's `SilentRouter` population.
 
+use crate::baselines::resolve_counter;
 use crate::technique::{ResolutionTechnique, TechniqueCtx, TechniqueResult};
-use alias_core::union_find::UnionFind;
 use alias_intern::{AddrId, CompactAliasSet};
 use alias_midar::midar::PAIR_SPACING;
-use alias_netsim::{ProbeContext, ServiceProtocol};
-use alias_obs::{DeterminismClass, LazyCounter};
+use alias_netsim::ratelimit::{GroupBursts, GROUP_BURST_MAX};
+use alias_netsim::{ProbeContext, Route, ServiceProtocol};
+use alias_obs::LazyCounter;
 use alias_scan::{CampaignData, PayloadRef};
 use std::collections::BTreeMap;
+use std::ops::Range;
 
 /// Signature clusters of two or more members selected for verification.
-/// All three counters below are pure functions of the campaign inputs.
-static CANDIDATE_CLUSTERS: LazyCounter = LazyCounter::new(
-    "resolve.rate_candidate_clusters",
-    DeterminismClass::Deterministic,
-    "clusters",
-    "resolve",
-);
+/// Every counter below is a pure function of the campaign inputs.
+static CANDIDATE_CLUSTERS: LazyCounter =
+    resolve_counter("resolve.rate_candidate_clusters", "clusters");
 
-/// Candidate pairs batched for joint-burst verification.
-static CANDIDATE_PAIRS: LazyCounter = LazyCounter::new(
-    "resolve.rate_candidate_pairs",
-    DeterminismClass::Deterministic,
-    "pairs",
-    "resolve",
-);
+/// Group bursts sent by the verification walk (the name predates group
+/// bursts, when each burst tested one candidate pair).
+static CANDIDATE_PAIRS: LazyCounter = resolve_counter("resolve.rate_candidate_pairs", "bursts");
 
-/// Joint bursts whose verdict was alias evidence (a union was applied).
-static JOINT_ALIAS_VERDICTS: LazyCounter = LazyCounter::new(
-    "resolve.rate_joint_alias_verdicts",
-    DeterminismClass::Deterministic,
-    "verdicts",
-    "resolve",
-);
+/// Members that joined a root: each is one alias verdict.
+static JOINT_ALIAS_VERDICTS: LazyCounter =
+    resolve_counter("resolve.rate_joint_alias_verdicts", "verdicts");
+
+/// Members the walk left alone: their burst budget ran out, or a burst
+/// went unanswered, before every root was tested.
+static GAVE_UP: LazyCounter = resolve_counter("resolve.rate_gave_up", "members");
+
+/// Echo requests the walk's bursts sent (the campaign's probes are
+/// `scan.probes_emitted`).
+static ECHO_PROBES: LazyCounter = resolve_counter("resolve.rate_echo_probes", "probes");
 
 /// One recorded lossy round: (round, rate_pps, sent, lost).  Sorted per
 /// address, the vector of these is the device-wide loss signature.
 type LossRound = (u8, u32, u16, u16);
 
-/// How many distinct union-find roots (most recent first) a new cluster
-/// member is tested against before giving up.  Interfaces of one device
-/// sort adjacently most of the time; a little look-back recovers the cases
-/// where two same-signature devices interleave.
-const RECOVERY_ROOTS: usize = 3;
+/// Roots one group burst tests a member against: the roots' streams and
+/// the member's fill a group.
+const ROOTS_PER_BURST: usize = GROUP_BURST_MAX - 1;
+
+/// Bursts one member may take.  A search takes one burst for the most
+/// recent root, one per further chunk of [`ROOTS_PER_BURST`] roots, and at
+/// most four more to bisect the chunk that holds its root; 64 covers a
+/// cluster of 886 roots.  A member of a larger cluster is left alone
+/// (`resolve.rate_gave_up`), which bounds the walk's cost per member.
+const MEMBER_BURSTS: u32 = 64;
 
 /// The ICMP rate-limiting technique.
 ///
 /// Consumes the campaign's `IcmpRateLimit` observations and verifies
-/// signature clusters with live joint bursts: it probes, like the
+/// signature clusters with live group bursts: it probes, like the
 /// baselines.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct RateLimitTechnique;
@@ -114,100 +124,179 @@ impl ResolutionTechnique for RateLimitTechnique {
         }
 
         let interner = data.interner().clone();
-        let mut now = ctx.probe_start;
+        let mut walk = Walk {
+            bursts: ctx.internet.group_bursts(),
+            probe: ProbeContext {
+                vantage: ctx.vantage,
+                time: ctx.probe_start,
+            },
+            rate_pps: 0.0,
+            count: 0,
+            group: Vec::with_capacity(GROUP_BURST_MAX),
+            spent: 0,
+            sent: 0,
+            probes: 0,
+        };
         let mut sets: Vec<CompactAliasSet> = Vec::new();
-        let (mut candidate_clusters, mut alias_verdicts) = (0, 0);
+        let (mut candidate_clusters, mut alias_verdicts, mut gave_up) = (0, 0, 0);
         for (signature, mut members) in clusters {
             if members.len() < 2 {
                 continue;
             }
             candidate_clusters += 1;
             members.sort_unstable();
-            // The joint test runs at the cluster's lowest lossy rate: a
-            // shared limiter stays lossy there, while two independent
-            // same-signature limiters — loss-free below `rate_fl` — each
-            // absorb their half-rate stream without loss.
+            // The group bursts run at half the cluster's lowest lossy rate
+            // per address: a shared limiter stays lossy there, while an
+            // independent same-signature limiter — loss-free below `rate_fl`
+            // — absorbs its stream without loss.
             let (_, first_rate, first_sent, _) = signature[0];
-            let rate_fl = f64::from(first_rate);
-            let count = u32::from(first_sent);
-            // Round-based pair walk: every round picks each pending member's
-            // next candidate pair against the forest as of the round start,
-            // then probes the pairs and applies the verdicts in batch order,
-            // one `PAIR_SPACING` step per pair.  The joint burst is a pure
-            // function of the substrate, so a verdict applied before the
-            // next pair is probed cannot change that pair's outcome.
-            let mut uf = UnionFind::new(members.len());
-            let mut tested: Vec<Vec<usize>> = vec![Vec::new(); members.len()];
-            let mut done: Vec<bool> = vec![false; members.len()];
-            loop {
-                let mut batch: Vec<(usize, usize, usize)> = Vec::new();
-                for i in 1..members.len() {
-                    if done[i] {
-                        continue;
+            walk.rate_pps = f64::from(first_rate) / 2.0;
+            walk.count = u32::from(first_sent);
+            // `groups[k]` is root `k`'s set, the root first.
+            let mut roots: Vec<Route> = Vec::new();
+            let mut groups: Vec<Vec<AddrId>> = Vec::new();
+            for id in members {
+                let Some(route) = ctx.internet.route(interner.addr(id)) else {
+                    gave_up += 1;
+                    continue;
+                };
+                match walk.search(&roots, route) {
+                    Ok(Some(k)) => {
+                        alias_verdicts += 1;
+                        groups[k].push(id);
                     }
-                    let my_root = uf.find(i);
-                    let candidate = (0..i).rev().find_map(|j| {
-                        let root = uf.find(j);
-                        (root != my_root && !tested[i].contains(&root)).then_some((j, root))
-                    });
-                    match candidate {
-                        Some((j, root)) => batch.push((i, j, root)),
-                        None => done[i] = true,
+                    Ok(None) => {
+                        roots.push(route);
+                        groups.push(vec![id]);
                     }
-                }
-                if batch.is_empty() {
-                    break;
-                }
-                CANDIDATE_PAIRS.add(batch.len() as u64);
-                for (i, j, root) in batch {
-                    now += PAIR_SPACING;
-                    let probe_ctx = ProbeContext {
-                        vantage: ctx.vantage,
-                        time: now,
-                    };
-                    let replies = ctx.internet.icmp_joint_rate_burst(
-                        interner.addr(members[j]),
-                        interner.addr(members[i]),
-                        rate_fl,
-                        count,
-                        &probe_ctx,
-                    );
-                    tested[i].push(root);
-                    match replies {
-                        // Any joint loss at `rate_fl` is alias evidence:
-                        // two independent limiters of this signature lose
-                        // nothing at half that rate.
-                        Some((replies_a, replies_b)) if replies_a + replies_b < 2 * count => {
-                            alias_verdicts += 1;
-                            uf.union(j, i);
-                            done[i] = true;
-                        }
-                        Some(_) if tested[i].len() >= RECOVERY_ROOTS => {
-                            done[i] = true;
-                        }
-                        Some(_) => {}
-                        // Unresponsive pair: the root counts as visited
-                        // but not against the recovery budget.
-                        None => {}
-                    }
+                    Err(GaveUp) => gave_up += 1,
                 }
             }
-            for group in uf.groups() {
-                sets.push(CompactAliasSet::from_ids(
-                    group.into_iter().map(|k| members[k]).collect(),
-                ));
-            }
+            let aliased = groups.into_iter().filter(|group| group.len() >= 2);
+            sets.extend(aliased.map(CompactAliasSet::from_ids));
         }
-        // Added only when non-zero, so the counters a run lists are those
-        // a per-cluster add would have listed.
+        // Added only when the walk ran, so a run with no candidate cluster
+        // lists none of them.
         if candidate_clusters > 0 {
             CANDIDATE_CLUSTERS.add(candidate_clusters);
-        }
-        if alias_verdicts > 0 {
+            CANDIDATE_PAIRS.add(walk.sent);
             JOINT_ALIAS_VERDICTS.add(alias_verdicts);
+            GAVE_UP.add(gave_up);
+            ECHO_PROBES.add(walk.probes);
         }
 
-        TechniqueResult::from_compact(self.name().to_owned(), sets, testable, now, interner)
+        let finished_at = walk.probe.time;
+        TechniqueResult::from_compact(
+            self.name().to_owned(),
+            sets,
+            testable,
+            finished_at,
+            interner,
+        )
+    }
+}
+
+/// A member the walk left alone before testing it against every root.
+struct GaveUp;
+
+/// How one group burst reads, by its total loss.
+enum Verdict {
+    /// Nobody lost: no root of the burst shares the member's limiter.
+    Independent,
+    /// The `k`th root of the burst lost: it shares the member's limiter.
+    Root(usize),
+    /// Only the member lost: one of the burst's roots shares its limiter.
+    MemberLost,
+}
+
+/// The verification walk's probing state, across clusters.
+struct Walk<'a> {
+    bursts: GroupBursts<'a>,
+    /// The vantage, and the time of the last burst.
+    probe: ProbeContext,
+    /// The current cluster's per-address rate and probes per address.
+    rate_pps: f64,
+    count: u32,
+    /// The routes of one burst: the roots', then the member's.
+    group: Vec<Route>,
+    /// Bursts the current member took.
+    spent: u32,
+    /// Bursts sent, and echo requests.
+    sent: u64,
+    probes: u64,
+}
+
+impl Walk<'_> {
+    /// The index of the root in `roots` that shares `member`'s limiter, or
+    /// `None` if none does: the most recent root alone first, then the
+    /// others [`ROOTS_PER_BURST`] at a time, newest first.
+    fn search(&mut self, roots: &[Route], member: Route) -> Result<Option<usize>, GaveUp> {
+        self.spent = 0;
+        let (mut end, mut width) = (roots.len(), 1);
+        while end > 0 {
+            let start = end.saturating_sub(width);
+            if let Some(k) = self.find_in(roots, start..end, member)? {
+                return Ok(Some(k));
+            }
+            (end, width) = (start, ROOTS_PER_BURST);
+        }
+        Ok(None)
+    }
+
+    /// The root of `roots[range]` that shares `member`'s limiter, if any.
+    /// Once a burst has shown that the range holds it, the range is
+    /// bisected: its first half is probed, and a burst with no loss leaves
+    /// the second.
+    fn find_in(
+        &mut self,
+        roots: &[Route],
+        mut range: Range<usize>,
+        member: Route,
+    ) -> Result<Option<usize>, GaveUp> {
+        let mut holds = false;
+        loop {
+            if holds && range.len() == 1 {
+                return Ok(Some(range.start));
+            }
+            let probed = match holds {
+                true => range.start..range.start + range.len() / 2,
+                false => range.clone(),
+            };
+            match self.burst(&roots[probed.clone()], member)? {
+                Verdict::Independent if holds => range = probed.end..range.end,
+                Verdict::Independent => return Ok(None),
+                Verdict::Root(k) => return Ok(Some(probed.start + k)),
+                Verdict::MemberLost => (range, holds) = (probed, true),
+            }
+        }
+    }
+
+    /// One group burst, `roots` then `member`, one `PAIR_SPACING` after the
+    /// last.  The member's budget is counted first and refused past
+    /// [`MEMBER_BURSTS`].
+    fn burst(&mut self, roots: &[Route], member: Route) -> Result<Verdict, GaveUp> {
+        self.spent += 1;
+        if self.spent > MEMBER_BURSTS {
+            return Err(GaveUp);
+        }
+        self.group.clear();
+        self.group.extend_from_slice(roots);
+        self.group.push(member);
+        self.probe.time += PAIR_SPACING;
+        self.sent += 1;
+        self.probes += (self.group.len() as u64) * u64::from(self.count);
+        let count = self.count;
+        let replies = (self.bursts)
+            .burst(&self.group, self.rate_pps, count, &self.probe)
+            .ok_or(GaveUp)?;
+        if replies.iter().all(|&r| r == count) {
+            return Ok(Verdict::Independent);
+        }
+        let roots = &replies[..replies.len() - 1];
+        Ok(match roots.iter().position(|&r| r < count) {
+            Some(k) => Verdict::Root(k),
+            None => Verdict::MemberLost,
+        })
     }
 }
 
@@ -264,6 +353,40 @@ mod tests {
                 .collect();
             assert_eq!(devices.len(), 1, "impure alias set {set:?}");
         }
+    }
+
+    /// Every address of a device answers from the device's limiter, so
+    /// its signature is the device's: the walk, which tests each member
+    /// against every root of its cluster, must report exactly the devices
+    /// with two or more testable addresses, and give up on no member.
+    #[test]
+    fn the_walk_reports_exactly_the_multi_address_lossy_devices() {
+        let internet = silent_internet(7);
+        let data = rate_campaign(&internet);
+        let (result, gave_up) = std::thread::scope(|scope| {
+            let run = scope.spawn(|| {
+                let result = resolve(&internet, &data);
+                let counters = alias_obs::registry().snapshot().counters;
+                let gave_up = counters.iter().find(|c| c.name == "resolve.rate_gave_up");
+                (result, gave_up.expect("the walk ran").value)
+            });
+            run.join().expect("the technique runs")
+        });
+        let truth = internet.ground_truth();
+        let mut by_device: BTreeMap<_, BTreeSet<IpAddr>> = BTreeMap::new();
+        for addr in result.testable() {
+            let device = truth.device_of(addr).expect("known address");
+            by_device.entry(device).or_default().insert(addr);
+        }
+        let expected: BTreeSet<BTreeSet<IpAddr>> = (by_device.into_values())
+            .filter(|addrs| addrs.len() >= 2)
+            .collect();
+        assert!(expected.len() >= 2);
+        assert_eq!(
+            result.alias_sets().into_iter().collect::<BTreeSet<_>>(),
+            expected
+        );
+        assert_eq!(gave_up, 0);
     }
 
     #[test]

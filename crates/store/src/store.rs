@@ -363,10 +363,12 @@ impl ObservationStore {
     /// row's protocol tag, every address id inside the interner's dense range,
     /// and the interner's own id ⇄ address bijection intact.
     ///
-    /// The runtime twin of the static `det-hash-iter`/`id-space` lints:
-    /// those catch sources of nondeterminism in the text, this catches a
-    /// store whose columns have drifted apart at the point of use (the
-    /// parity proptests call it after `absorb_shard` splices).
+    /// The runtime check beside the static rules — `clippy.toml`'s
+    /// `disallowed-methods` (no hash-iteration order reaches an output) and
+    /// `tests/source_rules.rs` (address-keyed containers say why): those
+    /// read the text, this catches a store whose columns have drifted apart
+    /// at the point of use (the parity proptests call it after
+    /// `absorb_shard` splices).
     pub fn validate(&self) -> Result<(), String> {
         let rows = self.addrs.len();
         let widths = [
