@@ -7,12 +7,12 @@
 
 use alias_core::validation::cross_validate;
 use alias_intern::{AddrId, CompactAliasSet};
-use alias_midar::ally::AllyTester;
-use alias_midar::mbt::{monotonic_bounds_test, MbtVerdict, SeriesColumns, StepBounds};
-use alias_midar::velocity::estimate_velocity;
 use alias_netsim::{
     InternetBuilder, InternetConfig, IpidSample, ProbeContext, Route, SimTime, VantageKind,
 };
+use alias_resolve::mbt::{monotonic_bounds_test, MbtVerdict, SeriesColumns, StepBounds};
+use alias_resolve::velocity::estimate_velocity;
+use alias_resolve::AllyTester;
 use alias_scan::ipid_probe::{IpidProber, RoundRobin};
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
@@ -31,11 +31,11 @@ fn bench_mbt(c: &mut Criterion) {
     let a = synthetic_series(100, 12.0, 30);
     let b = synthetic_series(105, 12.0, 30);
     c.bench_function("mbt_consistent_pair", |bench| {
-        bench.iter(|| monotonic_bounds_test(black_box(&[&a, &b]), 1_500.0))
+        bench.iter(|| monotonic_bounds_test(black_box(&[&a, &b])))
     });
     let unrelated = synthetic_series(40_000, 12.0, 30);
     c.bench_function("mbt_inconsistent_pair", |bench| {
-        bench.iter(|| monotonic_bounds_test(black_box(&[&a, &unrelated]), 1_500.0))
+        bench.iter(|| monotonic_bounds_test(black_box(&[&a, &unrelated])))
     });
 
     // Ten times the samples, the violation still at the first merged step:
@@ -43,11 +43,11 @@ fn bench_mbt(c: &mut Criterion) {
     let long = synthetic_series(100, 12.0, 300);
     let long_unrelated = synthetic_series(40_000, 12.0, 300);
     c.bench_function("mbt_inconsistent_early_exit", |bench| {
-        bench.iter(|| monotonic_bounds_test(black_box(&[&long, &long_unrelated]), 1_500.0))
+        bench.iter(|| monotonic_bounds_test(black_box(&[&long, &long_unrelated])))
     });
 
     c.bench_function("velocity_estimation", |bench| {
-        bench.iter(|| estimate_velocity(black_box(&a), 1_500.0))
+        bench.iter(|| estimate_velocity(black_box(&a)))
     });
 }
 
@@ -98,8 +98,8 @@ fn bench_discovery_window(c: &mut Criterion) {
         }
         consistent
     };
-    let bounds = StepBounds::new(1_500.0);
-    let f64_step = |i: usize, j: usize| monotonic_bounds_test(&[&series[i], &series[j]], 1_500.0);
+    let bounds = StepBounds::new();
+    let f64_step = |i: usize, j: usize| monotonic_bounds_test(&[&series[i], &series[j]]);
     let table = |i: usize, j: usize| bounds.pair_test(&series[i], &series[j]);
     let columns = SeriesColumns::new(series.iter().map(Vec::as_slice), &bounds);
     let kernel = |i: usize, j: usize| {
@@ -142,7 +142,7 @@ fn bench_probing(c: &mut Criterion) {
         })
     });
     let mut prober = IpidProber::new(5_000.0);
-    let bounds = StepBounds::new(1_500.0);
+    let bounds = StepBounds::new();
     let mut samples = [Vec::new(), Vec::new()];
     let mut now = epoch;
     group.bench_function("elimination_5000pps", |bench| {

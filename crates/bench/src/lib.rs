@@ -27,13 +27,12 @@ use alias_core::validation::{
     common_ids, cross_validate, validate_against_midar, ValidationResult,
 };
 use alias_intern::{AddrId, CompactAliasSet};
-use alias_midar::midar_resolve;
 use alias_netsim::{
     DeviceId, DeviceKind, Internet, InternetBuilder, InternetConfig, PairwiseScore, ScalePreset,
     SimTime, VantageKind,
 };
 use alias_obs::{DeterminismClass, LazyCounter};
-use alias_resolve::{ResolutionReport, Resolver, TechniqueResult};
+use alias_resolve::{midar_resolve, ResolutionReport, Resolver, TechniqueResult};
 use alias_scan::campaign::{ActiveCampaign, CampaignConfig};
 use alias_scan::{DataSource, ObservationStore, RateProbeConfig, ServiceProtocol};
 use std::collections::HashMap;

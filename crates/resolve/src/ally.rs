@@ -4,9 +4,22 @@
 //! as aliases when the interleaved IPID sequence is in order and the values
 //! stay close together — the behaviour of one shared counter.  Probing stops
 //! at the first reply that is not close to the one before it.
+//! [`AllyTechnique`] runs the test over a sliding window of the campaign's
+//! IPv4 targets.
 
+use crate::baselines::{compact_sets, resolve_counter, FamilyTargets};
+use crate::midar::PAIR_SPACING;
+use crate::technique::{ResolutionTechnique, TechniqueCtx, TechniqueResult};
+use alias_core::union_find::UnionFind;
 use alias_netsim::{IpidSample, ProbeContext, ProbeSession, Route, SimTime, VantageKind};
+use alias_obs::LazyCounter;
 use alias_scan::ipid_probe::{IpidProber, PairEnd};
+use alias_scan::CampaignData;
+
+/// Pairs the Ally sweep probed: its window's pairs less those whose two
+/// addresses were already joined (serial, so a pure function of the
+/// campaign's addresses).
+static ALLY_PAIR_TESTS: LazyCounter = resolve_counter("ally.pair_tests", "pairs");
 
 /// Verdict of an Ally test: how its pair ended.  A pair ends at whichever
 /// comes first in probe order, its first reply that is not close to the
@@ -86,6 +99,76 @@ impl AllyTester {
             PairEnd::Refuted => AllyVerdict::NotAlias,
             PairEnd::Unanswered => AllyVerdict::Unresponsive,
         }
+    }
+}
+
+/// Width of the Ally sweep's sliding window over the sorted target list.
+const ALLY_WINDOW: usize = 4;
+
+/// The Ally baseline: pairwise shared-counter tests over a sliding window
+/// of the campaign's (sorted) responsive IPv4 addresses, confirmed pairs
+/// merged with union–find.
+///
+/// Exhaustive pairwise Ally is quadratic and was never run at Internet
+/// scale; like MIDAR's discovery stage, this implementation only tests
+/// pairs within a few positions of each other.  Numerically close
+/// addresses are the classic alias candidates (router interfaces drawn
+/// from the same prefix), so the window catches most of what exhaustive
+/// testing would.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct AllyTechnique;
+
+impl ResolutionTechnique for AllyTechnique {
+    fn name(&self) -> &'static str {
+        "ally"
+    }
+
+    fn resolve(&self, data: &CampaignData, ctx: &TechniqueCtx<'_>) -> TechniqueResult {
+        let FamilyTargets { ids, routes } = ctx.targets.ipv4();
+        // One session and one tester for the whole sweep: every pair test
+        // writes into the tester's one pair of sample buffers.
+        let mut session = ctx.internet.probe_session();
+        let mut tester = AllyTester::new();
+        let mut pair_tests = 0u64;
+        let mut uf = UnionFind::new(ids.len());
+        let mut testable = vec![false; ids.len()];
+        let mut now = ctx.probe_start;
+        for i in 0..ids.len() {
+            let window_end = (i + 1 + ALLY_WINDOW).min(ids.len());
+            for j in i + 1..window_end {
+                // A joined pair keeps its place in the schedule unprobed.
+                now += PAIR_SPACING;
+                if uf.connected(i, j) {
+                    continue;
+                }
+                pair_tests += 1;
+                let pair = [routes[i], routes[j]];
+                match tester.test(&mut session, pair, ctx.vantage, now) {
+                    AllyVerdict::Alias => {
+                        uf.union(i, j);
+                        testable[i] = true;
+                        testable[j] = true;
+                    }
+                    AllyVerdict::NotAlias => {
+                        testable[i] = true;
+                        testable[j] = true;
+                    }
+                    AllyVerdict::Unresponsive => {}
+                }
+            }
+        }
+        ALLY_PAIR_TESTS.add(pair_tests);
+        let testable_ids = (ids.iter().zip(&testable))
+            .filter(|&(_, &t)| t)
+            .map(|(&id, _)| id)
+            .collect();
+        TechniqueResult::from_compact(
+            self.name().to_owned(),
+            compact_sets(&uf.groups(), ids),
+            testable_ids,
+            now,
+            data.interner().clone(),
+        )
     }
 }
 

@@ -1,6 +1,7 @@
-//! The classic baselines as techniques: MIDAR, Ally, Speedtrap and
-//! iffinder, wrapped behind [`ResolutionTechnique`] so they are
-//! interchangeable with the identifier techniques.
+//! What the classic baselines share.  MIDAR, Ally, Speedtrap and iffinder
+//! (modules `midar`, `ally` and `iffinder`) are techniques behind
+//! [`ResolutionTechnique`](crate::ResolutionTechnique), interchangeable
+//! with the identifier techniques.
 //!
 //! All four perform **live follow-up probing** against the measurement
 //! substrate, starting at `ctx.probe_start` with targets drawn from the campaign's responsive
@@ -12,54 +13,17 @@
 //! substrate's one [`ProbeSession`](alias_netsim::ProbeSession) for its
 //! whole sweep.
 
-use crate::technique::{ResolutionTechnique, TechniqueCtx, TechniqueResult};
-use alias_core::union_find::UnionFind;
 use alias_intern::{AddrId, CompactAliasSet};
-use alias_midar::ally::{AllyTester, AllyVerdict};
-use alias_midar::iffinder::iffinder_scan;
-use alias_midar::midar::PAIR_SPACING;
-use alias_midar::midar_resolve;
-use alias_netsim::{Internet, Route, SimTime};
+use alias_netsim::{Internet, Route};
 use alias_obs::{DeterminismClass, LazyCounter};
 use alias_scan::CampaignData;
 use std::net::IpAddr;
-use std::sync::{Arc, OnceLock};
-
-/// Pairs the Ally sweep probed: its window's pairs less those whose two
-/// addresses were already joined (serial, so a pure function of the
-/// campaign's addresses).
-static ALLY_PAIR_TESTS: LazyCounter = LazyCounter::new(
-    "ally.pair_tests",
-    DeterminismClass::Deterministic,
-    "pairs",
-    "resolve",
-);
-
-/// One `midar_resolve` technique's shares of the summed MIDAR and IPID
-/// counters, in [`MidarOutcome`](alias_midar::midar::MidarOutcome)'s
-/// order: bounds tests, candidates, IPID probes, pair stops.
-type MidarCounters = [LazyCounter; 4];
+use std::sync::OnceLock;
 
 /// A deterministic counter of the resolve stage.
 pub(crate) const fn resolve_counter(name: &'static str, unit: &'static str) -> LazyCounter {
     LazyCounter::new(name, DeterminismClass::Deterministic, unit, "resolve")
 }
-
-/// MIDAR's shares (`midar_resolve` over the IPv4 targets).
-static MIDAR_COUNTERS: MidarCounters = [
-    resolve_counter("resolve.midar_mbt_tests", "tests"),
-    resolve_counter("resolve.midar_candidates", "pairs"),
-    resolve_counter("resolve.midar_ipid_probes", "probes"),
-    resolve_counter("resolve.midar_ipid_pair_stops", "pairs"),
-];
-
-/// Speedtrap's shares (`midar_resolve` over the IPv6 targets).
-static SPEEDTRAP_COUNTERS: MidarCounters = [
-    resolve_counter("resolve.speedtrap_mbt_tests", "tests"),
-    resolve_counter("resolve.speedtrap_candidates", "pairs"),
-    resolve_counter("resolve.speedtrap_ipid_probes", "probes"),
-    resolve_counter("resolve.speedtrap_ipid_pair_stops", "pairs"),
-];
 
 /// The campaign's addresses of one family as probe targets: two parallel
 /// arrays, to which a baseline adds its own (a series or a testable flag
@@ -152,210 +116,25 @@ fn sorted_ids<K: Ord>(keys: impl Iterator<Item = K>, id: impl Fn(K) -> u32) -> V
 
 /// Index groups over `ids` (a baseline's alias sets, by target position)
 /// as id-space sets.
-fn compact_sets(groups: &[Vec<usize>], ids: &[AddrId]) -> Vec<CompactAliasSet> {
+pub(crate) fn compact_sets(groups: &[Vec<usize>], ids: &[AddrId]) -> Vec<CompactAliasSet> {
     groups
         .iter()
         .map(|group| CompactAliasSet::from_ids(group.iter().map(|&i| ids[i]).collect()))
         .collect()
 }
 
-/// Width of the Ally sweep's sliding window over the sorted target list.
-const ALLY_WINDOW: usize = 4;
-
-/// [`alias_midar::midar_resolve`] over one family's targets, as a
-/// technique's result; the run's tallies go to the technique's `counters`.
-fn midar_result(
-    name: &str,
-    counters: &MidarCounters,
-    data: &CampaignData,
-    ctx: &TechniqueCtx<'_>,
-    family: &FamilyTargets,
-) -> TechniqueResult {
-    let FamilyTargets { ids, routes } = family;
-    let outcome = midar_resolve(ctx.internet, routes, ctx.vantage, ctx.probe_start);
-    let tallies = [
-        outcome.mbt_tests,
-        outcome.candidates,
-        outcome.ipid_probes,
-        outcome.pair_stops,
-    ];
-    for (counter, tally) in counters.iter().zip(tallies) {
-        counter.add(tally);
-    }
-    TechniqueResult::from_compact(
-        name.to_owned(),
-        compact_sets(&outcome.alias_sets, ids),
-        outcome.testable.iter().map(|&i| ids[i]).collect(),
-        outcome.finished_at,
-        data.interner().clone(),
-    )
-}
-
-/// The MIDAR baseline: estimation → discovery → elimination over every
-/// responsive IPv4 address of the campaign, probed from the run's vantage
-/// (wraps [`alias_midar::midar_resolve`]).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct MidarTechnique;
-
-impl ResolutionTechnique for MidarTechnique {
-    fn name(&self) -> &'static str {
-        "midar"
-    }
-
-    fn resolve(&self, data: &CampaignData, ctx: &TechniqueCtx<'_>) -> TechniqueResult {
-        midar_result(self.name(), &MIDAR_COUNTERS, data, ctx, ctx.targets.ipv4())
-    }
-}
-
-/// The Ally baseline: pairwise shared-counter tests over a sliding window
-/// of the campaign's (sorted) responsive IPv4 addresses, confirmed pairs
-/// merged with union–find.
-///
-/// Exhaustive pairwise Ally is quadratic and was never run at Internet
-/// scale; like MIDAR's discovery stage, this implementation only tests
-/// pairs within a few positions of each other.  Numerically close
-/// addresses are the classic alias candidates (router interfaces drawn
-/// from the same prefix), so the window catches most of what exhaustive
-/// testing would.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct AllyTechnique;
-
-impl ResolutionTechnique for AllyTechnique {
-    fn name(&self) -> &'static str {
-        "ally"
-    }
-
-    fn resolve(&self, data: &CampaignData, ctx: &TechniqueCtx<'_>) -> TechniqueResult {
-        let FamilyTargets { ids, routes } = ctx.targets.ipv4();
-        // One session and one tester for the whole sweep: every pair test
-        // writes into the tester's one pair of sample buffers.
-        let mut session = ctx.internet.probe_session();
-        let mut tester = AllyTester::new();
-        let mut pair_tests = 0u64;
-        let mut uf = UnionFind::new(ids.len());
-        let mut testable = vec![false; ids.len()];
-        let mut now = ctx.probe_start;
-        for i in 0..ids.len() {
-            let window_end = (i + 1 + ALLY_WINDOW).min(ids.len());
-            for j in i + 1..window_end {
-                // A joined pair keeps its place in the schedule unprobed.
-                now += PAIR_SPACING;
-                if uf.connected(i, j) {
-                    continue;
-                }
-                pair_tests += 1;
-                let pair = [routes[i], routes[j]];
-                match tester.test(&mut session, pair, ctx.vantage, now) {
-                    AllyVerdict::Alias => {
-                        uf.union(i, j);
-                        testable[i] = true;
-                        testable[j] = true;
-                    }
-                    AllyVerdict::NotAlias => {
-                        testable[i] = true;
-                        testable[j] = true;
-                    }
-                    AllyVerdict::Unresponsive => {}
-                }
-            }
-        }
-        ALLY_PAIR_TESTS.add(pair_tests);
-        let testable_ids = (ids.iter().zip(&testable))
-            .filter(|&(_, &t)| t)
-            .map(|(&id, _)| id)
-            .collect();
-        TechniqueResult::from_compact(
-            self.name().to_owned(),
-            compact_sets(&uf.groups(), ids),
-            testable_ids,
-            now,
-            data.interner().clone(),
-        )
-    }
-}
-
-/// The Speedtrap baseline: MIDAR's pipeline over every responsive IPv6
-/// address of the campaign, whose fragment-eliciting probes read the same
-/// device-wide counter an IPv4 echo does (wraps
-/// [`alias_midar::midar_resolve`]).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SpeedtrapTechnique;
-
-impl ResolutionTechnique for SpeedtrapTechnique {
-    fn name(&self) -> &'static str {
-        "speedtrap"
-    }
-
-    fn resolve(&self, data: &CampaignData, ctx: &TechniqueCtx<'_>) -> TechniqueResult {
-        midar_result(
-            self.name(),
-            &SPEEDTRAP_COUNTERS,
-            data,
-            ctx,
-            ctx.targets.ipv6(),
-        )
-    }
-}
-
-/// The iffinder baseline: UDP datagrams to a closed port on every
-/// responsive IPv4 address, aliasing addresses whose ICMP error comes back
-/// from a different source (wraps [`alias_midar::iffinder::iffinder_scan`]).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct IffinderTechnique;
-
-impl ResolutionTechnique for IffinderTechnique {
-    fn name(&self) -> &'static str {
-        "iffinder"
-    }
-
-    fn resolve(&self, data: &CampaignData, ctx: &TechniqueCtx<'_>) -> TechniqueResult {
-        let FamilyTargets { ids, routes } = ctx.targets.ipv4();
-        let mut interner = data.interner().clone();
-        let targets = (ids.iter().zip(routes)).map(|(&id, &route)| (interner.addr(id), route));
-        let outcome = iffinder_scan(ctx.internet, targets, ctx.vantage, ctx.probe_start);
-        // ICMP errors can come from interfaces the campaign never observed:
-        // the first such source copies the campaign interner, and every one
-        // is interned into that copy (campaign ids keep their values).
-        let pairs: Vec<(AddrId, AddrId)> = (outcome.pairs.iter())
-            .map(|&(i, source)| {
-                let source = match interner.get(source) {
-                    Some(id) => id,
-                    None => Arc::make_mut(&mut interner).intern(source),
-                };
-                (ids[i], source)
-            })
-            .collect();
-        let mut uf = UnionFind::new(interner.len());
-        for &(a, b) in &pairs {
-            uf.union(a.index(), b.index());
-        }
-        let sets = (uf.groups().into_iter())
-            .map(|group| group.into_iter().map(|id| AddrId(id as u32)).collect())
-            .map(CompactAliasSet::from_ids)
-            .collect();
-        // Positive alias evidence is the only per-address signal the scan
-        // reports, so "testable" is the addresses involved in a discovered
-        // pair.
-        let testable = pairs.into_iter().flat_map(|(a, b)| [a, b]).collect();
-        TechniqueResult::from_compact(
-            self.name().to_owned(),
-            sets,
-            testable,
-            // iffinder_scan advances the clock by one millisecond per
-            // probed target.
-            ctx.probe_start + SimTime(ids.len() as u64),
-            interner,
-        )
-    }
-}
-
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::{
+        AllyTechnique, IffinderTechnique, MidarTechnique, ResolutionTechnique, SpeedtrapTechnique,
+        TechniqueCtx,
+    };
     use alias_netsim::{InternetBuilder, InternetConfig, VantageKind};
     use alias_scan::campaign::{ActiveCampaign, CampaignConfig};
 
-    fn setup(seed: u64) -> (alias_netsim::Internet, CampaignData) {
+    /// A tiny world and its active campaign.
+    pub(crate) fn setup(seed: u64) -> (alias_netsim::Internet, CampaignData) {
         let internet = InternetBuilder::new(InternetConfig::tiny(seed)).build();
         let data = ActiveCampaign::new(CampaignConfig {
             hitlist_coverage: internet.config().visibility.hitlist_coverage,

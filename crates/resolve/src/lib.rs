@@ -22,7 +22,12 @@
 //!   `CompactAliasSet`s over the campaign's `AddrId` space
 //!   (`alias_intern`), merged directly in id space; address sets are
 //!   materialised only through the report-boundary accessors
-//!   ([`TechniqueResult::alias_sets`], [`TechniqueResult::testable`]).
+//!   ([`TechniqueResult::alias_sets`], [`TechniqueResult::testable`]);
+//! * the probing baselines, each algorithm beside its technique:
+//!   [`midar_resolve`] (MIDAR's pipeline, Speedtrap's over IPv6) on the
+//!   monotonic bounds test ([`mbt`]) and velocity estimation
+//!   ([`velocity`]), the pairwise [`AllyTester`], and iffinder's
+//!   common-source-address probe.
 //!
 //! ## Quick start
 //!
@@ -41,17 +46,23 @@
 //! assert!(!report.merged.is_empty());
 //! ```
 
+mod ally;
 mod baselines;
 mod identifier;
+mod iffinder;
+pub mod mbt;
+mod midar;
 mod ratelimit;
 mod report;
 mod resolver;
 mod technique;
+pub mod velocity;
 
-pub use baselines::{
-    AllyTechnique, IffinderTechnique, MidarTechnique, ProbeTargets, SpeedtrapTechnique,
-};
+pub use ally::{AllyTechnique, AllyTester, AllyVerdict};
+pub use baselines::ProbeTargets;
 pub use identifier::IdentifierTechnique;
+pub use iffinder::IffinderTechnique;
+pub use midar::{midar_resolve, MidarTechnique, SpeedtrapTechnique};
 pub use ratelimit::RateLimitTechnique;
 pub use report::ResolutionReport;
 pub use resolver::{Resolver, ResolverBuilder};

@@ -5,7 +5,7 @@
 //! increasing sequence (modulo 16-bit wrap-around).  The test tolerates a
 //! bounded number of wraps, inferred from the counter velocity.
 
-use crate::midar::ESTIMATION_ROUNDS;
+use crate::midar::{ESTIMATION_ROUNDS, MAX_VELOCITY};
 use alias_netsim::{IpidSample, SimTime};
 
 /// Verdict of a monotonic bounds test.
@@ -22,61 +22,33 @@ pub enum MbtVerdict {
 /// Merge several per-address sample series by time and test whether the
 /// result is a single monotonic (mod 2^16) sequence.
 ///
-/// `max_velocity` is the highest counter velocity (increments per second)
-/// considered testable; between consecutive samples the counter is allowed
-/// to advance by at most `max_velocity * Δt + slack`, and never to go
-/// backwards.
+/// Between consecutive samples the counter is allowed to advance by at
+/// most `MAX_VELOCITY * Δt + slack`, and never to go backwards.
 ///
 /// Two series that are each already in time order — what every prober
 /// hands over, since probe timestamps are forced to increase — are merged
 /// on the fly: no allocation, and the walk stops at the first violation.
 /// Any other shape is collected and sorted first; the verdict is the same
-/// either way.  A caller that tests one series against many others checks
-/// its time order once with `CheckedSeries` instead.
-pub fn monotonic_bounds_test(series: &[&[IpidSample]], max_velocity: f64) -> MbtVerdict {
-    let impossible = |prev, next| step_is_impossible(prev, next, max_velocity);
+/// either way.
+pub fn monotonic_bounds_test(series: &[&[IpidSample]]) -> MbtVerdict {
     match series {
-        [a, b] => CheckedSeries::new(a).pair_test_by(CheckedSeries::new(b), impossible),
-        _ => collect_and_sort_test(series, impossible),
+        [a, b] => pair_test_by(a, b, step_is_impossible),
+        _ => collect_and_sort_test(series, step_is_impossible),
     }
 }
 
-/// A sample series with its time order checked once, for a sweep that
-/// tests it against many others (MIDAR's discovery window) —
-/// [`monotonic_bounds_test`] re-validates both series on every call.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct CheckedSeries<'a> {
-    samples: &'a [IpidSample],
-    time_ordered: bool,
-}
-
-impl<'a> CheckedSeries<'a> {
-    /// Check `samples`' time order.
-    pub(crate) fn new(samples: &'a [IpidSample]) -> Self {
-        CheckedSeries {
-            samples,
-            time_ordered: is_time_ordered(samples),
-        }
-    }
-
-    /// [`StepBounds::pair_test`] of this series and `other`.
-    pub(crate) fn pair_test(self, other: CheckedSeries<'_>, bounds: &StepBounds) -> MbtVerdict {
-        self.pair_test_by(other, |prev, next| bounds.step_is_impossible(prev, next))
-    }
-
-    /// The test of this series and `other` with `impossible` as the step
-    /// rule.
-    #[inline(always)]
-    fn pair_test_by(
-        self,
-        other: CheckedSeries<'_>,
-        impossible: impl Fn(IpidSample, IpidSample) -> bool + Copy,
-    ) -> MbtVerdict {
-        if self.time_ordered && other.time_ordered {
-            streaming_pair_test(self.samples, other.samples, impossible)
-        } else {
-            collect_and_sort_test(&[self.samples, other.samples], impossible)
-        }
+/// The test of `a` and `b` with `impossible` as the step rule: the
+/// streaming merge where both are in time order, else collect and sort.
+#[inline(always)]
+fn pair_test_by(
+    a: &[IpidSample],
+    b: &[IpidSample],
+    impossible: impl Fn(IpidSample, IpidSample) -> bool,
+) -> MbtVerdict {
+    if is_time_ordered(a) && is_time_ordered(b) {
+        streaming_pair_test(a, b, impossible)
+    } else {
+        collect_and_sort_test(&[a, b], impossible)
     }
 }
 
@@ -92,59 +64,49 @@ fn is_time_ordered(samples: &[IpidSample]) -> bool {
 /// unrelated, or the counter wrapped because it is too fast to be testable
 /// — MIDAR rejects both).  MIDAR's elimination stage stops probing a pair
 /// at the first such step.
-pub fn step_is_impossible(prev: IpidSample, next: IpidSample, max_velocity: f64) -> bool {
+fn step_is_impossible(prev: IpidSample, next: IpidSample) -> bool {
     let dt = next.time.since(prev.time).as_secs_f64();
     let delta = next.ipid.wrapping_sub(prev.ipid) as f64;
-    (delta == 0.0 && dt > 0.0) || delta > step_bound(max_velocity, dt)
+    (delta == 0.0 && dt > 0.0) || delta > step_bound(dt)
 }
 
 /// The largest forward counter step [`step_is_impossible`] allows after
-/// `dt` seconds at velocity cap `max_velocity`.
-fn step_bound(max_velocity: f64, dt: f64) -> f64 {
+/// `dt` seconds: `MAX_VELOCITY` per second plus a slack of 64.
+pub(crate) fn step_bound(dt: f64) -> f64 {
     const SLACK: f64 = 64.0;
-    max_velocity * dt + SLACK
+    MAX_VELOCITY * dt + SLACK
 }
 
-/// Gaps (ms) a [`StepBounds`] table covers at most, 128 KiB of entries.
-const STEP_TABLE_CAP: usize = 1 << 16;
-
-/// [`step_is_impossible`] at one velocity cap, with the bound read from a
-/// table per millisecond gap instead of evaluated in floating point.
+/// MIDAR's step rule with the bound read from a table per millisecond
+/// gap instead of evaluated in floating point.
 ///
 /// A counter step is a whole number, so it exceeds the bound exactly when
 /// it exceeds the bound's floor, and the table holds that floor for each
 /// gap while the bound is below 65,535.  The bound grows with the gap, so
 /// from the first gap where it reaches 65,535 on the table is *saturated*:
 /// no 16-bit step can exceed it, and only a step of zero is impossible.
-/// At MIDAR's 1,500/s cap that happens at 43,648 ms (43,648 entries, 85
-/// KiB).  A cap too low to saturate within `STEP_TABLE_CAP` gaps (below
-/// about 1,000/s) leaves the gaps past the table to the floating-point
-/// rule.
+/// At `MAX_VELOCITY` that happens at 43,648 ms (43,648 entries, 85 KiB).
 #[derive(Debug, Clone)]
 pub struct StepBounds {
-    /// `floor(bound)` per gap, for the gaps before saturation or the cap.
+    /// `floor(bound)` per gap, for the gaps before saturation.
     floors: Vec<u16>,
-    /// Whether the gaps past `floors` are saturated.
-    saturated: bool,
-    max_velocity: f64,
 }
 
 impl StepBounds {
-    /// The table of `max_velocity`'s bound, one allocation.
-    pub fn new(max_velocity: f64) -> Self {
-        assert!(max_velocity >= 0.0, "a velocity cap is not negative");
-        let bound_at = |gap: usize| step_bound(max_velocity, SimTime(gap as u64).as_secs_f64());
-        let saturation = (0..STEP_TABLE_CAP).find(|&gap| bound_at(gap) >= f64::from(u16::MAX));
+    /// The table, one allocation.
+    pub fn new() -> Self {
+        let bound_at = |gap: u64| step_bound(SimTime(gap).as_secs_f64());
+        let saturation = (0..)
+            .find(|&gap| bound_at(gap) >= f64::from(u16::MAX))
+            .expect("the bound grows with the gap");
         StepBounds {
-            floors: (0..saturation.unwrap_or(STEP_TABLE_CAP))
-                .map(|gap| bound_at(gap) as u16)
-                .collect(),
-            saturated: saturation.is_some(),
-            max_velocity,
+            floors: (0..saturation).map(|gap| bound_at(gap) as u16).collect(),
         }
     }
 
-    /// [`step_is_impossible`] at this table's velocity cap.
+    /// Whether a shared counter cannot have produced `next` right after
+    /// `prev`: the step rule of [`monotonic_bounds_test`], read from the
+    /// table.
     #[inline]
     pub fn step_is_impossible(&self, prev: IpidSample, next: IpidSample) -> bool {
         let gap = next.time.since(prev.time).as_millis();
@@ -154,29 +116,26 @@ impl StepBounds {
             // exceeds.
             return gap > 0;
         }
-        match self.floor_at(gap) {
-            Some(floor) => delta > floor,
-            None => step_is_impossible(prev, next, self.max_velocity),
-        }
+        delta > self.floor_at(gap)
     }
 
-    /// The floor of the bound after `gap` ms, read as `u16::MAX` past a
-    /// saturated table (no step exceeds it); `None` past a table that does
-    /// not saturate, where only the f64 rule answers.  Inside the table the
-    /// bound is below 65,535, so a floor of `u16::MAX` means saturated.
+    /// The floor of the bound after `gap` ms, read as `u16::MAX` past the
+    /// table (no step exceeds it).  Inside the table the bound is below
+    /// 65,535, so a floor of `u16::MAX` means saturated.
     #[inline]
-    fn floor_at(&self, gap: u64) -> Option<u16> {
-        if gap < self.floors.len() as u64 {
-            Some(self.floors[gap as usize])
-        } else {
-            self.saturated.then_some(u16::MAX)
-        }
+    fn floor_at(&self, gap: u64) -> u16 {
+        self.floors.get(gap as usize).copied().unwrap_or(u16::MAX)
     }
 
-    /// [`monotonic_bounds_test`] of two series at this table's velocity
-    /// cap.
+    /// [`monotonic_bounds_test`] of two series, read from the table.
     pub fn pair_test(&self, a: &[IpidSample], b: &[IpidSample]) -> MbtVerdict {
-        CheckedSeries::new(a).pair_test(CheckedSeries::new(b), self)
+        pair_test_by(a, b, |prev, next| self.step_is_impossible(prev, next))
+    }
+}
+
+impl Default for StepBounds {
+    fn default() -> Self {
+        Self::new()
     }
 }
 
@@ -210,8 +169,7 @@ struct RegularSeries {
 /// The kernel serves no other pair, and the caller runs
 /// [`StepBounds::pair_test`], the definition, on the samples: a pair with
 /// an irregular series (fewer samples, uneven spacing, another period),
-/// with equal starts, with `g ≥ P`, or with a gap past a table that does
-/// not saturate.
+/// with equal starts, or with `g ≥ P`.
 #[derive(Debug)]
 pub struct SeriesColumns<'a> {
     bounds: &'a StepBounds,
@@ -270,13 +228,8 @@ impl<'a> SeriesColumns<'a> {
         if gap.wrapping_sub(1) >= self.period.wrapping_sub(1) {
             return None;
         }
-        let floors = (
-            self.bounds.floor_at(gap),
-            self.bounds.floor_at(self.period - gap),
-        );
-        let (Some(within), Some(across)) = floors else {
-            return None;
-        };
+        let within = self.bounds.floor_at(gap);
+        let across = self.bounds.floor_at(self.period - gap);
         // The lead picked by index, not by a branch on the start order.
         let pair = [&series_i.ipids, &series_j.ipids];
         let trail_first = usize::from(start_j < start_i);
@@ -316,60 +269,16 @@ fn regular_period(samples: &[IpidSample]) -> Option<u64> {
     (period > 0 && even).then_some(period)
 }
 
-/// [`streaming_pair_test`] walking `f[0], s[0], f[1], …` with step rule
-/// `impossible`, each step after checking that the merge takes that sample
-/// next (a time gets `tie[0]` / `tie[1]` added: 1 for `b`, which loses
-/// ties); `None` where it would not.  Inlined at both call sites, one per
-/// leading series.
-#[inline(always)]
-fn interleaved(
-    f: &[IpidSample],
-    s: &[IpidSample],
-    tie: [u64; 2],
-    impossible: impl Fn(IpidSample, IpidSample) -> bool,
-) -> Option<MbtVerdict> {
-    let (n, s) = (f.len(), &s[..f.len()]);
-    for k in 0..n - 1 {
-        // f[k] is taken: s[k] goes next unless f[k + 1] is ahead.
-        if s[k].time.0 + tie[1] > f[k + 1].time.0 {
-            return None;
-        }
-        if impossible(f[k], s[k]) {
-            return Some(MbtVerdict::Inconsistent);
-        }
-        if f[k + 1].time.0 + tie[0] > s[k + 1].time.0 {
-            return None;
-        }
-        if impossible(s[k], f[k + 1]) {
-            return Some(MbtVerdict::Inconsistent);
-        }
-    }
-    if impossible(f[n - 1], s[n - 1]) {
-        return Some(MbtVerdict::Inconsistent);
-    }
-    Some(MbtVerdict::Consistent)
-}
-
 /// The test over two time-ordered series, as a two-pointer merge.  On equal
 /// timestamps the sample of `a` goes first, which is where a stable sort of
-/// `a ++ b` puts it.  Series of one length that strictly alternate (a round
-/// robin's shape) take [`interleaved`] instead, and the merge starts over
-/// where they stop alternating.
+/// `a ++ b` puts it.
 fn streaming_pair_test(
     a: &[IpidSample],
     b: &[IpidSample],
-    impossible: impl Fn(IpidSample, IpidSample) -> bool + Copy,
+    impossible: impl Fn(IpidSample, IpidSample) -> bool,
 ) -> MbtVerdict {
     if a.len() < 2 || b.len() < 2 {
         return MbtVerdict::Insufficient;
-    }
-    let walked = match a.len() == b.len() {
-        true if a[0].time <= b[0].time => interleaved(a, b, [0, 1], impossible),
-        true => interleaved(b, a, [1, 0], impossible),
-        false => None,
-    };
-    if let Some(verdict) = walked {
-        return verdict;
     }
     let (mut i, mut j) = (0, 0);
     let mut prev: Option<IpidSample> = None;
@@ -412,17 +321,16 @@ fn collect_and_sort_test(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use alias_netsim::SimTime;
     use proptest::prelude::*;
 
-    /// The streaming merge at velocity cap `v`.
-    fn streaming_pair_test(a: &[IpidSample], b: &[IpidSample], v: f64) -> MbtVerdict {
-        super::streaming_pair_test(a, b, |prev, next| step_is_impossible(prev, next, v))
+    /// The streaming merge with the f64 step rule.
+    fn streaming_pair_test(a: &[IpidSample], b: &[IpidSample]) -> MbtVerdict {
+        super::streaming_pair_test(a, b, step_is_impossible)
     }
 
-    /// The collect-and-sort reference at velocity cap `v`.
-    fn collect_and_sort_test(series: &[&[IpidSample]], v: f64) -> MbtVerdict {
-        super::collect_and_sort_test(series, |prev, next| step_is_impossible(prev, next, v))
+    /// The collect-and-sort reference with the f64 step rule.
+    fn collect_and_sort_test(series: &[&[IpidSample]]) -> MbtVerdict {
+        super::collect_and_sort_test(series, step_is_impossible)
     }
 
     /// A step of `delta` counter values over `gap` milliseconds.
@@ -440,46 +348,35 @@ mod tests {
 
     #[test]
     fn the_table_is_the_f64_rule_at_every_gap() {
-        for cap in [0.0, 40.0, 100.0, 1_000.0, 1_500.0] {
-            let bounds = StepBounds::new(cap);
-            let table = bounds.floors.len() as u64;
-            // Caps 0, 40 and 100 never reach 65,535 within the table's
-            // length cap; 1,000 and 1,500 saturate inside it.
-            assert_eq!(bounds.saturated, cap >= 1_000.0, "cap {cap}");
-            let last = if bounds.saturated {
-                table + 5_000
-            } else {
-                2 * table
-            };
-            for gap in 0..=last {
-                // Each side of the threshold, the ends of the range, and
-                // the largest steps, which start past the 16-bit wrap.
-                let bound = step_bound(cap, SimTime(gap).as_secs_f64());
-                let floor = bound.min(65_535.0) as u16;
-                for delta in [
-                    0,
-                    1,
-                    floor.saturating_sub(1),
-                    floor,
-                    floor.saturating_add(1),
-                ]
-                .into_iter()
-                .chain([32_768, 65_534, 65_535])
-                {
-                    let (prev, next) = step(gap, delta);
-                    assert_eq!(
-                        bounds.step_is_impossible(prev, next),
-                        step_is_impossible(prev, next, cap),
-                        "cap {cap} gap {gap} delta {delta}"
-                    );
-                }
-            }
-        }
-        // MIDAR's cap saturates at 43,648 ms: the first gap whose bound
+        let bounds = StepBounds::new();
+        // The cap saturates at 43,648 ms: the first gap whose bound
         // reaches 65,535.
-        let bounds = StepBounds::new(1_500.0);
         assert_eq!(bounds.floors.len(), 43_648);
         assert_eq!(*bounds.floors.last().expect("a table"), 65_534);
+        // Up to saturation and as far again past it.
+        for gap in 0..=2 * bounds.floors.len() as u64 {
+            // Each side of the threshold, the ends of the range, and
+            // the largest steps, which start past the 16-bit wrap.
+            let bound = step_bound(SimTime(gap).as_secs_f64());
+            let floor = bound.min(65_535.0) as u16;
+            for delta in [
+                0,
+                1,
+                floor.saturating_sub(1),
+                floor,
+                floor.saturating_add(1),
+            ]
+            .into_iter()
+            .chain([32_768, 65_534, 65_535])
+            {
+                let (prev, next) = step(gap, delta);
+                assert_eq!(
+                    bounds.step_is_impossible(prev, next),
+                    step_is_impossible(prev, next),
+                    "gap {gap} delta {delta}"
+                );
+            }
+        }
         // A zero step is impossible at any gap but zero, a step back in
         // time is a zero gap.
         let (prev, next) = step(1_000_000, 0);
@@ -487,7 +384,7 @@ mod tests {
         assert!(!bounds.step_is_impossible(prev, prev));
         assert_eq!(
             bounds.step_is_impossible(next, prev),
-            step_is_impossible(next, prev, 1_500.0)
+            step_is_impossible(next, prev)
         );
     }
 
@@ -505,10 +402,7 @@ mod tests {
     fn shared_counter_is_consistent() {
         let a = series(&[(0, 100), (2_000, 110), (4_000, 122)]);
         let b = series(&[(1_000, 105), (3_000, 117), (5_000, 130)]);
-        assert_eq!(
-            monotonic_bounds_test(&[&a, &b], 100.0),
-            MbtVerdict::Consistent
-        );
+        assert_eq!(monotonic_bounds_test(&[&a, &b]), MbtVerdict::Consistent);
     }
 
     #[test]
@@ -517,10 +411,7 @@ mod tests {
         // backwards (i.e. forward by an enormous amount mod 2^16).
         let a = series(&[(0, 100), (2_000, 110), (4_000, 122)]);
         let b = series(&[(1_000, 40_000), (3_000, 40_010), (5_000, 40_025)]);
-        assert_eq!(
-            monotonic_bounds_test(&[&a, &b], 100.0),
-            MbtVerdict::Inconsistent
-        );
+        assert_eq!(monotonic_bounds_test(&[&a, &b]), MbtVerdict::Inconsistent);
     }
 
     #[test]
@@ -528,42 +419,30 @@ mod tests {
         // Counter near the top of the range wraps; deltas stay small.
         let a = series(&[(0, 65_500), (2_000, 65_530), (4_000, 20)]);
         let b = series(&[(1_000, 65_515), (3_000, 5), (5_000, 40)]);
-        assert_eq!(
-            monotonic_bounds_test(&[&a, &b], 100.0),
-            MbtVerdict::Consistent
-        );
+        assert_eq!(monotonic_bounds_test(&[&a, &b]), MbtVerdict::Consistent);
     }
 
     #[test]
     fn high_velocity_counter_is_rejected() {
         // The counter advances ~30k per second: between 1-second samples the
-        // allowed bound (velocity cap 1000/s) is exceeded.
+        // allowed bound (1,500/s and the slack) is exceeded.
         let a = series(&[(0, 0), (2_000, 60_000), (4_000, 54_464)]);
         let b = series(&[(1_000, 30_000), (3_000, 24_464), (5_000, 18_928)]);
-        assert_eq!(
-            monotonic_bounds_test(&[&a, &b], 1_000.0),
-            MbtVerdict::Inconsistent
-        );
+        assert_eq!(monotonic_bounds_test(&[&a, &b]), MbtVerdict::Inconsistent);
     }
 
     #[test]
     fn constant_ipids_are_inconsistent() {
         let a = series(&[(0, 0), (2_000, 0), (4_000, 0)]);
         let b = series(&[(1_000, 0), (3_000, 0), (5_000, 0)]);
-        assert_eq!(
-            monotonic_bounds_test(&[&a, &b], 100.0),
-            MbtVerdict::Inconsistent
-        );
+        assert_eq!(monotonic_bounds_test(&[&a, &b]), MbtVerdict::Inconsistent);
     }
 
     #[test]
     fn too_few_samples_is_insufficient() {
         let a = series(&[(0, 1)]);
         let b = series(&[(1_000, 2), (2_000, 3), (3_000, 4)]);
-        assert_eq!(
-            monotonic_bounds_test(&[&a, &b], 100.0),
-            MbtVerdict::Insufficient
-        );
+        assert_eq!(monotonic_bounds_test(&[&a, &b]), MbtVerdict::Insufficient);
     }
 
     #[test]
@@ -573,18 +452,12 @@ mod tests {
         let a = series(&[(2_000, 110), (0, 100), (4_000, 122)]);
         let b = series(&[(1_000, 105), (3_000, 117), (5_000, 130)]);
         assert!(!is_time_ordered(&a));
-        assert_eq!(
-            monotonic_bounds_test(&[&a, &b], 100.0),
-            MbtVerdict::Consistent
-        );
+        assert_eq!(monotonic_bounds_test(&[&a, &b]), MbtVerdict::Consistent);
         // Three interleaved series of one counter.
         let a = series(&[(0, 100), (3_000, 115)]);
         let b = series(&[(1_000, 105), (4_000, 121)]);
         let c = series(&[(2_000, 110), (5_000, 126)]);
-        assert_eq!(
-            monotonic_bounds_test(&[&a, &b, &c], 100.0),
-            MbtVerdict::Consistent
-        );
+        assert_eq!(monotonic_bounds_test(&[&a, &b, &c]), MbtVerdict::Consistent);
     }
 
     /// A series of up to seven samples: half-second time steps that are
@@ -634,31 +507,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn alternating_series_take_the_walk_and_ties_go_to_a() {
-        // One counter sampled a, b, a, b, …: consistent either way round.
-        let (a, b) = alternating(100, 0, &[(1, 5); 12], false);
-        assert_eq!(streaming_pair_test(&a, &b, 100.0), MbtVerdict::Consistent);
-        assert_eq!(streaming_pair_test(&b, &a, 100.0), MbtVerdict::Consistent);
-        // Each of `second`'s samples shares its timestamp with `first`'s
-        // next one, and ties go to `a`: with `second` as `a` the merge keeps
-        // the sampling order, with `first` as `a` it reads the counter
-        // backwards.
-        let (first, second) = alternating(100, 0, &[(0, 5), (1, 5), (0, 5), (1, 5)], false);
-        let verdict = |a: &[IpidSample], b: &[IpidSample]| streaming_pair_test(a, b, 100.0);
-        assert_eq!(verdict(&second, &first), MbtVerdict::Consistent);
-        assert_eq!(verdict(&first, &second), MbtVerdict::Inconsistent);
-        assert_eq!(
-            collect_and_sort_test(&[&first, &second], 100.0),
-            MbtVerdict::Inconsistent
-        );
-        // `b` probed first, at `a`'s timestamp: the merge still starts with
-        // `a`, and reads the counter backwards.
-        let (a, b) = alternating(100, 0, &[(1, 5), (0, 5), (1, 5), (1, 5)], true);
-        assert_eq!(verdict(&b, &a), MbtVerdict::Consistent);
-        assert_eq!(verdict(&a, &b), MbtVerdict::Inconsistent);
-    }
-
     /// One merged step of a regular pair, relative to the floor of the
     /// bound at its gap.
     #[derive(Debug, Clone, Copy)]
@@ -691,14 +539,13 @@ mod tests {
     /// starts at `start`, the trail's `gap` later, the counter read
     /// alternately and moved by `steps` (within a round, then across).
     fn regular_pair(
-        cap: f64,
         start: u64,
         period: u64,
         gap: u64,
         base: u16,
         steps: &[Step],
     ) -> (Vec<IpidSample>, Vec<IpidSample>) {
-        let floor = |gap: u64| step_bound(cap, SimTime(gap).as_secs_f64()).min(65_535.0) as u16;
+        let floor = |gap: u64| step_bound(SimTime(gap).as_secs_f64()).min(65_535.0) as u16;
         let (mut lead, mut trail) = (Vec::new(), Vec::new());
         let mut ipid = base;
         for (k, step) in steps.iter().enumerate() {
@@ -739,36 +586,31 @@ mod tests {
             trail_first in any::<bool>(),
         ) {
             // Random gaps, equal starts, a period or more apart, and each
-            // side of where the tables of caps 1,500 and 1,000 saturate and
-            // where those of 40 and 100 end.
-            let edges = [43_647, 43_648, 65_470, 65_471, 65_535, 65_536];
+            // side of where the table saturates.
+            let edges = [43_647, 43_648];
             let gaps = (per_mille.iter().map(|&m| period * m / 1_000))
                 .chain([0, 1, period - 1, period, period + 1])
                 .chain(edges.iter().flat_map(|&edge: &u64| [edge, period.saturating_sub(edge)]));
+            let bounds = StepBounds::new();
             for gap in gaps {
-                for cap in [40.0, 100.0, 1_000.0, 1_500.0] {
-                    let (lead, trail) = regular_pair(cap, start, period, gap, base, &steps);
-                    let (a, b) = if trail_first { (trail, lead) } else { (lead, trail) };
-                    let bounds = StepBounds::new(cap);
-                    let columns = SeriesColumns::new([a.as_slice(), b.as_slice()], &bounds);
-                    prop_assert!(columns.series.iter().all(|series| series.start != IRREGULAR));
-                    // The kernel serves two distinct starts less than a
-                    // period apart whose two gaps the table answers.
-                    let answered = |gap: u64| bounds.saturated || gap < bounds.floors.len() as u64;
-                    let served = gap > 0 && gap < period && answered(gap) && answered(period - gap);
-                    let reference = monotonic_bounds_test(&[&a, &b], cap);
-                    let kernel = columns.kernel_test(0, 1);
-                    prop_assert!(
-                        kernel.is_some() == served && kernel.is_none_or(|v| v == reference),
-                        "cap {cap} period {period} gap {gap}: kernel {kernel:?}, reference {reference:?}"
-                    );
-                }
+                let (lead, trail) = regular_pair(start, period, gap, base, &steps);
+                let (a, b) = if trail_first { (trail, lead) } else { (lead, trail) };
+                let columns = SeriesColumns::new([a.as_slice(), b.as_slice()], &bounds);
+                prop_assert!(columns.series.iter().all(|series| series.start != IRREGULAR));
+                // The kernel serves two distinct starts less than a period
+                // apart.
+                let served = gap > 0 && gap < period;
+                let reference = monotonic_bounds_test(&[&a, &b]);
+                let kernel = columns.kernel_test(0, 1);
+                prop_assert!(
+                    kernel.is_some() == served && kernel.is_none_or(|v| v == reference),
+                    "period {period} gap {gap}: kernel {kernel:?}, reference {reference:?}"
+                );
             }
         }
 
         #[test]
         fn the_kernel_serves_exactly_the_regular_pairs_of_any_columns(
-            cap in prop_oneof![Just(100.0f64), Just(1_500.0)],
             // Per series: its start and a shape — regular at one period,
             // regular at another, a sample short, or one sample moved by a
             // millisecond.
@@ -795,17 +637,16 @@ mod tests {
                     samples
                 })
                 .collect();
-            let bounds = StepBounds::new(cap);
+            let bounds = StepBounds::new();
             let columns = SeriesColumns::new(series.iter().map(Vec::as_slice), &bounds);
-            // The columns' period is the first regular series'; starts are
-            // less than any period apart, and both caps' tables answer
-            // every gap below 65,536 ms.
+            // The columns' period is the first regular series', and starts
+            // are less than any period apart.
             let period = shapes.iter().find(|&&(_, shape, ..)| shape < 2).map(|&(_, shape, ..)| period_of(shape));
             let regular = |k: usize| shapes[k].1 < 2 && Some(period_of(shapes[k].1)) == period;
             for i in 0..series.len() {
                 for j in 0..series.len() {
                     let served = regular(i) && regular(j) && shapes[i].0 != shapes[j].0;
-                    let reference = monotonic_bounds_test(&[&series[i], &series[j]], cap);
+                    let reference = monotonic_bounds_test(&[&series[i], &series[j]]);
                     let kernel = columns.kernel_test(i, j);
                     prop_assert!(
                         kernel.is_some() == served && kernel.is_none_or(|v| v == reference),
@@ -816,28 +657,13 @@ mod tests {
         }
 
         #[test]
-        fn alternating_walk_agrees_with_collect_and_sort(
-            base in any::<u16>(),
-            offset in prop_oneof![Just(0u16), 0u16..200, any::<u16>()],
-            steps in prop::collection::vec((0u64..3, 0u16..60), 0..16),
-            second_first in any::<bool>(),
-            max_velocity in prop_oneof![Just(0.0f64), Just(40.0), Just(1_500.0)],
-        ) {
-            let (a, b) = alternating(base, offset, &steps, second_first);
-            prop_assert_eq!(a.len(), b.len());
-            prop_assert_eq!(
-                streaming_pair_test(&a, &b, max_velocity),
-                collect_and_sort_test(&[&a, &b], max_velocity)
-            );
-        }
-
-        #[test]
         fn a_walk_finds_an_impossible_step_exactly_when_the_test_is_inconsistent(
             base in any::<u16>(),
-            offset in prop_oneof![Just(0u16), 0u16..200, any::<u16>()],
+            // Offsets on both sides of the bound after half a second (814)
+            // and after a second (1,564).
+            offset in prop_oneof![Just(0u16), 0u16..200, 700u16..1_700, any::<u16>()],
             steps in prop::collection::vec((1u64..3, 0u16..60), 4..16),
             second_first in any::<bool>(),
-            max_velocity in prop_oneof![Just(0.0f64), Just(40.0), Just(1_500.0)],
         ) {
             // What the elimination stage's stop rule sees: the pair's
             // replies in probe order, each against the one before.  Time
@@ -848,10 +674,10 @@ mod tests {
             } else {
                 b.iter().zip(&a).flat_map(|(x, y)| [*x, *y]).collect()
             };
-            let stops = (probe_order.windows(2)).any(|w| step_is_impossible(w[0], w[1], max_velocity));
+            let stops = (probe_order.windows(2)).any(|w| step_is_impossible(w[0], w[1]));
             prop_assert_eq!(
                 stops,
-                monotonic_bounds_test(&[&a, &b], max_velocity) == MbtVerdict::Inconsistent
+                monotonic_bounds_test(&[&a, &b]) == MbtVerdict::Inconsistent
             );
         }
 
@@ -877,18 +703,29 @@ mod tests {
         #[test]
         fn streaming_merge_agrees_with_collect_and_sort(
             base in any::<u16>(),
-            // The second counter starts where the first does, or anywhere.
-            offset in prop_oneof![Just(0u16), 0u16..200, any::<u16>()],
+            // The second counter starts where the first does, near the
+            // bound (814 after half a second, 1,564 after a second), or
+            // anywhere.
+            offset in prop_oneof![Just(0u16), 0u16..200, 700u16..1_700, any::<u16>()],
             steps_a in prop::collection::vec((0u64..3, 0u16..60), 0..8),
             steps_b in prop::collection::vec((0u64..3, 0u16..60), 0..8),
-            max_velocity in prop_oneof![Just(0.0f64), Just(40.0), Just(1_500.0)],
+            second_first in any::<bool>(),
         ) {
             let a = walk(base, &steps_a);
             let b = walk(base.wrapping_add(offset), &steps_b);
             prop_assert!(is_time_ordered(&a) && is_time_ordered(&b));
             prop_assert_eq!(
-                streaming_pair_test(&a, &b, max_velocity),
-                collect_and_sort_test(&[&a, &b], max_velocity)
+                streaming_pair_test(&a, &b),
+                collect_and_sort_test(&[&a, &b])
+            );
+            // A round robin's shape: two series of one length that
+            // alternate, either one leading, ties across the pair included.
+            let (a, b) = alternating(base, offset, &[steps_a, steps_b].concat(), second_first);
+            prop_assert_eq!(a.len(), b.len());
+            prop_assert!(is_time_ordered(&a) && is_time_ordered(&b));
+            prop_assert_eq!(
+                streaming_pair_test(&a, &b),
+                collect_and_sort_test(&[&a, &b])
             );
         }
 
@@ -900,8 +737,8 @@ mod tests {
             // Raw (time, ipid) points, usually not in time order.
             let (a, b) = (series(&a), series(&b));
             prop_assert_eq!(
-                monotonic_bounds_test(&[&a, &b], 1_500.0),
-                collect_and_sort_test(&[&a, &b], 1_500.0)
+                monotonic_bounds_test(&[&a, &b]),
+                collect_and_sort_test(&[&a, &b])
             );
         }
     }

@@ -23,36 +23,52 @@
 //! Speedtrap (Luckie et al., IMC 2013) is this pipeline over IPv6 targets:
 //! the simulated device answers a fragment-eliciting probe from the same
 //! device-wide counter as an IPv4 echo, so the one code path serves both.
+//! [`MidarTechnique`] and [`SpeedtrapTechnique`] run it over the campaign's
+//! IPv4 and IPv6 targets.
 
+use crate::baselines::{compact_sets, resolve_counter, FamilyTargets};
 use crate::mbt::{MbtVerdict, SeriesColumns, StepBounds};
+use crate::technique::{ResolutionTechnique, TechniqueCtx, TechniqueResult};
 use crate::velocity::{estimate_velocity, VelocityEstimate};
 use alias_netsim::{Internet, ProbeContext, Route, SimTime, VantageKind};
-use alias_obs::{DeterminismClass, LazyCounter};
+use alias_obs::LazyCounter;
 use alias_scan::ipid_probe::{IpidProber, IpidSeries, RoundRobin};
+use alias_scan::CampaignData;
 
 /// Monotonic bounds tests run by the discovery and elimination stages:
 /// one per discovery-window pair and one per candidate elimination
 /// re-probed.  Both stages are serial, so the count is a pure function of
 /// the targets and the substrate's state.
-static MBT_TESTS: LazyCounter = LazyCounter::new(
-    "midar.mbt_tests",
-    DeterminismClass::Deterministic,
-    "tests",
-    "resolve",
-);
+static MBT_TESTS: LazyCounter = resolve_counter("midar.mbt_tests", "tests");
 
 /// Candidate pairs the discovery stage handed to elimination, re-probed or
 /// skipped as already joined.
-static CANDIDATES: LazyCounter = LazyCounter::new(
-    "midar.candidates",
-    DeterminismClass::Deterministic,
-    "pairs",
-    "resolve",
-);
+static CANDIDATES: LazyCounter = resolve_counter("midar.candidates", "pairs");
+
+/// One `midar_resolve` technique's shares of the summed MIDAR and IPID
+/// counters, in [`MidarOutcome`]'s order: bounds tests, candidates, IPID
+/// probes, pair stops.
+type MidarCounters = [LazyCounter; 4];
+
+/// MIDAR's shares (`midar_resolve` over the IPv4 targets).
+static MIDAR_COUNTERS: MidarCounters = [
+    resolve_counter("resolve.midar_mbt_tests", "tests"),
+    resolve_counter("resolve.midar_candidates", "pairs"),
+    resolve_counter("resolve.midar_ipid_probes", "probes"),
+    resolve_counter("resolve.midar_ipid_pair_stops", "pairs"),
+];
+
+/// Speedtrap's shares (`midar_resolve` over the IPv6 targets).
+static SPEEDTRAP_COUNTERS: MidarCounters = [
+    resolve_counter("resolve.speedtrap_mbt_tests", "tests"),
+    resolve_counter("resolve.speedtrap_candidates", "pairs"),
+    resolve_counter("resolve.speedtrap_ipid_probes", "probes"),
+    resolve_counter("resolve.speedtrap_ipid_pair_stops", "pairs"),
+];
 
 /// Highest counter velocity (increments per second) MIDAR considers
-/// testable.
-const MAX_VELOCITY: f64 = 1_500.0;
+/// testable: the bounds test's and velocity estimation's one cap.
+pub(crate) const MAX_VELOCITY: f64 = 1_500.0;
 
 /// Probe rate of MIDAR's sweeps, in packets per second.
 const PROBE_RATE_PPS: f64 = 5_000.0;
@@ -62,7 +78,7 @@ const ROUND_SPACING: SimTime = SimTime::from_secs(10);
 
 /// Simulated pause before each pair test: an Ally test, a rate-limit joint
 /// burst, or a candidate MIDAR re-probes in elimination.
-pub const PAIR_SPACING: SimTime = SimTime(200);
+pub(crate) const PAIR_SPACING: SimTime = SimTime(200);
 
 /// Estimation-stage rounds per target.
 pub(crate) const ESTIMATION_ROUNDS: usize = 12;
@@ -93,16 +109,16 @@ pub struct MidarOutcome {
     /// took three weeks, long enough for churn to matter).
     pub finished_at: SimTime,
     /// Monotonic bounds tests run: this run's share of `midar.mbt_tests`.
-    pub mbt_tests: u64,
+    pub(crate) mbt_tests: u64,
     /// Candidate pairs discovery handed to elimination: this run's share of
     /// `midar.candidates`.
-    pub candidates: u64,
+    pub(crate) candidates: u64,
     /// IPID probes sent, estimation's round robin and elimination's pairs:
     /// this run's share of `scan.ipid_probes`.
-    pub ipid_probes: u64,
+    pub(crate) ipid_probes: u64,
     /// Elimination pairs whose probing ended before their last slot: this
     /// run's share of `scan.ipid_pair_stops`.
-    pub pair_stops: u64,
+    pub(crate) pair_stops: u64,
 }
 
 /// Run the MIDAR pipeline over `targets`, each routed once by the caller
@@ -118,7 +134,7 @@ pub fn midar_resolve(
 ) -> MidarOutcome {
     let mut session = internet.probe_session();
     // Every bounds test of the run reads its step rule from one table.
-    let bounds = StepBounds::new(MAX_VELOCITY);
+    let bounds = StepBounds::new();
 
     // Stage 1: estimation.
     let stage = alias_obs::span("estimation");
@@ -228,14 +244,12 @@ pub fn midar_resolve(
 fn usable_targets(series: &IpidSeries) -> Vec<(f64, usize)> {
     let usable = |velocity: f64| (0.0..=MAX_VELOCITY).contains(&velocity);
     (series.iter().enumerate())
-        .filter_map(
-            |(target, samples)| match estimate_velocity(samples, MAX_VELOCITY) {
-                VelocityEstimate::Monotonic { velocity } if usable(velocity) => {
-                    Some((velocity, target))
-                }
-                _ => None,
-            },
-        )
+        .filter_map(|(target, samples)| match estimate_velocity(samples) {
+            VelocityEstimate::Monotonic { velocity } if usable(velocity) => {
+                Some((velocity, target))
+            }
+            _ => None,
+        })
         .collect()
 }
 
@@ -255,6 +269,72 @@ fn velocity_order(usable: Vec<(f64, usize)>) -> Vec<usize> {
 /// one with the next `DISCOVERY_WINDOW − 1`.
 fn window_pairs(n: usize) -> impl Iterator<Item = (usize, usize)> {
     (0..n).flat_map(move |i| (i + 1..(i + DISCOVERY_WINDOW).min(n)).map(move |j| (i, j)))
+}
+
+/// [`midar_resolve`] over one family's targets, as a technique's result;
+/// the run's tallies go to the technique's `counters`.
+fn midar_result(
+    name: &str,
+    counters: &MidarCounters,
+    data: &CampaignData,
+    ctx: &TechniqueCtx<'_>,
+    family: &FamilyTargets,
+) -> TechniqueResult {
+    let FamilyTargets { ids, routes } = family;
+    let outcome = midar_resolve(ctx.internet, routes, ctx.vantage, ctx.probe_start);
+    let tallies = [
+        outcome.mbt_tests,
+        outcome.candidates,
+        outcome.ipid_probes,
+        outcome.pair_stops,
+    ];
+    for (counter, tally) in counters.iter().zip(tallies) {
+        counter.add(tally);
+    }
+    TechniqueResult::from_compact(
+        name.to_owned(),
+        compact_sets(&outcome.alias_sets, ids),
+        outcome.testable.iter().map(|&i| ids[i]).collect(),
+        outcome.finished_at,
+        data.interner().clone(),
+    )
+}
+
+/// The MIDAR baseline: estimation → discovery → elimination over every
+/// responsive IPv4 address of the campaign, probed from the run's vantage.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct MidarTechnique;
+
+impl ResolutionTechnique for MidarTechnique {
+    fn name(&self) -> &'static str {
+        "midar"
+    }
+
+    fn resolve(&self, data: &CampaignData, ctx: &TechniqueCtx<'_>) -> TechniqueResult {
+        midar_result(self.name(), &MIDAR_COUNTERS, data, ctx, ctx.targets.ipv4())
+    }
+}
+
+/// The Speedtrap baseline: MIDAR's pipeline over every responsive IPv6
+/// address of the campaign, whose fragment-eliciting probes read the same
+/// device-wide counter an IPv4 echo does.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct SpeedtrapTechnique;
+
+impl ResolutionTechnique for SpeedtrapTechnique {
+    fn name(&self) -> &'static str {
+        "speedtrap"
+    }
+
+    fn resolve(&self, data: &CampaignData, ctx: &TechniqueCtx<'_>) -> TechniqueResult {
+        midar_result(
+            self.name(),
+            &SPEEDTRAP_COUNTERS,
+            data,
+            ctx,
+            ctx.targets.ipv6(),
+        )
+    }
 }
 
 #[cfg(test)]
@@ -343,7 +423,7 @@ mod tests {
     /// study's MIDAR run (seed 20230418; MIDAR is the study's first probing
     /// technique, so its input is the campaign's) gets the two-gap kernel's
     /// verdict and the streaming test's, and they agree
-    /// (`cargo test --release -p alias-midar -- --ignored discovery_kernel`,
+    /// (`cargo test --release -p alias-resolve -- --ignored discovery_kernel`,
     /// a CI step).
     #[test]
     #[ignore = "paper scale: the study's campaign and MIDAR's estimation, seconds in release"]
@@ -387,7 +467,7 @@ mod tests {
         let mut sorted = usable.clone();
         sorted.sort_by(|a, b| a.0.total_cmp(&b.0));
         assert!((sorted.iter().map(|&(_, target)| target)).eq(by_velocity.iter().copied()));
-        let bounds = StepBounds::new(MAX_VELOCITY);
+        let bounds = StepBounds::new();
         let series_at = |position: usize| series.samples(by_velocity[position]);
         let columns = SeriesColumns::new((0..by_velocity.len()).map(series_at), &bounds);
         let (mut pairs, mut served, mut consistent) = (0u64, 0u64, 0u64);

@@ -32,9 +32,9 @@
 //! the simulator's `SilentRouter` population.
 
 use crate::baselines::resolve_counter;
+use crate::midar::PAIR_SPACING;
 use crate::technique::{ResolutionTechnique, TechniqueCtx, TechniqueResult};
 use alias_intern::{AddrId, CompactAliasSet};
-use alias_midar::midar::PAIR_SPACING;
 use alias_netsim::ratelimit::{GroupBursts, GROUP_BURST_MAX};
 use alias_netsim::{ProbeContext, Route, ServiceProtocol};
 use alias_obs::LazyCounter;

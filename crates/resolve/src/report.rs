@@ -1,21 +1,17 @@
 //! The structured output of a [`Resolver`](crate::Resolver) run.
 
+use crate::baselines::resolve_counter;
 use crate::technique::TechniqueResult;
 use alias_core::merge::{merge_labeled_compact, MergedSet};
 use alias_core::validation::{common_ids, cross_validate, ValidationResult};
 use alias_intern::{AddrInterner, CompactAliasSet};
-use alias_obs::{DeterminismClass, LazyCounter};
+use alias_obs::LazyCounter;
 use alias_scan::CampaignData;
 use std::sync::Arc;
 
 /// Technique pairs whose agreement row [`ResolutionReport::agreement`]
 /// computed.
-static AGREEMENT_PAIRS: LazyCounter = LazyCounter::new(
-    "resolve.agreement_pairs",
-    DeterminismClass::Deterministic,
-    "pairs",
-    "resolve",
-);
+static AGREEMENT_PAIRS: LazyCounter = resolve_counter("resolve.agreement_pairs", "pairs");
 
 /// Everything one [`Resolver`](crate::Resolver) run produced.
 #[derive(Debug, Clone)]

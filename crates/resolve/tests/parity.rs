@@ -11,14 +11,13 @@ use alias_core::extract::{ExtractionConfig, IdentifierExtractor};
 use alias_core::identifier::ProtocolIdentifier;
 use alias_core::merge::MergedSet;
 use alias_core::union_find::UnionFind;
-use alias_midar::ally::{AllyTester, AllyVerdict};
-use alias_midar::iffinder::iffinder_scan;
-use alias_midar::midar::PAIR_SPACING;
-use alias_midar::midar_resolve;
-use alias_netsim::{Internet, InternetBuilder, InternetConfig, Route, ServiceProtocol};
+use alias_netsim::{
+    Internet, InternetBuilder, InternetConfig, ProbeContext, Route, ServiceProtocol, SimTime,
+};
 use alias_resolve::{
-    AllyTechnique, IdentifierTechnique, IffinderTechnique, MidarTechnique, ProbeTargets,
-    ResolutionTechnique, SpeedtrapTechnique, TechniqueCtx, TechniqueResult,
+    midar_resolve, AllyTechnique, AllyTester, AllyVerdict, IdentifierTechnique, IffinderTechnique,
+    MidarTechnique, ProbeTargets, ResolutionTechnique, SpeedtrapTechnique, TechniqueCtx,
+    TechniqueResult,
 };
 use alias_scan::campaign::{ActiveCampaign, CampaignConfig, CampaignData};
 use alias_scan::ObservationStore;
@@ -26,6 +25,9 @@ use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::net::IpAddr;
 
 const SEEDS: [u64; 3] = [7, 404, 2023];
+
+/// The Ally sweep's pause before each pair test.
+const PAIR_SPACING: SimTime = SimTime(200);
 
 fn build(seed: u64) -> Internet {
     InternetBuilder::new(InternetConfig::tiny(seed)).build()
@@ -215,17 +217,24 @@ fn legacy_resolve(
             address_sets(uf.groups(), &addrs)
         }
         "iffinder" => {
+            // One datagram a target, a millisecond apart; an answer from
+            // another address is a pair.
             let addrs = targets(data, false);
-            let outcome = iffinder_scan(
-                internet,
-                addrs.iter().map(|&addr| (addr, internet.route(addr))),
-                alias_netsim::VantageKind::SingleVp,
-                data.finished_at,
-            );
+            let mut now = data.finished_at;
+            let mut pairs = Vec::new();
+            for &addr in &addrs {
+                now += SimTime(1);
+                let ctx = ProbeContext {
+                    vantage: alias_netsim::VantageKind::SingleVp,
+                    time: now,
+                };
+                let source = (internet.route(addr))
+                    .and_then(|route| internet.udp_closed_port_probe_at(route, &ctx));
+                pairs.extend(source.filter(|&source| source != addr).map(|s| [addr, s]));
+            }
             // Each discovered pair joins every set holding either address.
             let mut sets: Vec<BTreeSet<IpAddr>> = Vec::new();
-            for &(i, source) in &outcome.pairs {
-                let pair = [addrs[i], source];
+            for pair in pairs {
                 let (joined, mut rest): (Vec<_>, Vec<_>) = sets
                     .into_iter()
                     .partition(|set| pair.iter().any(|addr| set.contains(addr)));

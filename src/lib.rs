@@ -15,11 +15,11 @@
 //!   sharded append builders and zero-copy views,
 //! * [`scan`] — ZMap/ZGrab2-style scanners, IPv6 hitlists, IPID probing,
 //! * [`censys`] — Censys-like distributed snapshots,
-//! * [`midar`] — Ally / MIDAR / Speedtrap / iffinder baselines,
 //! * [`core`] — identifiers, alias sets, dual-stack inference, validation
 //!   and AS-level analysis (the paper's contribution),
 //! * [`resolve`] — the unified [`Resolver`](prelude::Resolver) pipeline:
-//!   every technique above behind one
+//!   the identifier techniques and the Ally / MIDAR / Speedtrap / iffinder
+//!   / rate-limit baselines behind one
 //!   [`ResolutionTechnique`](prelude::ResolutionTechnique) trait.
 //!
 //! ## Quick start
@@ -58,7 +58,6 @@
 
 pub use alias_censys as censys;
 pub use alias_core as core;
-pub use alias_midar as midar;
 pub use alias_netsim as netsim;
 pub use alias_resolve as resolve;
 pub use alias_scan as scan;
@@ -71,14 +70,13 @@ pub mod prelude {
     pub use alias_core::dual_stack::DualStackReport;
     pub use alias_core::extract::{ExtractionConfig, IdentifierExtractor};
     pub use alias_core::identifier::SshIdentifierPolicy;
-    pub use alias_midar::midar_resolve;
     pub use alias_netsim::{
         DeviceKind, Internet, InternetBuilder, InternetConfig, ScalePreset, ServiceProtocol,
         SimTime, VantageKind,
     };
     pub use alias_resolve::{
-        AllyTechnique, IdentifierTechnique, IffinderTechnique, MidarTechnique, ResolutionTechnique,
-        Resolver, SpeedtrapTechnique, TechniqueCtx,
+        midar_resolve, AllyTechnique, IdentifierTechnique, IffinderTechnique, MidarTechnique,
+        ResolutionTechnique, Resolver, SpeedtrapTechnique, TechniqueCtx,
     };
     pub use alias_scan::{
         ActiveCampaign, CampaignConfig, CampaignData, DataSource, Ipv6Hitlist, RateProbeConfig,

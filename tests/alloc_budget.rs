@@ -13,11 +13,10 @@
 use alias_intern::{AddrId, CompactAliasSet};
 use alias_resolution::core::alias_set::group_view_compact;
 use alias_resolution::core::validation::cross_validate;
-use alias_resolution::midar::ally::{AllyTester, AllyVerdict};
-use alias_resolution::midar::mbt::{monotonic_bounds_test, MbtVerdict, StepBounds};
 use alias_resolution::netsim::{IpidSample, ProbeContext};
 use alias_resolution::prelude::*;
-use alias_resolution::resolve::ProbeTargets;
+use alias_resolution::resolve::mbt::{monotonic_bounds_test, MbtVerdict, StepBounds};
+use alias_resolution::resolve::{AllyTester, AllyVerdict, ProbeTargets};
 use alias_resolution::scan::ipid_probe::{IpidProber, PairEnd, RoundRobin};
 use alias_resolution::store::parse_payload;
 use alias_resolution::wire::snmp::Snmpv3Message;
@@ -523,7 +522,7 @@ fn a_bounds_test_on_time_ordered_series_allocates_nothing() {
         (&unrelated, MbtVerdict::Inconsistent),
         (&short, MbtVerdict::Insufficient),
     ] {
-        let (count, verdict) = allocations(|| monotonic_bounds_test(&[&a, other], 100.0));
+        let (count, verdict) = allocations(|| monotonic_bounds_test(&[&a, other]));
         assert_eq!(verdict, expected);
         assert_eq!(count, 0, "{expected:?}");
     }
@@ -531,13 +530,9 @@ fn a_bounds_test_on_time_ordered_series_allocates_nothing() {
 
 #[test]
 fn a_step_table_is_one_allocation_and_a_pair_test_on_it_none() {
-    // MIDAR builds one table a run: one block, whether the cap saturates
-    // inside the table (1,500/s) or the table stops at its length cap
-    // (40/s).
-    for cap in [40.0, 1_500.0] {
-        let (count, _) = allocations(|| StepBounds::new(cap));
-        assert_eq!(count, 1, "cap {cap}");
-    }
+    // MIDAR builds one table a run: one block.
+    let (count, _) = allocations(StepBounds::new);
+    assert_eq!(count, 1);
     // Round-robin-like series: gaps on both sides of the 43,648 ms
     // saturation gap.
     let series = |base: u16, offset_ms: u64| -> Vec<IpidSample> {
@@ -548,7 +543,7 @@ fn a_step_table_is_one_allocation_and_a_pair_test_on_it_none() {
             })
             .collect()
     };
-    let bounds = StepBounds::new(1_500.0);
+    let bounds = StepBounds::new();
     let a = series(100, 0);
     for (other, expected) in [
         (series(105, 30_000), MbtVerdict::Consistent),
@@ -558,7 +553,7 @@ fn a_step_table_is_one_allocation_and_a_pair_test_on_it_none() {
     ] {
         let (count, verdict) = allocations(|| bounds.pair_test(&a, &other));
         assert_eq!(verdict, expected);
-        assert_eq!(verdict, monotonic_bounds_test(&[&a, &other], 1_500.0));
+        assert_eq!(verdict, monotonic_bounds_test(&[&a, &other]));
         assert_eq!(count, 0, "{expected:?}");
     }
 }
@@ -605,7 +600,7 @@ fn a_pair_test_in_steady_state_allocates_nothing() {
     // test on the table straight on them.  Only the first pair grows them and fills the
     // memo.
     let mut prober = IpidProber::new(5_000.0);
-    let bounds = StepBounds::new(1_500.0);
+    let bounds = StepBounds::new();
     let mut samples = [Vec::new(), Vec::new()];
     let mut ends = Vec::new();
     for (n, pair) in targets.windows(2).enumerate() {
