@@ -13,7 +13,7 @@ use alias_netsim::{
 use alias_resolve::mbt::{monotonic_bounds_test, MbtVerdict, SeriesColumns, StepBounds};
 use alias_resolve::velocity::estimate_velocity;
 use alias_resolve::AllyTester;
-use alias_scan::ipid_probe::{IpidProber, RoundRobin};
+use alias_scan::ipid_probe::{round_robin, IpidProber, ROUNDS};
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
 fn synthetic_series(base: u16, velocity: f64, samples: usize) -> Vec<IpidSample> {
@@ -59,16 +59,15 @@ fn bench_mbt(c: &mut Criterion) {
 /// probe order within a round is a fixed shuffle.  Returned sorted by
 /// velocity, as the discovery window walks them.
 fn round_robin_series(targets: u64) -> Vec<Vec<IpidSample>> {
-    const ROUND_MS: u64 = 79_000;
     let mut series: Vec<(u64, Vec<IpidSample>)> = (0..targets)
         .map(|t| {
             let counter = t / 8;
             let velocity = 10 + counter % 97 * 10;
             let base = (counter * 7_919) as u16;
             let offset = (t * 7_919) % targets * ROUND_MS / targets;
-            let samples = (0..12)
+            let samples = (0..ROUNDS as u64)
                 .map(|round| {
-                    let time = round * (ROUND_MS + 10_000) + offset;
+                    let time = round * ROUND_PERIOD_MS + offset;
                     IpidSample {
                         time: SimTime(time),
                         ipid: base.wrapping_add((velocity * time / 1_000) as u16),
@@ -82,10 +81,15 @@ fn round_robin_series(targets: u64) -> Vec<Vec<IpidSample>> {
     series.into_iter().map(|(_, samples)| samples).collect()
 }
 
+/// A round spread over 79 s, and the 10 s before the next.
+const ROUND_MS: u64 = 79_000;
+const ROUND_PERIOD_MS: u64 = ROUND_MS + 10_000;
+
 /// MIDAR's discovery window (each series against the next 23) over 4,000
 /// round-robin series: the step bound evaluated in f64 at every step, read
 /// from MIDAR's table, and the two-gap kernel over the series' columns
-/// (every series here is regular, so the kernel serves every pair).
+/// (every series here is regular and the starts distinct, as a round
+/// robin's are, so the kernel serves every pair).
 fn bench_discovery_window(c: &mut Criterion) {
     const WINDOW: usize = 24;
     let series = round_robin_series(4_000);
@@ -101,10 +105,12 @@ fn bench_discovery_window(c: &mut Criterion) {
     let bounds = StepBounds::new();
     let f64_step = |i: usize, j: usize| monotonic_bounds_test(&[&series[i], &series[j]]);
     let table = |i: usize, j: usize| bounds.pair_test(&series[i], &series[j]);
-    let columns = SeriesColumns::new(series.iter().map(Vec::as_slice), &bounds);
-    let kernel = |i: usize, j: usize| {
-        (columns.kernel_test(i, j)).unwrap_or_else(|| bounds.pair_test(&series[i], &series[j]))
-    };
+    let rows = series.iter().map(|samples| {
+        let start = samples[0].time.as_millis();
+        (start, std::array::from_fn(|round| samples[round].ipid))
+    });
+    let columns = SeriesColumns::new(ROUND_PERIOD_MS, rows, &bounds);
+    let kernel = |i: usize, j: usize| columns.kernel_test(i, j);
     assert_eq!(window(&f64_step), window(&table));
     assert_eq!(window(&table), window(&kernel));
     let mut group = c.benchmark_group("discovery_window_4k");
@@ -165,15 +171,10 @@ fn bench_probing(c: &mut Criterion) {
     group.finish();
 
     let targets: Vec<Option<Route>> = pingable.iter().copied().cycle().take(1_000).collect();
-    let round_robin = RoundRobin {
-        rounds: 12,
-        round_spacing: SimTime::from_secs(10),
-        rate_pps: 5_000.0,
-    };
     let mut group = c.benchmark_group("round_robin");
     group.bench_function("1k_targets_12_rounds", |bench| {
         bench.iter(|| {
-            round_robin.collect(
+            round_robin(
                 &mut session,
                 black_box(&targets),
                 VantageKind::Distributed,

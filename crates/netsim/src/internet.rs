@@ -160,39 +160,40 @@ impl ProbeSession<'_> {
     }
 
     /// A round robin's identifier probes: route `t` (`None` takes no probe)
-    /// at the send times the caller paced into its `rounds` slots,
-    /// `slots[t * rounds..][..rounds]`.  Replies overwrite a route's slots
-    /// from the front, in send order; the counts per route are returned.
-    /// A probe moves only its own device's counter, so the session probes
-    /// device by device, each one's routes round by round: the replies the
-    /// slot order gives.
-    pub fn identifier_probe_slots(
+    /// once a round, `t` ms after the round's start in `round_starts`.  The
+    /// IPIDs of a route's replies go to `ipids[t]` from the front, in round
+    /// order; the counts per route are returned.  Whether a probe is
+    /// answered depends on the device and the vantage, never on the time,
+    /// so a count is 0 or `R`.  A probe moves only its own device's
+    /// counter, so the session probes device by device, each one's routes
+    /// round by round: the replies the send order gives.
+    pub fn identifier_probe_slots<const R: usize>(
         &mut self,
         routes: &[Option<Route>],
-        rounds: usize,
+        round_starts: &[SimTime; R],
         vantage: VantageKind,
-        slots: &mut [IpidSample],
-    ) -> Vec<usize> {
-        assert_eq!(slots.len(), routes.len() * rounds, "rounds slots a route");
+        ipids: &mut [[u16; R]],
+    ) -> Vec<u8> {
+        const { assert!(R <= u8::MAX as usize, "a count is a u8") };
+        assert_eq!(ipids.len(), routes.len(), "one row of IPIDs a route");
         // (device, route) keys: a device's routes together, unrouted last.
         let mut keys: Vec<u64> = (routes.iter().zip(0..))
             .map(|(route, t)| u64::from(route.map_or(u32::MAX, |route| route.device.0)) << 32 | t)
             .collect();
         keys.sort_unstable();
-        let mut answered = vec![0; routes.len()];
+        let mut answered = vec![0u8; routes.len()];
         for device in keys.chunk_by(|a, b| a >> 32 == b >> 32) {
-            for round in 0..rounds {
+            for &round_start in round_starts {
                 for target in device.iter().map(|&key| key as u32 as usize) {
                     let Some(route) = routes[target] else {
                         continue;
                     };
-                    // `answered[target] <= round`: replies pack in place.
                     let ctx = ProbeContext {
                         vantage,
-                        time: slots[target * rounds + round].time,
+                        time: round_start + SimTime(target as u64),
                     };
                     if let Some(sample) = self.identifier_probe_at(route, &ctx) {
-                        slots[target * rounds + answered[target]] = sample;
+                        ipids[target][usize::from(answered[target])] = sample.ipid;
                         answered[target] += 1;
                     }
                 }

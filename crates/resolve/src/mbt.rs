@@ -5,8 +5,9 @@
 //! increasing sequence (modulo 16-bit wrap-around).  The test tolerates a
 //! bounded number of wraps, inferred from the counter velocity.
 
-use crate::midar::{ESTIMATION_ROUNDS, MAX_VELOCITY};
+use crate::midar::MAX_VELOCITY;
 use alias_netsim::{IpidSample, SimTime};
+use alias_scan::ipid_probe::ROUNDS;
 
 /// Verdict of a monotonic bounds test.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -139,72 +140,57 @@ impl Default for StepBounds {
     }
 }
 
-/// Marks a series the kernel does not serve: not regular at the columns'
-/// period.
-const IRREGULAR: u64 = u64::MAX;
-
-/// A series as the kernel reads it: its first sample's time (`IRREGULAR`
-/// for a series it does not serve) and its IPIDs in round order.
+/// A series as the kernel reads it: its first sample's time and its IPIDs
+/// in round order.
 #[derive(Debug, Clone, Copy)]
 struct RegularSeries {
     start: u64,
-    ipids: [u16; ESTIMATION_ROUNDS],
+    ipids: [u16; ROUNDS],
 }
 
 /// MIDAR's estimation series in columns, for a sweep that tests many pairs
 /// of them (the discovery window): 32 bytes a series.
 ///
 /// A round robin probes every target once a round, each at its round's
-/// start plus its position, and a device answers every round or none.  So
-/// a series of a responsive target is *regular*: `ESTIMATION_ROUNDS`
-/// samples at `t0 + r·P`, with one period `P` for the whole sweep.  Two
-/// regular series with `t0_a < t0_b` and `g = t0_b − t0_a < P` merge as
-/// `a₀ b₀ a₁ b₁ …`, and the merge's steps take only two gaps: `g` for the
-/// steps inside a round and `P − g` for those that cross rounds.  The pair
-/// is consistent iff every within-round step (mod 2¹⁶) lies in
-/// `[1, floor(g)]` and every cross-round step in `[1, floor(P − g)]`: two
-/// reads of the [`StepBounds`] table and fixed-length lanes with no early
-/// exit ([`SeriesColumns::kernel_test`]).
+/// start plus its position, and a device answers every round or none
+/// ([`alias_scan::ipid_probe::round_robin`]).  So a series of a responsive
+/// target is *regular*: `ROUNDS` samples at `t0 + r·P`, with one period
+/// `P` for the whole sweep.  Two regular series with `t0_a < t0_b` and
+/// `g = t0_b − t0_a < P` merge as `a₀ b₀ a₁ b₁ …`, and the merge's steps
+/// take only two gaps: `g` for the steps inside a round and `P − g` for
+/// those that cross rounds.  The pair is consistent iff every within-round
+/// step (mod 2¹⁶) lies in `[1, floor(g)]` and every cross-round step in
+/// `[1, floor(P − g)]`: two reads of the [`StepBounds`] table and
+/// fixed-length lanes with no early exit ([`SeriesColumns::kernel_test`]).
 ///
-/// The kernel serves no other pair, and the caller runs
-/// [`StepBounds::pair_test`], the definition, on the samples: a pair with
-/// an irregular series (fewer samples, uneven spacing, another period),
-/// with equal starts, or with `g ≥ P`.
+/// **The kernel serves every pair a discovery window tests.**  A target
+/// reaches the window only if velocity estimation found it monotonic,
+/// which takes three samples, so it answered every round and its series
+/// is regular.  Two targets sit at two positions of the round robin's
+/// list, `t0_b − t0_a` is the difference of the positions, and a period is
+/// the list's length less one plus the round spacing: `0 < g < P` for
+/// every pair of distinct targets.  No pair is left for the streaming test
+/// on the samples, and none is handed one.
 #[derive(Debug)]
 pub struct SeriesColumns<'a> {
     bounds: &'a StepBounds,
-    /// The period of the first regular series given; a series with
-    /// another one is irregular.
+    /// Every series' period.
     period: u64,
     /// Per series, in the order given.
     series: Vec<RegularSeries>,
 }
 
 impl<'a> SeriesColumns<'a> {
-    /// The columns of `series`, tested against `bounds`.  Each series'
-    /// regularity is checked once, from its own samples.
-    pub fn new<'s>(
-        series: impl IntoIterator<Item = &'s [IpidSample]>,
+    /// The columns of regular series of one `period`, each given as its
+    /// first sample's time and its IPIDs in round order, tested against
+    /// `bounds`.
+    pub fn new(
+        period: u64,
+        series: impl IntoIterator<Item = (u64, [u16; ROUNDS])>,
         bounds: &'a StepBounds,
     ) -> Self {
-        let mut period = 0;
         let series = (series.into_iter())
-            .map(|samples| {
-                let own = regular_period(samples);
-                if period == 0 {
-                    period = own.unwrap_or(0);
-                }
-                match own {
-                    Some(own) if own == period => RegularSeries {
-                        start: samples[0].time.as_millis(),
-                        ipids: std::array::from_fn(|r| samples[r].ipid),
-                    },
-                    _ => RegularSeries {
-                        start: IRREGULAR,
-                        ipids: [0; ESTIMATION_ROUNDS],
-                    },
-                }
-            })
+            .map(|(start, ipids)| RegularSeries { start, ipids })
             .collect();
         SeriesColumns {
             bounds,
@@ -214,20 +200,18 @@ impl<'a> SeriesColumns<'a> {
     }
 
     /// The verdict of [`StepBounds::pair_test`] of series `i` (as `a`) and
-    /// `j` by the two-gap kernel, or `None` where the pair is not two
-    /// regular series the kernel serves.
+    /// `j` by the two-gap kernel.  Their starts must be distinct and less
+    /// than a period apart, as any two of a round robin's are.
     #[inline]
-    pub fn kernel_test(&self, i: usize, j: usize) -> Option<MbtVerdict> {
+    pub fn kernel_test(&self, i: usize, j: usize) -> MbtVerdict {
         let (series_i, series_j) = (&self.series[i], &self.series[j]);
         let (start_i, start_j) = (series_i.start, series_j.start);
-        if start_i == IRREGULAR || start_j == IRREGULAR {
-            return None;
-        }
-        // Two distinct starts less than a period apart.
         let gap = start_i.abs_diff(start_j);
-        if gap.wrapping_sub(1) >= self.period.wrapping_sub(1) {
-            return None;
-        }
+        debug_assert!(
+            0 < gap && gap < self.period,
+            "starts {start_i} and {start_j} with period {}",
+            self.period
+        );
         let within = self.bounds.floor_at(gap);
         let across = self.bounds.floor_at(self.period - gap);
         // The lead picked by index, not by a branch on the start order.
@@ -241,32 +225,17 @@ impl<'a> SeriesColumns<'a> {
             u16::from(next.wrapping_sub(prev).wrapping_sub(1) >= floor)
         };
         let mut past_bounds = 0;
-        for r in 0..ESTIMATION_ROUNDS {
+        for r in 0..ROUNDS {
             past_bounds |= past(a[r], b[r], within);
         }
-        for r in 0..ESTIMATION_ROUNDS - 1 {
+        for r in 0..ROUNDS - 1 {
             past_bounds |= past(b[r], a[r + 1], across);
         }
-        Some(match past_bounds {
+        match past_bounds {
             0 => MbtVerdict::Consistent,
             _ => MbtVerdict::Inconsistent,
-        })
+        }
     }
-}
-
-/// The period of `samples` if they are `ESTIMATION_ROUNDS` samples at
-/// `t0 + r·P` for some `P > 0`.
-fn regular_period(samples: &[IpidSample]) -> Option<u64> {
-    if samples.len() != ESTIMATION_ROUNDS {
-        return None;
-    }
-    let period = samples[1]
-        .time
-        .as_millis()
-        .checked_sub(samples[0].time.as_millis())?;
-    let even = (samples.windows(2))
-        .all(|w| w[1].time.as_millis().checked_sub(w[0].time.as_millis()) == Some(period));
-    (period > 0 && even).then_some(period)
 }
 
 /// The test over two time-ordered series, as a two-pointer merge.  On equal
@@ -574,82 +543,77 @@ mod tests {
         (lead, trail)
     }
 
+    /// A regular series as the columns take it: its first sample's time
+    /// and its IPIDs.
+    fn row(samples: &[IpidSample]) -> (u64, [u16; ROUNDS]) {
+        (
+            samples[0].time.as_millis(),
+            std::array::from_fn(|r| samples[r].ipid),
+        )
+    }
+
     proptest! {
         #[test]
         fn the_two_gap_kernel_is_the_bounds_test_on_regular_pairs(
             start in 0u64..1_000_000_000,
             period in prop_oneof![2u64..200, 40_000u64..140_000],
-            // Per mille of the period, past 1,000 included.
-            per_mille in prop::collection::vec(0u64..=1_010, 8),
+            // Per mille of the period.
+            per_mille in prop::collection::vec(1u64..1_000, 8),
             base in any::<u16>(),
             steps in prop::collection::vec(any_step(), 24),
             trail_first in any::<bool>(),
         ) {
-            // Random gaps, equal starts, a period or more apart, and each
-            // side of where the table saturates.
+            // Random gaps, the shortest and the longest, and each side of
+            // where the table saturates: every gap a round robin's two
+            // distinct targets can have.
             let edges = [43_647, 43_648];
             let gaps = (per_mille.iter().map(|&m| period * m / 1_000))
-                .chain([0, 1, period - 1, period, period + 1])
-                .chain(edges.iter().flat_map(|&edge: &u64| [edge, period.saturating_sub(edge)]));
+                .chain([1, period - 1])
+                .chain(edges.iter().flat_map(|&edge: &u64| [edge, period.saturating_sub(edge)]))
+                .filter(|&gap| 0 < gap && gap < period);
             let bounds = StepBounds::new();
             for gap in gaps {
                 let (lead, trail) = regular_pair(start, period, gap, base, &steps);
                 let (a, b) = if trail_first { (trail, lead) } else { (lead, trail) };
-                let columns = SeriesColumns::new([a.as_slice(), b.as_slice()], &bounds);
-                prop_assert!(columns.series.iter().all(|series| series.start != IRREGULAR));
-                // The kernel serves two distinct starts less than a period
-                // apart.
-                let served = gap > 0 && gap < period;
+                let columns = SeriesColumns::new(period, [row(&a), row(&b)], &bounds);
                 let reference = monotonic_bounds_test(&[&a, &b]);
                 let kernel = columns.kernel_test(0, 1);
                 prop_assert!(
-                    kernel.is_some() == served && kernel.is_none_or(|v| v == reference),
+                    kernel == reference,
                     "period {period} gap {gap}: kernel {kernel:?}, reference {reference:?}"
                 );
             }
         }
 
         #[test]
-        fn the_kernel_serves_exactly_the_regular_pairs_of_any_columns(
-            // Per series: its start and a shape — regular at one period,
-            // regular at another, a sample short, or one sample moved by a
-            // millisecond.
-            shapes in prop::collection::vec((0u64..40_000, 0u8..4, any::<u16>(), 0usize..12), 2..8),
+        fn the_kernel_is_the_bounds_test_on_every_pair_of_one_sweeps_columns(
+            // Per series: its start (one series a start) and its counter's
+            // base.
+            shapes in prop::collection::vec((0u64..40_000, any::<u16>()), 2..8),
         ) {
             const PERIOD: u64 = 50_000;
-            let period_of = |shape: u8| if shape == 1 { PERIOD + 1 } else { PERIOD };
+            let mut shapes = shapes;
+            shapes.sort_unstable_by_key(|&(start, _)| start);
+            shapes.dedup_by_key(|&mut (start, _)| start);
             let series: Vec<Vec<IpidSample>> = shapes
                 .iter()
-                .map(|&(start, shape, base, at)| {
-                    let mut samples: Vec<IpidSample> = (0..12u64)
+                .map(|&(start, base)| {
+                    (0..ROUNDS as u64)
                         .map(|r| IpidSample {
-                            time: SimTime(start + r * period_of(shape)),
+                            time: SimTime(start + r * PERIOD),
                             ipid: base.wrapping_add((r * 700) as u16),
                         })
-                        .collect();
-                    match shape {
-                        2 => {
-                            samples.remove(at);
-                        }
-                        3 => samples[at].time.0 += 1,
-                        _ => {}
-                    }
-                    samples
+                        .collect()
                 })
                 .collect();
             let bounds = StepBounds::new();
-            let columns = SeriesColumns::new(series.iter().map(Vec::as_slice), &bounds);
-            // The columns' period is the first regular series', and starts
-            // are less than any period apart.
-            let period = shapes.iter().find(|&&(_, shape, ..)| shape < 2).map(|&(_, shape, ..)| period_of(shape));
-            let regular = |k: usize| shapes[k].1 < 2 && Some(period_of(shapes[k].1)) == period;
+            let columns = SeriesColumns::new(PERIOD, series.iter().map(|s| row(s)), &bounds);
             for i in 0..series.len() {
-                for j in 0..series.len() {
-                    let served = regular(i) && regular(j) && shapes[i].0 != shapes[j].0;
+                for j in (0..series.len()).filter(|&j| j != i) {
                     let reference = monotonic_bounds_test(&[&series[i], &series[j]]);
                     let kernel = columns.kernel_test(i, j);
                     prop_assert!(
-                        kernel.is_some() == served && kernel.is_none_or(|v| v == reference),
+                        kernel == reference,
                         "{i} {j}: kernel {kernel:?}, reference {reference:?}, {shapes:?}"
                     );
                 }

@@ -30,9 +30,9 @@ use crate::baselines::{compact_sets, resolve_counter, FamilyTargets};
 use crate::mbt::{MbtVerdict, SeriesColumns, StepBounds};
 use crate::technique::{ResolutionTechnique, TechniqueCtx, TechniqueResult};
 use crate::velocity::{estimate_velocity, VelocityEstimate};
-use alias_netsim::{Internet, ProbeContext, Route, SimTime, VantageKind};
+use alias_netsim::{Internet, IpidSample, ProbeContext, Route, SimTime, VantageKind};
 use alias_obs::LazyCounter;
-use alias_scan::ipid_probe::{IpidProber, IpidSeries, RoundRobin};
+use alias_scan::ipid_probe::{round_robin, IpidProber, IpidSeries, ROUNDS};
 use alias_scan::CampaignData;
 
 /// Monotonic bounds tests run by the discovery and elimination stages:
@@ -70,29 +70,16 @@ static SPEEDTRAP_COUNTERS: MidarCounters = [
 /// testable: the bounds test's and velocity estimation's one cap.
 pub(crate) const MAX_VELOCITY: f64 = 1_500.0;
 
-/// Probe rate of MIDAR's sweeps, in packets per second.
+/// Probe rate of MIDAR's elimination pairs, in packets per second.
 const PROBE_RATE_PPS: f64 = 5_000.0;
-
-/// Spacing between the rounds of MIDAR's estimation.
-const ROUND_SPACING: SimTime = SimTime::from_secs(10);
 
 /// Simulated pause before each pair test: an Ally test, a rate-limit joint
 /// burst, or a candidate MIDAR re-probes in elimination.
 pub(crate) const PAIR_SPACING: SimTime = SimTime(200);
 
-/// Estimation-stage rounds per target.
-pub(crate) const ESTIMATION_ROUNDS: usize = 12;
-
 /// Width of the discovery-stage sliding window over velocity-sorted
 /// targets.
 const DISCOVERY_WINDOW: usize = 24;
-
-/// The estimation stage's round robin.
-const ESTIMATION: RoundRobin = RoundRobin {
-    rounds: ESTIMATION_ROUNDS,
-    round_spacing: ROUND_SPACING,
-    rate_pps: PROBE_RATE_PPS,
-};
 
 /// Probes per address in the elimination stage.
 const ELIMINATION_PROBES: usize = 6;
@@ -138,10 +125,10 @@ pub fn midar_resolve(
 
     // Stage 1: estimation.
     let stage = alias_obs::span("estimation");
-    let series = ESTIMATION.collect(&mut session, targets, vantage, start);
-    let mut finished_at = series
-        .iter()
-        .flat_map(|s| s.last().map(|x| x.time))
+    let series = round_robin(&mut session, targets, vantage, start);
+    let mut finished_at = (0..series.targets())
+        .filter_map(|target| series.samples(target).last())
+        .map(|sample| sample.time)
         .max()
         .unwrap_or(start);
     let usable = usable_targets(&series);
@@ -151,14 +138,12 @@ pub fn midar_resolve(
     // Stage 2: discovery over a velocity-sorted sliding window.  From
     // here on a target is its position in `by_velocity`.  The span has a
     // child for each half: `sort` (the velocity sort and the series'
-    // columns, each series' shape checked once) and `window` (the pairwise
-    // tests: the two-gap kernel where it serves the pair, else the
-    // streaming test on the samples).
+    // columns) and `window` (the pairwise tests, each by the two-gap
+    // kernel, which serves every pair of a round robin's usable targets).
     let stage = alias_obs::span("discovery");
     let step = alias_obs::span("sort");
     let by_velocity = velocity_order(usable);
-    let series_at = |position: usize| series.samples(by_velocity[position]);
-    let columns = SeriesColumns::new((0..by_velocity.len()).map(series_at), &bounds);
+    let columns = estimation_columns(&series, &by_velocity, &bounds);
     drop(step);
     let step = alias_obs::span("window");
     let mut discovery_tests = 0u64;
@@ -167,9 +152,7 @@ pub fn midar_resolve(
     let mut candidates: Vec<(u32, u32)> = Vec::new();
     for (i, j) in window_pairs(by_velocity.len()) {
         discovery_tests += 1;
-        let verdict = (columns.kernel_test(i, j))
-            .unwrap_or_else(|| bounds.pair_test(series_at(i), series_at(j)));
-        if verdict == MbtVerdict::Consistent {
+        if columns.kernel_test(i, j) == MbtVerdict::Consistent {
             candidates.push((i as u32, j as u32));
         }
     }
@@ -233,7 +216,7 @@ pub fn midar_resolve(
         finished_at: finished_at.max(now),
         mbt_tests,
         candidates: candidates.len() as u64,
-        ipid_probes: (targets.len() * ESTIMATION_ROUNDS) as u64 + pair_probes,
+        ipid_probes: (targets.len() * ROUNDS) as u64 + pair_probes,
         pair_stops,
     }
 }
@@ -241,16 +224,41 @@ pub fn midar_resolve(
 /// (velocity, target index) of every target whose counter estimation
 /// finds monotonic and at most `MAX_VELOCITY`, in target order.  A
 /// velocity is forward steps over a positive time, so never negative.
+/// Each target's samples are written out on the stack, one at a time.
 fn usable_targets(series: &IpidSeries) -> Vec<(f64, usize)> {
     let usable = |velocity: f64| (0.0..=MAX_VELOCITY).contains(&velocity);
-    (series.iter().enumerate())
-        .filter_map(|(target, samples)| match estimate_velocity(samples) {
-            VelocityEstimate::Monotonic { velocity } if usable(velocity) => {
-                Some((velocity, target))
+    let mut buffer = [IpidSample::default(); ROUNDS];
+    (0..series.targets())
+        .filter_map(|target| {
+            let samples = series.samples(target);
+            let answered = samples.len();
+            for (slot, sample) in buffer.iter_mut().zip(samples) {
+                *slot = sample;
             }
-            _ => None,
+            match estimate_velocity(&buffer[..answered]) {
+                VelocityEstimate::Monotonic { velocity } if usable(velocity) => {
+                    Some((velocity, target))
+                }
+                _ => None,
+            }
         })
         .collect()
+}
+
+/// The discovery window's columns: the series of the target at each
+/// position of `by_velocity`, straight from the round robin's rows.
+fn estimation_columns<'b>(
+    series: &IpidSeries,
+    by_velocity: &[usize],
+    bounds: &'b StepBounds,
+) -> SeriesColumns<'b> {
+    let row = |&target: &usize| {
+        let ipids = (series.ipids(target).try_into())
+            .expect("a usable target answered, so it answered every round");
+        (series.sent_at(target, 0).as_millis(), ipids)
+    };
+    let rows = by_velocity.iter().map(row);
+    SeriesColumns::new(series.period().as_millis(), rows, bounds)
 }
 
 /// The target at each position of the discovery window: `usable` in
@@ -455,7 +463,7 @@ mod tests {
             .collect();
         addrs.sort_unstable();
         let targets: Vec<Option<Route>> = addrs.iter().map(|&a| internet.route(a)).collect();
-        let series = ESTIMATION.collect(
+        let series = round_robin(
             &mut internet.probe_session(),
             &targets,
             VantageKind::SingleVp,
@@ -468,17 +476,28 @@ mod tests {
         sorted.sort_by(|a, b| a.0.total_cmp(&b.0));
         assert!((sorted.iter().map(|&(_, target)| target)).eq(by_velocity.iter().copied()));
         let bounds = StepBounds::new();
-        let series_at = |position: usize| series.samples(by_velocity[position]);
-        let columns = SeriesColumns::new((0..by_velocity.len()).map(series_at), &bounds);
+        let columns = estimation_columns(&series, &by_velocity, &bounds);
+        // Each position's series expanded to samples, as the streaming
+        // test reads them.
+        let samples: Vec<Vec<IpidSample>> = (by_velocity.iter())
+            .map(|&target| series.samples(target).collect())
+            .collect();
         let (mut pairs, mut served, mut consistent) = (0u64, 0u64, 0u64);
         for (i, j) in window_pairs(by_velocity.len()) {
-            let reference = bounds.pair_test(series_at(i), series_at(j));
+            let reference = bounds.pair_test(&samples[i], &samples[j]);
             pairs += 1;
             consistent += u64::from(reference == MbtVerdict::Consistent);
-            if let Some(verdict) = columns.kernel_test(i, j) {
-                served += 1;
-                assert_eq!(verdict, reference, "pair ({i}, {j})");
-            }
+            // Every position's series is regular, and a window pair's
+            // starts are distinct and less than a period apart.
+            let (start_i, start_j) = (samples[i][0].time, samples[j][0].time);
+            let gap = start_i.max(start_j).since(start_i.min(start_j));
+            assert!(samples[i].len() == ROUNDS && samples[j].len() == ROUNDS);
+            assert!(
+                SimTime::ZERO < gap && gap < series.period(),
+                "pair ({i}, {j})"
+            );
+            served += 1;
+            assert_eq!(columns.kernel_test(i, j), reference, "pair ({i}, {j})");
         }
         assert_eq!(usable.len(), 47_322);
         assert_eq!(pairs, 1_088_130);

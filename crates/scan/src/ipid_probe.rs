@@ -61,39 +61,61 @@ pub enum PairEnd {
     Refuted,
 }
 
-/// A round robin's series, one per target: one column of `rounds` slots
-/// per target, answers packed at the front.
+/// Rounds of the round robin ([`round_robin`]): samples per target.
+pub const ROUNDS: usize = 12;
+
+/// Pause between a round's last probe and the next round's first.
+const ROUND_SPACING: SimTime = SimTime::from_secs(10);
+
+/// Probe rate of the round robin, in packets per second.  At 1,000 pps or
+/// more the pacing bucket gains a token a millisecond, so it never holds
+/// back a probe sent a millisecond after the one before, and the send
+/// times [`round_robin`] derives are the paced ones.
+const ROUND_ROBIN_PPS: f64 = 5_000.0;
+const _: () = assert!(ROUND_ROBIN_PPS >= 1_000.0);
+
+/// A round robin's series ([`round_robin`]): per target the IPIDs of its
+/// answered probes and their count, 25 bytes a target.  Target `t`'s probe
+/// of round `r` went out at `round_starts[r] + t` ms.  A device answers
+/// every round or none (reachability is the device's and the vantage's,
+/// not the time's), so a target's IPIDs are rounds `0, 1, …` in order.
 #[derive(Debug, Clone)]
 pub struct IpidSeries {
-    slots: Vec<IpidSample>,
-    /// Answers per target: the first so many of its slots.
-    answered: Vec<usize>,
-    rounds: usize,
+    ipids: Vec<[u16; ROUNDS]>,
+    /// Answers per target: the first so many of its IPIDs.
+    answered: Vec<u8>,
+    round_starts: [SimTime; ROUNDS],
 }
 
 impl IpidSeries {
-    /// The series of the target at `target` in the round robin's list.
-    pub fn samples(&self, target: usize) -> &[IpidSample] {
-        &self.slots[target * self.rounds..][..self.answered[target]]
+    /// Targets the round robin probed.
+    pub fn targets(&self) -> usize {
+        self.answered.len()
     }
 
-    /// Every target's series, in target order.
-    pub fn iter(&self) -> impl ExactSizeIterator<Item = &[IpidSample]> + '_ {
-        (0..self.answered.len()).map(|target| self.samples(target))
+    /// The IPIDs the target at `target` in the round robin's list
+    /// answered, in round order: all `ROUNDS` of them or none.
+    pub fn ipids(&self, target: usize) -> &[u16] {
+        &self.ipids[target][..usize::from(self.answered[target])]
     }
-}
 
-/// A round-robin sweep of a target set: `rounds` samples per target, the
-/// rounds `round_spacing` apart, paced at `rate_pps`
-/// ([`collect`](Self::collect)).
-#[derive(Debug, Clone)]
-pub struct RoundRobin {
-    /// Samples collected per target per round.
-    pub rounds: usize,
-    /// Spacing between successive rounds.
-    pub round_spacing: SimTime,
-    /// Probe rate in packets per second.
-    pub rate_pps: f64,
+    /// When the target at `target` was probed in round `round`.
+    pub fn sent_at(&self, target: usize, round: usize) -> SimTime {
+        self.round_starts[round] + SimTime(target as u64)
+    }
+
+    /// The time between two rounds' starts: every series' period.
+    pub fn period(&self) -> SimTime {
+        self.round_starts[1].since(self.round_starts[0])
+    }
+
+    /// The series of the target at `target` as samples, in round order.
+    pub fn samples(&self, target: usize) -> impl ExactSizeIterator<Item = IpidSample> + '_ {
+        (self.ipids(target).iter().enumerate()).map(move |(round, &ipid)| IpidSample {
+            time: self.sent_at(target, round),
+            ipid,
+        })
+    }
 }
 
 /// The send-time offsets (from `start`) of one interleaved pair, as the
@@ -126,59 +148,47 @@ impl PairSchedule {
     }
 }
 
-impl RoundRobin {
-    /// Round-robin sample every target: one probe per target per round,
-    /// `rounds` rounds, targets probed in order within a round.  Returns
-    /// one series per target, in target order.
-    ///
-    /// The targets come routed
-    /// ([`Internet::route`](alias_netsim::Internet::route)): IPv4 and IPv6
-    /// interfaces draw from the same device-wide counter (ICMP echo and
-    /// fragment-eliciting probes in the field), and an address no device
-    /// owns (`None`) still takes its turn in the schedule and never
-    /// answers.  Unresponsive targets yield series with fewer (possibly
-    /// zero) samples.
-    ///
-    /// The bucket paces every slot first, stepped probe by probe: its state
-    /// crosses rounds (a round starts `round_spacing` after the previous one
-    /// *ended*, and the strictly-increasing forcing feeds back into the
-    /// refill arithmetic), so no per-round schedule is reused as a pair's is.
-    /// The session then sends the paced probes
-    /// ([`ProbeSession::identifier_probe_slots`]): pacing reads no reply.
-    pub fn collect(
-        &self,
-        session: &mut ProbeSession<'_>,
-        targets: &[Option<Route>],
-        vantage: VantageKind,
-        start: SimTime,
-    ) -> IpidSeries {
-        let rounds = self.rounds;
-        let mut slots = vec![IpidSample::default(); targets.len() * rounds];
-        let mut bucket = TokenBucket::new(self.rate_pps, 16.0, start);
-        let mut round_start = start;
-        // Probe timestamps are forced to be strictly increasing so that the
-        // time-ordered merge of any two series reflects the true probe
-        // order, which the monotonic bounds test depends on.
-        let mut last_sent = SimTime::ZERO;
-        for round in 0..rounds {
-            let mut now = round_start;
-            for target in 0..targets.len() {
-                now = bucket.acquire(now);
-                if now <= last_sent {
-                    now = last_sent + SimTime(1);
-                }
-                last_sent = now;
-                slots[target * rounds + round].time = now;
-            }
-            round_start = round_start.max(now) + self.round_spacing;
-        }
-        let answered = session.identifier_probe_slots(targets, rounds, vantage, &mut slots);
-        IPID_PROBES.add((targets.len() * rounds) as u64);
-        IpidSeries {
-            slots,
-            answered,
-            rounds,
-        }
+/// Round-robin sample every target: one probe per target per round,
+/// [`ROUNDS`] rounds, targets probed in order within a round.  Returns
+/// one series per target, in target order.
+///
+/// The targets come routed
+/// ([`Internet::route`](alias_netsim::Internet::route)): IPv4 and IPv6
+/// interfaces draw from the same device-wide counter (ICMP echo and
+/// fragment-eliciting probes in the field), and an address no device
+/// owns (`None`) still takes its turn in the schedule and never
+/// answers.  Unresponsive targets yield series with no samples.
+///
+/// **The schedule is closed-form.**  The round robin is paced by a
+/// 16-probe token bucket at `ROUND_ROBIN_PPS`, send times forced to
+/// increase strictly (so that the time-ordered merge of any two series is
+/// the probe order, which the monotonic bounds test reads), and a round
+/// starts `ROUND_SPACING` after the previous one's last probe.  The bucket
+/// is asked at each previous send time, a millisecond apart, and gains at
+/// least a token a millisecond, so it always holds one and never moves a
+/// send time: only the forcing does.  Round 0 starts at `start` (1 ms if
+/// `start` is zero: nothing is sent at time zero), target `t` goes out
+/// `t` ms after its round's start, and every series is regular with one
+/// period, `targets − 1` ms plus `ROUND_SPACING`.  The stepped loop that
+/// paced slot by slot is the reference the tests hold this to.  The
+/// session sends the probes ([`ProbeSession::identifier_probe_slots`]).
+pub fn round_robin(
+    session: &mut ProbeSession<'_>,
+    targets: &[Option<Route>],
+    vantage: VantageKind,
+    start: SimTime,
+) -> IpidSeries {
+    let first = start.max(SimTime(1));
+    let period = SimTime(targets.len().saturating_sub(1) as u64) + ROUND_SPACING;
+    let round_starts =
+        std::array::from_fn(|round| first + SimTime(round as u64 * period.as_millis()));
+    let mut ipids = vec![[0; ROUNDS]; targets.len()];
+    let answered = session.identifier_probe_slots(targets, &round_starts, vantage, &mut ipids);
+    IPID_PROBES.add((targets.len() * ROUNDS) as u64);
+    IpidSeries {
+        ipids,
+        answered,
+        round_starts,
     }
 }
 
@@ -245,7 +255,7 @@ impl IpidProber {
         for _ in 0..slots {
             now = bucket.acquire(now);
             // Strictly increasing timestamps keep the merged probe order
-            // recoverable by time (see `RoundRobin::collect`).
+            // recoverable by time (see `round_robin`).
             if now <= last_sent {
                 now = last_sent + SimTime(1);
             }
@@ -363,15 +373,6 @@ mod tests {
             .map(|d| d.ipv4_addrs().into_iter().map(IpAddr::V4).collect())
     }
 
-    /// A round-robin schedule of `rounds` rounds, 10 s apart, at 5,000 pps.
-    fn config(rounds: usize) -> RoundRobin {
-        RoundRobin {
-            rounds,
-            round_spacing: SimTime::from_secs(10),
-            rate_pps: 5_000.0,
-        }
-    }
-
     fn resolve(internet: &Internet, addrs: &[IpAddr]) -> Vec<Option<Route>> {
         addrs.iter().map(|&addr| internet.route(addr)).collect()
     }
@@ -385,17 +386,19 @@ mod tests {
             .flat_map(|d| d.ipv4_addrs().into_iter().map(IpAddr::V4))
             .take(10)
             .collect();
-        let series = config(5).collect(
+        let series = round_robin(
             &mut internet.probe_session(),
             &resolve(&internet, &targets),
             VantageKind::Distributed,
             SimTime::ZERO,
         );
-        assert_eq!(series.iter().len(), targets.len());
-        for s in series.iter() {
-            assert_eq!(s.len(), 5);
+        assert_eq!(series.targets(), targets.len());
+        assert_eq!(series.period(), SimTime(10_009));
+        for target in 0..series.targets() {
+            let samples: Vec<IpidSample> = series.samples(target).collect();
+            assert_eq!(samples.len(), ROUNDS);
             // Timestamps strictly increase.
-            assert!(s.windows(2).all(|w| w[1].time > w[0].time));
+            assert!(samples.windows(2).all(|w| w[1].time > w[0].time));
         }
     }
 
@@ -403,32 +406,31 @@ mod tests {
     fn unresponsive_targets_yield_empty_series() {
         let internet = internet();
         let bogus: Vec<IpAddr> = vec!["198.51.100.77".parse().unwrap()];
-        let series = config(3).collect(
+        let series = round_robin(
             &mut internet.probe_session(),
             &resolve(&internet, &bogus),
             VantageKind::Distributed,
             SimTime::ZERO,
         );
-        assert_eq!(series.iter().len(), 1);
-        let only = series.iter().next().unwrap();
-        assert!(only.is_empty());
+        assert_eq!(series.targets(), 1);
+        assert!(series.ipids(0).is_empty());
     }
 
-    /// The round robin as it was before it paced first and probed device
-    /// by device: one loop over the slots in send order, each probed as it
-    /// is paced.  The reference for the two tests below.
+    /// The round robin as it was before its schedule was closed-form and
+    /// it probed device by device: one loop over the slots in send order,
+    /// each paced by the token bucket and probed as it is paced.  The
+    /// reference for the two tests below.
     fn slot_order_round_robin(
-        config: &RoundRobin,
         session: &mut ProbeSession<'_>,
         targets: &[Option<Route>],
         vantage: VantageKind,
         start: SimTime,
     ) -> Vec<Vec<IpidSample>> {
         let mut series: Vec<Vec<IpidSample>> = targets.iter().map(|_| Vec::new()).collect();
-        let mut bucket = TokenBucket::new(config.rate_pps, 16.0, start);
+        let mut bucket = TokenBucket::new(ROUND_ROBIN_PPS, 16.0, start);
         let mut round_start = start;
         let mut last_sent = SimTime::ZERO;
-        for _ in 0..config.rounds {
+        for _ in 0..ROUNDS {
             let mut now = round_start;
             for (samples, target) in series.iter_mut().zip(targets) {
                 now = bucket.acquire(now);
@@ -442,33 +444,33 @@ mod tests {
                 let ctx = ProbeContext { vantage, time: now };
                 samples.extend(session.identifier_probe_at(route, &ctx));
             }
-            round_start = round_start.max(now) + config.round_spacing;
+            round_start = round_start.max(now) + ROUND_SPACING;
         }
         series
     }
 
-    /// Run each sweep on two same-seed Internets, one through the prober
-    /// and one through [`slot_order_round_robin`], one session per side
-    /// for all of them; compare every series, then every device's counter
-    /// state.  Returns the samples collected.
+    /// Run each sweep on two same-seed Internets, one through
+    /// [`round_robin`] and one through [`slot_order_round_robin`], one
+    /// session per side for all of them; compare every series, expanded
+    /// to samples, then every device's counter state.  Returns the samples
+    /// collected.
     fn assert_round_robin_matches_the_reference(
         build: impl Fn() -> Internet,
-        sweeps: &[(Vec<IpAddr>, RoundRobin, VantageKind, SimTime)],
+        sweeps: &[(Vec<IpAddr>, VantageKind, SimTime)],
     ) -> usize {
         let (reference, probed) = (build(), build());
         let mut samples = 0;
         {
             let (mut by_slot, mut by_device) = (reference.probe_session(), probed.probe_session());
-            for (addrs, config, vantage, start) in sweeps {
+            for (addrs, vantage, start) in sweeps {
                 let targets = resolve(&probed, addrs);
-                let expected =
-                    slot_order_round_robin(config, &mut by_slot, &targets, *vantage, *start);
-                let series = config.collect(&mut by_device, &targets, *vantage, *start);
-                assert_eq!(series.iter().len(), expected.len());
-                for (target, (got, want)) in series.iter().zip(&expected).enumerate() {
+                let expected = slot_order_round_robin(&mut by_slot, &targets, *vantage, *start);
+                let series = round_robin(&mut by_device, &targets, *vantage, *start);
+                assert_eq!(series.targets(), expected.len());
+                for (target, want) in expected.iter().enumerate() {
                     assert_eq!(
-                        got,
-                        &want[..],
+                        series.samples(target).collect::<Vec<_>>(),
+                        *want,
                         "{vantage:?} target {target} {}",
                         addrs[target]
                     );
@@ -513,46 +515,19 @@ mod tests {
             .clone()
             .any(|d| d.responds_to_ping() && !d.visible_to_single_vp()));
 
-        let config = |rounds, rate_pps| RoundRobin {
-            rounds,
-            round_spacing: SimTime::from_secs(10),
-            rate_pps,
-        };
-        let epoch = SimTime::from_days(21);
+        // Both vantages; three weeks in, and at time zero, where nothing
+        // is sent and round 0 starts a millisecond late.
         let sweeps = [
-            (
-                addrs.clone(),
-                config(4, 5_000.0),
-                VantageKind::SingleVp,
-                epoch,
-            ),
-            (
-                addrs.clone(),
-                config(3, 5_000.0),
-                VantageKind::Distributed,
-                SimTime::ZERO,
-            ),
-            // Below 1,000 pps the bucket waits between probes.
-            (
-                addrs.clone(),
-                config(3, 333.0),
-                VantageKind::Distributed,
-                epoch,
-            ),
-            (
-                addrs[..200].to_vec(),
-                config(5, 7.5),
-                VantageKind::SingleVp,
-                epoch,
-            ),
+            (addrs.clone(), VantageKind::SingleVp, SimTime::from_days(21)),
+            (addrs, VantageKind::Distributed, SimTime::ZERO),
         ];
         let samples = assert_round_robin_matches_the_reference(self::internet, &sweeps);
         assert!(samples > 1_000, "only {samples} samples");
     }
 
     /// The same comparison over every pingable IPv4 address and then every
-    /// pingable IPv6 address with MIDAR's estimation schedule (Speedtrap
-    /// runs it over IPv6), at paper scale (`cargo test --release -p alias-scan
+    /// pingable IPv6 address (Speedtrap runs MIDAR's estimation over
+    /// IPv6), at paper scale (`cargo test --release -p alias-scan
     /// -- --ignored round_robin`).
     #[test]
     #[ignore = "paper scale: two Internets of ~90k devices"]
@@ -574,10 +549,9 @@ mod tests {
         };
         let epoch = SimTime::from_days(21);
         let sweeps = [
-            (pingable(false), config(12), VantageKind::SingleVp, epoch),
+            (pingable(false), VantageKind::SingleVp, epoch),
             (
                 pingable(true),
-                config(12),
                 VantageKind::SingleVp,
                 epoch + SimTime::from_days(1),
             ),

@@ -17,7 +17,7 @@ use alias_resolution::netsim::{IpidSample, ProbeContext};
 use alias_resolution::prelude::*;
 use alias_resolution::resolve::mbt::{monotonic_bounds_test, MbtVerdict, StepBounds};
 use alias_resolution::resolve::{AllyTester, AllyVerdict, ProbeTargets};
-use alias_resolution::scan::ipid_probe::{IpidProber, PairEnd, RoundRobin};
+use alias_resolution::scan::ipid_probe::{round_robin, IpidProber, PairEnd, ROUNDS};
 use alias_resolution::store::parse_payload;
 use alias_resolution::wire::snmp::Snmpv3Message;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -644,27 +644,27 @@ fn a_round_robin_allocates_a_constant_number_of_blocks() {
         .map(|addr| internet.route(addr.into()))
         .collect();
     assert!(pingable.len() > 100);
-    let round_robin = RoundRobin {
-        rounds: 12,
-        round_spacing: SimTime::from_secs(10),
-        rate_pps: 5_000.0,
-    };
     let mut session = internet.probe_session();
     let mut start = SimTime::from_days(21);
     // The probe counter registers on first touch: touch it outside the count.
-    round_robin.collect(&mut session, &[], VantageKind::Distributed, start);
+    round_robin(&mut session, &[], VantageKind::Distributed, start);
     for n in [100, 1_000, 4_000] {
         let targets: Vec<_> = pingable.iter().copied().cycle().take(n).collect();
-        let (count, series) = allocations(|| {
-            round_robin.collect(&mut session, &targets, VantageKind::Distributed, start)
+        let (bytes, (count, series)) = bytes_requested(|| {
+            allocations(|| round_robin(&mut session, &targets, VantageKind::Distributed, start))
         });
-        assert!(series.iter().all(|s| s.len() == 12));
-        // The sample column, the answered counts and the device-order keys,
+        assert!((0..n).all(|target| series.ipids(target).len() == ROUNDS));
+        // The IPID rows, the answered counts and the device-order keys,
         // whatever the number of targets.
         assert!(
             count <= 3,
-            "{count} allocations for {n} targets x 12 rounds"
+            "{count} allocations for {n} targets x {ROUNDS} rounds"
         );
+        // 24 bytes of IPIDs, a count and an 8-byte key a target: a column
+        // of 16-byte samples (192 bytes a target) would not fit.
+        if n == 4_000 {
+            assert!(bytes <= 40 * n as u64, "{bytes} bytes for {n} targets");
+        }
         start += SimTime::from_secs(3_600);
     }
 }
