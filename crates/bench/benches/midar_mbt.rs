@@ -147,7 +147,7 @@ fn bench_probing(c: &mut Criterion) {
             tester.test(&mut session, black_box(pair), VantageKind::Distributed, now)
         })
     });
-    let mut prober = IpidProber::new(5_000.0);
+    let mut prober = IpidProber::new(SimTime(1));
     let bounds = StepBounds::new();
     let mut samples = [Vec::new(), Vec::new()];
     let mut now = epoch;

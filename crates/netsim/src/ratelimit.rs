@@ -8,8 +8,9 @@
 //! are correlated under *joint* probing share a device, even when the
 //! device exposes no SSH/BGP/SNMP identifier at all.
 //!
-//! `IcmpTokenBucket` mirrors the sender-side `TokenBucket` in
-//! `alias-scan` (`scan/rate.rs`): same rate/capacity parameters, same
+//! `IcmpTokenBucket` mirrors the sender-side `TokenBucket` that
+//! `alias-scan`'s tests hold its closed-form send times to
+//! (`scan/rate.rs`): same rate/capacity parameters, same
 //! fractional-millisecond accounting — but it decides whether an
 //! *arriving* probe is answered instead of when a departing probe may be
 //! sent.  A burst is evaluated against a bucket that starts **full**: the
@@ -57,8 +58,9 @@ impl IcmpRateLimit {
     };
 }
 
-/// Receiver-side token bucket: the mirror of `alias-scan`'s sender-side
-/// `TokenBucket`, with the same fractional-millisecond refill arithmetic.
+/// Receiver-side token bucket: the mirror of the sender-side `TokenBucket`
+/// of `alias-scan`'s tests, with the same fractional-millisecond refill
+/// arithmetic.
 #[derive(Debug, Clone)]
 pub(crate) struct IcmpTokenBucket {
     rate_pps: f64,

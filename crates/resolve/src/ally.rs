@@ -37,6 +37,10 @@ pub enum AllyVerdict {
 /// Probes sent to each address of a pair.
 const PROBES_PER_ADDR: usize = 6;
 
+/// Time between a pair's probes once the prober's burst is spent: Ally's
+/// 20 probes a second.
+const PROBE_GAP: SimTime = SimTime(50);
+
 /// Whether a shared counter could read `to` right after `from`: in order,
 /// with a tolerance on the gap (Ally's classic "within 200, in order"
 /// heuristic, scaled for the probe spacing used here).
@@ -47,8 +51,7 @@ pub(crate) fn close(from: IpidSample, to: IpidSample) -> bool {
 }
 
 /// Runs Ally tests; a sweep over many pairs keeps one tester so every test
-/// after the first reuses its two sample buffers and the prober's one
-/// memoised pair schedule.
+/// after the first reuses its two sample buffers.
 #[derive(Debug)]
 pub struct AllyTester {
     prober: IpidProber,
@@ -58,7 +61,7 @@ pub struct AllyTester {
 impl Default for AllyTester {
     fn default() -> Self {
         AllyTester {
-            prober: IpidProber::new(20.0),
+            prober: IpidProber::new(PROBE_GAP),
             samples: [
                 Vec::with_capacity(PROBES_PER_ADDR),
                 Vec::with_capacity(PROBES_PER_ADDR),

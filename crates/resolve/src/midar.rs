@@ -70,8 +70,10 @@ static SPEEDTRAP_COUNTERS: MidarCounters = [
 /// testable: the bounds test's and velocity estimation's one cap.
 pub(crate) const MAX_VELOCITY: f64 = 1_500.0;
 
-/// Probe rate of MIDAR's elimination pairs, in packets per second.
-const PROBE_RATE_PPS: f64 = 5_000.0;
+/// Time between the probes of an elimination pair.  MIDAR probes pairs at
+/// 5,000 pps, more than one probe a millisecond, so only the strictly
+/// increasing send times pace them: one a millisecond.
+const PAIR_GAP: SimTime = SimTime(1);
 
 /// Simulated pause before each pair test: an Ally test, a rate-limit joint
 /// burst, or a candidate MIDAR re-probes in elimination.
@@ -160,13 +162,12 @@ pub fn midar_resolve(
     drop(stage);
 
     // Stage 3: elimination / corroboration with interleaved probing.
-    // Every candidate pair writes into the same two sample buffers and
-    // replays the prober's one memoised schedule.  Probing a pair stops at
-    // the first step the bounds test rejects, which fixes its verdict
-    // already; a pair the union-find joins is not re-probed, and keeps its
-    // place in the schedule.
+    // Every candidate pair writes into the same two sample buffers.
+    // Probing a pair stops at the first step the bounds test rejects, which
+    // fixes its verdict already; a pair the union-find joins is not
+    // re-probed, and keeps its place in the schedule.
     let stage = alias_obs::span("elimination");
-    let mut pair_prober = IpidProber::new(PROBE_RATE_PPS);
+    let mut pair_prober = IpidProber::new(PAIR_GAP);
     let mut samples = [
         Vec::with_capacity(ELIMINATION_PROBES),
         Vec::with_capacity(ELIMINATION_PROBES),

@@ -34,18 +34,32 @@ impl ResolutionReport {
     /// Bring per-technique results into one id space and merge them, under
     /// the `resolve/merge` span: sets sharing an address are unioned across
     /// techniques — the paper's consolidation.  The space is `base` (the
-    /// campaign's interner), extended by one copy with the addresses of
-    /// results whose interner is another (iffinder's, when an ICMP error
-    /// came from an address the campaign never observed); afterwards every
-    /// result refers to it and campaign ids keep their values.  `campaign`
-    /// is `None`.
+    /// campaign's interner) or the one result interner that extends it
+    /// (iffinder's, when an ICMP error came from an address the campaign
+    /// never observed); afterwards every result refers to it and campaign
+    /// ids keep their values.  `campaign` is `None`.
+    ///
+    /// # Panics
+    /// Panics if a result's interner does not start with `base`'s
+    /// addresses, or two results extend `base` in different interners.
     pub fn from_techniques(mut techniques: Vec<TechniqueResult>, base: &Arc<AddrInterner>) -> Self {
         let _stage = alias_obs::span("resolve/merge");
         let mut interner = base.clone();
-        for technique in &mut techniques {
-            if !Arc::ptr_eq(technique.interner(), base) {
-                technique.reintern(Arc::make_mut(&mut interner));
+        for technique in &techniques {
+            let space = technique.interner();
+            if Arc::ptr_eq(space, base) || Arc::ptr_eq(space, &interner) {
+                continue;
             }
+            assert!(
+                Arc::ptr_eq(&interner, base),
+                "two results extend the base in different interners"
+            );
+            assert!(
+                space.addrs().starts_with(base.addrs()),
+                "{}'s interner does not extend the base",
+                technique.technique
+            );
+            interner = space.clone();
         }
         for technique in &mut techniques {
             technique.set_interner(interner.clone());
@@ -147,38 +161,10 @@ mod tests {
         let extended = result(
             "extended",
             &[&["10.0.0.3", "192.0.2.7"]],
-            &["10.0.0.3", "10.0.0.6", "192.0.2.7"],
+            &["10.0.0.3", "10.0.0.4", "10.0.0.6", "192.0.2.7"],
             &Arc::new(copy),
         );
-        // A foreign numbering: two novel addresses, one of them the
-        // extender's.
-        let foreign = Arc::new(interner_of(&[
-            "192.0.2.9",
-            "10.0.0.5",
-            "192.0.2.7",
-            "10.0.0.2",
-            "10.0.0.1",
-            "10.0.0.3",
-            "10.0.0.4",
-        ]));
-        let foreign = result(
-            "foreign",
-            &[
-                &["10.0.0.1", "10.0.0.2", "10.0.0.5"],
-                &["192.0.2.7", "192.0.2.9"],
-            ],
-            &[
-                "10.0.0.1",
-                "10.0.0.2",
-                "10.0.0.3",
-                "10.0.0.4",
-                "10.0.0.5",
-                "192.0.2.7",
-                "192.0.2.9",
-            ],
-            &foreign,
-        );
-        let report = ResolutionReport::from_techniques(vec![shared, extended, foreign], &base);
+        let report = ResolutionReport::from_techniques(vec![shared, extended], &base);
 
         let space = report.techniques[0].interner();
         for technique in &report.techniques {
@@ -189,11 +175,11 @@ mod tests {
             );
         }
         assert_eq!(base.addrs(), before, "the base is never mutated");
-        assert_eq!(space.len(), before.len() + 2, "each novel address once");
+        assert_eq!(space.len(), before.len() + 1, "the extension is adopted");
         for (id, &addr) in before.iter().enumerate() {
             assert_eq!(space.get(addr), Some(AddrId(id as u32)), "{addr}");
         }
-        // Every result keeps its sets, testable ids sorted and distinct.
+        // Every result keeps its sets and testable ids.
         let sets = |name: &str| report.technique(name).unwrap().alias_sets();
         assert_eq!(
             sets("shared"),
@@ -203,16 +189,11 @@ mod tests {
             ]
         );
         assert_eq!(sets("extended"), [address_set(&["10.0.0.3", "192.0.2.7"])]);
+        let extended = report.technique("extended").unwrap();
         assert_eq!(
-            sets("foreign"),
-            [
-                address_set(&["10.0.0.1", "10.0.0.2", "10.0.0.5"]),
-                address_set(&["192.0.2.7", "192.0.2.9"])
-            ]
+            extended.testable(),
+            address_set(&["10.0.0.3", "10.0.0.4", "10.0.0.6", "192.0.2.7"])
         );
-        let foreign = report.technique("foreign").unwrap();
-        assert_eq!(foreign.testable_count(), 7);
-        assert!(foreign.testable_ids().windows(2).all(|w| w[0] < w[1]));
 
         let merged = |list: &[&str], labels: &[&str]| MergedSet {
             addrs: address_set(list),
@@ -221,26 +202,28 @@ mod tests {
         assert_eq!(
             report.merged,
             [
+                merged(&["10.0.0.1", "10.0.0.2"], &["shared"]),
                 merged(
-                    &["10.0.0.1", "10.0.0.2", "10.0.0.5"],
-                    &["foreign", "shared"]
-                ),
-                merged(
-                    &["10.0.0.3", "10.0.0.4", "192.0.2.7", "192.0.2.9"],
-                    &["extended", "foreign", "shared"]
+                    &["10.0.0.3", "10.0.0.4", "192.0.2.7"],
+                    &["extended", "shared"]
                 ),
             ]
         );
 
-        // Common testable {.1, .2, .3, .4}: `shared`'s two sets survive the
-        // projection, `foreign` holds only the first of them.
-        let row = report.agreement("shared", "foreign").unwrap();
-        assert_eq!((row.sample_size, row.agree, row.disagree), (2, 1, 1));
-        // Common testable {.3, 192.0.2.7} — the shared novel address is one
-        // id: `extended`'s set survives, `foreign` splits it.
-        let row = report.agreement("extended", "foreign").unwrap();
+        // Common testable {.3, .4}: `shared`'s second set survives the
+        // projection, `extended` splits it.
+        let row = report.agreement("shared", "extended").unwrap();
         assert_eq!((row.sample_size, row.agree, row.disagree), (1, 0, 1));
         assert_eq!(report.agreement("shared", "midar"), None);
         assert_eq!(report.agreement("midar", "shared"), None);
+    }
+
+    #[test]
+    #[should_panic(expected = "does not extend the base")]
+    fn a_result_in_another_numbering_is_refused() {
+        let base = Arc::new(interner_of(&["10.0.0.1", "10.0.0.2"]));
+        let foreign = Arc::new(interner_of(&["10.0.0.2", "10.0.0.1"]));
+        let foreign = result("foreign", &[&["10.0.0.1", "10.0.0.2"]], &[], &foreign);
+        let _ = ResolutionReport::from_techniques(vec![foreign], &base);
     }
 }

@@ -112,25 +112,8 @@ impl TechniqueResult {
         result
     }
 
-    /// Re-intern the sets and testable ids into `space`, which the caller
-    /// then points the result at ([`set_interner`](Self::set_interner)):
-    /// members keep their addresses, the testable ids end up sorted and
-    /// distinct, and canonical order (by address) is unchanged.  A keyed
-    /// pass ([`groups`](Self::groups)) keeps its own store's ids.
-    pub(crate) fn reintern(&mut self, space: &mut AddrInterner) {
-        let from = &self.interner;
-        let mut map = |id: AddrId| space.intern(from.addr(id));
-        for set in &mut self.sets {
-            *set = CompactAliasSet::from_ids(set.iter().map(&mut map).collect());
-        }
-        for id in &mut self.testable {
-            *id = map(*id);
-        }
-        self.testable.sort_unstable();
-        self.testable.dedup();
-    }
-
-    /// Refer the result's ids to `interner`.
+    /// Refer the result's ids to `interner`, which holds the result's own
+    /// interner as a prefix.
     pub(crate) fn set_interner(&mut self, interner: Arc<AddrInterner>) {
         self.interner = interner;
     }

@@ -376,7 +376,7 @@ mod tests {
                 dedicated job — CI keeps the tiny- and paper-scale parity tests"]
     fn sharded_campaign_is_byte_identical_to_serial_at_large_scale() {
         // The same guarantee as `sharded_campaign_is_byte_identical_to_serial`
-        // at the `ALIAS_SCALE=large` tier: the dealt pacing schedules and
+        // at the `ALIAS_SCALE=large` tier: the shard split and
         // hardware-capped shard counts must not leak into the output even
         // when the routed space runs to millions of probes.
         use alias_netsim::ScalePreset;
@@ -397,6 +397,108 @@ mod tests {
             .run(&internet);
             assert_eq!(sharded.store(), serial.store(), "threads={threads}");
             assert_eq!(sharded.finished_at, serial.finished_at);
+        }
+    }
+
+    /// The paper-scale campaign, at 1 and 2 threads, dates its probes as
+    /// the stepped token bucket does: every scan phase's send times over
+    /// its real probe count from its real start (the last answered probe of
+    /// the phase before it), and every stored row's timestamp the send time
+    /// of its target's place in its phase (`cargo test --release -p
+    /// alias-scan -- --ignored send_times`).
+    #[test]
+    #[ignore = "paper scale: two campaigns and ~3 million stepped probes"]
+    fn paper_scale_phase_send_times_equal_the_stepped_reference() {
+        use crate::rate::tests::assert_pace_is_the_stepped_bucket;
+        use crate::rate::Pace;
+        use alias_netsim::internet::SNMP_PORT;
+        use alias_netsim::ScalePreset;
+        use alias_store::ServiceObservation;
+        use std::collections::HashMap;
+
+        let seed = 20230418;
+        let config = InternetConfig::preset(ScalePreset::PaperShape, seed);
+        let hitlist_coverage = config.visibility.hitlist_coverage;
+        let mut internet = InternetBuilder::new(config).build();
+        let start = SimTime::from_days(21);
+        internet.apply_churn(SimTime::ZERO, start);
+        let vantage = VantageKind::SingleVp;
+        let (syn, grab, snmp) = ((200_000, 64), (50_000, 32), (200_000, 32));
+
+        /// A phase's targets in probe order, as address → place.
+        fn places(addrs: impl Iterator<Item = IpAddr>) -> HashMap<IpAddr, u64> {
+            addrs.zip(0..).collect()
+        }
+        // The routed-space sweep's populated places only.
+        let space = internet.routed_space();
+        let routed: HashMap<IpAddr, u64> = (0..space.len())
+            .filter(|&index| space.owner_at(index).is_some())
+            .map(|index| (IpAddr::V4(space.addr_at(index)), index))
+            .collect();
+        let syn_v4 = zmap::scan_ipv4(&internet, vantage, start, seed, 1);
+        let hitlist =
+            Ipv6Hitlist::generate(&internet, hitlist_coverage, HITLIST_STALE_FRACTION, seed);
+        let syn_v6 = zmap::scan_ipv6_list(&internet, &hitlist.addrs, vantage, start, 1);
+        // The phases that store rows, in campaign order: the probes of the
+        // SYN sweep before it (if one is), pace, port, places and probes.
+        let mut phases = Vec::new();
+        let mut snmp_v4 = Some((routed, space.len()));
+        for (sweep, results) in [
+            (space.len() * 2, &syn_v4),
+            (hitlist.len() as u64 * 2, &syn_v6),
+        ] {
+            for (i, port) in zmap::PORTS.into_iter().enumerate() {
+                let targets = results.on_port(port);
+                let places = places(targets.iter().copied());
+                let sweep = (i == 0).then_some(sweep);
+                phases.push((sweep, grab, port, places, targets.len() as u64));
+            }
+            let (places, probes) = snmp_v4.take().unwrap_or_else(|| {
+                let v6 = hitlist.addrs.iter().map(|&a| IpAddr::V6(a));
+                (places(v6), hitlist.len() as u64)
+            });
+            phases.push((None, snmp, SNMP_PORT, places, probes));
+        }
+
+        for threads in [1, 2] {
+            let data = ActiveCampaign::new(CampaignConfig {
+                vantage,
+                start,
+                hitlist_coverage,
+                seed,
+                threads,
+                rate_probe: None,
+            })
+            .run(&internet);
+            let rows = data.store().to_observations();
+            let mut rows = rows.iter().peekable();
+            let mut now = start;
+            for (sweep, pace, port, places, probes) in &phases {
+                if let Some(sweep) = *sweep {
+                    assert_pace_is_the_stepped_bucket(syn, now, sweep);
+                    now = Pace::new(syn.0, syn.1).finish(now, sweep);
+                }
+                assert_pace_is_the_stepped_bucket(*pace, now, *probes);
+                let phase_pace = Pace::new(pace.0, pace.1);
+                let phase_start = now;
+                let mut stored = 0;
+                let in_phase =
+                    |row: &&ServiceObservation| row.port == *port && places.contains_key(&row.addr);
+                while let Some(row) = rows.next_if(in_phase) {
+                    let place = places[&row.addr];
+                    assert_eq!(
+                        row.timestamp,
+                        phase_pace.send_time(phase_start, place),
+                        "{threads} threads: {} at place {place} of {probes}",
+                        row.addr
+                    );
+                    now = row.timestamp;
+                    stored += 1;
+                }
+                assert!(stored > 0, "{threads} threads: a phase stored nothing");
+            }
+            assert!(rows.next().is_none(), "{threads} threads: rows left");
+            assert_eq!(data.finished_at, now);
         }
     }
 

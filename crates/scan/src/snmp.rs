@@ -9,7 +9,7 @@
 //! resolved through the IP index.  Either way one request buffer and one
 //! reply buffer serve a whole shard.
 
-use crate::rate::ProbeSchedule;
+use crate::rate::Pace;
 use alias_netsim::{internet::SNMP_PORT, Internet, ProbeContext, Route, SimTime, VantageKind};
 use alias_obs::{DeterminismClass, LazyCounter};
 use alias_store::{DataSource, PayloadRef, ShardColumns};
@@ -34,35 +34,40 @@ static SNMP_REPORTS: LazyCounter = LazyCounter::new(
     "scan",
 );
 
-/// The probe loop of one shard: one paced discovery request per target,
-/// with message ids continuing the global sequence from `global_offset` and
-/// send times drawn from `schedule`; results are pushed into `columns`.
+/// Discovery's pace: a 32-probe bucket at the SYN sweep's rate, so 33
+/// requests a millisecond.
+const PACE: Pace = Pace::new(crate::zmap::RATE_PPS, 32);
+
+/// The probe loop of one shard: one paced discovery request per target, the
+/// first of them the pass's probe `global_offset`, which sets the message
+/// ids (the global sequence) and the send times; results are pushed into
+/// `columns`.
 ///
 /// Targets arrive as an iterator of addresses, each with its route or
 /// `None` where no interface holds it (the datagram is sent anyway), so the
-/// routed-space sweep never materialises its address list.  An unpopulated target consumes its
-/// schedule slot (the probe *is* sent) but skips request construction,
-/// probe dispatch and ASN attribution entirely — none of which can be
-/// observed for an address that does not exist — and a populated one gets
-/// its request encoded only if an agent there reads it (the simulator
+/// routed-space sweep never materialises its address list.  An unpopulated
+/// target takes its place in the schedule (the probe *is* sent) but skips
+/// its send time, request construction, probe dispatch and ASN attribution
+/// entirely — none of which can be observed for an address that does not
+/// exist — and a populated one gets its request encoded only if an agent there reads it (the simulator
 /// calls the writer past its visibility and listening checks).  The
 /// request and the reply live in two buffers reused across the shard: the
 /// only allocation a stored row costs here is its engine ID.
 fn scan_slice(
     internet: &Internet,
     targets: impl Iterator<Item = Option<(IpAddr, Route)>>,
-    global_offset: usize,
+    global_offset: u64,
     vantage: VantageKind,
-    schedule: &mut ProbeSchedule,
+    start: SimTime,
     columns: &mut ShardColumns,
 ) {
     let (mut request, mut reply) = (Vec::new(), Vec::new());
-    for (offset, target) in targets.enumerate() {
-        let now = schedule.next_send_time();
+    for (k, target) in (global_offset..).zip(targets) {
         let Some((addr, route)) = target else {
             continue;
         };
-        let msg_id = 0x0101 + (global_offset + offset) as i64;
+        let now = PACE.send_time(start, k);
+        let msg_id = 0x0101 + k as i64;
         let request = &mut request;
         let write_request = move || {
             // Moved out of the closure, the borrow can lend the bytes out.
@@ -98,10 +103,10 @@ fn scan_slice(
 /// the per-shard column chunks in shard order (the form the campaign store
 /// absorbs).
 ///
-/// Byte-identical for any thread count: shards resume the one-shard
-/// token-bucket schedule (fast-forwarded to their first target) and use the
-/// same global message-id sequence, so the engine-time values in the Report
-/// payloads — which depend on the probe time — match probe for probe.
+/// Byte-identical for any thread count: a target's send time and message
+/// id are functions of its place in `targets`, so the engine-time values in
+/// the Report payloads — which depend on the probe time — match probe for
+/// probe.
 pub(crate) fn scan(
     internet: &Internet,
     targets: &[IpAddr],
@@ -110,20 +115,17 @@ pub(crate) fn scan(
     threads: usize,
 ) -> Vec<ShardColumns> {
     let ranges = crate::exec::split_even(targets.len() as u64, crate::exec::shards_for(threads));
-    // Discovery is paced at the SYN sweep's rate.
-    let (starts, _) = ProbeSchedule::deal(crate::zmap::RATE_PPS, 32.0, start, &ranges);
     let shards = crate::exec::shard_map(ranges.len(), threads, |shard| {
         let range = &ranges[shard];
-        let mut schedule = starts[shard].clone();
         let mut columns = ShardColumns::new();
         scan_slice(
             internet,
             targets[range.start as usize..range.end as usize]
                 .iter()
                 .map(|&addr| Some((addr, internet.route(addr)?))),
-            range.start as usize,
+            range.start,
             vantage,
-            &mut schedule,
+            start,
             &mut columns,
         );
         columns
@@ -148,10 +150,8 @@ pub fn scan_routed_space(
 ) -> Vec<ShardColumns> {
     let space = internet.routed_space();
     let ranges = crate::exec::split_even(space.len(), crate::exec::shards_for(threads));
-    let (starts, _) = ProbeSchedule::deal(crate::zmap::RATE_PPS, 32.0, start, &ranges);
     let shards = crate::exec::shard_map(ranges.len(), threads, |shard| {
         let range = &ranges[shard];
-        let mut schedule = starts[shard].clone();
         let mut columns = ShardColumns::new();
         scan_slice(
             internet,
@@ -159,9 +159,9 @@ pub fn scan_routed_space(
                 let route = space.owner_at(index)?;
                 Some((IpAddr::V4(space.addr_at(index)), route))
             }),
-            range.start as usize,
+            range.start,
             vantage,
-            &mut schedule,
+            start,
             &mut columns,
         );
         columns
@@ -241,9 +241,9 @@ mod tests {
     #[test]
     fn sharded_snmp_scan_is_byte_identical_to_serial() {
         // Engine-time values in the Report payloads depend on probe time,
-        // so whole-store equality proves the shards resume the one-shard
-        // pacing and message-id schedules exactly — for the routed-space
-        // sweep and for an explicit target list.
+        // so whole-store equality proves the shards date and number their
+        // requests as one shard does — for the routed-space sweep and for an
+        // explicit target list.
         let internet = internet();
         let serial = routed_space_scan(&internet, 1);
         assert!(!serial.is_empty());

@@ -11,7 +11,7 @@
 //! servers' profiles once; a later session repeating them, cookie aside, is
 //! written from that parse.
 
-use crate::rate::ProbeSchedule;
+use crate::rate::Pace;
 use alias_netsim::{Internet, ProbeContext, ServiceProtocol, SimTime, VantageKind};
 use alias_obs::{DeterminismClass, LazyCounter};
 use alias_store::{DataSource, ShardColumns};
@@ -27,13 +27,17 @@ static GRAB_SESSIONS: LazyCounter = LazyCounter::new(
 );
 
 /// Connection attempts per second.
-const RATE_PPS: f64 = 50_000.0;
+const RATE_PPS: u64 = 50_000;
 
-/// The probe loop of one shard: one paced session attempt per target,
-/// drawing send times from `schedule`, capturing session bytes into one
-/// buffer reused across the shard, and pushing them through `columns`' scan
-/// door (the address is interned shard-locally as it is observed).  A
-/// session that does not parse leaves the shard exactly as it was.
+/// A grab's pace: a 32-probe bucket, so 33 sessions a millisecond.
+const PACE: Pace = Pace::new(RATE_PPS, 32);
+
+/// The probe loop of one shard: one paced session attempt per target, the
+/// first of them the grab's probe `first` from `start` (which fixes every
+/// send time in the shard), capturing session bytes into one buffer reused
+/// across the shard, and pushing them through `columns`' scan door (the
+/// address is interned shard-locally as it is observed).  A session that
+/// does not parse leaves the shard exactly as it was.
 ///
 /// Each target is resolved against the IP index exactly once; the probe
 /// dispatch and the ASN attribution reuse the route.
@@ -43,12 +47,12 @@ fn grab_slice(
     port: u16,
     protocol: ServiceProtocol,
     vantage: VantageKind,
-    schedule: &mut ProbeSchedule,
+    (start, first): (SimTime, u64),
     columns: &mut ShardColumns,
 ) {
     let mut session = Vec::new();
-    for &addr in targets {
-        let now = schedule.next_send_time();
+    for (k, &addr) in (first..).zip(targets) {
+        let now = PACE.send_time(start, k);
         let Some(route) = internet.route(addr) else {
             continue;
         };
@@ -68,12 +72,11 @@ fn grab_slice(
 /// responses are silently skipped, exactly as a large-scale scan tolerates
 /// them.
 ///
-/// Byte-identical for any thread count: each shard starts from the
-/// token-bucket state a one-shard scan would have reached at the shard's
-/// first target (fast-forwarded on the calling thread), so every
-/// observation carries the same timestamp — which matters because session
-/// payloads fold the probe time into their bytes (SSH KEXINIT cookies, SNMP
-/// engine time).
+/// Byte-identical for any thread count: a target's send time is a function
+/// of its place in `targets`, so every observation carries the timestamp a
+/// one-shard scan gives it — which matters because session payloads fold
+/// the probe time into their bytes (SSH KEXINIT cookies, SNMP engine
+/// time).
 pub fn grab(
     internet: &Internet,
     targets: &[IpAddr],
@@ -85,10 +88,8 @@ pub fn grab(
 ) -> Vec<ShardColumns> {
     GRAB_SESSIONS.add(targets.len() as u64);
     let ranges = crate::exec::split_even(targets.len() as u64, crate::exec::shards_for(threads));
-    let (starts, _) = ProbeSchedule::deal(RATE_PPS, 32.0, start, &ranges);
     crate::exec::shard_map(ranges.len(), threads, |shard| {
         let range = &ranges[shard];
-        let mut schedule = starts[shard].clone();
         let mut columns = ShardColumns::with_capacity((range.end - range.start) as usize);
         grab_slice(
             internet,
@@ -96,7 +97,7 @@ pub fn grab(
             port,
             protocol,
             vantage,
-            &mut schedule,
+            (start, range.start),
             &mut columns,
         );
         columns
@@ -186,8 +187,8 @@ mod tests {
     #[test]
     fn sharded_grab_is_byte_identical_to_serial() {
         // Timestamps feed into the SSH KEXINIT cookie bytes, so equality of
-        // whole stores proves the shard fast-forward reproduces the
-        // one-shard pacing schedule exactly.
+        // whole stores proves every shard dates its sessions as one shard
+        // does.
         let internet = internet();
         let targets = targets_on(&internet, 22);
         assert!(targets.len() > 8, "need enough targets to shard");

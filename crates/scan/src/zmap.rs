@@ -3,15 +3,15 @@
 //! Phase one of the paper's methodology: "an Internet-wide TCP scan sending
 //! a single SYN packet on port 22 and 179 using ZMap".  The scanner sweeps
 //! every routed IPv4 prefix of the simulated Internet in a pseudorandom
-//! order (so consecutive probes do not hammer one network), paced by a token
-//! bucket, and records which addresses answered SYN-ACK on which port.  The
-//! sweep walks the *indices* of the simulator's routed space
+//! order (so consecutive probes do not hammer one network), at the pace of a
+//! token bucket, and records which addresses answered SYN-ACK on which
+//! port.  The sweep walks the *indices* of the simulator's routed space
 //! ([`Internet::routed_space`](alias_netsim::Internet::routed_space)) and
 //! asks its slot table who, if anyone, holds each one; only the populated
 //! minority is ever turned into an address.
 
 use crate::permute::IndexPermutation;
-use crate::rate::ProbeSchedule;
+use crate::rate::Pace;
 use alias_netsim::{Internet, ProbeContext, SimTime, SynResult, VantageKind};
 use alias_obs::{DeterminismClass, LazyCounter};
 use std::net::{IpAddr, Ipv6Addr};
@@ -33,8 +33,8 @@ static RESPONSIVE_PAIRS: LazyCounter = LazyCounter::new(
     "scan",
 );
 
-/// Simulated milliseconds the token bucket spent pacing ZMap sweeps —
-/// sim-clock time, replayed from the serial schedule, not wall time.
+/// Simulated milliseconds ZMap sweeps took, from their start to their last
+/// probe's send time — sim-clock time, not wall time.
 static PACING_SIM_MS: LazyCounter = LazyCounter::new(
     "scan.pacing_sim_ms",
     DeterminismClass::Deterministic,
@@ -47,7 +47,12 @@ pub(crate) const PORTS: [u16; 2] = [22, 179];
 
 /// SYN probe rate in packets per second.  The SNMPv3 discovery sweep is
 /// paced at the same rate.
-pub(crate) const RATE_PPS: f64 = 200_000.0;
+pub(crate) const RATE_PPS: u64 = 200_000;
+
+/// A sweep's pace: a 64-probe bucket, so 65 probes a millisecond.  A SYN
+/// result does not depend on its send time, so the pace sets only the
+/// sweep's finish time.
+const PACE: Pace = Pace::new(RATE_PPS, 64);
 
 /// Results of a SYN scan.
 #[derive(Debug, Clone, Default)]
@@ -74,8 +79,7 @@ impl ZmapResults {
 /// the IPv4 sweep.
 ///
 /// The inner loop carries no pacing state: a SYN result does not depend on
-/// the probe's send time (the bucket schedule is replayed separately to
-/// date the results), and each swept index costs one read of the routed
+/// the probe's send time (only the sweep's finish time is dated), and each swept index costs one read of the routed
 /// space's slot table — the unpopulated majority is skipped without an
 /// address, a hash or per-port probe dispatch.
 fn syn_slice(
@@ -107,7 +111,7 @@ fn syn_slice(
 }
 
 /// Assemble per-shard port hit lists into results, with the finish time
-/// from the replayed serial pacing schedule.
+/// of `probes_sent` probes at the sweep's pace.
 fn assemble_results(
     per_shard: Vec<[Vec<IpAddr>; 2]>,
     probes_sent: u64,
@@ -119,14 +123,7 @@ fn assemble_results(
             addrs.extend(hits);
         }
     }
-    // Replay the serial pacing schedule to land on the identical finish
-    // time (the schedule is a pure function of the probe count).
-    let (_, finished_at) = ProbeSchedule::deal(
-        RATE_PPS,
-        64.0,
-        start,
-        std::slice::from_ref(&(0..probes_sent)),
-    );
+    let finished_at = PACE.finish(start, probes_sent);
     PROBES_EMITTED.add(probes_sent);
     RESPONSIVE_PAIRS.add(responsive.iter().map(|addrs| addrs.len() as u64).sum());
     PACING_SIM_MS.add(finished_at.since(start).as_millis());
@@ -144,8 +141,7 @@ fn assemble_results(
 /// Output is byte-identical for any thread count: a SYN result does not
 /// depend on the probe's send time, shard outputs are concatenated in
 /// shard order (which reproduces the one-shard discovery order), and the
-/// finish time is the token-bucket schedule replayed over the same probe
-/// count.
+/// finish time is a function of the probe count.
 pub fn scan_ipv4(
     internet: &Internet,
     vantage: VantageKind,

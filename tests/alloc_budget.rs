@@ -576,8 +576,8 @@ fn a_pair_test_in_steady_state_allocates_nothing() {
     let epoch = SimTime::from_days(21);
 
     // The Ally sweep: one tester, its two buffers reused pair after pair.
-    // Only the first pair allocates: it steps the pair schedule, and the
-    // memo holds it from then on.
+    // No pair allocates, the first included: the tester made its buffers,
+    // and send times are closed-form.
     let mut tester = AllyTester::new();
     let mut answered = 0;
     for (n, pair) in targets.windows(2).enumerate() {
@@ -590,16 +590,15 @@ fn a_pair_test_in_steady_state_allocates_nothing() {
                 start,
             )
         });
-        assert!(count <= u64::from(n == 0), "pair {n}: {count}, {verdict:?}");
+        assert_eq!(count, 0, "pair {n}: {verdict:?}");
         answered += usize::from(verdict != AllyVerdict::Unresponsive);
     }
     assert!(answered > 30, "only {answered} pairs answered");
 
     // MIDAR's elimination stage: probe into two caller-owned buffers,
     // stopping at the first step the bounds table rejects, then the bounds
-    // test on the table straight on them.  Only the first pair grows them and fills the
-    // memo.
-    let mut prober = IpidProber::new(5_000.0);
+    // test on the table straight on them.  Only the first pair grows them.
+    let mut prober = IpidProber::new(SimTime(1));
     let bounds = StepBounds::new();
     let mut samples = [Vec::new(), Vec::new()];
     let mut ends = Vec::new();
